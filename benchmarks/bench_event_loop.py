@@ -43,7 +43,7 @@ if __package__ is None or __package__ == "":  # run as a plain script
 
 from benchmarks.conftest import report
 from repro.sim.network import Network
-from repro.sim.process import Process
+from repro.transport.runtime import ProcessBase as Process
 from repro.sim.scheduler import Simulator
 
 DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_event_loop.json"

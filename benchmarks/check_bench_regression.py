@@ -279,12 +279,12 @@ def check_consensus() -> list[Check]:
 
 
 def check_live(quick: bool = False) -> list[Check]:
-    from repro.transport.bench import run_pair
+    from repro.transport.bench import pair_specs, run_pair
 
     baseline = _load("BENCH_live_throughput.json")
     section = baseline["quick" if quick else "full"]
     mix = dict(section["mix"])
-    base, fast, speedup = run_pair(mix, runs=section["runs_per_arm"])
+    base, fast, speedup = run_pair(pair_specs(mix), runs=section["runs_per_arm"])
     label = "live (quick)" if quick else "live"
     return [
         # Identities: every issued op completes in both arms, and the two

@@ -1,6 +1,6 @@
 """High-level public API.
 
-Four entry points cover the common uses:
+Five entry points cover the common uses:
 
 * :func:`create_register` — "give me a simulated ``n``-process register I can
   read and write from Python" (returns a :class:`RegisterCluster`);
@@ -14,6 +14,14 @@ Four entry points cover the common uses:
   checking + shrinking violations to replayable counterexample artifacts;
 * :func:`build_table1` (re-exported from :mod:`repro.analysis.table1`) —
   regenerate the paper's evaluation table.
+
+Keyed store *workloads* have one entry point of their own,
+:func:`repro.workloads.kv.run_kv_workload` — ``spec → result`` on every
+backend (serial simulation, ``workers=N`` shard-parallel — also re-exported
+here as :func:`run_kv_workload_parallel` —, ``transport="live"`` sockets),
+always a :class:`~repro.workloads.kv.KVWorkloadResult` whose ``verify()``
+returns the run's one verdict and whose ``summary()`` is what the CLI and
+the ``BENCH_*.json`` files render (DESIGN.md §6c, "The run pipeline").
 
 Everything these wrap is public too; see DESIGN.md for the package map.
 """

@@ -25,27 +25,88 @@ smoke test in automation.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Optional, Sequence
 
 from repro.analysis.bits import control_bits_growth
 from repro.analysis.memory import memory_growth
-from repro.analysis.report import format_metrics, format_table
+from repro.analysis.report import (
+    format_connections,
+    format_metrics,
+    format_number,
+    format_run,
+    format_table,
+    report_run,
+)
 from repro.analysis.table1 import build_table1
+from repro.exec.metrics import json_number
 from repro.registers.base import OperationKind
 from repro.registers.registry import available_algorithms
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.failures import random_crash_schedule
+from repro.workloads.kv import CrashPoint, run_kv_workload
 from repro.workloads.runner import run_workload
 from repro.workloads.spec import WorkloadSpec
 
 
+#: The flags several sub-commands share, declared once: ``dest -> (flag,
+#: argparse kwargs)``.  Each command passes its own defaults (``None`` means
+#: "the scenario's / mode's own value") to :func:`_add_shared_arguments`.
+_SHARED_FLAGS = {
+    "n": ("--n", dict(type=int, help="number of processes")),
+    "writes": ("--writes", dict(type=int, help="number of writes")),
+    "reads": ("--reads", dict(type=int, help="reads per reader")),
+    "seed": ("--seed", dict(type=int, help="master seed")),
+    "keys": ("--keys", dict(type=int, help="number of distinct keys")),
+    "ops": ("--ops", dict(type=int, help="total operations")),
+    "read_fraction": (
+        "--read-fraction",
+        dict(type=float, help="fraction of operations that are reads"),
+    ),
+    "algorithm": ("--algorithm", dict(help="register algorithm (see `repro algorithms`)")),
+    "shards": ("--shards", dict(type=int, help="number of shards")),
+    "replication": ("--replication", dict(type=int, help="replicas per shard")),
+    "workers": (
+        "--workers",
+        dict(type=int, help="worker processes (sim only; output is identical for any count)"),
+    ),
+    "transport": (
+        "--transport",
+        dict(
+            choices=["sim", "live"],
+            help="deterministic virtual-time simulator, or live asyncio sockets "
+            "on a loopback replica cluster",
+        ),
+    ),
+    "codec": (
+        "--codec",
+        dict(
+            choices=["binary", "json"],
+            help="live wire codec: binary (struct-packed fast path) or json (the "
+            "PR 8 wire; also disables write batching for a faithful baseline)",
+        ),
+    ),
+    "quick": ("--quick", dict(action="store_true", help="small sizes for CI smoke runs")),
+    "out_dir": ("--out-dir", dict(help="directory for emitted artifacts")),
+}
+
+
+def _add_shared_arguments(
+    parser: argparse.ArgumentParser, restrict_algorithm: bool = False, **defaults: object
+) -> None:
+    """Add the :data:`_SHARED_FLAGS` named in ``defaults`` with those defaults."""
+    for dest, default in defaults.items():
+        flag, kwargs = _SHARED_FLAGS[dest]
+        kwargs = dict(kwargs, dest=dest, default=default)
+        if default is not False:  # store_true flags document themselves
+            kwargs["help"] += f" (default: {'per scenario/mode' if default is None else default})"
+        if dest == "algorithm" and restrict_algorithm:
+            kwargs["choices"] = available_algorithms()
+        parser.add_argument(flag, **kwargs)
+
+
 def _add_common_workload_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=5, help="number of processes (default 5)")
-    parser.add_argument("--writes", type=int, default=10, help="number of writes (default 10)")
-    parser.add_argument("--reads", type=int, default=10, help="reads per reader (default 10)")
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    _add_shared_arguments(parser, n=5, writes=10, reads=10, seed=0)
     parser.add_argument(
         "--delay",
         choices=["fixed", "uniform"],
@@ -58,20 +119,6 @@ def _add_common_workload_arguments(parser: argparse.ArgumentParser) -> None:
         default=0,
         help="number of random reader crashes to inject (writer is spared)",
     )
-
-
-def _json_number(value: Optional[float], digits: int = 3) -> Optional[float]:
-    """Round a measurement for a JSON payload; non-finite values become ``None``.
-
-    ``json.dumps`` would happily serialize ``float("inf")`` as bare
-    ``Infinity`` — which is not JSON and breaks strict consumers — so every
-    number that can degenerate (zero-span throughput) passes through here,
-    and the dumps below use ``allow_nan=False`` so a regression fails loudly
-    at write time instead of corrupting the artifact.
-    """
-    if value is None or not math.isfinite(value):
-        return None
-    return round(value, digits)
 
 
 def _delay_model(name: str, seed: int):
@@ -193,31 +240,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     ]
     if result.monitor is not None:
         rows.append(["lemma invariants", "ok" if result.monitor.report.ok else "VIOLATED"])
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=f"{args.algorithm} on n={args.n} ({spec.total_operations()} operations)",
-        )
+    table = format_table(
+        ["metric", "value"],
+        rows,
+        title=f"{args.algorithm} on n={args.n} ({spec.total_operations()} operations)",
     )
-    if not report.ok:
-        print("\natomicity violations:", file=sys.stderr)
-        for violation in report.violations:
-            print(f"  - {violation}", file=sys.stderr)
-        return 1
-    return 0
+    return report_run(table, report.violations, "atomicity")
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """Run the same workload under every executable algorithm and compare."""
     rows = []
-    failures = 0
+    failures = []
     for algorithm in ("two-bit", "abd", "abd-bounded-emulation"):
         spec = _spec_from_args(args, algorithm)
         result = run_workload(spec)
         report = result.check_atomicity(raise_on_violation=False)
-        if not report.ok:
-            failures += 1
+        failures.extend(f"{algorithm}: {violation}" for violation in report.violations)
         reads = result.read_latencies()
         rows.append(
             [
@@ -228,42 +267,33 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 "yes" if report.ok else "NO",
             ]
         )
-    print(
-        format_table(
-            ["algorithm", "total msgs", "max control bits", "mean read latency", "atomic"],
-            rows,
-            title=f"Comparison on n={args.n}, {args.writes} writes, {args.reads} reads/reader",
-        )
+    table = format_table(
+        ["algorithm", "total msgs", "max control bits", "mean read latency", "atomic"],
+        rows,
+        title=f"Comparison on n={args.n}, {args.writes} writes, {args.reads} reads/reader",
     )
-    return 1 if failures else 0
+    return report_run(table, failures, "atomicity")
 
 
 def cmd_bits(args: argparse.Namespace) -> int:
     """Control-bit and local-memory growth curves (the 'unbounded' rows of Table 1)."""
     counts = (10, max(20, args.writes // 4), args.writes)
-    rows = []
-    for algorithm in ("abd", "two-bit"):
-        growth = control_bits_growth(algorithm, n=args.n, write_counts=counts, seed=args.seed)
-        rows.append([algorithm] + [m.max_control_bits for m in growth])
-    print(
-        format_table(
-            ["algorithm"] + [f"{c} writes" for c in counts],
-            rows,
-            title="Max control bits per message",
-        )
-    )
-    rows = []
-    for algorithm in ("abd", "two-bit"):
-        growth = memory_growth(algorithm, n=args.n, write_counts=counts, seed=args.seed)
-        rows.append([algorithm] + [m.max_words for m in growth])
-    print()
-    print(
-        format_table(
-            ["algorithm"] + [f"{c} writes" for c in counts],
-            rows,
-            title="Max local memory per process (words)",
-        )
-    )
+    tables = []
+    for title, measure, attribute in (
+        ("Max control bits per message", control_bits_growth, "max_control_bits"),
+        ("Max local memory per process (words)", memory_growth, "max_words"),
+    ):
+        rows = [
+            [algorithm]
+            + [
+                getattr(point, attribute)
+                for point in measure(algorithm, n=args.n, write_counts=counts, seed=args.seed)
+            ]
+            for algorithm in ("abd", "two-bit")
+        ]
+        headers = ["algorithm"] + [f"{c} writes" for c in counts]
+        tables.append(format_table(headers, rows, title=title))
+    print("\n\n".join(tables))
     return 0
 
 
@@ -300,133 +330,149 @@ def cmd_messages(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_store_live(args: argparse.Namespace) -> int:
-    """Run the keyed workload over the live asyncio socket backend.
+# --------------------------------------------------------- keyed commands
+#
+# store / consensus / loadgen / chaos / bench are all the same pipeline:
+# flags -> spec (a ``_*_spec`` builder; any ValueError it or the spec's own
+# validation raises is exit status 2, decided once in :func:`main`) ->
+# ``run_kv_workload`` / ``run_loadgen`` -> ``result.verify()`` ->
+# ``format_run(result.summary(verdict))`` -> :func:`report_run` (0 or 1).
+# Nothing below knows which backend executed a run.
 
-    Same seeded operation stream as the simulated run of the identical
-    spec; timing and metrics are wall-clock, and the histories feed the
-    unmodified per-key linearizability checker.
-    """
-    from repro.workloads.kv import run_kv_workload
+
+def _crash_points(args: argparse.Namespace, replication: int) -> tuple:
+    """``--crashes N``: one non-writer replica of N distinct shards, seeded."""
+    from repro.sim.rng import make_rng
+
+    if args.crashes < 0:
+        raise ValueError(f"--crashes must be non-negative, got {args.crashes}")
+    if (replication - 1) // 2 < 1:
+        raise ValueError(
+            f"--crashes requires replication >= 3 (replication {replication} "
+            "tolerates no crashes)"
+        )
+    if args.crashes > args.shards:
+        raise ValueError(
+            f"--crashes {args.crashes} exceeds the number of shards ({args.shards}); "
+            "each crash takes down one non-writer replica of a distinct shard"
+        )
+    rng = make_rng(args.seed, "store-cli-crashes", args.shards, args.crashes)
+    shards = sorted(rng.sample(range(args.shards), args.crashes))
+    # Crash early in the run: batched driving finishes a few hundred ops
+    # within a handful of virtual-time units, so a wide window would let
+    # crashes silently land after the run already completed.
+    return tuple(
+        CrashPoint(at_time=round(rng.uniform(1.0, 4.0), 3), shard=shard, replica=1)
+        for shard in shards
+    )
+
+
+def _geometry_row(spec) -> list:
+    return [
+        "keys / shards / replication",
+        f"{spec.num_keys} / {spec.num_shards} / {spec.replication}",
+    ]
+
+
+def _store_spec(args: argparse.Namespace):
+    """``repro store`` flags → :class:`~repro.workloads.kv.KVWorkloadSpec`."""
     from repro.workloads.scenarios import kv_uniform, kv_zipfian
 
-    for sim_only, label in (
-        (args.crashes, "--crashes"),
-        (args.no_coalesce, "--no-coalesce"),
-        (args.algorithms, "--algorithms"),
-        (args.workers != 1, "--workers"),
-    ):
-        if sim_only:
-            print(
-                f"{label} is simulated-only; the live transport takes the wire as-is "
-                "(see `repro transports`)",
-                file=sys.stderr,
+    # `--replicas` is the live-transport wording for `--replication`; both
+    # set the per-shard replica count on either backend.
+    replication = args.replication if args.replicas is None else args.replicas
+    changes: dict = {"transport": args.transport, "workers": args.workers}
+    if args.algorithms:
+        names = tuple(name.strip() for name in args.algorithms.split(",") if name.strip())
+        if not names:
+            raise ValueError("--algorithms needs at least one algorithm name")
+        unknown = [name for name in names if name not in available_algorithms()]
+        if unknown:
+            raise ValueError(
+                f"unknown algorithm(s) {unknown} in --algorithms; "
+                f"available: {available_algorithms()}"
             )
-            return 2
+        # Round-robin the listed algorithms over the shards.
+        changes["shard_algorithms"] = tuple(
+            names[shard % len(names)] for shard in range(args.shards)
+        )
+    if args.no_coalesce:
+        changes["coalesce"] = False
+    if args.arrival != "closed":
+        # Open-loop driving: the same key/op stream, arriving at seeded times
+        # with mean rate --rate (per virtual-time unit, or per wall second on
+        # the live transport) instead of batched submission.
+        changes.update(arrival=args.arrival, arrival_rate=args.rate)
+    if args.codec is not None:
+        # `--codec json` reproduces the PR 8 wire end to end: JSON frames
+        # *and* one write() per frame, so A/B runs against the binary
+        # fast path measure the whole wire, not just the encoding.
+        changes.update(codec=args.codec, write_batching=args.codec == "binary")
+    if args.crashes:
+        changes["crash_points"] = _crash_points(args, replication)
     builder = kv_zipfian if args.dist == "zipfian" else kv_uniform
-    try:
-        spec = builder(
-            num_keys=args.keys,
-            num_ops=args.ops,
-            read_fraction=args.read_fraction,
-            algorithm=args.algorithm,
-            num_shards=args.shards,
-            replication=args.replication,
-            batch_size=args.batch,
-            seed=args.seed,
-        ).with_(transport="live")
-        if args.codec is not None:
-            # `--codec json` reproduces the PR 8 wire end to end: JSON frames
-            # *and* one write() per frame, so A/B runs against the binary
-            # fast path measure the whole wire, not just the encoding.
-            spec = spec.with_(codec=args.codec, write_batching=args.codec == "binary")
-        if args.arrival != "closed":
-            # Open-loop on the wall clock: --rate is operations per second.
-            spec = spec.with_(arrival=args.arrival, arrival_rate=args.rate)
-    except ValueError as exc:
-        print(f"invalid store parameters: {exc}", file=sys.stderr)
-        return 2
+    return builder(
+        num_keys=args.keys,
+        num_ops=args.ops,
+        read_fraction=args.read_fraction,
+        algorithm=args.algorithm,
+        num_shards=args.shards,
+        replication=replication,
+        batch_size=args.batch,
+        seed=args.seed,
+    ).with_(**changes)
+
+
+def cmd_store(args: argparse.Namespace) -> int:
+    """Run a keyed workload against the sharded multi-key store (either backend)."""
+    spec = args.spec
     result = run_kv_workload(spec)
-    report = result.check_linearizability()
-    transport = result.metrics.get("transport") or {}
-    rows = [
-        ["transport", f"live (asyncio loopback, {args.replication} replica processes)"],
-        ["wire codec", f"{transport.get('codec', spec.codec)}"
-         + (" + write batching" if transport.get("batching") else ", per-frame writes")],
-        ["algorithm", args.algorithm],
-        ["operations submitted", result.submitted],
-        ["operations completed", result.completed],
-        ["operations failed", result.failed],
-        ["protocol messages", result.messages_total],
-        ["wall seconds", round(result.wall_seconds, 3)],
-        ["ops per wall second", round(result.wall_throughput(), 1)],
-        ["per-key linearizable", f"yes ({report.keys_checked} keys)" if report.ok else "NO"],
+    verdict = result.verify()
+    summary = result.summary(verdict)
+    lead = [
+        _geometry_row(spec),
+        [
+            "per-shard algorithms",
+            ", ".join(f"s{shard}={name}" for shard, name in enumerate(spec.shard_algorithms))
+            if spec.shard_algorithms
+            else spec.algorithm,
+        ],
     ]
+    if spec.workers > 1:
+        lead.append(["worker processes", spec.workers])
     if spec.open_loop:
-        rows.insert(2, ["offered load (ops/second)", args.rate])
-    if not result.finished_cleanly:
-        rows.insert(2, ["finished cleanly", "NO (failed or timed-out operations)"])
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=(
-                f"store [live]: {args.algorithm}, {args.ops} ops, {args.dist} keys"
-                + (f", {args.arrival} arrivals @ {args.rate}/s" if spec.open_loop else "")
-            ),
-        )
+        lead.append(["offered load (ops per time unit / second)", spec.arrival_rate])
+    if spec.crash_points:
+        lead.append(["server crashes requested", len(spec.crash_points)])
+    title = (
+        f"store [{spec.transport}]: {spec.algorithm}, {spec.num_ops} ops, {args.dist} keys"
+        + (f", {spec.arrival} arrivals @ {spec.arrival_rate}" if spec.open_loop else "")
+        + (f", {len(spec.crash_points)} crash(es)" if spec.crash_points else "")
     )
-    print()
-    print(format_metrics(result.metrics, title="operation latency (wall-clock seconds)"))
-    conn_rows = []
-    for row in transport.get("client_connections", []):
-        conn_rows.append(["client", row])
-    for replica, rows_ in sorted(transport.get("replica_connections", {}).items()):
-        for row in rows_:
-            conn_rows.append([f"replica {replica}", row])
-    if conn_rows:
-        table = [
-            [
-                side,
-                row.get("label", "?"),
-                row["bytes_in"],
-                row["bytes_out"],
-                row["frames_in"],
-                row["frames_out"],
-                row["batches_out"],
-                round(row["frames_out"] / row["batches_out"], 2) if row["batches_out"] else "-",
-            ]
-            for side, row in conn_rows
-        ]
-        summary = [
-            "totals",
-            f"frames/flush {round(transport['frames_per_flush'], 2) if transport.get('frames_per_flush') else '-'}",
-            "", "", "", "",
-            "",
-            f"client bytes/op {round(transport['client_bytes_per_op'], 1) if transport.get('client_bytes_per_op') else '-'}",
-        ]
-        print()
-        print(
-            format_table(
-                ["side", "connection", "bytes in", "bytes out", "frames in",
-                 "frames out", "flushes", "frames/flush"],
-                table + [summary],
-                title="per-connection transport stats (also in the JSON metrics snapshot)",
-            )
-        )
-    if not report.ok:
-        print("\nper-key linearizability violations:", file=sys.stderr)
-        for violation in report.violations():
-            print(f"  - {violation}", file=sys.stderr)
-        return 1
-    if not result.finished_cleanly:
-        print(
-            "\nlive run did not finish cleanly: some operations failed or missed "
-            "the completion deadline",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    parts = [format_run(summary, title, lead), format_metrics(result.metrics)]
+    if summary["wire"]:
+        parts.append(format_connections(summary["wire"]))
+    return report_run("\n\n".join(parts), verdict.failures, "store run")
+
+
+def _loadgen_spec(args: argparse.Namespace):
+    """``repro loadgen`` flags → :class:`~repro.transport.loadgen.LoadgenSpec`."""
+    from repro.transport.loadgen import LoadgenSpec
+
+    return LoadgenSpec(
+        clients=args.clients,
+        rate=args.rate,
+        num_ops=args.ops,
+        num_keys=args.keys,
+        read_fraction=args.read_fraction,
+        algorithm=args.algorithm,
+        replicas=args.replicas,
+        codec=args.codec,
+        write_batching=args.codec == "binary",
+        seed=args.seed,
+        slo_p99=args.slo_p99,
+        timeout=args.timeout,
+    )
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
@@ -437,449 +483,41 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     checker found a violation, or the SLO was missed; 2 — invalid
     parameters.
     """
-    from repro.transport.loadgen import LoadgenSpec, run_loadgen
+    from repro.transport.loadgen import run_loadgen
 
-    try:
-        spec = LoadgenSpec(
-            clients=args.clients,
-            rate=args.rate,
-            num_ops=args.ops,
-            num_keys=args.keys,
-            read_fraction=args.read_fraction,
-            algorithm=args.algorithm,
-            replicas=args.replicas,
-            codec=args.codec,
-            write_batching=args.codec == "binary",
-            seed=args.seed,
-            slo_p99=args.slo_p99,
-            timeout=args.timeout,
-        )
-    except ValueError as exc:
-        print(f"invalid loadgen parameters: {exc}", file=sys.stderr)
-        return 2
+    spec = args.spec
     result = run_loadgen(spec)
-    report = result.check_linearizability()
+    verdict = result.verify()
     slo = result.slo_report()
-
-    def _ms(value: Optional[float]) -> str:
-        return "-" if value is None else f"{value * 1000.0:.1f} ms"
-
-    rows = [
+    lead = [
         ["client workers x replicas", f"{spec.clients} x {spec.replicas} ({spec.algorithm})"],
-        ["wire codec", spec.codec],
         ["offered load (ops/second)", spec.rate],
-        ["achieved (ops/second)", round(slo["achieved_rate"], 1) if slo["achieved_rate"] else "-"],
-        ["operations completed", f"{result.completed} / {spec.num_ops}"],
-        ["operations failed", result.failed],
+        ["achieved (ops/second)", format_number(slo["achieved_rate"], 1)],
+        [
+            "p99 SLO target",
+            "none (report only)" if spec.slo_p99 is None else f"{spec.slo_p99 * 1000.0:.1f} ms",
+        ],
         ["worker errors", len(result.worker_errors)],
-        ["wall seconds", round(result.wall_seconds, 2)],
-        ["wall p50 / p95 / p99", f"{_ms(slo['p50'])} / {_ms(slo['p95'])} / {_ms(slo['p99'])}"],
-        ["p99 SLO target", _ms(slo["target_p99"]) if slo["target_p99"] is not None else "none (report only)"],
-        ["per-key linearizable", f"yes ({report.keys_checked} keys)" if report.ok else "NO"],
     ]
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=(
-                f"loadgen [live]: {spec.clients} workers @ {spec.rate:g}/s, "
-                f"{spec.num_ops} ops"
-            ),
-        )
+    title = f"loadgen [live]: {spec.clients} workers @ {spec.rate:g}/s, {spec.num_ops} ops"
+    return report_run(
+        format_run(result.summary(verdict), title, lead), verdict.failures, "loadgen run"
     )
-    for error in result.worker_errors:
-        print(f"worker error: {error}", file=sys.stderr)
-    if not report.ok:
-        print("\nper-key linearizability violations:", file=sys.stderr)
-        for violation in report.violations():
-            print(f"  - {violation}", file=sys.stderr)
-    ok = slo["ok"] and report.ok and result.finished_cleanly
-    if not ok:
-        print("\nloadgen run FAILED its gates", file=sys.stderr)
-    return 0 if ok else 1
 
 
-def cmd_store(args: argparse.Namespace) -> int:
-    """Run a keyed workload against the sharded multi-key store."""
-    from repro.sim.rng import make_rng
-    from repro.workloads.kv import CrashPoint, run_kv_workload
-    from repro.workloads.scenarios import kv_uniform, kv_zipfian
+def _consensus_spec(args: argparse.Namespace):
+    """``repro consensus`` flags → the chosen scenario's spec, overrides applied."""
+    from repro.workloads.scenarios import get_scenario
 
-    if args.replicas is not None:
-        # `--replicas` is the live-transport wording for `--replication`;
-        # both set the per-shard replica count on either backend.
-        args.replication = args.replicas
-    if args.transport == "live":
-        return _cmd_store_live(args)
-    if args.codec is not None:
-        print(
-            "--codec selects the live wire format; the simulated transport has "
-            "no wire (see `repro transports`)",
-            file=sys.stderr,
-        )
-        return 2
-    builder = kv_zipfian if args.dist == "zipfian" else kv_uniform
-    shard_algorithms = None
-    if args.algorithms:
-        names = tuple(name.strip() for name in args.algorithms.split(",") if name.strip())
-        if not names:
-            print("--algorithms needs at least one algorithm name", file=sys.stderr)
-            return 2
-        unknown = [name for name in names if name not in available_algorithms()]
-        if unknown:
-            print(
-                f"unknown algorithm(s) {unknown} in --algorithms; "
-                f"available: {available_algorithms()}",
-                file=sys.stderr,
-            )
-            return 2
-        # Round-robin the listed algorithms over the shards.
-        shard_algorithms = tuple(names[shard % len(names)] for shard in range(args.shards))
-    try:
-        spec = builder(
-            num_keys=args.keys,
-            num_ops=args.ops,
-            read_fraction=args.read_fraction,
-            algorithm=args.algorithm,
-            num_shards=args.shards,
-            replication=args.replication,
-            batch_size=args.batch,
-            seed=args.seed,
-        )
-        if shard_algorithms is not None:
-            spec = spec.with_(shard_algorithms=shard_algorithms)
-        if args.no_coalesce:
-            spec = spec.with_(coalesce=False)
-        if args.arrival != "closed":
-            # Open-loop driving: the same key/op stream, arriving at seeded
-            # times with mean rate --rate instead of batched submission.
-            spec = spec.with_(arrival=args.arrival, arrival_rate=args.rate)
-        if args.workers != 1:
-            spec = spec.with_(workers=args.workers)
-    except ValueError as exc:
-        print(f"invalid store parameters: {exc}", file=sys.stderr)
-        return 2
-    if args.crashes < 0:
-        print(f"--crashes must be non-negative, got {args.crashes}", file=sys.stderr)
-        return 2
-    if args.crashes:
-        budget = (args.replication - 1) // 2
-        if budget < 1:
-            print(
-                f"--crashes requires replication >= 3 (replication {args.replication} "
-                "tolerates no crashes)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.crashes > args.shards:
-            print(
-                f"--crashes {args.crashes} exceeds the number of shards ({args.shards}); "
-                "each crash takes down one non-writer replica of a distinct shard",
-                file=sys.stderr,
-            )
-            return 2
-        rng = make_rng(args.seed, "store-cli-crashes", args.shards, args.crashes)
-        shards = sorted(rng.sample(range(args.shards), args.crashes))
-        # Crash early in the run: batched driving finishes a few hundred ops
-        # within a handful of virtual-time units, so a wide window would let
-        # crashes silently land after the run already completed.
-        spec = spec.with_(
-            crash_points=tuple(
-                CrashPoint(at_time=round(rng.uniform(1.0, 4.0), 3), shard=shard, replica=1)
-                for shard in shards
-            )
-        )
-    try:
-        result = run_kv_workload(spec)
-    except ValueError as exc:
-        print(f"invalid store parameters: {exc}", file=sys.stderr)
-        return 2
-    if result.worker_failure is not None:
-        print("parallel worker failure:", file=sys.stderr)
-        print(result.worker_failure, file=sys.stderr)
-        return 1
-    crashes_fired = sum(len(shard.crashed_replicas) for shard in result.store.shards)
-    report = result.check_atomicity(raise_on_violation=False)
-    completed = result.completed_ops()
-    reads = sum(1 for op in completed if op.kind is OperationKind.READ)
-    rows = [
-        ["keys / shards / replication", f"{args.keys} / {args.shards} / {args.replication}"],
-        [
-            "per-shard algorithms",
-            ", ".join(
-                f"s{shard}={name}" for shard, name in enumerate(spec.shard_algorithms)
-            )
-            if spec.shard_algorithms
-            else args.algorithm,
-        ],
-        [
-            "message coalescing",
-            f"on ({result.store.stats.messages_coalesced} coalesced)"
-            if spec.coalesce
-            else "off",
-        ],
-        ["operations completed", f"{len(completed)} ({reads} reads)"],
-        ["operations failed", len(result.failed_ops())],
-        ["server crashes fired", f"{crashes_fired} of {args.crashes} requested"],
-        ["batches driven", result.batches],
-        ["total messages", result.total_messages()],
-        ["virtual makespan", round(result.virtual_makespan, 2)],
-        ["ops per virtual time unit", round(result.virtual_throughput(), 3)],
-        ["mean op latency (virtual)", round(result.mean_latency(), 3)],
-        ["per-key atomic", f"yes ({report.keys_checked} keys)" if report.ok else "NO"],
-    ]
-    if not result.finished_cleanly:
-        rows.insert(3, ["finished cleanly", "NO (virtual-time budget truncated the run)"])
-    if spec.open_loop:
-        rows.insert(4, ["offered load (ops/time-unit)", args.rate])
-    if spec.workers > 1:
-        rows.insert(2, ["worker processes", spec.workers])
-        rows.insert(3, ["worker->parent transfer", f"{result.ipc_bytes} bytes (columnar)"])
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=(
-                f"store: {args.algorithm}, {args.ops} ops, {args.dist} keys"
-                + (f", {args.arrival} arrivals @ {args.rate}" if spec.open_loop else "")
-                + (f", {args.crashes} crash(es)" if args.crashes else "")
-            ),
-        )
-    )
-    print()
-    print(format_metrics(result.metrics, title="operation latency (virtual time)"))
-    if not report.ok:
-        print("\nper-key atomicity violations:", file=sys.stderr)
-        for violation in report.violations():
-            print(f"  - {violation}", file=sys.stderr)
-        return 1
-    if not result.finished_cleanly:
-        print(
-            "\nrun truncated: the virtual-time budget expired with operations "
-            "unsubmitted or pending (raise --ops horizon via the spec's "
-            "max_virtual_time, or the offered --rate)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_bench_live(args: argparse.Namespace) -> int:
-    """Live-transport fast-path benchmark: JSON baseline vs binary+batching.
-
-    Emits ``BENCH_live_throughput.json`` — a separate artifact from the
-    simulated baselines, because its numbers are wall-clock and therefore
-    machine-dependent by design.  The headline metric is
-    ``speedup_vs_json``: steady-state ops/s of the binary-codec,
-    write-batched wire over the PR 8 JSON-per-frame wire on the same
-    multi-writer op mix.  Every constituent run must pass the per-key
-    linearizability checker or the benchmark refuses to report.
-    """
-    import json
-    import pathlib
-    import platform
-
-    from repro.transport.bench import FULL_MIX, QUICK_MIX, run_pair
-
-    out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    mode = "quick" if args.quick else "full"
-
-    def _section(mix: dict, runs: int) -> dict:
-        baseline, fast, speedup = run_pair(mix, runs=runs)
-        return {
-            "mix": dict(mix),
-            "runs_per_arm": runs,
-            "baseline_json": baseline,
-            "fastpath_binary": fast,
-            "speedup_vs_json": speedup,
-        }
-
-    try:
-        # The quick section rides along on full runs so the committed
-        # artifact carries a reference for the regression guard's --quick
-        # path; a --quick invocation measures only the quick mix.
-        sections = {"quick": _section(QUICK_MIX, 2)}
-        if not args.quick:
-            sections["full"] = _section(FULL_MIX, 3)
-    except RuntimeError as exc:
-        print(f"live benchmark failed: {exc}", file=sys.stderr)
-        return 1
-
-    headline = sections.get("full", sections["quick"])
-    payload = {
-        "benchmark": "live_fastpath_throughput",
-        "mode": mode,
-        "transport": "live",
-        "replicas": 3,
-        "speedup_vs_json": headline["speedup_vs_json"],
-        **sections,
-        "python": platform.python_version(),
+    overrides = {
+        name: value
+        for name, value in (("num_keys", args.keys), ("num_ops", args.ops), ("seed", args.seed))
+        if value is not None
     }
-    path = out_dir / "BENCH_live_throughput.json"
-    path.write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
-    rows = []
-    for entry in (headline["baseline_json"], headline["fastpath_binary"]):
-        rows.append(
-            [
-                f"{entry['codec']} codec, {'batched' if entry['write_batching'] else 'per-frame'}",
-                entry["completed"],
-                entry["steady_ops_per_s"],
-                entry["frames_per_flush"],
-                entry["client_bytes_per_op"],
-            ]
-        )
-    rows.append(["speedup (fast / baseline)", "", f"{headline['speedup_vs_json']:.2f}x", "", ""])
-    print(
-        format_table(
-            ["wire", "ops", "steady ops/s", "frames/flush", "client bytes/op"],
-            rows,
-            title=f"live fast-path throughput ({mode}) -> {path}",
-        )
-    )
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the perf suite and emit ``BENCH_*.json`` baselines.
-
-    Two payloads: ``BENCH_store_throughput.json`` (batched vs per-operation
-    driving on the same keyed workload) and ``BENCH_openloop.json``
-    (throughput and latency percentiles vs offered load).  ``--quick`` keeps
-    CI smoke runs short.  With ``--transport live`` the suite instead
-    benchmarks the loopback socket cluster (``BENCH_live_throughput.json``).
-    """
-    import json
-    import pathlib
-    import platform
-
-    if args.transport == "live":
-        return _cmd_bench_live(args)
-
-    from repro.workloads.kv import run_kv_workload
-    from repro.workloads.scenarios import kv_openloop, kv_uniform
-
-    out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    mode = "quick" if args.quick else "full"
-    num_ops = 120 if args.quick else 400
-    num_keys = 16 if args.quick else 32
-
-    # --- batched vs per-operation driving -------------------------------
-    spec = kv_uniform(num_keys=num_keys, num_ops=num_ops, seed=19)
-    if args.workers > 1:
-        # Shard-parallel execution is bit-identical to serial runs, so the
-        # emitted baselines stay comparable; only wall_seconds moves.
-        spec = spec.with_(workers=args.workers)
-    batched = run_kv_workload(spec.with_(batch_size=64))
-    per_op = run_kv_workload(spec.with_(batch_size=1))
-    batched.check_atomicity()
-    per_op.check_atomicity()
-
-    def _throughput_entry(result) -> dict:
-        return {
-            "completed": len(result.completed_ops()),
-            "virtual_makespan": round(result.virtual_makespan, 3),
-            "virtual_throughput": _json_number(result.virtual_throughput()),
-            "wall_seconds": round(result.wall_seconds, 4),
-            "messages": result.total_messages(),
-            "latency": result.metrics["latency"]["all"],
-        }
-
-    store_payload = {
-        "benchmark": "store_throughput_batched_vs_per_op",
-        "mode": mode,
-        "num_keys": num_keys,
-        "num_ops": num_ops,
-        "batched": _throughput_entry(batched),
-        "per_op": _throughput_entry(per_op),
-        "makespan_speedup": round(
-            per_op.virtual_makespan / max(batched.virtual_makespan, 1e-9), 2
-        ),
-        "python": platform.python_version(),
-    }
-    store_path = out_dir / "BENCH_store_throughput.json"
-    store_path.write_text(json.dumps(store_payload, indent=1, allow_nan=False) + "\n")
-    print(
-        format_table(
-            ["driving", "ops", "virtual makespan", "ops / virtual time"],
-            [
-                ["batched (64)", len(batched.completed_ops()), round(batched.virtual_makespan, 1), round(batched.virtual_throughput(), 2)],
-                ["per-op (1)", len(per_op.completed_ops()), round(per_op.virtual_makespan, 1), round(per_op.virtual_throughput(), 2)],
-            ],
-            title=f"store throughput ({mode}) -> {store_path}",
-        )
-    )
-
-    # --- open-loop: throughput vs offered load --------------------------
-    rates = (2.0, 8.0) if args.quick else (2.0, 4.0, 8.0, 16.0)
-    sweep = []
-    rows = []
-    for rate in rates:
-        open_spec = kv_openloop(num_keys=num_keys, num_ops=num_ops, arrival_rate=rate, seed=8)
-        if args.workers > 1:
-            open_spec = open_spec.with_(workers=args.workers)
-        result = run_kv_workload(open_spec)
-        result.check_atomicity()
-        latency = result.metrics["latency"]["all"]
-        sweep.append(
-            {
-                "offered_load": rate,
-                "completed": len(result.completed_ops()),
-                "virtual_throughput": _json_number(result.virtual_throughput()),
-                "p50": round(latency["p50"], 3) if latency else None,
-                "p99": round(latency["p99"], 3) if latency else None,
-            }
-        )
-        rows.append(
-            [rate, len(result.completed_ops()), round(result.virtual_throughput(), 2),
-             round(latency["p50"], 2) if latency else "-", round(latency["p99"], 2) if latency else "-"]
-        )
-    openloop_payload = {
-        "benchmark": "kv_openloop_offered_load_sweep",
-        "mode": mode,
-        "num_keys": num_keys,
-        "num_ops": num_ops,
-        "arrival": "poisson",
-        "sweep": sweep,
-        "python": platform.python_version(),
-    }
-    openloop_path = out_dir / "BENCH_openloop.json"
-    openloop_path.write_text(json.dumps(openloop_payload, indent=1, allow_nan=False) + "\n")
-    print()
-    print(
-        format_table(
-            ["offered load", "completed", "throughput", "p50", "p99"],
-            rows,
-            title=f"open-loop sweep ({mode}) -> {openloop_path}",
-        )
-    )
-    return 0
-
-
-def _consensus_invariant_violations(store) -> Optional[list]:
-    """Agreement/validity violations off a store's consensus replicas.
-
-    Returns ``None`` when the store deploys no consensus-backed keys (or is
-    a merged parallel view without live processes) — the caller then skips
-    the invariant row entirely instead of claiming a vacuous pass.
-    """
-    from repro.consensus import ConsensusObjectProcess, consensus_invariants
-
-    if not hasattr(store, "deployed_keys") or not hasattr(store, "register_for"):
-        return None
-    by_key = {}
-    for key in store.deployed_keys:
-        processes = [
-            process
-            for process in store.register_for(key).processes
-            if isinstance(process, ConsensusObjectProcess)
-        ]
-        if processes:
-            by_key[key] = processes
-    if not by_key:
-        return None
-    return consensus_invariants(by_key)
+    changes = {"transport": args.transport, "workers": args.workers}
+    if args.algorithm:
+        changes["algorithm"] = args.algorithm
+    return get_scenario(args.scenario).builder(**overrides).with_(**changes)
 
 
 def cmd_consensus(args: argparse.Namespace) -> int:
@@ -892,90 +530,235 @@ def cmd_consensus(args: argparse.Namespace) -> int:
     protocol-level agreement and validity invariants straight off the
     decided slots.  Exit 0 only if everything holds.
     """
-    from repro.workloads.kv import run_kv_workload
-    from repro.workloads.scenarios import consensus_smoke, kv_cas, kv_counter
-
-    builders = {"kv_cas": kv_cas, "kv_counter": kv_counter, "consensus_smoke": consensus_smoke}
-    builder = builders[args.scenario]
-    overrides = {}
-    if args.keys is not None:
-        overrides["num_keys"] = args.keys
-    if args.ops is not None:
-        overrides["num_ops"] = args.ops
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    try:
-        spec = builder(**overrides)
-        if args.algorithm:
-            spec = spec.with_(algorithm=args.algorithm)
-        if args.workers != 1:
-            spec = spec.with_(workers=args.workers)
-        if args.transport == "live":
-            spec = spec.with_(transport="live")
-    except ValueError as exc:
-        print(f"invalid consensus parameters: {exc}", file=sys.stderr)
-        return 2
+    spec = args.spec
     result = run_kv_workload(spec)
-
-    failures = []
-    if args.transport == "live":
-        report = result.check_linearizability()
-        check_failures = [f"[{key!r}] history fails the SMR spec" for key in report.failing_keys()]
-        completed = result.completed
-        failed = result.failed
-        messages = result.messages_total
-        makespan_row = ["wall seconds", round(result.wall_seconds, 2)]
-        finished = result.finished_cleanly
-        invariants = None
-    else:
-        if result.worker_failure is not None:
-            print("parallel worker failure:", file=sys.stderr)
-            print(result.worker_failure, file=sys.stderr)
-            return 1
-        report = result.check_atomicity(raise_on_violation=False)
-        check_failures = report.violations()
-        completed = len(result.completed_ops())
-        failed = len(result.failed_ops())
-        messages = result.total_messages()
-        makespan_row = ["virtual makespan", round(result.virtual_makespan, 2)]
-        finished = result.finished_cleanly
-        invariants = _consensus_invariant_violations(result.store)
-    if not finished:
-        failures.append("run did not finish cleanly")
-    failures.extend(check_failures)
-    if invariants:
-        failures.extend(invariants)
-
-    rows = [
+    verdict = result.verify()
+    lead = [
         ["scenario", args.scenario],
         ["algorithm", spec.algorithm],
-        ["transport", args.transport],
-        ["keys / shards / replication", f"{spec.num_keys} / {spec.num_shards} / {spec.replication}"],
-        ["operations completed", completed],
-        ["operations failed", failed],
-        ["total messages", messages],
-        makespan_row,
-        ["per-key SMR-linearizable", f"yes ({report.keys_checked} keys)" if report.ok else "NO"],
-        [
-            "agreement/validity invariants",
-            "n/a (no process access)"
-            if invariants is None
-            else (f"{len(invariants)} violation(s)" if invariants else "hold"),
-        ],
+        _geometry_row(spec),
     ]
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=f"consensus: {args.scenario} ({spec.algorithm}, seed {spec.seed})",
-        )
+    title = f"consensus: {args.scenario} ({spec.algorithm}, seed {spec.seed})"
+    return report_run(
+        format_run(result.summary(verdict), title, lead), verdict.failures, "consensus run"
     )
-    if failures:
-        print("\nconsensus run failures:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    return 0
+
+
+# ------------------------------------------------------------------- bench
+#
+# Two suites, picked by ``--transport``: the simulator's virtual-time
+# baselines and the live wire A/B.  A suite is ``specs(quick, changes)``
+# (flags → every spec it will run, validated before anything runs) plus
+# ``run(specs, mode)`` → ``(artifacts, failures)``, one ``(filename, payload,
+# title, headers, rows)`` artifact per BENCH file; writing and reporting is
+# shared.
+
+
+def _sim_bench_specs(quick: bool, changes: dict) -> dict:
+    from repro.workloads.scenarios import kv_openloop, kv_uniform
+
+    num_ops, num_keys = (120, 16) if quick else (400, 32)
+    # Shard-parallel execution is bit-identical to serial runs, so the
+    # emitted baselines stay comparable; only wall_seconds moves.
+    base = kv_uniform(num_keys=num_keys, num_ops=num_ops, seed=19).with_(**changes)
+    rates = (2.0, 8.0) if quick else (2.0, 4.0, 8.0, 16.0)
+    return {
+        "batched": base.with_(batch_size=64),
+        "per_op": base.with_(batch_size=1),
+        "openloop": [
+            kv_openloop(num_keys=num_keys, num_ops=num_ops, arrival_rate=rate, seed=8).with_(
+                **changes
+            )
+            for rate in rates
+        ],
+    }
+
+
+def _sim_bench(specs: dict, mode: str) -> tuple:
+    """``BENCH_store_throughput.json`` (batched vs per-operation driving on the
+    same keyed workload) and ``BENCH_openloop.json`` (throughput and latency
+    percentiles vs offered load)."""
+    failures: list = []
+
+    def checked(spec):
+        result = run_kv_workload(spec)
+        verdict = result.verify()
+        failures.extend(verdict.failures)
+        return result, result.summary(verdict)
+
+    batched, batched_summary = checked(specs["batched"])
+    per_op, per_op_summary = checked(specs["per_op"])
+    entry_keys = (
+        "completed", "virtual_makespan", "virtual_throughput", "wall_seconds", "messages", "latency"
+    )
+    shape = {
+        "mode": mode,
+        "num_keys": specs["batched"].num_keys,
+        "num_ops": specs["batched"].num_ops,
+    }
+    store_payload = {
+        "benchmark": "store_throughput_batched_vs_per_op",
+        **shape,
+        "batched": {key: batched_summary[key] for key in entry_keys},
+        "per_op": {key: per_op_summary[key] for key in entry_keys},
+        "makespan_speedup": round(
+            per_op.virtual_makespan / max(batched.virtual_makespan, 1e-9), 2
+        ),
+    }
+    store_rows = [
+        [
+            label,
+            summary["completed"],
+            round(summary["virtual_makespan"], 1),
+            format_number(summary["virtual_throughput"], 2),
+        ]
+        for label, summary in (("batched (64)", batched_summary), ("per-op (1)", per_op_summary))
+    ]
+    sweep = []
+    for spec in specs["openloop"]:
+        _result, summary = checked(spec)
+        latency = summary["latency"] or {}
+        sweep.append(
+            {
+                "offered_load": spec.arrival_rate,
+                "completed": summary["completed"],
+                "virtual_throughput": summary["virtual_throughput"],
+                "p50": json_number(latency.get("p50")),
+                "p99": json_number(latency.get("p99")),
+            }
+        )
+    openloop_payload = {
+        "benchmark": "kv_openloop_offered_load_sweep",
+        **shape,
+        "arrival": "poisson",
+        "sweep": sweep,
+    }
+    openloop_rows = [
+        [
+            entry["offered_load"],
+            entry["completed"],
+            format_number(entry["virtual_throughput"], 2),
+            format_number(entry["p50"], 2),
+            format_number(entry["p99"], 2),
+        ]
+        for entry in sweep
+    ]
+    return [
+        (
+            "BENCH_store_throughput.json",
+            store_payload,
+            "store throughput",
+            ["driving", "ops", "virtual makespan", "ops / virtual time"],
+            store_rows,
+        ),
+        (
+            "BENCH_openloop.json",
+            openloop_payload,
+            "open-loop sweep",
+            ["offered load", "completed", "throughput", "p50", "p99"],
+            openloop_rows,
+        ),
+    ], failures
+
+
+def _live_bench_specs(quick: bool, changes: dict) -> dict:
+    from repro.transport.bench import FULL_MIX, QUICK_MIX, pair_specs
+
+    # The quick section rides along on full runs so the committed artifact
+    # carries a reference for the regression guard's --quick path; a --quick
+    # invocation measures only the quick mix.
+    sections = {"quick": (QUICK_MIX, 2)}
+    if not quick:
+        sections["full"] = (FULL_MIX, 3)
+    return {
+        name: (mix, runs, pair_specs(mix, **changes)) for name, (mix, runs) in sections.items()
+    }
+
+
+def _live_bench(specs: dict, mode: str) -> tuple:
+    """``BENCH_live_throughput.json`` — a separate artifact from the simulated
+    baselines, because its numbers are wall-clock and therefore
+    machine-dependent by design.  The headline metric is ``speedup_vs_json``:
+    steady-state ops/s of the binary-codec, write-batched wire over the PR 8
+    JSON-per-frame wire on the same multi-writer op mix.  Every constituent
+    run must pass ``verify()`` or the benchmark refuses to report."""
+    from repro.transport.bench import run_pair
+
+    sections = {}
+    try:
+        for name, (mix, runs, pair) in specs.items():
+            baseline, fast, speedup = run_pair(pair, runs=runs)
+            sections[name] = {
+                "mix": dict(mix),
+                "runs_per_arm": runs,
+                "baseline_json": baseline,
+                "fastpath_binary": fast,
+                "speedup_vs_json": speedup,
+            }
+    except RuntimeError as exc:
+        return [], [str(exc)]
+    headline = sections.get("full", sections["quick"])
+    payload = {
+        "benchmark": "live_fastpath_throughput",
+        "mode": mode,
+        "transport": "live",
+        "replicas": 3,
+        "speedup_vs_json": headline["speedup_vs_json"],
+        **sections,
+    }
+    rows = [
+        [
+            f"{entry['codec']} codec, {'batched' if entry['write_batching'] else 'per-frame'}",
+            entry["completed"],
+            entry["steady_ops_per_s"],
+            entry["frames_per_flush"],
+            entry["client_bytes_per_op"],
+        ]
+        for entry in (headline["baseline_json"], headline["fastpath_binary"])
+    ]
+    rows.append(["speedup (fast / baseline)", "", f"{headline['speedup_vs_json']:.2f}x", "", ""])
+    artifact = (
+        "BENCH_live_throughput.json",
+        payload,
+        "live fast-path throughput",
+        ["wire", "ops", "steady ops/s", "frames/flush", "client bytes/op"],
+        rows,
+    )
+    return [artifact], []
+
+
+_BENCH_SUITES = {"sim": (_sim_bench_specs, _sim_bench), "live": (_live_bench_specs, _live_bench)}
+
+
+def _bench_specs(args: argparse.Namespace) -> dict:
+    """``repro bench`` flags → every spec the selected suite will run."""
+    build, _run = _BENCH_SUITES[args.transport]
+    return build(args.quick, {"transport": args.transport, "workers": args.workers})
+
+
+def cmd_bench(args: argparse.Namespace) -> int:
+    """Run the perf suite and emit ``BENCH_*.json`` baselines.
+
+    ``--quick`` keeps CI smoke runs short.  Every run behind a number is
+    verified; a failed verdict is exit 1 and no artifact is written.
+    """
+    import json
+    import pathlib
+    import platform
+
+    _build, run = _BENCH_SUITES[args.transport]
+    mode = "quick" if args.quick else "full"
+    artifacts, failures = run(args.spec, mode)
+    tables = []
+    if not failures:
+        out_dir = pathlib.Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for filename, payload, title, headers, rows in artifacts:
+            path = out_dir / filename
+            payload["python"] = platform.python_version()
+            path.write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
+            tables.append(format_table(headers, rows, title=f"{title} ({mode}) -> {path}"))
+    return report_run("\n\n".join(tables), failures, "bench")
 
 
 def _chaos_schedules(quick: bool):
@@ -986,7 +769,6 @@ def _chaos_schedules(quick: bool):
     fault plan.  Quick mode keeps CI smoke runs short (2 schedules).
     """
     from repro.faults import FaultPlan, PartitionSchedule, PartitionWindow, slow_the_writer
-    from repro.workloads.kv import CrashPoint
     from repro.workloads.scenarios import chaos, consensus_smoke, kv_partitioned, kv_uniform
 
     num_keys = 8 if quick else 16
@@ -1004,15 +786,16 @@ def _chaos_schedules(quick: bool):
             fault_plan=slow_the_writer(writer_pid=0, factor=6.0, start=2.0, end=25.0)
         )
 
+    def isolated(spec, name: str, pid: int, start: float, heal: float):
+        window = PartitionWindow.isolate((pid,), spec.replication, start=start, heal=heal)
+        plan = FaultPlan(name=name, link_policies=(PartitionSchedule(windows=(window,)),))
+        return spec.with_(fault_plan=plan)
+
     def partition_writer(seed: int):
         # Cut the writer replica off instead: puts stall until the heal,
         # reads keep completing on the majority side.
         spec = kv_uniform(num_keys=num_keys, num_ops=num_ops, seed=seed)
-        window = PartitionWindow.isolate((0,), spec.replication, start=3.0, heal=14.0)
-        plan = FaultPlan(
-            name="partition-writer", link_policies=(PartitionSchedule(windows=(window,)),)
-        )
-        return spec.with_(fault_plan=plan)
+        return isolated(spec, "partition-writer", 0, start=3.0, heal=14.0)
 
     def chaos_random(seed: int):
         return chaos(num_keys=num_keys, num_ops=num_ops, seed=seed)
@@ -1033,14 +816,9 @@ def _chaos_schedules(quick: bool):
         # Isolate one replica behind a healing partition: its slots stall
         # until the heal, the majority side keeps deciding throughout.
         spec = consensus_smoke(num_keys=cons_keys, num_ops=cons_ops, seed=seed)
-        window = PartitionWindow.isolate(
-            ((seed % spec.replication),), spec.replication, start=3.0, heal=16.0
+        return isolated(
+            spec, "consensus-partition", seed % spec.replication, start=3.0, heal=16.0
         )
-        plan = FaultPlan(
-            name="consensus-partition",
-            link_policies=(PartitionSchedule(windows=(window,)),),
-        )
-        return spec.with_(fault_plan=plan)
 
     schedules = [
         ("kv-partitioned", partition_minority),
@@ -1083,20 +861,18 @@ def _chaos_cell_payload(payload: tuple) -> dict:
 
     ``payload`` is ``(schedule_name, seed, quick, want_signature)``.  The cell
     rebuilds its spec from the schedule registry by name (the builders are
-    closures, which don't pickle), runs and checks it, and returns the JSON
+    closures, which don't pickle), runs and verifies it, and returns the JSON
     entry for ``BENCH_chaos.json`` plus — when ``want_signature`` — the
     record-by-record signature the parent's reproducibility check compares
     against its own re-run of the same cell.
     """
-    from repro.workloads.kv import run_kv_workload
-
     name, seed, quick, want_signature = payload
     spec = dict(_chaos_schedules(quick))[name](seed)
     result = run_kv_workload(spec)
-    report = result.check_atomicity(raise_on_violation=False)
-    # Consensus cells additionally check the protocol-level invariants
+    # Consensus cells' verdicts include the protocol-level invariants
     # (per-slot agreement, validity) straight off the replica processes.
-    consensus_violations = _consensus_invariant_violations(result.store)
+    verdict = result.verify()
+    summary = result.summary(verdict)
     entry = {
         "schedule": name,
         "seed": seed,
@@ -1105,52 +881,53 @@ def _chaos_cell_payload(payload: tuple) -> dict:
             {"at": point.at_time, "shard": point.shard, "replica": point.replica}
             for point in spec.crash_points
         ],
-        "completed": len(result.completed_ops()),
-        "failed": len(result.failed_ops()),
-        "atomic": report.ok,
-        "keys_checked": report.keys_checked,
-        "finished_cleanly": result.finished_cleanly,
-        "virtual_makespan": round(result.virtual_makespan, 3),
-        "virtual_throughput": _json_number(result.virtual_throughput()),
-        "messages": result.total_messages(),
-        "per_sender": result.store.stats.snapshot()["per_sender"],
+        **{
+            key: summary[key]
+            for key in (
+                "completed", "failed", "atomic", "keys_checked", "finished_cleanly",
+                "virtual_makespan", "virtual_throughput", "messages", "per_sender",
+            )
+        },
     }
-    if consensus_violations is not None:
-        entry["consensus_violations"] = consensus_violations
+    if summary["consensus_violations"] is not None:
+        entry["consensus_violations"] = summary["consensus_violations"]
     return {
         "entry": entry,
-        "ok": report.ok and result.finished_cleanly and not consensus_violations,
+        "failures": verdict.failures,
         "signature": _run_signature(result) if want_signature else None,
     }
+
+
+def _chaos_cells(args: argparse.Namespace) -> list:
+    """``repro chaos`` flags → the sweep's ``(schedule, seed)`` cells, in order."""
+    if args.seeds is not None and args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+    seeds = range(args.seeds if args.seeds is not None else (2 if args.quick else 3))
+    return [(name, seed) for name, _ in _chaos_schedules(args.quick) for seed in seeds]
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Sweep seeds x fault schedules; verify every run; emit ``BENCH_chaos.json``.
 
-    Every cell runs the per-key linearizability checker; the sweep also
-    re-runs its first cell and verifies the execution is reproducible
-    record-by-record (with ``--workers N`` that re-run happens in the parent
-    process, so the check doubles as a cross-process determinism probe).  The
-    payload is strict JSON (``allow_nan=False``) so downstream consumers can
-    parse with ``parse_constant`` forbidden.
+    Every cell gets the full run verdict; the sweep also re-runs its first
+    cell and verifies the execution is reproducible record-by-record (with
+    ``--workers N`` that re-run happens in the parent process, so the check
+    doubles as a cross-process determinism probe).  The payload is strict
+    JSON (``allow_nan=False``) so downstream consumers can parse with
+    ``parse_constant`` forbidden.
     """
     import json
     import pathlib
     import platform
 
-    if args.seeds is not None and args.seeds < 1:
-        print(f"--seeds must be at least 1, got {args.seeds}", file=sys.stderr)
-        return 2
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     quick = args.quick
-    seeds = list(range(args.seeds if args.seeds is not None else (2 if quick else 3)))
-    schedules = _chaos_schedules(quick)
 
     # Cells are independent seeded runs: fan them out over the process pool
     # when --workers asks for it, in the exact order the serial sweep uses so
     # the emitted payload is byte-identical either way.
-    cells = [(name, seed) for name, _ in schedules for seed in seeds]
+    cells = args.spec
     payloads = [
         (name, seed, quick, index == 0) for index, (name, seed) in enumerate(cells)
     ]
@@ -1160,31 +937,28 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         try:
             outcomes = run_chunked(_chaos_cell_payload, payloads, args.workers)
         except WorkerFailure as exc:
-            print(f"chaos sweep worker failed:\n{exc}", file=sys.stderr)
-            return 1
+            return report_run("", [f"sweep worker failed:\n{exc}"], "chaos sweep")
     else:
         outcomes = [_chaos_cell_payload(payload) for payload in payloads]
 
-    runs = []
-    rows = []
-    failures = []
-    for (name, seed), outcome in zip(cells, outcomes):
-        entry = outcome["entry"]
-        runs.append(entry)
-        verdict = "ok" if outcome["ok"] else "FAIL"
-        if verdict != "ok":
-            failures.append(f"{name}/seed={seed}")
-        rows.append(
-            [
-                name,
-                seed,
-                entry["completed"],
-                entry["failed"],
-                round(entry["virtual_makespan"], 1),
-                "yes" if entry["atomic"] else "NO",
-                verdict,
-            ]
-        )
+    runs = [outcome["entry"] for outcome in outcomes]
+    failures = [
+        f"{name}/seed={seed}: {outcome['failures'][0]}"
+        for (name, seed), outcome in zip(cells, outcomes)
+        if outcome["failures"]
+    ]
+    rows = [
+        [
+            entry["schedule"],
+            entry["seed"],
+            entry["completed"],
+            entry["failed"],
+            round(entry["virtual_makespan"], 1),
+            "yes" if entry["atomic"] else "NO",
+            "FAIL" if outcome["failures"] else "ok",
+        ]
+        for entry, outcome in zip(runs, outcomes)
+    ]
 
     # Reproducibility: the same seeded spec must replay record-by-record.
     # The parent re-runs the first cell itself, so under --workers this also
@@ -1198,8 +972,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     payload = {
         "benchmark": "chaos_fault_schedule_sweep",
         "mode": "quick" if quick else "full",
-        "seeds": seeds,
-        "schedules": [name for name, _ in schedules],
+        "seeds": sorted({seed for _, seed in cells}),
+        "schedules": [name for name, _ in _chaos_schedules(quick)],
         "reproducible": reproducible,
         "all_atomic": all(entry["atomic"] for entry in runs),
         "runs": runs,
@@ -1207,20 +981,16 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     }
     chaos_path = out_dir / "BENCH_chaos.json"
     chaos_path.write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
-    print(
-        format_table(
-            ["schedule", "seed", "completed", "failed", "makespan", "atomic", "verdict"],
-            rows,
-            title=f"chaos sweep ({payload['mode']}) -> {chaos_path}",
-        )
+    table = format_table(
+        ["schedule", "seed", "completed", "failed", "makespan", "atomic", "verdict"],
+        rows,
+        title=f"chaos sweep ({payload['mode']}) -> {chaos_path}",
     )
-    print(f"reproducible (record-by-record): {'yes' if reproducible else 'NO'}")
-    if failures:
-        print("\nchaos sweep failures:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    return 0
+    return report_run(
+        f"{table}\nreproducible (record-by-record): {'yes' if reproducible else 'NO'}",
+        failures,
+        "chaos sweep",
+    )
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
@@ -1318,50 +1088,31 @@ def cmd_explore(args: argparse.Namespace) -> int:
         ["violations found", len(report.counterexamples)],
         ["wall seconds", round(report.wall_seconds, 2)],
     ]
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=f"explore: {args.algorithm}, budget {config.budget}, seed {config.seed}",
-        )
-    )
+    title = f"explore: {args.algorithm}, budget {config.budget}, seed {config.seed}"
+    lines = [format_table(["metric", "value"], rows, title=title)]
     out_dir = pathlib.Path(args.out_dir)
-    replay_failures = []
+    failures = []
     for index, example in enumerate(report.counterexamples, start=1):
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"explore_counterexample_{index}.json"
         write_artifact(example, path)
-        print(
+        lines.append(
             f"\ncounterexample #{index}: {len(example.original_case.ops)} ops shrunk to "
             f"{example.op_count} (perturbation {len(example.original_case.perturbation)} -> "
             f"{len(example.case.perturbation)} entries), keys {example.failing_keys}"
         )
-        for violation in example.violations:
-            print(f"  - {violation}")
-        print(f"  artifact: {path} (replayed: {'yes' if example.replayed else 'NO'})")
+        lines.extend(f"  - {violation}" for violation in example.violations)
+        lines.append(f"  artifact: {path} (replayed: {'yes' if example.replayed else 'NO'})")
         if not example.replayed:
-            replay_failures.append(str(path))
-    if replay_failures:
-        print("\nnon-replayable artifacts:", file=sys.stderr)
-        for path in replay_failures:
-            print(f"  - {path}", file=sys.stderr)
-        return 1
-    if args.expect_violation:
-        if not report.counterexamples:
-            print(
-                "\nexpected the explorer to find a violation (mutation test), "
-                "but every explored schedule was linearizable",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-    if report.counterexamples:
-        print(
-            f"\n{len(report.counterexamples)} non-linearizable execution(s) found",
-            file=sys.stderr,
+            failures.append(f"non-replayable artifact {path}")
+    if args.expect_violation and not report.counterexamples:
+        failures.append(
+            "expected the explorer to find a violation (mutation test), "
+            "but every explored schedule was linearizable"
         )
-        return 1
-    return 0
+    elif report.counterexamples and not args.expect_violation:
+        failures.append(f"{len(report.counterexamples)} non-linearizable execution(s) found")
+    return report_run("\n".join(lines), failures, "explore")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1388,13 +1139,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=cmd_transports)
 
     sub = subparsers.add_parser("table1", help="regenerate the paper's Table 1")
-    sub.add_argument("--n", type=int, default=5)
-    sub.add_argument("--writes", type=int, default=30)
-    sub.add_argument("--seed", type=int, default=0)
+    _add_shared_arguments(sub, n=5, writes=30, seed=0)
     sub.set_defaults(handler=cmd_table1)
 
     sub = subparsers.add_parser("run", help="run one workload and check atomicity")
-    sub.add_argument("--algorithm", default="two-bit", choices=available_algorithms())
+    _add_shared_arguments(sub, restrict_algorithm=True, algorithm="two-bit")
     _add_common_workload_arguments(sub)
     sub.set_defaults(handler=cmd_run)
 
@@ -1403,43 +1152,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=cmd_compare)
 
     sub = subparsers.add_parser("bits", help="control-bit and memory growth curves")
-    sub.add_argument("--n", type=int, default=5)
-    sub.add_argument("--writes", type=int, default=200)
-    sub.add_argument("--seed", type=int, default=0)
+    _add_shared_arguments(sub, n=5, writes=200, seed=0)
     sub.set_defaults(handler=cmd_bits)
 
     sub = subparsers.add_parser("messages", help="exact per-operation message counts (Theorem 2)")
-    sub.add_argument("--n", type=int, default=5)
-    sub.add_argument("--seed", type=int, default=0)
+    _add_shared_arguments(sub, n=5, seed=0)
     sub.set_defaults(handler=cmd_messages)
 
     sub = subparsers.add_parser(
         "store", help="run a keyed workload against the sharded multi-key store"
     )
-    sub.add_argument("--keys", type=int, default=16, help="number of distinct keys (default 16)")
-    sub.add_argument("--ops", type=int, default=400, help="total operations (default 400)")
-    sub.add_argument(
-        "--read-fraction",
-        type=float,
-        default=0.9,
-        dest="read_fraction",
-        help="fraction of operations that are gets (default 0.9)",
+    _add_shared_arguments(
+        sub,
+        restrict_algorithm=True,
+        keys=16,
+        ops=400,
+        read_fraction=0.9,
+        algorithm="abd",
+        shards=4,
+        replication=3,
+        seed=0,
+        workers=1,
+        transport="sim",
+        codec=None,
     )
     sub.add_argument(
         "--dist",
         choices=["uniform", "zipfian"],
         default="uniform",
         help="key popularity distribution (default uniform)",
-    )
-    sub.add_argument(
-        "--algorithm",
-        default="abd",
-        choices=available_algorithms(),
-        help="per-key register algorithm (default abd)",
-    )
-    sub.add_argument("--shards", type=int, default=4, help="number of shards (default 4)")
-    sub.add_argument(
-        "--replication", type=int, default=3, help="replicas per shard (default 3)"
     )
     sub.add_argument(
         "--batch", type=int, default=64, help="operations per drive() batch (default 64)"
@@ -1454,47 +1195,30 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate",
         type=float,
         default=8.0,
-        help="open-loop offered load in ops per virtual-time unit (default 8.0)",
+        help=(
+            "open-loop offered load in ops per virtual-time unit — per second "
+            "on the live transport (default 8.0)"
+        ),
     )
     sub.add_argument(
         "--crashes",
         type=int,
         default=0,
-        help="crash one non-writer replica of this many distinct shards mid-run",
+        help="crash one non-writer replica of this many distinct shards mid-run (sim only)",
     )
     sub.add_argument(
         "--algorithms",
         default="",
         help=(
             "comma-separated register algorithms mapped round-robin onto shards "
-            "(mixed-algorithm store; overrides --algorithm)"
+            "(mixed-algorithm store; overrides --algorithm; sim only)"
         ),
     )
     sub.add_argument(
         "--no-coalesce",
         action="store_true",
         dest="no_coalesce",
-        help="disable same-instant message coalescing (one heap event per message)",
-    )
-    sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    sub.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for shard-parallel execution (default 1 = "
-            "in-process; N > 1 partitions shards into N groups, bit-identical "
-            "output)"
-        ),
-    )
-    sub.add_argument(
-        "--transport",
-        choices=["sim", "live"],
-        default="sim",
-        help=(
-            "message transport: deterministic virtual-time simulator (default) "
-            "or live asyncio sockets on a loopback replica cluster"
-        ),
+        help="disable same-instant message coalescing (one heap event per message; sim only)",
     )
     sub.add_argument(
         "--replicas",
@@ -1502,21 +1226,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="alias for --replication (replica count per shard / live cluster size)",
     )
-    sub.add_argument(
-        "--codec",
-        choices=["binary", "json"],
-        default=None,
-        help=(
-            "live-transport wire codec: binary (struct-packed fast path, "
-            "default) or json (the PR 8 wire; also disables write batching "
-            "for a faithful baseline).  Live transport only."
-        ),
-    )
-    sub.set_defaults(handler=cmd_store)
+    sub.set_defaults(handler=cmd_store, build_spec=_store_spec)
 
     sub = subparsers.add_parser(
         "loadgen",
         help="multi-process SLO load generator against a live loopback cluster",
+    )
+    _add_shared_arguments(
+        sub,
+        restrict_algorithm=True,
+        keys=64,
+        ops=50_000,
+        read_fraction=0.9,
+        algorithm="abd-mwmr",
+        seed=0,
+        codec="binary",
     )
     sub.add_argument(
         "--clients", type=int, default=4, help="client worker processes (default 4)"
@@ -1528,32 +1252,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="aggregate open-loop Poisson arrival rate, ops/second (default 5000)",
     )
     sub.add_argument(
-        "--ops", type=int, default=50_000, help="total operations across workers (default 50000)"
-    )
-    sub.add_argument("--keys", type=int, default=64, help="distinct keys (default 64)")
-    sub.add_argument(
-        "--read-fraction",
-        type=float,
-        default=0.9,
-        dest="read_fraction",
-        help="fraction of operations that are reads (default 0.9)",
-    )
-    sub.add_argument(
-        "--algorithm",
-        default="abd-mwmr",
-        choices=available_algorithms(),
-        help="register algorithm under load (default abd-mwmr)",
-    )
-    sub.add_argument(
         "--replicas", type=int, default=3, help="replica processes (default 3)"
     )
-    sub.add_argument(
-        "--codec",
-        choices=["binary", "json"],
-        default="binary",
-        help="wire codec (default binary; json also disables write batching)",
-    )
-    sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     sub.add_argument(
         "--slo-p99",
         type=float,
@@ -1567,32 +1267,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=300.0,
         help="hard wall deadline for the whole run in seconds (default 300)",
     )
-    sub.set_defaults(handler=cmd_loadgen)
+    sub.set_defaults(handler=cmd_loadgen, build_spec=_loadgen_spec)
 
     sub = subparsers.add_parser(
         "chaos",
         help="sweep seeds x fault schedules (partitions, storms) and verify every run",
     )
-    sub.add_argument("--quick", action="store_true", help="2 seeds x 2 schedules for CI smoke")
+    _add_shared_arguments(sub, quick=False, out_dir=".", workers=1)
     sub.add_argument(
         "--seeds",
         type=int,
         default=None,
         help="number of seeds per schedule (default: 2 quick, 3 full)",
     )
-    sub.add_argument(
-        "--out-dir",
-        default=".",
-        dest="out_dir",
-        help="directory for BENCH_chaos.json (default: current directory)",
-    )
-    sub.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the sweep's cells (default 1; same payload)",
-    )
-    sub.set_defaults(handler=cmd_chaos)
+    sub.set_defaults(handler=cmd_chaos, build_spec=_chaos_cells)
 
     sub = subparsers.add_parser(
         "consensus",
@@ -1604,31 +1292,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["consensus_smoke", "kv_cas", "kv_counter"],
         help="which consensus scenario to run (default consensus_smoke)",
     )
-    sub.add_argument(
-        "--keys", type=int, default=None, help="override the scenario's key count"
+    _add_shared_arguments(
+        sub, keys=None, ops=None, algorithm="", seed=None, transport="sim", workers=1
     )
-    sub.add_argument(
-        "--ops", type=int, default=None, help="override the scenario's operation count"
-    )
-    sub.add_argument(
-        "--algorithm",
-        default="",
-        help="override the scenario's consensus algorithm (e.g. mmr-cas-localcoin)",
-    )
-    sub.add_argument("--seed", type=int, default=None, help="override the scenario's seed")
-    sub.add_argument(
-        "--transport",
-        choices=["sim", "live"],
-        default="sim",
-        help="simulator (default) or live asyncio loopback cluster",
-    )
-    sub.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for shard-parallel execution (sim only)",
-    )
-    sub.set_defaults(handler=cmd_consensus)
+    sub.set_defaults(handler=cmd_consensus, build_spec=_consensus_spec)
 
     sub = subparsers.add_parser(
         "explore",
@@ -1641,27 +1308,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="schedule search strategy (default random-walk)",
     )
     sub.add_argument("--budget", type=int, default=20, help="schedules to explore (default 20)")
-    sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    sub.add_argument(
-        "--algorithm",
-        default="abd",
-        help=(
-            "register algorithm, including explorer mutants such as "
-            "abd-sloppy-write (installed on demand)"
-        ),
-    )
-    sub.add_argument("--keys", type=int, default=6, help="key population (default 6)")
-    sub.add_argument("--ops", type=int, default=80, help="operations per schedule (default 80)")
-    sub.add_argument(
-        "--read-fraction",
-        type=float,
-        default=0.75,
-        dest="read_fraction",
-        help="fraction of operations that are gets (default 0.75)",
-    )
-    sub.add_argument("--shards", type=int, default=2, help="number of shards (default 2)")
-    sub.add_argument(
-        "--replication", type=int, default=3, help="replicas per shard (default 3)"
+    # --algorithm also accepts explorer mutants such as abd-sloppy-write
+    # (installed on demand), hence no restriction to the registry here.
+    _add_shared_arguments(
+        sub,
+        seed=0,
+        algorithm="abd",
+        keys=6,
+        ops=80,
+        read_fraction=0.75,
+        shards=2,
+        replication=3,
+        quick=False,
+        out_dir=".",
+        workers=1,
     )
     sub.add_argument(
         "--op-mix",
@@ -1687,7 +1347,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="perturb_amplitude",
         help="delay multipliers drawn from [0.05, 1 + amplitude] (default 4.0)",
     )
-    sub.add_argument("--quick", action="store_true", help="small budget/sizes for CI smoke")
     sub.add_argument(
         "--expect-violation",
         action="store_true",
@@ -1699,57 +1358,32 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="replay a counterexample artifact instead of exploring",
     )
-    sub.add_argument(
-        "--out-dir",
-        default=".",
-        dest="out_dir",
-        help="directory for counterexample artifacts (default: current directory)",
-    )
-    sub.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the explored cases (default 1; same verdicts)",
-    )
     sub.set_defaults(handler=cmd_explore)
 
     sub = subparsers.add_parser(
         "bench", help="run the perf suite and emit BENCH_*.json baselines"
     )
-    sub.add_argument("--quick", action="store_true", help="small sizes for CI smoke runs")
-    sub.add_argument(
-        "--out-dir",
-        default=".",
-        dest="out_dir",
-        help="directory for the BENCH_*.json files (default: current directory)",
-    )
-    sub.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for the benchmark runs (default 1; payloads are "
-            "bit-identical either way, only wall_seconds moves)"
-        ),
-    )
-    sub.add_argument(
-        "--transport",
-        choices=["sim", "live"],
-        default="sim",
-        help=(
-            "benchmark the simulator baselines (default) or the live loopback "
-            "socket cluster (BENCH_live_throughput.json)"
-        ),
-    )
-    sub.set_defaults(handler=cmd_bench)
+    _add_shared_arguments(sub, quick=False, out_dir=".", workers=1, transport="sim")
+    sub.set_defaults(handler=cmd_bench, build_spec=_bench_specs)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    Keyed commands register a ``build_spec`` (flags → spec); building it here
+    makes "invalid parameters" one decision: any ``ValueError`` from a flag
+    check or from the spec's own validation prints its text and exits 2.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "build_spec"):
+        try:
+            args.spec = args.build_spec(args)
+        except ValueError as exc:
+            print(f"invalid {args.command} parameters: {exc}", file=sys.stderr)
+            return 2
     return args.handler(args)
 
 

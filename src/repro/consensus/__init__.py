@@ -10,6 +10,7 @@ from repro.consensus.mmr import (
     SkipAuxConsensusProcess,
     common_coin,
     consensus_invariants,
+    replica_invariants,
 )
 
 __all__ = [
@@ -22,4 +23,5 @@ __all__ = [
     "SkipAuxConsensusProcess",
     "common_coin",
     "consensus_invariants",
+    "replica_invariants",
 ]

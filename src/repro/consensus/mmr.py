@@ -689,3 +689,26 @@ def consensus_invariants(processes_by_key: Dict[Any, List[ConsensusObjectProcess
                     "but no replica knows a command for the slot"
                 )
     return violations
+
+
+def replica_invariants(store: Any) -> Optional[List[str]]:
+    """:func:`consensus_invariants` over the replica processes ``store`` exposes.
+
+    Returns ``None`` — not an empty list — when there is nothing to audit:
+    no store at all (live runs keep their replicas in other OS processes),
+    a merged shard-parallel view (no process objects), or a store that
+    deployed no consensus-backed key.  Callers then report "n/a" instead of
+    claiming a vacuous pass.
+    """
+    if not hasattr(store, "register_for"):
+        return None
+    by_key = {}
+    for key in store.deployed_keys:
+        processes = [
+            process
+            for process in store.register_for(key).processes
+            if isinstance(process, ConsensusObjectProcess)
+        ]
+        if processes:
+            by_key[key] = processes
+    return consensus_invariants(by_key) if by_key else None

@@ -40,6 +40,20 @@ def _rank_in_sorted(ordered: Sequence[float], fraction: float) -> float:
     return ordered[rank]
 
 
+def json_number(value: Optional[float], digits: int = 3) -> Optional[float]:
+    """Round a measurement for a JSON payload; non-finite values become ``None``.
+
+    ``json.dumps`` would happily serialize ``float("inf")`` as bare
+    ``Infinity`` — which is not JSON and breaks strict consumers — so every
+    number that can degenerate (zero-span throughput) passes through here,
+    and payload writers use ``allow_nan=False`` so a regression fails loudly
+    at write time instead of corrupting the artifact.
+    """
+    if value is None or not math.isfinite(value):
+        return None
+    return round(value, digits)
+
+
 def _latency_summary(latencies: Sequence[float]) -> Optional[Dict[str, float]]:
     if not latencies:
         return None

@@ -57,7 +57,6 @@ from repro.parallel.pool import (
     spawn_context,
     terminate_all,
 )
-from repro.registers.base import OperationKind
 
 
 def _barrier(conn: Any, simulator: Any, stuck: bool) -> float:
@@ -85,25 +84,24 @@ def _barrier(conn: Any, simulator: Any, stuck: bool) -> float:
 
 def _run_group(conn: Any, spec, group_index: int, n_groups: int) -> Dict[str, Any]:
     """Execute one shard group's slice of the workload (runs inside a worker)."""
-    from repro.store.store import KVStore
-    from repro.workloads.kv import iter_kv_arrivals, iter_kv_operations, last_kv_arrival
+    from repro.workloads.kv import (
+        deploy,
+        iter_kv_arrivals,
+        iter_kv_operations,
+        last_kv_arrival,
+        submit_scripted,
+    )
 
-    # workers=1 on the worker's own store: each worker is itself a plain
-    # single-process store over the shards it owns.
-    store = KVStore(spec.store_config().with_(workers=1))
-    shard_map = store.shard_map
-    mine = set(shard_map.shard_groups(n_groups)[group_index])
-    if spec.fault_plan is not None:
-        store.install_fault_plan(spec.fault_plan)
-    # Crash points are scheduled in *every* worker: crashes are per-shard
+    # Every worker deploys the *complete* store (it is itself a plain
+    # single-process store over the shards it owns).  Fault plan and crash
+    # points are installed in every worker too: crashes are per-shard
     # bookkeeping plus register-process crashes, so they are no-ops for
     # shards the worker never deploys, and scheduling them all keeps the
     # event-queue insertion order of setup-time events identical to the
     # single-process run.
-    for point in spec.crash_points:
-        store.crash_server_at(
-            point.at_time, point.shard, point.replica, allow_writer=point.allow_writer
-        )
+    store = deploy(spec)
+    shard_map = store.shard_map
+    mine = set(shard_map.shard_groups(n_groups)[group_index])
 
     tracked: List[Tuple[int, Any]] = []  # (global scripted index, ExecOp)
     batches = 0
@@ -146,13 +144,7 @@ def _run_group(conn: Any, spec, group_index: int, n_groups: int) -> Dict[str, An
             for scripted in batch:
                 if shard_map.shard_of(scripted.key) not in mine:
                     continue
-                if scripted.kind is OperationKind.WRITE:
-                    op = store.submit_put(scripted.key, scripted.value)
-                elif scripted.kind is OperationKind.READ:
-                    op = store.submit_get(scripted.key)
-                else:
-                    op = store.submit_op(scripted.kind, scripted.key, scripted.value)
-                tracked.append((scripted.index, op))
+                tracked.append((scripted.index, submit_scripted(store, scripted)))
             drove_to_completion = store.drive()
             stuck = not drove_to_completion and store.simulator.pending_events == 0
             batches += 1
@@ -200,7 +192,7 @@ def run_kv_workload_parallel(spec):
     ``finished_cleanly=False`` and the worker's traceback in
     ``worker_failure``.
     """
-    from repro.workloads.kv import KVWorkloadResult, run_kv_workload
+    from repro.workloads.kv import KVWorkloadResult, generate_kv_arrivals, run_kv_workload
 
     # A group without shards would simulate nothing; never spawn more
     # workers than shards.
@@ -279,40 +271,14 @@ def run_kv_workload_parallel(spec):
                 pass
     wall_seconds = time.perf_counter() - started
 
-    config = spec.store_config().with_(workers=1)
-    if failure:
-        store = MergedStore(
-            config=config,
-            oplog=None,
-            stats=merge_network_stats([]),
-            metrics=merge_metrics(
-                [], merge_network_stats([]),
-                fault_timeline=spec.fault_plan.timeline() if spec.fault_plan else None,
-            ),
-            crashed={},
-            now=0.0,
-            executed_events=0,
-            fault_plan=spec.fault_plan,
-        )
-        return KVWorkloadResult(
-            spec=spec,
-            store=store,
-            ops=[],
-            wall_seconds=wall_seconds,
-            virtual_makespan=0.0,
-            batches=0,
-            arrivals=[],
-            metrics=store.metrics_snapshot(),
-            finished_cleanly=False,
-            worker_failure=failure,
-        )
-
     # Reassemble the global submission order from the raw columns: each
     # worker's oplog concatenates in pool order, then one permutation sorts
     # the rows by scripted index — after which row ``i`` is exactly the op
     # the serial driver would have created ``i``-th (submission order is
     # scripted order in both loops).  No object graph ever crosses the pipe;
-    # ``ipc_bytes`` is the whole worker→parent result-plane bill.
+    # ``ipc_bytes`` is the whole worker→parent result-plane bill.  A worker
+    # failure left no payloads: every fold below then runs over the empty
+    # set, and the result is an empty, unclean run carrying the traceback.
     merged_log = OpLog()
     scripted_index = array("q")
     ipc_bytes = 0
@@ -325,7 +291,6 @@ def run_kv_workload_parallel(spec):
             scripted_index.extend(part_index)
     order = sorted(range(len(scripted_index)), key=scripted_index.__getitem__)
     oplog = merged_log.reordered(order)
-    ops = oplog.ops_view()
 
     stats = merge_network_stats([payload["stats"] for payload in payloads])
     metrics = merge_metrics(
@@ -338,36 +303,27 @@ def run_kv_workload_parallel(spec):
         for shard_id, replicas in payload["crashed"].items():
             merged = set(crashed.get(shard_id, ())) | set(replicas)
             crashed[shard_id] = sorted(merged)
-    makespan = max(payload["now"] for payload in payloads)
+    makespan = max((payload["now"] for payload in payloads), default=0.0)
     store = MergedStore(
-        config=config,
+        config=spec.store_config().with_(workers=1),
         oplog=oplog,
         stats=stats,
-        metrics=metrics,
         crashed=crashed,
         now=makespan,
         executed_events=sum(payload["executed_events"] for payload in payloads),
         fault_plan=spec.fault_plan,
     )
-    arrivals = list(generate_arrivals_if_open(spec))
     return KVWorkloadResult(
         spec=spec,
-        store=store,
-        ops=ops,
+        oplog=oplog,
+        ops=store.ops if payloads else [],
         wall_seconds=wall_seconds,
-        virtual_makespan=makespan,
-        batches=max(payload["batches"] for payload in payloads),
-        arrivals=arrivals,
         metrics=metrics,
-        finished_cleanly=all(payload["finished"] for payload in payloads),
+        store=store,
+        virtual_makespan=makespan,
+        batches=max((payload["batches"] for payload in payloads), default=0),
+        arrivals=generate_kv_arrivals(spec) if spec.open_loop and payloads else [],
+        finished_cleanly=not failure and all(payload["finished"] for payload in payloads),
+        worker_failure=failure or None,
         ipc_bytes=ipc_bytes,
     )
-
-
-def generate_arrivals_if_open(spec) -> List[float]:
-    """The seeded arrival times for open-loop specs, ``[]`` for closed-loop."""
-    if not spec.open_loop:
-        return []
-    from repro.workloads.kv import generate_kv_arrivals
-
-    return generate_kv_arrivals(spec)

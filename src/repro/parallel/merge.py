@@ -19,23 +19,22 @@ indistinguishable from a single-process run:
 * :class:`MergedStore` — a read-only stand-in for the
   :class:`~repro.store.store.KVStore` a serial run would hand back, carrying
   the merged ops/stats/shards and answering the whole inspection surface
-  (``histories``, ``check_atomicity``, ``check_linearizability``,
-  ``metrics_snapshot``, ``simulator.now``, ...).
+  (``histories``, ``check_linearizability``, ``stats``, ``shards``,
+  ``simulator.now``, ...) — the checking half being ``KVStore``'s own code.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional
 
 from repro.exec.metrics import _latency_summary
-from repro.exec.oplog import LoggedOp, OpLog
+from repro.exec.oplog import OpLog
 from repro.sim.network import NetworkStats
 from repro.store.shardmap import ShardMap
-from repro.store.store import StoreAtomicityReport, StoreConfig, StoreShard
-from repro.verification.columnar import ColumnarHistory
-from repro.verification.register_checker import AtomicityViolation, check_swmr_atomicity
+from repro.store.store import KVStore, StoreConfig, StoreShard
 
 
 def merge_network_stats(snapshots: List[Dict[str, Any]]) -> NetworkStats:
@@ -160,15 +159,6 @@ def collector_raw_state(metrics) -> Dict[str, Any]:
     }
 
 
-class _MergedClock:
-    """Stand-in for ``store.simulator`` on a merged run (read-only numbers)."""
-
-    def __init__(self, now: float, executed_events: int) -> None:
-        self.now = now
-        self.executed_events = executed_events
-        self.pending_events = 0
-
-
 class MergedStore:
     """The read-only store view a shard-parallel run hands back.
 
@@ -182,16 +172,15 @@ class MergedStore:
     The run's operations live in one merged :class:`~repro.exec.oplog.OpLog`
     (rows already permuted into global submission order); ``ops`` is a lazy
     view over it and histories come straight off the columns, so inspecting
-    a million-op parallel run allocates no per-op objects.  ``oplog=None``
-    (worker-failure runs) degrades to an empty log.
+    a million-op parallel run allocates no per-op objects.  (A worker-failure
+    run merges zero payloads: an empty log, zeroed stats.)
     """
 
     def __init__(
         self,
         config: StoreConfig,
-        oplog: Optional[OpLog],
+        oplog: OpLog,
         stats: NetworkStats,
-        metrics: Dict[str, Any],
         crashed: Dict[int, List[int]],
         now: float,
         executed_events: int,
@@ -199,12 +188,14 @@ class MergedStore:
     ) -> None:
         self.config = config
         self.shard_map: ShardMap = config.shard_map()
-        self.oplog = oplog if oplog is not None else OpLog()
+        self.oplog = oplog
         self.ops = self.oplog.ops_view()
         self.stats = stats
-        self._metrics = metrics
         self.fault_plan = fault_plan
-        self.simulator = _MergedClock(now, executed_events)
+        # Stand-in for ``store.simulator``: read-only numbers, no event loop.
+        self.simulator = SimpleNamespace(
+            now=now, executed_events=executed_events, pending_events=0
+        )
         self.shards = [
             StoreShard(
                 shard_id=shard,
@@ -221,75 +212,14 @@ class MergedStore:
         """Keys that saw at least one operation, sorted by repr."""
         return sorted(self.oplog.rows_by_key(), key=repr)
 
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """The merged driver-level metrics (see :func:`merge_metrics`)."""
-        return self._metrics
-
-    def total_messages(self) -> int:
-        """Messages sent across all workers' subnets."""
-        return self.stats.messages_sent
-
-    def completed_ops(self) -> list[LoggedOp]:
-        """Operations that completed successfully, in submission order."""
-        return [op for op in self.ops if op.completed]
-
-    def failed_ops(self) -> list[LoggedOp]:
-        """Operations that failed (crashed replica, stalled batch, ...)."""
-        return [op for op in self.ops if op.failed]
-
-    # --------------------------------------------------------- verification
-    #
-    # Byte-for-byte the KVStore implementations: the merged oplog's rows are
-    # in global submission order, so grouping and the per-key history sort
-    # behave identically to the single-process store.
-
-    def history(self, key: Any) -> ColumnarHistory:
-        """The SWMR history of one key (completed and pending operations)."""
-        return self.oplog.history_for(key, initial_value=self.config.initial_value)
-
-    def histories(self) -> Dict[Any, ColumnarHistory]:
-        """Every touched key's history, keyed by key."""
-        return self.oplog.per_key_histories(initial_value=self.config.initial_value)
-
-    def check_atomicity(self, raise_on_violation: bool = True) -> StoreAtomicityReport:
-        """Check every key's history with the fast per-key SWMR checker.
-
-        Consensus-object stores route to the Wing–Gong search against the
-        SMR spec, exactly like :meth:`KVStore.check_atomicity`.
-        """
-        report = StoreAtomicityReport()
-        if self.config.effective_spec() == "smr":
-            checked = self.check_linearizability(swmr_fast_path=False)
-            for key, result in checked.per_key.items():
-                if not result.linearizable and not result.violations:
-                    result.violations.append(
-                        "history is not linearizable against the SMR spec"
-                    )
-                report.per_key[key] = result
-        else:
-            for key, history in self.histories().items():
-                report.per_key[key] = check_swmr_atomicity(history, raise_on_violation=False)
-        if raise_on_violation and not report.ok:
-            violations = report.violations()
-            raise AtomicityViolation(
-                f"{len(violations)} per-key atomicity violation(s):\n  - "
-                + "\n  - ".join(violations)
-            )
-        return report
-
-    def check_linearizability(
-        self,
-        swmr_fast_path: bool = True,
-        max_states: Optional[int] = None,
-        workers: int = 1,
-    ):
-        """Check every key with the general linearizability checker."""
-        from repro.verification.linearizability import check_histories_per_key
-
-        return check_histories_per_key(
-            self.histories(),
-            swmr_fast_path=swmr_fast_path,
-            max_states=max_states,
-            workers=workers,
-            spec=self.config.effective_spec(),
-        )
+    # The finished-run surface (op accessors, per-key histories, checking) is
+    # KVStore's own code: the merged oplog's rows are in global submission
+    # order, so grouping and the per-key history sort behave identically to
+    # the single-process store.
+    total_messages = KVStore.total_messages
+    completed_ops = KVStore.completed_ops
+    failed_ops = KVStore.failed_ops
+    history = KVStore.history
+    histories = KVStore.histories
+    check_linearizability = KVStore.check_linearizability
+    check_atomicity = KVStore.check_atomicity

@@ -21,8 +21,9 @@ Public entry points
     The event loop: virtual clock, event queue, observers.
 :class:`~repro.sim.network.Network`
     Reliable, non-FIFO, crash-aware channels with message accounting.
-:class:`~repro.sim.process.Process`
-    Base class for protocol processes (send / message handlers / guards).
+:class:`~repro.transport.runtime.ProcessBase` (re-exported here as ``Process``)
+    Base class for protocol processes (send / message handlers / guards);
+    transport-agnostic, so it lives with the transport layer.
 :class:`~repro.sim.failures.CrashSchedule`
     Declarative crash injection.
 :mod:`~repro.sim.delays`
@@ -40,9 +41,9 @@ from repro.sim.delays import (
 from repro.sim.events import Event, EventQueue
 from repro.sim.failures import CrashSchedule, FailureInjector
 from repro.sim.network import Channel, MessageRecord, Network, NetworkStats
-from repro.sim.process import Guard, Process, ProcessCrashedError
 from repro.sim.scheduler import Simulator, SimulationError
 from repro.sim.tracing import TraceEvent, Tracer
+from repro.transport.runtime import Guard, ProcessBase as Process, ProcessCrashedError
 
 __all__ = [
     "Channel",

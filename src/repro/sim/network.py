@@ -45,7 +45,7 @@ from repro.sim.scheduler import Simulator
 from repro.transport.base import TransportClosedError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.process import Process
+    from repro.transport.runtime import ProcessBase as Process
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 The :class:`Simulator` owns the virtual clock and the :class:`EventQueue`.
 Protocol code never blocks: waits are expressed as *guards* on processes
-(see :mod:`repro.sim.process`) or as events scheduled in the future.  The
+(see :mod:`repro.transport.runtime`) or as events scheduled in the future.  The
 simulator advances time only when it pops an event, so the clock jumps from
 event to event — there is no real-time component at all.
 

@@ -20,7 +20,6 @@ from repro.store.shardmap import Placement, ShardMap, stable_key_hash
 from repro.store.store import (
     KVStore,
     KeyRegister,
-    StoreAtomicityReport,
     StoreConfig,
     StoreOp,
     StoreShard,
@@ -32,7 +31,6 @@ __all__ = [
     "KeyRegister",
     "Placement",
     "ShardMap",
-    "StoreAtomicityReport",
     "StoreConfig",
     "StoreOp",
     "StoreShard",

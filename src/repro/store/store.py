@@ -56,11 +56,7 @@ from repro.sim.tracing import Tracer
 from repro.store.shardmap import Placement, ShardMap
 from repro.transport.base import validate_transport
 from repro.verification.columnar import ColumnarHistory
-from repro.verification.register_checker import (
-    AtomicityReport,
-    AtomicityViolation,
-    check_swmr_atomicity,
-)
+from repro.verification.register_checker import AtomicityViolation
 
 #: A submitted store operation — the engine-level future, re-exported under
 #: its historical name (``op.key`` is always set for store operations).
@@ -205,30 +201,6 @@ class StoreShard:
     @property
     def live_replicas(self) -> int:
         return self.replication - len(self.crashed_replicas)
-
-
-@dataclass
-class StoreAtomicityReport:
-    """Per-key atomicity verdicts for a whole store run."""
-
-    per_key: Dict[Any, AtomicityReport] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        """True when every key's history is atomic."""
-        return all(report.ok for report in self.per_key.values())
-
-    @property
-    def keys_checked(self) -> int:
-        return len(self.per_key)
-
-    def violations(self) -> list[str]:
-        """All violations, each prefixed with the offending key."""
-        messages: list[str] = []
-        for key in sorted(self.per_key, key=repr):
-            for violation in self.per_key[key].violations:
-                messages.append(f"[{key!r}] {violation}")
-        return messages
 
 
 class KVStore:
@@ -430,28 +402,23 @@ class KVStore:
 
     # ----------------------------------------------------- blocking facade
 
-    def put(self, key: Any, value: Any) -> StoreOp:
-        """Blocking write: submit, then drive the loop until it completes."""
-        op = self.submit_put(key, value)
+    def _finish(self, op: StoreOp, call: str) -> StoreOp:
+        """Drive the loop until ``op`` is done; a failed op raises."""
         self.drive()
         if op.failed:
-            raise RuntimeError(f"put({key!r}) failed: {op.failure_reason}")
+            raise RuntimeError(f"{call}({op.key!r}) failed: {op.failure_reason}")
         return op
+
+    def put(self, key: Any, value: Any) -> StoreOp:
+        """Blocking write: submit, then drive the loop until it completes."""
+        return self._finish(self.submit_put(key, value), "put")
 
     def get(self, key: Any) -> Any:
         """Blocking read: submit, then drive the loop; returns the value."""
-        op = self.submit_get(key)
-        self.drive()
-        if op.failed:
-            raise RuntimeError(f"get({key!r}) failed: {op.failure_reason}")
-        return op.result
+        return self._finish(self.submit_get(key), "get").result
 
     def _blocking_op(self, kind: OperationKind, key: Any, value: Any = None) -> Any:
-        op = self.submit_op(kind, key, value)
-        self.drive()
-        if op.failed:
-            raise RuntimeError(f"{kind.value}({key!r}) failed: {op.failure_reason}")
-        return op.result
+        return self._finish(self.submit_op(kind, key, value), kind.value).result
 
     def cas(self, key: Any, expected: Any, new: Any) -> bool:
         """Blocking compare-and-swap; True iff the swap took effect."""
@@ -598,9 +565,23 @@ class KVStore:
         """Driver-level metrics: latency percentiles, throughput, message mix."""
         return self.driver.metrics.snapshot()
 
+    @property
+    def oplog(self) -> OpLog:
+        """The columnar log the driver records every operation into."""
+        return self.driver.oplog
+
+    # ------------------------------------------- the finished-run surface
+    #
+    # Written against ``self.ops``, ``self.oplog``, ``self.stats`` and
+    # ``self.config`` only, so everything that carries a finished run reads
+    # and checks it through these same functions:
+    # :class:`~repro.parallel.merge.MergedStore` and
+    # :class:`~repro.workloads.kv.KVWorkloadResult` bind them as their own
+    # methods instead of keeping copies.
+
     def total_messages(self) -> int:
         """Messages sent across the whole store so far."""
-        return self.network.stats.messages_sent
+        return self.stats.messages_sent
 
     def completed_ops(self) -> list[StoreOp]:
         """Operations that completed successfully, in submission order."""
@@ -612,46 +593,16 @@ class KVStore:
 
     def history(self, key: Any) -> ColumnarHistory:
         """The SWMR history of one key (completed and pending operations)."""
-        return self.driver.oplog.history_for(key, initial_value=self.config.initial_value)
-
-    def check_atomicity(self, raise_on_violation: bool = True) -> StoreAtomicityReport:
-        """Check every key's history with the fast per-key SWMR checker.
-
-        Consensus-object stores (``spec == "smr"``) have no single writer,
-        so the SWMR claims checker does not apply; their per-key verdicts
-        come from the Wing–Gong search against the SMR spec instead — the
-        report shape (``ok`` / ``violations()``) is the same either way.
-        """
-        report = StoreAtomicityReport()
-        if self.config.effective_spec() == "smr":
-            checked = self.check_linearizability(swmr_fast_path=False)
-            for key, result in checked.per_key.items():
-                if not result.linearizable and not result.violations:
-                    result.violations.append(
-                        "history is not linearizable against the SMR spec"
-                    )
-                report.per_key[key] = result
-        else:
-            for key, history in self.histories().items():
-                report.per_key[key] = check_swmr_atomicity(history, raise_on_violation=False)
-        if raise_on_violation and not report.ok:
-            violations = report.violations()
-            raise AtomicityViolation(
-                f"{len(violations)} per-key atomicity violation(s):\n  - "
-                + "\n  - ".join(violations)
-            )
-        return report
+        return self.oplog.history_for(key, initial_value=self.config.initial_value)
 
     def histories(self) -> Dict[Any, ColumnarHistory]:
-        """Every deployed key's history, keyed by key.
+        """Every touched key's history, keyed by key.
 
         Histories are :class:`~repro.verification.columnar.ColumnarHistory`
-        row views over the driver's OpLog — same ``to_dict`` output, same
-        checker verdicts, a fraction of the memory (DESIGN.md §11).
+        row views over the OpLog — same ``to_dict`` output, same checker
+        verdicts, a fraction of the memory of per-op objects.
         """
-        return self.driver.oplog.per_key_histories(
-            initial_value=self.config.initial_value
-        )
+        return self.oplog.per_key_histories(initial_value=self.config.initial_value)
 
     def check_linearizability(
         self,
@@ -679,6 +630,23 @@ class KVStore:
             workers=workers,
             spec=self.config.effective_spec(),
         )
+
+    def check_atomicity(self, raise_on_violation: bool = True):
+        """The *raising* spelling of :meth:`check_linearizability`.
+
+        Same per-key check, same
+        :class:`~repro.verification.linearizability.PartitionedCheckReport`;
+        a failing report raises :class:`AtomicityViolation` listing every
+        violation unless ``raise_on_violation`` is false.
+        """
+        report = self.check_linearizability()
+        if raise_on_violation and not report.ok:
+            violations = report.violations()
+            raise AtomicityViolation(
+                f"{len(violations)} per-key atomicity violation(s):\n  - "
+                + "\n  - ".join(violations)
+            )
+        return report
 
 
 def create_store(

@@ -7,9 +7,10 @@ passing with delivery callbacks) — plus the
 :class:`~repro.transport.runtime.ProcessBase` runtime that hosts protocol
 processes on top of them.  Two backends implement the interfaces:
 
-* :mod:`repro.transport.simulated` — the virtual-time discrete-event
-  simulator (deterministic, seeded; the home of coalescing, link policies,
-  the fault plane and schedule perturbation).
+* :mod:`repro.sim` — the virtual-time discrete-event simulator
+  (deterministic, seeded; the home of coalescing, link policies, the fault
+  plane and schedule perturbation).  ``Simulator`` / ``Network`` satisfy the
+  interfaces structurally, without inheriting from them.
 * :mod:`repro.transport.live` — real asyncio TCP sockets on a loopback
   multi-process cluster (wall-clock time; measures real latencies).
 

@@ -31,6 +31,8 @@ from __future__ import annotations
 import gc
 from typing import Any, Dict, List, Tuple
 
+from repro.exec.metrics import json_number
+
 #: Op mix for the committed baseline: multi-writer (the paper's MWMR
 #: setting), write-heavy so the measured path is the protocol's
 #: two-phase writes, batch 256 so enough operations are in flight for
@@ -42,29 +44,27 @@ QUICK_MIX = dict(num_keys=16, num_ops=400, read_fraction=0.2,
 
 
 def arm_entry(result) -> Dict[str, Any]:
-    """Flatten one run into the JSON row the baseline artifact records."""
-    latency = result.metrics["latency"]["all"] or {}
-    transport = result.metrics.get("transport") or {}
-    steady = result.metrics.get("wall_throughput") or result.wall_throughput()
+    """Pick the JSON row the baseline artifact records out of ``result.summary()``."""
+    summary = result.summary()
+    latency = summary["latency"] or {}
+    wire = summary["wire"] or {}
+    steady = result.metrics.get("wall_throughput") or summary["wall_throughput"]
 
     def _ms(value):
         return None if value is None else round(value * 1000.0, 3)
 
-    def _num(value, digits=3):
-        return None if value is None else round(value, digits)
-
     return {
-        "codec": transport.get("codec"),
-        "write_batching": bool(transport.get("batching")),
-        "completed": result.completed,
-        "failed": result.failed,
-        "wall_seconds": round(result.wall_seconds, 4),
-        "steady_ops_per_s": _num(steady, 1),
-        "messages": result.messages_total,
+        "codec": wire.get("codec"),
+        "write_batching": bool(wire.get("batching")),
+        "completed": summary["completed"],
+        "failed": summary["failed"],
+        "wall_seconds": summary["wall_seconds"],
+        "steady_ops_per_s": json_number(steady, 1),
+        "messages": summary["messages"],
         "p50_ms": _ms(latency.get("p50")),
         "p99_ms": _ms(latency.get("p99")),
-        "frames_per_flush": _num(transport.get("frames_per_flush")),
-        "client_bytes_per_op": _num(transport.get("client_bytes_per_op"), 1),
+        "frames_per_flush": json_number(wire.get("frames_per_flush")),
+        "client_bytes_per_op": json_number(wire.get("client_bytes_per_op"), 1),
     }
 
 
@@ -83,36 +83,38 @@ def _timed_runs(spec, runs: int) -> List[Tuple[Dict[str, Any], Any]]:
 def _checked_median(pairs: List[Tuple[Dict[str, Any], Any]], spec) -> Dict[str, Any]:
     """Verify every run of one arm, then return its median-throughput entry."""
     for _entry, result in pairs:
-        report = result.check_linearizability()
-        if not report.ok or not result.finished_cleanly:
+        verdict = result.verify()
+        if not verdict.ok:
             raise RuntimeError(
                 f"live bench arm codec={spec.codec} batching={spec.write_batching} "
-                f"is not a valid measurement (linearizable={report.ok}, "
-                f"clean={result.finished_cleanly})"
+                f"is not a valid measurement: {'; '.join(verdict.failures[:3])}"
             )
     entries = sorted((entry for entry, _result in pairs),
                      key=lambda entry: entry["steady_ops_per_s"] or 0)
     return entries[len(entries) // 2]
 
 
-def run_pair(mix: Dict[str, Any], runs: int = 3) -> Tuple[Dict[str, Any], Dict[str, Any], float]:
-    """Run baseline (JSON, unbatched) and fast (binary, batched) arms.
-
-    Returns ``(baseline_entry, fastpath_entry, speedup)`` where speedup is
-    the steady-state throughput ratio fast / baseline.
-    """
+def pair_specs(mix: Dict[str, Any], **changes: Any) -> Tuple[Any, Any]:
+    """The (JSON + unbatched, binary + batched) live specs of one op mix."""
     from repro.workloads.scenarios import kv_uniform
 
-    spec = kv_uniform(
-        num_keys=mix["num_keys"],
-        num_ops=mix["num_ops"],
-        read_fraction=mix["read_fraction"],
-        algorithm=mix["algorithm"],
-        batch_size=mix["batch_size"],
-        seed=mix["seed"],
-    ).with_(transport="live")
-    base_spec = spec.with_(codec="json", write_batching=False)
-    fast_spec = spec.with_(codec="binary", write_batching=True)
+    spec = kv_uniform(**mix).with_(**{"transport": "live", **changes})
+    return (
+        spec.with_(codec="json", write_batching=False),
+        spec.with_(codec="binary", write_batching=True),
+    )
+
+
+def run_pair(
+    specs: Tuple[Any, Any], runs: int = 3
+) -> Tuple[Dict[str, Any], Dict[str, Any], float]:
+    """Run the baseline (JSON, unbatched) and fast (binary, batched) arms.
+
+    ``specs`` is a :func:`pair_specs` result.  Returns ``(baseline_entry,
+    fastpath_entry, speedup)`` where speedup is the steady-state throughput
+    ratio fast / baseline.
+    """
+    base_spec, fast_spec = specs
     base_runs = _timed_runs(base_spec, runs)
     fast_runs = _timed_runs(fast_spec, runs)
     baseline = _checked_median(base_runs, base_spec)

@@ -41,11 +41,12 @@ non-FIFO-across-connections delivery and the OS scheduler supplies the
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.exec.metrics import MetricsCollector
 from repro.exec.oplog import OpLog
@@ -534,27 +535,26 @@ def replica_main(
     """Entry point of one replica server process (multiprocessing spawn)."""
     import os
 
-    profile_dir = os.environ.get("REPRO_LIVE_PROFILE")
-    if profile_dir:  # pragma: no cover - diagnostics only
-        import cProfile
-
-        prof = cProfile.Profile()
-        prof.enable()
-        try:
-            asyncio.run(
-                _replica_async_main(
-                    replica_id, n, algorithm_name, initial_value, port_queue, codecs, batching
-                )
+    def serve() -> None:
+        asyncio.run(
+            _replica_async_main(
+                replica_id, n, algorithm_name, initial_value, port_queue, codecs, batching
             )
-        finally:
-            prof.disable()
-            prof.dump_stats(os.path.join(profile_dir, f"replica{replica_id}.prof"))
-        return
-    asyncio.run(
-        _replica_async_main(
-            replica_id, n, algorithm_name, initial_value, port_queue, codecs, batching
         )
-    )
+
+    profile_dir = os.environ.get("REPRO_LIVE_PROFILE")
+    if not profile_dir:
+        serve()
+        return
+    import cProfile  # pragma: no cover - diagnostics only
+
+    prof = cProfile.Profile()
+    prof.enable()
+    try:
+        serve()
+    finally:
+        prof.disable()
+        prof.dump_stats(os.path.join(profile_dir, f"replica{replica_id}.prof"))
 
 
 async def _replica_async_main(
@@ -675,77 +675,48 @@ class LiveCluster:
 # ------------------------------------------------------------- client runner
 
 
-@dataclass
-class LiveKVResult:
-    """Everything a live keyed-store run produced.
-
-    Mirrors :class:`~repro.workloads.kv.KVWorkloadResult` where it can, but
-    there is no in-process :class:`KVStore` — the run's record *is* the
-    columnar :class:`OpLog` of client-observed timestamps, which is exactly
-    what the history/checking plane consumes.
-    """
-
-    spec: Any
-    oplog: OpLog
-    wall_seconds: float
-    submitted: int
-    completed: int
-    failed: int
-    #: Wall-clock metrics snapshot (p50/p95/p99 in seconds, wall throughput,
-    #: and a ``transport`` section with per-connection byte/frame/batch
-    #: counters plus derived bytes/op and frames-per-flush).
-    metrics: Dict[str, Any] = field(default_factory=dict)
-    #: Sum of protocol messages sent across all replica servers.
-    messages_total: int = 0
-    finished_cleanly: bool = True
-
-    def histories(self) -> Dict[Any, Any]:
-        """Per-key client-observed histories (columnar, checker-ready)."""
-        return self.oplog.per_key_histories(self.spec.initial_value)
-
-    def check_linearizability(
-        self, swmr_fast_path: bool = True, max_states: Optional[int] = None
-    ):
-        """Run the unmodified per-key Wing–Gong checker on the live histories."""
-        from repro.verification.linearizability import check_histories_per_key
-
-        return check_histories_per_key(
-            self.histories(),
-            swmr_fast_path=swmr_fast_path,
-            max_states=max_states,
-            spec=self.spec.store_config().effective_spec(),
-        )
-
-    def wall_throughput(self) -> float:
-        """Completed operations per wall-clock second."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.completed / self.wall_seconds
-
-
-class _PendingOp:
+class _PendingOp(NamedTuple):
     """Client-side bookkeeping for one in-flight live operation."""
 
-    __slots__ = ("row", "record", "future")
-
-    def __init__(self, row: int, record: OperationRecord, future: "asyncio.Future") -> None:
-        self.row = row
-        self.record = record
-        self.future = future
+    row: int
+    record: OperationRecord
+    future: "asyncio.Future"
 
 
 class LiveClient:
-    """One connection per replica plus op-id dispatch of result frames."""
+    """One connection per replica plus op-id dispatch of result frames.
 
-    def __init__(self, codec: str = "binary", batching: bool = True) -> None:
+    The connection half (``connect`` / ``wire_peers`` / ``start_readers`` /
+    ``pending`` / ``drain_stats`` / ``close``) is all a caller with its own
+    bookkeeping needs.  The recording half — :meth:`fire`,
+    :meth:`fire_open_loop`, :meth:`settle` — is what both in-tree drivers
+    (:func:`run_live_workload`, the load generator's workers) run on: it logs
+    every operation into ``oplog`` / ``metrics`` with client-observed wall
+    timestamps, stamping completion *when the result frame arrives*.
+    """
+
+    def __init__(
+        self, codec: str = "binary", batching: bool = True, epoch: Optional[float] = None
+    ) -> None:
         self.codec_preference = codec
         self.batching = batching
         self.conns: Dict[int, Connection] = {}
-        self.pending: Dict[int, _PendingOp] = {}
+        self.pending: Dict[int, Any] = {}
         self.stats_replies: Dict[int, Dict[str, Any]] = {}
         self._reader_tasks: List[asyncio.Task] = []
+        self.oplog = OpLog()
+        self.metrics = MetricsCollector(wall_clock=True)
+        #: ``"<kind> session <pid>: <reason>"`` per failed operation.
+        self.failures: List[str] = []
+        #: Set by :meth:`connect`; ``epoch`` shares a time base across processes.
+        self.clock: Optional[WallClock] = None
+        self._epoch = epoch
+        self._op_ids = itertools.count()
+        self._read_turn: Dict[Any, int] = {}
+        self._replica_ops: Dict[int, int] = {}
 
     async def connect(self, ports: Dict[int, int]) -> None:
+        self.clock = WallClock(asyncio.get_running_loop(), epoch=self._epoch)
         offered = list(offered_codecs(self.codec_preference))
         for replica, port in sorted(ports.items()):
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -811,6 +782,100 @@ class LiveClient:
         except (FramingError, CodecError, ConnectionError):
             return
 
+    # ------------------------------------------------------- recorded driving
+
+    def fire(
+        self, kind: OperationKind, key: Any, value: Any, pid: Optional[int] = None
+    ) -> _PendingOp:
+        """Log and send one invocation; its completion is stamped on arrival.
+
+        Writes go to replica 0 (the writer replica, as the simulated store
+        routes), everything else round-robins per key.  ``pid`` is the
+        checker's notion of *who* invoked: by default the serving replica
+        (operations there are sequential per key); open-loop generators pass
+        a unique pid per operation, because their operations overlap freely
+        and the checker derives program order from equal pids.
+        """
+        if kind is OperationKind.WRITE:
+            replica = 0
+        else:
+            turn = self._read_turn.get(key, 0)
+            self._read_turn[key] = turn + 1
+            replica = turn % len(self.conns)
+        session_op = 0  # an explicit pid is a one-operation session
+        if pid is None:
+            pid = replica
+            session_op = self._replica_ops.get(replica, 0)
+            self._replica_ops[replica] = session_op + 1
+        op_id = next(self._op_ids)
+        now = self.clock.now
+        row = self.oplog.note_created(kind, key, value)
+        self.oplog.note_submitted(row, now)
+        record = OperationRecord(op_id=session_op, pid=pid, kind=kind, value=value, invoked_at=now)
+        self.oplog.note_issued(row, record)
+        self.metrics.note_issued(now)
+        pending = _PendingOp(row, record, asyncio.get_running_loop().create_future())
+        # The read loop resolves the future the moment the result frame is
+        # decoded, so the callback's stamp is the arrival time — not whenever
+        # the driver gets around to collecting results.
+        pending.future.add_done_callback(partial(self._record_result, pending))
+        self.pending[op_id] = pending
+        self.conns[replica].send(
+            {"kind": "invoke", "op_id": op_id, "op": kind.value, "key": key, "value": value}
+        )
+        return pending
+
+    def _record_result(self, pending: _PendingOp, future: "asyncio.Future") -> None:
+        frame = None if future.cancelled() else future.result()
+        record = pending.record
+        if frame is not None and frame.get("ok"):
+            now = self.clock.now
+            record.completed = True
+            record.result = frame.get("value")
+            record.responded_at = now
+            self.oplog.note_completed(pending.row, record)
+            self.metrics.note_completed(record.kind, now - record.invoked_at, now)
+            return
+        reason = (frame or {}).get("error", "no response before deadline")
+        self.oplog.note_failed(pending.row, reason)
+        self.metrics.note_failed()
+        self.failures.append(f"{record.kind.value} session {record.pid}: {reason}")
+
+    async def fire_open_loop(
+        self, schedule: Any, pid_of: Optional[Callable[[int], int]] = None
+    ) -> List[_PendingOp]:
+        """Fire ``(offset, kind, key, value)`` arrivals on schedule, never waiting.
+
+        Offsets are seconds from now; an arrival that is already due fires
+        at once.  ``pid_of(i)`` names the checker pid of the ``i``-th
+        operation (see :meth:`fire`).
+        """
+        t0 = self.clock.now
+        fired: List[_PendingOp] = []
+        for index, (offset, kind, key, value) in enumerate(schedule):
+            delay = (t0 + offset) - self.clock.now
+            if delay > 0:
+                await asyncio.sleep(delay)
+            elif index % 16 == 0:
+                await asyncio.sleep(0)  # behind schedule: still let result frames in
+            pid = None if pid_of is None else pid_of(index)
+            fired.append(self.fire(kind, key, value, pid=pid))
+        return fired
+
+    async def settle(self, fired: List[_PendingOp], timeout: float) -> bool:
+        """Wait up to ``timeout`` seconds for ``fired``; fail what has no result by then.
+
+        Returns ``True`` when every operation completed.
+        """
+        waiting = [pending.future for pending in fired if not pending.future.done()]
+        if waiting:
+            _done, late = await asyncio.wait(waiting, timeout=max(0.001, timeout))
+            for future in late:
+                future.cancel()
+            if late:
+                await asyncio.sleep(0)  # run the cancelled futures' callbacks
+        return all(pending.record.completed for pending in fired)
+
     async def drain_stats(self, timeout: float = 5.0) -> int:
         """Ask every replica for its counters; returns total protocol messages."""
         for conn in self.conns.values():
@@ -863,201 +928,113 @@ class LiveClient:
             conn.writer.close()
 
 
-#: Back-compat alias (pre-PR 9 name).
-_LiveClient = LiveClient
+@contextlib.asynccontextmanager
+async def live_session(
+    replicas: int,
+    algorithm: str,
+    initial_value: Any,
+    codec: str = "binary",
+    batching: bool = True,
+    server_codecs: Optional[Tuple[str, ...]] = None,
+):
+    """A booted loopback cluster plus a wired, reading :class:`LiveClient`.
 
-
-def _live_arrival_offsets(spec: Any) -> List[float]:
-    """Seeded arrival offsets in *seconds* (rate = ops/second on the wall)."""
-    from repro.workloads.kv import generate_kv_arrivals
-
-    return generate_kv_arrivals(spec)
-
-
-def run_live_workload(
-    spec: Any, server_codecs: Optional[Tuple[str, ...]] = None
-) -> LiveKVResult:
-    """Run ``spec`` against a freshly launched loopback replica cluster.
-
-    The operation stream is the spec's seeded stream — identical, op for
-    op, to what a simulated run of the same spec executes.  Open-loop specs
-    fire at their seeded arrival times with ``arrival_rate`` read as
-    operations per wall-clock *second*; closed-loop specs submit in batches
-    of ``batch_size`` and await each batch.
-
-    ``spec.codec`` picks the client's wire-codec preference (``"binary"``
-    negotiates the fast path, ``"json"`` forces the PR 8 wire);
-    ``server_codecs`` restricts what the replica servers accept (tests use
-    ``("json",)`` to exercise the negotiation fallback).
+    Yields ``(client, ports)``; on the way out — success or failure — the
+    client sends the shutdown handshake and the replica processes are joined
+    (terminated past their budget), so no path leaves a process behind.
     """
-    _validate_live_spec(spec)
-    return asyncio.run(_run_live_async(spec, server_codecs))
-
-
-def _validate_live_spec(spec: Any) -> None:
-    if spec.workers > 1:
-        raise ValueError("live transport runs single-client; workers must be 1")
-    if spec.crash_points:
-        raise ValueError(
-            "crash injection is simulated-only; live runs cannot schedule crash_points"
-        )
-    if spec.fault_plan is not None:
-        raise ValueError(
-            "fault plans (link policies) are simulated-only; live runs take the wire as-is"
-        )
-    if spec.replication < 2:
-        raise ValueError("a live register cluster needs at least 2 replicas")
-
-
-async def _run_live_async(
-    spec: Any, server_codecs: Optional[Tuple[str, ...]] = None
-) -> LiveKVResult:
-    from repro.workloads.kv import iter_kv_operations
-
-    n = spec.replication
-    batching = getattr(spec, "write_batching", True)
     if server_codecs is None:
-        # A JSON-preference spec is the PR 8 baseline: the *whole* cluster
+        # A JSON-preference run is the PR 8 baseline: the *whole* cluster
         # (replica-to-replica peer links included) speaks JSON, not just the
         # client connections.
-        server_codecs = ("json",) if getattr(spec, "codec", "binary") == "json" else CODEC_PREFERENCE
+        server_codecs = ("json",) if codec == "json" else CODEC_PREFERENCE
     cluster = LiveCluster(
-        n,
-        spec.algorithm,
-        spec.initial_value,
-        server_codecs=server_codecs,
-        batching=batching,
+        replicas, algorithm, initial_value, server_codecs=server_codecs, batching=batching
     )
-    started = time.perf_counter()
-    loop = asyncio.get_running_loop()
-    client = LiveClient(codec=getattr(spec, "codec", "binary"), batching=batching)
-    oplog = OpLog()
-    metrics = MetricsCollector(wall_clock=True)
-    clean = True
+    client = LiveClient(codec=codec, batching=batching)
     try:
         ports = await cluster.start()
         await client.connect(ports)
         await client.wire_peers(ports)
         client.start_readers()
-
-        clock = WallClock(loop)
-        proc_op_counters = [itertools.count() for _ in range(n)]
-        read_rr: Dict[Any, int] = {}
-        op_ids = itertools.count()
-
-        def fire(kind: OperationKind, key: Any, value: Any) -> _PendingOp:
-            if kind is OperationKind.WRITE:
-                replica = 0  # the writer replica, as the simulated store routes
-            else:
-                turn = read_rr.get(key, 0)
-                read_rr[key] = turn + 1
-                replica = turn % n
-            op_id = next(op_ids)
-            now = clock.now
-            row = oplog.note_created(kind, key, value)
-            oplog.note_submitted(row, now)
-            record = OperationRecord(
-                op_id=next(proc_op_counters[replica]),
-                pid=replica,
-                kind=kind,
-                value=value,
-                invoked_at=now,
-            )
-            oplog.note_issued(row, record)
-            metrics.note_issued(now)
-            pending = _PendingOp(row, record, loop.create_future())
-            client.pending[op_id] = pending
-            client.conns[replica].send(
-                {
-                    "kind": "invoke",
-                    "op_id": op_id,
-                    "op": kind.value,
-                    "key": key,
-                    "value": value,
-                }
-            )
-            return pending
-
-        def settle(pending: _PendingOp, frame: Optional[Dict[str, Any]]) -> bool:
-            nonlocal clean
-            if frame is not None and frame.get("ok"):
-                now = clock.now
-                record = pending.record
-                record.completed = True
-                record.result = frame.get("value")
-                record.responded_at = now
-                oplog.note_completed(pending.row, record)
-                metrics.note_completed(record.kind, now - record.invoked_at, now)
-                return True
-            reason = (frame or {}).get("error", "no response before deadline")
-            oplog.note_failed(pending.row, reason)
-            metrics.note_failed()
-            clean = False
-            return False
-
-        if spec.open_loop:
-            offsets = _live_arrival_offsets(spec)
-            run_budget = max(MIN_RUN_TIMEOUT, (offsets[-1] if offsets else 0.0) + MIN_RUN_TIMEOUT)
-            in_flight: List[Tuple[_PendingOp, "asyncio.Future"]] = []
-            t0 = clock.now
-            for offset, scripted in zip(offsets, iter_kv_operations(spec)):
-                delay = (t0 + offset) - clock.now
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                pending = fire(scripted.kind, scripted.key, scripted.value)
-                in_flight.append((pending, pending.future))
-            deadline = t0 + run_budget
-            for pending, future in in_flight:
-                budget = max(0.001, deadline - clock.now)
-                try:
-                    frame = await asyncio.wait_for(future, timeout=budget)
-                except asyncio.TimeoutError:
-                    frame = None
-                settle(pending, frame)
-        else:
-            stream = iter_kv_operations(spec)
-            while True:
-                batch = list(itertools.islice(stream, spec.batch_size))
-                if not batch:
-                    break
-                fired = [fire(op.kind, op.key, op.value) for op in batch]
-                done, _pending_futs = await asyncio.wait(
-                    [p.future for p in fired], timeout=MIN_RUN_TIMEOUT
-                )
-                for pending in fired:
-                    frame = pending.future.result() if pending.future in done else None
-                    settle(pending, frame)
-                if not all(p.record.completed for p in fired):
-                    break  # a wedged batch: fail fast, do not pile more on
-
-        # Drain message totals + transport counters from every replica.
-        messages_total = await client.drain_stats()
-        transport = client.transport_summary(metrics.completed)
+        yield client, ports
     finally:
         try:
             await client.close(send_shutdown=True)
         finally:
             await cluster.stop()
 
-    wall_seconds = time.perf_counter() - started
-    completed = metrics.completed
-    failed = metrics.failed
-    snapshot = metrics.snapshot()
+
+def run_live_workload(spec: Any, server_codecs: Optional[Tuple[str, ...]] = None) -> Any:
+    """Run ``spec`` against a freshly launched loopback replica cluster.
+
+    The operation stream is the spec's seeded stream — identical, op for
+    op, to what a simulated run of the same spec executes.  Open-loop specs
+    fire at their seeded arrival times with ``arrival_rate`` read as
+    operations per wall-clock *second*; closed-loop specs submit in batches
+    of ``batch_size`` and await each batch.  Returns the same
+    :class:`~repro.workloads.kv.KVWorkloadResult` a simulated run does, with
+    no ``store`` (the replicas live in other processes) and wall-clock
+    timings; what a live run cannot do is rejected by the spec itself.
+
+    ``spec.codec`` picks the client's wire-codec preference (``"binary"``
+    negotiates the fast path, ``"json"`` forces the PR 8 wire);
+    ``server_codecs`` restricts what the replica servers accept (tests use
+    ``("json",)`` to exercise the negotiation fallback).
+    """
+    return asyncio.run(_run_live_async(spec, server_codecs))
+
+
+async def _run_live_async(spec: Any, server_codecs: Optional[Tuple[str, ...]] = None) -> Any:
+    from repro.workloads.kv import KVWorkloadResult, generate_kv_arrivals, iter_kv_operations
+
+    started = time.perf_counter()
+    arrivals: List[float] = []
+    batches = 0
+    async with live_session(
+        spec.replication,
+        spec.algorithm,
+        spec.initial_value,
+        codec=spec.codec,
+        batching=spec.write_batching,
+        server_codecs=server_codecs,
+    ) as (client, _ports):
+        stream = iter_kv_operations(spec)
+        if spec.open_loop:
+            arrivals = generate_kv_arrivals(spec)
+            fired = await client.fire_open_loop(
+                (at, op.kind, op.key, op.value) for at, op in zip(arrivals, stream)
+            )
+            await client.settle(fired, MIN_RUN_TIMEOUT)
+            batches = 1
+        else:
+            while True:
+                batch = list(itertools.islice(stream, spec.batch_size))
+                if not batch:
+                    break
+                batches += 1
+                fired = [client.fire(op.kind, op.key, op.value) for op in batch]
+                if not await client.settle(fired, MIN_RUN_TIMEOUT):
+                    break  # a wedged batch: fail fast, do not pile more on
+
+        # Drain message totals + transport counters from every replica.
+        messages_total = await client.drain_stats()
+        transport = client.transport_summary(client.metrics.completed)
+
+    snapshot = client.metrics.snapshot()
     # The client-side collector has no attached network; the message bill
     # comes from the replica servers' drained NetworkStats counters.
+    completed = snapshot["completed"]
     snapshot["messages"]["total"] = messages_total
-    snapshot["messages"]["per_completed_op"] = (
-        (messages_total / completed) if completed else None
-    )
+    snapshot["messages"]["per_completed_op"] = (messages_total / completed) if completed else None
     snapshot["transport"] = transport
-    return LiveKVResult(
+    return KVWorkloadResult(
         spec=spec,
-        oplog=oplog,
-        wall_seconds=wall_seconds,
-        submitted=len(oplog),
-        completed=completed,
-        failed=failed,
+        oplog=client.oplog,
+        ops=client.oplog.ops_view(),
+        wall_seconds=time.perf_counter() - started,
         metrics=snapshot,
-        messages_total=messages_total,
-        finished_cleanly=clean and failed == 0,
+        batches=batches,
+        arrivals=arrivals,
+        finished_cleanly=snapshot["failed"] == 0,
     )

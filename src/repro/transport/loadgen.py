@@ -36,27 +36,21 @@ Determinism and soundness:
 from __future__ import annotations
 
 import asyncio
-import itertools
 import multiprocessing
 import queue as queue_module
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.exec.metrics import MetricsCollector
 from repro.exec.oplog import OpLog, decode_oplog, encode_oplog
 from repro.parallel.merge import collector_raw_state, merge_metrics
-from repro.registers.base import OperationKind, OperationRecord
+from repro.registers.base import OperationKind
 from repro.registers.registry import available_algorithms
 from repro.sim.network import NetworkStats
 from repro.sim.rng import make_rng
-from repro.transport.codec_binary import CODEC_PREFERENCE
-from repro.transport.live import (
-    LiveCluster,
-    LiveClient,
-    WallClock,
-    _PendingOp,
-)
+from repro.store.store import StoreConfig
+from repro.transport.live import LiveClient, live_session
+from repro.workloads.kv import KVWorkloadResult, RunVerdict
 
 __all__ = ["LoadgenSpec", "LoadgenResult", "run_loadgen"]
 
@@ -107,6 +101,16 @@ class LoadgenSpec:
                 f"({self.num_ops / self.rate:.1f}s at rate {self.rate:g}) plus settle slack"
             )
 
+    def store_config(self) -> StoreConfig:
+        """The geometry the merged history is checked against (one live cluster)."""
+        return StoreConfig(
+            transport="live",
+            algorithm=self.algorithm,
+            num_shards=1,
+            replication=self.replicas,
+            initial_value=self.initial_value,
+        )
+
     def worker_ops(self, worker: int) -> int:
         """This worker's share of ``num_ops`` (first workers take remainders)."""
         base, extra = divmod(self.num_ops, self.clients)
@@ -114,48 +118,44 @@ class LoadgenSpec:
 
 
 @dataclass
-class LoadgenResult:
-    """Merged outcome of one load-generation run."""
+class LoadgenResult(KVWorkloadResult):
+    """Merged outcome of one load-generation run.
 
-    spec: LoadgenSpec
-    oplog: OpLog
-    wall_seconds: float
-    submitted: int
-    completed: int
-    failed: int
-    metrics: Dict[str, Any]
-    messages_total: int
+    The common :class:`~repro.workloads.kv.KVWorkloadResult` (no ``store``,
+    wall-clock timings) plus the SLO plane: worker errors and the latency
+    gate, both of which :meth:`verify` folds into the verdict.
+    """
+
     worker_errors: List[str] = field(default_factory=list)
-    finished_cleanly: bool = True
-
-    def histories(self):
-        return self.oplog.per_key_histories(self.spec.initial_value)
-
-    def check_linearizability(self, swmr_fast_path: bool = True, max_states=None):
-        """Run the unmodified per-key Wing–Gong checker on the merged history."""
-        from repro.verification.linearizability import check_histories_per_key
-
-        return check_histories_per_key(
-            self.histories(), swmr_fast_path=swmr_fast_path, max_states=max_states
-        )
 
     def slo_report(self) -> Dict[str, Any]:
         """Wall-clock latency percentiles + pass/fail against the spec's SLO."""
-        summary = self.metrics["latency"]["all"]
+        summary = self.metrics["latency"]["all"] or {}
         report = {
-            "p50": summary["p50"],
-            "p95": summary["p95"],
-            "p99": summary["p99"],
+            "p50": summary.get("p50"),
+            "p95": summary.get("p95"),
+            "p99": summary.get("p99"),
             "target_p99": self.spec.slo_p99,
             "achieved_rate": self.metrics.get("wall_throughput"),
             "offered_rate": self.spec.rate,
             "failed": self.failed,
         }
         checks = [self.failed == 0, not self.worker_errors]
-        if self.spec.slo_p99 is not None and summary["p99"] is not None:
-            checks.append(summary["p99"] <= self.spec.slo_p99)
+        if self.spec.slo_p99 is not None and report["p99"] is not None:
+            checks.append(report["p99"] <= self.spec.slo_p99)
         report["ok"] = all(checks)
         return report
+
+    def verify(self) -> RunVerdict:
+        verdict = super().verify()
+        verdict.failures.extend(f"worker error: {error}" for error in self.worker_errors)
+        slo = self.slo_report()
+        if not slo["ok"] and self.finished_cleanly:  # i.e. the latency gate alone
+            verdict.failures.append(
+                f"p99 {slo['p99'] * 1000.0:.1f} ms misses the "
+                f"{slo['target_p99'] * 1000.0:.1f} ms SLO"
+            )
+        return verdict
 
 
 # ------------------------------------------------------------------- worker
@@ -188,108 +188,42 @@ def _worker_plan(
 async def _worker_async(
     spec: LoadgenSpec, worker: int, ports: Dict[int, int], epoch: float
 ) -> Dict[str, Any]:
-    loop = asyncio.get_running_loop()
     offsets, ops = _worker_plan(spec, worker)
-    client = LiveClient(codec=spec.codec, batching=spec.write_batching)
-    oplog = OpLog()
-    metrics = MetricsCollector(wall_clock=True)
-    failures: List[str] = []
+    client = LiveClient(codec=spec.codec, batching=spec.write_batching, epoch=epoch)
     try:
         await client.connect(ports)
         client.start_readers()
-        clock = WallClock(loop, epoch=epoch)
-        n = len(ports)
-        read_rr: Dict[Any, int] = {}
-        op_ids = itertools.count()
-        in_flight: List[_PendingOp] = []
-
-        t0 = clock.now
-        for offset, (kind, key, value) in zip(offsets, ops):
-            delay = (t0 + offset) - clock.now
-            if delay > 0:
-                await asyncio.sleep(delay)
-            if kind is OperationKind.WRITE:
-                replica = 0  # the writer replica, as the single-client runner routes
-            else:
-                turn = read_rr.get(key, 0)
-                read_rr[key] = turn + 1
-                replica = turn % n
-            op_id = next(op_ids)
-            now = clock.now
-            row = oplog.note_created(kind, key, value)
-            oplog.note_submitted(row, now)
-            # Open-loop semantics: the generator never waits, so consecutive
-            # ops from one worker genuinely overlap and there is NO program
-            # order between them.  The checker derives program-order edges
-            # from equal pids (same pid => sequential process), so each op
-            # gets its own globally unique pid — one logical session per op,
-            # constrained by real-time intervals alone.  Reusing the worker
-            # (or replica) id here would let the checker impose a fictitious
-            # sequential order over concurrent ops and reject linearizable
-            # histories.
-            record = OperationRecord(
-                op_id=0,
-                pid=worker + spec.clients * op_id,
-                kind=kind,
-                value=value,
-                invoked_at=now,
-            )
-            oplog.note_issued(row, record)
-            metrics.note_issued(now)
-            pending = _PendingOp(row, record, loop.create_future())
-            client.pending[op_id] = pending
-            client.conns[replica].send(
-                {
-                    "kind": "invoke",
-                    "op_id": op_id,
-                    "op": "write" if kind is OperationKind.WRITE else "read",
-                    "key": key,
-                    "value": value,
-                }
-            )
-            in_flight.append(pending)
-
+        t0 = client.clock.now
+        # Open-loop semantics: the generator never waits, so consecutive
+        # ops from one worker genuinely overlap and there is NO program
+        # order between them.  The checker derives program-order edges
+        # from equal pids (same pid => sequential process), so each op
+        # gets its own globally unique pid — one logical session per op,
+        # constrained by real-time intervals alone.  Reusing the worker
+        # (or replica) id here would let the checker impose a fictitious
+        # sequential order over concurrent ops and reject linearizable
+        # histories.
+        fired = await client.fire_open_loop(
+            ((offset, *op) for offset, op in zip(offsets, ops)),
+            pid_of=lambda index: worker + spec.clients * index,
+        )
         # Open-loop backlog can drain long after the last arrival when the
         # offered rate exceeds capacity; let the run's hard timeout govern,
         # keeping a margin to encode and ship results before the parent
         # gives up on us.
-        deadline = t0 + spec.timeout - _SHIP_MARGIN
-        for pending in in_flight:
-            budget = max(0.001, deadline - clock.now)
-            try:
-                frame = await asyncio.wait_for(pending.future, timeout=budget)
-            except asyncio.TimeoutError:
-                frame = None
-            if frame is not None and frame.get("ok"):
-                now = clock.now
-                record = pending.record
-                record.completed = True
-                record.result = frame.get("value")
-                record.responded_at = now
-                oplog.note_completed(pending.row, record)
-                metrics.note_completed(record.kind, now - record.invoked_at, now)
-            else:
-                reason = (frame or {}).get("error", "no response before deadline")
-                oplog.note_failed(pending.row, reason)
-                metrics.note_failed()
-                failures.append(f"{record_label(pending.record)}: {reason}")
+        await client.settle(fired, t0 + spec.timeout - _SHIP_MARGIN - client.clock.now)
     finally:
         await client.close(send_shutdown=False)
 
-    blob, buffers = encode_oplog(oplog)
+    blob, buffers = encode_oplog(client.oplog)
     return {
         "worker": worker,
         "oplog_blob": blob,
         "oplog_buffers": buffers,
-        "metrics_raw": collector_raw_state(metrics),
-        "failures": failures[:20],  # enough to diagnose, bounded on the wire
+        "metrics_raw": collector_raw_state(client.metrics),
+        "failures": client.failures[:20],  # enough to diagnose, bounded on the wire
         "transport": [conn.snapshot() for _, conn in sorted(client.conns.items())],
     }
-
-
-def record_label(record: OperationRecord) -> str:
-    kind = "write" if record.kind is OperationKind.WRITE else "read"
-    return f"{kind} session {record.pid}"
 
 
 def _worker_main(
@@ -317,24 +251,16 @@ def run_loadgen(spec: LoadgenSpec) -> LoadgenResult:
 
 async def _run_loadgen_async(spec: LoadgenSpec) -> LoadgenResult:
     loop = asyncio.get_running_loop()
-    server_codecs = ("json",) if spec.codec == "json" else CODEC_PREFERENCE
-    cluster = LiveCluster(
+    started = time.perf_counter()
+    worker_errors: List[str] = []
+    parts: List[Dict[str, Any]] = []
+    async with live_session(
         spec.replicas,
         spec.algorithm,
         spec.initial_value,
-        server_codecs=server_codecs,
+        codec=spec.codec,
         batching=spec.write_batching,
-    )
-    started = time.perf_counter()
-    control = LiveClient(codec=spec.codec, batching=spec.write_batching)
-    worker_errors: List[str] = []
-    parts: List[Dict[str, Any]] = []
-    try:
-        ports = await cluster.start()
-        await control.connect(ports)
-        await control.wire_peers(ports)
-        control.start_readers()
-
+    ) as (control, ports):
         ctx = multiprocessing.get_context("spawn")
         out: Any = ctx.Queue()
         epoch = loop.time()  # workers' WallClock epoch: shared monotonic base
@@ -378,11 +304,6 @@ async def _run_loadgen_async(spec: LoadgenSpec) -> LoadgenResult:
             str(replica): reply.get("transport", [])
             for replica, reply in sorted(control.stats_replies.items())
         }
-    finally:
-        try:
-            await control.close(send_shutdown=True)
-        finally:
-            await cluster.stop()
 
     # ---------------------------------------------------------------- merge
     oplog = OpLog()
@@ -408,17 +329,12 @@ async def _run_loadgen_async(spec: LoadgenSpec) -> LoadgenResult:
         "replica_connections": replica_transport,
     }
 
-    failed = metrics.get("failed", 0)
-    completed = metrics.get("completed", 0)
     return LoadgenResult(
         spec=spec,
         oplog=oplog,
+        ops=oplog.ops_view(),
         wall_seconds=time.perf_counter() - started,
-        submitted=len(oplog),
-        completed=completed,
-        failed=failed,
         metrics=metrics,
-        messages_total=messages_total,
         worker_errors=worker_errors,
-        finished_cleanly=failed == 0 and not worker_errors,
+        finished_cleanly=metrics["failed"] == 0 and not worker_errors,
     )

@@ -19,16 +19,18 @@ import bisect
 import itertools
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.consensus.mmr import replica_invariants
 from repro.exec.clients import ARRIVAL_PROCESSES, OpenLoopClient, iter_arrival_times
+from repro.exec.metrics import json_number
+from repro.exec.oplog import OpLog
 from repro.exec.target import OpRequest
 from repro.faults.plan import FaultPlan
 from repro.registers.base import OperationKind
 from repro.sim.delays import DelayModel, FixedDelay
 from repro.sim.rng import make_rng
-from repro.store.store import KVStore, StoreAtomicityReport, StoreConfig, StoreOp
-from repro.transport.base import validate_transport
+from repro.store.store import KVStore, StoreConfig, StoreOp
 
 #: Supported key-access distributions.
 DISTRIBUTIONS = ("uniform", "zipfian")
@@ -167,18 +169,32 @@ class KVWorkloadSpec:
     write_batching: bool = True
 
     def __post_init__(self) -> None:
-        validate_transport(self.transport)
+        # The store config's own validation (transport name, per-shard
+        # algorithm count, workers >= 1) and the geometry, on either backend.
+        self.store_config().shard_map()
         if self.codec not in ("binary", "json"):
             raise ValueError(f"unknown wire codec {self.codec!r}; choose binary or json")
         if self.transport == "live":
-            if self.workers != 1:
-                raise ValueError("live transport runs single-client; workers must be 1")
-            if self.crash_points:
-                raise ValueError("crash_points are simulated-only; live runs cannot use them")
-            if self.fault_plan is not None:
-                raise ValueError("fault plans are simulated-only; live runs cannot use them")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+            # The one list of what the live backend rejects (the CLI and the
+            # runners defer to it): a live run is a single client taking the
+            # wire as-is, one algorithm per cluster.
+            for given, what in (
+                (self.workers != 1, f"workers={self.workers}"),
+                (self.crash_points, "crash_points"),
+                (self.fault_plan is not None, "fault plans"),
+                (not self.coalesce, "coalesce=False"),
+                (self.shard_algorithms is not None, "shard_algorithms"),
+            ):
+                if given:
+                    raise ValueError(
+                        f"{what}: simulated-only; live runs are single-client and "
+                        "take the wire as-is (see `repro transports`)"
+                    )
+        elif self.codec != "binary" or not self.write_batching:
+            raise ValueError(
+                "codec / write_batching select the live wire format; the simulated "
+                "transport has no wire (see `repro transports`)"
+            )
         if self.num_keys < 1:
             raise ValueError("keyed workloads need at least one key")
         if self.num_ops < 0:
@@ -205,11 +221,6 @@ class KVWorkloadSpec:
             raise ValueError(f"zipf_s must be positive, got {self.zipf_s}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.shard_algorithms is not None and len(self.shard_algorithms) != self.num_shards:
-            raise ValueError(
-                f"shard_algorithms has {len(self.shard_algorithms)} entries "
-                f"for {self.num_shards} shards; provide exactly one per shard"
-            )
         if self.arrival not in ("closed",) + ARRIVAL_PROCESSES:
             raise ValueError(
                 f"unknown arrival model {self.arrival!r}; choose from "
@@ -377,74 +388,198 @@ def generate_kv_operations(spec: KVWorkloadSpec) -> List[KVOp]:
     return list(iter_kv_operations(spec))
 
 
-# -------------------------------------------------------------------- runner
+# -------------------------------------------------------------------- result
+
+
+@dataclass
+class RunVerdict:
+    """The one judgement of a finished keyed run (:meth:`KVWorkloadResult.verify`)."""
+
+    #: Per-key linearizability verdicts
+    #: (:class:`~repro.verification.linearizability.PartitionedCheckReport`),
+    #: against the register or SMR spec per the run's ``effective_spec()``.
+    report: Any
+    #: Agreement/validity violations read off the consensus replicas, or
+    #: ``None`` when there was nothing to audit (see
+    #: :func:`~repro.consensus.mmr.replica_invariants`).
+    invariants: Optional[List[str]]
+    #: Everything wrong with the run, flat: an unclean finish, per-key
+    #: violations (each names its key), invariant violations, SLO misses.
+    failures: List[str]
+
+    @property
+    def ok(self) -> bool:
+        """True when the run passed every gate."""
+        return not self.failures
 
 
 @dataclass
 class KVWorkloadResult:
-    """Everything a keyed store run produced."""
+    """Everything a keyed store run produced — on every backend.
 
-    spec: KVWorkloadSpec
-    store: KVStore
-    ops: List[StoreOp]
+    Serial simulation, shard-parallel workers, the live loopback cluster and
+    the multi-process load generator all hand back this shape; they differ
+    only in which optional fields they fill.  The run's record is ``oplog``
+    (``ops`` views it); ``store`` is present exactly where the replicas live
+    in this process (a :class:`~repro.store.store.KVStore`, or the read-only
+    :class:`~repro.parallel.merge.MergedStore`) and ``virtual_makespan``
+    where a virtual clock timed the run.
+    """
+
+    spec: Any
+    oplog: OpLog
+    #: Every submitted operation, in submission order (serial sim: the
+    #: driver's futures; elsewhere a lazy view over ``oplog``).
+    ops: Sequence[StoreOp]
     wall_seconds: float
-    virtual_makespan: float
-    batches: int
+    #: Metrics snapshot: latency percentiles, throughput, message bill — in
+    #: virtual time units, or wall seconds (plus a ``transport`` section of
+    #: per-connection counters) for live runs.
+    metrics: dict
+    store: Optional[Any] = None
+    virtual_makespan: Optional[float] = None
+    batches: int = 0
     #: Open-loop runs: the seeded arrival times, in submission order.
     arrivals: List[float] = field(default_factory=list)
-    #: Driver-level metrics snapshot (latency percentiles, throughput, message mix).
-    metrics: dict = field(default_factory=dict)
-    #: False when the virtual-time budget cut the run short — operations were
-    #: left unsubmitted or pending (in limbo).  Operations that *failed fast*
-    #: with a reason (crashed replica) still count as a clean finish; they are
-    #: reported via ``failed_ops`` instead.  Never silently truncate.
+    #: False when a budget (virtual time, wall deadline) cut the run short —
+    #: operations were left unsubmitted or pending — or, on the live plane,
+    #: when any operation failed.  Simulated operations that *failed fast*
+    #: with a reason (crashed replica) still count as a clean finish; they
+    #: are reported via ``failed_ops`` instead.  Never silently truncate.
     finished_cleanly: bool = True
     #: Shard-parallel runs only: when a worker process raised, the run fails
     #: fast (``finished_cleanly=False``) and this carries the worker's
-    #: traceback.  ``None`` for serial runs and clean parallel runs.
+    #: traceback.  ``None`` otherwise.
     worker_failure: Optional[str] = None
     #: Shard-parallel runs only: total worker→parent result-payload bytes
-    #: (pickle blob + out-of-band column buffers).  ``0`` for serial runs.
+    #: (pickle blob + out-of-band column buffers).
     ipc_bytes: int = 0
 
-    def completed_ops(self) -> list[StoreOp]:
-        """Operations that completed successfully."""
-        return [op for op in self.ops if op.completed]
+    @property
+    def config(self) -> StoreConfig:
+        """The store geometry the run's histories are checked against."""
+        return self.spec.store_config()
 
-    def failed_ops(self) -> list[StoreOp]:
-        """Operations that failed (crashed replica, stalled batch, ...)."""
-        return [op for op in self.ops if op.failed]
+    # Op accessors, per-key histories and checking are KVStore's own code
+    # (it reads ``ops`` / ``oplog`` / ``config`` only), so a store, a merged
+    # view and a result can never disagree about a verdict.
+    completed_ops = KVStore.completed_ops
+    failed_ops = KVStore.failed_ops
+    histories = KVStore.histories
+    check_linearizability = KVStore.check_linearizability
+    check_atomicity = KVStore.check_atomicity
+
+    @property
+    def completed(self) -> int:
+        """Operations completed when the run ended."""
+        return self.metrics["completed"]
+
+    @property
+    def failed(self) -> int:
+        """Operations failed when the run ended."""
+        return self.metrics["failed"]
 
     def total_messages(self) -> int:
-        """Messages sent across the whole store during the run."""
-        return self.store.total_messages()
+        """Protocol messages sent across all replicas during the run."""
+        return self.metrics["messages"]["total"]
+
+    @property
+    def makespan(self) -> float:
+        """Run length on the clock that timed it (virtual units or wall seconds)."""
+        return self.wall_seconds if self.virtual_makespan is None else self.virtual_makespan
 
     def virtual_throughput(self) -> float:
         """Completed operations per virtual-time unit."""
-        if self.virtual_makespan <= 0:
-            return float("inf") if self.completed_ops() else 0.0
-        return len(self.completed_ops()) / self.virtual_makespan
+        return _rate(self.completed, self.virtual_makespan or 0.0)
 
     def wall_throughput(self) -> float:
         """Completed operations per wall-clock second (hardware dependent)."""
-        if self.wall_seconds <= 0:
-            return float("inf") if self.completed_ops() else 0.0
-        return len(self.completed_ops()) / self.wall_seconds
+        return _rate(self.completed, self.wall_seconds)
 
     def mean_latency(self) -> float:
-        """Mean virtual-time latency over completed operations."""
+        """Mean *service* latency (invocation to response, on the run's clock).
+
+        The metrics snapshot's latencies are sojourn times (they include
+        queueing behind the serving replica); this one is the protocol's own.
+        """
         latencies = [
             op.record.latency
             for op in self.completed_ops()
             if op.record is not None and op.record.latency is not None
         ]
-        if not latencies:
-            return 0.0
-        return sum(latencies) / len(latencies)
+        return sum(latencies) / len(latencies) if latencies else 0.0
 
-    def check_atomicity(self, raise_on_violation: bool = True) -> StoreAtomicityReport:
-        """Per-key atomicity verdicts for the recorded run."""
-        return self.store.check_atomicity(raise_on_violation=raise_on_violation)
+    def verify(self) -> RunVerdict:
+        """Judge the run: clean finish, every key linearizable, invariants intact.
+
+        The per-key check is :meth:`check_linearizability` with its defaults —
+        the call ``store.check_linearizability()`` makes; the consensus
+        invariants are audited whenever replica processes are reachable.
+        """
+        report = self.check_linearizability()
+        invariants = replica_invariants(self.store)
+        failures: List[str] = []
+        if self.worker_failure is not None:
+            failures.append(f"parallel worker failure:\n{self.worker_failure}")
+        elif not self.finished_cleanly:
+            failures.append(
+                "run did not finish cleanly: "
+                + (
+                    "operations failed or missed the completion deadline"
+                    if self.virtual_makespan is None
+                    else "the virtual-time budget expired with operations unsubmitted "
+                    "or pending (raise the spec's max_virtual_time, or the offered rate)"
+                )
+            )
+        failures.extend(report.violations())
+        failures.extend(invariants or ())
+        return RunVerdict(report=report, invariants=invariants, failures=failures)
+
+    def summary(self, verdict: Optional[RunVerdict] = None) -> Dict[str, Any]:
+        """The run (and its verdict, when given) as one flat JSON-ready dict.
+
+        What the CLI tables and the ``BENCH_*.json`` entries are rendered
+        from.  Values a backend has no notion of are ``None``.
+        """
+        virtual = self.virtual_makespan is not None
+        out: Dict[str, Any] = {
+            "algorithm": self.spec.algorithm,
+            "checked_against": self.config.effective_spec(),
+            "clock": "virtual" if virtual else "wall",
+            "submitted": len(self.oplog),
+            "completed": self.completed,
+            "failed": self.failed,
+            "messages": self.total_messages(),
+            "finished_cleanly": self.finished_cleanly,
+            "wall_seconds": round(self.wall_seconds, 4),
+            "wall_throughput": json_number(self.wall_throughput(), 1),
+            "virtual_makespan": round(self.virtual_makespan, 3) if virtual else None,
+            "virtual_throughput": json_number(self.virtual_throughput()) if virtual else None,
+            "latency": self.metrics["latency"]["all"],
+            "wire": self.metrics.get("transport"),
+            "batches": self.batches if virtual else None,
+            "ipc_bytes": self.ipc_bytes or None,
+            "per_sender": None,
+            "coalesced": None,
+            "crashes_fired": None,
+        }
+        if self.store is not None:
+            stats = self.store.stats
+            out["per_sender"] = stats.snapshot()["per_sender"]
+            out["coalesced"] = stats.messages_coalesced if self.config.coalesce else None
+            out["crashes_fired"] = sum(len(s.crashed_replicas) for s in self.store.shards)
+        if verdict is not None:
+            out["ok"] = verdict.ok
+            out["atomic"] = verdict.report.ok
+            out["keys_checked"] = verdict.report.keys_checked
+            out["consensus_violations"] = verdict.invariants
+        return out
+
+
+def _rate(count: int, span: float) -> float:
+    if span <= 0:
+        return float("inf") if count else 0.0
+    return count / span
 
 
 def iter_kv_arrivals(spec: KVWorkloadSpec) -> Iterator[float]:
@@ -503,8 +638,35 @@ def _run_open_loop(
     return client.ops, times, clean
 
 
+def deploy(spec: KVWorkloadSpec) -> KVStore:
+    """Build the simulated deployment a run of ``spec`` executes on.
+
+    Store config, store-wide fault plan, scheduled server crashes — in that
+    order, so setup-time events enter the queue identically wherever the
+    store is built (the serial runner, every shard-parallel worker).  Always
+    a plain single-process store: ``spec.workers`` is the *runner's* concern.
+    """
+    store = KVStore(spec.store_config().with_(workers=1))
+    if spec.fault_plan is not None:
+        store.install_fault_plan(spec.fault_plan)
+    for point in spec.crash_points:
+        store.crash_server_at(
+            point.at_time, point.shard, point.replica, allow_writer=point.allow_writer
+        )
+    return store
+
+
+def submit_scripted(store: KVStore, scripted: KVOp) -> StoreOp:
+    """Submit one scripted operation through the store's matching entry point."""
+    if scripted.kind is OperationKind.WRITE:
+        return store.submit_put(scripted.key, scripted.value)
+    if scripted.kind is OperationKind.READ:
+        return store.submit_get(scripted.key)
+    return store.submit_op(scripted.kind, scripted.key, scripted.value)
+
+
 def run_kv_workload(spec: KVWorkloadSpec) -> KVWorkloadResult:
-    """Execute a keyed workload against a fresh store and collect the result.
+    """Execute a keyed workload on the spec's backend and collect the result.
 
     Closed-loop (default): operations are submitted in batches of
     ``spec.batch_size`` and each batch is completed with one
@@ -518,13 +680,11 @@ def run_kv_workload(spec: KVWorkloadSpec) -> KVWorkloadResult:
     arrival has fired and completed.
 
     ``spec.workers > 1`` dispatches to the shard-parallel engine
-    (:func:`repro.parallel.engine.run_kv_workload_parallel`); ``workers=1``
-    is exactly the code below.
-
-    ``spec.transport == "live"`` dispatches to the loopback socket cluster
-    (:func:`repro.transport.live.run_live_workload`) and returns a
-    :class:`~repro.transport.live.LiveKVResult` instead — same seeded
-    operation stream, wall-clock timings.
+    (:func:`repro.parallel.engine.run_kv_workload_parallel`) and
+    ``spec.transport == "live"`` to the loopback socket cluster
+    (:func:`repro.transport.live.run_live_workload`); both return the same
+    :class:`KVWorkloadResult` — same seeded operation stream, with a merged
+    read-only store, or no store and wall-clock timings, respectively.
     """
     if spec.transport == "live":
         from repro.transport.live import run_live_workload
@@ -534,13 +694,7 @@ def run_kv_workload(spec: KVWorkloadSpec) -> KVWorkloadResult:
         from repro.parallel.engine import run_kv_workload_parallel
 
         return run_kv_workload_parallel(spec)
-    store = KVStore(spec.store_config())
-    if spec.fault_plan is not None:
-        store.install_fault_plan(spec.fault_plan)
-    for point in spec.crash_points:
-        store.crash_server_at(
-            point.at_time, point.shard, point.replica, allow_writer=point.allow_writer
-        )
+    store = deploy(spec)
     submitted: List[StoreOp] = []
     arrivals: List[float] = []
     batches = 0
@@ -556,25 +710,20 @@ def run_kv_workload(spec: KVWorkloadSpec) -> KVWorkloadResult:
             batch = list(itertools.islice(stream, spec.batch_size))
             if not batch:
                 break
-            for scripted in batch:
-                if scripted.kind is OperationKind.WRITE:
-                    submitted.append(store.submit_put(scripted.key, scripted.value))
-                elif scripted.kind is OperationKind.READ:
-                    submitted.append(store.submit_get(scripted.key))
-                else:
-                    submitted.append(store.submit_op(scripted.kind, scripted.key, scripted.value))
+            submitted.extend(submit_scripted(store, scripted) for scripted in batch)
             store.drive()
             batches += 1
         finished = all(op.done for op in submitted)
     wall_seconds = time.perf_counter() - started
     return KVWorkloadResult(
         spec=spec,
-        store=store,
+        oplog=store.oplog,
         ops=submitted,
         wall_seconds=wall_seconds,
+        metrics=store.metrics_snapshot(),
+        store=store,
         virtual_makespan=store.simulator.now,
         batches=batches,
         arrivals=arrivals,
-        metrics=store.metrics_snapshot(),
         finished_cleanly=finished,
     )

@@ -76,7 +76,7 @@ class TestAccessDiscipline:
             cluster.processes[0].invoke_write("v2", lambda record: None)
 
     def test_crashed_process_cannot_invoke_operations(self):
-        from repro.sim.process import ProcessCrashedError
+        from repro.transport.runtime import ProcessCrashedError
 
         cluster = build_two_bit_cluster(n=5)
         cluster.processes[2].crash()

@@ -37,6 +37,16 @@ class TestConsensusCli:
         # so instead of claiming a vacuous invariant pass.
         assert "n/a (no process access)" in out
 
+    def test_live_run_renders_through_the_same_table(self, capsys):
+        code = main(["consensus", "--transport", "live", "--ops", "40"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "asyncio loopback, 3 replica processes" in out
+        assert "per-key SMR-linearizable      | yes" in out
+        # Replicas live in other OS processes: same "n/a" as a merged view.
+        assert "n/a (no process access)" in out
+        assert "wall seconds" in out and "virtual makespan" not in out
+
     def test_output_is_deterministic(self, capsys):
         assert main(["consensus", "--ops", "60"]) == 0
         first = capsys.readouterr().out

@@ -108,6 +108,69 @@ class TestLiveTransportCli:
             assert "simulated-only" in capsys.readouterr().err
 
 
+LIVE = ["--transport", "live"]
+
+#: argv -> a fragment of the ValueError the *spec* (or the flag's own check)
+#: raises.  Every keyed command funnels these through one exit-2 path.
+INVALID_PARAMETERS = [
+    (["store", *LIVE, "--workers", "2"], "workers=2: simulated-only"),
+    (["store", *LIVE, "--crashes", "1"], "crash_points: simulated-only"),
+    (["store", *LIVE, "--no-coalesce"], "coalesce=False: simulated-only"),
+    (["store", *LIVE, "--algorithms", "abd,two-bit"], "shard_algorithms: simulated-only"),
+    (["store", "--codec", "json"], "the simulated transport has no wire"),
+    (["store", "--crashes", "-1"], "--crashes must be non-negative, got -1"),
+    (["store", "--replication", "1"], "replication must be >= 2"),
+    (["consensus", *LIVE, "--workers", "2"], "workers=2: simulated-only"),
+    (["consensus", "--keys", "0"], "at least one key"),
+    (["bench", "--quick", *LIVE, "--workers", "2"], "workers=2: simulated-only"),
+    (["bench", "--quick", "--workers", "0"], "workers must be >= 1"),
+    (["chaos", "--quick", "--seeds", "0"], "--seeds must be at least 1, got 0"),
+    (["loadgen", "--replicas", "1"], "at least 2 replicas"),
+    (["loadgen", "--clients", "0"], "at least 1 client"),
+]
+
+
+class TestExitCodeContract:
+    """0 verified / 1 verdict failed / 2 invalid parameters — decided in one place."""
+
+    @pytest.mark.parametrize("argv,fragment", INVALID_PARAMETERS, ids=lambda v: " ".join(v))
+    def test_invalid_parameters_exit_2_with_the_specs_own_text(self, argv, fragment, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before anything ran
+        assert captured.err.startswith(f"invalid {argv[0]} parameters: ")
+        assert fragment in captured.err
+
+    def test_the_message_is_the_spec_errors_text_verbatim(self, capsys):
+        from repro.workloads.scenarios import kv_uniform
+
+        with pytest.raises(ValueError) as raised:
+            kv_uniform().with_(transport="live", workers=2)
+        assert main(["store", *LIVE, "--workers", "2"]) == 2
+        assert capsys.readouterr().err == f"invalid store parameters: {raised.value}\n"
+
+    def test_failed_verdict_exits_1_through_the_shared_tail(self, capsys, monkeypatch):
+        """A run that verifies false is exit 1, its failures on stderr."""
+        from repro.workloads import kv
+
+        real_verify = kv.KVWorkloadResult.verify
+
+        def failing_verify(result):
+            verdict = real_verify(result)
+            verdict.failures.append("['k0001'] injected by the test")
+            return verdict
+
+        monkeypatch.setattr(kv.KVWorkloadResult, "verify", failing_verify)
+        for argv, what in (
+            (["store", "--ops", "20", "--keys", "4"], "store run"),
+            (["consensus", "--ops", "20"], "consensus run"),
+        ):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert f"{what} failures:" in captured.err and "k0001" in captured.err
+            assert "operations completed" in captured.out  # the table still prints
+
+
 class TestBenchCli:
     def test_quick_bench_emits_baselines(self, capsys, tmp_path):
         code = main(["bench", "--quick", "--out-dir", str(tmp_path)])

@@ -159,3 +159,29 @@ class TestMergeMetrics:
         snapshot = merge_metrics([], merge_network_stats([]), fault_timeline=timeline)
         assert snapshot["faults"] == timeline
         assert merge_metrics([], merge_network_stats([]), fault_timeline=[])["faults"] == []
+
+
+class TestMergedStoreSharesTheStoreSurface:
+    def test_finished_run_methods_are_kvstores_own_functions(self):
+        """One implementation: a merged view cannot drift from the store."""
+        from repro.parallel.merge import MergedStore
+        from repro.store.store import KVStore
+        from repro.workloads.kv import KVWorkloadResult
+
+        for name in ("completed_ops", "failed_ops", "histories",
+                     "check_linearizability", "check_atomicity"):
+            assert getattr(MergedStore, name) is getattr(KVStore, name), name
+            assert getattr(KVWorkloadResult, name) is getattr(KVStore, name), name
+
+    def test_empty_merged_store_checks_clean(self):
+        from repro.exec.oplog import OpLog
+        from repro.parallel.merge import MergedStore
+        from repro.store.store import StoreConfig
+
+        store = MergedStore(
+            config=StoreConfig(), oplog=OpLog(), stats=merge_network_stats([]),
+            crashed={}, now=0.0, executed_events=0,
+        )
+        assert store.completed_ops() == [] and store.histories() == {}
+        report = store.check_atomicity()
+        assert report.ok and report.keys_checked == 0

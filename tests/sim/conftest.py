@@ -7,7 +7,7 @@ from typing import Any
 import pytest
 
 from repro.sim.network import Network
-from repro.sim.process import Process
+from repro.transport.runtime import ProcessBase as Process
 from repro.sim.scheduler import Simulator
 from repro.sim.tracing import Tracer
 

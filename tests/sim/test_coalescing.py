@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.network import Network, Subnet
-from repro.sim.process import Process
+from repro.transport.runtime import ProcessBase as Process
 from repro.sim.scheduler import Simulator
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.network import Network
-from repro.sim.process import Process, ProcessCrashedError
+from repro.transport.runtime import ProcessBase as Process, ProcessCrashedError
 from repro.sim.scheduler import Simulator
 
 from tests.sim.conftest import RecorderProcess, build_recorders

@@ -82,7 +82,7 @@ class TestCrossCodecEquivalence:
         assert op_stream(json_result) == op_stream(binary_result)
         # Theorem-2 message counts are codec-independent: the wire encodes
         # the same protocol messages, it never adds or removes any.
-        assert json_result.messages_total == binary_result.messages_total
+        assert json_result.total_messages() == binary_result.total_messages()
 
         json_transport = json_result.metrics["transport"]
         binary_transport = binary_result.metrics["transport"]
@@ -156,4 +156,4 @@ class TestCrossBackendConsensus:
         assert op_results(sim_hist) == op_results(live_hist)
         assert sim.store.check_linearizability(swmr_fast_path=False).ok
         assert live.check_linearizability(swmr_fast_path=False).ok
-        assert sim.total_messages() == live.messages_total
+        assert sim.total_messages() == live.total_messages()

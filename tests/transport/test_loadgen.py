@@ -58,8 +58,8 @@ class TestLoadgenSmoke:
         assert result.finished_cleanly
         assert result.worker_errors == []
         assert result.completed == 200 and result.failed == 0
-        assert result.submitted == 200
-        assert result.messages_total > 0
+        assert len(result.oplog) == 200
+        assert result.total_messages() > 0
 
     def test_merged_history_is_linearizable_per_key(self, result):
         report = result.check_linearizability()
@@ -104,6 +104,22 @@ class TestLoadgenSmoke:
             result, spec=dataclasses.replace(result.spec, slo_p99=1e-9)
         )
         assert gated.slo_report()["ok"] is False  # p99 cannot beat 1ns
+
+    def test_verdict_is_the_common_one_plus_the_slo_gate(self, result):
+        verdict = result.verify()
+        assert verdict.ok and verdict.failures == [] and verdict.invariants is None
+        # Checked against the algorithm's own sequential spec, like every
+        # other backend (the old LoadgenResult forgot to pass it).
+        assert result.config.effective_spec() == "register"
+        assert result.summary(verdict)["clock"] == "wall"
+
+        gated = dataclasses.replace(
+            result, spec=dataclasses.replace(result.spec, slo_p99=1e-9)
+        )
+        failures = gated.verify().failures
+        assert len(failures) == 1 and "misses the" in failures[0] and "SLO" in failures[0]
+        broken = dataclasses.replace(result, worker_errors=["worker 1: boom"], finished_cleanly=False)
+        assert any("worker 1: boom" in failure for failure in broken.verify().failures)
 
     def test_transport_accounting_covers_every_worker(self, result):
         transport = result.metrics["transport"]

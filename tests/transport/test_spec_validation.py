@@ -24,6 +24,23 @@ class TestSpecTransportField:
         with pytest.raises(ValueError, match="single-client"):
             kv_uniform(num_keys=4, num_ops=10).with_(transport="live", workers=4)
 
+    def test_live_rejects_the_other_sim_only_knobs(self):
+        # The spec is the one place that decides what the live backend
+        # rejects; the CLI and the runners carry no list of their own.
+        base = kv_uniform(num_keys=4, num_ops=10, num_shards=2)
+        for changes in (
+            dict(coalesce=False),
+            dict(shard_algorithms=("abd", "two-bit")),
+        ):
+            with pytest.raises(ValueError, match="simulated-only"):
+                base.with_(transport="live", **changes)
+
+    def test_wire_options_rejected_on_the_simulator(self):
+        with pytest.raises(ValueError, match="has no wire"):
+            kv_uniform(num_keys=4, num_ops=10).with_(codec="json")
+        with pytest.raises(ValueError, match="has no wire"):
+            kv_uniform(num_keys=4, num_ops=10).with_(write_batching=False)
+
     def test_live_rejects_crash_points(self):
         from repro.workloads.kv import CrashPoint
 
@@ -41,11 +58,12 @@ class TestSpecTransportField:
         with pytest.raises(ValueError, match="simulated-only"):
             kv_uniform(num_keys=4, num_ops=10).with_(transport="live", fault_plan=plan)
 
-    def test_live_needs_a_real_replica_set(self):
-        from repro.transport.live import _validate_live_spec
-
-        with pytest.raises(ValueError, match="at least 2 replicas"):
-            _validate_live_spec(kv_uniform(num_keys=4, num_ops=10, replication=1).with_(transport="live"))
+    def test_either_backend_needs_a_real_replica_set(self):
+        # Geometry is validated by the spec itself (it used to surface only
+        # when the store / the live runner was built).
+        for transport in ("sim", "live"):
+            with pytest.raises(ValueError, match="replication must be >= 2"):
+                kv_uniform(num_keys=4, num_ops=10).with_(replication=1, transport=transport)
 
 
 class TestStoreConfigTransportField:

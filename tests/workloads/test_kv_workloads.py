@@ -135,3 +135,93 @@ class TestRunner:
         result = run_kv_workload(spec)
         assert 2 in result.store.shards[0].crashed_replicas
         assert result.check_atomicity().ok
+
+
+# ------------------------------------------------------ the one result contract
+
+BACKENDS = ("sim-serial", "sim-workers-2", "live", "loadgen")
+
+SUMMARY_KEYS = {
+    "algorithm", "checked_against", "clock", "submitted", "completed", "failed",
+    "messages", "finished_cleanly", "wall_seconds", "wall_throughput",
+    "virtual_makespan", "virtual_throughput", "latency", "wire", "batches",
+    "ipc_bytes", "per_sender", "coalesced", "crashes_fired",
+    "ok", "atomic", "keys_checked", "consensus_violations",
+}
+
+
+def _run_backend(backend):
+    from repro.transport.loadgen import LoadgenSpec, run_loadgen
+
+    if backend == "loadgen":
+        return run_loadgen(
+            LoadgenSpec(
+                clients=2, rate=400.0, num_ops=40, num_keys=4, replicas=3, seed=5, timeout=60.0
+            )
+        )
+    spec = kv_uniform(num_keys=4, num_ops=40, replication=3, seed=5)
+    changes = {"sim-serial": {}, "sim-workers-2": {"workers": 2}, "live": {"transport": "live"}}
+    return run_kv_workload(spec.with_(**changes[backend]))
+
+
+class TestOneResultOneVerdict:
+    """Serial sim, shard-parallel, live loopback, loadgen: one shape, one verdict."""
+
+    @pytest.fixture(scope="class", params=BACKENDS)
+    def result(self, request):
+        return _run_backend(request.param)
+
+    def test_same_result_type_and_accessors(self, result):
+        from repro.exec.oplog import OpLog
+        from repro.workloads.kv import KVWorkloadResult
+
+        assert isinstance(result, KVWorkloadResult)
+        assert isinstance(result.oplog, OpLog) and len(result.oplog) == 40
+        assert len(result.ops) == 40
+        assert result.completed == 40 == len(result.completed_ops())
+        assert result.failed == 0 == len(result.failed_ops())
+        assert result.total_messages() > 0
+        assert result.finished_cleanly and result.worker_failure is None
+        assert result.makespan > 0 and result.wall_seconds > 0
+        assert result.metrics["latency"]["all"]["count"] == 40
+        # A store exactly where the replicas live in this process — which is
+        # also exactly where a virtual clock timed the run.
+        assert (result.store is None) == (result.virtual_makespan is None)
+        assert set(result.histories()) <= set(result.oplog.rows_by_key())
+
+    def test_same_verdict_and_summary_shape(self, result):
+        from repro.verification.linearizability import PartitionedCheckReport
+        from repro.workloads.kv import RunVerdict
+
+        verdict = result.verify()
+        assert isinstance(verdict, RunVerdict)
+        assert isinstance(verdict.report, PartitionedCheckReport)
+        assert verdict.ok and verdict.failures == []
+        assert verdict.report.keys_checked == len(result.histories())
+        assert verdict.invariants is None  # register run: no consensus replicas to audit
+        summary = result.summary(verdict)
+        assert set(summary) == SUMMARY_KEYS
+        assert summary["completed"] == 40 and summary["ok"] and summary["atomic"]
+        assert summary["clock"] == ("wall" if result.store is None else "virtual")
+        verdict_keys = {"ok", "atomic", "keys_checked", "consensus_violations"}
+        assert set(result.summary()) == SUMMARY_KEYS - verdict_keys
+
+    def test_corrupted_read_fails_the_verdict_and_the_shared_exit(self, result, capsys):
+        """Runs last on each backend's result: it corrupts the returned op log."""
+        from repro.analysis.report import report_run
+
+        row, op = next(
+            (row, op)
+            for row, op in enumerate(result.oplog.ops_view())
+            if op.completed and op.kind is OperationKind.READ
+        )
+        result.oplog._result_idx[row] = result.oplog.interner.intern("never-written")
+        verdict = result.verify()
+        assert not verdict.ok and not verdict.report.ok
+        assert verdict.report.failing_keys() == [op.key]
+        assert result.summary(verdict)["ok"] is False
+        # The function every checking CLI command returns through.
+        assert report_run("table", verdict.failures, "store run") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "table\n"
+        assert "store run failures:" in captured.err and repr(op.key) in captured.err
