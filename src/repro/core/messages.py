@@ -20,6 +20,9 @@ sequence number is ever transmitted.
 The classes below expose ``control_bits()`` / ``data_bits()`` consumed by the
 network accounting layer (:class:`repro.sim.network.NetworkStats`) so the
 Table-1 "message size (bits)" row can be *measured* rather than asserted.
+Where the answer cannot depend on the instance — the control bits of every
+type, the data bits of the field-less ones — the accessor is a
+``staticmethod``, which the accounting layer reads once per class.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ WIRE_CODES = {
     "READ": 0b10,
     "PROCEED": 0b11,
 }
+
+#: ``WRITE(b, v)``'s wire type, indexed by the parity bit ``b``.
+_WRITE_TYPE_NAMES = ("WRITE0", "WRITE1")
 
 
 def _value_data_bits(value: Any) -> int:
@@ -84,9 +90,10 @@ class WriteMessage:
     @property
     def type_name(self) -> str:
         """``"WRITE0"`` or ``"WRITE1"`` — the wire type."""
-        return f"WRITE{self.bit}"
+        return _WRITE_TYPE_NAMES[self.bit]
 
-    def control_bits(self) -> int:
+    @staticmethod
+    def control_bits() -> int:
         """Control information on the wire: just the 2-bit type."""
         return CONTROL_BITS_PER_MESSAGE
 
@@ -104,16 +111,20 @@ class WriteMessage:
 
 @dataclass(frozen=True)
 class ReadMessage:
-    """``READ()`` — a read request; carries nothing but its type."""
+    """``READ()`` — a read request; carries nothing but its type.
 
-    @property
-    def type_name(self) -> str:
-        return "READ"
+    Having no fields, every instance is interchangeable; the algorithm sends
+    the shared :data:`READ`.
+    """
 
-    def control_bits(self) -> int:
+    type_name = "READ"
+
+    @staticmethod
+    def control_bits() -> int:
         return CONTROL_BITS_PER_MESSAGE
 
-    def data_bits(self) -> int:
+    @staticmethod
+    def data_bits() -> int:
         return 0
 
     def wire_code(self) -> int:
@@ -125,16 +136,20 @@ class ReadMessage:
 
 @dataclass(frozen=True)
 class ProceedMessage:
-    """``PROCEED()`` — "your history is fresh enough"; carries nothing but its type."""
+    """``PROCEED()`` — "your history is fresh enough"; carries nothing but its type.
 
-    @property
-    def type_name(self) -> str:
-        return "PROCEED"
+    Having no fields, every instance is interchangeable; the algorithm sends
+    the shared :data:`PROCEED`.
+    """
 
-    def control_bits(self) -> int:
+    type_name = "PROCEED"
+
+    @staticmethod
+    def control_bits() -> int:
         return CONTROL_BITS_PER_MESSAGE
 
-    def data_bits(self) -> int:
+    @staticmethod
+    def data_bits() -> int:
         return 0
 
     def wire_code(self) -> int:
@@ -142,6 +157,11 @@ class ProceedMessage:
 
     def __repr__(self) -> str:
         return "PROCEED()"
+
+
+#: The one ``READ()`` and the one ``PROCEED()`` (immutable: frozen, field-less).
+READ = ReadMessage()
+PROCEED = ProceedMessage()
 
 
 def make_write_message(sequence_number: int, value: Any) -> WriteMessage:

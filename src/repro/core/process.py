@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.core.messages import ProceedMessage, ReadMessage, WriteMessage
+from repro.core.messages import PROCEED, READ, ProceedMessage, ReadMessage, WriteMessage
 from repro.core.state import TwoBitState
 from repro.registers.base import OperationRecord, RegisterProcess
 from repro.sim.network import Network
@@ -106,11 +106,13 @@ class TwoBitRegisterProcess(RegisterProcess):
 
         # line 3: wait until at least (n - t) processes p_j have w_sync_w[j] = wsn
         # (the writer itself counts: w_sync_w[w] = wsn already).
+        quorum, w_sync = self.quorum, st.w_sync
+
         def write_quorum_reached() -> bool:
-            return self.quorum.quorum_of(st.w_sync, lambda entry: entry == wsn)
+            return quorum.quorum_equal(w_sync, wsn)
 
         # line 4: return()
-        self.add_guard(write_quorum_reached, done, label=f"write#{wsn} line 3 quorum")
+        self.add_guard(write_quorum_reached, done, label=("write#%d line 3 quorum", wsn))
 
     def _start_read(self, record: OperationRecord, done: Callable[[Any], None]) -> None:
         """``operation read()`` — lines 5–10 (any process)."""
@@ -128,39 +130,44 @@ class TwoBitRegisterProcess(RegisterProcess):
 
         # line 6: send READ() to every other process
         for j in self.other_process_ids():
-            self.send(j, ReadMessage())
+            self.send(j, READ)
 
         # line 7: wait until at least (n - t) processes p_j have r_sync_i[j] = rsn
+        quorum, r_sync, w_sync = self.quorum, st.r_sync, st.w_sync
+
         def read_quorum_reached() -> bool:
-            return self.quorum.quorum_of(st.r_sync, lambda entry: entry == rsn)
+            return quorum.quorum_equal(r_sync, rsn)
 
         def after_proceed_quorum() -> None:
             # line 8: sn <- w_sync_i[i]
-            sn = st.w_sync[self.pid]
+            sn = w_sync[self.pid]
 
             # line 9: wait until at least (n - t) processes p_j have w_sync_i[j] >= sn
             def value_known_by_quorum() -> bool:
-                return self.quorum.quorum_of(st.w_sync, lambda entry: entry >= sn)
+                return quorum.quorum_at_least(w_sync, sn)
 
             # line 10: return(history_i[sn])
             self.add_guard(
                 value_known_by_quorum,
                 lambda: done(st.history[sn]),
-                label=f"read#{rsn} line 9 quorum (sn={sn})",
+                label=("read#%d line 9 quorum (sn=%d)", rsn, sn),
             )
 
-        self.add_guard(read_quorum_reached, after_proceed_quorum, label=f"read#{rsn} line 7 quorum")
+        self.add_guard(
+            read_quorum_reached, after_proceed_quorum, label=("read#%d line 7 quorum", rsn)
+        )
 
     # --------------------------------------------------------------- handlers
 
     def on_message(self, src: int, message: Any) -> None:
-        """Dispatch on the four message types."""
-        if isinstance(message, WriteMessage):
-            self._handle_write(src, message)
-        elif isinstance(message, ReadMessage):
+        """Dispatch on the four message types (three classes, by identity)."""
+        cls = message.__class__
+        if cls is ReadMessage:
             self._handle_read(src)
-        elif isinstance(message, ProceedMessage):
+        elif cls is ProceedMessage:
             self._handle_proceed(src)
+        elif cls is WriteMessage:
+            self._handle_write(src, message)
         else:
             raise TypeError(f"p{self.pid} received unknown message {message!r} from p{src}")
 
@@ -184,7 +191,7 @@ class TwoBitRegisterProcess(RegisterProcess):
             self.add_guard(
                 in_order,
                 lambda: self._process_write(src, message),
-                label=f"line 11 reorder buffer (from p{src}, bit={message.bit})",
+                label=("line 11 reorder buffer (from p%d, bit=%d)", src, message.bit),
             )
 
     def _process_write(self, src: int, message: WriteMessage) -> None:
@@ -236,8 +243,8 @@ class TwoBitRegisterProcess(RegisterProcess):
         # line 21: send PROCEED() to p_j
         self.add_guard(
             requester_is_fresh,
-            lambda: self.send(src, ProceedMessage()),
-            label=f"line 20 freshness wait (reader p{src}, sn={sn})",
+            lambda: self.send(src, PROCEED),
+            label=("line 20 freshness wait (reader p%d, sn=%d)", src, sn),
         )
 
     # -- PROCEED() --------------------------------------------------------------

@@ -266,13 +266,21 @@ class Driver:
     def fail_stuck(self) -> None:
         """Fail every queued operation (used when the event queue drained under them)."""
         for process, queue in self._queues.items():
+            if not queue:
+                continue
+            # What the replica was still waiting for when the events ran out
+            # (a crashed replica waits for nothing: crashing drops its guards).
+            labels = (guard.label for guard in process.pending_guards())
+            waits = [label for label in labels if label]
+            reason = (
+                f"stalled on replica p{process.pid}"
+                f" (crashed={process.crashed}); event queue drained"
+                + (f"; waiting on: {', '.join(waits)}" if waits else "")
+            )
             while queue:
                 op = queue.popleft()
                 op.failed = True
-                op.failure_reason = (
-                    f"stalled on replica p{process.pid}"
-                    f" (crashed={process.crashed}); event queue drained"
-                )
+                op.failure_reason = reason
                 if self.oplog is not None:
                     self.oplog.note_failed(op.op_id, op.failure_reason)
                 self._outstanding -= 1

@@ -69,7 +69,7 @@ class AbdNoWriteBackProcess(AbdRegisterProcess):
             aggregator=MaxReply(key=itemgetter(0)),
             self_reply=(self.seq, self.value),
             on_quorum=finish,
-            label=f"ABD(no-writeback) read#{rsn} query quorum",
+            label=("ABD(no-writeback) read#%d query quorum", rsn),
         )
 
 

@@ -146,7 +146,7 @@ class PhaseRegisterProcess(RegisterProcess):
         tag: Any = None,
         aggregator: Optional[ReplyAggregator] = None,
         self_reply: Any = NO_SELF_REPLY,
-        label: str = "",
+        label: Any = "",
     ) -> QuorumCollector:
         """Broadcast a phase message and run ``on_quorum`` once ``n - t`` replied.
 

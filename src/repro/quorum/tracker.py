@@ -24,11 +24,8 @@ class QuorumTracker:
         self.t = (n - 1) // 2 if t is None else t
         if not 0 <= self.t < n:
             raise ValueError(f"invalid t={self.t} for n={n}")
-
-    @property
-    def quorum_size(self) -> int:
-        """The majority-quorum threshold ``n - t``."""
-        return self.n - self.t
+        #: The majority-quorum threshold ``n - t``.
+        self.quorum_size = self.n - self.t
 
     def satisfied(self, count: int) -> bool:
         """True when ``count`` processes suffice for a quorum."""
@@ -41,3 +38,20 @@ class QuorumTracker:
     def quorum_of(self, values: Sequence[Any], predicate: Callable[[Any], bool]) -> bool:
         """True when at least ``n - t`` entries of ``values`` satisfy ``predicate``."""
         return self.satisfied(self.count_satisfying(values, predicate))
+
+    # The two predicate shapes the two-bit algorithm waits on at every
+    # delivery, answered without a Python-level loop: same truth value as
+    # ``quorum_of`` with the pseudocode's lambda (the property suite pins it).
+
+    def quorum_equal(self, values: list, target: Any) -> bool:
+        """``#{j : values[j] = target} >= n - t`` (Figure 1, lines 3 and 7)."""
+        return values.count(target) >= self.quorum_size
+
+    def quorum_at_least(self, values: list, floor: Any) -> bool:
+        """``#{j : values[j] >= floor} >= n - t`` (Figure 1, line 9).
+
+        At least ``n - t`` entries reach ``floor`` exactly when the
+        ``(n - t)``-th largest one does.
+        """
+        size = self.quorum_size
+        return len(values) >= size and sorted(values)[-size] >= floor

@@ -194,7 +194,7 @@ class AbdRegisterProcess(PhaseRegisterProcess):
             message=AbdWrite(seq=seq, value=record.value),
             self_reply=None,
             on_quorum=finish,
-            label=f"ABD write#{seq} ack quorum",
+            label=("ABD write#%d ack quorum", seq),
         )
 
     # ----------------------------------------------------------------- read
@@ -217,7 +217,7 @@ class AbdRegisterProcess(PhaseRegisterProcess):
                 message=AbdWriteBack(rsn=rsn, seq=best_seq, value=best_value),
                 self_reply=None,
                 on_quorum=finish,
-                label=f"ABD read#{rsn} write-back quorum",
+                label=("ABD read#%d write-back quorum", rsn),
             )
 
         self.start_phase(
@@ -227,7 +227,7 @@ class AbdRegisterProcess(PhaseRegisterProcess):
             aggregator=MaxReply(key=itemgetter(0)),
             self_reply=(self.seq, self.value),
             on_quorum=start_write_back,
-            label=f"ABD read#{rsn} query quorum",
+            label=("ABD read#%d query quorum", rsn),
         )
 
     # -------------------------------------------------------------- handlers

@@ -215,7 +215,7 @@ class MwmrAbdRegisterProcess(PhaseRegisterProcess):
                 message=MwAbdWrite(wsn=wsn, ts=new_ts, value=record.value),
                 self_reply=None,
                 on_quorum=finish,
-                label=f"MWABD write#{wsn} ack quorum",
+                label=("MWABD write#%d ack quorum", wsn),
             )
 
         self.start_phase(
@@ -225,7 +225,7 @@ class MwmrAbdRegisterProcess(PhaseRegisterProcess):
             aggregator=MaxReply(),
             self_reply=self.ts,
             on_quorum=impose_write,
-            label=f"MWABD write#{wsn} ts quorum",
+            label=("MWABD write#%d ts quorum", wsn),
         )
 
     # ----------------------------------------------------------------- read
@@ -248,7 +248,7 @@ class MwmrAbdRegisterProcess(PhaseRegisterProcess):
                 message=MwAbdWriteBack(rsn=rsn, ts=best_ts, value=best_value),
                 self_reply=None,
                 on_quorum=finish,
-                label=f"MWABD read#{rsn} write-back quorum",
+                label=("MWABD read#%d write-back quorum", rsn),
             )
 
         self.start_phase(
@@ -258,7 +258,7 @@ class MwmrAbdRegisterProcess(PhaseRegisterProcess):
             aggregator=MaxReply(key=itemgetter(0)),
             self_reply=(self.ts, self.value),
             on_quorum=start_write_back,
-            label=f"MWABD read#{rsn} query quorum",
+            label=("MWABD read#%d query quorum", rsn),
         )
 
     # -------------------------------------------------------------- handlers

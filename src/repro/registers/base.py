@@ -199,9 +199,9 @@ class RegisterProcess(ProcessBase):
             invoked_at=self.simulator.now,
             messages_before=self.network.stats.messages_sent,
         )
-        self.simulator.tracer.record(
-            self.simulator.now, "invoke", self.pid, None, f"{kind.value}({value!r})"
-        )
+        tracer = self.simulator.tracer
+        if tracer.enabled:
+            tracer.record(record.invoked_at, "invoke", self.pid, None, f"{kind.value}({value!r})")
         return record
 
     def _complete(
@@ -219,13 +219,11 @@ class RegisterProcess(ProcessBase):
         self.completed_operations.append(record)
         if self._current_op is record:
             self._current_op = None
-        self.simulator.tracer.record(
-            self.simulator.now,
-            "respond",
-            self.pid,
-            None,
-            f"{record.kind.value} -> {result!r}",
-        )
+        tracer = self.simulator.tracer
+        if tracer.enabled:
+            tracer.record(
+                record.responded_at, "respond", self.pid, None, f"{record.kind.value} -> {result!r}"
+            )
         callback(record)
 
     # ------------------------------------------------------ protocol-specific

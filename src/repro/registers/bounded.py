@@ -242,7 +242,7 @@ class ModuloSeqAbdProcess(PhaseRegisterProcess):
             message=ModWrite(seq_mod=seq_mod, value=record.value, modulus=self.modulus),
             self_reply=None,
             on_quorum=finish,
-            label=f"MOD write#{seq} ack quorum",
+            label=("MOD write#%d ack quorum", seq),
         )
 
     # ----------------------------------------------------------------- read
@@ -271,7 +271,7 @@ class ModuloSeqAbdProcess(PhaseRegisterProcess):
                 ),
                 self_reply=None,
                 on_quorum=finish,
-                label=f"MOD read#{rsn} write-back quorum",
+                label=("MOD read#%d write-back quorum", rsn),
             )
 
         self.start_phase(
@@ -281,7 +281,7 @@ class ModuloSeqAbdProcess(PhaseRegisterProcess):
             aggregator=MaxReply(key=itemgetter(0)),
             self_reply=(self.seq, self.value),
             on_quorum=start_write_back,
-            label=f"MOD read#{rsn} query quorum",
+            label=("MOD read#%d query quorum", rsn),
         )
 
     # -------------------------------------------------------------- handlers

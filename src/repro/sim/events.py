@@ -7,20 +7,23 @@ ordering *total* and *deterministic*: two events scheduled for the same
 virtual time always fire in the order they were scheduled, regardless of the
 callback objects involved (callbacks are not comparable).
 
-This module sits on the hottest path of every benchmark: one Event is
-allocated, pushed, compared O(log n) times and popped per simulated message.
-:class:`Event` is therefore a ``__slots__`` class with a hand-written
-``__lt__`` (no per-comparison tuple allocation, no instance ``__dict__``),
-and labels may be *lazy* — any object whose ``str()`` is the label — so the
-senders never pay for formatting diagnostics that are only read when a run
-gets stuck.
+This module sits on the hottest path of every benchmark: one heap entry is
+pushed, compared O(log n) times and popped per simulated message.  The queue
+therefore accepts any object that honours the small **entry protocol** —
+``entry()`` fires it, ``entry.time`` is its virtual time, ``entry.cancelled``
+says whether to skip it, ``str(entry)`` is its diagnostic label — so the
+network schedules its in-flight ``_Delivery`` records directly, with no
+wrapper allocated around them.  :class:`Event` is the general-purpose entry
+(timers, crash triggers, client arrivals): a ``__slots__`` class whose label
+may be *lazy* — any object whose ``str()`` is the label — so nobody pays for
+formatting diagnostics that are only read when a run gets stuck.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 
 class Event:
@@ -64,6 +67,12 @@ class Event:
             return self.time < other.time
         return self.seq < other.seq
 
+    def __call__(self) -> None:
+        self.action()
+
+    def __str__(self) -> str:
+        return str(self.label)
+
     def cancel(self) -> None:
         """Mark the event so the scheduler skips it when it is popped."""
         self.cancelled = True
@@ -82,21 +91,21 @@ _COMPACT_MIN_CANCELLED = 64
 
 
 class EventQueue:
-    """A deterministic priority queue of :class:`Event` objects.
+    """A deterministic priority queue of entries (see the module docstring).
 
     The queue assigns sequence numbers itself so that callers cannot
     accidentally produce non-deterministic orderings.  Cancelled events are
     lazily discarded on :meth:`pop`, and the heap is periodically compacted
     when cancelled entries dominate it.
 
-    The heap stores ``(time, seq, event)`` tuples rather than events: tuple
+    The heap stores ``(time, seq, entry)`` tuples rather than entries: tuple
     comparison runs entirely in C (floats, then ints — never reaching the
-    incomparable event object), so heap sifts make no Python-level ``__lt__``
+    incomparable entry object), so heap sifts make no Python-level ``__lt__``
     calls.  This is the single largest win on the hot path.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Any]] = []
         self._counter = itertools.count()
         self._live = 0
         self._cancelled_in_heap = 0
@@ -121,6 +130,18 @@ class EventQueue:
         heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
+
+    def push_entry(self, entry: Any) -> None:
+        """Schedule a prebuilt entry at its own ``entry.time``.
+
+        Entries share the sequence counter with :meth:`push`, so they
+        interleave with events in exact scheduling order.
+        """
+        time = entry.time
+        if time < 0:
+            raise ValueError(f"event time must be non-negative, got {time}")
+        heapq.heappush(self._heap, (time, next(self._counter), entry))
+        self._live += 1
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously pushed event (idempotent)."""
@@ -153,15 +174,19 @@ class EventQueue:
             heapq.heappop(heap)
             self._cancelled_in_heap -= 1
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or ``None`` if the queue is empty."""
-        self._discard_cancelled_head()
+    def pop(self, limit: Optional[float] = None) -> Optional[Any]:
+        """Remove and return the next live entry, or ``None`` if there is none.
+
+        With a ``limit``, an entry scheduled strictly after it stays queued
+        and ``None`` is returned (the queue is then still non-empty).
+        """
         heap = self._heap
-        if not heap:
+        if heap and heap[0][2].cancelled:
+            self._discard_cancelled_head()
+        if not heap or (limit is not None and heap[0][0] > limit):
             return None
-        event = heapq.heappop(heap)[2]
         self._live -= 1
-        return event
+        return heapq.heappop(heap)[2]
 
     def peek_time(self) -> Optional[float]:
         """Return the virtual time of the next live event without removing it."""
@@ -177,14 +202,9 @@ class EventQueue:
         self._live = 0
         self._cancelled_in_heap = 0
 
-    def iter_pending(self) -> Iterator[Event]:
-        """Iterate over live pending events in an unspecified order (for inspection)."""
-        return (entry[2] for entry in self._heap if not entry[2].cancelled)
-
     def pending_labels(self) -> list[str]:
-        """Return labels of live events, sorted by (time, seq) — useful in error messages."""
-        live = sorted(self.iter_pending(), key=lambda e: (e.time, e.seq))
-        return [str(e.label) for e in live]
+        """Return labels of live entries, sorted by (time, seq) — useful in error messages."""
+        return [str(item[2]) for item in sorted(self._heap) if not item[2].cancelled]
 
 
 def never(_: Any = None) -> bool:

@@ -24,18 +24,27 @@ model permits.
 
 The network also maintains :class:`NetworkStats`: per-type message counts,
 control-bit and data-bit accounting, and per-operation attribution used by the
-Table-1 benchmarks.  Messages may implement two optional methods consumed by
-the accounting layer:
+Table-1 benchmarks.  Messages may implement these optional members consumed
+by the accounting layer:
 
 ``control_bits() -> int``
     Number of control bits the message carries on the wire (for the paper's
     algorithm this is exactly 2 — the message type).
 ``data_bits() -> int``
     Number of data-value bits (payload), excluded from the control count.
+``type_name``
+    Name under which the message is aggregated in ``by_type``: a class-level
+    string, or a property / method for classes whose wire type depends on
+    the instance (``WRITE0`` / ``WRITE1``).  Defaults to the class name.
+
+Either bit accessor may be a ``staticmethod``: taking no instance, its answer
+holds for the whole class, and the accounting asks it once per class instead
+of once per message.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
@@ -72,22 +81,19 @@ def _message_type_name(message: Any) -> str:
     return type(message).__name__
 
 
-def _control_bits(message: Any) -> int:
-    getter = getattr(message, "control_bits", None)
-    if callable(getter):
-        return int(getter())
-    return 0
+def _bits_of_class(cls: type, accessor: str) -> Any:
+    """The bit count where it is fixed for the whole class, else the accessor.
 
+    Fixed means the accessor is absent (0 bits) or a ``staticmethod`` (it is
+    asked here, once); anything else callable is returned to be called with
+    each message.
+    """
+    member = inspect.getattr_static(cls, accessor, None)
+    if isinstance(member, staticmethod):
+        return int(member.__func__())
+    member = getattr(cls, accessor, None)
+    return member if callable(member) else 0
 
-def _data_bits(message: Any) -> int:
-    getter = getattr(message, "data_bits", None)
-    if callable(getter):
-        return int(getter())
-    return 0
-
-
-#: Accessor modes cached per message class (see ``NetworkStats._accessors``).
-_ABSENT, _CALL, _GENERIC = 0, 1, 2
 
 #: Hoisted for the send hot path (``delay < _INF`` beats ``math.isfinite``).
 _INF = math.inf
@@ -119,65 +125,44 @@ class NetworkStats:
     # Operation attribution: the workload runner opens an accounting window
     # (`mark()`) before an operation and reads the delta after it completes.
     _marks: Dict[str, int] = field(default_factory=dict)
-    # Hot-path cache: message *class* -> (name_mode, name_const, control_mode,
-    # data_mode).  record_send runs once per simulated message; probing
-    # ``type_name`` / ``control_bits`` / ``data_bits`` with getattr+callable on
-    # every message dominates its cost, and the answer only depends on the
-    # message class.  (Messages that grow these accessors as *instance*
-    # attributes on a class that lacks them are not supported — no message in
-    # the repository does that.)
+    # Hot-path cache: message *class* -> (type name, control bits, data
+    # bits).  The name is ``None`` where the instance must be asked; a bit
+    # entry is the count itself where no instance can change it, else the
+    # accessor to call.  record_send runs once per simulated message and what
+    # to ask a message only depends on its class.  (Messages that grow these
+    # members as *instance* attributes on a class that lacks them are not
+    # supported — no message in the repository does that.)
     _accessors: Dict[type, tuple] = field(default_factory=dict, repr=False)
 
-    def _compute_accessors(self, cls: type) -> tuple:
-        name_attr = getattr(cls, "type_name", None)
-        if name_attr is None:
-            name_mode, name_const = _ABSENT, cls.__name__
-        elif isinstance(name_attr, str):
-            name_mode, name_const = _ABSENT, name_attr
-        elif isinstance(name_attr, property):
-            name_mode, name_const = _GENERIC, None  # evaluate per instance
-        elif callable(name_attr):
-            name_mode, name_const = _CALL, None
-        else:
-            name_mode, name_const = _ABSENT, cls.__name__
-        control_attr = getattr(cls, "control_bits", None)
-        control_mode = (
-            _ABSENT if control_attr is None else (_CALL if callable(control_attr) else _GENERIC)
+    def _resolve_accessors(self, cls: type) -> tuple:
+        name = getattr(cls, "type_name", None)
+        if isinstance(name, property) or callable(name):
+            name = None  # depends on the instance
+        elif not isinstance(name, str):
+            name = cls.__name__
+        accessors = self._accessors[cls] = (
+            name,
+            _bits_of_class(cls, "control_bits"),
+            _bits_of_class(cls, "data_bits"),
         )
-        data_attr = getattr(cls, "data_bits", None)
-        data_mode = _ABSENT if data_attr is None else (_CALL if callable(data_attr) else _GENERIC)
-        accessors = (name_mode, name_const, control_mode, data_mode)
-        self._accessors[cls] = accessors
         return accessors
 
     def record_send(self, src: int, message: Any) -> tuple[int, int]:
         cls = message.__class__
         accessors = self._accessors.get(cls)
         if accessors is None:
-            accessors = self._compute_accessors(cls)
-        name_mode, name_const, control_mode, data_mode = accessors
-        if control_mode == _CALL:
-            control = int(message.control_bits())
-        elif control_mode == _ABSENT:
-            control = 0
-        else:
-            control = _control_bits(message)
-        if data_mode == _CALL:
-            data = int(message.data_bits())
-        elif data_mode == _ABSENT:
-            data = 0
-        else:
-            data = _data_bits(message)
+            accessors = self._resolve_accessors(cls)
+        name, control, data = accessors
+        if control.__class__ is not int:
+            control = int(control(message))
+        if data.__class__ is not int:
+            data = int(data(message))
         self.messages_sent += 1
         self.control_bits_total += control
         self.data_bits_total += data
         if control > self.max_control_bits:
             self.max_control_bits = control
-        if name_mode == _ABSENT:
-            name = name_const
-        elif name_mode == _CALL:
-            name = str(message.type_name())
-        else:
+        if name is None:
             name = _message_type_name(message)
         by_type = self.by_type
         by_type[name] = by_type.get(name, 0) + 1
@@ -216,15 +201,15 @@ class NetworkStats:
 
 
 class _Delivery:
-    """Prebuilt delivery record: the scheduled action for one in-flight message.
+    """One in-flight message: the heap entry the simulator pops and fires.
 
-    ``Network.send`` used to close over half a dozen locals per message; on
-    the hot path that meant allocating a function object, a cell tuple and a
-    fresh label string for every send.  A ``_Delivery`` is a single
-    ``__slots__`` object that carries exactly the state delivery needs, is
-    itself the event callback (``__call__``), and doubles as the event's
-    *lazy* label (``__str__`` formats the diagnostic only if a stuck run asks
-    for it).
+    A ``_Delivery`` is a single ``__slots__`` object that carries exactly the
+    state delivery needs and honours the event queue's entry protocol
+    (:mod:`repro.sim.events`): ``time`` is the delivery instant, calling it
+    delivers, ``str()`` formats the diagnostic label only if a stuck run
+    asks for it, and ``cancelled`` is a class constant — a message in flight
+    is irrevocable.  ``Network.send`` pushes it straight onto the queue, so a
+    simulated message costs one allocation and no wrapper around it.
 
     With **coalescing** enabled on the network, the first message to a given
     ``(dst, delivery-time)`` becomes the scheduled *head* (``key`` set, entry
@@ -244,11 +229,14 @@ class _Delivery:
         "dst",
         "message",
         "send_time",
+        "time",
         "control",
         "data",
         "key",
         "extra",
     )
+
+    cancelled = False
 
     def __init__(
         self,
@@ -258,6 +246,7 @@ class _Delivery:
         dst: int,
         message: Any,
         send_time: float,
+        time: float,
         control: int,
         data: int,
     ) -> None:
@@ -267,27 +256,24 @@ class _Delivery:
         self.dst = dst
         self.message = message
         self.send_time = send_time
+        self.time = time
         self.control = control
         self.data = data
         self.key: Optional[tuple[int, float]] = None
         self.extra: Optional[list["_Delivery"]] = None
 
     def __call__(self) -> None:
+        network = self.network
         key = self.key
         if key is not None:
             # Coalesced head: detach from the index first, then fan out the
             # logical messages in send order (head first).
-            network = self.network
             del network._coalesced[key]
             extra = self.extra
             if extra is not None:
                 self._fan_out(network, extra)
                 return
-            self._fire(network)
-            return
-        # Hot path (coalescing off, or singleton event): identical to _fire,
-        # inlined to keep the per-event cost of plain runs unchanged.
-        network = self.network
+        # One logical message (coalescing off, or nothing rode along).
         self.channel.in_flight -= 1
         destination = network._processes[self.dst]
         delivered = not destination.crashed
@@ -295,7 +281,7 @@ class _Delivery:
             network.records.append(
                 MessageRecord(
                     send_time=self.send_time,
-                    delivery_time=network.simulator.now,
+                    delivery_time=self.time,
                     src=self.src,
                     dst=self.dst,
                     message=self.message,
@@ -311,7 +297,7 @@ class _Delivery:
         self.channel.delivered += 1
         tracer = network.simulator.tracer
         if tracer.enabled:
-            tracer.record(network.simulator.now, "deliver", self.src, self.dst, self.message)
+            tracer.record(self.time, "deliver", self.src, self.dst, self.message)
         hooks = network._delivery_hooks
         if hooks:
             for hook in hooks:
@@ -340,7 +326,7 @@ class _Delivery:
         tracer = network.simulator.tracer
         trace = tracer.enabled
         hooks = network._delivery_hooks
-        now = network.simulator.now
+        now = self.time
         entry = self
         index = 0
         count = len(extra)
@@ -383,38 +369,6 @@ class _Delivery:
             index += 1
         if handled and destination._guards and not destination.crashed:
             destination.check_guards()
-
-    def _fire(self, network: "Network") -> None:
-        """Deliver one logical message (the body of ``__call__``, sans coalescing)."""
-        self.channel.in_flight -= 1
-        destination = network._processes[self.dst]
-        delivered = not destination.crashed
-        if network.record_messages:
-            network.records.append(
-                MessageRecord(
-                    send_time=self.send_time,
-                    delivery_time=network.simulator.now,
-                    src=self.src,
-                    dst=self.dst,
-                    message=self.message,
-                    control_bits=self.control,
-                    data_bits=self.data,
-                    delivered=delivered,
-                )
-            )
-        if not delivered:
-            network.stats.record_drop()
-            return
-        network.stats.messages_delivered += 1
-        self.channel.delivered += 1
-        tracer = network.simulator.tracer
-        if tracer.enabled:
-            tracer.record(network.simulator.now, "deliver", self.src, self.dst, self.message)
-        hooks = network._delivery_hooks
-        if hooks:
-            for hook in hooks:
-                hook(self.src, self.dst, self.message)
-        destination.deliver(self.src, self.message)
 
     def __str__(self) -> str:
         label = f"deliver {self.message!r} p{self.src}->p{self.dst}"
@@ -490,6 +444,10 @@ class Network:
         self._coalesced: Dict[tuple[int, float], _Delivery] = {}
         self.records: list[MessageRecord] = []
         self._processes: Dict[int, "Process"] = {}
+        # Membership is static once built, so it is sorted when it changes
+        # (register), not each time a process asks who its peers are.  The
+        # list is replaced, never mutated: a reference handed out stays valid.
+        self._process_ids: list[int] = []
         self._channels: Dict[tuple[int, int], Channel] = {}
         # Optional delivery filter: callable(src, dst, message) -> bool.  Used
         # by tests to model adversarial (but still eventually-reliable)
@@ -523,11 +481,12 @@ class Network:
         if process.pid in self._processes:
             raise ValueError(f"duplicate process id {process.pid}")
         self._processes[process.pid] = process
+        self._process_ids = sorted(self._processes)
 
     @property
     def process_ids(self) -> list[int]:
-        """Sorted list of registered process ids."""
-        return sorted(self._processes)
+        """Sorted list of registered process ids (shared; treat as read-only)."""
+        return self._process_ids
 
     def process(self, pid: int) -> "Process":
         """Return the process registered under ``pid``."""
@@ -535,7 +494,7 @@ class Network:
 
     def processes(self) -> list["Process"]:
         """All registered processes, ordered by pid."""
-        return [self._processes[pid] for pid in self.process_ids]
+        return [self._processes[pid] for pid in self._process_ids]
 
     def channel(self, src: int, dst: int) -> Channel:
         """Return (creating on demand) the uni-directional channel ``src -> dst``."""
@@ -614,17 +573,17 @@ class Network:
         tracer = simulator.tracer
         if tracer.enabled:
             tracer.record(send_time, "send", src, dst, message)
-        # The delivery object is both the event's action and its lazy label;
-        # push straight onto the queue (delay >= 0 was just checked, so the
-        # schedule_after guard would be redundant).
-        delivery = _Delivery(self, channel, src, dst, message, send_time, control, data)
+        # The delivery record is itself the heap entry (delay >= 0 was just
+        # checked, so the schedule_after guard would be redundant).
+        time = send_time + delay
+        delivery = _Delivery(self, channel, src, dst, message, send_time, time, control, data)
         if self.coalesce:
-            key = (dst, send_time + delay)
+            key = (dst, time)
             head = self._coalesced.get(key)
             if head is None:
                 delivery.key = key
                 self._coalesced[key] = delivery
-                simulator._queue.push(send_time + delay, delivery, delivery)
+                simulator._queue.push_entry(delivery)
             else:
                 extra = head.extra
                 if extra is None:
@@ -633,7 +592,7 @@ class Network:
                     extra.append(delivery)
                 self.stats.messages_coalesced += 1
         else:
-            simulator._queue.push(send_time + delay, delivery, delivery)
+            simulator._queue.push_entry(delivery)
         hooks = self._send_hooks
         if hooks:
             for hook in hooks:

@@ -107,29 +107,33 @@ class Simulator:
 
     # ------------------------------------------------------------------- loop
 
-    def step(self) -> bool:
+    def step(self, limit: Optional[float] = None) -> bool:
         """Execute a single event.
 
         Returns ``True`` if an event was executed, ``False`` if the queue is
-        empty.
+        empty — or, with a ``limit``, if the next event lies strictly after
+        that virtual time (it stays queued and the clock does not move).
 
-        Hot path: the common case (no observers, event in order) runs with no
-        per-event allocations and no tracer/observer calls — verification
-        hooks that do register observers pay for them, benchmark runs do not.
+        Hot path: the popped queue entry is itself the action (an
+        :class:`~repro.sim.events.Event`, or the network's in-flight delivery
+        record), and the common case (no observers) runs with no per-event
+        allocations and no tracer/observer calls — verification hooks that
+        do register observers pay for them, benchmark runs do not.
         """
-        event = self._queue.pop()
-        if event is None:
+        entry = self._queue.pop(limit)
+        if entry is None:
             return False
-        if event.time < self._now:  # pragma: no cover - guarded by schedule_at
+        time = entry.time
+        if time < self._now:  # pragma: no cover - guarded by schedule_at
             raise SimulationError("event queue produced an event in the past")
-        self._now = event.time
+        self._now = time
         self._executed += 1
         if self._executed > self._max_events:
             raise SimulationError(
                 f"exceeded max_events={self._max_events}; "
                 "the protocol may be generating an unbounded message storm"
             )
-        event.action()
+        entry()
         if self._observers:
             for observer in self._observers:
                 observer(self)
@@ -142,20 +146,12 @@ class Simulator:
         it remain in the queue and the clock is advanced to ``until``.
         """
         self._stopped = False
-        if until is None:
-            # Drain mode: pop-driven loop, no peek per event.
-            step = self.step
-            while not self._stopped and step():
-                pass
-            return
+        step = self.step
         while not self._stopped:
-            next_time = self._queue.peek_time()
-            if next_time is None:
+            if not step(until):
+                if self._queue:  # the next event lies beyond the horizon
+                    self._now = max(self._now, until)
                 break
-            if next_time > until:
-                self._now = max(self._now, until)
-                break
-            self.step()
 
     def run_before(self, until: float) -> None:
         """Process every event *strictly before* ``until``; advance the clock to it.
@@ -186,22 +182,12 @@ class Simulator:
         self._stopped = False
         if predicate():
             return True
-        if limit is None:
-            step = self.step
-            while not self._stopped:
-                if not step():
-                    return predicate()
-                if predicate():
-                    return True
-            return predicate()
+        step = self.step
         while not self._stopped:
-            next_time = self._queue.peek_time()
-            if next_time is None:
-                return predicate()
-            if next_time > limit:
-                self._now = max(self._now, limit)
-                return predicate()
-            self.step()
+            if not step(limit):
+                if self._queue:  # the next event lies beyond the limit
+                    self._now = max(self._now, limit)
+                break
             if predicate():
                 return True
         return predicate()

@@ -23,8 +23,6 @@ a crash is simply a process that stopped.)
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # structural types only; no backend import at runtime
@@ -35,7 +33,6 @@ class ProcessCrashedError(RuntimeError):
     """Raised when protocol code tries to run an operation on a crashed process."""
 
 
-@dataclass
 class Guard:
     """A pending wait: ``action`` fires once when ``predicate`` becomes true.
 
@@ -46,17 +43,35 @@ class Guard:
     action:
         Zero-argument callable executed (once) when the predicate holds.
     label:
-        Diagnostic tag (shows up in stuck-simulation error messages).
-    guard_id:
-        Unique id for stable ordering and cancellation.
+        Diagnostic tag (shows up in stuck-run failure reasons).  Registered
+        as a string or as a ``(format, *args)`` tuple; the tuple is rendered
+        with ``%`` only when the label is read, so a wait that is never
+        diagnosed never pays for formatting.
     """
 
-    predicate: Callable[[], bool]
-    action: Callable[[], None]
-    label: str = ""
-    guard_id: int = 0
-    fired: bool = field(default=False, compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("predicate", "action", "_label", "fired", "cancelled")
+
+    def __init__(
+        self,
+        predicate: Callable[[], bool],
+        action: Callable[[], None],
+        label: Any = "",
+        cancelled: bool = False,
+    ) -> None:
+        self.predicate = predicate
+        self.action = action
+        self._label = label
+        self.fired = False
+        self.cancelled = cancelled
+
+    @property
+    def label(self) -> str:
+        label = self._label
+        return label[0] % label[1:] if isinstance(label, tuple) else str(label)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "fired" if self.fired else "cancelled" if self.cancelled else "pending"
+        return f"Guard({self.label!r}, {state})"
 
 
 class ProcessBase:
@@ -85,7 +100,6 @@ class ProcessBase:
         self.crashed = False
         self.crash_time: Optional[float] = None
         self._guards: list[Guard] = []
-        self._guard_counter = itertools.count()
         self.messages_received = 0
         self.messages_handled = 0
         network.register(self)
@@ -157,57 +171,61 @@ class ProcessBase:
         self,
         predicate: Callable[[], bool],
         action: Callable[[], None],
-        label: str = "",
-    ) -> Guard:
+        label: Any = "",
+    ) -> Optional[Guard]:
         """Register a wait; ``action`` fires once, as soon as ``predicate`` holds.
 
         If the predicate already holds, the action fires immediately (before
         returning), mirroring a ``wait`` statement whose condition is already
-        satisfied.
+        satisfied — nothing is left pending, so no :class:`Guard` is built
+        and ``None`` is returned.  ``label`` is a string or a lazily rendered
+        ``(format, *args)`` tuple (see :class:`Guard`).
         """
-        guard = Guard(
-            predicate=predicate,
-            action=action,
-            label=label,
-            guard_id=next(self._guard_counter),
-        )
         if self.crashed:
-            guard.cancelled = True
-            return guard
+            return Guard(predicate, action, label, cancelled=True)
         if predicate():
-            guard.fired = True
             action()
-            self.check_guards()
-            return guard
+            if self._guards:
+                self.check_guards()
+            return None
+        guard = Guard(predicate, action, label)
         self._guards.append(guard)
         return guard
 
-    def cancel_guard(self, guard: Guard) -> None:
-        """Cancel a pending guard (idempotent)."""
-        guard.cancelled = True
+    def cancel_guard(self, guard: Optional[Guard]) -> None:
+        """Cancel a pending guard (idempotent; ``None`` — a wait that never pended — is a no-op)."""
+        if guard is not None and not guard.cancelled:
+            guard.cancelled = True
+            self._guards = [g for g in self._guards if g is not guard]
 
     def check_guards(self) -> None:
         """Re-evaluate pending guards; fire (once) those whose predicate holds.
 
         Firing a guard can change state and thereby enable other guards, so
-        the scan repeats until it completes a pass with no firing.
+        the scan repeats until it completes a pass with no firing.  A pass
+        that fires nothing — the common one — reads the list in place; only
+        once a guard is about to fire (its action may add or cancel guards,
+        or crash the process and clear them) does the rest of the pass run
+        over a snapshot.
         """
         if not self._guards or self.crashed:
-            # Fast path: most deliveries find no pending guards (quorums
-            # already satisfied or not yet awaited) — skip the scan loop and
-            # its per-pass list copies entirely.
             return
-        progressed = True
-        while progressed:
-            progressed = False
-            # Iterate over a snapshot: actions may add new guards.
-            for guard in list(self._guards):
+        while True:
+            guards = self._guards
+            for index, guard in enumerate(guards):
+                if not (guard.fired or guard.cancelled) and guard.predicate():
+                    break
+            else:
+                return
+            rest = guards[index + 1 :]
+            guard.fired = True
+            guard.action()
+            for guard in rest:
                 if guard.fired or guard.cancelled:
                     continue
                 if guard.predicate():
                     guard.fired = True
                     guard.action()
-                    progressed = True
             self._guards = [g for g in self._guards if not g.fired and not g.cancelled]
 
     def pending_guards(self) -> list[Guard]:

@@ -163,3 +163,57 @@ class TestSetupErrors:
         process = TwoBitRegisterProcess(0, simulator, network, writer_pid=0)
         with pytest.raises(RuntimeError, match="finish_setup"):
             process.invoke_write("v1", lambda record: None)
+
+
+class TestWaitDiagnostics:
+    """Guard labels are rendered on demand; the text a stuck run prints is
+    the text the eager f-strings used to produce."""
+
+    @staticmethod
+    def labels(process):
+        return [guard.label for guard in process.pending_guards()]
+
+    def test_reorder_buffered_write(self):
+        cluster = make_cluster(n=3)
+        receiver = cluster.processes[2]
+        receiver.deliver(0, WriteMessage(bit=0, value="v2"))
+        assert self.labels(receiver) == ["line 11 reorder buffer (from p0, bit=0)"]
+
+    def test_blocked_read_and_the_freshness_wait_it_causes(self):
+        cluster = make_cluster(n=3)
+        cluster.reader(2).read(run=False)
+        assert self.labels(cluster.processes[2]) == ["read#1 line 7 quorum"]
+        assert cluster.simulator.pending_labels() == [
+            "deliver READ() p2->p0",
+            "deliver READ() p2->p1",
+        ]
+        # p1 learns value #1 first, so it must hold p2's READ back (line 20).
+        responder = cluster.processes[1]
+        responder.deliver(0, WriteMessage(bit=1, value="v1"))
+        responder.deliver(2, ReadMessage())
+        assert self.labels(responder) == ["line 20 freshness wait (reader p2, sn=1)"]
+        assert cluster.simulator.pending_labels() == [
+            "deliver READ() p2->p0",
+            "deliver READ() p2->p1",
+            "deliver WRITE1('v1') p1->p0",
+            "deliver WRITE1('v1') p1->p2",
+        ]
+
+    def test_write_and_line_9_waits(self):
+        cluster = make_cluster(n=5)
+        cluster.writer.write("v1", run=False)
+        assert self.labels(cluster.processes[0]) == ["write#1 line 3 quorum"]
+        reader = cluster.processes[2]
+        reader.deliver(0, WriteMessage(bit=1, value="v1"))
+        cluster.reader(2).read(run=False)
+        reader.deliver(0, ProceedMessage())
+        reader.deliver(1, ProceedMessage())
+        # Two PROCEEDs end line 7 (3 of 5 with its own entry); only p0 and p2
+        # itself are known to hold value #1, one short of the line-9 quorum.
+        assert self.labels(reader) == ["read#1 line 9 quorum (sn=1)"]
+
+    def test_a_satisfied_wait_leaves_nothing_pending(self):
+        cluster = make_cluster(n=3)
+        responder = cluster.processes[1]
+        assert responder.add_guard(lambda: True, lambda: None, label=("never %s", "rendered")) is None
+        assert responder.pending_guards() == []

@@ -108,6 +108,31 @@ class TestDriver:
         assert op.failed and "stalled" in op.failure_reason
         assert driver.outstanding == 0
 
+    def test_stuck_reason_names_what_the_replica_was_waiting_for(self):
+        simulator, network, processes = deploy(n=3, algorithm="two-bit")
+        driver = Driver(simulator)
+        read = driver.new_op(OperationKind.READ)
+        queued = driver.new_op(OperationKind.READ)
+        driver.submit(processes[1], read)
+        driver.submit(processes[1], queued)
+        processes[0].crash()
+        processes[2].crash()
+        driver.drive(limit=simulator.now + 1_000.0)
+        expected = (
+            "stalled on replica p1 (crashed=False); event queue drained"
+            "; waiting on: read#1 line 7 quorum"
+        )
+        assert read.failure_reason == queued.failure_reason == expected
+
+    def test_stuck_reason_on_a_crashed_replica_keeps_the_plain_text(self):
+        simulator, network, processes = deploy(n=3, algorithm="two-bit")
+        driver = Driver(simulator)
+        op = driver.new_op(OperationKind.READ)
+        driver.submit(processes[1], op)
+        processes[1].crash()
+        driver.drive(limit=simulator.now + 1_000.0)
+        assert op.failure_reason == "stalled on replica p1 (crashed=True); event queue drained"
+
     def test_result_raises_before_completion(self):
         simulator, network, processes = deploy()
         driver = Driver(simulator)

@@ -172,3 +172,56 @@ class TestCancelledAccounting:
         assert queue._cancelled_in_heap == 1
         assert queue.pop() is None
         assert queue._cancelled_in_heap == 0
+
+    def test_cancelled_timer_and_in_flight_message_share_an_instant(self):
+        """A network delivery is itself a heap entry: it keeps its place in
+        ``(time, seq)`` order among timers scheduled for the same instant,
+        and sweeping a cancelled timer past it leaves the counter exact."""
+        from repro.sim.network import Network
+        from repro.sim.scheduler import Simulator
+        from tests.sim.conftest import build_recorders
+
+        simulator = Simulator()
+        network = Network(simulator)  # FixedDelay(1.0)
+        _sender, receiver = build_recorders(simulator, network, 2)
+        queue = simulator._queue
+        fired = []
+
+        doomed = simulator.schedule_at(1.0, lambda: fired.append("doomed"), label="doomed")
+        network.send(0, 1, "first")
+        kept = simulator.schedule_at(1.0, lambda: fired.append("timer"), label="timer")
+        network.send(0, 1, "second")
+        late_doomed = simulator.schedule_at(1.0, lambda: fired.append("late"), label="late")
+        simulator.cancel(doomed)
+        simulator.cancel(late_doomed)
+        self._assert_consistent(queue)
+        assert queue._cancelled_in_heap == 2
+        assert simulator.pending_labels() == [
+            "deliver 'first' p0->p1",
+            "timer",
+            "deliver 'second' p0->p1",
+        ]
+
+        first = queue.pop()  # sweeps the cancelled head, then pops the delivery
+        self._assert_consistent(queue)
+        assert queue._cancelled_in_heap == 1
+        assert str(first) == "deliver 'first' p0->p1" and first.time == 1.0
+        first()
+        assert queue.pop() is kept
+        kept()
+        simulator.run()  # the second delivery, then the cancelled tail
+        self._assert_consistent(queue)
+        assert queue._cancelled_in_heap == 0 and len(queue) == 0
+        assert fired == ["timer"]
+        assert [message for _src, message in receiver.received] == ["first", "second"]
+
+    def test_pop_with_a_limit_leaves_later_entries_queued(self):
+        queue = EventQueue()
+        doomed = queue.push(1.0, lambda: None)
+        early = queue.push(2.0, lambda: None)
+        late = queue.push(5.0, lambda: None)
+        queue.cancel(doomed)
+        assert queue.pop(limit=2.0) is early
+        assert queue.pop(limit=4.0) is None and len(queue) == 1
+        self._assert_consistent(queue)
+        assert queue.pop(limit=5.0) is late
