@@ -1,17 +1,18 @@
 """Columnar memory-plane benchmark: bytes/op, IPC transfer bytes, peak RSS.
 
 The columnar history plane (:mod:`repro.exec.oplog`,
-:mod:`repro.verification.columnar`) exists to make million-op runs
+:mod:`repro.verification.history`) exists to make million-op runs
 memory-lean: operations live in parallel ``array`` columns with an interned
 value table instead of one ``Operation`` object (plus boxed floats, dict and
 GC header) per op, and shard workers ship those raw columns to the parent as
 pickle protocol-5 out-of-band buffers instead of pickling an object graph.
 This benchmark measures both claims on a real ``kv_openloop`` run:
 
-* **history bytes/op** — the deep size of the per-key object histories
-  (``History.from_records`` over every key, the pre-columnar plane) against
-  the columnar plane (raw column bytes plus the shared interned value
-  table).  The committed baseline must show a >= 3x reduction;
+* **history bytes/op** — the deep size of every per-key history's
+  materialised ``Operation`` rows (``list(history.operations)``, what a
+  history cost when it *was* its rows) against the columns it is stored as
+  (raw column bytes plus the shared interned value table).  The committed
+  baseline must show a >= 3x reduction;
 * **worker->parent transfer bytes** — the legacy payload (the
   ``(scripted index, ExecOp)`` pairs the engine used to pickle through the
   pipe, continuations stripped) against the actual columnar payload bytes
@@ -50,7 +51,6 @@ if __package__ is None or __package__ == "":  # run as a plain script
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 from benchmarks.conftest import report
-from repro.verification.history import History
 from repro.workloads.kv import run_kv_workload
 from repro.workloads.scenarios import kv_openloop
 
@@ -109,25 +109,20 @@ def measure_history(num_ops: int) -> dict:
     result = run_kv_workload(spec)
     store = result.store
 
-    # Columnar plane: per-key raw column bytes plus the value table, which
-    # all per-key histories share (count it once, like memory does).
+    # Columnar plane: per-key raw column bytes plus the op log's value
+    # table, which all per-key histories share (count it once, like memory
+    # does).
     histories = store.histories()
-    tables = {id(h._table): h._table for h in histories.values()}
     columnar_bytes = sum(h.nbytes() for h in histories.values())
-    columnar_bytes += sum(deep_sizeof(table) for table in tables.values())
+    columnar_bytes += deep_sizeof(store.oplog.interner.values)
 
-    # Object plane: the same histories the pre-columnar store built — one
-    # Operation dataclass per completed op, assembled per key.
-    object_histories = {}
-    for key in histories:
-        records = [op.record for op in store.ops if op.key == key and op.record is not None]
-        object_histories[key] = History.from_records(
-            records, initial_value=store.config.initial_value
-        )
-    object_bytes = deep_sizeof(list(object_histories.values()))
+    # Object plane: the same histories as rows — one Operation dataclass
+    # per operation, a list per key.
+    rows = [list(h.operations) for h in histories.values()]
+    object_bytes = deep_sizeof(rows)
 
     operations = sum(len(h) for h in histories.values())
-    assert operations == sum(len(h.operations) for h in object_histories.values())
+    assert operations == sum(len(key_rows) for key_rows in rows)
     return {
         "num_ops": num_ops,
         "operations": operations,

@@ -59,7 +59,6 @@ from repro.quorum.engine import PhaseBroadcast, PhaseRegisterProcess, QuorumColl
 from repro.registers.base import OperationKind, OperationRecord, RegisterAlgorithm
 from repro.registers.costmodels import int_bits, value_bits
 from repro.sim.rng import make_rng
-from repro.verification.history import OpKind
 from repro.verification.specs import SMRSpec
 
 __all__ = [
@@ -485,7 +484,7 @@ class ConsensusObjectProcess(PhaseRegisterProcess):
                     # a liveness gap under faults, never a safety one.
                     break
                 proposer, kind, value = cand[0], cand[1], cand[2]
-                result, self.state = _SMR_SPEC.apply(self.state, OpKind(kind), value)
+                result, self.state = _SMR_SPEC.apply(self.state, OperationKind(kind), value)
                 self.frontier = slot + 1
                 if proposer == self.pid and self._inflight_slot == slot:
                     self._inflight_slot = None

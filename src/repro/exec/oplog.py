@@ -29,7 +29,7 @@ Row index == driver ``op_id`` (submission order), so the log *is* the
 through views:
 
 * :meth:`OpLog.per_key_histories` groups issued rows by key and emits
-  :class:`~repro.verification.columnar.ColumnarHistory` objects that share
+  :class:`~repro.verification.history.History` objects that share
   the log's value table — the store's history/checking plane allocates no
   per-op objects at all;
 * :class:`LoggedOp` / :class:`LoggedRecord` give merged parallel runs the
@@ -51,8 +51,7 @@ from collections.abc import Sequence
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.registers.base import OperationKind, OperationRecord
-from repro.verification.columnar import KIND_TO_BYTE, ColumnarHistory, ValueInterner
-from repro.verification.history import OpKind
+from repro.verification.history import KIND_TO_BYTE, History, ValueInterner
 
 _NAN = float("nan")
 
@@ -140,31 +139,27 @@ class OpLog:
 
     # ------------------------------------------------------------ histories
 
-    def _history_from_rows(self, rows: List[int], initial_value: Any) -> ColumnarHistory:
+    def _history_from_rows(self, rows: List[int], initial_value: Any) -> History:
         """Per-key history: sorted like ``History.from_records``, sharing the table."""
-        table = self.interner.values
         none_idx = self.interner.intern(None)
+        pid, invoked, kind_slot = self._pid, self._invoked, self._kind
         # Same sort key as History.from_records: (invoked_at, pid, record op id).
-        rows = sorted(
-            rows, key=lambda r: (self._invoked[r], self._pid[r], self._proc_op_id[r])
+        rows = sorted(rows, key=lambda r: (invoked[r], pid[r], self._proc_op_id[r]))
+        slot_byte = [KIND_TO_BYTE[kind] for kind in self.kinds]
+        result_idx = self._result_idx
+        return History.from_columns(
+            initial_value,
+            pid=array("q", [pid[r] for r in rows]),
+            kind=bytes([slot_byte[kind_slot[r]] for r in rows]),
+            invoked=array("d", [invoked[r] for r in rows]),
+            responded=array("d", [self._responded[r] for r in rows]),
+            value_idx=array("q", [self._value_idx[r] for r in rows]),
+            result_idx=array(
+                "q", [none_idx if result_idx[r] < 0 else result_idx[r] for r in rows]
+            ),
+            op_id=array("q", range(len(rows))),
+            table=self.interner.values,
         )
-        history = ColumnarHistory(initial_value=initial_value)
-        history._table = table
-        # Per-slot kind byte (read/write keep their historical bytes; the
-        # consensus kinds map to their own collision-free bytes).
-        slot_byte = [
-            KIND_TO_BYTE[OpKind(kind.value)] for kind in self.kinds
-        ]
-        for op_id, row in enumerate(rows):
-            result_idx = self._result_idx[row]
-            history._pid.append(self._pid[row])
-            history._kind.append(slot_byte[self._kind[row]])
-            history._invoked.append(self._invoked[row])
-            history._responded.append(self._responded[row])
-            history._value_idx.append(self._value_idx[row])
-            history._result_idx.append(none_idx if result_idx < 0 else result_idx)
-            history._op_id.append(op_id)
-        return history
 
     def rows_by_key(self) -> Dict[Any, List[int]]:
         """Issued rows grouped by key, in first-submission order (dict order)."""
@@ -177,14 +172,14 @@ class OpLog:
                 by_key.setdefault(table[key_idx[row]], []).append(row)
         return by_key
 
-    def per_key_histories(self, initial_value: Any = None) -> Dict[Any, ColumnarHistory]:
-        """Every touched key's history — the columnar ``store.histories()``."""
+    def per_key_histories(self, initial_value: Any = None) -> Dict[Any, History]:
+        """Every touched key's history — what ``store.histories()`` returns."""
         return {
             key: self._history_from_rows(rows, initial_value)
             for key, rows in self.rows_by_key().items()
         }
 
-    def history_for(self, key: Any, initial_value: Any = None) -> ColumnarHistory:
+    def history_for(self, key: Any, initial_value: Any = None) -> History:
         """One key's history (``==`` key matching, like the object path)."""
         table = self.interner.values
         pid = self._pid

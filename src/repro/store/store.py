@@ -55,7 +55,7 @@ from repro.sim.scheduler import Simulator
 from repro.sim.tracing import Tracer
 from repro.store.shardmap import Placement, ShardMap
 from repro.transport.base import validate_transport
-from repro.verification.columnar import ColumnarHistory
+from repro.verification.history import History
 from repro.verification.register_checker import AtomicityViolation
 
 #: A submitted store operation — the engine-level future, re-exported under
@@ -591,16 +591,16 @@ class KVStore:
         """Operations that failed (crashed replica, stalled batch, ...)."""
         return [op for op in self.ops if op.failed]
 
-    def history(self, key: Any) -> ColumnarHistory:
+    def history(self, key: Any) -> History:
         """The SWMR history of one key (completed and pending operations)."""
         return self.oplog.history_for(key, initial_value=self.config.initial_value)
 
-    def histories(self) -> Dict[Any, ColumnarHistory]:
+    def histories(self) -> Dict[Any, History]:
         """Every touched key's history, keyed by key.
 
-        Histories are :class:`~repro.verification.columnar.ColumnarHistory`
-        row views over the OpLog — same ``to_dict`` output, same checker
-        verdicts, a fraction of the memory of per-op objects.
+        Each is a :class:`~repro.verification.history.History` gathered from
+        the OpLog's columns and sharing its value table; no per-operation
+        object is built until a caller asks for ``operations``.
         """
         return self.oplog.per_key_histories(initial_value=self.config.initial_value)
 

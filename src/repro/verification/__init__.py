@@ -3,9 +3,9 @@
 The paper proves its algorithm correct; this reproduction *checks* every run
 instead.  Three layers:
 
-* :mod:`repro.verification.history` — turns the per-operation records
-  produced by the workload runner into a :class:`History` of invocation /
-  response intervals;
+* :mod:`repro.verification.history` — the one :class:`History` of
+  invocation / response intervals every run ends in: stored as columns,
+  handing out :class:`Operation` rows on demand;
 * :mod:`repro.verification.register_checker` — a fast checker specialised to
   single-writer registers with distinct written values; it verifies exactly
   the three claims of Lemma 10 (no read from the future, no overwritten read,

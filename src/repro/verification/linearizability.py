@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from repro.verification.history import History, Operation
+from repro.verification.history import Columns, History, Operation, OpKind
 
 __all__ = [
     "CheckResult",
@@ -91,27 +91,31 @@ def _hashable(value: Any) -> Any:
         return repr(value)
 
 
-def _relevant_operations(
-    history: History, spec: Any = None
-) -> tuple[list[Operation], list[Operation]]:
-    """(completed operations, optional pending ops) — what the definition constrains.
+def _relevant_rows(columns: Columns, spec: Any = None) -> tuple[list[int], list[int]]:
+    """(completed rows, optional pending rows) — what the definition constrains.
 
     Pending *pure* operations (reads under both specs) impose no constraint
     and are ignored; pending state-changing operations may or may not have
     taken effect, so they enter the search as optional.
     """
-    completed = [op for op in history.operations if not op.pending]
+    kind, responded = columns.kind, columns.responded
+    completed = [row for row, at in enumerate(responded) if at is not None]
     if spec is None:
         pending_effectful = [
-            op for op in history.operations if op.pending and op.is_write
+            row for row, at in enumerate(responded) if at is None and kind[row] is OpKind.WRITE
         ]
     else:
         pending_effectful = [
-            op
-            for op in history.operations
-            if op.pending and not spec.is_pure(op.kind)
+            row for row, at in enumerate(responded) if at is None and not spec.is_pure(kind[row])
         ]
     return completed, pending_effectful
+
+
+def _relevant_operations(history: History) -> tuple[list[Operation], list[Operation]]:
+    """:func:`_relevant_rows` as ``Operation`` rows (witness validation, the oracle)."""
+    completed, pending_writes = _relevant_rows(history.columns())
+    operations = history.operations
+    return [operations[row] for row in completed], [operations[row] for row in pending_writes]
 
 
 def _precedes(a: Operation, b: Operation) -> bool:
@@ -197,9 +201,10 @@ def check_linearizability(
     its linearization point, pure operations are consumed greedily, and
     pending state-changing operations stay optional.
     """
-    completed, pending_writes = _relevant_operations(history, spec)
-    ops: List[Operation] = completed + pending_writes
-    count = len(ops)
+    columns = history.columns()
+    completed, pending_writes = _relevant_rows(columns, spec)
+    rows = completed + pending_writes
+    count = len(rows)
     if count == 0:
         return CheckResult(
             linearizable=True,
@@ -209,21 +214,26 @@ def check_linearizability(
         )
 
     # Index order: by invocation time (ties by op_id) — the order the
-    # invocation frontier list walks candidates in.
-    ops.sort(key=lambda op: (op.invoked_at, op.op_id))
-    optional = [op.pending for op in ops]  # pending effectful ops may be dropped
+    # invocation frontier list walks candidates in.  Everything the search
+    # touches is a parallel list over that order, read off the columns.
+    rows.sort(key=lambda row: (columns.invoked[row], columns.op_id[row]))
+    op_id = [columns.op_id[row] for row in rows]
+    pid_of = [columns.pid[row] for row in rows]
+    kind_of = [columns.kind[row] for row in rows]
+    value_of = [columns.value[row] for row in rows]
+    result_of = [columns.result[row] for row in rows]
+    invoked = [columns.invoked[row] for row in rows]
+    responded = [columns.responded[row] for row in rows]
+    optional = [at is None for at in responded]  # pending effectful ops may be dropped
+    resp_time = [_INFINITY if at is None else at for at in responded]
     if spec is None:
-        is_pure = [op.is_read for op in ops]
+        is_pure = [kind is OpKind.READ for kind in kind_of]
     else:
-        is_pure = [spec.is_pure(op.kind) for op in ops]
-    invoked = [op.invoked_at for op in ops]
-    resp_time = [
-        op.responded_at if op.responded_at is not None else _INFINITY for op in ops
+        is_pure = [spec.is_pure(kind) for kind in kind_of]
+    hval = [
+        _hashable(result if kind is OpKind.READ else value)
+        for kind, value, result in zip(kind_of, value_of, result_of)
     ]
-    hval = [_hashable(op.result if op.is_read else op.value) for op in ops]
-    kind_of = [op.kind for op in ops]
-    value_of = [op.value for op in ops]
-    result_of = [op.result for op in ops]
 
     # --- dancing-links frontiers ------------------------------------------
     # Invocation list: indices 0..count-1 already sorted; sentinel = count.
@@ -234,7 +244,7 @@ def check_linearizability(
     inv_next[sentinel] = 0
     # Response list: sorted by (response time, op_id); pending ops sit at
     # the tail (infinite response) and never constrain the threshold.
-    by_response = sorted(range(count), key=lambda i: (resp_time[i], ops[i].op_id))
+    by_response = sorted(range(count), key=lambda i: (resp_time[i], op_id[i]))
     resp_next = [0] * (count + 1)
     resp_prev = [0] * (count + 1)
     chain = [sentinel] + by_response + [sentinel]
@@ -247,8 +257,7 @@ def check_linearizability(
     pid_prev = [-1] * count
     pid_next = [-1] * count
     last_of_pid: Dict[int, int] = {}
-    for i in range(count):
-        pid = ops[i].pid
+    for i, pid in enumerate(pid_of):
         prev = last_of_pid.get(pid)
         if prev is not None:
             pid_prev[i] = prev
@@ -428,7 +437,8 @@ def check_linearizability(
 
     witness: Optional[List[Operation]] = None
     if solved and collect_witness:
-        witness = [ops[i] for i in order]
+        operations = history.operations
+        witness = [operations[rows[i]] for i in order]
     return CheckResult(
         linearizable=solved,
         operations=count,
@@ -447,8 +457,7 @@ def check_linearizability(
 def _enforce_cap(history: History, max_operations: Optional[int], caller: str) -> None:
     if max_operations is None:
         return
-    completed, pending_writes = _relevant_operations(history)
-    relevant = len(completed) + len(pending_writes)
+    relevant = sum(map(len, _relevant_rows(history.columns())))
     if relevant > max_operations:
         raise ValueError(
             f"history has {relevant} relevant operations, more than "
@@ -605,11 +614,12 @@ def _swmr_fast_path_applies(history: History) -> bool:
         return False
     if not history.written_values_distinct():
         return False
+    columns = history.columns()
     try:
         hash(history.initial_value)
-        for op in history.operations:
-            if op.is_write:
-                hash(op.value)  # the claims checker indexes values by hash
+        for kind, value in zip(columns.kind, columns.value):
+            if kind is OpKind.WRITE:
+                hash(value)  # the claims checker indexes values by hash
     except TypeError:
         return False
     return True
@@ -649,19 +659,12 @@ def check_histories_per_key(
             workers=workers,
             spec=spec,
         )
-    from repro.verification.columnar import ColumnarHistory
     from repro.verification.register_checker import check_swmr_atomicity
     from repro.verification.specs import get_spec
 
     spec_obj = get_spec(spec)
     report = PartitionedCheckReport()
     for key, history in histories.items():
-        # Columnar histories stay columnar at rest (and on the wire to pool
-        # workers), but the checkers walk operations hard — materialize one
-        # key's rows into plain Operation objects for the duration of its
-        # check.  Peak extra memory is a single key's history, not the run's.
-        if isinstance(history, ColumnarHistory):
-            history = history.to_history()
         if spec_obj is not None:
             # Non-register specs always run the (spec-parametric) search
             # core; the SWMR claims fast path is register-only.
@@ -673,10 +676,9 @@ def check_histories_per_key(
             )
         elif swmr_fast_path and _swmr_fast_path_applies(history):
             claims = check_swmr_atomicity(history, raise_on_violation=False)
-            completed, pending_writes = _relevant_operations(history)
             report.per_key[key] = CheckResult(
                 linearizable=claims.ok,
-                operations=len(completed) + len(pending_writes),
+                operations=sum(map(len, _relevant_rows(history.columns()))),
                 method="swmr-claims",
                 violations=list(claims.violations),
             )

@@ -37,7 +37,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.verification.history import History, Operation
+from repro.verification.history import Columns, History, OpKind
 
 
 class AtomicityViolation(AssertionError):
@@ -75,9 +75,13 @@ class AtomicityReport:
         self.violations.append(message)
 
 
-def _index_reads(history: History) -> tuple[list[Operation], dict[Any, int]]:
-    """Return (writes in writer order, value -> sequence-number map)."""
-    writes = history.writes(include_pending=True)
+def _index_writes(history: History, columns: Columns) -> tuple[list[int], dict[Any, int]]:
+    """Return (write rows in writer order, value -> sequence-number map)."""
+    kind, invoked = columns.kind, columns.invoked
+    writes = sorted(
+        (row for row in range(len(kind)) if kind[row] is OpKind.WRITE),
+        key=lambda row: invoked[row],
+    )
     writer_pids = history.writer_pids()
     if len(writer_pids) > 1:
         raise ValueError(
@@ -90,15 +94,29 @@ def _index_reads(history: History) -> tuple[list[Operation], dict[Any, int]]:
         value_to_index[history.initial_value] = 0
     except TypeError as exc:  # unhashable initial value
         raise ValueError("initial value must be hashable for the fast checker") from exc
-    for index, write in enumerate(writes, start=1):
-        if write.value in value_to_index:
+    for index, row in enumerate(writes, start=1):
+        value = columns.value[row]
+        if value in value_to_index:
             raise ValueError(
-                f"written value {write.value!r} is not unique in the history; "
+                f"written value {value!r} is not unique in the history; "
                 "the fast checker requires distinct written values — "
                 "use verification.linearizability.is_linearizable instead"
             )
-        value_to_index[write.value] = index
+        value_to_index[value] = index
     return writes, value_to_index
+
+
+def _running_max(pairs: list[tuple[Any, int]]) -> tuple[list[Any], list[int]]:
+    """Sort ``(time, index)`` pairs by time; return ``(times, best)``.
+
+    ``best[p]`` is the largest index among the ``p`` earliest pairs (0 for
+    none), so ``best[bisect(times, t)]`` answers "largest index before ``t``".
+    """
+    pairs.sort(key=lambda pair: pair[0])
+    best = [0]
+    for _time, index in pairs:
+        best.append(index if index > best[-1] else best[-1])
+    return [pair[0] for pair in pairs], best
 
 
 def check_swmr_atomicity(
@@ -110,86 +128,84 @@ def check_swmr_atomicity(
     Returns an :class:`AtomicityReport`; if ``raise_on_violation`` is true the
     first collected set of violations is raised as :class:`AtomicityViolation`
     (with every violation listed in the message).
+
+    Works on row indices over the history's columns; ``Operation`` rows are
+    built only to describe a violation.
     """
     report = AtomicityReport()
-    writes, value_to_index = _index_reads(history)
-    completed_reads = history.reads(include_pending=False)
+    columns = history.columns()
+    pid, invoked, responded = columns.pid, columns.invoked, columns.responded
+    writes, value_to_index = _index_writes(history, columns)
+    completed_reads = [
+        row
+        for row, kind in enumerate(columns.kind)
+        if kind is OpKind.READ and responded[row] is not None
+    ]
     report.reads_checked = len(completed_reads)
     report.writes_checked = len(writes)
+
+    def describe(row: int) -> str:
+        return history.operations[row].describe()
 
     # Pre-compute, for Claim 2: completed writes sorted by response time, with
     # a running maximum of their indices.  For a read invoked at time T the
     # strongest lower bound is the largest index among writes responded
     # strictly before T.  (With a single sequential writer indices increase
     # with response time, but we do not rely on that.)
-    completed_writes = [(w.responded_at, idx) for idx, w in enumerate(writes, start=1) if not w.pending]
-    completed_writes.sort(key=lambda pair: pair[0])
-    write_response_times = [pair[0] for pair in completed_writes]
-    prefix_max_index: list[int] = []
-    running = 0
-    for _time, idx in completed_writes:
-        running = max(running, idx)
-        prefix_max_index.append(running)
-
-    def min_index_for_read(read: Operation) -> int:
-        """Largest index among writes that responded strictly before the read was invoked."""
-        position = bisect.bisect_left(write_response_times, read.invoked_at)
-        if position == 0:
-            return 0
-        return prefix_max_index[position - 1]
-
-    # For Claim 1 and the staleness metric: writes sorted by invocation time.
-    writes_by_invocation = sorted(
-        ((w.invoked_at, idx) for idx, w in enumerate(writes, start=1)), key=lambda pair: pair[0]
+    completed_writes = [
+        (index, row) for index, row in enumerate(writes, start=1) if responded[row] is not None
+    ]
+    write_response_times, newest_responded = _running_max(
+        [(responded[row], index) for index, row in completed_writes]
     )
-    write_invocation_times = [pair[0] for pair in writes_by_invocation]
-    prefix_max_invoked: list[int] = []
-    running = 0
-    for _time, idx in writes_by_invocation:
-        running = max(running, idx)
-        prefix_max_invoked.append(running)
-
-    def max_started_index(time: float) -> int:
-        """Largest write index whose invocation is <= ``time``."""
-        position = bisect.bisect_right(write_invocation_times, time)
-        if position == 0:
-            return 0
-        return prefix_max_invoked[position - 1]
+    # For Claim 1 and the staleness metric: writes sorted by invocation time.
+    write_invocation_times, newest_invoked = _running_max(
+        [(invoked[row], index) for index, row in enumerate(writes, start=1)]
+    )
+    # For the writer's program order: *completed* writes by invocation time.
+    own_invocation_times, newest_own = _running_max(
+        [(invoked[row], index) for index, row in completed_writes]
+    )
 
     # --- map each completed read to the index of the value it returned -------
-    read_indices: list[tuple[Operation, int]] = []
+    read_indices: list[tuple[int, int]] = []
     for read in completed_reads:
-        if read.result not in value_to_index:
+        result = columns.result[read]
+        if result not in value_to_index:
             report.record(
-                f"read returned a value that was never written: {read.describe()} "
+                f"read returned a value that was never written: {describe(read)} "
                 f"(known values: initial {history.initial_value!r} plus {len(writes)} writes)"
             )
             continue
-        read_indices.append((read, value_to_index[read.result]))
+        read_indices.append((read, value_to_index[result]))
 
     # --- Claim 1: no read from the future ------------------------------------
     for read, index in read_indices:
         if index == 0:
             continue
         write = writes[index - 1]
-        if read.responded_at is not None and read.responded_at < write.invoked_at:
+        if responded[read] < invoked[write]:
             report.record(
                 "Claim 1 (read from the future): "
-                f"{read.describe()} returned the value of {write.describe()}, "
+                f"{describe(read)} returned the value of {describe(write)}, "
                 "which was written only after the read had already terminated"
             )
 
     # --- Claim 2: no overwritten read -----------------------------------------
     for read, index in read_indices:
-        lower_bound = min_index_for_read(read)
+        # Largest index among writes that responded strictly before the read was invoked.
+        lower_bound = newest_responded[bisect.bisect_left(write_response_times, invoked[read])]
         if index < lower_bound:
-            overwritten = writes[lower_bound - 1]
             report.record(
                 "Claim 2 (overwritten value): "
-                f"{read.describe()} returned write #{index} although {overwritten.describe()} "
+                f"{describe(read)} returned write #{index} although "
+                f"{describe(writes[lower_bound - 1])} "
                 f"(write #{lower_bound}) had already completed before the read started"
             )
-        newest_possible = max_started_index(read.responded_at if read.responded_at is not None else read.invoked_at)
+        # Largest write index whose invocation is <= the read's response.
+        newest_possible = newest_invoked[
+            bisect.bisect_right(write_invocation_times, responded[read])
+        ]
         report.max_read_lag = max(report.max_read_lag, newest_possible - index)
 
     # --- Program-order refinements --------------------------------------------
@@ -197,61 +213,44 @@ def check_swmr_atomicity(
     # *same* sequential process whose boundary times coincide (zero think
     # time), program order still applies.  Two extra checks cover that:
     #   (a) a read by the writer must not return a value older than the
-    #       writer's own latest write invoked before the read;
+    #       writer's own latest completed write invoked before the read;
     #   (b) successive reads by the same process must return non-decreasing
     #       indices.
-    writer_pid = writes[0].pid if writes else None
-    if writer_pid is not None:
-        writer_reads = [(read, index) for read, index in read_indices if read.pid == writer_pid]
-        for read, index in writer_reads:
-            own_preceding = [
-                idx
-                for idx, write in enumerate(writes, start=1)
-                if write.responded_at is not None and write.invoked_at < read.invoked_at
-            ]
-            if own_preceding and index < max(own_preceding):
-                report.record(
-                    "program order (writer): "
-                    f"{read.describe()} returned write #{index} although the writer itself had "
-                    f"already completed write #{max(own_preceding)} before invoking the read"
-                )
-    by_reader: dict[int, list[tuple[Operation, int]]] = {}
+    by_reader: dict[int, list[tuple[int, int]]] = {}
     for read, index in read_indices:
-        by_reader.setdefault(read.pid, []).append((read, index))
-    for pid, items in by_reader.items():
-        items.sort(key=lambda pair: (pair[0].invoked_at, pair[0].op_id))
+        by_reader.setdefault(pid[read], []).append((read, index))
+    for read, index in by_reader.get(pid[writes[0]], ()) if writes else ():
+        own_latest = newest_own[bisect.bisect_left(own_invocation_times, invoked[read])]
+        if index < own_latest:
+            report.record(
+                "program order (writer): "
+                f"{describe(read)} returned write #{index} although the writer itself had "
+                f"already completed write #{own_latest} before invoking the read"
+            )
+    for reader, items in by_reader.items():
+        items.sort(key=lambda pair: (invoked[pair[0]], columns.op_id[pair[0]]))
         best_so_far = 0
         for read, index in items:
             if index < best_so_far:
                 report.record(
                     "program order (reader): "
-                    f"{read.describe()} returned write #{index} although an earlier read by the "
-                    f"same process p{pid} had already returned write #{best_so_far}"
+                    f"{describe(read)} returned write #{index} although an earlier read by the "
+                    f"same process p{reader} had already returned write #{best_so_far}"
                 )
             best_so_far = max(best_so_far, index)
 
     # --- Claim 3: no new/old inversion ----------------------------------------
     # For each read, the indices of reads that *responded* strictly before its
     # invocation must not exceed its own index.
-    reads_by_response = sorted(
-        ((read.responded_at, index) for read, index in read_indices), key=lambda pair: pair[0]
+    response_times, newest_read = _running_max(
+        [(responded[read], index) for read, index in read_indices]
     )
-    response_times = [pair[0] for pair in reads_by_response]
-    prefix_max_read_index: list[int] = []
-    running = 0
-    for _time, idx in reads_by_response:
-        running = max(running, idx)
-        prefix_max_read_index.append(running)
-
     for read, index in read_indices:
-        position = bisect.bisect_left(response_times, read.invoked_at)
-        if position == 0:
-            continue
-        earlier_max = prefix_max_read_index[position - 1]
+        earlier_max = newest_read[bisect.bisect_left(response_times, invoked[read])]
         if earlier_max > index:
             report.record(
                 "Claim 3 (new/old inversion): "
-                f"{read.describe()} returned write #{index} although an earlier read that had "
+                f"{describe(read)} returned write #{index} although an earlier read that had "
                 f"already terminated before it started returned write #{earlier_max}"
             )
 

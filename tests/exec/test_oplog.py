@@ -3,8 +3,8 @@
 The driver records every operation's lifecycle into both representations
 simultaneously (``driver.ops`` and ``driver.oplog``), so a real run is a
 free differential oracle: every LoggedOp view must agree with its ExecOp on
-every field, the per-key histories must serialize identically to the old
-``History.from_records`` path, and the protocol-5 wire format must
+every field, the per-key histories must equal what ``History.from_records``
+builds from the driver's records, and the protocol-5 wire format must
 round-trip the whole log bit-for-bit.
 """
 
@@ -67,15 +67,18 @@ class TestOpLogRecordsTheRun:
         for exec_op, logged_op in zip(result.ops, log.ops_view()):
             _assert_op_parity(exec_op, logged_op)
 
-    def test_histories_match_the_object_path(self):
+    def test_histories_match_the_driver_records(self):
+        # The log gathers each key's columns itself (History.from_columns);
+        # the result must be what from_records builds from the driver's records.
         result = run_kv_workload(_specs()[0])
         store = result.store
-        for key, columnar in store.histories().items():
+        for key, history in store.histories().items():
             records = [
                 op.record for op in store.ops if op.key == key and op.record is not None
             ]
-            objects = History.from_records(records, initial_value=store.config.initial_value)
-            assert columnar.to_dict() == objects.to_dict(), key
+            expected = History.from_records(records, initial_value=store.config.initial_value)
+            assert history.to_dict() == expected.to_dict(), key
+            assert history == expected, key
 
     def test_failed_ops_keep_their_reason(self):
         store = KVStore(kv_uniform(num_keys=4, num_ops=1, seed=23).store_config())

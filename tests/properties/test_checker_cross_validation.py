@@ -11,7 +11,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.verification.history import History, OpKind, Operation
-from repro.verification.linearizability import is_linearizable
+from repro.verification.linearizability import brute_force_is_linearizable, is_linearizable
 from repro.verification.register_checker import check_swmr_atomicity
 
 MAX_WRITES = 4
@@ -75,12 +75,57 @@ def swmr_histories(draw) -> History:
     return History(operations=operations, initial_value="v0")
 
 
-@given(history=swmr_histories())
-@settings(max_examples=200, deadline=None)
+@st.composite
+def writer_also_reads(draw) -> History:
+    """Single-writer histories whose writer interleaves reads with its writes.
+
+    The writer is one sequential process, so its operations do not overlap;
+    the think time between them is strictly positive (at a shared boundary
+    instant the claims checker orders the writer's read and its next write by
+    real time only, the oracle also by program order).  Up to three reads by
+    other processes overlap them arbitrarily.  Any read may return any value.
+    """
+    steps = draw(st.lists(st.booleans(), min_size=1, max_size=7))
+    values = ["v0"] + [f"v{i}" for i in range(1, sum(steps) + 1)]
+    operations: list[Operation] = []
+    clock, written = 0.0, 0
+    for is_write in steps:
+        start = clock + draw(st.sampled_from([0.25, 0.5, 1.0]))
+        clock = start + draw(st.sampled_from([0.5, 1.0, 2.0]))
+        written += is_write
+        operations.append(
+            Operation(
+                pid=0,
+                kind=OpKind.WRITE if is_write else OpKind.READ,
+                value=f"v{written}" if is_write else None,
+                result=None if is_write else draw(st.sampled_from(values)),
+                invoked_at=start,
+                responded_at=clock,
+                op_id=len(operations),
+            )
+        )
+    for reader in range(draw(st.integers(min_value=0, max_value=3))):
+        start = draw(st.floats(min_value=0.0, max_value=clock + 2.0))
+        operations.append(
+            Operation(
+                pid=1 + reader % 2,
+                kind=OpKind.READ,
+                result=draw(st.sampled_from(values)),
+                invoked_at=start,
+                responded_at=start + draw(st.floats(min_value=0.1, max_value=3.0)),
+                op_id=len(operations),
+            )
+        )
+    return History(operations=operations, initial_value="v0")
+
+
+@given(history=st.one_of(swmr_histories(), writer_also_reads()))
+@settings(max_examples=400, deadline=None)
 def test_fast_checker_agrees_with_the_linearizability_oracle(history: History):
     """The specialised Lemma-10 checker and the general oracle must agree."""
     fast_verdict = check_swmr_atomicity(history, raise_on_violation=False).ok
     oracle_verdict = is_linearizable(history, max_operations=MAX_WRITES + MAX_READS + 1)
+    assert oracle_verdict == brute_force_is_linearizable(history)
     assert fast_verdict == oracle_verdict, (
         f"checkers disagree (fast={fast_verdict}, oracle={oracle_verdict}) on:\n"
         + history.describe()

@@ -26,6 +26,56 @@ COST_MODELS = [
 ]
 
 
+def _swmr_shapes(initial, v1):
+    return {
+        # Claim 2: a write completed before the read started, yet the read
+        # returns the older value — the sloppy-quorum failure mode.
+        "stale-read": [(0, "write", v1, 0.0, 1.0), (1, "read", initial, 2.0, 3.0)],
+        # Claim 3: two sequential reads straddling a slow write observe the
+        # new value then the old one — the new/old inversion a missing
+        # write-back (or a split-brain partition) produces.
+        "split-brain": [
+            (0, "write", v1, 0.0, 10.0),
+            (1, "read", v1, 1.0, 2.0),
+            (2, "read", initial, 3.0, 4.0),
+        ],
+        # Claim 1: a read returns a value whose write had not started yet.
+        "future-read": [(1, "read", v1, 0.0, 1.0), (0, "write", v1, 5.0, 6.0)],
+    }
+
+
+def negative_corpus():
+    """Every rejected history, as ``name -> (history, single-writer?)``."""
+    corpus = {}
+    for family, initial, v1, _v2 in COST_MODELS:
+        for shape, entries in _swmr_shapes(initial, v1).items():
+            corpus[f"{shape}/{family}"] = (make_history(entries, initial_value=initial), True)
+    corpus["stale-read/mwmr"] = (
+        make_history(
+            [
+                (0, "write", "w0v1", 0.0, 1.0),
+                (1, "write", "w1v1", 2.0, 3.0),
+                (2, "read", "w0v1", 4.0, 5.0),
+            ],
+            initial_value="v0",
+        ),
+        False,
+    )
+    corpus["split-brain/mwmr"] = (
+        make_history(
+            [
+                (0, "write", "w0v1", 0.0, 10.0),
+                (1, "write", "w1v1", 0.0, 10.0),
+                (2, "read", "w0v1", 11.0, 12.0),
+                (3, "read", "v0", 13.0, 14.0),
+            ],
+            initial_value="v0",
+        ),
+        False,
+    )
+    return corpus
+
+
 def assert_rejected(history, swmr=True):
     """Every engine must agree the history is not linearizable."""
     result = check_linearizability(history)
@@ -41,75 +91,27 @@ def assert_rejected(history, swmr=True):
 
 
 class TestStaleReadAfterAckedWrite:
-    """Claim 2: a write completed before the read started, yet the read
-    returns the older value — the sloppy-quorum failure mode."""
-
-    @pytest.mark.parametrize("family,initial,v1,_v2", COST_MODELS)
-    def test_swmr_families(self, family, initial, v1, _v2):
-        history = make_history(
-            [
-                (0, "write", v1, 0.0, 1.0),
-                (1, "read", initial, 2.0, 3.0),
-            ],
-            initial_value=initial,
-        )
-        assert_rejected(history)
+    @pytest.mark.parametrize("family,_initial,_v1,_v2", COST_MODELS)
+    def test_swmr_families(self, family, _initial, _v1, _v2):
+        assert_rejected(*negative_corpus()[f"stale-read/{family}"])
 
     def test_mwmr_family(self):
-        history = make_history(
-            [
-                (0, "write", "w0v1", 0.0, 1.0),
-                (1, "write", "w1v1", 2.0, 3.0),
-                (2, "read", "w0v1", 4.0, 5.0),
-            ],
-            initial_value="v0",
-        )
-        assert_rejected(history, swmr=False)
+        assert_rejected(*negative_corpus()["stale-read/mwmr"])
 
 
 class TestSplitBrainDoubleRead:
-    """Claim 3: two sequential reads straddling a slow write observe the
-    new value then the old one — the new/old inversion a missing
-    write-back (or a split-brain partition) produces."""
-
-    @pytest.mark.parametrize("family,initial,v1,_v2", COST_MODELS)
-    def test_swmr_families(self, family, initial, v1, _v2):
-        history = make_history(
-            [
-                (0, "write", v1, 0.0, 10.0),
-                (1, "read", v1, 1.0, 2.0),
-                (2, "read", initial, 3.0, 4.0),
-            ],
-            initial_value=initial,
-        )
-        assert_rejected(history)
+    @pytest.mark.parametrize("family,_initial,_v1,_v2", COST_MODELS)
+    def test_swmr_families(self, family, _initial, _v1, _v2):
+        assert_rejected(*negative_corpus()[f"split-brain/{family}"])
 
     def test_mwmr_family(self):
-        history = make_history(
-            [
-                (0, "write", "w0v1", 0.0, 10.0),
-                (1, "write", "w1v1", 0.0, 10.0),
-                (2, "read", "w0v1", 11.0, 12.0),
-                (3, "read", "v0", 13.0, 14.0),
-            ],
-            initial_value="v0",
-        )
-        assert_rejected(history, swmr=False)
+        assert_rejected(*negative_corpus()["split-brain/mwmr"])
 
 
 class TestReadFromTheFuture:
-    """Claim 1: a read returns a value whose write had not started yet."""
-
-    @pytest.mark.parametrize("family,initial,v1,_v2", COST_MODELS)
-    def test_swmr_families(self, family, initial, v1, _v2):
-        history = make_history(
-            [
-                (1, "read", v1, 0.0, 1.0),
-                (0, "write", v1, 5.0, 6.0),
-            ],
-            initial_value=initial,
-        )
-        assert_rejected(history)
+    @pytest.mark.parametrize("family,_initial,_v1,_v2", COST_MODELS)
+    def test_swmr_families(self, family, _initial, _v1, _v2):
+        assert_rejected(*negative_corpus()[f"future-read/{family}"])
 
 
 class TestDiagnosticsAreDeterministic:
