@@ -2,10 +2,13 @@
 
 The consensus layer (:mod:`repro.consensus`) turns every CAS/TAS/INCR into a
 slot of replicated state machine input ordered by Mostéfaoui–Moumen–Raynal
-binary consensus — each slot costs a few EST/AUX/COIN broadcast rounds, so
-the interesting numbers are *per-slot*: how many logical messages and how
-many rounds does one decided command cost, and how does the virtual makespan
-scale with load.  All gated metrics are **virtual-time deterministic**
+binary consensus.  A command costs one EST/AUX round and a DECIDE relay, an
+idle owner's slot a DECIDE relay alone, so the interesting numbers are the
+*slot economy*: how many log positions does a command use (a slot is one
+position of one key's log, however many replicas hold its decision), how
+many of them carry no command, what does one position cost in logical
+messages and rounds, and how does the virtual makespan scale with load.
+All gated metrics are **virtual-time deterministic**
 (operation counts, message bill, decided slots, rounds entered, verdicts),
 so ``benchmarks/check_bench_regression.py`` re-derives them exactly on any
 machine; wall-clock numbers are reported but never gated.
@@ -89,25 +92,39 @@ def consensus_run(scenario: str, num_keys: int, num_ops: int) -> dict:
     violations = consensus_invariants(by_key)
     if violations:
         raise AssertionError(f"{scenario}: consensus invariants violated: {violations}")
-    processes = [process for group in by_key.values() for process in group]
-    slots_decided = sum(len(process.decided) for process in processes)
-    rounds_entered = sum(process.rounds_entered for process in processes)
+    # A slot is one log position of one key, however many replicas hold its
+    # decision (the definition ``benchmarks/e2e/layers.py`` uses); rounds
+    # are entered by every replica of a slot, so report their mean.
+    slots_decided = skip_slots = rounds_entered = 0
+    for processes in by_key.values():
+        decided = {}
+        for process in processes:
+            decided.update(process.decided)
+            rounds_entered += process.rounds_entered
+        slots_decided += len(decided)
+        skip_slots += sum(1 for value in decided.values() if value == 0)
     messages = result.total_messages()
+    completed = len(result.completed_ops())
     return {
         "scenario": scenario,
         "num_keys": num_keys,
         "num_ops": num_ops,
-        "completed": len(result.completed_ops()),
+        "completed": completed,
         "failed": len(result.failed_ops()),
         "linearizable": check.ok,
         "keys_checked": check.keys_checked,
         "messages": messages,
         "slots_decided": slots_decided,
         "rounds_entered": rounds_entered,
-        # Per-slot cost is the headline number for docs/ALGORITHMS.md: how
-        # many broadcast messages one decided state-machine command costs.
+        # The slot economy, the headline numbers for docs/ALGORITHMS.md: log
+        # positions spent per command, how many of them carried no command,
+        # and what one position costs in messages and (per replica) rounds.
+        "slots_per_op": round(slots_decided / completed, 2) if completed else 0.0,
+        "skip_slot_frac": round(skip_slots / slots_decided, 3) if slots_decided else 0.0,
         "messages_per_slot": round(messages / slots_decided, 2) if slots_decided else 0.0,
-        "rounds_per_slot": round(rounds_entered / slots_decided, 2) if slots_decided else 0.0,
+        "rounds_per_slot": (
+            round(rounds_entered / spec.replication / slots_decided, 2) if slots_decided else 0.0
+        ),
         "virtual_makespan": round(result.virtual_makespan, 3),
         "virtual_throughput": round(result.virtual_throughput(), 3),
         "wall_seconds": round(wall, 3),
@@ -126,6 +143,8 @@ def run_suite(workloads) -> dict:
                 entry["completed"],
                 entry["messages"],
                 entry["slots_decided"],
+                entry["slots_per_op"],
+                entry["skip_slot_frac"],
                 entry["messages_per_slot"],
                 entry["rounds_per_slot"],
                 entry["virtual_makespan"],
@@ -135,7 +154,7 @@ def run_suite(workloads) -> dict:
         )
     report(
         "Consensus objects: per-slot message complexity (checker-gated)",
-        ["workload", "ops", "messages", "slots", "msgs/slot", "rounds/slot",
+        ["workload", "ops", "messages", "slots", "slots/op", "skip frac", "msgs/slot", "rounds/slot",
          "virtual makespan", "wall s", "linearizable"],
         rows,
     )

@@ -1,6 +1,7 @@
 """Consensus-backed replicated objects (MMR binary consensus + slot SMR)."""
 
 from repro.consensus.mmr import (
+    COIN_PREFIX,
     CONSENSUS_ALGORITHMS,
     ConsAux,
     ConsCoin,
@@ -14,6 +15,7 @@ from repro.consensus.mmr import (
 )
 
 __all__ = [
+    "COIN_PREFIX",
     "CONSENSUS_ALGORITHMS",
     "ConsAux",
     "ConsCoin",

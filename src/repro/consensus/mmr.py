@@ -1,4 +1,4 @@
-"""Signature-free binary consensus (Mostéfaoui–Moumen–Raynal) over the quorum engine.
+"""Signature-free binary consensus (Mostéfaoui–Moumen–Raynal) and its slot log.
 
 This is the paper's companion algorithm: randomized binary Byzantine
 consensus, instantiated here for the crash-failure geometry the rest of the
@@ -6,46 +6,59 @@ repository uses (``n = 2t + 1`` replicas, up to ``t`` crashes, asynchronous
 reliable channels).  Each *instance* decides one bit through a sequence of
 rounds; every round is two broadcast exchanges plus a common coin:
 
-1. **EST / BV-broadcast** — each process broadcasts ``EST(r, est)``.  A
-   process that receives ``EST(r, w)`` from ``t + 1`` distinct senders
-   without having broadcast ``(r, w)`` itself echoes it (*amplification*:
-   a value backed by one correct process reaches everyone); a value received
-   from ``n - t`` distinct senders is *delivered* into ``bin_values[r]``.
-   Only proposed values can ever be delivered — this is what makes the
-   algorithm safe without signatures.
+1. **EST / BV-broadcast** — each process broadcasts ``EST(r, est)``, echoes
+   a value it has not broadcast on first sighting (see
+   :meth:`ConsensusObjectProcess._bv_step` for why not ``t + 1``), and
+   *delivers* a value received from ``n - t`` distinct senders into
+   ``bin_values[r]``.  Only proposed values can ever be delivered — this is
+   what makes the algorithm safe without signatures.
 2. **AUX** — upon the first delivery of round ``r`` a process broadcasts
    ``AUX(r, w)`` for one delivered ``w``, then waits for ``n - t`` AUX
    messages whose values are all in its own ``bin_values[r]``; the set of
    those values is ``vals``.
-3. **Coin** — the processes obtain a common coin ``c`` for ``(slot, r)``.
-   If ``vals == {v}``: adopt ``est = v`` and **decide** ``v`` when
-   ``v == c``.  If ``vals == {0, 1}``: adopt ``est = c``.  Enter round
-   ``r + 1`` otherwise.
+3. **Coin** — with ``c`` the common coin of ``(slot, r)``: if
+   ``vals == {v}`` adopt ``est = v`` and **decide** ``v`` when ``v == c``;
+   if ``vals == {0, 1}`` adopt ``est = c``.  Enter round ``r + 1`` otherwise.
 
-The coin here is the *seeded oracle* common in reproduction harnesses: every
-process derives the round's coin from the deterministic run RNG
-(:func:`repro.sim.rng.make_rng`), so it is common by construction and the
-whole run stays replayable from one seed.  In the default ``exchange`` mode
-processes still *transact* the coin — each broadcasts its share and waits
-for ``n - t`` shares — so the message pattern (and hence the fault surface
-explored by ``repro chaos``/``repro explore``) matches a real
-common-coin protocol; ``local`` mode skips the exchange for cheap bulk runs.
+**The coin.**  Agreement never uses the coin's distribution: once a process
+decides ``v`` in round ``r`` every process leaves ``r`` with ``est = v``,
+whatever ``c`` was.  Only termination needs fair coins, and only eventually
+(Aspnes' *Notes*, PAPERS.md).  So the first coins are the constants
+:data:`COIN_PREFIX` — ``1`` in round 0 (an unopposed command decides in one
+round), ``0`` in round 1 (an all-zero instance decides in two) — and cost
+no message; from round 2 on the coin is the *seeded oracle* of
+reproduction harnesses (derived from :func:`repro.sim.rng.make_rng`, common
+by construction, replayable) and decides a split round with probability
+1/2.  In the default ``exchange`` mode processes *transact* a seeded coin
+(broadcast a share, wait for ``n - t``) so the fault surface matches a real
+common-coin protocol; ``local`` mode reads it without messages.
 
 A decided process broadcasts ``DECIDE`` exactly once and drops every further
-consensus message for that slot (no replies) — the per-slot message bill is
-deterministic, which the cross-backend differential test relies on.
+consensus message for that slot (no replies).
 
-On top of the binary instances sits a small slot-based replicated state
-machine (:class:`ConsensusObjectProcess`): slot ``s`` is *owned* by replica
-``s mod n``; a replica with a pending client command proposes 1 for the
-smallest owned free slot at-or-after its apply frontier (proposing 0 for any
-empty slots in between so the log cannot stall), piggybacks the command on
-its value-1 EST messages, and applies decided commands strictly in slot
-order against the sequential SMR spec
-(:class:`repro.verification.specs.SMRSpec`).  Decide-0 on an owned slot just
-moves the proposal to the next owned slot.  This turns binary consensus into
-linearizable CAS / test-and-set / counter / read-write objects whose
-histories the Wing–Gong checker verifies against the same spec.
+**The slot log** (:class:`ConsensusObjectProcess`).  Slot ``s`` is *owned*
+by replica ``s mod n``, and 1 can enter slot ``s`` only through a
+command-bearing proposal of its owner (everyone else proposes 0 or copies
+an estimate it received).  Three rules follow:
+
+* a replica with a pending client command proposes 1, command piggybacked
+  on its value-1 ESTs, at its smallest unused owned slot — and starts no
+  other instance;
+* an owner that sees any consensus message for a slot at or above an owned
+  slot it never proposed in **decides that slot 0 by itself** (one relayed
+  ``DECIDE``): no instance for the slot can hold a 1, so 0 is the only
+  decidable value (validity) and every instance agrees with it;
+* a replica that is handed a ``DECIDE`` for a slot it has already decided
+  while a lower slot is still an undecided hole — a decided slot waits
+  behind it and its owner, crashed or slow, has not yielded — proposes 0
+  for the hole; a quorum is alive, so the instance decides (0, in round 1)
+  without the owner and needs no timer.
+
+Decided commands are applied strictly in slot order against the sequential
+SMR spec (:class:`repro.verification.specs.SMRSpec`); decide-0 on a proposed
+slot moves the command to the proposer's next owned slot.  This turns binary
+consensus into linearizable CAS / test-and-set / counter / read-write
+objects whose histories the Wing–Gong checker verifies against the same spec.
 """
 
 from __future__ import annotations
@@ -54,14 +67,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.quorum.aggregators import ReplyAggregator
-from repro.quorum.engine import PhaseBroadcast, PhaseRegisterProcess, QuorumCollector
-from repro.registers.base import OperationKind, OperationRecord, RegisterAlgorithm
+from repro.registers.base import OperationKind, OperationRecord, RegisterAlgorithm, RegisterProcess
 from repro.registers.costmodels import int_bits, value_bits
 from repro.sim.rng import make_rng
 from repro.verification.specs import SMRSpec
 
 __all__ = [
+    "COIN_PREFIX",
     "CONSENSUS_ALGORITHMS",
     "ConsAux",
     "ConsCoin",
@@ -76,15 +88,31 @@ __all__ = [
 #: Bits to name one of the four consensus message types on the wire.
 CONS_TYPE_BITS = 2
 
-#: Rounds after which an instance aborts loudly.  The seeded coin decides a
-#: two-value round with probability 1/2, so 100 rounds without a decision
-#: (probability ~2^-100) always indicates a logic bug, never bad luck.
+#: The coins of an instance's first rounds (see the module docstring).
+COIN_PREFIX = (1, 0)
+
+#: Rounds after which an instance aborts loudly.  From round 2 on the seeded
+#: coin decides a two-value round with probability 1/2, so 100 rounds without
+#: a decision (probability ~2^-98) always indicates a logic bug, never bad luck.
 ROUND_CAP = 100
 
 #: The sequential state machine applied to decided commands — the *same*
 #: object the linearizability checker replays histories against, so the
 #: implementation and its specification cannot drift apart.
 _SMR_SPEC = SMRSpec()
+
+
+def _priced_once(compute: Callable[[Any], int]) -> Callable[[Any], int]:
+    """Memoise a bit accessor on the message: a broadcast asks once per destination."""
+    key = "_" + compute.__name__
+
+    def accessor(self: Any) -> int:
+        bits = self.__dict__.get(key)  # a frozen dataclass still owns its __dict__
+        if bits is None:
+            bits = self.__dict__[key] = compute(self)
+        return bits
+
+    return accessor
 
 
 def _cand_bits(cand: Any) -> int:
@@ -112,9 +140,11 @@ class ConsEst(object):
 
     type_name = "CONS_EST"
 
+    @_priced_once
     def control_bits(self) -> int:
         return CONS_TYPE_BITS + int_bits(self.slot) + int_bits(self.round) + 1
 
+    @_priced_once
     def data_bits(self) -> int:
         return _cand_bits(self.cand)
 
@@ -128,29 +158,24 @@ class ConsAux(object):
     value: int
 
     type_name = "CONS_AUX"
+    control_bits = ConsEst.control_bits
 
-    def control_bits(self) -> int:
-        return CONS_TYPE_BITS + int_bits(self.slot) + int_bits(self.round) + 1
-
-    def data_bits(self) -> int:
+    @staticmethod
+    def data_bits() -> int:
         return 0
 
 
 @dataclass(frozen=True)
 class ConsCoin(object):
-    """Common-coin share for ``(slot, round)`` (exchange mode only)."""
+    """Common-coin share for ``(slot, round)`` (exchange mode, seeded rounds only)."""
 
     slot: int
     round: int
     value: int
 
     type_name = "CONS_COIN"
-
-    def control_bits(self) -> int:
-        return CONS_TYPE_BITS + int_bits(self.slot) + int_bits(self.round) + 1
-
-    def data_bits(self) -> int:
-        return 0
+    control_bits = ConsEst.control_bits
+    data_bits = staticmethod(ConsAux.data_bits)
 
 
 @dataclass(frozen=True)
@@ -162,90 +187,73 @@ class ConsDecide(object):
     cand: Any = None
 
     type_name = "CONS_DECIDE"
+    data_bits = ConsEst.data_bits
 
+    @_priced_once
     def control_bits(self) -> int:
         return CONS_TYPE_BITS + int_bits(self.slot) + 1
-
-    def data_bits(self) -> int:
-        return _cand_bits(self.cand)
 
 
 @lru_cache(maxsize=8192)
 def common_coin(slot: int, round: int) -> int:
-    """The seeded common coin for ``(slot, round)`` — deterministic, global.
+    """The common coin for ``(slot, round)`` — deterministic, global.
 
-    Derived from seed 0 with a dedicated label so it is independent of the
-    workload seed, the key, the subnet and the transport backend; every
-    process of every backend computes the same coin, which is exactly the
-    "common coin" abstraction the MMR algorithm assumes.
+    :data:`COIN_PREFIX` for the first rounds; after that derived from seed 0
+    with a dedicated label so it is independent of the workload seed, the
+    key, the subnet and the transport backend; every process of every
+    backend computes the same coin, which is exactly the "common coin"
+    abstraction the MMR algorithm assumes.
     """
+    if round < len(COIN_PREFIX):
+        return COIN_PREFIX[round]
     return make_rng(0, "mmr-common-coin", slot, round).randrange(2)
 
 
-class _AuxCollector(QuorumCollector):
-    """AUX quorum: ``n - t`` replies whose values are in ``bin_values[r]``.
+class _Round:
+    """One round's tallies; this process's own broadcasts are counted in them."""
 
-    The reply set and the delivered-value set both grow over time, so
-    ``satisfied`` recounts on every accept *and* after every ``bin_values``
-    delivery (the caller re-checks); ``vals`` is the paper's ``vals`` set.
-    """
+    __slots__ = ("est_senders", "bin_values", "aux_senders", "coin_senders")
 
-    def __init__(self, slot: str, tag: Any, tracker, bin_values: List[int]) -> None:
-        super().__init__(slot=slot, tag=tag, aggregator=ReplyAggregator(), tracker=tracker)
-        self._bin_values = bin_values  # live alias of the round's delivery list
-
-    def satisfied(self) -> bool:
-        good = sum(1 for value in self.aggregator.replies.values() if value in self._bin_values)
-        return self.tracker.satisfied(good)
-
-    def vals(self) -> Set[int]:
-        return {value for value in self.aggregator.replies.values() if value in self._bin_values}
+    def __init__(self) -> None:
+        #: ``value -> pids`` whose ``EST(value)`` arrived (or was sent).
+        self.est_senders: Tuple[Set[int], Set[int]] = (set(), set())
+        #: Delivered values in delivery order (the first is what our AUX carries).
+        self.bin_values: List[int] = []
+        #: ``value -> pids`` whose ``AUX(value)`` arrived (or was sent).
+        self.aux_senders: Tuple[Set[int], Set[int]] = (set(), set())
+        #: Pids whose coin share arrived (or was sent) — seeded rounds, exchange mode.
+        self.coin_senders: Set[int] = set()
 
 
 class _Instance:
     """Per-slot state of one running binary-consensus instance."""
 
-    __slots__ = (
-        "est",
-        "round",
-        "sent_est",
-        "est_senders",
-        "bin_values",
-        "aux",
-        "sent_aux",
-        "coin",
-        "sent_coin",
-    )
+    __slots__ = ("est", "round", "rounds")
 
     def __init__(self, est: int) -> None:
         self.est = est
         self.round = 0
-        #: ``(round, value)`` pairs this process has broadcast.
-        self.sent_est: Set[Tuple[int, int]] = set()
-        #: ``(round, value) -> set of sender pids`` (self included at send).
-        self.est_senders: Dict[Tuple[int, int], Set[int]] = {}
-        #: ``round -> delivered values in delivery order`` (first entry is
-        #: the value this process's AUX carries).
-        self.bin_values: Dict[int, List[int]] = {}
-        #: ``round -> AUX collector``.
-        self.aux: Dict[int, _AuxCollector] = {}
-        self.sent_aux: Set[int] = set()
-        #: ``round -> coin-share collector`` (exchange mode).
-        self.coin: Dict[int, QuorumCollector] = {}
-        self.sent_coin: Set[int] = set()
+        #: ``round -> tallies``, created on first use (peers may run ahead).
+        self.rounds: Dict[int, _Round] = {}
+
+    def at(self, round: int) -> _Round:
+        state = self.rounds.get(round)
+        if state is None:
+            state = self.rounds[round] = _Round()
+        return state
 
 
-class ConsensusObjectProcess(PhaseRegisterProcess):
+class ConsensusObjectProcess(RegisterProcess):
     """A replica serving one linearizable SMR object via MMR consensus.
 
     Every replica accepts every operation kind (consensus makes the object
     multi-writer by construction); the driver serializes operations per
     process, so one pending command slot suffices.  See the module docstring
-    for the slot-ownership / proposal / apply rules.
+    for the slot-ownership / proposal / yield / hole-filling rules.
     """
 
-    #: ``"exchange"`` transacts coin shares (default); ``"local"`` reads the
-    #: seeded oracle without messages.
+    #: ``"exchange"`` transacts the shares of seeded coins (default);
+    #: ``"local"`` reads the seeded oracle without messages.
     coin_mode = "exchange"
 
     #: Fault-injection hook (``repro explore`` mutations): ``True`` removes
@@ -263,6 +271,9 @@ class ConsensusObjectProcess(PhaseRegisterProcess):
         self.commands: Dict[int, Any] = {}
         #: First slot not yet applied (or skipped as decide-0).
         self.frontier = 0
+        #: Smallest owned slot neither proposed in nor yielded: every owned
+        #: slot below it has an instance here or is decided, none from it on.
+        self._next_own = self.pid
         #: Current SMR object state.
         self.state: Any = self.initial_value
         #: This replica's one in-flight client command.
@@ -296,32 +307,36 @@ class ConsensusObjectProcess(PhaseRegisterProcess):
         self._propose_pending()
 
     def _propose_pending(self) -> None:
-        """Propose the pending command at the smallest owned free slot."""
+        """Propose the pending command at the smallest unused owned slot."""
         if self._pending is None or self._inflight_slot is not None or self.crashed:
             return
-        floor = self.frontier
-        while floor in self.decided:
-            floor += 1
-        target = floor
-        while target % self.n != self.pid or target in self.instances or target in self.decided:
-            target += 1
         record, _ = self._pending
-        self._inflight_slot = target
-        self.commands.setdefault(target, [self.pid, record.kind.value, record.value])
-        # Propose 0 for every empty slot below the target so the log keeps
-        # advancing: a decide-0 slot is skipped by everyone's apply loop.
-        for slot in range(floor, target):
-            if slot not in self.instances and slot not in self.decided:
-                self._start_instance(slot, 0)
-        if target not in self.instances and target not in self.decided:
-            self._start_instance(target, 1)
+        target = self._inflight_slot = self._next_own
+        self._next_own = target + self.n
+        self.commands[target] = [self.pid, record.kind.value, record.value]
+        self._start_instance(target, 1)
+
+    def _yield_through(self, slot: int) -> None:
+        """Decide 0 every owned slot up to ``slot`` that we never proposed in.
+
+        Someone is working at ``slot``, so the log needs those slots settled,
+        and only our proposal could have put a 1 into them.
+        """
+        while self._next_own <= slot:
+            own = self._next_own
+            self._next_own = own + self.n
+            self._decide(own, 0)
 
     # --------------------------------------------------------- instance core
 
-    def _start_instance(self, slot: int, est: int) -> None:
-        instance = _Instance(est)
-        self.instances[slot] = instance
+    def _broadcast(self, message: Any) -> None:
+        for dst in self.other_process_ids():
+            self.send(dst, message)  # re-checks ``crashed``: a send can trip a crash trigger
+
+    def _start_instance(self, slot: int, est: int) -> _Instance:
+        instance = self.instances[slot] = _Instance(est)
         self._enter_round(slot, instance, 0)
+        return instance
 
     def _enter_round(self, slot: int, instance: _Instance, round: int) -> None:
         if round >= ROUND_CAP:
@@ -332,29 +347,12 @@ class ConsensusObjectProcess(PhaseRegisterProcess):
             )
         instance.round = round
         self.rounds_entered += 1
-        self._broadcast_est(slot, instance, round, instance.est)
-        if slot in self.decided:
-            return
         # Buffered deliveries from faster peers may already complete the
         # round the moment we enter it.
-        self._maybe_send_aux(slot, instance, round)
-        if slot not in self.decided:
-            self._try_resolve(slot, instance, round)
+        self._bv_step(slot, instance, round, instance.est)
 
-    def _broadcast_est(self, slot: int, instance: _Instance, round: int, value: int) -> None:
-        if (round, value) in instance.sent_est:
-            return
-        instance.sent_est.add((round, value))
-        senders = instance.est_senders.setdefault((round, value), set())
-        senders.add(self.pid)
-        cand = self.commands.get(slot) if value == 1 else None
-        PhaseBroadcast(message=ConsEst(slot=slot, round=round, value=value, cand=cand)).send_from(
-            self
-        )
-        self._note_est(slot, instance, round, value)
-
-    def _note_est(self, slot: int, instance: _Instance, round: int, value: int) -> None:
-        """Re-check the BV-broadcast thresholds for ``(round, value)``.
+    def _bv_step(self, slot: int, instance: _Instance, round: int, value: int) -> None:
+        """Broadcast / echo ``EST(round, value)``, deliver it at ``n - t`` senders.
 
         The Byzantine original echoes at ``t + 1`` distinct senders — enough
         to prove one *correct* process broadcast the value, which needs
@@ -365,106 +363,66 @@ class ConsensusObjectProcess(PhaseRegisterProcess):
         keeps the ``n - t`` quorum threshold, so ``bin_values`` still only
         holds values the whole quorum has seen and re-broadcast.
         """
-        senders = instance.est_senders.get((round, value), ())
-        if senders and (round, value) not in instance.sent_est:
-            self._broadcast_est(slot, instance, round, value)  # echo
-            if slot in self.decided:
-                return
-        delivered = instance.bin_values.setdefault(round, [])
-        if len(senders) >= self.quorum.quorum_size and value not in delivered:
-            delivered.append(value)
-            self._maybe_send_aux(slot, instance, round)
-            if slot in self.decided:
-                return
-            # A new delivery can validate buffered AUX replies of this round.
-            self._try_resolve(slot, instance, round)
+        state = instance.at(round)
+        senders = state.est_senders[value]
+        if self.pid not in senders:
+            senders.add(self.pid)
+            cand = self.commands.get(slot) if value == 1 else None
+            self._broadcast(ConsEst(slot=slot, round=round, value=value, cand=cand))
+        if len(senders) >= self.quorum.quorum_size and value not in state.bin_values:
+            state.bin_values.append(value)
+        if round == instance.round:
+            self._resolve(slot, instance, state)
 
-    def _aux_collector(self, slot: int, instance: _Instance, round: int) -> _AuxCollector:
-        collector = instance.aux.get(round)
-        if collector is None:
-            collector = _AuxCollector(
-                slot="cons-aux",
-                tag=(slot, round),
-                tracker=self.quorum,
-                bin_values=instance.bin_values.setdefault(round, []),
-            )
-            instance.aux[round] = collector
-        return collector
+    def _resolve(self, slot: int, instance: _Instance, state: _Round) -> None:
+        """Drive the current round as far as its tallies allow.
 
-    def _coin_collector(self, instance: _Instance, round: int) -> QuorumCollector:
-        collector = instance.coin.get(round)
-        if collector is None:
-            collector = QuorumCollector(
-                slot="cons-coin",
-                tag=round,
-                aggregator=ReplyAggregator(),
-                tracker=self.quorum,
-            )
-            instance.coin[round] = collector
-        return collector
-
-    def _maybe_send_aux(self, slot: int, instance: _Instance, round: int) -> None:
-        if round != instance.round or round in instance.sent_aux:
+        Send our AUX on the first delivery; once ``n - t`` AUX values lie
+        within ``bin_values`` (and a seeded coin's shares are in) decide,
+        adopt or advance.
+        """
+        bin_values, aux = state.bin_values, state.aux_senders
+        if not bin_values:
             return
-        delivered = instance.bin_values.get(round)
-        if not delivered:
-            return
-        instance.sent_aux.add(round)
-        value = delivered[0]
-        collector = self._aux_collector(slot, instance, round)
-        PhaseBroadcast(message=ConsAux(slot=slot, round=round, value=value)).send_from(self)
-        collector.accept(self.pid, value)
-
-    def _try_resolve(self, slot: int, instance: _Instance, round: int) -> None:
-        """Decide / adopt / advance once the round's quorums are complete."""
-        if slot in self.decided or round != instance.round:
-            return
+        round, quorum = instance.round, self.quorum.quorum_size
+        if self.pid not in aux[bin_values[0]]:
+            aux[bin_values[0]].add(self.pid)
+            self._broadcast(ConsAux(slot=slot, round=round, value=bin_values[0]))
         if self.skip_aux_quorum:
             # MUTATION (repro explore, ``mmr-skip-aux``): decide from the
             # first delivered value without the n-t AUX exchange.  Different
             # processes can deliver 0 and 1 in opposite orders, so this
             # decides divergent values under contention — the harness's job
             # is to find the schedule that proves it.
-            delivered = instance.bin_values.get(round)
-            if not delivered:
-                return
-            vals = {delivered[0]}
+            vals = bin_values[:1]
         else:
-            if round not in instance.sent_aux:
+            vals = [value for value in bin_values if aux[value]]
+            if sum(len(aux[value]) for value in vals) < quorum:
                 return
-            aux = instance.aux.get(round)
-            if aux is None or not aux.satisfied():
-                return
-            if self.coin_mode == "exchange":
-                if round not in instance.sent_coin:
-                    instance.sent_coin.add(round)
+            if round >= len(COIN_PREFIX) and self.coin_mode == "exchange":
+                shares = state.coin_senders
+                if self.pid not in shares:
+                    shares.add(self.pid)
                     share = common_coin(slot, round)
-                    collector = self._coin_collector(instance, round)
-                    PhaseBroadcast(message=ConsCoin(slot=slot, round=round, value=share)).send_from(
-                        self
-                    )
-                    collector.accept(self.pid, share)
-                if not self._coin_collector(instance, round).satisfied():
+                    self._broadcast(ConsCoin(slot=slot, round=round, value=share))
+                if len(shares) < quorum:
                     return
-            vals = aux.vals()
         coin = common_coin(slot, round)
         if len(vals) == 1:
-            value = next(iter(vals))
-            instance.est = value
-            if value == coin:
-                self._decide(slot, value)
+            instance.est = vals[0]
+            if vals[0] == coin:
+                self._decide(slot, coin)
                 return
         else:
             instance.est = coin
         self._enter_round(slot, instance, round + 1)
 
     def _decide(self, slot: int, value: int) -> None:
-        if slot in self.decided:
-            return
+        """Record a decision (ours or a relayed one), announce it once, apply."""
         self.decided[slot] = value
         self.instances.pop(slot, None)
         cand = self.commands.get(slot) if value == 1 else None
-        PhaseBroadcast(message=ConsDecide(slot=slot, value=value, cand=cand)).send_from(self)
+        self._broadcast(ConsDecide(slot=slot, value=value, cand=cand))
         self._apply_ready()
 
     # ------------------------------------------------------------- the log
@@ -499,88 +457,85 @@ class ConsensusObjectProcess(PhaseRegisterProcess):
                     self._inflight_slot = None
         self._propose_pending()
 
+    def waiting_on(self) -> List[str]:
+        """What the log is blocked on: the frontier, then every open instance."""
+        waits: List[str] = []
+        slot, quorum = self.frontier, self.quorum.quorum_size
+        if self.crashed:
+            return waits  # a crashed replica waits for nothing
+        if slot in self.decided:
+            waits.append(f"slot {slot} decided 1, command unknown")
+        elif slot not in self.instances and (self._pending or slot < max(self.decided, default=0)):
+            owner = slot % self.n
+            waits.append(f"frontier {slot}: slot {slot} undecided (owner p{owner}, no instance here)")
+        for slot, instance in sorted(self.instances.items()):
+            state = instance.at(instance.round)
+            good = sum(len(state.aux_senders[value]) for value in state.bin_values)
+            waits.append(f"slot {slot} round {instance.round}: AUX {good}/{quorum} within bin_values")
+        return waits
+
     # ------------------------------------------------------------- messages
 
     def on_message(self, src: int, message: Any) -> None:
-        if isinstance(message, ConsEst):
-            self._on_est(src, message)
-        elif isinstance(message, ConsAux):
-            self._on_aux(src, message)
-        elif isinstance(message, ConsCoin):
-            self._on_coin(src, message)
-        elif isinstance(message, ConsDecide):
-            self._on_decide(src, message)
-        else:
+        handler = self._HANDLERS.get(message.__class__)
+        if handler is None:
             raise TypeError(f"unexpected message {message!r}")
-
-    def _learn_command(self, slot: int, cand: Any) -> None:
+        slot = message.slot
+        if self._next_own <= slot:
+            self._yield_through(slot)
+        cand = getattr(message, "cand", None)
         if cand is not None and slot not in self.commands:
             self.commands[slot] = list(cand)
             if slot in self.decided:
                 self._apply_ready()  # a late command can unblock the frontier
+        if slot not in self.decided:
+            handler(self, src, message, slot)
+        elif message.__class__ is ConsDecide:
+            # A peer got through ``slot`` as well, one message delay ago.  A
+            # live owner yields its lower slots before its first reply in
+            # ``slot``'s instance, so what is still a hole below has a dead
+            # (or very slow) owner: settle it with a 0-instance.
+            for hole in range(self.frontier, slot):
+                if hole not in self.decided and hole not in self.instances:
+                    self._start_instance(hole, 0)
+        # anything else for a decided slot is dropped: our DECIDE is on src's link
 
-    def _join(self, slot: int, est: int) -> _Instance:
-        """Join an instance we have not proposed in by copying ``est``."""
-        instance = _Instance(est)
-        self.instances[slot] = instance
-        return instance
+    def _joined(self, slot: int, est: int) -> _Instance:
+        """The slot's instance, joined by copying ``est`` if we had none.
 
-    def _on_est(self, src: int, message: ConsEst) -> None:
-        slot = message.slot
-        self._learn_command(slot, message.cand)
-        if slot in self.decided:
-            return  # silently dropped; our DECIDE already reached src's link
+        Never an owned slot: an owner either proposed (instance exists) or
+        yielded (decided) before any handler runs.
+        """
         instance = self.instances.get(slot)
-        joined = instance is None
-        if joined:
-            instance = self._join(slot, message.value)
-        instance.est_senders.setdefault((message.round, message.value), set()).add(src)
-        if joined:
-            # Entering round 0 broadcasts our (copied) EST, which re-checks
-            # the thresholds for the triggering message as a side effect.
-            self._enter_round(slot, instance, 0)
-            if slot in self.decided or (message.round, message.value) == (0, instance.est):
-                return
-        self._note_est(slot, instance, message.round, message.value)
+        return instance if instance is not None else self._start_instance(slot, est)
 
-    def _on_aux(self, src: int, message: ConsAux) -> None:
-        slot = message.slot
-        if slot in self.decided:
-            return
+    def _on_est(self, src: int, message: ConsEst, slot: int) -> None:
+        instance = self._joined(slot, message.value)
+        instance.at(message.round).est_senders[message.value].add(src)
+        self._bv_step(slot, instance, message.round, message.value)
+
+    def _on_aux(self, src: int, message: ConsAux, slot: int) -> None:
+        # On non-FIFO links an AUX can outrun every EST of its slot: join on
+        # its value (delivered at the sender, hence proposed by someone).
+        instance = self._joined(slot, message.value)
+        state = instance.at(message.round)
+        state.aux_senders[message.value].add(src)
+        if message.round == instance.round:
+            self._resolve(slot, instance, state)
+
+    def _on_coin(self, src: int, message: ConsCoin, slot: int) -> None:
         instance = self.instances.get(slot)
-        if instance is None:
-            # Unreachable on FIFO links (src's ESTs precede its AUX), kept
-            # for robustness under message loss: join on the AUX value.
-            instance = self._join(slot, message.value)
-            self._enter_round(slot, instance, 0)
-            if slot in self.decided:
-                return
-        self._aux_collector(slot, instance, message.round).accept(src, message.value)
-        self._try_resolve(slot, instance, message.round)
+        if instance is not None:  # else we never started it; the share is moot
+            state = instance.at(message.round)
+            state.coin_senders.add(src)
+            if message.round == instance.round:
+                self._resolve(slot, instance, state)
 
-    def _on_coin(self, src: int, message: ConsCoin) -> None:
-        slot = message.slot
-        if slot in self.decided:
-            return
-        instance = self.instances.get(slot)
-        if instance is None:
-            return  # never started the instance; the coin share is moot
-        self._coin_collector(instance, message.round).accept(src, message.value)
-        self._try_resolve(slot, instance, message.round)
-
-    def _on_decide(self, src: int, message: ConsDecide) -> None:
-        slot = message.slot
-        self._learn_command(slot, message.cand)
-        if slot in self.decided:
-            return
-        self.decided[slot] = message.value
-        self.instances.pop(slot, None)
+    def _on_decide(self, src: int, message: ConsDecide, slot: int) -> None:
         # Relay our own DECIDE so slower peers cut over too, then apply.
-        cand = self.commands.get(slot) if message.value == 1 else None
-        PhaseBroadcast(message=ConsDecide(slot=slot, value=message.value, cand=cand)).send_from(
-            self
-        )
-        self._apply_ready()
+        self._decide(slot, message.value)
+
+    _HANDLERS = {ConsEst: _on_est, ConsAux: _on_aux, ConsCoin: _on_coin, ConsDecide: _on_decide}
 
     # ----------------------------------------------------------- accounting
 
@@ -588,10 +543,9 @@ class ConsensusObjectProcess(PhaseRegisterProcess):
         words = 2 * len(self.decided) + 4 * len(self.commands) + 2
         for instance in self.instances.values():
             words += 3
-            words += sum(2 + len(s) for s in instance.est_senders.values())
-            words += sum(1 + len(v) for v in instance.bin_values.values())
-            words += sum(1 + len(c.aggregator.replies) for c in instance.aux.values())
-            words += sum(1 + len(c.aggregator.replies) for c in instance.coin.values())
+            for state in instance.rounds.values():
+                sets = (*state.est_senders, *state.aux_senders, state.coin_senders)
+                words += 6 + len(state.bin_values) + sum(len(pids) for pids in sets)
         return words
 
 

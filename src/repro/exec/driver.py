@@ -270,8 +270,7 @@ class Driver:
                 continue
             # What the replica was still waiting for when the events ran out
             # (a crashed replica waits for nothing: crashing drops its guards).
-            labels = (guard.label for guard in process.pending_guards())
-            waits = [label for label in labels if label]
+            waits = process.waiting_on()
             reason = (
                 f"stalled on replica p{process.pid}"
                 f" (crashed={process.crashed}); event queue drained"

@@ -472,6 +472,7 @@ class _ReplicaServer:
             "kind": "stats_reply",
             "replica": self.replica_id,
             "messages_sent": self.stats.messages_sent,
+            "by_type": dict(self.stats.by_type),
             "keys": len(self.keys),
             "transport": self.transport_snapshot(),
         }
@@ -1026,6 +1027,10 @@ async def _run_live_async(spec: Any, server_codecs: Optional[Tuple[str, ...]] = 
     # comes from the replica servers' drained NetworkStats counters.
     completed = snapshot["completed"]
     snapshot["messages"]["total"] = messages_total
+    by_type = snapshot["messages"]["by_type"]
+    for reply in client.stats_replies.values():
+        for name, count in reply.get("by_type", {}).items():
+            by_type[name] = by_type.get(name, 0) + count
     snapshot["messages"]["per_completed_op"] = (messages_total / completed) if completed else None
     snapshot["transport"] = transport
     return KVWorkloadResult(

@@ -232,6 +232,16 @@ class ProcessBase:
         """Currently pending (unfired, uncancelled) guards — for diagnostics."""
         return [g for g in self._guards if not g.fired and not g.cancelled]
 
+    def waiting_on(self) -> list[str]:
+        """What this process is blocked on, for stuck-run reports.
+
+        The default names the pending guards' labels; a process that waits
+        without guards (the consensus replicas) overrides it.  Rendered only
+        when asked, so a wait that is never diagnosed costs nothing.
+        """
+        labels = (guard.label for guard in self.pending_guards())
+        return [label for label in labels if label]
+
     # ----------------------------------------------------------------- crash
 
     def crash(self) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.consensus import (
+    COIN_PREFIX,
     CONSENSUS_ALGORITHMS,
     ConsAux,
     ConsCoin,
@@ -38,15 +39,22 @@ def consensus_store(algorithm: str = "mmr-cas", **overrides) -> KVStore:
 
 
 class TestCommonCoin:
-    def test_deterministic_and_binary(self):
-        flips = [common_coin(slot, rnd) for slot in range(20) for rnd in range(5)]
-        assert set(flips) <= {0, 1}
-        assert flips == [common_coin(slot, rnd) for slot in range(20) for rnd in range(5)]
+    def test_the_first_two_rounds_are_fixed(self):
+        # Round 0 favours the owner's command, round 1 ends an all-zero instance.
+        assert COIN_PREFIX == (1, 0)
+        for slot in range(50):
+            assert common_coin(slot, 0) == 1
+            assert common_coin(slot, 1) == 0
 
-    def test_varies_across_slots_and_rounds(self):
-        # Not a constant: over 100 (slot, round) points both faces appear.
-        flips = {common_coin(slot, rnd) for slot in range(10) for rnd in range(10)}
-        assert flips == {0, 1}
+    def test_seeded_rounds_are_deterministic_and_take_both_values(self):
+        points = [(slot, rnd) for slot in range(10) for rnd in range(2, 12)]
+        flips = [common_coin(slot, rnd) for slot, rnd in points]
+        assert flips == [common_coin(slot, rnd) for slot, rnd in points]
+        assert set(flips) == {0, 1}
+        # ... and not merely as a function of the round: termination needs
+        # every slot's own sequence to hit both faces.
+        for slot in range(10):
+            assert {common_coin(slot, rnd) for rnd in range(2, 22)} == {0, 1}
 
 
 class TestMessages:
@@ -151,9 +159,13 @@ class TestInvariants:
     def test_agreement_violation_is_reported(self):
         store = consensus_store()
         store.cas("k", None, "a")
+        # The call returns when the proposer applies; let the DECIDE relays
+        # land so every replica holds the decision the forgery contradicts.
+        store.settle()
         processes = list(store.register_for("k").processes)
         # Forge a disagreement on a decided slot: replica 0 flips its record.
         slot = next(iter(processes[0].decided))
+        assert all(slot in process.decided for process in processes)
         processes[0].decided[slot] = 1 - processes[0].decided[slot]
         violations = consensus_invariants({"k": processes})
         assert any("agreement" in violation for violation in violations)

@@ -28,8 +28,11 @@ class TestConsensusMutation:
                 "--algorithm",
                 "mmr-cas-skip-aux",
                 "--expect-violation",
+                # Divergence needs a slot holding both a 0 and a 1 estimate,
+                # i.e. a hole-fill racing its owner's command: rare since
+                # gaps stopped being proposed eagerly (schedule 92 here).
                 "--budget",
-                "20",
+                "150",
                 "--out-dir",
                 str(tmp_path),
             ]

@@ -18,7 +18,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.consensus import ConsensusObjectProcess, consensus_invariants
 from repro.faults import FaultPlan, PartitionSchedule, PartitionWindow
+from repro.registers.base import OperationKind
 from repro.sim.delays import FixedDelay, UniformDelay
+from repro.store.store import KVStore, StoreConfig
 from repro.workloads.kv import CrashPoint, KVWorkloadSpec, run_kv_workload
 
 COMMON_SETTINGS = dict(
@@ -130,6 +132,73 @@ def test_consensus_across_a_healing_partition_is_safe(
         name="property-partition", link_policies=(PartitionSchedule(windows=(window,)),)
     )
     assert_safe(run_kv_workload(spec.with_(fault_plan=plan)))
+
+
+@st.composite
+def yield_race_schedules(draw):
+    """Timed, replica-pinned increments on one key, ``n`` in {3, 5}.
+
+    Submissions land on a half-unit grid while messages take whole units
+    (or uniform delays), so an owner is handed a command for its next slot
+    in the very instants at which a peer's traffic makes it yield that slot
+    — before, between and after the deliveries of one instant.
+    """
+    n = draw(st.sampled_from((3, 5)))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    delay_model = (
+        UniformDelay(0.2, draw(st.floats(min_value=0.6, max_value=2.0)), seed=seed)
+        if draw(st.booleans())
+        else FixedDelay(1.0)
+    )
+    submissions = draw(
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=24), st.integers(min_value=0, max_value=n - 1)),
+            min_size=4,
+            max_size=28,
+        )
+    )
+    return n, delay_model, submissions
+
+
+@given(schedule=yield_race_schedules())
+@settings(**COMMON_SETTINGS)
+def test_a_slot_holds_a_command_only_if_its_owner_proposed_one(schedule):
+    n, delay_model, submissions = schedule
+    store = KVStore(
+        StoreConfig(
+            algorithm="mmr-counter",
+            num_shards=1,
+            replication=n,
+            initial_value=None,
+            delay_model=delay_model,
+        )
+    )
+    ops = []
+    for tick, replica in submissions:
+        store.simulator.schedule_at(
+            0.5 * tick,
+            lambda replica=replica: ops.append(
+                store.submit_op(OperationKind.INCR, "k", 1, replica=replica)
+            ),
+        )
+    store.simulator.run(until=12.5)  # past the last submission
+    assert store.drive()
+    store.settle()
+    assert len(ops) == len(submissions) and all(op.completed for op in ops)
+    assert sorted(op.record.result for op in ops) == list(range(1, len(ops) + 1))
+    processes = list(store.register_for("k").processes)
+    assert consensus_invariants({"k": processes}) == []
+    assert store.check_linearizability(swmr_fast_path=False).ok
+    for process in processes:
+        for slot, value in process.decided.items():
+            if value == 1:
+                owner = processes[slot % n]
+                # The owner itself put the command there, and it is the
+                # command everyone applied.
+                assert owner.commands[slot][0] == owner.pid
+                assert process.commands[slot] == owner.commands[slot]
+        # Every slot the log has passed is settled, gaps included.
+        assert all(slot in process.decided for slot in range(process.frontier))
 
 
 #: Derandomized regression corpus: (name, spec overrides, crash point).
