@@ -102,19 +102,6 @@ ROUND_CAP = 100
 _SMR_SPEC = SMRSpec()
 
 
-def _priced_once(compute: Callable[[Any], int]) -> Callable[[Any], int]:
-    """Memoise a bit accessor on the message: a broadcast asks once per destination."""
-    key = "_" + compute.__name__
-
-    def accessor(self: Any) -> int:
-        bits = self.__dict__.get(key)  # a frozen dataclass still owns its __dict__
-        if bits is None:
-            bits = self.__dict__[key] = compute(self)
-        return bits
-
-    return accessor
-
-
 def _cand_bits(cand: Any) -> int:
     """Wire size of a piggybacked command ``[proposer, kind, value]``."""
     if cand is None:
@@ -140,11 +127,9 @@ class ConsEst(object):
 
     type_name = "CONS_EST"
 
-    @_priced_once
     def control_bits(self) -> int:
         return CONS_TYPE_BITS + int_bits(self.slot) + int_bits(self.round) + 1
 
-    @_priced_once
     def data_bits(self) -> int:
         return _cand_bits(self.cand)
 
@@ -189,7 +174,6 @@ class ConsDecide(object):
     type_name = "CONS_DECIDE"
     data_bits = ConsEst.data_bits
 
-    @_priced_once
     def control_bits(self) -> int:
         return CONS_TYPE_BITS + int_bits(self.slot) + 1
 
@@ -329,10 +313,6 @@ class ConsensusObjectProcess(RegisterProcess):
 
     # --------------------------------------------------------- instance core
 
-    def _broadcast(self, message: Any) -> None:
-        for dst in self.other_process_ids():
-            self.send(dst, message)  # re-checks ``crashed``: a send can trip a crash trigger
-
     def _start_instance(self, slot: int, est: int) -> _Instance:
         instance = self.instances[slot] = _Instance(est)
         self._enter_round(slot, instance, 0)
@@ -368,7 +348,8 @@ class ConsensusObjectProcess(RegisterProcess):
         if self.pid not in senders:
             senders.add(self.pid)
             cand = self.commands.get(slot) if value == 1 else None
-            self._broadcast(ConsEst(slot=slot, round=round, value=value, cand=cand))
+            message = ConsEst(slot=slot, round=round, value=value, cand=cand)
+            self.send(self.other_process_ids(), message)
         if len(senders) >= self.quorum.quorum_size and value not in state.bin_values:
             state.bin_values.append(value)
         if round == instance.round:
@@ -387,7 +368,8 @@ class ConsensusObjectProcess(RegisterProcess):
         round, quorum = instance.round, self.quorum.quorum_size
         if self.pid not in aux[bin_values[0]]:
             aux[bin_values[0]].add(self.pid)
-            self._broadcast(ConsAux(slot=slot, round=round, value=bin_values[0]))
+            message = ConsAux(slot=slot, round=round, value=bin_values[0])
+            self.send(self.other_process_ids(), message)
         if self.skip_aux_quorum:
             # MUTATION (repro explore, ``mmr-skip-aux``): decide from the
             # first delivered value without the n-t AUX exchange.  Different
@@ -403,8 +385,8 @@ class ConsensusObjectProcess(RegisterProcess):
                 shares = state.coin_senders
                 if self.pid not in shares:
                     shares.add(self.pid)
-                    share = common_coin(slot, round)
-                    self._broadcast(ConsCoin(slot=slot, round=round, value=share))
+                    share = ConsCoin(slot=slot, round=round, value=common_coin(slot, round))
+                    self.send(self.other_process_ids(), share)
                 if len(shares) < quorum:
                     return
         coin = common_coin(slot, round)
@@ -422,7 +404,7 @@ class ConsensusObjectProcess(RegisterProcess):
         self.decided[slot] = value
         self.instances.pop(slot, None)
         cand = self.commands.get(slot) if value == 1 else None
-        self._broadcast(ConsDecide(slot=slot, value=value, cand=cand))
+        self.send(self.other_process_ids(), ConsDecide(slot=slot, value=value, cand=cand))
         self._apply_ready()
 
     # ------------------------------------------------------------- the log

@@ -26,6 +26,11 @@ line 20    ``w_sync_i[j] >= sn``                                  :meth:`_handle
 The per-pair *alternating-bit* discipline is a consequence of the sending
 predicates (lines 2, 15, 16) together with the line-11 wait; nothing extra is
 needed here beyond implementing those lines faithfully.
+
+The pseudocode's "send ... to every ``p_j`` such that ..." statements (lines
+2, 6 and 15) are one :meth:`~repro.transport.runtime.ProcessBase.send` each,
+to the list of those ``p_j``: the message is built, priced and checked once
+for all of them.
 """
 
 from __future__ import annotations
@@ -67,6 +72,8 @@ class TwoBitRegisterProcess(RegisterProcess):
         super().__init__(pid, simulator, network, writer_pid, t, initial_value)
         self.writer_fast_read = writer_fast_read
         self.state: Optional[TwoBitState] = None
+        # Every other process, in pid order (fixed by finish_setup).
+        self._others: list[int] = []
         # Messages whose line-11 predicate is not yet satisfied, per sender.
         self._reordered_writes = 0
 
@@ -76,6 +83,7 @@ class TwoBitRegisterProcess(RegisterProcess):
         """Allocate the local data structures once the full membership is known."""
         super().finish_setup()
         self.state = TwoBitState(n=self.n, pid=self.pid, initial_value=self.initial_value)
+        self._others = self.other_process_ids()
 
     def _require_state(self) -> TwoBitState:
         if self.state is None:
@@ -100,14 +108,11 @@ class TwoBitRegisterProcess(RegisterProcess):
         message = WriteMessage(bit=wsn % 2, value=value)
 
         # line 2: send WRITE(b, v) to every p_j with w_sync_w[j] = wsn - 1
-        for j in self.other_process_ids():
-            if st.w_sync[j] == wsn - 1:
-                self.send(j, message)
+        quorum, w_sync = self.quorum, st.w_sync
+        self.send([j for j in self._others if w_sync[j] == wsn - 1], message)
 
         # line 3: wait until at least (n - t) processes p_j have w_sync_w[j] = wsn
         # (the writer itself counts: w_sync_w[w] = wsn already).
-        quorum, w_sync = self.quorum, st.w_sync
-
         def write_quorum_reached() -> bool:
             return quorum.quorum_equal(w_sync, wsn)
 
@@ -129,8 +134,7 @@ class TwoBitRegisterProcess(RegisterProcess):
         st.r_sync[self.pid] = rsn
 
         # line 6: send READ() to every other process
-        for j in self.other_process_ids():
-            self.send(j, READ)
+        self.send(self._others, READ)
 
         # line 7: wait until at least (n - t) processes p_j have r_sync_i[j] = rsn
         quorum, r_sync, w_sync = self.quorum, st.r_sync, st.w_sync
@@ -175,21 +179,18 @@ class TwoBitRegisterProcess(RegisterProcess):
 
     def _handle_write(self, src: int, message: WriteMessage) -> None:
         """``when WRITE(b, v) is received from p_j`` — lines 11–18."""
-        st = self._require_state()
+        w_sync = self._require_state().w_sync
 
         # line 11: wait (b = (w_sync_i[j] + 1) mod 2).
         # With non-FIFO channels a WRITE can overtake its predecessor; the
         # alternating parity bit detects this, and the wait simply defers the
         # overtaking message until the predecessor has been processed.
-        def in_order() -> bool:
-            return message.bit == (st.w_sync[src] + 1) % 2
-
-        if in_order():
+        if message.bit == (w_sync[src] + 1) % 2:
             self._process_write(src, message)
         else:
             self._reordered_writes += 1
             self.add_guard(
-                in_order,
+                lambda: message.bit == (w_sync[src] + 1) % 2,
                 lambda: self._process_write(src, message),
                 label=("line 11 reorder buffer (from p%d, bit=%d)", src, message.bit),
             )
@@ -205,16 +206,16 @@ class TwoBitRegisterProcess(RegisterProcess):
         # line 13: if (wsn = w_sync_i[i] + 1)
         if wsn == st.w_sync[self.pid] + 1:
             # line 14: w_sync_i[i] <- wsn; history_i[wsn] <- v; b <- wsn mod 2
-            st.w_sync[self.pid] = wsn
+            # (line 11 held, so b is the bit this message arrived with: the
+            # WRITE(b, v) to forward is the immutable message itself).
+            w_sync = st.w_sync
+            w_sync[self.pid] = wsn
             st.record_value(wsn, message.value)
-            forward = WriteMessage(bit=wsn % 2, value=message.value)
             # line 15: forward WRITE(b, v) to every p_l with w_sync_i[l] = wsn - 1
             # (rule R1; note that p_j itself still has w_sync_i[j] = wsn - 1 at
             # this point, so the forward doubles as the alternating-bit
             # acknowledgement towards p_j).
-            for target in self.network.process_ids:
-                if target != self.pid and st.w_sync[target] == wsn - 1:
-                    self.send(target, forward)
+            self.send([k for k in self._others if w_sync[k] == wsn - 1], message)
         # line 16: else if (wsn < w_sync_i[i]) send WRITE((wsn+1) mod 2, history_i[wsn+1]) to p_j
         elif wsn < st.w_sync[self.pid]:
             catch_up = WriteMessage(bit=(wsn + 1) % 2, value=st.history[wsn + 1])

@@ -310,7 +310,7 @@ class OpenLoopClient:
     @property
     def done(self) -> bool:
         """True when every arrival fired and every submitted operation finished."""
-        return self.all_submitted and self._open == 0
+        return self._finished()
 
     def drive(self, limit: Optional[float] = None) -> bool:
         """Run the loop until all arrivals fired and completed (or ``limit``).
@@ -319,4 +319,8 @@ class OpenLoopClient:
         stay unfired; stuck ops are failed by the driver, which fires their
         ``on_done`` and keeps the open count consistent).
         """
-        return self.driver.drive(limit=limit, predicate=lambda: self.done)
+        return self.driver.drive(limit=limit, predicate=self._finished)
+
+    def _finished(self) -> bool:
+        """:attr:`done` as a bound method: the one call the event loop makes per event."""
+        return self._pending is None and self._open == 0

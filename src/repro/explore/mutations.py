@@ -80,9 +80,7 @@ class AbdSloppyWriteProcess(AbdRegisterProcess):
         self.write_seq += 1
         seq = self.write_seq
         self._adopt(seq, record.value)
-        message = AbdWrite(seq=seq, value=record.value)
-        for dst in self.other_process_ids():
-            self.send(dst, message)
+        self.send(self.other_process_ids(), AbdWrite(seq=seq, value=record.value))
         done()  # BUG: completes before any replica acknowledged
         # Late AbdWriteAck replies find no open "write" phase and are
         # dropped by the engine's stale-phase guard — harmless.

@@ -17,11 +17,11 @@ reject stale replies, quorum guards — three times over.
   per-phase reply reductions (ack counting, max-by-key selection).
 * :class:`~repro.quorum.engine.QuorumCollector` — one in-flight phase: its
   tag (the stale-reply guard), its aggregator, and its threshold.
-* :class:`~repro.quorum.engine.PhaseBroadcast` /
-  :class:`~repro.quorum.engine.PhaseRegisterProcess` — the broadcast/collect
-  engine itself: ``start_phase`` broadcasts a message to every peer, seeds
-  the sender's own reply, and registers the quorum guard; ``phase_reply``
-  applies the stale-phase guard and feeds the aggregator.
+* :class:`~repro.quorum.engine.PhaseRegisterProcess` — the broadcast/collect
+  engine itself: ``start_phase`` sends one message to every peer (a single
+  multi-destination ``send``), seeds the sender's own reply, and registers
+  the quorum guard; ``phase_reply`` applies the stale-phase guard and feeds
+  the aggregator.
 
 The engine is deliberately *history-preserving*: ``start_phase`` performs
 exactly the sends (same order) and registers exactly the guard that the
@@ -38,7 +38,6 @@ __all__ = [
     "AckCounter",
     "MaxReply",
     "NO_SELF_REPLY",
-    "PhaseBroadcast",
     "PhaseRegisterProcess",
     "QuorumCollector",
     "QuorumTracker",
@@ -50,7 +49,7 @@ __all__ = [
 #: — importing the engine eagerly here would close that cycle while
 #: ``registers.base`` is still half-initialised.
 _ENGINE_EXPORTS = frozenset(
-    {"NO_SELF_REPLY", "PhaseBroadcast", "PhaseRegisterProcess", "QuorumCollector"}
+    {"NO_SELF_REPLY", "PhaseRegisterProcess", "QuorumCollector"}
 )
 
 

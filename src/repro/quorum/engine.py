@@ -20,16 +20,16 @@ History preservation contract
 -----------------------------
 ``start_phase`` performs *exactly* the observable actions the hand-rolled
 loops in the pre-engine registers performed, in the same order: the sends to
-``other_process_ids()`` (ascending pid), then one guard registration.  Reply
-acceptance reproduces the ``tag == pending and src not in replies`` checks.
-Nothing else touches the simulator, so a ported algorithm produces
-byte-identical histories (``tests/workloads/golden_histories.json``) and
-identical per-operation message counts (Theorem 2 / ``repro messages``).
+``other_process_ids()`` (ascending pid; one multi-destination ``send``), then
+one guard registration.  Reply acceptance reproduces the ``tag == pending and
+src not in replies`` checks.  Nothing else touches the simulator, so a ported
+algorithm produces byte-identical histories
+(``tests/workloads/golden_histories.json``) and identical per-operation
+message counts (Theorem 2 / ``repro messages``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.quorum.aggregators import AckCounter, ReplyAggregator
@@ -95,31 +95,6 @@ class QuorumCollector:
         )
 
 
-@dataclass(frozen=True)
-class PhaseBroadcast:
-    """What a phase sends: one message to every peer, or a per-destination factory.
-
-    All three quorum registers broadcast a single immutable message instance;
-    ``factory`` exists for protocols whose phase messages depend on the
-    destination (the two-bit algorithm's predicate-filtered forwards are the
-    repository's example, though it keeps its bespoke send loop).
-    """
-
-    message: Any = None
-    factory: Optional[Callable[[int], Any]] = None
-
-    def send_from(self, process: RegisterProcess) -> None:
-        """Send this broadcast from ``process`` to every other process, in pid order."""
-        factory = self.factory
-        if factory is None:
-            message = self.message
-            for dst in process.other_process_ids():
-                process.send(dst, message)
-        else:
-            for dst in process.other_process_ids():
-                process.send(dst, factory(dst))
-
-
 class PhaseRegisterProcess(RegisterProcess):
     """A register process whose operations are sequences of quorum phases.
 
@@ -142,13 +117,12 @@ class PhaseRegisterProcess(RegisterProcess):
         *,
         on_quorum: Callable[[QuorumCollector], None],
         message: Any = None,
-        broadcast: Optional[PhaseBroadcast] = None,
         tag: Any = None,
         aggregator: Optional[ReplyAggregator] = None,
         self_reply: Any = NO_SELF_REPLY,
         label: Any = "",
     ) -> QuorumCollector:
-        """Broadcast a phase message and run ``on_quorum`` once ``n - t`` replied.
+        """Send ``message`` to every other process; run ``on_quorum`` once ``n - t`` replied.
 
         Replaces any previous phase in ``slot`` (its retained replies stop
         counting toward local memory).  ``self_reply`` seeds the sender's own
@@ -165,9 +139,7 @@ class PhaseRegisterProcess(RegisterProcess):
         self._phases[slot] = phase
         if self_reply is not NO_SELF_REPLY:
             phase.aggregator.accept(self.pid, self_reply)
-        if broadcast is None:
-            broadcast = PhaseBroadcast(message=message)
-        broadcast.send_from(self)
+        self.send(self.other_process_ids(), message)
         self.add_guard(phase.satisfied, lambda: on_quorum(phase), label=label)
         return phase
 

@@ -233,19 +233,20 @@ class AbdRegisterProcess(PhaseRegisterProcess):
     # -------------------------------------------------------------- handlers
 
     def on_message(self, src: int, message: Any) -> None:
-        if isinstance(message, AbdWrite):
+        cls = message.__class__
+        if cls is AbdWrite:
             self._adopt(message.seq, message.value)
             self.send(src, AbdWriteAck(seq=message.seq))
-        elif isinstance(message, AbdWriteAck):
+        elif cls is AbdWriteAck:
             self.phase_reply("write", src, tag=message.seq)
-        elif isinstance(message, AbdReadQuery):
+        elif cls is AbdReadQuery:
             self.send(src, AbdReadReply(rsn=message.rsn, seq=self.seq, value=self.value))
-        elif isinstance(message, AbdReadReply):
+        elif cls is AbdReadReply:
             self.phase_reply("read", src, (message.seq, message.value), tag=message.rsn)
-        elif isinstance(message, AbdWriteBack):
+        elif cls is AbdWriteBack:
             self._adopt(message.seq, message.value)
             self.send(src, AbdWriteBackAck(rsn=message.rsn))
-        elif isinstance(message, AbdWriteBackAck):
+        elif cls is AbdWriteBackAck:
             self.phase_reply("writeback", src, tag=message.rsn)
         else:
             raise TypeError(f"p{self.pid} received unknown ABD message {message!r} from p{src}")

@@ -264,23 +264,24 @@ class MwmrAbdRegisterProcess(PhaseRegisterProcess):
     # -------------------------------------------------------------- handlers
 
     def on_message(self, src: int, message: Any) -> None:
-        if isinstance(message, MwAbdTsQuery):
+        cls = message.__class__
+        if cls is MwAbdTsQuery:
             self.send(src, MwAbdTsReply(wsn=message.wsn, ts=self.ts))
-        elif isinstance(message, MwAbdTsReply):
+        elif cls is MwAbdTsReply:
             self.phase_reply("ts", src, message.ts, tag=message.wsn)
-        elif isinstance(message, MwAbdWrite):
+        elif cls is MwAbdWrite:
             self._adopt(message.ts, message.value)
             self.send(src, MwAbdWriteAck(wsn=message.wsn))
-        elif isinstance(message, MwAbdWriteAck):
+        elif cls is MwAbdWriteAck:
             self.phase_reply("write", src, tag=message.wsn)
-        elif isinstance(message, MwAbdReadQuery):
+        elif cls is MwAbdReadQuery:
             self.send(src, MwAbdReadReply(rsn=message.rsn, ts=self.ts, value=self.value))
-        elif isinstance(message, MwAbdReadReply):
+        elif cls is MwAbdReadReply:
             self.phase_reply("read", src, (message.ts, message.value), tag=message.rsn)
-        elif isinstance(message, MwAbdWriteBack):
+        elif cls is MwAbdWriteBack:
             self._adopt(message.ts, message.value)
             self.send(src, MwAbdWriteBackAck(rsn=message.rsn))
-        elif isinstance(message, MwAbdWriteBackAck):
+        elif cls is MwAbdWriteBackAck:
             self.phase_reply("writeback", src, tag=message.rsn)
         else:
             raise TypeError(f"p{self.pid} received unknown MWMR-ABD message {message!r} from p{src}")

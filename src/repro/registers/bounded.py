@@ -287,13 +287,14 @@ class ModuloSeqAbdProcess(PhaseRegisterProcess):
     # -------------------------------------------------------------- handlers
 
     def on_message(self, src: int, message: Any) -> None:
-        if isinstance(message, ModWrite):
+        cls = message.__class__
+        if cls is ModWrite:
             seq = reconstruct(self.seq, message.seq_mod, self.modulus)
             self._adopt(seq, message.value)
             self.send(src, ModWriteAck(seq_mod=message.seq_mod, modulus=self.modulus))
-        elif isinstance(message, ModWriteAck):
+        elif cls is ModWriteAck:
             self.phase_reply("write", src, tag=message.seq_mod)
-        elif isinstance(message, ModReadQuery):
+        elif cls is ModReadQuery:
             self.send(
                 src,
                 ModReadReply(
@@ -303,18 +304,18 @@ class ModuloSeqAbdProcess(PhaseRegisterProcess):
                     modulus=self.modulus,
                 ),
             )
-        elif isinstance(message, ModReadReply):
+        elif cls is ModReadReply:
             # Reconstruction only for replies the stale-phase guard admits —
             # a late reply to a finished read must not be able to raise.
             phase = self.active_phase("read", tag=message.rsn_mod)
             if phase is not None and src not in phase.replies:
                 seq = reconstruct(self.seq, message.seq_mod, self.modulus)
                 phase.accept(src, (seq, message.value))
-        elif isinstance(message, ModWriteBack):
+        elif cls is ModWriteBack:
             seq = reconstruct(self.seq, message.seq_mod, self.modulus)
             self._adopt(seq, message.value)
             self.send(src, ModWriteBackAck(rsn_mod=message.rsn_mod, modulus=self.modulus))
-        elif isinstance(message, ModWriteBackAck):
+        elif cls is ModWriteBackAck:
             self.phase_reply("writeback", src, tag=message.rsn_mod)
         else:
             raise TypeError(f"p{self.pid} received unknown message {message!r} from p{src}")

@@ -40,13 +40,12 @@ from repro.sim.delays import (
 )
 from repro.sim.events import Event, EventQueue
 from repro.sim.failures import CrashSchedule, FailureInjector
-from repro.sim.network import Channel, MessageRecord, Network, NetworkStats
+from repro.sim.network import MessageRecord, Network, NetworkStats
 from repro.sim.scheduler import Simulator, SimulationError
 from repro.sim.tracing import TraceEvent, Tracer
 from repro.transport.runtime import Guard, ProcessBase as Process, ProcessCrashedError
 
 __all__ = [
-    "Channel",
     "CrashSchedule",
     "DelayModel",
     "Event",

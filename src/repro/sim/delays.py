@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.sim.rng import derive_seed, make_rng
 
@@ -32,9 +32,24 @@ from repro.sim.rng import derive_seed, make_rng
 class DelayModel(ABC):
     """Base class for message-delay models."""
 
+    #: Whether two draws can be the same float.  The network keeps its
+    #: same-instant coalescing index only where two deliveries can share an
+    #: instant; a model whose draws are continuous says ``False`` and a run
+    #: under it carries no index at all.  Unknown models can.
+    may_collide = True
+
     @abstractmethod
     def sample(self, src: int, dst: int) -> float:
         """Return the transfer delay for a message from ``src`` to ``dst``."""
+
+    def sample_many(self, src: int, dsts: Sequence[int]) -> list[float]:
+        """One draw per destination, in list order — the loop over :meth:`sample`.
+
+        The draw order is the execution's identity, so an override must
+        consume its RNG exactly as that loop would.
+        """
+        sample = self.sample
+        return [sample(src, dst) for dst in dsts]
 
     def max_delay(self) -> Optional[float]:
         """Upper bound on delays if one exists (the paper's ``delta``), else ``None``."""
@@ -98,11 +113,19 @@ class UniformDelay(DelayModel):
             raise ValueError(f"invalid delay range [{low}, {high}]")
         self.low = low
         self.high = high
+        self.may_collide = low == high
         self._seed = seed
         self._rng = make_rng(seed, "uniform-delay", low, high)
+        # ``Random.uniform(a, b)`` is ``a + (b - a) * random()``; drawing it
+        # here gives the same floats from the same stream one call sooner.
+        self._span = high - low
 
     def sample(self, src: int, dst: int) -> float:
-        return self._rng.uniform(self.low, self.high)
+        return self.low + self._span * self._rng.random()
+
+    def sample_many(self, src: int, dsts: Sequence[int]) -> list[float]:
+        low, span, random = self.low, self._span, self._rng.random
+        return [low + span * random() for _ in dsts]
 
     def max_delay(self) -> float:
         return self.high
@@ -175,6 +198,7 @@ class JitteredDelay(DelayModel):
             raise ValueError("invalid JitteredDelay parameters")
         self.delta = delta
         self.jitter = jitter
+        self.may_collide = jitter == 0
         self._seed = seed
         self._rng = make_rng(seed, "jitter-delay", delta, jitter)
 
@@ -210,6 +234,9 @@ class PerLinkDelay(DelayModel):
     ) -> None:
         self.default = default
         self.overrides = dict(overrides or {})
+        self.may_collide = default.may_collide or any(
+            model.may_collide for model in self.overrides.values()
+        )
 
     def sample(self, src: int, dst: int) -> float:
         model = self.overrides.get((src, dst), self.default)

@@ -47,7 +47,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Union
 
 from repro.sim.delays import DelayModel, FixedDelay
 from repro.sim.scheduler import Simulator
@@ -99,6 +99,16 @@ def _bits_of_class(cls: type, accessor: str) -> Any:
 _INF = math.inf
 
 
+def _bad_destination(src: int, dst: int) -> Exception:
+    """Why ``src`` may not send to ``dst``: itself, or nobody."""
+    if dst == src:
+        return ValueError(
+            f"process p{src} attempted to send a message to itself; "
+            "the paper's algorithm never does this (Lemma 1 observation)"
+        )
+    return KeyError(f"unknown destination process p{dst}")
+
+
 @dataclass
 class NetworkStats:
     """Aggregated message statistics for a simulation run.
@@ -147,7 +157,8 @@ class NetworkStats:
         )
         return accessors
 
-    def record_send(self, src: int, message: Any) -> tuple[int, int]:
+    def record_send(self, src: int, message: Any, count: int = 1) -> tuple[int, int]:
+        """Price ``message`` once and bill ``src`` for ``count`` copies of it."""
         cls = message.__class__
         accessors = self._accessors.get(cls)
         if accessors is None:
@@ -157,21 +168,18 @@ class NetworkStats:
             control = int(control(message))
         if data.__class__ is not int:
             data = int(data(message))
-        self.messages_sent += 1
-        self.control_bits_total += control
-        self.data_bits_total += data
+        self.messages_sent += count
+        self.control_bits_total += control * count
+        self.data_bits_total += data * count
         if control > self.max_control_bits:
             self.max_control_bits = control
         if name is None:
             name = _message_type_name(message)
         by_type = self.by_type
-        by_type[name] = by_type.get(name, 0) + 1
+        by_type[name] = by_type.get(name, 0) + count
         per_sender = self.per_sender
-        per_sender[src] = per_sender.get(src, 0) + 1
+        per_sender[src] = per_sender.get(src, 0) + count
         return control, data
-
-    def record_delivery(self) -> None:
-        self.messages_delivered += 1
 
     def record_drop(self) -> None:
         self.messages_dropped_to_crashed += 1
@@ -211,9 +219,10 @@ class _Delivery:
     is irrevocable.  ``Network.send`` pushes it straight onto the queue, so a
     simulated message costs one allocation and no wrapper around it.
 
-    With **coalescing** enabled on the network, the first message to a given
-    ``(dst, delivery-time)`` becomes the scheduled *head* (``key`` set, entry
-    in ``network._coalesced``); later logical messages to the same key ride
+    Where the network keeps its **coalescing** index (see
+    :meth:`Network.send`), the first message to a given ``(dst,
+    delivery-time)`` becomes the scheduled *head* (``key`` set, entry in
+    ``network._coalesced``); later logical messages to the same key ride
     along in ``extra`` and are fanned out — in send order — when the single
     heap event fires.  Heads remove themselves from the index before fanning
     out, so a fan-out handler that sends at the same instant starts a fresh
@@ -224,7 +233,6 @@ class _Delivery:
 
     __slots__ = (
         "network",
-        "channel",
         "src",
         "dst",
         "message",
@@ -241,7 +249,6 @@ class _Delivery:
     def __init__(
         self,
         network: "Network",
-        channel: "Channel",
         src: int,
         dst: int,
         message: Any,
@@ -251,7 +258,6 @@ class _Delivery:
         data: int,
     ) -> None:
         self.network = network
-        self.channel = channel
         self.src = src
         self.dst = dst
         self.message = message
@@ -273,8 +279,8 @@ class _Delivery:
             if extra is not None:
                 self._fan_out(network, extra)
                 return
-        # One logical message (coalescing off, or nothing rode along).
-        self.channel.in_flight -= 1
+        # One logical message (no index, or nothing rode along).
+        network._in_flight -= 1
         destination = network._processes[self.dst]
         delivered = not destination.crashed
         if network.record_messages:
@@ -293,8 +299,7 @@ class _Delivery:
         if not delivered:
             network.stats.record_drop()
             return
-        network.stats.messages_delivered += 1  # record_delivery(), inlined
-        self.channel.delivered += 1
+        network.stats.messages_delivered += 1
         tracer = network.simulator.tracer
         if tracer.enabled:
             tracer.record(self.time, "deliver", self.src, self.dst, self.message)
@@ -332,7 +337,7 @@ class _Delivery:
         count = len(extra)
         handled = False
         while True:
-            entry.channel.in_flight -= 1
+            network._in_flight -= 1
             delivered = not destination.crashed
             if record:
                 network.records.append(
@@ -349,7 +354,6 @@ class _Delivery:
                 )
             if delivered:
                 stats.messages_delivered += 1
-                entry.channel.delivered += 1
                 if trace:
                     tracer.record(now, "deliver", entry.src, entry.dst, entry.message)
                 if hooks:
@@ -378,23 +382,6 @@ class _Delivery:
         return label
 
 
-class Channel:
-    """A uni-directional channel between two processes.
-
-    The channel itself only tracks in-flight counts; delivery scheduling is
-    done by the owning :class:`Network` so all events share one clock.
-    """
-
-    def __init__(self, src: int, dst: int) -> None:
-        self.src = src
-        self.dst = dst
-        self.in_flight = 0
-        self.delivered = 0
-
-    def __repr__(self) -> str:
-        return f"Channel({self.src}->{self.dst}, in_flight={self.in_flight})"
-
-
 class Network:
     """Complete network of reliable, asynchronous, non-FIFO channels.
 
@@ -415,7 +402,8 @@ class Network:
         individually — only the intra-instant delivery interleaving (and the
         number of heap operations) changes.  Off by default so existing
         deployments replay their pinned histories bit for bit; the sharded
-        store turns it on (see ``repro.store.StoreConfig.coalesce``).
+        store turns it on (see ``repro.store.StoreConfig.coalesce``).  The
+        index behind it exists only where instants can be shared (:meth:`send`).
     """
 
     def __init__(
@@ -448,7 +436,7 @@ class Network:
         # (register), not each time a process asks who its peers are.  The
         # list is replaced, never mutated: a reference handed out stays valid.
         self._process_ids: list[int] = []
-        self._channels: Dict[tuple[int, int], Channel] = {}
+        self._in_flight = 0  # sent here, not yet delivered or dropped
         # Optional delivery filter: callable(src, dst, message) -> bool.  Used
         # by tests to model adversarial (but still eventually-reliable)
         # schedules; returning False delays the message by re-sampling later.
@@ -496,13 +484,6 @@ class Network:
         """All registered processes, ordered by pid."""
         return [self._processes[pid] for pid in self._process_ids]
 
-    def channel(self, src: int, dst: int) -> Channel:
-        """Return (creating on demand) the uni-directional channel ``src -> dst``."""
-        key = (src, dst)
-        if key not in self._channels:
-            self._channels[key] = Channel(src, dst)
-        return self._channels[key]
-
     def add_delivery_hook(self, hook: Callable[[int, int, Any], None]) -> None:
         """Register a callback invoked at every delivery (for monitors/tests)."""
         self._delivery_hooks.append(hook)
@@ -517,98 +498,129 @@ class Network:
 
     # --------------------------------------------------------------- sending
 
-    def send(self, src: int, dst: int, message: Any) -> None:
-        """Send ``message`` from ``src`` to ``dst``.
+    def send(self, src: int, dst: Union[int, Sequence[int]], message: Any) -> None:
+        """Send ``message`` from ``src`` to ``dst`` — one pid, or a sequence of pids.
 
-        The message is delivered after a delay sampled from the delay model,
-        unless the destination has crashed by delivery time (in which case it
-        is dropped — the destination takes no further steps, so it can never
-        process it anyway).
+        Each copy is delivered after a delay sampled from the delay model,
+        unless its destination has crashed by then (it is dropped: the
+        destination takes no further steps, so it could never process it).
+
+        A sequence is the pseudocode's "send to every ``p_j`` such that…":
+        observably the loop of single sends in list order (same delay draws,
+        heap sequence numbers, records, tracer and hook calls), but what does
+        not depend on the destination happens once — the closed and
+        crashed-sender checks, the price (billed ``len(dst)`` times) and one
+        batch of delay draws.  A self or unknown pid anywhere in the sequence
+        rejects the whole call: nothing is sent.
+
+        With send hooks installed everything is per message instead: a hook
+        sees the accounting as of *its* message and may crash the sender
+        mid-list, after which nothing further is billed, drawn or sent.
+
+        The coalescing index is consulted only where two deliveries can share
+        an instant: the delay model's draws can collide, or a link policy or
+        perturbation — which can align instants (a healed partition releases
+        everything at the heal time) — is installed.
         """
         if self.closed:
             raise TransportClosedError(
                 f"send p{src}->p{dst} on closed network"
                 + (f" {self.name!r}" if self.name else "")
             )
-        if src == dst:
-            raise ValueError(
-                f"process p{src} attempted to send a message to itself; "
-                "the paper's algorithm never does this (Lemma 1 observation)"
-            )
-        if dst not in self._processes:
-            raise KeyError(f"unknown destination process p{dst}")
-        sender = self._processes.get(src)
+        processes = self._processes
+        sender = processes.get(src)
         if sender is not None and sender.crashed:
             # A crashed process takes no steps, hence cannot send.
             return
-        control, data = self.stats.record_send(src, message)
-        key = (src, dst)
-        channel = self._channels.get(key)
-        if channel is None:
-            channel = self._channels[key] = Channel(src, dst)
-        channel.in_flight += 1
-        delay = self.delay_model.sample(src, dst)
-        if delay < 0:
-            raise ValueError(f"delay model produced negative delay {delay}")
+        stats = self.stats
+        model = self.delay_model
+        hooks = self._send_hooks
+        if dst.__class__ is int:
+            if dst == src or dst not in processes:
+                raise _bad_destination(src, dst)
+            dsts, delays = (dst,), (model.sample(src, dst),)
+        else:
+            dsts = dst
+            if not dsts:
+                return
+            for dst in dsts:
+                if dst == src or dst not in processes:
+                    raise _bad_destination(src, dst)
+            if hooks:
+                delays = (model.sample(src, dst) for dst in dsts)  # drawn as the loop advances
+            else:
+                delays = model.sample_many(src, dsts)
+        if not hooks:
+            count = len(dsts)
+            control, data = stats.record_send(src, message, count)
+            self._in_flight += count
         simulator = self.simulator
         send_time = simulator._now  # .now property, bypassed on the hot path
         policy = self.link_policy
-        if policy is not None:
-            delay = policy.adjust(src, dst, send_time, delay)
-            # Reliability is non-negotiable: a policy that loses a message
-            # (infinite/NaN delay) or turns back time is a bug, not a fault.
-            if not 0.0 <= delay < _INF:
-                raise ValueError(
-                    f"link policy produced invalid delay {delay} for p{src}->p{dst}; "
-                    "policies must preserve reliability (finite, non-negative delays)"
-                )
         perturbation = self.perturbation
-        if perturbation is not None:
-            delay = perturbation.perturb(self.name, src, dst, send_time, delay)
-            if not 0.0 <= delay < _INF:
-                raise ValueError(
-                    f"perturbation produced invalid delay {delay} for p{src}->p{dst}; "
-                    "perturbations must preserve reliability (finite, non-negative delays)"
-                )
         tracer = simulator.tracer
-        if tracer.enabled:
-            tracer.record(send_time, "send", src, dst, message)
-        # The delivery record is itself the heap entry (delay >= 0 was just
-        # checked, so the schedule_after guard would be redundant).
-        time = send_time + delay
-        delivery = _Delivery(self, channel, src, dst, message, send_time, time, control, data)
-        if self.coalesce:
-            key = (dst, time)
-            head = self._coalesced.get(key)
-            if head is None:
-                delivery.key = key
-                self._coalesced[key] = delivery
-                simulator._queue.push_entry(delivery)
+        trace = tracer.enabled
+        push = simulator._queue.push_entry
+        coalesced = None
+        if self.coalesce and (
+            model.may_collide or policy is not None or perturbation is not None
+        ):
+            coalesced = self._coalesced
+        for dst, delay in zip(dsts, delays):
+            if hooks:
+                control, data = stats.record_send(src, message)
+                self._in_flight += 1
+            if delay < 0:
+                raise ValueError(f"delay model produced negative delay {delay}")
+            if policy is not None:
+                delay = policy.adjust(src, dst, send_time, delay)
+                # Reliability is non-negotiable: a policy that loses a message
+                # (infinite/NaN delay) or turns back time is a bug, not a fault.
+                if not 0.0 <= delay < _INF:
+                    raise ValueError(
+                        f"link policy produced invalid delay {delay} for p{src}->p{dst}; "
+                        "policies must preserve reliability (finite, non-negative delays)"
+                    )
+            if perturbation is not None:
+                delay = perturbation.perturb(self.name, src, dst, send_time, delay)
+                if not 0.0 <= delay < _INF:
+                    raise ValueError(
+                        f"perturbation produced invalid delay {delay} for p{src}->p{dst}; "
+                        "perturbations must preserve reliability (finite, non-negative delays)"
+                    )
+            if trace:
+                tracer.record(send_time, "send", src, dst, message)
+            # The delivery record is itself the heap entry (delay >= 0 was just
+            # checked, so the schedule_after guard would be redundant).
+            time = send_time + delay
+            delivery = _Delivery(self, src, dst, message, send_time, time, control, data)
+            if coalesced is None:
+                push(delivery)
             else:
-                extra = head.extra
-                if extra is None:
-                    head.extra = [delivery]
+                key = (dst, time)
+                head = coalesced.get(key)
+                if head is None:
+                    delivery.key = key
+                    coalesced[key] = delivery
+                    push(delivery)
                 else:
-                    extra.append(delivery)
-                self.stats.messages_coalesced += 1
-        else:
-            simulator._queue.push_entry(delivery)
-        hooks = self._send_hooks
-        if hooks:
-            for hook in hooks:
-                hook(src, dst, message)
-
-    def broadcast(self, src: int, message_factory: Callable[[int], Any]) -> None:
-        """Send ``message_factory(dst)`` to every process except ``src``."""
-        for dst in self.process_ids:
-            if dst != src:
-                self.send(src, dst, message_factory(dst))
+                    extra = head.extra
+                    if extra is None:
+                        head.extra = [delivery]
+                    else:
+                        extra.append(delivery)
+                    stats.messages_coalesced += 1
+            if hooks:
+                for hook in hooks:
+                    hook(src, dst, message)
+                if sender is not None and sender.crashed:
+                    break
 
     # ------------------------------------------------------------ inspection
 
     def in_flight_total(self) -> int:
         """Total number of messages currently in flight."""
-        return sum(channel.in_flight for channel in self._channels.values())
+        return self._in_flight
 
     def quiescent(self) -> bool:
         """True when no messages are in flight."""

@@ -18,7 +18,7 @@ simulator by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Protocol, Sequence, Union, runtime_checkable
 
 
 class TransportClosedError(RuntimeError):
@@ -100,8 +100,12 @@ class Transport(Protocol):
         """Attach a process so it can receive deliveries."""
         ...
 
-    def send(self, src: int, dst: int, message: Any) -> None:
-        """Send ``message`` from ``src`` to ``dst`` (no self-sends)."""
+    def send(self, src: int, dst: Union[int, Sequence[int]], message: Any) -> None:
+        """Send ``message`` from ``src`` to ``dst`` — one pid, or a sequence of pids.
+
+        A sequence is "send to every ``p_j`` such that…": the loop of single
+        sends in list order, done as one call.  No self-sends.
+        """
         ...
 
     def close(self) -> None:

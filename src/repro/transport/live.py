@@ -46,7 +46,7 @@ import itertools
 import time
 from collections import deque
 from functools import partial
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.exec.metrics import MetricsCollector
 from repro.exec.oplog import OpLog
@@ -235,21 +235,21 @@ class LiveKeyNet:
     def register(self, process: Any) -> None:
         self.process = process
 
-    def send(self, src: int, dst: int, message: Any) -> None:
+    def send(self, src: int, dst: Union[int, Sequence[int]], message: Any) -> None:
         if self.closed:
             raise TransportClosedError(f"send p{src}->p{dst} on closed live net {self.name!r}")
-        if src == dst:
+        dsts = (dst,) if isinstance(dst, int) else dst
+        if src in dsts:
             raise ValueError(f"process p{src} attempted to send a message to itself")
-        self.stats.record_send(src, message)
-        self.server.send_peer(
-            dst,
-            {"kind": "msg", "key": self.key, "src": src, "dst": dst, "msg": message},
-        )
-
-    def broadcast(self, src: int, message_factory: Callable[[int], Any]) -> None:
-        for dst in self.process_ids:
-            if dst != src:
-                self.send(src, dst, message_factory(dst))
+        if not dsts:
+            return
+        self.stats.record_send(src, message, len(dsts))
+        # A frame carries its ``dst``, so each destination gets its own.
+        for dst in dsts:
+            self.server.send_peer(
+                dst,
+                {"kind": "msg", "key": self.key, "src": src, "dst": dst, "msg": message},
+            )
 
     def close(self) -> None:
         self.closed = True

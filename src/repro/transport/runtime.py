@@ -2,8 +2,8 @@
 
 This is the transport-agnostic half of the execution model.  A
 :class:`ProcessBase` is a sequential protocol process attached to any
-:class:`~repro.transport.base.Transport`; it receives deliveries, sends and
-broadcasts messages, and expresses the paper's blocking ``wait(predicate)``
+:class:`~repro.transport.base.Transport`; it receives deliveries, sends
+messages, and expresses the paper's blocking ``wait(predicate)``
 statements (lines 3, 7, 9, 11 and 20 of Figure 1) as **guards**: a guard is
 a ``(predicate, action)`` pair registered on a process; after every state
 change (i.e. after every message handler and every locally triggered step)
@@ -23,7 +23,7 @@ a crash is simply a process that stopped.)
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # structural types only; no backend import at runtime
     from repro.transport.base import Clock, Transport
@@ -80,7 +80,7 @@ class ProcessBase:
     Subclasses implement :meth:`on_message` (and usually expose operation
     entry points that the workload runner invokes).  The base class provides:
 
-    * :meth:`send` / :meth:`broadcast` — outbound messaging (no self-sends);
+    * :meth:`send` — outbound messaging, to one process or to many (no self-sends);
     * :meth:`deliver` — inbound dispatch, ignored after a crash;
     * :meth:`add_guard` / :meth:`check_guards` — the wait mechanism;
     * :meth:`crash` — halt the process.
@@ -136,18 +136,14 @@ class ProcessBase:
 
     # ------------------------------------------------------------------ send
 
-    def send(self, dst: int, message: Any) -> None:
-        """Send a message to ``dst`` (dropped silently if this process crashed)."""
+    def send(self, dst: Union[int, Sequence[int]], message: Any) -> None:
+        """Send a message to ``dst`` — one pid, or every pid of a sequence, in order.
+
+        Dropped silently if this process crashed.
+        """
         if self.crashed:
             return
         self.network.send(self.pid, dst, message)
-
-    def broadcast(self, message_factory: Callable[[int], Any]) -> None:
-        """Send ``message_factory(dst)`` to every other process."""
-        if self.crashed:
-            return
-        for dst in self.other_process_ids():
-            self.network.send(self.pid, dst, message_factory(dst))
 
     # --------------------------------------------------------------- deliver
 

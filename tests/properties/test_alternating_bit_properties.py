@@ -11,7 +11,9 @@ are exchanged between each ordered pair of processes:
   written value twice to the same peer**, so each ordered pair carries at
   most one WRITE per written value.
 
-These tests observe every WRITE on the wire via a delivery hook and check
+These tests observe every WRITE on the wire through the network's send hook
+(``Network.add_send_hook``: once per message, in send order, whether it left
+in a single send or as one destination of a multi-destination send) and check
 both facts across random delay models and workloads.
 """
 
@@ -36,14 +38,11 @@ def _run_with_wire_capture(n: int, writes: int, seed: int, interleave_reads: boo
     )
     sent_per_pair: dict[tuple[int, int], list[WriteMessage]] = defaultdict(list)
 
-    original_send = cluster.network.send
-
-    def capturing_send(src: int, dst: int, message):
+    def capture(src: int, dst: int, message):
         if isinstance(message, WriteMessage):
             sent_per_pair[(src, dst)].append(message)
-        return original_send(src, dst, message)
 
-    cluster.network.send = capturing_send  # type: ignore[method-assign]
+    cluster.network.add_send_hook(capture)
     for index in range(1, writes + 1):
         cluster.writer.write(f"v{index}")
         if interleave_reads:

@@ -6,7 +6,6 @@ from repro.quorum import (
     AckCounter,
     MaxReply,
     NO_SELF_REPLY,
-    PhaseBroadcast,
     PhaseRegisterProcess,
     QuorumCollector,
     QuorumTracker,
@@ -192,22 +191,13 @@ class TestPhaseRegisterProcess:
         assert process.phase_words("ping") == 5
         assert process.phase_words("ping", "other") == 5
 
-    def test_phase_broadcast_factory_builds_per_destination(self):
-        simulator, network, processes = build_cluster(3)
+    def test_start_phase_sends_the_one_message_to_every_peer_in_pid_order(self):
+        simulator, network, processes = build_cluster(4)
         sent = []
-
-        class Tagged:
-            type_name = "TAGGED"
-
-            def __init__(self, dst):
-                self.dst = dst
-
-        def record_hook(src, dst, message):
-            sent.append((dst, message.dst))
-
-        network.add_send_hook(record_hook)
-        PhaseBroadcast(factory=lambda dst: Tagged(dst)).send_from(processes[0])
-        assert sent == [(1, 1), (2, 2)]
+        network.add_send_hook(lambda src, dst, message: sent.append((src, dst, message)))
+        processes[2].start_round()
+        assert [(src, dst) for src, dst, _ in sent] == [(2, 0), (2, 1), (2, 3)]
+        assert len({id(message) for _, _, message in sent}) == 1
 
     def test_no_self_reply_sentinel_distinct_from_none(self):
         simulator, _, processes = build_cluster(5)

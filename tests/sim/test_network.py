@@ -51,13 +51,16 @@ class TestDelivery:
         with pytest.raises(ValueError, match="duplicate"):
             RecorderProcess(0, simulator, network)
 
-    def test_broadcast_reaches_everyone_but_the_sender(self, simulator, network):
+    def test_list_send_reaches_every_listed_process(self, simulator, network):
         processes = build_recorders(simulator, network, 4)
-        network.broadcast(0, lambda dst: f"to-{dst}")
+        network.send(0, [1, 3], "to-some")
         simulator.run()
-        assert processes[0].received == []
-        for process in processes[1:]:
-            assert process.received == [(0, f"to-{process.pid}")]
+        assert [process.received for process in processes] == [
+            [],
+            [(0, "to-some")],
+            [],
+            [(0, "to-some")],
+        ]
 
     def test_reliable_no_loss_no_duplication(self, simulator):
         network = Network(simulator, delay_model=UniformDelay(0.1, 5.0, seed=3))
@@ -232,11 +235,6 @@ class TestTopologyHelpers:
     def test_process_ids_sorted(self, simulator, network):
         build_recorders(simulator, network, 3)
         assert network.process_ids == [0, 1, 2]
-
-    def test_channel_created_on_demand_and_reused(self, simulator, network):
-        build_recorders(simulator, network, 2)
-        channel = network.channel(0, 1)
-        assert network.channel(0, 1) is channel
 
     def test_in_flight_and_quiescent(self, simulator, network):
         build_recorders(simulator, network, 2)

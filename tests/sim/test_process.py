@@ -27,13 +27,13 @@ class TestBasics:
         with pytest.raises(NotImplementedError):
             process.on_message(1, "x")
 
-    def test_broadcast_skips_self(self, simulator, network):
+    def test_send_to_the_other_processes_skips_self(self, simulator, network):
         processes = build_recorders(simulator, network, 3)
-        processes[0].broadcast(lambda dst: f"hi-{dst}")
+        processes[0].send(processes[0].other_process_ids(), "hi")
         simulator.run()
         assert processes[0].received == []
-        assert processes[1].received == [(0, "hi-1")]
-        assert processes[2].received == [(0, "hi-2")]
+        assert processes[1].received == [(0, "hi")]
+        assert processes[2].received == [(0, "hi")]
 
     def test_message_counters(self, simulator, network):
         sender, receiver = build_recorders(simulator, network, 2)
@@ -148,7 +148,7 @@ class TestCrash:
         sender, receiver = build_recorders(simulator, network, 2)
         sender.crash()
         sender.send(1, "nope")
-        sender.broadcast(lambda dst: "nope")
+        sender.send([1], "nope")
         simulator.run()
         assert receiver.received == []
 
