@@ -232,21 +232,26 @@ class TwoBitRegisterProcess(RegisterProcess):
 
     def _handle_read(self, src: int) -> None:
         """``when READ() is received from p_j`` — lines 19–21."""
-        st = self._require_state()
+        w_sync = self._require_state().w_sync
 
         # line 19: sn <- w_sync_i[i]   (freshness point fixed at reception time)
-        sn = st.w_sync[self.pid]
+        sn = w_sync[self.pid]
 
         # line 20: wait (w_sync_i[j] >= sn)
-        def requester_is_fresh() -> bool:
-            return st.w_sync[src] >= sn
-
         # line 21: send PROCEED() to p_j
-        self.add_guard(
-            requester_is_fresh,
-            lambda: self.send(src, PROCEED),
-            label=("line 20 freshness wait (reader p%d, sn=%d)", src, sn),
-        )
+        if w_sync[src] >= sn:
+            # The requester is already fresh (nearly every READ): what
+            # add_guard does for a wait that already holds, without building
+            # the wait — the action, then the scan for what it enabled.
+            self.send(src, PROCEED)
+            if self._guards:
+                self.check_guards()
+        else:
+            self.add_guard(
+                lambda: w_sync[src] >= sn,
+                lambda: self.send(src, PROCEED),
+                label=("line 20 freshness wait (reader p%d, sn=%d)", src, sn),
+            )
 
     # -- PROCEED() --------------------------------------------------------------
 

@@ -297,7 +297,7 @@ class OpenLoopClient:
         if self._pending is not None:
             simulator = self.driver.simulator
             next_at = max(self._pending[0], simulator.now)
-            simulator.schedule_at(next_at, self._fire, label=f"open-loop arrival {self._fired}")
+            simulator.schedule_at(next_at, self._fire, label=("open-loop arrival %d", self._fired))
 
     def _op_done(self, _op: ExecOp) -> None:
         self._open -= 1

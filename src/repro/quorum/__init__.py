@@ -6,7 +6,7 @@ least ``n - t`` processes (the sender included) have answered, aggregate the
 replies, proceed to the next phase.  Before this package existed each of
 ``registers/abd.py``, ``registers/abd_mwmr.py`` and ``registers/bounded.py``
 hand-rolled that loop — per-phase reply sets, pending-tag bookkeeping to
-reject stale replies, quorum guards — three times over.
+reject stale replies, quorum waits — three times over.
 
 ``repro.quorum`` extracts the pattern once:
 
@@ -16,17 +16,21 @@ reject stale replies, quorum guards — three times over.
 * :class:`~repro.quorum.aggregators.ReplyAggregator` and friends — pluggable
   per-phase reply reductions (ack counting, max-by-key selection).
 * :class:`~repro.quorum.engine.QuorumCollector` — one in-flight phase: its
-  tag (the stale-reply guard), its aggregator, and its threshold.
+  tag (the stale-reply guard), its aggregator, its threshold and its
+  continuation; ``accept`` counts a reply and, at the quorum-th, runs the
+  continuation — exactly once.
 * :class:`~repro.quorum.engine.PhaseRegisterProcess` — the broadcast/collect
-  engine itself: ``start_phase`` sends one message to every peer (a single
-  multi-destination ``send``), seeds the sender's own reply, and registers
-  the quorum guard; ``phase_reply`` applies the stale-phase guard and feeds
-  the aggregator.
+  engine itself: ``start_phase`` seeds the sender's own reply and sends one
+  message to every peer (a single multi-destination ``send``);
+  ``phase_reply`` applies the stale-phase guard and hands the reply to the
+  collector.  Quorum waits are counted, not polled: the engine registers no
+  guards.
 
 The engine is deliberately *history-preserving*: ``start_phase`` performs
-exactly the sends (same order) and registers exactly the guard that the
-hand-rolled loops did, so porting an algorithm onto the engine leaves every
-closed-loop history byte-identical (pinned by
+exactly the sends (same order) the hand-rolled loops did, and the
+continuation runs where their quorum guard fired — inside the delivery of the
+reply that completes the quorum — so porting an algorithm onto the engine
+leaves every closed-loop history byte-identical (pinned by
 ``tests/workloads/golden_histories.json``) and every per-operation message
 count unchanged (Theorem 2, checked by ``repro messages``).
 """

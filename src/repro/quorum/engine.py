@@ -9,6 +9,12 @@ A *phase* is the unit every quorum protocol is built from:
    per-phase **tag** such as a write sequence number or read request number);
 4. aggregate the replies and run the continuation.
 
+The wait of step 3 is a **count**, and it is reached at the instant the
+reply that reaches it is accepted: :meth:`QuorumCollector.accept`, the one
+place a reply is counted, compares the count with the threshold right there
+and runs the phase's continuation — exactly once, at the quorum-th distinct
+reply.  Nothing is polled, and a process built on the engine keeps no guards.
+
 :class:`PhaseRegisterProcess` owns a small table of named phase *slots*
 (``"write"``, ``"read"``, ``"writeback"``, ...): at most one phase is active
 per slot, starting a new phase in a slot replaces the previous one, and a
@@ -19,11 +25,15 @@ Table 1 counts as the transient quorum sets).
 History preservation contract
 -----------------------------
 ``start_phase`` performs *exactly* the observable actions the hand-rolled
-loops in the pre-engine registers performed, in the same order: the sends to
-``other_process_ids()`` (ascending pid; one multi-destination ``send``), then
-one guard registration.  Reply acceptance reproduces the ``tag == pending and
-src not in replies`` checks.  Nothing else touches the simulator, so a ported
-algorithm produces byte-identical histories
+loops in the pre-engine registers performed, in the same order: the sender's
+own reply, then the sends to every other process (ascending pid; one
+multi-destination ``send``), then the continuation if the quorum is already
+there.  Reply acceptance reproduces the ``tag == pending and src not in
+replies`` checks, and the continuation runs inside the handler of the reply
+that completes the quorum, with that reply recorded — where a wait polled
+after every delivery would have run it, because accepting the reply is the
+last thing each reply handler does.  Nothing else touches the simulator, so a
+ported algorithm produces byte-identical histories
 (``tests/workloads/golden_histories.json``) and identical per-operation
 message counts (Theorem 2 / ``repro messages``).
 """
@@ -35,21 +45,26 @@ from typing import Any, Callable, Optional
 from repro.quorum.aggregators import AckCounter, ReplyAggregator
 from repro.quorum.tracker import QuorumTracker
 from repro.registers.base import RegisterProcess
+from repro.transport.runtime import render_label
 
 #: Sentinel: "this phase has no self-reply" (distinct from a ``None`` payload).
 NO_SELF_REPLY = object()
 
 
 class QuorumCollector:
-    """One in-flight (or retained) phase: tag, aggregator, threshold, liveness.
+    """One in-flight (or retained) phase: tag, aggregator, threshold, continuation.
 
     The collector is the stale-phase guard made explicit: a reply is accepted
     only while the phase is open *and* carries the phase's tag.  Closing a
     phase (when its operation completes) freezes the reply set — late replies
     are ignored, exactly like the pre-engine ``pending = None`` idiom.
+
+    ``on_quorum`` is the continuation while the phase still waits for its
+    quorum, and ``None`` once it has run (or the process crashed): a phase
+    fires at most once, and replies past the quorum are only recorded.
     """
 
-    __slots__ = ("slot", "tag", "aggregator", "tracker", "closed")
+    __slots__ = ("slot", "tag", "aggregator", "quorum_size", "on_quorum", "label", "closed")
 
     def __init__(
         self,
@@ -57,11 +72,17 @@ class QuorumCollector:
         tag: Any,
         aggregator: ReplyAggregator,
         tracker: QuorumTracker,
+        on_quorum: Optional[Callable[["QuorumCollector"], None]] = None,
+        label: Any = "",
     ) -> None:
         self.slot = slot
         self.tag = tag
         self.aggregator = aggregator
-        self.tracker = tracker
+        self.quorum_size = tracker.quorum_size
+        self.on_quorum = on_quorum
+        #: Diagnostic tag, a string or a lazy ``(format, *args)`` tuple (read
+        #: only when a run is stuck: ``PhaseRegisterProcess.waiting_on``).
+        self.label = label
         self.closed = False
 
     @property
@@ -71,13 +92,27 @@ class QuorumCollector:
 
     def satisfied(self) -> bool:
         """True when at least ``n - t`` processes (self included) replied."""
-        return self.tracker.satisfied(len(self.aggregator.replies))
+        return len(self.aggregator.replies) >= self.quorum_size
 
     def accept(self, src: int, payload: Any = None) -> bool:
-        """Feed one reply to the aggregator (ignored when closed or duplicate)."""
+        """Count one reply (ignored when closed or duplicate).
+
+        The reply that brings the count to ``n - t`` runs the continuation,
+        here, with that reply already recorded.
+        """
         if self.closed:
             return False
-        return self.aggregator.accept(src, payload)
+        accepted = self.aggregator.accept(src, payload)
+        if accepted:
+            self.fire_if_due()
+        return accepted
+
+    def fire_if_due(self) -> None:
+        """Run the continuation if it has not run and the quorum is there."""
+        on_quorum = self.on_quorum
+        if on_quorum is not None and len(self.aggregator.replies) >= self.quorum_size:
+            self.on_quorum = None
+            on_quorum(self)
 
     def result(self) -> Any:
         """The aggregator's reduction over the collected replies."""
@@ -91,7 +126,7 @@ class QuorumCollector:
         state = "closed" if self.closed else "open"
         return (
             f"QuorumCollector({self.slot!r}, tag={self.tag!r}, "
-            f"{len(self.aggregator.replies)}/{self.tracker.quorum_size}, {state})"
+            f"{len(self.aggregator.replies)}/{self.quorum_size}, {state})"
         )
 
 
@@ -101,13 +136,19 @@ class PhaseRegisterProcess(RegisterProcess):
     Subclasses express each protocol phase as one :meth:`start_phase` call
     and route reply messages through :meth:`phase_reply` (or
     :meth:`active_phase` when the payload needs per-reply computation).  The
-    engine owns the reply sets, the stale-phase guards and the quorum guards
+    engine owns the reply sets, the stale-phase guards and the quorum counts
     the pre-engine implementations each hand-rolled.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self._phases: dict[str, QuorumCollector] = {}
+        # Every other process, in pid order (fixed by finish_setup).
+        self._peers: list[int] = []
+
+    def finish_setup(self) -> None:
+        super().finish_setup()
+        self._peers = self.other_process_ids()
 
     # ------------------------------------------------------------ phase control
 
@@ -128,19 +169,27 @@ class PhaseRegisterProcess(RegisterProcess):
         counting toward local memory).  ``self_reply`` seeds the sender's own
         implicit reply *before* the broadcast, mirroring the pseudocode's
         "the writer itself counts" convention; pass :data:`NO_SELF_REPLY`
-        (the default) for phases where it does not.
+        (the default) for phases where it does not.  A quorum that is already
+        there when the send returns runs ``on_quorum`` before this returns.
         """
         phase = QuorumCollector(
             slot,
             tag,
             aggregator if aggregator is not None else AckCounter(),
             self.quorum,
+            on_quorum,
+            label,
         )
         self._phases[slot] = phase
         if self_reply is not NO_SELF_REPLY:
             phase.aggregator.accept(self.pid, self_reply)
-        self.send(self.other_process_ids(), message)
-        self.add_guard(phase.satisfied, lambda: on_quorum(phase), label=label)
+        self.send(self._peers, message)
+        if self.crashed:
+            # Crashed before the call, or killed by a send hook mid-list: a
+            # process that takes no more steps waits for nothing.
+            phase.on_quorum = None
+        else:
+            phase.fire_if_due()
         return phase
 
     def active_phase(self, slot: str, tag: Any = None) -> Optional[QuorumCollector]:
@@ -164,7 +213,22 @@ class PhaseRegisterProcess(RegisterProcess):
             if phase is not None:
                 phase.close()
 
+    def crash(self) -> None:
+        """Halt the process; its phases' continuations will never run."""
+        super().crash()
+        for phase in self._phases.values():
+            phase.on_quorum = None
+
     # ------------------------------------------------------------- inspection
+
+    def waiting_on(self) -> list[str]:
+        """Every open phase still short of its quorum, with its progress."""
+        return super().waiting_on() + [
+            f"{render_label(phase.label) or phase.slot} "
+            f"({len(phase.aggregator.replies)}/{phase.quorum_size} replies)"
+            for phase in self._phases.values()
+            if phase.on_quorum is not None and not phase.closed
+        ]
 
     def phase_words(self, *slots: str) -> int:
         """Total retained reply-set sizes of the named slots (memory accounting)."""

@@ -42,7 +42,7 @@ def int_bits(value: int) -> int:
     their magnitude; 0 and ±1 cost one bit (a field of width zero cannot be
     decoded).
     """
-    return max(1, int(value).bit_length())
+    return int(value).bit_length() or 1
 
 
 def value_bits(value: object) -> int:

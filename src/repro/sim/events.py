@@ -15,8 +15,9 @@ says whether to skip it, ``str(entry)`` is its diagnostic label — so the
 network schedules its in-flight ``_Delivery`` records directly, with no
 wrapper allocated around them.  :class:`Event` is the general-purpose entry
 (timers, crash triggers, client arrivals): a ``__slots__`` class whose label
-may be *lazy* — any object whose ``str()`` is the label — so nobody pays for
-formatting diagnostics that are only read when a run gets stuck.
+may be *lazy* — a ``(format, *args)`` tuple, or any object whose ``str()`` is
+the label — so nobody pays for formatting diagnostics that are only read
+when a run gets stuck.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from typing import Any, Callable, Optional
+
+from repro.transport.runtime import render_label
 
 
 class Event:
@@ -40,7 +43,8 @@ class Event:
         Zero-argument callable executed when the event fires.
     label:
         Human-readable tag used by tracing and error messages.  May be any
-        object; it is rendered with ``str()`` on demand (lazy labels keep
+        object — a ``(format, *args)`` tuple is ``%``-formatted, anything else
+        goes through ``str()`` — and is rendered on demand (lazy labels keep
         formatting costs off the hot path).
     cancelled:
         Cancelled events stay in the heap but are skipped when popped.
@@ -71,7 +75,7 @@ class Event:
         self.action()
 
     def __str__(self) -> str:
-        return str(self.label)
+        return render_label(self.label)
 
     def cancel(self) -> None:
         """Mark the event so the scheduler skips it when it is popped."""
@@ -79,7 +83,7 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
-        return f"Event(t={self.time!r}, seq={self.seq}, label={str(self.label)!r}{state})"
+        return f"Event(t={self.time!r}, seq={self.seq}, label={str(self)!r}{state})"
 
 
 #: Rebuild the heap when at least this many cancelled entries have
@@ -156,9 +160,14 @@ class EventQueue:
                 self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify (heap order is seq-stable)."""
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
+        """Drop cancelled entries and re-heapify (heap order is seq-stable).
+
+        In place: the simulator's event loop holds the heap list across
+        events, and an event may cancel enough timers to land here.
+        """
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
         self._cancelled_in_heap = 0
 
     def _discard_cancelled_head(self) -> None:

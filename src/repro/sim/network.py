@@ -517,6 +517,10 @@ class Network:
         sees the accounting as of *its* message and may crash the sender
         mid-list, after which nothing further is billed, drawn or sent.
 
+        One pid on a network with no send hook, link policy, perturbation or
+        coalescing index — a reply — is the commonest call and takes the
+        per-message part in a straight line, with nothing built around it.
+
         The coalescing index is consulted only where two deliveries can share
         an instant: the delay model's draws can collide, or a link policy or
         perturbation — which can align instants (a healed partition releases
@@ -535,10 +539,38 @@ class Network:
         stats = self.stats
         model = self.delay_model
         hooks = self._send_hooks
+        policy = self.link_policy
+        perturbation = self.perturbation
+        coalesced = None
+        if self.coalesce and (
+            model.may_collide or policy is not None or perturbation is not None
+        ):
+            coalesced = self._coalesced
+        simulator = self.simulator
+        send_time = simulator._now  # .now property, bypassed on the hot path
+        tracer = simulator.tracer
+        trace = tracer.enabled
+        push = simulator._queue.push_entry
         if dst.__class__ is int:
             if dst == src or dst not in processes:
                 raise _bad_destination(src, dst)
-            dsts, delays = (dst,), (model.sample(src, dst),)
+            delay = model.sample(src, dst)
+            if not hooks and policy is None and perturbation is None and coalesced is None:
+                # One message that nothing can reshape, observe or share an
+                # instant with — every reply of a quorum phase.  This is the
+                # loop below for one destination with the branches that
+                # cannot be taken left out: a reply costs no more than one
+                # copy of a multicast.
+                control, data = stats.record_send(src, message)
+                self._in_flight += 1
+                if delay < 0:
+                    raise ValueError(f"delay model produced negative delay {delay}")
+                if trace:
+                    tracer.record(send_time, "send", src, dst, message)
+                time = send_time + delay
+                push(_Delivery(self, src, dst, message, send_time, time, control, data))
+                return
+            dsts, delays = (dst,), (delay,)
         else:
             dsts = dst
             if not dsts:
@@ -554,18 +586,6 @@ class Network:
             count = len(dsts)
             control, data = stats.record_send(src, message, count)
             self._in_flight += count
-        simulator = self.simulator
-        send_time = simulator._now  # .now property, bypassed on the hot path
-        policy = self.link_policy
-        perturbation = self.perturbation
-        tracer = simulator.tracer
-        trace = tracer.enabled
-        push = simulator._queue.push_entry
-        coalesced = None
-        if self.coalesce and (
-            model.may_collide or policy is not None or perturbation is not None
-        ):
-            coalesced = self._coalesced
         for dst, delay in zip(dsts, delays):
             if hooks:
                 control, data = stats.record_send(src, message)

@@ -16,10 +16,12 @@ benchmarks rely on this.
 
 from __future__ import annotations
 
+from heapq import heappop
 from typing import Any, Callable, Iterable, Optional
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.tracing import Tracer
+from repro.transport.runtime import render_label
 
 
 class SimulationError(RuntimeError):
@@ -74,19 +76,21 @@ class Simulator:
     def schedule_at(self, time: float, action: Callable[[], None], label: Any = "") -> Event:
         """Schedule ``action`` at absolute virtual ``time`` (must not be in the past).
 
-        ``label`` may be any object; it is rendered with ``str()`` only when
-        diagnostics are produced (lazy labels — see :class:`~repro.sim.events.Event`).
+        ``label`` may be a string, a ``(format, *args)`` tuple or any object;
+        it is rendered only when diagnostics are produced (lazy labels — see
+        :class:`~repro.sim.events.Event`).
         """
         if time < self._now:
             raise SimulationError(
-                f"cannot schedule event {str(label)!r} at {time} < current time {self._now}"
+                f"cannot schedule event {render_label(label)!r} "
+                f"at {time} < current time {self._now}"
             )
         return self._queue.push(time, action, label)
 
     def schedule_after(self, delay: float, action: Callable[[], None], label: Any = "") -> Event:
         """Schedule ``action`` ``delay`` time units from now."""
         if delay < 0:
-            raise SimulationError(f"negative delay {delay} for event {str(label)!r}")
+            raise SimulationError(f"negative delay {delay} for event {render_label(label)!r}")
         return self._queue.push(self._now + delay, action, label)
 
     def cancel(self, event: Event) -> None:
@@ -129,15 +133,60 @@ class Simulator:
         self._now = time
         self._executed += 1
         if self._executed > self._max_events:
-            raise SimulationError(
-                f"exceeded max_events={self._max_events}; "
-                "the protocol may be generating an unbounded message storm"
-            )
+            raise self._too_many_events()
         entry()
         if self._observers:
             for observer in self._observers:
                 observer(self)
         return True
+
+    def _too_many_events(self) -> SimulationError:
+        return SimulationError(
+            f"exceeded max_events={self._max_events}; "
+            "the protocol may be generating an unbounded message storm"
+        )
+
+    def _loop(self, predicate: Optional[Callable[[], bool]], limit: Optional[float]) -> bool:
+        """The event loop behind :meth:`run` (no predicate) and :meth:`run_until`.
+
+        Returns ``True`` as soon as the predicate (evaluated after each event)
+        holds, ``False`` when the queue drained, the next event lies beyond
+        ``limit`` (the clock is advanced to it) or :meth:`stop` was called.
+
+        This is :meth:`step` and :meth:`EventQueue.pop
+        <repro.sim.events.EventQueue.pop>` written out in one frame — the
+        same checks in the same order, one Python call per event (the entry's
+        own) instead of three.  It reads the queue's heap in place across
+        events, which is why the queue compacts in place.
+        """
+        queue = self._queue
+        heap = queue._heap
+        observers = self._observers
+        max_events = self._max_events
+        while not self._stopped:
+            while heap and heap[0][2].cancelled:
+                heappop(heap)
+                queue._cancelled_in_heap -= 1
+            if not heap:
+                break
+            if limit is not None and heap[0][0] > limit:
+                self._now = max(self._now, limit)
+                break
+            queue._live -= 1
+            time, _, entry = heappop(heap)
+            if time < self._now:  # pragma: no cover - guarded by schedule_at
+                raise SimulationError("event queue produced an event in the past")
+            self._now = time
+            self._executed = executed = self._executed + 1
+            if executed > max_events:
+                raise self._too_many_events()
+            entry()
+            if observers:
+                for observer in observers:
+                    observer(self)
+            if predicate is not None and predicate():
+                return True
+        return False
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or :meth:`stop` is called.
@@ -146,12 +195,7 @@ class Simulator:
         it remain in the queue and the clock is advanced to ``until``.
         """
         self._stopped = False
-        step = self.step
-        while not self._stopped:
-            if not step(until):
-                if self._queue:  # the next event lies beyond the horizon
-                    self._now = max(self._now, until)
-                break
+        self._loop(None, until)
 
     def run_before(self, until: float) -> None:
         """Process every event *strictly before* ``until``; advance the clock to it.
@@ -182,15 +226,7 @@ class Simulator:
         self._stopped = False
         if predicate():
             return True
-        step = self.step
-        while not self._stopped:
-            if not step(limit):
-                if self._queue:  # the next event lies beyond the limit
-                    self._now = max(self._now, limit)
-                break
-            if predicate():
-                return True
-        return predicate()
+        return self._loop(predicate, limit) or predicate()
 
     def drain(self) -> None:
         """Run until the event queue is completely empty."""

@@ -40,11 +40,11 @@ class Clock(Protocol):
         """Current time in this clock's units (virtual units or seconds)."""
         ...
 
-    def schedule_at(self, time: float, action: Callable[[], None], label: str = "") -> Any:
+    def schedule_at(self, time: float, action: Callable[[], None], label: Any = "") -> Any:
         """Run ``action`` at absolute time ``time``; returns a cancellable handle."""
         ...
 
-    def schedule_after(self, delay: float, action: Callable[[], None], label: str = "") -> Any:
+    def schedule_after(self, delay: float, action: Callable[[], None], label: Any = "") -> Any:
         """Run ``action`` after ``delay`` time units; returns a cancellable handle."""
         ...
 

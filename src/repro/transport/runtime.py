@@ -33,6 +33,16 @@ class ProcessCrashedError(RuntimeError):
     """Raised when protocol code tries to run an operation on a crashed process."""
 
 
+def render_label(label: Any) -> str:
+    """A diagnostic label as text: a ``(format, *args)`` tuple is ``%``-formatted.
+
+    Waits, phases and timers are labelled for the report a stuck run prints;
+    registering the tuple instead of the string means a label that is never
+    read never pays for formatting.
+    """
+    return label[0] % label[1:] if isinstance(label, tuple) else str(label)
+
+
 class Guard:
     """A pending wait: ``action`` fires once when ``predicate`` becomes true.
 
@@ -44,9 +54,7 @@ class Guard:
         Zero-argument callable executed (once) when the predicate holds.
     label:
         Diagnostic tag (shows up in stuck-run failure reasons).  Registered
-        as a string or as a ``(format, *args)`` tuple; the tuple is rendered
-        with ``%`` only when the label is read, so a wait that is never
-        diagnosed never pays for formatting.
+        as a string or as a lazy ``(format, *args)`` tuple (:func:`render_label`).
     """
 
     __slots__ = ("predicate", "action", "_label", "fired", "cancelled")
@@ -66,8 +74,7 @@ class Guard:
 
     @property
     def label(self) -> str:
-        label = self._label
-        return label[0] % label[1:] if isinstance(label, tuple) else str(label)
+        return render_label(self._label)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "fired" if self.fired else "cancelled" if self.cancelled else "pending"

@@ -137,6 +137,34 @@ class TestReadAndProceedHandlers:
         responder.deliver(2, WriteMessage(bit=1, value="v1"))
         assert cluster.network.stats.by_type.get("PROCEED", 0) == 1
 
+    def test_read_answered_at_once_builds_no_wait_but_scans_like_one(self):
+        """The line-20 shortcut does what ``add_guard`` does for a wait that
+        already holds: the action, then a scan of the pending guards.  Inside a
+        coalesced delivery batch handlers run back to back with the scan
+        deferred to the end (``on_message`` below, not ``deliver``); the scan a
+        READ triggers there must still happen."""
+        cluster = make_cluster(n=3)
+        responder = cluster.processes[1]
+        responder.on_message(0, WriteMessage(bit=0, value="v2"))  # overtook: line-11 wait
+        responder.on_message(0, WriteMessage(bit=1, value="v1"))  # enables it, unscanned
+        assert responder.state.history == ["v0", "v1"] and len(responder.pending_guards()) == 1
+        responder.on_message(2, ReadMessage())
+        # sn = 1 > w_sync[2] = 0: p2 is not fresh, this READ waits (line 20) —
+        # and registering the wait did not scan.
+        assert len(responder.pending_guards()) == 2
+        responder.state.w_sync[2] = 1
+        responder.on_message(2, ReadMessage())  # fresh now: PROCEED at once, then the scan
+        assert cluster.network.stats.by_type.get("PROCEED", 0) == 2
+        assert responder.state.history == ["v0", "v1", "v2"]
+        assert responder.pending_guards() == []
+
+    def test_a_crashed_responder_answers_no_read(self):
+        cluster = make_cluster(n=3)
+        responder = cluster.processes[1]
+        responder.crash()
+        responder._handle_read(2)
+        assert cluster.network.stats.messages_sent == 0 and responder.pending_guards() == []
+
     def test_proceed_increments_r_sync(self):
         cluster = make_cluster(n=3)
         reader = cluster.processes[2]

@@ -286,6 +286,16 @@ class TestOpenLoopClient:
         assert client.done and len(client.ops) == 24
         assert all(op.completed for op in client.ops)
 
+    def test_pending_arrival_is_labelled_by_its_number(self):
+        simulator, network, processes = deploy()
+        arrivals = self._arrivals(3, rate=0.01)
+        client = OpenLoopClient(Driver(simulator), RegisterTarget(processes), arrivals)
+        client.start()
+        assert simulator.pending_labels() == ["open-loop arrival 0"]
+        simulator.run(until=arrivals[0][0])
+        # The label is a (format, number) pair rendered only when it is read.
+        assert simulator.pending_labels()[-1] == "open-loop arrival 1"
+
     def test_arrivals_fire_at_scheduled_times(self):
         simulator, network, processes = deploy()
         driver = Driver(simulator)

@@ -86,6 +86,30 @@ class TestQuorumCollector:
         assert not phase.accept(2)
         assert set(phase.replies) == {0, 1}
 
+    def test_continuation_runs_inside_the_accept_that_completes_the_quorum(self):
+        seen = []
+        phase = QuorumCollector(
+            "write", 1, AckCounter(), QuorumTracker(5), lambda phase: seen.append(sorted(phase.replies))
+        )
+        assert phase.accept(0) and phase.accept(1) and not phase.accept(1)
+        assert seen == [] and phase.on_quorum is not None
+        assert phase.accept(4)  # the third distinct reply of five: n - t
+        assert seen == [[0, 1, 4]] and phase.on_quorum is None
+        assert phase.accept(2) and phase.accept(3)  # past the quorum: recorded, nothing runs
+        assert seen == [[0, 1, 4]] and len(phase.replies) == 5
+
+    def test_a_custom_aggregator_decides_what_counts(self):
+        class EvenOnly(ReplyAggregator):
+            def accept(self, src, payload):
+                return src % 2 == 0 and super().accept(src, payload)
+
+        seen = []
+        phase = QuorumCollector("vote", 0, EvenOnly(), QuorumTracker(3), seen.append)
+        assert not phase.accept(1) and phase.accept(0) and not phase.accept(3)
+        assert seen == []
+        assert phase.accept(2)
+        assert seen == [phase] and sorted(phase.replies) == [0, 2]
+
 
 class PingMessage:
     type_name = "PING"
@@ -198,6 +222,18 @@ class TestPhaseRegisterProcess:
         processes[2].start_round()
         assert [(src, dst) for src, dst, _ in sent] == [(2, 0), (2, 1), (2, 3)]
         assert len({id(message) for _, _, message in sent}) == 1
+
+    def test_quorum_waits_are_counted_not_polled(self, monkeypatch):
+        """No engine-based register registers a guard: ``deliver`` never scans."""
+        from repro.workloads.kv import KVWorkloadSpec, run_kv_workload
+
+        def no_guards(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} registered a guard")
+
+        monkeypatch.setattr(PhaseRegisterProcess, "add_guard", no_guards)
+        for algorithm in ("abd", "abd-mwmr", "abd-bounded-emulation"):
+            result = run_kv_workload(KVWorkloadSpec(algorithm=algorithm, num_ops=60, seed=3))
+            assert result.verify().ok and len(result.completed_ops()) == 60
 
     def test_no_self_reply_sentinel_distinct_from_none(self):
         simulator, _, processes = build_cluster(5)

@@ -82,6 +82,13 @@ class TestEventQueue:
         queue.push(1.0, lambda: None, label="early")
         assert queue.pending_labels() == ["early", "late"]
 
+    def test_labels_are_rendered_on_demand(self):
+        queue = EventQueue()
+        queue.push(1.0, lambda: None, label=("arrival %d of %s", 7, "client"))
+        queue.push(2.0, lambda: None, label="plain")
+        queue.push(3.0, lambda: None, label=12)
+        assert queue.pending_labels() == ["arrival 7 of client", "plain", "12"]
+
     def test_bool_conversion(self):
         queue = EventQueue()
         assert not queue
@@ -225,3 +232,43 @@ class TestCancelledAccounting:
         assert queue.pop(limit=4.0) is None and len(queue) == 1
         self._assert_consistent(queue)
         assert queue.pop(limit=5.0) is late
+
+    def test_compaction_keeps_the_heap_list_the_event_loop_holds(self):
+        """``Simulator.run`` / ``run_until`` read the heap list in place across
+        events; an event that cancels enough timers to trigger compaction must
+        not leave them popping a dead copy."""
+        from repro.sim.scheduler import Simulator
+
+        simulator = Simulator()
+        queue = simulator._queue
+        heap = queue._heap
+        fired = []
+
+        def live(name):
+            return lambda: fired.append((name, simulator.now, simulator.pending_events))
+
+        timers = [simulator.schedule_at(5.0 + 0.01 * i, live(f"doomed {i}")) for i in range(200)]
+        for time in (2.0, 3.0, 3.0, 6.0, 9.0):  # before, among and after the doomed timers
+            simulator.schedule_at(time, live(f"live@{time}"))
+
+        def purge():
+            for timer in timers:
+                simulator.cancel(timer)
+                self._assert_consistent(queue)
+            # 200 cancelled against 5 live: the queue compacted (more than once).
+            assert len(queue._heap) < 64 and simulator.pending_events == 5
+            simulator.schedule_at(4.0, live("scheduled after the compaction"))
+
+        simulator.schedule_at(1.0, purge)
+        assert simulator.run_until(lambda: False) is False
+        assert queue._heap is heap  # compacted in place, never rebound
+        assert fired == [
+            ("live@2.0", 2.0, 5),
+            ("live@3.0", 3.0, 4),
+            ("live@3.0", 3.0, 3),
+            ("scheduled after the compaction", 4.0, 2),
+            ("live@6.0", 6.0, 1),
+            ("live@9.0", 9.0, 0),
+        ]
+        self._assert_consistent(queue)
+        assert simulator.pending_events == 0 and simulator.executed_events == 7

@@ -1,5 +1,7 @@
 """Unit tests for the virtual-time simulator."""
 
+from functools import partial
+
 import pytest
 
 from repro.sim.scheduler import SimulationError, Simulator, run_all
@@ -180,3 +182,128 @@ def test_determinism_same_schedule_same_order():
         return order
 
     assert build() == build()
+
+
+# ------------------------------------------- run / run_until ≡ a loop of step()
+#
+# ``run`` and ``run_until`` execute ``step``'s body (and the queue's pop) in
+# their own frame.  The reference below is what they were: ``step`` called in
+# a loop.  Both play the same seeded program — events that spawn, cancel,
+# stop the loop or do nothing, with ties and cancelled heads — through the
+# same seeded sequence of ``run`` / ``run_until`` calls, and must execute the
+# same entries at the same clock values with the same observer calls, return
+# the same values and raise the same errors after the same event.
+
+
+def _reference_run(sim, until=None):
+    sim._stopped = False
+    while not sim._stopped:
+        if not sim.step(until):
+            if sim._queue:  # the next event lies beyond the horizon
+                sim._now = max(sim._now, until)
+            break
+
+
+def _reference_run_until(sim, predicate, limit=None):
+    sim._stopped = False
+    if predicate():
+        return True
+    while not sim._stopped:
+        if not sim.step(limit):
+            if sim._queue:
+                sim._now = max(sim._now, limit)
+            break
+        if predicate():
+            return True
+    return predicate()
+
+
+class _Program:
+    """One seeded world: a schedule that rewrites itself while it runs."""
+
+    def __init__(self, seed, inlined):
+        import random
+
+        self.rng = random.Random(seed)
+        self.sim = sim = Simulator(max_events=self.rng.choice([6, 15, 5_000_000]))
+        self.run = sim.run if inlined else partial(_reference_run, sim)
+        self.run_until = sim.run_until if inlined else partial(_reference_run_until, sim)
+        self.log = []
+        self.handles = []
+        self.fired = set()
+        self.bumps = 0
+        self.seen = set()  # which corner cases this seed reached
+        if self.rng.random() < 0.5:
+            self.sim.add_observer(lambda sim: self.log.append(("observer", sim.now, sim.executed_events)))
+        for _ in range(self.rng.randint(3, 25)):
+            self._schedule(self.rng.choice([0.0, 1.0, 1.0, 2.0, 3.5, 7.0]))
+
+    def _schedule(self, delay):
+        name = len(self.handles)
+        action = self.rng.choice(["noop", "noop", "bump", "bump", "spawn", "cancel", "cancel", "stop"])
+        argument = [self.rng.random() for _ in range(4)]
+        self.handles.append(
+            self.sim.schedule_after(delay, lambda: self._fire(name, action, argument), label=("event %d", name))
+        )
+
+    def _fire(self, name, action, argument):
+        sim = self.sim
+        self.fired.add(name)
+        self.log.append((name, action, sim.now, sim.executed_events, sim.pending_events))
+        if action == "bump":
+            self.bumps += 1
+        elif action == "spawn":
+            for fraction in argument[:2]:
+                self._schedule([0.0, 0.5, 1.0, 4.0][int(fraction * 4)])
+        elif action == "cancel":
+            for fraction in argument:
+                doomed = int(fraction * len(self.handles))
+                if doomed not in self.fired:  # a timer that fired is no longer the queue's
+                    sim.cancel(self.handles[doomed])
+        elif action == "stop":
+            self.seen.add("stop() from inside an event")
+            sim.stop()
+
+    def _call(self, function, *args):
+        try:
+            return function(*args)
+        except SimulationError as error:
+            self.seen.add("max_events overflow")
+            return f"raised: {error}"
+
+    def drive(self):
+        sim, rng = self.sim, self.rng
+        for _ in range(rng.randint(1, 6)):
+            heap = sim._queue._heap
+            if heap and heap[0][2].cancelled:
+                self.seen.add("cancelled head")
+            limit = rng.choice([None, None, sim.now, sim.now + 0.25, sim.now + 1.0, sim.now + 2.75])
+            if rng.random() < 0.4:
+                outcome = self._call(self.run, limit)
+            else:
+                target = self.bumps + rng.choice([0, 1, 1, 2, 5])
+                if target == self.bumps:
+                    self.seen.add("predicate true on entry")
+                outcome = self._call(self.run_until, lambda: self.bumps >= target, limit)
+            if limit is not None and sim.pending_events and sim.now == limit:
+                self.seen.add("limit between two events")
+            self.log.append(
+                ("returned", outcome, sim.now, sim.executed_events, sim.pending_events,
+                 tuple(sim.pending_labels()), sim._queue._cancelled_in_heap)
+            )
+        return self.log
+
+
+def test_run_and_run_until_execute_what_a_loop_of_steps_executes():
+    seen = set()
+    for seed in range(400):
+        inlined, reference = _Program(seed, inlined=True), _Program(seed, inlined=False)
+        assert inlined.drive() == reference.drive(), f"seed {seed}"
+        seen |= inlined.seen
+    assert seen == {
+        "cancelled head",
+        "limit between two events",
+        "max_events overflow",
+        "predicate true on entry",
+        "stop() from inside an event",
+    }
