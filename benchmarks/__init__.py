@@ -18,7 +18,10 @@ module                          what it regenerates
 ``bench_ablation_design_choices``  writer local-read shortcut; quorum size vs crash tolerance
 ==============================  ==========================================================
 
-Every benchmark prints the paper's value next to the measured value, so
-``pytest benchmarks/ --benchmark-only -s`` doubles as a reproduction report;
-EXPERIMENTS.md records a snapshot of these numbers.
+Every module prints the paper's value next to the measured value, so
+``pytest benchmarks/bench_table1_*.py benchmarks/bench_theorem2_counts.py
+benchmarks/bench_ablation_*.py --benchmark-disable -s`` is the reproduction
+report (CI runs it).  Performance is ``BENCHMARK.json`` + ``benchmarks/e2e``;
+``bench_parallel`` (``workers=2``) and ``bench_coalescing`` (``FixedDelay``)
+measure the two things no e2e workload runs.
 """

@@ -134,8 +134,7 @@ def format_run(summary: Dict[str, Any], title: str, lead: Sequence[Sequence[obje
     if wire:
         replicas = len(wire["replica_connections"])
         row("transport", f"live (asyncio loopback, {replicas} replica processes)")
-        batching = " + write batching" if wire["batching"] else ", per-frame writes"
-        row("wire codec", wire["codec"] + batching)
+        row("wire codec", wire["codec"])
     else:
         row("transport", "sim (virtual time)")
     if not summary["finished_cleanly"]:

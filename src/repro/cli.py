@@ -39,7 +39,6 @@ from repro.analysis.report import (
     report_run,
 )
 from repro.analysis.table1 import build_table1
-from repro.exec.metrics import json_number
 from repro.registers.base import OperationKind
 from repro.registers.registry import available_algorithms
 from repro.sim.delays import FixedDelay, UniformDelay
@@ -82,8 +81,8 @@ _SHARED_FLAGS = {
         "--codec",
         dict(
             choices=["binary", "json"],
-            help="live wire codec: binary (struct-packed fast path) or json (the "
-            "PR 8 wire; also disables write batching for a faithful baseline)",
+            help="live wire codec: binary (struct-packed) or json (the frames a "
+            "peer without the binary schema negotiates down to)",
         ),
     ),
     "quick": ("--quick", dict(action="store_true", help="small sizes for CI smoke runs")),
@@ -332,7 +331,7 @@ def cmd_messages(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------- keyed commands
 #
-# store / consensus / loadgen / chaos / bench are all the same pipeline:
+# store / consensus / loadgen / chaos are all the same pipeline:
 # flags -> spec (a ``_*_spec`` builder; any ValueError it or the spec's own
 # validation raises is exit status 2, decided once in :func:`main`) ->
 # ``run_kv_workload`` / ``run_loadgen`` -> ``result.verify()`` ->
@@ -404,10 +403,7 @@ def _store_spec(args: argparse.Namespace):
         # the live transport) instead of batched submission.
         changes.update(arrival=args.arrival, arrival_rate=args.rate)
     if args.codec is not None:
-        # `--codec json` reproduces the PR 8 wire end to end: JSON frames
-        # *and* one write() per frame, so A/B runs against the binary
-        # fast path measure the whole wire, not just the encoding.
-        changes.update(codec=args.codec, write_batching=args.codec == "binary")
+        changes["codec"] = args.codec
     if args.crashes:
         changes["crash_points"] = _crash_points(args, replication)
     builder = kv_zipfian if args.dist == "zipfian" else kv_uniform
@@ -468,7 +464,6 @@ def _loadgen_spec(args: argparse.Namespace):
         algorithm=args.algorithm,
         replicas=args.replicas,
         codec=args.codec,
-        write_batching=args.codec == "binary",
         seed=args.seed,
         slo_p99=args.slo_p99,
         timeout=args.timeout,
@@ -542,223 +537,6 @@ def cmd_consensus(args: argparse.Namespace) -> int:
     return report_run(
         format_run(result.summary(verdict), title, lead), verdict.failures, "consensus run"
     )
-
-
-# ------------------------------------------------------------------- bench
-#
-# Two suites, picked by ``--transport``: the simulator's virtual-time
-# baselines and the live wire A/B.  A suite is ``specs(quick, changes)``
-# (flags → every spec it will run, validated before anything runs) plus
-# ``run(specs, mode)`` → ``(artifacts, failures)``, one ``(filename, payload,
-# title, headers, rows)`` artifact per BENCH file; writing and reporting is
-# shared.
-
-
-def _sim_bench_specs(quick: bool, changes: dict) -> dict:
-    from repro.workloads.scenarios import kv_openloop, kv_uniform
-
-    num_ops, num_keys = (120, 16) if quick else (400, 32)
-    # Shard-parallel execution is bit-identical to serial runs, so the
-    # emitted baselines stay comparable; only wall_seconds moves.
-    base = kv_uniform(num_keys=num_keys, num_ops=num_ops, seed=19).with_(**changes)
-    rates = (2.0, 8.0) if quick else (2.0, 4.0, 8.0, 16.0)
-    return {
-        "batched": base.with_(batch_size=64),
-        "per_op": base.with_(batch_size=1),
-        "openloop": [
-            kv_openloop(num_keys=num_keys, num_ops=num_ops, arrival_rate=rate, seed=8).with_(
-                **changes
-            )
-            for rate in rates
-        ],
-    }
-
-
-def _sim_bench(specs: dict, mode: str) -> tuple:
-    """``BENCH_store_throughput.json`` (batched vs per-operation driving on the
-    same keyed workload) and ``BENCH_openloop.json`` (throughput and latency
-    percentiles vs offered load)."""
-    failures: list = []
-
-    def checked(spec):
-        result = run_kv_workload(spec)
-        verdict = result.verify()
-        failures.extend(verdict.failures)
-        return result, result.summary(verdict)
-
-    batched, batched_summary = checked(specs["batched"])
-    per_op, per_op_summary = checked(specs["per_op"])
-    entry_keys = (
-        "completed", "virtual_makespan", "virtual_throughput", "wall_seconds", "messages", "latency"
-    )
-    shape = {
-        "mode": mode,
-        "num_keys": specs["batched"].num_keys,
-        "num_ops": specs["batched"].num_ops,
-    }
-    store_payload = {
-        "benchmark": "store_throughput_batched_vs_per_op",
-        **shape,
-        "batched": {key: batched_summary[key] for key in entry_keys},
-        "per_op": {key: per_op_summary[key] for key in entry_keys},
-        "makespan_speedup": round(
-            per_op.virtual_makespan / max(batched.virtual_makespan, 1e-9), 2
-        ),
-    }
-    store_rows = [
-        [
-            label,
-            summary["completed"],
-            round(summary["virtual_makespan"], 1),
-            format_number(summary["virtual_throughput"], 2),
-        ]
-        for label, summary in (("batched (64)", batched_summary), ("per-op (1)", per_op_summary))
-    ]
-    sweep = []
-    for spec in specs["openloop"]:
-        _result, summary = checked(spec)
-        latency = summary["latency"] or {}
-        sweep.append(
-            {
-                "offered_load": spec.arrival_rate,
-                "completed": summary["completed"],
-                "virtual_throughput": summary["virtual_throughput"],
-                "p50": json_number(latency.get("p50")),
-                "p99": json_number(latency.get("p99")),
-            }
-        )
-    openloop_payload = {
-        "benchmark": "kv_openloop_offered_load_sweep",
-        **shape,
-        "arrival": "poisson",
-        "sweep": sweep,
-    }
-    openloop_rows = [
-        [
-            entry["offered_load"],
-            entry["completed"],
-            format_number(entry["virtual_throughput"], 2),
-            format_number(entry["p50"], 2),
-            format_number(entry["p99"], 2),
-        ]
-        for entry in sweep
-    ]
-    return [
-        (
-            "BENCH_store_throughput.json",
-            store_payload,
-            "store throughput",
-            ["driving", "ops", "virtual makespan", "ops / virtual time"],
-            store_rows,
-        ),
-        (
-            "BENCH_openloop.json",
-            openloop_payload,
-            "open-loop sweep",
-            ["offered load", "completed", "throughput", "p50", "p99"],
-            openloop_rows,
-        ),
-    ], failures
-
-
-def _live_bench_specs(quick: bool, changes: dict) -> dict:
-    from repro.transport.bench import FULL_MIX, QUICK_MIX, pair_specs
-
-    # The quick section rides along on full runs so the committed artifact
-    # carries a reference for the regression guard's --quick path; a --quick
-    # invocation measures only the quick mix.
-    sections = {"quick": (QUICK_MIX, 2)}
-    if not quick:
-        sections["full"] = (FULL_MIX, 3)
-    return {
-        name: (mix, runs, pair_specs(mix, **changes)) for name, (mix, runs) in sections.items()
-    }
-
-
-def _live_bench(specs: dict, mode: str) -> tuple:
-    """``BENCH_live_throughput.json`` — a separate artifact from the simulated
-    baselines, because its numbers are wall-clock and therefore
-    machine-dependent by design.  The headline metric is ``speedup_vs_json``:
-    steady-state ops/s of the binary-codec, write-batched wire over the PR 8
-    JSON-per-frame wire on the same multi-writer op mix.  Every constituent
-    run must pass ``verify()`` or the benchmark refuses to report."""
-    from repro.transport.bench import run_pair
-
-    sections = {}
-    try:
-        for name, (mix, runs, pair) in specs.items():
-            baseline, fast, speedup = run_pair(pair, runs=runs)
-            sections[name] = {
-                "mix": dict(mix),
-                "runs_per_arm": runs,
-                "baseline_json": baseline,
-                "fastpath_binary": fast,
-                "speedup_vs_json": speedup,
-            }
-    except RuntimeError as exc:
-        return [], [str(exc)]
-    headline = sections.get("full", sections["quick"])
-    payload = {
-        "benchmark": "live_fastpath_throughput",
-        "mode": mode,
-        "transport": "live",
-        "replicas": 3,
-        "speedup_vs_json": headline["speedup_vs_json"],
-        **sections,
-    }
-    rows = [
-        [
-            f"{entry['codec']} codec, {'batched' if entry['write_batching'] else 'per-frame'}",
-            entry["completed"],
-            entry["steady_ops_per_s"],
-            entry["frames_per_flush"],
-            entry["client_bytes_per_op"],
-        ]
-        for entry in (headline["baseline_json"], headline["fastpath_binary"])
-    ]
-    rows.append(["speedup (fast / baseline)", "", f"{headline['speedup_vs_json']:.2f}x", "", ""])
-    artifact = (
-        "BENCH_live_throughput.json",
-        payload,
-        "live fast-path throughput",
-        ["wire", "ops", "steady ops/s", "frames/flush", "client bytes/op"],
-        rows,
-    )
-    return [artifact], []
-
-
-_BENCH_SUITES = {"sim": (_sim_bench_specs, _sim_bench), "live": (_live_bench_specs, _live_bench)}
-
-
-def _bench_specs(args: argparse.Namespace) -> dict:
-    """``repro bench`` flags → every spec the selected suite will run."""
-    build, _run = _BENCH_SUITES[args.transport]
-    return build(args.quick, {"transport": args.transport, "workers": args.workers})
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the perf suite and emit ``BENCH_*.json`` baselines.
-
-    ``--quick`` keeps CI smoke runs short.  Every run behind a number is
-    verified; a failed verdict is exit 1 and no artifact is written.
-    """
-    import json
-    import pathlib
-    import platform
-
-    _build, run = _BENCH_SUITES[args.transport]
-    mode = "quick" if args.quick else "full"
-    artifacts, failures = run(args.spec, mode)
-    tables = []
-    if not failures:
-        out_dir = pathlib.Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for filename, payload, title, headers, rows in artifacts:
-            path = out_dir / filename
-            payload["python"] = platform.python_version()
-            path.write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
-            tables.append(format_table(headers, rows, title=f"{title} ({mode}) -> {path}"))
-    return report_run("\n\n".join(tables), failures, "bench")
 
 
 def _chaos_schedules(quick: bool):
@@ -1359,12 +1137,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a counterexample artifact instead of exploring",
     )
     sub.set_defaults(handler=cmd_explore)
-
-    sub = subparsers.add_parser(
-        "bench", help="run the perf suite and emit BENCH_*.json baselines"
-    )
-    _add_shared_arguments(sub, quick=False, out_dir=".", workers=1, transport="sim")
-    sub.set_defaults(handler=cmd_bench, build_spec=_bench_specs)
 
     return parser
 

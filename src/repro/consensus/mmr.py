@@ -29,9 +29,8 @@ round), ``0`` in round 1 (an all-zero instance decides in two) — and cost
 no message; from round 2 on the coin is the *seeded oracle* of
 reproduction harnesses (derived from :func:`repro.sim.rng.make_rng`, common
 by construction, replayable) and decides a split round with probability
-1/2.  In the default ``exchange`` mode processes *transact* a seeded coin
-(broadcast a share, wait for ``n - t``) so the fault surface matches a real
-common-coin protocol; ``local`` mode reads it without messages.
+1/2.  Processes *transact* a seeded coin (broadcast a share, wait for
+``n - t``) so the fault surface matches a real common-coin protocol.
 
 A decided process broadcasts ``DECIDE`` exactly once and drops every further
 consensus message for that slot (no replies).
@@ -152,7 +151,7 @@ class ConsAux(object):
 
 @dataclass(frozen=True)
 class ConsCoin(object):
-    """Common-coin share for ``(slot, round)`` (exchange mode, seeded rounds only)."""
+    """Common-coin share for ``(slot, round)`` (seeded rounds only)."""
 
     slot: int
     round: int
@@ -205,7 +204,7 @@ class _Round:
         self.bin_values: List[int] = []
         #: ``value -> pids`` whose ``AUX(value)`` arrived (or was sent).
         self.aux_senders: Tuple[Set[int], Set[int]] = (set(), set())
-        #: Pids whose coin share arrived (or was sent) — seeded rounds, exchange mode.
+        #: Pids whose coin share arrived (or was sent) — seeded rounds only.
         self.coin_senders: Set[int] = set()
 
 
@@ -235,10 +234,6 @@ class ConsensusObjectProcess(RegisterProcess):
     process, so one pending command slot suffices.  See the module docstring
     for the slot-ownership / proposal / yield / hole-filling rules.
     """
-
-    #: ``"exchange"`` transacts the shares of seeded coins (default);
-    #: ``"local"`` reads the seeded oracle without messages.
-    coin_mode = "exchange"
 
     #: Fault-injection hook (``repro explore`` mutations): ``True`` removes
     #: the AUX exchange and decides straight off the first delivered
@@ -381,7 +376,7 @@ class ConsensusObjectProcess(RegisterProcess):
             vals = [value for value in bin_values if aux[value]]
             if sum(len(aux[value]) for value in vals) < quorum:
                 return
-            if round >= len(COIN_PREFIX) and self.coin_mode == "exchange":
+            if round >= len(COIN_PREFIX):
                 shares = state.coin_senders
                 if self.pid not in shares:
                     shares.add(self.pid)
@@ -537,12 +532,6 @@ class SkipAuxConsensusProcess(ConsensusObjectProcess):
     skip_aux_quorum = True
 
 
-class LocalCoinConsensusProcess(ConsensusObjectProcess):
-    """Coin read locally from the seeded oracle (no share exchange)."""
-
-    coin_mode = "local"
-
-
 def _consensus_algorithm(name: str, description: str, factory: Any) -> RegisterAlgorithm:
     return RegisterAlgorithm(
         name=name,
@@ -575,18 +564,7 @@ MMR_COUNTER_ALGORITHM = _consensus_algorithm(
     ConsensusObjectProcess,
 )
 
-MMR_LOCAL_COIN_ALGORITHM = _consensus_algorithm(
-    "mmr-cas-localcoin",
-    "mmr-cas with the coin read locally from the seeded oracle (no exchange)",
-    LocalCoinConsensusProcess,
-)
-
-CONSENSUS_ALGORITHMS = (
-    MMR_CAS_ALGORITHM,
-    MMR_TAS_ALGORITHM,
-    MMR_COUNTER_ALGORITHM,
-    MMR_LOCAL_COIN_ALGORITHM,
-)
+CONSENSUS_ALGORITHMS = (MMR_CAS_ALGORITHM, MMR_TAS_ALGORITHM, MMR_COUNTER_ALGORITHM)
 
 
 # ---------------------------------------------------------------- invariants

@@ -139,8 +139,9 @@ TRANSPORTS: dict[str, TransportInfo] = {
         name="live",
         description=(
             "asyncio TCP sockets over a loopback multi-process cluster "
-            "(length-prefixed frames; negotiated binary or JSON wire codec, "
-            "write batching; wall-clock metrics)"
+            "(length-prefixed frames; binary wire codec negotiated per "
+            "connection, JSON fallback; one coalescing writer per connection, "
+            "TCP_NODELAY; wall-clock metrics)"
         ),
         clock="wall-clock seconds",
         deterministic=False,

@@ -189,10 +189,6 @@ class BatchWriter:
     ``0.0`` flushes on the next event-loop turn (minimum latency, still
     coalescing same-breath sends); a positive deadline micro-batches
     trickle traffic at the cost of that much latency.
-
-    ``batching=False`` degrades to one ``write()`` per frame issued
-    synchronously inside ``send`` — the PR 8 wire behaviour, kept as the
-    benchmark baseline and for A/B tests.
     """
 
     def __init__(
@@ -200,12 +196,10 @@ class BatchWriter:
         writer: asyncio.StreamWriter,
         stats: Optional[TransportStats] = None,
         flush_delay: float = FLUSH_DEADLINE,
-        batching: bool = True,
     ) -> None:
         self._writer = writer
         self.stats = stats if stats is not None else TransportStats()
         self._flush_delay = flush_delay
-        self._batching = batching
         self._buffer = bytearray()
         self._pending_frames = 0
         self._wake = asyncio.Event()
@@ -224,14 +218,6 @@ class BatchWriter:
             return
         if len(body) > MAX_FRAME_BYTES:
             raise FramingError(f"frame of {len(body)} bytes exceeds cap {MAX_FRAME_BYTES}")
-        if not self._batching:
-            frame = HEADER.pack(len(body)) + bytes(body)
-            self._writer.write(frame)
-            self.stats.bytes_out += len(frame)
-            self.stats.frames_out += 1
-            self.stats.batches_out += 1
-            self._wake.set()  # the drain task awaits writer.drain()
-            return
         buffer = self._buffer
         buffer += HEADER.pack(len(body))
         buffer += body
@@ -240,14 +226,14 @@ class BatchWriter:
 
     @property
     def pending_bytes(self) -> int:
-        """Bytes framed but not yet flushed (batching mode)."""
+        """Bytes framed but not yet flushed."""
         return len(self._buffer)
 
     async def _run(self) -> None:
         try:
             while True:
                 await self._wake.wait()
-                if self._batching and self._flush_delay > 0 and not self._closing:
+                if self._flush_delay > 0 and not self._closing:
                     # Bounded micro-batch window: let same-deadline sends pile up.
                     await asyncio.sleep(self._flush_delay)
                 self._wake.clear()
@@ -260,7 +246,7 @@ class BatchWriter:
             raise
 
     async def _flush(self) -> None:
-        if self._batching and self._buffer:
+        if self._buffer:
             buffer = self._buffer
             frames = self._pending_frames
             self._buffer = bytearray()

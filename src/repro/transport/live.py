@@ -171,21 +171,14 @@ class Connection:
         writer: asyncio.StreamWriter,
         codec: WireCodec,
         label: str,
-        batching: bool = True,
         flush_delay: float = FLUSH_DEADLINE,
     ) -> None:
-        if batching:
-            # The fast path owns its coalescing (one write per flush), so
-            # Nagle only adds hop latency.  The baseline mode keeps default
-            # socket options — PR 8's exact wire behaviour, for honest A/B.
-            _set_nodelay(writer)
+        _set_nodelay(writer)
         self.reader = reader
         self.writer = writer
         self.codec = codec
         self.stats = TransportStats()
-        self.batch = BatchWriter(
-            writer, stats=self.stats, flush_delay=flush_delay, batching=batching
-        ).start()
+        self.batch = BatchWriter(writer, stats=self.stats, flush_delay=flush_delay).start()
         self.label = label
 
     def send(self, payload: Dict[str, Any]) -> None:
@@ -277,7 +270,6 @@ class _ReplicaServer:
         algorithm_name: str,
         initial_value: Any,
         codecs: Tuple[str, ...] = CODEC_PREFERENCE,
-        batching: bool = True,
     ) -> None:
         from repro.registers.registry import get_algorithm
 
@@ -286,7 +278,6 @@ class _ReplicaServer:
         self.algorithm = get_algorithm(algorithm_name)
         self.initial_value = initial_value
         self.codecs = tuple(codecs) if "json" in codecs else tuple(codecs) + ("json",)
-        self.batching = batching
         self.clock = WallClock(asyncio.get_running_loop())
         self.stats = NetworkStats()
         self.keys: Dict[Any, _KeyRuntime] = {}
@@ -362,7 +353,6 @@ class _ReplicaServer:
             writer,
             select_codec([ack.get("codec", "json")], schema_signature(), self.codecs),
             label=f"peer->{dst}",
-            batching=self.batching,
         )
         try:
             # Drain the pre-handshake backlog, then publish the connection:
@@ -381,8 +371,6 @@ class _ReplicaServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         conn: Optional[Connection] = None
-        if self.batching:
-            _set_nodelay(writer)
         try:
             hello = await read_frame(reader)
             if hello is None or hello.get("kind") != "hello":
@@ -397,7 +385,7 @@ class _ReplicaServer:
                 label = f"peer<-{hello.get('src', '?')}"
             else:
                 label = "client"
-            conn = Connection(reader, writer, codec, label, batching=self.batching)
+            conn = Connection(reader, writer, codec, label)
             self._accepted.append(conn)
             if hello.get("role") == "peer":
                 await self._serve_peer(conn)
@@ -531,16 +519,13 @@ def replica_main(
     initial_value: Any,
     port_queue: Any,
     codecs: Tuple[str, ...] = CODEC_PREFERENCE,
-    batching: bool = True,
 ) -> None:
     """Entry point of one replica server process (multiprocessing spawn)."""
     import os
 
     def serve() -> None:
         asyncio.run(
-            _replica_async_main(
-                replica_id, n, algorithm_name, initial_value, port_queue, codecs, batching
-            )
+            _replica_async_main(replica_id, n, algorithm_name, initial_value, port_queue, codecs)
         )
 
     profile_dir = os.environ.get("REPRO_LIVE_PROFILE")
@@ -565,9 +550,8 @@ async def _replica_async_main(
     initial_value: Any,
     port_queue: Any,
     codecs: Tuple[str, ...] = CODEC_PREFERENCE,
-    batching: bool = True,
 ) -> None:
-    server = _ReplicaServer(replica_id, n, algorithm_name, initial_value, codecs, batching)
+    server = _ReplicaServer(replica_id, n, algorithm_name, initial_value, codecs)
     tcp_server = await asyncio.start_server(server.handle_connection, "127.0.0.1", 0)
     port = tcp_server.sockets[0].getsockname()[1]
     port_queue.put((replica_id, port))
@@ -594,13 +578,11 @@ class LiveCluster:
         algorithm: str,
         initial_value: Any,
         server_codecs: Tuple[str, ...] = CODEC_PREFERENCE,
-        batching: bool = True,
     ) -> None:
         self.n = n
         self.algorithm = algorithm
         self.initial_value = initial_value
         self.server_codecs = tuple(server_codecs)
-        self.batching = batching
         self.servers: List[Any] = []
         self.ports: Dict[int, int] = {}
 
@@ -620,7 +602,6 @@ class LiveCluster:
                     self.initial_value,
                     port_queue,
                     self.server_codecs,
-                    self.batching,
                 ),
                 daemon=True,
             )
@@ -696,11 +677,8 @@ class LiveClient:
     timestamps, stamping completion *when the result frame arrives*.
     """
 
-    def __init__(
-        self, codec: str = "binary", batching: bool = True, epoch: Optional[float] = None
-    ) -> None:
+    def __init__(self, codec: str = "binary", epoch: Optional[float] = None) -> None:
         self.codec_preference = codec
-        self.batching = batching
         self.conns: Dict[int, Connection] = {}
         self.pending: Dict[int, Any] = {}
         self.stats_replies: Dict[int, Dict[str, Any]] = {}
@@ -721,8 +699,6 @@ class LiveClient:
         offered = list(offered_codecs(self.codec_preference))
         for replica, port in sorted(ports.items()):
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            if self.batching:
-                _set_nodelay(writer)
             write_frame(
                 writer,
                 {
@@ -737,9 +713,7 @@ class LiveClient:
             if not ack or ack.get("kind") != "hello_ack":
                 raise RuntimeError(f"replica {replica} failed the codec handshake: {ack}")
             codec = select_codec([ack.get("codec", "json")], schema_signature(), ("binary", "json"))
-            self.conns[replica] = Connection(
-                reader, writer, codec, f"->r{replica}", batching=self.batching
-            )
+            self.conns[replica] = Connection(reader, writer, codec, f"->r{replica}")
 
     @property
     def codec_name(self) -> str:
@@ -903,7 +877,6 @@ class LiveClient:
         client_bytes = sum(row["bytes_in"] + row["bytes_out"] for row in client_rows)
         return {
             "codec": self.codec_name,
-            "batching": self.batching,
             "client_connections": client_rows,
             "replica_connections": replica_rows,
             "frames_per_flush": (frames_out / batches_out) if batches_out else None,
@@ -935,7 +908,6 @@ async def live_session(
     algorithm: str,
     initial_value: Any,
     codec: str = "binary",
-    batching: bool = True,
     server_codecs: Optional[Tuple[str, ...]] = None,
 ):
     """A booted loopback cluster plus a wired, reading :class:`LiveClient`.
@@ -945,14 +917,11 @@ async def live_session(
     (terminated past their budget), so no path leaves a process behind.
     """
     if server_codecs is None:
-        # A JSON-preference run is the PR 8 baseline: the *whole* cluster
-        # (replica-to-replica peer links included) speaks JSON, not just the
-        # client connections.
+        # With a JSON preference the *whole* cluster (replica-to-replica peer
+        # links included) speaks JSON, not just the client connections.
         server_codecs = ("json",) if codec == "json" else CODEC_PREFERENCE
-    cluster = LiveCluster(
-        replicas, algorithm, initial_value, server_codecs=server_codecs, batching=batching
-    )
-    client = LiveClient(codec=codec, batching=batching)
+    cluster = LiveCluster(replicas, algorithm, initial_value, server_codecs=server_codecs)
+    client = LiveClient(codec=codec)
     try:
         ports = await cluster.start()
         await client.connect(ports)
@@ -979,7 +948,7 @@ def run_live_workload(spec: Any, server_codecs: Optional[Tuple[str, ...]] = None
     timings; what a live run cannot do is rejected by the spec itself.
 
     ``spec.codec`` picks the client's wire-codec preference (``"binary"``
-    negotiates the fast path, ``"json"`` forces the PR 8 wire);
+    negotiates struct-packed frames, ``"json"`` forces JSON frames);
     ``server_codecs`` restricts what the replica servers accept (tests use
     ``("json",)`` to exercise the negotiation fallback).
     """
@@ -997,7 +966,6 @@ async def _run_live_async(spec: Any, server_codecs: Optional[Tuple[str, ...]] = 
         spec.algorithm,
         spec.initial_value,
         codec=spec.codec,
-        batching=spec.write_batching,
         server_codecs=server_codecs,
     ) as (client, _ports):
         stream = iter_kv_operations(spec)

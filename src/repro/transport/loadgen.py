@@ -70,7 +70,6 @@ class LoadgenSpec:
     algorithm: str = "abd-mwmr"
     replicas: int = 3
     codec: str = "binary"
-    write_batching: bool = True
     initial_value: Any = "v0"
     seed: int = 0
     slo_p99: Optional[float] = None  # seconds; None = report only, no gate
@@ -189,7 +188,7 @@ async def _worker_async(
     spec: LoadgenSpec, worker: int, ports: Dict[int, int], epoch: float
 ) -> Dict[str, Any]:
     offsets, ops = _worker_plan(spec, worker)
-    client = LiveClient(codec=spec.codec, batching=spec.write_batching, epoch=epoch)
+    client = LiveClient(codec=spec.codec, epoch=epoch)
     try:
         await client.connect(ports)
         client.start_readers()
@@ -259,7 +258,6 @@ async def _run_loadgen_async(spec: LoadgenSpec) -> LoadgenResult:
         spec.algorithm,
         spec.initial_value,
         codec=spec.codec,
-        batching=spec.write_batching,
     ) as (control, ports):
         ctx = multiprocessing.get_context("spawn")
         out: Any = ctx.Queue()
@@ -324,7 +322,6 @@ async def _run_loadgen_async(spec: LoadgenSpec) -> LoadgenResult:
     metrics["wall_throughput"] = metrics.pop("virtual_throughput", None)
     metrics["transport"] = {
         "codec": spec.codec,
-        "batching": spec.write_batching,
         "client_connections": worker_transport,
         "replica_connections": replica_transport,
     }

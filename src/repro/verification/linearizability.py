@@ -26,9 +26,9 @@ Two engines live here:
     operations cannot hit the interpreter's recursion limit.
 
   There is **no operation cap**: full ``kv_openloop`` / ``chaos`` histories
-  are checked end-to-end (``benchmarks/bench_checker.py`` exercises ≥5 000
-  operations; the previous recursive implementation refused anything over
-  64).
+  are checked end-to-end (the e2e ``check_replay`` workload replays 6 000
+  operations per repetition; the previous recursive implementation refused
+  anything over 64).
 
 * :func:`brute_force_is_linearizable` — the original recursive
   backtracking search, kept verbatim as the *reference oracle*: the

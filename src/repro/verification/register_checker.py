@@ -211,14 +211,17 @@ def check_swmr_atomicity(
     # --- Program-order refinements --------------------------------------------
     # Real-time precedence uses strict inequalities; for two operations of the
     # *same* sequential process whose boundary times coincide (zero think
-    # time), program order still applies.  Two extra checks cover that:
+    # time), program order still applies.  Three extra checks cover that:
     #   (a) a read by the writer must not return a value older than the
     #       writer's own latest completed write invoked before the read;
-    #   (b) successive reads by the same process must return non-decreasing
+    #   (b) nor the value of a write the writer invokes after the read, even
+    #       at the very instant the read responds (Claim 1 with ``<=``);
+    #   (c) successive reads by the same process must return non-decreasing
     #       indices.
     by_reader: dict[int, list[tuple[int, int]]] = {}
     for read, index in read_indices:
         by_reader.setdefault(pid[read], []).append((read, index))
+    op_id = columns.op_id
     for read, index in by_reader.get(pid[writes[0]], ()) if writes else ():
         own_latest = newest_own[bisect.bisect_left(own_invocation_times, invoked[read])]
         if index < own_latest:
@@ -227,8 +230,20 @@ def check_swmr_atomicity(
                 f"{describe(read)} returned write #{index} although the writer itself had "
                 f"already completed write #{own_latest} before invoking the read"
             )
+        if index == 0:
+            continue
+        write = writes[index - 1]
+        read_first = invoked[read] < invoked[write] or (
+            invoked[read] == invoked[write] and op_id[read] < op_id[write]
+        )
+        if read_first and responded[read] >= invoked[write]:  # below that, Claim 1 reported it
+            report.record(
+                "program order (writer): "
+                f"{describe(read)} returned the value of {describe(write)}, "
+                "which the writer itself invoked only after the read"
+            )
     for reader, items in by_reader.items():
-        items.sort(key=lambda pair: (invoked[pair[0]], columns.op_id[pair[0]]))
+        items.sort(key=lambda pair: (invoked[pair[0]], op_id[pair[0]]))
         best_so_far = 0
         for read, index in items:
             if index < best_so_far:

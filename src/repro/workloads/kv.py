@@ -159,14 +159,10 @@ class KVWorkloadSpec:
     #: operation stream is identical on both — only timing differs.
     transport: str = "sim"
     #: Live-transport wire codec preference: ``"binary"`` (default) negotiates
-    #: the struct-packed fast path per connection, falling back to JSON when
-    #: the server declines; ``"json"`` forces the PR 8 wire (the benchmark
-    #: baseline).  Ignored by the simulator, which never serializes.
+    #: struct-packed frames per connection, falling back to JSON when the
+    #: server declines; ``"json"`` makes the whole cluster speak the fallback's
+    #: JSON frames.  Rejected on the simulator, which never serializes.
     codec: str = "binary"
-    #: Live-transport write batching: coalesce concurrent sends into one
-    #: ``write()`` per flush (default).  ``False`` restores one syscall per
-    #: frame — the PR 8 behaviour, kept as the benchmark baseline.
-    write_batching: bool = True
 
     def __post_init__(self) -> None:
         # The store config's own validation (transport name, per-shard
@@ -190,10 +186,10 @@ class KVWorkloadSpec:
                         f"{what}: simulated-only; live runs are single-client and "
                         "take the wire as-is (see `repro transports`)"
                     )
-        elif self.codec != "binary" or not self.write_batching:
+        elif self.codec != "binary":
             raise ValueError(
-                "codec / write_batching select the live wire format; the simulated "
-                "transport has no wire (see `repro transports`)"
+                "codec selects the live wire format; the simulated transport has "
+                "no wire (see `repro transports`)"
             )
         if self.num_keys < 1:
             raise ValueError("keyed workloads need at least one key")

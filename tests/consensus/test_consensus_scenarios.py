@@ -46,12 +46,6 @@ class TestConsensusScenarios:
     def test_kv_counter_is_linearizable(self):
         assert_clean(run_kv_workload(kv_counter(num_keys=6, num_ops=150)))
 
-    def test_local_coin_variant_decides_and_checks(self):
-        # The ablation coin mode: per-process seeded coins still terminate
-        # (with possibly more rounds) and never break safety.
-        spec = consensus_smoke(num_ops=80).with_(algorithm="mmr-cas-localcoin")
-        assert_clean(run_kv_workload(spec))
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_crashed_minority_replica_never_breaks_agreement(self, seed):
         spec = consensus_smoke(num_keys=4, num_ops=80, seed=seed).with_(

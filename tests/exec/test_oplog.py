@@ -115,6 +115,17 @@ class TestWireFormat:
         histories = {k: h.to_dict() for k, h in log.per_key_histories("v0").items()}
         assert {k: h.to_dict() for k, h in decoded.per_key_histories("v0").items()} == histories
 
+    def test_a_logged_operation_ships_in_under_70_bytes(self):
+        """What a worker sends its parent per operation (67.5 bytes on this
+        run): a widened column or an object smuggled into the pickle stream
+        shows up here — the object graph this replaced cost 130 bytes/op."""
+        spec = kv_openloop(num_keys=64, num_ops=2000, arrival_rate=50.0, seed=4)
+        log = run_kv_workload(spec).store.driver.oplog
+        blob, buffers = encode_oplog(log)
+        assert len(log) == 2000
+        assert transfer_size(blob, buffers) < 70 * len(log)
+        assert len(blob) < 2 * len(log)  # the stream is the value table, not the rows
+
     def test_global_index_rides_along(self):
         from array import array
 

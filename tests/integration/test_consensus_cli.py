@@ -19,13 +19,11 @@ class TestConsensusCli:
         assert "(mmr-counter" in out
         assert "operations completed          | 80" in out
 
-    def test_algorithm_override_runs_the_local_coin_variant(self, capsys):
-        code = main(
-            ["consensus", "--ops", "60", "--algorithm", "mmr-cas-localcoin"]
-        )
+    def test_algorithm_override_runs_the_named_algorithm(self, capsys):
+        code = main(["consensus", "--ops", "60", "--algorithm", "mmr-tas"])
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "mmr-cas-localcoin" in out
+        assert "consensus: consensus_smoke (mmr-tas" in out
         assert "agreement/validity invariants | hold" in out
 
     def test_workers_2_run_skips_invariants_but_still_checks(self, capsys):

@@ -1,6 +1,4 @@
-"""Integration tests for the ``repro store`` and ``repro bench`` CLI subcommands."""
-
-import json
+"""Integration tests for the ``repro store`` CLI subcommand and the keyed commands' exit contract."""
 
 import pytest
 
@@ -120,10 +118,9 @@ INVALID_PARAMETERS = [
     (["store", "--codec", "json"], "the simulated transport has no wire"),
     (["store", "--crashes", "-1"], "--crashes must be non-negative, got -1"),
     (["store", "--replication", "1"], "replication must be >= 2"),
+    (["store", "--workers", "0"], "workers must be >= 1"),
     (["consensus", *LIVE, "--workers", "2"], "workers=2: simulated-only"),
     (["consensus", "--keys", "0"], "at least one key"),
-    (["bench", "--quick", *LIVE, "--workers", "2"], "workers=2: simulated-only"),
-    (["bench", "--quick", "--workers", "0"], "workers must be >= 1"),
     (["chaos", "--quick", "--seeds", "0"], "--seeds must be at least 1, got 0"),
     (["loadgen", "--replicas", "1"], "at least 2 replicas"),
     (["loadgen", "--clients", "0"], "at least 1 client"),
@@ -140,6 +137,13 @@ class TestExitCodeContract:
         assert captured.out == ""  # rejected before anything ran
         assert captured.err.startswith(f"invalid {argv[0]} parameters: ")
         assert fragment in captured.err
+
+    def test_bench_is_not_a_command(self, capsys):
+        """The performance benchmark is ``python -m benchmarks.e2e``, not a subcommand."""
+        with pytest.raises(SystemExit) as raised:
+            main(["bench", "--quick"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_the_message_is_the_spec_errors_text_verbatim(self, capsys):
         from repro.workloads.scenarios import kv_uniform
@@ -169,27 +173,6 @@ class TestExitCodeContract:
             captured = capsys.readouterr()
             assert f"{what} failures:" in captured.err and "k0001" in captured.err
             assert "operations completed" in captured.out  # the table still prints
-
-
-class TestBenchCli:
-    def test_quick_bench_emits_baselines(self, capsys, tmp_path):
-        code = main(["bench", "--quick", "--out-dir", str(tmp_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "store throughput" in out and "open-loop sweep" in out
-        def strict_loads(path):
-            def forbid(name):
-                raise AssertionError(f"non-finite JSON constant {name!r} in {path.name}")
-
-            return json.loads(path.read_text(), parse_constant=forbid)
-
-        # Strict parse: bare Infinity/NaN (invalid JSON) must never appear.
-        store = strict_loads(tmp_path / "BENCH_store_throughput.json")
-        assert store["mode"] == "quick"
-        assert store["batched"]["virtual_throughput"] > store["per_op"]["virtual_throughput"]
-        openloop = strict_loads(tmp_path / "BENCH_openloop.json")
-        assert [entry["offered_load"] for entry in openloop["sweep"]] == [2.0, 8.0]
-        assert all(entry["p99"] >= entry["p50"] for entry in openloop["sweep"])
 
 
 class TestMixedAndCoalescingCli:

@@ -152,7 +152,7 @@ class TestBatchWriter:
     def test_same_breath_sends_coalesce_into_one_write(self):
         async def scenario():
             fake = _FakeStreamWriter()
-            writer = BatchWriter(fake, batching=True).start()
+            writer = BatchWriter(fake).start()
             bodies = [b"frame-%d" % n for n in range(5)]
             for body in bodies:
                 writer.send(body)
@@ -168,23 +168,28 @@ class TestBatchWriter:
         assert writer.stats.batches_out == 1
         assert writer.stats.bytes_out == sum(len(c) for c in fake.writes)
 
-    def test_unbatched_mode_writes_one_frame_per_send(self):
+    def test_sends_in_separate_turns_flush_separately(self):
+        """Trickle traffic pays no batching latency: a lone frame goes out on
+        the next event-loop turn, not when a batch fills."""
+
         async def scenario():
             fake = _FakeStreamWriter()
-            writer = BatchWriter(fake, batching=False).start()
+            writer = BatchWriter(fake).start()
             for n in range(3):
                 writer.send(b"frame-%d" % n)
+                while writer.pending_bytes:
+                    await asyncio.sleep(0)
             await writer.aclose()
             return fake, writer
 
-        fake, writer = asyncio.run(scenario())
-        assert len(fake.writes) == 3  # the PR 8 wire: no coalescing
+        fake, writer = asyncio.run(asyncio.wait_for(scenario(), timeout=5.0))
+        assert len(fake.writes) == 3
         assert writer.stats.frames_out == 3
         assert writer.stats.batches_out == 3
 
     def test_oversized_frame_rejected_before_buffering(self):
         async def scenario():
-            writer = BatchWriter(_FakeStreamWriter(), batching=True).start()
+            writer = BatchWriter(_FakeStreamWriter()).start()
             with pytest.raises(FramingError, match="exceeds cap"):
                 writer.send(b"\x00" * (MAX_FRAME_BYTES + 1))
             assert writer.pending_bytes == 0
@@ -195,7 +200,7 @@ class TestBatchWriter:
     def test_sends_after_close_are_dropped_not_raised(self):
         async def scenario():
             fake = _FakeStreamWriter()
-            writer = BatchWriter(fake, batching=True).start()
+            writer = BatchWriter(fake).start()
             writer.send(b"before")
             await writer.aclose()
             writer.send(b"after")

@@ -38,8 +38,6 @@ class TestSpecTransportField:
     def test_wire_options_rejected_on_the_simulator(self):
         with pytest.raises(ValueError, match="has no wire"):
             kv_uniform(num_keys=4, num_ops=10).with_(codec="json")
-        with pytest.raises(ValueError, match="has no wire"):
-            kv_uniform(num_keys=4, num_ops=10).with_(write_batching=False)
 
     def test_live_rejects_crash_points(self):
         from repro.workloads.kv import CrashPoint

@@ -114,6 +114,43 @@ class TestReadFromTheFuture:
         assert_rejected(*negative_corpus()[f"future-read/{family}"])
 
 
+class TestWriterReadsItsOwnNextWrite:
+    """The writer's read responds at the instant its next write is invoked and
+    returns that write's value.  Real time alone (Claim 1, strict) lets it
+    through; the writer's program order does not.  Kept out of
+    ``negative_corpus()``, which feeds the pinned checker outputs."""
+
+    HISTORY = [
+        (0, "write", "a", 0.0, 1.0),
+        (0, "read", "b", 1.0, 2.0),
+        (0, "write", "b", 2.0, 3.0),
+    ]
+
+    def test_rejected_on_both_verdict_paths(self):
+        history = make_history(self.HISTORY, initial_value="v0")
+        assert_rejected(history)
+        assert not check_histories_per_key({"k": history}, swmr_fast_path=False).ok
+        claims = check_swmr_atomicity(history, raise_on_violation=False)
+        assert len(claims.violations) == 1
+        assert claims.violations[0].startswith("program order (writer)")
+
+    def test_a_strictly_earlier_read_is_reported_once_as_claim_1(self):
+        entries = [self.HISTORY[0], (0, "read", "b", 1.0, 1.5), self.HISTORY[2]]
+        claims = check_swmr_atomicity(
+            make_history(entries, initial_value="v0"), raise_on_violation=False
+        )
+        assert len(claims.violations) == 1
+        assert claims.violations[0].startswith("Claim 1")
+
+    def test_another_process_may_read_at_that_instant(self):
+        """Same times, but the read is p1's: it overlaps nothing and orders
+        after nothing, so returning the write invoked as it responds is fine."""
+        entries = [self.HISTORY[0], (1, "read", "b", 1.0, 2.0), self.HISTORY[2]]
+        history = make_history(entries, initial_value="v0")
+        assert check_swmr_atomicity(history, raise_on_violation=False).ok
+        assert check_linearizability(history).linearizable
+
+
 class TestDiagnosticsAreDeterministic:
     def test_claims_diagnostics_stable_across_runs(self):
         history = make_history(
