@@ -18,6 +18,7 @@ import statistics
 import pytest
 
 from repro.analysis.metrics import summarize
+from repro.registers.base import OperationKind
 from repro.sim.delays import ExponentialDelay, FixedDelay, JitteredDelay, PerLinkDelay, UniformDelay
 from repro.workloads import WorkloadSpec, run_workload
 
@@ -50,8 +51,8 @@ def test_latency_under_delay_distributions(benchmark, algorithm):
     rows = []
     for name, factory in DELAY_MODELS.items():
         result = _run(algorithm, factory)
-        writes = summarize(result.write_latencies())
-        reads = summarize(result.read_latencies())
+        writes = summarize(result.latencies(OperationKind.WRITE))
+        reads = summarize(result.latencies(OperationKind.READ))
         bound = factory().max_delay()
         assert writes.maximum <= 2 * bound + 1e-9
         rows.append([name, round(writes.mean, 2), round(writes.maximum, 2), round(reads.mean, 2), round(reads.maximum, 2)])
@@ -79,11 +80,7 @@ def test_single_straggler_does_not_dominate(benchmark, algorithm):
         return PerLinkDelay(default=FixedDelay(fast), overrides=overrides)
 
     result = _run(algorithm, straggler_model, n=n)
-    write_latencies = [
-        record.latency
-        for record in result.completed_records()
-        if record.kind.value == "write" and record.latency is not None
-    ]
+    write_latencies = result.latencies(OperationKind.WRITE)
     median_write = statistics.median(write_latencies)
     assert median_write <= 4 * fast + 1e-9, (
         f"{algorithm}: median write latency {median_write} is dominated by the straggler"

@@ -47,7 +47,7 @@ def test_crash_sweep(benchmark, algorithm):
         assert report_obj.ok
         # Every operation issued by a process that never crashed completed.
         crashed = set(range(N - crashes, N))
-        for record in result.records:
+        for record in result.store.driver.records:
             if record.pid not in crashed:
                 assert record.completed, (
                     f"{algorithm}: operation by correct p{record.pid} did not terminate "
@@ -56,7 +56,7 @@ def test_crash_sweep(benchmark, algorithm):
         rows.append(
             [
                 crashes,
-                len(result.completed_records()),
+                result.completed,
                 result.total_messages(),
                 "yes" if report_obj.ok else "NO",
             ]
@@ -90,10 +90,10 @@ def test_writer_crash_read_liveness(benchmark):
 
     result = run()
     assert result.check_atomicity().ok
-    for record in result.records:
+    for record in result.store.driver.records:
         if record.pid != 0:
             assert record.completed
-    reads_completed = len([r for r in result.completed_records() if r.pid != 0])
+    reads_completed = len([op for op in result.completed_ops() if op.record.pid != 0])
     report(
         "Ablation A2 — writer crashes mid-broadcast",
         ["reader ops completed", "atomic"],

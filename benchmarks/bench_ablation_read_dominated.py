@@ -44,13 +44,13 @@ def test_read_dominated_message_bill(benchmark, n):
             "two-bit",
             two_bit.total_messages(),
             round(two_bit.total_messages() / reads, 2),
-            two_bit.network.stats.control_bits_total,
+            two_bit.store.stats.control_bits_total,
         ],
         [
             "abd",
             abd.total_messages(),
             round(abd.total_messages() / reads, 2),
-            abd.network.stats.control_bits_total,
+            abd.store.stats.control_bits_total,
         ],
     ]
     report(
@@ -61,7 +61,7 @@ def test_read_dominated_message_bill(benchmark, n):
     # Who wins and by how much: per amortised read the two-bit register must
     # be cheaper, and it must ship far fewer control bits overall.
     assert two_bit.total_messages() / reads < abd.total_messages() / reads
-    assert two_bit.network.stats.control_bits_total < abd.network.stats.control_bits_total / 2
+    assert two_bit.store.stats.control_bits_total < abd.store.stats.control_bits_total / 2
     benchmark(lambda: _run("two-bit", n))
 
 

@@ -77,7 +77,7 @@ def test_message_type_census(benchmark):
         )
 
     result = run()
-    by_type = result.network.stats.by_type
+    by_type = result.store.stats.by_type
     total_reads = reads_per_reader * (n - 1)
     assert set(by_type) == {"WRITE0", "WRITE1", "READ", "PROCEED"}
     assert by_type["READ"] == total_reads * (n - 1)

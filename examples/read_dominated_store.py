@@ -15,6 +15,7 @@ Run it with::
 
 from __future__ import annotations
 
+from repro.analysis.metrics import messages_per_operation
 from repro.analysis.report import format_table
 from repro.registers.base import OperationKind
 from repro.workloads import WorkloadSpec, run_workload
@@ -26,19 +27,18 @@ def run(algorithm: str, n: int, reads_per_reader: int, num_writes: int) -> dict:
         n=n, algorithm=algorithm, reads_per_reader=reads_per_reader, num_writes=num_writes, seed=7
     )
     result = run_workload(spec)
-    result.check_atomicity()  # raises if the run were ever non-atomic
-    reads = result.completed_records(OperationKind.READ)
-    writes = result.completed_records(OperationKind.WRITE)
+    verdict = result.verify()  # the same verdict every keyed run gets
+    assert verdict.ok, verdict.failures
+    latency = result.metrics["latency"]
+    reads = latency["read"]["count"]
     return {
         "algorithm": algorithm,
-        "reads": len(reads),
-        "writes": len(writes),
+        "reads": reads,
+        "writes": latency["write"]["count"],
         "total messages": result.total_messages(),
-        "messages per read (amortised)": round(result.total_messages() / max(1, len(reads)), 1),
-        "max control bits": result.max_control_bits(),
-        "mean read latency": round(
-            sum(result.read_latencies()) / max(1, len(result.read_latencies())), 2
-        ),
+        "messages per read (amortised)": round(result.total_messages() / max(1, reads), 1),
+        "max control bits": result.store.stats.max_control_bits,
+        "mean read latency": round(latency["read"]["mean"], 2),
     }
 
 
@@ -72,8 +72,8 @@ def main() -> None:
                 seed=1,
             )
         )
-        costs = result.isolated_costs_by_kind(OperationKind.WRITE)
-        mean = sum(cost.messages for cost in costs) / len(costs)
+        costs = messages_per_operation(result, OperationKind.WRITE)
+        mean = sum(costs) / len(costs)
         print(f"  {algorithm:<8} {mean:.0f} messages per write")
 
 

@@ -11,13 +11,11 @@
 * :mod:`repro.analysis.report` — plain-text table rendering.
 """
 
-from repro.analysis.metrics import LatencySummary, MessageSummary, summarize
+from repro.analysis.metrics import summarize
 from repro.analysis.table1 import Table1, Table1Cell, Table1Row, build_table1
 from repro.analysis.report import format_table
 
 __all__ = [
-    "LatencySummary",
-    "MessageSummary",
     "Table1",
     "Table1Cell",
     "Table1Row",

@@ -61,7 +61,7 @@ def measure_control_bits(
         seed=seed,
     )
     result = run_workload(spec)
-    stats = result.network.stats
+    stats = result.store.stats
     return ControlBitsMeasurement(
         algorithm=algorithm,
         n=n,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.sim.delays import FixedDelay
 from repro.workloads.runner import run_workload
-from repro.workloads.spec import WorkloadSpec
+from repro.workloads.spec import REGISTER_KEY, WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,10 @@ def measure_local_memory(
         algorithm=algorithm,
         n=n,
         writes=writes,
-        per_process_words=result.local_memory_words(),
+        per_process_words={
+            process.pid: process.local_memory_words()
+            for process in result.store.register_for(REGISTER_KEY).processes
+        },
     )
 
 

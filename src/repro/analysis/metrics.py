@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
+from repro.exec.metrics import nearest_rank
 from repro.registers.base import OperationKind
-from repro.workloads.runner import PerOperationCost, WorkloadResult
+from repro.workloads.kv import KVWorkloadResult
 
 
 @dataclass(frozen=True)
@@ -30,17 +30,6 @@ class Summary:
         )
 
 
-def percentile(values: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile (``fraction`` in [0, 1])."""
-    if not values:
-        raise ValueError("cannot take a percentile of an empty sample")
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, math.ceil(fraction * len(ordered)) - 1))
-    return ordered[rank]
-
-
 def summarize(values: Iterable[float]) -> Summary:
     """Summarise a sample (raises on an empty sample)."""
     data = [float(v) for v in values]
@@ -51,54 +40,14 @@ def summarize(values: Iterable[float]) -> Summary:
         mean=statistics.fmean(data),
         minimum=min(data),
         maximum=max(data),
-        p50=percentile(data, 0.5),
-        p95=percentile(data, 0.95),
+        p50=nearest_rank(data, 0.5),
+        p95=nearest_rank(data, 0.95),
         stdev=statistics.pstdev(data) if len(data) > 1 else 0.0,
     )
 
 
-@dataclass(frozen=True)
-class LatencySummary:
-    """Operation latencies of a run, expressed in delta units."""
-
-    delta: float
-    writes: Optional[Summary]
-    reads: Optional[Summary]
-
-    @classmethod
-    def from_result(cls, result: WorkloadResult, delta: float) -> "LatencySummary":
-        """Summarise a run's latencies, normalised by the delay bound ``delta``."""
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        write_latencies = [lat / delta for lat in result.write_latencies()]
-        read_latencies = [lat / delta for lat in result.read_latencies()]
-        return cls(
-            delta=delta,
-            writes=summarize(write_latencies) if write_latencies else None,
-            reads=summarize(read_latencies) if read_latencies else None,
-        )
-
-
-@dataclass(frozen=True)
-class MessageSummary:
-    """Per-operation message counts of an isolated-mode run."""
-
-    writes: Optional[Summary]
-    reads: Optional[Summary]
-
-    @classmethod
-    def from_costs(cls, costs: Sequence[PerOperationCost]) -> "MessageSummary":
-        """Summarise per-operation message counts from isolated-mode costs."""
-        write_counts = [float(c.messages) for c in costs if c.kind is OperationKind.WRITE]
-        read_counts = [float(c.messages) for c in costs if c.kind is OperationKind.READ]
-        return cls(
-            writes=summarize(write_counts) if write_counts else None,
-            reads=summarize(read_counts) if read_counts else None,
-        )
-
-
-def messages_per_operation(result: WorkloadResult, kind: OperationKind) -> list[int]:
-    """Per-operation message counts from an isolated-mode result."""
+def messages_per_operation(result: KVWorkloadResult, kind: OperationKind) -> list[int]:
+    """Per-operation message counts from an isolated-mode register run."""
     if not result.spec.isolated_operations:
         raise ValueError(
             "per-operation message attribution requires an isolated-operations run "
@@ -107,10 +56,6 @@ def messages_per_operation(result: WorkloadResult, kind: OperationKind) -> list[
     return [cost.messages for cost in result.isolated_costs if cost.kind is kind]
 
 
-def latencies_in_delta(result: WorkloadResult, kind: OperationKind, delta: float) -> list[float]:
-    """Per-operation latencies expressed in delta units."""
-    if kind is OperationKind.WRITE:
-        raw = result.write_latencies()
-    else:
-        raw = result.read_latencies()
-    return [value / delta for value in raw]
+def latencies_in_delta(result: KVWorkloadResult, kind: OperationKind, delta: float) -> list[float]:
+    """Per-operation service latencies expressed in delta units."""
+    return [value / delta for value in result.latencies(kind)]

@@ -99,7 +99,7 @@ class Table1:
         return format_table(headers, body, title=title)
 
 
-def _measure_messages(algorithm: str, n: int, samples: int, seed: int) -> tuple[float, float]:
+def measure_messages(algorithm: str, n: int, samples: int, seed: int) -> tuple[float, float]:
     """Mean messages per write and per read, measured on isolated operations."""
     spec = WorkloadSpec(
         n=n,
@@ -195,7 +195,7 @@ def build_table1(
                 f"unknown executable algorithm {algorithm!r}; expected one of "
                 f"{sorted(EXECUTABLE_ALGORITHMS)}"
             )
-        write_msgs, read_msgs = _measure_messages(algorithm, n, samples, seed)
+        write_msgs, read_msgs = measure_messages(algorithm, n, samples, seed)
         write_time, read_time = _measure_latencies(algorithm, n, delta, samples, seed)
         bits = measure_control_bits(algorithm, n=n, writes=writes, seed=seed)
         memory = measure_local_memory(algorithm, n=n, writes=writes, seed=seed)

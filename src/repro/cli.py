@@ -38,8 +38,7 @@ from repro.analysis.report import (
     format_table,
     report_run,
 )
-from repro.analysis.table1 import build_table1
-from repro.registers.base import OperationKind
+from repro.analysis.table1 import build_table1, measure_messages
 from repro.registers.registry import available_algorithms
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.failures import random_crash_schedule
@@ -221,30 +220,28 @@ def cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
+def _mean_latency(result, kind: str, digits: int) -> str:
+    """Mean latency of one operation kind, from the run's metrics (``-`` if none ran)."""
+    summary = result.metrics["latency"][kind]
+    return format_number(summary and summary["mean"], digits)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    """Run one workload and report latency/message statistics + atomicity verdict."""
+    """Run one register workload; report its statistics and the run verdict."""
     spec = _spec_from_args(args, args.algorithm)
     result = run_workload(spec)
-    report = result.check_atomicity(raise_on_violation=False)
-    writes = result.write_latencies()
-    reads = result.read_latencies()
-    rows = [
-        ["operations completed", len(result.completed_records())],
-        ["operations pending", len(result.history.pending())],
-        ["total messages", result.total_messages()],
-        ["max control bits / message", result.max_control_bits()],
-        ["mean write latency", round(sum(writes) / len(writes), 3) if writes else "-"],
-        ["mean read latency", round(sum(reads) / len(reads), 3) if reads else "-"],
-        ["atomic", "yes" if report.ok else "NO"],
+    verdict = result.verify()
+    lead = [
+        ["max control bits / message", result.store.stats.max_control_bits],
+        ["mean write latency", _mean_latency(result, "write", 3)],
+        ["mean read latency", _mean_latency(result, "read", 3)],
     ]
     if result.monitor is not None:
-        rows.append(["lemma invariants", "ok" if result.monitor.report.ok else "VIOLATED"])
-    table = format_table(
-        ["metric", "value"],
-        rows,
-        title=f"{args.algorithm} on n={args.n} ({spec.total_operations()} operations)",
+        lead.append(["lemma invariants", "ok" if result.monitor.report.ok else "VIOLATED"])
+    title = f"{args.algorithm} on n={args.n} ({spec.total_operations()} operations)"
+    return report_run(
+        format_run(result.summary(verdict), title, lead), verdict.failures, "register run"
     )
-    return report_run(table, report.violations, "atomicity")
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -252,18 +249,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     failures = []
     for algorithm in ("two-bit", "abd", "abd-bounded-emulation"):
-        spec = _spec_from_args(args, algorithm)
-        result = run_workload(spec)
-        report = result.check_atomicity(raise_on_violation=False)
-        failures.extend(f"{algorithm}: {violation}" for violation in report.violations)
-        reads = result.read_latencies()
+        result = run_workload(_spec_from_args(args, algorithm))
+        verdict = result.verify()
+        failures.extend(f"{algorithm}: {failure}" for failure in verdict.failures)
         rows.append(
             [
                 algorithm,
                 result.total_messages(),
-                result.max_control_bits(),
-                round(sum(reads) / len(reads), 2) if reads else "-",
-                "yes" if report.ok else "NO",
+                result.store.stats.max_control_bits,
+                _mean_latency(result, "read", 2),
+                "yes" if verdict.report.ok else "NO",
             ]
         )
     table = format_table(
@@ -271,7 +266,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         rows,
         title=f"Comparison on n={args.n}, {args.writes} writes, {args.reads} reads/reader",
     )
-    return report_run(table, failures, "atomicity")
+    return report_run(table, failures, "register run")
 
 
 def cmd_bits(args: argparse.Namespace) -> int:
@@ -298,27 +293,10 @@ def cmd_bits(args: argparse.Namespace) -> int:
 
 def cmd_messages(args: argparse.Namespace) -> int:
     """Exact per-operation message counts (Theorem 2) for one system size."""
-    rows = []
-    for algorithm in ("two-bit", "abd"):
-        spec = WorkloadSpec(
-            n=args.n,
-            algorithm=algorithm,
-            num_writes=3,
-            reads_per_reader=1,
-            delay_model=FixedDelay(1.0),
-            isolated_operations=True,
-            seed=args.seed,
-        )
-        result = run_workload(spec)
-        write_costs = result.isolated_costs_by_kind(OperationKind.WRITE)
-        read_costs = result.isolated_costs_by_kind(OperationKind.READ)
-        rows.append(
-            [
-                algorithm,
-                round(sum(c.messages for c in write_costs) / len(write_costs), 1),
-                round(sum(c.messages for c in read_costs) / len(read_costs), 1),
-            ]
-        )
+    rows = [
+        [algorithm] + [round(mean, 1) for mean in measure_messages(algorithm, args.n, 3, args.seed)]
+        for algorithm in ("two-bit", "abd")
+    ]
     print(
         format_table(
             ["algorithm", "msgs per write", "msgs per read"],
@@ -640,7 +618,7 @@ def _chaos_cell_payload(payload: tuple) -> dict:
     ``payload`` is ``(schedule_name, seed, quick, want_signature)``.  The cell
     rebuilds its spec from the schedule registry by name (the builders are
     closures, which don't pickle), runs and verifies it, and returns the JSON
-    entry for ``BENCH_chaos.json`` plus — when ``want_signature`` — the
+    entry for ``chaos_report.json`` plus — when ``want_signature`` — the
     record-by-record signature the parent's reproducibility check compares
     against its own re-run of the same cell.
     """
@@ -685,7 +663,7 @@ def _chaos_cells(args: argparse.Namespace) -> list:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    """Sweep seeds x fault schedules; verify every run; emit ``BENCH_chaos.json``.
+    """Sweep seeds x fault schedules; verify every run; emit ``chaos_report.json``.
 
     Every cell gets the full run verdict; the sweep also re-runs its first
     cell and verifies the execution is reproducible record-by-record (with
@@ -757,7 +735,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         "runs": runs,
         "python": platform.python_version(),
     }
-    chaos_path = out_dir / "BENCH_chaos.json"
+    chaos_path = out_dir / "chaos_report.json"
     chaos_path.write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
     table = format_table(
         ["schedule", "seed", "completed", "failed", "makespan", "atomic", "verdict"],

@@ -2,8 +2,8 @@
 
 This package owns operation driving end-to-end:
 
-* :mod:`repro.exec.target` — :class:`Target` adapts a deployment (a single
-  register, a sharded store) to the driver's routing question;
+* :mod:`repro.exec.target` — :class:`StoreTarget` answers the driver's
+  routing question (which replica of which key) for a sharded store;
 * :mod:`repro.exec.driver` — the :class:`Driver`: per-process FIFO queueing,
   completion chaining, stuck detection;
 * :mod:`repro.exec.clients` — traffic models: closed-loop (scripted, think
@@ -28,7 +28,7 @@ from repro.exec.clients import (
 )
 from repro.exec.driver import Driver, ExecOp
 from repro.exec.metrics import MetricsCollector
-from repro.exec.target import OpRequest, RegisterTarget, StoreTarget, Target
+from repro.exec.target import OpRequest, StoreTarget
 
 __all__ = [
     "ARRIVAL_PROCESSES",
@@ -40,9 +40,7 @@ __all__ = [
     "MetricsCollector",
     "OpenLoopClient",
     "OpRequest",
-    "RegisterTarget",
     "StoreTarget",
-    "Target",
     "arrival_times",
     "poisson_arrival_times",
     "uniform_arrival_times",

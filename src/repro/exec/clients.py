@@ -1,11 +1,10 @@
 """Client models: how operations arrive at the unified driver.
 
-Three traffic shapes, all target-agnostic:
+Three traffic shapes:
 
 * :class:`ClosedLoopClient` — one process, one script, next operation issued
-  the moment the previous one completes (plus think time).  This is the
-  pre-driver runner's behaviour, reproduced byte-for-byte: same event
-  labels, same synchronous chaining, same crash semantics.
+  the moment the previous one completes (plus think time); the client dies
+  with its process.
 * :class:`IsolatedClient` — operations issued one at a time, globally,
   quiescing between them so per-operation message counts and latencies are
   exactly attributable (the Table-1 measurement regime).  The post-operation
@@ -25,7 +24,7 @@ from random import Random
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exec.driver import Driver, ExecOp
-from repro.exec.target import OpRequest, Target
+from repro.exec.target import OpRequest, StoreTarget
 from repro.registers.base import OperationKind, RegisterProcess
 from repro.transport.base import Transport
 
@@ -40,7 +39,9 @@ class ClosedLoopClient:
     """Drives one process through a script, closed-loop, via the driver.
 
     ``operations`` is a sequence of ``(kind, value, think_time)`` triples
-    (think time is the pause after the *previous* operation completes).
+    (think time is the pause after the *previous* operation completes);
+    ``key`` is the store key ``process`` serves, recorded with every
+    operation.
     """
 
     def __init__(
@@ -49,11 +50,13 @@ class ClosedLoopClient:
         process: RegisterProcess,
         operations: Sequence[Tuple[OperationKind, Any, float]],
         start_delay: float = 0.0,
+        key: Any = None,
     ) -> None:
         self.driver = driver
         self.process = process
         self.operations = list(operations)
         self.start_delay = start_delay
+        self.key = key
         self.outstanding = len(self.operations)
 
     def start(self) -> None:
@@ -70,7 +73,9 @@ class ClosedLoopClient:
             self.outstanding = 0
             return
         kind, value, _think = self.operations[index]
-        op = self.driver.new_op(kind, value=value, on_done=lambda op, i=index: self._completed(op, i))
+        op = self.driver.new_op(
+            kind, value=value, key=self.key, on_done=lambda op, i=index: self._completed(op, i)
+        )
         self.driver.submit(self.process, op)
 
     def _completed(self, op, index: int) -> None:
@@ -124,10 +129,13 @@ class IsolatedClient:
     that storms messages fails fast (``clean=False``) instead of hanging.
     """
 
-    def __init__(self, driver: Driver, network: Transport, max_virtual_time: float) -> None:
+    def __init__(
+        self, driver: Driver, network: Transport, max_virtual_time: float, key: Any = None
+    ) -> None:
         self.driver = driver
         self.network = network
         self.max_virtual_time = max_virtual_time
+        self.key = key
         self.costs: List[IsolatedOpCost] = []
 
     def run_sequence(
@@ -142,7 +150,7 @@ class IsolatedClient:
                 continue
             messages_before = stats.messages_sent
             started_at = simulator.now
-            op = self.driver.new_op(kind, value=value)
+            op = self.driver.new_op(kind, value=value, key=self.key)
             self.driver.submit(process, op)
             if op.failed:  # crashed at invocation time
                 continue
@@ -240,7 +248,7 @@ class OpenLoopClient:
     def __init__(
         self,
         driver: Driver,
-        target: Target,
+        target: StoreTarget,
         arrivals: Iterable[Tuple[float, OpRequest, Any]],
     ) -> None:
         """``arrivals``: (time, request, value) triples in non-decreasing time order.

@@ -1,10 +1,5 @@
 """The unified operation driver: one engine for registers and the store.
 
-Before this module existed the repository drove operations through two
-divergent engines — closed-loop callback chaining inside
-``workloads/runner.py`` and a private ``_enqueue/_issue/drive`` queue inside
-``store/store.py``.  The :class:`Driver` subsumes both:
-
 * **per-process FIFO queueing** — a register process is sequential (at most
   one of *its own* operations outstanding), so the driver keeps one queue per
   process; the head of a queue is in flight, the rest wait for its completion
@@ -12,8 +7,7 @@ divergent engines — closed-loop callback chaining inside
   concurrency is what batched and open-loop driving exploit.
 * **completion chaining** — an :class:`ExecOp` may carry an ``on_done``
   continuation; closed-loop clients use it to issue their next operation the
-  moment the previous one completes (synchronously, within the same event —
-  histories are byte-identical to the pre-driver runner).
+  moment the previous one completes (synchronously, within the same event).
 * **stuck detection** — :meth:`Driver.drive` notices when the event queue
   drains while operations are still queued (a replica crashed mid-operation)
   and fails them with a diagnostic instead of hanging.
@@ -43,7 +37,7 @@ class ExecOp:
     :class:`~repro.registers.base.OperationRecord` once the operation has
     been issued to a process; until then the operation is queued behind
     earlier operations targeting the same (sequential) process.  ``key`` is
-    set for store operations and ``None`` for single-register ones.
+    the store key the operation addresses.
     """
 
     op_id: int
@@ -102,7 +96,7 @@ class Driver:
 
     The driver is deliberately target-agnostic: callers resolve an operation
     to a concrete :class:`~repro.registers.base.RegisterProcess` (via a
-    :class:`~repro.exec.target.Target`) and :meth:`submit` it; the driver
+    :class:`~repro.exec.target.StoreTarget`) and :meth:`submit` it; the driver
     owns queueing, invocation, completion chaining and failure accounting.
     """
 

@@ -1,26 +1,18 @@
-"""Targets: what the unified driver issues operations against.
+"""Routing: which sequential process executes a store operation.
 
-A :class:`Target` adapts a concrete deployment to the driver's routing
-question — *which sequential process should execute this operation?* — so
-clients (closed-loop, scripted, open-loop) are written once and run
-unchanged against either:
-
-* :class:`RegisterTarget` — one register deployment (``n`` processes of one
-  algorithm on one network); operations are routed by pid, the way the
-  single-register workloads address writers and readers.
-* :class:`StoreTarget` — a sharded multi-key :class:`~repro.store.store.KVStore`
-  placement; writes are routed to the key's writer replica, reads round-robin
-  over the key's live replicas (or a pinned replica).
+:class:`StoreTarget` answers the driver's one routing question for a sharded
+multi-key :class:`~repro.store.store.KVStore` placement: writes go to the
+key's writer replica, reads round-robin over the key's live replicas (or a
+pinned replica).  A single register is the one-key store, addressed the same
+way (``OpRequest(key=..., replica=pid)``).
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.registers.base import OperationKind, RegisterProcess
-from repro.transport.base import Clock, Transport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.store import KVStore
@@ -28,61 +20,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class OpRequest:
-    """A routing request: everything a target needs to pick a process.
-
-    ``pid`` addresses register deployments; ``key`` (plus an optional pinned
-    ``replica``) addresses store placements.
-    """
+    """A routing request: the key, and optionally the replica pinned to serve it."""
 
     kind: OperationKind
-    pid: Optional[int] = None
     key: Any = None
     replica: Optional[int] = None
 
 
-class Target(abc.ABC):
-    """Something the driver can issue operations against."""
-
-    @property
-    @abc.abstractmethod
-    def simulator(self) -> Clock:
-        """The shared clock this target's processes run on."""
-
-    @property
-    @abc.abstractmethod
-    def network(self) -> Transport:
-        """The transport whose stats bill this target's messages."""
-
-    @abc.abstractmethod
-    def route(self, request: OpRequest) -> RegisterProcess:
-        """Resolve ``request`` to the sequential process that will execute it."""
-
-
-class RegisterTarget(Target):
-    """A single register deployment addressed by pid."""
-
-    def __init__(self, processes: Sequence[RegisterProcess]) -> None:
-        if not processes:
-            raise ValueError("a register target needs at least one process")
-        self.processes = list(processes)
-        self._simulator = self.processes[0].simulator
-        self._network = self.processes[0].network
-
-    @property
-    def simulator(self) -> Clock:
-        return self._simulator
-
-    @property
-    def network(self) -> Transport:
-        return self._network
-
-    def route(self, request: OpRequest) -> RegisterProcess:
-        if request.pid is None:
-            raise ValueError("register targets route by pid; request.pid is required")
-        return self.processes[request.pid]
-
-
-class StoreTarget(Target):
+class StoreTarget:
     """A sharded multi-key store addressed by key.
 
     Writes go to the key's writer replica; reads round-robin over the key's
@@ -92,14 +37,6 @@ class StoreTarget(Target):
 
     def __init__(self, store: "KVStore") -> None:
         self.store = store
-
-    @property
-    def simulator(self) -> Clock:
-        return self.store.simulator
-
-    @property
-    def network(self) -> Transport:
-        return self.store.network
 
     def route(self, request: OpRequest) -> RegisterProcess:
         if request.key is None:

@@ -26,6 +26,7 @@ from repro.registers.registry import available_algorithms
 from repro.sim.delays import DelayModel, FixedDelay, UniformDelay
 from repro.store.store import KVStore, StoreConfig
 from repro.verification.linearizability import PartitionedCheckReport
+from repro.workloads.kv import CrashPoint, deploy_store
 
 #: Artifact/case schema version (bumped on incompatible changes).
 CASE_FORMAT_VERSION = 1
@@ -240,22 +241,20 @@ def run_case(
     """
     if case.algorithm in MUTATIONS and case.algorithm not in available_algorithms():
         install_mutations()  # replaying a mutant artifact is self-contained
-    store = KVStore(
+    store = deploy_store(
         StoreConfig(
             algorithm=case.algorithm,
             num_shards=case.num_shards,
             replication=case.replication,
             delay_model=delay_model_from_dict(case.delay),
             initial_value=case.initial_value,
-        )
+        ),
+        _fault_plan_for(case),
+        [
+            CrashPoint(float(point["at"]), int(point["shard"]), int(point["replica"]))
+            for point in case.crash_points
+        ],
     )
-    plan = _fault_plan_for(case)
-    if plan is not None:
-        store.install_fault_plan(plan)
-    for point in case.crash_points:
-        store.crash_server_at(
-            float(point["at"]), int(point["shard"]), int(point["replica"])
-        )
     if perturbation is None and case.perturbation:
         perturbation = ReplayPerturbation(list(case.perturbation))
     if perturbation is not None:

@@ -141,7 +141,7 @@ class FaultPlan:
         """All fault events as plain dicts, sorted by start time.
 
         This is the annotation :class:`~repro.exec.metrics.MetricsCollector`
-        embeds in snapshots (and the chaos sweep in ``BENCH_chaos.json``) so
+        embeds in snapshots (and the chaos sweep in ``chaos_report.json``) so
         a latency spike can be read against the faults that caused it.
         """
         entries: List[Dict[str, Any]] = []

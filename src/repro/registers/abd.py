@@ -49,10 +49,6 @@ ABD_MESSAGE_TYPES = 6
 #: Bits needed to encode the message type alone.
 ABD_TYPE_BITS = 3
 
-#: Backwards-compatible aliases — the helpers' home is ``registers.costmodels``.
-_int_bits = int_bits
-_value_bits = value_bits
-
 
 @dataclass(frozen=True)
 class AbdMessage:

@@ -18,7 +18,7 @@ messages addressed to it are dropped at delivery time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.sim.network import Network
 from repro.sim.rng import make_rng
@@ -112,17 +112,23 @@ class CrashSchedule:
 
 
 class FailureInjector:
-    """Installs a :class:`CrashSchedule` into a running simulation."""
+    """Installs a :class:`CrashSchedule` into a running simulation.
+
+    ``crash(pid)`` defaults to the process's own ``crash``; a deployment with
+    a crash domain to keep in step (a store shard) passes its own.
+    """
 
     def __init__(
         self,
         simulator: Simulator,
         network: Network,
         schedule: CrashSchedule,
+        crash: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.simulator = simulator
         self.network = network
         self.schedule = schedule
+        self._crash = crash or (lambda pid: network.process(pid).crash())
         self._installed = False
 
     def install(self) -> None:
@@ -137,10 +143,9 @@ class FailureInjector:
                 self._install_message_triggered(event)
 
     def _install_timed(self, event: CrashEvent) -> None:
-        process = self.network.process(event.pid)
         self.simulator.schedule_at(
             event.at_time if event.at_time >= self.simulator.now else self.simulator.now,
-            process.crash,
+            lambda: self._crash(event.pid),
             label=f"crash p{event.pid}",
         )
 
@@ -149,7 +154,7 @@ class FailureInjector:
         threshold = event.after_messages_sent or 0
         # Degenerate case: crash before sending anything.
         if threshold == 0:
-            process.crash()
+            self._crash(event.pid)
             return
         pid = event.pid
         stats = self.network.stats
@@ -163,7 +168,7 @@ class FailureInjector:
         def on_send(src: int, _dst: int, _message: object) -> None:
             if src == pid and not process.crashed:
                 if stats.per_sender.get(pid, 0) >= threshold:
-                    process.crash()
+                    self._crash(pid)
 
         self.network.add_send_hook(on_send)
 

@@ -12,8 +12,8 @@ that building block out to a keyed store:
 
 Keyed workloads for the store live in :mod:`repro.workloads.kv`
 (``kv_uniform`` / ``kv_zipfian`` scenarios), the CLI exposes it as
-``repro store ...``, and ``benchmarks/bench_store_throughput.py`` measures
-the batched driver against per-operation driving.
+``repro store ...``, and the ``twobit_reads`` / ``abd_openloop`` workloads of
+``benchmarks/e2e`` measure its batched and open-loop drivers.
 """
 
 from repro.store.shardmap import Placement, ShardMap, stable_key_hash

@@ -25,8 +25,8 @@ Two driving styles, same API:
   enqueue any number of concurrent operations and one :meth:`KVStore.drive`
   call runs the loop until *all* of them complete.  Operations on different
   keys overlap in virtual time, so a batch of B independent operations
-  finishes in roughly one operation's latency instead of B of them —
-  ``benchmarks/bench_store_throughput.py`` measures the difference.
+  finishes in roughly one operation's latency instead of B of them
+  (``tests/store/test_kvstore.py`` pins batched < per-op / 4).
 
 Both styles delegate the actual driving — per-process FIFO queueing,
 completion chaining, stuck detection, metrics — to the unified execution
@@ -52,7 +52,6 @@ from repro.registers.registry import get_algorithm
 from repro.sim.delays import DelayModel
 from repro.sim.network import Network, Subnet
 from repro.sim.scheduler import Simulator
-from repro.sim.tracing import Tracer
 from repro.store.shardmap import Placement, ShardMap
 from repro.transport.base import validate_transport
 from repro.verification.history import History
@@ -84,8 +83,6 @@ class StoreConfig:
     max_virtual_time:
         Per-:meth:`KVStore.drive` virtual-time budget before the store stops
         waiting for stragglers.
-    trace:
-        Enable the structured event tracer (diagnostics only).
     coalesce:
         Pack same-instant deliveries to one replica into a single heap event
         (see :class:`~repro.sim.network.Network`).  On by default: the store
@@ -120,7 +117,6 @@ class StoreConfig:
     delay_model: Optional[DelayModel] = None
     initial_value: Any = "v0"
     max_virtual_time: float = 100_000.0
-    trace: bool = False
     coalesce: bool = True
     shard_algorithms: Optional[Tuple[str, ...]] = None
     workers: int = 1
@@ -237,12 +233,9 @@ class KVStore:
         if config.shard_algorithms is not None:
             for name in config.shard_algorithms:
                 get_algorithm(name)
-        if config.max_events is not None:
-            self.simulator = Simulator(
-                tracer=Tracer(enabled=config.trace), max_events=config.max_events
-            )
-        else:
-            self.simulator = Simulator(tracer=Tracer(enabled=config.trace))
+        self.simulator = (
+            Simulator() if config.max_events is None else Simulator(max_events=config.max_events)
+        )
         delay = config.delay_model.fresh() if config.delay_model is not None else None
         # The root network hosts no processes itself; it provides the shared
         # clock, delay model, aggregate stats and the coalescing setting that
@@ -656,7 +649,6 @@ def create_store(
     delay_model: Optional[DelayModel] = None,
     initial_value: Any = "v0",
     placement_salt: int = 0,
-    trace: bool = False,
     coalesce: bool = True,
     shard_algorithms: Optional[Tuple[str, ...]] = None,
 ) -> KVStore:
@@ -672,7 +664,6 @@ def create_store(
             placement_salt=placement_salt,
             delay_model=delay_model,
             initial_value=initial_value,
-            trace=trace,
             coalesce=coalesce,
             shard_algorithms=shard_algorithms,
         )

@@ -7,9 +7,9 @@ model, crash schedule, seed).  The package provides:
 * :mod:`repro.workloads.spec` — the declarative :class:`WorkloadSpec`;
 * :mod:`repro.workloads.generator` — turning a spec into concrete per-process
   operation scripts (seeded, reproducible, distinct written values);
-* :mod:`repro.workloads.runner` — deploying an algorithm on the simulator,
-  driving closed-loop clients through their scripts, and collecting the
-  history + metrics into a :class:`WorkloadResult`;
+* :mod:`repro.workloads.runner` — :func:`run_workload`: the register as the
+  one key of a one-shard store, closed-loop (or isolated) clients driven
+  through their scripts, the same :class:`KVWorkloadResult` back;
 * :mod:`repro.workloads.scenarios` — canned scenarios used by examples,
   integration tests and the ablation benchmarks (read-dominated store,
   crash storms, isolated-operation latency probes, keyed store mixes, ...);
@@ -29,8 +29,8 @@ from repro.workloads.kv import (
     generate_kv_operations,
     run_kv_workload,
 )
-from repro.workloads.runner import WorkloadResult, run_workload
-from repro.workloads.spec import WorkloadSpec
+from repro.workloads.runner import run_workload
+from repro.workloads.spec import REGISTER_KEY, WorkloadSpec
 
 __all__ = [
     "ClientScript",
@@ -38,8 +38,8 @@ __all__ = [
     "KVOp",
     "KVWorkloadResult",
     "KVWorkloadSpec",
+    "REGISTER_KEY",
     "ScriptedOperation",
-    "WorkloadResult",
     "WorkloadSpec",
     "generate_kv_arrivals",
     "generate_kv_operations",

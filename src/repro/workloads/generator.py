@@ -62,7 +62,7 @@ def generate_scripts(spec: WorkloadSpec) -> dict[int, ClientScript]:
         if spec.multi_writer:
             # Round-robin writes over all processes (MWMR ablation only).
             for index in range(1, spec.num_writes + 1):
-                pid = (spec.writer_pid + index - 1) % spec.n
+                pid = (index - 1) % spec.n
                 script = scripts.setdefault(
                     pid, ClientScript(pid=pid, start_delay=spec.writer_start_delay)
                 )
@@ -74,7 +74,7 @@ def generate_scripts(spec: WorkloadSpec) -> dict[int, ClientScript]:
                     )
                 )
         else:
-            script = ClientScript(pid=spec.writer_pid, start_delay=spec.writer_start_delay)
+            script = ClientScript(pid=0, start_delay=spec.writer_start_delay)
             for index in range(1, spec.num_writes + 1):
                 script.operations.append(
                     ScriptedOperation(
@@ -83,7 +83,7 @@ def generate_scripts(spec: WorkloadSpec) -> dict[int, ClientScript]:
                         think_time=spec.write_think_time,
                     )
                 )
-            scripts[spec.writer_pid] = script
+            scripts[0] = script
 
     # ---- reads --------------------------------------------------------------
     for pid in spec.reader_pids():

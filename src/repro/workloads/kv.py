@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.consensus.mmr import replica_invariants
-from repro.exec.clients import ARRIVAL_PROCESSES, OpenLoopClient, iter_arrival_times
+from repro.exec.clients import ARRIVAL_PROCESSES, IsolatedOpCost, OpenLoopClient, iter_arrival_times
 from repro.exec.metrics import json_number
 from repro.exec.oplog import OpLog
 from repro.exec.target import OpRequest
@@ -450,6 +450,11 @@ class KVWorkloadResult:
     #: Shard-parallel runs only: total worker→parent result-payload bytes
     #: (pickle blob + out-of-band column buffers).
     ipc_bytes: int = 0
+    #: Register runs (:func:`~repro.workloads.runner.run_workload`) only: the
+    #: two-bit lemma monitor when the spec asked for one, and an isolated-mode
+    #: run's per-operation costs.
+    monitor: Optional[Any] = None
+    isolated_costs: List[IsolatedOpCost] = field(default_factory=list)
 
     @property
     def config(self) -> StoreConfig:
@@ -461,6 +466,7 @@ class KVWorkloadResult:
     # view and a result can never disagree about a verdict.
     completed_ops = KVStore.completed_ops
     failed_ops = KVStore.failed_ops
+    history = KVStore.history
     histories = KVStore.histories
     check_linearizability = KVStore.check_linearizability
     check_atomicity = KVStore.check_atomicity
@@ -492,18 +498,18 @@ class KVWorkloadResult:
         """Completed operations per wall-clock second (hardware dependent)."""
         return _rate(self.completed, self.wall_seconds)
 
-    def mean_latency(self) -> float:
-        """Mean *service* latency (invocation to response, on the run's clock).
+    def latencies(self, kind: Optional[OperationKind] = None) -> List[float]:
+        """*Service* latencies (invocation to response, on the run's clock).
 
+        Completed operations in submission order, optionally of one kind.
         The metrics snapshot's latencies are sojourn times (they include
-        queueing behind the serving replica); this one is the protocol's own.
+        queueing behind the serving replica); these are the protocol's own.
         """
-        latencies = [
+        return [
             op.record.latency
             for op in self.completed_ops()
-            if op.record is not None and op.record.latency is not None
+            if kind is None or op.kind is kind
         ]
-        return sum(latencies) / len(latencies) if latencies else 0.0
 
     def verify(self) -> RunVerdict:
         """Judge the run: clean finish, every key linearizable, invariants intact.
@@ -529,12 +535,14 @@ class KVWorkloadResult:
             )
         failures.extend(report.violations())
         failures.extend(invariants or ())
+        if self.monitor is not None:
+            failures.extend(self.monitor.report.violations)
         return RunVerdict(report=report, invariants=invariants, failures=failures)
 
     def summary(self, verdict: Optional[RunVerdict] = None) -> Dict[str, Any]:
         """The run (and its verdict, when given) as one flat JSON-ready dict.
 
-        What the CLI tables and the ``BENCH_*.json`` entries are rendered
+        What the CLI tables and the chaos report's entries are rendered
         from.  Values a backend has no notion of are ``None``.
         """
         virtual = self.virtual_makespan is not None
@@ -553,7 +561,7 @@ class KVWorkloadResult:
             "virtual_throughput": json_number(self.virtual_throughput()) if virtual else None,
             "latency": self.metrics["latency"]["all"],
             "wire": self.metrics.get("transport"),
-            "batches": self.batches if virtual else None,
+            "batches": (self.batches or None) if virtual else None,
             "ipc_bytes": self.ipc_bytes or None,
             "per_sender": None,
             "coalesced": None,
@@ -634,22 +642,34 @@ def _run_open_loop(
     return client.ops, times, clean
 
 
-def deploy(spec: KVWorkloadSpec) -> KVStore:
-    """Build the simulated deployment a run of ``spec`` executes on.
+def deploy_store(
+    config: StoreConfig,
+    fault_plan: Optional[FaultPlan] = None,
+    crash_points: Sequence[CrashPoint] = (),
+) -> KVStore:
+    """Build a simulated deployment: the one way a run gets its store.
 
     Store config, store-wide fault plan, scheduled server crashes — in that
     order, so setup-time events enter the queue identically wherever the
-    store is built (the serial runner, every shard-parallel worker).  Always
-    a plain single-process store: ``spec.workers`` is the *runner's* concern.
+    store is built (serial runner, shard-parallel worker, register runner,
+    explorer case).
     """
-    store = KVStore(spec.store_config().with_(workers=1))
-    if spec.fault_plan is not None:
-        store.install_fault_plan(spec.fault_plan)
-    for point in spec.crash_points:
+    store = KVStore(config)
+    if fault_plan is not None:
+        store.install_fault_plan(fault_plan)
+    for point in crash_points:
         store.crash_server_at(
             point.at_time, point.shard, point.replica, allow_writer=point.allow_writer
         )
     return store
+
+
+def deploy(spec: KVWorkloadSpec) -> KVStore:
+    """The single-process store a run of ``spec`` executes on (``spec.workers``
+    is the *runner's* concern)."""
+    return deploy_store(
+        spec.store_config().with_(workers=1), spec.fault_plan, spec.crash_points
+    )
 
 
 def submit_scripted(store: KVStore, scripted: KVOp) -> StoreOp:

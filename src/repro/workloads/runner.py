@@ -1,235 +1,120 @@
-"""Deploy an algorithm, drive clients through their scripts, collect results.
-
-The runner is the single entry point the examples, integration tests and
-benchmarks use to execute a workload:
+"""Run a register workload: the keyed pipeline with one key.
 
 >>> from repro.workloads import WorkloadSpec, run_workload
 >>> result = run_workload(WorkloadSpec(n=5, algorithm="two-bit", num_writes=5))
->>> result.check_atomicity()          # raises if the history is not atomic
->>> result.write_latencies()          # latencies in delta units
+>>> result.verify().ok                # clean finish, atomic, lemmas intact
+True
+>>> result.latencies(OperationKind.WRITE)     # in delta units
 [2.0, 2.0, 2.0, 2.0, 2.0]
 
-All driving goes through the unified execution engine (:mod:`repro.exec`):
-the runner builds the deployment, wraps each scripted process in a
-:class:`~repro.exec.clients.ClosedLoopClient` (concurrent mode) or feeds the
-global sequence to an :class:`~repro.exec.clients.IsolatedClient` (isolated
-mode), and collects records from the shared
-:class:`~repro.exec.driver.Driver`.
+A register is the one-key case of the sharded store, so the runner deploys
+:meth:`WorkloadSpec.store_config` (one shard, ``replication = n``), takes the
+processes of :data:`~repro.workloads.spec.REGISTER_KEY` and drives them
+through :mod:`repro.exec`; what comes back is the
+:class:`~repro.workloads.kv.KVWorkloadResult` every keyed run returns.
 
-Two execution modes:
-
-* **concurrent (default)** — every client runs closed-loop: it issues its
-  next operation as soon as the previous one completes (plus think time).
-  Writers and readers overlap freely; this is the mode used for correctness
-  testing under contention.
-* **isolated** (``spec.isolated_operations=True``) — operations are issued
-  one at a time, globally, and the simulation is drained to quiescence after
-  each one.  Latency and message counts are then exactly attributable to
-  individual operations; this is how the Table-1 rows are measured.
+* **concurrent (default)** — every scripted process runs a
+  :class:`~repro.exec.clients.ClosedLoopClient` (next operation as soon as
+  the previous one completes, plus think time), so writers and readers
+  overlap freely: the mode for correctness testing under contention.
+* **isolated** (``spec.isolated_operations``) — an
+  :class:`~repro.exec.clients.IsolatedClient` issues operations one at a
+  time, globally, draining to quiescence after each, so latency and message
+  counts are exactly attributable (``result.isolated_costs``): how the
+  Table-1 rows are measured.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+import time
+from dataclasses import replace
 
-from repro.core.invariants import GlobalInvariantMonitor, attach_monitor
+from repro.core.invariants import attach_monitor
 from repro.core.process import TwoBitRegisterProcess
-from repro.exec.clients import ClosedLoopClient, IsolatedClient, IsolatedOpCost
-from repro.exec.driver import Driver
-from repro.exec.metrics import MetricsCollector
-from repro.registers.base import OperationKind, OperationRecord, RegisterProcess
+from repro.exec.clients import ClosedLoopClient, IsolatedClient
 from repro.registers.registry import get_algorithm
 from repro.sim.failures import FailureInjector
-from repro.sim.network import Network
-from repro.sim.scheduler import Simulator
-from repro.sim.tracing import Tracer
-from repro.verification.history import History
-from repro.verification.register_checker import AtomicityReport, check_swmr_atomicity
-from repro.workloads.generator import ClientScript, generate_scripts, interleave_isolated
-from repro.workloads.spec import WorkloadSpec
-
-#: Message/latency cost of one isolated operation (isolated mode only).
-#: Alias of the engine-level cost record, kept under its historical name for
-#: the analysis layer and external callers.
-PerOperationCost = IsolatedOpCost
+from repro.workloads.generator import generate_scripts, interleave_isolated
+from repro.workloads.kv import KVWorkloadResult, deploy_store
+from repro.workloads.spec import REGISTER_KEY, WorkloadSpec
 
 
-@dataclass
-class WorkloadResult:
-    """Everything a workload run produced."""
-
-    spec: WorkloadSpec
-    history: History
-    records: list[OperationRecord]
-    simulator: Simulator
-    network: Network
-    processes: Sequence[RegisterProcess]
-    monitor: Optional[GlobalInvariantMonitor] = None
-    isolated_costs: list[PerOperationCost] = field(default_factory=list)
-    finished_cleanly: bool = True
-    metrics: dict[str, Any] = field(default_factory=dict)
-
-    # ------------------------------------------------------------ convenience
-
-    @property
-    def stats(self) -> dict[str, Any]:
-        """Network statistics snapshot."""
-        return self.network.stats.snapshot()
-
-    def completed_records(self, kind: Optional[OperationKind] = None) -> list[OperationRecord]:
-        """Completed operation records, optionally filtered by kind."""
-        records = [r for r in self.records if r.completed]
-        if kind is not None:
-            records = [r for r in records if r.kind is kind]
-        return records
-
-    def write_latencies(self) -> list[float]:
-        """Latencies (virtual time) of completed writes."""
-        return [r.latency for r in self.completed_records(OperationKind.WRITE) if r.latency is not None]
-
-    def read_latencies(self) -> list[float]:
-        """Latencies (virtual time) of completed reads."""
-        return [r.latency for r in self.completed_records(OperationKind.READ) if r.latency is not None]
-
-    def total_messages(self) -> int:
-        """Messages sent over the whole run."""
-        return self.network.stats.messages_sent
-
-    def max_control_bits(self) -> int:
-        """Largest number of control bits carried by any single message in the run."""
-        return self.network.stats.max_control_bits
-
-    def local_memory_words(self) -> dict[int, int]:
-        """Per-process local-memory footprint at the end of the run."""
-        return {process.pid: process.local_memory_words() for process in self.processes}
-
-    def check_atomicity(self, raise_on_violation: bool = True) -> AtomicityReport:
-        """Run the fast SWMR atomicity checker on the recorded history."""
-        return check_swmr_atomicity(self.history, raise_on_violation=raise_on_violation)
-
-    def isolated_costs_by_kind(self, kind: OperationKind) -> list[PerOperationCost]:
-        """Isolated-mode per-operation costs of the given kind."""
-        return [cost for cost in self.isolated_costs if cost.kind is kind]
-
-
-def _build(spec: WorkloadSpec, trace: bool) -> tuple[Simulator, Network, list[RegisterProcess], Optional[GlobalInvariantMonitor]]:
-    simulator = Simulator(tracer=Tracer(enabled=trace))
-    # fresh(): rewind the delay model's RNG so re-running the same spec
-    # reproduces the exact same delays (delay models are stateful objects).
-    network = Network(simulator, delay_model=spec.delay_model.fresh(), coalesce=spec.coalesce)
-    algorithm = get_algorithm(spec.algorithm)
-    if spec.multi_writer and not algorithm.supports_multi_writer:
+def run_workload(spec: WorkloadSpec) -> KVWorkloadResult:
+    """Execute ``spec`` and return the collected :class:`KVWorkloadResult`."""
+    if spec.multi_writer and not get_algorithm(spec.algorithm).supports_multi_writer:
         raise ValueError(f"algorithm {spec.algorithm!r} does not support multiple writers")
-    processes = algorithm.build(
-        simulator,
-        network,
-        spec.n,
-        writer_pid=spec.writer_pid,
-        initial_value=spec.initial_value,
+    plan = spec.fault_plan
+    # The store installs link policies (and the heal-aware drive horizon);
+    # a plan's crashes name pids, which only this one-key deployment has.
+    store = deploy_store(
+        spec.store_config(), None if plan is None else replace(plan, crash_schedule=None)
     )
+    if plan is not None:
+        store.driver.metrics.fault_timeline = plan.timeline()  # crashes included
+    register = store.register_for(REGISTER_KEY)
+    # A lone register draws from the store's root delay stream (per-key
+    # scoping exists to decouple *several* keys), so a seeded delay model
+    # gives the execution it always gave.
+    register.subnet.delay_model = store.network.delay_model
+    processes = register.processes
     monitor = None
     if spec.check_invariants and all(isinstance(p, TwoBitRegisterProcess) for p in processes):
-        monitor = attach_monitor(
-            simulator,
-            [p for p in processes if isinstance(p, TwoBitRegisterProcess)],
-            writer_pid=spec.writer_pid,
-        )
-    if spec.crash_schedule is not None:
-        spec.crash_schedule.validate(spec.n)
-        FailureInjector(simulator, network, spec.crash_schedule).install()
-    if spec.fault_plan is not None:
-        # Validated jointly with crash_schedule in WorkloadSpec.__post_init__.
-        network.link_policy = spec.fault_plan.policy()
-        if spec.fault_plan.crash_schedule is not None:
-            FailureInjector(simulator, network, spec.fault_plan.crash_schedule).install()
-    return simulator, network, processes, monitor
+        monitor = attach_monitor(store.simulator, processes, writer_pid=0)
+    for schedule in (spec.crash_schedule, None if plan is None else plan.crash_schedule):
+        if schedule is not None:
+            schedule.validate(spec.n)
+            FailureInjector(
+                store.simulator,
+                register.subnet,
+                schedule,
+                crash=lambda pid: store.crash_server(0, pid, allow_writer=True),
+            ).install()
 
-
-def _run_isolated(
-    spec: WorkloadSpec,
-    driver: Driver,
-    network: Network,
-    processes: Sequence[RegisterProcess],
-    scripts: dict[int, ClientScript],
-) -> tuple[list[PerOperationCost], bool]:
-    client = IsolatedClient(driver, network, max_virtual_time=spec.max_virtual_time)
-    sequence = [
-        (processes[pid], scripted.kind, scripted.value)
-        for pid, scripted in interleave_isolated(scripts, spec.seed)
-    ]
-    clean = client.run_sequence(sequence)
-    return client.costs, clean
-
-
-def _horizon(spec: WorkloadSpec) -> float:
-    """The run's virtual-time budget, heal-aware.
-
-    A fault plan's partitions hold messages until their (scheduled, finite)
-    heal times; the budget restarts after the last heal so a plan can never
-    be mistaken for a stuck run by a short ``max_virtual_time``.
-    """
-    if spec.fault_plan is None:
-        return spec.max_virtual_time
-    return max(
-        spec.max_virtual_time, spec.fault_plan.quiescent_after() + spec.max_virtual_time
-    )
-
-
-def _run_concurrent(
-    spec: WorkloadSpec,
-    driver: Driver,
-    processes: Sequence[RegisterProcess],
-    scripts: dict[int, ClientScript],
-) -> bool:
-    clients = [
-        ClosedLoopClient(
-            driver,
-            processes[pid],
-            [(op.kind, op.value, op.think_time) for op in script.operations],
-            start_delay=script.start_delay,
-        )
-        for pid, script in scripts.items()
-    ]
-    for client in clients:
-        client.start()
-
-    # A client is "done" when it has no more operations to issue and its last
-    # issued operation completed (or its process crashed).
-    limit = _horizon(spec)
-    finished = driver.simulator.run_until(
-        lambda: all(client.done for client in clients), limit=limit
-    )
-    # Drain the tail: forwarded WRITE messages, PROCEEDs in flight, etc.
-    driver.simulator.run(until=limit)
-    return finished
-
-
-def run_workload(spec: WorkloadSpec, trace: bool = False) -> WorkloadResult:
-    """Execute ``spec`` and return the collected :class:`WorkloadResult`."""
-    simulator, network, processes, monitor = _build(spec, trace)
     scripts = generate_scripts(spec)
-    driver = Driver(simulator, metrics=MetricsCollector(network))
-    if spec.fault_plan is not None:
-        driver.fault_horizon = _horizon(spec)
-        driver.metrics.fault_timeline = spec.fault_plan.timeline()
-
+    isolated_costs = []
+    started = time.perf_counter()
     if spec.isolated_operations:
-        isolated_costs, clean = _run_isolated(spec, driver, network, processes, scripts)
+        client = IsolatedClient(
+            store.driver, store.network, spec.max_virtual_time, key=REGISTER_KEY
+        )
+        clean = client.run_sequence(
+            [
+                (processes[pid], scripted.kind, scripted.value)
+                for pid, scripted in interleave_isolated(scripts, spec.seed)
+            ]
+        )
+        isolated_costs = client.costs
     else:
-        isolated_costs = []
-        clean = _run_concurrent(spec, driver, processes, scripts)
-
-    history = History.from_records(driver.records, initial_value=spec.initial_value)
-    return WorkloadResult(
+        clients = [
+            ClosedLoopClient(
+                store.driver,
+                processes[pid],
+                [(op.kind, op.value, op.think_time) for op in script.operations],
+                start_delay=script.start_delay,
+                key=REGISTER_KEY,
+            )
+            for pid, script in scripts.items()
+        ]
+        for client in clients:
+            client.start()
+        # A client is done when it has nothing left to issue and its last
+        # operation completed (or its process crashed).  The limit is the
+        # heal-aware horizon when a fault plan is installed.
+        limit = store.driver.fault_horizon or spec.max_virtual_time
+        clean = store.simulator.run_until(
+            lambda: all(client.done for client in clients), limit=limit
+        )
+        # Drain the tail: forwarded WRITE messages, PROCEEDs in flight, etc.
+        store.simulator.run(until=limit)
+    return KVWorkloadResult(
         spec=spec,
-        history=history,
-        records=driver.records,
-        simulator=simulator,
-        network=network,
-        processes=processes,
+        oplog=store.oplog,
+        ops=store.ops,
+        wall_seconds=time.perf_counter() - started,
+        metrics=store.metrics_snapshot(),
+        store=store,
+        virtual_makespan=store.simulator.now,
+        finished_cleanly=clean,
         monitor=monitor,
         isolated_costs=isolated_costs,
-        finished_cleanly=clean,
-        metrics=driver.metrics.snapshot() if driver.metrics is not None else {},
     )

@@ -4,6 +4,10 @@ A :class:`WorkloadSpec` captures everything needed to reproduce a run: the
 system size, the operation mix, timing, the delay model parameters, the crash
 schedule and the master seed.  Given the same spec the runner produces the
 same history, event for event.
+
+A register is the one-key case of the sharded store (linearizability is
+local): :meth:`WorkloadSpec.store_config` is the one-shard store the runner
+deploys, :data:`REGISTER_KEY` its only key, process 0 its writer replica.
 """
 
 from __future__ import annotations
@@ -14,6 +18,10 @@ from typing import Optional, Sequence
 from repro.faults.plan import FaultPlan
 from repro.sim.delays import DelayModel, FixedDelay
 from repro.sim.failures import CrashSchedule
+from repro.store.store import StoreConfig
+
+#: The single key a register workload's store holds.
+REGISTER_KEY = "register"
 
 
 @dataclass(frozen=True)
@@ -27,11 +35,9 @@ class WorkloadSpec:
     algorithm:
         Registry name of the register algorithm to run (``"two-bit"``,
         ``"abd"``, ...).
-    writer_pid:
-        The single writer (ignored by MWMR algorithms, which let the
-        generator spread writes across processes when ``multi_writer``).
     num_writes:
-        Number of write operations issued by the writer.
+        Number of write operations issued by the writer, process 0 (MWMR
+        algorithms spread them across processes when ``multi_writer``).
     reads_per_reader:
         Number of reads issued by each reader process.
     readers:
@@ -79,7 +85,6 @@ class WorkloadSpec:
 
     n: int = 5
     algorithm: str = "two-bit"
-    writer_pid: int = 0
     num_writes: int = 10
     reads_per_reader: int = 10
     readers: Optional[Sequence[int]] = None
@@ -101,8 +106,6 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("workloads need at least 2 processes")
-        if not 0 <= self.writer_pid < self.n:
-            raise ValueError(f"writer_pid {self.writer_pid} out of range for n={self.n}")
         if self.num_writes < 0 or self.reads_per_reader < 0:
             raise ValueError("operation counts must be non-negative")
         if self.readers is not None:
@@ -130,11 +133,23 @@ class WorkloadSpec:
         """The processes that issue reads in this workload."""
         if self.readers is not None:
             return sorted(set(self.readers))
-        return [pid for pid in range(self.n) if pid != self.writer_pid]
+        return list(range(1, self.n))
 
     def total_operations(self) -> int:
         """Total operations this spec will issue."""
         return self.num_writes + self.reads_per_reader * len(self.reader_pids())
+
+    def store_config(self) -> StoreConfig:
+        """The one-shard store this register is the single key of."""
+        return StoreConfig(
+            algorithm=self.algorithm,
+            num_shards=1,
+            replication=self.n,
+            delay_model=self.delay_model,
+            initial_value=self.initial_value,
+            max_virtual_time=self.max_virtual_time,
+            coalesce=self.coalesce,
+        )
 
     def with_(self, **changes: object) -> "WorkloadSpec":
         """Return a copy with the given fields replaced (sugar over dataclasses.replace)."""

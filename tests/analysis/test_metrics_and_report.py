@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro.analysis.metrics import (
-    LatencySummary,
-    MessageSummary,
-    latencies_in_delta,
-    percentile,
-    summarize,
-)
+from repro.analysis.metrics import latencies_in_delta, messages_per_operation, summarize
 from repro.analysis.report import format_number, format_table
+from repro.exec.metrics import nearest_rank
 from repro.registers.base import OperationKind
 from repro.sim.delays import FixedDelay
 from repro.workloads import WorkloadSpec, run_workload
@@ -36,16 +31,15 @@ class TestSummaries:
 
     def test_percentile_nearest_rank(self):
         values = list(range(1, 101))
-        assert percentile(values, 0.5) == 50
-        assert percentile(values, 0.95) == 95
-        assert percentile(values, 0.0) == 1
-        assert percentile(values, 1.0) == 100
+        assert nearest_rank(values, 0.5) == 50
+        assert nearest_rank(values, 0.95) == 95
+        assert nearest_rank(values, 0.0) == 1
+        assert nearest_rank(values, 1.0) == 100
+        assert (summarize(values).p50, summarize(values).p95) == (50, 95)
 
-    def test_percentile_validation(self):
+    def test_percentile_rejects_empty_sample(self):
         with pytest.raises(ValueError):
-            percentile([], 0.5)
-        with pytest.raises(ValueError):
-            percentile([1.0], 1.5)
+            nearest_rank([], 0.5)
 
     def test_str_rendering(self):
         assert "mean=" in str(summarize([1.0, 2.0]))
@@ -57,37 +51,31 @@ class TestResultSummaries:
             WorkloadSpec(n=5, num_writes=4, reads_per_reader=2, delay_model=FixedDelay(2.0), seed=0)
         )
 
-    def test_latency_summary_normalises_by_delta(self):
+    def test_latencies_normalise_by_delta(self):
         result = self._result()
-        summary = LatencySummary.from_result(result, delta=2.0)
-        assert summary.writes is not None and summary.reads is not None
-        assert summary.writes.mean == pytest.approx(2.0)
-        assert summary.reads.maximum <= 4.0 + 1e-9
-
-    def test_latency_summary_requires_positive_delta(self):
-        with pytest.raises(ValueError):
-            LatencySummary.from_result(self._result(), delta=0.0)
+        writes = summarize(latencies_in_delta(result, OperationKind.WRITE, delta=2.0))
+        reads = summarize(latencies_in_delta(result, OperationKind.READ, delta=2.0))
+        assert writes.mean == pytest.approx(2.0)
+        assert reads.maximum <= 4.0 + 1e-9
 
     def test_latencies_in_delta_helper(self):
         result = self._result()
         writes = latencies_in_delta(result, OperationKind.WRITE, delta=2.0)
         assert all(value == pytest.approx(2.0) for value in writes)
 
-    def test_message_summary_from_isolated_costs(self):
+    def test_message_counts_from_isolated_costs(self):
         result = run_workload(
             WorkloadSpec(n=5, num_writes=3, reads_per_reader=1, isolated_operations=True)
         )
-        summary = MessageSummary.from_costs(result.isolated_costs)
-        assert summary.writes.mean == 20.0
-        assert summary.reads.mean == 8.0
+        assert summarize(messages_per_operation(result, OperationKind.WRITE)).mean == 20.0
+        assert summarize(messages_per_operation(result, OperationKind.READ)).mean == 8.0
 
-    def test_message_summary_with_no_operations_of_a_kind(self):
+    def test_message_counts_with_no_operations_of_a_kind(self):
         result = run_workload(
             WorkloadSpec(n=3, num_writes=2, reads_per_reader=0, isolated_operations=True)
         )
-        summary = MessageSummary.from_costs(result.isolated_costs)
-        assert summary.reads is None
-        assert summary.writes is not None
+        assert messages_per_operation(result, OperationKind.READ) == []
+        assert messages_per_operation(result, OperationKind.WRITE)
 
 
 class TestReportRendering:

@@ -8,7 +8,6 @@ from repro.exec import (
     MetricsCollector,
     OpenLoopClient,
     OpRequest,
-    RegisterTarget,
     StoreTarget,
     arrival_times,
     poisson_arrival_times,
@@ -178,14 +177,11 @@ class TestDriver:
 
 
 class TestTargets:
-    def test_register_target_routes_by_pid(self):
-        simulator, network, processes = deploy()
-        target = RegisterTarget(processes)
-        assert target.simulator is simulator
-        assert target.network is network
-        assert target.route(OpRequest(kind=OperationKind.READ, pid=2)) is processes[2]
-        with pytest.raises(ValueError, match="pid"):
-            target.route(OpRequest(kind=OperationKind.READ))
+    def test_store_target_pins_a_read_to_a_replica(self):
+        # A register is the one-key store: a pid is the key's replica index.
+        store = create_store(num_shards=1, replication=3)
+        process = store.target.route(OpRequest(kind=OperationKind.READ, key="k", replica=2))
+        assert process is store.register_for("k").processes[2]
 
     def test_store_target_routes_writes_to_writer(self):
         store = create_store(num_shards=2, replication=3)
@@ -271,25 +267,33 @@ class TestOpenLoopClient:
         for index, at in enumerate(times):
             if index % 4 == 0:
                 arrivals.append(
-                    (at, OpRequest(kind=OperationKind.WRITE, pid=0), f"v{index // 4 + 1}")
+                    (at, OpRequest(kind=OperationKind.WRITE, key="k"), f"v{index // 4 + 1}")
                 )
             else:
-                arrivals.append((at, OpRequest(kind=OperationKind.READ, pid=1 + index % 2), None))
+                arrivals.append(
+                    (at, OpRequest(kind=OperationKind.READ, key="k", replica=1 + index % 2), None)
+                )
         return arrivals
 
-    def test_open_loop_on_register_target(self):
-        simulator, network, processes = deploy(delay=UniformDelay(0.2, 1.0, seed=5))
-        driver = Driver(simulator, metrics=MetricsCollector(network))
-        client = OpenLoopClient(driver, RegisterTarget(processes), self._arrivals(24, rate=3.0))
+    @staticmethod
+    def _client(arrivals, delay=None):
+        """An open-loop client on a one-key store (the register, addressed by replica)."""
+        store = create_store(num_shards=1, replication=3, delay_model=delay)
+        return store, OpenLoopClient(store.driver, store.target, arrivals)
+
+    def test_open_loop_on_a_one_key_store(self):
+        _store, client = self._client(
+            self._arrivals(24, rate=3.0), delay=UniformDelay(0.2, 1.0, seed=5)
+        )
         client.start()
         assert client.drive(limit=10_000.0) is True
         assert client.done and len(client.ops) == 24
         assert all(op.completed for op in client.ops)
 
     def test_pending_arrival_is_labelled_by_its_number(self):
-        simulator, network, processes = deploy()
         arrivals = self._arrivals(3, rate=0.01)
-        client = OpenLoopClient(Driver(simulator), RegisterTarget(processes), arrivals)
+        store, client = self._client(arrivals)
+        simulator = store.simulator
         client.start()
         assert simulator.pending_labels() == ["open-loop arrival 0"]
         simulator.run(until=arrivals[0][0])
@@ -297,10 +301,8 @@ class TestOpenLoopClient:
         assert simulator.pending_labels()[-1] == "open-loop arrival 1"
 
     def test_arrivals_fire_at_scheduled_times(self):
-        simulator, network, processes = deploy()
-        driver = Driver(simulator)
         arrivals = self._arrivals(12, rate=2.0)
-        client = OpenLoopClient(driver, RegisterTarget(processes), arrivals)
+        _store, client = self._client(arrivals)
         client.start()
         client.drive(limit=10_000.0)
         # Each op is invoked at its arrival time unless queued behind an
@@ -309,26 +311,22 @@ class TestOpenLoopClient:
             assert op.record.invoked_at >= at - 1e-9
 
     def test_rejects_decreasing_arrival_times(self):
-        simulator, network, processes = deploy()
-        driver = Driver(simulator)
         bad = [
-            (2.0, OpRequest(kind=OperationKind.READ, pid=1), None),
-            (1.0, OpRequest(kind=OperationKind.READ, pid=1), None),
+            (2.0, OpRequest(kind=OperationKind.READ, key="k", replica=1), None),
+            (1.0, OpRequest(kind=OperationKind.READ, key="k", replica=1), None),
         ]
         with pytest.raises(ValueError, match="non-decreasing"):
-            OpenLoopClient(driver, RegisterTarget(processes), bad)
+            self._client(bad)
 
     def test_overload_queues_instead_of_throttling(self):
         # Offered load far above service rate: every op still completes, and
         # later ops see growing queueing delay (open-loop, not closed-loop).
-        simulator, network, processes = deploy()
-        driver = Driver(simulator)
         times = poisson_arrival_times(make_rng(2, "overload"), rate=50.0, count=30)
         arrivals = [
-            (at, OpRequest(kind=OperationKind.WRITE, pid=0), f"v{i + 1}")
+            (at, OpRequest(kind=OperationKind.WRITE, key="k"), f"v{i + 1}")
             for i, at in enumerate(times)
         ]
-        client = OpenLoopClient(driver, RegisterTarget(processes), arrivals)
+        _store, client = self._client(arrivals)
         client.start()
         assert client.drive(limit=10_000.0) is True
         # Client-observed (sojourn) latency grows with the backlog while the

@@ -14,7 +14,7 @@ from repro.store.store import KVStore, StoreConfig
 from repro.workloads.kv import run_kv_workload
 from repro.workloads.runner import run_workload
 from repro.workloads.scenarios import chaos, delay_storm, kv_partitioned, quickstart
-from repro.workloads.spec import WorkloadSpec
+from repro.workloads.spec import REGISTER_KEY, WorkloadSpec
 
 
 def minority_partition(n: int, start: float = 2.0, heal: float = 15.0) -> FaultPlan:
@@ -33,8 +33,8 @@ class TestRegisterWorkloads:
     def test_storm_actually_slows_the_writer(self):
         calm = run_workload(delay_storm(factor=1.0001, storm_end=0.002, storm_start=0.001))
         stormy = run_workload(delay_storm(factor=8.0))
-        calm_writes = sum(calm.write_latencies()) / len(calm.write_latencies())
-        stormy_writes = sum(stormy.write_latencies()) / len(stormy.write_latencies())
+        calm_writes = calm.metrics["latency"]["write"]["mean"]
+        stormy_writes = stormy.metrics["latency"]["write"]["mean"]
         assert stormy_writes > 2.0 * calm_writes
 
     def test_partitioned_register_run_terminates_and_verifies(self):
@@ -63,7 +63,7 @@ class TestRegisterWorkloads:
         )
         result = run_workload(spec)
         assert result.check_atomicity().ok
-        crashed = [p for p in result.processes if p.crashed]
+        crashed = [p for p in result.store.register_for(REGISTER_KEY).processes if p.crashed]
         assert len(crashed) == 1
 
     def test_combined_crash_budget_is_enforced(self):
@@ -82,7 +82,7 @@ class TestRegisterWorkloads:
         again = run_workload(quickstart(seed=5))
         sig = lambda r: [
             (rec.op_id, rec.pid, rec.invoked_at, rec.responded_at, repr(rec.result))
-            for rec in r.records
+            for rec in r.store.driver.records
         ]
         assert sig(base) == sig(again)
 

@@ -13,7 +13,7 @@ from repro.faults.plan import FaultPlan
 from repro.sim.delays import UniformDelay
 from repro.verification.linearizability import is_linearizable
 from repro.workloads.runner import run_workload
-from repro.workloads.spec import WorkloadSpec
+from repro.workloads.spec import REGISTER_KEY, WorkloadSpec
 
 
 def partition_plan(isolate, n, start=3.0, heal=16.0, name="register-partition"):
@@ -36,7 +36,7 @@ class TestTwoBitUnderPartition:
         )
         result = run_workload(spec)
         assert result.finished_cleanly
-        assert len(result.completed_records()) == spec.total_operations()
+        assert len(result.completed_ops()) == spec.total_operations()
         assert result.check_atomicity().ok
         assert result.monitor is not None and result.monitor.report.ok
 
@@ -88,8 +88,8 @@ class TestMwmrAbdUnderPartition:
         )
         result = run_workload(spec)
         assert result.finished_cleanly
-        assert len(result.completed_records()) == spec.total_operations()
-        assert is_linearizable(result.history, max_operations=64)
+        assert len(result.completed_ops()) == spec.total_operations()
+        assert is_linearizable(result.history(REGISTER_KEY), max_operations=64)
 
     def test_partition_stretches_latencies_but_never_loses_operations(self):
         n = 5
@@ -108,6 +108,6 @@ class TestMwmrAbdUnderPartition:
         assert result.finished_cleanly
         # Operations issued by partitioned processes stall until the heal:
         # some latency must exceed the window length under this seed.
-        latencies = result.read_latencies() + result.write_latencies()
+        latencies = result.latencies()
         assert latencies and max(latencies) > 5.0
-        assert is_linearizable(result.history, max_operations=64)
+        assert is_linearizable(result.history(REGISTER_KEY), max_operations=64)

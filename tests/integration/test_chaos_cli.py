@@ -20,7 +20,7 @@ class TestChaosCli:
         assert "chaos sweep (quick)" in out
         assert "reproducible (record-by-record): yes" in out
 
-        payload = strict_loads(tmp_path / "BENCH_chaos.json")
+        payload = strict_loads(tmp_path / "chaos_report.json")
         assert payload["mode"] == "quick"
         assert payload["reproducible"] is True
         assert payload["all_atomic"] is True
@@ -43,12 +43,12 @@ class TestChaosCli:
     def test_nonpositive_seeds_rejected(self, capsys, tmp_path):
         assert main(["chaos", "--seeds", "0", "--out-dir", str(tmp_path)]) == 2
         assert "--seeds must be at least 1" in capsys.readouterr().err
-        assert not (tmp_path / "BENCH_chaos.json").exists()
+        assert not (tmp_path / "chaos_report.json").exists()
 
     def test_seeds_flag_controls_sweep_width(self, capsys, tmp_path):
         code = main(["chaos", "--quick", "--seeds", "1", "--out-dir", str(tmp_path)])
         assert code == 0
-        payload = strict_loads(tmp_path / "BENCH_chaos.json")
+        payload = strict_loads(tmp_path / "chaos_report.json")
         assert payload["seeds"] == [0]
         assert len(payload["runs"]) == 3
 
@@ -59,6 +59,6 @@ class TestChaosCli:
         assert first.replace(str(tmp_path / "a"), "X") == capsys.readouterr().out.replace(
             str(tmp_path / "b"), "X"
         )
-        a = (tmp_path / "a" / "BENCH_chaos.json").read_text()
-        b = (tmp_path / "b" / "BENCH_chaos.json").read_text()
+        a = (tmp_path / "a" / "chaos_report.json").read_text()
+        b = (tmp_path / "b" / "chaos_report.json").read_text()
         assert a == b

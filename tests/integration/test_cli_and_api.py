@@ -1,5 +1,8 @@
 """Integration tests for the CLI and the top-level API facade."""
 
+import pathlib
+import re
+
 import pytest
 
 import repro
@@ -85,7 +88,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "atomic" in out
         assert "lemma invariants" in out
-        assert "max control bits / message | 2" in out
+        assert re.search(r"max control bits / message +\| 2 ", out)
+        # The register run reports through the keyed pipeline's table.
+        assert re.search(r"per-key atomic +\| yes \(1 keys\)", out)
+        assert re.search(r"operations submitted +\| 12 ", out)
 
     def test_run_command_with_crashes_and_random_delays(self, capsys):
         exit_code = main(
@@ -127,6 +133,66 @@ class TestCli:
         assert "msgs per write" in out
         assert "20" in out  # two-bit: n(n-1) = 20
         assert "8" in out  # abd: 2(n-1) = 8
+
+
+PINNED = pathlib.Path(__file__).with_name("pinned_cli")
+
+
+class TestPaperTablesArePinned:
+    """Table 1 and the Theorem 2 counts, byte for byte.
+
+    The pins were written by the commit *before* ``run_workload`` became the
+    keyed pipeline with one key (21b9641), so they gate that re-plumbing —
+    and any later one — on ``cmp``-equal paper numbers.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, pin",
+        [
+            (["table1", "--n", "5"], "table1_n5.txt"),
+            (["messages", "--n", "5"], "messages_n5.txt"),
+            (["bits", "--n", "5", "--writes", "40"], "bits_n5_writes40.txt"),
+        ],
+    )
+    def test_output_is_byte_identical_to_the_pin(self, argv, pin, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (PINNED / pin).read_text()
+
+
+class TestRegisterRunVerdict:
+    """``run`` / ``compare`` exit through the shared verdict, like ``store``."""
+
+    RUN = ["run", "--n", "3", "--writes", "3", "--reads", "3"]
+    COMPARE = ["compare", "--n", "3", "--writes", "3", "--reads", "3"]
+
+    def test_a_failing_verify_is_exit_1(self, capsys, monkeypatch):
+        from repro.workloads import kv
+
+        real_verify = kv.KVWorkloadResult.verify
+
+        def failing_verify(result):
+            verdict = real_verify(result)
+            verdict.failures.append("['register'] injected by the test")
+            return verdict
+
+        monkeypatch.setattr(kv.KVWorkloadResult, "verify", failing_verify)
+        for argv, table_text in ((self.RUN, "operations completed"), (self.COMPARE, "total msgs")):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert "register run failures:" in captured.err and "injected" in captured.err
+            assert table_text in captured.out  # the table still prints
+
+    def test_an_unfinished_run_is_exit_1(self, capsys, monkeypatch):
+        from repro import cli
+
+        real_spec = cli._spec_from_args
+        # A virtual-time budget that expires mid-run: operations left pending.
+        monkeypatch.setattr(
+            cli, "_spec_from_args", lambda *args: real_spec(*args).with_(max_virtual_time=3.0)
+        )
+        for argv in (self.RUN, self.COMPARE):
+            assert main(argv) == 1
+            assert "did not finish cleanly" in capsys.readouterr().err
 
 
 class TestExamples:

@@ -1,9 +1,10 @@
 """Tripwire for the documents: every repository path they name exists.
 
-README, DESIGN, ALGORITHMS, the CI workflow and the verify skill name source
-files, benchmark scripts and committed ``BENCH_*.json`` baselines by path.
-Deleting or renaming one of those leaves the prose pointing at nothing and
-fails no other test.  This one fails instead.
+README, DESIGN, ALGORITHMS, the CI workflow, the verify skill and the
+docstrings of ``src/`` name source files, benchmark scripts and committed
+``BENCH_*.json`` baselines by path.  Deleting or renaming one of those leaves
+the prose pointing at nothing and fails no other test.  This one fails
+instead.
 """
 
 import pathlib
@@ -18,6 +19,8 @@ DOCUMENTS = (
     "docs/ALGORITHMS.md",
     ".github/workflows/ci.yml",
     ".claude/skills/verify/SKILL.md",
+) + tuple(
+    str(path.relative_to(ROOT)) for path in sorted((ROOT / "src").rglob("*.py"))
 )
 
 #: A ``.py`` / ``.json`` path, possibly a glob (``bench_table1_*.py``).
@@ -78,6 +81,7 @@ def test_a_deleted_file_named_again_is_caught():
         "BENCH_memory.json",
         "BENCH_consensus.json",
         "BENCH_live_throughput.json",
+        "BENCH_chaos.json",
     ]
     prose = " and ".join(f"`{name}` ({name}: see {name})." for name in spellings)
     assert missing_paths(prose) == sorted(spellings)

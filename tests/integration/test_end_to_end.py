@@ -8,7 +8,7 @@ from repro.api import create_register
 from repro.sim.delays import ExponentialDelay, FixedDelay, UniformDelay
 from repro.sim.failures import CrashSchedule
 from repro.verification.invariants import check_two_bit_convergence
-from repro.workloads import WorkloadSpec, run_workload
+from repro.workloads import REGISTER_KEY, WorkloadSpec, run_workload
 
 
 ALGORITHMS = ["two-bit", "abd", "abd-bounded-emulation"]
@@ -50,7 +50,7 @@ class TestFailureFreeRuns:
     def test_two_bit_histories_converge_at_quiescence(self):
         spec = WorkloadSpec(n=5, num_writes=12, reads_per_reader=4, seed=5)
         result = run_workload(spec)
-        check_two_bit_convergence(result.processes, writer_pid=0)
+        check_two_bit_convergence(result.store.register_for(REGISTER_KEY).processes, writer_pid=0)
 
     def test_interleaved_reads_see_monotonically_newer_values(self):
         """Successive reads by the same process never go backwards."""
@@ -80,7 +80,7 @@ class TestCrashRuns:
         result = run_workload(spec)
         assert result.check_atomicity().ok
         # Every operation by a process that never crashed completed (liveness).
-        for record in result.records:
+        for record in result.store.driver.records:
             if record.pid in (0, 1, 2, 3):
                 assert record.completed
 
@@ -100,7 +100,7 @@ class TestCrashRuns:
         )
         result = run_workload(spec)
         assert result.finished_cleanly
-        assert len(result.completed_records()) == 5 + 2 * 5
+        assert len(result.completed_ops()) == 5 + 2 * 5
         assert result.check_atomicity().ok
 
     def test_writer_crash_mid_broadcast(self):
@@ -152,7 +152,7 @@ class TestCrossAlgorithmComparison:
             result = run_workload(spec)
             from repro.registers.base import OperationKind
 
-            reads = result.isolated_costs_by_kind(OperationKind.READ)
+            reads = [cost for cost in result.isolated_costs if cost.kind is OperationKind.READ]
             costs[algorithm] = sum(c.messages for c in reads) / len(reads)
         assert costs["two-bit"] == pytest.approx(costs["abd"] / 2)
 
@@ -167,7 +167,7 @@ class TestCrossAlgorithmComparison:
                     n=7, algorithm=algorithm, num_writes=3, reads_per_reader=0, isolated_operations=True
                 )
             )
-            writes = result.isolated_costs_by_kind(OperationKind.WRITE)
+            writes = [cost for cost in result.isolated_costs if cost.kind is OperationKind.WRITE]
             costs[algorithm] = sum(c.messages for c in writes) / len(writes)
         assert costs["two-bit"] > costs["abd"]
 
@@ -178,7 +178,7 @@ class TestCrossAlgorithmComparison:
         second = run_workload(spec)
         render = lambda result: [  # noqa: E731
             (op.pid, op.kind.value, op.value, op.result, op.invoked_at, op.responded_at)
-            for op in sorted(result.history.operations, key=lambda o: (o.invoked_at, o.pid))
+            for op in sorted(result.history(REGISTER_KEY).operations, key=lambda o: (o.invoked_at, o.pid))
         ]
         assert render(first) == render(second)
         assert first.total_messages() == second.total_messages()

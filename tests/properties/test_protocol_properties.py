@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.failures import random_crash_schedule
 from repro.verification.invariants import check_two_bit_convergence
-from repro.workloads import WorkloadSpec, run_workload
+from repro.workloads import REGISTER_KEY, WorkloadSpec, run_workload
 
 COMMON_SETTINGS = dict(
     max_examples=25,
@@ -50,9 +50,9 @@ def failure_free_specs(draw, algorithm: str) -> WorkloadSpec:
 def test_two_bit_random_failure_free_runs_are_atomic_and_converge(spec: WorkloadSpec):
     result = run_workload(spec)
     assert result.finished_cleanly
-    assert result.check_atomicity(raise_on_violation=False).ok, result.history.describe()
+    assert result.check_atomicity(raise_on_violation=False).ok, result.history(REGISTER_KEY).describe()
     assert result.monitor is not None and result.monitor.report.ok
-    check_two_bit_convergence(result.processes, writer_pid=spec.writer_pid)
+    check_two_bit_convergence(result.store.register_for(REGISTER_KEY).processes, writer_pid=0)
 
 
 @given(spec=failure_free_specs("abd"))
@@ -60,7 +60,7 @@ def test_two_bit_random_failure_free_runs_are_atomic_and_converge(spec: Workload
 def test_abd_random_failure_free_runs_are_atomic(spec: WorkloadSpec):
     result = run_workload(spec)
     assert result.finished_cleanly
-    assert result.check_atomicity(raise_on_violation=False).ok, result.history.describe()
+    assert result.check_atomicity(raise_on_violation=False).ok, result.history(REGISTER_KEY).describe()
 
 
 @st.composite
@@ -88,10 +88,10 @@ def crashy_specs(draw) -> WorkloadSpec:
 @settings(**COMMON_SETTINGS)
 def test_random_crash_schedules_never_break_atomicity(spec: WorkloadSpec):
     result = run_workload(spec)
-    assert result.check_atomicity(raise_on_violation=False).ok, result.history.describe()
+    assert result.check_atomicity(raise_on_violation=False).ok, result.history(REGISTER_KEY).describe()
     # Operations invoked by processes that never crash must all terminate.
     crashed = set(spec.crash_schedule.crashed_pids if spec.crash_schedule else [])
-    for record in result.records:
+    for record in result.store.driver.records:
         if record.pid not in crashed:
             assert record.completed
 
@@ -117,9 +117,9 @@ def test_theorem_2_exact_message_counts_hold_for_random_parameters(n, num_writes
     result = run_workload(spec)
     from repro.registers.base import OperationKind
 
-    for cost in result.isolated_costs_by_kind(OperationKind.WRITE):
+    for cost in (cost for cost in result.isolated_costs if cost.kind is OperationKind.WRITE):
         assert cost.messages == n * (n - 1)
-    for cost in result.isolated_costs_by_kind(OperationKind.READ):
+    for cost in (cost for cost in result.isolated_costs if cost.kind is OperationKind.READ):
         assert cost.messages == 2 * (n - 1)
 
 
@@ -142,5 +142,5 @@ def test_two_bit_control_information_is_always_two_bits(n, num_writes, high, see
         seed=seed,
     )
     result = run_workload(spec)
-    assert result.max_control_bits() == 2
-    assert set(result.network.stats.by_type) <= {"WRITE0", "WRITE1", "READ", "PROCEED"}
+    assert result.store.stats.max_control_bits == 2
+    assert set(result.store.stats.by_type) <= {"WRITE0", "WRITE1", "READ", "PROCEED"}

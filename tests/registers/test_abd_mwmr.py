@@ -6,7 +6,7 @@ from repro.api import create_register
 from repro.registers.abd_mwmr import ABD_MWMR_ALGORITHM, MwAbdWrite, MwAbdTsReply
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.verification.linearizability import is_linearizable
-from repro.workloads import WorkloadSpec, run_workload
+from repro.workloads import REGISTER_KEY, WorkloadSpec, run_workload
 
 
 class TestTimestamps:
@@ -60,7 +60,7 @@ class TestMultiWriterBehaviour:
             seed=21,
         )
         result = run_workload(spec)
-        assert is_linearizable(result.history, max_operations=64)
+        assert is_linearizable(result.history(REGISTER_KEY), max_operations=64)
 
     def test_multi_writer_flag_required_in_workloads(self):
         spec = WorkloadSpec(n=3, algorithm="abd", num_writes=2, reads_per_reader=1, multi_writer=True)

@@ -59,7 +59,7 @@ class TestBoundedEmulation:
         result = run_workload(spec)
         assert result.check_atomicity().ok
         bound = 3 + 2 * max(1, (DEFAULT_MODULUS - 1).bit_length())
-        assert result.max_control_bits() <= bound
+        assert result.store.stats.max_control_bits <= bound
 
     def test_unbounded_abd_exceeds_the_bound_eventually(self):
         """Contrast: plain ABD's max control bits keep growing with the write count."""
@@ -67,7 +67,7 @@ class TestBoundedEmulation:
             n=5, algorithm="abd", num_writes=300, reads_per_reader=5, delay_model=FixedDelay(1.0), seed=1
         )
         result = run_workload(spec)
-        assert result.max_control_bits() >= 3 + math.ceil(math.log2(300))
+        assert result.store.stats.max_control_bits >= 3 + math.ceil(math.log2(300))
 
     def test_control_bits_constant_in_sequence_number(self):
         assert ModWrite(seq_mod=1, value="v").control_bits() == ModWrite(seq_mod=63, value="v").control_bits()
@@ -218,6 +218,5 @@ class TestWireSizeBitHelpers:
 
         assert abd.int_bits is costmodels.int_bits
         assert abd.value_bits is costmodels.value_bits
-        assert abd._int_bits is costmodels.int_bits  # legacy alias
         assert abd_mwmr.int_bits is costmodels.int_bits
         assert bounded._value_bits is costmodels.value_bits

@@ -47,6 +47,7 @@ from repro.verification.register_checker import check_swmr_atomicity  # noqa: E4
 from repro.verification.specs import get_spec  # noqa: E402
 from repro.workloads.kv import run_kv_workload  # noqa: E402
 from repro.workloads.runner import run_workload  # noqa: E402
+from repro.workloads.spec import REGISTER_KEY  # noqa: E402
 
 PINNED_PATH = pathlib.Path(__file__).with_name("pinned_checker_outputs.json")
 
@@ -94,7 +95,7 @@ def _near(rng: random.Random, values: list, current: int) -> Any:
 def corpus() -> Iterator[Tuple[str, History, Optional[str]]]:
     """``(name, history, sequential spec name)`` for every pinned history."""
     for name, spec in sorted(golden_specs().items()):
-        yield f"register/{name}", run_workload(spec).history, None
+        yield f"register/{name}", run_workload(spec).history(REGISTER_KEY), None
     for family, cases in (("parallel", parallel_cases()), ("consensus", consensus_cases())):
         for name, (spec, _workers) in sorted(cases.items()):
             store = run_kv_workload(spec).store

@@ -73,11 +73,11 @@ def serialize_run(spec: WorkloadSpec) -> dict[str, Any]:
                 record.responded_at,
                 record.completed,
             ]
-            for record in result.records
+            for record in result.store.driver.records
         ],
         "total_messages": result.total_messages(),
-        "final_time": result.simulator.now,
-        "executed_events": result.simulator.executed_events,
+        "final_time": result.store.simulator.now,
+        "executed_events": result.store.simulator.executed_events,
     }
 
 

@@ -5,7 +5,8 @@ import pytest
 from repro.registers.base import OperationKind
 from repro.sim.delays import FixedDelay
 from repro.sim.failures import CrashSchedule
-from repro.workloads import WorkloadSpec, run_workload
+from repro.verification.register_checker import check_swmr_atomicity
+from repro.workloads import REGISTER_KEY, WorkloadSpec, run_workload
 from repro.workloads import scenarios
 from repro.analysis.metrics import messages_per_operation
 
@@ -15,12 +16,14 @@ class TestConcurrentMode:
         spec = WorkloadSpec(n=5, algorithm="two-bit", num_writes=6, reads_per_reader=4, seed=2)
         result = run_workload(spec)
         assert result.finished_cleanly
-        assert len(result.completed_records()) == spec.total_operations()
-        assert len(result.history.pending()) == 0
+        assert len(result.completed_ops()) == spec.total_operations()
+        assert len(result.history(REGISTER_KEY).pending()) == 0
 
     def test_history_is_atomic_and_checkable(self):
         result = run_workload(WorkloadSpec(n=5, num_writes=8, reads_per_reader=8, seed=3))
-        report = result.check_atomicity()
+        assert result.verify().ok
+        # The claims checker is the diagnostic view of the same history.
+        report = check_swmr_atomicity(result.history(REGISTER_KEY))
         assert report.ok
         assert report.reads_checked == 8 * 4
 
@@ -28,16 +31,16 @@ class TestConcurrentMode:
         result = run_workload(
             WorkloadSpec(n=5, num_writes=3, reads_per_reader=3, delay_model=FixedDelay(1.0), seed=4)
         )
-        assert len(result.write_latencies()) == 3
-        assert len(result.read_latencies()) == 12
-        assert all(latency >= 2.0 for latency in result.write_latencies())
+        assert len(result.latencies(OperationKind.WRITE)) == 3
+        assert len(result.latencies(OperationKind.READ)) == 12
+        assert all(latency >= 2.0 for latency in result.latencies(OperationKind.WRITE))
 
     def test_think_times_space_out_operations(self):
         fast = run_workload(WorkloadSpec(n=3, num_writes=5, reads_per_reader=0, seed=5))
         slow = run_workload(
             WorkloadSpec(n=3, num_writes=5, reads_per_reader=0, write_think_time=10.0, seed=5)
         )
-        assert slow.simulator.now > fast.simulator.now
+        assert slow.makespan > fast.makespan
 
     def test_crashed_reader_leaves_pending_operations(self):
         spec = WorkloadSpec(
@@ -51,7 +54,7 @@ class TestConcurrentMode:
         result = run_workload(spec)
         # The run still terminates and the surviving operations are atomic.
         assert result.check_atomicity().ok
-        crashed_ops = result.history.by_process(2)
+        crashed_ops = result.history(REGISTER_KEY).by_process(2)
         assert len(crashed_ops) < 5
 
     def test_crashed_writer_stops_the_write_stream_but_reads_go_on(self):
@@ -64,8 +67,8 @@ class TestConcurrentMode:
             seed=7,
         )
         result = run_workload(spec)
-        writes = [r for r in result.completed_records(OperationKind.WRITE)]
-        reads = [r for r in result.completed_records(OperationKind.READ)]
+        writes = result.latencies(OperationKind.WRITE)
+        reads = result.latencies(OperationKind.READ)
         assert len(writes) < 20
         assert len(reads) == 5 * 4
         assert result.check_atomicity().ok
@@ -81,8 +84,9 @@ class TestConcurrentMode:
 
     def test_stats_snapshot_exposed(self):
         result = run_workload(WorkloadSpec(n=3, num_writes=2, reads_per_reader=1, seed=8))
-        assert result.stats["messages_sent"] == result.total_messages()
-        assert result.stats["messages_sent"] > 0
+        stats = result.store.stats.snapshot()
+        assert stats["messages_sent"] == result.total_messages()
+        assert stats["messages_sent"] > 0
 
 
 class TestIsolatedMode:
@@ -92,8 +96,8 @@ class TestIsolatedMode:
         )
         result = run_workload(spec)
         assert len(result.isolated_costs) == spec.total_operations()
-        write_costs = result.isolated_costs_by_kind(OperationKind.WRITE)
-        read_costs = result.isolated_costs_by_kind(OperationKind.READ)
+        write_costs = [cost for cost in result.isolated_costs if cost.kind is OperationKind.WRITE]
+        read_costs = [cost for cost in result.isolated_costs if cost.kind is OperationKind.READ]
         assert all(cost.messages == 20 for cost in write_costs)
         assert all(cost.messages == 8 for cost in read_costs)
         assert all(cost.latency == 2.0 for cost in write_costs)
@@ -115,7 +119,7 @@ class TestIsolatedMode:
         result = run_workload(
             WorkloadSpec(n=5, num_writes=5, reads_per_reader=2, isolated_operations=True, seed=9)
         )
-        assert result.history.max_concurrency() == 1
+        assert result.history(REGISTER_KEY).max_concurrency() == 1
         assert result.check_atomicity().ok
 
 
@@ -136,7 +140,7 @@ class TestScenarios:
 
     def test_contended_scenario_produces_overlap(self):
         result = run_workload(scenarios.contended(n=5, seed=1))
-        assert result.history.max_concurrency() >= 2
+        assert result.history(REGISTER_KEY).max_concurrency() >= 2
         assert result.check_atomicity().ok
 
     def test_crash_storm_scenario_spares_the_writer_by_default(self):
@@ -148,5 +152,5 @@ class TestScenarios:
     def test_isolated_latency_probe(self):
         spec = scenarios.isolated_latency_probe(n=5, delta=2.0)
         result = run_workload(spec)
-        writes = result.isolated_costs_by_kind(OperationKind.WRITE)
+        writes = [cost for cost in result.isolated_costs if cost.kind is OperationKind.WRITE]
         assert all(cost.latency == pytest.approx(4.0) for cost in writes)

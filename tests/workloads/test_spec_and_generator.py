@@ -21,8 +21,6 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError):
             WorkloadSpec(n=1)
         with pytest.raises(ValueError):
-            WorkloadSpec(n=3, writer_pid=3)
-        with pytest.raises(ValueError):
             WorkloadSpec(num_writes=-1)
         with pytest.raises(ValueError):
             WorkloadSpec(readers=[9])
@@ -30,8 +28,8 @@ class TestWorkloadSpec:
             WorkloadSpec(read_think_time=-0.1)
 
     def test_reader_pids_default_excludes_writer(self):
-        spec = WorkloadSpec(n=4, writer_pid=2)
-        assert spec.reader_pids() == [0, 1, 3]
+        spec = WorkloadSpec(n=4)
+        assert spec.reader_pids() == [1, 2, 3]
 
     def test_explicit_readers_deduplicated_and_sorted(self):
         spec = WorkloadSpec(n=5, readers=[3, 1, 3])
