@@ -22,7 +22,10 @@ network accounting layer (:class:`repro.sim.network.NetworkStats`) so the
 Table-1 "message size (bits)" row can be *measured* rather than asserted.
 Where the answer cannot depend on the instance — the control bits of every
 type, the data bits of the field-less ones — the accessor is a
-``staticmethod``, which the accounting layer reads once per class.
+``staticmethod``, which the accounting layer reads once per class.  A
+``WRITE(b, v)`` is immutable and travels O(n²) hops as the same object (line
+15 forwards the message it received), so it is priced once, when it is built
+(:attr:`WriteMessage.price`), not once per hop.
 """
 
 from __future__ import annotations
@@ -78,6 +81,11 @@ class WriteMessage:
         sequence number.
     value:
         The written data value.
+    price:
+        ``(wire type, control bits, data bits)``, computed when the message
+        is built and read by the accounting layer at every hop.  A plain
+        attribute, **not** a dataclass field: equality, hash, ``repr`` and
+        the wire codecs (which enumerate fields) ignore it.
     """
 
     bit: int
@@ -86,11 +94,13 @@ class WriteMessage:
     def __post_init__(self) -> None:
         if self.bit not in (0, 1):
             raise ValueError(f"WRITE parity bit must be 0 or 1, got {self.bit}")
+        price = (_WRITE_TYPE_NAMES[self.bit], CONTROL_BITS_PER_MESSAGE, _value_data_bits(self.value))
+        object.__setattr__(self, "price", price)
 
     @property
     def type_name(self) -> str:
         """``"WRITE0"`` or ``"WRITE1"`` — the wire type."""
-        return _WRITE_TYPE_NAMES[self.bit]
+        return self.price[0]
 
     @staticmethod
     def control_bits() -> int:
@@ -99,7 +109,7 @@ class WriteMessage:
 
     def data_bits(self) -> int:
         """Data payload size (the written value)."""
-        return _value_data_bits(self.value)
+        return self.price[2]
 
     def wire_code(self) -> int:
         """The 2-bit wire encoding of this message's type."""

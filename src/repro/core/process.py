@@ -19,7 +19,7 @@ line       awaited predicate                                      where implemen
 line 3     ``#{j : w_sync_w[j] = wsn} >= n - t``                  :meth:`_start_write`
 line 7     ``#{j : r_sync_i[j] = rsn} >= n - t``                  :meth:`_start_read`
 line 9     ``#{j : w_sync_i[j] >= sn} >= n - t``                  :meth:`_start_read`
-line 11    ``b = (w_sync_i[j] + 1) mod 2``                        :meth:`_handle_write`
+line 11    ``b = (w_sync_i[j] + 1) mod 2``                        :meth:`_buffer_write`
 line 20    ``w_sync_i[j] >= sn``                                  :meth:`_handle_read`
 =========  =====================================================  ==========================
 
@@ -27,10 +27,19 @@ The per-pair *alternating-bit* discipline is a consequence of the sending
 predicates (lines 2, 15, 16) together with the line-11 wait; nothing extra is
 needed here beyond implementing those lines faithfully.
 
+Every wait counts or reads array entries that exactly one handler line
+assigns — line 22 moves ``r_sync_i[j]`` (line 7), line 18 moves
+``w_sync_i[j]`` (lines 3, 9, 11, 20) — so the process records what its pending
+waits await, and those two lines ask for a guard scan (``_scan_due``) only
+when the entry they just moved completes the awaited quorum count or is read
+by a pending line-11 / line-20 wait; no other delivery scans.  The record only
+decides *when* to scan: what fires, and in which order, is still the guards'
+predicates over the arrays.
+
 The pseudocode's "send ... to every ``p_j`` such that ..." statements (lines
-2, 6 and 15) are one :meth:`~repro.transport.runtime.ProcessBase.send` each,
-to the list of those ``p_j``: the message is built, priced and checked once
-for all of them.
+2, 6 and 15) are one ``network.send`` each, to the list of those ``p_j``: the
+message is built, priced and checked once for all of them (the network drops
+a crashed sender's sends, so the handlers go to it directly).
 """
 
 from __future__ import annotations
@@ -76,6 +85,16 @@ class TwoBitRegisterProcess(RegisterProcess):
         self._others: list[int] = []
         # Messages whose line-11 predicate is not yet satisfied, per sender.
         self._reordered_writes = 0
+        # What the pending waits await.  Lines 3 and 9 count the w_sync entries
+        # that reach `_w_awaited` (entries move by steps of 1, so ">= sn" comes
+        # true on reaching sn), line 7 the r_sync entries that reach
+        # r_sync[pid]; `_*_missing` is how many more the quorum needs, and a
+        # count nobody awaits any more never comes back to 0.
+        self._w_awaited = -1
+        self._w_missing = 0
+        self._r_missing = 0
+        # Per process j: pending line-11 / line-20 waits, which read w_sync[j].
+        self._entry_waits: list[int] = []
 
     # ---------------------------------------------------------------- set-up
 
@@ -84,6 +103,7 @@ class TwoBitRegisterProcess(RegisterProcess):
         super().finish_setup()
         self.state = TwoBitState(n=self.n, pid=self.pid, initial_value=self.initial_value)
         self._others = self.other_process_ids()
+        self._entry_waits = [0] * self.n
 
     def _require_state(self) -> TwoBitState:
         if self.state is None:
@@ -109,7 +129,7 @@ class TwoBitRegisterProcess(RegisterProcess):
 
         # line 2: send WRITE(b, v) to every p_j with w_sync_w[j] = wsn - 1
         quorum, w_sync = self.quorum, st.w_sync
-        self.send([j for j in self._others if w_sync[j] == wsn - 1], message)
+        self.network.send(self.pid, [j for j in self._others if w_sync[j] == wsn - 1], message)
 
         # line 3: wait until at least (n - t) processes p_j have w_sync_w[j] = wsn
         # (the writer itself counts: w_sync_w[w] = wsn already).
@@ -117,6 +137,8 @@ class TwoBitRegisterProcess(RegisterProcess):
             return quorum.quorum_equal(w_sync, wsn)
 
         # line 4: return()
+        self._w_awaited = wsn
+        self._w_missing = quorum.quorum_size - w_sync.count(wsn)
         self.add_guard(write_quorum_reached, done, label=("write#%d line 3 quorum", wsn))
 
     def _start_read(self, record: OperationRecord, done: Callable[[Any], None]) -> None:
@@ -134,7 +156,7 @@ class TwoBitRegisterProcess(RegisterProcess):
         st.r_sync[self.pid] = rsn
 
         # line 6: send READ() to every other process
-        self.send(self._others, READ)
+        self.network.send(self.pid, self._others, READ)
 
         # line 7: wait until at least (n - t) processes p_j have r_sync_i[j] = rsn
         quorum, r_sync, w_sync = self.quorum, st.r_sync, st.w_sync
@@ -151,12 +173,17 @@ class TwoBitRegisterProcess(RegisterProcess):
                 return quorum.quorum_at_least(w_sync, sn)
 
             # line 10: return(history_i[sn])
-            self.add_guard(
+            wait = self.add_guard(
                 value_known_by_quorum,
                 lambda: done(st.history[sn]),
                 label=("read#%d line 9 quorum (sn=%d)", rsn, sn),
             )
+            if wait is not None:
+                self._w_awaited = sn
+                known = quorum.count_satisfying(w_sync, lambda entry: entry >= sn)
+                self._w_missing = quorum.quorum_size - known
 
+        self._r_missing = quorum.quorum_size - r_sync.count(rsn)
         self.add_guard(
             read_quorum_reached, after_proceed_quorum, label=("read#%d line 7 quorum", rsn)
         )
@@ -164,75 +191,104 @@ class TwoBitRegisterProcess(RegisterProcess):
     # --------------------------------------------------------------- handlers
 
     def on_message(self, src: int, message: Any) -> None:
-        """Dispatch on the four message types (three classes, by identity)."""
+        """Dispatch on the four message types (three classes, by identity).
+
+        ``WRITE`` first — it is most of the traffic.  Its handler (lines
+        11–18, once line 11 holds) and line 22 run in this frame.
+        """
+        st = self.state
+        if st is None:  # the per-message form of _require_state()
+            st = self._require_state()
         cls = message.__class__
-        if cls is ReadMessage:
-            self._handle_read(src)
+        if cls is WriteMessage:
+            # ``when WRITE(b, v) is received from p_j`` — lines 11–18.
+            w_sync = st.w_sync
+            # line 11: wait (b = (w_sync_i[j] + 1) mod 2).
+            if message.bit != (w_sync[src] + 1) % 2:
+                self._buffer_write(src, message)
+                return
+            pid = self.pid
+
+            # line 12: wsn <- w_sync_i[j] + 1    (the locally reconstructed
+            # sequence number of the value carried by this message)
+            wsn = w_sync[src] + 1
+
+            # line 13: if (wsn = w_sync_i[i] + 1)
+            own = w_sync[pid]
+            if wsn == own + 1:
+                # line 14: w_sync_i[i] <- wsn; history_i[wsn] <- v; b <- wsn mod 2
+                # (line 11 held, so b is the bit this message arrived with: the
+                # WRITE(b, v) to forward is the immutable message itself, price
+                # included.  No wait reads p_i's own entry below its value.)
+                w_sync[pid] = wsn
+                st.record_value(wsn, message.value)
+                # line 15: forward WRITE(b, v) to every p_l with w_sync_i[l] = wsn - 1
+                # (rule R1; note that p_j itself still has w_sync_i[j] = wsn - 1 at
+                # this point, so the forward doubles as the alternating-bit
+                # acknowledgement towards p_j).
+                self.network.send(pid, [k for k in self._others if w_sync[k] == own], message)
+            # line 16: else if (wsn < w_sync_i[i]) send WRITE((wsn+1) mod 2, history_i[wsn+1]) to p_j
+            elif wsn < own:
+                catch_up = WriteMessage(bit=(wsn + 1) % 2, value=st.history[wsn + 1])
+                self.network.send(pid, src, catch_up)
+            # (implicit third case wsn = w_sync_i[i]: nothing to send — p_j is
+            #  exactly as up to date as p_i.)
+
+            # line 18: w_sync_i[j] <- wsn   (the one line that moves an entry the
+            # waits of lines 3, 9, 11 and 20 count or read)
+            if wsn != w_sync[src] + 1:  # pragma: no cover - line 12 guarantees this
+                raise AssertionError("Lemma 1 violated: w_sync must increase by steps of 1")
+            w_sync[src] = wsn
+            if wsn == self._w_awaited:
+                missing = self._w_missing = self._w_missing - 1
+                if not missing:
+                    self._scan_due = True
+            if self._entry_waits[src]:
+                self._scan_due = True
         elif cls is ProceedMessage:
-            self._handle_proceed(src)
-        elif cls is WriteMessage:
-            self._handle_write(src, message)
+            # ``when PROCEED() is received from p_j`` — line 22:
+            # r_sync_i[j] <- r_sync_i[j] + 1
+            r_sync = st.r_sync
+            answered = r_sync[src] = r_sync[src] + 1
+            if answered == r_sync[self.pid]:
+                # One more answer to the current read: scan at the one that
+                # completes line 7's quorum, not before and not after.
+                missing = self._r_missing = self._r_missing - 1
+                if not missing:
+                    self._scan_due = True
+        elif cls is ReadMessage:
+            self._handle_read(src)
         else:
             raise TypeError(f"p{self.pid} received unknown message {message!r} from p{src}")
 
-    # -- WRITE(b, v) -----------------------------------------------------------
+    def _buffer_write(self, src: int, message: WriteMessage) -> None:
+        """Line 11 for a ``WRITE`` whose parity bit does not match yet.
 
-    def _handle_write(self, src: int, message: WriteMessage) -> None:
-        """``when WRITE(b, v) is received from p_j`` — lines 11–18."""
-        w_sync = self._require_state().w_sync
+        With non-FIFO channels a WRITE can overtake its predecessor; the
+        alternating parity bit detects this, and the wait simply defers the
+        overtaking message until the predecessor has been processed — then it
+        is handled like any other (``on_message``, where line 11 now holds).
+        """
+        w_sync = self.state.w_sync
+        entry_waits = self._entry_waits
+        self._reordered_writes += 1
 
-        # line 11: wait (b = (w_sync_i[j] + 1) mod 2).
-        # With non-FIFO channels a WRITE can overtake its predecessor; the
-        # alternating parity bit detects this, and the wait simply defers the
-        # overtaking message until the predecessor has been processed.
-        if message.bit == (w_sync[src] + 1) % 2:
-            self._process_write(src, message)
-        else:
-            self._reordered_writes += 1
-            self.add_guard(
-                lambda: message.bit == (w_sync[src] + 1) % 2,
-                lambda: self._process_write(src, message),
-                label=("line 11 reorder buffer (from p%d, bit=%d)", src, message.bit),
-            )
+        def handle_buffered_write() -> None:
+            entry_waits[src] -= 1
+            self.on_message(src, message)
 
-    def _process_write(self, src: int, message: WriteMessage) -> None:
-        """Lines 12–18 — the body executed once the line-11 predicate holds."""
-        st = self._require_state()
-
-        # line 12: wsn <- w_sync_i[j] + 1    (the locally reconstructed
-        # sequence number of the value carried by this message)
-        wsn = st.w_sync[src] + 1
-
-        # line 13: if (wsn = w_sync_i[i] + 1)
-        if wsn == st.w_sync[self.pid] + 1:
-            # line 14: w_sync_i[i] <- wsn; history_i[wsn] <- v; b <- wsn mod 2
-            # (line 11 held, so b is the bit this message arrived with: the
-            # WRITE(b, v) to forward is the immutable message itself).
-            w_sync = st.w_sync
-            w_sync[self.pid] = wsn
-            st.record_value(wsn, message.value)
-            # line 15: forward WRITE(b, v) to every p_l with w_sync_i[l] = wsn - 1
-            # (rule R1; note that p_j itself still has w_sync_i[j] = wsn - 1 at
-            # this point, so the forward doubles as the alternating-bit
-            # acknowledgement towards p_j).
-            self.send([k for k in self._others if w_sync[k] == wsn - 1], message)
-        # line 16: else if (wsn < w_sync_i[i]) send WRITE((wsn+1) mod 2, history_i[wsn+1]) to p_j
-        elif wsn < st.w_sync[self.pid]:
-            catch_up = WriteMessage(bit=(wsn + 1) % 2, value=st.history[wsn + 1])
-            self.send(src, catch_up)
-        # (implicit third case wsn = w_sync_i[i]: nothing to send — p_j is
-        #  exactly as up to date as p_i.)
-
-        # line 18: w_sync_i[j] <- wsn
-        if wsn != st.w_sync[src] + 1:  # pragma: no cover - line 12 guarantees this
-            raise AssertionError("Lemma 1 violated: w_sync must increase by steps of 1")
-        st.w_sync[src] = wsn
+        entry_waits[src] += 1
+        self.add_guard(
+            lambda: message.bit == (w_sync[src] + 1) % 2,
+            handle_buffered_write,
+            label=("line 11 reorder buffer (from p%d, bit=%d)", src, message.bit),
+        )
 
     # -- READ() ---------------------------------------------------------------
 
     def _handle_read(self, src: int) -> None:
         """``when READ() is received from p_j`` — lines 19–21."""
-        w_sync = self._require_state().w_sync
+        w_sync = self.state.w_sync
 
         # line 19: sn <- w_sync_i[i]   (freshness point fixed at reception time)
         sn = w_sync[self.pid]
@@ -242,24 +298,24 @@ class TwoBitRegisterProcess(RegisterProcess):
         if w_sync[src] >= sn:
             # The requester is already fresh (nearly every READ): what
             # add_guard does for a wait that already holds, without building
-            # the wait — the action, then the scan for what it enabled.
-            self.send(src, PROCEED)
-            if self._guards:
+            # the wait — the action, then the scan, which is due only if an
+            # earlier handler of the same coalesced batch left it so.
+            self.network.send(self.pid, src, PROCEED)
+            if self._scan_due:
                 self.check_guards()
         else:
+            entry_waits = self._entry_waits
+
+            def send_proceed() -> None:
+                entry_waits[src] -= 1
+                self.network.send(self.pid, src, PROCEED)
+
+            entry_waits[src] += 1
             self.add_guard(
                 lambda: w_sync[src] >= sn,
-                lambda: self.send(src, PROCEED),
+                send_proceed,
                 label=("line 20 freshness wait (reader p%d, sn=%d)", src, sn),
             )
-
-    # -- PROCEED() --------------------------------------------------------------
-
-    def _handle_proceed(self, src: int) -> None:
-        """``when PROCEED() is received from p_j`` — line 22."""
-        st = self._require_state()
-        # line 22: r_sync_i[j] <- r_sync_i[j] + 1
-        st.r_sync[src] += 1
 
     # ------------------------------------------------------------- inspection
 

@@ -330,5 +330,5 @@ class OpenLoopClient:
         return self.driver.drive(limit=limit, predicate=self._finished)
 
     def _finished(self) -> bool:
-        """:attr:`done` as a bound method: the one call the event loop makes per event."""
+        """:attr:`done` as a bound method: what the driver asks when an operation finishes."""
         return self._pending is None and self._open == 0

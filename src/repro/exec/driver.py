@@ -8,6 +8,9 @@
 * **completion chaining** — an :class:`ExecOp` may carry an ``on_done``
   continuation; closed-loop clients use it to issue their next operation the
   moment the previous one completes (synchronously, within the same event).
+* **a counted drain** — :meth:`Driver.drive` runs the event loop with no
+  per-event predicate: whether the run is over can only change when an
+  operation finishes, so the driver asks then, and stops the loop itself.
 * **stuck detection** — :meth:`Driver.drive` notices when the event queue
   drains while operations are still queued (a replica crashed mid-operation)
   and fails them with a diagnostic instead of hanging.
@@ -129,6 +132,9 @@ class Driver:
         self._queues: Dict[RegisterProcess, Deque[ExecOp]] = {}
         self._outstanding = 0
         self._op_counter = itertools.count()
+        # While `drive` runs the loop: the condition it drives to, asked each
+        # time an operation finishes.
+        self._until: Optional[Callable[[], bool]] = None
 
     # ------------------------------------------------------------- submission
 
@@ -192,6 +198,8 @@ class Driver:
                     self.metrics.note_failed()
                 if op.on_done is not None:
                     op.on_done(op)
+                if self._until is not None and self._until():
+                    self.simulator.stop()
                 continue
             self.records.append(record)
             if op.record is None:  # the callback may have fired synchronously
@@ -220,6 +228,10 @@ class Driver:
             self._issue(process)
         if op.on_done is not None:
             op.on_done(op)
+        # After the continuation: a closed-loop client's next operation is
+        # already outstanding by now.
+        if self._until is not None and self._until():
+            self.simulator.stop()
 
     # ---------------------------------------------------------------- driving
 
@@ -237,25 +249,41 @@ class Driver:
 
         ``predicate`` overrides the default "no outstanding operations"
         condition (open-loop clients pass one that also waits for future
-        arrivals).  Returns ``True`` when the condition was met; ``False``
-        when the virtual-time ``limit`` passed first (operations stay
-        outstanding and a later ``drive`` may finish them) or the event queue
-        drained with operations stuck — those are marked failed (this happens
-        when a replica crashed mid-operation).
+        arrivals).  It must be a condition on operations — one that can only
+        come true when an operation finishes: that is when it is asked, not
+        after every event.  Returns ``True`` when the condition was met;
+        ``False`` when the virtual-time ``limit`` passed first (operations
+        stay outstanding and a later ``drive`` may finish them) or the event
+        queue drained with operations stuck — those are marked failed (this
+        happens when a replica crashed mid-operation).
 
         When a fault plan is installed, ``limit`` is raised to at least
         :attr:`fault_horizon` so messages held by a partition window are
         never mistaken for a stuck run — the heal is scheduled, and the
         drive waits it out.
         """
-        if predicate is None:
-            predicate = lambda: self._outstanding == 0  # noqa: E731
         if limit is not None and self.fault_horizon is not None and limit < self.fault_horizon:
             limit = self.fault_horizon
-        finished = self.simulator.run_until(predicate, limit=limit)
+        until = self._until = predicate if predicate is not None else self._idle
+        try:
+            # The finish that meets the condition stops the loop.  A finish
+            # may stop it and a continuation in the same event submit more
+            # work: then the condition no longer holds, and the loop resumes.
+            finished = until()
+            while not finished:
+                stopped = self.simulator.run_until(None, limit=limit)
+                finished = until()
+                if not stopped:  # the queue drained, or the limit passed
+                    break
+        finally:
+            self._until = None
         if not finished and self._outstanding and self.simulator.pending_events == 0:
             self.fail_stuck()
         return finished
+
+    def _idle(self) -> bool:
+        """The default condition of :meth:`drive`: nothing is outstanding."""
+        return self._outstanding == 0
 
     def fail_stuck(self) -> None:
         """Fail every queued operation (used when the event queue drained under them)."""

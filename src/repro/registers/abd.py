@@ -57,7 +57,9 @@ class AbdMessage:
     def control_bits(self) -> int:
         raise NotImplementedError
 
-    def data_bits(self) -> int:
+    @staticmethod
+    def data_bits() -> int:
+        """No payload — the acks and the query inherit this; asked once per class."""
         return 0
 
 

@@ -53,7 +53,8 @@ class MwAbdTsQuery:
     def control_bits(self) -> int:
         return ABD_TYPE_BITS + int_bits(self.wsn)
 
-    def data_bits(self) -> int:
+    @staticmethod
+    def data_bits() -> int:
         return 0
 
 
@@ -69,7 +70,8 @@ class MwAbdTsReply:
     def control_bits(self) -> int:
         return ABD_TYPE_BITS + int_bits(self.wsn) + _ts_bits(self.ts)
 
-    def data_bits(self) -> int:
+    @staticmethod
+    def data_bits() -> int:
         return 0
 
 
@@ -101,7 +103,8 @@ class MwAbdWriteAck:
     def control_bits(self) -> int:
         return ABD_TYPE_BITS + int_bits(self.wsn)
 
-    def data_bits(self) -> int:
+    @staticmethod
+    def data_bits() -> int:
         return 0
 
 
@@ -116,7 +119,8 @@ class MwAbdReadQuery:
     def control_bits(self) -> int:
         return ABD_TYPE_BITS + int_bits(self.rsn)
 
-    def data_bits(self) -> int:
+    @staticmethod
+    def data_bits() -> int:
         return 0
 
 
@@ -165,7 +169,8 @@ class MwAbdWriteBackAck:
     def control_bits(self) -> int:
         return ABD_TYPE_BITS + int_bits(self.rsn)
 
-    def data_bits(self) -> int:
+    @staticmethod
+    def data_bits() -> int:
         return 0
 
 

@@ -89,7 +89,8 @@ class ModWriteAck:
     def control_bits(self) -> int:
         return ABD_TYPE_BITS + _mod_bits(self.modulus)
 
-    def data_bits(self) -> int:
+    @staticmethod
+    def data_bits() -> int:
         return 0
 
 
@@ -105,7 +106,8 @@ class ModReadQuery:
     def control_bits(self) -> int:
         return ABD_TYPE_BITS + _mod_bits(self.modulus)
 
-    def data_bits(self) -> int:
+    @staticmethod
+    def data_bits() -> int:
         return 0
 
 
@@ -157,7 +159,8 @@ class ModWriteBackAck:
     def control_bits(self) -> int:
         return ABD_TYPE_BITS + _mod_bits(self.modulus)
 
-    def data_bits(self) -> int:
+    @staticmethod
+    def data_bits() -> int:
         return 0
 
 

@@ -13,7 +13,10 @@ therefore accepts any object that honours the small **entry protocol** —
 ``entry()`` fires it, ``entry.time`` is its virtual time, ``entry.cancelled``
 says whether to skip it, ``str(entry)`` is its diagnostic label — so the
 network schedules its in-flight ``_Delivery`` records directly, with no
-wrapper allocated around them.  :class:`Event` is the general-purpose entry
+wrapper allocated around them (``Network.send`` pushes ``(time, seq, entry)``
+onto the heap in place, drawing ``seq`` from the queue's own counter, so
+deliveries interleave with events in exact scheduling order).
+:class:`Event` is the general-purpose entry
 (timers, crash triggers, client arrivals): a ``__slots__`` class whose label
 may be *lazy* — a ``(format, *args)`` tuple, or any object whose ``str()`` is
 the label — so nobody pays for formatting diagnostics that are only read
@@ -134,18 +137,6 @@ class EventQueue:
         heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
-
-    def push_entry(self, entry: Any) -> None:
-        """Schedule a prebuilt entry at its own ``entry.time``.
-
-        Entries share the sequence counter with :meth:`push`, so they
-        interleave with events in exact scheduling order.
-        """
-        time = entry.time
-        if time < 0:
-            raise ValueError(f"event time must be non-negative, got {time}")
-        heapq.heappush(self._heap, (time, next(self._counter), entry))
-        self._live += 1
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously pushed event (idempotent)."""

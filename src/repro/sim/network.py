@@ -34,8 +34,12 @@ by the accounting layer:
     Number of data-value bits (payload), excluded from the control count.
 ``type_name``
     Name under which the message is aggregated in ``by_type``: a class-level
-    string, or a property / method for classes whose wire type depends on
-    the instance (``WRITE0`` / ``WRITE1``).  Defaults to the class name.
+    string.  Defaults to the class name.
+``price``
+    ``(type name, control bits, data bits)`` as an instance attribute, set
+    when the message was built: the accounting reads it and asks nothing
+    else.  For an immutable message that is sent many times — and the only
+    way to a wire type that depends on the instance (``WRITE0`` / ``WRITE1``).
 
 Either bit accessor may be a ``staticmethod``: taking no instance, its answer
 holds for the whole class, and the accounting asks it once per class instead
@@ -47,6 +51,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Union
 
 from repro.sim.delays import DelayModel, FixedDelay
@@ -69,16 +74,6 @@ class MessageRecord:
     control_bits: int
     data_bits: int
     delivered: bool
-
-
-def _message_type_name(message: Any) -> str:
-    """Stable short name used to aggregate per-type statistics."""
-    type_tag = getattr(message, "type_name", None)
-    if callable(type_tag):
-        return str(type_tag())
-    if isinstance(type_tag, str):
-        return type_tag
-    return type(message).__name__
 
 
 def _bits_of_class(cls: type, accessor: str) -> Any:
@@ -136,45 +131,45 @@ class NetworkStats:
     # (`mark()`) before an operation and reads the delta after it completes.
     _marks: Dict[str, int] = field(default_factory=dict)
     # Hot-path cache: message *class* -> (type name, control bits, data
-    # bits).  The name is ``None`` where the instance must be asked; a bit
-    # entry is the count itself where no instance can change it, else the
-    # accessor to call.  record_send runs once per simulated message and what
-    # to ask a message only depends on its class.  (Messages that grow these
-    # members as *instance* attributes on a class that lacks them are not
-    # supported — no message in the repository does that.)
+    # bits).  The name is ``None`` where the instances carry their own
+    # ``price``; otherwise a bit entry is the count itself where no instance
+    # can change it, else the accessor to call.  record_send runs once per
+    # simulated message and what to ask a message only depends on its class
+    # (a class prices all of its instances when they are built, or none).
     _accessors: Dict[type, tuple] = field(default_factory=dict, repr=False)
 
-    def _resolve_accessors(self, cls: type) -> tuple:
-        name = getattr(cls, "type_name", None)
-        if isinstance(name, property) or callable(name):
-            name = None  # depends on the instance
-        elif not isinstance(name, str):
-            name = cls.__name__
-        accessors = self._accessors[cls] = (
-            name,
-            _bits_of_class(cls, "control_bits"),
-            _bits_of_class(cls, "data_bits"),
-        )
+    def _resolve_accessors(self, message: Any) -> tuple:
+        cls = message.__class__
+        if getattr(message, "price", None) is not None:
+            accessors = (None, 0, 0)
+        else:
+            name = getattr(cls, "type_name", None)
+            accessors = (
+                name if isinstance(name, str) else cls.__name__,
+                _bits_of_class(cls, "control_bits"),
+                _bits_of_class(cls, "data_bits"),
+            )
+        self._accessors[cls] = accessors
         return accessors
 
     def record_send(self, src: int, message: Any, count: int = 1) -> tuple[int, int]:
         """Price ``message`` once and bill ``src`` for ``count`` copies of it."""
-        cls = message.__class__
-        accessors = self._accessors.get(cls)
+        accessors = self._accessors.get(message.__class__)
         if accessors is None:
-            accessors = self._resolve_accessors(cls)
+            accessors = self._resolve_accessors(message)
         name, control, data = accessors
-        if control.__class__ is not int:
-            control = int(control(message))
-        if data.__class__ is not int:
-            data = int(data(message))
+        if name is None:
+            name, control, data = message.price
+        else:
+            if control.__class__ is not int:
+                control = int(control(message))
+            if data.__class__ is not int:
+                data = int(data(message))
         self.messages_sent += count
         self.control_bits_total += control * count
         self.data_bits_total += data * count
         if control > self.max_control_bits:
             self.max_control_bits = control
-        if name is None:
-            name = _message_type_name(message)
         by_type = self.by_type
         by_type[name] = by_type.get(name, 0) + count
         per_sender = self.per_sender
@@ -316,7 +311,8 @@ class _Delivery:
         per-delivery invariants (destination, stats, tracer, hooks, record
         flag) are hoisted out of the loop, message handling is dispatched
         straight to ``on_message``, and the guard fixpoint scan runs **once**
-        for the whole batch instead of once per message.  Deferring the scan
+        for the whole batch instead of once per message — if any handler of
+        the batch moved state a pending guard reads.  Deferring the scan
         is legal because every awaited predicate is *stable-true* within an
         instant — quorum counts and ``w_sync`` entries only grow, and the
         alternating-bit reorder predicate stays true until its write is
@@ -335,7 +331,6 @@ class _Delivery:
         entry = self
         index = 0
         count = len(extra)
-        handled = False
         while True:
             network._in_flight -= 1
             delivered = not destination.crashed
@@ -364,14 +359,13 @@ class _Delivery:
                 destination.messages_received += 1
                 destination.on_message(entry.src, entry.message)
                 destination.messages_handled += 1
-                handled = True
             else:
                 stats.messages_dropped_to_crashed += 1  # record_drop(), inlined
             if index == count:
                 break
             entry = extra[index]
             index += 1
-        if handled and destination._guards and not destination.crashed:
+        if destination._scan_due and not destination.crashed:
             destination.check_guards()
 
     def __str__(self) -> str:
@@ -550,7 +544,12 @@ class Network:
         send_time = simulator._now  # .now property, bypassed on the hot path
         tracer = simulator.tracer
         trace = tracer.enabled
-        push = simulator._queue.push_entry
+        # The delivery record is itself the heap entry, pushed in place: what
+        # ``EventQueue.push`` does, minus the frame and the ``time >= 0`` check
+        # (``delay >= 0`` is checked below and the clock is never negative).
+        queue = simulator._queue
+        heap = queue._heap
+        counter = queue._counter
         if dst.__class__ is int:
             if dst == src or dst not in processes:
                 raise _bad_destination(src, dst)
@@ -568,7 +567,9 @@ class Network:
                 if trace:
                     tracer.record(send_time, "send", src, dst, message)
                 time = send_time + delay
-                push(_Delivery(self, src, dst, message, send_time, time, control, data))
+                delivery = _Delivery(self, src, dst, message, send_time, time, control, data)
+                heappush(heap, (time, next(counter), delivery))
+                queue._live += 1
                 return
             dsts, delays = (dst,), (delay,)
         else:
@@ -610,19 +611,19 @@ class Network:
                     )
             if trace:
                 tracer.record(send_time, "send", src, dst, message)
-            # The delivery record is itself the heap entry (delay >= 0 was just
-            # checked, so the schedule_after guard would be redundant).
             time = send_time + delay
             delivery = _Delivery(self, src, dst, message, send_time, time, control, data)
             if coalesced is None:
-                push(delivery)
+                heappush(heap, (time, next(counter), delivery))
+                queue._live += 1
             else:
                 key = (dst, time)
                 head = coalesced.get(key)
                 if head is None:
                     delivery.key = key
                     coalesced[key] = delivery
-                    push(delivery)
+                    heappush(heap, (time, next(counter), delivery))
+                    queue._live += 1
                 else:
                     extra = head.extra
                     if extra is None:

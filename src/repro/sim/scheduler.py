@@ -216,14 +216,23 @@ class Simulator:
             self.step()
         self._now = max(self._now, until)
 
-    def run_until(self, predicate: Callable[[], bool], limit: Optional[float] = None) -> bool:
+    def run_until(
+        self, predicate: Optional[Callable[[], bool]], limit: Optional[float] = None
+    ) -> bool:
         """Run until ``predicate()`` becomes true.
 
         Returns ``True`` if the predicate was satisfied, ``False`` if the
         queue drained (or the ``limit`` virtual time passed) first.  The
         predicate is evaluated before executing any event and after each one.
+
+        With no predicate the run lasts until an event calls :meth:`stop`
+        (for a caller who knows which events can end it), and the return
+        value says whether one did.
         """
         self._stopped = False
+        if predicate is None:
+            self._loop(None, limit)
+            return self._stopped
         if predicate():
             return True
         return self._loop(predicate, limit) or predicate()

@@ -18,7 +18,7 @@ simulator by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, Sequence, Union, runtime_checkable
+from typing import Any, Callable, Optional, Protocol, Sequence, Union, runtime_checkable
 
 
 class TransportClosedError(RuntimeError):
@@ -70,8 +70,15 @@ class DrivableClock(Clock, Protocol):
         """Number of scheduled-but-unfired events."""
         ...
 
-    def run_until(self, predicate: Callable[[], bool], limit: Any = None) -> bool:
-        """Advance until ``predicate()`` holds; False if ``limit`` hit first."""
+    def run_until(self, predicate: Optional[Callable[[], bool]], limit: Any = None) -> bool:
+        """Advance until ``predicate()`` holds; False if ``limit`` hit first.
+
+        Without a predicate: until an event calls ``stop()``.
+        """
+        ...
+
+    def stop(self) -> None:
+        """Ask the running loop to return after the current event."""
         ...
 
 

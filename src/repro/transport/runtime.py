@@ -5,13 +5,14 @@ This is the transport-agnostic half of the execution model.  A
 :class:`~repro.transport.base.Transport`; it receives deliveries, sends
 messages, and expresses the paper's blocking ``wait(predicate)``
 statements (lines 3, 7, 9, 11 and 20 of Figure 1) as **guards**: a guard is
-a ``(predicate, action)`` pair registered on a process; after every state
-change (i.e. after every message handler and every locally triggered step)
-all pending guards are re-evaluated and those whose predicate holds fire
-their action exactly once.  This gives the same semantics as the
+a ``(predicate, action)`` pair registered on a process.  A handler that moves
+state a pending guard reads says so (``self._scan_due = True``); the delivery
+that ran it then re-evaluates all pending guards and those whose predicate
+holds fire their action exactly once.  This gives the same semantics as the
 pseudocode: the continuation runs as soon as the awaited condition becomes
 true, and never before — on the virtual-time simulator and on live sockets
 alike, because guard evaluation is driven by deliveries, not by the clock.
+A handler that moved nothing a wait reads costs no scan.
 
 Crash semantics: :meth:`ProcessBase.crash` flips a flag; from then on the
 process neither processes deliveries nor fires guards nor sends messages.
@@ -89,7 +90,8 @@ class ProcessBase:
 
     * :meth:`send` — outbound messaging, to one process or to many (no self-sends);
     * :meth:`deliver` — inbound dispatch, ignored after a crash;
-    * :meth:`add_guard` / :meth:`check_guards` — the wait mechanism;
+    * :meth:`add_guard` / :meth:`check_guards` — the wait mechanism, scanned
+      when a handler set ``_scan_due`` (it moved state a pending guard reads);
     * :meth:`crash` — halt the process.
 
     The constructor keeps the historical parameter names ``simulator`` and
@@ -107,6 +109,10 @@ class ProcessBase:
         self.crashed = False
         self.crash_time: Optional[float] = None
         self._guards: list[Guard] = []
+        #: State a pending guard reads has moved since the last scan: set by
+        #: the handler that moved it, cleared by :meth:`check_guards` (sticky:
+        #: a coalesced batch runs its handlers back to back, then scans once).
+        self._scan_due = False
         self.messages_received = 0
         self.messages_handled = 0
         network.register(self)
@@ -161,11 +167,12 @@ class ProcessBase:
         self.messages_received += 1
         self.on_message(src, message)
         self.messages_handled += 1
-        if self._guards:  # fast path: skip the call when nothing is awaited
+        if self._scan_due:  # skip the call when no wait can have come true
             self.check_guards()
 
     def on_message(self, src: int, message: Any) -> None:
-        """Handle one delivered message.  Subclasses must override."""
+        """Handle one delivered message.  Subclasses must override, and set
+        ``self._scan_due = True`` when they move state a pending guard reads."""
         raise NotImplementedError
 
     # ---------------------------------------------------------------- guards
@@ -209,17 +216,16 @@ class ProcessBase:
         that fires nothing — the common one — reads the list in place; only
         once a guard is about to fire (its action may add or cancel guards,
         or crash the process and clear them) does the rest of the pass run
-        over a snapshot.
+        over a snapshot.  At the fixpoint nothing is due any more, whatever
+        the actions moved on the way.
         """
-        if not self._guards or self.crashed:
-            return
-        while True:
+        while self._guards and not self.crashed:
             guards = self._guards
             for index, guard in enumerate(guards):
                 if not (guard.fired or guard.cancelled) and guard.predicate():
                     break
             else:
-                return
+                break
             rest = guards[index + 1 :]
             guard.fired = True
             guard.action()
@@ -230,6 +236,7 @@ class ProcessBase:
                     guard.fired = True
                     guard.action()
             self._guards = [g for g in self._guards if not g.fired and not g.cancelled]
+        self._scan_due = False
 
     def pending_guards(self) -> list[Guard]:
         """Currently pending (unfired, uncancelled) guards — for diagnostics."""

@@ -1,4 +1,4 @@
-"""A pinned message bill for one seeded two-bit execution.
+"""Pinned message bills: one seeded two-bit execution, then every algorithm.
 
 ``NetworkStats`` resolves what to ask a message per message *class*; this run
 exercises every branch of that resolution the two-bit algorithm has (the
@@ -8,11 +8,21 @@ writer is killed by a send-count trigger after the first ``WRITE`` of its
 second broadcast, so later messages to it are dropped and its own remaining
 sends never happen.  The numbers were recorded before the accounting was
 rewritten; any drift is a behaviour change, not a refactor.
+
+The second test pins the bill of one small seeded store run per registered
+algorithm — totals, ``by_type`` and ``max_control_bits`` — recorded before
+``WRITE`` was priced when built and before the field-less ABD / MWMR / modulo
+messages' ``data_bits`` became ``staticmethod``s: where a price is computed
+may move, what it comes to may not.
 """
 
+import pytest
+
 from repro.core.register import build_two_bit_cluster
+from repro.registers.registry import available_algorithms
 from repro.sim.delays import UniformDelay
 from repro.sim.failures import CrashSchedule
+from repro.workloads.kv import CrashPoint, KVWorkloadSpec, run_kv_workload
 
 
 def test_snapshot_of_a_run_whose_writer_dies_mid_forward():
@@ -44,3 +54,68 @@ def test_snapshot_of_a_run_whose_writer_dies_mid_forward():
         "per_sender": {0: 6, 1: 14, 2: 14, 3: 14, 4: 11},
     }
     assert cluster.simulator.executed_events == 59
+
+
+#: Operation mixes of the consensus-backed objects (registers take reads and writes).
+_MIXES = {
+    "mmr-cas": (("read", 0.45), ("cas", 0.35), ("write", 0.20)),
+    "mmr-tas": (("read", 0.5), ("tas", 0.5)),
+    "mmr-counter": (("read", 0.4), ("incr", 0.6)),
+}
+
+#: sent, delivered, dropped, control bits, data bits, max control bits, by_type.
+_BILLS = {
+    "two-bit": (399, 385, 14, 798, 13472, 2,
+                {"READ": 100, "WRITE1": 116, "PROCEED": 89, "WRITE0": 94}),
+    "abd": (529, 498, 31, 3045, 15592, 9,
+            {"ABD_READ_QUERY": 100, "ABD_WRITE": 80, "ABD_READ_REPLY": 89,
+             "ABD_WRITE_ACK": 71, "ABD_WRITE_BACK": 100, "ABD_WRITE_BACK_ACK": 89}),
+    "abd-mwmr": (670, 620, 50, 4485, 15416, 12,
+                 {"MWABD_READ_QUERY": 100, "MWABD_TS_QUERY": 80, "MWABD_READ_REPLY": 87,
+                  "MWABD_TS_REPLY": 68, "MWABD_WRITE_BACK": 100, "MWABD_WRITE_BACK_ACK": 87,
+                  "MWABD_WRITE": 80, "MWABD_WRITE_ACK": 68}),
+    "abd-bounded-emulation": (529, 498, 31, 5895, 15592, 15,
+                              {"MOD_READ_QUERY": 100, "MOD_WRITE": 80, "MOD_READ_REPLY": 89,
+                               "MOD_WRITE_ACK": 71, "MOD_WRITE_BACK": 100,
+                               "MOD_WRITE_BACK_ACK": 89}),
+    "mmr-cas": (1956, 1699, 257, 14118, 94534, 9,
+                {"CONS_EST": 618, "CONS_AUX": 590, "CONS_DECIDE": 748}),
+    "mmr-tas": (1648, 1462, 186, 11320, 29186, 9,
+                {"CONS_EST": 562, "CONS_AUX": 556, "CONS_DECIDE": 530}),
+    "mmr-counter": (1632, 1478, 154, 11182, 34834, 9,
+                    {"CONS_EST": 554, "CONS_AUX": 550, "CONS_DECIDE": 528}),
+}
+
+
+def test_every_registered_algorithm_has_a_pinned_bill():
+    assert sorted(_BILLS) == sorted(available_algorithms())
+
+
+@pytest.mark.parametrize("algorithm", sorted(_BILLS))
+def test_bill_of_a_seeded_store_run_with_a_crashed_replica(algorithm):
+    spec = KVWorkloadSpec(
+        algorithm=algorithm,
+        num_keys=6,
+        num_ops=90,
+        num_shards=2,
+        replication=3,
+        read_fraction=0.6,
+        op_mix=_MIXES.get(algorithm),
+        batch_size=16,
+        initial_value=None if algorithm in _MIXES else "v0",
+        delay_model=UniformDelay(0.2, 1.0, seed=7),
+        seed=7,
+        crash_points=(CrashPoint(at_time=6.0, shard=1, replica=2),),
+    )
+    result = run_kv_workload(spec)
+    result.store.settle()
+    snapshot = result.store.stats.snapshot()
+    assert (
+        snapshot["messages_sent"],
+        snapshot["messages_delivered"],
+        snapshot["messages_dropped_to_crashed"],
+        snapshot["control_bits_total"],
+        snapshot["data_bits_total"],
+        snapshot["max_control_bits"],
+        snapshot["by_type"],
+    ) == _BILLS[algorithm]

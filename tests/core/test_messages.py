@@ -1,6 +1,10 @@
 """Unit tests for the four message types and their control-bit accounting."""
 
+import dataclasses
+import pickle
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.messages import (
     CONTROL_BITS_PER_MESSAGE,
@@ -8,10 +12,12 @@ from repro.core.messages import (
     ProceedMessage,
     ReadMessage,
     WriteMessage,
+    _value_data_bits,
     bits_needed_for_types,
     make_write_message,
     message_type_count,
 )
+from repro.transport.codec_binary import make_codec, schema_signature
 
 
 class TestWriteMessage:
@@ -57,6 +63,72 @@ class TestWriteMessage:
         message = WriteMessage(bit=0, value="v")
         with pytest.raises(AttributeError):
             message.bit = 1
+
+
+#: One strategy per branch of ``_value_data_bits``: none, bool, int, float,
+#: str, bytes, and "anything else" (priced by its repr).
+_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(),
+    st.binary(),
+    st.lists(st.integers(), max_size=4),
+    st.tuples(st.text(max_size=3), st.integers()),
+)
+
+
+class TestPricedWhenBuilt:
+    """``price`` is what the accessors say, computed once, and nothing else sees it."""
+
+    @given(bit=st.integers(min_value=0, max_value=1), value=_VALUES)
+    def test_price_is_what_the_accessors_answer(self, bit, value):
+        message = WriteMessage(bit=bit, value=value)
+        assert message.price == (message.type_name, message.control_bits(), message.data_bits())
+        assert message.price == (f"WRITE{bit}", 2, _value_data_bits(value))
+
+    @given(bit=st.integers(min_value=0, max_value=1), value=_VALUES)
+    def test_equality_hash_and_repr_ignore_it(self, bit, value):
+        message, twin = WriteMessage(bit=bit, value=value), WriteMessage(bit=bit, value=value)
+        assert message == twin and repr(message) == f"WRITE{bit}({value!r})"
+        if value.__hash__ is not None:
+            assert hash(message) == hash((bit, value))
+        # Tamper with one twin's price: still the same message.
+        object.__setattr__(twin, "price", ("WRITE?", 99, 99))
+        assert message == twin and repr(message) == repr(twin)
+
+    def test_it_is_not_a_dataclass_field(self):
+        assert [f.name for f in dataclasses.fields(WriteMessage)] == ["bit", "value"]
+        assert dataclasses.asdict(WriteMessage(bit=1, value="v")) == {"bit": 1, "value": "v"}
+        with pytest.raises(AttributeError):
+            WriteMessage(bit=1, value="v").price = ("WRITE1", 2, 0)  # frozen all the same
+
+    def test_copies_are_priced_like_the_original(self):
+        message = WriteMessage(bit=0, value="abc")
+        assert dataclasses.replace(message, bit=1).price == ("WRITE1", 2, 24)
+        assert pickle.loads(pickle.dumps(message)).price == message.price
+
+    def test_the_wire_does_not_carry_it(self):
+        """Both codecs enumerate fields: frames and the negotiated schema are
+        byte for byte what they were before messages were priced."""
+        assert schema_signature() == "c3ff413c69f61967"
+        frames = {
+            ("binary", 1, "v1"): "01000205056b303030311a0000000105027631",
+            ("binary", 0, 12345): "01000205056b303030311a0000000003f2c001",
+            ("binary", 1, None): "01000205056b303030311a0000000100",
+            ("json", 1, "v1"): (
+                b'{"kind":"msg","key":"k0001","src":0,"dst":2,'
+                b'"msg":{"type":"WriteMessage","fields":{"bit":1,"value":"v1"}}}'
+            ).hex(),
+        }
+        for (codec_name, bit, value), expected in frames.items():
+            codec = make_codec(codec_name)
+            message = WriteMessage(bit=bit, value=value)
+            body = codec.encode({"kind": "msg", "key": "k0001", "src": 0, "dst": 2, "msg": message})
+            assert body.hex() == expected
+            decoded = codec.decode(body)["msg"]
+            assert decoded == message and decoded.price == message.price
 
 
 class TestControlOnlyMessages:

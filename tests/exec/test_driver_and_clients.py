@@ -132,6 +132,94 @@ class TestDriver:
         driver.drive(limit=simulator.now + 1_000.0)
         assert op.failure_reason == "stalled on replica p1 (crashed=True); event queue drained"
 
+    def test_drive_outlasts_a_follow_up_submitted_by_the_last_completion(self):
+        """The drain is counted: the completion that empties the run stops the
+        loop.  When that completion's ``on_done`` submits more work inside
+        the same event, the run is not empty after all — ``drive`` must go on
+        until the follow-up (and the follow-up's follow-up) is done."""
+        simulator, network, processes = deploy()
+        driver = Driver(simulator)
+        chain = []
+
+        def follow_up(op):
+            if len(chain) < 3:
+                chain.append(driver.new_op(OperationKind.READ, on_done=follow_up))
+                driver.submit(processes[1 + len(chain) % 2], chain[-1])
+
+        first = driver.new_op(OperationKind.WRITE, value="v1", on_done=follow_up)
+        driver.submit(processes[0], first)
+        assert driver.drive() is True
+        assert len(chain) == 3 and all(op.completed for op in chain)
+        assert driver.outstanding == 0
+        # Each link was issued in the very event that completed the one before.
+        assert chain[0].record.invoked_at == first.record.responded_at
+        assert chain[2].record.invoked_at == chain[1].record.responded_at
+        assert simulator.now == chain[2].record.responded_at  # and not an event later
+
+    def test_a_follow_up_that_fails_at_issue_still_lets_the_drive_return(self):
+        simulator, network, processes = deploy()
+        driver = Driver(simulator)
+        processes[2].crash()
+        doomed = []
+
+        def follow_up(op):
+            doomed.append(driver.new_op(OperationKind.READ))
+            driver.submit(processes[2], doomed[-1])  # fails synchronously: crashed
+
+        first = driver.new_op(OperationKind.WRITE, value="v1", on_done=follow_up)
+        driver.submit(processes[0], first)
+        assert driver.drive(limit=50.0) is True
+        assert first.completed and doomed[0].failed and driver.outstanding == 0
+        assert simulator.now == first.record.responded_at
+
+    def test_limit_passes_first_leaves_ops_outstanding_and_the_clock_at_the_limit(self):
+        simulator, network, processes = deploy(delay=FixedDelay(10.0))
+        driver = Driver(simulator)
+        write = driver.new_op(OperationKind.WRITE, value="v1")
+        read = driver.new_op(OperationKind.READ)
+        driver.submit(processes[0], write)
+        driver.submit(processes[1], read)
+        assert driver.drive(limit=15.0) is False  # an ABD op needs 20
+        assert simulator.now == 15.0 and driver.outstanding == 2
+        assert not write.done and not read.done  # outstanding, not failed: events remain
+        assert driver.drive(limit=100.0) is True  # a later drive finishes them
+        assert write.completed and read.completed and simulator.now == 40.0
+
+    def test_fault_horizon_still_raises_a_shorter_limit(self):
+        simulator, network, processes = deploy(delay=FixedDelay(10.0))
+        driver = Driver(simulator)
+        driver.fault_horizon = 60.0
+        write = driver.new_op(OperationKind.WRITE, value="v1")
+        driver.submit(processes[0], write)
+        assert driver.drive(limit=15.0) is True  # 15 < horizon: the drive waits it out
+        assert write.completed and simulator.now == 20.0
+
+    def test_the_event_loop_is_handed_no_predicate(self, monkeypatch):
+        """Default condition or a client's own: asked when an operation
+        finishes, never after every event."""
+        simulator, network, processes = deploy()
+        predicates, asked = [], []
+        run_until = Simulator.run_until
+
+        def spy(self, predicate, limit=None):
+            predicates.append(predicate)
+            return run_until(self, predicate, limit=limit)
+
+        monkeypatch.setattr(Simulator, "run_until", spy)
+        driver = Driver(simulator)
+        ops = [driver.new_op(OperationKind.READ) for _ in range(3)]
+        for process, op in zip(processes, ops):
+            driver.submit(process, op)
+
+        def all_done():
+            asked.append(simulator.executed_events)
+            return all(op.done for op in ops)
+
+        assert driver.drive(predicate=all_done) is True
+        assert predicates == [None]
+        # Once on entry, once per finished operation, once after the loop.
+        assert len(asked) == 2 + len(ops) < simulator.executed_events
+
     def test_result_raises_before_completion(self):
         simulator, network, processes = deploy()
         driver = Driver(simulator)

@@ -21,6 +21,7 @@ class RecorderProcess(Process):
 
     def on_message(self, src: int, message: Any) -> None:
         self.received.append((src, message))
+        self._scan_due = True  # guards registered by tests read `received`
 
 
 class EchoProcess(RecorderProcess):

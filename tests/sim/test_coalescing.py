@@ -15,6 +15,7 @@ class Recorder(Process):
 
     def on_message(self, src, message):
         self.received.append((src, message))
+        self._scan_due = True  # the test's guards read `received`
 
 
 def build(n=4, coalesce=True, delay_model=None, record_messages=False):
