@@ -35,6 +35,17 @@ by construction, replayable) and decides a split round with probability
 A decided process broadcasts ``DECIDE`` exactly once and drops every further
 consensus message for that slot (no replies).
 
+**Subsumption.**  A replica does not send a message when, in the same step
+and to the same peers, it goes on to send one that makes it a no-op.  An
+``AUX(r, v)`` also counts as its sender's ``EST(r, v)`` (``v`` entered the
+sender's ``bin_values`` after it broadcast that EST: a sent message, delivered
+early), so an echo followed by the AUX in its own step is not sent — the AUX
+*vouches* for it — nor is an AUX followed by its round's ``DECIDE`` (a decided
+peer drops it).  On non-FIFO links the withheld message right behind the one
+that subsumes it is a legal schedule of the protocol that sends both, and a
+no-op there: every run is one of that protocol's.  The saving needs an echo
+to complete ``n - t`` by itself: ``t = 1``.
+
 **The slot log** (:class:`ConsensusObjectProcess`).  Slot ``s`` is *owned*
 by replica ``s mod n``, and 1 can enter slot ``s`` only through a
 command-bearing proposal of its owner (everyone else proposes 0 or copies
@@ -135,18 +146,20 @@ class ConsEst(object):
 
 @dataclass(frozen=True)
 class ConsAux(object):
-    """Round-``round`` auxiliary broadcast: one delivered ``bin_values`` entry."""
+    """Round-``round`` auxiliary broadcast: one delivered ``bin_values`` entry.
+
+    Counted as its sender's ``EST(round, value)`` too (it may be sent *instead*
+    of it), so a value-1 AUX carries the command exactly as the EST does.
+    """
 
     slot: int
     round: int
     value: int
+    cand: Any = None
 
     type_name = "CONS_AUX"
     control_bits = ConsEst.control_bits
-
-    @staticmethod
-    def data_bits() -> int:
-        return 0
+    data_bits = ConsEst.data_bits
 
 
 @dataclass(frozen=True)
@@ -159,7 +172,10 @@ class ConsCoin(object):
 
     type_name = "CONS_COIN"
     control_bits = ConsEst.control_bits
-    data_bits = staticmethod(ConsAux.data_bits)
+
+    @staticmethod
+    def data_bits() -> int:
+        return 0
 
 
 @dataclass(frozen=True)
@@ -308,10 +324,9 @@ class ConsensusObjectProcess(RegisterProcess):
 
     # --------------------------------------------------------- instance core
 
-    def _start_instance(self, slot: int, est: int) -> _Instance:
+    def _start_instance(self, slot: int, est: int) -> None:
         instance = self.instances[slot] = _Instance(est)
         self._enter_round(slot, instance, 0)
-        return instance
 
     def _enter_round(self, slot: int, instance: _Instance, round: int) -> None:
         if round >= ROUND_CAP:
@@ -339,32 +354,37 @@ class ConsensusObjectProcess(RegisterProcess):
         holds values the whole quorum has seen and re-broadcast.
         """
         state = instance.at(round)
-        senders = state.est_senders[value]
-        if self.pid not in senders:
-            senders.add(self.pid)
+        senders, bin_values = state.est_senders[value], state.bin_values
+        echo = self.pid not in senders
+        senders.add(self.pid)
+        if len(senders) >= self.quorum.quorum_size and value not in bin_values:
+            bin_values.append(value)
+        current = round == instance.round
+        # Vouched for: our AUX(round, value) leaves in this very step (**Subsumption**).
+        vouched = current and bin_values[:1] == [value] and self.pid not in state.aux_senders[value]
+        if echo and (self.skip_aux_quorum or not vouched):
             cand = self.commands.get(slot) if value == 1 else None
-            message = ConsEst(slot=slot, round=round, value=value, cand=cand)
-            self.send(self.other_process_ids(), message)
-        if len(senders) >= self.quorum.quorum_size and value not in state.bin_values:
-            state.bin_values.append(value)
-        if round == instance.round:
+            self.send(self._peers, ConsEst(slot=slot, round=round, value=value, cand=cand))
+        if current:
             self._resolve(slot, instance, state)
 
     def _resolve(self, slot: int, instance: _Instance, state: _Round) -> None:
         """Drive the current round as far as its tallies allow.
 
-        Send our AUX on the first delivery; once ``n - t`` AUX values lie
+        Tally our AUX on the first delivery; once ``n - t`` AUX values lie
         within ``bin_values`` (and a seeded coin's shares are in) decide,
-        adopt or advance.
+        adopt or advance.  The AUX, and a seeded round's share after it, are
+        sent unless this very step decides: the ``DECIDE`` stands for them.
         """
         bin_values, aux = state.bin_values, state.aux_senders
         if not bin_values:
             return
-        round, quorum = instance.round, self.quorum.quorum_size
-        if self.pid not in aux[bin_values[0]]:
-            aux[bin_values[0]].add(self.pid)
-            message = ConsAux(slot=slot, round=round, value=bin_values[0])
-            self.send(self.other_process_ids(), message)
+        round, quorum, first = instance.round, self.quorum.quorum_size, bin_values[0]
+        owed, ready = (), True  # owed: tallied by this step, not sent yet
+        if self.pid not in aux[first]:
+            aux[first].add(self.pid)
+            cand = self.commands.get(slot) if first == 1 else None
+            owed = (ConsAux(slot=slot, round=round, value=first, cand=cand),)
         if self.skip_aux_quorum:
             # MUTATION (repro explore, ``mmr-skip-aux``): decide from the
             # first delivered value without the n-t AUX exchange.  Different
@@ -374,32 +394,29 @@ class ConsensusObjectProcess(RegisterProcess):
             vals = bin_values[:1]
         else:
             vals = [value for value in bin_values if aux[value]]
-            if sum(len(aux[value]) for value in vals) < quorum:
-                return
-            if round >= len(COIN_PREFIX):
+            ready = sum(len(aux[value]) for value in vals) >= quorum
+            if ready and round >= len(COIN_PREFIX):
                 shares = state.coin_senders
                 if self.pid not in shares:
                     shares.add(self.pid)
-                    share = ConsCoin(slot=slot, round=round, value=common_coin(slot, round))
-                    self.send(self.other_process_ids(), share)
-                if len(shares) < quorum:
-                    return
-        coin = common_coin(slot, round)
-        if len(vals) == 1:
-            instance.est = vals[0]
-            if vals[0] == coin:
-                self._decide(slot, coin)
-                return
-        else:
-            instance.est = coin
-        self._enter_round(slot, instance, round + 1)
+                    owed += (ConsCoin(slot=slot, round=round, value=common_coin(slot, round)),)
+                ready = len(shares) >= quorum
+        decides = ready and vals == [common_coin(slot, round)]
+        if not decides or self.skip_aux_quorum:  # else the DECIDE stands for them
+            for message in owed:
+                self.send(self._peers, message)
+        if decides:
+            self._decide(slot, vals[0])
+        elif ready:
+            instance.est = vals[0] if len(vals) == 1 else common_coin(slot, round)
+            self._enter_round(slot, instance, round + 1)
 
     def _decide(self, slot: int, value: int) -> None:
         """Record a decision (ours or a relayed one), announce it once, apply."""
         self.decided[slot] = value
         self.instances.pop(slot, None)
         cand = self.commands.get(slot) if value == 1 else None
-        self.send(self.other_process_ids(), ConsDecide(slot=slot, value=value, cand=cand))
+        self.send(self._peers, ConsDecide(slot=slot, value=value, cand=cand))
         self._apply_ready()
 
     # ------------------------------------------------------------- the log
@@ -477,28 +494,30 @@ class ConsensusObjectProcess(RegisterProcess):
                     self._start_instance(hole, 0)
         # anything else for a decided slot is dropped: our DECIDE is on src's link
 
-    def _joined(self, slot: int, est: int) -> _Instance:
-        """The slot's instance, joined by copying ``est`` if we had none.
+    def _on_est(self, src: int, message: Any, slot: int) -> None:
+        """An EST — or an AUX, which is its sender's EST of that value as well.
 
-        Never an owned slot: an owner either proposed (instance exists) or
-        yielded (decided) before any handler runs.
+        Both tallies move before the *one* pass over the round (the legal
+        order "the AUX, then its EST, back to back"), and a replica that joins
+        counts the sender before its own first step: only so can its echo
+        complete the quorum at once, and a ``DECIDE`` stand for our AUX.
         """
         instance = self.instances.get(slot)
-        return instance if instance is not None else self._start_instance(slot, est)
-
-    def _on_est(self, src: int, message: ConsEst, slot: int) -> None:
-        instance = self._joined(slot, message.value)
-        instance.at(message.round).est_senders[message.value].add(src)
-        self._bv_step(slot, instance, message.round, message.value)
-
-    def _on_aux(self, src: int, message: ConsAux, slot: int) -> None:
-        # On non-FIFO links an AUX can outrun every EST of its slot: join on
-        # its value (delivered at the sender, hence proposed by someone).
-        instance = self._joined(slot, message.value)
+        joining = instance is None
+        if joining:
+            # Copy the value — on non-FIFO links maybe an AUX's that outran
+            # every EST (delivered at the sender, hence proposed by someone).
+            # Never an owned slot: an owner either proposed (instance exists)
+            # or yielded (decided) before any handler runs.
+            instance = self.instances[slot] = _Instance(message.value)
         state = instance.at(message.round)
-        state.aux_senders[message.value].add(src)
-        if message.round == instance.round:
-            self._resolve(slot, instance, state)
+        state.est_senders[message.value].add(src)
+        if message.__class__ is ConsAux:
+            state.aux_senders[message.value].add(src)
+        if joining:  # entering round 0 is the step for a round-0 message
+            self._enter_round(slot, instance, 0)
+        if not joining or message.round:
+            self._bv_step(slot, instance, message.round, message.value)
 
     def _on_coin(self, src: int, message: ConsCoin, slot: int) -> None:
         instance = self.instances.get(slot)
@@ -512,7 +531,7 @@ class ConsensusObjectProcess(RegisterProcess):
         # Relay our own DECIDE so slower peers cut over too, then apply.
         self._decide(slot, message.value)
 
-    _HANDLERS = {ConsEst: _on_est, ConsAux: _on_aux, ConsCoin: _on_coin, ConsDecide: _on_decide}
+    _HANDLERS = {ConsEst: _on_est, ConsAux: _on_est, ConsCoin: _on_coin, ConsDecide: _on_decide}
 
     # ----------------------------------------------------------- accounting
 

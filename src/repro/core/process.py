@@ -81,8 +81,6 @@ class TwoBitRegisterProcess(RegisterProcess):
         super().__init__(pid, simulator, network, writer_pid, t, initial_value)
         self.writer_fast_read = writer_fast_read
         self.state: Optional[TwoBitState] = None
-        # Every other process, in pid order (fixed by finish_setup).
-        self._others: list[int] = []
         # Messages whose line-11 predicate is not yet satisfied, per sender.
         self._reordered_writes = 0
         # What the pending waits await.  Lines 3 and 9 count the w_sync entries
@@ -102,7 +100,6 @@ class TwoBitRegisterProcess(RegisterProcess):
         """Allocate the local data structures once the full membership is known."""
         super().finish_setup()
         self.state = TwoBitState(n=self.n, pid=self.pid, initial_value=self.initial_value)
-        self._others = self.other_process_ids()
         self._entry_waits = [0] * self.n
 
     def _require_state(self) -> TwoBitState:
@@ -129,7 +126,7 @@ class TwoBitRegisterProcess(RegisterProcess):
 
         # line 2: send WRITE(b, v) to every p_j with w_sync_w[j] = wsn - 1
         quorum, w_sync = self.quorum, st.w_sync
-        self.network.send(self.pid, [j for j in self._others if w_sync[j] == wsn - 1], message)
+        self.network.send(self.pid, [j for j in self._peers if w_sync[j] == wsn - 1], message)
 
         # line 3: wait until at least (n - t) processes p_j have w_sync_w[j] = wsn
         # (the writer itself counts: w_sync_w[w] = wsn already).
@@ -156,7 +153,7 @@ class TwoBitRegisterProcess(RegisterProcess):
         st.r_sync[self.pid] = rsn
 
         # line 6: send READ() to every other process
-        self.network.send(self.pid, self._others, READ)
+        self.network.send(self.pid, self._peers, READ)
 
         # line 7: wait until at least (n - t) processes p_j have r_sync_i[j] = rsn
         quorum, r_sync, w_sync = self.quorum, st.r_sync, st.w_sync
@@ -226,7 +223,7 @@ class TwoBitRegisterProcess(RegisterProcess):
                 # (rule R1; note that p_j itself still has w_sync_i[j] = wsn - 1 at
                 # this point, so the forward doubles as the alternating-bit
                 # acknowledgement towards p_j).
-                self.network.send(pid, [k for k in self._others if w_sync[k] == own], message)
+                self.network.send(pid, [k for k in self._peers if w_sync[k] == own], message)
             # line 16: else if (wsn < w_sync_i[i]) send WRITE((wsn+1) mod 2, history_i[wsn+1]) to p_j
             elif wsn < own:
                 catch_up = WriteMessage(bit=(wsn + 1) % 2, value=st.history[wsn + 1])

@@ -143,12 +143,6 @@ class PhaseRegisterProcess(RegisterProcess):
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self._phases: dict[str, QuorumCollector] = {}
-        # Every other process, in pid order (fixed by finish_setup).
-        self._peers: list[int] = []
-
-    def finish_setup(self) -> None:
-        super().finish_setup()
-        self._peers = self.other_process_ids()
 
     # ------------------------------------------------------------ phase control
 

@@ -114,6 +114,8 @@ class RegisterProcess(ProcessBase):
         # full membership is registered on the network.
         provisional_n = max(len(network.process_ids), 2 * (t or 0) + 1, 1)
         self.quorum = QuorumTracker(provisional_n, t)
+        # Every other process, in pid order (fixed by finish_setup).
+        self._peers: list[int] = []
         self._op_counter = itertools.count()
         self._current_op: Optional[OperationRecord] = None
         self.completed_operations: list[OperationRecord] = []
@@ -123,6 +125,7 @@ class RegisterProcess(ProcessBase):
     def finish_setup(self) -> None:
         """Hook called once all processes are registered (quorum sizes, peers)."""
         self.quorum = QuorumTracker(self.n, self._requested_t)
+        self._peers = self.other_process_ids()
 
     @property
     def is_writer(self) -> bool:

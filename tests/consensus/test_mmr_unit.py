@@ -74,6 +74,43 @@ class TestMessages:
             assert message.control_bits() > 0
             assert message.data_bits() >= 0
 
+    def test_the_command_is_priced_wherever_it_travels(self):
+        command = [0, "cas", ("a", "b")]
+        on_est = ConsEst(slot=3, round=2, value=1, cand=command)
+        on_aux = ConsAux(slot=3, round=2, value=1, cand=command)
+        assert on_aux.data_bits() == on_est.data_bits() > 0
+        assert on_aux.data_bits() == ConsDecide(slot=3, value=1, cand=command).data_bits()
+        assert ConsAux(slot=3, round=2, value=0).data_bits() == 0
+        # Same control bits, same two-bit type space: the command is data.
+        assert on_aux.control_bits() == ConsAux(slot=3, round=2, value=0).control_bits()
+        assert on_aux.control_bits() == on_est.control_bits()
+
+    def test_a_coin_share_is_not_priced_through_the_aux(self):
+        # ``ConsCoin.data_bits`` was an alias of ``ConsAux``'s (a static 0):
+        # pricing the AUX's command must not re-price the shares.
+        from repro.sim.network import NetworkStats
+
+        share = ConsCoin(slot=3, round=2, value=1)
+        assert share.data_bits() == 0 and not hasattr(share, "cand")
+        stats = NetworkStats()
+        stats.record_send(0, ConsAux(slot=3, round=2, value=1, cand=[0, "cas", ("a", "b")]))
+        priced = stats.data_bits_total
+        assert priced > 0
+        assert stats.record_send(0, share) == (share.control_bits(), 0)
+        assert stats.data_bits_total == priced
+
+    @pytest.mark.parametrize("codec_name", ["binary", "json"])
+    @pytest.mark.parametrize("cand", [None, [2, "cas", ["a", "b"]], [0, "incr", 1]])
+    def test_an_aux_round_trips_with_and_without_its_command(self, codec_name, cand):
+        from repro.transport.codec_binary import make_codec
+
+        codec = make_codec(codec_name)
+        message = ConsAux(slot=7, round=1, value=0 if cand is None else 1, cand=cand)
+        frame = {"kind": "msg", "key": "k", "src": 1, "dst": 2, "msg": message}
+        decoded = codec.decode(codec.encode(frame))["msg"]
+        assert decoded == message and type(decoded) is ConsAux
+        assert decoded.data_bits() == message.data_bits()
+
 
 class TestSMRSpec:
     def test_registered_and_routed(self):
