@@ -134,7 +134,6 @@ def format_run(summary: Dict[str, Any], title: str, lead: Sequence[Sequence[obje
     if wire:
         replicas = len(wire["replica_connections"])
         row("transport", f"live (asyncio loopback, {replicas} replica processes)")
-        row("wire codec", wire["codec"])
     else:
         row("transport", "sim (virtual time)")
     if not summary["finished_cleanly"]:
@@ -184,7 +183,7 @@ def format_run(summary: Dict[str, Any], title: str, lead: Sequence[Sequence[obje
 
 def format_connections(wire: Dict[str, Any]) -> str:
     """Per-connection byte/frame/flush table of a live run's ``wire`` section."""
-    sided = [("client", row) for row in wire.get("client_connections", [])]
+    sided = [(f"client {row['worker']}", row) for row in wire.get("client_connections", [])]
     for replica, rows in sorted(wire.get("replica_connections", {}).items()):
         sided.extend((f"replica {replica}", row) for row in rows)
     table = [
@@ -197,6 +196,7 @@ def format_connections(wire: Dict[str, Any]) -> str:
             row["frames_out"],
             row["batches_out"],
             round(row["frames_out"] / row["batches_out"], 2) if row["batches_out"] else "-",
+            row["frames_dropped"],
         ]
         for side, row in sided
     ]
@@ -206,11 +206,12 @@ def format_connections(wire: Dict[str, Any]) -> str:
             f"frames/flush {format_number(wire.get('frames_per_flush'), 2)}",
             "", "", "", "", "",
             f"client bytes/op {format_number(wire.get('client_bytes_per_op'), 1)}",
+            "",
         ]
     )
     return format_table(
         ["side", "connection", "bytes in", "bytes out", "frames in",
-         "frames out", "flushes", "frames/flush"],
+         "frames out", "flushes", "frames/flush", "dropped"],
         table,
         title="per-connection transport stats (also in the JSON metrics snapshot)",
     )

@@ -66,7 +66,12 @@ _SHARED_FLAGS = {
     "replication": ("--replication", dict(type=int, help="replicas per shard")),
     "workers": (
         "--workers",
-        dict(type=int, help="worker processes (sim only; output is identical for any count)"),
+        dict(
+            type=int,
+            help="worker processes: shard groups on the simulator (output is identical "
+            "for any count), client processes on the live transport (same operation "
+            "stream and message bill for any count)",
+        ),
     ),
     "transport": (
         "--transport",
@@ -74,14 +79,6 @@ _SHARED_FLAGS = {
             choices=["sim", "live"],
             help="deterministic virtual-time simulator, or live asyncio sockets "
             "on a loopback replica cluster",
-        ),
-    ),
-    "codec": (
-        "--codec",
-        dict(
-            choices=["binary", "json"],
-            help="live wire codec: binary (struct-packed) or json (the frames a "
-            "peer without the binary schema negotiates down to)",
         ),
     ),
     "quick": ("--quick", dict(action="store_true", help="small sizes for CI smoke runs")),
@@ -309,10 +306,10 @@ def cmd_messages(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------- keyed commands
 #
-# store / consensus / loadgen / chaos are all the same pipeline:
+# store / consensus / chaos are all the same pipeline:
 # flags -> spec (a ``_*_spec`` builder; any ValueError it or the spec's own
 # validation raises is exit status 2, decided once in :func:`main`) ->
-# ``run_kv_workload`` / ``run_loadgen`` -> ``result.verify()`` ->
+# ``run_kv_workload`` -> ``result.verify()`` ->
 # ``format_run(result.summary(verdict))`` -> :func:`report_run` (0 or 1).
 # Nothing below knows which backend executed a run.
 
@@ -358,17 +355,15 @@ def _store_spec(args: argparse.Namespace):
     # `--replicas` is the live-transport wording for `--replication`; both
     # set the per-shard replica count on either backend.
     replication = args.replication if args.replicas is None else args.replicas
-    changes: dict = {"transport": args.transport, "workers": args.workers}
+    changes: dict = {
+        "transport": args.transport,
+        "workers": args.workers,
+        "slo_p99": args.slo_p99,
+    }
     if args.algorithms:
         names = tuple(name.strip() for name in args.algorithms.split(",") if name.strip())
         if not names:
             raise ValueError("--algorithms needs at least one algorithm name")
-        unknown = [name for name in names if name not in available_algorithms()]
-        if unknown:
-            raise ValueError(
-                f"unknown algorithm(s) {unknown} in --algorithms; "
-                f"available: {available_algorithms()}"
-            )
         # Round-robin the listed algorithms over the shards.
         changes["shard_algorithms"] = tuple(
             names[shard % len(names)] for shard in range(args.shards)
@@ -380,8 +375,6 @@ def _store_spec(args: argparse.Namespace):
         # with mean rate --rate (per virtual-time unit, or per wall second on
         # the live transport) instead of batched submission.
         changes.update(arrival=args.arrival, arrival_rate=args.rate)
-    if args.codec is not None:
-        changes["codec"] = args.codec
     if args.crashes:
         changes["crash_points"] = _crash_points(args, replication)
     builder = kv_zipfian if args.dist == "zipfian" else kv_uniform
@@ -418,6 +411,8 @@ def cmd_store(args: argparse.Namespace) -> int:
         lead.append(["offered load (ops per time unit / second)", spec.arrival_rate])
     if spec.crash_points:
         lead.append(["server crashes requested", len(spec.crash_points)])
+    if spec.slo_p99 is not None:
+        lead.append(["p99 SLO (time units / seconds)", spec.slo_p99])
     title = (
         f"store [{spec.transport}]: {spec.algorithm}, {spec.num_ops} ops, {args.dist} keys"
         + (f", {spec.arrival} arrivals @ {spec.arrival_rate}" if spec.open_loop else "")
@@ -427,55 +422,6 @@ def cmd_store(args: argparse.Namespace) -> int:
     if summary["wire"]:
         parts.append(format_connections(summary["wire"]))
     return report_run("\n\n".join(parts), verdict.failures, "store run")
-
-
-def _loadgen_spec(args: argparse.Namespace):
-    """``repro loadgen`` flags → :class:`~repro.transport.loadgen.LoadgenSpec`."""
-    from repro.transport.loadgen import LoadgenSpec
-
-    return LoadgenSpec(
-        clients=args.clients,
-        rate=args.rate,
-        num_ops=args.ops,
-        num_keys=args.keys,
-        read_fraction=args.read_fraction,
-        algorithm=args.algorithm,
-        replicas=args.replicas,
-        codec=args.codec,
-        seed=args.seed,
-        slo_p99=args.slo_p99,
-        timeout=args.timeout,
-    )
-
-
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    """Drive a live cluster from N client worker processes at an SLO target.
-
-    Exit status: 0 — run sustained the load, every key linearizable, SLO
-    met (when ``--slo-p99`` was given); 1 — ops failed, a worker died, the
-    checker found a violation, or the SLO was missed; 2 — invalid
-    parameters.
-    """
-    from repro.transport.loadgen import run_loadgen
-
-    spec = args.spec
-    result = run_loadgen(spec)
-    verdict = result.verify()
-    slo = result.slo_report()
-    lead = [
-        ["client workers x replicas", f"{spec.clients} x {spec.replicas} ({spec.algorithm})"],
-        ["offered load (ops/second)", spec.rate],
-        ["achieved (ops/second)", format_number(slo["achieved_rate"], 1)],
-        [
-            "p99 SLO target",
-            "none (report only)" if spec.slo_p99 is None else f"{spec.slo_p99 * 1000.0:.1f} ms",
-        ],
-        ["worker errors", len(result.worker_errors)],
-    ]
-    title = f"loadgen [live]: {spec.clients} workers @ {spec.rate:g}/s, {spec.num_ops} ops"
-    return report_run(
-        format_run(result.summary(verdict), title, lead), verdict.failures, "loadgen run"
-    )
 
 
 def _consensus_spec(args: argparse.Namespace):
@@ -930,7 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
         seed=0,
         workers=1,
         transport="sim",
-        codec=None,
     )
     sub.add_argument(
         "--dist",
@@ -982,48 +927,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="alias for --replication (replica count per shard / live cluster size)",
     )
-    sub.set_defaults(handler=cmd_store, build_spec=_store_spec)
-
-    sub = subparsers.add_parser(
-        "loadgen",
-        help="multi-process SLO load generator against a live loopback cluster",
-    )
-    _add_shared_arguments(
-        sub,
-        restrict_algorithm=True,
-        keys=64,
-        ops=50_000,
-        read_fraction=0.9,
-        algorithm="abd-mwmr",
-        seed=0,
-        codec="binary",
-    )
-    sub.add_argument(
-        "--clients", type=int, default=4, help="client worker processes (default 4)"
-    )
-    sub.add_argument(
-        "--rate",
-        type=float,
-        default=5000.0,
-        help="aggregate open-loop Poisson arrival rate, ops/second (default 5000)",
-    )
-    sub.add_argument(
-        "--replicas", type=int, default=3, help="replica processes (default 3)"
-    )
     sub.add_argument(
         "--slo-p99",
         type=float,
         default=None,
         dest="slo_p99",
-        help="p99 wall-latency SLO in seconds (default: report only, no gate)",
+        help=(
+            "fail the run when the p99 latency exceeds this — virtual-time units, "
+            "seconds on the live transport (default: report only, no gate)"
+        ),
     )
-    sub.add_argument(
-        "--timeout",
-        type=float,
-        default=300.0,
-        help="hard wall deadline for the whole run in seconds (default 300)",
-    )
-    sub.set_defaults(handler=cmd_loadgen, build_spec=_loadgen_spec)
+    sub.set_defaults(handler=cmd_store, build_spec=_store_spec)
 
     sub = subparsers.add_parser(
         "chaos",

@@ -46,9 +46,15 @@ import time
 from array import array
 from typing import Any, Dict, List, Tuple
 
-from repro.exec.oplog import OpLog, decode_oplog, encode_oplog, transfer_size
+from repro.exec.oplog import encode_oplog
 from repro.exec.target import OpRequest
-from repro.parallel.merge import MergedStore, collector_raw_state, merge_metrics, merge_network_stats
+from repro.parallel.merge import (
+    MergedStore,
+    collector_raw_state,
+    merge_metrics,
+    merge_network_stats,
+    merge_oplogs,
+)
 from repro.parallel.pool import (
     WorkerFailure,
     maybe_poison,
@@ -271,26 +277,13 @@ def run_kv_workload_parallel(spec):
                 pass
     wall_seconds = time.perf_counter() - started
 
-    # Reassemble the global submission order from the raw columns: each
-    # worker's oplog concatenates in pool order, then one permutation sorts
-    # the rows by scripted index — after which row ``i`` is exactly the op
-    # the serial driver would have created ``i``-th (submission order is
-    # scripted order in both loops).  No object graph ever crosses the pipe;
-    # ``ipc_bytes`` is the whole worker→parent result-plane bill.  A worker
-    # failure left no payloads: every fold below then runs over the empty
-    # set, and the result is an empty, unclean run carrying the traceback.
-    merged_log = OpLog()
-    scripted_index = array("q")
-    ipc_bytes = 0
-    for payload in payloads:
-        blob, column_buffers = payload["columnar"]
-        ipc_bytes += transfer_size(blob, column_buffers)
-        part, part_index = decode_oplog(blob, column_buffers)
-        merged_log.extend_remapped(part)
-        if part_index is not None:
-            scripted_index.extend(part_index)
-    order = sorted(range(len(scripted_index)), key=scripted_index.__getitem__)
-    oplog = merged_log.reordered(order)
+    # Row ``i`` of the merged log is exactly the op the serial driver would
+    # have created ``i``-th (submission order is scripted order in both
+    # loops); ``ipc_bytes`` is the whole worker→parent result-plane bill.  A
+    # worker failure left no payloads: every fold below then runs over the
+    # empty set, and the result is an empty, unclean run carrying the
+    # traceback.
+    oplog, ipc_bytes = merge_oplogs([payload["columnar"] for payload in payloads])
 
     stats = merge_network_stats([payload["stats"] for payload in payloads])
     metrics = merge_metrics(

@@ -6,6 +6,9 @@ indistinguishable from a single-process run:
 
 * :func:`merge_network_stats` — counter sums (dictionaries merged with sorted
   keys so JSON output is byte-stable regardless of worker arrival order);
+* :func:`merge_oplogs` — the workers' columnar logs concatenated and permuted
+  into scripted order, so row ``i`` is the operation a single process would
+  have created ``i``-th;
 * :func:`merge_metrics` — a :meth:`~repro.exec.metrics.MetricsCollector.snapshot`
   -shaped dict recomputed from the **pooled raw latency samples**.
   Percentiles are order statistics: the p99 of a union is not any function of
@@ -28,10 +31,10 @@ from __future__ import annotations
 import math
 from array import array
 from types import SimpleNamespace
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exec.metrics import _latency_summary
-from repro.exec.oplog import OpLog
+from repro.exec.oplog import OpLog, decode_oplog, transfer_size
 from repro.sim.network import NetworkStats
 from repro.store.shardmap import ShardMap
 from repro.store.store import KVStore, StoreConfig, StoreShard
@@ -63,6 +66,27 @@ def merge_network_stats(snapshots: List[Dict[str, Any]]) -> NetworkStats:
     merged.by_type.update({name: by_type[name] for name in sorted(by_type)})
     merged.per_sender.update({pid: per_sender[pid] for pid in sorted(per_sender)})
     return merged
+
+
+def merge_oplogs(columnar: List[Tuple[bytes, List[bytes]]]) -> Tuple[OpLog, int]:
+    """Reassemble global submission order from workers' raw columns.
+
+    Each part is an :func:`~repro.exec.oplog.encode_oplog` pair carrying the
+    scripted index of its rows.  The logs concatenate in pool order, then one
+    permutation sorts the rows by scripted index — no object graph ever
+    crosses the pipe.  Returns the merged log and the bytes the parts put on
+    the pipe (zero parts: an empty log).
+    """
+    merged = OpLog()
+    scripted_index = array("q")
+    ipc_bytes = 0
+    for blob, column_buffers in columnar:
+        ipc_bytes += transfer_size(blob, column_buffers)
+        part, part_index = decode_oplog(blob, column_buffers)
+        merged.extend_remapped(part)
+        scripted_index.extend(part_index)
+    order = sorted(range(len(scripted_index)), key=scripted_index.__getitem__)
+    return merged.reordered(order), ipc_bytes
 
 
 def merge_metrics(

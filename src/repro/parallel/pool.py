@@ -25,6 +25,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import traceback
+from multiprocessing.connection import wait
 from typing import Any, Callable, Iterable, List, Sequence, Tuple
 
 #: Setting this environment variable makes every pool worker raise at startup.
@@ -87,6 +88,7 @@ def recv_message(conn: Any, proc: Any, what: str) -> Tuple[str, Any]:
             if conn.poll(_POLL_INTERVAL):
                 return conn.recv()
         except (EOFError, OSError):
+            proc.join(_POLL_INTERVAL)  # the pipe closes an instant before the exit status lands
             raise WorkerFailure(
                 f"worker {proc.name} closed its pipe while the parent was "
                 f"waiting for {what} (exitcode={proc.exitcode})"
@@ -177,19 +179,27 @@ def run_chunked(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) ->
             child_conn.close()
             procs.append(proc)
             conns.append(parent_conn)
-        for proc, conn in zip(procs, conns):
-            kind, payload = recv_message(conn, proc, "chunk results")
-            if kind == "error":
-                raise WorkerFailure(
-                    f"worker {proc.name} raised while mapping a chunk",
-                    traceback_text=payload,
-                )
-            if kind != "ok":  # pragma: no cover - protocol invariant
-                raise WorkerFailure(
-                    f"worker {proc.name} sent unexpected message kind {kind!r}"
-                )
-            for index, value in payload:
-                results[index] = value
+        # Whichever worker reports, closes its pipe or dies first is read
+        # first: a failure never waits behind a slower worker's chunk.
+        pending = dict(zip(conns, procs))
+        while pending:
+            ready = wait(list(pending), timeout=_POLL_INTERVAL) or [
+                conn for conn, proc in pending.items() if not proc.is_alive()
+            ]
+            for conn in ready:
+                proc = pending.pop(conn)
+                kind, payload = recv_message(conn, proc, "chunk results")
+                if kind == "error":
+                    raise WorkerFailure(
+                        f"worker {proc.name} raised while mapping a chunk",
+                        traceback_text=payload,
+                    )
+                if kind != "ok":  # pragma: no cover - protocol invariant
+                    raise WorkerFailure(
+                        f"worker {proc.name} sent unexpected message kind {kind!r}"
+                    )
+                for index, value in payload:
+                    results[index] = value
         for proc in procs:
             proc.join()
         return results

@@ -146,9 +146,10 @@ TRANSPORTS: dict[str, TransportInfo] = {
         name="live",
         description=(
             "asyncio TCP sockets over a loopback multi-process cluster "
-            "(length-prefixed frames; binary wire codec negotiated per "
-            "connection, JSON fallback; one coalescing writer per connection, "
-            "TCP_NODELAY; wall-clock metrics)"
+            "(length-prefixed frames; one struct-packed wire codec, a schema-"
+            "signature mismatch is refused at the handshake; one coalescing "
+            "writer per connection, TCP_NODELAY; --workers N client processes; "
+            "wall-clock metrics)"
         ),
         clock="wall-clock seconds",
         deterministic=False,

@@ -29,12 +29,12 @@ kind 0 = a JSON blob, unchanged.  A message class registered *after* the
 import-time snapshot (tests do this) simply falls back to the JSON envelope
 per frame — correctness never depends on the snapshot being complete.
 
-Codec choice is **negotiated per connection**: the dialer's JSON ``hello``
-offers codec names plus :func:`schema_signature`; the acceptor answers with
-its pick (binary only when offered *and* the signatures match *and* the
-server allows it), and both sides switch after the handshake.  A version
-skew or a JSON-only server therefore degrades to the PR 8 wire, never to a
-corrupted stream.
+There is **one codec on the wire**: every connection speaks this one once
+its JSON ``hello`` / ``hello_ack`` handshake has compared the two ends'
+:func:`schema_signature` — a mismatch is a refusal that names both
+signatures (:mod:`repro.transport.live`), never a change of codec.
+:class:`JsonWireCodec` is the kind-0 envelope's body format and the
+reference the property suite compares this codec against, frame for frame.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import hashlib
 import json
 import struct
 from dataclasses import fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.transport.codec import (
     CodecError,
@@ -58,7 +58,6 @@ __all__ = [
     "WireCodec",
     "make_codec",
     "schema_signature",
-    "select_codec",
 ]
 
 # ------------------------------------------------------------------- varints
@@ -288,9 +287,9 @@ _SCHEMAS, _BY_TAG = _build_schema()
 def schema_signature() -> str:
     """Digest of the packed schema (tag order + field layouts).
 
-    Exchanged in the handshake: peers only speak binary to each other when
-    their signatures match, so a registry drift between versions degrades
-    to JSON instead of mis-tagging messages.
+    Exchanged in the handshake: an acceptor refuses a dialer whose
+    signature differs, so a registry drift between versions is an error
+    naming both digests instead of a mis-tagged message.
     """
     descr = ";".join(schema.describe() for schema in _BY_TAG)
     return hashlib.sha256(descr.encode("utf-8")).hexdigest()[:16]
@@ -343,7 +342,8 @@ class WireCodec:
 
 
 class JsonWireCodec(WireCodec):
-    """The PR 8 wire: UTF-8 JSON bodies, registry-encoded message payloads."""
+    """UTF-8 JSON bodies, registry-encoded message payloads: the binary codec's
+    kind-0 envelope and the property suite's reference — not a wire of its own."""
 
     name = "json"
 
@@ -359,7 +359,7 @@ class JsonWireCodec(WireCodec):
         return frame
 
 
-#: Shared fallback instance (codecs are stateless).
+#: Shared kind-0 envelope instance (codecs are stateless).
 _JSON_CODEC = JsonWireCodec()
 
 
@@ -437,43 +437,9 @@ class BinaryWireCodec(WireCodec):
         raise CodecError(f"unknown binary envelope kind {envelope}")
 
 
-# ------------------------------------------------------------- negotiation
-
-#: Codec names in preference order for a fast-path endpoint.
-CODEC_PREFERENCE = ("binary", "json")
-
-
 def make_codec(name: str) -> WireCodec:
     if name == "binary":
         return BinaryWireCodec()
     if name == "json":
         return JsonWireCodec()
     raise CodecError(f"unknown wire codec {name!r}")
-
-
-def offered_codecs(preference: str) -> Tuple[str, ...]:
-    """What a dialer advertises: its preference first, JSON always last."""
-    if preference == "json":
-        return ("json",)
-    return CODEC_PREFERENCE
-
-
-def select_codec(
-    offered: Optional[List[str]],
-    signature: Optional[str],
-    supported: Tuple[str, ...] = CODEC_PREFERENCE,
-) -> WireCodec:
-    """Acceptor's pick for one connection.
-
-    Binary needs three yeses: offered by the dialer, enabled on this server
-    and a matching schema signature.  Anything else — including a legacy
-    ``hello`` with no ``codecs`` at all — lands on JSON.
-    """
-    for name in offered or ["json"]:
-        if name not in supported:
-            continue
-        if name == "binary" and signature != schema_signature():
-            continue
-        if name in ("binary", "json"):
-            return make_codec(name)
-    return JsonWireCodec()

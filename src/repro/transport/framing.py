@@ -3,8 +3,8 @@
 One frame = a 4-byte big-endian unsigned length followed by that many body
 bytes.  The body is UTF-8 JSON during the connection handshake (inspectable
 with ``tcpdump``/``nc``, refuses by construction to smuggle arbitrary Python
-objects between cluster processes); after codec negotiation it is whatever
-the negotiated wire codec produces (see :mod:`repro.transport.codec_binary`).
+objects between cluster processes); after the handshake it is whatever the
+wire codec produces (see :mod:`repro.transport.codec_binary`).
 The length prefix makes message boundaries explicit on a byte stream, which
 TCP does not provide.
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, List, Optional, Union
 
 #: Frame header: one 4-byte big-endian unsigned length.
@@ -83,8 +83,8 @@ class FrameDecoder:
 
     ``raw=False`` (default) parses each body as JSON — the handshake wire
     and what the historical unit tests exercise.  ``raw=True`` returns the
-    body ``bytes`` untouched, for connections whose codec was negotiated
-    (the caller decodes).
+    body ``bytes`` untouched, for connections past their handshake (the
+    caller decodes).
 
     Internally the decoder appends into one ``bytearray`` and walks it with
     an offset cursor over a ``memoryview``; consumed prefixes are compacted
@@ -144,6 +144,8 @@ class TransportStats:
     :class:`BatchWriter`; on the way in it is one ``reader.read()`` chunk.
     ``frames_out / batches_out`` is therefore the mean frames coalesced per
     syscall — the number the write-batching layer exists to raise.
+    ``frames_dropped`` is where a torn link shows: frames handed to a writer
+    after its flush failed (or after it was closed), which went nowhere.
     """
 
     bytes_in: int = 0
@@ -152,27 +154,18 @@ class TransportStats:
     bytes_out: int = 0
     frames_out: int = 0
     batches_out: int = 0
+    frames_dropped: int = 0
 
     def note_chunk_in(self, nbytes: int) -> None:
         self.bytes_in += nbytes
         self.batches_in += 1
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "bytes_in": self.bytes_in,
-            "frames_in": self.frames_in,
-            "batches_in": self.batches_in,
-            "bytes_out": self.bytes_out,
-            "frames_out": self.frames_out,
-            "batches_out": self.batches_out,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: Dict[str, int]) -> "TransportStats":
-        return TransportStats(**{k: int(data.get(k, 0)) for k in (
-            "bytes_in", "frames_in", "batches_in",
-            "bytes_out", "frames_out", "batches_out",
-        )})
+        return TransportStats(**{f.name: int(data.get(f.name, 0)) for f in fields(TransportStats)})
 
 
 class BatchWriter:
@@ -189,6 +182,12 @@ class BatchWriter:
     ``0.0`` flushes on the next event-loop turn (minimum latency, still
     coalescing same-breath sends); a positive deadline micro-batches
     trickle traffic at the cost of that much latency.
+
+    A flush that fails (``ConnectionError``: the link is torn) closes the
+    writer: what was pending is released and counted in
+    ``stats.frames_dropped``, as is every later ``send`` — nothing is
+    buffered for a drain task that will never run again.  ``send`` does not
+    raise; what a torn link means for the run is the caller's decision.
     """
 
     def __init__(
@@ -215,6 +214,7 @@ class BatchWriter:
     def send(self, body: _Bytes) -> None:
         """Enqueue one frame for the next flush (never blocks)."""
         if self._closing:
+            self.stats.frames_dropped += 1
             return
         if len(body) > MAX_FRAME_BYTES:
             raise FramingError(f"frame of {len(body)} bytes exceeds cap {MAX_FRAME_BYTES}")
@@ -240,10 +240,11 @@ class BatchWriter:
                 await self._flush()
                 if self._closing and not self._buffer:
                     return
-        except (ConnectionError, ConnectionResetError):
-            return
-        except asyncio.CancelledError:
-            raise
+        except ConnectionError:
+            self._closing = True
+            self.stats.frames_dropped += self._pending_frames
+            self._buffer = bytearray()
+            self._pending_frames = 0
 
     async def _flush(self) -> None:
         if self._buffer:

@@ -9,9 +9,10 @@ here over real sockets, unmodified:
   lazily on first touch, exactly like the simulated store's subnets;
 * replica-to-replica protocol traffic and client invocations travel as
   length-prefixed frames (:mod:`repro.transport.framing`) whose bodies are
-  encoded by a **per-connection negotiated wire codec** — struct-packed
-  binary (:mod:`repro.transport.codec_binary`) when both ends agree on the
-  schema signature, UTF-8 JSON otherwise;
+  encoded by the one struct-packed wire codec
+  (:mod:`repro.transport.codec_binary`); the JSON ``hello`` handshake that
+  opens every connection compares the two ends' schema signatures, and a
+  mismatch is refused with both signatures in the error;
 * every connection runs a :class:`~repro.transport.framing.BatchWriter`
   (concurrent sends coalesce into one ``write()``/``drain()`` per flush)
   and a chunked read loop feeding a cursor
@@ -20,16 +21,19 @@ here over real sockets, unmodified:
 * the **client runner** (:func:`run_live_workload`) replays a seeded
   :class:`~repro.workloads.kv.KVWorkloadSpec` operation stream — the *same*
   stream a simulated run of that spec executes, because the op-mix RNG is
-  independent of the arrival model — and records client-observed
-  invocation/response wall timestamps into the columnar
-  :class:`~repro.exec.oplog.OpLog`, so live histories feed the unmodified
-  Wing–Gong linearizability checker.  (Batching delays sit strictly inside
-  the client-observed [invoke, response] interval, so the checker stays
-  sound; see DESIGN §13.)
+  independent of the arrival model — from ``spec.workers`` client processes
+  running one routine (worker ``w`` fires script operations ``w, w+N, …``),
+  and records client-observed invocation/response wall timestamps into
+  columnar :class:`~repro.exec.oplog.OpLog` s that merge, by script index,
+  into the one history the unmodified Wing–Gong linearizability checker
+  reads.  (Batching delays sit strictly inside the client-observed [invoke,
+  response] interval, so the checker stays sound; see DESIGN §13.)
 
 Failure semantics: live connections either work or the run fails loudly —
 a dropped connection, a codec error or a deadline overrun marks the
-affected operations failed and ``finished_cleanly=False``.  There is no
+affected operations failed and ``finished_cleanly=False``; a client worker
+process that raises or dies fails the run at once with its cause in
+``worker_failure`` (:mod:`repro.parallel.pool`).  There is no
 fault *injection* here: partitions, delay storms, scheduled crashes,
 coalescing and schedule perturbation are simulated-only features (they
 need a controllable clock to be reproducible).  On the wire, the paper's
@@ -44,24 +48,19 @@ import asyncio
 import contextlib
 import itertools
 import time
+from array import array
 from collections import deque
 from functools import partial
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.exec.metrics import MetricsCollector
-from repro.exec.oplog import OpLog
+from repro.exec.oplog import OpLog, encode_oplog
 from repro.registers.base import OperationKind, OperationRecord
 from repro.sim.network import NetworkStats
 from repro.sim.tracing import Tracer
 from repro.transport.base import TransportClosedError
 from repro.transport.codec import CodecError
-from repro.transport.codec_binary import (
-    CODEC_PREFERENCE,
-    WireCodec,
-    offered_codecs,
-    schema_signature,
-    select_codec,
-)
+from repro.transport.codec_binary import BinaryWireCodec, schema_signature
 from repro.transport.framing import (
     FLUSH_DEADLINE,
     BatchWriter,
@@ -102,9 +101,9 @@ class WallClock:
         self, loop: Optional[asyncio.AbstractEventLoop] = None, epoch: Optional[float] = None
     ) -> None:
         self._loop = loop if loop is not None else asyncio.get_event_loop()
-        #: Loop-time instant that reads as 0.  Loadgen workers pass a shared
-        #: parent epoch so timestamps are comparable across processes
-        #: (CLOCK_MONOTONIC is system-wide on Linux).
+        #: Loop-time instant that reads as 0.  The client processes of one
+        #: run pass the parent's epoch so timestamps are comparable across
+        #: processes (CLOCK_MONOTONIC is system-wide on Linux).
         self._epoch = self._loop.time() if epoch is None else epoch
         self.tracer = Tracer(enabled=False)
 
@@ -161,22 +160,23 @@ def _set_nodelay(writer: asyncio.StreamWriter) -> None:
 
 
 class Connection:
-    """One live socket with its negotiated codec, batcher and counters."""
+    """One live socket past its handshake, with its batcher and counters."""
 
-    __slots__ = ("reader", "writer", "codec", "stats", "batch", "label")
+    __slots__ = ("reader", "writer", "stats", "batch", "label")
+
+    #: The one wire codec (stateless, so one instance serves every connection).
+    codec = BinaryWireCodec()
 
     def __init__(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        codec: WireCodec,
         label: str,
         flush_delay: float = FLUSH_DEADLINE,
     ) -> None:
         _set_nodelay(writer)
         self.reader = reader
         self.writer = writer
-        self.codec = codec
         self.stats = TransportStats()
         self.batch = BatchWriter(writer, stats=self.stats, flush_delay=flush_delay).start()
         self.label = label
@@ -193,11 +193,28 @@ class Connection:
         return self.codec.decode(body)
 
     def snapshot(self) -> Dict[str, Any]:
-        return {"label": self.label, "codec": self.codec.name, **self.stats.as_dict()}
+        return {"label": self.label, **self.stats.as_dict()}
 
     async def aclose(self) -> None:
         await self.batch.aclose()
         self.writer.close()
+
+
+async def dial(port: int, label: str, **hello: Any) -> Connection:
+    """Connect to a replica and shake hands; a refusal raises with its reason.
+
+    The JSON ``hello`` carries this end's :func:`schema_signature`; the
+    acceptor answers ``hello_ack`` with ``ok`` and, when it refuses, a
+    ``reason`` naming both signatures.
+    """
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    write_frame(writer, {"kind": "hello", "sig": schema_signature(), **hello})
+    await writer.drain()
+    ack = await read_frame(reader)
+    if not ack or ack.get("kind") != "hello_ack" or not ack.get("ok"):
+        writer.close()
+        raise RuntimeError(f"{label}: handshake refused: {(ack or {}).get('reason', ack)}")
+    return Connection(reader, writer, label)
 
 
 # ------------------------------------------------------------- replica server
@@ -269,7 +286,6 @@ class _ReplicaServer:
         n: int,
         algorithm_name: str,
         initial_value: Any,
-        codecs: Tuple[str, ...] = CODEC_PREFERENCE,
     ) -> None:
         from repro.registers.registry import get_algorithm
 
@@ -277,13 +293,14 @@ class _ReplicaServer:
         self.n = n
         self.algorithm = get_algorithm(algorithm_name)
         self.initial_value = initial_value
-        self.codecs = tuple(codecs) if "json" in codecs else tuple(codecs) + ("json",)
         self.clock = WallClock(asyncio.get_running_loop())
         self.stats = NetworkStats()
         self.keys: Dict[Any, _KeyRuntime] = {}
         self.peer_ports: Dict[int, int] = {}
         self.peers_known = asyncio.Event()
         self.shutdown = asyncio.Event()
+        #: Why this replica stopped serving, when it was not asked to.
+        self.failure: Optional[BaseException] = None
         self._peer_queues: Dict[int, asyncio.Queue] = {}
         self._peer_conns: Dict[int, Connection] = {}
         self._accepted: List[Connection] = []
@@ -332,38 +349,19 @@ class _ReplicaServer:
         between the final ``queue.empty()`` check and the publish.
         """
         await self.peers_known.wait()
-        reader, writer = await asyncio.open_connection("127.0.0.1", self.peer_ports[dst])
-        write_frame(
-            writer,
-            {
-                "kind": "hello",
-                "role": "peer",
-                "src": self.replica_id,
-                "codecs": list(self.codecs),
-                "sig": schema_signature(),
-            },
-        )
-        await writer.drain()
-        ack = await read_frame(reader)
-        if not ack or ack.get("kind") != "hello_ack":
-            writer.close()
-            return
-        conn = Connection(
-            reader,
-            writer,
-            select_codec([ack.get("codec", "json")], schema_signature(), self.codecs),
-            label=f"peer->{dst}",
-        )
         try:
-            # Drain the pre-handshake backlog, then publish the connection:
-            # both steps run in one synchronous stretch, so FIFO order is
-            # preserved across the handoff to the direct path.
-            while not queue.empty():
-                conn.send(queue.get_nowait())
-            self._peer_conns[dst] = conn
-        except (asyncio.CancelledError, ConnectionError):
-            writer.close()
-            raise
+            conn = await dial(
+                self.peer_ports[dst], f"peer->{dst}", role="peer", src=self.replica_id
+            )
+        except (OSError, RuntimeError, FramingError) as exc:
+            # Without this link the queue would grow forever and the protocol
+            # stall in silence: stop serving, and exit with the cause.
+            self.failure = exc
+            self.shutdown.set()
+            return
+        while not queue.empty():
+            conn.send(queue.get_nowait())
+        self._peer_conns[dst] = conn
 
     # ------------------------------------------------------------ connections
 
@@ -375,17 +373,24 @@ class _ReplicaServer:
             hello = await read_frame(reader)
             if hello is None or hello.get("kind") != "hello":
                 return
-            codec = select_codec(hello.get("codecs"), hello.get("sig"), self.codecs)
-            write_frame(
-                writer,
-                {"kind": "hello_ack", "codec": codec.name, "replica": self.replica_id},
-            )
+            mine = schema_signature()
+            ack = {"kind": "hello_ack", "replica": self.replica_id, "ok": hello.get("sig") == mine}
+            if not ack["ok"]:
+                # One codec, no fallback: a dialer built from another message
+                # registry is refused, and told why.
+                ack["reason"] = (
+                    f"schema signature mismatch: dialer offers {hello.get('sig')!r}, "
+                    f"replica {self.replica_id} has {mine!r}"
+                )
+            write_frame(writer, ack)
             await writer.drain()
+            if not ack["ok"]:
+                return
             if hello.get("role") == "peer":
                 label = f"peer<-{hello.get('src', '?')}"
             else:
                 label = "client"
-            conn = Connection(reader, writer, codec, label)
+            conn = Connection(reader, writer, label)
             self._accepted.append(conn)
             if hello.get("role") == "peer":
                 await self._serve_peer(conn)
@@ -518,15 +523,12 @@ def replica_main(
     algorithm_name: str,
     initial_value: Any,
     port_queue: Any,
-    codecs: Tuple[str, ...] = CODEC_PREFERENCE,
 ) -> None:
     """Entry point of one replica server process (multiprocessing spawn)."""
     import os
 
     def serve() -> None:
-        asyncio.run(
-            _replica_async_main(replica_id, n, algorithm_name, initial_value, port_queue, codecs)
-        )
+        asyncio.run(_replica_async_main(replica_id, n, algorithm_name, initial_value, port_queue))
 
     profile_dir = os.environ.get("REPRO_LIVE_PROFILE")
     if not profile_dir:
@@ -549,9 +551,8 @@ async def _replica_async_main(
     algorithm_name: str,
     initial_value: Any,
     port_queue: Any,
-    codecs: Tuple[str, ...] = CODEC_PREFERENCE,
 ) -> None:
-    server = _ReplicaServer(replica_id, n, algorithm_name, initial_value, codecs)
+    server = _ReplicaServer(replica_id, n, algorithm_name, initial_value)
     tcp_server = await asyncio.start_server(server.handle_connection, "127.0.0.1", 0)
     port = tcp_server.sockets[0].getsockname()[1]
     port_queue.put((replica_id, port))
@@ -559,6 +560,8 @@ async def _replica_async_main(
         await server.shutdown.wait()
         # Give in-flight result frames a beat to flush before the loop dies.
         await asyncio.sleep(0.05)
+    if server.failure is not None:
+        raise server.failure
 
 
 # --------------------------------------------------------------- cluster boot
@@ -567,22 +570,14 @@ async def _replica_async_main(
 class LiveCluster:
     """Boot/teardown of one loopback replica cluster (spawned processes).
 
-    Shared by the single-client runner (:func:`run_live_workload`) and the
-    multi-process load generator (:mod:`repro.transport.loadgen`), which
-    boots one cluster here in the parent and fans client workers out at it.
+    The only process spawn under :mod:`repro.transport`: client worker
+    processes go through :mod:`repro.parallel.pool`.
     """
 
-    def __init__(
-        self,
-        n: int,
-        algorithm: str,
-        initial_value: Any,
-        server_codecs: Tuple[str, ...] = CODEC_PREFERENCE,
-    ) -> None:
+    def __init__(self, n: int, algorithm: str, initial_value: Any) -> None:
         self.n = n
         self.algorithm = algorithm
         self.initial_value = initial_value
-        self.server_codecs = tuple(server_codecs)
         self.servers: List[Any] = []
         self.ports: Dict[int, int] = {}
 
@@ -595,14 +590,7 @@ class LiveCluster:
         self.servers = [
             ctx.Process(
                 target=replica_main,
-                args=(
-                    replica,
-                    self.n,
-                    self.algorithm,
-                    self.initial_value,
-                    port_queue,
-                    self.server_codecs,
-                ),
+                args=(replica, self.n, self.algorithm, self.initial_value, port_queue),
                 daemon=True,
             )
             for replica in range(self.n)
@@ -671,22 +659,19 @@ class LiveClient:
     The connection half (``connect`` / ``wire_peers`` / ``start_readers`` /
     ``pending`` / ``drain_stats`` / ``close``) is all a caller with its own
     bookkeeping needs.  The recording half — :meth:`fire`,
-    :meth:`fire_open_loop`, :meth:`settle` — is what both in-tree drivers
-    (:func:`run_live_workload`, the load generator's workers) run on: it logs
-    every operation into ``oplog`` / ``metrics`` with client-observed wall
-    timestamps, stamping completion *when the result frame arrives*.
+    :meth:`fire_open_loop`, :meth:`settle` — is what the client routine of
+    :func:`run_live_workload` runs on: it logs every operation into ``oplog``
+    / ``metrics`` with client-observed wall timestamps, stamping completion
+    *when the result frame arrives*.
     """
 
-    def __init__(self, codec: str = "binary", epoch: Optional[float] = None) -> None:
-        self.codec_preference = codec
+    def __init__(self, epoch: Optional[float] = None) -> None:
         self.conns: Dict[int, Connection] = {}
         self.pending: Dict[int, Any] = {}
         self.stats_replies: Dict[int, Dict[str, Any]] = {}
         self._reader_tasks: List[asyncio.Task] = []
         self.oplog = OpLog()
         self.metrics = MetricsCollector(wall_clock=True)
-        #: ``"<kind> session <pid>: <reason>"`` per failed operation.
-        self.failures: List[str] = []
         #: Set by :meth:`connect`; ``epoch`` shares a time base across processes.
         self.clock: Optional[WallClock] = None
         self._epoch = epoch
@@ -696,30 +681,8 @@ class LiveClient:
 
     async def connect(self, ports: Dict[int, int]) -> None:
         self.clock = WallClock(asyncio.get_running_loop(), epoch=self._epoch)
-        offered = list(offered_codecs(self.codec_preference))
         for replica, port in sorted(ports.items()):
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            write_frame(
-                writer,
-                {
-                    "kind": "hello",
-                    "role": "client",
-                    "codecs": offered,
-                    "sig": schema_signature(),
-                },
-            )
-            await writer.drain()
-            ack = await read_frame(reader)
-            if not ack or ack.get("kind") != "hello_ack":
-                raise RuntimeError(f"replica {replica} failed the codec handshake: {ack}")
-            codec = select_codec([ack.get("codec", "json")], schema_signature(), ("binary", "json"))
-            self.conns[replica] = Connection(reader, writer, codec, f"->r{replica}")
-
-    @property
-    def codec_name(self) -> str:
-        """The negotiated codec (same on every connection of this client)."""
-        names = {conn.codec.name for conn in self.conns.values()}
-        return names.pop() if len(names) == 1 else "/".join(sorted(names))
+            self.conns[replica] = await dial(port, f"->r{replica}", role="client")
 
     async def wire_peers(self, ports: Dict[int, int]) -> None:
         """Distribute the port map; every replica must ack before ops flow."""
@@ -767,9 +730,10 @@ class LiveClient:
         Writes go to replica 0 (the writer replica, as the simulated store
         routes), everything else round-robins per key.  ``pid`` is the
         checker's notion of *who* invoked: by default the serving replica
-        (operations there are sequential per key); open-loop generators pass
-        a unique pid per operation, because their operations overlap freely
-        and the checker derives program order from equal pids.
+        (one client's operations there are sequential per key); a run with
+        several client processes passes a unique pid per operation, because
+        operations of different processes overlap freely at one replica and
+        the checker derives program order from equal pids.
         """
         if kind is OperationKind.WRITE:
             replica = 0
@@ -814,27 +778,27 @@ class LiveClient:
         reason = (frame or {}).get("error", "no response before deadline")
         self.oplog.note_failed(pending.row, reason)
         self.metrics.note_failed()
-        self.failures.append(f"{record.kind.value} session {record.pid}: {reason}")
 
     async def fire_open_loop(
-        self, schedule: Any, pid_of: Optional[Callable[[int], int]] = None
+        self,
+        schedule: Iterable[Tuple[float, Any]],
+        start: float,
+        pid_of: Callable[[Any], Optional[int]],
     ) -> List[_PendingOp]:
-        """Fire ``(offset, kind, key, value)`` arrivals on schedule, never waiting.
+        """Fire ``(at, op)`` arrivals on schedule, never waiting for a result.
 
-        Offsets are seconds from now; an arrival that is already due fires
-        at once.  ``pid_of(i)`` names the checker pid of the ``i``-th
-        operation (see :meth:`fire`).
+        ``at`` is seconds after the clock instant ``start``; an arrival that
+        is already due fires at once.  ``op`` carries ``kind`` / ``key`` /
+        ``value``; ``pid_of(op)`` names its checker pid (see :meth:`fire`).
         """
-        t0 = self.clock.now
         fired: List[_PendingOp] = []
-        for index, (offset, kind, key, value) in enumerate(schedule):
-            delay = (t0 + offset) - self.clock.now
+        for index, (at, op) in enumerate(schedule):
+            delay = (start + at) - self.clock.now
             if delay > 0:
                 await asyncio.sleep(delay)
             elif index % 16 == 0:
                 await asyncio.sleep(0)  # behind schedule: still let result frames in
-            pid = None if pid_of is None else pid_of(index)
-            fired.append(self.fire(kind, key, value, pid=pid))
+            fired.append(self.fire(op.kind, op.key, op.value, pid=pid_of(op)))
         return fired
 
     async def settle(self, fired: List[_PendingOp], timeout: float) -> bool:
@@ -862,11 +826,14 @@ class LiveClient:
             reply.get("messages_sent", 0) for reply in self.stats_replies.values()
         )
 
-    def transport_summary(self, completed: int) -> Dict[str, Any]:
-        """Metrics-snapshot section: per-connection counters + derived rates."""
-        client_rows = [
-            self.conns[replica].snapshot() for replica in sorted(self.conns)
-        ]
+    def transport_summary(
+        self, client_rows: List[Dict[str, Any]], completed: int
+    ) -> Dict[str, Any]:
+        """Metrics-snapshot section: per-connection counters + derived rates.
+
+        ``client_rows`` are the load-carrying clients' connection snapshots;
+        the replica side is what :meth:`drain_stats` collected here.
+        """
         replica_rows: Dict[str, List[Dict[str, Any]]] = {
             str(replica): reply.get("transport", [])
             for replica, reply in sorted(self.stats_replies.items())
@@ -876,7 +843,6 @@ class LiveClient:
         batches_out = sum(row["batches_out"] for row in all_rows)
         client_bytes = sum(row["bytes_in"] + row["bytes_out"] for row in client_rows)
         return {
-            "codec": self.codec_name,
             "client_connections": client_rows,
             "replica_connections": replica_rows,
             "frames_per_flush": (frames_out / batches_out) if batches_out else None,
@@ -903,25 +869,15 @@ class LiveClient:
 
 
 @contextlib.asynccontextmanager
-async def live_session(
-    replicas: int,
-    algorithm: str,
-    initial_value: Any,
-    codec: str = "binary",
-    server_codecs: Optional[Tuple[str, ...]] = None,
-):
+async def live_session(replicas: int, algorithm: str, initial_value: Any):
     """A booted loopback cluster plus a wired, reading :class:`LiveClient`.
 
     Yields ``(client, ports)``; on the way out — success or failure — the
     client sends the shutdown handshake and the replica processes are joined
     (terminated past their budget), so no path leaves a process behind.
     """
-    if server_codecs is None:
-        # With a JSON preference the *whole* cluster (replica-to-replica peer
-        # links included) speaks JSON, not just the client connections.
-        server_codecs = ("json",) if codec == "json" else CODEC_PREFERENCE
-    cluster = LiveCluster(replicas, algorithm, initial_value, server_codecs=server_codecs)
-    client = LiveClient(codec=codec)
+    cluster = LiveCluster(replicas, algorithm, initial_value)
+    client = LiveClient()
     try:
         ports = await cluster.start()
         await client.connect(ports)
@@ -935,79 +891,144 @@ async def live_session(
             await cluster.stop()
 
 
-def run_live_workload(spec: Any, server_codecs: Optional[Tuple[str, ...]] = None) -> Any:
-    """Run ``spec`` against a freshly launched loopback replica cluster.
+async def _client_routine(
+    spec: Any, worker: int, ports: Dict[int, int], epoch: float, start: float
+) -> Dict[str, Any]:
+    """One client process's share of a live run: connect, fire, settle, ship.
 
-    The operation stream is the spec's seeded stream — identical, op for
-    op, to what a simulated run of the same spec executes.  Open-loop specs
-    fire at their seeded arrival times with ``arrival_rate`` read as
-    operations per wall-clock *second*; closed-loop specs submit in batches
-    of ``batch_size`` and await each batch.  Returns the same
-    :class:`~repro.workloads.kv.KVWorkloadResult` a simulated run does, with
-    no ``store`` (the replicas live in other processes) and wall-clock
-    timings; what a live run cannot do is rejected by the spec itself.
-
-    ``spec.codec`` picks the client's wire-codec preference (``"binary"``
-    negotiates struct-packed frames, ``"json"`` forces JSON frames);
-    ``server_codecs`` restricts what the replica servers accept (tests use
-    ``("json",)`` to exercise the negotiation fallback).
+    Worker ``w`` of ``N = spec.workers`` owns script operations ``w, w+N, …``
+    of the spec's seeded stream.  Open loop, each fires at its own seeded
+    arrival time after ``start`` — one instant on the clock every worker
+    shares through ``epoch``; closed loop, the worker fires its share of each
+    ``batch_size`` window of the script and awaits it.  A deadline is
+    :data:`MIN_RUN_TIMEOUT` past the last firing it covers.  Returns the
+    columnar oplog (each row's script index riding along), the raw metric
+    samples and the connection counters, picklable.
     """
-    return asyncio.run(_run_live_async(spec, server_codecs))
+    from repro.parallel.merge import collector_raw_state
+    from repro.workloads.kv import iter_kv_arrivals, iter_kv_operations
 
+    workers = spec.workers
+    mine = itertools.islice(iter_kv_operations(spec), worker, None, workers)
 
-async def _run_live_async(spec: Any, server_codecs: Optional[Tuple[str, ...]] = None) -> Any:
-    from repro.workloads.kv import KVWorkloadResult, generate_kv_arrivals, iter_kv_operations
+    def pid_of(op: Any) -> Optional[int]:
+        # Operations of different client processes overlap at a replica, so
+        # with several each one is its own session (see LiveClient.fire).
+        return None if workers == 1 else op.index
 
-    started = time.perf_counter()
-    arrivals: List[float] = []
+    client = LiveClient(epoch=epoch)
     batches = 0
-    async with live_session(
-        spec.replication,
-        spec.algorithm,
-        spec.initial_value,
-        codec=spec.codec,
-        server_codecs=server_codecs,
-    ) as (client, _ports):
-        stream = iter_kv_operations(spec)
+    try:
+        await client.connect(ports)
+        client.start_readers()
         if spec.open_loop:
-            arrivals = generate_kv_arrivals(spec)
-            fired = await client.fire_open_loop(
-                (at, op.kind, op.key, op.value) for at, op in zip(arrivals, stream)
-            )
+            arrivals = itertools.islice(iter_kv_arrivals(spec), worker, None, workers)
+            fired = await client.fire_open_loop(zip(arrivals, mine), start, pid_of)
             await client.settle(fired, MIN_RUN_TIMEOUT)
             batches = 1
         else:
-            while True:
-                batch = list(itertools.islice(stream, spec.batch_size))
-                if not batch:
-                    break
+            for _window, ops in itertools.groupby(mine, lambda op: op.index // spec.batch_size):
                 batches += 1
-                fired = [client.fire(op.kind, op.key, op.value) for op in batch]
+                fired = [client.fire(op.kind, op.key, op.value, pid_of(op)) for op in ops]
                 if not await client.settle(fired, MIN_RUN_TIMEOUT):
                     break  # a wedged batch: fail fast, do not pile more on
+    finally:
+        await client.close(send_shutdown=False)
+    # Rows are created in firing order, and this worker fires its slice in
+    # script order: row r is script operation worker + r * workers.
+    script_index = array("q", range(worker, worker + workers * len(client.oplog), workers))
+    return {
+        "columnar": encode_oplog(client.oplog, script_index),
+        "metrics": collector_raw_state(client.metrics),
+        "transport": [
+            dict(client.conns[replica].snapshot(), worker=worker)
+            for replica in sorted(client.conns)
+        ],
+        "batches": batches,
+    }
 
-        # Drain message totals + transport counters from every replica.
-        messages_total = await client.drain_stats()
-        transport = client.transport_summary(client.metrics.completed)
 
-    snapshot = client.metrics.snapshot()
-    # The client-side collector has no attached network; the message bill
-    # comes from the replica servers' drained NetworkStats counters.
-    completed = snapshot["completed"]
-    snapshot["messages"]["total"] = messages_total
-    by_type = snapshot["messages"]["by_type"]
-    for reply in client.stats_replies.values():
-        for name, count in reply.get("by_type", {}).items():
-            by_type[name] = by_type.get(name, 0) + count
-    snapshot["messages"]["per_completed_op"] = (messages_total / completed) if completed else None
-    snapshot["transport"] = transport
+def _client_worker(job: Tuple[Any, ...]) -> Dict[str, Any]:
+    """Pool entry point: one client routine on this process's own event loop."""
+    return asyncio.run(_client_routine(*job))
+
+
+def run_live_workload(spec: Any) -> Any:
+    """Run ``spec`` against a freshly launched loopback replica cluster.
+
+    The operation stream is the spec's seeded stream — identical, op for
+    op, to what a simulated run of the same spec executes — fired by
+    ``spec.workers`` client processes running :func:`_client_routine`:
+    awaited here for one, on the spawn pool (:func:`~repro.parallel.pool.
+    run_chunked`: fail fast, liveness-polled) for more.  Open-loop specs
+    fire at their seeded arrival times with ``arrival_rate`` read as
+    operations per wall-clock *second*; closed-loop specs submit in batches
+    of ``batch_size`` and await each batch.  The workers' logs merge the way
+    the shard-parallel engine's do — row ``i`` of the result's oplog is
+    script operation ``i`` at any worker count — into the same
+    :class:`~repro.workloads.kv.KVWorkloadResult` a simulated run returns,
+    with no ``store`` (the replicas live in other processes) and wall-clock
+    timings; what a live run cannot do is rejected by the spec itself.
+    """
+    return asyncio.run(_run_live_async(spec))
+
+
+async def _run_live_async(spec: Any) -> Any:
+    # Like the spec's own module, the pool and the merge are the runner's:
+    # replica servers load this module too, and need neither.
+    from repro.parallel.merge import merge_metrics, merge_oplogs
+    from repro.parallel.pool import WorkerFailure, run_chunked
+    from repro.workloads.kv import KVWorkloadResult, generate_kv_arrivals
+
+    loop = asyncio.get_running_loop()
+    started = time.perf_counter()
+    parts: List[Dict[str, Any]] = []
+    failure: Optional[str] = None
+    async with live_session(spec.replication, spec.algorithm, spec.initial_value) as (
+        control,
+        ports,
+    ):
+        # Spawned workers need about what the replicas just needed (a fresh
+        # interpreter, the imports, a connect) before they can fire: the
+        # shared schedule starts twice that long from now.  A worker that is
+        # later still fires what is already due at once.
+        start = 0.0 if spec.workers == 1 else 2.0 * (time.perf_counter() - started)
+        epoch = loop.time()
+        jobs = [(spec, worker, ports, epoch, start) for worker in range(spec.workers)]
+        if spec.workers == 1:
+            parts = [await _client_routine(*jobs[0])]
+        else:
+            try:
+                parts = await loop.run_in_executor(
+                    None, run_chunked, _client_worker, jobs, spec.workers
+                )
+            except WorkerFailure as exc:
+                failure = str(exc)
+        # The message bill and the replica-side transport counters are the
+        # replica servers' own, drained over the control connections.
+        stats = NetworkStats(messages_sent=await control.drain_stats())
+        for reply in control.stats_replies.values():
+            for name, count in reply.get("by_type", {}).items():
+                stats.by_type[name] = stats.by_type.get(name, 0) + count
+
+    oplog, ipc_bytes = merge_oplogs([part["columnar"] for part in parts])
+    metrics = merge_metrics([part["metrics"] for part in parts], stats)
+    # The pooled window is wall time (shared-epoch stamps): its rate is the
+    # achieved wall rate, and a virtual-time number would be meaningless.
+    metrics["wall_throughput"] = metrics["virtual_throughput"]
+    metrics["virtual_throughput"] = None
+    metrics["transport"] = control.transport_summary(
+        [row for part in parts for row in part["transport"]], metrics["completed"]
+    )
     return KVWorkloadResult(
         spec=spec,
-        oplog=client.oplog,
-        ops=client.oplog.ops_view(),
+        oplog=oplog,
+        ops=oplog.ops_view(),
         wall_seconds=time.perf_counter() - started,
-        metrics=snapshot,
-        batches=batches,
-        arrivals=arrivals,
-        finished_cleanly=snapshot["failed"] == 0,
+        metrics=metrics,
+        batches=max((part["batches"] for part in parts), default=0),
+        arrivals=generate_kv_arrivals(spec) if spec.open_loop and parts else [],
+        finished_cleanly=failure is None and metrics["failed"] == 0,
+        worker_failure=failure,
+        ipc_bytes=ipc_bytes if spec.workers > 1 else 0,
     )

@@ -28,6 +28,7 @@ from repro.exec.oplog import OpLog
 from repro.exec.target import OpRequest
 from repro.faults.plan import FaultPlan
 from repro.registers.base import OperationKind
+from repro.registers.registry import available_algorithms
 from repro.sim.delays import DelayModel, FixedDelay
 from repro.sim.rng import make_rng
 from repro.store.store import KVStore, StoreConfig, StoreOp
@@ -107,12 +108,21 @@ class KVWorkloadSpec:
         Master seed for key choice, op mix, arrival times and think
         randomness.
     workers:
-        Shard-parallel worker processes (:mod:`repro.parallel`).  ``1``
-        (default) runs the classic single-process path; ``N > 1`` partitions
-        the shards into ``N`` disjoint groups, runs each group's subnets in
-        its own process and merges the results — per-key histories, checker
-        verdicts and metrics are bit-identical to the serial run (the
-        differential suite in ``tests/parallel/`` enforces it).
+        Worker processes (:mod:`repro.parallel`); row ``i`` of the result's
+        oplog is script operation ``i`` at any count.  On the simulator,
+        ``N > 1`` partitions the shards into ``N`` disjoint groups, runs each
+        group's subnets in its own process and merges the results — per-key
+        histories, checker verdicts and metrics are bit-identical to the
+        serial run (the differential suite in ``tests/parallel/`` enforces
+        it).  On the live transport they are ``N`` *client* processes against
+        the one replica cluster: worker ``w`` fires script operations ``w,
+        w+N, …`` — the same stream and the same message bill, on a schedule
+        the operating system decides.
+    slo_p99:
+        Optional p99 latency limit on the clock that timed the run (wall
+        seconds live, virtual time units on the simulator): ``verify()``
+        fails a run whose p99 over all completed operations exceeds it.
+        ``None`` (default) reports the percentile without gating on it.
     max_events:
         Per-process event-count safety valve (``None`` = auto: the simulator
         default, scaled up for runs large enough to legitimately exceed it).
@@ -154,28 +164,25 @@ class KVWorkloadSpec:
     max_events: Optional[int] = None
     #: Which backend executes the run: ``"sim"`` (virtual-time simulator,
     #: default — deterministic, supports faults/perturbation/coalescing) or
-    #: ``"live"`` (asyncio TCP loopback cluster; wall-clock time, with
-    #: ``arrival_rate`` read as operations per *second*).  The seeded
-    #: operation stream is identical on both — only timing differs.
+    #: ``"live"`` (asyncio TCP loopback cluster, one wire codec; wall-clock
+    #: time, with ``arrival_rate`` read as operations per *second*).  The
+    #: seeded operation stream is identical on both — only timing differs.
     transport: str = "sim"
-    #: Live-transport wire codec preference: ``"binary"`` (default) negotiates
-    #: struct-packed frames per connection, falling back to JSON when the
-    #: server declines; ``"json"`` makes the whole cluster speak the fallback's
-    #: JSON frames.  Rejected on the simulator, which never serializes.
-    codec: str = "binary"
+    slo_p99: Optional[float] = None
 
     def __post_init__(self) -> None:
         # The store config's own validation (transport name, per-shard
         # algorithm count, workers >= 1) and the geometry, on either backend.
         self.store_config().shard_map()
-        if self.codec not in ("binary", "json"):
-            raise ValueError(f"unknown wire codec {self.codec!r}; choose binary or json")
+        known = available_algorithms()
+        for name in self.shard_algorithms or (self.algorithm,):
+            if name not in known:
+                raise ValueError(f"unknown algorithm {name!r}; choose from {known}")
         if self.transport == "live":
             # The one list of what the live backend rejects (the CLI and the
-            # runners defer to it): a live run is a single client taking the
-            # wire as-is, one algorithm per cluster.
+            # runners defer to it): a live run takes the wire as-is, one
+            # algorithm per cluster.
             for given, what in (
-                (self.workers != 1, f"workers={self.workers}"),
                 (self.crash_points, "crash_points"),
                 (self.fault_plan is not None, "fault plans"),
                 (not self.coalesce, "coalesce=False"),
@@ -183,14 +190,11 @@ class KVWorkloadSpec:
             ):
                 if given:
                     raise ValueError(
-                        f"{what}: simulated-only; live runs are single-client and "
-                        "take the wire as-is (see `repro transports`)"
+                        f"{what}: simulated-only; live runs take the wire as-is, "
+                        "one algorithm per cluster (see `repro transports`)"
                     )
-        elif self.codec != "binary":
-            raise ValueError(
-                "codec selects the live wire format; the simulated transport has "
-                "no wire (see `repro transports`)"
-            )
+        if self.slo_p99 is not None and self.slo_p99 <= 0:
+            raise ValueError(f"slo_p99 must be positive, got {self.slo_p99}")
         if self.num_keys < 1:
             raise ValueError("keyed workloads need at least one key")
         if self.num_ops < 0:
@@ -413,8 +417,8 @@ class RunVerdict:
 class KVWorkloadResult:
     """Everything a keyed store run produced — on every backend.
 
-    Serial simulation, shard-parallel workers, the live loopback cluster and
-    the multi-process load generator all hand back this shape; they differ
+    Serial simulation, shard-parallel workers and the live loopback cluster
+    (one client process or several) all hand back this shape; they differ
     only in which optional fields they fill.  The run's record is ``oplog``
     (``ops`` views it); ``store`` is present exactly where the replicas live
     in this process (a :class:`~repro.store.store.KVStore`, or the read-only
@@ -443,12 +447,12 @@ class KVWorkloadResult:
     #: with a reason (crashed replica) still count as a clean finish; they
     #: are reported via ``failed_ops`` instead.  Never silently truncate.
     finished_cleanly: bool = True
-    #: Shard-parallel runs only: when a worker process raised, the run fails
-    #: fast (``finished_cleanly=False``) and this carries the worker's
-    #: traceback.  ``None`` otherwise.
+    #: ``workers > 1`` only: when a worker process raised or died, the run
+    #: fails fast (``finished_cleanly=False``) and this carries the cause (the
+    #: worker's traceback when it reported one).  ``None`` otherwise.
     worker_failure: Optional[str] = None
-    #: Shard-parallel runs only: total worker→parent result-payload bytes
-    #: (pickle blob + out-of-band column buffers).
+    #: ``workers > 1`` only: total worker→parent result-payload bytes (pickle
+    #: blob + out-of-band column buffers).
     ipc_bytes: int = 0
     #: Register runs (:func:`~repro.workloads.runner.run_workload`) only: the
     #: two-bit lemma monitor when the spec asked for one, and an isolated-mode
@@ -512,7 +516,8 @@ class KVWorkloadResult:
         ]
 
     def verify(self) -> RunVerdict:
-        """Judge the run: clean finish, every key linearizable, invariants intact.
+        """Judge the run: clean finish, every key linearizable, invariants
+        intact, the spec's p99 limit (if any) met.
 
         The per-key check is :meth:`check_linearizability` with its defaults —
         the call ``store.check_linearizability()`` makes; the consensus
@@ -537,6 +542,11 @@ class KVWorkloadResult:
         failures.extend(invariants or ())
         if self.monitor is not None:
             failures.extend(self.monitor.report.violations)
+        slo = getattr(self.spec, "slo_p99", None)  # a register spec has none
+        latency = self.metrics["latency"]["all"]
+        if slo is not None and latency is not None and latency["p99"] > slo:
+            unit = "s" if self.virtual_makespan is None else "virtual time units"
+            failures.append(f"p99 {latency['p99']:.6g} {unit} misses the {slo:.6g} {unit} SLO")
         return RunVerdict(report=report, invariants=invariants, failures=failures)
 
     def summary(self, verdict: Optional[RunVerdict] = None) -> Dict[str, Any]:
@@ -695,12 +705,14 @@ def run_kv_workload(spec: KVWorkloadSpec) -> KVWorkloadResult:
     ``spec.arrival_rate`` and one drive call runs the loop until every
     arrival has fired and completed.
 
-    ``spec.workers > 1`` dispatches to the shard-parallel engine
-    (:func:`repro.parallel.engine.run_kv_workload_parallel`) and
-    ``spec.transport == "live"`` to the loopback socket cluster
-    (:func:`repro.transport.live.run_live_workload`); both return the same
-    :class:`KVWorkloadResult` — same seeded operation stream, with a merged
-    read-only store, or no store and wall-clock timings, respectively.
+    ``spec.transport == "live"`` dispatches to the loopback socket cluster
+    (:func:`repro.transport.live.run_live_workload`, ``spec.workers`` client
+    processes) and ``spec.workers > 1`` on the simulator to the
+    shard-parallel engine
+    (:func:`repro.parallel.engine.run_kv_workload_parallel`); both return the
+    same :class:`KVWorkloadResult` — same seeded operation stream, row ``i``
+    script operation ``i`` — with no store and wall-clock timings, or a merged
+    read-only store, respectively.
     """
     if spec.transport == "live":
         from repro.transport.live import run_live_workload

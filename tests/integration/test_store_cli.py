@@ -93,14 +93,25 @@ class TestLiveTransportCli:
         assert "wall-clock seconds" in out
         assert "per-key linearizable" in out and "yes" in out
 
+    def test_live_workers_are_client_processes_and_the_p99_gate_is_exit_1(self, capsys):
+        code = main(
+            ["store", "--transport", "live", "--workers", "2", "--ops", "60", "--keys", "4",
+             "--arrival", "poisson", "--rate", "300", "--slo-p99", "1e-9"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1  # every key linearizable; only the (absurd) SLO is missed
+        assert "store run failures:" in captured.err and "misses the" in captured.err
+        assert "worker processes" in captured.out and "worker->parent transfer" in captured.out
+        assert "client 0" in captured.out and "client 1" in captured.out
+        assert "per-key linearizable" in captured.out and "yes" in captured.out
+
     def test_replicas_flag_aliases_replication_on_sim_backend(self, capsys):
         assert main(["store", "--ops", "40", "--keys", "4", "--replicas", "5"]) == 0
         out = capsys.readouterr().out
         assert "/ 5" in out  # keys / shards / replication row
 
     def test_sim_only_flags_rejected_on_live(self, capsys):
-        for flag in (["--crashes", "1"], ["--no-coalesce"], ["--workers", "2"],
-                     ["--algorithms", "abd,two-bit"]):
+        for flag in (["--crashes", "1"], ["--no-coalesce"], ["--algorithms", "abd,two-bit"]):
             code = main(["store", "--transport", "live", "--ops", "10"] + flag)
             assert code == 2
             assert "simulated-only" in capsys.readouterr().err
@@ -111,19 +122,19 @@ LIVE = ["--transport", "live"]
 #: argv -> a fragment of the ValueError the *spec* (or the flag's own check)
 #: raises.  Every keyed command funnels these through one exit-2 path.
 INVALID_PARAMETERS = [
-    (["store", *LIVE, "--workers", "2"], "workers=2: simulated-only"),
     (["store", *LIVE, "--crashes", "1"], "crash_points: simulated-only"),
     (["store", *LIVE, "--no-coalesce"], "coalesce=False: simulated-only"),
     (["store", *LIVE, "--algorithms", "abd,two-bit"], "shard_algorithms: simulated-only"),
-    (["store", "--codec", "json"], "the simulated transport has no wire"),
+    (["store", *LIVE, "--workers", "0"], "workers must be >= 1"),
+    (["store", *LIVE, "--replicas", "1"], "replication must be >= 2"),
+    (["store", *LIVE, "--arrival", "poisson", "--rate", "0"], "positive arrival_rate"),
+    (["store", "--slo-p99", "0"], "slo_p99 must be positive"),
     (["store", "--crashes", "-1"], "--crashes must be non-negative, got -1"),
     (["store", "--replication", "1"], "replication must be >= 2"),
     (["store", "--workers", "0"], "workers must be >= 1"),
-    (["consensus", *LIVE, "--workers", "2"], "workers=2: simulated-only"),
+    (["consensus", "--algorithm", "raft"], "unknown algorithm 'raft'"),
     (["consensus", "--keys", "0"], "at least one key"),
     (["chaos", "--quick", "--seeds", "0"], "--seeds must be at least 1, got 0"),
-    (["loadgen", "--replicas", "1"], "at least 2 replicas"),
-    (["loadgen", "--clients", "0"], "at least 1 client"),
 ]
 
 
@@ -138,19 +149,31 @@ class TestExitCodeContract:
         assert captured.err.startswith(f"invalid {argv[0]} parameters: ")
         assert fragment in captured.err
 
-    def test_bench_is_not_a_command(self, capsys):
-        """The performance benchmark is ``python -m benchmarks.e2e``, not a subcommand."""
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # The performance benchmark is ``python -m benchmarks.e2e``.
+            ["bench", "--quick"],
+            # ``store --transport live --workers N --arrival poisson [--slo-p99 S]``.
+            ["loadgen", "--clients", "2"],
+            # One wire codec: nothing to select.
+            ["store", "--codec", "json"],
+        ],
+        ids=" ".join,
+    )
+    def test_removed_commands_and_flags_are_argparse_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as raised:
-            main(["bench", "--quick"])
+            main(argv)
         assert raised.value.code == 2
-        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{argv[0]}'" in err or "unrecognized arguments: --codec" in err
 
     def test_the_message_is_the_spec_errors_text_verbatim(self, capsys):
         from repro.workloads.scenarios import kv_uniform
 
         with pytest.raises(ValueError) as raised:
-            kv_uniform().with_(transport="live", workers=2)
-        assert main(["store", *LIVE, "--workers", "2"]) == 2
+            kv_uniform().with_(transport="live", coalesce=False)
+        assert main(["store", *LIVE, "--no-coalesce"]) == 2
         assert capsys.readouterr().err == f"invalid store parameters: {raised.value}\n"
 
     def test_failed_verdict_exits_1_through_the_shared_tail(self, capsys, monkeypatch):

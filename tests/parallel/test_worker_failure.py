@@ -20,6 +20,16 @@ def _square(value):
     return value * value
 
 
+def _die_or_dawdle(value):
+    """Item 1's worker vanishes without a word; item 0's is merely slow."""
+    import os
+
+    if value == 1:
+        os._exit(3)
+    time.sleep(30.0)
+    return value
+
+
 class TestPoisonedStoreRun:
     def test_run_fails_fast_with_surfaced_traceback(self, monkeypatch):
         monkeypatch.setenv(POISON_ENV, "injected-by-test")
@@ -68,3 +78,11 @@ class TestPoisonedPool:
 
     def test_round_trip_preserves_input_order(self):
         assert run_chunked(_square, list(range(7)), 3) == [v * v for v in range(7)]
+
+    def test_a_dead_worker_does_not_wait_behind_a_slower_one(self):
+        """Results used to be read in pool order: worker 1's death was noticed
+        only once worker 0 had finished (here: 30 s later)."""
+        started = time.monotonic()
+        with pytest.raises(WorkerFailure, match="repro-pool-1.*exitcode=3"):
+            run_chunked(_die_or_dawdle, [0, 1], 2)
+        assert time.monotonic() - started < 10.0

@@ -20,12 +20,9 @@ from repro.transport.codec import _REGISTRY, CodecError, registered_type_names
 from repro.transport.codec_binary import (
     _E_JSON,
     BinaryWireCodec,
-    CODEC_PREFERENCE,
     JsonWireCodec,
     make_codec,
-    offered_codecs,
     schema_signature,
-    select_codec,
 )
 
 BINARY = BinaryWireCodec()
@@ -287,31 +284,12 @@ class TestDecodeStrictness:
             BINARY.decode(body)
 
 
-class TestNegotiation:
+class TestSignatureAndFactory:
     def test_signature_is_stable_and_short(self):
         sig = schema_signature()
         assert sig == schema_signature()
         assert len(sig) == 16
         int(sig, 16)  # hex digest prefix
-
-    def test_binary_needs_three_yeses(self):
-        sig = schema_signature()
-        assert select_codec(["binary", "json"], sig).name == "binary"
-        # Dialer did not offer binary:
-        assert select_codec(["json"], sig).name == "json"
-        # Signature skew (version drift) degrades to JSON:
-        assert select_codec(["binary", "json"], "0" * 16).name == "json"
-        # Server disabled binary:
-        assert select_codec(["binary", "json"], sig, supported=("json",)).name == "json"
-        # Legacy hello with no codec list at all:
-        assert select_codec(None, None).name == "json"
-        assert select_codec([], None).name == "json"
-        # Unknown codec names are skipped, not fatal:
-        assert select_codec(["zstd", "binary"], sig).name == "binary"
-
-    def test_offered_codecs(self):
-        assert offered_codecs("json") == ("json",)
-        assert offered_codecs("binary") == CODEC_PREFERENCE
 
     def test_make_codec(self):
         assert make_codec("binary").name == "binary"

@@ -204,16 +204,51 @@ class TestBatchWriter:
             writer.send(b"before")
             await writer.aclose()
             writer.send(b"after")
-            return fake
+            return fake, writer
 
-        fake = asyncio.run(scenario())
+        fake, writer = asyncio.run(scenario())
         assert self._decode_all(fake.writes) == [b"before"]
+        assert writer.stats.frames_out == 1 and writer.stats.frames_dropped == 1
+
+    def test_a_torn_flush_closes_the_writer(self):
+        """Regression: ``_run`` used to return on ``ConnectionError`` without
+        closing the writer, so every later ``send`` grew a buffer that nothing
+        would ever drain.  A real socket pair; the peer closes mid-stream."""
+
+        async def scenario():
+            async def hang_up(reader, peer):
+                await reader.read(1)
+                peer.close()
+
+            server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            _reader, stream = await asyncio.open_connection("127.0.0.1", port)
+            writer = BatchWriter(stream).start()
+            sent = 0
+            async with server:
+                while not writer.stats.frames_dropped:  # until a flush met the torn link
+                    writer.send(b"x" * 1024)
+                    sent += 1
+                    await asyncio.sleep(0)
+                for _ in range(10_000):
+                    writer.send(b"x" * 1024)
+                sent += 10_000
+                pending = writer.pending_bytes
+                await writer.aclose()  # the drain task is gone: returns at once
+                stream.close()
+            return writer.stats, sent, pending
+
+        stats, sent, pending = asyncio.run(asyncio.wait_for(scenario(), timeout=20.0))
+        assert pending == 0
+        assert stats.frames_dropped >= 10_000
+        assert stats.frames_out + stats.frames_dropped == sent
 
 
 class TestTransportStats:
     def test_dict_roundtrip(self):
         stats = TransportStats(bytes_in=10, frames_in=2, batches_in=1,
-                               bytes_out=30, frames_out=4, batches_out=2)
+                               bytes_out=30, frames_out=4, batches_out=2, frames_dropped=3)
+        assert stats.as_dict()["frames_dropped"] == 3
         assert TransportStats.from_dict(stats.as_dict()) == stats
 
     def test_from_dict_tolerates_missing_keys(self):

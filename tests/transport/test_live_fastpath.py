@@ -1,102 +1,120 @@
-"""Live fast-path integration: negotiation fallback, cross-codec equivalence.
+"""Live wire integration: the handshake's refusal, transport stats, consensus bills.
 
 These tests spawn real replica processes on loopback (slow, seconds each).
-They pin the two protocol-level guarantees of the binary fast path:
+They pin what the one-codec wire promises:
 
-* codec choice is **negotiated per connection** — a binary-preferring
-  client against a JSON-only cluster degrades to JSON frames and still
-  completes operations;
-* the codec is an **encoding, not a protocol change** — the same seeded
-  spec run with JSON frames and with binary frames (one coalescing writer
-  either way) executes the identical operation set, exchanges the identical
-  number of protocol messages, and passes the unmodified per-key Wing–Gong
-  checker on both.
+* the JSON ``hello`` handshake compares schema signatures and **refuses** a
+  mismatch — the error names both signatures, the server keeps serving, and
+  a replica whose own peer dial is refused exits loudly instead of queueing
+  for a link that will never come up (there is no second codec to fall back
+  to; frame-for-frame JSON / binary equivalence is property-tested in
+  ``test_codec_binary.py``);
+* per-connection transport counters ride the metrics snapshot;
+* the same seeded consensus stream decides identically on both backends.
 """
 
 import asyncio
 from collections import Counter
 from types import SimpleNamespace
 
+import pytest
+
+from repro.transport.codec_binary import schema_signature
+from repro.transport.framing import read_frame, write_frame
 from repro.transport.live import LiveClient, LiveCluster
 from repro.workloads.kv import run_kv_workload
 from repro.workloads.scenarios import kv_uniform
 
 
-async def _negotiated_write(server_codecs, client_pref):
-    """Boot a cluster, connect one client, do one write; return outcomes."""
-    cluster = LiveCluster(3, "abd-mwmr", "v0", server_codecs=server_codecs)
+async def _hello(port, **hello):
+    """Dial ``port`` by hand; returns the acceptor's ``hello_ack``."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
-        ports = await cluster.start()
-        client = LiveClient(codec=client_pref)
-        try:
-            await client.connect(ports)
-            await client.wire_peers(ports)
-            client.start_readers()
-            future = asyncio.get_running_loop().create_future()
-            client.pending[1] = SimpleNamespace(future=future)
-            client.conns[0].send(
-                {"kind": "invoke", "op_id": 1, "op": "write", "key": "k", "value": "x1"}
-            )
-            frame = await asyncio.wait_for(future, timeout=20.0)
-            return client.codec_name, frame
-        finally:
-            await client.close(send_shutdown=True)
+        write_frame(writer, {"kind": "hello", "role": "client", **hello})
+        await writer.drain()
+        return await asyncio.wait_for(read_frame(reader), timeout=10.0)
     finally:
-        await cluster.stop()
+        writer.close()
 
 
-class TestCodecNegotiation:
-    def test_binary_client_falls_back_against_json_only_server(self):
-        codec, frame = asyncio.run(_negotiated_write(("json",), "binary"))
-        assert codec == "json"  # degraded, not broken
+async def _one_write(client):
+    future = asyncio.get_running_loop().create_future()
+    client.pending[1] = SimpleNamespace(future=future)
+    client.conns[0].send({"kind": "invoke", "op_id": 1, "op": "write", "key": "k", "value": "x1"})
+    return await asyncio.wait_for(future, timeout=20.0)
+
+
+class TestHandshakeRefusal:
+    def test_a_wrong_or_missing_signature_is_refused_and_the_server_survives(self, monkeypatch):
+        from repro.transport import live
+
+        async def scenario():
+            cluster = LiveCluster(3, "abd-mwmr", "v0")
+            try:
+                ports = await cluster.start()
+                acks = [await _hello(ports[0], sig="0" * 16), await _hello(ports[0])]
+                # LiveClient.connect, against a server built from another registry.
+                monkeypatch.setattr(live, "schema_signature", lambda: "f" * 16)
+                with pytest.raises(RuntimeError) as refused:
+                    await LiveClient().connect(ports)
+                monkeypatch.undo()
+                client = LiveClient()  # the next, correct dialer is served
+                try:
+                    await client.connect(ports)
+                    await client.wire_peers(ports)
+                    client.start_readers()
+                    frame = await _one_write(client)
+                finally:
+                    await client.close(send_shutdown=True)
+                return acks, str(refused.value), frame
+            finally:
+                await cluster.stop()
+
+        acks, refused, frame = asyncio.run(scenario())
+        mine = schema_signature()
+        for ack, offered in zip(acks, ("0" * 16, None)):
+            assert ack["kind"] == "hello_ack" and ack["ok"] is False
+            assert repr(offered) in ack["reason"] and repr(mine) in ack["reason"]
+        assert "handshake refused" in refused
+        assert repr("f" * 16) in refused and repr(mine) in refused
         assert frame["ok"] is True
 
-    def test_binary_client_gets_binary_against_fastpath_server(self):
-        codec, frame = asyncio.run(_negotiated_write(("binary", "json"), "binary"))
-        assert codec == "binary"
-        assert frame["ok"] is True
+    def test_a_refused_peer_dial_fails_the_replica_loudly(self):
+        """Replica 0 is told its peers live at a port that refuses every
+        ``hello``: its first protocol send must end the process with a
+        non-zero status, not park messages in a queue nothing drains."""
+
+        async def refuse(reader, writer):
+            await read_frame(reader)
+            write_frame(writer, {"kind": "hello_ack", "ok": False, "reason": "not your peer"})
+            await writer.drain()
+            writer.close()
+
+        async def scenario():
+            refuser = await asyncio.start_server(refuse, "127.0.0.1", 0)
+            bad_port = refuser.sockets[0].getsockname()[1]
+            cluster = LiveCluster(3, "abd-mwmr", "v0")
+            try:
+                ports = await cluster.start()
+                client = LiveClient()
+                await client.connect(ports)
+                async with refuser:
+                    await client.wire_peers({0: ports[0], 1: bad_port, 2: bad_port})
+                    client.conns[0].send(
+                        {"kind": "invoke", "op_id": 1, "op": "write", "key": "k", "value": "x"}
+                    )
+                    loop = asyncio.get_running_loop()
+                    await loop.run_in_executor(None, cluster.servers[0].join, 15.0)
+                exitcode = cluster.servers[0].exitcode
+                await client.close(send_shutdown=True)
+                return exitcode
+            finally:
+                await cluster.stop()
+
+        assert asyncio.run(scenario()) == 1  # an uncaught RuntimeError, traceback on stderr
 
 
-class TestCrossCodecEquivalence:
-    def test_json_and_binary_runs_match_op_stream_and_verdict(self):
-        """JSON frames vs binary frames: same ops, same message bill, both clean."""
-        spec = kv_uniform(num_keys=4, num_ops=40, replication=3, seed=23).with_(
-            transport="live"
-        )
-        json_result = run_kv_workload(spec.with_(codec="json"))
-        binary_result = run_kv_workload(spec)
-
-        def op_stream(result):
-            ops = Counter()
-            for key, history in result.histories().items():
-                for record in history.operations:
-                    value = record.value if record.is_write else None
-                    ops[(key, record.is_write, value)] += 1
-            return ops
-
-        for result in (json_result, binary_result):
-            assert result.finished_cleanly
-            assert result.completed == 40 and result.failed == 0
-            assert result.check_linearizability().ok
-
-        assert op_stream(json_result) == op_stream(binary_result)
-        # Theorem-2 message counts are codec-independent: the wire encodes
-        # the same protocol messages, it never adds or removes any.
-        assert json_result.total_messages() == binary_result.total_messages()
-
-        json_transport = json_result.metrics["transport"]
-        binary_transport = binary_result.metrics["transport"]
-        assert json_transport["codec"] == "json"
-        assert binary_transport["codec"] == "binary"
-        # The binary codec must actually be leaner on the wire, and both
-        # codecs ride the one writer: more than one frame per flush.
-        assert (
-            binary_transport["client_bytes_per_op"]
-            < json_transport["client_bytes_per_op"]
-        )
-        assert binary_transport["frames_per_flush"] > 1.0
-        assert json_transport["frames_per_flush"] > 1.0
-
+class TestLiveMetricsSnapshot:
     def test_transport_stats_land_in_the_metrics_snapshot(self):
         """Observability: per-connection counters ride the metrics dict."""
         spec = kv_uniform(num_keys=4, num_ops=30, replication=3, seed=5).with_(
@@ -108,7 +126,7 @@ class TestCrossCodecEquivalence:
         assert len(client_rows) == 3  # one connection per replica
         for row in client_rows:
             for field in ("bytes_in", "bytes_out", "frames_in", "frames_out",
-                          "batches_in", "batches_out", "label", "codec"):
+                          "batches_in", "batches_out", "frames_dropped", "label", "worker"):
                 assert field in row
             assert row["bytes_out"] > 0 and row["frames_out"] > 0
         replica_rows = transport["replica_connections"]

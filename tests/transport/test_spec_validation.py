@@ -20,9 +20,9 @@ class TestSpecTransportField:
         spec = kv_uniform(num_keys=4, num_ops=10).with_(transport="live")
         assert spec.store_config().transport == "live"
 
-    def test_live_rejects_parallel_workers(self):
-        with pytest.raises(ValueError, match="single-client"):
-            kv_uniform(num_keys=4, num_ops=10).with_(transport="live", workers=4)
+    def test_live_takes_workers_as_client_processes(self):
+        spec = kv_uniform(num_keys=4, num_ops=10).with_(transport="live", workers=4)
+        assert spec.store_config().workers == 4
 
     def test_live_rejects_the_other_sim_only_knobs(self):
         # The spec is the one place that decides what the live backend
@@ -35,9 +35,23 @@ class TestSpecTransportField:
             with pytest.raises(ValueError, match="simulated-only"):
                 base.with_(transport="live", **changes)
 
-    def test_wire_options_rejected_on_the_simulator(self):
-        with pytest.raises(ValueError, match="has no wire"):
-            kv_uniform(num_keys=4, num_ops=10).with_(codec="json")
+    def test_there_is_no_wire_codec_to_choose(self):
+        with pytest.raises(TypeError, match="codec"):
+            kv_uniform(num_keys=4, num_ops=10).with_(transport="live", codec="json")
+
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            (dict(algorithm="raft"), "unknown algorithm 'raft'"),
+            (dict(num_shards=2, shard_algorithms=("abd", "paxos")), "unknown algorithm 'paxos'"),
+            (dict(arrival="poisson"), "positive arrival_rate"),
+            (dict(slo_p99=0.0), "slo_p99 must be positive"),
+        ],
+    )
+    def test_what_a_load_run_needs_is_checked_on_either_backend(self, changes, match):
+        for transport in ("sim", "live"):
+            with pytest.raises(ValueError, match=match):
+                kv_uniform(num_keys=4, num_ops=10).with_(transport=transport, **changes)
 
     def test_live_rejects_crash_points(self):
         from repro.workloads.kv import CrashPoint

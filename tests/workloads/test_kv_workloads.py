@@ -139,7 +139,7 @@ class TestRunner:
 
 # ------------------------------------------------------ the one result contract
 
-BACKENDS = ("sim-serial", "sim-workers-2", "live", "loadgen")
+BACKENDS = ("sim-serial", "sim-workers-2", "live", "live-workers-2")
 
 SUMMARY_KEYS = {
     "algorithm", "checked_against", "clock", "submitted", "completed", "failed",
@@ -150,26 +150,38 @@ SUMMARY_KEYS = {
 }
 
 
-def _run_backend(backend):
-    from repro.transport.loadgen import LoadgenSpec, run_loadgen
+SPEC = kv_uniform(num_keys=4, num_ops=40, replication=3, seed=5)
 
-    if backend == "loadgen":
-        return run_loadgen(
-            LoadgenSpec(
-                clients=2, rate=400.0, num_ops=40, num_keys=4, replicas=3, seed=5, timeout=60.0
-            )
-        )
-    spec = kv_uniform(num_keys=4, num_ops=40, replication=3, seed=5)
-    changes = {"sim-serial": {}, "sim-workers-2": {"workers": 2}, "live": {"transport": "live"}}
-    return run_kv_workload(spec.with_(**changes[backend]))
+
+@pytest.fixture(scope="module")
+def runs():
+    """Each backend's run of the one spec, made on first use."""
+    cache = {}
+
+    def run(backend):
+        if backend not in cache:
+            transport, workers = {
+                "sim-serial": ("sim", 1),
+                "sim-workers-2": ("sim", 2),
+                "live": ("live", 1),
+                "live-workers-2": ("live", 2),
+            }[backend]
+            cache[backend] = run_kv_workload(SPEC.with_(transport=transport, workers=workers))
+        return cache[backend]
+
+    return run
 
 
 class TestOneResultOneVerdict:
-    """Serial sim, shard-parallel, live loopback, loadgen: one shape, one verdict."""
+    """{sim, live} x {one process, two}: one spec, one shape, one verdict."""
 
     @pytest.fixture(scope="class", params=BACKENDS)
-    def result(self, request):
-        return _run_backend(request.param)
+    def result(self, request, runs):
+        return runs(request.param)
+
+    def test_row_i_is_script_operation_i(self, result):
+        script = [(op.kind, op.key, op.value) for op in generate_kv_operations(SPEC)]
+        assert [(op.kind, op.key, op.value) for op in result.ops] == script
 
     def test_same_result_type_and_accessors(self, result):
         from repro.exec.oplog import OpLog
@@ -225,3 +237,9 @@ class TestOneResultOneVerdict:
         captured = capsys.readouterr()
         assert captured.out == "table\n"
         assert "store run failures:" in captured.err and repr(op.key) in captured.err
+
+
+def test_the_live_message_bill_does_not_depend_on_the_worker_count(runs):
+    # Not compared with the simulator's: that run stops at the last
+    # completion, one ABD message short of what the replicas go on to send.
+    assert runs("live").total_messages() == runs("live-workers-2").total_messages()
