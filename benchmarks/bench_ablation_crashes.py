@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.faults import CrashPoint
 from repro.sim.delays import UniformDelay
-from repro.sim.failures import CrashSchedule
 from repro.workloads import WorkloadSpec, run_workload
 
 from benchmarks.conftest import report
@@ -22,7 +22,10 @@ N = 7
 
 
 def _run(algorithm: str, crashes: int):
-    schedule = CrashSchedule.at_times({N - 1 - i: 5.0 + 3.0 * i for i in range(crashes)})
+    # The highest pids crash first, three time units apart.
+    points = tuple(
+        CrashPoint(shard=0, replica=N - 1 - i, at_time=5.0 + 3.0 * i) for i in range(crashes)
+    )
     spec = WorkloadSpec(
         n=N,
         algorithm=algorithm,
@@ -30,7 +33,7 @@ def _run(algorithm: str, crashes: int):
         reads_per_reader=8,
         readers=[1, 2, 3],
         delay_model=UniformDelay(0.2, 1.5, seed=13),
-        crash_schedule=schedule,
+        crash_points=points,
         seed=13,
         max_virtual_time=5_000.0,
     )
@@ -82,7 +85,9 @@ def test_writer_crash_read_liveness(benchmark):
             reads_per_reader=6,
             read_think_time=1.0,
             delay_model=UniformDelay(0.2, 1.5, seed=17),
-            crash_schedule=CrashSchedule.after_messages({0: 10}),
+            crash_points=(
+                CrashPoint(shard=0, replica=0, allow_writer=True, after_messages_sent=10),
+            ),
             seed=17,
             max_virtual_time=5_000.0,
         )

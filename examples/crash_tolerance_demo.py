@@ -18,33 +18,32 @@ Run it with::
 
 from __future__ import annotations
 
+from repro.faults import CrashPoint
 from repro.sim.delays import UniformDelay
-from repro.sim.failures import CrashEvent, CrashSchedule
 from repro.verification.register_checker import check_swmr_atomicity
 from repro.workloads import REGISTER_KEY, WorkloadSpec, run_workload
 
 
 def main() -> None:
     n = 7
-    schedule = CrashSchedule(
-        events=[
-            CrashEvent(pid=5, at_time=6.0),            # a reader dies early
-            CrashEvent(pid=6, at_time=18.0),            # another reader dies later
-            CrashEvent(pid=4, after_messages_sent=12),  # dies mid-protocol, after its 12th send
-        ]
+    # A register is shard 0 of a one-shard store; its pids are the replicas.
+    crash_points = (
+        CrashPoint(shard=0, replica=5, at_time=6.0),  # a reader dies early
+        CrashPoint(shard=0, replica=6, at_time=18.0),  # another reader dies later
+        CrashPoint(shard=0, replica=4, after_messages_sent=12),  # dies at its 12th send
     )
-    schedule.validate(n)
-    spec = WorkloadSpec(
+    spec = WorkloadSpec(  # validates the points: at most t = 3 of n = 7
         n=n,
         algorithm="two-bit",
         num_writes=12,
         reads_per_reader=10,
         delay_model=UniformDelay(0.2, 2.0, seed=11),
-        crash_schedule=schedule,
+        crash_points=crash_points,
         check_invariants=True,
         seed=11,
     )
-    print(f"running {spec.total_operations()} operations on n={n} with crashes at {schedule.crashed_pids} ...")
+    crashed = sorted(point.replica for point in crash_points)
+    print(f"running {spec.total_operations()} operations on n={n} with crashes at {crashed} ...")
     result = run_workload(spec)
 
     completed = result.completed_ops()

@@ -4,8 +4,7 @@
 For the two executable columns (ABD with unbounded sequence numbers and the
 proposed two-bit algorithm) every cell is *measured* on the simulator; the
 bounded-control-information columns reproduce the analytic values the paper
-quotes from the literature.  See EXPERIMENTS.md for the paper-vs-measured
-discussion of every row.
+quotes from the literature (DESIGN.md §5 names those substitutions).
 
 Run it with::
 

@@ -30,15 +30,15 @@ Everything these wrap is public too; see DESIGN.md for the package map.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.analysis.table1 import Table1, build_table1
 from repro.core.register import RegisterCluster, build_cluster
 from repro.explore import ExploreConfig, replay_artifact, run_exploration
+from repro.faults.plan import CrashPoint
 from repro.parallel import check_histories_parallel, run_kv_workload_parallel
 from repro.registers.registry import available_algorithms, get_algorithm
 from repro.sim.delays import DelayModel
-from repro.sim.failures import CrashSchedule
 from repro.store.store import KVStore, StoreConfig, create_store
 from repro.workloads.kv import KVWorkloadResult
 from repro.workloads.runner import run_workload
@@ -73,7 +73,7 @@ def create_register(
     writer_pid: int = 0,
     initial_value: Any = None,
     delay_model: Optional[DelayModel] = None,
-    crash_schedule: Optional[CrashSchedule] = None,
+    crash_points: Sequence[CrashPoint] = (),
     check_invariants: bool = False,
 ) -> RegisterCluster:
     """Create a simulated ``n``-process register running ``algorithm``.
@@ -87,6 +87,6 @@ def create_register(
         writer_pid=writer_pid,
         initial_value=initial_value,
         delay_model=delay_model,
-        crash_schedule=crash_schedule,
+        crash_points=crash_points,
         check_invariants=check_invariants,
     )

@@ -39,10 +39,10 @@ from repro.analysis.report import (
     report_run,
 )
 from repro.analysis.table1 import build_table1, measure_messages
+from repro.faults import CrashPoint, random_crash_points
 from repro.registers.registry import available_algorithms
 from repro.sim.delays import FixedDelay, UniformDelay
-from repro.sim.failures import random_crash_schedule
-from repro.workloads.kv import CrashPoint, run_kv_workload
+from repro.workloads.kv import run_kv_workload
 from repro.workloads.runner import run_workload
 from repro.workloads.spec import WorkloadSpec
 
@@ -123,9 +123,9 @@ def _delay_model(name: str, seed: int):
 
 
 def _spec_from_args(args: argparse.Namespace, algorithm: str) -> WorkloadSpec:
-    schedule = None
+    crash_points = ()
     if args.crashes:
-        schedule = random_crash_schedule(
+        crash_points = random_crash_points(
             args.n, seed=args.seed, max_crashes=args.crashes, horizon=20.0, exclude=(0,)
         )
     return WorkloadSpec(
@@ -134,7 +134,7 @@ def _spec_from_args(args: argparse.Namespace, algorithm: str) -> WorkloadSpec:
         num_writes=args.writes,
         reads_per_reader=args.reads,
         delay_model=_delay_model(args.delay, args.seed),
-        crash_schedule=schedule,
+        crash_points=crash_points,
         check_invariants=(algorithm == "two-bit"),
         seed=args.seed,
     )
@@ -314,17 +314,13 @@ def cmd_messages(args: argparse.Namespace) -> int:
 # Nothing below knows which backend executed a run.
 
 
-def _crash_points(args: argparse.Namespace, replication: int) -> tuple:
-    """``--crashes N``: one non-writer replica of N distinct shards, seeded."""
+def _crash_points(args: argparse.Namespace) -> tuple:
+    """``--crashes N``: one non-writer replica of N distinct shards, seeded
+    (the spec checks them against the replication)."""
     from repro.sim.rng import make_rng
 
     if args.crashes < 0:
         raise ValueError(f"--crashes must be non-negative, got {args.crashes}")
-    if (replication - 1) // 2 < 1:
-        raise ValueError(
-            f"--crashes requires replication >= 3 (replication {replication} "
-            "tolerates no crashes)"
-        )
     if args.crashes > args.shards:
         raise ValueError(
             f"--crashes {args.crashes} exceeds the number of shards ({args.shards}); "
@@ -376,7 +372,7 @@ def _store_spec(args: argparse.Namespace):
         # the live transport) instead of batched submission.
         changes.update(arrival=args.arrival, arrival_rate=args.rate)
     if args.crashes:
-        changes["crash_points"] = _crash_points(args, replication)
+        changes["crash_points"] = _crash_points(args)
     builder = kv_zipfian if args.dist == "zipfian" else kv_uniform
     return builder(
         num_keys=args.keys,

@@ -17,9 +17,9 @@ from typing import Any, Optional, Sequence
 
 from repro.core.invariants import GlobalInvariantMonitor, attach_monitor
 from repro.core.process import TwoBitRegisterProcess
+from repro.faults.plan import CrashPoint, install_crash_points, validate_crash_points
 from repro.registers.base import RegisterAlgorithm, RegisterHandle, RegisterProcess
 from repro.sim.delays import DelayModel
-from repro.sim.failures import CrashSchedule, FailureInjector
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
 from repro.sim.tracing import Tracer
@@ -97,7 +97,7 @@ def build_cluster(
     writer_pid: int = 0,
     initial_value: Any = None,
     delay_model: Optional[DelayModel] = None,
-    crash_schedule: Optional[CrashSchedule] = None,
+    crash_points: Sequence[CrashPoint] = (),
     check_invariants: bool = False,
     trace: bool = False,
     t: Optional[int] = None,
@@ -107,11 +107,13 @@ def build_cluster(
 
     ``writer_pid`` is the single writer and ``initial_value`` the register's
     ``v0``; ``delay_model`` defaults to ``FixedDelay(1.0)`` (the paper's
-    ``delta``-bounded failure-free regime); ``crash_schedule`` is validated
-    against ``t < n/2``, and ``t`` overrides the tolerated number of crashes
-    (default ``(n-1)//2``).  ``check_invariants`` attaches a
-    :class:`GlobalInvariantMonitor` asserting Lemmas 2-4 and P2 after every
-    event (two-bit processes only; slower; great for tests), ``trace``
+    ``delta``-bounded failure-free regime); ``crash_points`` (shard 0, the
+    replica is the pid; replica 0 needs ``allow_writer`` whichever pid
+    writes) are validated against ``t < n/2``, and ``t`` overrides the
+    tolerated number of crashes (default ``(n-1)//2``).
+    ``check_invariants`` attaches a :class:`GlobalInvariantMonitor`
+    asserting Lemmas 2-4 and P2 after every event (two-bit processes only;
+    slower; great for tests), ``trace``
     records a structured event trace, and ``coalesce`` packs same-instant
     deliveries into shared heap events (off by default so single-register
     runs replay their pinned schedules exactly).
@@ -124,9 +126,10 @@ def build_cluster(
     monitor = None
     if check_invariants and all(isinstance(p, TwoBitRegisterProcess) for p in processes):
         monitor = attach_monitor(simulator, processes, writer_pid=writer_pid)
-    if crash_schedule is not None:
-        crash_schedule.validate(n)
-        FailureInjector(simulator, network, crash_schedule).install()
+    validate_crash_points(crash_points, 1, n)
+    install_crash_points(
+        crash_points, simulator, network, lambda point: processes[point.replica].crash()
+    )
     return RegisterCluster(
         algorithm=algorithm.name,
         simulator=simulator,

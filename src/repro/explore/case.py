@@ -20,13 +20,13 @@ from typing import Any, Dict, Optional, Tuple
 from repro.explore.mutations import MUTATIONS, install_mutations
 from repro.explore.perturb import PerturbationEntry, ReplayPerturbation
 from repro.faults.partitions import PartitionSchedule, PartitionWindow
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import CrashPoint, FaultPlan
 from repro.registers.base import OperationKind
 from repro.registers.registry import available_algorithms
 from repro.sim.delays import DelayModel, FixedDelay, UniformDelay
 from repro.store.store import KVStore, StoreConfig
 from repro.verification.linearizability import PartitionedCheckReport
-from repro.workloads.kv import CrashPoint, deploy_store
+from repro.workloads.kv import deploy_store
 
 #: Artifact/case schema version (bumped on incompatible changes).
 CASE_FORMAT_VERSION = 1
@@ -251,7 +251,9 @@ def run_case(
         ),
         _fault_plan_for(case),
         [
-            CrashPoint(float(point["at"]), int(point["shard"]), int(point["replica"]))
+            CrashPoint(
+                shard=int(point["shard"]), replica=int(point["replica"]), at_time=float(point["at"])
+            )
             for point in case.crash_points
         ],
     )

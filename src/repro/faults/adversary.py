@@ -17,9 +17,8 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.faults.partitions import PartitionSchedule, PartitionWindow
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import CrashPoint, FaultPlan
 from repro.faults.storms import DelayStorm, asymmetric_link
-from repro.sim.failures import CrashSchedule
 from repro.sim.rng import make_rng
 
 
@@ -74,51 +73,17 @@ def majority_minority_split(
     )
 
 
-def crash_during_partition(
-    n: int,
-    start: float,
-    heal: float,
-    crash_pid: Optional[int] = None,
-    crash_at: Optional[float] = None,
-    minority: Optional[Sequence[int]] = None,
-) -> FaultPlan:
-    """Compose a majority/minority split with a crash inside the window.
-
-    The crashed process defaults to the lowest non-writer pid on the
-    *majority* side — the nastiest legal combination: the majority loses a
-    member while the minority is unreachable, so quorums shrink to the bare
-    ``n - t`` until the heal.  The joint fault load stays legal (one crash,
-    ``1 <= (n - 1) // 2`` for ``n >= 3``; the partition always heals).
-    """
-    split = majority_minority_split(n, start=start, heal=heal, minority=minority)
-    cut = set(split.link_policies[0].windows[0].groups[0])
-    if crash_pid is None:
-        candidates = [pid for pid in range(1, n) if pid not in cut]
-        if not candidates:
-            raise ValueError("no non-writer process on the majority side to crash")
-        crash_pid = candidates[0]
-    if crash_at is None:
-        crash_at = round(start + (heal - start) / 2.0, 3)
-    return FaultPlan(
-        name="crash-during-partition",
-        link_policies=split.link_policies,
-        crash_schedule=CrashSchedule.at_times({crash_pid: crash_at}),
-    )
-
-
 def random_fault_plan(
     n: int,
     seed: int,
     horizon: float = 40.0,
-    allow_crash: bool = True,
-    exclude_crash: Tuple[int, ...] = (0,),
 ) -> FaultPlan:
-    """A seeded chaos plan: a healing partition, maybe a storm, maybe a crash.
+    """A seeded chaos plan: a healing partition, maybe a storm.
 
     Pid 0 always stays on the majority side (a workload's writer must keep
     terminating); everything else — which minority is cut, when, for how
-    long, which link storms, who crashes — is drawn from the seed, so a
-    chaos sweep over seeds explores a reproducible family of adversaries.
+    long, which link storms — is drawn from the seed, so a chaos sweep over
+    seeds explores a reproducible family of adversaries.
     """
     if n < 3:
         raise ValueError(f"chaos plans need n >= 3 processes, got {n}")
@@ -140,15 +105,32 @@ def random_fault_plan(
         storm_end = round(storm_start + rng.uniform(horizon * 0.2, horizon * 0.5), 3)
         factor = round(rng.uniform(2.0, 6.0), 2)
         policies.append(asymmetric_link(src, dst, factor, start=storm_start, end=storm_end))
-    crash_schedule = None
-    if allow_crash and rng.random() < 0.5:
-        candidates = [pid for pid in range(n) if pid not in set(exclude_crash)]
-        if candidates:
-            pid = rng.choice(candidates)
-            at = round(rng.uniform(start, heal), 3)
-            crash_schedule = CrashSchedule.at_times({pid: at})
-    return FaultPlan(
-        name=f"chaos-{seed}",
-        link_policies=tuple(policies),
-        crash_schedule=crash_schedule,
+    return FaultPlan(name=f"chaos-{seed}", link_policies=tuple(policies))
+
+
+def random_crash_points(
+    n: int,
+    seed: int,
+    max_crashes: Optional[int] = None,
+    horizon: float = 50.0,
+    exclude: Sequence[int] = (),
+) -> Tuple[CrashPoint, ...]:
+    """Seeded timed crashes of up to a minority of an ``n``-process register.
+
+    ``max_crashes`` caps the count (default and ceiling ``(n - 1) // 2``);
+    times are drawn uniformly from ``[0, horizon]``; pids in ``exclude``
+    never crash (e.g. the writer, when the run needs its writes to
+    terminate).  The writer, if drawn, carries ``allow_writer``.
+    """
+    rng = make_rng(seed, "crash-schedule", n, horizon, tuple(exclude))
+    limit = (n - 1) // 2 if max_crashes is None else min(max_crashes, (n - 1) // 2)
+    candidates = [pid for pid in range(n) if pid not in set(exclude)]
+    rng.shuffle(candidates)
+    count = rng.randint(0, min(limit, len(candidates)))
+    chosen = sorted(candidates[:count])
+    return tuple(
+        CrashPoint(
+            shard=0, replica=pid, allow_writer=pid == 0, at_time=round(rng.uniform(0.0, horizon), 3)
+        )
+        for pid in chosen
     )

@@ -7,7 +7,10 @@ This package implements the computation model the paper calls
 * every pair of processes is connected by two uni-directional channels;
 * channels are reliable (no loss, duplication, creation or corruption) but
   **not** FIFO and have finite yet unbounded delays;
-* up to ``t`` processes may crash; a crashed process simply stops taking steps.
+* up to ``t`` processes may crash; a crashed process simply stops taking steps
+  (which ones, and when, is the adversary's choice: a
+  :class:`~repro.faults.CrashPoint`, scheduled by
+  :func:`~repro.faults.install_crash_points`).
 
 The substrate is a *deterministic discrete-event simulator*: time is virtual,
 events are ordered by ``(time, sequence number)``, and all randomness flows
@@ -24,8 +27,6 @@ Public entry points
 :class:`~repro.transport.runtime.ProcessBase` (re-exported here as ``Process``)
     Base class for protocol processes (send / message handlers / guards);
     transport-agnostic, so it lives with the transport layer.
-:class:`~repro.sim.failures.CrashSchedule`
-    Declarative crash injection.
 :mod:`~repro.sim.delays`
     Pluggable message-delay models.
 """
@@ -39,19 +40,16 @@ from repro.sim.delays import (
     UniformDelay,
 )
 from repro.sim.events import Event, EventQueue
-from repro.sim.failures import CrashSchedule, FailureInjector
 from repro.sim.network import MessageRecord, Network, NetworkStats
 from repro.sim.scheduler import Simulator, SimulationError
 from repro.sim.tracing import TraceEvent, Tracer
 from repro.transport.runtime import Guard, ProcessBase as Process, ProcessCrashedError
 
 __all__ = [
-    "CrashSchedule",
     "DelayModel",
     "Event",
     "EventQueue",
     "ExponentialDelay",
-    "FailureInjector",
     "FixedDelay",
     "Guard",
     "JitteredDelay",

@@ -47,6 +47,7 @@ from repro.exec.driver import Driver, ExecOp
 from repro.exec.metrics import MetricsCollector
 from repro.exec.oplog import OpLog
 from repro.exec.target import OpRequest, StoreTarget
+from repro.faults.plan import CrashPoint, install_crash_points
 from repro.registers.base import OperationKind, RegisterProcess
 from repro.registers.registry import get_algorithm
 from repro.sim.delays import DelayModel
@@ -492,21 +493,10 @@ class KVStore:
         replication - 1``) and apply uniformly to every key's subnet —
         partitioning replica 2 partitions it for every shard.  Registers
         deployed later (keys touched for the first time mid-run) inherit the
-        policy at deployment, so lazy deployment and chaos compose.
-
-        Store-level plans carry link policies only: a server crash needs a
-        ``(shard, replica)`` coordinate, which is what
-        :class:`~repro.workloads.kv.CrashPoint` / :meth:`crash_server_at`
-        express.  Also raises the driver's drive horizon past the last
-        scheduled heal and annotates metrics snapshots with the fault
-        timeline.
+        policy at deployment, so lazy deployment and chaos compose.  Also
+        raises the driver's drive horizon past the last scheduled heal and
+        annotates metrics snapshots with the fault timeline.
         """
-        if plan.crash_schedule is not None:
-            raise ValueError(
-                "store-level fault plans carry link policies only; schedule server "
-                "crashes with CrashPoint / crash_server_at (they need a shard "
-                "coordinate, not a pid)"
-            )
         plan.validate(self.config.replication)
         policy = plan.policy()
         self.network.link_policy = policy
@@ -536,16 +526,14 @@ class KVStore:
     def crash_server_at(
         self, time: float, shard_id: int, replica: int, allow_writer: bool = False
     ) -> None:
-        """Schedule :meth:`crash_server` at virtual ``time`` (for crash plans).
+        """Schedule :meth:`crash_server` at virtual ``time`` (a time already
+        past fires at once): one timed :class:`~repro.faults.CrashPoint`."""
+        point = CrashPoint(shard=shard_id, replica=replica, allow_writer=allow_writer, at_time=time)
+        install_crash_points((point,), self.simulator, self.network, self.crash_point)
 
-        Times already in the past fire immediately (same clamping the
-        :class:`~repro.sim.failures.FailureInjector` applies).
-        """
-        self.simulator.schedule_at(
-            max(time, self.simulator.now),
-            lambda: self.crash_server(shard_id, replica, allow_writer=allow_writer),
-            label=f"crash shard{shard_id}/replica{replica}",
-        )
+    def crash_point(self, point: CrashPoint) -> None:
+        """Fire ``point`` now: the crash callback a store's points are installed with."""
+        self.crash_server(point.shard, point.replica, allow_writer=point.allow_writer)
 
     # ----------------------------------------------------------- inspection
 

@@ -47,15 +47,6 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: cursor.  One memmove per ~64 KiB consumed, amortised O(1) per byte.
 _COMPACT_THRESHOLD = 64 * 1024
 
-#: Default micro-batch flush deadline for :class:`BatchWriter`, in seconds.
-#: ``0.0`` coalesces everything enqueued in the same event-loop breath (the
-#: writer task only runs between turns) while adding no latency to the
-#: protocol's sequential hop chain; a positive deadline buys larger batches
-#: under open-loop trickle traffic at that much added latency per hop — it
-#: measurably *hurts* closed-loop throughput, where same-key operations
-#: serialize on the hop chain, so 0 is the default and callers opt in.
-FLUSH_DEADLINE = 0.0
-
 _Bytes = Union[bytes, bytearray, memoryview]
 
 
@@ -178,11 +169,6 @@ class BatchWriter:
     last flush.  Frames enqueued while a flush's ``drain()`` awaits pile
     into the next flush, so batch size adapts to backpressure by itself.
 
-    ``flush_delay`` bounds how long a lone frame may sit before its flush:
-    ``0.0`` flushes on the next event-loop turn (minimum latency, still
-    coalescing same-breath sends); a positive deadline micro-batches
-    trickle traffic at the cost of that much latency.
-
     A flush that fails (``ConnectionError``: the link is torn) closes the
     writer: what was pending is released and counted in
     ``stats.frames_dropped``, as is every later ``send`` — nothing is
@@ -191,14 +177,10 @@ class BatchWriter:
     """
 
     def __init__(
-        self,
-        writer: asyncio.StreamWriter,
-        stats: Optional[TransportStats] = None,
-        flush_delay: float = FLUSH_DEADLINE,
+        self, writer: asyncio.StreamWriter, stats: Optional[TransportStats] = None
     ) -> None:
         self._writer = writer
         self.stats = stats if stats is not None else TransportStats()
-        self._flush_delay = flush_delay
         self._buffer = bytearray()
         self._pending_frames = 0
         self._wake = asyncio.Event()
@@ -233,9 +215,6 @@ class BatchWriter:
         try:
             while True:
                 await self._wake.wait()
-                if self._flush_delay > 0 and not self._closing:
-                    # Bounded micro-batch window: let same-deadline sends pile up.
-                    await asyncio.sleep(self._flush_delay)
                 self._wake.clear()
                 await self._flush()
                 if self._closing and not self._buffer:

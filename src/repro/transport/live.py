@@ -62,7 +62,6 @@ from repro.transport.base import TransportClosedError
 from repro.transport.codec import CodecError
 from repro.transport.codec_binary import BinaryWireCodec, schema_signature
 from repro.transport.framing import (
-    FLUSH_DEADLINE,
     BatchWriter,
     FrameDecoder,
     FramingError,
@@ -168,17 +167,13 @@ class Connection:
     codec = BinaryWireCodec()
 
     def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        label: str,
-        flush_delay: float = FLUSH_DEADLINE,
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, label: str
     ) -> None:
         _set_nodelay(writer)
         self.reader = reader
         self.writer = writer
         self.stats = TransportStats()
-        self.batch = BatchWriter(writer, stats=self.stats, flush_delay=flush_delay).start()
+        self.batch = BatchWriter(writer, stats=self.stats).start()
         self.label = label
 
     def send(self, payload: Dict[str, Any]) -> None:

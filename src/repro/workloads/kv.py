@@ -26,7 +26,7 @@ from repro.exec.clients import ARRIVAL_PROCESSES, IsolatedOpCost, OpenLoopClient
 from repro.exec.metrics import json_number
 from repro.exec.oplog import OpLog
 from repro.exec.target import OpRequest
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import CrashPoint, FaultPlan, install_crash_points, validate_crash_points
 from repro.registers.base import OperationKind
 from repro.registers.registry import available_algorithms
 from repro.sim.delays import DelayModel, FixedDelay
@@ -48,16 +48,6 @@ class KVOp:
     kind: OperationKind
     key: str
     value: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class CrashPoint:
-    """A scheduled server crash: replica ``replica`` of ``shard`` at ``at_time``."""
-
-    at_time: float
-    shard: int
-    replica: int
-    allow_writer: bool = False
 
 
 @dataclass(frozen=True)
@@ -91,13 +81,12 @@ class KVWorkloadSpec:
     delay_model:
         Message-delay model (default ``FixedDelay(1.0)``).
     crash_points:
-        Server crashes to schedule before the run starts.
+        Server crashes (:class:`~repro.faults.CrashPoint`), checked against
+        the geometry here and scheduled before the run starts.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` of link policies keyed by
         replica index (``0 .. replication - 1``), installed store-wide
         before the run (see :meth:`~repro.store.store.KVStore.install_fault_plan`).
-        Store-level plans must not carry a crash schedule — use
-        ``crash_points`` for server crashes.
     coalesce:
         Pack same-instant deliveries to one replica into a single heap event
         (on by default; see :class:`~repro.store.store.StoreConfig`).
@@ -231,12 +220,13 @@ class KVWorkloadSpec:
                 f"open-loop arrivals need a positive arrival_rate, got {self.arrival_rate}"
             )
         if self.fault_plan is not None:
-            if self.fault_plan.crash_schedule is not None:
-                raise ValueError(
-                    "store-level fault plans carry link policies only; use "
-                    "crash_points for server crashes"
-                )
             self.fault_plan.validate(self.replication)
+        validate_crash_points(self.crash_points, self.num_shards, self.replication)
+        if self.workers > 1 and any(p.after_messages_sent is not None for p in self.crash_points):
+            raise ValueError(
+                "after_messages_sent counts a replica's sends across the whole store; "
+                "a shard-parallel worker sees only its own shards (use workers=1 or at_time)"
+            )
 
     @property
     def open_loop(self) -> bool:
@@ -667,10 +657,7 @@ def deploy_store(
     store = KVStore(config)
     if fault_plan is not None:
         store.install_fault_plan(fault_plan)
-    for point in crash_points:
-        store.crash_server_at(
-            point.at_time, point.shard, point.replica, allow_writer=point.allow_writer
-        )
+    install_crash_points(crash_points, store.simulator, store.network, store.crash_point)
     return store
 
 

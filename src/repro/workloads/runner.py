@@ -27,13 +27,11 @@ through :mod:`repro.exec`; what comes back is the
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 from repro.core.invariants import attach_monitor
 from repro.core.process import TwoBitRegisterProcess
 from repro.exec.clients import ClosedLoopClient, IsolatedClient
 from repro.registers.registry import get_algorithm
-from repro.sim.failures import FailureInjector
 from repro.workloads.generator import generate_scripts, interleave_isolated
 from repro.workloads.kv import KVWorkloadResult, deploy_store
 from repro.workloads.spec import REGISTER_KEY, WorkloadSpec
@@ -43,14 +41,7 @@ def run_workload(spec: WorkloadSpec) -> KVWorkloadResult:
     """Execute ``spec`` and return the collected :class:`KVWorkloadResult`."""
     if spec.multi_writer and not get_algorithm(spec.algorithm).supports_multi_writer:
         raise ValueError(f"algorithm {spec.algorithm!r} does not support multiple writers")
-    plan = spec.fault_plan
-    # The store installs link policies (and the heal-aware drive horizon);
-    # a plan's crashes name pids, which only this one-key deployment has.
-    store = deploy_store(
-        spec.store_config(), None if plan is None else replace(plan, crash_schedule=None)
-    )
-    if plan is not None:
-        store.driver.metrics.fault_timeline = plan.timeline()  # crashes included
+    store = deploy_store(spec.store_config(), spec.fault_plan, spec.crash_points)
     register = store.register_for(REGISTER_KEY)
     # A lone register draws from the store's root delay stream (per-key
     # scoping exists to decouple *several* keys), so a seeded delay model
@@ -60,15 +51,6 @@ def run_workload(spec: WorkloadSpec) -> KVWorkloadResult:
     monitor = None
     if spec.check_invariants and all(isinstance(p, TwoBitRegisterProcess) for p in processes):
         monitor = attach_monitor(store.simulator, processes, writer_pid=0)
-    for schedule in (spec.crash_schedule, None if plan is None else plan.crash_schedule):
-        if schedule is not None:
-            schedule.validate(spec.n)
-            FailureInjector(
-                store.simulator,
-                register.subnet,
-                schedule,
-                crash=lambda pid: store.crash_server(0, pid, allow_writer=True),
-            ).install()
 
     scripts = generate_scripts(spec)
     isolated_costs = []

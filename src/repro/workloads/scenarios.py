@@ -10,15 +10,14 @@ with :meth:`WorkloadSpec.with_`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.faults.adversary import random_fault_plan, slow_the_writer
+from repro.faults.adversary import random_crash_points, random_fault_plan, slow_the_writer
 from repro.faults.partitions import PartitionSchedule, PartitionWindow
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import CrashPoint, FaultPlan
 from repro.sim.delays import ExponentialDelay, FixedDelay, UniformDelay
-from repro.sim.failures import CrashSchedule, random_crash_schedule
 from repro.sim.rng import make_rng
-from repro.workloads.kv import CrashPoint, KVWorkloadSpec
+from repro.workloads.kv import KVWorkloadSpec
 from repro.workloads.spec import WorkloadSpec
 
 
@@ -95,24 +94,25 @@ def crash_storm(
     algorithm: str = "two-bit",
     seed: int = 4,
     crash_writer: bool = False,
-    schedule: Optional[CrashSchedule] = None,
+    crash_points: Optional[Tuple[CrashPoint, ...]] = None,
 ) -> WorkloadSpec:
     """A minority of processes crash mid-run.
 
     By default the writer is spared so the workload's writes terminate (the
     liveness guarantee only covers operations by correct processes); pass
     ``crash_writer=True`` to explore reader liveness when the writer dies.
+    ``crash_points`` replaces the seeded draw.
     """
-    if schedule is None:
+    if crash_points is None:
         exclude = () if crash_writer else (0,)
-        schedule = random_crash_schedule(n, seed=seed, horizon=30.0, exclude=exclude)
+        crash_points = random_crash_points(n, seed=seed, horizon=30.0, exclude=exclude)
     return WorkloadSpec(
         n=n,
         algorithm=algorithm,
         num_writes=15,
         reads_per_reader=15,
         delay_model=UniformDelay(0.2, 1.5, seed=seed),
-        crash_schedule=schedule,
+        crash_points=crash_points,
         seed=seed,
         max_virtual_time=5_000.0,
     )
@@ -307,7 +307,7 @@ def chaos(
     *inside* the partition window, composing crash and partition faults.
     Everything derives from ``seed``: same seed, same adversary, same run.
     """
-    plan = random_fault_plan(replication, seed=seed, horizon=horizon, allow_crash=False)
+    plan = random_fault_plan(replication, seed=seed, horizon=horizon)
     rng = make_rng(seed, "chaos-crash-points", num_shards, replication)
     crash_points: tuple[CrashPoint, ...] = ()
     if replication >= 3 and rng.random() < 0.6:

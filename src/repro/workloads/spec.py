@@ -2,7 +2,7 @@
 
 A :class:`WorkloadSpec` captures everything needed to reproduce a run: the
 system size, the operation mix, timing, the delay model parameters, the crash
-schedule and the master seed.  Given the same spec the runner produces the
+points and the master seed.  Given the same spec the runner produces the
 same history, event for event.
 
 A register is the one-key case of the sharded store (linearizability is
@@ -13,11 +13,10 @@ deploys, :data:`REGISTER_KEY` its only key, process 0 its writer replica.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import CrashPoint, FaultPlan, validate_crash_points
 from repro.sim.delays import DelayModel, FixedDelay
-from repro.sim.failures import CrashSchedule
 from repro.store.store import StoreConfig
 
 #: The single key a register workload's store holds.
@@ -50,13 +49,14 @@ class WorkloadSpec:
         operation (staggering them exercises different interleavings).
     delay_model:
         Message-delay model (defaults to ``FixedDelay(1.0)``).
-    crash_schedule:
-        Optional crash injection.
+    crash_points:
+        Process crashes: :class:`~repro.faults.CrashPoint` s on shard 0 whose
+        ``replica`` is the pid (the writer, pid 0, needs ``allow_writer``),
+        at most ``(n - 1) // 2`` of them.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` — link-level adversarial
-        conditions (partitions that heal, delay storms) plus an optional
-        extra crash schedule, installed before the run starts.  The combined
-        crash load of ``crash_schedule`` and the plan must stay a minority.
+        conditions (partitions that heal, delay storms), installed before
+        the run starts.
     isolated_operations:
         When true the runner serialises *all* operations globally (one at a
         time, quiescing in between) so per-operation message counts and
@@ -93,7 +93,7 @@ class WorkloadSpec:
     writer_start_delay: float = 0.0
     reader_start_delay: float = 0.0
     delay_model: DelayModel = field(default_factory=lambda: FixedDelay(1.0))
-    crash_schedule: Optional[CrashSchedule] = None
+    crash_points: Tuple[CrashPoint, ...] = ()
     fault_plan: Optional[FaultPlan] = None
     isolated_operations: bool = False
     multi_writer: bool = False
@@ -116,16 +116,7 @@ class WorkloadSpec:
             raise ValueError("think times must be non-negative")
         if self.fault_plan is not None:
             self.fault_plan.validate(self.n)
-            if self.crash_schedule is not None and self.fault_plan.crash_schedule is not None:
-                combined = set(self.crash_schedule.crashed_pids) | set(
-                    self.fault_plan.crash_schedule.crashed_pids
-                )
-                max_faulty = (self.n - 1) // 2
-                if len(combined) > max_faulty:
-                    raise ValueError(
-                        f"crash_schedule and fault_plan together crash {len(combined)} of "
-                        f"{self.n} processes; the model requires at most t = {max_faulty}"
-                    )
+        validate_crash_points(self.crash_points, 1, self.n)
 
     # ------------------------------------------------------------ conveniences
 

@@ -17,15 +17,23 @@ may move, what it comes to may not.  The three ``mmr-*`` rows were recorded
 again when consensus replicas stopped sending an estimate their AUX vouches
 for and an AUX their ``DECIDE`` stands for (1,956 / 1,648 / 1,632 messages
 before): there the protocol changed, not the accounting.
+
+The last test pins five register runs through each kind of crash a
+:class:`~repro.faults.CrashPoint` expresses — recorded while register crashes
+were still a pid-keyed schedule installed by the register runner, before
+they became crash points the store schedules: whatever installs a crash, the
+execution it produces may not move.
 """
 
 import pytest
 
 from repro.core.register import build_two_bit_cluster
+from repro.faults import CrashPoint, majority_minority_split
 from repro.registers.registry import available_algorithms
 from repro.sim.delays import UniformDelay
-from repro.sim.failures import CrashSchedule
-from repro.workloads.kv import CrashPoint, KVWorkloadSpec, run_kv_workload
+from repro.workloads import REGISTER_KEY, WorkloadSpec, run_workload
+from repro.workloads.kv import KVWorkloadSpec, run_kv_workload
+from repro.workloads.scenarios import crash_storm
 
 
 def test_snapshot_of_a_run_whose_writer_dies_mid_forward():
@@ -33,7 +41,7 @@ def test_snapshot_of_a_run_whose_writer_dies_mid_forward():
         n=5,
         initial_value="v0",
         delay_model=UniformDelay(0.2, 1.0, seed=11),
-        crash_schedule=CrashSchedule.after_messages({0: 6}),
+        crash_points=(CrashPoint(shard=0, replica=0, allow_writer=True, after_messages_sent=6),),
     )
     cluster.writer.write("v1")  # 4 sends by the writer
     assert cluster.reader(2).read() == "v1"  # its PROCEED is the 5th
@@ -122,3 +130,72 @@ def test_bill_of_a_seeded_store_run_with_a_crashed_replica(algorithm):
         snapshot["max_control_bits"],
         snapshot["by_type"],
     ) == _BILLS[algorithm]
+
+
+def _register(**changes):
+    return WorkloadSpec(
+        n=5,
+        num_writes=6,
+        reads_per_reader=4,
+        delay_model=UniformDelay(0.2, 1.0, seed=21),
+        seed=21,
+        **changes,
+    )
+
+
+#: name -> spec, then (sent, delivered, dropped, control bits, data bits),
+#: by_type, crashed flags per pid, final clock, executed events.
+_CRASH_RUNS = {
+    "timed reader crash": (
+        _register(crash_points=(CrashPoint(shard=0, replica=3, at_time=4.0),)),
+        (223, 210, 13, 446, 1728),
+        {"WRITE1": 56, "READ": 60, "PROCEED": 55, "WRITE0": 52},
+        [False, False, False, True, False], 7.4082827275628516, 229,
+    ),
+    "writer crash": (
+        _register(crash_points=(CrashPoint(shard=0, replica=0, allow_writer=True, at_time=5.0),)),
+        (223, 217, 6, 446, 1600),
+        {"WRITE1": 60, "READ": 64, "PROCEED": 59, "WRITE0": 40},
+        [True, False, False, False, False], 6.698858609719283, 229,
+    ),
+    "zero-message trigger": (
+        _register(crash_points=(CrashPoint(shard=0, replica=2, after_messages_sent=0),)),
+        (160, 144, 16, 320, 1216),
+        {"WRITE1": 40, "READ": 48, "PROCEED": 36, "WRITE0": 36},
+        [False, False, True, False, False], 8.00660267729394, 165,
+    ),
+    "crash inside a healing partition": (
+        _register(
+            fault_plan=majority_minority_split(5, start=3.0, heal=20.0),
+            crash_points=(CrashPoint(shard=0, replica=1, at_time=11.5),),
+        ),
+        (238, 226, 12, 476, 1824),
+        {"WRITE1": 58, "READ": 64, "PROCEED": 60, "WRITE0": 56},
+        [False, True, False, False, False], 24.918287305832397, 244,
+    ),
+    "crash_storm(crash_writer=True)": (
+        crash_storm(crash_writer=True, seed=11),
+        (1134, 1030, 104, 2268, 3360),
+        {"WRITE1": 126, "READ": 510, "PROCEED": 414, "WRITE0": 84},
+        [True, False, False, False, False, True, False], 31.125395895697697, 1143,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CRASH_RUNS))
+def test_register_crash_runs_are_pinned(name):
+    spec, totals, by_type, crashed, clock, events = _CRASH_RUNS[name]
+    result = run_workload(spec)
+    store = result.store
+    snapshot = store.stats.snapshot()
+    assert (
+        snapshot["messages_sent"],
+        snapshot["messages_delivered"],
+        snapshot["messages_dropped_to_crashed"],
+        snapshot["control_bits_total"],
+        snapshot["data_bits_total"],
+    ) == totals
+    assert snapshot["by_type"] == by_type
+    assert [p.crashed for p in store.register_for(REGISTER_KEY).processes] == crashed
+    assert store.simulator.now == clock
+    assert store.simulator.executed_events == events

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.register import build_two_bit_cluster
 from repro.sim.delays import FixedDelay, UniformDelay
-from repro.sim.failures import CrashSchedule
+from repro.faults import CrashPoint
 
 
 class TestBuilderOptions:
@@ -51,9 +51,10 @@ class TestBuilderOptions:
         cluster.settle()
         assert cluster.monitor.report.checks_performed > 0
 
-    def test_crash_schedule_validated_at_build_time(self):
+    def test_crash_points_validated_at_build_time(self):
+        points = tuple(CrashPoint(shard=0, replica=pid, at_time=0.0) for pid in (1, 2))
         with pytest.raises(ValueError, match="t < n/2"):
-            build_two_bit_cluster(n=3, crash_schedule=CrashSchedule.at_times({1: 0.0, 2: 0.0}))
+            build_two_bit_cluster(n=3, crash_points=points)
 
     def test_custom_delay_model_is_used(self):
         cluster = build_two_bit_cluster(n=3, delay_model=FixedDelay(5.0))

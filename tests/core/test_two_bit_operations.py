@@ -11,7 +11,7 @@ import pytest
 from repro.core.register import TWO_BIT_ALGORITHM, build_two_bit_cluster
 from repro.registers.base import OperationKind
 from repro.sim.delays import FixedDelay, UniformDelay
-from repro.sim.failures import CrashSchedule
+from repro.faults import CrashPoint
 
 
 class TestBasicReadWrite:
@@ -217,11 +217,11 @@ class TestRandomDelays:
             assert value == f"v{index}"
         cluster.settle()
 
-    def test_crash_schedule_can_be_installed_at_build_time(self):
+    def test_crash_points_can_be_installed_at_build_time(self):
         cluster = build_two_bit_cluster(
             n=5,
             initial_value="v0",
-            crash_schedule=CrashSchedule.at_times({4: 0.5}),
+            crash_points=(CrashPoint(shard=0, replica=4, at_time=0.5),),
             delay_model=FixedDelay(1.0),
         )
         cluster.writer.write("v1")

@@ -31,7 +31,6 @@ from repro.faults.plan import FaultPlan
 from repro.registers import registry
 from repro.registers.base import RegisterAlgorithm
 from repro.sim.delays import ExponentialDelay, FixedDelay, UniformDelay
-from repro.sim.failures import CrashSchedule
 from repro.workloads.kv import CrashPoint, KVWorkloadSpec, run_kv_workload
 
 
@@ -180,7 +179,9 @@ def _cluster_observation(process_class: type, delay: str, seed: int, kill_at: in
         n=5,
         initial_value="v0",
         delay_model=_delay_model(delay, seed),
-        crash_schedule=CrashSchedule.after_messages({0: kill_at}),
+        crash_points=(
+            CrashPoint(shard=0, replica=0, allow_writer=True, after_messages_sent=kill_at),
+        ),
         coalesce=coalesce,
     )
     records = []

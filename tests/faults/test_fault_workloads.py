@@ -3,10 +3,11 @@
 import pytest
 
 from repro.faults import (
+    CrashPoint,
     FaultPlan,
     PartitionSchedule,
     PartitionWindow,
-    crash_during_partition,
+    majority_minority_split,
     slow_the_writer,
 )
 from repro.sim.delays import FixedDelay
@@ -52,12 +53,15 @@ class TestRegisterWorkloads:
         assert result.check_atomicity().ok
         assert result.monitor is None or result.monitor.report.ok
 
-    def test_crash_during_partition_composes(self):
+    def test_crash_inside_a_partition_composes(self):
+        # Replicas 3 and 4 are cut off while replica 1, on the majority side,
+        # crashes: quorums shrink to the bare n - t until the heal.
         spec = WorkloadSpec(
             n=5,
             num_writes=6,
             reads_per_reader=6,
-            fault_plan=crash_during_partition(5, start=3.0, heal=20.0),
+            fault_plan=majority_minority_split(5, start=3.0, heal=20.0),
+            crash_points=(CrashPoint(shard=0, replica=1, at_time=11.5),),
             seed=7,
             max_virtual_time=2_000.0,
         )
@@ -66,14 +70,14 @@ class TestRegisterWorkloads:
         crashed = [p for p in result.store.register_for(REGISTER_KEY).processes if p.crashed]
         assert len(crashed) == 1
 
-    def test_combined_crash_budget_is_enforced(self):
-        from repro.sim.failures import CrashSchedule
-
-        with pytest.raises(ValueError, match="together crash"):
+    def test_crash_budget_is_enforced_beside_a_plan(self):
+        with pytest.raises(ValueError, match="t < n/2"):
             WorkloadSpec(
                 n=5,
-                crash_schedule=CrashSchedule.at_times({1: 1.0, 2: 1.0}),
-                fault_plan=crash_during_partition(5, start=0.0, heal=5.0, crash_pid=3),
+                crash_points=tuple(
+                    CrashPoint(shard=0, replica=pid, at_time=1.0) for pid in (1, 2, 3)
+                ),
+                fault_plan=majority_minority_split(5, start=0.0, heal=5.0),
             )
 
     def test_fault_free_run_is_byte_identical_with_plan_field_absent(self):
@@ -134,11 +138,14 @@ class TestStoreIntegration:
         assert op.completed
         assert op.record.responded_at > 25.0
 
-    def test_store_rejects_plans_with_crash_schedules(self):
-        store = KVStore(StoreConfig())
-        plan = crash_during_partition(3, start=0.0, heal=5.0)
-        with pytest.raises(ValueError, match="link policies only"):
-            store.install_fault_plan(plan)
+    def test_store_crash_inside_a_partition_stays_atomic(self):
+        spec = kv_partitioned(num_keys=6, num_ops=90, seed=2).with_(
+            crash_points=(CrashPoint(shard=1, replica=1, at_time=10.0),)
+        )
+        result = run_kv_workload(spec)
+        assert result.finished_cleanly
+        assert result.check_atomicity().ok
+        assert result.store.shards[1].crashed_replicas == {1}
 
     def test_drive_budget_never_truncates_before_a_scheduled_heal(self):
         config = StoreConfig(num_shards=1, replication=3, delay_model=FixedDelay(1.0),

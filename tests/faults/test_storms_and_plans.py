@@ -9,7 +9,6 @@ from repro.faults import (
     PartitionSchedule,
     PartitionWindow,
     asymmetric_link,
-    crash_during_partition,
     majority_minority_split,
     random_fault_plan,
     slow_the_writer,
@@ -75,11 +74,12 @@ class TestCompositeAndPlan:
         two = FaultPlan(link_policies=(storm, storm)).policy()
         assert isinstance(two, CompositeLinkPolicy)
 
-    def test_plan_timeline_is_sorted_and_includes_crashes(self):
-        plan = crash_during_partition(5, start=4.0, heal=16.0)
+    def test_plan_timeline_is_sorted(self):
+        split = majority_minority_split(5, start=4.0, heal=16.0)
+        storm = DelayStorm(start=1.0, end=9.0, factor=2.0)
+        plan = FaultPlan(link_policies=split.link_policies + (storm,))
         timeline = plan.timeline()
-        kinds = [entry["fault"] for entry in timeline]
-        assert "partition" in kinds and "crash" in kinds
+        assert [entry["fault"] for entry in timeline] == ["delay_storm", "partition"]
         starts = [entry.get("at", entry.get("start", 0.0)) for entry in timeline]
         assert starts == sorted(starts)
 
@@ -104,15 +104,13 @@ class TestCompositeAndPlan:
             assert a == b
             a.validate(5)
             assert a.quiescent_after() < float("inf")
-            # Pid 0 (the writer) is never cut off nor crashed by default.
+            # Pid 0 (the writer) is never cut off.
             for policy in a.link_policies:
                 if isinstance(policy, PartitionSchedule):
                     assert all(0 not in window.groups[0] for window in policy.windows)
-            if a.crash_schedule is not None:
-                assert 0 not in a.crash_schedule.crashed_pids
 
-    def test_plan_validate_checks_crash_schedule(self):
-        plan = crash_during_partition(5, start=0.0, heal=10.0)
+    def test_plan_validate_checks_every_policy(self):
+        plan = majority_minority_split(5, start=0.0, heal=10.0)
         plan.validate(5)
         with pytest.raises(ValueError):
             plan.validate(2)

@@ -8,8 +8,8 @@ import pytest
 import repro
 from repro.api import create_register
 from repro.cli import build_parser, main
+from repro.faults import CrashPoint
 from repro.sim.delays import FixedDelay
-from repro.sim.failures import CrashSchedule
 
 
 class TestTopLevelApi:
@@ -46,9 +46,11 @@ class TestTopLevelApi:
         # Crashing an already-crashed process is fine (no extra budget).
         cluster.crash(1)
 
-    def test_crash_schedule_at_build_time(self):
+    def test_crash_points_at_build_time(self):
         cluster = create_register(
-            n=5, crash_schedule=CrashSchedule.at_times({4: 0.0}), delay_model=FixedDelay(1.0)
+            n=5,
+            crash_points=(CrashPoint(shard=0, replica=4, at_time=0.0),),
+            delay_model=FixedDelay(1.0),
         )
         cluster.writer.write("v1")
         assert cluster.processes[4].crashed
@@ -60,9 +62,12 @@ class TestTopLevelApi:
         assert cluster.messages_sent() == 3 * 2
         cluster.simulator.require_quiescent()
 
-    def test_invalid_crash_schedule_rejected(self):
+    def test_invalid_crash_points_rejected(self):
+        points = tuple(
+            CrashPoint(shard=0, replica=pid, allow_writer=True, at_time=0.0) for pid in (0, 1)
+        )
         with pytest.raises(ValueError):
-            create_register(n=3, crash_schedule=CrashSchedule.at_times({0: 0.0, 1: 0.0}))
+            create_register(n=3, crash_points=points)
 
 
 class TestCli:
@@ -200,7 +205,13 @@ class TestExamples:
 
     @pytest.mark.parametrize(
         "module_name",
-        ["quickstart", "read_dominated_store", "crash_tolerance_demo", "regenerate_table1"],
+        [
+            "quickstart",
+            "kv_store_demo",
+            "read_dominated_store",
+            "crash_tolerance_demo",
+            "regenerate_table1",
+        ],
     )
     def test_example_runs_to_completion(self, module_name, capsys, monkeypatch):
         import importlib.util

@@ -1,10 +1,11 @@
 """Tripwire for the documents: every repository path they name exists.
 
-README, DESIGN, ALGORITHMS, the CI workflow, the verify skill and the
-docstrings of ``src/`` name source files, benchmark scripts and committed
-``BENCH_*.json`` baselines by path.  Deleting or renaming one of those leaves
-the prose pointing at nothing and fails no other test.  This one fails
-instead.
+README, DESIGN, ALGORITHMS, the CI workflow, the verify skill, the
+docstrings of ``src/``, the examples and the top-level benchmark scripts name
+source files, benchmark scripts, committed ``BENCH_*.json`` baselines and the
+root documents (``DESIGN.md``) by path.  Deleting or renaming one of those
+leaves the prose pointing at nothing and fails no other test.  This one fails
+instead.  (``benchmarks/e2e/`` is the benchmark's own tree and is not scanned.)
 """
 
 import pathlib
@@ -20,11 +21,16 @@ DOCUMENTS = (
     ".github/workflows/ci.yml",
     ".claude/skills/verify/SKILL.md",
 ) + tuple(
-    str(path.relative_to(ROOT)) for path in sorted((ROOT / "src").rglob("*.py"))
+    str(path.relative_to(ROOT))
+    for path in sorted((ROOT / "src").rglob("*.py"))
+    + sorted((ROOT / "examples").glob("*.py"))
+    + sorted((ROOT / "benchmarks").glob("*.py"))
 )
 
-#: A ``.py`` / ``.json`` path, possibly a glob (``bench_table1_*.py``).
-_PATH = re.compile(r"(?<![\w./*-])[\w./*-]*[\w*]\.(?:py|json)\b")
+#: A ``.py`` / ``.json`` / ``.md`` path, possibly a glob (``bench_table1_*.py``).
+_PATH = re.compile(r"(?<![\w./*-])[\w./*-]*[\w*]\.(?:py|json|md)\b")
+#: A root document named bare (``DESIGN.md``, ``CHANGES.md``).
+_ROOT_DOCUMENT = re.compile(r"[A-Z][A-Z0-9_]*\.md")
 #: Directories a named path may be rooted at: the repository's own, and the
 #: packages of ``src/repro`` (prose says ``sim/network.py``).
 _ROOTS = {"src", "tests", "benchmarks", "examples", "docs"}
@@ -39,7 +45,7 @@ def missing_paths(text: str) -> list:
         if "/" not in token:
             # A bare name is checked only when it can be nothing but a
             # benchmark script or a committed baseline.
-            if token.startswith("BENCH_"):
+            if token.startswith("BENCH_") or _ROOT_DOCUMENT.fullmatch(token):
                 base = ROOT
             elif token.startswith(("bench_", "check_bench")):
                 base = ROOT / "benchmarks"
@@ -82,8 +88,13 @@ def test_a_deleted_file_named_again_is_caught():
         "BENCH_consensus.json",
         "BENCH_live_throughput.json",
         "BENCH_chaos.json",
+        "EXPERIMENTS.md",
+        "docs/EXPERIMENTS.md",
     ]
     prose = " and ".join(f"`{name}` ({name}: see {name})." for name in spellings)
     assert missing_paths(prose) == sorted(spellings)
-    kept = "`benchmarks/bench_table1_*.py`, `BENCH_*.json`, `bench_parallel.py`, `sim/network.py`"
+    kept = (
+        "`benchmarks/bench_table1_*.py`, `BENCH_*.json`, `bench_parallel.py`, `sim/network.py`, "
+        "DESIGN.md, `docs/ALGORITHMS.md`, notes.md"
+    )
     assert missing_paths(kept) == []

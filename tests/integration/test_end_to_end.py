@@ -5,8 +5,8 @@ the two-bit algorithm, for the paper's lemma invariants)."""
 import pytest
 
 from repro.api import create_register
+from repro.faults import CrashPoint
 from repro.sim.delays import ExponentialDelay, FixedDelay, UniformDelay
-from repro.sim.failures import CrashSchedule
 from repro.verification.invariants import check_two_bit_convergence
 from repro.workloads import REGISTER_KEY, WorkloadSpec, run_workload
 
@@ -73,7 +73,10 @@ class TestCrashRuns:
             num_writes=12,
             reads_per_reader=8,
             delay_model=UniformDelay(0.2, 1.5, seed=23),
-            crash_schedule=CrashSchedule.at_times({4: 5.0, 5: 9.0, 6: 15.0}),
+            crash_points=tuple(
+                CrashPoint(shard=0, replica=pid, at_time=at)
+                for pid, at in ((4, 5.0), (5, 9.0), (6, 15.0))
+            ),
             check_invariants=(algorithm == "two-bit"),
             seed=23,
         )
@@ -95,7 +98,7 @@ class TestCrashRuns:
             reads_per_reader=5,
             readers=[1, 2],
             delay_model=FixedDelay(1.0),
-            crash_schedule=CrashSchedule.at_times({3: 0.0, 4: 0.0}),
+            crash_points=tuple(CrashPoint(shard=0, replica=pid, at_time=0.0) for pid in (3, 4)),
             seed=31,
         )
         result = run_workload(spec)
@@ -116,7 +119,9 @@ class TestCrashRuns:
             reads_per_reader=6,
             read_think_time=1.0,
             delay_model=UniformDelay(0.3, 2.0, seed=41),
-            crash_schedule=CrashSchedule.after_messages({0: 6}),
+            crash_points=(
+                CrashPoint(shard=0, replica=0, allow_writer=True, after_messages_sent=6),
+            ),
             seed=41,
             max_virtual_time=2_000.0,
         )
@@ -129,7 +134,7 @@ class TestCrashRuns:
             num_writes=6,
             reads_per_reader=6,
             delay_model=UniformDelay(0.2, 2.0, seed=43),
-            crash_schedule=CrashSchedule.after_messages({2: 10}),
+            crash_points=(CrashPoint(shard=0, replica=2, after_messages_sent=10),),
             seed=43,
         )
         result = run_workload(spec)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sim.delays import FixedDelay, UniformDelay
-from repro.sim.failures import random_crash_schedule
+from repro.faults import random_crash_points
 from repro.verification.invariants import check_two_bit_convergence
 from repro.workloads import REGISTER_KEY, WorkloadSpec, run_workload
 
@@ -70,14 +70,14 @@ def crashy_specs(draw) -> WorkloadSpec:
     crash_seed = draw(st.integers(min_value=0, max_value=10_000))
     # Keep the writer alive so the write stream terminates; reader crashes are
     # free game.  Liveness with a crashed writer is covered by integration tests.
-    schedule = random_crash_schedule(n, seed=crash_seed, horizon=25.0, exclude=(0,))
+    crash_points = random_crash_points(n, seed=crash_seed, horizon=25.0, exclude=(0,))
     return WorkloadSpec(
         n=n,
         algorithm=draw(st.sampled_from(["two-bit", "abd"])),
         num_writes=draw(st.integers(min_value=1, max_value=6)),
         reads_per_reader=draw(st.integers(min_value=1, max_value=5)),
         delay_model=UniformDelay(0.1, 2.0, seed=seed),
-        crash_schedule=schedule,
+        crash_points=crash_points,
         check_invariants=False,
         seed=seed,
         max_virtual_time=3_000.0,
@@ -86,11 +86,11 @@ def crashy_specs(draw) -> WorkloadSpec:
 
 @given(spec=crashy_specs())
 @settings(**COMMON_SETTINGS)
-def test_random_crash_schedules_never_break_atomicity(spec: WorkloadSpec):
+def test_random_crash_points_never_break_atomicity(spec: WorkloadSpec):
     result = run_workload(spec)
     assert result.check_atomicity(raise_on_violation=False).ok, result.history(REGISTER_KEY).describe()
     # Operations invoked by processes that never crash must all terminate.
-    crashed = set(spec.crash_schedule.crashed_pids if spec.crash_schedule else [])
+    crashed = {point.replica for point in spec.crash_points}
     for record in result.store.driver.records:
         if record.pid not in crashed:
             assert record.completed

@@ -23,12 +23,12 @@ import json
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
+from repro.faults import CrashPoint, install_crash_points
 from repro.quorum import engine
 from repro.quorum.aggregators import AckCounter, MaxReply
 from repro.quorum.engine import NO_SELF_REPLY, PhaseRegisterProcess, QuorumCollector
 from repro.registers.base import RegisterProcess
 from repro.sim.delays import FixedDelay
-from repro.sim.failures import CrashSchedule, FailureInjector
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
 from repro.workloads.kv import KVWorkloadSpec, run_kv_workload
@@ -183,8 +183,12 @@ class _World:
             process.finish_setup()
         self.actor = processes[ACTOR]
         if config["kill_at"] is not None:
-            schedule = CrashSchedule.after_messages({ACTOR: config["kill_at"]})
-            FailureInjector(self.simulator, self.network, schedule).install()
+            install_crash_points(
+                (CrashPoint(shard=0, replica=ACTOR, after_messages_sent=config["kill_at"]),),
+                self.simulator,
+                self.network,
+                lambda point: processes[point.replica].crash(),
+            )
         self.step = -1
         self.phases = 0  # phases started so far: the next one's number
         self.current = {}  # slot -> (number, label) of the phase now in it

@@ -96,7 +96,7 @@ class TestReadWrite:
         assert record.completed
 
     def test_atomicity_under_contention_and_crashes(self):
-        from repro.sim.failures import CrashSchedule
+        from repro.faults import CrashPoint
 
         spec = WorkloadSpec(
             n=5,
@@ -104,7 +104,10 @@ class TestReadWrite:
             num_writes=15,
             reads_per_reader=15,
             delay_model=UniformDelay(0.2, 3.0, seed=9),
-            crash_schedule=CrashSchedule.at_times({3: 10.0, 4: 20.0}),
+            crash_points=(
+                CrashPoint(shard=0, replica=3, at_time=10.0),
+                CrashPoint(shard=0, replica=4, at_time=20.0),
+            ),
             seed=9,
         )
         result = run_workload(spec)

@@ -1,98 +1,95 @@
-"""Unit tests for crash schedules and failure injection."""
+"""Unit tests for crash points: the validator, the installer, seeded draws."""
 
 import pytest
 
-from repro.sim.failures import (
-    CrashEvent,
-    CrashSchedule,
-    FailureInjector,
-    random_crash_schedule,
+from repro.faults import (
+    CrashPoint,
+    install_crash_points,
+    random_crash_points,
+    validate_crash_points,
 )
-from repro.sim.network import Network
-from repro.sim.scheduler import Simulator
 
 from tests.sim.conftest import build_recorders
 
 
-class TestCrashEvent:
+def _timed(*pids, at=1.0):
+    return tuple(CrashPoint(shard=0, replica=pid, allow_writer=True, at_time=at) for pid in pids)
+
+
+def _install(simulator, network, *points):
+    install_crash_points(
+        points, simulator, network, lambda point: network.process(point.replica).crash()
+    )
+
+
+class TestValidator:
     def test_requires_exactly_one_trigger(self):
-        with pytest.raises(ValueError):
-            CrashEvent(pid=0)
-        with pytest.raises(ValueError):
-            CrashEvent(pid=0, at_time=1.0, after_messages_sent=3)
+        with pytest.raises(ValueError, match="exactly one"):
+            validate_crash_points((CrashPoint(shard=0, replica=1),), 1, 5)
+        with pytest.raises(ValueError, match="exactly one"):
+            validate_crash_points(
+                (CrashPoint(shard=0, replica=1, at_time=1.0, after_messages_sent=3),), 1, 5
+            )
 
     def test_rejects_negative_triggers(self):
-        with pytest.raises(ValueError):
-            CrashEvent(pid=0, at_time=-1.0)
-        with pytest.raises(ValueError):
-            CrashEvent(pid=0, after_messages_sent=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            validate_crash_points((CrashPoint(shard=0, replica=1, at_time=-1.0),), 1, 5)
+        with pytest.raises(ValueError, match="non-negative"):
+            validate_crash_points((CrashPoint(shard=0, replica=1, after_messages_sent=-1),), 1, 5)
 
+    def test_no_points_is_the_failure_free_run(self):
+        validate_crash_points((), 1, 2)
 
-class TestCrashSchedule:
-    def test_none_schedule_is_empty(self):
-        schedule = CrashSchedule.none()
-        assert len(schedule) == 0
-        assert schedule.crashed_pids == []
+    def test_rejects_unknown_shard_and_replica(self):
+        with pytest.raises(ValueError, match="replica out of range"):
+            validate_crash_points(_timed(9), 1, 5)
+        with pytest.raises(ValueError, match="shard out of range"):
+            validate_crash_points((CrashPoint(shard=2, replica=1, at_time=1.0),), 2, 5)
 
-    def test_at_times_constructor(self):
-        schedule = CrashSchedule.at_times({2: 5.0, 1: 3.0})
-        assert schedule.crashed_pids == [1, 2]
-        assert len(schedule) == 2
-
-    def test_after_messages_constructor(self):
-        schedule = CrashSchedule.after_messages({0: 3})
-        assert schedule.events[0].after_messages_sent == 3
-
-    def test_validate_rejects_unknown_pid(self):
-        schedule = CrashSchedule.at_times({9: 1.0})
-        with pytest.raises(ValueError, match="unknown process"):
-            schedule.validate(n=5)
-
-    def test_validate_rejects_double_crash(self):
-        schedule = CrashSchedule(
-            events=[CrashEvent(pid=1, at_time=1.0), CrashEvent(pid=1, at_time=2.0)]
-        )
+    def test_rejects_double_crash(self):
         with pytest.raises(ValueError, match="twice"):
-            schedule.validate(n=5)
+            validate_crash_points(_timed(1) + _timed(1, at=2.0), 1, 5)
 
-    def test_validate_rejects_majority_crashes(self):
-        schedule = CrashSchedule.at_times({0: 1.0, 1: 1.0, 2: 1.0})
+    def test_rejects_majority_crashes(self):
         with pytest.raises(ValueError, match="t < n/2"):
-            schedule.validate(n=5)
+            validate_crash_points(_timed(0, 1, 2), 1, 5)
 
-    def test_validate_accepts_exact_minority(self):
-        CrashSchedule.at_times({0: 1.0, 1: 1.0}).validate(n=5)
-        CrashSchedule.at_times({0: 1.0, 1: 1.0, 2: 1.0}).validate(n=7)
+    def test_accepts_exact_minority(self):
+        validate_crash_points(_timed(0, 1), 1, 5)
+        validate_crash_points(_timed(0, 1, 2), 1, 7)
 
-    def test_validate_writer_protection(self):
-        schedule = CrashSchedule.at_times({0: 1.0})
-        schedule.validate(n=5, writer_pid=0, allow_writer_crash=True)
-        with pytest.raises(ValueError, match="writer"):
-            schedule.validate(n=5, writer_pid=0, allow_writer_crash=False)
+    def test_budget_is_per_shard(self):
+        points = tuple(CrashPoint(shard=s, replica=1, at_time=1.0) for s in range(4))
+        validate_crash_points(points, 4, 3)
+
+    def test_writer_protection(self):
+        validate_crash_points(_timed(0), 1, 5)
+        with pytest.raises(ValueError, match="allow_writer"):
+            validate_crash_points((CrashPoint(shard=0, replica=0, at_time=1.0),), 1, 5)
 
 
-class TestFailureInjector:
+class TestInstaller:
     def test_timed_crash_fires_at_the_scheduled_time(self, simulator, network):
         processes = build_recorders(simulator, network, 3)
-        schedule = CrashSchedule.at_times({1: 7.0})
-        FailureInjector(simulator, network, schedule).install()
+        _install(simulator, network, *_timed(1, at=7.0))
         simulator.schedule_at(20.0, lambda: None)  # keep the clock moving
         simulator.run()
         assert processes[1].crashed
         assert processes[1].crash_time == 7.0
         assert not processes[0].crashed and not processes[2].crashed
 
-    def test_install_is_idempotent(self, simulator, network):
-        build_recorders(simulator, network, 2)
-        injector = FailureInjector(simulator, network, CrashSchedule.at_times({1: 1.0}))
-        injector.install()
-        injector.install()
+    def test_a_time_already_past_fires_at_once(self, simulator, network):
+        processes = build_recorders(simulator, network, 3)
+        simulator.schedule_at(5.0, lambda: None)
+        simulator.run()
+        _install(simulator, network, *_timed(2, at=1.0))
         assert simulator.pending_events == 1
+        simulator.run()
+        assert processes[2].crash_time == 5.0
 
     def test_message_count_triggered_crash(self, simulator, network):
         processes = build_recorders(simulator, network, 3)
-        schedule = CrashSchedule.after_messages({0: 2})
-        FailureInjector(simulator, network, schedule).install()
+        _install(simulator, network, CrashPoint(shard=0, replica=0, after_messages_sent=2))
         processes[0].send(1, "first")
         simulator.run()
         assert not processes[0].crashed
@@ -105,7 +102,7 @@ class TestFailureInjector:
 
     def test_zero_message_trigger_crashes_immediately(self, simulator, network):
         processes = build_recorders(simulator, network, 2)
-        FailureInjector(simulator, network, CrashSchedule.after_messages({0: 0})).install()
+        _install(simulator, network, CrashPoint(shard=0, replica=0, after_messages_sent=0))
         assert processes[0].crashed
 
 
@@ -116,7 +113,7 @@ class TestAfterMessagesTrigger:
         # All sends happen inside ONE event (a broadcast-like burst): the
         # crash must land between the 2nd and 3rd send, not after the event.
         processes = build_recorders(simulator, network, 3)
-        FailureInjector(simulator, network, CrashSchedule.after_messages({0: 2})).install()
+        _install(simulator, network, CrashPoint(shard=0, replica=0, after_messages_sent=2))
 
         def burst():
             processes[0].send(1, "m1")
@@ -134,14 +131,20 @@ class TestAfterMessagesTrigger:
 
     def test_fires_exactly_once(self, simulator, network):
         processes = build_recorders(simulator, network, 3)
-        FailureInjector(simulator, network, CrashSchedule.after_messages({1: 1})).install()
+        fired = []
+
+        def crash(point):
+            fired.append(simulator.now)
+            network.process(point.replica).crash()
+
+        point = CrashPoint(shard=0, replica=1, after_messages_sent=1)
+        install_crash_points((point,), simulator, network, crash)
         processes[1].send(0, "only")
-        first_crash_time = processes[1].crash_time
-        assert processes[1].crashed and first_crash_time == simulator.now
+        assert processes[1].crashed and fired == [simulator.now]
         # Later traffic from other processes must not re-trigger anything.
         processes[0].send(2, "unrelated")
         simulator.drain()
-        assert processes[1].crash_time == first_crash_time
+        assert len(fired) == 1
         assert network.stats.per_sender.get(1, 0) == 1
 
     def test_kth_send_inside_a_partition_window(self, simulator, network):
@@ -154,7 +157,7 @@ class TestAfterMessagesTrigger:
         network.link_policy = PartitionSchedule(
             windows=(PartitionWindow.isolate((0,), 3, start=0.0, heal=20.0),)
         )
-        FailureInjector(simulator, network, CrashSchedule.after_messages({0: 2})).install()
+        _install(simulator, network, CrashPoint(shard=0, replica=0, after_messages_sent=2))
 
         def burst():
             processes[0].send(1, "p1")
@@ -171,29 +174,26 @@ class TestAfterMessagesTrigger:
         assert simulator.now >= 20.0
 
 
-class TestRandomSchedules:
+class TestRandomCrashPoints:
     def test_reproducible_for_same_seed(self):
-        a = random_crash_schedule(n=9, seed=42)
-        b = random_crash_schedule(n=9, seed=42)
-        assert [(e.pid, e.at_time) for e in a.events] == [(e.pid, e.at_time) for e in b.events]
+        assert random_crash_points(n=9, seed=42) == random_crash_points(n=9, seed=42)
 
     def test_respects_minority_bound(self):
         for seed in range(30):
-            schedule = random_crash_schedule(n=7, seed=seed)
-            assert len(schedule.crashed_pids) <= 3
-            schedule.validate(n=7)
+            points = random_crash_points(n=7, seed=seed)
+            assert len(points) <= 3
+            validate_crash_points(points, 1, 7)
 
     def test_excluded_pids_never_crash(self):
         for seed in range(30):
-            schedule = random_crash_schedule(n=7, seed=seed, exclude=(0,))
-            assert 0 not in schedule.crashed_pids
+            points = random_crash_points(n=7, seed=seed, exclude=(0,))
+            assert 0 not in [point.replica for point in points]
 
     def test_max_crashes_cap(self):
         for seed in range(30):
-            schedule = random_crash_schedule(n=9, seed=seed, max_crashes=1)
-            assert len(schedule.crashed_pids) <= 1
+            assert len(random_crash_points(n=9, seed=seed, max_crashes=1)) <= 1
 
     def test_crash_times_within_horizon(self):
-        schedule = random_crash_schedule(n=9, seed=3, horizon=10.0)
-        for event in schedule.events:
-            assert 0.0 <= event.at_time <= 10.0
+        for point in random_crash_points(n=9, seed=3, horizon=10.0):
+            assert point.shard == 0
+            assert 0.0 <= point.at_time <= 10.0

@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.messages import READ, WriteMessage
 from repro.core.register import build_two_bit_cluster
 from repro.explore.perturb import RecordingPerturbation
+from repro.faults import CrashPoint, install_crash_points
 from repro.registers.abd import AbdReadReply
 from repro.sim.delays import (
     DelayModel,
@@ -33,7 +34,6 @@ from repro.sim.delays import (
     PerLinkDelay,
     UniformDelay,
 )
-from repro.sim.failures import CrashSchedule, FailureInjector
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
 from repro.sim.tracing import Tracer
@@ -109,8 +109,13 @@ class _World:
             self.perturbation = self.network.perturbation = RecordingPerturbation(config["seed"])
         self.hooked: list = []
         if config["kill_at"] is not None:
-            schedule = CrashSchedule.after_messages({0: config["kill_at"]})
-            FailureInjector(self.simulator, self.network, schedule).install()
+            network = self.network
+            install_crash_points(
+                (CrashPoint(shard=0, replica=0, after_messages_sent=config["kill_at"]),),
+                self.simulator,
+                network,
+                lambda point: network.process(point.replica).crash(),
+            )
             # A second hook, after the trigger: what a hook sees is per message.
             stats = self.network.stats
             self.network.add_send_hook(

@@ -2,8 +2,15 @@
 
 import pytest
 
+from repro.cli import main
 from repro.store import create_store
-from repro.workloads.kv import CrashPoint, run_kv_workload
+from repro.workloads.kv import (
+    CrashPoint,
+    deploy_store,
+    iter_kv_operations,
+    run_kv_workload,
+    submit_scripted,
+)
 from repro.workloads.scenarios import kv_uniform
 
 
@@ -76,7 +83,7 @@ class TestCrashDomain:
             assert op.record.pid != 1
 
 
-class TestCrashSchedules:
+class TestCrashPoints:
     def test_crash_plan_mid_workload_stays_atomic(self):
         # Acceptance-style scenario: one non-writer replica of every shard
         # dies mid-run; surviving majorities keep every key linearizable.
@@ -114,3 +121,65 @@ class TestCrashSchedules:
         assert op.failed and not op.completed
         assert op in store.failed_ops()
         assert op not in store.completed_ops()
+
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_a_message_count_point_lands_on_the_kth_send(self, k):
+        """``after_messages_sent`` on a store counts the replica *index*.
+
+        The count is ``NetworkStats.per_sender[replica]``, which every
+        subnet of the store shares: the sends of that replica index summed
+        over every key (and shard) — on a one-key store, the process's own
+        sends.  Here one shard holds four keys, so the k-th send of replica
+        2 on any key crashes replica 2 of every key, mid-step.
+        """
+        spec = kv_uniform(num_keys=4, num_ops=60, algorithm="two-bit", num_shards=1, seed=3)
+        point = CrashPoint(shard=0, replica=2, after_messages_sent=k)
+        store = deploy_store(spec.store_config(), crash_points=(point,))
+        crashed_at_send = []
+        stats = store.stats
+
+        def observe(src, _dst, _message):  # runs after the trigger's own hook
+            if src == 2:
+                crashed_at_send.append((stats.per_sender[2], 2 in store.shards[0].crashed_replicas))
+
+        store.network.add_send_hook(observe)
+        for scripted in iter_kv_operations(spec):
+            submit_scripted(store, scripted)
+        store.drive()
+        # Sends 1 .. k-1 leave it alive, the k-th crashes it, nothing follows.
+        assert crashed_at_send == [(i, i == k) for i in range(1, k + 1)]
+        assert stats.per_sender[2] == k
+        assert store.check_atomicity().ok
+
+
+class TestInvalidCrashPoints:
+    """Invalid points are refused when the spec is built, not mid-run."""
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            CrashPoint(shard=0, replica=7, at_time=1.0),
+            CrashPoint(shard=9, replica=1, at_time=1.0),
+            CrashPoint(shard=0, replica=1, at_time=-1.0),
+        ],
+        ids=["replica-7-of-3", "shard-9-of-4", "negative-time"],
+    )
+    def test_spec_rejects_the_point(self, point):
+        with pytest.raises(ValueError):
+            kv_uniform(num_ops=100).with_(crash_points=(point,))
+
+    def test_spec_rejects_two_points_on_one_shard(self):
+        points = tuple(CrashPoint(shard=0, replica=r, at_time=1.0) for r in (1, 2))
+        with pytest.raises(ValueError, match="t < n/2"):
+            kv_uniform(num_ops=100).with_(crash_points=points)
+
+    def test_message_count_points_stay_serial(self):
+        # Shard-parallel workers would each count only their own shards' sends.
+        point = CrashPoint(shard=0, replica=1, after_messages_sent=3)
+        spec = kv_uniform(num_ops=100).with_(crash_points=(point,))
+        with pytest.raises(ValueError, match="shard-parallel"):
+            spec.with_(workers=2)
+
+    def test_store_cli_exits_2_on_a_point_the_geometry_cannot_take(self, capsys):
+        assert main(["store", "--ops", "10", "--replication", "2", "--crashes", "1"]) == 2
+        assert "t < n/2" in capsys.readouterr().err

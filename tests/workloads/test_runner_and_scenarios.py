@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.faults import CrashPoint
 from repro.registers.base import OperationKind
 from repro.sim.delays import FixedDelay
-from repro.sim.failures import CrashSchedule
 from repro.verification.register_checker import check_swmr_atomicity
 from repro.workloads import REGISTER_KEY, WorkloadSpec, run_workload
 from repro.workloads import scenarios
@@ -48,7 +48,7 @@ class TestConcurrentMode:
             num_writes=5,
             reads_per_reader=5,
             read_think_time=2.0,
-            crash_schedule=CrashSchedule.at_times({2: 3.0}),
+            crash_points=(CrashPoint(shard=0, replica=2, at_time=3.0),),
             seed=6,
         )
         result = run_workload(spec)
@@ -63,7 +63,7 @@ class TestConcurrentMode:
             num_writes=20,
             reads_per_reader=5,
             write_think_time=2.0,
-            crash_schedule=CrashSchedule.at_times({0: 9.0}),
+            crash_points=(CrashPoint(shard=0, replica=0, allow_writer=True, at_time=9.0),),
             seed=7,
         )
         result = run_workload(spec)
@@ -145,7 +145,7 @@ class TestScenarios:
 
     def test_crash_storm_scenario_spares_the_writer_by_default(self):
         spec = scenarios.crash_storm(n=7, seed=2)
-        assert 0 not in (spec.crash_schedule.crashed_pids if spec.crash_schedule else [])
+        assert 0 not in [point.replica for point in spec.crash_points]
         result = run_workload(spec)
         assert result.check_atomicity().ok
 
