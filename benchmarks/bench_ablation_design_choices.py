@@ -11,16 +11,34 @@ Two knobs the paper mentions but does not evaluate:
   (n - t) without changing the failure-free message counts or the 2 delta /
   4 delta time bounds — but it reduces how many crashes the register
   survives.  The ablation sweeps ``t`` and confirms both halves.
+
+Each knob is a process variant (:mod:`benchmarks.variants`), registered by
+name for this module and deployed with ``create_register`` like any
+algorithm.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.register import build_two_bit_cluster
+from repro.api import create_register
 from repro.sim.delays import FixedDelay
 
 from benchmarks.conftest import report
+from benchmarks.variants import WRITER_FAST_READ, registered, two_bit_variant
+
+FAST_READ = WRITER_FAST_READ.name
+T_OVERRIDES = {t: two_bit_variant(f"two-bit-t{t}", t=t) for t in range(5)}
+
+
+def _with_t(t: int) -> str:
+    return T_OVERRIDES[t].name
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _variants_registered():
+    with registered(WRITER_FAST_READ, *T_OVERRIDES.values()):
+        yield
 
 
 def test_writer_fast_read_saves_a_round_trip(benchmark):
@@ -28,8 +46,11 @@ def test_writer_fast_read_saves_a_round_trip(benchmark):
     rows = []
     results = {}
     for fast in (False, True):
-        cluster = build_two_bit_cluster(
-            n=n, initial_value="v0", delay_model=FixedDelay(1.0), writer_fast_read=fast
+        cluster = create_register(
+            n=n,
+            algorithm=FAST_READ if fast else "two-bit",
+            initial_value="v0",
+            delay_model=FixedDelay(1.0),
         )
         cluster.writer.write("v1")
         cluster.settle()
@@ -51,8 +72,8 @@ def test_writer_fast_read_saves_a_round_trip(benchmark):
     )
 
     def kernel():
-        cluster = build_two_bit_cluster(
-            n=n, initial_value="v0", delay_model=FixedDelay(1.0), writer_fast_read=True
+        cluster = create_register(
+            n=n, algorithm=FAST_READ, initial_value="v0", delay_model=FixedDelay(1.0)
         )
         cluster.writer.write("v1")
         return cluster.writer.read()
@@ -67,7 +88,9 @@ def test_quorum_size_does_not_change_failure_free_costs(benchmark, n):
     rows = []
     baseline = None
     for t in range((n - 1) // 2, -1, -1):
-        cluster = build_two_bit_cluster(n=n, initial_value="v0", delay_model=FixedDelay(1.0), t=t)
+        cluster = create_register(
+            n=n, algorithm=_with_t(t), initial_value="v0", delay_model=FixedDelay(1.0)
+        )
         record = cluster.writer.write("v1")
         cluster.settle()
         write_messages = cluster.network.stats.messages_sent
@@ -82,9 +105,11 @@ def test_quorum_size_does_not_change_failure_free_costs(benchmark, n):
         ["t", "quorum size n-t", "msgs for first write", "write latency (delta)"],
         rows,
     )
-    benchmark(
-        lambda: build_two_bit_cluster(n=n, delay_model=FixedDelay(1.0), t=0).writer.write("v1")
-    )
+    def kernel():
+        cluster = create_register(n=n, algorithm=_with_t(0), delay_model=FixedDelay(1.0))
+        return cluster.writer.write("v1")
+
+    benchmark(kernel)
 
 
 def test_smaller_t_means_less_crash_tolerance(benchmark):
@@ -94,8 +119,10 @@ def test_smaller_t_means_less_crash_tolerance(benchmark):
     n = 5
 
     def run(t: int) -> bool:
-        cluster = build_two_bit_cluster(n=n, initial_value="v0", delay_model=FixedDelay(1.0), t=t)
-        cluster.processes[4].crash()
+        cluster = create_register(
+            n=n, algorithm=_with_t(t), initial_value="v0", delay_model=FixedDelay(1.0)
+        )
+        cluster.crash(4)
         record = cluster.processes[0].invoke_write("v1", lambda _record: None)
         finished = cluster.simulator.run_until(lambda: record.completed, limit=100.0)
         return finished

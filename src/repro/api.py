@@ -4,7 +4,7 @@ Five entry points cover the common uses:
 
 * :func:`create_register` — "give me a simulated ``n``-process register I can
   read and write from Python" (returns a
-  :class:`~repro.core.register.RegisterCluster`);
+  :class:`~repro.workloads.runner.RegisterCluster`, a one-key store);
 * :func:`create_store` (re-exported from :mod:`repro.store`) — a sharded
   multi-key store composing one register per key behind a ``get``/``put``
   facade, with batched submission (returns a :class:`KVStore`);
@@ -33,15 +33,14 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 from repro.analysis.table1 import Table1, build_table1
-from repro.core.register import RegisterCluster, build_cluster
 from repro.explore import ExploreConfig, replay_artifact, run_exploration
 from repro.faults.plan import CrashPoint
 from repro.parallel import check_histories_parallel, run_kv_workload_parallel
-from repro.registers.registry import available_algorithms, get_algorithm
-from repro.sim.delays import DelayModel
+from repro.registers.registry import available_algorithms
+from repro.sim.delays import DelayModel, FixedDelay
 from repro.store.store import KVStore, StoreConfig, create_store
 from repro.workloads.kv import KVWorkloadResult
-from repro.workloads.runner import run_workload
+from repro.workloads.runner import RegisterCluster, deploy_register, run_workload
 from repro.workloads.scenarios import available_scenarios, get_scenario
 from repro.workloads.spec import WorkloadSpec
 
@@ -70,7 +69,6 @@ __all__ = [
 def create_register(
     n: int = 5,
     algorithm: str = "two-bit",
-    writer_pid: int = 0,
     initial_value: Any = None,
     delay_model: Optional[DelayModel] = None,
     crash_points: Sequence[CrashPoint] = (),
@@ -78,15 +76,18 @@ def create_register(
 ) -> RegisterCluster:
     """Create a simulated ``n``-process register running ``algorithm``.
 
-    Parameters are :func:`repro.core.register.build_cluster`'s, for any
-    algorithm in the registry (``available_algorithms()``).
+    Any algorithm in the registry (``available_algorithms()``); process 0
+    writes.  The parameters are :class:`WorkloadSpec`'s, and the register is
+    the one :func:`run_workload` deploys for such a spec
+    (:func:`~repro.workloads.runner.deploy_register`).
     """
-    return build_cluster(
-        get_algorithm(algorithm),
-        n,
-        writer_pid=writer_pid,
-        initial_value=initial_value,
-        delay_model=delay_model,
-        crash_points=crash_points,
-        check_invariants=check_invariants,
+    return deploy_register(
+        WorkloadSpec(
+            n=n,
+            algorithm=algorithm,
+            initial_value=initial_value,
+            delay_model=FixedDelay(1.0) if delay_model is None else delay_model,
+            crash_points=tuple(crash_points),
+            check_invariants=check_invariants,
+        )
     )

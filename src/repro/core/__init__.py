@@ -8,12 +8,14 @@ This package implements Figure 1 of Mostéfaoui & Raynal (2016) line by line:
 * :mod:`repro.core.state` — the per-process local state (``history``,
   ``w_sync``, ``r_sync``) the pseudocode manipulates;
 * :mod:`repro.core.process` — :class:`TwoBitRegisterProcess`, the executable
-  protocol (writer lines 1–4, reader lines 5–10, handlers lines 11–22);
+  protocol (writer lines 1–4, reader lines 5–10, handlers lines 11–22), and
+  :data:`TWO_BIT_ALGORITHM`, the factory the registry resolves ``"two-bit"``
+  to;
 * :mod:`repro.core.invariants` — runtime monitors asserting the lemmas the
-  correctness proof rests on (Lemmas 1–5 and properties P1/P2);
-* :mod:`repro.core.register` — convenience constructors and the
-  :data:`TWO_BIT_ALGORITHM` factory used by the registry, workloads and
-  benchmarks.
+  correctness proof rests on (Lemmas 1–5 and properties P1/P2).
+
+A deployment of it is a one-key store, like every other algorithm's:
+:func:`repro.create_register` / :func:`repro.workloads.deploy_register`.
 """
 
 from repro.core.messages import (
@@ -23,8 +25,7 @@ from repro.core.messages import (
     WriteMessage,
     make_write_message,
 )
-from repro.core.process import TwoBitRegisterProcess
-from repro.core.register import TWO_BIT_ALGORITHM, build_two_bit_cluster
+from repro.core.process import TWO_BIT_ALGORITHM, TwoBitRegisterProcess
 from repro.core.state import TwoBitState
 
 __all__ = [
@@ -35,6 +36,5 @@ __all__ = [
     "TwoBitRegisterProcess",
     "TwoBitState",
     "WriteMessage",
-    "build_two_bit_cluster",
     "make_write_message",
 ]

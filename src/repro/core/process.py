@@ -48,7 +48,7 @@ from typing import Any, Callable, Optional
 
 from repro.core.messages import PROCEED, READ, ProceedMessage, ReadMessage, WriteMessage
 from repro.core.state import TwoBitState
-from repro.registers.base import OperationRecord, RegisterProcess
+from repro.registers.base import OperationRecord, RegisterAlgorithm, RegisterProcess
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
 
@@ -330,3 +330,13 @@ class TwoBitRegisterProcess(RegisterProcess):
         if self.state is None:
             return 0
         return self.state.local_memory_words()
+
+
+#: Factory registered under the name ``"two-bit"``.
+TWO_BIT_ALGORITHM = RegisterAlgorithm(
+    name="two-bit",
+    description="Mostefaoui-Raynal 2016: four message types, two control bits per message",
+    process_factory=TwoBitRegisterProcess,
+    supports_multi_writer=False,
+    bounded_control_bits=True,
+)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.consensus.mmr import CONSENSUS_ALGORITHMS
-from repro.core.register import TWO_BIT_ALGORITHM
+from repro.core.process import TWO_BIT_ALGORITHM
 from repro.registers.abd import ABD_ALGORITHM
 from repro.registers.abd_mwmr import ABD_MWMR_ALGORITHM
 from repro.registers.base import RegisterAlgorithm
@@ -51,3 +51,8 @@ def register_algorithm(algorithm: RegisterAlgorithm, overwrite: bool = False) ->
     if not overwrite and algorithm.name in _REGISTRY:
         raise ValueError(f"algorithm {algorithm.name!r} is already registered")
     _REGISTRY[algorithm.name] = algorithm
+
+
+def unregister_algorithm(name: str) -> None:
+    """Forget the algorithm registered under ``name`` (a test's variant, say)."""
+    del _REGISTRY[name]

@@ -23,12 +23,18 @@ Public entry points
 :class:`~repro.sim.scheduler.Simulator`
     The event loop: virtual clock, event queue, observers.
 :class:`~repro.sim.network.Network`
-    Reliable, non-FIFO, crash-aware channels with message accounting.
+    Reliable, non-FIFO, crash-aware channels with message accounting; with
+    ``record_messages`` its :class:`~repro.sim.network.MessageRecord` list is
+    the one message log (an operation is its ``OperationRecord``, in a run
+    the driver's ``OpLog``; a crash is ``Process.crash_time``).
 :class:`~repro.transport.runtime.ProcessBase` (re-exported here as ``Process``)
     Base class for protocol processes (send / message handlers / guards);
     transport-agnostic, so it lives with the transport layer.
 :mod:`~repro.sim.delays`
     Pluggable message-delay models.
+
+One place builds these into a deployment: :class:`~repro.store.KVStore`
+(a register is its one-key case, :func:`repro.create_register`).
 """
 
 from repro.sim.delays import (
@@ -42,7 +48,6 @@ from repro.sim.delays import (
 from repro.sim.events import Event, EventQueue
 from repro.sim.network import MessageRecord, Network, NetworkStats
 from repro.sim.scheduler import Simulator, SimulationError
-from repro.sim.tracing import TraceEvent, Tracer
 from repro.transport.runtime import Guard, ProcessBase as Process, ProcessCrashedError
 
 __all__ = [
@@ -61,7 +66,5 @@ __all__ = [
     "ProcessCrashedError",
     "SimulationError",
     "Simulator",
-    "TraceEvent",
-    "Tracer",
     "UniformDelay",
 ]

@@ -295,22 +295,15 @@ class _Delivery:
             network.stats.record_drop()
             return
         network.stats.messages_delivered += 1
-        tracer = network.simulator.tracer
-        if tracer.enabled:
-            tracer.record(self.time, "deliver", self.src, self.dst, self.message)
-        hooks = network._delivery_hooks
-        if hooks:
-            for hook in hooks:
-                hook(self.src, self.dst, self.message)
         destination.deliver(self.src, self.message)
 
     def _fan_out(self, network: "Network", extra: list["_Delivery"]) -> None:
         """Deliver the head plus every coalesced rider, in send order.
 
         All entries share this event's destination and instant, so the
-        per-delivery invariants (destination, stats, tracer, hooks, record
-        flag) are hoisted out of the loop, message handling is dispatched
-        straight to ``on_message``, and the guard fixpoint scan runs **once**
+        per-delivery invariants (destination, stats, record flag) are hoisted
+        out of the loop, message handling is dispatched straight to
+        ``on_message``, and the guard fixpoint scan runs **once**
         for the whole batch instead of once per message — if any handler of
         the batch moved state a pending guard reads.  Deferring the scan
         is legal because every awaited predicate is *stable-true* within an
@@ -324,9 +317,6 @@ class _Delivery:
         stats = network.stats
         destination = network._processes[self.dst]
         record = network.record_messages
-        tracer = network.simulator.tracer
-        trace = tracer.enabled
-        hooks = network._delivery_hooks
         now = self.time
         entry = self
         index = 0
@@ -349,11 +339,6 @@ class _Delivery:
                 )
             if delivered:
                 stats.messages_delivered += 1
-                if trace:
-                    tracer.record(now, "deliver", entry.src, entry.dst, entry.message)
-                if hooks:
-                    for hook in hooks:
-                        hook(entry.src, entry.dst, entry.message)
                 # Process.deliver, inlined for the batch: counters + dispatch,
                 # with the guard scan hoisted to the end of the fan-out.
                 destination.messages_received += 1
@@ -431,10 +416,6 @@ class Network:
         # list is replaced, never mutated: a reference handed out stays valid.
         self._process_ids: list[int] = []
         self._in_flight = 0  # sent here, not yet delivered or dropped
-        # Optional delivery filter: callable(src, dst, message) -> bool.  Used
-        # by tests to model adversarial (but still eventually-reliable)
-        # schedules; returning False delays the message by re-sampling later.
-        self._delivery_hooks: list[Callable[[int, int, Any], None]] = []
         # Link-level fault plane (repro.faults): an object with an
         # ``adjust(src, dst, now, delay) -> float`` method that reshapes the
         # sampled delay per message.  ``None`` (the default) keeps the send
@@ -478,10 +459,6 @@ class Network:
         """All registered processes, ordered by pid."""
         return [self._processes[pid] for pid in self._process_ids]
 
-    def add_delivery_hook(self, hook: Callable[[int, int, Any], None]) -> None:
-        """Register a callback invoked at every delivery (for monitors/tests)."""
-        self._delivery_hooks.append(hook)
-
     def add_send_hook(self, hook: Callable[[int, int, Any], None]) -> None:
         """Register a callback invoked right after every send is scheduled.
 
@@ -501,7 +478,7 @@ class Network:
 
         A sequence is the pseudocode's "send to every ``p_j`` such that…":
         observably the loop of single sends in list order (same delay draws,
-        heap sequence numbers, records, tracer and hook calls), but what does
+        heap sequence numbers, records and hook calls), but what does
         not depend on the destination happens once — the closed and
         crashed-sender checks, the price (billed ``len(dst)`` times) and one
         batch of delay draws.  A self or unknown pid anywhere in the sequence
@@ -542,8 +519,6 @@ class Network:
             coalesced = self._coalesced
         simulator = self.simulator
         send_time = simulator._now  # .now property, bypassed on the hot path
-        tracer = simulator.tracer
-        trace = tracer.enabled
         # The delivery record is itself the heap entry, pushed in place: what
         # ``EventQueue.push`` does, minus the frame and the ``time >= 0`` check
         # (``delay >= 0`` is checked below and the clock is never negative).
@@ -564,8 +539,6 @@ class Network:
                 self._in_flight += 1
                 if delay < 0:
                     raise ValueError(f"delay model produced negative delay {delay}")
-                if trace:
-                    tracer.record(send_time, "send", src, dst, message)
                 time = send_time + delay
                 delivery = _Delivery(self, src, dst, message, send_time, time, control, data)
                 heappush(heap, (time, next(counter), delivery))
@@ -609,8 +582,6 @@ class Network:
                         f"perturbation produced invalid delay {delay} for p{src}->p{dst}; "
                         "perturbations must preserve reliability (finite, non-negative delays)"
                     )
-            if trace:
-                tracer.record(send_time, "send", src, dst, message)
             time = send_time + delay
             delivery = _Delivery(self, src, dst, message, send_time, time, control, data)
             if coalesced is None:

@@ -20,7 +20,6 @@ from heapq import heappop
 from typing import Any, Callable, Iterable, Optional
 
 from repro.sim.events import Event, EventQueue
-from repro.sim.tracing import Tracer
 from repro.transport.runtime import render_label
 
 
@@ -33,22 +32,17 @@ class Simulator:
 
     Parameters
     ----------
-    tracer:
-        Optional :class:`~repro.sim.tracing.Tracer` receiving structured
-        events (message sends/deliveries, crashes, operation boundaries).
     max_events:
         Safety valve: a run that executes more events than this raises
         :class:`SimulationError` instead of spinning forever (useful when a
         protocol bug creates a message loop).
     """
 
-    def __init__(self, tracer: Optional[Tracer] = None, max_events: int = 5_000_000) -> None:
+    def __init__(self, max_events: int = 5_000_000) -> None:
         self._queue = EventQueue()
         self._now: float = 0.0
         self._executed = 0
         self._max_events = max_events
-        # `is not None` rather than `or`: an empty Tracer is falsy (it has __len__).
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self._stopped = False
         # Observers are called after every executed event; verification hooks
         # (e.g. global invariant monitors) register themselves here.
@@ -121,7 +115,7 @@ class Simulator:
         Hot path: the popped queue entry is itself the action (an
         :class:`~repro.sim.events.Event`, or the network's in-flight delivery
         record), and the common case (no observers) runs with no per-event
-        allocations and no tracer/observer calls — verification hooks that
+        allocations and no observer calls — verification hooks that
         do register observers pay for them, benchmark runs do not.
         """
         entry = self._queue.pop(limit)

@@ -57,7 +57,6 @@ from repro.exec.metrics import MetricsCollector
 from repro.exec.oplog import OpLog, encode_oplog
 from repro.registers.base import OperationKind, OperationRecord
 from repro.sim.network import NetworkStats
-from repro.sim.tracing import Tracer
 from repro.transport.base import TransportClosedError
 from repro.transport.codec import CodecError
 from repro.transport.codec_binary import BinaryWireCodec, schema_signature
@@ -91,9 +90,9 @@ class WallClock:
 
     ``now`` is the asyncio event loop's monotonic time, rebased to 0 at
     construction so run timestamps read like elapsed seconds.  Timers map
-    onto ``call_at``/``call_later``.  The tracer is present (protocol code
-    records invocations through it) but disabled — there is no virtual
-    event log to correlate against.
+    onto ``call_at``/``call_later``.  It is the whole
+    :class:`~repro.transport.base.Clock` protocol and nothing more: protocol
+    code asks a clock for the time and for timers, never for a log.
     """
 
     def __init__(
@@ -104,7 +103,6 @@ class WallClock:
         #: run pass the parent's epoch so timestamps are comparable across
         #: processes (CLOCK_MONOTONIC is system-wide on Linux).
         self._epoch = self._loop.time() if epoch is None else epoch
-        self.tracer = Tracer(enabled=False)
 
     @property
     def now(self) -> float:

@@ -261,9 +261,6 @@ class ProcessBase:
         self.crashed = True
         self.crash_time = self.simulator.now
         self._guards.clear()
-        tracer = getattr(self.simulator, "tracer", None)
-        if tracer is not None:
-            tracer.record(self.simulator.now, "crash", self.pid, None, None)
 
     def require_alive(self, operation: str) -> None:
         """Raise :class:`ProcessCrashedError` if the process has crashed."""

@@ -7,9 +7,10 @@ model, crash schedule, seed).  The package provides:
 * :mod:`repro.workloads.spec` — the declarative :class:`WorkloadSpec`;
 * :mod:`repro.workloads.generator` — turning a spec into concrete per-process
   operation scripts (seeded, reproducible, distinct written values);
-* :mod:`repro.workloads.runner` — :func:`run_workload`: the register as the
-  one key of a one-shard store, closed-loop (or isolated) clients driven
-  through their scripts, the same :class:`KVWorkloadResult` back;
+* :mod:`repro.workloads.runner` — :func:`deploy_register`: the register as
+  the one key of a one-shard store (a :class:`RegisterCluster`), and
+  :func:`run_workload`: closed-loop (or isolated) clients driven through
+  their scripts on it, the same :class:`KVWorkloadResult` back;
 * :mod:`repro.workloads.scenarios` — canned scenarios used by examples,
   integration tests and the ablation benchmarks (read-dominated store,
   crash storms, isolated-operation latency probes, keyed store mixes, ...);
@@ -29,7 +30,7 @@ from repro.workloads.kv import (
     generate_kv_operations,
     run_kv_workload,
 )
-from repro.workloads.runner import run_workload
+from repro.workloads.runner import RegisterCluster, deploy_register, run_workload
 from repro.workloads.spec import REGISTER_KEY, WorkloadSpec
 
 __all__ = [
@@ -39,8 +40,10 @@ __all__ = [
     "KVWorkloadResult",
     "KVWorkloadSpec",
     "REGISTER_KEY",
+    "RegisterCluster",
     "ScriptedOperation",
     "WorkloadSpec",
+    "deploy_register",
     "generate_kv_arrivals",
     "generate_kv_operations",
     "generate_scripts",

@@ -7,10 +7,12 @@ True
 >>> result.latencies(OperationKind.WRITE)     # in delta units
 [2.0, 2.0, 2.0, 2.0, 2.0]
 
-A register is the one-key case of the sharded store, so the runner deploys
-:meth:`WorkloadSpec.store_config` (one shard, ``replication = n``), takes the
-processes of :data:`~repro.workloads.spec.REGISTER_KEY` and drives them
-through :mod:`repro.exec`; what comes back is the
+A register is the one-key case of the sharded store: :func:`deploy_register`
+deploys :meth:`WorkloadSpec.store_config` (one shard, ``replication = n``) and
+hands back the :class:`RegisterCluster` of
+:data:`~repro.workloads.spec.REGISTER_KEY` — what
+:func:`repro.create_register` returns to drive by hand.  The runner drives
+its processes through :mod:`repro.exec`; what comes back is the
 :class:`~repro.workloads.kv.KVWorkloadResult` every keyed run returns.
 
 * **concurrent (default)** — every scripted process runs a
@@ -27,20 +29,80 @@ through :mod:`repro.exec`; what comes back is the
 from __future__ import annotations
 
 import time
+from typing import Optional
 
-from repro.core.invariants import attach_monitor
+from repro.core.invariants import GlobalInvariantMonitor, attach_monitor
 from repro.core.process import TwoBitRegisterProcess
 from repro.exec.clients import ClosedLoopClient, IsolatedClient
+from repro.registers.base import RegisterHandle
 from repro.registers.registry import get_algorithm
+from repro.store.store import KVStore
 from repro.workloads.generator import generate_scripts, interleave_isolated
 from repro.workloads.kv import KVWorkloadResult, deploy_store
 from repro.workloads.spec import REGISTER_KEY, WorkloadSpec
 
 
-def run_workload(spec: WorkloadSpec) -> KVWorkloadResult:
-    """Execute ``spec`` and return the collected :class:`KVWorkloadResult`."""
-    if spec.multi_writer and not get_algorithm(spec.algorithm).supports_multi_writer:
-        raise ValueError(f"algorithm {spec.algorithm!r} does not support multiple writers")
+class RegisterCluster:
+    """A register deployment — a one-key store — plus handles to drive it.
+
+    ``writer`` (process 0, as in every store) accepts ``write(value)``;
+    every handle, the writer's included, accepts ``read()``.  Both run the
+    store's simulator until the operation completes, so they read like
+    blocking calls in examples and notebooks.  ``network`` is the register's
+    subnet (its bill is the store's), ``monitor`` the invariant monitor if
+    one was attached.
+    """
+
+    def __init__(self, store: KVStore, monitor: Optional[GlobalInvariantMonitor] = None) -> None:
+        register = store.register_for(REGISTER_KEY)
+        self.store = store
+        self.monitor = monitor
+        self.algorithm = store.config.algorithm
+        self.simulator = store.simulator
+        self.network = register.subnet
+        self.processes = register.processes
+        self.handles = [RegisterHandle(process, self.simulator) for process in self.processes]
+
+    @property
+    def n(self) -> int:
+        """Number of processes."""
+        return len(self.processes)
+
+    @property
+    def writer(self) -> RegisterHandle:
+        """Handle of the (single) writer, process 0."""
+        return self.handles[0]
+
+    def reader(self, pid: int) -> RegisterHandle:
+        """Handle of process ``pid`` (any process can read)."""
+        return self.handles[pid]
+
+    def readers(self) -> list[RegisterHandle]:
+        """Handles of all non-writer processes."""
+        return self.handles[1:]
+
+    def crash(self, pid: int) -> None:
+        """Crash process ``pid`` now: the store's server crash, within ``t < n/2``.
+
+        A process crashed directly (``processes[i].crash()``) is down too, so
+        it is counted into the shard's crashed replicas first.
+        """
+        self.store.shards[0].crashed_replicas.update(
+            index for index, process in enumerate(self.processes) if process.crashed
+        )
+        self.store.crash_server(0, pid, allow_writer=True)
+
+    def settle(self) -> None:
+        """Run the simulation until no more events are pending (quiescence)."""
+        self.store.settle()
+
+    def messages_sent(self) -> int:
+        """Total messages sent so far."""
+        return self.store.total_messages()
+
+
+def deploy_register(spec: WorkloadSpec) -> RegisterCluster:
+    """Deploy ``spec``'s register: its one-shard store, crash points, fault plan and monitor."""
     store = deploy_store(spec.store_config(), spec.fault_plan, spec.crash_points)
     register = store.register_for(REGISTER_KEY)
     # A lone register draws from the store's root delay stream (per-key
@@ -51,6 +113,15 @@ def run_workload(spec: WorkloadSpec) -> KVWorkloadResult:
     monitor = None
     if spec.check_invariants and all(isinstance(p, TwoBitRegisterProcess) for p in processes):
         monitor = attach_monitor(store.simulator, processes, writer_pid=0)
+    return RegisterCluster(store, monitor)
+
+
+def run_workload(spec: WorkloadSpec) -> KVWorkloadResult:
+    """Execute ``spec`` and return the collected :class:`KVWorkloadResult`."""
+    if spec.multi_writer and not get_algorithm(spec.algorithm).supports_multi_writer:
+        raise ValueError(f"algorithm {spec.algorithm!r} does not support multiple writers")
+    cluster = deploy_register(spec)
+    store, processes = cluster.store, cluster.processes
 
     scripts = generate_scripts(spec)
     isolated_costs = []
@@ -97,6 +168,6 @@ def run_workload(spec: WorkloadSpec) -> KVWorkloadResult:
         store=store,
         virtual_makespan=store.simulator.now,
         finished_cleanly=clean,
-        monitor=monitor,
+        monitor=cluster.monitor,
         isolated_costs=isolated_costs,
     )

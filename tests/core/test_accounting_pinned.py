@@ -18,16 +18,20 @@ again when consensus replicas stopped sending an estimate their AUX vouches
 for and an AUX their ``DECIDE`` stands for (1,956 / 1,648 / 1,632 messages
 before): there the protocol changed, not the accounting.
 
-The last test pins five register runs through each kind of crash a
+The next test pins five register runs through each kind of crash a
 :class:`~repro.faults.CrashPoint` expresses — recorded while register crashes
 were still a pid-keyed schedule installed by the register runner, before
 they became crash points the store schedules: whatever installs a crash, the
 execution it produces may not move.
+
+The last test pins one interactive run per registered algorithm, its writer
+killed mid-broadcast — recorded while ``create_register`` still built its own
+simulator and network, before a register became a one-key store for it too.
 """
 
 import pytest
 
-from repro.core.register import build_two_bit_cluster
+from repro.api import create_register
 from repro.faults import CrashPoint, majority_minority_split
 from repro.registers.registry import available_algorithms
 from repro.sim.delays import UniformDelay
@@ -37,7 +41,7 @@ from repro.workloads.scenarios import crash_storm
 
 
 def test_snapshot_of_a_run_whose_writer_dies_mid_forward():
-    cluster = build_two_bit_cluster(
+    cluster = create_register(
         n=5,
         initial_value="v0",
         delay_model=UniformDelay(0.2, 1.0, seed=11),
@@ -199,3 +203,48 @@ def test_register_crash_runs_are_pinned(name):
     assert [p.crashed for p in store.register_for(REGISTER_KEY).processes] == crashed
     assert store.simulator.now == clock
     assert store.simulator.executed_events == events
+
+
+#: algorithm -> (sent, delivered, dropped), the last four reads, completed
+#: operations, executed events, final clock.
+_INTERACTIVE_RUNS = {
+    "abd": ((234, 200, 34), ["v1"] * 4, 16, 234, 11.05933150928017),
+    "abd-bounded-emulation": ((234, 200, 34), ["v1"] * 4, 16, 234, 11.05933150928017),
+    "abd-mwmr": ((234, 200, 34), ["v0"] * 4, 16, 234, 11.05933150928017),
+    "mmr-cas": ((1058, 796, 262), ["v1"] * 4, 16, 1058, 16.17268208539),
+    "mmr-counter": ((1058, 796, 262), ["v1"] * 4, 16, 1058, 16.17268208539),
+    "mmr-tas": ((1058, 796, 262), ["v1"] * 4, 16, 1058, 16.17268208539),
+    "two-bit": ((134, 120, 14), ["v1"] * 4, 17, 134, 6.65981799326897),
+}
+
+
+def test_every_registered_algorithm_has_a_pinned_interactive_run():
+    assert sorted(_INTERACTIVE_RUNS) == sorted(available_algorithms())
+
+
+@pytest.mark.parametrize("algorithm", sorted(_INTERACTIVE_RUNS))
+def test_interactive_runs_with_a_writer_killed_mid_broadcast_are_pinned(algorithm):
+    totals, last_reads, completed, events, clock = _INTERACTIVE_RUNS[algorithm]
+    cluster = create_register(
+        n=5,
+        algorithm=algorithm,
+        initial_value="v0",
+        delay_model=UniformDelay(0.2, 1.0, seed=5),
+        crash_points=(CrashPoint(shard=0, replica=0, allow_writer=True, after_messages_sent=6),),
+    )
+    records = []
+    for round_number in range(1, 5):
+        writer = cluster.processes[0]
+        if not writer.crashed and writer.current_operation is None:
+            records.append(cluster.writer.write(f"v{round_number}", run=False))
+        reads = [cluster.processes[pid].invoke_read(lambda _record: None) for pid in (1, 2, 3, 4)]
+        records += reads
+        cluster.simulator.run_until(lambda: all(read.completed for read in reads))
+    cluster.settle()
+    stats = cluster.network.stats
+    assert cluster.processes[0].crashed
+    assert (stats.messages_sent, stats.messages_delivered, stats.messages_dropped_to_crashed) == totals
+    assert [r.result for r in records if r.kind.value == "read"][-4:] == last_reads
+    assert sum(r.completed for r in records) == completed
+    assert cluster.simulator.executed_events == events
+    assert cluster.simulator.now == clock

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.core.invariants import GlobalInvariantMonitor, InvariantViolation, attach_monitor
-from repro.core.register import build_two_bit_cluster
+from repro.api import create_register
 from repro.sim.delays import UniformDelay
 
 
 def build_monitored_cluster(n=4, seed=0):
-    cluster = build_two_bit_cluster(
+    cluster = create_register(
         n=n,
         initial_value="v0",
         delay_model=UniformDelay(0.2, 2.0, seed=seed),
@@ -32,7 +32,7 @@ class TestCleanRuns:
         assert report.max_sync_gap <= 1
 
     def test_monitor_attaches_via_helper(self):
-        cluster = build_two_bit_cluster(n=3, initial_value="v0")
+        cluster = create_register(n=3, initial_value="v0")
         monitor = attach_monitor(cluster.simulator, cluster.processes, writer_pid=0)
         cluster.writer.write("v1")
         cluster.settle()
@@ -57,7 +57,7 @@ class TestViolationDetection:
         return monitor
 
     def test_lemma_2_violation_detected(self):
-        cluster = build_two_bit_cluster(n=3, initial_value="v0")
+        cluster = create_register(n=3, initial_value="v0")
         cluster.writer.write("v1")
         cluster.settle()
         monitor = self._quiet_monitor(cluster)
@@ -69,7 +69,7 @@ class TestViolationDetection:
         assert any("Lemma 2" in violation for violation in monitor.report.violations)
 
     def test_lemma_3_violation_detected(self):
-        cluster = build_two_bit_cluster(n=3, initial_value="v0")
+        cluster = create_register(n=3, initial_value="v0")
         cluster.writer.write("v1")
         cluster.settle()
         monitor = self._quiet_monitor(cluster)
@@ -79,7 +79,7 @@ class TestViolationDetection:
         assert any("Lemma 3" in violation for violation in monitor.report.violations)
 
     def test_lemma_4_violation_detected(self):
-        cluster = build_two_bit_cluster(n=3, initial_value="v0")
+        cluster = create_register(n=3, initial_value="v0")
         cluster.writer.write("v1")
         cluster.settle()
         monitor = self._quiet_monitor(cluster)
@@ -88,7 +88,7 @@ class TestViolationDetection:
         assert any("Lemma 4" in violation for violation in monitor.report.violations)
 
     def test_property_p2_violation_detected(self):
-        cluster = build_two_bit_cluster(n=3, initial_value="v0")
+        cluster = create_register(n=3, initial_value="v0")
         cluster.writer.write("v1")
         cluster.settle()
         monitor = self._quiet_monitor(cluster)
@@ -98,7 +98,7 @@ class TestViolationDetection:
         assert any("Property P2" in violation or "Lemma" in violation for violation in monitor.report.violations)
 
     def test_monotonicity_violation_detected(self):
-        cluster = build_two_bit_cluster(n=3, initial_value="v0")
+        cluster = create_register(n=3, initial_value="v0")
         cluster.writer.write("v1")
         cluster.settle()
         monitor = self._quiet_monitor(cluster)
@@ -109,7 +109,7 @@ class TestViolationDetection:
         assert any("monotonicity" in violation for violation in monitor.report.violations)
 
     def test_raise_on_violation_mode(self):
-        cluster = build_two_bit_cluster(n=3, initial_value="v0")
+        cluster = create_register(n=3, initial_value="v0")
         cluster.writer.write("v1")
         cluster.settle()
         monitor = GlobalInvariantMonitor(list(cluster.processes), writer_pid=0)

@@ -10,12 +10,12 @@ and the line-22 PROCEED counter.
 import pytest
 
 from repro.core.messages import ProceedMessage, ReadMessage, WriteMessage
-from repro.core.register import build_two_bit_cluster
+from repro.api import create_register
 from repro.sim.delays import FixedDelay
 
 
 def make_cluster(n=3, **kwargs):
-    return build_two_bit_cluster(n=n, initial_value="v0", delay_model=FixedDelay(1.0), **kwargs)
+    return create_register(n=n, initial_value="v0", delay_model=FixedDelay(1.0), **kwargs)
 
 
 class TestWriteHandlerInOrder:
@@ -72,7 +72,7 @@ class TestWriteHandlerInOrder:
         from repro.sim.delays import FixedDelay, PerLinkDelay
 
         slow = PerLinkDelay(default=FixedDelay(1.0), overrides={(0, 2): FixedDelay(25.0)})
-        cluster = build_two_bit_cluster(
+        cluster = create_register(
             n=3, initial_value="v0", delay_model=slow, check_invariants=True
         )
         cluster.writer.write("v1")

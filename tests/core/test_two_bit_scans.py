@@ -24,13 +24,12 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.e2e.workloads import spec_for
+from benchmarks.variants import registered, two_bit_variant
 from repro.core.process import TwoBitRegisterProcess
-from repro.core.register import TWO_BIT_ALGORITHM, build_cluster
 from repro.faults.partitions import PartitionSchedule, PartitionWindow
 from repro.faults.plan import FaultPlan
-from repro.registers import registry
-from repro.registers.base import RegisterAlgorithm
 from repro.sim.delays import ExponentialDelay, FixedDelay, UniformDelay
+from repro.workloads import WorkloadSpec, deploy_register
 from repro.workloads.kv import CrashPoint, KVWorkloadSpec, run_kv_workload
 
 
@@ -79,24 +78,14 @@ class _CountingScans(TwoBitRegisterProcess):
             cls.useful += cls._fired > fired_before
 
 
-def _variant(name: str, process_class: type) -> RegisterAlgorithm:
-    return RegisterAlgorithm(
-        name=name,
-        description=f"two-bit, {process_class.__name__} (test only)",
-        process_factory=process_class,
-        bounded_control_bits=True,
-    )
-
-
 @pytest.fixture(scope="module", autouse=True)
 def _variants_registered():
     """The store resolves algorithms by name: register the test-only variants, then forget them."""
-    variants = [_variant("two-bit-always-scan", _AlwaysScan), _variant("two-bit-counting", _CountingScans)]
-    for variant in variants:
-        registry.register_algorithm(variant)
-    yield
-    for variant in variants:
-        del registry._REGISTRY[variant.name]
+    with registered(
+        two_bit_variant("two-bit-always-scan", _AlwaysScan),
+        two_bit_variant("two-bit-counting", _CountingScans),
+    ):
+        yield
 
 
 def _delay_model(kind: str, seed: int):
@@ -172,17 +161,19 @@ def test_store_runs_are_the_runs_of_the_always_scan_process(read_fraction, delay
         assert got["reordered"] > 0  # line 11 did buffer: the differential saw it
 
 
-def _cluster_observation(process_class: type, delay: str, seed: int, kill_at: int, coalesce: bool):
+def _cluster_observation(algorithm: str, delay: str, seed: int, kill_at: int, coalesce: bool):
     """Concurrent writes and reads on one register whose writer dies at its k-th send."""
-    cluster = build_cluster(
-        _variant(TWO_BIT_ALGORITHM.name, process_class),
-        n=5,
-        initial_value="v0",
-        delay_model=_delay_model(delay, seed),
-        crash_points=(
-            CrashPoint(shard=0, replica=0, allow_writer=True, after_messages_sent=kill_at),
-        ),
-        coalesce=coalesce,
+    cluster = deploy_register(
+        WorkloadSpec(
+            n=5,
+            algorithm=algorithm,
+            initial_value="v0",
+            delay_model=_delay_model(delay, seed),
+            crash_points=(
+                CrashPoint(shard=0, replica=0, allow_writer=True, after_messages_sent=kill_at),
+            ),
+            coalesce=coalesce,
+        )
     )
     records = []
     for round_number in range(1, 7):
@@ -211,8 +202,8 @@ def _cluster_observation(process_class: type, delay: str, seed: int, kill_at: in
 @pytest.mark.parametrize("kill_at", [3, 6, 9, 14, 23])
 @pytest.mark.parametrize("delay, coalesce", [("uniform", False), ("exponential", False), ("fixed", True)])
 def test_a_writer_killed_by_its_kth_send_leaves_the_same_execution(delay, coalesce, kill_at):
-    got = _cluster_observation(TwoBitRegisterProcess, delay, 5, kill_at, coalesce)
-    expected = _cluster_observation(_AlwaysScan, delay, 5, kill_at, coalesce)
+    got = _cluster_observation("two-bit", delay, 5, kill_at, coalesce)
+    expected = _cluster_observation("two-bit-always-scan", delay, 5, kill_at, coalesce)
     assert got["crashed"][0], "the send-count hook did kill the writer"
     for aspect in expected:
         assert got[aspect] == expected[aspect], f"{aspect} differs"

@@ -19,12 +19,11 @@ from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.network import Network
 from repro.sim.rng import make_rng
 from repro.sim.scheduler import Simulator
-from repro.sim.tracing import Tracer
 from repro.store import create_store
 
 
 def deploy(n=3, algorithm="abd", delay=None):
-    simulator = Simulator(tracer=Tracer(enabled=False))
+    simulator = Simulator()
     network = Network(simulator, delay_model=delay or FixedDelay(1.0))
     processes = get_algorithm(algorithm).build(
         simulator, network, n, writer_pid=0, initial_value="v0"

@@ -33,9 +33,9 @@ class TestTopLevelApi:
         assert cluster.reader(1).read() == "v1"
 
     def test_readers_helper_excludes_writer(self):
-        cluster = create_register(n=4, writer_pid=2)
-        assert [handle.pid for handle in cluster.readers()] == [0, 1, 3]
-        assert cluster.writer.pid == 2
+        cluster = create_register(n=4)
+        assert [handle.pid for handle in cluster.readers()] == [1, 2, 3]
+        assert cluster.writer.pid == 0
 
     def test_crash_budget_enforced(self):
         cluster = create_register(n=5)

@@ -23,7 +23,7 @@ def test_every_span_site_still_resolves(module_name, class_name, attribute):
     module = importlib.import_module(module_name)
     owner = module if class_name is None else getattr(module, class_name, None)
     assert owner is not None, f"{module_name}.{class_name} is gone"
-    # The tracer looks the name up in the owner's own namespace (an inherited
+    # The ledger looks the name up in the owner's own namespace (an inherited
     # method would be patched on the wrong class), and only wraps callables.
     assert attribute in vars(owner), f"{owner!r} no longer defines {attribute!r}"
     assert callable(vars(owner)[attribute])

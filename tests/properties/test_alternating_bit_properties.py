@@ -24,7 +24,7 @@ from collections import defaultdict
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.messages import WriteMessage
-from repro.core.register import build_two_bit_cluster
+from repro.api import create_register
 from repro.sim.delays import UniformDelay
 
 
@@ -33,7 +33,7 @@ SETTINGS = dict(max_examples=20, deadline=None, suppress_health_check=[HealthChe
 
 def _run_with_wire_capture(n: int, writes: int, seed: int, interleave_reads: bool = False):
     """Run a write stream and capture every WRITE sent, per ordered pair, in send order."""
-    cluster = build_two_bit_cluster(
+    cluster = create_register(
         n=n, initial_value="v0", delay_model=UniformDelay(0.1, 2.0, seed=seed), check_invariants=True
     )
     sent_per_pair: dict[tuple[int, int], list[WriteMessage]] = defaultdict(list)

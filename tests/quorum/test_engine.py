@@ -151,7 +151,7 @@ class PingPongProcess(PhaseRegisterProcess):
             self.phase_reply("ping", src, tag=self.round if message.tag is None else message.tag)
 
 
-def build_cluster(n=5):
+def build_ping_pong(n=5):
     simulator = Simulator()
     network = Network(simulator)
     processes = [PingPongProcess(pid, simulator, network, writer_pid=0) for pid in range(n)]
@@ -162,7 +162,7 @@ def build_cluster(n=5):
 
 class TestPhaseRegisterProcess:
     def test_phase_reaches_quorum_and_fires_once(self):
-        simulator, network, processes = build_cluster(5)
+        simulator, network, processes = build_ping_pong(5)
         processes[0].start_round()
         simulator.drain()
         assert len(processes[0].quorum_results) == 1
@@ -173,14 +173,14 @@ class TestPhaseRegisterProcess:
         assert len(responders) >= processes[0].quorum.quorum_size
 
     def test_broadcast_counts_messages(self):
-        simulator, network, processes = build_cluster(5)
+        simulator, network, processes = build_ping_pong(5)
         processes[0].start_round()
         simulator.drain()
         # 4 PINGs out, 4 PONGs back.
         assert network.stats.by_type == {"PING": 4, "PONG": 4}
 
     def test_stale_tag_rejected(self):
-        simulator, network, processes = build_cluster(3)
+        simulator, network, processes = build_ping_pong(3)
         process = processes[0]
         process.start_round()
         simulator.drain()
@@ -192,12 +192,12 @@ class TestPhaseRegisterProcess:
         assert before == {0: None, 1: None, 2: None}
 
     def test_unknown_slot_rejected(self):
-        _, _, processes = build_cluster(3)
+        _, _, processes = build_ping_pong(3)
         assert processes[0].active_phase("nope", tag=0) is None
         assert not processes[0].phase_reply("nope", 1, tag=0)
 
     def test_close_phases_freezes_replies(self):
-        simulator, _, processes = build_cluster(5)
+        simulator, _, processes = build_ping_pong(5)
         process = processes[0]
         process.start_round()
         process.close_phases("ping", "missing-slot-is-fine")
@@ -207,7 +207,7 @@ class TestPhaseRegisterProcess:
         assert process.quorum_results == []
 
     def test_phase_words_counts_retained_replies(self):
-        simulator, _, processes = build_cluster(5)
+        simulator, _, processes = build_ping_pong(5)
         process = processes[0]
         assert process.phase_words("ping") == 0
         process.start_round()
@@ -216,7 +216,7 @@ class TestPhaseRegisterProcess:
         assert process.phase_words("ping", "other") == 5
 
     def test_start_phase_sends_the_one_message_to_every_peer_in_pid_order(self):
-        simulator, network, processes = build_cluster(4)
+        simulator, network, processes = build_ping_pong(4)
         sent = []
         network.add_send_hook(lambda src, dst, message: sent.append((src, dst, message)))
         processes[2].start_round()
@@ -236,7 +236,7 @@ class TestPhaseRegisterProcess:
             assert result.verify().ok and len(result.completed_ops()) == 60
 
     def test_no_self_reply_sentinel_distinct_from_none(self):
-        simulator, _, processes = build_cluster(5)
+        simulator, _, processes = build_ping_pong(5)
         process = processes[0]
         phase = process.start_phase(
             "bare",

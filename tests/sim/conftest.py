@@ -9,7 +9,6 @@ import pytest
 from repro.sim.network import Network
 from repro.transport.runtime import ProcessBase as Process
 from repro.sim.scheduler import Simulator
-from repro.sim.tracing import Tracer
 
 
 class RecorderProcess(Process):
@@ -35,7 +34,7 @@ class EchoProcess(RecorderProcess):
 
 @pytest.fixture
 def simulator() -> Simulator:
-    return Simulator(tracer=Tracer(enabled=True))
+    return Simulator()
 
 
 @pytest.fixture

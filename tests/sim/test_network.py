@@ -245,14 +245,6 @@ class TestTopologyHelpers:
         simulator.run()
         assert network.quiescent()
 
-    def test_delivery_hook_invoked(self, simulator, network):
-        build_recorders(simulator, network, 2)
-        seen = []
-        network.add_delivery_hook(lambda src, dst, msg: seen.append((src, dst, msg)))
-        network.send(0, 1, "observed")
-        simulator.run()
-        assert seen == [(0, 1, "observed")]
-
     def test_negative_delay_model_rejected(self, simulator):
         class Broken(FixedDelay):
             def sample(self, src, dst):

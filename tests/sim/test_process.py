@@ -176,7 +176,9 @@ class TestCrash:
         with pytest.raises(ProcessCrashedError, match="write"):
             process.require_alive("write")
 
-    def test_crash_recorded_in_trace(self, simulator, network):
+    def test_crash_records_its_time(self, simulator, network):
         (process,) = build_recorders(simulator, network, 1)
-        process.crash()
-        assert simulator.tracer.count("crash") == 1
+        simulator.schedule_at(2.5, process.crash)
+        simulator.run()
+        process.crash()  # idempotent: the first crash is the one recorded
+        assert process.crash_time == 2.5

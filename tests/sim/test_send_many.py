@@ -5,7 +5,8 @@ once and draws its delays in one batch; nothing an execution can observe may
 tell it apart from ``for d in [d1, d2, ...]: send(src, d, message)``.  The
 differential property below runs the same seeded script both ways, under
 every feature of the send path at once, and compares everything there is to
-compare.  The pins after it fix the choices the refactor made.
+compare — what was sent when, and in which order, through the message
+records every world keeps.  The pins after it fix the choices the refactor made.
 
 The same holds one level down: ``send(src, j, message)`` is ``send(src, [j],
 message)``.  Where nothing can reshape, observe or coalesce the message, the
@@ -21,8 +22,8 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.api import create_register
 from repro.core.messages import READ, WriteMessage
-from repro.core.register import build_two_bit_cluster
 from repro.explore.perturb import RecordingPerturbation
 from repro.faults import CrashPoint, install_crash_points
 from repro.registers.abd import AbdReadReply
@@ -36,7 +37,6 @@ from repro.sim.delays import (
 )
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
-from repro.sim.tracing import Tracer
 from repro.transport.base import TransportClosedError
 from repro.transport.runtime import ProcessBase
 
@@ -92,11 +92,11 @@ def _rng_states(model: DelayModel) -> list:
 
 class _World:
     def __init__(self, config: dict) -> None:
-        self.simulator = Simulator(tracer=Tracer(enabled=True))
+        self.simulator = Simulator()
         self.network = Network(
             self.simulator,
             delay_model=_delay_model(config["delay"], config["seed"]),
-            record_messages=config["record"],
+            record_messages=True,
             coalesce=config["coalesce"],
         )
         self.log: list = []
@@ -129,7 +129,6 @@ class _World:
         return {
             "stats": network.stats.snapshot(),
             "records": list(network.records),
-            "trace": list(simulator.tracer.events),
             "pending": simulator.pending_labels(),
             "in_flight": network.in_flight_total(),
             "delivered": list(self.log),
@@ -152,7 +151,6 @@ def _scripts(draw, plain=False):
         "seed": draw(st.integers(min_value=0, max_value=50)),
         "delay": draw(st.sampled_from(["fixed", "uniform", "perlink"])),
         "coalesce": draw(st.booleans()),
-        "record": draw(st.booleans()),
         "policy": not plain and draw(st.booleans()),
         "perturb": not plain and draw(st.booleans()),
         "kill_at": None if plain else draw(st.none() | st.integers(min_value=1, max_value=8)),
@@ -225,7 +223,6 @@ _CONFIG = {
     "seed": 7,
     "delay": "uniform",
     "coalesce": True,
-    "record": True,
     "policy": False,
     "perturb": False,
     "kill_at": None,
@@ -400,7 +397,7 @@ class TestTheIndexExistsOnlyWhereInstantsCanBeShared:
 
 def test_a_forwarded_write_is_the_received_object_and_is_billed_like_a_fresh_one():
     n = 4
-    cluster = build_two_bit_cluster(
+    cluster = create_register(
         n=n, initial_value="v0", delay_model=UniformDelay(0.2, 1.0, seed=5)
     )
     writes = []

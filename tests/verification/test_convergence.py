@@ -3,7 +3,6 @@
 import pytest
 
 from repro.api import create_register
-from repro.core.register import build_two_bit_cluster
 from repro.verification.invariants import (
     ConvergenceError,
     check_abd_convergence,
@@ -14,13 +13,13 @@ from repro.verification.invariants import (
 
 class TestQuiescence:
     def test_quiescent_system_passes(self):
-        cluster = build_two_bit_cluster(n=3, initial_value="v0")
+        cluster = create_register(n=3, initial_value="v0")
         cluster.writer.write("v1")
         cluster.settle()
         check_quiescence(cluster.simulator, cluster.network)
 
     def test_in_flight_messages_detected(self):
-        cluster = build_two_bit_cluster(n=3, initial_value="v0")
+        cluster = create_register(n=3, initial_value="v0")
         cluster.processes[0].invoke_write("v1", lambda record: None)
         with pytest.raises(ConvergenceError, match="in flight"):
             check_quiescence(cluster.simulator, cluster.network)
@@ -28,14 +27,14 @@ class TestQuiescence:
 
 class TestTwoBitConvergence:
     def test_full_convergence_after_settle(self):
-        cluster = build_two_bit_cluster(n=5, initial_value="v0")
+        cluster = create_register(n=5, initial_value="v0")
         for index in range(1, 6):
             cluster.writer.write(f"v{index}")
         cluster.settle()
         check_two_bit_convergence(cluster.processes, writer_pid=0)
 
     def test_crashed_processes_are_skipped(self):
-        cluster = build_two_bit_cluster(n=5, initial_value="v0")
+        cluster = create_register(n=5, initial_value="v0")
         cluster.writer.write("v1")
         cluster.settle()
         cluster.processes[4].crash()
@@ -44,7 +43,7 @@ class TestTwoBitConvergence:
         check_two_bit_convergence(cluster.processes, writer_pid=0)
 
     def test_detects_divergent_history(self):
-        cluster = build_two_bit_cluster(n=3, initial_value="v0")
+        cluster = create_register(n=3, initial_value="v0")
         cluster.writer.write("v1")
         cluster.settle()
         cluster.processes[2].state.history[1] = "tampered"
@@ -52,7 +51,7 @@ class TestTwoBitConvergence:
             check_two_bit_convergence(cluster.processes, writer_pid=0)
 
     def test_detects_missing_suffix_when_full_history_required(self):
-        cluster = build_two_bit_cluster(n=3, initial_value="v0")
+        cluster = create_register(n=3, initial_value="v0")
         cluster.writer.write("v1")
         cluster.settle()
         del cluster.processes[2].state.history[1]
@@ -63,7 +62,7 @@ class TestTwoBitConvergence:
         check_two_bit_convergence(cluster.processes, writer_pid=0, require_full_history=False)
 
     def test_missing_writer_rejected(self):
-        cluster = build_two_bit_cluster(n=3, initial_value="v0")
+        cluster = create_register(n=3, initial_value="v0")
         with pytest.raises(ValueError):
             check_two_bit_convergence(cluster.processes, writer_pid=9)
 
