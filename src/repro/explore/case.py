@@ -15,18 +15,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.exec.target import OpRequest
 from repro.explore.mutations import MUTATIONS, install_mutations
 from repro.explore.perturb import PerturbationEntry, ReplayPerturbation
 from repro.faults.partitions import PartitionSchedule, PartitionWindow
-from repro.faults.plan import CrashPoint, FaultPlan
+from repro.faults.plan import CrashPoint, FaultPlan, validate_crash_points
 from repro.registers.base import OperationKind
 from repro.registers.registry import available_algorithms
 from repro.sim.delays import DelayModel, FixedDelay, UniformDelay
 from repro.store.store import KVStore, StoreConfig
 from repro.verification.linearizability import PartitionedCheckReport
-from repro.workloads.kv import deploy_store
+from repro.workloads.kv import deploy_store, drive_script
 
 #: Artifact/case schema version (bumped on incompatible changes).
 CASE_FORMAT_VERSION = 1
@@ -134,6 +135,22 @@ class ExploreCase:
         """Copy with fields replaced (sugar over :func:`dataclasses.replace`)."""
         return replace(self, **changes)
 
+    @property
+    def open_loop(self) -> bool:
+        """True when the ops arrive at times (a gap, or explicit ``at`` values)."""
+        return self.arrival_gap > 0 or any(op.at is not None for op in self.ops)
+
+    def script(self) -> List[Tuple[float, OpRequest, Any]]:
+        """The ops as a drive script: ``op.at``, else ``index * arrival_gap``."""
+        return [
+            (
+                op.at if op.at is not None else index * self.arrival_gap,
+                OpRequest(kind=OperationKind(op.kind), key=op.key, replica=op.replica),
+                op.value,
+            )
+            for index, op in enumerate(self.ops)
+        ]
+
     # ------------------------------------------------------------ serialization
 
     def to_dict(self) -> Dict[str, Any]:
@@ -194,11 +211,8 @@ class ExploreCase:
 class CaseOutcome:
     """Everything one case execution produced."""
 
-    case: ExploreCase
     store: KVStore
     report: PartitionedCheckReport
-    completed: int
-    failed: int
     finished_cleanly: bool
 
     @property
@@ -231,9 +245,13 @@ def run_case(
 ) -> CaseOutcome:
     """Execute ``case`` against a fresh store and check every key's history.
 
-    ``perturbation`` overrides the case's recorded entries (the explorer
-    passes a :class:`~repro.explore.perturb.RecordingPerturbation` on first
-    runs; replays and shrink probes build a
+    The case's crash points are checked against its geometry before anything
+    runs; its script then goes through the one drive loop every simulated run
+    uses (:func:`~repro.workloads.kv.drive_script`), so a case carries the
+    same clean-finish rule as a workload run.  ``perturbation`` overrides
+    the case's recorded entries (the explorer passes a
+    :class:`~repro.explore.perturb.RecordingPerturbation` on first runs;
+    replays and shrink probes build a
     :class:`~repro.explore.perturb.ReplayPerturbation` from the case).  The
     checker is the Wing–Gong engine on every key (``swmr_fast_path=False``)
     so explored executions exercise the search core the explorer exists to
@@ -241,6 +259,13 @@ def run_case(
     """
     if case.algorithm in MUTATIONS and case.algorithm not in available_algorithms():
         install_mutations()  # replaying a mutant artifact is self-contained
+    crash_points = [
+        CrashPoint(
+            shard=int(point["shard"]), replica=int(point["replica"]), at_time=float(point["at"])
+        )
+        for point in case.crash_points
+    ]
+    validate_crash_points(crash_points, case.num_shards, case.replication)
     store = deploy_store(
         StoreConfig(
             algorithm=case.algorithm,
@@ -250,73 +275,19 @@ def run_case(
             initial_value=case.initial_value,
         ),
         _fault_plan_for(case),
-        [
-            CrashPoint(
-                shard=int(point["shard"]), replica=int(point["replica"]), at_time=float(point["at"])
-            )
-            for point in case.crash_points
-        ],
+        crash_points,
     )
     if perturbation is None and case.perturbation:
         perturbation = ReplayPerturbation(list(case.perturbation))
     if perturbation is not None:
         store.install_perturbation(perturbation)
-
-    finished = True
-    staggered = case.arrival_gap > 0 or any(op.at is not None for op in case.ops)
-    if staggered:
-        from repro.exec.clients import OpenLoopClient
-        from repro.exec.target import OpRequest
-
-        arrivals = [
-            (
-                op.at if op.at is not None else index * case.arrival_gap,
-                OpRequest(
-                    kind=OperationKind(op.kind),
-                    key=op.key,
-                    # Writes always route to the writer replica; every other
-                    # kind honours a pinned replica from materialization.
-                    replica=op.replica if op.kind != "write" else None,
-                ),
-                op.value,
-            )
-            for index, op in enumerate(case.ops)
-        ]
-        if any(later[0] < earlier[0] for earlier, later in zip(arrivals, arrivals[1:])):
-            raise ValueError("case ops must arrive in non-decreasing time order")
-        client = OpenLoopClient(store.driver, store.target, arrivals)
-        client.start()
-        last_arrival = arrivals[-1][0] if arrivals else 0.0
-        client.drive(limit=last_arrival + store.config.max_virtual_time)
-        finished = client.all_submitted and all(op.done for op in client.ops)
-    else:
-        for begin in range(0, len(case.ops), case.batch_size):
-            for scripted in case.ops[begin : begin + case.batch_size]:
-                if scripted.kind == "write":
-                    store.submit_put(scripted.key, scripted.value)
-                elif scripted.kind == "read":
-                    store.submit_get(scripted.key, replica=scripted.replica)
-                else:
-                    store.submit_op(
-                        OperationKind(scripted.kind),
-                        scripted.key,
-                        scripted.value,
-                        replica=scripted.replica,
-                    )
-            finished = store.drive() and finished
-    report = store.check_linearizability(
-        swmr_fast_path=False, max_states=check_max_states
+    # A list: the open-loop client checks its arrival order before any event.
+    script = case.script()
+    _ops, _drives, finished = drive_script(
+        store, script, case.open_loop, case.batch_size, script[-1][0] if script else 0.0
     )
-    completed = len(store.completed_ops())
-    failed = len(store.failed_ops())
-    return CaseOutcome(
-        case=case,
-        store=store,
-        report=report,
-        completed=completed,
-        failed=failed,
-        finished_cleanly=finished,
-    )
+    report = store.check_linearizability(swmr_fast_path=False, max_states=check_max_states)
+    return CaseOutcome(store=store, report=report, finished_cleanly=finished)
 
 
 def materialize_schedule(case: ExploreCase, outcome: CaseOutcome) -> ExploreCase:
@@ -334,14 +305,13 @@ def materialize_schedule(case: ExploreCase, outcome: CaseOutcome) -> ExploreCase
         raise ValueError(
             f"outcome has {len(driven)} driven ops for a {len(case.ops)}-op case"
         )
-    staggered = case.arrival_gap > 0 or any(op.at is not None for op in case.ops)
+    open_loop = case.open_loop
     pinned = []
-    for index, (scripted, executed) in enumerate(zip(case.ops, driven)):
-        at = scripted.at
-        if at is None and staggered:
-            # The exact float the run used — rounding would shift arrivals
-            # by ulps and could lose the violation before shrinking starts.
-            at = index * case.arrival_gap
+    for (at, _request, _value), scripted, executed in zip(case.script(), case.ops, driven):
+        # The exact float the run used (the script run_case drove) — rounding
+        # would shift arrivals by ulps and could lose the violation before
+        # shrinking starts.
+        at = at if open_loop else None
         replica = scripted.replica
         # Writes always route to the writer; every round-robined kind (reads
         # and the consensus-object operations) gets its replica pinned.

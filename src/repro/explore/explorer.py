@@ -26,6 +26,7 @@ import json
 import pathlib
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Dict, List, Union
 
 from repro.explore.case import ExploreCase, materialize_schedule, run_case
@@ -33,6 +34,7 @@ from repro.explore.config import ExploreConfig
 from repro.explore.mutations import MUTATIONS, install_mutations
 from repro.explore.shrink import shrink_case
 from repro.explore.strategies import build_strategy
+from repro.parallel.pool import run_chunked
 
 #: Artifact file format marker.
 ARTIFACT_FORMAT = "repro-explore-counterexample"
@@ -96,10 +98,6 @@ class ExploreReport:
         return all(example.replayed for example in self.counterexamples)
 
 
-def _case_fails(case: ExploreCase, check_max_states: int) -> bool:
-    return not run_case(case, check_max_states=check_max_states).ok
-
-
 def _build_counterexample(
     config: ExploreConfig, original: ExploreCase, shrunken: ExploreCase
 ) -> Counterexample:
@@ -124,12 +122,12 @@ def _build_counterexample(
 
 
 def _explore_case_main(payload) -> Dict[str, Any]:
-    """Run one explored case in a pool worker (module-level for spawn).
+    """Run one explored case and summarize it (module-level for spawn).
 
-    Returns only what the parent's accounting needs: the verdict, the
-    checker counts, and the recorded perturbation entries — everything else
-    (materialization, shrinking, artifact building) happens in the parent by
-    deterministically replaying the recorded entries.
+    Returns only what the sweep's accounting needs: the verdict, the checker
+    counts, and the case with its recorded perturbation entries embedded —
+    replaying those re-runs this exact execution, so materialization,
+    shrinking and artifact building work from the summary alone.
     """
     case, recorder, check_max_states = payload
     outcome = run_case(case, perturbation=recorder, check_max_states=check_max_states)
@@ -137,79 +135,47 @@ def _explore_case_main(payload) -> Dict[str, Any]:
         "ok": outcome.ok,
         "operations_checked": outcome.report.operations_checked,
         "states_explored": outcome.report.states_explored,
-        "entries": list(recorder.entries) if recorder is not None else None,
+        "case": case if recorder is None else case.with_(perturbation=tuple(recorder.entries)),
     }
 
 
 def run_exploration(config: ExploreConfig) -> ExploreReport:
     """Explore ``config.budget`` schedules; shrink and package any violation.
 
-    ``config.workers > 1`` runs the sweep's cases on the
-    :mod:`repro.parallel` pool.  Cases are independent seeded executions, so
-    only the cheap fan-out changes: violating cases are replayed in the
-    parent from their recorded perturbation entries (the replay contract
-    makes that execution identical to the worker's), and materialization,
-    shrinking and artifact packaging run serially exactly as ``workers=1``
-    would — same counts, same counterexamples, byte for byte.
+    Every case is summarized by :func:`_explore_case_main` — lazily in
+    process at ``workers=1`` (the sweep stops at the last counterexample it
+    keeps), on the :mod:`repro.parallel` pool above that.  A violating case
+    is then re-run from its recorded entries, materialized, shrunk and
+    packaged serially, so every worker count gives the same counts and the
+    same counterexamples, byte for byte.
     """
     if config.algorithm in MUTATIONS:
         install_mutations()
     strategy = build_strategy(config)
     report = ExploreReport(config=config)
     started = time.perf_counter()
-    if config.workers > 1:
-        from itertools import islice
-
-        from repro.parallel.pool import run_chunked
-
-        prepared = list(islice(strategy.cases(), config.budget))
-        summaries = run_chunked(
-            _explore_case_main,
-            [(case, recorder, config.check_max_states) for case, recorder in prepared],
-            config.workers,
-        )
-        for (case, recorder), summary in zip(prepared, summaries):
-            report.cases_run += 1
-            report.operations_checked += summary["operations_checked"]
-            report.states_explored += summary["states_explored"]
-            if summary["ok"]:
-                continue
-            concrete = (
-                case.with_(perturbation=tuple(tuple(entry) for entry in summary["entries"]))
-                if recorder is not None
-                else case
-            )
-            outcome = run_case(concrete, check_max_states=config.check_max_states)
-            concrete = materialize_schedule(concrete, outcome)
-            shrunken = shrink_case(
-                concrete,
-                lambda candidate: _case_fails(candidate, config.check_max_states),
-                focus_keys=[str(key) for key in outcome.failing_keys()],
-            )
-            report.counterexamples.append(_build_counterexample(config, concrete, shrunken))
-            if len(report.counterexamples) >= config.max_counterexamples > 0:
-                break
-        report.wall_seconds = time.perf_counter() - started
-        return report
-    for case, recorder in strategy.cases():
-        if report.cases_run >= config.budget:
-            break
-        outcome = run_case(case, perturbation=recorder, check_max_states=config.check_max_states)
+    payloads = (
+        (case, recorder, config.check_max_states)
+        for case, recorder in islice(strategy.cases(), config.budget)
+    )
+    summaries = (
+        run_chunked(_explore_case_main, list(payloads), config.workers)
+        if config.workers > 1
+        else map(_explore_case_main, payloads)
+    )
+    for summary in summaries:
         report.cases_run += 1
-        report.operations_checked += outcome.report.operations_checked
-        report.states_explored += outcome.report.states_explored
-        if outcome.ok:
+        report.operations_checked += summary["operations_checked"]
+        report.states_explored += summary["states_explored"]
+        if summary["ok"]:
             continue
-        # Materialize the schedule so the case is self-contained and
-        # position-independent: recorded perturbation choices, explicit
-        # arrival times, pinned read routing.  Then minimize it.
-        concrete = (
-            case.with_(perturbation=tuple(recorder.entries)) if recorder is not None else case
-        )
-        concrete = materialize_schedule(concrete, outcome)
+        # Materialize the schedule so the case is position-independent:
+        # explicit arrival times, pinned read routing.  Then minimize it.
+        outcome = run_case(summary["case"], check_max_states=config.check_max_states)
+        concrete = materialize_schedule(summary["case"], outcome)
         shrunken = shrink_case(
             concrete,
-            lambda candidate: _case_fails(candidate, config.check_max_states),
+            lambda candidate: not run_case(candidate, check_max_states=config.check_max_states).ok,
             focus_keys=[str(key) for key in outcome.failing_keys()],
         )
         report.counterexamples.append(_build_counterexample(config, concrete, shrunken))

@@ -13,7 +13,10 @@ exchange messages, each worker's subnets execute event-for-event what they
 would have executed inside the single-process run (DESIGN.md §10 gives the
 induction).
 
-The only shared resource is the virtual clock, synchronised at barriers:
+A worker runs the serial run's own drive loop
+(:func:`~repro.workloads.kv.drive_script`) with its shard filter and a clock
+barrier after every drive.  The only shared resource is the virtual clock,
+synchronised at those barriers:
 
 * **closed loop** — after each batch, every worker drives its slice to
   completion, reports its local clock, receives the global maximum ``T`` and
@@ -41,7 +44,6 @@ traceback in ``worker_failure`` — barriers never hang on a dead worker.
 
 from __future__ import annotations
 
-import itertools
 import time
 from array import array
 from typing import Any, Dict, List, Tuple
@@ -65,18 +67,19 @@ from repro.parallel.pool import (
 )
 
 
-def _barrier(conn: Any, simulator: Any, stuck: bool) -> float:
-    """Worker side of one clock barrier: report, then await the global max.
+def _barrier(conn: Any, simulator: Any, drove: bool) -> None:
+    """Worker side of one clock barrier: report, await the global max, advance.
 
-    ``stuck`` reports that this group's drive ended with operations failed as
-    stuck (its event queue drained under them).  The serial loop handles that
-    case by draining the *global* queue before ``fail_stuck`` fires — its
-    clock ends at the last event anywhere in the system — so when any group
-    is stuck the parent broadcasts a ``drain`` round: every worker drains its
-    own residual events (the union of those queues *is* the serial queue) and
-    re-reports, and only then does the barrier take the max.
+    A drive that returned ``False`` with nothing left to run ended with
+    operations failed as *stuck* (the group's event queue drained under
+    them).  The serial loop handles that case by draining the *global* queue
+    before ``fail_stuck`` fires — its clock ends at the last event anywhere
+    in the system — so when any group is stuck the parent broadcasts a
+    ``drain`` round: every worker drains its own residual events (the union
+    of those queues *is* the serial queue) and re-reports, and only then does
+    the barrier take the max, which every worker then runs up to.
     """
-    conn.send(("barrier", simulator.now, stuck))
+    conn.send(("barrier", simulator.now, not drove and simulator.pending_events == 0))
     while True:
         kind, value = conn.recv()
         if kind == "drain":
@@ -85,18 +88,13 @@ def _barrier(conn: Any, simulator: Any, stuck: bool) -> float:
             continue
         if kind != "advance":  # pragma: no cover - protocol invariant
             raise RuntimeError(f"expected an advance message at the barrier, got {kind!r}")
-        return value
+        simulator.run_before(value)
+        return
 
 
 def _run_group(conn: Any, spec, group_index: int, n_groups: int) -> Dict[str, Any]:
     """Execute one shard group's slice of the workload (runs inside a worker)."""
-    from repro.workloads.kv import (
-        deploy,
-        iter_kv_arrivals,
-        iter_kv_operations,
-        last_kv_arrival,
-        submit_scripted,
-    )
+    from repro.workloads.kv import deploy, drive_script, iter_kv_script, last_kv_arrival
 
     # Every worker deploys the *complete* store (it is itself a plain
     # single-process store over the shards it owns).  Fault plan and crash
@@ -106,63 +104,38 @@ def _run_group(conn: Any, spec, group_index: int, n_groups: int) -> Dict[str, An
     # event-queue insertion order of setup-time events identical to the
     # single-process run.
     store = deploy(spec)
-    shard_map = store.shard_map
-    mine = set(shard_map.shard_groups(n_groups)[group_index])
+    shard_of = store.shard_map.shard_of
+    mine = set(store.shard_map.shard_groups(n_groups)[group_index])
+    positions: List[int] = []  # script position of every owned entry
 
-    tracked: List[Tuple[int, Any]] = []  # (global scripted index, ExecOp)
-    batches = 0
-    if spec.open_loop:
-        # Arrivals keep their absolute seeded times; filtering a subsequence
-        # never changes when the surviving arrivals fire.  The schedule
-        # streams straight from its seeded generators — the full scripted
-        # list never exists in the worker.
-        indices: List[int] = []
+    def owned(position: int, request: OpRequest) -> bool:
+        if shard_of(request.key) not in mine:
+            return False
+        positions.append(position)
+        return True
 
-        def owned_arrivals():
-            for at, scripted in zip(iter_kv_arrivals(spec), iter_kv_operations(spec)):
-                if shard_map.shard_of(scripted.key) not in mine:
-                    continue
-                indices.append(scripted.index)
-                yield (at, OpRequest(kind=scripted.kind, key=scripted.key), scripted.value)
-
-        from repro.exec.clients import OpenLoopClient
-
-        client = OpenLoopClient(store.driver, store.target, owned_arrivals())
-        client.start()
-        # The completion budget is anchored at the *global* last arrival —
-        # the same limit every worker (and the serial run) uses.
-        drove_to_completion = client.drive(limit=last_kv_arrival(spec) + spec.max_virtual_time)
-        finished = client.all_submitted and all(op.done for op in client.ops)
-        stuck = not drove_to_completion and store.simulator.pending_events == 0
-        # The client pre-pulls one arrival, so on truncation ``indices`` may
-        # run one entry past the fired ops; zip clips it.
-        tracked = list(zip(indices, client.ops))
-        batches = 1
-        store.simulator.run_before(_barrier(conn, store.simulator, stuck))
-    else:
-        # Every worker walks every batch window (even ones it owns nothing
-        # in): the barrier count must match across workers and the parent.
-        stream = iter_kv_operations(spec)
-        while True:
-            batch = list(itertools.islice(stream, spec.batch_size))
-            if not batch:
-                break
-            for scripted in batch:
-                if shard_map.shard_of(scripted.key) not in mine:
-                    continue
-                tracked.append((scripted.index, submit_scripted(store, scripted)))
-            drove_to_completion = store.drive()
-            stuck = not drove_to_completion and store.simulator.pending_events == 0
-            batches += 1
-            store.simulator.run_before(_barrier(conn, store.simulator, stuck))
-        finished = all(op.done for _, op in tracked)
+    # The serial run's script, filtered: open-loop arrivals keep their
+    # absolute times and the budget its global anchor; every worker walks
+    # every closed-loop window (even ones it owns nothing in), so the
+    # barrier count matches across workers and the parent.
+    ops, batches, finished = drive_script(
+        store,
+        iter_kv_script(spec),
+        spec.open_loop,
+        spec.batch_size,
+        last_kv_arrival(spec),
+        keep=owned,
+        after_drive=lambda drove: _barrier(conn, store.simulator, drove),
+    )
 
     # Ship the run as raw columns: the scripted global index of each oplog
     # row rides along so the parent can reassemble global submission order
-    # by permutation instead of sorting an object graph.
+    # by permutation instead of sorting an object graph.  (The open-loop
+    # client pre-pulls one entry, so on truncation ``positions`` may run one
+    # past the fired ops; zip clips it.)
     log = store.driver.oplog
     global_index = array("q", bytes(8 * len(log)))  # zero-filled
-    for index, op in tracked:
+    for index, op in zip(positions, ops):
         global_index[op.op_id] = index
     return {
         "group": group_index,
@@ -207,10 +180,8 @@ def run_kv_workload_parallel(spec):
         return run_kv_workload(spec.with_(workers=1))
 
     started = time.perf_counter()
-    if spec.open_loop:
-        rounds = 1
-    else:
-        rounds = -(-spec.num_ops // spec.batch_size)  # ceil; 0 ops -> 0 rounds
+    # One barrier per worker drive: one open-loop drive, or one per window.
+    rounds = 1 if spec.open_loop else -(-spec.num_ops // spec.batch_size)
     ctx = spawn_context()
     procs: List[Any] = []
     conns: List[Any] = []

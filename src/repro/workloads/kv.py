@@ -16,10 +16,11 @@ can map every read back to the write it observed.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.consensus.mmr import replica_invariants
 from repro.exec.clients import ARRIVAL_PROCESSES, IsolatedOpCost, OpenLoopClient, iter_arrival_times
@@ -605,41 +606,19 @@ def generate_kv_arrivals(spec: KVWorkloadSpec) -> List[float]:
 
 
 def last_kv_arrival(spec: KVWorkloadSpec) -> float:
-    """The final arrival time of the spec's schedule, in O(1) memory."""
+    """The final arrival time of the spec's schedule (0 closed-loop), in O(1) memory."""
     last = 0.0
-    for last in iter_kv_arrivals(spec):
+    for last in iter_kv_arrivals(spec) if spec.open_loop else ():
         pass
     return last
 
 
-def iter_kv_triples(spec: KVWorkloadSpec) -> Iterator[Tuple[float, OpRequest, Any]]:
-    """The open-loop client's ``(time, request, value)`` stream, lazily."""
-    for at, scripted in zip(iter_kv_arrivals(spec), iter_kv_operations(spec)):
-        yield (at, OpRequest(kind=scripted.kind, key=scripted.key), scripted.value)
-
-
-def _run_open_loop(
-    spec: KVWorkloadSpec, store: KVStore
-) -> tuple[List[StoreOp], List[float], bool]:
-    """Drive the full operation stream open-loop; returns (ops, arrivals, finished)."""
-    # One O(1)-memory pre-pass for the drive budget; the schedule itself then
-    # streams into the client one triple ahead of the firing front.
-    last_arrival = last_kv_arrival(spec)
-    client = OpenLoopClient(store.driver, store.target, iter_kv_triples(spec))
-    client.start()
-    # The budget bounds *completion after the last arrival*, mirroring the
-    # closed-loop per-drive budget — a low offered rate must not eat the
-    # whole budget with idle waiting and then silently truncate the tail.
-    client.drive(limit=last_arrival + spec.max_virtual_time)
-    # Clean = every arrival fired and every op reached a terminal state
-    # (completed, or failed-with-reason — crash failures are reported, not
-    # truncation).  Anything unsubmitted or still pending is truncation.
-    clean = client.all_submitted and all(op.done for op in client.ops)
-    # The result carries the *full* schedule (even past a truncation point),
-    # regenerated after the run so the streaming path reports exactly what
-    # the materialized path always did.
-    times = generate_kv_arrivals(spec)
-    return client.ops, times, clean
+def iter_kv_script(spec: KVWorkloadSpec) -> Iterator[Tuple[float, OpRequest, Any]]:
+    """The spec's ``(at, request, value)`` script, lazily (closed loop: ``at`` is 0)."""
+    times = iter_kv_arrivals(spec) if spec.open_loop else itertools.repeat(0.0)
+    request = functools.lru_cache(maxsize=None)(OpRequest)  # one per (kind, key)
+    for at, scripted in zip(times, iter_kv_operations(spec)):
+        yield (at, request(scripted.kind, scripted.key), scripted.value)
 
 
 def deploy_store(
@@ -669,28 +648,74 @@ def deploy(spec: KVWorkloadSpec) -> KVStore:
     )
 
 
-def submit_scripted(store: KVStore, scripted: KVOp) -> StoreOp:
-    """Submit one scripted operation through the store's matching entry point."""
-    if scripted.kind is OperationKind.WRITE:
-        return store.submit_put(scripted.key, scripted.value)
-    if scripted.kind is OperationKind.READ:
-        return store.submit_get(scripted.key)
-    return store.submit_op(scripted.kind, scripted.key, scripted.value)
+def drive_script(
+    store: KVStore,
+    script: Iterable[Tuple[float, OpRequest, Any]],
+    open_loop: bool,
+    batch_size: int,
+    last_arrival: float = 0.0,
+    keep: Optional[Callable[[int, OpRequest], bool]] = None,
+    after_drive: Callable[[bool], None] = lambda drove: None,
+) -> Tuple[List[StoreOp], int, bool]:
+    """Turn an ``(at, request, value)`` script into events on ``store``.
+
+    The one drive loop of every simulated run (serial, shard-parallel worker,
+    explore case).  Closed loop: windows of ``batch_size`` entries, each
+    submitted through ``KVStore.submit_*`` and completed by one
+    :meth:`~repro.store.store.KVStore.drive`; ``at`` is ignored.  Open loop:
+    one :class:`~repro.exec.clients.OpenLoopClient` fires each entry at its
+    ``at`` and is driven to ``last_arrival`` plus the store's
+    ``max_virtual_time`` — the budget bounds completion after the last
+    arrival, so a low offered rate cannot spend it idling.  A request's
+    ``replica`` pins the replica serving it (writes always go to the writer).
+
+    ``keep(position, request)``, when given, is asked once per entry in
+    script order and drops the entries it refuses; closed-loop windows still
+    count them.  ``after_drive(drove)`` runs after every drive with its
+    return value.
+
+    Returns ``(ops, drives, finished)``: the submitted operations in
+    submission order, the number of drives, and whether the run finished
+    cleanly — every entry submitted and every operation done, where an
+    operation that failed with a reason (a crashed replica) counts as done.
+    """
+    if open_loop:
+        if keep is not None:
+            script = (entry for position, entry in enumerate(script) if keep(position, entry[1]))
+        client = OpenLoopClient(store.driver, store.target, script)
+        client.start()
+        after_drive(client.drive(limit=last_arrival + store.config.max_virtual_time))
+        ops, drives, submitted = client.ops, 1, client.all_submitted
+    else:
+        ops, drives, submitted = [], 0, True
+        entries = enumerate(script)
+        while True:
+            window = list(itertools.islice(entries, batch_size))
+            if not window:
+                break
+            for position, (_at, request, value) in window:
+                if keep is not None and not keep(position, request):
+                    continue
+                # One KVStore.submit_* call per operation (submit_op would
+                # nest a second one for reads and writes).
+                if request.kind is OperationKind.WRITE:
+                    ops.append(store.submit_put(request.key, value))
+                elif request.kind is OperationKind.READ:
+                    ops.append(store.submit_get(request.key, request.replica))
+                else:
+                    ops.append(store.submit_op(request.kind, request.key, value, request.replica))
+            after_drive(store.drive())
+            drives += 1
+    return ops, drives, submitted and all(op.done for op in ops)
 
 
 def run_kv_workload(spec: KVWorkloadSpec) -> KVWorkloadResult:
     """Execute a keyed workload on the spec's backend and collect the result.
 
-    Closed-loop (default): operations are submitted in batches of
-    ``spec.batch_size`` and each batch is completed with one
-    :meth:`~repro.store.store.KVStore.drive` call, so ``batch_size=1``
-    reproduces per-operation driving and larger batches exercise the
-    overlapped hot path.
-
-    Open-loop (``spec.arrival`` in ``("poisson", "uniform")``): the same
-    operation stream arrives at seeded times with mean rate
-    ``spec.arrival_rate`` and one drive call runs the loop until every
-    arrival has fired and completed.
+    A serial simulated run streams the spec's script through
+    :func:`drive_script`: closed-loop batches of ``spec.batch_size``
+    (``batch_size=1`` reproduces per-operation driving), or open-loop
+    arrivals at seeded times with mean rate ``spec.arrival_rate``.
 
     ``spec.transport == "live"`` dispatches to the loopback socket cluster
     (:func:`repro.transport.live.run_live_workload`, ``spec.workers`` client
@@ -710,30 +735,17 @@ def run_kv_workload(spec: KVWorkloadSpec) -> KVWorkloadResult:
 
         return run_kv_workload_parallel(spec)
     store = deploy(spec)
-    submitted: List[StoreOp] = []
-    arrivals: List[float] = []
-    batches = 0
-    finished = True
     started = time.perf_counter()
-    if spec.open_loop:
-        submitted, arrivals, finished = _run_open_loop(spec, store)
-        batches = 1
-    else:
-        # Stream the script batch-by-batch — the full KVOp list never exists.
-        stream = iter_kv_operations(spec)
-        while True:
-            batch = list(itertools.islice(stream, spec.batch_size))
-            if not batch:
-                break
-            submitted.extend(submit_scripted(store, scripted) for scripted in batch)
-            store.drive()
-            batches += 1
-        finished = all(op.done for op in submitted)
+    # The script streams into the loop: the full operation list never exists.
+    ops, batches, finished = drive_script(
+        store, iter_kv_script(spec), spec.open_loop, spec.batch_size, last_kv_arrival(spec)
+    )
+    arrivals = generate_kv_arrivals(spec) if spec.open_loop else []
     wall_seconds = time.perf_counter() - started
     return KVWorkloadResult(
         spec=spec,
         oplog=store.oplog,
-        ops=submitted,
+        ops=ops,
         wall_seconds=wall_seconds,
         metrics=store.metrics_snapshot(),
         store=store,

@@ -4,11 +4,24 @@ import json
 
 import pytest
 
-from repro.explore.case import CaseOp, ExploreCase, materialize_schedule, run_case
+from repro.explore.case import (
+    CaseOp,
+    ExploreCase,
+    delay_model_from_dict,
+    materialize_schedule,
+    run_case,
+)
 from repro.explore.mutations import install_mutations
 from repro.explore.perturb import RecordingPerturbation, ReplayPerturbation
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
+from repro.workloads.kv import (
+    CrashPoint,
+    KVWorkloadSpec,
+    generate_kv_arrivals,
+    generate_kv_operations,
+    run_kv_workload,
+)
 
 
 def small_case(**overrides):
@@ -149,7 +162,7 @@ class TestCaseExecution:
         staggered = run_case(small_case())
         for outcome in (batch, staggered):
             assert outcome.finished_cleanly
-            assert outcome.completed == 12
+            assert len(outcome.store.completed_ops()) == 12
             assert outcome.ok
 
     def test_faults_apply(self):
@@ -185,3 +198,113 @@ class TestCaseExecution:
         install_mutations()
         outcome = run_case(small_case(algorithm="abd-sloppy-write", arrival_gap=0.0))
         assert outcome.finished_cleanly  # sloppy writes still terminate
+
+
+def case_of(spec, delay, **overrides):
+    """``spec``'s run as a case: its stream, its arrivals as explicit ``at``,
+    its delay (``delay`` is the serialized form of ``spec.delay_model``),
+    geometry and crash points."""
+    arrivals = generate_kv_arrivals(spec) if spec.open_loop else [None] * spec.num_ops
+    fields = dict(
+        name="spec",
+        algorithm=spec.algorithm,
+        num_shards=spec.num_shards,
+        replication=spec.replication,
+        batch_size=spec.batch_size,
+        arrival_gap=0.0,
+        delay=delay,
+        ops=tuple(
+            CaseOp(kind=op.kind.value, key=op.key, value=op.value, at=at)
+            for op, at in zip(generate_kv_operations(spec), arrivals)
+        ),
+        crash_points=tuple(
+            {"at": point.at_time, "shard": point.shard, "replica": point.replica}
+            for point in spec.crash_points
+        ),
+    )
+    fields.update(overrides)
+    return ExploreCase(**fields)
+
+
+def histories(store):
+    return {str(key): history.to_dict() for key, history in store.histories().items()}
+
+
+class TestACaseIsASpecRun:
+    """A case drives its script through the loop a workload run uses."""
+
+    @pytest.mark.parametrize("algorithm", ["abd", "two-bit", "abd-mwmr"])
+    @pytest.mark.parametrize(
+        "arrival, rate", [("closed", 0.0), ("poisson", 1.5)], ids=["closed", "poisson"]
+    )
+    def test_same_execution(self, algorithm, arrival, rate):
+        delay = {"kind": "uniform", "low": 0.2, "high": 1.0, "seed": 4}
+        spec = KVWorkloadSpec(
+            algorithm=algorithm,
+            num_keys=6,
+            num_ops=60,
+            num_shards=2,
+            replication=3,
+            batch_size=8,
+            arrival=arrival,
+            arrival_rate=rate,
+            delay_model=delay_model_from_dict(delay),
+            seed=2,
+        )
+        served = run_kv_workload(spec)
+        outcome = run_case(case_of(spec, delay))
+        assert histories(outcome.store) == histories(served.store)
+        assert outcome.store.simulator.executed_events == served.store.simulator.executed_events
+        assert outcome.store.stats.messages_sent == served.store.stats.messages_sent
+        assert outcome.finished_cleanly and served.finished_cleanly
+
+    def test_one_clean_finish_rule(self):
+        """An op failed with a reason (its replica crashed) is done, on every path."""
+        spec = KVWorkloadSpec(
+            algorithm="abd",
+            num_shards=1,
+            replication=3,
+            num_keys=2,
+            num_ops=30,
+            batch_size=6,
+            seed=1,
+            crash_points=(CrashPoint(shard=0, replica=1, at_time=1.5),),
+        )
+        delay = {"kind": "fixed", "delta": 1.0}
+        served = run_kv_workload(spec)
+        closed = run_case(case_of(spec, delay))
+        staggered = run_case(case_of(spec, delay, arrival_gap=0.4))
+        for store in (served.store, closed.store, staggered.store):
+            failed = store.failed_ops()
+            assert len(failed) == 1 and failed[0].failure_reason
+            assert store.check_linearizability().ok
+        assert served.finished_cleanly
+        assert closed.finished_cleanly
+        assert staggered.finished_cleanly
+
+
+class TestInvalidCaseCrashPoints:
+    """A case's crash points are refused before its first event, as a spec's are."""
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            {"at": 1.5, "shard": 0, "replica": 0},
+            {"at": 1.0, "shard": 0, "replica": 7},
+            {"at": 1.0, "shard": 7, "replica": 1},
+            {"at": -3.0, "shard": 0, "replica": 1},
+        ],
+        ids=["writer", "replica-7-of-3", "shard-7-of-1", "negative-time"],
+    )
+    def test_case_rejects_the_point(self, point, monkeypatch):
+        def no_events(*_args, **_kwargs):
+            raise AssertionError("the case ran before its crash points were checked")
+
+        monkeypatch.setattr(Simulator, "run_until", no_events)
+        with pytest.raises(ValueError):
+            run_case(small_case(num_shards=1, crash_points=(point,)))
+
+    def test_case_rejects_two_points_on_one_shard(self):
+        points = ({"at": 1.0, "shard": 0, "replica": 1}, {"at": 1.0, "shard": 0, "replica": 2})
+        with pytest.raises(ValueError, match="t < n/2"):
+            run_case(small_case(num_shards=1, crash_points=points))

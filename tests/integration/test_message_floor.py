@@ -17,7 +17,6 @@ per-message floor cannot silently creep back:
 
 from __future__ import annotations
 
-import itertools
 import sys
 from collections import Counter
 
@@ -26,7 +25,7 @@ from repro.exec.driver import Driver
 from repro.sim.delays import UniformDelay
 from repro.sim.scheduler import Simulator
 from repro.transport.runtime import Guard, ProcessBase
-from repro.workloads.kv import KVWorkloadSpec, deploy, iter_kv_operations, submit_scripted
+from repro.workloads.kv import KVWorkloadSpec, deploy, drive_script, iter_kv_script
 
 OPS = 200
 MAX_CALLS_PER_MESSAGE = 13.5
@@ -68,18 +67,11 @@ def _profiled_run():
         elif event == "return" and code is check_guards:
             scans["depth"] -= 1
 
-    drives = 0
     sys.setprofile(profile)
     try:
-        stream = iter_kv_operations(spec)
-        while True:
-            batch = list(itertools.islice(stream, spec.batch_size))
-            if not batch:
-                break
-            for scripted in batch:
-                submit_scripted(store, scripted)
-            store.drive()
-            drives += 1
+        _ops, drives, _finished = drive_script(
+            store, iter_kv_script(spec), spec.open_loop, spec.batch_size
+        )
     finally:
         sys.setprofile(None)
     processes = [p for key in spec.keys() for p in store.register_for(key).processes]

@@ -7,9 +7,9 @@ from repro.store import create_store
 from repro.workloads.kv import (
     CrashPoint,
     deploy_store,
-    iter_kv_operations,
+    drive_script,
+    iter_kv_script,
     run_kv_workload,
-    submit_scripted,
 )
 from repro.workloads.scenarios import kv_uniform
 
@@ -143,9 +143,8 @@ class TestCrashPoints:
                 crashed_at_send.append((stats.per_sender[2], 2 in store.shards[0].crashed_replicas))
 
         store.network.add_send_hook(observe)
-        for scripted in iter_kv_operations(spec):
-            submit_scripted(store, scripted)
-        store.drive()
+        # batch_size 64 > 60 ops: the whole script is one window, one drive.
+        drive_script(store, iter_kv_script(spec), spec.open_loop, spec.batch_size)
         # Sends 1 .. k-1 leave it alive, the k-th crashes it, nothing follows.
         assert crashed_at_send == [(i, i == k) for i in range(1, k + 1)]
         assert stats.per_sender[2] == k
