@@ -61,8 +61,8 @@ class DrivableClock(Clock, Protocol):
     more than timers: it runs the loop until a predicate holds and detects
     stuck runs by inspecting the pending-event count.  The virtual-time
     simulator offers both natively; the live backend drives execution with
-    asyncio instead, so its :class:`~repro.transport.live.WallClock`
-    implements this protocol only for the timer half.
+    asyncio instead, so its :class:`~repro.transport.live.WallClock` is a
+    plain :class:`Clock`.
     """
 
     @property

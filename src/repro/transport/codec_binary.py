@@ -29,12 +29,17 @@ kind 0 = a JSON blob, unchanged.  A message class registered *after* the
 import-time snapshot (tests do this) simply falls back to the JSON envelope
 per frame — correctness never depends on the snapshot being complete.
 
-There is **one codec on the wire**: every connection speaks this one once
-its JSON ``hello`` / ``hello_ack`` handshake has compared the two ends'
-:func:`schema_signature` — a mismatch is a refusal that names both
-signatures (:mod:`repro.transport.live`), never a change of codec.
+There is **one codec on the wire**: every connection speaks this one from
+its first frame.  The ``hello`` / ``hello_ack`` handshake that compares the
+two ends' :func:`schema_signature` rides envelope 0, which does not depend
+on the schema, so a mismatch is a refusal that names both signatures
+(:mod:`repro.transport.live`), never a change of codec.
 :class:`JsonWireCodec` is the kind-0 envelope's body format and the
 reference the property suite compares this codec against, frame for frame.
+Both map a frame payload dict to body bytes and back, with one convention:
+a ``{"kind": "msg", ...}`` payload carries the *live message object* under
+``"msg"`` — the codec owns its serialization in both directions, so server
+dispatch code never sees wire dicts.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import hashlib
 import json
 import struct
 from dataclasses import fields
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.transport.codec import (
     CodecError,
@@ -55,7 +60,6 @@ from repro.transport.codec import (
 __all__ = [
     "BinaryWireCodec",
     "JsonWireCodec",
-    "WireCodec",
     "make_codec",
     "schema_signature",
 ]
@@ -323,25 +327,7 @@ _OP_NAMES = {byte: name for name, byte in _OP_BYTES.items()}
 _OP_READ, _OP_WRITE = _OP_BYTES["read"], _OP_BYTES["write"]
 
 
-class WireCodec:
-    """Interface: frame payload dict <-> body bytes.
-
-    Payload dicts are the live protocol's frames, with one convention on
-    both codecs: a ``{"kind": "msg", ...}`` payload carries the *live
-    message object* under ``"msg"`` — the codec owns its serialization in
-    both directions, so server dispatch code never sees wire dicts.
-    """
-
-    name = "?"
-
-    def encode(self, payload: Dict[str, Any]) -> bytes:  # pragma: no cover
-        raise NotImplementedError
-
-    def decode(self, body: bytes) -> Dict[str, Any]:  # pragma: no cover
-        raise NotImplementedError
-
-
-class JsonWireCodec(WireCodec):
+class JsonWireCodec:
     """UTF-8 JSON bodies, registry-encoded message payloads: the binary codec's
     kind-0 envelope and the property suite's reference — not a wire of its own."""
 
@@ -363,7 +349,7 @@ class JsonWireCodec(WireCodec):
 _JSON_CODEC = JsonWireCodec()
 
 
-class BinaryWireCodec(WireCodec):
+class BinaryWireCodec:
     """Struct-packed bodies for the hot frame kinds; JSON blob otherwise."""
 
     name = "binary"
@@ -437,7 +423,7 @@ class BinaryWireCodec(WireCodec):
         raise CodecError(f"unknown binary envelope kind {envelope}")
 
 
-def make_codec(name: str) -> WireCodec:
+def make_codec(name: str) -> Union[BinaryWireCodec, JsonWireCodec]:
     if name == "binary":
         return BinaryWireCodec()
     if name == "json":

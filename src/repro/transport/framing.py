@@ -1,22 +1,19 @@
 """Length-prefixed framing, write batching and transport accounting.
 
 One frame = a 4-byte big-endian unsigned length followed by that many body
-bytes.  The body is UTF-8 JSON during the connection handshake (inspectable
-with ``tcpdump``/``nc``, refuses by construction to smuggle arbitrary Python
-objects between cluster processes); after the handshake it is whatever the
-wire codec produces (see :mod:`repro.transport.codec_binary`).
-The length prefix makes message boundaries explicit on a byte stream, which
-TCP does not provide.
+bytes.  On a live connection every body, the handshake's included, is what
+the one wire codec produces (see :mod:`repro.transport.codec_binary`); the
+handshake rides its JSON envelope.  The length prefix makes message
+boundaries explicit on a byte stream, which TCP does not provide.
 
-Three consumption styles:
+Two halves, one per direction:
 
 * :class:`FrameDecoder` — an incremental push parser (feed bytes, pull
   frames) usable without asyncio.  It keeps one compacting ``bytearray``
   with an offset cursor, so feeding a megabyte chunk holding thousands of
   frames costs one append plus one deferred compaction — not one
-  ``del buf[:end]`` memmove per frame (quadratic on large chunks).
-* :func:`read_frame` / :func:`write_frame` — asyncio stream helpers used
-  for the JSON handshake and by tests.
+  ``del buf[:end]`` memmove per frame (quadratic on large chunks).  Its
+  default mode parses bodies as JSON (:func:`encode_frame`'s frames).
 * :class:`BatchWriter` — a per-connection writer task draining a shared
   buffer, so frames enqueued in the same event-loop breath coalesce into
   one ``write()``/``drain()`` pair (the live plane's mirror of the sim
@@ -32,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Union
 
 #: Frame header: one 4-byte big-endian unsigned length.
@@ -72,10 +69,9 @@ def _parse_json_body(body: _Bytes) -> Any:
 class FrameDecoder:
     """Incremental frame parser: ``feed`` bytes in, pull complete frames out.
 
-    ``raw=False`` (default) parses each body as JSON — the handshake wire
-    and what the historical unit tests exercise.  ``raw=True`` returns the
-    body ``bytes`` untouched, for connections past their handshake (the
-    caller decodes).
+    ``raw=False`` (default) parses each body as JSON (:func:`encode_frame`'s
+    frames).  ``raw=True`` returns the body ``bytes`` untouched, for a live
+    connection, whose wire codec decodes them.
 
     Internally the decoder appends into one ``bytearray`` and walks it with
     an offset cursor over a ``memoryview``; consumed prefixes are compacted
@@ -153,10 +149,6 @@ class TransportStats:
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
-
-    @staticmethod
-    def from_dict(data: Dict[str, int]) -> "TransportStats":
-        return TransportStats(**{f.name: int(data.get(f.name, 0)) for f in fields(TransportStats)})
 
 
 class BatchWriter:
@@ -256,33 +248,3 @@ class BatchWriter:
                 await self._flush()
             except ConnectionError:
                 pass
-
-
-async def read_frame_raw(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """Read one frame body as raw bytes; ``None`` on clean EOF at a boundary."""
-    try:
-        header = await reader.readexactly(HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:  # clean EOF between frames
-            return None
-        raise FramingError("connection closed mid-header") from exc
-    (length,) = HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FramingError(f"frame of {length} bytes exceeds cap {MAX_FRAME_BYTES}")
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FramingError("connection closed mid-frame") from exc
-
-
-async def read_frame(reader: asyncio.StreamReader) -> Optional[Any]:
-    """Read one JSON frame; ``None`` on clean EOF at a frame boundary."""
-    body = await read_frame_raw(reader)
-    if body is None:
-        return None
-    return _parse_json_body(body)
-
-
-def write_frame(writer: asyncio.StreamWriter, payload: Any) -> None:
-    """Buffer one JSON frame on ``writer`` (callers drain at their own cadence)."""
-    writer.write(encode_frame(payload))

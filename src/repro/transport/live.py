@@ -4,19 +4,17 @@ The same register algorithms that run on the virtual-time simulator run
 here over real sockets, unmodified:
 
 * each **replica server** is its own OS process (``multiprocessing`` spawn)
-  running an asyncio event loop; per-key
-  :class:`~repro.registers.base.RegisterProcess` instances are created
-  lazily on first touch, exactly like the simulated store's subnets;
-* replica-to-replica protocol traffic and client invocations travel as
-  length-prefixed frames (:mod:`repro.transport.framing`) whose bodies are
-  encoded by the one struct-packed wire codec
-  (:mod:`repro.transport.codec_binary`); the JSON ``hello`` handshake that
-  opens every connection compares the two ends' schema signatures, and a
-  mismatch is refused with both signatures in the error;
-* every connection runs a :class:`~repro.transport.framing.BatchWriter`
-  (concurrent sends coalesce into one ``write()``/``drain()`` per flush)
-  and a chunked read loop feeding a cursor
-  :class:`~repro.transport.framing.FrameDecoder`, with per-connection
+  running an asyncio event loop; it reports its listen port over a pipe,
+  dials every peer before it acks the port map, and creates each key's
+  :class:`~repro.registers.base.RegisterProcess` lazily on first touch,
+  like the simulated store's subnets, behind a :class:`LiveKey`;
+* :class:`Connection` is the only code here that touches a socket: it
+  opens or accepts a stream, checks schema signatures in a ``hello`` /
+  ``hello_ack`` exchange of envelope-0 frames of the one wire codec
+  (:mod:`repro.transport.codec_binary`), coalesces sends in a
+  :class:`~repro.transport.framing.BatchWriter` and runs the one chunked
+  read loop, a :class:`~repro.transport.framing.FrameDecoder` feeding a
+  synchronous per-frame handler, with per-connection
   :class:`~repro.transport.framing.TransportStats` surfaced in metrics;
 * the **client runner** (:func:`run_live_workload`) replays a seeded
   :class:`~repro.workloads.kv.KVWorkloadSpec` operation stream — the *same*
@@ -30,10 +28,11 @@ here over real sockets, unmodified:
   response] interval, so the checker stays sound; see DESIGN §13.)
 
 Failure semantics: live connections either work or the run fails loudly —
-a dropped connection, a codec error or a deadline overrun marks the
-affected operations failed and ``finished_cleanly=False``; a client worker
-process that raises or dies fails the run at once with its cause in
-``worker_failure`` (:mod:`repro.parallel.pool`).  There is no
+a torn or garbled stream ends its connection's read loop, and the
+operations it carried fail at their deadline with ``finished_cleanly=False``;
+a replica that does not answer a stats request fails the run by name; a
+client worker process that raises or dies fails the run at once with its
+cause in ``worker_failure`` (:mod:`repro.parallel.pool`).  There is no
 fault *injection* here: partitions, delay storms, scheduled crashes,
 coalescing and schedule perturbation are simulated-only features (they
 need a controllable clock to be reproducible).  On the wire, the paper's
@@ -51,26 +50,29 @@ import time
 from array import array
 from collections import deque
 from functools import partial
+from multiprocessing.connection import wait as wait_readable
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.exec.metrics import MetricsCollector
 from repro.exec.oplog import OpLog, encode_oplog
+from repro.parallel.merge import collector_raw_state, merge_metrics, merge_oplogs
+from repro.parallel.pool import (
+    WorkerFailure,
+    recv_message,
+    run_chunked,
+    send_error,
+    spawn_context,
+    terminate_all,
+)
 from repro.registers.base import OperationKind, OperationRecord
 from repro.sim.network import NetworkStats
 from repro.transport.base import TransportClosedError
 from repro.transport.codec import CodecError
 from repro.transport.codec_binary import BinaryWireCodec, schema_signature
-from repro.transport.framing import (
-    BatchWriter,
-    FrameDecoder,
-    FramingError,
-    TransportStats,
-    read_frame,
-    read_frame_raw,
-    write_frame,
-)
+from repro.transport.framing import BatchWriter, FrameDecoder, FramingError, TransportStats
 
-#: Seconds allowed for cluster boot (spawn + port discovery + peer wiring).
+#: Seconds allowed for cluster boot (spawn + port report) and for each
+#: handshake or peer wiring that follows it.
 STARTUP_TIMEOUT = 30.0
 
 #: Floor for the completion deadline of a whole run.
@@ -80,6 +82,9 @@ MIN_RUN_TIMEOUT = 30.0
 #: the frame decoder pulls every whole frame out of the chunk — many frames
 #: per syscall on a busy connection (counted as one inbound batch).
 READ_CHUNK = 64 * 1024
+
+#: A frame handler: called with the connection and each frame it decodes.
+FrameHandler = Callable[["Connection", Dict[str, Any]], None]
 
 
 # ------------------------------------------------------------------ wall clock
@@ -92,7 +97,8 @@ class WallClock:
     construction so run timestamps read like elapsed seconds.  Timers map
     onto ``call_at``/``call_later``.  It is the whole
     :class:`~repro.transport.base.Clock` protocol and nothing more: protocol
-    code asks a clock for the time and for timers, never for a log.
+    code asks a clock for the time and for timers, never for a log, and
+    asyncio — not the clock — drives a live run.
     """
 
     def __init__(
@@ -121,17 +127,6 @@ class WallClock:
         """Cancel a pending timer (idempotent)."""
         handle.cancel()
 
-    @property
-    def pending_events(self) -> int:
-        """Always 0 — the wall clock does not own the event queue."""
-        return 0
-
-    def run_until(self, predicate: Callable[[], bool], limit: Any = None) -> bool:
-        raise RuntimeError(
-            "the wall clock cannot drive execution synchronously; "
-            "live runs are driven by asyncio (see repro.transport.live)"
-        )
-
 
 # -------------------------------------------------------------- connections
 
@@ -157,15 +152,26 @@ def _set_nodelay(writer: asyncio.StreamWriter) -> None:
 
 
 class Connection:
-    """One live socket past its handshake, with its batcher and counters."""
+    """One live stream: the only code in this module that touches a socket.
 
-    __slots__ = ("reader", "writer", "stats", "batch", "label")
+    It dials or accepts the stream, owns its :class:`BatchWriter` and runs
+    its one read loop.  The handshake is the first frame each way, an
+    ordinary envelope-0 frame of the one codec: envelope 0 is JSON and does
+    not depend on the schema, so an end built from another message registry
+    is still understood, and refused by name.
+    """
+
+    __slots__ = ("reader", "writer", "stats", "batch", "label", "on_frame", "reading")
 
     #: The one wire codec (stateless, so one instance serves every connection).
     codec = BinaryWireCodec()
 
     def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, label: str
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        label: str,
+        on_frame: FrameHandler,
     ) -> None:
         _set_nodelay(writer)
         self.reader = reader
@@ -173,55 +179,123 @@ class Connection:
         self.stats = TransportStats()
         self.batch = BatchWriter(writer, stats=self.stats).start()
         self.label = label
+        #: Gets ``(self, frame)`` for every frame read; the handshake swaps it.
+        self.on_frame = on_frame
+        #: The read loop's task, on a dialled stream.
+        self.reading: Optional[asyncio.Task] = None
+
+    @classmethod
+    async def dial(
+        cls, port: int, label: str, on_frame: FrameHandler, **hello: Any
+    ) -> "Connection":
+        """Connect, send a ``hello`` (this end's :func:`schema_signature` plus
+        ``hello``) and keep reading; frames after the ``hello_ack`` go to
+        ``on_frame``.  A refusal raises with the acceptor's reason."""
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        acked = asyncio.get_running_loop().create_future()
+
+        def first(conn: Connection, ack: Dict[str, Any]) -> None:
+            conn.on_frame = on_frame
+            acked.set_result(ack)
+
+        conn = cls(reader, writer, label, first)
+        conn.send({"kind": "hello", "sig": schema_signature(), **hello})
+        conn.reading = asyncio.ensure_future(conn.read_loop())
+        await asyncio.wait(
+            (acked, conn.reading), timeout=STARTUP_TIMEOUT, return_when=asyncio.FIRST_COMPLETED
+        )
+        ack = acked.result() if acked.done() else {"reason": "no hello_ack"}
+        if ack.get("kind") != "hello_ack" or not ack.get("ok"):
+            await conn.aclose()
+            raise RuntimeError(f"{label}: handshake refused: {ack.get('reason', ack)}")
+        return conn
+
+    @classmethod
+    async def accept(
+        cls,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        name: str,
+        on_hello: Callable[["Connection", Dict[str, Any]], FrameHandler],
+    ) -> None:
+        """Serve an accepted stream until it ends.
+
+        A ``hello`` with this end's schema signature is acked, and
+        ``on_hello(connection, hello)`` returns the handler for every later
+        frame; anything else is refused with a reason naming both signatures
+        (``name`` is this end), and the stream closed.
+        """
+
+        def greet(conn: Connection, hello: Dict[str, Any]) -> None:
+            mine = schema_signature()
+            if hello.get("kind") == "hello" and hello.get("sig") == mine:
+                conn.send({"kind": "hello_ack", "ok": True})
+                conn.on_frame = on_hello(conn, hello)
+                return
+            # One codec, no fallback: a dialer built from another message
+            # registry is refused, and told why.
+            offered = hello.get("sig")
+            reason = f"schema signature mismatch: dialer offers {offered!r}, {name} has {mine!r}"
+            conn.send({"kind": "hello_ack", "ok": False, "reason": reason})
+            raise ConnectionRefusedError(reason)  # ends the loop; closing flushes the ack
+
+        conn = cls(reader, writer, "accepted", greet)
+        try:
+            await conn.read_loop()
+        finally:
+            await conn.aclose()
+
+    async def read_loop(self) -> None:
+        """The one read loop: each chunk through one decoder, each frame to ``on_frame``.
+
+        One task wakeup per chunk however many frames it holds; frames that
+        share the handshake's chunk reach the handler the handshake set.  It
+        ends at EOF, on a garbled frame, on a torn link or when a handler
+        raises ``ConnectionError``: where a broken stream surfaces.
+        """
+        decoder = FrameDecoder(raw=True)
+        stats = self.stats
+        decode = self.codec.decode
+        try:
+            while True:
+                chunk = await self.reader.read(READ_CHUNK)
+                if not chunk:
+                    return
+                stats.note_chunk_in(len(chunk))
+                for body in decoder.feed(chunk):
+                    stats.frames_in += 1
+                    self.on_frame(self, decode(body))
+        except (FramingError, CodecError, ConnectionError):
+            return
 
     def send(self, payload: Dict[str, Any]) -> None:
         """Encode and enqueue one frame (coalesced into the next flush)."""
         self.batch.send(self.codec.encode(payload))
 
-    async def read_direct(self) -> Optional[Dict[str, Any]]:
-        """Read one frame outside the chunked loop (handshake-phase only)."""
-        body = await read_frame_raw(self.reader)
-        if body is None:
-            return None
-        return self.codec.decode(body)
-
     def snapshot(self) -> Dict[str, Any]:
         return {"label": self.label, **self.stats.as_dict()}
 
     async def aclose(self) -> None:
-        await self.batch.aclose()
-        self.writer.close()
-
-
-async def dial(port: int, label: str, **hello: Any) -> Connection:
-    """Connect to a replica and shake hands; a refusal raises with its reason.
-
-    The JSON ``hello`` carries this end's :func:`schema_signature`; the
-    acceptor answers ``hello_ack`` with ``ok`` and, when it refuses, a
-    ``reason`` naming both signatures.
-    """
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    write_frame(writer, {"kind": "hello", "sig": schema_signature(), **hello})
-    await writer.drain()
-    ack = await read_frame(reader)
-    if not ack or ack.get("kind") != "hello_ack" or not ack.get("ok"):
-        writer.close()
-        raise RuntimeError(f"{label}: handshake refused: {(ack or {}).get('reason', ack)}")
-    return Connection(reader, writer, label)
+        """Flush what is queued, then close the stream (which ends the read loop)."""
+        try:
+            await self.batch.aclose()
+        finally:
+            self.writer.close()
 
 
 # ------------------------------------------------------------- replica server
 
 
-class LiveKeyNet:
-    """Per-key :class:`~repro.transport.base.Transport` view on one replica.
+class LiveKey:
+    """One key on one replica: its transport, its register process and its invoke FIFO.
 
-    The register process for one key on one server sends through this
-    object; sends become peer frames routed by the server's connection
-    pool.  Membership is the full static replica set, message accounting
-    lands in the server-wide shared :class:`NetworkStats` (mirroring how
-    simulated subnets bill to their parent network).
+    As the key's :class:`~repro.transport.base.Transport`, each send becomes
+    one peer frame per destination.  Membership is the full static replica
+    set, and messages are billed to the server-wide :class:`NetworkStats`
+    (as simulated subnets bill to their parent network).
     """
+
+    __slots__ = ("server", "key", "name", "closed", "stats", "process", "pending")
 
     def __init__(self, server: "_ReplicaServer", key: Any) -> None:
         self.server = server
@@ -229,7 +303,17 @@ class LiveKeyNet:
         self.name = f"live:{key}"
         self.closed = False
         self.stats = server.stats
-        self.process: Any = None
+        #: Queued client invokes: (op_id, kind, value, reply connection).
+        self.pending: deque = deque()
+        self.process = server.algorithm.process_factory(
+            pid=server.replica_id,
+            simulator=server.clock,
+            network=self,
+            writer_pid=0,
+            t=(server.n - 1) // 2,
+            initial_value=server.initial_value,
+        )
+        self.process.finish_setup()
 
     @property
     def process_ids(self) -> List[int]:
@@ -248,238 +332,22 @@ class LiveKeyNet:
             return
         self.stats.record_send(src, message, len(dsts))
         # A frame carries its ``dst``, so each destination gets its own.
+        peers, key = self.server.peer_conns, self.key
         for dst in dsts:
-            self.server.send_peer(
-                dst,
-                {"kind": "msg", "key": self.key, "src": src, "dst": dst, "msg": message},
-            )
+            peers[dst].send({"kind": "msg", "key": key, "src": src, "dst": dst, "msg": message})
 
     def close(self) -> None:
         self.closed = True
 
-
-class _KeyRuntime:
-    """One key's register process on one replica, plus its invoke FIFO."""
-
-    __slots__ = ("net", "process", "pending")
-
-    def __init__(self, net: LiveKeyNet, process: Any) -> None:
-        self.net = net
-        self.process = process
-        #: Queued client invokes: (op_id, kind, value, reply connection).
-        self.pending: deque = deque()
-
-
-class _ReplicaServer:
-    """State of one replica server process (runs inside ``replica_main``)."""
-
-    def __init__(
-        self,
-        replica_id: int,
-        n: int,
-        algorithm_name: str,
-        initial_value: Any,
-    ) -> None:
-        from repro.registers.registry import get_algorithm
-
-        self.replica_id = replica_id
-        self.n = n
-        self.algorithm = get_algorithm(algorithm_name)
-        self.initial_value = initial_value
-        self.clock = WallClock(asyncio.get_running_loop())
-        self.stats = NetworkStats()
-        self.keys: Dict[Any, _KeyRuntime] = {}
-        self.peer_ports: Dict[int, int] = {}
-        self.peers_known = asyncio.Event()
-        self.shutdown = asyncio.Event()
-        #: Why this replica stopped serving, when it was not asked to.
-        self.failure: Optional[BaseException] = None
-        self._peer_queues: Dict[int, asyncio.Queue] = {}
-        self._peer_conns: Dict[int, Connection] = {}
-        self._accepted: List[Connection] = []
-        self._tasks: List[asyncio.Task] = []
-
-    # ------------------------------------------------------------- registers
-
-    def runtime_for(self, key: Any) -> _KeyRuntime:
-        runtime = self.keys.get(key)
-        if runtime is None:
-            net = LiveKeyNet(self, key)
-            process = self.algorithm.process_factory(
-                pid=self.replica_id,
-                simulator=self.clock,
-                network=net,
-                writer_pid=0,
-                t=(self.n - 1) // 2,
-                initial_value=self.initial_value,
-            )
-            process.finish_setup()
-            runtime = self.keys[key] = _KeyRuntime(net, process)
-        return runtime
-
-    # ---------------------------------------------------------- peer sending
-
-    def send_peer(self, dst: int, payload: Dict[str, Any]) -> None:
-        conn = self._peer_conns.get(dst)
-        if conn is not None:
-            # Steady state: straight into the connection's BatchWriter — no
-            # queue hop, no writer-task wakeup per message.
-            conn.send(payload)
-            return
-        queue = self._peer_queues.get(dst)
-        if queue is None:
-            queue = self._peer_queues[dst] = asyncio.Queue()
-            self._tasks.append(asyncio.ensure_future(self._peer_writer(dst, queue)))
-        queue.put_nowait(payload)
-
-    async def _peer_writer(self, dst: int, queue: asyncio.Queue) -> None:
-        """Dial ``dst`` once the port map is known, drain the backlog, hand off.
-
-        Messages sent before the link is up buffer in ``queue``; once the
-        handshake finishes this task drains the backlog in FIFO order and
-        then publishes the connection for :meth:`send_peer`'s direct path.
-        The drain loop is purely synchronous, so no new message can slip in
-        between the final ``queue.empty()`` check and the publish.
-        """
-        await self.peers_known.wait()
-        try:
-            conn = await dial(
-                self.peer_ports[dst], f"peer->{dst}", role="peer", src=self.replica_id
-            )
-        except (OSError, RuntimeError, FramingError) as exc:
-            # Without this link the queue would grow forever and the protocol
-            # stall in silence: stop serving, and exit with the cause.
-            self.failure = exc
-            self.shutdown.set()
-            return
-        while not queue.empty():
-            conn.send(queue.get_nowait())
-        self._peer_conns[dst] = conn
-
-    # ------------------------------------------------------------ connections
-
-    async def handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn: Optional[Connection] = None
-        try:
-            hello = await read_frame(reader)
-            if hello is None or hello.get("kind") != "hello":
-                return
-            mine = schema_signature()
-            ack = {"kind": "hello_ack", "replica": self.replica_id, "ok": hello.get("sig") == mine}
-            if not ack["ok"]:
-                # One codec, no fallback: a dialer built from another message
-                # registry is refused, and told why.
-                ack["reason"] = (
-                    f"schema signature mismatch: dialer offers {hello.get('sig')!r}, "
-                    f"replica {self.replica_id} has {mine!r}"
-                )
-            write_frame(writer, ack)
-            await writer.drain()
-            if not ack["ok"]:
-                return
-            if hello.get("role") == "peer":
-                label = f"peer<-{hello.get('src', '?')}"
-            else:
-                label = "client"
-            conn = Connection(reader, writer, label)
-            self._accepted.append(conn)
-            if hello.get("role") == "peer":
-                await self._serve_peer(conn)
-            else:
-                await self._serve_client(conn)
-        except (FramingError, CodecError, ConnectionError):
-            # A torn connection fails the affected ops on the client side
-            # (deadline); the server just drops the stream.
-            pass
-        except asyncio.CancelledError:
-            # Process teardown: asyncio.run cancels every task, and Python
-            # 3.11's streams callback logs a handler task that ends
-            # *cancelled* as a spurious "Exception in callback".  The cancel
-            # still stops the handler — just end it normally.
-            pass
-        finally:
-            if conn is not None:
-                try:
-                    await conn.batch.aclose()
-                except asyncio.CancelledError:
-                    pass
-            writer.close()
-
-    async def _serve_peer(self, conn: Connection) -> None:
-        decoder = FrameDecoder(raw=True)
-        while True:
-            chunk = await conn.reader.read(READ_CHUNK)
-            if not chunk:
-                return
-            conn.stats.note_chunk_in(len(chunk))
-            for body in decoder.feed(chunk):
-                conn.stats.frames_in += 1
-                frame = conn.codec.decode(body)
-                runtime = self.runtime_for(frame["key"])
-                runtime.process.deliver(frame["src"], frame["msg"])
-                self._pump(runtime)
-
-    async def _serve_client(self, conn: Connection) -> None:
-        decoder = FrameDecoder(raw=True)
-        while True:
-            chunk = await conn.reader.read(READ_CHUNK)
-            if not chunk:
-                return
-            conn.stats.note_chunk_in(len(chunk))
-            for body in decoder.feed(chunk):
-                conn.stats.frames_in += 1
-                frame = conn.codec.decode(body)
-                kind = frame.get("kind")
-                if kind == "invoke":
-                    runtime = self.runtime_for(frame["key"])
-                    runtime.pending.append(
-                        (frame["op_id"], frame["op"], frame.get("value"), conn)
-                    )
-                    self._pump(runtime)
-                elif kind == "peers":
-                    self.peer_ports = {
-                        int(pid): port for pid, port in frame["ports"].items()
-                    }
-                    self.peers_known.set()
-                    conn.send({"kind": "peers_ok", "replica": self.replica_id})
-                elif kind == "stats":
-                    conn.send(self._stats_reply())
-                elif kind == "shutdown":
-                    self.close()
-                    conn.send({"kind": "bye", "replica": self.replica_id})
-                    await conn.batch.aclose()
-                    self.shutdown.set()
-                    return
-
-    def _stats_reply(self) -> Dict[str, Any]:
-        return {
-            "kind": "stats_reply",
-            "replica": self.replica_id,
-            "messages_sent": self.stats.messages_sent,
-            "by_type": dict(self.stats.by_type),
-            "keys": len(self.keys),
-            "transport": self.transport_snapshot(),
-        }
-
-    def transport_snapshot(self) -> List[Dict[str, Any]]:
-        """Per-connection byte/frame/batch counters, inbound and outbound."""
-        conns = self._accepted + [
-            self._peer_conns[dst] for dst in sorted(self._peer_conns)
-        ]
-        return [conn.snapshot() for conn in conns]
-
-    # ---------------------------------------------------------------- invokes
-
-    def _pump(self, runtime: _KeyRuntime) -> None:
+    def pump(self) -> None:
         """Issue queued invokes while the (sequential) register process is free."""
-        process = runtime.process
-        while runtime.pending:
+        process = self.process
+        pending = self.pending
+        while pending:
             current = process.current_operation
             if current is not None and not current.completed:
                 return  # busy; the completion callback pumps again
-            op_id, op, value, reply_conn = runtime.pending.popleft()
+            op_id, op, value, reply_conn = pending.popleft()
 
             def finish(record: OperationRecord, op_id: int = op_id, c=reply_conn) -> None:
                 c.send(
@@ -501,27 +369,136 @@ class _ReplicaServer:
                     {"kind": "result", "op_id": op_id, "ok": False, "error": str(exc)}
                 )
 
+
+class _ReplicaServer:
+    """State of one replica server process (runs inside ``replica_main``)."""
+
+    def __init__(
+        self,
+        replica_id: int,
+        n: int,
+        algorithm_name: str,
+        initial_value: Any,
+    ) -> None:
+        from repro.registers.registry import get_algorithm
+
+        self.replica_id = replica_id
+        self.n = n
+        self.algorithm = get_algorithm(algorithm_name)
+        self.initial_value = initial_value
+        self.clock = WallClock(asyncio.get_running_loop())
+        self.stats = NetworkStats()
+        self.keys: Dict[Any, LiveKey] = {}
+        #: One dialled connection per peer, all up before ``peers`` is acked.
+        self.peer_conns: Dict[int, Connection] = {}
+        self.shutdown = asyncio.Event()
+        #: Why this replica stopped serving, when it was not asked to.
+        self.failure: Optional[BaseException] = None
+        self._accepted: List[Connection] = []
+        self._wiring: Optional[asyncio.Task] = None
+
+    def live_key(self, key: Any) -> LiveKey:
+        entry = self.keys.get(key)
+        if entry is None:
+            entry = self.keys[key] = LiveKey(self, key)
+        return entry
+
+    # ------------------------------------------------------------ connections
+
+    async def handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """The stream server's callback: serve one accepted stream until it ends."""
+        try:
+            await Connection.accept(reader, writer, f"replica {self.replica_id}", self._greeted)
+        except asyncio.CancelledError:
+            # Process teardown: asyncio.run cancels every task, and Python
+            # 3.11's streams callback logs a handler task that ends
+            # *cancelled* as a spurious "Exception in callback".  The cancel
+            # still stops the handler — just end it normally.
+            pass
+
+    def _greeted(self, conn: Connection, hello: Dict[str, Any]) -> FrameHandler:
+        conn.label = f"peer<-{hello.get('src', '?')}" if hello.get("role") == "peer" else "client"
+        self._accepted.append(conn)
+        return self._on_frame
+
+    def _on_frame(self, conn: Connection, frame: Dict[str, Any]) -> None:
+        kind = frame.get("kind")
+        if kind == "msg":
+            entry = self.live_key(frame["key"])
+            entry.process.deliver(frame["src"], frame["msg"])
+            entry.pump()
+        elif kind == "invoke":
+            entry = self.live_key(frame["key"])
+            entry.pending.append((frame["op_id"], frame["op"], frame.get("value"), conn))
+            entry.pump()
+        elif kind == "peers":
+            self._wiring = asyncio.ensure_future(self._wire_peers(conn, frame["ports"]))
+        elif kind == "stats":
+            conn.send(self._stats_reply())
+        elif kind == "shutdown":
+            self.close()
+            self.shutdown.set()
+
+    async def _wire_peers(self, conn: Connection, ports: Dict[str, int]) -> None:
+        """Dial every peer not yet connected, then answer ``peers``.
+
+        A dial that fails is answered with the peer and the reason, and ends
+        this replica: without the link the protocol would stall in silence.
+        """
+        reply: Dict[str, Any] = {"kind": "peers_ok", "replica": self.replica_id, "ok": True}
+        try:
+            for pid, port in sorted((int(pid), port) for pid, port in ports.items()):
+                if pid != self.replica_id and pid not in self.peer_conns:
+                    self.peer_conns[pid] = await Connection.dial(
+                        port, f"peer->{pid}", self._on_frame, role="peer", src=self.replica_id
+                    )
+        except (OSError, RuntimeError, FramingError) as exc:
+            reply.update(ok=False, reason=str(exc))
+            self.failure = exc
+            self.shutdown.set()
+        conn.send(reply)
+
+    def _stats_reply(self) -> Dict[str, Any]:
+        return {
+            "kind": "stats_reply",
+            "replica": self.replica_id,
+            "messages_sent": self.stats.messages_sent,
+            "by_type": dict(self.stats.by_type),
+            "keys": len(self.keys),
+            "transport": self.transport_snapshot(),
+        }
+
+    def transport_snapshot(self) -> List[Dict[str, Any]]:
+        """Per-connection byte/frame/batch counters, inbound and outbound."""
+        conns = self._accepted + [self.peer_conns[dst] for dst in sorted(self.peer_conns)]
+        return [conn.snapshot() for conn in conns]
+
     # --------------------------------------------------------------- teardown
 
     def close(self) -> None:
-        for runtime in self.keys.values():
-            runtime.net.close()
-        for task in self._tasks:
-            task.cancel()
+        for entry in self.keys.values():
+            entry.close()
+
+    async def hang_up(self) -> None:
+        """Flush and close every connection, accepted and dialled."""
+        for conn in self._accepted + list(self.peer_conns.values()):
+            await conn.aclose()
 
 
 def replica_main(
-    replica_id: int,
-    n: int,
-    algorithm_name: str,
-    initial_value: Any,
-    port_queue: Any,
+    replica_id: int, n: int, algorithm_name: str, initial_value: Any, report: Any
 ) -> None:
-    """Entry point of one replica server process (multiprocessing spawn)."""
+    """Entry point of one replica server process (multiprocessing spawn).
+
+    ``report`` is the write end of a pipe: the replica sends ``("port",
+    port)`` once it listens, or its traceback if it cannot.
+    """
     import os
 
     def serve() -> None:
-        asyncio.run(_replica_async_main(replica_id, n, algorithm_name, initial_value, port_queue))
+        asyncio.run(_replica_async_main(report, replica_id, n, algorithm_name, initial_value))
 
     profile_dir = os.environ.get("REPRO_LIVE_PROFILE")
     if not profile_dir:
@@ -538,21 +515,19 @@ def replica_main(
         prof.dump_stats(os.path.join(profile_dir, f"replica{replica_id}.prof"))
 
 
-async def _replica_async_main(
-    replica_id: int,
-    n: int,
-    algorithm_name: str,
-    initial_value: Any,
-    port_queue: Any,
-) -> None:
-    server = _ReplicaServer(replica_id, n, algorithm_name, initial_value)
-    tcp_server = await asyncio.start_server(server.handle_connection, "127.0.0.1", 0)
-    port = tcp_server.sockets[0].getsockname()[1]
-    port_queue.put((replica_id, port))
-    async with tcp_server:
+async def _replica_async_main(report: Any, *server_args: Any) -> None:
+    try:
+        server = _ReplicaServer(*server_args)
+        listener = await asyncio.start_server(server.handle_connection, "127.0.0.1", 0)
+        report.send(("port", listener.sockets[0].getsockname()[1]))
+    except BaseException:
+        send_error(report)
+        raise
+    finally:
+        report.close()
+    async with listener:
         await server.shutdown.wait()
-        # Give in-flight result frames a beat to flush before the loop dies.
-        await asyncio.sleep(0.05)
+        await server.hang_up()
     if server.failure is not None:
         raise server.failure
 
@@ -564,7 +539,8 @@ class LiveCluster:
     """Boot/teardown of one loopback replica cluster (spawned processes).
 
     The only process spawn under :mod:`repro.transport`: client worker
-    processes go through :mod:`repro.parallel.pool`.
+    processes go through :mod:`repro.parallel.pool`, whose report protocol
+    the replicas speak too.
     """
 
     def __init__(self, n: int, algorithm: str, initial_value: Any) -> None:
@@ -575,53 +551,74 @@ class LiveCluster:
         self.ports: Dict[int, int] = {}
 
     async def start(self) -> Dict[int, int]:
-        """Spawn the replica processes and collect their listen ports."""
-        import multiprocessing
+        """Spawn the replica processes and collect their listen ports.
 
-        ctx = multiprocessing.get_context("spawn")
-        port_queue = ctx.Queue()
-        self.servers = [
-            ctx.Process(
+        Each replica reports over its own pipe: its port once it listens, or
+        its traceback (:func:`~repro.parallel.pool.send_error`) if it cannot.
+        A replica that fails, dies or stays silent for
+        :data:`STARTUP_TIMEOUT` fails the boot by name, and no replica
+        process outlives the error.
+        """
+        ctx = spawn_context()
+        reports = []
+        for replica in range(self.n):
+            report, child_end = ctx.Pipe(duplex=False)
+            server = ctx.Process(
                 target=replica_main,
-                args=(replica, self.n, self.algorithm, self.initial_value, port_queue),
+                args=(replica, self.n, self.algorithm, self.initial_value, child_end),
+                name=f"repro-replica-{replica}",
                 daemon=True,
             )
-            for replica in range(self.n)
-        ]
-        for server in self.servers:
             server.start()
+            child_end.close()
+            self.servers.append(server)
+            reports.append(report)
         loop = asyncio.get_running_loop()
-        boot_deadline = time.monotonic() + STARTUP_TIMEOUT
-        while len(self.ports) < self.n:
-            budget = boot_deadline - time.monotonic()
-            if budget <= 0:
+        try:
+            failures = await loop.run_in_executor(None, self._collect_ports, reports)
+        finally:
+            for report in reports:
+                report.close()
+        if failures or len(self.ports) < self.n:
+            await loop.run_in_executor(None, terminate_all, self.servers)
+            if not failures:
                 raise RuntimeError(
-                    f"cluster boot timed out; got ports for {sorted(self.ports)}"
+                    f"cluster boot timed out after {STARTUP_TIMEOUT:g} s; "
+                    f"got ports for {sorted(self.ports)}"
                 )
-            try:
-                # Short poll chunks so a replica that died on startup fails
-                # the boot in well under a second, not after the full budget.
-                replica, port = await loop.run_in_executor(
-                    None, port_queue.get, True, min(0.25, budget)
-                )
-            except Exception:  # queue.Empty on poll timeout
-                dead = [
-                    i
-                    for i, server in enumerate(self.servers)
-                    if server.exitcode is not None and i not in self.ports
-                ]
-                if dead:
-                    raise RuntimeError(
-                        f"replica server(s) {dead} died during cluster boot "
-                        f"(exit codes {[self.servers[i].exitcode for i in dead]}). "
-                        "Live clusters use multiprocessing spawn: the parent's "
-                        "__main__ must be importable (run from a script file, "
-                        "the CLI or pytest — not a stdin/REPL session) and the "
-                        "algorithm name must exist in the registry."
-                    ) from None
-                continue
-            self.ports[replica] = port
+            raise RuntimeError(
+                f"replica server(s) {sorted(failures)} died during cluster boot. "
+                "Live clusters use multiprocessing spawn: the parent's "
+                "__main__ must be importable (run from a script file, "
+                "the CLI or pytest — not a stdin/REPL session) and the "
+                "algorithm name must exist in the registry."
+                + "".join(f"\n--- replica {r} ---\n{failures[r]}" for r in sorted(failures))
+            )
         return dict(self.ports)
+
+    def _collect_ports(self, reports: List[Any]) -> Dict[int, str]:
+        """Read each replica's report until all are in or the boot budget is spent.
+
+        Runs in an executor thread.  Returns the failures, replica -> cause.
+        """
+        deadline = time.monotonic() + STARTUP_TIMEOUT
+        waiting = {report: replica for replica, report in enumerate(reports)}
+        failures: Dict[int, str] = {}
+        while waiting:
+            ready = wait_readable(list(waiting), timeout=max(0.0, deadline - time.monotonic()))
+            if not ready:
+                break
+            for report in ready:
+                replica = waiting.pop(report)
+                try:
+                    kind, payload = recv_message(report, self.servers[replica], "its listen port")
+                except WorkerFailure as exc:
+                    kind, payload = "error", str(exc)
+                if kind == "port":
+                    self.ports[replica] = payload
+                else:
+                    failures[replica] = payload.rstrip()
+        return failures
 
     async def stop(self, budget: float = 5.0) -> None:
         """Join the replica processes, escalating to terminate past ``budget``."""
@@ -649,20 +646,19 @@ class _PendingOp(NamedTuple):
 class LiveClient:
     """One connection per replica plus op-id dispatch of result frames.
 
-    The connection half (``connect`` / ``wire_peers`` / ``start_readers`` /
-    ``pending`` / ``drain_stats`` / ``close``) is all a caller with its own
-    bookkeeping needs.  The recording half — :meth:`fire`,
-    :meth:`fire_open_loop`, :meth:`settle` — is what the client routine of
-    :func:`run_live_workload` runs on: it logs every operation into ``oplog``
-    / ``metrics`` with client-observed wall timestamps, stamping completion
-    *when the result frame arrives*.
+    The connection half (``connect`` / ``wire_peers`` / ``pending`` /
+    ``drain_stats`` / ``close``) is all a caller with its own bookkeeping
+    needs.  The recording half — :meth:`fire`, :meth:`fire_open_loop`,
+    :meth:`settle` — is what the client routine of :func:`run_live_workload`
+    runs on: it logs every operation into ``oplog`` / ``metrics`` with
+    client-observed wall timestamps, stamping completion *when the result
+    frame arrives*.
     """
 
     def __init__(self, epoch: Optional[float] = None) -> None:
         self.conns: Dict[int, Connection] = {}
         self.pending: Dict[int, Any] = {}
         self.stats_replies: Dict[int, Dict[str, Any]] = {}
-        self._reader_tasks: List[asyncio.Task] = []
         self.oplog = OpLog()
         self.metrics = MetricsCollector(wall_clock=True)
         #: Set by :meth:`connect`; ``epoch`` shares a time base across processes.
@@ -671,47 +667,71 @@ class LiveClient:
         self._op_ids = itertools.count()
         self._read_turn: Dict[Any, int] = {}
         self._replica_ops: Dict[int, int] = {}
+        #: The request every replica is answering: (replies so far, all in).
+        self._asking: Optional[Tuple[Dict[int, Any], "asyncio.Future"]] = None
 
     async def connect(self, ports: Dict[int, int]) -> None:
         self.clock = WallClock(asyncio.get_running_loop(), epoch=self._epoch)
         for replica, port in sorted(ports.items()):
-            self.conns[replica] = await dial(port, f"->r{replica}", role="client")
-
-    async def wire_peers(self, ports: Dict[int, int]) -> None:
-        """Distribute the port map; every replica must ack before ops flow."""
-        payload = {"kind": "peers", "ports": {str(pid): port for pid, port in ports.items()}}
-        for replica, conn in self.conns.items():
-            conn.send(payload)
-            ack = await conn.read_direct()
-            if not ack or ack.get("kind") != "peers_ok":
-                raise RuntimeError(f"replica {replica} failed the peers handshake: {ack}")
-
-    def start_readers(self) -> None:
-        for replica, conn in self.conns.items():
-            self._reader_tasks.append(
-                asyncio.ensure_future(self._read_loop(replica, conn))
+            self.conns[replica] = await Connection.dial(
+                port, f"->r{replica}", self._on_frame, role="client"
             )
 
-    async def _read_loop(self, replica: int, conn: Connection) -> None:
-        decoder = FrameDecoder(raw=True)
+    def _on_frame(self, conn: Connection, frame: Dict[str, Any]) -> None:
+        if frame.get("kind") == "result":
+            op = self.pending.pop(frame["op_id"], None)
+            if op is not None and not op.future.done():
+                op.future.set_result(frame)
+        elif self._asking is not None:  # a replica's answer to the open request
+            replies, answered = self._asking
+            replies[frame["replica"]] = frame
+            if len(replies) == len(self.conns) and not answered.done():
+                answered.set_result(None)
+
+    async def _ask_every_replica(
+        self, request: Dict[str, Any], replies: Dict[int, Any], timeout: float
+    ) -> None:
+        """Send ``request`` to every replica and wait until each answered into ``replies``.
+
+        The read loops resolve the wait on the last answer; a replica still
+        silent after ``timeout`` seconds raises, by name.
+        """
+        replies.clear()
+        answered = asyncio.get_running_loop().create_future()
+        self._asking = (replies, answered)
+        for conn in self.conns.values():
+            conn.send(request)
         try:
-            while True:
-                chunk = await conn.reader.read(READ_CHUNK)
-                if not chunk:
-                    return
-                conn.stats.note_chunk_in(len(chunk))
-                for body in decoder.feed(chunk):
-                    conn.stats.frames_in += 1
-                    frame = conn.codec.decode(body)
-                    kind = frame.get("kind")
-                    if kind == "result":
-                        op = self.pending.pop(frame["op_id"], None)
-                        if op is not None and not op.future.done():
-                            op.future.set_result(frame)
-                    elif kind == "stats_reply":
-                        self.stats_replies[replica] = frame
-        except (FramingError, CodecError, ConnectionError):
-            return
+            await asyncio.wait_for(answered, timeout)
+        except asyncio.TimeoutError:
+            missing = sorted(set(self.conns) - set(replies))
+            raise RuntimeError(
+                f"replica(s) {missing} did not answer {request['kind']!r} within {timeout:g} s"
+            ) from None
+        finally:
+            self._asking = None
+
+    async def wire_peers(self, ports: Dict[int, int]) -> None:
+        """Hand every replica the port map; each dials its peers, then acks.
+
+        Operations may flow once this returns.  A replica whose peer dial
+        failed answers with that peer and the reason, and exits; this raises
+        with every such answer.
+        """
+        replies: Dict[int, Dict[str, Any]] = {}
+        payload = {"kind": "peers", "ports": {str(pid): port for pid, port in ports.items()}}
+        await self._ask_every_replica(payload, replies, STARTUP_TIMEOUT)
+        failed = [
+            f"replica {replica}: {reply.get('reason')}"
+            for replica, reply in sorted(replies.items())
+            if not reply.get("ok")
+        ]
+        if failed:
+            raise RuntimeError("peer wiring failed: " + "; ".join(failed))
+
+    def start_readers(self) -> None:
+        """Nothing to start: a connection reads from the moment it is dialled,
+        since its ``hello_ack`` arrives through its one read loop."""
 
     # ------------------------------------------------------- recorded driving
 
@@ -809,15 +829,15 @@ class LiveClient:
         return all(pending.record.completed for pending in fired)
 
     async def drain_stats(self, timeout: float = 5.0) -> int:
-        """Ask every replica for its counters; returns total protocol messages."""
-        for conn in self.conns.values():
-            conn.send({"kind": "stats"})
-        deadline = time.monotonic() + timeout
-        while len(self.stats_replies) < len(self.conns) and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
-        return sum(
-            reply.get("messages_sent", 0) for reply in self.stats_replies.values()
-        )
+        """Ask every replica for its counters; returns total protocol messages.
+
+        Raises ``RuntimeError`` naming each replica that has not answered
+        within ``timeout`` seconds: a sum over fewer replicas would understate
+        the run's message bill.
+        """
+        replies = self.stats_replies
+        await self._ask_every_replica({"kind": "stats"}, replies, timeout)
+        return sum(reply.get("messages_sent", 0) for reply in replies.values())
 
     def transport_summary(
         self, client_rows: List[Dict[str, Any]], completed: int
@@ -843,22 +863,18 @@ class LiveClient:
         }
 
     async def close(self, send_shutdown: bool = True) -> None:
-        for conn in self.conns.values():
-            if send_shutdown:
-                try:
-                    conn.send({"kind": "shutdown"})
-                except (ConnectionError, FramingError):
-                    pass
-        for conn in self.conns.values():
-            try:
-                await conn.batch.aclose()
-            except ConnectionError:
-                pass
-        await asyncio.sleep(0.1)  # let servers ack/flush before the sockets die
-        for task in self._reader_tasks:
-            task.cancel()
-        for conn in self.conns.values():
-            conn.writer.close()
+        """Close every connection.
+
+        With ``send_shutdown`` each replica is first asked to stop and given
+        a second to hang up, which it does once its last frames are flushed.
+        """
+        conns = list(self.conns.values())
+        if send_shutdown and conns:
+            for conn in conns:
+                conn.send({"kind": "shutdown"})
+            await asyncio.wait([conn.reading for conn in conns], timeout=1.0)
+        for conn in conns:
+            await conn.aclose()
 
 
 @contextlib.asynccontextmanager
@@ -866,7 +882,7 @@ async def live_session(replicas: int, algorithm: str, initial_value: Any):
     """A booted loopback cluster plus a wired, reading :class:`LiveClient`.
 
     Yields ``(client, ports)``; on the way out — success or failure — the
-    client sends the shutdown handshake and the replica processes are joined
+    client sends the shutdown request and the replica processes are joined
     (terminated past their budget), so no path leaves a process behind.
     """
     cluster = LiveCluster(replicas, algorithm, initial_value)
@@ -875,7 +891,6 @@ async def live_session(replicas: int, algorithm: str, initial_value: Any):
         ports = await cluster.start()
         await client.connect(ports)
         await client.wire_peers(ports)
-        client.start_readers()
         yield client, ports
     finally:
         try:
@@ -898,7 +913,6 @@ async def _client_routine(
     columnar oplog (each row's script index riding along), the raw metric
     samples and the connection counters, picklable.
     """
-    from repro.parallel.merge import collector_raw_state
     from repro.workloads.kv import iter_kv_arrivals, iter_kv_operations
 
     workers = spec.workers
@@ -913,7 +927,6 @@ async def _client_routine(
     batches = 0
     try:
         await client.connect(ports)
-        client.start_readers()
         if spec.open_loop:
             arrivals = itertools.islice(iter_kv_arrivals(spec), worker, None, workers)
             fired = await client.fire_open_loop(zip(arrivals, mine), start, pid_of)
@@ -967,10 +980,7 @@ def run_live_workload(spec: Any) -> Any:
 
 
 async def _run_live_async(spec: Any) -> Any:
-    # Like the spec's own module, the pool and the merge are the runner's:
-    # replica servers load this module too, and need neither.
-    from repro.parallel.merge import merge_metrics, merge_oplogs
-    from repro.parallel.pool import WorkerFailure, run_chunked
+    # Imported here: the spec's own module imports this one lazily.
     from repro.workloads.kv import KVWorkloadResult, generate_kv_arrivals
 
     loop = asyncio.get_running_loop()

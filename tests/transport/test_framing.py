@@ -245,15 +245,6 @@ class TestBatchWriter:
 
 
 class TestTransportStats:
-    def test_dict_roundtrip(self):
-        stats = TransportStats(bytes_in=10, frames_in=2, batches_in=1,
-                               bytes_out=30, frames_out=4, batches_out=2, frames_dropped=3)
-        assert stats.as_dict()["frames_dropped"] == 3
-        assert TransportStats.from_dict(stats.as_dict()) == stats
-
-    def test_from_dict_tolerates_missing_keys(self):
-        assert TransportStats.from_dict({"bytes_in": 5}) == TransportStats(bytes_in=5)
-
     def test_note_chunk_in_bills_bytes_and_batches(self):
         stats = TransportStats()
         stats.note_chunk_in(100)

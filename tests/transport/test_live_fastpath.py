@@ -1,38 +1,61 @@
-"""Live wire integration: the handshake's refusal, transport stats, consensus bills.
+"""Live wire integration: the handshake's refusal, boot and wiring failures,
+transport stats, consensus bills.
 
 These tests spawn real replica processes on loopback (slow, seconds each).
 They pin what the one-codec wire promises:
 
-* the JSON ``hello`` handshake compares schema signatures and **refuses** a
-  mismatch — the error names both signatures, the server keeps serving, and
-  a replica whose own peer dial is refused exits loudly instead of queueing
-  for a link that will never come up (there is no second codec to fall back
-  to; frame-for-frame JSON / binary equivalence is property-tested in
-  ``test_codec_binary.py``);
+* the ``hello`` handshake (an envelope-0 frame of the one codec) compares
+  schema signatures and **refuses** a mismatch — the error names both
+  signatures and the server keeps serving;
+* every failure to come up ends in bounded time with its cause: a replica
+  that cannot boot fails ``LiveCluster.start`` by name and leaves no
+  process, a replica whose peer dial is refused fails ``wire_peers`` with
+  the peer and the reason and exits non-zero, and a replica that does not
+  answer a stats request fails ``drain_stats`` by name (there is no second
+  codec to fall back to; frame-for-frame JSON / binary equivalence is
+  property-tested in ``test_codec_binary.py``);
 * per-connection transport counters ride the metrics snapshot;
 * the same seeded consensus stream decides identically on both backends.
 """
 
 import asyncio
+import time
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 from repro.transport.codec_binary import schema_signature
-from repro.transport.framing import read_frame, write_frame
-from repro.transport.live import LiveClient, LiveCluster
+from repro.transport.framing import HEADER, FrameDecoder
+from repro.transport.live import Connection, LiveClient, LiveCluster
 from repro.workloads.kv import run_kv_workload
 from repro.workloads.scenarios import kv_uniform
+
+
+def _frame(payload):
+    """One length-prefixed frame of the wire codec, written by hand."""
+    body = Connection.codec.encode(payload)
+    return HEADER.pack(len(body)) + body
+
+
+async def _read_frame(reader):
+    """Read one whole frame by hand and decode it."""
+    decoder = FrameDecoder(raw=True)
+    while True:
+        chunk = await reader.read(4096)
+        assert chunk, "the stream closed before a whole frame arrived"
+        bodies = decoder.feed(chunk)
+        if bodies:
+            return Connection.codec.decode(bodies[0])
 
 
 async def _hello(port, **hello):
     """Dial ``port`` by hand; returns the acceptor's ``hello_ack``."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
-        write_frame(writer, {"kind": "hello", "role": "client", **hello})
+        writer.write(_frame({"kind": "hello", "role": "client", **hello}))
         await writer.drain()
-        return await asyncio.wait_for(read_frame(reader), timeout=10.0)
+        return await asyncio.wait_for(_read_frame(reader), timeout=10.0)
     finally:
         writer.close()
 
@@ -62,7 +85,6 @@ class TestHandshakeRefusal:
                 try:
                     await client.connect(ports)
                     await client.wire_peers(ports)
-                    client.start_readers()
                     frame = await _one_write(client)
                 finally:
                     await client.close(send_shutdown=True)
@@ -80,13 +102,14 @@ class TestHandshakeRefusal:
         assert frame["ok"] is True
 
     def test_a_refused_peer_dial_fails_the_replica_loudly(self):
-        """Replica 0 is told its peers live at a port that refuses every
-        ``hello``: its first protocol send must end the process with a
-        non-zero status, not park messages in a queue nothing drains."""
+        """The replicas are told their peers live at a port that refuses every
+        ``hello``: ``wire_peers`` must raise in bounded time, naming the
+        refusing peer and its reason, and replica 0 must exit non-zero rather
+        than serve a protocol that would stall on the missing link."""
 
         async def refuse(reader, writer):
-            await read_frame(reader)
-            write_frame(writer, {"kind": "hello_ack", "ok": False, "reason": "not your peer"})
+            await _read_frame(reader)
+            writer.write(_frame({"kind": "hello_ack", "ok": False, "reason": "not your peer"}))
             await writer.drain()
             writer.close()
 
@@ -99,19 +122,86 @@ class TestHandshakeRefusal:
                 client = LiveClient()
                 await client.connect(ports)
                 async with refuser:
-                    await client.wire_peers({0: ports[0], 1: bad_port, 2: bad_port})
-                    client.conns[0].send(
-                        {"kind": "invoke", "op_id": 1, "op": "write", "key": "k", "value": "x"}
-                    )
-                    loop = asyncio.get_running_loop()
-                    await loop.run_in_executor(None, cluster.servers[0].join, 15.0)
+                    began = time.monotonic()
+                    with pytest.raises(RuntimeError) as failed:
+                        await client.wire_peers({0: ports[0], 1: bad_port, 2: bad_port})
+                    elapsed = time.monotonic() - began
+                loop = asyncio.get_running_loop()
+                await loop.run_in_executor(None, cluster.servers[0].join, 15.0)
                 exitcode = cluster.servers[0].exitcode
                 await client.close(send_shutdown=True)
-                return exitcode
+                return str(failed.value), elapsed, exitcode
             finally:
                 await cluster.stop()
 
-        assert asyncio.run(scenario()) == 1  # an uncaught RuntimeError, traceback on stderr
+        message, elapsed, exitcode = asyncio.run(scenario())
+        assert "replica 0: peer->1: handshake refused: not your peer" in message
+        assert elapsed < 10.0
+        assert exitcode == 1  # an uncaught RuntimeError, traceback on stderr
+
+
+class TestBootAndStatsFailures:
+    def test_a_replica_that_cannot_boot_fails_the_start_and_leaves_no_process(self):
+        cluster = LiveCluster(3, "no-such-algorithm", "v0")
+        began = time.monotonic()
+        with pytest.raises(RuntimeError) as failed:
+            asyncio.run(cluster.start())
+        elapsed = time.monotonic() - began
+        message = str(failed.value)
+        assert elapsed < 20.0
+        assert "died during cluster boot" in message and "__main__" in message
+        assert "replica server(s) [" in message
+        for server in cluster.servers:
+            server.join(5.0)
+            assert not server.is_alive()
+
+    def test_the_boot_error_names_every_replica_with_its_traceback(self):
+        cluster = LiveCluster(3, "no-such-algorithm", "v0")
+        with pytest.raises(RuntimeError) as failed:
+            asyncio.run(cluster.start())
+        message = str(failed.value)
+        assert "replica server(s) [0, 1, 2] died during cluster boot" in message
+        for replica in range(3):
+            assert f"--- replica {replica} ---\nTraceback" in message
+        assert "no-such-algorithm" in message
+        assert all(server.exitcode is not None for server in cluster.servers)
+
+    def test_a_silent_replica_fails_the_stats_drain_by_name(self):
+        """Replica 1 completes the handshake but never answers ``stats``: the
+        drain must not return a bill summed over the replicas that did."""
+
+        def fake_replica(replica, answers):
+            def on_hello(conn, _hello):
+                def on_frame(conn, frame):
+                    if answers and frame.get("kind") == "stats":
+                        conn.send({"kind": "stats_reply", "replica": replica, "messages_sent": 7})
+
+                return on_frame
+
+            return lambda reader, writer: Connection.accept(reader, writer, "fake", on_hello)
+
+        async def scenario():
+            servers = [
+                await asyncio.start_server(fake_replica(0, True), "127.0.0.1", 0),
+                await asyncio.start_server(fake_replica(1, False), "127.0.0.1", 0),
+            ]
+            ports = {i: server.sockets[0].getsockname()[1] for i, server in enumerate(servers)}
+            client = LiveClient()
+            await client.connect(ports)
+            try:
+                began = time.monotonic()
+                with pytest.raises(RuntimeError) as failed:
+                    await client.drain_stats(timeout=0.5)
+                return str(failed.value), time.monotonic() - began, dict(client.stats_replies)
+            finally:
+                await client.close(send_shutdown=False)
+                for server in servers:
+                    server.close()
+
+        message, elapsed, replies = asyncio.run(scenario())
+        assert "replica(s) [1] did not answer 'stats'" in message
+        assert 0.4 < elapsed < 5.0
+        assert list(replies) == [0]
 
 
 class TestLiveMetricsSnapshot:
