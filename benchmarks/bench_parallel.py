@@ -70,7 +70,7 @@ def timed_run(num_ops: int, workers: int) -> dict:
     assert result.finished_cleanly, "open-loop run was truncated"
 
     check_started = time.perf_counter()
-    verdict = result.store.check_linearizability(workers=workers)
+    verdict = result.check_linearizability(workers=workers)
     check_wall = time.perf_counter() - check_started
     assert verdict.ok, f"checker rejected a healthy run: {verdict.violations()}"
 

@@ -176,8 +176,6 @@ def format_run(summary: Dict[str, Any], title: str, lead: Sequence[Sequence[obje
                 "agreement/validity invariants",
                 f"{len(violations)} violation(s)" if violations else "hold",
             )
-        elif smr:
-            row("agreement/validity invariants", "n/a (no process access)")
     return format_table(["metric", "value"], rows, title=title)
 
 

@@ -225,11 +225,11 @@ def _mean_latency(result, kind: str, digits: int) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run one register workload; report its statistics and the run verdict."""
-    spec = _spec_from_args(args, args.algorithm)
+    spec = args.spec
     result = run_workload(spec)
     verdict = result.verify()
     lead = [
-        ["max control bits / message", result.store.stats.max_control_bits],
+        ["max control bits / message", result.stats.max_control_bits],
         ["mean write latency", _mean_latency(result, "write", 3)],
         ["mean read latency", _mean_latency(result, "read", 3)],
     ]
@@ -241,19 +241,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
 
 
+#: The algorithms ``repro compare`` runs the one workload under.
+_COMPARED = ("two-bit", "abd", "abd-bounded-emulation")
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     """Run the same workload under every executable algorithm and compare."""
     rows = []
     failures = []
-    for algorithm in ("two-bit", "abd", "abd-bounded-emulation"):
-        result = run_workload(_spec_from_args(args, algorithm))
+    for algorithm, spec in zip(_COMPARED, args.spec):
+        result = run_workload(spec)
         verdict = result.verify()
         failures.extend(f"{algorithm}: {failure}" for failure in verdict.failures)
         rows.append(
             [
                 algorithm,
                 result.total_messages(),
-                result.store.stats.max_control_bits,
+                result.stats.max_control_bits,
                 _mean_latency(result, "read", 2),
                 "yes" if verdict.report.ok else "NO",
             ]
@@ -440,10 +444,10 @@ def cmd_consensus(args: argparse.Namespace) -> int:
 
     Runs one of the consensus scenarios (``kv_cas``, ``kv_counter``,
     ``consensus_smoke``) on the simulator or the live loopback cluster,
-    checks every key's history against the SMR specification, and — when
-    the replica processes are reachable (sim, serial) — verifies the
-    protocol-level agreement and validity invariants straight off the
-    decided slots.  Exit 0 only if everything holds.
+    checks every key's history against the SMR specification, and verifies
+    the protocol-level agreement and validity invariants off every
+    replica's decided slots, on any backend.  Exit 0 only if everything
+    holds.
     """
     spec = args.spec
     result = run_kv_workload(spec)
@@ -843,11 +847,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("run", help="run one workload and check atomicity")
     _add_shared_arguments(sub, restrict_algorithm=True, algorithm="two-bit")
     _add_common_workload_arguments(sub)
-    sub.set_defaults(handler=cmd_run)
+    sub.set_defaults(handler=cmd_run, build_spec=lambda args: _spec_from_args(args, args.algorithm))
 
     sub = subparsers.add_parser("compare", help="run the same workload under every executable algorithm")
     _add_common_workload_arguments(sub)
-    sub.set_defaults(handler=cmd_compare)
+    sub.set_defaults(
+        handler=cmd_compare,
+        build_spec=lambda args: [_spec_from_args(args, name) for name in _COMPARED],
+    )
 
     sub = subparsers.add_parser("bits", help="control-bit and memory growth curves")
     _add_shared_arguments(sub, n=5, writes=200, seed=0)
@@ -1032,9 +1039,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    Keyed commands register a ``build_spec`` (flags → spec); building it here
-    makes "invalid parameters" one decision: any ``ValueError`` from a flag
-    check or from the spec's own validation prints its text and exits 2.
+    Commands that run a workload register a ``build_spec`` (flags → spec);
+    building it here makes "invalid parameters" one decision: any
+    ``ValueError`` from a flag check or from the spec's own validation
+    prints its text and exits 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -593,7 +593,9 @@ def consensus_invariants(processes_by_key: Dict[Any, List[ConsensusObjectProcess
     """Agreement / validity violations across deployed consensus replicas.
 
     ``processes_by_key`` maps each deployed key to its replica processes
-    (crashed ones included — a decision taken before crashing still binds).
+    (crashed ones included — a decision taken before crashing still binds),
+    or to anything with their ``pid``, ``decided`` and ``commands`` (a live
+    replica's reported log).
     Returns human-readable violation strings, empty when the run is clean:
 
     * **agreement** — two replicas decided different values for one slot;
@@ -624,16 +626,13 @@ def consensus_invariants(processes_by_key: Dict[Any, List[ConsensusObjectProcess
 
 
 def replica_invariants(store: Any) -> Optional[List[str]]:
-    """:func:`consensus_invariants` over the replica processes ``store`` exposes.
+    """:func:`consensus_invariants` over the replica processes of a simulated store.
 
-    Returns ``None`` — not an empty list — when there is nothing to audit:
-    no store at all (live runs keep their replicas in other OS processes),
-    a merged shard-parallel view (no process objects), or a store that
-    deployed no consensus-backed key.  Callers then report "n/a" instead of
+    Runs where the replicas live: at the end of a serial run, and in each
+    shard-group worker on its own store.  Returns ``None`` — not an empty
+    list — when the store deployed no consensus-backed key, rather than
     claiming a vacuous pass.
     """
-    if not hasattr(store, "register_for"):
-        return None
     by_key = {}
     for key in store.deployed_keys:
         processes = [

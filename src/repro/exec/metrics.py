@@ -25,6 +25,7 @@ from array import array
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.registers.base import OperationKind
+from repro.sim.network import NetworkStats
 from repro.transport.base import Transport
 
 
@@ -77,11 +78,12 @@ class MetricsCollector:
     Attach a network to also attribute messages: the collector snapshots the
     aggregate counters when constructed and reports the delta, so several
     collectors can share one :class:`~repro.sim.network.NetworkStats` without
-    double counting (the store's subnets all bill to the parent).
+    double counting (the store's subnets all bill to the parent).  A run
+    recorded in several processes is one collector again: :meth:`folded`.
     """
 
     def __init__(self, network: Optional[Transport] = None, wall_clock: bool = False) -> None:
-        self.network = network
+        self.stats: Optional[NetworkStats] = network.stats if network is not None else None
         #: True when timestamps fed to this collector are wall-clock seconds
         #: (the live transport).  A wall-clock snapshot nulls out
         #: ``virtual_throughput`` — a virtual-time number computed from wall
@@ -107,8 +109,53 @@ class MetricsCollector:
         #: embedded in snapshots so latency spikes can be read against the
         #: partitions/storms/crashes that caused them.
         self.fault_timeline: Optional[List[Dict[str, Any]]] = None
-        self._messages_at_start = network.stats.messages_sent if network is not None else 0
-        self._by_type_at_start = dict(network.stats.by_type) if network is not None else {}
+        self._messages_at_start = self.stats.messages_sent if self.stats is not None else 0
+        self._by_type_at_start = dict(self.stats.by_type) if self.stats is not None else {}
+
+    @classmethod
+    def folded(
+        cls, parts: Sequence[Dict[str, Any]], stats: NetworkStats, wall_clock: bool
+    ) -> "MetricsCollector":
+        """One collector holding every part's samples, billing ``stats`` whole.
+
+        Each part is one process's :meth:`raw_state` for a share of one run:
+        counts add up, the window spans the earliest issue to the latest
+        completion, and each kind's samples are pooled in part order, so the
+        percentiles of :meth:`snapshot` are order statistics of the union.
+        """
+        collector = cls(wall_clock=wall_clock)
+        collector.stats = stats
+        firsts = [part["first_issue_at"] for part in parts]
+        lasts = [part["last_completion_at"] for part in parts]
+        collector.first_issue_at = min((t for t in firsts if t is not None), default=None)
+        collector.last_completion_at = max((t for t in lasts if t is not None), default=None)
+        for part in parts:
+            collector.issued += part["issued"]
+            collector.completed += part["completed"]
+            collector.failed += part["failed"]
+            for kind, samples in part["latencies"].items():
+                # OperationKind is a str enum: "read" finds the READ bucket.
+                collector._latencies.setdefault(kind, array("d")).extend(samples)
+        return collector
+
+    def raw_state(self) -> Dict[str, Any]:
+        """The picklable state :meth:`folded` pools: counts, window, raw samples.
+
+        Samples are keyed by operation-kind value and shipped as the flat
+        ``array('d')`` columns: one byte block each, not a float object per
+        sample.
+        """
+        return {
+            "issued": self.issued,
+            "completed": self.completed,
+            "failed": self.failed,
+            "first_issue_at": self.first_issue_at,
+            "last_completion_at": self.last_completion_at,
+            "latencies": {
+                getattr(kind, "value", str(kind)): samples
+                for kind, samples in self._latencies.items()
+            },
+        }
 
     # ------------------------------------------------------------ driver hooks
 
@@ -141,7 +188,8 @@ class MetricsCollector:
         return combined
 
     def virtual_throughput(self) -> float:
-        """Completed operations per virtual-time unit (first issue -> last completion)."""
+        """Completed operations per unit of the clock that stamped them
+        (first issue -> last completion): virtual time, or wall seconds."""
         if self.first_issue_at is None or self.last_completion_at is None:
             return 0.0
         span = self.last_completion_at - self.first_issue_at
@@ -156,28 +204,22 @@ class MetricsCollector:
                 "wall_throughput is only meaningful on a wall-clock collector; "
                 "use virtual_throughput() on the simulated transport"
             )
-        # Same window arithmetic; the timestamps are already wall-clock.
-        if self.first_issue_at is None or self.last_completion_at is None:
-            return 0.0
-        span = self.last_completion_at - self.first_issue_at
-        if span <= 0:
-            return float("inf") if self.completed else 0.0
-        return self.completed / span
+        return self.virtual_throughput()  # the timestamps are already wall-clock
 
     def messages_sent(self) -> int:
         """Messages attributed to this collector's window."""
-        if self.network is None:
+        if self.stats is None:
             return 0
-        return self.network.stats.messages_sent - self._messages_at_start
+        return self.stats.messages_sent - self._messages_at_start
 
     def messages_by_type(self) -> Dict[str, int]:
         """Per-wire-type message counts within this collector's window."""
-        if self.network is None:
+        if self.stats is None:
             return {}
         start = self._by_type_at_start
         return {
             name: count - start.get(name, 0)
-            for name, count in self.network.stats.by_type.items()
+            for name, count in self.stats.by_type.items()
             if count - start.get(name, 0) > 0
         }
 
@@ -191,6 +233,8 @@ class MetricsCollector:
         """
         messages = self.messages_sent()
         throughput = self.virtual_throughput()
+        if not math.isfinite(throughput):
+            throughput = None
         # One summary per kind present (READ/WRITE always reported, other
         # kinds by their value name), plus the combined "all" row.
         latency: Dict[str, Any] = {
@@ -206,9 +250,7 @@ class MetricsCollector:
             "issued": self.issued,
             "completed": self.completed,
             "failed": self.failed,
-            "virtual_throughput": (
-                None if self.wall_clock else (throughput if math.isfinite(throughput) else None)
-            ),
+            "virtual_throughput": None if self.wall_clock else throughput,
             "latency": latency,
             "messages": {
                 "total": messages,
@@ -217,8 +259,7 @@ class MetricsCollector:
             },
         }
         if self.wall_clock:
-            wall = self.wall_throughput()
-            snapshot["wall_throughput"] = wall if math.isfinite(wall) else None
+            snapshot["wall_throughput"] = throughput
         if self.fault_timeline is not None:
             snapshot["faults"] = list(self.fault_timeline)
         return snapshot

@@ -28,20 +28,15 @@ exactly the pre-parallel one.
 
 from repro.parallel.check import check_histories_parallel
 from repro.parallel.engine import run_kv_workload_parallel
-from repro.parallel.merge import (
-    MergedStore,
-    merge_metrics,
-    merge_network_stats,
-)
+from repro.parallel.merge import merge_network_stats, merged_result
 from repro.parallel.pool import POISON_ENV, WorkerFailure, run_chunked
 
 __all__ = [
-    "MergedStore",
     "POISON_ENV",
     "WorkerFailure",
     "check_histories_parallel",
-    "merge_metrics",
     "merge_network_stats",
+    "merged_result",
     "run_chunked",
     "run_kv_workload_parallel",
 ]

@@ -32,9 +32,12 @@ Workers ship back their run as **raw columns**: the driver's
 out-of-band buffers (one flat byte block per column plus the interned value
 table), alongside raw metrics samples and network-statistics snapshots.  The
 parent concatenates the column blocks, permutes rows into scripted-index
-order and wraps them in a :class:`~repro.parallel.merge.MergedStore` whose
-histories, checker verdicts and metrics are bit-identical to the serial
-run's — no per-operation object is ever pickled or rebuilt.
+order and folds everything into the one result
+(:func:`~repro.parallel.merge.merged_result`) whose histories, checker
+verdicts and metrics are bit-identical to the serial run's — no
+per-operation object is ever pickled or rebuilt.  The consensus audit runs
+where the replicas live: each worker audits its own store and ships the
+violations back.
 
 A worker that raises fails the run *fast*: the parent converts its traceback
 into a :class:`~repro.parallel.pool.WorkerFailure`, terminates the rest of
@@ -50,13 +53,7 @@ from typing import Any, Dict, List, Tuple
 
 from repro.exec.oplog import encode_oplog
 from repro.exec.target import OpRequest
-from repro.parallel.merge import (
-    MergedStore,
-    collector_raw_state,
-    merge_metrics,
-    merge_network_stats,
-    merge_oplogs,
-)
+from repro.parallel.merge import merge_network_stats, merged_result
 from repro.parallel.pool import (
     WorkerFailure,
     maybe_poison,
@@ -94,6 +91,7 @@ def _barrier(conn: Any, simulator: Any, drove: bool) -> None:
 
 def _run_group(conn: Any, spec, group_index: int, n_groups: int) -> Dict[str, Any]:
     """Execute one shard group's slice of the workload (runs inside a worker)."""
+    from repro.consensus.mmr import replica_invariants
     from repro.workloads.kv import deploy, drive_script, iter_kv_script, last_kv_arrival
 
     # Every worker deploys the *complete* store (it is itself a plain
@@ -138,15 +136,14 @@ def _run_group(conn: Any, spec, group_index: int, n_groups: int) -> Dict[str, An
     for index, op in zip(positions, ops):
         global_index[op.op_id] = index
     return {
-        "group": group_index,
         "columnar": encode_oplog(log, global_index),
-        "metrics": collector_raw_state(store.driver.metrics),
-        "stats": store.stats.snapshot(),
-        "crashed": {shard.shard_id: sorted(shard.crashed_replicas) for shard in store.shards},
-        "now": store.simulator.now,
-        "executed_events": store.simulator.executed_events,
+        "metrics": store.driver.metrics.raw_state(),
         "batches": batches,
         "finished": finished,
+        "stats": store.stats.snapshot(),
+        "crashed": store.crashed_servers(),
+        "invariants": replica_invariants(store),
+        "now": store.simulator.now,
     }
 
 
@@ -164,14 +161,13 @@ def _store_worker_main(conn: Any, spec, group_index: int, n_groups: int) -> None
 def run_kv_workload_parallel(spec):
     """Run a keyed workload across ``spec.workers`` shard-group processes.
 
-    Returns the same :class:`~repro.workloads.kv.KVWorkloadResult` shape as
-    the serial :func:`~repro.workloads.kv.run_kv_workload`, with a
-    :class:`~repro.parallel.merge.MergedStore` in the ``store`` slot.  On a
-    worker crash the result comes back immediately with
-    ``finished_cleanly=False`` and the worker's traceback in
-    ``worker_failure``.
+    Returns the same :class:`~repro.workloads.kv.KVWorkloadResult` as the
+    serial :func:`~repro.workloads.kv.run_kv_workload`, with no ``store``
+    (the replicas lived in the workers).  On a worker crash the result comes
+    back immediately with ``finished_cleanly=False`` and the worker's
+    traceback in ``worker_failure``.
     """
-    from repro.workloads.kv import KVWorkloadResult, generate_kv_arrivals, run_kv_workload
+    from repro.workloads.kv import run_kv_workload
 
     # A group without shards would simulate nothing; never spawn more
     # workers than shards.
@@ -246,48 +242,16 @@ def run_kv_workload_parallel(spec):
                 conn.close()
             except Exception:
                 pass
-    wall_seconds = time.perf_counter() - started
-
-    # Row ``i`` of the merged log is exactly the op the serial driver would
-    # have created ``i``-th (submission order is scripted order in both
-    # loops); ``ipc_bytes`` is the whole worker→parent result-plane bill.  A
-    # worker failure left no payloads: every fold below then runs over the
-    # empty set, and the result is an empty, unclean run carrying the
-    # traceback.
-    oplog, ipc_bytes = merge_oplogs([payload["columnar"] for payload in payloads])
-
-    stats = merge_network_stats([payload["stats"] for payload in payloads])
-    metrics = merge_metrics(
-        [payload["metrics"] for payload in payloads],
-        stats,
-        fault_timeline=spec.fault_plan.timeline() if spec.fault_plan else None,
-    )
-    crashed: Dict[int, List[int]] = {}
-    for payload in payloads:
-        for shard_id, replicas in payload["crashed"].items():
-            merged = set(crashed.get(shard_id, ())) | set(replicas)
-            crashed[shard_id] = sorted(merged)
-    makespan = max((payload["now"] for payload in payloads), default=0.0)
-    store = MergedStore(
-        config=spec.store_config().with_(workers=1),
-        oplog=oplog,
-        stats=stats,
-        crashed=crashed,
-        now=makespan,
-        executed_events=sum(payload["executed_events"] for payload in payloads),
-        fault_plan=spec.fault_plan,
-    )
-    return KVWorkloadResult(
-        spec=spec,
-        oplog=oplog,
-        ops=store.ops if payloads else [],
-        wall_seconds=wall_seconds,
-        metrics=metrics,
-        store=store,
-        virtual_makespan=makespan,
-        batches=max((payload["batches"] for payload in payloads), default=0),
-        arrivals=generate_kv_arrivals(spec) if spec.open_loop and payloads else [],
-        finished_cleanly=not failure and all(payload["finished"] for payload in payloads),
-        worker_failure=failure or None,
-        ipc_bytes=ipc_bytes,
+    # Disjoint groups deploy disjoint keys, so their audits concatenate; a
+    # group with no consensus-backed key had nothing to audit.
+    audits = [payload["invariants"] for payload in payloads if payload["invariants"] is not None]
+    return merged_result(
+        spec,
+        payloads,
+        started,
+        stats=merge_network_stats([payload["stats"] for payload in payloads]),
+        crashed={pair for payload in payloads for pair in payload["crashed"]},
+        invariants=[violation for audit in audits for violation in audit] if audits else None,
+        virtual_makespan=max((payload["now"] for payload in payloads), default=0.0),
+        failure=failure or None,
     )

@@ -118,7 +118,6 @@ class RegisterProcess(ProcessBase):
         self._peers: list[int] = []
         self._op_counter = itertools.count()
         self._current_op: Optional[OperationRecord] = None
-        self.completed_operations: list[OperationRecord] = []
 
     # ---------------------------------------------------------------- wiring
 
@@ -216,7 +215,6 @@ class RegisterProcess(ProcessBase):
         record.result = result
         record.responded_at = self.simulator.now
         record.messages_after = self.network.stats.messages_sent
-        self.completed_operations.append(record)
         if self._current_op is record:
             self._current_op = None
         callback(record)

@@ -546,6 +546,14 @@ class KVStore:
         """Driver-level metrics: latency percentiles, throughput, message mix."""
         return self.driver.metrics.snapshot()
 
+    def crashed_servers(self) -> List[Tuple[int, int]]:
+        """Every crashed server as ``(shard, replica)``, sorted."""
+        return [
+            (shard.shard_id, replica)
+            for shard in self.shards
+            for replica in sorted(shard.crashed_replicas)
+        ]
+
     @property
     def oplog(self) -> OpLog:
         """The columnar log the driver records every operation into."""
@@ -554,11 +562,9 @@ class KVStore:
     # ------------------------------------------- the finished-run surface
     #
     # Written against ``self.ops``, ``self.oplog``, ``self.stats`` and
-    # ``self.config`` only, so everything that carries a finished run reads
-    # and checks it through these same functions:
-    # :class:`~repro.parallel.merge.MergedStore` and
-    # :class:`~repro.workloads.kv.KVWorkloadResult` bind them as their own
-    # methods instead of keeping copies.
+    # ``self.config`` only, so a finished run is read and checked through
+    # these same functions: :class:`~repro.workloads.kv.KVWorkloadResult`
+    # binds them as its own methods instead of keeping copies.
 
     def total_messages(self) -> int:
         """Messages sent across the whole store so far."""

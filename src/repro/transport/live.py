@@ -32,7 +32,9 @@ a torn or garbled stream ends its connection's read loop, and the
 operations it carried fail at their deadline with ``finished_cleanly=False``;
 a replica that does not answer a stats request fails the run by name; a
 client worker process that raises or dies fails the run at once with its
-cause in ``worker_failure`` (:mod:`repro.parallel.pool`).  There is no
+cause in ``worker_failure`` (:mod:`repro.parallel.pool`).  The stats answer
+is also where a consensus replica reports its decided slots, so a live run
+carries the same agreement/validity audit as a simulated one.  There is no
 fault *injection* here: partitions, delay storms, scheduled crashes,
 coalescing and schedule perturbation are simulated-only features (they
 need a controllable clock to be reproducible).  On the wire, the paper's
@@ -53,9 +55,10 @@ from functools import partial
 from multiprocessing.connection import wait as wait_readable
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from repro.consensus.mmr import ConsensusObjectProcess, consensus_invariants
 from repro.exec.metrics import MetricsCollector
 from repro.exec.oplog import OpLog, encode_oplog
-from repro.parallel.merge import collector_raw_state, merge_metrics, merge_oplogs
+from repro.parallel.merge import merge_network_stats, merged_result
 from repro.parallel.pool import (
     WorkerFailure,
     recv_message,
@@ -461,7 +464,7 @@ class _ReplicaServer:
         conn.send(reply)
 
     def _stats_reply(self) -> Dict[str, Any]:
-        return {
+        reply = {
             "kind": "stats_reply",
             "replica": self.replica_id,
             "messages_sent": self.stats.messages_sent,
@@ -469,6 +472,20 @@ class _ReplicaServer:
             "keys": len(self.keys),
             "transport": self.transport_snapshot(),
         }
+        # Each consensus-backed key's log, for the client's audit
+        # (consensus_audit); a register replica's answer is unchanged.
+        logs = [
+            {
+                "key": key,
+                "decided": sorted(entry.process.decided.items()),
+                "commands": sorted(entry.process.commands),
+            }
+            for key, entry in self.keys.items()
+            if isinstance(entry.process, ConsensusObjectProcess)
+        ]
+        if logs:
+            reply["consensus"] = logs
+        return reply
 
     def transport_snapshot(self) -> List[Dict[str, Any]]:
         """Per-connection byte/frame/batch counters, inbound and outbound."""
@@ -945,12 +962,13 @@ async def _client_routine(
     script_index = array("q", range(worker, worker + workers * len(client.oplog), workers))
     return {
         "columnar": encode_oplog(client.oplog, script_index),
-        "metrics": collector_raw_state(client.metrics),
+        "metrics": client.metrics.raw_state(),
+        "batches": batches,
+        "finished": client.metrics.failed == 0,
         "transport": [
             dict(client.conns[replica].snapshot(), worker=worker)
             for replica in sorted(client.conns)
         ],
-        "batches": batches,
     }
 
 
@@ -973,16 +991,38 @@ def run_live_workload(spec: Any) -> Any:
     the shard-parallel engine's do — row ``i`` of the result's oplog is
     script operation ``i`` at any worker count — into the same
     :class:`~repro.workloads.kv.KVWorkloadResult` a simulated run returns,
-    with no ``store`` (the replicas live in other processes) and wall-clock
-    timings; what a live run cannot do is rejected by the spec itself.
+    with wall-clock timings and the replicas' message bill and consensus
+    audit drained from them; what a live run cannot do is rejected by the
+    spec itself.
     """
     return asyncio.run(_run_live_async(spec))
 
 
-async def _run_live_async(spec: Any) -> Any:
-    # Imported here: the spec's own module imports this one lazily.
-    from repro.workloads.kv import KVWorkloadResult, generate_kv_arrivals
+class ReplicaLog(NamedTuple):
+    """One replica's consensus log for one key, as ``consensus_invariants`` reads it."""
 
+    pid: int
+    decided: Dict[int, int]
+    commands: List[int]
+
+
+def consensus_audit(replies: Dict[int, Dict[str, Any]]) -> Optional[List[str]]:
+    """:func:`~repro.consensus.mmr.consensus_invariants` over the logs in ``stats_reply`` frames.
+
+    ``replies`` maps each replica to its answer.  ``None`` when no replica
+    hosts a consensus-backed key: there was nothing to audit.
+    """
+    by_key: Dict[Any, List[ReplicaLog]] = {}
+    for replica, reply in sorted(replies.items()):
+        for log in reply.get("consensus", ()):
+            entry = ReplicaLog(replica, dict(log["decided"]), log["commands"])
+            by_key.setdefault(log["key"], []).append(entry)
+    if not by_key:
+        return None
+    return consensus_invariants({key: by_key[key] for key in sorted(by_key, key=repr)})
+
+
+async def _run_live_async(spec: Any) -> Any:
     loop = asyncio.get_running_loop()
     started = time.perf_counter()
     parts: List[Dict[str, Any]] = []
@@ -1007,31 +1047,31 @@ async def _run_live_async(spec: Any) -> Any:
                 )
             except WorkerFailure as exc:
                 failure = str(exc)
-        # The message bill and the replica-side transport counters are the
-        # replica servers' own, drained over the control connections.
-        stats = NetworkStats(messages_sent=await control.drain_stats())
-        for reply in control.stats_replies.values():
-            for name, count in reply.get("by_type", {}).items():
-                stats.by_type[name] = stats.by_type.get(name, 0) + count
+        # The message bill, the replica-side transport counters and the
+        # consensus logs are the replica servers' own, drained over the
+        # control connections.  A replica sends as its own pid only.
+        await control.drain_stats()
+        replies = control.stats_replies
+        stats = merge_network_stats([
+            NetworkStats(
+                messages_sent=reply["messages_sent"],
+                by_type=reply["by_type"],
+                per_sender={replica: reply["messages_sent"]},
+            ).snapshot()
+            for replica, reply in sorted(replies.items())
+        ])
 
-    oplog, ipc_bytes = merge_oplogs([part["columnar"] for part in parts])
-    metrics = merge_metrics([part["metrics"] for part in parts], stats)
-    # The pooled window is wall time (shared-epoch stamps): its rate is the
-    # achieved wall rate, and a virtual-time number would be meaningless.
-    metrics["wall_throughput"] = metrics["virtual_throughput"]
-    metrics["virtual_throughput"] = None
-    metrics["transport"] = control.transport_summary(
-        [row for part in parts for row in part["transport"]], metrics["completed"]
+    result = merged_result(
+        spec,
+        parts,
+        started,
+        stats=stats,
+        crashed=(),  # a live run crashes no replica
+        invariants=consensus_audit(replies),
+        virtual_makespan=None,
+        failure=failure,
     )
-    return KVWorkloadResult(
-        spec=spec,
-        oplog=oplog,
-        ops=oplog.ops_view(),
-        wall_seconds=time.perf_counter() - started,
-        metrics=metrics,
-        batches=max((part["batches"] for part in parts), default=0),
-        arrivals=generate_kv_arrivals(spec) if spec.open_loop and parts else [],
-        finished_cleanly=failure is None and metrics["failed"] == 0,
-        worker_failure=failure,
-        ipc_bytes=ipc_bytes if spec.workers > 1 else 0,
+    result.metrics["transport"] = control.transport_summary(
+        [row for part in parts for row in part["transport"]], result.completed
     )
+    return result

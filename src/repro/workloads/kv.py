@@ -31,6 +31,7 @@ from repro.faults.plan import CrashPoint, FaultPlan, install_crash_points, valid
 from repro.registers.base import OperationKind
 from repro.registers.registry import available_algorithms
 from repro.sim.delays import DelayModel, FixedDelay
+from repro.sim.network import NetworkStats
 from repro.sim.rng import make_rng
 from repro.store.store import KVStore, StoreConfig, StoreOp
 
@@ -391,8 +392,8 @@ class RunVerdict:
     #: against the register or SMR spec per the run's ``effective_spec()``.
     report: Any
     #: Agreement/validity violations read off the consensus replicas, or
-    #: ``None`` when there was nothing to audit (see
-    #: :func:`~repro.consensus.mmr.replica_invariants`).
+    #: ``None`` when the run deployed no consensus-backed key
+    #: (:attr:`KVWorkloadResult.invariants`).
     invariants: Optional[List[str]]
     #: Everything wrong with the run, flat: an unclean finish, per-key
     #: violations (each names its key), invariant violations, SLO misses.
@@ -409,12 +410,14 @@ class KVWorkloadResult:
     """Everything a keyed store run produced — on every backend.
 
     Serial simulation, shard-parallel workers and the live loopback cluster
-    (one client process or several) all hand back this shape; they differ
-    only in which optional fields they fill.  The run's record is ``oplog``
-    (``ops`` views it); ``store`` is present exactly where the replicas live
-    in this process (a :class:`~repro.store.store.KVStore`, or the read-only
-    :class:`~repro.parallel.merge.MergedStore`) and ``virtual_makespan``
-    where a virtual clock timed the run.
+    (one client process or several) all hand back this object, built by
+    :meth:`from_store` or :func:`~repro.parallel.merge.merged_result`, and a
+    finished run is read through it alone.  The run's record is ``oplog``
+    (``ops`` views it); the replicas' record is ``stats``, ``crashed`` and
+    ``invariants``, taken where the replicas ran.  ``store`` is the
+    :class:`~repro.store.store.KVStore` exactly when the run was one serial
+    simulation, and ``virtual_makespan`` is set where a virtual clock timed
+    the run.
     """
 
     spec: Any
@@ -427,7 +430,16 @@ class KVWorkloadResult:
     #: virtual time units, or wall seconds (plus a ``transport`` section of
     #: per-connection counters) for live runs.
     metrics: dict
-    store: Optional[Any] = None
+    #: The replicas' message bill (merged over workers, drained from live
+    #: replicas).
+    stats: NetworkStats
+    #: Crashed servers as sorted ``(shard, replica)`` pairs.
+    crashed: List[Tuple[int, int]]
+    #: The agreement/validity audit of every consensus-backed key, taken
+    #: where its replicas ran (``[]`` when healthy); ``None`` when the run
+    #: deployed no consensus-backed key.
+    invariants: Optional[List[str]]
+    store: Optional[KVStore] = None
     virtual_makespan: Optional[float] = None
     batches: int = 0
     #: Open-loop runs: the seeded arrival times, in submission order.
@@ -451,14 +463,34 @@ class KVWorkloadResult:
     monitor: Optional[Any] = None
     isolated_costs: List[IsolatedOpCost] = field(default_factory=list)
 
+    @classmethod
+    def from_store(
+        cls, spec: Any, store: KVStore, ops: Sequence[StoreOp], wall_seconds: float, **fields: Any
+    ) -> "KVWorkloadResult":
+        """The result of a run simulated on ``store`` in this process, audited as it ends."""
+        return cls(
+            spec=spec,
+            oplog=store.oplog,
+            ops=ops,
+            wall_seconds=wall_seconds,
+            metrics=store.metrics_snapshot(),
+            stats=store.stats,
+            crashed=store.crashed_servers(),
+            invariants=replica_invariants(store),
+            store=store,
+            virtual_makespan=store.simulator.now,
+            **fields,
+        )
+
     @property
     def config(self) -> StoreConfig:
         """The store geometry the run's histories are checked against."""
         return self.spec.store_config()
 
-    # Op accessors, per-key histories and checking are KVStore's own code
-    # (it reads ``ops`` / ``oplog`` / ``config`` only), so a store, a merged
-    # view and a result can never disagree about a verdict.
+    # Op accessors, the message total, per-key histories and checking are
+    # KVStore's own code (it reads ``ops`` / ``oplog`` / ``stats`` /
+    # ``config`` only), so a store and a result can never disagree.
+    total_messages = KVStore.total_messages
     completed_ops = KVStore.completed_ops
     failed_ops = KVStore.failed_ops
     history = KVStore.history
@@ -475,10 +507,6 @@ class KVWorkloadResult:
     def failed(self) -> int:
         """Operations failed when the run ended."""
         return self.metrics["failed"]
-
-    def total_messages(self) -> int:
-        """Protocol messages sent across all replicas during the run."""
-        return self.metrics["messages"]["total"]
 
     @property
     def makespan(self) -> float:
@@ -512,10 +540,9 @@ class KVWorkloadResult:
 
         The per-key check is :meth:`check_linearizability` with its defaults —
         the call ``store.check_linearizability()`` makes; the consensus
-        invariants are audited whenever replica processes are reachable.
+        invariants are the audit the run carries (:attr:`invariants`).
         """
         report = self.check_linearizability()
-        invariants = replica_invariants(self.store)
         failures: List[str] = []
         if self.worker_failure is not None:
             failures.append(f"parallel worker failure:\n{self.worker_failure}")
@@ -530,7 +557,7 @@ class KVWorkloadResult:
                 )
             )
         failures.extend(report.violations())
-        failures.extend(invariants or ())
+        failures.extend(self.invariants or ())
         if self.monitor is not None:
             failures.extend(self.monitor.report.violations)
         slo = getattr(self.spec, "slo_p99", None)  # a register spec has none
@@ -538,7 +565,7 @@ class KVWorkloadResult:
         if slo is not None and latency is not None and latency["p99"] > slo:
             unit = "s" if self.virtual_makespan is None else "virtual time units"
             failures.append(f"p99 {latency['p99']:.6g} {unit} misses the {slo:.6g} {unit} SLO")
-        return RunVerdict(report=report, invariants=invariants, failures=failures)
+        return RunVerdict(report=report, invariants=self.invariants, failures=failures)
 
     def summary(self, verdict: Optional[RunVerdict] = None) -> Dict[str, Any]:
         """The run (and its verdict, when given) as one flat JSON-ready dict.
@@ -564,15 +591,12 @@ class KVWorkloadResult:
             "wire": self.metrics.get("transport"),
             "batches": (self.batches or None) if virtual else None,
             "ipc_bytes": self.ipc_bytes or None,
-            "per_sender": None,
-            "coalesced": None,
-            "crashes_fired": None,
+            "per_sender": dict(self.stats.per_sender),
+            "coalesced": (
+                self.stats.messages_coalesced if virtual and self.config.coalesce else None
+            ),
+            "crashes_fired": len(self.crashed),
         }
-        if self.store is not None:
-            stats = self.store.stats
-            out["per_sender"] = stats.snapshot()["per_sender"]
-            out["coalesced"] = stats.messages_coalesced if self.config.coalesce else None
-            out["crashes_fired"] = sum(len(s.crashed_replicas) for s in self.store.shards)
         if verdict is not None:
             out["ok"] = verdict.ok
             out["atomic"] = verdict.report.ok
@@ -723,8 +747,8 @@ def run_kv_workload(spec: KVWorkloadSpec) -> KVWorkloadResult:
     shard-parallel engine
     (:func:`repro.parallel.engine.run_kv_workload_parallel`); both return the
     same :class:`KVWorkloadResult` — same seeded operation stream, row ``i``
-    script operation ``i`` — with no store and wall-clock timings, or a merged
-    read-only store, respectively.
+    script operation ``i`` — with wall-clock timings or a virtual makespan,
+    respectively, and no ``store``.
     """
     if spec.transport == "live":
         from repro.transport.live import run_live_workload
@@ -742,15 +766,7 @@ def run_kv_workload(spec: KVWorkloadSpec) -> KVWorkloadResult:
     )
     arrivals = generate_kv_arrivals(spec) if spec.open_loop else []
     wall_seconds = time.perf_counter() - started
-    return KVWorkloadResult(
-        spec=spec,
-        oplog=store.oplog,
-        ops=ops,
-        wall_seconds=wall_seconds,
-        metrics=store.metrics_snapshot(),
-        store=store,
-        virtual_makespan=store.simulator.now,
-        batches=batches,
-        arrivals=arrivals,
-        finished_cleanly=finished,
+    return KVWorkloadResult.from_store(
+        spec, store, ops, wall_seconds,
+        batches=batches, arrivals=arrivals, finished_cleanly=finished,
     )

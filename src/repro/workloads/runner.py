@@ -159,14 +159,11 @@ def run_workload(spec: WorkloadSpec) -> KVWorkloadResult:
         )
         # Drain the tail: forwarded WRITE messages, PROCEEDs in flight, etc.
         store.simulator.run(until=limit)
-    return KVWorkloadResult(
-        spec=spec,
-        oplog=store.oplog,
-        ops=store.ops,
-        wall_seconds=time.perf_counter() - started,
-        metrics=store.metrics_snapshot(),
-        store=store,
-        virtual_makespan=store.simulator.now,
+    return KVWorkloadResult.from_store(
+        spec,
+        store,
+        store.ops,
+        time.perf_counter() - started,
         finished_cleanly=clean,
         monitor=cluster.monitor,
         isolated_costs=isolated_costs,

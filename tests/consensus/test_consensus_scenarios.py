@@ -76,7 +76,7 @@ class TestConsensusParallel:
         assert parallel.worker_failure is None
 
         def serialize(result):
-            histories = result.store.histories()
+            histories = result.histories()
             return {
                 str(key): histories[key].to_dict()
                 for key in sorted(histories, key=str)

@@ -199,6 +199,15 @@ class TestRegisterRunVerdict:
             assert main(argv) == 1
             assert "did not finish cleanly" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_invalid_parameters_are_exit_2(self, command, capsys):
+        # The spec's own ValueError, decided once in main() as for `store`.
+        assert main([command, "--n", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"invalid {command} parameters: " in captured.err
+        assert "at least 2 processes" in captured.err
+
 
 class TestExamples:
     """The example scripts are part of the public surface; they must keep running."""

@@ -38,7 +38,7 @@ def golden_cases() -> dict[str, tuple[KVWorkloadSpec, int]]:
 
 def serialize_result(result) -> dict[str, Any]:
     """Everything the equivalence test compares, in a JSON-stable shape."""
-    histories = result.store.histories()
+    histories = result.histories()
     return {
         "histories": {str(key): histories[key].to_dict() for key in sorted(histories, key=str)},
         "virtual_makespan": result.virtual_makespan,

@@ -32,7 +32,7 @@ CASES = {
 
 
 def histories_dict(result):
-    return {str(key): history.to_dict() for key, history in result.store.histories().items()}
+    return {str(key): history.to_dict() for key, history in result.histories().items()}
 
 
 def assert_metrics_identical(serial: dict, parallel: dict) -> None:
@@ -77,16 +77,16 @@ class TestDifferentialBitIdentity:
         parallel_report = parallel.check_atomicity(raise_on_violation=False)
         assert serial_report.ok == parallel_report.ok
         assert serial_report.keys_checked == parallel_report.keys_checked
-        serial_lin = serial.store.check_linearizability()
-        parallel_lin = parallel.store.check_linearizability()
+        serial_lin = serial.check_linearizability()
+        parallel_lin = parallel.check_linearizability()
         assert serial_lin.ok == parallel_lin.ok
         assert serial_lin.operations_checked == parallel_lin.operations_checked
         assert serial_lin.states_explored == parallel_lin.states_explored
 
     def test_network_stats_merge_matches_serial_snapshot(self):
         build, workers = CASES["uniform-w2"]
-        serial = run_kv_workload(build()).store.stats.snapshot()
-        parallel = run_kv_workload(build().with_(workers=workers)).store.stats.snapshot()
+        serial = run_kv_workload(build()).stats.snapshot()
+        parallel = run_kv_workload(build().with_(workers=workers)).stats.snapshot()
         assert serial == parallel
 
     def test_more_workers_than_shards_degrades_gracefully(self):

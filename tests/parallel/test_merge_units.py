@@ -1,18 +1,19 @@
-"""Hand-crafted merge cases for the parallel run's metrics/stats folding.
+"""Hand-crafted merge cases for a run recorded in several processes.
 
 These pin the merge *semantics* independently of any store run: percentiles
 are recomputed from pooled samples (never averaged), empty workers are
 neutral, the throughput window spans min(first issue)..max(last completion),
-dictionary keys come out sorted, and the fault timeline passes through in
-plan order.
+dictionary keys come out sorted, and a collector folded from parts snapshots
+exactly like one collector fed the same samples.
 """
 
 import math
 
 import pytest
 
-from repro.exec.metrics import _latency_summary
-from repro.parallel import merge_metrics, merge_network_stats
+from repro.exec.metrics import MetricsCollector, _latency_summary
+from repro.parallel import merge_network_stats
+from repro.registers.base import OperationKind
 
 
 def stats_snapshot(**overrides):
@@ -41,7 +42,7 @@ def metrics_part(
     reads=(),
     writes=(),
 ):
-    """A collector_raw_state()-shaped worker part."""
+    """A MetricsCollector.raw_state()-shaped worker part."""
     return {
         "issued": issued,
         "completed": completed,
@@ -84,9 +85,15 @@ class TestMergeNetworkStats:
         assert list(merged.per_sender) == sorted(merged.per_sender)
 
 
-class TestMergeMetrics:
-    def test_empty_merge_has_zero_counts_and_no_latency(self):
-        snapshot = merge_metrics([], merge_network_stats([]))
+def fold(parts, stats=None, wall_clock=False):
+    """The snapshot of a collector folded from ``parts``."""
+    stats = merge_network_stats([]) if stats is None else stats
+    return MetricsCollector.folded(parts, stats, wall_clock).snapshot()
+
+
+class TestFoldedCollector:
+    def test_empty_fold_has_zero_counts_and_no_latency(self):
+        snapshot = fold([])
         assert snapshot["issued"] == snapshot["completed"] == snapshot["failed"] == 0
         assert snapshot["virtual_throughput"] == 0.0
         assert snapshot["latency"]["read"] is None
@@ -102,12 +109,10 @@ class TestMergeMetrics:
             reads=[1.0, 2.0], writes=[3.0, 4.0],
         )
         stats = merge_network_stats([stats_snapshot(messages_sent=12)])
-        alone = merge_metrics([part], stats)
-        with_empty = merge_metrics([part, metrics_part()], stats)
-        assert alone == with_empty
+        assert fold([part], stats) == fold([part, metrics_part()], stats)
 
     def test_single_key_worker_merges_into_serial_shape(self):
-        # One worker saw only writes (a single-key shard group): the merged
+        # One worker saw only writes (a single-key shard group): the folded
         # snapshot must still carry both pre-keyed buckets plus "all".
         parts = [
             metrics_part(issued=2, completed=2, first_issue_at=0.0,
@@ -115,7 +120,7 @@ class TestMergeMetrics:
             metrics_part(issued=3, completed=3, first_issue_at=1.0,
                          last_completion_at=6.0, reads=[1.0, 1.5, 2.5]),
         ]
-        snapshot = merge_metrics(parts, merge_network_stats([stats_snapshot(messages_sent=30)]))
+        snapshot = fold(parts, merge_network_stats([stats_snapshot(messages_sent=30)]))
         assert snapshot["issued"] == 5 and snapshot["completed"] == 5
         assert snapshot["latency"]["write"] == _latency_summary([2.0, 3.0])
         assert snapshot["latency"]["read"] == _latency_summary([1.0, 1.5, 2.5])
@@ -132,7 +137,7 @@ class TestMergeMetrics:
             metrics_part(issued=50, completed=50, first_issue_at=0.0,
                          last_completion_at=50.0, reads=high),
         ]
-        merged = merge_metrics(parts, merge_network_stats([]))["latency"]["read"]
+        merged = fold(parts)["latency"]["read"]
         pooled = _latency_summary(low + high)
         assert merged["p99"] == pooled["p99"] == 99.0
         averaged_p99 = (_latency_summary(low)["p99"] + _latency_summary(high)["p99"]) / 2
@@ -147,41 +152,62 @@ class TestMergeMetrics:
             metrics_part(issued=5, completed=5, first_issue_at=0.0, last_completion_at=10.0),
             metrics_part(issued=15, completed=15, first_issue_at=2.0, last_completion_at=20.0),
         ]
-        snapshot = merge_metrics(parts, merge_network_stats([]))
-        assert snapshot["virtual_throughput"] == pytest.approx(20 / 20.0)
+        assert fold(parts)["virtual_throughput"] == pytest.approx(20 / 20.0)
 
     def test_zero_span_throughput_serializes_as_none(self):
         parts = [metrics_part(issued=1, completed=1, first_issue_at=3.0, last_completion_at=3.0)]
-        assert merge_metrics(parts, merge_network_stats([]))["virtual_throughput"] is None
+        assert fold(parts)["virtual_throughput"] is None
 
-    def test_fault_timeline_passes_through_in_plan_order(self):
-        timeline = [{"at": 5.0, "what": "heal"}, {"at": 1.0, "what": "cut"}]
-        snapshot = merge_metrics([], merge_network_stats([]), fault_timeline=timeline)
-        assert snapshot["faults"] == timeline
-        assert merge_metrics([], merge_network_stats([]), fault_timeline=[])["faults"] == []
+    def test_wall_clock_fold_reports_the_window_as_wall_throughput(self):
+        parts = [metrics_part(issued=2, completed=2, first_issue_at=0.0, last_completion_at=0.5)]
+        snapshot = fold(parts, wall_clock=True)
+        assert snapshot["virtual_throughput"] is None
+        assert snapshot["wall_throughput"] == pytest.approx(4.0)
 
 
-class TestMergedStoreSharesTheStoreSurface:
+class TestOneSnapshot:
+    """A collector folded from parts *is* one collector fed the same samples."""
+
+    SAMPLES = [
+        # (part, kind, issued at, latency)
+        (0, OperationKind.READ, 0.0, 1.0),
+        (1, OperationKind.WRITE, 0.5, 2.0),
+        (0, OperationKind.CAS, 1.0, 1.5),
+        (1, OperationKind.READ, 1.5, 0.5),
+        (1, OperationKind.CAS, 2.0, 3.0),
+    ]
+
+    def collectors(self):
+        one = MetricsCollector()
+        parts = [MetricsCollector(), MetricsCollector()]
+        for part, kind, issued, latency in self.SAMPLES:
+            for collector in (one, parts[part]):
+                collector.note_issued(issued)
+                collector.note_completed(kind, latency, issued + latency)
+        one.note_failed()
+        parts[1].note_failed()
+        return one, parts
+
+    def test_folded_snapshot_equals_the_one_collectors(self):
+        one, parts = self.collectors()
+        stats = merge_network_stats([stats_snapshot(messages_sent=40, by_type={"EST": 40})])
+        one.stats = stats  # the whole bill, as the fold attributes it
+        folded = MetricsCollector.folded([part.raw_state() for part in parts], stats, False)
+        assert folded.snapshot() == one.snapshot()
+        assert sorted(folded.latencies(OperationKind.CAS)) == [1.5, 3.0]
+
+    def test_raw_state_round_trips_through_a_fold(self):
+        _one, parts = self.collectors()
+        state = parts[0].raw_state()
+        assert MetricsCollector.folded([state], merge_network_stats([]), False).raw_state() == state
+
+
+class TestTheResultSharesTheStoreSurface:
     def test_finished_run_methods_are_kvstores_own_functions(self):
-        """One implementation: a merged view cannot drift from the store."""
-        from repro.parallel.merge import MergedStore
+        """One implementation: a finished run cannot drift from the store."""
         from repro.store.store import KVStore
         from repro.workloads.kv import KVWorkloadResult
 
-        for name in ("completed_ops", "failed_ops", "histories",
+        for name in ("total_messages", "completed_ops", "failed_ops", "histories",
                      "check_linearizability", "check_atomicity"):
-            assert getattr(MergedStore, name) is getattr(KVStore, name), name
             assert getattr(KVWorkloadResult, name) is getattr(KVStore, name), name
-
-    def test_empty_merged_store_checks_clean(self):
-        from repro.exec.oplog import OpLog
-        from repro.parallel.merge import MergedStore
-        from repro.store.store import StoreConfig
-
-        store = MergedStore(
-            config=StoreConfig(), oplog=OpLog(), stats=merge_network_stats([]),
-            crashed={}, now=0.0, executed_events=0,
-        )
-        assert store.completed_ops() == [] and store.histories() == {}
-        report = store.check_atomicity()
-        assert report.ok and report.keys_checked == 0

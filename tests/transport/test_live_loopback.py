@@ -5,11 +5,14 @@ they are the slowest in the suite (a few seconds each) but also the proof
 that the same register algorithms run unmodified over real sockets.
 """
 
+import asyncio
+
 import pytest
 
 from repro.registers.base import OperationKind
+from repro.transport.live import _ReplicaServer, consensus_audit
 from repro.workloads.kv import iter_kv_operations, run_kv_workload
-from repro.workloads.scenarios import kv_uniform
+from repro.workloads.scenarios import consensus_smoke, kv_uniform
 
 
 def live_spec(**overrides):
@@ -107,3 +110,47 @@ class TestCrossBackendEquivalence:
             assert live_result.check_linearizability().ok, algorithm
             sim_result = run_kv_workload(spec.with_(transport="sim"))
             sim_result.check_atomicity()
+
+
+class TestLiveConsensusAudit:
+    """A live replica reports its consensus log with its stats; the client audits it."""
+
+    def test_a_live_consensus_run_carries_a_clean_audit(self):
+        result = run_kv_workload(consensus_smoke(num_keys=4, num_ops=40).with_(transport="live"))
+        assert result.verify().invariants == []
+
+    def test_replies_that_disagree_are_reported_by_key_and_slot(self):
+        def reply(*logs):
+            return {
+                "kind": "stats_reply",
+                "consensus": [
+                    {"key": key, "decided": decided, "commands": commands}
+                    for key, decided, commands in logs
+                ],
+            }
+
+        replies = {
+            0: reply(("k0001", [[0, 1], [1, 0]], [0]), ("k0002", [[3, 1]], [])),
+            1: reply(("k0001", [[0, 1], [1, 1]], [0, 1])),
+            2: {"kind": "stats_reply"},  # hosts no consensus-backed key
+        }
+        assert consensus_audit(replies) == [
+            "agreement violation at key 'k0001' slot 1: p0->0, p1->1",
+            "validity violation at key 'k0002' slot 3: decided 1 "
+            "but no replica knows a command for the slot",
+        ]
+
+    def test_only_consensus_replicas_add_a_log_to_their_reply(self):
+        async def replies():
+            out = {}
+            for algorithm in ("abd-mwmr", "mmr-cas"):
+                server = _ReplicaServer(0, 3, algorithm, None)
+                server.live_key("k0000")
+                out[algorithm] = server._stats_reply()
+            return out
+
+        register, consensus = (asyncio.run(replies())[name] for name in ("abd-mwmr", "mmr-cas"))
+        # A register replica's answer keeps its size: nothing to audit.
+        assert "consensus" not in register and consensus_audit({0: register}) is None
+        assert consensus["consensus"] == [{"key": "k0000", "decided": [], "commands": []}]
+        assert consensus_audit({0: consensus}) == []

@@ -9,7 +9,7 @@ from repro.workloads.kv import (
     generate_kv_operations,
     run_kv_workload,
 )
-from repro.workloads.scenarios import kv_uniform, kv_zipfian
+from repro.workloads.scenarios import consensus_smoke, kv_uniform, kv_zipfian
 
 
 class TestSpecValidation:
@@ -152,6 +152,19 @@ SUMMARY_KEYS = {
 
 SPEC = kv_uniform(num_keys=4, num_ops=40, replication=3, seed=5)
 
+#: A consensus spec: every backend must audit agreement and validity.
+CONSENSUS_SPEC = consensus_smoke(num_keys=4, num_ops=40)
+
+
+def on_backend(spec, backend):
+    transport, workers = {
+        "sim-serial": ("sim", 1),
+        "sim-workers-2": ("sim", 2),
+        "live": ("live", 1),
+        "live-workers-2": ("live", 2),
+    }[backend]
+    return run_kv_workload(spec.with_(transport=transport, workers=workers))
+
 
 @pytest.fixture(scope="module")
 def runs():
@@ -160,13 +173,7 @@ def runs():
 
     def run(backend):
         if backend not in cache:
-            transport, workers = {
-                "sim-serial": ("sim", 1),
-                "sim-workers-2": ("sim", 2),
-                "live": ("live", 1),
-                "live-workers-2": ("live", 2),
-            }[backend]
-            cache[backend] = run_kv_workload(SPEC.with_(transport=transport, workers=workers))
+            cache[backend] = on_backend(SPEC, backend)
         return cache[backend]
 
     return run
@@ -196,10 +203,15 @@ class TestOneResultOneVerdict:
         assert result.finished_cleanly and result.worker_failure is None
         assert result.makespan > 0 and result.wall_seconds > 0
         assert result.metrics["latency"]["all"]["count"] == 40
-        # A store exactly where the replicas live in this process — which is
-        # also exactly where a virtual clock timed the run.
-        assert (result.store is None) == (result.virtual_makespan is None)
         assert set(result.histories()) <= set(result.oplog.rows_by_key())
+
+    def test_a_store_only_on_the_serial_simulation(self, result):
+        # Everything else a finished run is read through is on the result.
+        serial_sim = result.spec.transport == "sim" and result.spec.workers == 1
+        assert (result.store is None) == (not serial_sim)
+        assert (result.virtual_makespan is None) == (result.spec.transport == "live")
+        assert result.stats.messages_sent == result.total_messages() > 0
+        assert result.crashed == []
 
     def test_same_verdict_and_summary_shape(self, result):
         from repro.verification.linearizability import PartitionedCheckReport
@@ -214,7 +226,9 @@ class TestOneResultOneVerdict:
         summary = result.summary(verdict)
         assert set(summary) == SUMMARY_KEYS
         assert summary["completed"] == 40 and summary["ok"] and summary["atomic"]
-        assert summary["clock"] == ("wall" if result.store is None else "virtual")
+        assert summary["clock"] == ("wall" if result.virtual_makespan is None else "virtual")
+        assert summary["per_sender"] and sum(summary["per_sender"].values()) == summary["messages"]
+        assert summary["crashes_fired"] == 0
         verdict_keys = {"ok", "atomic", "keys_checked", "consensus_violations"}
         assert set(result.summary()) == SUMMARY_KEYS - verdict_keys
 
@@ -237,6 +251,15 @@ class TestOneResultOneVerdict:
         captured = capsys.readouterr()
         assert captured.out == "table\n"
         assert "store run failures:" in captured.err and repr(op.key) in captured.err
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_backend_audits_agreement_and_validity(backend):
+    result = on_backend(CONSENSUS_SPEC, backend)
+    verdict = result.verify()
+    assert verdict.ok, verdict.failures
+    assert verdict.invariants == [] and result.invariants == []
+    assert result.summary(verdict)["consensus_violations"] == []
 
 
 def test_the_live_message_bill_does_not_depend_on_the_worker_count(runs):
