@@ -8,19 +8,20 @@ virtual time always fire in the order they were scheduled, regardless of the
 callback objects involved (callbacks are not comparable).
 
 This module sits on the hottest path of every benchmark: one heap entry is
-pushed, compared O(log n) times and popped per simulated message.  The queue
-therefore accepts any object that honours the small **entry protocol** —
-``entry()`` fires it, ``entry.time`` is its virtual time, ``entry.cancelled``
-says whether to skip it, ``str(entry)`` is its diagnostic label — so the
-network schedules its in-flight ``_Delivery`` records directly, with no
-wrapper allocated around them (``Network.send`` pushes ``(time, seq, entry)``
-onto the heap in place, drawing ``seq`` from the queue's own counter, so
-deliveries interleave with events in exact scheduling order).
-:class:`Event` is the general-purpose entry
-(timers, crash triggers, client arrivals): a ``__slots__`` class whose label
-may be *lazy* — a ``(format, *args)`` tuple, or any object whose ``str()`` is
-the label — so nobody pays for formatting diagnostics that are only read
-when a run gets stuck.
+pushed, compared O(log n) times and popped per simulated message.  A heap
+entry is therefore a plain tuple that honours the small **entry protocol**
+— ``(time, seq, target, *args)``: popping it calls ``target(*args)``,
+``target.cancelled`` says whether to skip it, ``target.describe(*args)`` is
+its diagnostic label.  A message in flight is one such tuple, ``(time, seq,
+endpoint, src, message, send_time, riders)``, whose target is the network's
+per-process ``_Delivery`` endpoint: ``Network.send`` pushes it onto the heap
+in place, drawing ``seq`` from the queue's own counter, so deliveries
+interleave with events in exact scheduling order and a message costs one
+tuple and nothing else.  :class:`Event` is the general-purpose target
+(timers, crash triggers, client arrivals), pushed as ``(time, seq,
+event)``: a ``__slots__`` class whose label may be *lazy* — a ``(format,
+*args)`` tuple, or any object whose ``str()`` is the label — so nobody pays
+for formatting diagnostics that are only read when a run gets stuck.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ class Event:
     def __str__(self) -> str:
         return render_label(self.label)
 
+    describe = __str__  # the entry protocol's label
+
     def cancel(self) -> None:
         """Mark the event so the scheduler skips it when it is popped."""
         self.cancelled = True
@@ -105,23 +108,24 @@ class EventQueue:
     lazily discarded on :meth:`pop`, and the heap is periodically compacted
     when cancelled entries dominate it.
 
-    The heap stores ``(time, seq, entry)`` tuples rather than entries: tuple
-    comparison runs entirely in C (floats, then ints — never reaching the
-    incomparable entry object), so heap sifts make no Python-level ``__lt__``
-    calls.  This is the single largest win on the hot path.
+    The heap stores ``(time, seq, target, *args)`` tuples rather than
+    objects: tuple comparison runs entirely in C (floats, then ints — never
+    reaching the incomparable target), so heap sifts make no Python-level
+    ``__lt__`` calls.  This is the single largest win on the hot path.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Any]] = []
+        self._heap: list[tuple] = []
         self._counter = itertools.count()
-        self._live = 0
+        # Cancelled entries still in the heap; the live ones are the rest, so
+        # a push or a pop touches no counter.
         self._cancelled_in_heap = 0
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._heap) - self._cancelled_in_heap
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return len(self._heap) > self._cancelled_in_heap
 
     def push(
         self,
@@ -135,18 +139,16 @@ class EventQueue:
         seq = next(self._counter)
         event = Event(time, seq, action, label)
         heapq.heappush(self._heap, (time, seq, event))
-        self._live += 1
         return event
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously pushed event (idempotent)."""
         if not event.cancelled:
             event.cancelled = True
-            self._live -= 1
             self._cancelled_in_heap += 1
             if (
                 self._cancelled_in_heap >= _COMPACT_MIN_CANCELLED
-                and self._cancelled_in_heap > self._live
+                and 2 * self._cancelled_in_heap > len(self._heap)
             ):
                 self._compact()
 
@@ -174,8 +176,11 @@ class EventQueue:
             heapq.heappop(heap)
             self._cancelled_in_heap -= 1
 
-    def pop(self, limit: Optional[float] = None) -> Optional[Any]:
-        """Remove and return the next live entry, or ``None`` if there is none.
+    def pop(self, limit: Optional[float] = None) -> Optional[tuple]:
+        """Remove and return the next live heap entry, or ``None`` if there is none.
+
+        The entry is the whole tuple: ``entry[0]`` is its time, and
+        ``entry[2](*entry[3:])`` fires it.
 
         With a ``limit``, an entry scheduled strictly after it stays queued
         and ``None`` is returned (the queue is then still non-empty).
@@ -185,8 +190,7 @@ class EventQueue:
             self._discard_cancelled_head()
         if not heap or (limit is not None and heap[0][0] > limit):
             return None
-        self._live -= 1
-        return heapq.heappop(heap)[2]
+        return heapq.heappop(heap)
 
     def peek_time(self) -> Optional[float]:
         """Return the virtual time of the next live event without removing it."""
@@ -199,12 +203,13 @@ class EventQueue:
     def clear(self) -> None:
         """Discard all pending events."""
         self._heap.clear()
-        self._live = 0
         self._cancelled_in_heap = 0
 
     def pending_labels(self) -> list[str]:
         """Return labels of live entries, sorted by (time, seq) — useful in error messages."""
-        return [str(item[2]) for item in sorted(self._heap) if not item[2].cancelled]
+        return [
+            item[2].describe(*item[3:]) for item in sorted(self._heap) if not item[2].cancelled
+        ]
 
 
 def never(_: Any = None) -> bool:

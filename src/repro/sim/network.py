@@ -152,8 +152,23 @@ class NetworkStats:
         self._accessors[cls] = accessors
         return accessors
 
+    def price(self, message: Any) -> tuple[str, int, int]:
+        """``(type name, control bits, data bits)`` of ``message``."""
+        accessors = self._accessors.get(message.__class__)
+        if accessors is None:
+            accessors = self._resolve_accessors(message)
+        name, control, data = accessors
+        if name is None:
+            return message.price
+        if control.__class__ is not int:
+            control = int(control(message))
+        if data.__class__ is not int:
+            data = int(data(message))
+        return name, control, data
+
     def record_send(self, src: int, message: Any, count: int = 1) -> tuple[int, int]:
         """Price ``message`` once and bill ``src`` for ``count`` copies of it."""
+        # price(), inlined: this runs once per send call.
         accessors = self._accessors.get(message.__class__)
         if accessors is None:
             accessors = self._resolve_accessors(message)
@@ -204,100 +219,64 @@ class NetworkStats:
 
 
 class _Delivery:
-    """One in-flight message: the heap entry the simulator pops and fires.
+    """The channel end into one process: what a message in flight to it fires.
 
-    A ``_Delivery`` is a single ``__slots__`` object that carries exactly the
-    state delivery needs and honours the event queue's entry protocol
-    (:mod:`repro.sim.events`): ``time`` is the delivery instant, calling it
-    delivers, ``str()`` formats the diagnostic label only if a stuck run
-    asks for it, and ``cancelled`` is a class constant — a message in flight
-    is irrevocable.  ``Network.send`` pushes it straight onto the queue, so a
-    simulated message costs one allocation and no wrapper around it.
+    :meth:`Network.register` builds one per process; it holds what delivery
+    needs that does not vary per message.  A message in flight is then a
+    plain heap tuple ``(time, seq, endpoint, src, message, send_time,
+    riders)`` that ``Network.send`` pushes in place — one allocation and no
+    Python frame per message.  The tuple honours the event queue's entry
+    protocol (:mod:`repro.sim.events`): popping it calls ``endpoint(src,
+    message, send_time, riders)``, :meth:`describe` formats its diagnostic
+    label only if a stuck run asks for it, and ``cancelled`` is a class
+    constant — a message in flight is irrevocable.
 
     Where the network keeps its **coalescing** index (see
     :meth:`Network.send`), the first message to a given ``(dst,
-    delivery-time)`` becomes the scheduled *head* (``key`` set, entry in
-    ``network._coalesced``); later logical messages to the same key ride
-    along in ``extra`` and are fanned out — in send order — when the single
-    heap event fires.  Heads remove themselves from the index before fanning
-    out, so a fan-out handler that sends at the same instant starts a fresh
-    event.  Destination liveness is (re)checked per logical message: a
-    fan-out handler may crash the destination mid-event (e.g. a send-count
-    crash trigger) and the remaining logical messages must then be dropped.
+    delivery-time)`` is pushed as the *head* with a ``riders`` list, which
+    the index maps the key to; later logical messages to the same key are
+    appended to that list as ``(src, message, send_time)`` and fanned out —
+    in send order — when the head fires.  The head carries its riders in its
+    own tuple, so closing the network (which drops the index) loses none.
+    Heads remove themselves from the index before fanning out, so a fan-out
+    handler that sends at the same instant starts a fresh event.
+    Destination liveness is (re)checked per logical message: a fan-out
+    handler may crash the destination mid-event (e.g. a send-count crash
+    trigger) and the remaining logical messages must then be dropped.
     """
 
-    __slots__ = (
-        "network",
-        "src",
-        "dst",
-        "message",
-        "send_time",
-        "time",
-        "control",
-        "data",
-        "key",
-        "extra",
-    )
+    __slots__ = ("network", "dst", "process")
 
     cancelled = False
 
-    def __init__(
-        self,
-        network: "Network",
-        src: int,
-        dst: int,
-        message: Any,
-        send_time: float,
-        time: float,
-        control: int,
-        data: int,
-    ) -> None:
+    def __init__(self, network: "Network", process: "Process") -> None:
         self.network = network
-        self.src = src
-        self.dst = dst
-        self.message = message
-        self.send_time = send_time
-        self.time = time
-        self.control = control
-        self.data = data
-        self.key: Optional[tuple[int, float]] = None
-        self.extra: Optional[list["_Delivery"]] = None
+        self.dst = process.pid
+        self.process = process
 
-    def __call__(self) -> None:
+    def __call__(self, src: int, message: Any, send_time: float, riders: Optional[list]) -> None:
         network = self.network
-        key = self.key
-        if key is not None:
-            # Coalesced head: detach from the index first, then fan out the
-            # logical messages in send order (head first).
-            del network._coalesced[key]
-            extra = self.extra
-            if extra is not None:
-                self._fan_out(network, extra)
+        if riders is not None:
+            # Coalesced head: detach from the index first (a closed network
+            # has dropped it already), then fan out the logical messages in
+            # send order (head first).
+            network._coalesced.pop((self.dst, network.simulator._now), None)
+            if riders:
+                self._fan_out(src, message, send_time, riders)
                 return
         # One logical message (no index, or nothing rode along).
         network._in_flight -= 1
-        destination = network._processes[self.dst]
+        destination = self.process
         delivered = not destination.crashed
         if network.record_messages:
-            network.records.append(
-                MessageRecord(
-                    send_time=self.send_time,
-                    delivery_time=self.time,
-                    src=self.src,
-                    dst=self.dst,
-                    message=self.message,
-                    control_bits=self.control,
-                    data_bits=self.data,
-                    delivered=delivered,
-                )
-            )
+            network._record(src, self.dst, message, send_time, delivered)
         if not delivered:
             network.stats.record_drop()
             return
         network.stats.messages_delivered += 1
-        destination.deliver(self.src, self.message)
+        destination.deliver(src, message)
 
-    def _fan_out(self, network: "Network", extra: list["_Delivery"]) -> None:
+    def _fan_out(self, src: int, message: Any, send_time: float, riders: list) -> None:
         """Deliver the head plus every coalesced rider, in send order.
 
         All entries share this event's destination and instant, so the
@@ -314,50 +293,38 @@ class _Delivery:
         (a handler may crash the destination mid-event, e.g. a send-count
         crash trigger firing on one of its replies).
         """
+        network = self.network
         stats = network.stats
-        destination = network._processes[self.dst]
+        destination = self.process
         record = network.record_messages
-        now = self.time
-        entry = self
         index = 0
-        count = len(extra)
+        count = len(riders)
         while True:
             network._in_flight -= 1
             delivered = not destination.crashed
             if record:
-                network.records.append(
-                    MessageRecord(
-                        send_time=entry.send_time,
-                        delivery_time=now,
-                        src=entry.src,
-                        dst=entry.dst,
-                        message=entry.message,
-                        control_bits=entry.control,
-                        data_bits=entry.data,
-                        delivered=delivered,
-                    )
-                )
+                network._record(src, self.dst, message, send_time, delivered)
             if delivered:
                 stats.messages_delivered += 1
                 # Process.deliver, inlined for the batch: counters + dispatch,
                 # with the guard scan hoisted to the end of the fan-out.
                 destination.messages_received += 1
-                destination.on_message(entry.src, entry.message)
+                destination.on_message(src, message)
                 destination.messages_handled += 1
             else:
                 stats.messages_dropped_to_crashed += 1  # record_drop(), inlined
             if index == count:
                 break
-            entry = extra[index]
+            src, message, send_time = riders[index]
             index += 1
         if destination._scan_due and not destination.crashed:
             destination.check_guards()
 
-    def __str__(self) -> str:
-        label = f"deliver {self.message!r} p{self.src}->p{self.dst}"
-        extra = self.extra
-        if extra:
-            label += f" (+{len(extra)} coalesced)"
+    def describe(self, src: int, message: Any, send_time: float, riders: Optional[list]) -> str:
+        """The diagnostic label of the message in flight ``(src, message, send_time, riders)``."""
+        label = f"deliver {message!r} p{src}->p{self.dst}"
+        if riders:
+            label += f" (+{len(riders)} coalesced)"
         return label
 
 
@@ -375,14 +342,15 @@ class Network:
         by fine-grained tests; benchmarks leave it off to save memory).
     coalesce:
         When true, logical messages to the same destination arriving at the
-        same virtual instant share one heap event (the head's ``_Delivery``
-        fans the rest out on arrival).  Delivery *times* are unchanged and
-        every logical message is still delivered, recorded and accounted
-        individually — only the intra-instant delivery interleaving (and the
-        number of heap operations) changes.  Off by default so existing
-        deployments replay their pinned histories bit for bit; the sharded
-        store turns it on (see ``repro.store.StoreConfig.coalesce``).  The
-        index behind it exists only where instants can be shared (:meth:`send`).
+        same virtual instant share one heap event (the head's tuple carries
+        the rest, and its ``_Delivery`` fans them out on arrival).  Delivery
+        *times* are unchanged and every logical message is still delivered,
+        recorded and accounted individually — only the intra-instant delivery
+        interleaving (and the number of heap operations) changes.  Off by
+        default so existing deployments replay their pinned histories bit for
+        bit; the sharded store turns it on (see
+        ``repro.store.StoreConfig.coalesce``).  The index behind it exists
+        only where instants can be shared (:meth:`send`).
     """
 
     def __init__(
@@ -405,12 +373,15 @@ class Network:
         self.stats = NetworkStats()
         self.record_messages = record_messages
         self.coalesce = coalesce
-        # Coalescing index: (dst, delivery-time) -> scheduled head delivery.
-        # Heads remove themselves when they fire, so the index only ever
-        # holds in-flight events and lookups can never hit a stale head.
-        self._coalesced: Dict[tuple[int, float], _Delivery] = {}
+        # Coalescing index: (dst, delivery-time) -> the riders list of the
+        # scheduled head.  Heads remove themselves when they fire, so the
+        # index only ever holds in-flight events and lookups can never hit a
+        # stale head.
+        self._coalesced: Dict[tuple[int, float], list] = {}
         self.records: list[MessageRecord] = []
-        self._processes: Dict[int, "Process"] = {}
+        # Membership: pid -> the channel end into that process (its
+        # ``process``), which every message in flight to it fires.
+        self._endpoints: Dict[int, _Delivery] = {}
         # Membership is static once built, so it is sorted when it changes
         # (register), not each time a process asks who its peers are.  The
         # list is replaced, never mutated: a reference handed out stays valid.
@@ -441,10 +412,10 @@ class Network:
 
     def register(self, process: "Process") -> None:
         """Attach a process to the network (called by ``Process.__init__``)."""
-        if process.pid in self._processes:
+        if process.pid in self._endpoints:
             raise ValueError(f"duplicate process id {process.pid}")
-        self._processes[process.pid] = process
-        self._process_ids = sorted(self._processes)
+        self._endpoints[process.pid] = _Delivery(self, process)
+        self._process_ids = sorted(self._endpoints)
 
     @property
     def process_ids(self) -> list[int]:
@@ -453,11 +424,11 @@ class Network:
 
     def process(self, pid: int) -> "Process":
         """Return the process registered under ``pid``."""
-        return self._processes[pid]
+        return self._endpoints[pid].process
 
     def processes(self) -> list["Process"]:
         """All registered processes, ordered by pid."""
-        return [self._processes[pid] for pid in self._process_ids]
+        return [self._endpoints[pid].process for pid in self._process_ids]
 
     def add_send_hook(self, hook: Callable[[int, int, Any], None]) -> None:
         """Register a callback invoked right after every send is scheduled.
@@ -502,9 +473,9 @@ class Network:
                 f"send p{src}->p{dst} on closed network"
                 + (f" {self.name!r}" if self.name else "")
             )
-        processes = self._processes
-        sender = processes.get(src)
-        if sender is not None and sender.crashed:
+        endpoints = self._endpoints
+        sender = endpoints.get(src)  # the sender's own channel end, if a member
+        if sender is not None and sender.process.crashed:
             # A crashed process takes no steps, hence cannot send.
             return
         stats = self.stats
@@ -519,14 +490,17 @@ class Network:
             coalesced = self._coalesced
         simulator = self.simulator
         send_time = simulator._now  # .now property, bypassed on the hot path
-        # The delivery record is itself the heap entry, pushed in place: what
-        # ``EventQueue.push`` does, minus the frame and the ``time >= 0`` check
-        # (``delay >= 0`` is checked below and the clock is never negative).
+        # A message in flight is one plain tuple ``(time, seq, endpoint, src,
+        # message, send_time, riders)`` pushed in place (see ``_Delivery``):
+        # what ``EventQueue.push`` does, minus the frame, the ``Event`` and
+        # the ``time >= 0`` check (``delay >= 0`` is checked below and the
+        # clock is never negative).
         queue = simulator._queue
         heap = queue._heap
         counter = queue._counter
         if dst.__class__ is int:
-            if dst == src or dst not in processes:
+            endpoint = endpoints.get(dst)
+            if endpoint is None or dst == src:
                 raise _bad_destination(src, dst)
             delay = model.sample(src, dst)
             if not hooks and policy is None and perturbation is None and coalesced is None:
@@ -535,14 +509,12 @@ class Network:
                 # loop below for one destination with the branches that
                 # cannot be taken left out: a reply costs no more than one
                 # copy of a multicast.
-                control, data = stats.record_send(src, message)
+                stats.record_send(src, message)
                 self._in_flight += 1
                 if delay < 0:
                     raise ValueError(f"delay model produced negative delay {delay}")
                 time = send_time + delay
-                delivery = _Delivery(self, src, dst, message, send_time, time, control, data)
-                heappush(heap, (time, next(counter), delivery))
-                queue._live += 1
+                heappush(heap, (time, next(counter), endpoint, src, message, send_time, None))
                 return
             dsts, delays = (dst,), (delay,)
         else:
@@ -550,7 +522,7 @@ class Network:
             if not dsts:
                 return
             for dst in dsts:
-                if dst == src or dst not in processes:
+                if dst == src or dst not in endpoints:
                     raise _bad_destination(src, dst)
             if hooks:
                 delays = (model.sample(src, dst) for dst in dsts)  # drawn as the loop advances
@@ -558,11 +530,11 @@ class Network:
                 delays = model.sample_many(src, dsts)
         if not hooks:
             count = len(dsts)
-            control, data = stats.record_send(src, message, count)
+            stats.record_send(src, message, count)
             self._in_flight += count
         for dst, delay in zip(dsts, delays):
             if hooks:
-                control, data = stats.record_send(src, message)
+                stats.record_send(src, message)
                 self._in_flight += 1
             if delay < 0:
                 raise ValueError(f"delay model produced negative delay {delay}")
@@ -583,30 +555,42 @@ class Network:
                         "perturbations must preserve reliability (finite, non-negative delays)"
                     )
             time = send_time + delay
-            delivery = _Delivery(self, src, dst, message, send_time, time, control, data)
             if coalesced is None:
-                heappush(heap, (time, next(counter), delivery))
-                queue._live += 1
+                heappush(heap, (time, next(counter), endpoints[dst], src, message, send_time, None))
             else:
                 key = (dst, time)
-                head = coalesced.get(key)
-                if head is None:
-                    delivery.key = key
-                    coalesced[key] = delivery
-                    heappush(heap, (time, next(counter), delivery))
-                    queue._live += 1
+                riders = coalesced.get(key)
+                if riders is None:
+                    coalesced[key] = riders = []
+                    heappush(
+                        heap, (time, next(counter), endpoints[dst], src, message, send_time, riders)
+                    )
                 else:
-                    extra = head.extra
-                    if extra is None:
-                        head.extra = [delivery]
-                    else:
-                        extra.append(delivery)
+                    riders.append((src, message, send_time))
                     stats.messages_coalesced += 1
             if hooks:
                 for hook in hooks:
                     hook(src, dst, message)
-                if sender is not None and sender.crashed:
+                if sender is not None and sender.process.crashed:
                     break
+
+    def _record(
+        self, src: int, dst: int, message: Any, send_time: float, delivered: bool
+    ) -> None:
+        """Log one transfer as it is delivered or dropped (``record_messages``)."""
+        _name, control, data = self.stats.price(message)
+        self.records.append(
+            MessageRecord(
+                send_time=send_time,
+                delivery_time=self.simulator._now,
+                src=src,
+                dst=dst,
+                message=message,
+                control_bits=control,
+                data_bits=data,
+                delivered=delivered,
+            )
+        )
 
     # ------------------------------------------------------------ inspection
 
@@ -627,7 +611,8 @@ class Network:
         in flight is irrevocable), but no new traffic can enter.  Closing
         drops the coalescing index so a long-lived simulation does not keep
         per-deployment delivery heads alive after teardown — subnets are no
-        longer immortal.  Idempotent.
+        longer immortal.  A head in flight carries its riders in its own
+        tuple, so every one of them is still delivered.  Idempotent.
         """
         self.closed = True
         self._coalesced.clear()

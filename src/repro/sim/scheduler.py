@@ -112,23 +112,24 @@ class Simulator:
         empty — or, with a ``limit``, if the next event lies strictly after
         that virtual time (it stays queued and the clock does not move).
 
-        Hot path: the popped queue entry is itself the action (an
-        :class:`~repro.sim.events.Event`, or the network's in-flight delivery
-        record), and the common case (no observers) runs with no per-event
-        allocations and no observer calls — verification hooks that
-        do register observers pay for them, benchmark runs do not.
+        Hot path: the popped queue entry names its own action (an
+        :class:`~repro.sim.events.Event`, or a message in flight and the
+        endpoint it is delivered through), and the common case (no
+        observers) allocates nothing of its own per event and calls no
+        observer — verification hooks that do register observers pay for
+        them, benchmark runs do not.
         """
         entry = self._queue.pop(limit)
         if entry is None:
             return False
-        time = entry.time
+        time = entry[0]
         if time < self._now:  # pragma: no cover - guarded by schedule_at
             raise SimulationError("event queue produced an event in the past")
         self._now = time
         self._executed += 1
         if self._executed > self._max_events:
             raise self._too_many_events()
-        entry()
+        entry[2](*entry[3:])
         if self._observers:
             for observer in self._observers:
                 observer(self)
@@ -166,15 +167,15 @@ class Simulator:
             if limit is not None and heap[0][0] > limit:
                 self._now = max(self._now, limit)
                 break
-            queue._live -= 1
-            time, _, entry = heappop(heap)
+            entry = heappop(heap)
+            time = entry[0]
             if time < self._now:  # pragma: no cover - guarded by schedule_at
                 raise SimulationError("event queue produced an event in the past")
             self._now = time
             self._executed = executed = self._executed + 1
             if executed > max_events:
                 raise self._too_many_events()
-            entry()
+            entry[2](*entry[3:])
             if observers:
                 for observer in observers:
                     observer(self)

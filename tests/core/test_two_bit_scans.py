@@ -150,7 +150,7 @@ def test_store_runs_are_the_runs_of_the_always_scan_process(read_fraction, delay
         fault_plan=_healing_partition(5) if "partition" in faults else None,
         seed=seed,
     )
-    assert spec.coalesce  # FixedDelay runs go through _Delivery._fan_out
+    assert spec.coalesce  # FixedDelay heads carry riders: _Delivery._fan_out runs
     got = _store_observation(spec)
     expected = _store_observation(spec.with_(algorithm="two-bit-always-scan"))
     for aspect in expected:

@@ -21,7 +21,7 @@ def test_event_queue_pops_in_nondecreasing_time_order(times):
         queue.push(time, lambda: None)
     popped = []
     while queue:
-        popped.append(queue.pop().time)
+        popped.append(queue.pop()[0])
     assert popped == sorted(popped)
     assert len(popped) == len(times)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.network import Network, Subnet
+from repro.transport.base import TransportClosedError
 from repro.transport.runtime import ProcessBase as Process
 from repro.sim.scheduler import Simulator
 
@@ -156,6 +157,36 @@ class TestCoalescedDelivery:
 
 
 class TestSubnetCoalescing:
+    def test_closing_a_subnet_delivers_the_riders_of_a_head_in_flight(self):
+        """``close()`` drops the coalescing index, not the messages riding a
+        head: the head's own heap tuple carries them, so every one is still
+        delivered, recorded and counted."""
+        simulator = Simulator()
+        parent = Network(
+            simulator, delay_model=FixedDelay(1.0), coalesce=True, record_messages=True
+        )
+        subnet = Subnet(parent, name="closing")
+        processes = [Recorder(pid, simulator, subnet) for pid in range(4)]
+        subnet.send(1, 0, "head")
+        subnet.send(2, 0, "rider-1")
+        subnet.send(3, 0, "rider-2")
+        assert simulator.pending_events == 1 and len(subnet._coalesced) == 1
+        subnet.close()
+        assert subnet._coalesced == {}
+        with pytest.raises(TransportClosedError):
+            subnet.send(1, 0, "late")
+        simulator.drain()
+        assert processes[0].received == [(1, "head"), (2, "rider-1"), (3, "rider-2")]
+        assert simulator.executed_events == 1
+        assert parent.stats.messages_delivered == 3
+        assert parent.stats.messages_coalesced == 2
+        assert subnet.in_flight_total() == 0
+        assert [(r.src, r.dst, r.message, r.delivery_time, r.delivered) for r in parent.records] == [
+            (1, 0, "head", 1.0, True),
+            (2, 0, "rider-1", 1.0, True),
+            (3, 0, "rider-2", 1.0, True),
+        ]
+
     def test_subnets_inherit_the_flag_with_private_indexes(self):
         simulator = Simulator()
         parent = Network(simulator, delay_model=FixedDelay(1.0), coalesce=True)

@@ -13,7 +13,7 @@ class TestEventQueue:
         queue.push(1.0, lambda: fired.append("a"), label="a")
         queue.push(2.0, lambda: fired.append("b"), label="b")
         while queue:
-            queue.pop().action()
+            queue.pop()[2].action()
         assert fired == ["a", "b", "c"]
 
     def test_ties_broken_by_insertion_order(self):
@@ -22,7 +22,7 @@ class TestEventQueue:
         for name in ["first", "second", "third"]:
             queue.push(5.0, lambda n=name: fired.append(n), label=name)
         while queue:
-            queue.pop().action()
+            queue.pop()[2].action()
         assert fired == ["first", "second", "third"]
 
     def test_len_counts_live_events_only(self):
@@ -40,7 +40,7 @@ class TestEventQueue:
         queue.push(2.0, lambda: fired.append("kept"))
         queue.cancel(event)
         while queue:
-            queue.pop().action()
+            queue.pop()[2].action()
         assert fired == ["kept"]
 
     def test_cancel_is_idempotent(self):
@@ -130,7 +130,7 @@ class TestCancelledAccounting:
     def _assert_consistent(self, queue):
         assert queue._cancelled_in_heap == self._cancelled_actually_in_heap(queue)
         assert queue._cancelled_in_heap >= 0
-        assert queue._live == len(queue._heap) - queue._cancelled_in_heap
+        assert len(queue) == sum(not entry[2].cancelled for entry in queue._heap)
 
     def test_peek_time_discards_with_exact_accounting(self):
         queue = EventQueue()
@@ -142,7 +142,7 @@ class TestCancelledAccounting:
         assert queue.peek_time() == 9.0
         self._assert_consistent(queue)
         assert queue._cancelled_in_heap == 0  # peek swept the cancelled head
-        assert queue.pop() is survivor
+        assert queue.pop()[2] is survivor
         self._assert_consistent(queue)
 
     def test_counter_never_drifts_under_mixed_operations(self):
@@ -160,8 +160,9 @@ class TestCancelledAccounting:
             elif roll < 0.9:
                 popped = queue.pop()
                 if popped is not None:
-                    assert not popped.cancelled
-                    live_handles = [e for e in live_handles if e is not popped]
+                    event = popped[2]
+                    assert not event.cancelled
+                    live_handles = [e for e in live_handles if e is not event]
             else:
                 queue.peek_time()
             self._assert_consistent(queue)
@@ -181,7 +182,7 @@ class TestCancelledAccounting:
         assert queue._cancelled_in_heap == 0
 
     def test_cancelled_timer_and_in_flight_message_share_an_instant(self):
-        """A network delivery is itself a heap entry: it keeps its place in
+        """A message in flight is itself a heap tuple: it keeps its place in
         ``(time, seq)`` order among timers scheduled for the same instant,
         and sweeping a cancelled timer past it leaves the counter exact."""
         from repro.sim.network import Network
@@ -212,9 +213,9 @@ class TestCancelledAccounting:
         first = queue.pop()  # sweeps the cancelled head, then pops the delivery
         self._assert_consistent(queue)
         assert queue._cancelled_in_heap == 1
-        assert str(first) == "deliver 'first' p0->p1" and first.time == 1.0
-        first()
-        assert queue.pop() is kept
+        assert first[2].describe(*first[3:]) == "deliver 'first' p0->p1" and first[0] == 1.0
+        first[2](*first[3:])
+        assert queue.pop()[2] is kept
         kept()
         simulator.run()  # the second delivery, then the cancelled tail
         self._assert_consistent(queue)
@@ -228,10 +229,10 @@ class TestCancelledAccounting:
         early = queue.push(2.0, lambda: None)
         late = queue.push(5.0, lambda: None)
         queue.cancel(doomed)
-        assert queue.pop(limit=2.0) is early
+        assert queue.pop(limit=2.0)[2] is early
         assert queue.pop(limit=4.0) is None and len(queue) == 1
         self._assert_consistent(queue)
-        assert queue.pop(limit=5.0) is late
+        assert queue.pop(limit=5.0)[2] is late
 
     def test_compaction_keeps_the_heap_list_the_event_loop_holds(self):
         """``Simulator.run`` / ``run_until`` read the heap list in place across
