@@ -21,7 +21,7 @@ from repro.exec.target import OpRequest
 from repro.explore.mutations import MUTATIONS, install_mutations
 from repro.explore.perturb import PerturbationEntry, ReplayPerturbation
 from repro.faults.partitions import PartitionSchedule, PartitionWindow
-from repro.faults.plan import CrashPoint, FaultPlan, validate_crash_points
+from repro.faults.plan import CrashPoint, FaultPlan, LinkPolicy, validate_crash_points
 from repro.registers.base import OperationKind
 from repro.registers.registry import available_algorithms
 from repro.sim.delays import DelayModel, FixedDelay, UniformDelay
@@ -76,18 +76,23 @@ class CaseOp:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CaseOp":
-        kind = payload["kind"]
-        if kind not in CASE_OP_KINDS:
-            raise ValueError(f"unknown case op kind {kind!r}")
-        value = payload.get("value") if kind in _VALUED_KINDS else None
-        if kind == "cas":
-            expected, new = value
-            value = (expected, new)
-        elif kind == "incr":
-            value = int(value)
+        try:
+            kind, key = payload["kind"], payload["key"]
+            if kind not in CASE_OP_KINDS:
+                raise ValueError(f"unknown case op kind {kind!r}")
+            value = payload["value"] if kind in _VALUED_KINDS else None
+            if kind == "cas":
+                expected, new = value
+                value = (expected, new)
+            elif kind == "incr":
+                value = int(value)
+        except KeyError as missing:
+            raise ValueError(f"case op {payload} has no {missing} field") from None
+        except TypeError:
+            raise ValueError(f"case op {payload} has an invalid 'value' field") from None
         return cls(
             kind=kind,
-            key=payload["key"],
+            key=key,
             value=value,
             at=payload.get("at"),
             replica=payload.get("replica"),
@@ -178,25 +183,28 @@ class ExploreCase:
                 f"unsupported explore-case version {version} (this build reads "
                 f"version {CASE_FORMAT_VERSION})"
             )
-        return cls(
-            name=payload["name"],
-            algorithm=payload["algorithm"],
-            num_shards=payload["num_shards"],
-            replication=payload["replication"],
-            batch_size=payload["batch_size"],
-            arrival_gap=payload.get("arrival_gap", 0.0),
-            delay=dict(payload["delay"]),
-            initial_value=payload.get("initial_value", "v0"),
-            ops=tuple(CaseOp.from_dict(entry) for entry in payload["ops"]),
-            perturbation=tuple(
-                (str(scope), int(s), int(d), int(k), float(m))
-                for scope, s, d, k, m in payload["perturbation"]
-            ),
-            crash_points=tuple(dict(point) for point in payload.get("crash_points", ())),
-            partition=(
-                dict(payload["partition"]) if payload.get("partition") is not None else None
-            ),
-        )
+        try:
+            return cls(
+                name=payload["name"],
+                algorithm=payload["algorithm"],
+                num_shards=payload["num_shards"],
+                replication=payload["replication"],
+                batch_size=payload["batch_size"],
+                arrival_gap=payload.get("arrival_gap", 0.0),
+                delay=dict(payload["delay"]),
+                initial_value=payload.get("initial_value", "v0"),
+                ops=tuple(CaseOp.from_dict(entry) for entry in payload["ops"]),
+                perturbation=tuple(
+                    (str(scope), int(s), int(d), int(k), float(m))
+                    for scope, s, d, k, m in payload["perturbation"]
+                ),
+                crash_points=tuple(dict(point) for point in payload.get("crash_points", ())),
+                partition=(
+                    dict(payload["partition"]) if payload.get("partition") is not None else None
+                ),
+            )
+        except KeyError as missing:
+            raise ValueError(f"case has no {missing} field") from None
 
     def to_json(self) -> str:
         """Strict-JSON rendering (stable key order; fails on non-finite numbers)."""
@@ -224,23 +232,27 @@ class CaseOutcome:
         return self.report.failing_keys()
 
 
-def _fault_plan_for(case: ExploreCase) -> Optional[FaultPlan]:
-    if case.partition is None:
-        return None
-    window = PartitionWindow.isolate(
-        tuple(int(replica) for replica in case.partition["replicas"]),
-        case.replication,
-        start=float(case.partition["start"]),
-        heal=float(case.partition["heal"]),
-    )
-    return FaultPlan(
-        name="explore-partition", link_policies=(PartitionSchedule(windows=(window,)),)
-    )
+def _fault_plan_for(case: ExploreCase, perturbation: Optional[LinkPolicy]) -> Optional[FaultPlan]:
+    """The case's delay adversary: its partition window, then the perturbation."""
+    policies: List[LinkPolicy] = []
+    if case.partition is not None:
+        window = PartitionWindow.isolate(
+            tuple(int(replica) for replica in case.partition["replicas"]),
+            case.replication,
+            start=float(case.partition["start"]),
+            heal=float(case.partition["heal"]),
+        )
+        policies.append(PartitionSchedule(windows=(window,)))
+    if perturbation is None and case.perturbation:
+        perturbation = ReplayPerturbation(list(case.perturbation))
+    if perturbation is not None:
+        policies.append(perturbation)
+    return FaultPlan(name="explore-case", link_policies=tuple(policies)) if policies else None
 
 
 def run_case(
     case: ExploreCase,
-    perturbation: Optional[Any] = None,
+    perturbation: Optional[LinkPolicy] = None,
     check_max_states: Optional[int] = 1_000_000,
 ) -> CaseOutcome:
     """Execute ``case`` against a fresh store and check every key's history.
@@ -248,10 +260,10 @@ def run_case(
     The case's crash points are checked against its geometry before anything
     runs; its script then goes through the one drive loop every simulated run
     uses (:func:`~repro.workloads.kv.drive_script`), so a case carries the
-    same clean-finish rule as a workload run.  ``perturbation`` overrides
-    the case's recorded entries (the explorer passes a
-    :class:`~repro.explore.perturb.RecordingPerturbation` on first runs;
-    replays and shrink probes build a
+    same clean-finish rule as a workload run.  ``perturbation``, the last
+    policy of the case's fault plan, overrides its recorded entries (the
+    explorer passes a :class:`~repro.explore.perturb.RecordingPerturbation`
+    on first runs; replays and shrink probes build a
     :class:`~repro.explore.perturb.ReplayPerturbation` from the case).  The
     checker is the Wing–Gong engine on every key (``swmr_fast_path=False``)
     so explored executions exercise the search core the explorer exists to
@@ -274,13 +286,9 @@ def run_case(
             delay_model=delay_model_from_dict(case.delay),
             initial_value=case.initial_value,
         ),
-        _fault_plan_for(case),
+        _fault_plan_for(case, perturbation),
         crash_points,
     )
-    if perturbation is None and case.perturbation:
-        perturbation = ReplayPerturbation(list(case.perturbation))
-    if perturbation is not None:
-        store.install_perturbation(perturbation)
     # A list: the open-loop client checks its arrival order before any event.
     script = case.script()
     _ops, _drives, finished = drive_script(

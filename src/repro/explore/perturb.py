@@ -1,16 +1,17 @@
 """Deterministic per-message delay perturbation: record, replay, shrink.
 
-The schedule explorer steers the simulator *through the network*: every
-logical message's sampled delay passes through the perturbation hook
-(:attr:`repro.sim.network.Network.perturbation`), which may stretch or
-shrink it — changing delivery order and therefore the schedule — while
-keeping delays finite and non-negative (every perturbed execution is still
-a legal asynchronous execution of the paper's model).
+The schedule explorer steers the simulator *through the network*: a
+perturbation is the last :class:`~repro.faults.plan.LinkPolicy` of an
+explored case's fault plan, so it may stretch or shrink every logical
+message's delay — changing delivery order and therefore the schedule —
+while keeping delays finite and non-negative (every perturbed execution is
+still a legal asynchronous execution of the paper's model).
 
 Choices are keyed by **scoped link ordinal**: the ``k``-th message sent on
 the ``(src, dst)`` channel of one deployment's network (the scope is the
-subnet name — pids are subnet-local, so without it two keys' traffic would
-share one choice stream).  Two properties follow:
+subnet name, bound by ``LinkPolicy.scoped`` — pids are subnet-local, so
+without it two keys' traffic would share one choice stream).  Two
+properties follow:
 
 * **replayability** — :class:`RecordingPerturbation` draws multipliers from
   a seeded RNG and records ``(scope, src, dst, k, multiplier)`` entries as
@@ -30,8 +31,9 @@ a shrunken schedule ships inside a replayable counterexample artifact.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
+from repro.faults.plan import LinkPolicy
 from repro.sim.rng import make_rng
 
 #: One perturbation choice: the k-th message on link (src, dst) of the
@@ -39,7 +41,36 @@ from repro.sim.rng import make_rng
 PerturbationEntry = Tuple[str, int, int, int, float]
 
 
-class RecordingPerturbation:
+class _Perturbation(LinkPolicy):
+    """Per-scope link ordinals; unscoped, it perturbs a plain network (scope ``""``)."""
+
+    def __init__(self) -> None:
+        self._link_ordinals: Dict[Tuple[str, int, int], int] = {}
+
+    def _ordinal(self, scope: str, src: int, dst: int) -> int:
+        link = (scope, src, dst)
+        ordinal = self._link_ordinals.get(link, 0)
+        self._link_ordinals[link] = ordinal + 1
+        return ordinal
+
+    def adjust(self, src: int, dst: int, now: float, delay: float) -> float:
+        return self.perturb("", src, dst, now, delay)
+
+    def scoped(self, scope: str) -> LinkPolicy:
+        return _ScopedPerturbation(self.perturb, scope)
+
+
+class _ScopedPerturbation(LinkPolicy):
+    """A perturbation bound to one subnet's name; the state stays the perturbation's."""
+
+    def __init__(self, perturb: Callable[..., float], scope: str) -> None:
+        self.perturb, self.scope = perturb, scope
+
+    def adjust(self, src: int, dst: int, now: float, delay: float) -> float:
+        return self.perturb(self.scope, src, dst, now, delay)
+
+
+class RecordingPerturbation(_Perturbation):
     """Seeded random per-message delay perturbation that records its choices.
 
     Each message is perturbed with probability ``rate``; a perturbed
@@ -47,9 +78,11 @@ class RecordingPerturbation:
     ``[shrink_to, 1 + amplitude]`` — factors below 1 pull messages earlier,
     factors above 1 push them later, and both reorder deliveries relative
     to unperturbed traffic.  All randomness comes from one
-    :func:`~repro.sim.rng.make_rng` stream, so the same seed explores the
-    same schedule.
+    :func:`~repro.sim.rng.make_rng` stream across every scope, so the same
+    seed explores the same schedule.
     """
+
+    spans_scopes = True
 
     def __init__(
         self,
@@ -62,19 +95,17 @@ class RecordingPerturbation:
             raise ValueError(f"rate must be in [0, 1], got {rate}")
         if amplitude < 0 or not 0 < shrink_to <= 1:
             raise ValueError(f"invalid perturbation range [{shrink_to}, 1 + {amplitude}]")
+        super().__init__()
         self.seed = seed
         self.rate = rate
         self.amplitude = amplitude
         self.shrink_to = shrink_to
         self._rng = make_rng(seed, "explore-perturb", rate, amplitude, shrink_to)
-        self._link_ordinals: Dict[Tuple[str, int, int], int] = {}
         #: The recorded choices, in consumption order.
         self.entries: List[PerturbationEntry] = []
 
     def perturb(self, scope: str, src: int, dst: int, now: float, delay: float) -> float:
-        link = (scope, src, dst)
-        ordinal = self._link_ordinals.get(link, 0)
-        self._link_ordinals[link] = ordinal + 1
+        ordinal = self._ordinal(scope, src, dst)
         if self._rng.random() >= self.rate:
             return delay
         multiplier = self._rng.uniform(self.shrink_to, 1.0 + self.amplitude)
@@ -82,7 +113,7 @@ class RecordingPerturbation:
         return delay * multiplier
 
 
-class ReplayPerturbation:
+class ReplayPerturbation(_Perturbation):
     """Replays a fixed list of perturbation entries (everything else is identity).
 
     Replaying the full entry list recorded by a
@@ -92,6 +123,7 @@ class ReplayPerturbation:
     """
 
     def __init__(self, entries: List[PerturbationEntry]) -> None:
+        super().__init__()
         self.entries = [tuple(entry) for entry in entries]
         self._multipliers: Dict[Tuple[str, int, int, int], float] = {}
         for scope, src, dst, ordinal, multiplier in self.entries:
@@ -101,13 +133,7 @@ class ReplayPerturbation:
             if not multiplier >= 0:
                 raise ValueError(f"invalid perturbation multiplier {multiplier} for {key}")
             self._multipliers[key] = float(multiplier)
-        self._link_ordinals: Dict[Tuple[str, int, int], int] = {}
 
     def perturb(self, scope: str, src: int, dst: int, now: float, delay: float) -> float:
-        link = (scope, src, dst)
-        ordinal = self._link_ordinals.get(link, 0)
-        self._link_ordinals[link] = ordinal + 1
-        multiplier = self._multipliers.get((scope, src, dst, ordinal))
-        if multiplier is None:
-            return delay
-        return delay * multiplier
+        multiplier = self._multipliers.get((scope, src, dst, self._ordinal(scope, src, dst)))
+        return delay if multiplier is None else delay * multiplier

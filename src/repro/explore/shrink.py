@@ -145,15 +145,19 @@ def shrink_case(
             return empty
         return candidate
 
-    # Iterate to a fixpoint: dropping perturbation entries can make further
-    # operations removable and vice versa.  Each pass only ever keeps a
-    # failing case, so the loop is monotone in (ops, entries) and bounded.
+    def size(current: ExploreCase) -> tuple:
+        faults = len(current.crash_points) + (current.partition is not None)
+        return len(current.ops), faults, len(current.perturbation)
+
+    # Iterate to a fixpoint: dropping a fault or perturbation entries can
+    # make further operations removable and vice versa.  Each pass only ever
+    # keeps a failing case, so the loop is monotone in the size and bounded.
     for _round in range(5):
-        size_before = (len(case.ops), len(case.perturbation))
+        size_before = size(case)
         case = truncate_tail(case)
         case = shrink_ops(case)
         case = shrink_faults(case)
         case = shrink_perturbation(case)
-        if (len(case.ops), len(case.perturbation)) == size_before:
+        if size(case) == size_before:
             break
     return case

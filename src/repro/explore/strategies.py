@@ -24,7 +24,7 @@ budget of N explores N genuinely different executions.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterator, Optional, Tuple, Type
+from typing import Any, Dict, Iterator, Optional, Tuple, Type
 
 from repro.explore.case import CaseOp, ExploreCase
 from repro.explore.config import ExploreConfig
@@ -84,6 +84,22 @@ class ScheduleStrategy(abc.ABC):
     def cases(self) -> Iterator[PreparedCase]:
         """Yield up to ``config.budget`` prepared cases, deterministically."""
 
+    def _case(self, index: int, case_seed: int, **faults: Any) -> ExploreCase:
+        """Case ``index``: the configured geometry, a seeded script and delay, ``faults``."""
+        config = self.config
+        return ExploreCase(
+            name=f"{self.name}-{index}",
+            algorithm=config.algorithm,
+            num_shards=config.num_shards,
+            replication=config.replication,
+            batch_size=config.batch_size,
+            arrival_gap=config.arrival_gap,
+            delay=_delay_for(config, case_seed),
+            ops=_script_for(config, case_seed),
+            initial_value=config.initial_value,
+            **faults,
+        )
+
 
 class RandomWalkStrategy(ScheduleStrategy):
     """Seeded random per-message delay/reorder perturbation."""
@@ -96,18 +112,7 @@ class RandomWalkStrategy(ScheduleStrategy):
         for index in range(config.budget):
             case_seed = rng.randrange(2**31)
             perturb_seed = rng.randrange(2**31)
-            case = ExploreCase(
-                name=f"{self.name}-{index}",
-                algorithm=config.algorithm,
-                num_shards=config.num_shards,
-                replication=config.replication,
-                batch_size=config.batch_size,
-                arrival_gap=config.arrival_gap,
-                delay=_delay_for(config, case_seed),
-                ops=_script_for(config, case_seed),
-                initial_value=config.initial_value,
-            )
-            yield case, _recorder_for(config, perturb_seed)
+            yield self._case(index, case_seed), _recorder_for(config, perturb_seed)
 
 
 class CrashPointSweepStrategy(ScheduleStrategy):
@@ -131,18 +136,7 @@ class CrashPointSweepStrategy(ScheduleStrategy):
                 "shard": rng.randrange(config.num_shards),
                 "replica": rng.randrange(1, config.replication),
             }
-            case = ExploreCase(
-                name=f"{self.name}-{index}",
-                algorithm=config.algorithm,
-                num_shards=config.num_shards,
-                replication=config.replication,
-                batch_size=config.batch_size,
-                arrival_gap=config.arrival_gap,
-                delay=_delay_for(config, case_seed),
-                ops=_script_for(config, case_seed),
-                initial_value=config.initial_value,
-                crash_points=(crash,),
-            )
+            case = self._case(index, case_seed, crash_points=(crash,))
             yield case, _recorder_for(config, perturb_seed)
 
 
@@ -166,18 +160,7 @@ class PartitionBoundarySweepStrategy(ScheduleStrategy):
                 "start": start,
                 "heal": round(start + duration, 3),
             }
-            case = ExploreCase(
-                name=f"{self.name}-{index}",
-                algorithm=config.algorithm,
-                num_shards=config.num_shards,
-                replication=config.replication,
-                batch_size=config.batch_size,
-                arrival_gap=config.arrival_gap,
-                delay=_delay_for(config, case_seed),
-                ops=_script_for(config, case_seed),
-                initial_value=config.initial_value,
-                partition=partition,
-            )
+            case = self._case(index, case_seed, partition=partition)
             yield case, _recorder_for(config, perturb_seed)
 
 

@@ -19,9 +19,10 @@ delays, so every guarantee the algorithms give under ``t < n/2`` crashes
 (atomicity, termination of operations by correct processes) must still hold
 — which is exactly what the chaos sweeps check.
 
-Policies are **pure**: ``adjust`` depends only on ``(src, dst, now, delay)``,
-never on hidden RNG state, so the same plan applied to the same seeded run
-reproduces the same execution record-by-record.
+Policies are **deterministic in send order**, so the same plan applied to
+the same seeded run reproduces the same execution record-by-record.  The
+fault policies here are pure, one object for every subnet; the explorer's
+perturbations keep state per scope (:meth:`LinkPolicy.scoped`).
 
 **Interplay with message coalescing.**  ``Network.send`` consults the link
 policy *per logical message, before* the coalescing key is computed, so with
@@ -43,14 +44,23 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 class LinkPolicy(abc.ABC):
     """Reshapes per-message delays on a :class:`~repro.sim.network.Network`.
 
-    Subclasses must keep :meth:`adjust` pure (a function of its arguments
-    only) and must always return a finite, non-negative delay — channels stay
+    Subclasses must keep :meth:`adjust` deterministic in send order and
+    must always return a finite, non-negative delay — channels stay
     reliable, only the asynchrony is exercised.
     """
 
     @abc.abstractmethod
     def adjust(self, src: int, dst: int, now: float, delay: float) -> float:
         """Return the (possibly inflated) delay for a ``src -> dst`` message sent at ``now``."""
+
+    #: True where one state spans every scope (the explorer's recorder): a
+    #: run split over shard-parallel workers could not reproduce it.
+    spans_scopes = False
+
+    def scoped(self, scope: str) -> "LinkPolicy":
+        """The policy on the subnet named ``scope`` (like ``DelayModel.scoped``):
+        itself where pure, else a view keying its state by ``scope``."""
+        return self
 
     def quiescent_after(self) -> float:
         """Virtual time after which this policy no longer adjusts any message."""
@@ -75,6 +85,10 @@ class CompositeLinkPolicy(LinkPolicy):
             delay = policy.adjust(src, dst, now, delay)
         return delay
 
+    def scoped(self, scope: str) -> LinkPolicy:
+        policies = tuple(policy.scoped(scope) for policy in self.policies)
+        return self if policies == self.policies else CompositeLinkPolicy(policies)
+
     def quiescent_after(self) -> float:
         return max((policy.quiescent_after() for policy in self.policies), default=0.0)
 
@@ -83,10 +97,7 @@ class CompositeLinkPolicy(LinkPolicy):
             policy.validate(n)
 
     def describe(self) -> List[Dict[str, Any]]:
-        entries: List[Dict[str, Any]] = []
-        for policy in self.policies:
-            entries.extend(policy.describe())
-        return entries
+        return [entry for policy in self.policies for entry in policy.describe()]
 
 
 @dataclass(frozen=True)
@@ -96,8 +107,8 @@ class FaultPlan:
     ``link_policies`` are applied (in order) to every message, keyed by
     replica index, so one plan serves a register (whose pids are its
     replicas) and every key of a store alike.  Crashes are not part of a
-    plan: they are :class:`CrashPoint` s beside it.  Plans are immutable and
-    pure, so the same plan + the same seeded workload reproduces the same run.
+    plan: they are :class:`CrashPoint` s beside it.  Plans are immutable, so
+    the same plan + the same seeded workload reproduces the same run.
     """
 
     name: str = ""
@@ -113,12 +124,11 @@ class FaultPlan:
 
     def quiescent_after(self) -> float:
         """Virtual time after which no policy adjusts messages any more."""
-        return max((policy.quiescent_after() for policy in self.link_policies), default=0.0)
+        return CompositeLinkPolicy(self.link_policies).quiescent_after()
 
     def validate(self, n: int) -> None:
         """Validate every policy against ``n`` processes."""
-        for policy in self.link_policies:
-            policy.validate(n)
+        CompositeLinkPolicy(self.link_policies).validate(n)
 
     def timeline(self) -> List[Dict[str, Any]]:
         """All fault events as plain dicts, sorted by start time.
@@ -127,11 +137,8 @@ class FaultPlan:
         embeds in snapshots (and the chaos sweep in ``chaos_report.json``) so
         a latency spike can be read against the faults that caused it.
         """
-        entries: List[Dict[str, Any]] = []
-        for policy in self.link_policies:
-            entries.extend(policy.describe())
-        entries.sort(key=lambda entry: (entry.get("at", entry.get("start", 0.0)) or 0.0))
-        return entries
+        entries = CompositeLinkPolicy(self.link_policies).describe()
+        return sorted(entries, key=lambda entry: (entry.get("at", entry.get("start", 0.0)) or 0.0))
 
 
 @dataclass(frozen=True)

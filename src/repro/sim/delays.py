@@ -68,14 +68,14 @@ class DelayModel(ABC):
     def scoped(self, scope: str) -> "DelayModel":
         """Return an equivalent model whose RNG stream is private to ``scope``.
 
-        The sharded store gives every key's subnet a *scoped* delay model
-        (scope = the subnet name) so that a subnet's delay draws depend only
-        on its own send sequence, never on interleaving with other subnets.
-        That is what makes disjoint shard groups executable in separate
-        worker processes with bit-identical results (see
-        :mod:`repro.parallel`): the scoped seed is derived deterministically
-        from the model's own seed and the scope string, mirroring how
-        perturbation streams are scoped per subnet.
+        Every :class:`~repro.sim.network.Subnet` (one per key of the store)
+        takes its parent's model scoped to its name, so that a subnet's delay
+        draws depend only on its own send sequence, never on interleaving
+        with other subnets.  That is what makes disjoint shard groups
+        executable in separate worker processes with bit-identical results
+        (see :mod:`repro.parallel`): the scoped seed is derived
+        deterministically from the model's own seed and the scope string,
+        mirroring ``LinkPolicy.scoped``.
 
         Stateless models (no RNG) return themselves; seeded models return a
         fresh instance with a derived seed.

@@ -14,13 +14,12 @@ delivery time (the crashed process takes no more steps); a message already in
 flight *from* a process that subsequently crashes is still delivered (crashing
 does not retract messages).  A crashed process cannot initiate new sends.
 
-Adversarial-but-legal executions are produced by the **link-level fault
-plane** (:mod:`repro.faults`): an optional link policy installed on the
-network adjusts the sampled delay per ``(src, dst)`` message at send time
-(partitions-that-heal, delay storms, asymmetric slowdowns).  A policy must
-return a finite, non-negative delay — channels stay *reliable*; only the
-asynchrony is exercised, so every faulted execution is still one the paper's
-model permits.
+Adversarial-but-legal executions are produced by one delay adversary, the
+network's optional **link policy** (:mod:`repro.faults`): it adjusts the
+sampled delay per ``(src, dst)`` message at send time (partitions-that-heal,
+delay storms, asymmetric slowdowns, the explorer's perturbation).  A policy
+must return a finite, non-negative delay — channels stay *reliable*; only the
+asynchrony is exercised, so every faulted execution is one the model permits.
 
 The network also maintains :class:`NetworkStats`: per-type message counts,
 control-bit and data-bit accounting, and per-operation attribution used by the
@@ -362,11 +361,9 @@ class Network:
     ) -> None:
         self.simulator = simulator
         self.delay_model = delay_model or FixedDelay(1.0)
-        #: Scope label for perturbation hooks; subnets carry their subnet
-        #: name so per-message choices are keyed per deployment (pids are
-        #: subnet-local — without the scope, two keys' traffic would share
-        #: one choice stream and shrinking one key's schedule would shift
-        #: every other key's).
+        #: A subnet's name: the scope its delay model and link policy are
+        #: bound to (pids are subnet-local; unscoped, two keys' traffic would
+        #: share one choice stream).
         self.name = ""
         #: Set by :meth:`close`; a closed network (or subnet) rejects sends.
         self.closed = False
@@ -387,21 +384,11 @@ class Network:
         # list is replaced, never mutated: a reference handed out stays valid.
         self._process_ids: list[int] = []
         self._in_flight = 0  # sent here, not yet delivered or dropped
-        # Link-level fault plane (repro.faults): an object with an
-        # ``adjust(src, dst, now, delay) -> float`` method that reshapes the
-        # sampled delay per message.  ``None`` (the default) keeps the send
-        # path byte-identical to a fault-free run.
+        # The delay adversary (repro.faults): ``adjust(src, dst, now, delay)
+        # -> float`` reshapes the sampled delay per logical message, in send
+        # order.  ``None`` (the default) keeps the send path byte-identical
+        # to a fault-free run.
         self.link_policy: Optional[Any] = None
-        # Schedule-exploration perturbation hook (repro.explore): an object
-        # with a ``perturb(src, dst, now, delay) -> float`` method consulted
-        # *after* the link policy, once per logical message, in deterministic
-        # send order.  Unlike link policies (pure functions), a perturbation
-        # may carry state — a seeded RNG that records its choices, or a
-        # replayed choice log — which is what makes explored schedules
-        # shrinkable and replayable.  Must return finite non-negative delays
-        # (channels stay reliable).  ``None`` (the default) adds one branch
-        # to the send path and nothing else.
-        self.perturbation: Optional[Any] = None
         # Send hooks fire after a message is recorded and scheduled (i.e. the
         # message is already irrevocably in flight).  The message-count crash
         # trigger uses this to kill a sender *immediately* after its k-th
@@ -459,14 +446,14 @@ class Network:
         sees the accounting as of *its* message and may crash the sender
         mid-list, after which nothing further is billed, drawn or sent.
 
-        One pid on a network with no send hook, link policy, perturbation or
-        coalescing index — a reply — is the commonest call and takes the
-        per-message part in a straight line, with nothing built around it.
+        One pid on a network with no send hook, link policy or coalescing
+        index — a reply — is the commonest call and takes the per-message
+        part in a straight line, with nothing built around it.
 
         The coalescing index is consulted only where two deliveries can share
-        an instant: the delay model's draws can collide, or a link policy or
-        perturbation — which can align instants (a healed partition releases
-        everything at the heal time) — is installed.
+        an instant: the delay model's draws can collide, or a link policy —
+        which can align instants (a healed partition releases everything at
+        the heal time) — is installed.
         """
         if self.closed:
             raise TransportClosedError(
@@ -482,11 +469,8 @@ class Network:
         model = self.delay_model
         hooks = self._send_hooks
         policy = self.link_policy
-        perturbation = self.perturbation
         coalesced = None
-        if self.coalesce and (
-            model.may_collide or policy is not None or perturbation is not None
-        ):
+        if self.coalesce and (model.may_collide or policy is not None):
             coalesced = self._coalesced
         simulator = self.simulator
         send_time = simulator._now  # .now property, bypassed on the hot path
@@ -503,7 +487,7 @@ class Network:
             if endpoint is None or dst == src:
                 raise _bad_destination(src, dst)
             delay = model.sample(src, dst)
-            if not hooks and policy is None and perturbation is None and coalesced is None:
+            if not hooks and policy is None and coalesced is None:
                 # One message that nothing can reshape, observe or share an
                 # instant with — every reply of a quorum phase.  This is the
                 # loop below for one destination with the branches that
@@ -546,13 +530,6 @@ class Network:
                     raise ValueError(
                         f"link policy produced invalid delay {delay} for p{src}->p{dst}; "
                         "policies must preserve reliability (finite, non-negative delays)"
-                    )
-            if perturbation is not None:
-                delay = perturbation.perturb(self.name, src, dst, send_time, delay)
-                if not 0.0 <= delay < _INF:
-                    raise ValueError(
-                        f"perturbation produced invalid delay {delay} for p{src}->p{dst}; "
-                        "perturbations must preserve reliability (finite, non-negative delays)"
                     )
             time = send_time + delay
             if coalesced is None:
@@ -639,7 +616,12 @@ class Subnet(Network):
     def __init__(self, parent: Network, name: str = "") -> None:
         super().__init__(
             parent.simulator,
-            delay_model=parent.delay_model,
+            # Scoped to the subnet name, like the link policy below: the
+            # subnet's delay draws depend only on its own send sequence, never
+            # on interleaving with other subnets — which is what lets disjoint
+            # shard groups run in separate worker processes with bit-identical
+            # histories (repro.parallel).
+            delay_model=parent.delay_model.scoped(name),
             record_messages=parent.record_messages,
             # Coalescing is deployment-wide, but the *index* stays per-subnet
             # (pids are subnet-local, so a (dst, time) key from one subnet
@@ -656,14 +638,12 @@ class Subnet(Network):
         self.stats = parent.stats
         self.records = parent.records
         # The fault plane is deployment-wide: a subnet created while a link
-        # policy is installed on the parent inherits it (lazy per-key
-        # deployments during a chaos run see the same partitions), and send
-        # hooks are shared by reference so hooks added to the parent later
-        # also observe subnet traffic.  Subnet pids are subnet-local, so a
-        # policy over replica indices applies uniformly to every key.
-        self.link_policy = parent.link_policy
-        # The perturbation hook is deployment-wide for the same reason: a
-        # schedule explorer must see (and be able to reshape) every key's
-        # traffic through one shared choice stream.
-        self.perturbation = parent.perturbation
+        # policy is installed on the parent inherits it, scoped to the subnet
+        # (lazy per-key deployments during a chaos run see the same
+        # partitions), and send hooks are shared by reference so hooks added
+        # to the parent later also observe subnet traffic.  Subnet pids are
+        # subnet-local, so a policy over replica indices applies uniformly to
+        # every key.
+        if parent.link_policy is not None:
+            self.link_policy = parent.link_policy.scoped(name)
         self._send_hooks = parent._send_hooks

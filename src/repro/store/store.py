@@ -281,14 +281,8 @@ class KVStore:
     def _deploy(self, key: Any) -> KeyRegister:
         placement = self.shard_map.placement(key)
         shard = self.shards[placement.shard]
+        # Its delay model and link policy are scoped to its name (``Subnet``).
         subnet = Subnet(self.network, name=f"shard{placement.shard}:{key!r}")
-        # Every subnet gets a *scoped* delay stream derived from the model's
-        # seed and the subnet name: a subnet's delay draws then depend only on
-        # its own send sequence, never on interleaving with other subnets.
-        # This is what makes disjoint shard groups executable in separate
-        # worker processes with bit-identical histories (repro.parallel) —
-        # the same per-subnet scoping the explore perturbation streams use.
-        subnet.delay_model = self.network.delay_model.scoped(subnet.name)
         algorithm = get_algorithm(self.config.algorithm_for(placement.shard))
         processes = algorithm.build(
             self.simulator,
@@ -493,35 +487,23 @@ class KVStore:
         replication - 1``) and apply uniformly to every key's subnet —
         partitioning replica 2 partitions it for every shard.  Registers
         deployed later (keys touched for the first time mid-run) inherit the
-        policy at deployment, so lazy deployment and chaos compose.  Also
-        raises the driver's drive horizon past the last scheduled heal and
-        annotates metrics snapshots with the fault timeline.
+        policy at deployment (``policy.scoped(subnet.name)``), so lazy
+        deployment and chaos compose.  Also raises the driver's drive horizon
+        past the last scheduled heal and annotates metrics snapshots with the
+        fault timeline.
         """
         plan.validate(self.config.replication)
         policy = plan.policy()
         self.network.link_policy = policy
         for deployment in self._registers.values():
-            deployment.subnet.link_policy = policy
+            subnet = deployment.subnet
+            subnet.link_policy = None if policy is None else policy.scoped(subnet.name)
         self.fault_plan = plan
         # Heal-aware driving: never let a per-drive budget truncate a run
         # while messages are merely held until a scheduled heal.
         self.driver.fault_horizon = plan.quiescent_after() + self.config.max_virtual_time
         if self.driver.metrics is not None:
             self.driver.metrics.fault_timeline = plan.timeline()
-
-    def install_perturbation(self, perturbation) -> None:
-        """Install a schedule-exploration perturbation store-wide.
-
-        ``perturbation`` is an object with ``perturb(src, dst, now, delay)
-        -> float`` (see :mod:`repro.explore.perturb`), consulted once per
-        logical message after the link policy.  Like fault plans it applies
-        to every key's subnet, including subnets deployed later; unlike them
-        it may carry state (a seeded choice recorder or a replayed choice
-        log), which is what makes explored schedules shrinkable.
-        """
-        self.network.perturbation = perturbation
-        for deployment in self._registers.values():
-            deployment.subnet.perturbation = perturbation
 
     def crash_server_at(
         self, time: float, shard_id: int, replica: int, allow_writer: bool = False

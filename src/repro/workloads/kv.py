@@ -229,6 +229,12 @@ class KVWorkloadSpec:
                 "after_messages_sent counts a replica's sends across the whole store; "
                 "a shard-parallel worker sees only its own shards (use workers=1 or at_time)"
             )
+        policies = self.fault_plan.link_policies if self.fault_plan is not None else ()
+        if self.workers > 1 and any(policy.spans_scopes for policy in policies):
+            raise ValueError(
+                "a recording perturbation draws every key's choices from one stream; "
+                "a shard-parallel worker sees only its own shards (use workers=1)"
+            )
 
     @property
     def open_loop(self) -> bool:

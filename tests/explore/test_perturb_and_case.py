@@ -13,7 +13,8 @@ from repro.explore.case import (
 )
 from repro.explore.mutations import install_mutations
 from repro.explore.perturb import RecordingPerturbation, ReplayPerturbation
-from repro.sim.network import Network
+from repro.faults.partitions import PartitionSchedule, PartitionWindow
+from repro.faults.plan import CompositeLinkPolicy, FaultPlan
 from repro.sim.scheduler import Simulator
 from repro.workloads.kv import (
     CrashPoint,
@@ -103,32 +104,37 @@ class TestPerturbationValidation:
         with pytest.raises(ValueError):
             RecordingPerturbation(seed=0, shrink_to=0.0)
 
-    def test_network_rejects_nonfinite_perturbed_delays(self):
-        class Hostile:
-            def perturb(self, scope, src, dst, now, delay):
-                return float("inf")
-
-        simulator = Simulator()
-        network = Network(simulator)
-
-        class Sink:
-            def __init__(self, pid):
-                self.pid = pid
-                self.crashed = False
-
-            def deliver(self, src, message):  # pragma: no cover - never reached
-                pass
-
-        network.register(Sink(0))
-        network.register(Sink(1))
-        network.perturbation = Hostile()
-        with pytest.raises(ValueError, match="perturbation produced invalid delay"):
-            network.send(0, 1, object())
-
     def test_scopes_separate_choice_streams(self):
         replay = ReplayPerturbation([("a", 0, 1, 0, 3.0)])
-        assert replay.perturb("b", 0, 1, 0.0, 1.0) == 1.0  # other scope untouched
-        assert replay.perturb("a", 0, 1, 0.0, 1.0) == 3.0
+        assert replay.scoped("b").adjust(0, 1, 0.0, 1.0) == 1.0  # other scope untouched
+        assert replay.scoped("a").adjust(0, 1, 0.0, 1.0) == 3.0
+
+
+class TestAPerturbationIsTheLastLinkPolicy:
+    partition = PartitionSchedule(
+        windows=(PartitionWindow.isolate((2,), 3, start=0.0, heal=4.0),)
+    )
+
+    def test_a_pure_policy_is_the_same_object_in_every_scope(self):
+        pure = CompositeLinkPolicy((self.partition, self.partition))
+        assert self.partition.scoped("a") is self.partition
+        assert pure.scoped("a") is pure
+
+    def test_a_composite_scopes_its_perturbation_and_keeps_the_order(self):
+        replay = ReplayPerturbation([("a", 0, 2, 0, 3.0)])
+        scoped = CompositeLinkPolicy((self.partition, replay)).scoped("a")
+        assert scoped.policies[0] is self.partition
+        # perturb(policy(sample)): the held delay (4 - 1) + 1 is what gets tripled.
+        assert scoped.adjust(0, 2, 1.0, 1.0) == 12.0
+        assert scoped.adjust(0, 2, 1.0, 1.0) == 4.0  # ordinal 1: no entry
+
+    def test_a_recorder_cannot_be_split_over_workers(self):
+        plan = FaultPlan(link_policies=(self.partition, RecordingPerturbation(seed=1)))
+        spec = KVWorkloadSpec(fault_plan=plan)
+        with pytest.raises(ValueError, match="recording perturbation"):
+            spec.with_(workers=2)
+        replay = FaultPlan(link_policies=(ReplayPerturbation([("a", 0, 1, 0, 2.0)]),))
+        assert spec.with_(fault_plan=replay, workers=2).workers == 2
 
 
 class TestCaseSerde:

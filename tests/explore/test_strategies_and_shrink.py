@@ -1,9 +1,10 @@
-"""Strategy streams (determinism, budget-as-prefix) and the ddmin shrinker."""
+"""Strategy streams (determinism, budget-as-prefix), ddmin and the case shrinker."""
 
 import pytest
 
+from repro.explore.case import CaseOp, ExploreCase
 from repro.explore.config import ExploreConfig
-from repro.explore.shrink import ddmin
+from repro.explore.shrink import ddmin, shrink_case
 from repro.explore.strategies import available_strategies, build_strategy
 
 
@@ -85,6 +86,31 @@ class TestDdmin:
         items = list(range(25))
         fails = lambda subset: len([i for i in subset if i % 5 == 0]) >= 2  # noqa: E731
         assert ddmin(items, fails) == ddmin(items, fails)
+
+
+class TestShrinkCase:
+    def test_a_round_that_only_drops_a_fault_is_progress(self):
+        a = CaseOp(kind="write", key="k0", value="a")
+        b = CaseOp(kind="write", key="k0", value="b")
+        case = ExploreCase(
+            name="synthetic", algorithm="abd", num_shards=1, replication=3, batch_size=1,
+            delay={"kind": "fixed", "delta": 1.0}, ops=(a, b),
+            crash_points=({"at": 1.0, "shard": 0, "replica": 1},),
+            partition={"replicas": [2], "start": 0.0, "heal": 5.0},
+        )
+
+        def fails(candidate):
+            """No store: crash c needs partition p and {a, b}; p alone {a, b}; neither {a}."""
+            ops = set(candidate.ops)
+            if candidate.crash_points:
+                return candidate.partition is not None and {a, b} <= ops
+            if candidate.partition is not None:
+                return {a, b} <= ops
+            return a in ops
+
+        shrunk = shrink_case(case, fails)
+        assert shrunk.ops == (a,)
+        assert shrunk.crash_points == () and shrunk.partition is None
 
 
 class TestConfigValidation:

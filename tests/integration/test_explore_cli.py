@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
+from repro.explore.case import CaseOp, ExploreCase
+from repro.explore.explorer import ARTIFACT_FORMAT
 
 
 class TestExploreCli:
@@ -66,6 +70,26 @@ class TestExploreCli:
     def test_replay_missing_file_is_a_usage_error(self, capsys):
         assert main(["explore", "--replay", "/nonexistent/file.json"]) == 2
         assert "cannot replay" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "break_case, field",
+        [
+            (lambda case: case.pop("name"), "'name'"),
+            (lambda case: case["ops"].append({"kind": "cas", "key": "k0"}), "'value'"),
+        ],
+        ids=["no-case-name", "cas-without-value"],
+    )
+    def test_replay_malformed_artifact_is_a_usage_error(self, capsys, tmp_path, break_case, field):
+        case = ExploreCase(
+            name="t", algorithm="abd", num_shards=1, replication=3, batch_size=1,
+            delay={"kind": "fixed", "delta": 1.0}, ops=(CaseOp(kind="read", key="k0"),),
+        ).to_dict()
+        break_case(case)
+        artifact = tmp_path / "broken.json"
+        artifact.write_text(json.dumps({"format": ARTIFACT_FORMAT, "version": 1, "case": case}))
+        assert main(["explore", "--replay", str(artifact)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot replay" in err and field in err
 
     def test_unknown_algorithm_is_a_usage_error(self, capsys):
         assert main(["explore", "--algorithm", "paxos"]) == 2

@@ -13,8 +13,10 @@ The cases: a continuous delay model (no coalescing index); a fixed delay
 with coalescing (fan-out batches); the same with ``record_messages`` on (a
 record per logical message, fan-out included); a writer killed by a
 send-count trigger mid-broadcast (the send-hook branch); a healing partition
-(a link policy aligning instants); a replayed schedule perturbation; and a
-two-worker shard-parallel run (the ``run_before`` / ``step`` path).
+(a link policy aligning instants); a replayed schedule perturbation, alone
+and last after that partition (the one combination where the order of the
+policies changes a delay); and a two-worker shard-parallel run (the
+``run_before`` / ``step`` path).
 
 Regenerate (only if the case matrix itself changes, never to paper over a
 drift):
@@ -34,7 +36,7 @@ import pytest
 from repro.explore.perturb import RecordingPerturbation, ReplayPerturbation
 from repro.faults import CrashPoint
 from repro.faults.partitions import PartitionSchedule, PartitionWindow
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, LinkPolicy
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.store.store import KVStore
 from repro.workloads.kv import (
@@ -113,12 +115,16 @@ def _healing_partition() -> FaultPlan:
     return FaultPlan(name="pinned-deliveries", link_policies=(PartitionSchedule(windows=(window,)),))
 
 
-def _perturbation_replay() -> Dict[str, Any]:
-    spec = _spec(delay_model=FixedDelay(1.0))
+def _perturbation_replay(*policies: LinkPolicy) -> Dict[str, Any]:
+    """A recorded perturbation, last after ``policies``, and its replay."""
+
+    def run(perturbation: LinkPolicy) -> Dict[str, Any]:
+        plan = FaultPlan(name="pinned-deliveries", link_policies=(*policies, perturbation))
+        return _serial(_spec(delay_model=FixedDelay(1.0), fault_plan=plan))
+
     recorder = RecordingPerturbation(seed=11, rate=0.4, amplitude=2.0)
-    recorded = _serial(spec, lambda store: store.install_perturbation(recorder))
-    entries = list(recorder.entries)
-    replayed = _serial(spec, lambda store: store.install_perturbation(ReplayPerturbation(entries)))
+    recorded = run(recorder)
+    replayed = run(ReplayPerturbation(list(recorder.entries)))
     assert replayed == recorded, "a replayed perturbation must reproduce its recording"
     return replayed
 
@@ -142,6 +148,9 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
         _spec(delay_model=FixedDelay(1.0), fault_plan=_healing_partition())
     ),
     "perturbation-replay": _perturbation_replay,
+    "perturbation-under-partition": lambda: _perturbation_replay(
+        *_healing_partition().link_policies
+    ),
     "workers-2": lambda: _digest(
         run_kv_workload(_spec(delay_model=FixedDelay(1.0), workers=2)), None, None
     ),

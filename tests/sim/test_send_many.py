@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.api import create_register
 from repro.core.messages import READ, WriteMessage
 from repro.explore.perturb import RecordingPerturbation
-from repro.faults import CrashPoint, install_crash_points
+from repro.faults import CrashPoint, FaultPlan, install_crash_points
 from repro.registers.abd import AbdReadReply
 from repro.sim.delays import (
     DelayModel,
@@ -102,11 +102,12 @@ class _World:
         self.log: list = []
         for pid in range(config["n"]):
             _Logger(pid, self.simulator, self.network, self.log)
-        self.policy = self.perturbation = None
-        if config["policy"]:
-            self.policy = self.network.link_policy = _SnapToGrid()
-        if config["perturb"]:
-            self.perturbation = self.network.perturbation = RecordingPerturbation(config["seed"])
+        # One link policy: the grid, then the recorder — a stateful policy
+        # after a pure one, as in an explored case's fault plan.
+        self.policy = _SnapToGrid() if config["policy"] else None
+        self.perturbation = RecordingPerturbation(config["seed"]) if config["perturb"] else None
+        policies = tuple(p for p in (self.policy, self.perturbation) if p is not None)
+        self.network.link_policy = FaultPlan(link_policies=policies).policy()
         self.hooked: list = []
         if config["kill_at"] is not None:
             network = self.network
