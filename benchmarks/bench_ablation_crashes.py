@@ -98,7 +98,7 @@ def test_writer_crash_read_liveness(benchmark):
     for record in result.store.driver.records:
         if record.pid != 0:
             assert record.completed
-    reads_completed = len([op for op in result.completed_ops() if op.record.pid != 0])
+    reads_completed = len([op for op in result.completed_ops() if op.pid != 0])
     report(
         "Ablation A2 — writer crashes mid-broadcast",
         ["reader ops completed", "atomic"],

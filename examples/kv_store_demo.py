@@ -53,7 +53,7 @@ def main() -> None:
         ops.append(store.submit_get(f"item:{(i + 7) % 20}"))
     store.drive()
     batch_span = store.simulator.now - serial_time
-    mean_latency = sum(op.record.latency for op in ops) / len(ops)
+    mean_latency = sum(op.latency for op in ops) / len(ops)
     print(
         f"\nbatched 200 mixed operations: makespan {batch_span:.1f} time units "
         f"(mean op latency {mean_latency:.1f} — the batch costs barely more than "

@@ -542,7 +542,6 @@ def _run_signature(result) -> list:
     """Record-by-record fingerprint of a run (for reproducibility checks)."""
     signature = []
     for op in result.ops:
-        record = op.record
         signature.append(
             (
                 op.op_id,
@@ -550,9 +549,7 @@ def _run_signature(result) -> list:
                 op.key,
                 op.value,
                 op.failed,
-                None
-                if record is None
-                else (record.invoked_at, record.responded_at, repr(record.result)),
+                None if op.pid == -1 else (op.invoked_at, op.responded_at, repr(op.result)),
             )
         )
     return signature

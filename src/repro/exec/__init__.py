@@ -26,7 +26,7 @@ from repro.exec.clients import (
     poisson_arrival_times,
     uniform_arrival_times,
 )
-from repro.exec.driver import Driver, ExecOp
+from repro.exec.driver import Driver
 from repro.exec.metrics import MetricsCollector
 from repro.exec.target import OpRequest, StoreTarget
 
@@ -34,7 +34,6 @@ __all__ = [
     "ARRIVAL_PROCESSES",
     "ClosedLoopClient",
     "Driver",
-    "ExecOp",
     "IsolatedClient",
     "IsolatedOpCost",
     "MetricsCollector",

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.exec.driver import Driver, ExecOp
+from repro.exec.driver import Driver
 from repro.exec.target import OpRequest, StoreTarget
-from repro.registers.base import OperationKind, RegisterProcess
+from repro.registers.base import OperationKind, OperationRecord, RegisterProcess
 from repro.transport.base import Transport
 
 #: Supported open-loop arrival processes.
@@ -169,12 +169,11 @@ class IsolatedClient:
             if simulator.pending_events:
                 clean = False
                 break
-            record = op.record
             self.costs.append(
                 IsolatedOpCost(
                     kind=kind,
                     pid=process.pid,
-                    latency=record.latency if record.latency is not None else float("nan"),
+                    latency=op.latency if op.latency is not None else float("nan"),
                     messages=stats.messages_sent - messages_before,
                     messages_to_completion=messages_at_completion - messages_before,
                 )
@@ -266,7 +265,7 @@ class OpenLoopClient:
             for earlier, later in zip(arrivals, arrivals[1:]):
                 if later[0] < earlier[0]:
                     raise ValueError("arrival times must be non-decreasing")
-        self.ops: List[ExecOp] = []
+        self.ops: List[OperationRecord] = []
         self._source = iter(arrivals)
         self._fired = 0
         self._open = 0
@@ -307,7 +306,7 @@ class OpenLoopClient:
             next_at = max(self._pending[0], simulator.now)
             simulator.schedule_at(next_at, self._fire, label=("open-loop arrival %d", self._fired))
 
-    def _op_done(self, _op: ExecOp) -> None:
+    def _op_done(self, _op: OperationRecord) -> None:
         self._open -= 1
 
     @property

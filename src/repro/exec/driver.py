@@ -5,7 +5,7 @@
   process; the head of a queue is in flight, the rest wait for its completion
   callback.  Queues on different processes proceed concurrently — that
   concurrency is what batched and open-loop driving exploit.
-* **completion chaining** — an :class:`ExecOp` may carry an ``on_done``
+* **completion chaining** — an operation may carry an ``on_done``
   continuation; closed-loop clients use it to issue their next operation the
   moment the previous one completes (synchronously, within the same event).
 * **a counted drain** — :meth:`Driver.drive` runs the event loop with no
@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.exec.metrics import MetricsCollector
 from repro.exec.oplog import OpLog
@@ -31,67 +31,9 @@ from repro.registers.base import OperationKind, OperationRecord, RegisterProcess
 from repro.transport.base import DrivableClock
 from repro.transport.runtime import ProcessCrashedError
 
-
-@dataclass
-class ExecOp:
-    """A submitted operation — a future the driver completes.
-
-    ``record`` is the underlying register-level
-    :class:`~repro.registers.base.OperationRecord` once the operation has
-    been issued to a process; until then the operation is queued behind
-    earlier operations targeting the same (sequential) process.  ``key`` is
-    the store key the operation addresses.
-    """
-
-    op_id: int
-    kind: OperationKind
-    key: Any = None
-    value: Any = None
-    record: Optional[OperationRecord] = None
-    failed: bool = False
-    failure_reason: str = ""
-    #: Virtual time the op entered the driver (set by :meth:`Driver.submit`).
-    submitted_at: Optional[float] = None
-    #: Continuation invoked exactly once when the op finishes — on successful
-    #: completion *or* failure (issue-time crash, stuck detection).  Check
-    #: ``op.failed`` / ``op.completed`` inside the callback.
-    on_done: Optional[Callable[["ExecOp"], None]] = field(default=None, repr=False)
-
-    @property
-    def completed(self) -> bool:
-        """True when the operation finished successfully."""
-        return not self.failed and self.record is not None and self.record.completed
-
-    @property
-    def done(self) -> bool:
-        """True when the operation finished (successfully or not)."""
-        return self.failed or self.completed
-
-    @property
-    def result(self) -> Any:
-        """The value read (reads) or written (writes); raises if not completed."""
-        if not self.completed:
-            raise RuntimeError(
-                f"{self.kind.value}({self.key!r}) has not completed"
-                + (f" (failed: {self.failure_reason})" if self.failed else "")
-            )
-        if self.kind is OperationKind.WRITE:
-            return self.value
-        return self.record.result
-
-    @property
-    def sojourn_latency(self) -> Optional[float]:
-        """Client-observed latency: driver queueing delay + service time.
-
-        ``record.latency`` alone measures only the service time (invocation
-        to response); under open-loop overload the interesting number is how
-        long the operation waited on the per-process FIFO first.
-        """
-        if self.record is None or self.record.responded_at is None:
-            return None
-        if self.submitted_at is None:
-            return self.record.latency
-        return self.record.responded_at - self.submitted_at
+# Bound once: looking a member up on the enum class runs EnumType's
+# ``__getattr__`` hook, which the per-operation path would pay per use.
+_READ, _WRITE = OperationKind.READ, OperationKind.WRITE
 
 
 class Driver:
@@ -116,7 +58,7 @@ class Driver:
         self.metrics = metrics
         #: Optional columnar operation log, written in place as the run
         #: executes (row index == ``op_id``).  The store attaches one so its
-        #: history/checking plane never has to walk the ExecOp object graph.
+        #: history/checking plane reads columns, not the operation objects.
         self.oplog = oplog
         #: Fault-plane awareness: when a fault plan with scheduled heals is
         #: installed, this is set to an absolute virtual time a ``drive``
@@ -126,10 +68,13 @@ class Driver:
         #: heal that is already scheduled to happen.
         self.fault_horizon: Optional[float] = None
         #: Every submitted operation, in submission order.
-        self.ops: List[ExecOp] = []
-        #: Every issued operation's record, in issue order (history material).
+        self.ops: List[OperationRecord] = []
+        #: Every issued operation, in issue order (history material).
         self.records: List[OperationRecord] = []
-        self._queues: Dict[RegisterProcess, Deque[ExecOp]] = {}
+        # Per process: its FIFO and its one completion callback.
+        self._queues: Dict[
+            RegisterProcess, Tuple[Deque[OperationRecord], Callable[[OperationRecord], None]]
+        ] = {}
         self._outstanding = 0
         self._op_counter = itertools.count()
         # While `drive` runs the loop: the condition it drives to, asked each
@@ -143,95 +88,94 @@ class Driver:
         kind: OperationKind,
         value: Any = None,
         key: Any = None,
-        on_done: Optional[Callable[[ExecOp], None]] = None,
-    ) -> ExecOp:
-        """Create (and track) a fresh operation future."""
-        op = ExecOp(op_id=next(self._op_counter), kind=kind, key=key, value=value, on_done=on_done)
+        on_done: Optional[Callable[[OperationRecord], None]] = None,
+    ) -> OperationRecord:
+        """Create (and track) a fresh operation: the record its process will fill."""
+        op = OperationRecord(next(self._op_counter), -1, kind, value, key, on_done)
         self.ops.append(op)
         if self.oplog is not None:
             self.oplog.note_created(kind, key, value)
         return op
 
-    def submit(self, process: RegisterProcess, op: ExecOp) -> ExecOp:
+    def submit(self, process: RegisterProcess, op: OperationRecord) -> OperationRecord:
         """Queue ``op`` on ``process``; it is issued as soon as the queue head."""
-        queue = self._queues.get(process)
-        if queue is None:
-            queue = self._queues[process] = deque()
+        lane = self._queues.get(process)
+        if lane is None:
+            lane = self._queues[process] = (deque(), partial(self._on_complete, process))
+        queue = lane[0]
         op.submitted_at = self.simulator.now
         if self.oplog is not None:
             self.oplog.note_submitted(op.op_id, op.submitted_at)
         queue.append(op)
         self._outstanding += 1
         if len(queue) == 1:
-            self._issue(process)
+            self._issue(process, *lane)
         return op
 
     # -------------------------------------------------------------- the engine
 
-    def _issue(self, process: RegisterProcess) -> None:
-        queue = self._queues[process]
+    def _issue(
+        self,
+        process: RegisterProcess,
+        queue: Deque[OperationRecord],
+        complete: Callable[[OperationRecord], None],
+    ) -> None:
         while queue:
             op = queue[0]
             try:
-                if op.kind is OperationKind.WRITE:
-                    record = process.invoke_write(
-                        op.value, lambda record, p=process: self._on_complete(p, record)
-                    )
-                elif op.kind is OperationKind.READ:
-                    record = process.invoke_read(
-                        lambda record, p=process: self._on_complete(p, record)
-                    )
+                if op.kind is _WRITE:
+                    process.invoke_write(op.value, complete, op)
+                elif op.kind is _READ:
+                    process.invoke_read(complete, op)
                 else:
-                    record = process.invoke_operation(
-                        op.kind,
-                        op.value,
-                        lambda record, p=process: self._on_complete(p, record),
-                    )
+                    process.invoke_operation(op.kind, op.value, complete, op)
             except ProcessCrashedError:
                 queue.popleft()
-                op.failed = True
-                op.failure_reason = f"replica p{process.pid} crashed before issuing"
-                if self.oplog is not None:
-                    self.oplog.note_failed(op.op_id, op.failure_reason)
-                self._outstanding -= 1
-                if self.metrics is not None:
-                    self.metrics.note_failed()
-                if op.on_done is not None:
-                    op.on_done(op)
+                self._fail(op, f"replica p{process.pid} crashed before issuing")
                 if self._until is not None and self._until():
                     self.simulator.stop()
                 continue
-            self.records.append(record)
-            if op.record is None:  # the callback may have fired synchronously
-                op.record = record
+            self.records.append(op)
             if self.oplog is not None:
                 # Issue and completion touch disjoint columns, so a callback
                 # that fired synchronously (before this line) is harmless.
-                self.oplog.note_issued(op.op_id, record)
+                self.oplog.note_issued(op.op_id, op)
             if self.metrics is not None:
-                self.metrics.note_issued(record.invoked_at)
+                self.metrics.note_issued(op.invoked_at)
             return
 
-    def _on_complete(self, process: RegisterProcess, record: OperationRecord) -> None:
-        queue = self._queues[process]
-        op = queue.popleft()
-        if op.record is None:
-            op.record = record
+    def _on_complete(self, process: RegisterProcess, op: OperationRecord) -> None:
+        lane = self._queues[process]
+        queue = lane[0]
+        queue.popleft()  # ``op``: a process completes only its current operation
         if self.oplog is not None:
-            self.oplog.note_completed(op.op_id, record)
+            self.oplog.note_completed(op.op_id, op)
         self._outstanding -= 1
         if self.metrics is not None:
             # Sojourn latency (queueing + service) is what a client observes;
             # for unqueued ops it equals the record's service latency.
-            self.metrics.note_completed(record.kind, op.sojourn_latency, self.simulator.now)
+            self.metrics.note_completed(
+                op.kind, op.responded_at - op.submitted_at, op.responded_at
+            )
         if queue:
-            self._issue(process)
+            self._issue(process, *lane)
         if op.on_done is not None:
             op.on_done(op)
         # After the continuation: a closed-loop client's next operation is
         # already outstanding by now.
         if self._until is not None and self._until():
             self.simulator.stop()
+
+    def _fail(self, op: OperationRecord, reason: str) -> None:
+        op.failed = True
+        op.failure_reason = reason
+        if self.oplog is not None:
+            self.oplog.note_failed(op.op_id, reason)
+        self._outstanding -= 1
+        if self.metrics is not None:
+            self.metrics.note_failed()
+        if op.on_done is not None:
+            op.on_done(op)
 
     # ---------------------------------------------------------------- driving
 
@@ -287,7 +231,7 @@ class Driver:
 
     def fail_stuck(self) -> None:
         """Fail every queued operation (used when the event queue drained under them)."""
-        for process, queue in self._queues.items():
+        for process, (queue, _complete) in self._queues.items():
             if not queue:
                 continue
             # What the replica was still waiting for when the events ran out
@@ -299,13 +243,4 @@ class Driver:
                 + (f"; waiting on: {', '.join(waits)}" if waits else "")
             )
             while queue:
-                op = queue.popleft()
-                op.failed = True
-                op.failure_reason = reason
-                if self.oplog is not None:
-                    self.oplog.note_failed(op.op_id, op.failure_reason)
-                self._outstanding -= 1
-                if self.metrics is not None:
-                    self.metrics.note_failed()
-                if op.on_done is not None:
-                    op.on_done(op)
+                self._fail(queue.popleft(), reason)

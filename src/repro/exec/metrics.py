@@ -168,10 +168,12 @@ class MetricsCollector:
         self.completed += 1
         self.last_completion_at = now
         if latency is not None:
-            # setdefault, not direct indexing: operation kinds beyond
-            # READ/WRITE (scans, CAS extensions, ...) must grow a bucket,
-            # not raise KeyError on their first completion.
-            self._latencies.setdefault(kind, array("d")).append(latency)
+            # Operation kinds beyond READ/WRITE (CAS, TAS, INCR) grow a
+            # bucket on their first completion.
+            bucket = self._latencies.get(kind)
+            if bucket is None:
+                bucket = self._latencies[kind] = array("d")
+            bucket.append(latency)
 
     def note_failed(self) -> None:
         self.failed += 1

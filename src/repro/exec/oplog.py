@@ -1,15 +1,10 @@
 """The columnar operation log: per-run history material without per-op objects.
 
-The driver used to be the only record of a run: a list of
-:class:`~repro.exec.driver.ExecOp` objects, each holding an
-:class:`~repro.registers.base.OperationRecord`, from which the store
-re-derived per-key histories by walking every op and building yet more
-objects (``Operation`` instances).  At a million operations that is three
-object graphs for the same facts.
-
-An :class:`OpLog` records the same lifecycle *as columns*, written in place
-as the run executes — the driver appends a row when an operation is
-created and fills in the issue/completion/failure cells as they happen:
+An operation is one :class:`~repro.registers.base.OperationRecord`, built
+once by the driver and filled in place by the process that runs it.  An
+:class:`OpLog` records the same lifecycle *as columns*, written as the run
+executes — the driver appends a row when it creates an operation and fills
+in the issue/completion/failure cells as they happen:
 
 ========================  =====================================================
 column                    meaning
@@ -17,14 +12,14 @@ column                    meaning
 ``kind``                  index into :attr:`OpLog.kinds` (READ=0, WRITE=1)
 ``key_idx / value_idx``   indices into the interned value table
 ``submitted``             virtual submission time (NaN before submission)
-``pid / proc_op_id``      issuing process and its per-process record id
+``pid / proc_op_id``      issuing process and its per-process sequence number
                           (-1 until issued — "no record yet")
 ``invoked / responded``   record timestamps (NaN = not issued / pending)
 ``result_idx``            interned result (-1 until completed)
 ``failed``                0/1, with a sparse ``reasons`` dict for messages
 ========================  =====================================================
 
-Row index == driver ``op_id`` (submission order), so the log *is* the
+Row index == the record's ``op_id`` (submission order), so the log *is* the
 ``driver.ops`` list in columnar form.  Everything downstream reads it
 through views:
 
@@ -32,9 +27,8 @@ through views:
   :class:`~repro.verification.history.History` objects that share
   the log's value table — the store's history/checking plane allocates no
   per-op objects at all;
-* :class:`LoggedOp` / :class:`LoggedRecord` give merged parallel runs the
-  ``ExecOp`` / ``OperationRecord`` surface without shipping or retaining
-  the objects.
+* :class:`LoggedOp` gives merged parallel and live runs the record's
+  surface without shipping or retaining the objects.
 
 The wire format (:func:`encode_oplog` / :func:`decode_oplog`) serializes
 the raw column buffers with pickle protocol 5 out-of-band buffers: a
@@ -126,7 +120,7 @@ class OpLog:
 
     def note_issued(self, row: int, record: OperationRecord) -> None:
         self._pid[row] = record.pid
-        self._proc_op_id[row] = record.op_id
+        self._proc_op_id[row] = record.proc_op_id
         self._invoked[row] = record.invoked_at
 
     def note_completed(self, row: int, record: OperationRecord) -> None:
@@ -143,7 +137,7 @@ class OpLog:
         """Per-key history: sorted like ``History.from_records``, sharing the table."""
         none_idx = self.interner.intern(None)
         pid, invoked, kind_slot = self._pid, self._invoked, self._kind
-        # Same sort key as History.from_records: (invoked_at, pid, record op id).
+        # Same sort key as History.from_records: (invoked_at, pid, proc_op_id).
         rows = sorted(rows, key=lambda r: (invoked[r], pid[r], self._proc_op_id[r]))
         slot_byte = [KIND_TO_BYTE[kind] for kind in self.kinds]
         result_idx = self._result_idx
@@ -275,65 +269,12 @@ class OpLog:
 # ------------------------------------------------------------------- views
 
 
-class LoggedRecord:
-    """Read-only ``OperationRecord`` view over one issued :class:`OpLog` row."""
-
-    __slots__ = ("_log", "_row")
-
-    def __init__(self, log: OpLog, row: int) -> None:
-        self._log = log
-        self._row = row
-
-    @property
-    def pid(self) -> int:
-        return self._log._pid[self._row]
-
-    @property
-    def op_id(self) -> int:
-        return self._log._proc_op_id[self._row]
-
-    @property
-    def kind(self) -> Any:
-        return self._log.kinds[self._log._kind[self._row]]
-
-    @property
-    def value(self) -> Any:
-        return self._log.interner.values[self._log._value_idx[self._row]]
-
-    @property
-    def result(self) -> Any:
-        idx = self._log._result_idx[self._row]
-        return None if idx < 0 else self._log.interner.values[idx]
-
-    @property
-    def invoked_at(self) -> float:
-        return self._log._invoked[self._row]
-
-    @property
-    def responded_at(self) -> Optional[float]:
-        at = self._log._responded[self._row]
-        return None if math.isnan(at) else at
-
-    @property
-    def completed(self) -> bool:
-        return not math.isnan(self._log._responded[self._row])
-
-    @property
-    def failed(self) -> bool:
-        return bool(self._log._failed[self._row])
-
-    @property
-    def latency(self) -> Optional[float]:
-        responded = self.responded_at
-        return None if responded is None else responded - self.invoked_at
-
-
 class LoggedOp:
-    """Read-only ``ExecOp`` view over one :class:`OpLog` row.
+    """Read-only :class:`~repro.registers.base.OperationRecord` view over one row.
 
     ``op_id`` is the row index — after a parallel merge reorders rows into
     scripted order, that is exactly the op id the serial driver would have
-    assigned.
+    assigned.  ``pid`` is ``-1`` until the row was issued, as on a record.
     """
 
     __slots__ = ("_log", "_row")
@@ -345,6 +286,14 @@ class LoggedOp:
     @property
     def op_id(self) -> int:
         return self._row
+
+    @property
+    def pid(self) -> int:
+        return self._log._pid[self._row]
+
+    @property
+    def proc_op_id(self) -> int:
+        return self._log._proc_op_id[self._row]
 
     @property
     def kind(self) -> Any:
@@ -359,9 +308,21 @@ class LoggedOp:
         return self._log.interner.values[self._log._value_idx[self._row]]
 
     @property
+    def result(self) -> Any:
+        idx = self._log._result_idx[self._row]
+        return None if idx < 0 else self._log.interner.values[idx]
+
+    @property
     def submitted_at(self) -> Optional[float]:
-        at = self._log._submitted[self._row]
-        return None if math.isnan(at) else at
+        return _time(self._log._submitted[self._row])
+
+    @property
+    def invoked_at(self) -> Optional[float]:
+        return _time(self._log._invoked[self._row])
+
+    @property
+    def responded_at(self) -> Optional[float]:
+        return _time(self._log._responded[self._row])
 
     @property
     def failed(self) -> bool:
@@ -372,50 +333,26 @@ class LoggedOp:
         return self._log.reasons.get(self._row, "")
 
     @property
-    def record(self) -> Optional[LoggedRecord]:
-        if self._log._pid[self._row] == -1:
-            return None
-        return LoggedRecord(self._log, self._row)
-
-    @property
     def completed(self) -> bool:
-        return (
-            not self._log._failed[self._row]
-            and not math.isnan(self._log._responded[self._row])
-        )
+        return not self.failed and self.responded_at is not None
 
     @property
     def done(self) -> bool:
         return self.failed or self.completed
 
-    @property
-    def result(self) -> Any:
-        if not self.completed:
-            raise RuntimeError(
-                f"{self.kind.value}({self.key!r}) has not completed"
-                + (f" (failed: {self.failure_reason})" if self.failed else "")
-            )
-        if self.kind is OperationKind.WRITE:
-            return self.value
-        idx = self._log._result_idx[self._row]
-        return None if idx < 0 else self._log.interner.values[idx]
-
-    @property
-    def sojourn_latency(self) -> Optional[float]:
-        responded = self._log._responded[self._row]
-        if math.isnan(responded):
-            return None
-        submitted = self._log._submitted[self._row]
-        if math.isnan(submitted):
-            invoked = self._log._invoked[self._row]
-            return responded - invoked
-        return responded - submitted
+    latency = OperationRecord.latency
+    sojourn_latency = OperationRecord.sojourn_latency
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"LoggedOp(op_id={self.op_id}, kind={self.kind!r}, key={self.key!r}, "
             f"value={self.value!r}, failed={self.failed})"
         )
+
+
+def _time(at: float) -> Optional[float]:
+    """A time column cell: NaN means "not yet"."""
+    return None if math.isnan(at) else at
 
 
 class OpLogOps(Sequence):

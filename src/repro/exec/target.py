@@ -9,6 +9,7 @@ way (``OpRequest(key=..., replica=pid)``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -16,6 +17,10 @@ from repro.registers.base import OperationKind, RegisterProcess
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.store import KVStore
+
+# Bound once: looking a member up on the enum class runs EnumType's
+# ``__getattr__`` hook, which routing would pay per operation.
+_WRITE = OperationKind.WRITE
 
 
 @dataclass(frozen=True)
@@ -25,6 +30,18 @@ class OpRequest:
     kind: OperationKind
     key: Any = None
     replica: Optional[int] = None
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def interned_request(kind: OperationKind, key: Any, replica: Optional[int]) -> OpRequest:
+    """The one :class:`OpRequest` for ``(kind, key, replica)``, built on first use.
+
+    Scripts and the store's ``submit_*`` route these instead of building a
+    request per operation.  Sharing is unobservable: a request is immutable,
+    ``typed`` keeps ``1`` and ``1.0`` apart, and the bound keeps a huge key
+    space from growing the table for the life of the process.
+    """
+    return OpRequest(kind, key, replica)
 
 
 class StoreTarget:
@@ -42,7 +59,7 @@ class StoreTarget:
         if request.key is None:
             raise ValueError("store targets route by key; request.key is required")
         deployment = self.store.register_for(request.key)
-        if request.kind is OperationKind.WRITE:
+        if request.kind is _WRITE:
             return deployment.processes[deployment.writer_index]
         if request.replica is not None:
             replication = self.store.config.replication

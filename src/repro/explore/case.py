@@ -323,7 +323,7 @@ def materialize_schedule(case: ExploreCase, outcome: CaseOutcome) -> ExploreCase
         replica = scripted.replica
         # Writes always route to the writer; every round-robined kind (reads
         # and the consensus-object operations) gets its replica pinned.
-        if scripted.kind != "write" and replica is None and executed.record is not None:
-            replica = executed.record.pid
+        if scripted.kind != "write" and replica is None and executed.pid != -1:
+            replica = executed.pid
         pinned.append(replace(scripted, at=at, replica=replica))
     return case.with_(ops=tuple(pinned))

@@ -52,40 +52,97 @@ class OperationKind(str, Enum):
     INCR = "incr"
 
 
-@dataclass
 class OperationRecord:
-    """Bookkeeping for a single in-flight or completed operation.
+    """One operation, from submission to response: the only per-operation object.
 
-    The verification layer consumes these records (invocation/response times
-    and values) to build histories; the analysis layer consumes the message
-    accounting fields to attribute per-operation message costs.
+    The driver builds it (``op_id`` is its row in the driver and the op log,
+    ``-1`` for a direct caller), a process fills it when invoked (``pid``,
+    its own sequence number ``proc_op_id``, ``invoked_at``) and completes it
+    (``result``, ``responded_at``), and the driver fails it instead when it
+    cannot run.  ``pid`` is ``-1`` until the operation is issued.  ``result``
+    is what the process returned: ``None`` for a write and until completion.
+    ``on_done`` is the driver's continuation, called exactly once when the
+    operation finishes, completed *or* failed.
     """
 
-    op_id: int
-    pid: int
-    kind: OperationKind
-    value: Any = None
-    invoked_at: float = 0.0
-    responded_at: Optional[float] = None
-    result: Any = None
-    completed: bool = False
-    failed: bool = False
-    messages_before: int = 0
-    messages_after: Optional[int] = None
+    __slots__ = (
+        "op_id",
+        "pid",
+        "kind",
+        "value",
+        "key",
+        "on_done",
+        "submitted_at",
+        "proc_op_id",
+        "invoked_at",
+        "responded_at",
+        "result",
+        "completed",
+        "failed",
+        "failure_reason",
+    )
+
+    def __init__(
+        self,
+        op_id: int,
+        pid: int,
+        kind: OperationKind,
+        value: Any = None,
+        key: Any = None,
+        on_done: Optional[Callable[["OperationRecord"], None]] = None,
+        invoked_at: Optional[float] = None,
+        responded_at: Optional[float] = None,
+        result: Any = None,
+        completed: bool = False,
+        proc_op_id: int = -1,
+    ) -> None:
+        self.op_id = op_id
+        self.pid = pid
+        self.kind = kind
+        self.value = value
+        self.key = key
+        self.on_done = on_done
+        self.submitted_at: Optional[float] = None
+        self.proc_op_id = proc_op_id
+        self.invoked_at = invoked_at
+        self.responded_at = responded_at
+        self.result = result
+        self.completed = completed
+        self.failed = False
+        self.failure_reason = ""
+
+    @property
+    def done(self) -> bool:
+        """True when the operation finished, successfully or not."""
+        return self.completed or self.failed
 
     @property
     def latency(self) -> Optional[float]:
-        """Virtual-time latency, or ``None`` if the operation never completed."""
+        """Service time (invocation to response), or ``None`` if not completed."""
         if self.responded_at is None:
             return None
         return self.responded_at - self.invoked_at
 
     @property
-    def message_cost(self) -> Optional[int]:
-        """Messages sent system-wide during the operation (isolated runs only)."""
-        if self.messages_after is None:
+    def sojourn_latency(self) -> Optional[float]:
+        """What a client observes: the wait in the driver's queue plus the service time."""
+        if self.responded_at is None:
             return None
-        return self.messages_after - self.messages_before
+        if self.submitted_at is None:
+            return self.latency
+        return self.responded_at - self.submitted_at
+
+    @property
+    def record(self) -> "OperationRecord":
+        """The operation itself (for readers written when op and record were two objects)."""
+        return self
+
+    def __repr__(self) -> str:
+        return (
+            f"OperationRecord(op_id={self.op_id}, pid={self.pid}, kind={self.kind.value}, "
+            f"key={self.key!r}, value={self.value!r}, result={self.result!r}, "
+            f"completed={self.completed}, failed={self.failed})"
+        )
 
 
 class RegisterProcess(ProcessBase):
@@ -137,24 +194,51 @@ class RegisterProcess(ProcessBase):
         return self._current_op
 
     # ------------------------------------------------------------ invocation
+    #
+    # Each entry point fills ``record`` -- the driver's operation -- or, for
+    # a direct caller, a fresh one, and returns it.  ``callback(record)``
+    # fires when it completes.
 
-    def invoke_write(self, value: Any, callback: Callable[[OperationRecord], None]) -> OperationRecord:
+    def invoke_write(
+        self,
+        value: Any,
+        callback: Callable[[OperationRecord], None],
+        record: Optional[OperationRecord] = None,
+    ) -> OperationRecord:
         """Start a write of ``value``; ``callback`` fires when it completes.
 
         Only the writer may invoke writes (SWMR register).  MWMR algorithms
         override :meth:`_check_write_permission`.
         """
-        self.require_alive("write")
+        if self.crashed:
+            self.require_alive("write")
         self._check_write_permission()
-        record = self._new_operation(OperationKind.WRITE, value)
+        if self._current_op is not None:
+            self._refuse_overlap(OperationKind.WRITE)
+        if record is None:
+            record = OperationRecord(-1, self.pid, OperationKind.WRITE, value)
+        record.pid = self.pid
+        record.proc_op_id = next(self._op_counter)
+        record.invoked_at = self.simulator.now
         self._current_op = record
         self._start_write(record, lambda result=None: self._complete(record, result, callback))
         return record
 
-    def invoke_read(self, callback: Callable[[OperationRecord], None]) -> OperationRecord:
+    def invoke_read(
+        self,
+        callback: Callable[[OperationRecord], None],
+        record: Optional[OperationRecord] = None,
+    ) -> OperationRecord:
         """Start a read; ``callback`` fires with the record holding the value read."""
-        self.require_alive("read")
-        record = self._new_operation(OperationKind.READ, None)
+        if self.crashed:
+            self.require_alive("read")
+        if self._current_op is not None:
+            self._refuse_overlap(OperationKind.READ)
+        if record is None:
+            record = OperationRecord(-1, self.pid, OperationKind.READ)
+        record.pid = self.pid
+        record.proc_op_id = next(self._op_counter)
+        record.invoked_at = self.simulator.now
         self._current_op = record
         self._start_read(record, lambda result: self._complete(record, result, callback))
         return record
@@ -164,6 +248,7 @@ class RegisterProcess(ProcessBase):
         kind: OperationKind,
         value: Any,
         callback: Callable[[OperationRecord], None],
+        record: Optional[OperationRecord] = None,
     ) -> OperationRecord:
         """Start a non-register operation (CAS/TAS/INCR on consensus objects).
 
@@ -172,8 +257,15 @@ class RegisterProcess(ProcessBase):
         algorithms do not override :meth:`_start_operation` and therefore
         reject these kinds.
         """
-        self.require_alive(kind.value)
-        record = self._new_operation(kind, value)
+        if self.crashed:
+            self.require_alive(kind.value)
+        if self._current_op is not None:
+            self._refuse_overlap(kind)
+        if record is None:
+            record = OperationRecord(-1, self.pid, kind, value)
+        record.pid = self.pid
+        record.proc_op_id = next(self._op_counter)
+        record.invoked_at = self.simulator.now
         self._current_op = record
         self._start_operation(
             record, lambda result=None: self._complete(record, result, callback)
@@ -187,21 +279,11 @@ class RegisterProcess(ProcessBase):
                 "this is a single-writer register"
             )
 
-    def _new_operation(self, kind: OperationKind, value: Any) -> OperationRecord:
-        if self._current_op is not None and not self._current_op.completed:
-            raise RuntimeError(
-                f"p{self.pid} invoked a {kind.value} while its previous "
-                f"{self._current_op.kind.value} is still pending; processes are sequential"
-            )
-        record = OperationRecord(
-            op_id=next(self._op_counter),
-            pid=self.pid,
-            kind=kind,
-            value=value,
-            invoked_at=self.simulator.now,
-            messages_before=self.network.stats.messages_sent,
+    def _refuse_overlap(self, kind: OperationKind) -> None:
+        raise RuntimeError(
+            f"p{self.pid} invoked a {kind.value} while its previous "
+            f"{self._current_op.kind.value} is still pending; processes are sequential"
         )
-        return record
 
     def _complete(
         self,
@@ -209,14 +291,17 @@ class RegisterProcess(ProcessBase):
         result: Any,
         callback: Callable[[OperationRecord], None],
     ) -> None:
-        if record.completed:  # pragma: no cover - defensive; completions are single-shot
+        # Single-shot: a completion for anything but the operation in
+        # progress is stale (a late reply, a continuation run twice) and must
+        # not touch the record or the process's next operation.
+        if record is not self._current_op:
+            return
+        self._current_op = None
+        if record.failed:  # the driver gave up on it; it stays failed
             return
         record.completed = True
         record.result = result
         record.responded_at = self.simulator.now
-        record.messages_after = self.network.stats.messages_sent
-        if self._current_op is record:
-            self._current_op = None
         callback(record)
 
     # ------------------------------------------------------ protocol-specific

@@ -21,7 +21,6 @@ from repro.store.store import (
     KVStore,
     KeyRegister,
     StoreConfig,
-    StoreOp,
     StoreShard,
     create_store,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "Placement",
     "ShardMap",
     "StoreConfig",
-    "StoreOp",
     "StoreShard",
     "create_store",
     "stable_key_hash",

@@ -43,12 +43,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.exec.driver import Driver, ExecOp
+from repro.exec.driver import Driver
 from repro.exec.metrics import MetricsCollector
 from repro.exec.oplog import OpLog
-from repro.exec.target import OpRequest, StoreTarget
+from repro.exec.target import StoreTarget, interned_request
 from repro.faults.plan import CrashPoint, install_crash_points
-from repro.registers.base import OperationKind, RegisterProcess
+from repro.registers.base import OperationKind, OperationRecord, RegisterProcess
 from repro.registers.registry import get_algorithm
 from repro.sim.delays import DelayModel
 from repro.sim.network import Network, Subnet
@@ -58,10 +58,9 @@ from repro.transport.base import validate_transport
 from repro.verification.history import History
 from repro.verification.register_checker import AtomicityViolation
 
-#: A submitted store operation — the engine-level future, re-exported under
-#: its historical name (``op.key`` is always set for store operations).
-StoreOp = ExecOp
-
+# Bound once: looking a member up on the enum class runs EnumType's
+# ``__getattr__`` hook, which the per-operation path would pay per use.
+_READ, _WRITE = OperationKind.READ, OperationKind.WRITE
 
 @dataclass(frozen=True)
 class StoreConfig:
@@ -252,8 +251,8 @@ class KVStore:
         # queueing, completion chaining, stuck detection and metrics.
         self.target = StoreTarget(self)
         # The driver records every operation into a columnar OpLog as the run
-        # executes; histories and checking read the columns, never the ExecOp
-        # object graph (see repro.exec.oplog).
+        # executes; histories and checking read the columns, never the
+        # operation objects (see repro.exec.oplog).
         self.driver = Driver(
             self.simulator, metrics=MetricsCollector(self.network), oplog=OpLog()
         )
@@ -261,7 +260,7 @@ class KVStore:
         self.fault_plan = None
 
     @property
-    def ops(self) -> List[StoreOp]:
+    def ops(self) -> List[OperationRecord]:
         """Every submitted operation, in submission order."""
         return self.driver.ops
 
@@ -309,32 +308,30 @@ class KVStore:
 
     # ------------------------------------------------------------ submission
 
-    def submit_put(self, key: Any, value: Any) -> StoreOp:
+    def submit_put(self, key: Any, value: Any) -> OperationRecord:
         """Enqueue a write of ``value`` to ``key``; complete it via :meth:`drive`.
 
         Routing (and lazy register deployment) happens in ``target.route``.
         """
-        process = self.target.route(OpRequest(kind=OperationKind.WRITE, key=key))
-        op = self.driver.new_op(OperationKind.WRITE, value=value, key=key)
+        process = self.target.route(interned_request(_WRITE, key, None))
+        op = self.driver.new_op(_WRITE, value, key)
         self.driver.submit(process, op)
         return op
 
-    def submit_get(self, key: Any, replica: Optional[int] = None) -> StoreOp:
+    def submit_get(self, key: Any, replica: Optional[int] = None) -> OperationRecord:
         """Enqueue a read of ``key``; complete it via :meth:`drive`.
 
         Reads round-robin over the key's live replicas unless ``replica``
         pins a specific one.
         """
-        process = self.target.route(
-            OpRequest(kind=OperationKind.READ, key=key, replica=replica)
-        )
-        op = self.driver.new_op(OperationKind.READ, key=key)
+        process = self.target.route(interned_request(_READ, key, replica))
+        op = self.driver.new_op(_READ, None, key)
         self.driver.submit(process, op)
         return op
 
     def submit_op(
         self, kind: OperationKind, key: Any, value: Any = None, replica: Optional[int] = None
-    ) -> StoreOp:
+    ) -> OperationRecord:
         """Enqueue an operation of any kind; complete it via :meth:`drive`.
 
         ``WRITE`` routes to the key's writer replica, everything else
@@ -343,12 +340,12 @@ class KVStore:
         replicas exactly like reads, which is what makes the store
         multi-writer under consensus algorithms.
         """
-        if kind is OperationKind.WRITE:
+        if kind is _WRITE:
             return self.submit_put(key, value)
-        if kind is OperationKind.READ:
+        if kind is _READ:
             return self.submit_get(key, replica=replica)
-        process = self.target.route(OpRequest(kind=kind, key=key, replica=replica))
-        op = self.driver.new_op(kind, value=value, key=key)
+        process = self.target.route(interned_request(kind, key, replica))
+        op = self.driver.new_op(kind, value, key)
         self.driver.submit(process, op)
         return op
 
@@ -390,14 +387,17 @@ class KVStore:
 
     # ----------------------------------------------------- blocking facade
 
-    def _finish(self, op: StoreOp, call: str) -> StoreOp:
+    def _finish(self, op: OperationRecord, call: str) -> OperationRecord:
         """Drive the loop until ``op`` is done; a failed op raises."""
         self.drive()
-        if op.failed:
-            raise RuntimeError(f"{call}({op.key!r}) failed: {op.failure_reason}")
+        if not op.completed:
+            raise RuntimeError(
+                f"{call}({op.key!r}) "
+                + (f"failed: {op.failure_reason}" if op.failed else "has not completed")
+            )
         return op
 
-    def put(self, key: Any, value: Any) -> StoreOp:
+    def put(self, key: Any, value: Any) -> OperationRecord:
         """Blocking write: submit, then drive the loop until it completes."""
         return self._finish(self.submit_put(key, value), "put")
 
@@ -552,11 +552,11 @@ class KVStore:
         """Messages sent across the whole store so far."""
         return self.stats.messages_sent
 
-    def completed_ops(self) -> list[StoreOp]:
+    def completed_ops(self) -> list[OperationRecord]:
         """Operations that completed successfully, in submission order."""
         return [op for op in self.ops if op.completed]
 
-    def failed_ops(self) -> list[StoreOp]:
+    def failed_ops(self) -> list[OperationRecord]:
         """Operations that failed (crashed replica, stalled batch, ...)."""
         return [op for op in self.ops if op.failed]
 

@@ -12,8 +12,8 @@ Two halves, one per direction:
   frames) usable without asyncio.  It keeps one compacting ``bytearray``
   with an offset cursor, so feeding a megabyte chunk holding thousands of
   frames costs one append plus one deferred compaction — not one
-  ``del buf[:end]`` memmove per frame (quadratic on large chunks).  Its
-  default mode parses bodies as JSON (:func:`encode_frame`'s frames).
+  ``del buf[:end]`` memmove per frame (quadratic on large chunks).  It
+  returns each body's bytes untouched: the wire codec decodes them.
 * :class:`BatchWriter` — a per-connection writer task draining a shared
   buffer, so frames enqueued in the same event-loop breath coalesce into
   one ``write()``/``drain()`` pair (the live plane's mirror of the sim
@@ -27,7 +27,6 @@ in metrics snapshots (bytes/frames/batches in and out).
 from __future__ import annotations
 
 import asyncio
-import json
 import struct
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Union
@@ -51,27 +50,8 @@ class FramingError(ValueError):
     """Raised on an oversized or malformed frame."""
 
 
-def encode_frame(payload: Any) -> bytes:
-    """Encode ``payload`` as one length-prefixed JSON frame."""
-    body = json.dumps(payload, separators=(",", ":"), allow_nan=False).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise FramingError(f"frame of {len(body)} bytes exceeds cap {MAX_FRAME_BYTES}")
-    return HEADER.pack(len(body)) + body
-
-
-def _parse_json_body(body: _Bytes) -> Any:
-    try:
-        return json.loads(bytes(body).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FramingError(f"malformed frame body: {exc}") from exc
-
-
 class FrameDecoder:
-    """Incremental frame parser: ``feed`` bytes in, pull complete frames out.
-
-    ``raw=False`` (default) parses each body as JSON (:func:`encode_frame`'s
-    frames).  ``raw=True`` returns the body ``bytes`` untouched, for a live
-    connection, whose wire codec decodes them.
+    """Incremental frame parser: ``feed`` bytes in, pull complete bodies out.
 
     Internally the decoder appends into one ``bytearray`` and walks it with
     an offset cursor over a ``memoryview``; consumed prefixes are compacted
@@ -79,17 +59,20 @@ class FrameDecoder:
     buffer empties), never per frame.
     """
 
-    __slots__ = ("_buffer", "_offset", "_raw")
+    __slots__ = ("_buffer", "_offset")
 
-    def __init__(self, raw: bool = False) -> None:
+    def __init__(self, raw: bool = True) -> None:
+        # Bodies are always raw; ``raw=True`` is accepted from callers
+        # written when the decoder could also parse JSON.
+        if not raw:
+            raise ValueError("FrameDecoder returns raw frame bodies only")
         self._buffer = bytearray()
         self._offset = 0
-        self._raw = raw
 
-    def feed(self, data: _Bytes) -> List[Any]:
-        """Append ``data``; return every frame completed by it (possibly none)."""
+    def feed(self, data: _Bytes) -> List[bytes]:
+        """Append ``data``; return every body completed by it (possibly none)."""
         self._buffer += data
-        frames: List[Any] = []
+        frames: List[bytes] = []
         buffer = self._buffer
         offset = self._offset
         total = len(buffer)
@@ -104,9 +87,8 @@ class FrameDecoder:
                 end = offset + HEADER.size + length
                 if total < end:
                     break
-                body = bytes(view[offset + HEADER.size : end])
+                frames.append(bytes(view[offset + HEADER.size : end]))
                 offset = end
-                frames.append(body if self._raw else _parse_json_body(body))
         finally:
             # Release the view before any compaction: resizing a bytearray
             # with an exported buffer raises BufferError.

@@ -256,7 +256,7 @@ class Connection:
         ends at EOF, on a garbled frame, on a torn link or when a handler
         raises ``ConnectionError``: where a broken stream surfaces.
         """
-        decoder = FrameDecoder(raw=True)
+        decoder = FrameDecoder()
         stats = self.stats
         decode = self.codec.decode
         try:
@@ -780,7 +780,9 @@ class LiveClient:
         now = self.clock.now
         row = self.oplog.note_created(kind, key, value)
         self.oplog.note_submitted(row, now)
-        record = OperationRecord(op_id=session_op, pid=pid, kind=kind, value=value, invoked_at=now)
+        record = OperationRecord(
+            row, pid, kind, value, key, invoked_at=now, proc_op_id=session_op
+        )
         self.oplog.note_issued(row, record)
         self.metrics.note_issued(now)
         pending = _PendingOp(row, record, asyncio.get_running_loop().create_future())

@@ -399,7 +399,7 @@ class History:
         initial_value: Any = None,
     ) -> "History":
         """Build a history from the runner's per-operation records."""
-        ordered = sorted(records, key=lambda r: (r.invoked_at, r.pid, r.op_id))
+        ordered = sorted(records, key=lambda r: (r.invoked_at, r.pid, r.proc_op_id))
         return cls(
             (
                 Operation(

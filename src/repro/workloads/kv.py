@@ -16,24 +16,27 @@ can map every read back to the write it observed.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.consensus.mmr import replica_invariants
 from repro.exec.clients import ARRIVAL_PROCESSES, IsolatedOpCost, OpenLoopClient, iter_arrival_times
 from repro.exec.metrics import json_number
 from repro.exec.oplog import OpLog
-from repro.exec.target import OpRequest
+from repro.exec.target import OpRequest, interned_request
 from repro.faults.plan import CrashPoint, FaultPlan, install_crash_points, validate_crash_points
-from repro.registers.base import OperationKind
+from repro.registers.base import OperationKind, OperationRecord
 from repro.registers.registry import available_algorithms
 from repro.sim.delays import DelayModel, FixedDelay
 from repro.sim.network import NetworkStats
 from repro.sim.rng import make_rng
-from repro.store.store import KVStore, StoreConfig, StoreOp
+from repro.store.store import KVStore, StoreConfig
+
+# Bound once: looking a member up on the enum class runs EnumType's
+# ``__getattr__`` hook, which the per-operation path would pay per use.
+_READ, _WRITE = OperationKind.READ, OperationKind.WRITE
 
 #: Supported key-access distributions.
 DISTRIBUTIONS = ("uniform", "zipfian")
@@ -42,14 +45,17 @@ DISTRIBUTIONS = ("uniform", "zipfian")
 MIX_KINDS = ("read", "write", "cas", "tas", "incr")
 
 
-@dataclass(frozen=True)
-class KVOp:
-    """One scripted store operation (before submission)."""
+class KVOp(NamedTuple):
+    """One scripted store operation (before submission).
+
+    A named tuple, not a frozen dataclass: one is drawn per scripted
+    operation, and a tuple is the cheapest immutable record to build.
+    """
 
     index: int
     kind: OperationKind
     key: str
-    value: Optional[str] = None
+    value: Any = None
 
 
 @dataclass(frozen=True)
@@ -330,13 +336,11 @@ def iter_kv_operations(spec: KVWorkloadSpec) -> Iterator[KVOp]:
         for index in range(spec.num_ops):
             key = sample_key()
             if rng.random() < spec.read_fraction:
-                yield KVOp(index=index, kind=OperationKind.READ, key=key)
+                yield KVOp(index, _READ, key)
             else:
                 count = write_counters.get(key, 0) + 1
                 write_counters[key] = count
-                yield KVOp(
-                    index=index, kind=OperationKind.WRITE, key=key, value=f"{key}=v{count}"
-                )
+                yield KVOp(index, _WRITE, key, f"{key}=v{count}")
         return
     # Weighted mix over MIX_KINDS.  CAS pairs chain through the generator's
     # *predicted* per-key value (what the key would hold if every operation
@@ -430,7 +434,7 @@ class KVWorkloadResult:
     oplog: OpLog
     #: Every submitted operation, in submission order (serial sim: the
     #: driver's futures; elsewhere a lazy view over ``oplog``).
-    ops: Sequence[StoreOp]
+    ops: Sequence[OperationRecord]
     wall_seconds: float
     #: Metrics snapshot: latency percentiles, throughput, message bill — in
     #: virtual time units, or wall seconds (plus a ``transport`` section of
@@ -471,7 +475,7 @@ class KVWorkloadResult:
 
     @classmethod
     def from_store(
-        cls, spec: Any, store: KVStore, ops: Sequence[StoreOp], wall_seconds: float, **fields: Any
+        cls, spec: Any, store: KVStore, ops: Sequence[OperationRecord], wall_seconds: float, **fields: Any
     ) -> "KVWorkloadResult":
         """The result of a run simulated on ``store`` in this process, audited as it ends."""
         return cls(
@@ -535,7 +539,7 @@ class KVWorkloadResult:
         queueing behind the serving replica); these are the protocol's own.
         """
         return [
-            op.record.latency
+            op.latency
             for op in self.completed_ops()
             if kind is None or op.kind is kind
         ]
@@ -646,9 +650,8 @@ def last_kv_arrival(spec: KVWorkloadSpec) -> float:
 def iter_kv_script(spec: KVWorkloadSpec) -> Iterator[Tuple[float, OpRequest, Any]]:
     """The spec's ``(at, request, value)`` script, lazily (closed loop: ``at`` is 0)."""
     times = iter_kv_arrivals(spec) if spec.open_loop else itertools.repeat(0.0)
-    request = functools.lru_cache(maxsize=None)(OpRequest)  # one per (kind, key)
     for at, scripted in zip(times, iter_kv_operations(spec)):
-        yield (at, request(scripted.kind, scripted.key), scripted.value)
+        yield (at, interned_request(scripted.kind, scripted.key, None), scripted.value)
 
 
 def deploy_store(
@@ -686,7 +689,7 @@ def drive_script(
     last_arrival: float = 0.0,
     keep: Optional[Callable[[int, OpRequest], bool]] = None,
     after_drive: Callable[[bool], None] = lambda drove: None,
-) -> Tuple[List[StoreOp], int, bool]:
+) -> Tuple[List[OperationRecord], int, bool]:
     """Turn an ``(at, request, value)`` script into events on ``store``.
 
     The one drive loop of every simulated run (serial, shard-parallel worker,
@@ -728,9 +731,9 @@ def drive_script(
                     continue
                 # One KVStore.submit_* call per operation (submit_op would
                 # nest a second one for reads and writes).
-                if request.kind is OperationKind.WRITE:
+                if request.kind is _WRITE:
                     ops.append(store.submit_put(request.key, value))
-                elif request.kind is OperationKind.READ:
+                elif request.kind is _READ:
                     ops.append(store.submit_get(request.key, request.replica))
                 else:
                     ops.append(store.submit_op(request.kind, request.key, value, request.replica))

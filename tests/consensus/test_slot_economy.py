@@ -75,7 +75,7 @@ class TestExactBills:
         op = cas(store, None, "a", replica=0)  # slot 0: nothing to yield below it
         store.drive()
         store.settle()
-        assert op.completed and op.record.result is True
+        assert op.completed and op.result is True
         # The proposer's EST; each joiner's AUX (its echo rides on it); every
         # replica's DECIDE (the proposer's stands for its AUX).
         assert store.stats.messages_sent == 2 * BROADCAST == 12
@@ -98,7 +98,7 @@ class TestExactBills:
         op = cas(store, None, "a", replica=0)
         store.drive()
         store.settle()
-        assert op.completed and op.record.result is True
+        assert op.completed and op.result is True
         assert store.stats.by_type == {"CONS_EST": 2, "CONS_AUX": 2, "CONS_DECIDE": BROADCAST}
         assert [type(message) for src, _, message in sends if src == 2] == [ConsDecide] * 2
         for process in replicas(store):
@@ -113,7 +113,7 @@ class TestExactBills:
         op = cas(store, None, "a", replica=0)
         store.drive()
         store.settle()
-        assert op.completed and op.record.result is True
+        assert op.completed and op.result is True
         broadcast = n * (n - 1)
         assert store.stats.messages_sent == 3 * broadcast == {5: 60, 7: 126}[n]
         assert store.stats.by_type == {
@@ -159,7 +159,7 @@ class TestExactBills:
         for index in range(9):  # slot i is proposed by its owner: no gaps at all
             op = cas(store, value, index, replica=index % N)
             store.drive()
-            assert op.completed and op.record.result is True
+            assert op.completed and op.result is True
             value = index
         store.settle()
         assert store.stats.messages_sent == 9 * 2 * BROADCAST == 108
@@ -178,7 +178,7 @@ class TestCrashedOwners:
             ops.append(op)
             value = index
         store.settle()
-        assert all(op.completed and op.record.result is True for op in ops)
+        assert all(op.completed and op.result is True for op in ops)
         alive = assert_survivors_agree(store, dead=1)
         holes = [slot for slot in alive[0].decided if slot % N == 1]
         assert holes and all(alive[0].decided[slot] == 0 for slot in holes)
@@ -206,7 +206,7 @@ class TestCrashedOwners:
         op = cas(store, None, "a", replica=2)
         store.drive()
         store.settle()
-        assert op.completed and op.record.result is True
+        assert op.completed and op.result is True
         assert replicas(store)[1].crashed
         decides_by_p1 = [dst for src, dst, m in sends if src == 1 and isinstance(m, ConsDecide)]
         assert decides_by_p1 == [0]
@@ -230,7 +230,7 @@ class TestCrashedOwners:
         # 1 and applied the dead proposer's swap before the follow-up's.
         assert alive[0].decided[0] == 1
         assert all(process.commands[0] == [0, "cas", (None, "a")] for process in alive)
-        assert follow_up.record.result is True
+        assert follow_up.result is True
 
     def test_the_command_of_a_dead_proposer_travels_on_the_aux_that_vouches_for_its_echo(self):
         store, sends = store_and_sends()

@@ -424,7 +424,7 @@ def _run(
     assert consensus_invariants({"k": shadow.real}) == []
     assert store.check_linearizability(swmr_fast_path=False).ok
     if all(op.completed for op in ops):  # else a dead replica's increment may have landed too
-        assert sorted(op.record.result for op in ops) == list(range(1, len(ops) + 1))
+        assert sorted(op.result for op in ops) == list(range(1, len(ops) + 1))
     return store, shadow, ops
 
 

@@ -39,7 +39,8 @@ class TestDriver:
         driver.submit(processes[0], write)
         assert driver.outstanding == 1
         assert driver.drive() is True
-        assert write.completed and write.result == "v1"
+        assert write.completed and write.value == "v1"
+        assert write.result is None  # a write returns nothing
         assert driver.outstanding == 0
 
     def test_per_process_fifo_preserves_program_order(self):
@@ -53,13 +54,13 @@ class TestDriver:
         driver.submit(processes[1], third)
         assert driver.drive() is True
         # second chains synchronously when first completes (same virtual time)
-        assert first.record.responded_at <= second.record.invoked_at
+        assert first.responded_at <= second.invoked_at
         # The read on another process overlapped the queued writes.
-        assert third.record.invoked_at < second.record.invoked_at
+        assert third.invoked_at < second.invoked_at
         assert third.completed and third.result in ("v0", "v1", "v2")
         # sojourn latency of the queued write includes its wait for first
         assert second.sojourn_latency == pytest.approx(
-            second.record.latency + first.record.latency
+            second.latency + first.latency
         )
 
     def test_records_in_issue_order(self):
@@ -151,9 +152,9 @@ class TestDriver:
         assert len(chain) == 3 and all(op.completed for op in chain)
         assert driver.outstanding == 0
         # Each link was issued in the very event that completed the one before.
-        assert chain[0].record.invoked_at == first.record.responded_at
-        assert chain[2].record.invoked_at == chain[1].record.responded_at
-        assert simulator.now == chain[2].record.responded_at  # and not an event later
+        assert chain[0].invoked_at == first.responded_at
+        assert chain[2].invoked_at == chain[1].responded_at
+        assert simulator.now == chain[2].responded_at  # and not an event later
 
     def test_a_follow_up_that_fails_at_issue_still_lets_the_drive_return(self):
         simulator, network, processes = deploy()
@@ -169,7 +170,7 @@ class TestDriver:
         driver.submit(processes[0], first)
         assert driver.drive(limit=50.0) is True
         assert first.completed and doomed[0].failed and driver.outstanding == 0
-        assert simulator.now == first.record.responded_at
+        assert simulator.now == first.responded_at
 
     def test_limit_passes_first_leaves_ops_outstanding_and_the_clock_at_the_limit(self):
         simulator, network, processes = deploy(delay=FixedDelay(10.0))
@@ -219,13 +220,14 @@ class TestDriver:
         # Once on entry, once per finished operation, once after the loop.
         assert len(asked) == 2 + len(ops) < simulator.executed_events
 
-    def test_result_raises_before_completion(self):
+    def test_a_pending_op_has_no_result(self):
         simulator, network, processes = deploy()
         driver = Driver(simulator)
         op = driver.new_op(OperationKind.READ, key="k")
         driver.submit(processes[1], op)
-        with pytest.raises(RuntimeError, match="has not completed"):
-            _ = op.result
+        assert not op.done and op.result is None and op.responded_at is None
+        assert driver.drive() is True
+        assert op.completed and op.result == "v0"
 
     def test_metrics_percentiles_and_throughput(self):
         simulator, network, processes = deploy()
@@ -395,7 +397,7 @@ class TestOpenLoopClient:
         # Each op is invoked at its arrival time unless queued behind an
         # earlier op on the same process (then it starts strictly later).
         for (at, _request, _value), op in zip(arrivals, client.ops):
-            assert op.record.invoked_at >= at - 1e-9
+            assert op.invoked_at >= at - 1e-9
 
     def test_rejects_decreasing_arrival_times(self):
         bad = [
@@ -420,5 +422,5 @@ class TestOpenLoopClient:
         # per-op service latency stays flat.
         sojourns = [op.sojourn_latency for op in client.ops]
         assert sojourns[-1] > sojourns[0] * 3
-        services = [op.record.latency for op in client.ops]
+        services = [op.latency for op in client.ops]
         assert max(services) == pytest.approx(min(services))

@@ -1,11 +1,11 @@
-"""The columnar OpLog against the ExecOp object graph it replaces.
+"""The columnar OpLog against the operation records it mirrors.
 
 The driver records every operation's lifecycle into both representations
 simultaneously (``driver.ops`` and ``driver.oplog``), so a real run is a
-free differential oracle: every LoggedOp view must agree with its ExecOp on
-every field, the per-key histories must equal what ``History.from_records``
-builds from the driver's records, and the protocol-5 wire format must
-round-trip the whole log bit-for-bit.
+free differential oracle: every LoggedOp view must agree with its
+OperationRecord on every field, the per-key histories must equal what
+``History.from_records`` builds from the driver's records, and the
+protocol-5 wire format must round-trip the whole log bit-for-bit.
 """
 
 import math
@@ -27,35 +27,17 @@ def _specs():
     ]
 
 
-def _assert_op_parity(exec_op, logged_op):
-    assert logged_op.op_id == exec_op.op_id
-    assert logged_op.kind is exec_op.kind
-    assert logged_op.key == exec_op.key
-    assert logged_op.value == exec_op.value
-    assert logged_op.submitted_at == exec_op.submitted_at
-    assert logged_op.failed == exec_op.failed
-    assert logged_op.failure_reason == exec_op.failure_reason
-    assert logged_op.completed == exec_op.completed
-    assert logged_op.done == exec_op.done
-    assert logged_op.sojourn_latency == exec_op.sojourn_latency
-    if exec_op.record is None:
-        assert logged_op.record is None
-    else:
-        record, logged = exec_op.record, logged_op.record
-        assert logged.pid == record.pid
-        assert logged.op_id == record.op_id
-        assert logged.kind is record.kind
-        assert logged.value == record.value
-        assert logged.result == record.result
-        assert logged.invoked_at == record.invoked_at
-        assert logged.responded_at == record.responded_at
-        assert logged.completed == record.completed
-        assert logged.latency == record.latency
-    if exec_op.completed:
-        assert logged_op.result == exec_op.result
-    else:
-        with pytest.raises(RuntimeError):
-            logged_op.result
+#: The record's whole surface, which a LoggedOp view must reproduce.
+_FIELDS = (
+    "op_id", "pid", "proc_op_id", "kind", "key", "value", "result", "submitted_at",
+    "invoked_at", "responded_at", "failed", "failure_reason", "completed", "done",
+    "latency", "sojourn_latency",
+)
+
+
+def _assert_op_parity(op, logged_op):
+    for name in _FIELDS:
+        assert getattr(logged_op, name) == getattr(op, name), name
 
 
 class TestOpLogRecordsTheRun:
@@ -64,8 +46,8 @@ class TestOpLogRecordsTheRun:
         result = run_kv_workload(_specs()[spec_index])
         log = result.store.driver.oplog
         assert len(log) == len(result.ops)
-        for exec_op, logged_op in zip(result.ops, log.ops_view()):
-            _assert_op_parity(exec_op, logged_op)
+        for op, logged_op in zip(result.ops, log.ops_view()):
+            _assert_op_parity(op, logged_op)
 
     def test_histories_match_the_driver_records(self):
         # The log gathers each key's columns itself (History.from_columns);
@@ -73,9 +55,7 @@ class TestOpLogRecordsTheRun:
         result = run_kv_workload(_specs()[0])
         store = result.store
         for key, history in store.histories().items():
-            records = [
-                op.record for op in store.ops if op.key == key and op.record is not None
-            ]
+            records = [op for op in store.ops if op.key == key and op.pid != -1]
             expected = History.from_records(records, initial_value=store.config.initial_value)
             assert history.to_dict() == expected.to_dict(), key
             assert history == expected, key
@@ -171,5 +151,5 @@ class TestMergeReassembly:
         assert parallel.ipc_bytes > 0
         assert serial.ipc_bytes == 0
         assert len(parallel.ops) == len(serial.ops)
-        for exec_op, logged_op in zip(serial.ops, parallel.ops):
-            _assert_op_parity(exec_op, logged_op)
+        for op, logged_op in zip(serial.ops, parallel.ops):
+            _assert_op_parity(op, logged_op)

@@ -47,7 +47,6 @@ def signature(outcome):
     """Record-by-record fingerprint of a case execution."""
     rows = []
     for op in outcome.store.ops:
-        record = op.record
         rows.append(
             (
                 op.op_id,
@@ -55,8 +54,8 @@ def signature(outcome):
                 op.key,
                 op.failed,
                 None
-                if record is None
-                else (record.pid, record.invoked_at, record.responded_at, repr(record.result)),
+                if op.pid == -1
+                else (op.pid, op.invoked_at, op.responded_at, repr(op.result)),
             )
         )
     return rows

@@ -103,8 +103,7 @@ class TestStoreIntegration:
         spec = kv_partitioned(num_keys=6, num_ops=80, seed=4)
         sig = lambda r: [
             (op.op_id, op.kind.value, op.key, op.value, op.failed,
-             None if op.record is None else (op.record.invoked_at, op.record.responded_at,
-                                             repr(op.record.result)))
+             None if op.pid == -1 else (op.invoked_at, op.responded_at, repr(op.result)))
             for op in r.ops
         ]
         assert sig(run_kv_workload(spec)) == sig(run_kv_workload(spec))
@@ -136,7 +135,7 @@ class TestStoreIntegration:
         op = store.submit_get("k", replica=2)
         store.drive()
         assert op.completed
-        assert op.record.responded_at > 25.0
+        assert op.responded_at > 25.0
 
     def test_store_crash_inside_a_partition_stays_atomic(self):
         spec = kv_partitioned(num_keys=6, num_ops=90, seed=2).with_(

@@ -54,7 +54,7 @@ def test_the_tripwire_sees_what_it_forbids():
         "        await asyncio.open_connection('127.0.0.1', 1)\n"
         "async def loop(reader):\n"
         "    await reader.read(10)\n"
-        "    FrameDecoder(raw=True)\n"
+        "    FrameDecoder()\n"
         "    await asyncio.open_connection('127.0.0.1', 1)\n"
         "queue = asyncio.Queue()\n"
     )

@@ -1,0 +1,80 @@
+"""Tripwire: what one store operation costs around its messages, in counts.
+
+On the read-heavy two-bit store a read is one ``READ`` broadcast plus its
+``PROCEED`` replies, so the fixed work around each operation — the store's
+routing, the driver, the op log — weighs as much as its messages.  This test
+drives ``test_message_floor.py``'s fixed-seed 200-op run under
+``sys.setprofile`` (script materialised and keys deployed first: that is
+set-up) and asserts exact, repeatable counts:
+
+* one :class:`~repro.registers.base.OperationRecord` is built per operation
+  — the driver's, which the process fills — and nothing else per operation;
+* no :class:`~repro.exec.target.OpRequest` is built while the script is
+  driven: the store routes the requests it interned when the key deployed;
+* all told, at most 124 Python calls per operation, messages included
+  (130.3 before the driver's operation and the process's record became one
+  object, 122.3 after, on CPython 3.11; interpreters that inline
+  comprehensions count fewer).
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+
+from repro.exec.target import OpRequest
+from repro.registers.base import OperationRecord
+from repro.sim.delays import UniformDelay
+from repro.workloads.kv import KVWorkloadSpec, deploy, drive_script, iter_kv_script
+
+OPS = 200
+MAX_CALLS_PER_OP = 124
+
+
+def _profiled_run():
+    spec = KVWorkloadSpec(
+        algorithm="two-bit",
+        num_keys=8,
+        num_shards=2,
+        replication=5,
+        read_fraction=0.5,
+        batch_size=32,
+        num_ops=OPS,
+        delay_model=UniformDelay(0.2, 1.0, seed=3),
+        seed=3,
+    )
+    store = deploy(spec)
+    for key in spec.keys():
+        store.register_for(key)
+    script = list(iter_kv_script(spec))
+
+    calls = Counter()  # code object -> Python-level calls
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        ops, _drives, finished = drive_script(store, script, spec.open_loop, spec.batch_size)
+    finally:
+        sys.setprofile(None)
+    return store, ops, finished, calls
+
+
+def test_the_store_op_floor():
+    store, ops, finished, calls = _profiled_run()
+    assert finished and len(ops) == OPS and all(op.completed for op in ops)
+    assert store.stats.messages_sent == 2776  # the message floor's fixed run
+
+    # One record per operation: the driver's op is what the process filled,
+    # and what the driver logged.
+    assert calls[OperationRecord.__init__.__code__] == OPS
+    assert ops == store.driver.ops
+    assert sorted(store.driver.records, key=lambda op: op.op_id) == ops
+
+    # The script's requests route as they are: none is rebuilt per call.
+    assert calls[OpRequest.__init__.__code__] == 0
+
+    total = sum(calls.values())
+    assert total / OPS <= MAX_CALLS_PER_OP, f"{total / OPS:.2f} Python calls per operation"

@@ -185,7 +185,7 @@ def test_a_slot_holds_a_command_only_if_its_owner_proposed_one(schedule):
     assert store.drive()
     store.settle()
     assert len(ops) == len(submissions) and all(op.completed for op in ops)
-    assert sorted(op.record.result for op in ops) == list(range(1, len(ops) + 1))
+    assert sorted(op.result for op in ops) == list(range(1, len(ops) + 1))
     processes = list(store.register_for("k").processes)
     assert consensus_invariants({"k": processes}) == []
     assert store.check_linearizability(swmr_fast_path=False).ok

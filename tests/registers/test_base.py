@@ -50,15 +50,11 @@ class TestQuorumTracker:
 
 
 class TestOperationRecord:
-    def test_latency_and_message_cost(self):
+    def test_latency(self):
         record = OperationRecord(op_id=0, pid=1, kind=OperationKind.WRITE, invoked_at=2.0)
         assert record.latency is None
-        assert record.message_cost is None
         record.responded_at = 5.5
-        record.messages_before = 10
-        record.messages_after = 17
         assert record.latency == 3.5
-        assert record.message_cost == 7
 
 
 class TestAlgorithmBuild:

@@ -114,14 +114,14 @@ class TestBatchedDriver:
             per_op.put(f"key-{i}", "x")
         assert batched.simulator.now < per_op.simulator.now / 4
 
-    def test_result_property_guards(self):
-        store = create_store()
-        op = store.submit_put("k", "v1")
-        with pytest.raises(RuntimeError, match="has not completed"):
-            _ = op.result
-        store.drive()
-        assert op.result == "v1"
-        assert op.kind is OperationKind.WRITE
+    def test_a_blocking_call_refuses_an_unfinished_op(self):
+        store = KVStore(StoreConfig(max_virtual_time=0.5))  # under one message delay
+        with pytest.raises(RuntimeError, match=r"put\('k'\) has not completed"):
+            store.put("k", "v1")
+        (op,) = store.ops
+        store.drive(limit=100.0)
+        assert op.completed and op.kind is OperationKind.WRITE
+        assert op.value == "v1" and op.result is None  # a write returns nothing
 
     def test_reads_round_robin_over_replicas(self):
         store = create_store(num_shards=1, replication=3)
@@ -130,7 +130,7 @@ class TestBatchedDriver:
         for _ in range(6):
             op = store.submit_get("k")
             store.drive()
-            pids.add(op.record.pid)
+            pids.add(op.pid)
         assert len(pids) > 1  # reads spread over replicas
 
     def test_pinned_replica_read(self):
@@ -138,7 +138,7 @@ class TestBatchedDriver:
         store.put("k", "v1")
         op = store.submit_get("k", replica=2)
         store.drive()
-        assert op.record.pid == 2
+        assert op.pid == 2
         assert op.result == "v1"
 
 

@@ -89,7 +89,7 @@ class TestKvMixedScenario:
         first = run_kv_workload(spec)
         second = run_kv_workload(spec)
         signature = lambda result: [
-            (op.op_id, op.kind.value, op.key, op.value, op.record.responded_at)
+            (op.op_id, op.kind.value, op.key, op.value, op.responded_at)
             for op in result.completed_ops()
         ]
         assert signature(first) == signature(second)

@@ -80,7 +80,7 @@ class TestCrashDomain:
         for _ in range(4):
             op = store.submit_get("k")
             store.drive()
-            assert op.record.pid != 1
+            assert op.pid != 1
 
 
 class TestCrashPoints:

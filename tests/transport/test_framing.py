@@ -1,7 +1,11 @@
-"""Unit tests for the live transport's framing, batching and accounting."""
+"""Unit tests for the live transport's framing, batching and accounting.
+
+A frame is a 4-byte big-endian length and that many body bytes; the decoder
+hands bodies back untouched (the wire codec decodes them), so these tests
+frame arbitrary bytes.
+"""
 
 import asyncio
-import json
 import struct
 
 import pytest
@@ -14,62 +18,62 @@ from repro.transport.framing import (
     FrameDecoder,
     FramingError,
     TransportStats,
-    encode_frame,
 )
 
 
-class TestEncodeFrame:
+def frame(body: bytes) -> bytes:
+    return HEADER.pack(len(body)) + body
+
+
+class TestFrameLayout:
     def test_roundtrip_through_decoder(self):
-        payload = {"kind": "msg", "src": 1, "dst": 2, "fields": {"value": "v1", "ts": [3, 1]}}
+        body = b"\x01\x02msg from p1 to p2"
         decoder = FrameDecoder()
-        frames = decoder.feed(encode_frame(payload))
-        assert frames == [payload]
+        assert decoder.feed(frame(body)) == [body]
         assert decoder.buffered_bytes == 0
 
     def test_header_is_big_endian_length(self):
-        frame = encode_frame({"a": 1})
-        (length,) = HEADER.unpack(frame[: HEADER.size])
-        assert length == len(frame) - HEADER.size
-        assert json.loads(frame[HEADER.size :].decode("utf-8")) == {"a": 1}
+        data = frame(b"abc")
+        assert data[: HEADER.size] == b"\x00\x00\x00\x03"
+        (length,) = HEADER.unpack(data[: HEADER.size])
+        assert length == len(data) - HEADER.size
 
-    def test_non_finite_payloads_are_rejected(self):
-        # The wire is strict JSON; bare Infinity would not be.
-        with pytest.raises(ValueError):
-            encode_frame({"x": float("inf")})
+    def test_only_raw_bodies_are_decoded(self):
+        assert FrameDecoder(raw=True).feed(frame(b"x")) == [b"x"]
+        with pytest.raises(ValueError, match="raw"):
+            FrameDecoder(raw=False)
 
 
 class TestFrameDecoder:
     def test_partial_feeds_accumulate_until_complete(self):
-        frame = encode_frame({"kind": "invoke", "op_id": 7})
+        data = frame(b"invoke op 7")
         decoder = FrameDecoder()
         # Byte-at-a-time delivery: nothing until the very last byte.
-        for byte in frame[:-1]:
+        for byte in data[:-1]:
             assert decoder.feed(bytes([byte])) == []
-        assert decoder.feed(frame[-1:]) == [{"kind": "invoke", "op_id": 7}]
+        assert decoder.feed(data[-1:]) == [b"invoke op 7"]
 
     def test_multiple_frames_in_one_feed(self):
-        data = encode_frame({"n": 1}) + encode_frame({"n": 2}) + encode_frame({"n": 3})
-        assert FrameDecoder().feed(data) == [{"n": 1}, {"n": 2}, {"n": 3}]
+        data = frame(b"1") + frame(b"22") + frame(b"")
+        assert FrameDecoder().feed(data) == [b"1", b"22", b""]
 
     def test_frame_boundary_split_mid_header(self):
-        first = encode_frame({"n": 1})
-        second = encode_frame({"n": 2})
+        first = frame(b"n1")
+        second = frame(b"n2")
         decoder = FrameDecoder()
         # First frame plus 2 bytes of the second frame's header.
-        assert decoder.feed(first + second[:2]) == [{"n": 1}]
+        assert decoder.feed(first + second[:2]) == [b"n1"]
         assert decoder.buffered_bytes == 2
-        assert decoder.feed(second[2:]) == [{"n": 2}]
+        assert decoder.feed(second[2:]) == [b"n2"]
 
     def test_oversized_frame_rejected_from_header_alone(self):
         header = struct.pack(">I", MAX_FRAME_BYTES + 1)
         with pytest.raises(FramingError, match="exceeds cap"):
             FrameDecoder().feed(header)
 
-    def test_malformed_json_body_raises(self):
-        body = b"not json {"
-        data = struct.pack(">I", len(body)) + body
-        with pytest.raises(FramingError, match="malformed"):
-            FrameDecoder().feed(data)
+    def test_bodies_come_back_untouched(self):
+        body = b"\x00\x01binary\xff not json {"
+        assert FrameDecoder().feed(frame(body)) == [body]
 
 
 class TestFrameDecoderScaleBounds:
@@ -85,7 +89,7 @@ class TestFrameDecoderScaleBounds:
 
     def test_16mib_frame_accepted_at_exactly_the_cap(self):
         body = bytes(MAX_FRAME_BYTES)  # exactly at the cap: must pass
-        decoder = FrameDecoder(raw=True)
+        decoder = FrameDecoder()
         # Header delivered one byte at a time (worst-case fragmentation).
         for byte in HEADER.pack(len(body)):
             assert decoder.feed(bytes([byte])) == []
@@ -99,7 +103,7 @@ class TestFrameDecoderScaleBounds:
         assert decoder.buffered_bytes == 0
 
     def test_one_past_the_cap_rejected_on_the_last_header_byte(self):
-        decoder = FrameDecoder(raw=True)
+        decoder = FrameDecoder()
         header = HEADER.pack(MAX_FRAME_BYTES + 1)
         for byte in header[:-1]:
             assert decoder.feed(bytes([byte])) == []
@@ -109,8 +113,8 @@ class TestFrameDecoderScaleBounds:
     def test_byte_wise_feed_across_the_compaction_threshold(self):
         # Enough small frames to push the consumed prefix well past the
         # 64 KiB compaction threshold, delivered one byte at a time.
-        payloads = [{"n": n, "pad": "x" * 80} for n in range(800)]
-        stream = b"".join(encode_frame(p) for p in payloads)
+        payloads = [b"%d:" % n + b"x" * 80 for n in range(800)]
+        stream = b"".join(frame(p) for p in payloads)
         assert len(stream) > _COMPACT_THRESHOLD
         decoder = FrameDecoder()
         out = []
@@ -121,11 +125,6 @@ class TestFrameDecoderScaleBounds:
             assert len(decoder._buffer) <= _COMPACT_THRESHOLD + 200
         assert out == payloads
         assert decoder.buffered_bytes == 0
-
-    def test_raw_mode_returns_untouched_bodies(self):
-        body = b"\x00\x01binary\xff"
-        frame = HEADER.pack(len(body)) + body
-        assert FrameDecoder(raw=True).feed(frame) == [body]
 
 
 class _FakeStreamWriter:
@@ -143,7 +142,7 @@ class _FakeStreamWriter:
 
 class TestBatchWriter:
     def _decode_all(self, writes):
-        decoder = FrameDecoder(raw=True)
+        decoder = FrameDecoder()
         frames = []
         for chunk in writes:
             frames.extend(decoder.feed(chunk))

@@ -40,7 +40,7 @@ def _frame(payload):
 
 async def _read_frame(reader):
     """Read one whole frame by hand and decode it."""
-    decoder = FrameDecoder(raw=True)
+    decoder = FrameDecoder()
     while True:
         chunk = await reader.read(4096)
         assert chunk, "the stream closed before a whole frame arrived"

@@ -54,9 +54,9 @@ def _history_fingerprint(result):
             op.key,
             op.kind.value,
             op.value,
-            None if op.record is None else op.record.invoked_at,
-            None if op.record is None else op.record.responded_at,
-            None if op.record is None else op.record.result,
+            op.invoked_at,
+            op.responded_at,
+            op.result,
         )
         for op in result.ops
     ]
