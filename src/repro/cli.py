@@ -905,7 +905,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--crashes",
         type=int,
         default=0,
-        help="crash one non-writer replica of this many distinct shards mid-run (sim only)",
+        help="crash one non-writer replica of this many distinct shards mid-run (either transport)",
     )
     sub.add_argument(
         "--algorithms",

@@ -10,9 +10,9 @@ seeded runs stay byte-identical.  The live backend
 What the interfaces deliberately leave out — message coalescing, link
 policies (the fault plane), schedule perturbation — are *simulated-only*
 capabilities: they exist to explore adversarial schedules deterministically
-and have no faithful wall-clock analogue.  Protocol code never touches
-them; only the harness layers (chaos, explore) do, and those run on the
-simulator by construction.
+and have no faithful wall-clock analogue (crash points run on both: a live
+replica is killed).  Protocol code never touches them; only the harness
+layers (chaos, explore) do, and those run on the simulator by construction.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ TRANSPORTS: dict[str, TransportInfo] = {
         ),
         clock="wall-clock seconds",
         deterministic=False,
-        sim_only_features="none (faults/perturbation/coalescing stay sim-only)",
+        sim_only_features="none (crash points kill replicas; fault plans etc. stay sim-only)",
     ),
 }
 

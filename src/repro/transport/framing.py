@@ -158,7 +158,8 @@ class BatchWriter:
         self._buffer = bytearray()
         self._pending_frames = 0
         self._wake = asyncio.Event()
-        self._closing = False
+        #: Set once the stream failed or is closing: a later frame is dropped.
+        self.closing = False
         self._task: Optional[asyncio.Task] = None
 
     def start(self) -> "BatchWriter":
@@ -169,7 +170,7 @@ class BatchWriter:
 
     def send(self, body: _Bytes) -> None:
         """Enqueue one frame for the next flush (never blocks)."""
-        if self._closing:
+        if self.closing:
             self.stats.frames_dropped += 1
             return
         if len(body) > MAX_FRAME_BYTES:
@@ -191,15 +192,16 @@ class BatchWriter:
                 await self._wake.wait()
                 self._wake.clear()
                 await self._flush()
-                if self._closing and not self._buffer:
+                if self.closing and not self._buffer:
                     return
         except ConnectionError:
-            self._closing = True
+            self.closing = True
             self.stats.frames_dropped += self._pending_frames
             self._buffer = bytearray()
             self._pending_frames = 0
 
-    async def _flush(self) -> None:
+    def write_pending(self) -> None:
+        """Hand every pending frame to the transport, so to the kernel, in one ``write()``."""
         if self._buffer:
             buffer = self._buffer
             frames = self._pending_frames
@@ -209,11 +211,19 @@ class BatchWriter:
             self.stats.bytes_out += len(buffer)
             self.stats.frames_out += frames
             self.stats.batches_out += 1
+
+    def seal(self) -> None:
+        """Hand every pending frame to the transport, then drop every later one."""
+        self.write_pending()
+        self.closing = True
+
+    async def _flush(self) -> None:
+        self.write_pending()
         await self._writer.drain()
 
     async def aclose(self) -> None:
         """Flush everything pending, then stop the drain task."""
-        self._closing = True
+        self.closing = True
         self._wake.set()
         if self._task is not None:
             try:

@@ -27,20 +27,18 @@ here over real sockets, unmodified:
   reads.  (Batching delays sit strictly inside the client-observed [invoke,
   response] interval, so the checker stays sound; see DESIGN §13.)
 
-Failure semantics: live connections either work or the run fails loudly —
-a torn or garbled stream ends its connection's read loop, and the
-operations it carried fail at their deadline with ``finished_cleanly=False``;
-a replica that does not answer a stats request fails the run by name; a
-client worker process that raises or dies fails the run at once with its
-cause in ``worker_failure`` (:mod:`repro.parallel.pool`).  The stats answer
-is also where a consensus replica reports its decided slots, so a live run
-carries the same agreement/validity audit as a simulated one.  There is no
-fault *injection* here: partitions, delay storms, scheduled crashes,
-coalescing and schedule perturbation are simulated-only features (they
-need a controllable clock to be reproducible).  On the wire, the paper's
-asynchronous-model assumptions hold for free: TCP gives reliable
-non-FIFO-across-connections delivery and the OS scheduler supplies the
-(unbounded, adversarial-enough) delays.
+Failure semantics: a replica arms the spec's crash points with the
+simulator's own :func:`~repro.faults.plan.install_crash_points`; a fired
+point tells the replica's clients (a ``crashing`` frame), hands what it sent
+to the kernel and ends in ``SIGKILL``.  A read loop returns why its stream
+ended, kept per peer in ``gone``: a replica bills its sends to a gone peer
+to ``messages_dropped_to_crashed``, a client fails an announced-dead
+replica's operations at once; any other link end fails the run by name, as
+does a replica silent to a stats request or a client worker process that
+raises or dies (``worker_failure``).  Fault plans, coalescing and
+perturbation stay simulated-only (they need a controllable clock).  TCP
+gives reliable non-FIFO-across-connections delivery and the OS scheduler
+the (unbounded, adversarial-enough) delays of the asynchronous model.
 """
 
 from __future__ import annotations
@@ -48,6 +46,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
+import os
+import signal
 import time
 from array import array
 from collections import deque
@@ -58,6 +58,7 @@ from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Se
 from repro.consensus.mmr import ConsensusObjectProcess, consensus_invariants
 from repro.exec.metrics import MetricsCollector
 from repro.exec.oplog import OpLog, encode_oplog
+from repro.faults.plan import CrashPoint, install_crash_points
 from repro.parallel.merge import merge_network_stats, merged_result
 from repro.parallel.pool import (
     WorkerFailure,
@@ -248,13 +249,14 @@ class Connection:
         finally:
             await conn.aclose()
 
-    async def read_loop(self) -> None:
+    async def read_loop(self) -> str:
         """The one read loop: each chunk through one decoder, each frame to ``on_frame``.
 
         One task wakeup per chunk however many frames it holds; frames that
         share the handshake's chunk reach the handler the handshake set.  It
         ends at EOF, on a garbled frame, on a torn link or when a handler
-        raises ``ConnectionError``: where a broken stream surfaces.
+        raises ``ConnectionError`` — where a broken stream surfaces — and
+        returns which: ``"EOF"`` or the exception's type and text.
         """
         decoder = FrameDecoder()
         stats = self.stats
@@ -263,13 +265,13 @@ class Connection:
             while True:
                 chunk = await self.reader.read(READ_CHUNK)
                 if not chunk:
-                    return
+                    return "EOF"
                 stats.note_chunk_in(len(chunk))
                 for body in decoder.feed(chunk):
                     stats.frames_in += 1
                     self.on_frame(self, decode(body))
-        except (FramingError, CodecError, ConnectionError):
-            return
+        except (FramingError, CodecError, ConnectionError) as exc:
+            return f"{type(exc).__name__}: {exc}"
 
     def send(self, payload: Dict[str, Any]) -> None:
         """Encode and enqueue one frame (coalesced into the next flush)."""
@@ -333,11 +335,24 @@ class LiveKey:
             raise ValueError(f"process p{src} attempted to send a message to itself")
         if not dsts:
             return
-        self.stats.record_send(src, message, len(dsts))
-        # A frame carries its ``dst``, so each destination gets its own.
-        peers, key = self.server.peer_conns, self.key
+        # One frame per destination (it carries its ``dst``), billed as on
+        # ``Network.send``: per copy, each shown to the hooks, only with hooks.
+        server, stats, key = self.server, self.stats, self.key
+        peers, gone, hooks = server.peer_conns, server.gone, server.send_hooks
+        if not hooks:
+            stats.record_send(src, message, len(dsts))
         for dst in dsts:
-            peers[dst].send({"kind": "msg", "key": key, "src": src, "dst": dst, "msg": message})
+            if hooks:
+                stats.record_send(src, message)
+            conn = peers[dst]
+            # A link whose writes failed is about to be reported gone by its read loop.
+            if dst in gone or conn.batch.closing:
+                stats.record_drop()  # the simulator drops it at delivery
+            else:
+                conn.send({"kind": "msg", "key": key, "src": src, "dst": dst, "msg": message})
+            if hooks:
+                for hook in hooks:
+                    hook(src, dst, message)
 
     def close(self) -> None:
         self.closed = True
@@ -394,6 +409,10 @@ class _ReplicaServer:
         self.keys: Dict[Any, LiveKey] = {}
         #: One dialled connection per peer, all up before ``peers`` is acked.
         self.peer_conns: Dict[int, Connection] = {}
+        self.gone: Dict[int, str] = {}  # peer -> why its link ended
+        self.send_hooks: List[Callable[[int, int, Any], None]] = []
+        self.add_send_hook = self.send_hooks.append  # as ``Network.add_send_hook``
+        self.armed = True  # until the parent asks for stats
         self.shutdown = asyncio.Event()
         #: Why this replica stopped serving, when it was not asked to.
         self.failure: Optional[BaseException] = None
@@ -438,7 +457,13 @@ class _ReplicaServer:
             entry.pump()
         elif kind == "peers":
             self._wiring = asyncio.ensure_future(self._wire_peers(conn, frame["ports"]))
+        elif kind == "arm":  # rebase to the run's epoch, ack, arm this replica's points
+            self.clock = WallClock(asyncio.get_running_loop(), epoch=frame["epoch"])
+            conn.send({"kind": "armed", "replica": self.replica_id})
+            mine = [CrashPoint(**p) for p in frame["points"] if p["replica"] == self.replica_id]
+            install_crash_points(mine, self.clock, self, self._crash)
         elif kind == "stats":
+            self.armed = False  # the run is over: a late point must not fire mid-drain
             conn.send(self._stats_reply())
         elif kind == "shutdown":
             self.close()
@@ -454,8 +479,11 @@ class _ReplicaServer:
         try:
             for pid, port in sorted((int(pid), port) for pid, port in ports.items()):
                 if pid != self.replica_id and pid not in self.peer_conns:
-                    self.peer_conns[pid] = await Connection.dial(
+                    peer = self.peer_conns[pid] = await Connection.dial(
                         port, f"peer->{pid}", self._on_frame, role="peer", src=self.replica_id
+                    )
+                    peer.reading.add_done_callback(
+                        lambda t, pid=pid: t.cancelled() or self.gone.setdefault(pid, t.result())
                     )
         except (OSError, RuntimeError, FramingError) as exc:
             reply.update(ok=False, reason=str(exc))
@@ -463,11 +491,33 @@ class _ReplicaServer:
             self.shutdown.set()
         conn.send(reply)
 
+    def _crash(self, point: CrashPoint) -> None:
+        """The crash callback: this replica tells its clients, what it sent
+        leaves, and it takes no more steps."""
+        if not self.armed:
+            return
+        self.armed = False
+        conns = self._accepted + list(self.peer_conns.values())
+        for conn in conns:
+            if conn.label == "client":
+                conn.send({"kind": "crashing", "replica": self.replica_id})
+            conn.batch.seal()  # nothing this replica does from now on leaves it
+        asyncio.ensure_future(self._kill_once_flushed([conn.writer.transport for conn in conns]))
+
+    @staticmethod
+    async def _kill_once_flushed(transports: List[Any], budget: float = 1.0) -> None:
+        """``SIGKILL`` this process once the kernel holds all ``transports`` queued."""
+        deadline = time.monotonic() + budget
+        while any(t.get_write_buffer_size() for t in transports) and time.monotonic() < deadline:
+            await asyncio.sleep(0.001)
+        os.kill(os.getpid(), signal.SIGKILL)
+
     def _stats_reply(self) -> Dict[str, Any]:
         reply = {
             "kind": "stats_reply",
             "replica": self.replica_id,
             "messages_sent": self.stats.messages_sent,
+            "messages_dropped_to_crashed": self.stats.messages_dropped_to_crashed,
             "by_type": dict(self.stats.by_type),
             "keys": len(self.keys),
             "transport": self.transport_snapshot(),
@@ -512,7 +562,6 @@ def replica_main(
     ``report`` is the write end of a pipe: the replica sends ``("port",
     port)`` once it listens, or its traceback if it cannot.
     """
-    import os
 
     def serve() -> None:
         asyncio.run(_replica_async_main(report, replica_id, n, algorithm_name, initial_value))
@@ -658,6 +707,7 @@ class _PendingOp(NamedTuple):
     row: int
     record: OperationRecord
     future: "asyncio.Future"
+    replica: int
 
 
 class LiveClient:
@@ -670,10 +720,23 @@ class LiveClient:
     runs on: it logs every operation into ``oplog`` / ``metrics`` with
     client-observed wall timestamps, stamping completion *when the result
     frame arrives*.
+
+    Once a replica that announced its crash is gone, its operations fail at
+    once with a crash reason; any other link end sets ``failure``, raised by
+    the next :meth:`fire`, :meth:`settle` or request.  A replica in
+    ``planned`` that refuses the dial crashed before this client came.
     """
 
-    def __init__(self, epoch: Optional[float] = None) -> None:
+    def __init__(self, epoch: Optional[float] = None, planned: Iterable[int] = ()) -> None:
         self.conns: Dict[int, Connection] = {}
+        self.planned = frozenset(planned)
+        self.gone: Dict[int, str] = {}  # replica -> why the link to it ended
+        self.crashed = set()  # replicas that announced their crash
+        self.failure: Optional[RuntimeError] = None
+        self.replicas = 0
+        #: Operations failed because their replica crashed (a clean outcome).
+        self.crash_failed = 0
+        self._closing = False
         self.pending: Dict[int, Any] = {}
         self.stats_replies: Dict[int, Dict[str, Any]] = {}
         self.oplog = OpLog()
@@ -689,20 +752,60 @@ class LiveClient:
 
     async def connect(self, ports: Dict[int, int]) -> None:
         self.clock = WallClock(asyncio.get_running_loop(), epoch=self._epoch)
+        self.replicas = len(ports)
         for replica, port in sorted(ports.items()):
-            self.conns[replica] = await Connection.dial(
-                port, f"->r{replica}", self._on_frame, role="client"
-            )
+            try:
+                conn = await Connection.dial(port, f"->r{replica}", self._on_frame, role="client")
+            except (OSError, RuntimeError) as exc:
+                if replica not in self.planned:
+                    raise
+                self.gone[replica] = f"{type(exc).__name__}: {exc}"  # crashed before we dialled
+                self.crashed.add(replica)
+                continue
+            self.conns[replica] = conn
+            conn.reading.add_done_callback(partial(self._link_ended, replica))
 
     def _on_frame(self, conn: Connection, frame: Dict[str, Any]) -> None:
         if frame.get("kind") == "result":
             op = self.pending.pop(frame["op_id"], None)
             if op is not None and not op.future.done():
                 op.future.set_result(frame)
+        elif frame.get("kind") == "crashing":  # its link's end, next, is that crash
+            self.crashed.add(frame["replica"])
         elif self._asking is not None:  # a replica's answer to the open request
-            replies, answered = self._asking
-            replies[frame["replica"]] = frame
-            if len(replies) == len(self.conns) and not answered.done():
+            self._asking[0][frame["replica"]] = frame
+            self._check_answered()
+
+    def _crash_result(self, replica: int) -> Dict[str, Any]:
+        """The result of an operation its crashed replica never answers."""
+        reason = f"replica {replica} crashed: {self.gone[replica]}"
+        return {"ok": False, "crashed": True, "error": reason}
+
+    def _link_ended(self, replica: int, reading: "asyncio.Task") -> None:
+        """The link to ``replica`` ended: record why, and fail who waited on it."""
+        if self._closing or reading.cancelled():
+            return
+        reason = self.gone[replica] = reading.result()
+        if replica in self.crashed:
+            frame = self._crash_result(replica)
+        else:
+            error = f"link ->r{replica} ended outside the crash plan: {reason}"
+            self.failure, frame = RuntimeError(error), {"ok": False, "error": error}
+        for op_id in [i for i, op in self.pending.items() if self.failure or op.replica == replica]:
+            future = self.pending.pop(op_id).future
+            if not future.done():
+                future.set_result(frame)
+        if self._asking is not None:
+            self._check_answered()
+
+    def _check_answered(self) -> None:
+        """Resolve the open request once each replica answered or is gone (crashed, or fail)."""
+        replies, answered = self._asking
+        silent = self.conns.keys() - replies.keys()
+        if not answered.done() and silent <= self.gone.keys():
+            if silent - self.crashed:
+                answered.set_exception(self.failure)
+            else:
                 answered.set_result(None)
 
     async def _ask_every_replica(
@@ -711,17 +814,18 @@ class LiveClient:
         """Send ``request`` to every replica and wait until each answered into ``replies``.
 
         The read loops resolve the wait on the last answer; a replica still
-        silent after ``timeout`` seconds raises, by name.
+        silent after ``timeout`` seconds raises, by name.  A gone one is not asked.
         """
         replies.clear()
         answered = asyncio.get_running_loop().create_future()
         self._asking = (replies, answered)
-        for conn in self.conns.values():
-            conn.send(request)
+        for replica, conn in self.conns.items():
+            if replica not in self.gone:
+                conn.send(request)
         try:
             await asyncio.wait_for(answered, timeout)
         except asyncio.TimeoutError:
-            missing = sorted(set(self.conns) - set(replies))
+            missing = sorted(set(self.conns) - set(self.gone) - set(replies))
             raise RuntimeError(
                 f"replica(s) {missing} did not answer {request['kind']!r} within {timeout:g} s"
             ) from None
@@ -765,12 +869,14 @@ class LiveClient:
         operations of different processes overlap freely at one replica and
         the checker derives program order from equal pids.
         """
+        if self.failure is not None:
+            raise self.failure
         if kind is OperationKind.WRITE:
             replica = 0
         else:
             turn = self._read_turn.get(key, 0)
             self._read_turn[key] = turn + 1
-            replica = turn % len(self.conns)
+            replica = turn % self.replicas
         session_op = 0  # an explicit pid is a one-operation session
         if pid is None:
             pid = replica
@@ -785,11 +891,14 @@ class LiveClient:
         )
         self.oplog.note_issued(row, record)
         self.metrics.note_issued(now)
-        pending = _PendingOp(row, record, asyncio.get_running_loop().create_future())
+        pending = _PendingOp(row, record, asyncio.get_running_loop().create_future(), replica)
         # The read loop resolves the future the moment the result frame is
         # decoded, so the callback's stamp is the arrival time — not whenever
         # the driver gets around to collecting results.
         pending.future.add_done_callback(partial(self._record_result, pending))
+        if replica in self.gone:
+            pending.future.set_result(self._crash_result(replica))
+            return pending
         self.pending[op_id] = pending
         self.conns[replica].send(
             {"kind": "invoke", "op_id": op_id, "op": kind.value, "key": key, "value": value}
@@ -810,6 +919,8 @@ class LiveClient:
         reason = (frame or {}).get("error", "no response before deadline")
         self.oplog.note_failed(pending.row, reason)
         self.metrics.note_failed()
+        if frame is not None and frame.get("crashed"):
+            self.crash_failed += 1
 
     async def fire_open_loop(
         self,
@@ -836,16 +947,19 @@ class LiveClient:
     async def settle(self, fired: List[_PendingOp], timeout: float) -> bool:
         """Wait up to ``timeout`` seconds for ``fired``; fail what has no result by then.
 
-        Returns ``True`` when every operation completed.
+        Returns ``True`` when every operation completed or met a crashed replica.
         """
         waiting = [pending.future for pending in fired if not pending.future.done()]
-        if waiting:
-            _done, late = await asyncio.wait(waiting, timeout=max(0.001, timeout))
-            for future in late:
-                future.cancel()
-            if late:
-                await asyncio.sleep(0)  # run the cancelled futures' callbacks
-        return all(pending.record.completed for pending in fired)
+        late = (await asyncio.wait(waiting, timeout=max(0.001, timeout)))[1] if waiting else ()
+        for future in late:
+            future.cancel()
+        if late:
+            await asyncio.sleep(0)  # run the cancelled futures' callbacks
+        if self.failure is not None:
+            raise self.failure
+        return not late and all(
+            pending.record.completed or pending.future.result().get("crashed") for pending in fired
+        )
 
     async def drain_stats(self, timeout: float = 5.0) -> int:
         """Ask every replica for its counters; returns total protocol messages.
@@ -867,8 +981,8 @@ class LiveClient:
         the replica side is what :meth:`drain_stats` collected here.
         """
         replica_rows: Dict[str, List[Dict[str, Any]]] = {
-            str(replica): reply.get("transport", [])
-            for replica, reply in sorted(self.stats_replies.items())
+            str(replica): self.stats_replies.get(replica, {}).get("transport", [])
+            for replica in range(self.replicas)
         }
         all_rows = client_rows + [row for rows in replica_rows.values() for row in rows]
         frames_out = sum(row["frames_out"] for row in all_rows)
@@ -884,15 +998,16 @@ class LiveClient:
     async def close(self, send_shutdown: bool = True) -> None:
         """Close every connection.
 
-        With ``send_shutdown`` each replica is first asked to stop and given
+        With ``send_shutdown`` each replica still up is asked to stop and given
         a second to hang up, which it does once its last frames are flushed.
         """
-        conns = list(self.conns.values())
-        if send_shutdown and conns:
-            for conn in conns:
+        self._closing = True
+        up = [conn for replica, conn in self.conns.items() if replica not in self.gone]
+        if send_shutdown and up:
+            for conn in up:
                 conn.send({"kind": "shutdown"})
-            await asyncio.wait([conn.reading for conn in conns], timeout=1.0)
-        for conn in conns:
+            await asyncio.wait([conn.reading for conn in up], timeout=1.0)
+        for conn in self.conns.values():
             await conn.aclose()
 
 
@@ -942,7 +1057,7 @@ async def _client_routine(
         # with several each one is its own session (see LiveClient.fire).
         return None if workers == 1 else op.index
 
-    client = LiveClient(epoch=epoch)
+    client = LiveClient(epoch=epoch, planned=[point.replica for point in spec.crash_points])
     batches = 0
     try:
         await client.connect(ports)
@@ -966,7 +1081,7 @@ async def _client_routine(
         "columnar": encode_oplog(client.oplog, script_index),
         "metrics": client.metrics.raw_state(),
         "batches": batches,
-        "finished": client.metrics.failed == 0,
+        "finished": client.metrics.failed == client.crash_failed,  # a crash is clean
         "transport": [
             dict(client.conns[replica].snapshot(), worker=worker)
             for replica in sorted(client.conns)
@@ -1039,6 +1154,9 @@ async def _run_live_async(spec: Any) -> Any:
         # later still fires what is already due at once.
         start = 0.0 if spec.workers == 1 else 2.0 * (time.perf_counter() - started)
         epoch = loop.time()
+        # Each replica rebases its clock to the epoch and arms its own points.
+        arm = {"kind": "arm", "epoch": epoch, "points": [vars(p) for p in spec.crash_points]}
+        await control._ask_every_replica(arm, {}, STARTUP_TIMEOUT)
         jobs = [(spec, worker, ports, epoch, start) for worker in range(spec.workers)]
         if spec.workers == 1:
             parts = [await _client_routine(*jobs[0])]
@@ -1050,13 +1168,14 @@ async def _run_live_async(spec: Any) -> Any:
             except WorkerFailure as exc:
                 failure = str(exc)
         # The message bill, the replica-side transport counters and the
-        # consensus logs are the replica servers' own, drained over the
-        # control connections.  A replica sends as its own pid only.
+        # consensus logs are the replica servers' own (a killed replica's died
+        # with it), drained over the control connections; each sends as its pid.
         await control.drain_stats()
         replies = control.stats_replies
         stats = merge_network_stats([
             NetworkStats(
                 messages_sent=reply["messages_sent"],
+                messages_dropped_to_crashed=reply["messages_dropped_to_crashed"],
                 by_type=reply["by_type"],
                 per_sender={replica: reply["messages_sent"]},
             ).snapshot()
@@ -1068,7 +1187,8 @@ async def _run_live_async(spec: Any) -> Any:
         parts,
         started,
         stats=stats,
-        crashed=(),  # a live run crashes no replica
+        # One replica process is replica r of every shard: that is what died.
+        crashed=sorted((s, r) for r in control.crashed for s in range(spec.num_shards)),
         invariants=consensus_audit(replies),
         virtual_makespan=None,
         failure=failure,

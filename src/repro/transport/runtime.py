@@ -17,9 +17,9 @@ A handler that moved nothing a wait reads costs no scan.
 Crash semantics: :meth:`ProcessBase.crash` flips a flag; from then on the
 process neither processes deliveries nor fires guards nor sends messages.
 This matches the paper's crash model — a faulty process "executes correctly
-its local algorithm until it possibly crashes", then halts.  (Scheduled
-crash *injection* is a simulated-only harness feature; on the live backend
-a crash is simply a process that stopped.)
+its local algorithm until it possibly crashes", then halts.  (On the live
+backend a scheduled crash kills the replica process, which halts it for
+good; fault plans stay simulated-only.)
 """
 
 from __future__ import annotations

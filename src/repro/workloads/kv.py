@@ -90,7 +90,7 @@ class KVWorkloadSpec:
         Message-delay model (default ``FixedDelay(1.0)``).
     crash_points:
         Server crashes (:class:`~repro.faults.CrashPoint`), checked against
-        the geometry here and scheduled before the run starts.
+        the geometry here and scheduled before the run starts (live: shards folded).
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` of link policies keyed by
         replica index (``0 .. replication - 1``), installed store-wide
@@ -160,7 +160,7 @@ class KVWorkloadSpec:
     workers: int = 1
     max_events: Optional[int] = None
     #: Which backend executes the run: ``"sim"`` (virtual-time simulator,
-    #: default — deterministic, supports faults/perturbation/coalescing) or
+    #: default — deterministic, supports fault plans/perturbation/coalescing) or
     #: ``"live"`` (asyncio TCP loopback cluster, one wire codec; wall-clock
     #: time, with ``arrival_rate`` read as operations per *second*).  The
     #: seeded operation stream is identical on both — only timing differs.
@@ -180,7 +180,6 @@ class KVWorkloadSpec:
             # runners defer to it): a live run takes the wire as-is, one
             # algorithm per cluster.
             for given, what in (
-                (self.crash_points, "crash_points"),
                 (self.fault_plan is not None, "fault plans"),
                 (not self.coalesce, "coalesce=False"),
                 (self.shard_algorithms is not None, "shard_algorithms"),
@@ -230,7 +229,14 @@ class KVWorkloadSpec:
         if self.fault_plan is not None:
             self.fault_plan.validate(self.replication)
         validate_crash_points(self.crash_points, self.num_shards, self.replication)
-        if self.workers > 1 and any(p.after_messages_sent is not None for p in self.crash_points):
+        if self.transport == "live":  # one live process serves every shard: fold them
+            folded = [replace(p, shard=0) for p in self.crash_points]
+            try:
+                validate_crash_points(folded, 1, self.replication)
+            except ValueError as exc:
+                raise ValueError(f"one live process serves every shard: {exc}") from None
+        counted = any(p.after_messages_sent is not None for p in self.crash_points)
+        if counted and self.transport == "sim" and min(self.workers, self.num_shards) > 1:
             raise ValueError(
                 "after_messages_sent counts a replica's sends across the whole store; "
                 "a shard-parallel worker sees only its own shards (use workers=1 or at_time)"
@@ -441,9 +447,10 @@ class KVWorkloadResult:
     #: per-connection counters) for live runs.
     metrics: dict
     #: The replicas' message bill (merged over workers, drained from live
-    #: replicas).
+    #: replicas).  A killed live replica's bill dies with it: live ``stats``
+    #: is the survivors' bill.
     stats: NetworkStats
-    #: Crashed servers as sorted ``(shard, replica)`` pairs.
+    #: Crashed servers as sorted ``(shard, replica)`` pairs (live: every shard of a process).
     crashed: List[Tuple[int, int]]
     #: The agreement/validity audit of every consensus-backed key, taken
     #: where its replicas ran (``[]`` when healthy); ``None`` when the run
@@ -605,7 +612,7 @@ class KVWorkloadResult:
             "coalesced": (
                 self.stats.messages_coalesced if virtual and self.config.coalesce else None
             ),
-            "crashes_fired": len(self.crashed),
+            "crashes_fired": len(self.crashed if virtual else {r for _s, r in self.crashed}),
         }
         if verdict is not None:
             out["ok"] = verdict.ok

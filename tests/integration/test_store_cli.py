@@ -111,7 +111,7 @@ class TestLiveTransportCli:
         assert "/ 5" in out  # keys / shards / replication row
 
     def test_sim_only_flags_rejected_on_live(self, capsys):
-        for flag in (["--crashes", "1"], ["--no-coalesce"], ["--algorithms", "abd,two-bit"]):
+        for flag in (["--no-coalesce"], ["--algorithms", "abd,two-bit"]):
             code = main(["store", "--transport", "live", "--ops", "10"] + flag)
             assert code == 2
             assert "simulated-only" in capsys.readouterr().err
@@ -122,7 +122,8 @@ LIVE = ["--transport", "live"]
 #: argv -> a fragment of the ValueError the *spec* (or the flag's own check)
 #: raises.  Every keyed command funnels these through one exit-2 path.
 INVALID_PARAMETERS = [
-    (["store", *LIVE, "--crashes", "1"], "crash_points: simulated-only"),
+    # Replica 1 of two shards: on the wire, one process crashed twice.
+    (["store", *LIVE, "--crashes", "2", "--shards", "4"], "one live process serves every shard"),
     (["store", *LIVE, "--no-coalesce"], "coalesce=False: simulated-only"),
     (["store", *LIVE, "--algorithms", "abd,two-bit"], "shard_algorithms: simulated-only"),
     (["store", *LIVE, "--workers", "0"], "workers must be >= 1"),

@@ -14,6 +14,9 @@ They pin what the one-codec wire promises:
   answer a stats request fails ``drain_stats`` by name (there is no second
   codec to fall back to; frame-for-frame JSON / binary equivalence is
   property-tested in ``test_codec_binary.py``);
+* a fired crash point kills its replica only once the kernel holds every
+  frame it queued, and ``settle`` counts an operation settled only when it
+  completed or met a crashed replica;
 * per-connection transport counters ride the metrics snapshot;
 * the same seeded consensus stream decides identically on both backends.
 """
@@ -202,6 +205,61 @@ class TestBootAndStatsFailures:
         assert "replica(s) [1] did not answer 'stats'" in message
         assert 0.4 < elapsed < 5.0
         assert list(replies) == [0]
+
+
+class TestCrashFlush:
+    def test_a_crash_kill_waits_until_the_kernel_holds_the_backlog(self, monkeypatch):
+        """A fired point's last frames leave even from a backpressured socket."""
+        import socket
+
+        from repro.transport import live
+
+        size = 4 << 20  # more than a socket pair's kernel buffers hold
+
+        async def main():
+            ours, theirs = socket.socketpair()
+            _reader, writer = await asyncio.open_connection(sock=ours)
+            writer.write(b"x" * size)
+            transport = writer.transport
+            assert transport.get_write_buffer_size() > 0
+            kills = []
+            monkeypatch.setattr(live.os, "kill", lambda *_: kills.append(
+                transport.get_write_buffer_size()
+            ))
+            dying = asyncio.ensure_future(live._ReplicaServer._kill_once_flushed([transport], budget=30.0))
+            await asyncio.sleep(0.05)
+            assert kills == []  # nobody reads: the backlog is still queued
+            theirs.setblocking(False)
+            received = 0
+            while received < size:
+                received += len(await asyncio.get_running_loop().sock_recv(theirs, 1 << 20))
+            await dying
+            assert kills == [0]
+            writer.close()
+            theirs.close()
+
+        asyncio.run(main())
+
+
+class TestSettle:
+    def test_only_a_completion_or_a_crashed_replica_settles_an_operation(self):
+        """An error frame is a failure ``settle`` reports; a crashed replica's is not."""
+        from repro.registers.base import OperationKind
+        from repro.transport.live import WallClock
+
+        async def settled(frame):
+            client = LiveClient()
+            client.clock = WallClock(asyncio.get_running_loop())
+            client.replicas = 1
+            client.conns = {0: SimpleNamespace(send=lambda payload: None)}
+            pending = client.fire(OperationKind.WRITE, "k", "v1")
+            pending.future.set_result(frame)  # as the read loop does
+            await asyncio.sleep(0)
+            return await client.settle([pending], 1.0)
+
+        assert asyncio.run(settled({"ok": True, "value": None}))
+        assert asyncio.run(settled({"ok": False, "crashed": True, "error": "replica 0 crashed"}))
+        assert not asyncio.run(settled({"ok": False, "error": "wrong writer"}))
 
 
 class TestLiveMetricsSnapshot:

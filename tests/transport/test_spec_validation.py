@@ -53,13 +53,36 @@ class TestSpecTransportField:
             with pytest.raises(ValueError, match=match):
                 kv_uniform(num_keys=4, num_ops=10).with_(transport=transport, **changes)
 
-    def test_live_rejects_crash_points(self):
+    def test_live_takes_crash_points_with_their_shards_folded(self):
         from repro.workloads.kv import CrashPoint
 
-        with pytest.raises(ValueError, match="simulated-only"):
-            kv_uniform(num_keys=4, num_ops=10).with_(
-                transport="live", crash_points=(CrashPoint(at_time=1.0, shard=0, replica=1),)
-            )
+        base = kv_uniform(num_keys=4, num_ops=10, num_shards=4, replication=5)
+        one = CrashPoint(at_time=1.0, shard=0, replica=1)
+        spec = base.with_(transport="live", crash_points=(one,))
+        assert spec.crash_points == (one,)
+        # After a message count, at any number of client processes.
+        counted = CrashPoint(after_messages_sent=9, shard=2, replica=2)
+        assert base.with_(transport="live", workers=2, crash_points=(counted,)).workers == 2
+        # One live process serves every shard: it cannot crash twice, and
+        # two points on different shards are two of the t processes.
+        twice = (one, CrashPoint(at_time=2.0, shard=1, replica=1))
+        base.with_(crash_points=twice)  # two servers on the simulator
+        with pytest.raises(ValueError, match="one live process serves every shard"):
+            base.with_(transport="live", crash_points=twice)
+        three = tuple(CrashPoint(at_time=1.0, shard=s, replica=s + 1) for s in range(3))
+        base.with_(crash_points=three)
+        with pytest.raises(ValueError, match=r"serves every shard: .* at most t = 2"):
+            base.with_(transport="live", crash_points=three)
+
+    def test_a_message_count_needs_one_shard_group_on_the_simulator_only(self):
+        from repro.workloads.kv import CrashPoint
+
+        counted = (CrashPoint(after_messages_sent=9, shard=0, replica=1),)
+        base = kv_uniform(num_keys=4, num_ops=10, num_shards=2).with_(crash_points=counted)
+        with pytest.raises(ValueError, match="shard-parallel worker"):
+            base.with_(workers=2)
+        assert base.with_(workers=2, num_shards=1).workers == 2  # one group: one count
+        assert base.with_(workers=2, transport="live").workers == 2
 
     def test_live_rejects_fault_plans(self):
         from repro.faults.partitions import PartitionSchedule, PartitionWindow

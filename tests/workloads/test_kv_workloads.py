@@ -266,3 +266,106 @@ def test_the_live_message_bill_does_not_depend_on_the_worker_count(runs):
     # Not compared with the simulator's: that run stops at the last
     # completion, one ABD message short of what the replicas go on to send.
     assert runs("live").total_messages() == runs("live-workers-2").total_messages()
+
+
+# ----------------------------------------------- one crash model, every backend
+
+#: The victim's send that kills it: a count, so it is the same send on every
+#: backend.  One shard, so the shard-parallel engine runs one group and the
+#: count spans the store on the simulator too.
+CRASH_AFTER = 6
+CRASH_SPEC = SPEC.with_(
+    num_shards=1,
+    crash_points=(CrashPoint(shard=0, replica=2, after_messages_sent=CRASH_AFTER),),
+)
+
+
+def _no_process_outlives_the_run():
+    import multiprocessing
+
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_replica_crashed_at_its_kth_send_on_every_backend(backend):
+    result = on_backend(CRASH_SPEC, backend)
+    verdict = result.verify()
+    assert verdict.ok, verdict.failures
+    assert result.finished_cleanly
+    assert result.crashed == [(0, 2)]
+    assert result.summary(verdict)["crashes_fired"] == 1
+    if result.spec.transport == "sim":
+        assert result.stats.per_sender[2] == CRASH_AFTER
+        return
+    _no_process_outlives_the_run()
+    # The victim's bill died with it: live stats are the survivors'.
+    assert 2 not in result.stats.per_sender
+    assert result.stats.messages_dropped_to_crashed > 0  # survivors' sends to it
+    for op in result.failed_ops():
+        assert op.failure_reason.startswith("replica 2 crashed: "), op.failure_reason
+        if result.spec.workers == 1:
+            assert op.pid == 2  # one client: the pid is the serving replica
+    rows = result.metrics["transport"]["replica_connections"]
+    assert rows["2"] == []
+    survivors = [row for replica in ("0", "1") for row in rows[replica]]
+    assert all(row["frames_dropped"] == 0 for row in survivors)
+    # The k-th message is in flight and nothing after it is (less each hello).
+    from_victim = [row["frames_in"] - 1 for row in survivors if row["label"] == "peer<-2"]
+    assert len(from_victim) == 2 and sum(from_victim) == CRASH_AFTER
+
+
+@pytest.mark.parametrize("backend", ("sim-serial", "live"))
+def test_a_point_past_the_run_never_fires(backend):
+    late = SPEC.with_(crash_points=(CrashPoint(shard=0, replica=1, at_time=1e6),))
+    result = on_backend(late, backend)
+    assert result.verify().ok and result.finished_cleanly
+    assert result.crashed == [] and result.failed == 0
+    if backend == "live":
+        _no_process_outlives_the_run()
+        assert sorted(result.metrics["transport"]["replica_connections"]) == ["0", "1", "2"]
+
+
+#: A point on replica 2 that the run never reaches: planned, but not fired.
+UNREACHED = (CrashPoint(shard=0, replica=2, at_time=1e6),)
+
+
+@pytest.mark.parametrize(
+    "planned, how",
+    [((), "killed"), (UNREACHED, "killed"), (UNREACHED, "handler raises")],
+    ids=["unplanned", "killed-before-its-point", "handler-raises"],
+)
+def test_a_link_that_ends_outside_the_plan_fails_the_run_by_name(monkeypatch, planned, how):
+    import multiprocessing
+    import os
+    import signal
+    import time
+
+    from repro.transport.live import LiveClient
+
+    # Ten seconds of open-loop arrivals; replica 2's link ends at the 200th,
+    # and no crash point of replica 2 fired: only a fired point is a crash.
+    spec = SPEC.with_(
+        transport="live", num_ops=10_000, arrival="poisson", arrival_rate=1000.0,
+        crash_points=planned,
+    )
+    fire, fired, killed = LiveClient.fire, [], []
+
+    def fire_and_kill(client, *args, **kwargs):
+        fired.append(None)
+        if len(fired) == 200:
+            if how == "killed":
+                (victim,) = [
+                    p for p in multiprocessing.active_children() if p.name == "repro-replica-2"
+                ]
+                os.kill(victim.pid, signal.SIGKILL)
+            else:  # an ``arm`` without its epoch: the replica's handler raises KeyError
+                client.conns[2].send({"kind": "arm"})
+            killed.append(time.monotonic())
+        return fire(client, *args, **kwargs)
+
+    monkeypatch.setattr(LiveClient, "fire", fire_and_kill)
+    with pytest.raises(RuntimeError, match=r"link ->r2 ended outside the crash plan: \w+"):
+        run_kv_workload(spec)
+    assert time.monotonic() - killed[0] < 3.0  # the run stopped; it did not play out
+    assert len(fired) < 5000
+    _no_process_outlives_the_run()
