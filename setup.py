@@ -35,7 +35,7 @@ setup(
     package_dir={"": "src"},
     python_requires=">=3.9",
     install_requires=[],
-    extras_require={"test": ["pytest"]},
+    extras_require={"test": ["pytest", "hypothesis"]},
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
     classifiers=[
         "Development Status :: 4 - Beta",

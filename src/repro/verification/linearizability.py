@@ -44,10 +44,11 @@ For multi-key histories, :func:`check_histories_per_key` exploits
 **P-compositionality** (Herlihy & Wing locality): a history over many
 independent objects is linearizable iff each per-object subhistory is, so a
 5 000-operation store run decomposes into per-key problems whose
-concurrency windows are small.  Keys that are single-writer with distinct
-written values take the ``O(n log n)`` Lemma-10 claims checker of
-:mod:`repro.verification.register_checker` as a fast path (the cheap
-register-specific pruning); everything else runs the Wing–Gong core.
+concurrency windows are small.  A key goes to the Lemma-10 claims checker
+of :mod:`repro.verification.register_checker` first — one sweep over its
+reads in invocation order — and to the Wing–Gong core only when that
+checker's precondition (one writer, distinct hashable written values)
+fails.
 
 Pending operations are handled per the linearizability definition: a
 pending **write** may be linearized (it might have taken effect) or
@@ -64,6 +65,7 @@ from functools import lru_cache
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.verification.history import Columns, History, Operation, OpKind
+from repro.verification.register_checker import ClaimsNotApplicable, check_swmr_atomicity
 
 __all__ = [
     "CheckResult",
@@ -608,23 +610,6 @@ class PartitionedCheckReport:
         return messages
 
 
-def _swmr_fast_path_applies(history: History) -> bool:
-    """True when the Lemma-10 claims checker is a complete verdict for ``history``."""
-    if len(history.writer_pids()) > 1:
-        return False
-    if not history.written_values_distinct():
-        return False
-    columns = history.columns()
-    try:
-        hash(history.initial_value)
-        for kind, value in zip(columns.kind, columns.value):
-            if kind is OpKind.WRITE:
-                hash(value)  # the claims checker indexes values by hash
-    except TypeError:
-        return False
-    return True
-
-
 def check_histories_per_key(
     histories: Mapping[Any, History],
     swmr_fast_path: bool = True,
@@ -635,12 +620,15 @@ def check_histories_per_key(
 ) -> PartitionedCheckReport:
     """Check many independent per-key histories (P-compositional checking).
 
-    Keys whose history is single-writer with distinct written values are
-    (by default) verified with the ``O(n log n)`` claims checker of
-    :mod:`repro.verification.register_checker` — the cheap register-specific
-    pruning — and everything else runs the Wing–Gong core.  Pass
-    ``swmr_fast_path=False`` to force the search engine on every key (the
-    checker benchmark does, to measure it).
+    The dispatch rule for a register key is: the claims checker of
+    :mod:`repro.verification.register_checker` accepts the key, else
+    Wing–Gong.  The claims checker is its own applicability test: for a key
+    outside its precondition (a second writer, a repeated or unhashable
+    written value) it raises :class:`ClaimsNotApplicable` instead of a
+    verdict, and the key runs the Wing–Gong core.  Keys under another
+    sequential ``spec`` always search.  Pass ``swmr_fast_path=False`` to
+    force the search engine on every key (the checker benchmark does, to
+    measure it).
 
     ``workers > 1`` fans the per-key checks out over a process pool
     (:mod:`repro.parallel`): per-key partitioning makes the problem
@@ -659,33 +647,28 @@ def check_histories_per_key(
             workers=workers,
             spec=spec,
         )
-    from repro.verification.register_checker import check_swmr_atomicity
     from repro.verification.specs import get_spec
 
     spec_obj = get_spec(spec)
     report = PartitionedCheckReport()
     for key, history in histories.items():
-        if spec_obj is not None:
-            # Non-register specs always run the (spec-parametric) search
-            # core; the SWMR claims fast path is register-only.
-            report.per_key[key] = check_linearizability(
-                history,
-                collect_witness=collect_witness,
-                max_states=max_states,
-                spec=spec_obj,
-            )
-        elif swmr_fast_path and _swmr_fast_path_applies(history):
-            claims = check_swmr_atomicity(history, raise_on_violation=False)
-            report.per_key[key] = CheckResult(
-                linearizable=claims.ok,
-                operations=sum(map(len, _relevant_rows(history.columns()))),
-                method="swmr-claims",
-                violations=list(claims.violations),
-            )
-        else:
-            report.per_key[key] = check_linearizability(
-                history, collect_witness=collect_witness, max_states=max_states
-            )
+        # The claims path is register-only; other specs always search.
+        if swmr_fast_path and spec_obj is None:
+            try:
+                claims = check_swmr_atomicity(history, raise_on_violation=False)
+            except ClaimsNotApplicable:
+                pass
+            else:
+                report.per_key[key] = CheckResult(
+                    linearizable=claims.ok,
+                    operations=claims.reads_checked + claims.writes_checked,
+                    method="swmr-claims",
+                    violations=claims.violations,
+                )
+                continue
+        report.per_key[key] = check_linearizability(
+            history, collect_witness=collect_witness, max_states=max_states, spec=spec_obj
+        )
     return report
 
 

@@ -15,33 +15,62 @@ number ``y``):
 For a **single-writer** register (writes are totally ordered by the writer's
 program order) these claims, together with every read returning either the
 initial value or some written value, are equivalent to atomicity — which is
-precisely why the paper's proof stops there.  This module checks them
-directly on a recorded history in ``O((R + W) log(R + W))`` time, where R/W
-are the numbers of reads/writes.  The general (exponential) checker in
-:mod:`repro.verification.linearizability` is used in property-based tests to
-cross-validate this one on small histories.
+precisely why the paper's proof stops there.  The general search in
+:mod:`repro.verification.linearizability` cross-validates this checker in
+the property-based tests.
 
-Requirements on the history (enforced, with clear errors):
+The check is **one sweep** over the completed reads in invocation order
+``(invoked, op_id)``.  A write's sequence number is its invocation rank, and
+in that order every bound a read is held to is a pointer or a running
+maximum:
+
+* Claim 2's "newest write completed before the read started" is a pointer
+  over the completed writes sorted by response time;
+* Claim 3's "newest read completed before the read started" is a heap of
+  earlier reads' ``(responded, index)`` pairs, popped into a running maximum;
+* Claim 1 and the staleness metric ``max_read_lag`` are one ``bisect_right``
+  over the writes' invocation times;
+* the program-order refinements, which order a process's operations where
+  their boundary times coincide (zero think time) and real time is silent,
+  are a pointer over the writer's completed writes and each reader's best
+  index so far.
+
+Histories from the op log already run in invocation order, which costs one
+O(n) confirmation; any other row order pays for a sort.  Violations are
+reported kind by kind, each kind in row order (a reader's together).
+
+Precondition (a history outside it raises :class:`ClaimsNotApplicable`
+instead of a verdict, and the per-key dispatcher runs the Wing–Gong search):
 
 * at most one writer process (pending writes included);
-* written values pairwise distinct and different from the initial value, so a
-  read's return value identifies the write it read from (the workload
-  generator guarantees this by construction);
-* pending operations are allowed: a pending write may or may not have taken
-  effect (it only ever *relaxes* Claim 2), and pending reads are ignored.
+* written values hashable, pairwise distinct and different from the
+  (hashable) initial value, so a read's return value identifies the write it
+  read from (the workload generator guarantees this by construction);
+* no completed read responds before it is invoked.
+
+Pending operations are allowed: a pending write may or may not have taken
+effect (it only ever *relaxes* Claim 2), and pending reads are ignored.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from heapq import heappop, heappush
+from itertools import islice
+from operator import itemgetter, le, lt
 
-from repro.verification.history import Columns, History, OpKind
+from repro.verification.history import History, OpKind
+
+_NEVER = float("inf")
 
 
 class AtomicityViolation(AssertionError):
     """Raised when a history is provably not atomic."""
+
+
+class ClaimsNotApplicable(ValueError):
+    """The history is outside the claims checker's precondition (see the module docstring)."""
 
 
 @dataclass
@@ -55,7 +84,8 @@ class AtomicityReport:
     violations:
         Human-readable description of each violation found.
     reads_checked / writes_checked:
-        Sizes of the checked history (completed operations only).
+        Sizes of the checked history (completed reads; writes, pending
+        included).
     max_read_lag:
         Over all completed reads, the largest difference between the newest
         write index the read *could* have returned (writes invoked before the
@@ -70,54 +100,6 @@ class AtomicityReport:
     writes_checked: int = 0
     max_read_lag: int = 0
 
-    def record(self, message: str) -> None:
-        self.ok = False
-        self.violations.append(message)
-
-
-def _index_writes(history: History, columns: Columns) -> tuple[list[int], dict[Any, int]]:
-    """Return (write rows in writer order, value -> sequence-number map)."""
-    kind, invoked = columns.kind, columns.invoked
-    writes = sorted(
-        (row for row in range(len(kind)) if kind[row] is OpKind.WRITE),
-        key=lambda row: invoked[row],
-    )
-    writer_pids = history.writer_pids()
-    if len(writer_pids) > 1:
-        raise ValueError(
-            f"history has {len(writer_pids)} writers ({sorted(writer_pids)}); "
-            "the fast checker only handles single-writer histories — "
-            "use verification.linearizability.is_linearizable instead"
-        )
-    value_to_index: dict[Any, int] = {}
-    try:
-        value_to_index[history.initial_value] = 0
-    except TypeError as exc:  # unhashable initial value
-        raise ValueError("initial value must be hashable for the fast checker") from exc
-    for index, row in enumerate(writes, start=1):
-        value = columns.value[row]
-        if value in value_to_index:
-            raise ValueError(
-                f"written value {value!r} is not unique in the history; "
-                "the fast checker requires distinct written values — "
-                "use verification.linearizability.is_linearizable instead"
-            )
-        value_to_index[value] = index
-    return writes, value_to_index
-
-
-def _running_max(pairs: list[tuple[Any, int]]) -> tuple[list[Any], list[int]]:
-    """Sort ``(time, index)`` pairs by time; return ``(times, best)``.
-
-    ``best[p]`` is the largest index among the ``p`` earliest pairs (0 for
-    none), so ``best[bisect(times, t)]`` answers "largest index before ``t``".
-    """
-    pairs.sort(key=lambda pair: pair[0])
-    best = [0]
-    for _time, index in pairs:
-        best.append(index if index > best[-1] else best[-1])
-    return [pair[0] for pair in pairs], best
-
 
 def check_swmr_atomicity(
     history: History,
@@ -125,153 +107,169 @@ def check_swmr_atomicity(
 ) -> AtomicityReport:
     """Check a single-writer history against the three claims of Lemma 10.
 
-    Returns an :class:`AtomicityReport`; if ``raise_on_violation`` is true the
-    first collected set of violations is raised as :class:`AtomicityViolation`
-    (with every violation listed in the message).
+    Returns an :class:`AtomicityReport`; if ``raise_on_violation`` is true
+    the violations found are raised as one :class:`AtomicityViolation`
+    listing every one.  Raises :class:`ClaimsNotApplicable` when the history
+    is outside the precondition.
 
     Works on row indices over the history's columns; ``Operation`` rows are
     built only to describe a violation.
     """
-    report = AtomicityReport()
     columns = history.columns()
-    pid, invoked, responded = columns.pid, columns.invoked, columns.responded
-    writes, value_to_index = _index_writes(history, columns)
-    completed_reads = [
-        row
-        for row, kind in enumerate(columns.kind)
-        if kind is OpKind.READ and responded[row] is not None
-    ]
-    report.reads_checked = len(completed_reads)
-    report.writes_checked = len(writes)
+    kind, pid, op_id = columns.kind, columns.pid, columns.op_id
+    invoked, responded, result = columns.invoked, columns.responded, columns.result
+    read, write = OpKind.READ, OpKind.WRITE
+    writes = [row for row, op in enumerate(kind) if op is write]
+    reads = [row for row, op in enumerate(kind) if op is read and responded[row] is not None]
+    writers = {pid[row] for row in writes}
+    if len(writers) > 1:
+        raise ClaimsNotApplicable(
+            f"history has {len(writers)} writers ({sorted(writers)}); "
+            "the fast checker only handles single-writer histories — "
+            "use verification.linearizability.is_linearizable instead"
+        )
+    try:
+        value_to_index = {history.initial_value: 0}
+    except TypeError as exc:
+        raise ClaimsNotApplicable("initial value must be hashable for the fast checker") from exc
+    # Op-log rows run in (invoked, op_id) order with op_id ascending; any
+    # other row order pays for a sort.
+    if not (
+        all(map(le, invoked, islice(invoked, 1, None)))
+        and all(map(lt, op_id, islice(op_id, 1, None)))
+    ):
+        writes.sort(key=invoked.__getitem__)  # stable: invocation ties keep row order
+        reads.sort(key=lambda row: (invoked[row], op_id[row]))
+    for index, row in enumerate(writes, start=1):
+        value = columns.value[row]
+        try:
+            duplicate = value in value_to_index
+        except TypeError as exc:
+            raise ClaimsNotApplicable(f"written value {value!r} is not hashable") from exc
+        if duplicate:
+            raise ClaimsNotApplicable(
+                f"written value {value!r} is not unique in the history; "
+                "the fast checker requires distinct written values — "
+                "use verification.linearizability.is_linearizable instead"
+            )
+        value_to_index[value] = index
 
     def describe(row: int) -> str:
         return history.operations[row].describe()
 
-    # Pre-compute, for Claim 2: completed writes sorted by response time, with
-    # a running maximum of their indices.  For a read invoked at time T the
-    # strongest lower bound is the largest index among writes responded
-    # strictly before T.  (With a single sequential writer indices increase
-    # with response time, but we do not rely on that.)
-    completed_writes = [
-        (index, row) for index, row in enumerate(writes, start=1) if responded[row] is not None
-    ]
-    write_response_times, newest_responded = _running_max(
-        [(responded[row], index) for index, row in completed_writes]
-    )
-    # For Claim 1 and the staleness metric: writes sorted by invocation time.
-    write_invocation_times, newest_invoked = _running_max(
-        [(invoked[row], index) for index, row in enumerate(writes, start=1)]
-    )
-    # For the writer's program order: *completed* writes by invocation time.
-    own_invocation_times, newest_own = _running_max(
-        [(invoked[row], index) for index, row in completed_writes]
-    )
+    # A write's index is its invocation rank, so ``write_invoked`` is sorted.
+    write_invoked = [invoked[row] for row in writes]
+    completed = [index for index, row in enumerate(writes, start=1) if responded[row] is not None]
+    # Claim 2 walks the completed writes by response time; the writer's own
+    # program order walks them by invocation (index) order.  An infinite
+    # sentinel ends each walk.
+    by_response = sorted((responded[writes[index - 1]], index) for index in completed)
+    responded_at = [at for at, _index in by_response] + [_NEVER]
+    responded_index = [index for _at, index in by_response]
+    own_invoked = [write_invoked[index - 1] for index in completed] + [_NEVER]
+    writer = pid[writes[0]] if writes else None
 
-    # --- map each completed read to the index of the value it returned -------
-    read_indices: list[tuple[int, int]] = []
-    for read in completed_reads:
-        result = columns.result[read]
-        if result not in value_to_index:
-            report.record(
-                f"read returned a value that was never written: {describe(read)} "
+    # Violations by kind: (row, text), except (reader, text) for readers.
+    unknown, claim1, claim2, by_writer, by_reader, claim3 = [], [], [], [], [], []
+    best_of = dict.fromkeys(pid, 0)
+    max_lag = response_walk = newest_done = own_walk = newest_own = newest_seen = 0
+    seen = [(_NEVER, 0)]  # heap of earlier reads' (responded, index)
+    for row in reads:
+        start, at = invoked[row], responded[row]
+        if at < start:
+            raise ClaimsNotApplicable(f"{describe(row)} responds before it is invoked")
+        try:
+            index = value_to_index.get(result[row])
+        except TypeError:  # an unhashable result equals no written value
+            index = None
+        if index is None:
+            unknown.append((row, (
+                f"read returned a value that was never written: {describe(row)} "
                 f"(known values: initial {history.initial_value!r} plus {len(writes)} writes)"
-            )
+            )))
             continue
-        read_indices.append((read, value_to_index[result]))
-
-    # --- Claim 1: no read from the future ------------------------------------
-    for read, index in read_indices:
-        if index == 0:
-            continue
-        write = writes[index - 1]
-        if responded[read] < invoked[write]:
-            report.record(
+        lag = bisect_right(write_invoked, at) - index
+        if lag < 0:
+            claim1.append((row, (
                 "Claim 1 (read from the future): "
-                f"{describe(read)} returned the value of {describe(write)}, "
+                f"{describe(row)} returned the value of {describe(writes[index - 1])}, "
                 "which was written only after the read had already terminated"
-            )
-
-    # --- Claim 2: no overwritten read -----------------------------------------
-    for read, index in read_indices:
-        # Largest index among writes that responded strictly before the read was invoked.
-        lower_bound = newest_responded[bisect.bisect_left(write_response_times, invoked[read])]
-        if index < lower_bound:
-            report.record(
+            )))
+        elif lag > max_lag:
+            max_lag = lag
+        while responded_at[response_walk] < start:
+            if responded_index[response_walk] > newest_done:
+                newest_done = responded_index[response_walk]
+            response_walk += 1
+        if index < newest_done:
+            claim2.append((row, (
                 "Claim 2 (overwritten value): "
-                f"{describe(read)} returned write #{index} although "
-                f"{describe(writes[lower_bound - 1])} "
-                f"(write #{lower_bound}) had already completed before the read started"
-            )
-        # Largest write index whose invocation is <= the read's response.
-        newest_possible = newest_invoked[
-            bisect.bisect_right(write_invocation_times, responded[read])
-        ]
-        report.max_read_lag = max(report.max_read_lag, newest_possible - index)
-
-    # --- Program-order refinements --------------------------------------------
-    # Real-time precedence uses strict inequalities; for two operations of the
-    # *same* sequential process whose boundary times coincide (zero think
-    # time), program order still applies.  Three extra checks cover that:
-    #   (a) a read by the writer must not return a value older than the
-    #       writer's own latest completed write invoked before the read;
-    #   (b) nor the value of a write the writer invokes after the read, even
-    #       at the very instant the read responds (Claim 1 with ``<=``);
-    #   (c) successive reads by the same process must return non-decreasing
-    #       indices.
-    by_reader: dict[int, list[tuple[int, int]]] = {}
-    for read, index in read_indices:
-        by_reader.setdefault(pid[read], []).append((read, index))
-    op_id = columns.op_id
-    for read, index in by_reader.get(pid[writes[0]], ()) if writes else ():
-        own_latest = newest_own[bisect.bisect_left(own_invocation_times, invoked[read])]
-        if index < own_latest:
-            report.record(
-                "program order (writer): "
-                f"{describe(read)} returned write #{index} although the writer itself had "
-                f"already completed write #{own_latest} before invoking the read"
-            )
-        if index == 0:
-            continue
-        write = writes[index - 1]
-        read_first = invoked[read] < invoked[write] or (
-            invoked[read] == invoked[write] and op_id[read] < op_id[write]
-        )
-        if read_first and responded[read] >= invoked[write]:  # below that, Claim 1 reported it
-            report.record(
-                "program order (writer): "
-                f"{describe(read)} returned the value of {describe(write)}, "
-                "which the writer itself invoked only after the read"
-            )
-    for reader, items in by_reader.items():
-        items.sort(key=lambda pair: (invoked[pair[0]], op_id[pair[0]]))
-        best_so_far = 0
-        for read, index in items:
-            if index < best_so_far:
-                report.record(
-                    "program order (reader): "
-                    f"{describe(read)} returned write #{index} although an earlier read by the "
-                    f"same process p{reader} had already returned write #{best_so_far}"
-                )
-            best_so_far = max(best_so_far, index)
-
-    # --- Claim 3: no new/old inversion ----------------------------------------
-    # For each read, the indices of reads that *responded* strictly before its
-    # invocation must not exceed its own index.
-    response_times, newest_read = _running_max(
-        [(responded[read], index) for read, index in read_indices]
-    )
-    for read, index in read_indices:
-        earlier_max = newest_read[bisect.bisect_left(response_times, invoked[read])]
-        if earlier_max > index:
-            report.record(
+                f"{describe(row)} returned write #{index} although "
+                f"{describe(writes[newest_done - 1])} "
+                f"(write #{newest_done}) had already completed before the read started"
+            )))
+        while seen[0][0] < start:
+            earlier = heappop(seen)[1]
+            if earlier > newest_seen:
+                newest_seen = earlier
+        if index < newest_seen:
+            claim3.append((row, (
                 "Claim 3 (new/old inversion): "
-                f"{describe(read)} returned write #{index} although an earlier read that had "
-                f"already terminated before it started returned write #{earlier_max}"
-            )
+                f"{describe(row)} returned write #{index} although an earlier read that had "
+                f"already terminated before it started returned write #{newest_seen}"
+            )))
+        elif index > newest_seen:  # a smaller index can never raise the maximum
+            heappush(seen, (at, index))
+        reader = pid[row]
+        if reader == writer:
+            while own_invoked[own_walk] < start:
+                own_walk += 1
+                newest_own = completed[own_walk - 1]
+            if index < newest_own:
+                by_writer.append((row, (
+                    "program order (writer): "
+                    f"{describe(row)} returned write #{index} although the writer itself had "
+                    f"already completed write #{newest_own} before invoking the read"
+                )))
+            # The writer invoked the write it read only after the read, yet
+            # no later than the read responded (earlier is Claim 1's).
+            target = write_invoked[index - 1] if index else None
+            if index and at >= target and (
+                start < target or (start == target and op_id[row] < op_id[writes[index - 1]])
+            ):
+                by_writer.append((row, (
+                    "program order (writer): "
+                    f"{describe(row)} returned the value of {describe(writes[index - 1])}, "
+                    "which the writer itself invoked only after the read"
+                )))
+        best = best_of[reader]
+        if index < best:
+            by_reader.append((reader, (
+                "program order (reader): "
+                f"{describe(row)} returned write #{index} although an earlier read by the "
+                f"same process p{reader} had already returned write #{best}"
+            )))
+        elif index > best:
+            best_of[reader] = index
 
-    if not report.ok and raise_on_violation:
-        raise AtomicityViolation(
-            f"{len(report.violations)} atomicity violation(s):\n  - "
-            + "\n  - ".join(report.violations)
-        )
+    report = AtomicityReport(
+        reads_checked=len(reads), writes_checked=len(writes), max_read_lag=max_lag
+    )
+    if by_reader:  # readers in order of their first known read, by row
+        skip = {row for row, _text in unknown}
+        first: dict = {}
+        for row in sorted(reads):
+            if row not in skip:
+                first.setdefault(pid[row], row)
+        by_reader = [(first[reader], text) for reader, text in by_reader]
+    for found in (unknown, claim1, claim2, by_writer, by_reader, claim3):
+        found.sort(key=itemgetter(0))  # stable: a reader's reads stay in invocation order
+        report.violations.extend(text for _key, text in found)
+    if report.violations:
+        report.ok = False
+        if raise_on_violation:
+            raise AtomicityViolation(
+                f"{len(report.violations)} atomicity violation(s):\n  - "
+                + "\n  - ".join(report.violations)
+            )
     return report

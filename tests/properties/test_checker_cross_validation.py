@@ -8,6 +8,8 @@ small single-writer histories the two must always agree.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
 from repro.verification.history import History, OpKind, Operation
@@ -130,6 +132,36 @@ def test_fast_checker_agrees_with_the_linearizability_oracle(history: History):
         f"checkers disagree (fast={fast_verdict}, oracle={oracle_verdict}) on:\n"
         + history.describe()
     )
+
+
+def _claims(history: History) -> tuple:
+    report = check_swmr_atomicity(history, raise_on_violation=False)
+    return (
+        report.ok,
+        report.reads_checked,
+        report.writes_checked,
+        report.max_read_lag,
+        sorted(report.violations),
+    )
+
+
+@given(history=st.one_of(swmr_histories(), writer_also_reads()), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_row_order_does_not_change_the_claims(history: History, data):
+    """The sweep visits reads in invocation order: rows already in that
+    order (op ids ascending, as the op log numbers them) take the O(n)
+    confirmation, any other order the sort.  Both must give one answer —
+    the same verdict, counts, lag and violations."""
+    rows = list(history.operations)
+    ordered = sorted(rows, key=lambda op: (op.invoked_at, op.op_id))
+    in_order = History(
+        [replace(op, op_id=op_id) for op_id, op in enumerate(ordered)],
+        initial_value=history.initial_value,
+    )
+    permuted = History(data.draw(st.permutations(rows)), initial_value=history.initial_value)
+    expected = _claims(in_order)
+    assert _claims(history) == expected
+    assert _claims(permuted) == expected
 
 
 @given(history=swmr_histories())

@@ -5,8 +5,11 @@ at the commit *before* the checkers were moved onto the history columns.
 The corpus is every history behind the three golden suites
 (``tests/workloads/golden_histories``, ``tests/parallel/golden_parallel``,
 ``tests/parallel/golden_consensus``), the ``test_checker_negatives`` corpus,
-and a seeded set of single-writer histories in which the writer also reads
-(the shape the claims checker's writer program-order pass looks at).  For
+a seeded set of single-writer histories in which the writer also reads
+(the shape the claims checker's writer program-order pass looks at), and
+four seeded single-writer histories of 1,200 operations with planted
+violations, pending writes, same-instant ties and rows out of invocation
+order (the claims checker's sweep at scale).  For
 each one the file holds the Wing–Gong result (verdict, method, operation and
 state counts, greedy reads, witness ``op_id`` order) and the per-key
 dispatcher's result (method, counts, violation text), plus the claims
@@ -20,6 +23,7 @@ checker drift:
 
 from __future__ import annotations
 
+import bisect
 import json
 import pathlib
 import random
@@ -92,6 +96,120 @@ def _near(rng: random.Random, values: list, current: int) -> Any:
     return values[min(max(current + offset, 0), len(values) - 1)]
 
 
+#: (row order, pending final write?) for each long history.
+LONG_SHAPES = [
+    ("invocation", False),
+    ("by-process", True),
+    ("shuffled", True),
+    ("reversed", False),
+]
+
+
+def long_swmr_histories(ops: int = 1200, seed: int = 37) -> Dict[str, History]:
+    """Seeded single-writer histories of ``ops`` operations with planted violations.
+
+    The writer ``p0`` interleaves writes with its own reads; three readers
+    read back to back.  Every boundary time sits on a 0.5 grid and think
+    times are often zero, so same-instant ties abound: a read invoked at the
+    instant a write responds, a process's next operation invoked at the
+    instant its last one responds.  Reads return the value current at a
+    random point of their interval, so the history is atomic until
+    :func:`_plant` corrupts a few reads of each claim and program-order
+    kind.  Rows are emitted in the order ``LONG_SHAPES`` names, and a
+    pending final write is optional, as a crash leaves it.
+    """
+    rng = random.Random(seed)
+    corpus: Dict[str, History] = {}
+    for order, pending in LONG_SHAPES:
+        # (pid, is_write, value-or-result, invoked, responded, linearization point)
+        ops_: list = []
+        clock, written = 0.0, 0
+        while len(ops_) < ops // 3:
+            start = clock + rng.choice([0.0, 0.0, 0.5])
+            clock = start + rng.choice([0.5, 1.0, 1.5])
+            point = rng.uniform(start, clock)
+            if rng.random() < 0.6:
+                written += 1
+                ops_.append([0, True, f"v{written}", start, clock, point])
+            else:
+                ops_.append([0, False, None, start, clock, point])
+        if pending:
+            ops_[-1][1:3] = [True, f"v{written + 1}"]
+            ops_[-1][4] = None
+            if rng.random() < 0.5:
+                ops_[-1][5] = float("inf")  # never took effect
+        horizon = clock
+        for reader in (1, 2, 3):
+            at = rng.choice([0.0, 0.5])
+            while at < horizon:
+                end = at + rng.choice([0.5, 1.0, 1.5, 2.0, 3.0])
+                ops_.append([reader, False, None, at, end, rng.uniform(at, end)])
+                at = end + rng.choice([0.0, 0.0, 0.5])
+        effects = sorted((op[5], op[2]) for op in ops_ if op[1])
+        times = [time for time, _value in effects]
+        for op in ops_:
+            if not op[1]:
+                taken = bisect.bisect_left(times, op[5])
+                op[2] = effects[taken - 1][1] if taken else "v0"
+        _plant(rng, ops_)
+        if order == "invocation":
+            ops_.sort(key=lambda op: op[3])
+        elif order == "shuffled":
+            rng.shuffle(ops_)
+        elif order == "reversed":
+            ops_.reverse()
+        entries = [
+            (pid, "write" if is_write else "read", payload, start, end)
+            for pid, is_write, payload, start, end, _point in ops_
+        ]
+        corpus[f"long-swmr/{order}"] = make_history(entries, initial_value="v0")
+    return corpus
+
+
+def _plant(rng: random.Random, ops_: list) -> None:
+    """Corrupt a few reads of ``ops_`` so every claim and refinement fires.
+
+    * Claim 1 — a read returns a write invoked after it responded;
+    * Claim 2 — a read returns a value older than a write completed before it;
+    * Claim 3 — a read returns a value older than an earlier, completed read's;
+    * writer order — a writer read invoked as its own write responds returns
+      the value before it, or responds as the next write is invoked and
+      returns that one;
+    * reader order — a reader's read invoked as its last read responds
+      returns the value before that one's.
+    """
+    number = {"v0": 0}
+    number.update((op[2], index) for index, op in enumerate((o for o in ops_ if o[1]), 1))
+    value = {index: name for name, index in number.items()}
+    writes = [op for op in ops_ if op[1]]
+    reads = [op for op in ops_ if not op[1]]
+
+    def newest_before(time: float) -> int:
+        return max((number[w[2]] for w in writes if w[4] is not None and w[4] < time), default=0)
+
+    def plant(candidates: list, result) -> None:
+        for read in rng.sample(candidates, min(3, len(candidates))):
+            read[2] = value[result(read)]
+
+    late = [r for r in reads if any(w[3] > r[4] for w in writes)]
+    plant(late, lambda r: min(number[w[2]] for w in writes if w[3] > r[4]))
+    stale = [r for r in reads if r[0] and newest_before(r[3]) >= 2]
+    plant(stale, lambda r: newest_before(r[3]) - 2)
+    # Reads that start after an earlier read saw a write still in progress.
+    seen = {id(r): max((number[e[2]] for e in reads if e[4] < r[3]), default=0) for r in reads}
+    inverted = [r for r in reads if r[0] and seen[id(r)] > newest_before(r[3])]
+    plant(inverted, lambda r: newest_before(r[3]))
+    by_writer = [op for op in ops_ if op[0] == 0]
+    after_own = [b for a, b in zip(by_writer, by_writer[1:]) if a[1] and not b[1] and a[4] == b[3]]
+    plant(after_own, lambda r: number[by_writer[by_writer.index(r) - 1][2]] - 1)
+    before_own = [a for a, b in zip(by_writer, by_writer[1:]) if not a[1] and b[1] and a[4] == b[3]]
+    plant(before_own, lambda r: number[by_writer[by_writer.index(r) + 1][2]])
+    for reader in (1, 2):
+        mine = [op for op in ops_ if op[0] == reader]
+        follow = [b for a, b in zip(mine, mine[1:]) if a[4] == b[3] and number[a[2]] >= 1]
+        plant(follow, lambda r, mine=mine: number[mine[mine.index(r) - 1][2]] - 1)
+
+
 def corpus() -> Iterator[Tuple[str, History, Optional[str]]]:
     """``(name, history, sequential spec name)`` for every pinned history."""
     for name, spec in sorted(golden_specs().items()):
@@ -104,6 +222,8 @@ def corpus() -> Iterator[Tuple[str, History, Optional[str]]]:
     for name, (history, _swmr) in sorted(negative_corpus().items()):
         yield f"negative/{name}", history, None
     for name, history in writer_read_histories().items():
+        yield name, history, None
+    for name, history in long_swmr_histories().items():
         yield name, history, None
 
 

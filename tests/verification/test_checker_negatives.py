@@ -163,3 +163,37 @@ class TestDiagnosticsAreDeterministic:
         first = check_histories_per_key({"k": history}).violations()
         second = check_histories_per_key({"k": history}).violations()
         assert first == second and first
+
+
+class TestUnhashableReadResult:
+    """A read returning an unhashable value no write wrote: the per-key
+    verdict must be Wing–Gong's, not a ``TypeError`` from the claims path."""
+
+    HISTORY = [(0, "write", "a", 0.0, 1.0), (1, "read", ["x"], 2.0, 3.0)]
+
+    def test_claims_path_reports_the_read_as_never_written(self):
+        history = make_history(self.HISTORY, initial_value="v0")
+        assert not check_linearizability(history).linearizable
+        result = check_histories_per_key({"k": history}).per_key["k"]
+        assert not result.linearizable
+        assert result.method == "swmr-claims"
+        assert result.operations == 2
+        assert len(result.violations) == 1
+        assert result.violations[0].startswith("read returned a value that was never written")
+
+    def test_the_store_reaches_the_same_verdict(self):
+        from repro.registers.base import OperationKind, OperationRecord
+        from repro.store import KVStore, StoreConfig
+
+        store = KVStore(StoreConfig(initial_value="v0"))
+        for pid, kind, payload, start, end in self.HISTORY:
+            op_kind = OperationKind(kind)
+            value = payload if op_kind is OperationKind.WRITE else None
+            row = store.oplog.note_created(op_kind, "k", value)
+            record = OperationRecord(row, pid, op_kind, value, "k", invoked_at=start, proc_op_id=0)
+            store.oplog.note_issued(row, record)
+            record.responded_at, record.result = end, None if value is not None else payload
+            store.oplog.note_completed(row, record)
+        report = store.check_linearizability()
+        assert report.failing_keys() == ["k"]
+        assert report.per_key["k"].method == "swmr-claims"

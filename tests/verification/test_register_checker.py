@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.verification.history import make_history
-from repro.verification.register_checker import AtomicityViolation, check_swmr_atomicity
+from repro.verification.history import History, Operation, OpKind, make_history
+from repro.verification.linearizability import check_histories_per_key, check_linearizability
+from repro.verification.register_checker import (
+    AtomicityViolation,
+    ClaimsNotApplicable,
+    check_swmr_atomicity,
+)
 
 
 def check(entries, initial="v0", raise_on_violation=False):
@@ -69,6 +74,18 @@ class TestAcceptedHistories:
         )
         assert report.ok
         assert report.max_read_lag == 1
+
+
+    def test_a_process_reads_at_one_instant_in_op_id_order(self):
+        """Two zero-length reads by p1 at t = 1, the later row first: op ids,
+        not rows, order them, so v0 then v1 is program order kept."""
+        rows = [
+            Operation(pid=0, kind=OpKind.WRITE, value="v1", invoked_at=0.0, responded_at=2.0, op_id=2),
+            Operation(pid=1, kind=OpKind.READ, result="v1", invoked_at=1.0, responded_at=1.0, op_id=1),
+            Operation(pid=1, kind=OpKind.READ, result="v0", invoked_at=1.0, responded_at=1.0, op_id=0),
+        ]
+        assert check_swmr_atomicity(History(rows, initial_value="v0")).ok
+        assert check_linearizability(History(rows, initial_value="v0")).linearizable
 
 
 class TestClaim1ReadFromTheFuture:
@@ -150,6 +167,21 @@ class TestInputValidation:
     def test_duplicate_written_values_rejected(self):
         with pytest.raises(ValueError, match="not unique"):
             check([(0, "write", "dup", 0.0, 1.0), (0, "write", "dup", 2.0, 3.0)])
+
+    @pytest.mark.parametrize(
+        "entries,initial,match",
+        [
+            ([(0, "write", ["a"], 0.0, 1.0)], "v0", "not hashable"),
+            ([(0, "write", "a", 0.0, 1.0)], ["v0"], "initial value"),
+            ([(0, "write", "v0", 0.0, 1.0)], "v0", "not unique"),
+            ([(0, "write", "a", 0.0, 1.0), (1, "read", "a", 3.0, 2.0)], "v0", "before it is invoked"),
+        ],
+    )
+    def test_the_precondition_is_one_exception_and_the_key_searches(self, entries, initial, match):
+        with pytest.raises(ClaimsNotApplicable, match=match):
+            check(entries, initial=initial)
+        history = make_history(entries, initial_value=initial)
+        assert check_histories_per_key({"k": history}).per_key["k"].method == "wing-gong"
 
     def test_raise_on_violation_mode(self):
         with pytest.raises(AtomicityViolation, match="Claim 2"):
