@@ -770,8 +770,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
             replication=args.replication,
             op_mix=op_mix,
             initial_value=None if smr else "v0",
-            perturb_rate=args.perturb_rate,
-            perturb_amplitude=args.perturb_amplitude,
             workers=args.workers,
         )
         report = run_exploration(config)
@@ -797,8 +795,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
         write_artifact(example, path)
         lines.append(
             f"\ncounterexample #{index}: {len(example.original_case.ops)} ops shrunk to "
-            f"{example.op_count} (perturbation {len(example.original_case.perturbation)} -> "
-            f"{len(example.case.perturbation)} entries), keys {example.failing_keys}"
+            f"{example.op_count} (delivery choices {len(example.original_case.choices)} -> "
+            f"{len(example.case.choices)}), keys {example.failing_keys}"
         )
         lines.extend(f"  - {violation}" for violation in example.violations)
         lines.append(f"  artifact: {path} (replayed: {'yes' if example.replayed else 'NO'})")
@@ -1002,20 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
             "write, cas, tas, incr).  Defaults to read/write via "
             "--read-fraction; SMR algorithms default to a cas-heavy mix"
         ),
-    )
-    sub.add_argument(
-        "--perturb-rate",
-        type=float,
-        default=0.5,
-        dest="perturb_rate",
-        help="fraction of messages perturbed per schedule (default 0.5)",
-    )
-    sub.add_argument(
-        "--perturb-amplitude",
-        type=float,
-        default=4.0,
-        dest="perturb_amplitude",
-        help="delay multipliers drawn from [0.05, 1 + amplitude] (default 4.0)",
     )
     sub.add_argument(
         "--expect-violation",

@@ -6,16 +6,17 @@ models happen to produce.  This package searches the schedule space
 deliberately and keeps the checker in the loop:
 
 * :class:`~repro.explore.strategies.ScheduleStrategy` — pluggable schedule
-  search: seeded random per-message delay/reorder perturbation
-  (``random-walk``), crash-coordinate sweeps (``crash-sweep``) and
-  healing-partition boundary sweeps (``partition-sweep``, reusing
-  :mod:`repro.faults`);
+  search over one schedule adversary, a seeded delivery chooser
+  (:mod:`repro.explore.chooser`) that picks which message in flight each
+  delivery slot delivers: alone (``random-walk``), with crash-coordinate
+  sweeps (``crash-sweep``) and with healing-partition boundary sweeps
+  (``partition-sweep``, reusing :mod:`repro.faults`);
 * every explored execution is verified with the scalable Wing–Gong
   linearizability checker (:mod:`repro.verification.linearizability`),
   per key (P-compositionality);
 * a violation is **shrunk** by delta debugging
   (:mod:`repro.explore.shrink`) to a minimal operation script + fault
-  schedule + perturbation choice set, and serialized as a strict-JSON
+  schedule + delivery choice set, and serialized as a strict-JSON
   **replayable artifact** (``repro explore --replay file``);
 * :mod:`repro.explore.mutations` provides intentionally faulty register
   variants so the find→shrink→replay pipeline is itself mutation-tested.
@@ -24,6 +25,7 @@ Entry points: :func:`run_exploration` (and the ``repro explore`` CLI).
 """
 
 from repro.explore.case import CaseOp, ExploreCase, run_case
+from repro.explore.chooser import DeliveryChooser, RandomChooser, ReplayChooser
 from repro.explore.config import ExploreConfig
 from repro.explore.explorer import (
     Counterexample,
@@ -34,7 +36,6 @@ from repro.explore.explorer import (
     write_artifact,
 )
 from repro.explore.mutations import available_mutations, install_mutations
-from repro.explore.perturb import RecordingPerturbation, ReplayPerturbation
 from repro.explore.shrink import ddmin, shrink_case
 from repro.explore.strategies import (
     STRATEGIES,
@@ -46,11 +47,12 @@ from repro.explore.strategies import (
 __all__ = [
     "CaseOp",
     "Counterexample",
+    "DeliveryChooser",
     "ExploreCase",
     "ExploreConfig",
     "ExploreReport",
-    "RecordingPerturbation",
-    "ReplayPerturbation",
+    "RandomChooser",
+    "ReplayChooser",
     "ReplayResult",
     "STRATEGIES",
     "ScheduleStrategy",

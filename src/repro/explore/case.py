@@ -4,8 +4,8 @@ An :class:`ExploreCase` is the unit the schedule explorer runs, shrinks and
 serializes: an explicit operation script (not a generator seed — shrinking
 removes individual operations), the store geometry, the delay model, the
 fault schedule (crash points and/or one healing partition window, reusing
-:mod:`repro.faults`) and the per-message perturbation choices.  Everything
-is plain data, round-trips through strict JSON, and :func:`run_case`
+:mod:`repro.faults`) and the delivery choices (:mod:`repro.explore.chooser`).
+Everything is plain data, round-trips through strict JSON, and :func:`run_case`
 executes it deterministically: same case, same execution, same verdict —
 which is what makes counterexample artifacts replayable
 (``repro explore --replay file``).
@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exec.target import OpRequest
+from repro.explore.chooser import ChoiceEntry, DeliveryChooser, ReplayChooser
 from repro.explore.mutations import MUTATIONS, install_mutations
-from repro.explore.perturb import PerturbationEntry, ReplayPerturbation
 from repro.faults.partitions import PartitionSchedule, PartitionWindow
-from repro.faults.plan import CrashPoint, FaultPlan, LinkPolicy, validate_crash_points
+from repro.faults.plan import CrashPoint, FaultPlan, validate_crash_points
 from repro.registers.base import OperationKind
 from repro.registers.registry import available_algorithms
 from repro.sim.delays import DelayModel, FixedDelay, UniformDelay
@@ -30,7 +30,7 @@ from repro.verification.linearizability import PartitionedCheckReport
 from repro.workloads.kv import deploy_store, drive_script
 
 #: Artifact/case schema version (bumped on incompatible changes).
-CASE_FORMAT_VERSION = 1
+CASE_FORMAT_VERSION = 2
 
 
 #: Case op kinds and how their ``value`` field serializes.  Registers use
@@ -100,20 +100,23 @@ class CaseOp:
 
 
 def delay_model_from_dict(payload: Dict[str, Any]) -> DelayModel:
-    """Build a delay model from its serialized form (fixed or uniform)."""
+    """Build a delay model from its serialized form (fixed or uniform).
+
+    Numbers are coerced (``float`` bounds, ``int`` seed): a seed is derived
+    from their ``repr``, so ``0`` and ``0.0`` must be one schedule.
+    """
     kind = payload.get("kind")
     if kind == "fixed":
-        return FixedDelay(payload.get("delta", 1.0))
+        return FixedDelay(float(payload.get("delta", 1.0)))
     if kind == "uniform":
-        return UniformDelay(
-            payload.get("low", 0.2), payload.get("high", 1.0), seed=payload.get("seed", 0)
-        )
+        low, high = float(payload.get("low", 0.2)), float(payload.get("high", 1.0))
+        return UniformDelay(low, high, seed=int(payload.get("seed", 0)))
     raise ValueError(f"unknown delay model kind {kind!r} (expected 'fixed' or 'uniform')")
 
 
 @dataclass(frozen=True)
 class ExploreCase:
-    """One schedule to run: geometry + script + faults + perturbation."""
+    """One schedule to run: geometry + script + faults + delivery choices."""
 
     name: str
     algorithm: str
@@ -127,8 +130,9 @@ class ExploreCase:
     #: which overlaps operations across replicas *and* creates real-time
     #: ordering between them — the regime where atomicity bugs hide.
     arrival_gap: float = 0.0
-    perturbation: Tuple[PerturbationEntry, ...] = ()
-    #: Crash points: ``{"at": t, "shard": s, "replica": r}`` (non-writer replicas).
+    choices: Tuple[ChoiceEntry, ...] = ()
+    #: Crash points as :class:`~repro.faults.CrashPoint` keyword dicts:
+    #: ``shard``, ``replica`` and ``at_time`` or ``after_messages_sent``.
     crash_points: Tuple[Dict[str, Any], ...] = ()
     #: At most one healing partition window: ``{"replicas": [...], "start": t, "heal": t}``.
     partition: Optional[Dict[str, Any]] = None
@@ -170,7 +174,7 @@ class ExploreCase:
             "delay": dict(self.delay),
             "initial_value": self.initial_value,
             "ops": [op.to_dict() for op in self.ops],
-            "perturbation": [list(entry) for entry in self.perturbation],
+            "choices": [list(entry) for entry in self.choices],
             "crash_points": [dict(point) for point in self.crash_points],
             "partition": dict(self.partition) if self.partition is not None else None,
         }
@@ -180,8 +184,8 @@ class ExploreCase:
         version = payload.get("version", CASE_FORMAT_VERSION)
         if version != CASE_FORMAT_VERSION:
             raise ValueError(
-                f"unsupported explore-case version {version} (this build reads "
-                f"version {CASE_FORMAT_VERSION})"
+                f"unsupported explore-case version {version} (this build reads version "
+                f"{CASE_FORMAT_VERSION}; version 1 held delay perturbations, not choices)"
             )
         try:
             return cls(
@@ -194,9 +198,9 @@ class ExploreCase:
                 delay=dict(payload["delay"]),
                 initial_value=payload.get("initial_value", "v0"),
                 ops=tuple(CaseOp.from_dict(entry) for entry in payload["ops"]),
-                perturbation=tuple(
-                    (str(scope), int(s), int(d), int(k), float(m))
-                    for scope, s, d, k, m in payload["perturbation"]
+                choices=tuple(
+                    (str(scope), int(slot), int(s), int(d), int(k))
+                    for scope, slot, s, d, k in payload["choices"]
                 ),
                 crash_points=tuple(dict(point) for point in payload.get("crash_points", ())),
                 partition=(
@@ -232,27 +236,22 @@ class CaseOutcome:
         return self.report.failing_keys()
 
 
-def _fault_plan_for(case: ExploreCase, perturbation: Optional[LinkPolicy]) -> Optional[FaultPlan]:
-    """The case's delay adversary: its partition window, then the perturbation."""
-    policies: List[LinkPolicy] = []
-    if case.partition is not None:
-        window = PartitionWindow.isolate(
-            tuple(int(replica) for replica in case.partition["replicas"]),
-            case.replication,
-            start=float(case.partition["start"]),
-            heal=float(case.partition["heal"]),
-        )
-        policies.append(PartitionSchedule(windows=(window,)))
-    if perturbation is None and case.perturbation:
-        perturbation = ReplayPerturbation(list(case.perturbation))
-    if perturbation is not None:
-        policies.append(perturbation)
-    return FaultPlan(name="explore-case", link_policies=tuple(policies)) if policies else None
+def _fault_plan_for(case: ExploreCase) -> Optional[FaultPlan]:
+    """The case's partition window as a fault plan (``None`` without one)."""
+    if case.partition is None:
+        return None
+    window = PartitionWindow.isolate(
+        tuple(int(replica) for replica in case.partition["replicas"]),
+        case.replication,
+        start=float(case.partition["start"]),
+        heal=float(case.partition["heal"]),
+    )
+    return FaultPlan(name="explore-case", link_policies=(PartitionSchedule(windows=(window,)),))
 
 
 def run_case(
     case: ExploreCase,
-    perturbation: Optional[LinkPolicy] = None,
+    chooser: Optional[DeliveryChooser] = None,
     check_max_states: Optional[int] = 1_000_000,
 ) -> CaseOutcome:
     """Execute ``case`` against a fresh store and check every key's history.
@@ -260,23 +259,20 @@ def run_case(
     The case's crash points are checked against its geometry before anything
     runs; its script then goes through the one drive loop every simulated run
     uses (:func:`~repro.workloads.kv.drive_script`), so a case carries the
-    same clean-finish rule as a workload run.  ``perturbation``, the last
-    policy of the case's fault plan, overrides its recorded entries (the
-    explorer passes a :class:`~repro.explore.perturb.RecordingPerturbation`
-    on first runs; replays and shrink probes build a
-    :class:`~repro.explore.perturb.ReplayPerturbation` from the case).  The
-    checker is the Wing–Gong engine on every key (``swmr_fast_path=False``)
-    so explored executions exercise the search core the explorer exists to
-    drive.
+    same clean-finish rule as a workload run.  Every case runs under a
+    delivery chooser: ``chooser`` where given (the explorer passes a
+    :class:`~repro.explore.chooser.RandomChooser` on first runs), else a
+    :class:`~repro.explore.chooser.ReplayChooser` of the case's choices
+    (replays and shrink probes).  The checker is the Wing–Gong engine on
+    every key (``swmr_fast_path=False``) so explored executions exercise the
+    search core the explorer exists to drive.
     """
     if case.algorithm in MUTATIONS and case.algorithm not in available_algorithms():
         install_mutations()  # replaying a mutant artifact is self-contained
-    crash_points = [
-        CrashPoint(
-            shard=int(point["shard"]), replica=int(point["replica"]), at_time=float(point["at"])
-        )
-        for point in case.crash_points
-    ]
+    try:
+        crash_points = [CrashPoint(**point) for point in case.crash_points]
+    except TypeError as exc:
+        raise ValueError(f"invalid crash point in case {case.name!r}: {exc}") from None
     validate_crash_points(crash_points, case.num_shards, case.replication)
     store = deploy_store(
         StoreConfig(
@@ -286,9 +282,11 @@ def run_case(
             delay_model=delay_model_from_dict(case.delay),
             initial_value=case.initial_value,
         ),
-        _fault_plan_for(case, perturbation),
+        _fault_plan_for(case),
         crash_points,
     )
+    # Before the first key deploys: every subnet takes its scoped view.
+    store.network.chooser = ReplayChooser(list(case.choices)) if chooser is None else chooser
     # A list: the open-loop client checks its arrival order before any event.
     script = case.script()
     _ops, _drives, finished = drive_script(

@@ -3,8 +3,8 @@
 :func:`run_exploration` drives the loop the subsystem exists for:
 
 1. the configured :class:`~repro.explore.strategies.ScheduleStrategy`
-   yields seeded schedules (perturbed delays, crash sweeps, partition
-   sweeps) over the base keyed workload;
+   yields seeded schedules (chosen deliveries, alone or with crash or
+   partition sweeps) over the base keyed workload;
 2. every explored execution is checked with the scalable per-key
    linearizability checker (Wing–Gong on every key — the explorer is the
    checker's adversarial test harness, so no fast paths);
@@ -64,7 +64,7 @@ class Counterexample:
             "version": ARTIFACT_VERSION,
             "case": self.case.to_dict(),
             "original_ops": len(self.original_case.ops),
-            "original_perturbation": len(self.original_case.perturbation),
+            "original_choices": len(self.original_case.choices),
             "expected": {
                 "failing_keys": [str(key) for key in self.failing_keys],
                 "violations": list(self.violations),
@@ -125,17 +125,17 @@ def _explore_case_main(payload) -> Dict[str, Any]:
     """Run one explored case and summarize it (module-level for spawn).
 
     Returns only what the sweep's accounting needs: the verdict, the checker
-    counts, and the case with its recorded perturbation entries embedded —
+    counts, and the case with its recorded delivery choices embedded —
     replaying those re-runs this exact execution, so materialization,
     shrinking and artifact building work from the summary alone.
     """
-    case, recorder, check_max_states = payload
-    outcome = run_case(case, perturbation=recorder, check_max_states=check_max_states)
+    case, chooser, check_max_states = payload
+    outcome = run_case(case, chooser=chooser, check_max_states=check_max_states)
     return {
         "ok": outcome.ok,
         "operations_checked": outcome.report.operations_checked,
         "states_explored": outcome.report.states_explored,
-        "case": case if recorder is None else case.with_(perturbation=tuple(recorder.entries)),
+        "case": case if chooser is None else case.with_(choices=tuple(chooser.entries)),
     }
 
 
@@ -145,7 +145,7 @@ def run_exploration(config: ExploreConfig) -> ExploreReport:
     Every case is summarized by :func:`_explore_case_main` — lazily in
     process at ``workers=1`` (the sweep stops at the last counterexample it
     keeps), on the :mod:`repro.parallel` pool above that.  A violating case
-    is then re-run from its recorded entries, materialized, shrunk and
+    is then re-run from its recorded choices, materialized, shrunk and
     packaged serially, so every worker count gives the same counts and the
     same counterexamples, byte for byte.
     """
@@ -155,8 +155,8 @@ def run_exploration(config: ExploreConfig) -> ExploreReport:
     report = ExploreReport(config=config)
     started = time.perf_counter()
     payloads = (
-        (case, recorder, config.check_max_states)
-        for case, recorder in islice(strategy.cases(), config.budget)
+        (case, chooser, config.check_max_states)
+        for case, chooser in islice(strategy.cases(), config.budget)
     )
     summaries = (
         run_chunked(_explore_case_main, list(payloads), config.workers)

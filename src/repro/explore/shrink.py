@@ -1,7 +1,7 @@
 """Delta-debugging shrinker: violating schedule -> minimal reproducer.
 
 When the explorer finds a non-linearizable execution the raw case is noisy:
-dozens of operations, dozens of perturbation choices, faults that may be
+dozens of operations, dozens of delivery choices, faults that may be
 irrelevant.  :func:`shrink_case` minimizes it with Zeller–Hildebrandt
 *ddmin* [ZH02]_ over each ingredient in turn:
 
@@ -11,8 +11,8 @@ irrelevant.  :func:`shrink_case` minimizes it with Zeller–Hildebrandt
    reproducer);
 2. the **fault schedule** (drop crash points / the partition window when
    the violation survives without them);
-3. the **perturbation choices** (remove recorded per-message multipliers;
-   removed entries fall back to the unperturbed delay).
+3. the **delivery choices** (remove recorded picks; a removed pick's slot
+   delivers the earliest message in flight).
 
 Every probe is one deterministic store run, so shrinking is itself
 deterministic: the same violating case shrinks to the same minimal case on
@@ -70,10 +70,10 @@ def shrink_case(
     """Minimize a failing case (``fails(case)`` must already be True).
 
     First tries restricting the script to ``focus_keys`` (the keys the
-    checker reported as violating — with a fixed base delay and scoped
-    perturbation, other keys' operations cannot influence them), then
+    checker reported as violating — delays and choices are scoped per key,
+    so other keys' operations cannot influence them), then
     applies ddmin to the op script, tries dropping each fault, ddmin on the
-    perturbation entries, and iterates to a fixpoint.  Deterministic: no
+    delivery choices, and iterates to a fixpoint.  Deterministic: no
     randomness anywhere, so identical inputs shrink identically.
     """
     if not fails(case):
@@ -89,9 +89,9 @@ def shrink_case(
         """Cheap pre-pass: find a short failing *prefix* by bisection.
 
         Operations after the violation can never contribute to it, and a
-        prefix keeps arrival times and per-link message ordinals of the
-        surviving operations aligned with the original schedule — so this
-        pass shrinks fast without disturbing the perturbation.  (Failing
+        prefix keeps arrival times, slots and per-link message ordinals of
+        the surviving operations aligned with the original schedule — so
+        this pass shrinks fast without disturbing the choices.  (Failing
         prefixes are not monotone, so this finds *a* failing prefix, not
         the minimal one; ddmin refines afterwards.)
         """
@@ -128,28 +128,26 @@ def shrink_case(
                 current = without
         return current
 
-    def shrink_perturbation(current: ExploreCase) -> ExploreCase:
-        if not current.perturbation:
+    def shrink_choices(current: ExploreCase) -> ExploreCase:
+        if not current.choices:
             return current
-        entries = list(current.perturbation)
+        entries = list(current.choices)
         if len(entries) == 1:
-            without = current.with_(perturbation=())
+            without = current.with_(choices=())
             return without if fails(without) else current
-        minimal = ddmin(
-            entries, lambda subset: fails(current.with_(perturbation=tuple(subset)))
-        )
+        minimal = ddmin(entries, lambda subset: fails(current.with_(choices=tuple(subset))))
         # ddmin never probes the empty subset; try it last.
-        candidate = current.with_(perturbation=tuple(minimal))
-        empty = current.with_(perturbation=())
+        candidate = current.with_(choices=tuple(minimal))
+        empty = current.with_(choices=())
         if fails(empty):
             return empty
         return candidate
 
     def size(current: ExploreCase) -> tuple:
         faults = len(current.crash_points) + (current.partition is not None)
-        return len(current.ops), faults, len(current.perturbation)
+        return len(current.ops), faults, len(current.choices)
 
-    # Iterate to a fixpoint: dropping a fault or perturbation entries can
+    # Iterate to a fixpoint: dropping a fault or delivery choices can
     # make further operations removable and vice versa.  Each pass only ever
     # keeps a failing case, so the loop is monotone in the size and bounded.
     for _round in range(5):
@@ -157,7 +155,7 @@ def shrink_case(
         case = truncate_tail(case)
         case = shrink_ops(case)
         case = shrink_faults(case)
-        case = shrink_perturbation(case)
+        case = shrink_choices(case)
         if size(case) == size_before:
             break
     return case

@@ -2,16 +2,16 @@
 
 A :class:`ScheduleStrategy` turns an :class:`~repro.explore.config.ExploreConfig`
 into a seeded, deterministic stream of :class:`~repro.explore.case.ExploreCase`
-objects (plus, for strategies that perturb message delays, the recording
-perturbation to run the case under).  Three built-ins:
+objects, each with the seeded :class:`~repro.explore.chooser.RandomChooser`
+to run it under: every strategy delivers through the same chooser, a
+uniform pick over each subnet's messages in flight that explores message
+*reorderings* the base delay model would rarely produce.  Three built-ins:
 
-* :class:`RandomWalkStrategy` — seeded random per-message delay
-  perturbation (stretch/shrink multipliers recorded per message, see
-  :mod:`repro.explore.perturb`): explores message *reorderings* the base
-  delay model would rarely produce;
+* :class:`RandomWalkStrategy` — the chooser alone;
 * :class:`CrashPointSweepStrategy` — sweeps a seeded grid of server-crash
-  coordinates (time x shard x non-writer replica): explores crash
-  placement relative to in-flight quorum phases;
+  coordinates (a virtual time, or on every other case a send count, x shard
+  x non-writer replica): explores crash placement relative to in-flight
+  quorum phases, mid-broadcast included;
 * :class:`PartitionBoundarySweepStrategy` — sweeps healing-partition
   windows (isolated replica x start x duration), reusing the
   :mod:`repro.faults` partition plane: explores operations straddling
@@ -27,14 +27,19 @@ import abc
 from typing import Any, Dict, Iterator, Optional, Tuple, Type
 
 from repro.explore.case import CaseOp, ExploreCase
+from repro.explore.chooser import RandomChooser
 from repro.explore.config import ExploreConfig
-from repro.explore.perturb import RecordingPerturbation
 from repro.sim.rng import make_rng
 from repro.workloads.kv import KVWorkloadSpec, generate_kv_operations
 
-#: What a strategy yields: the case plus an optional live perturbation to
-#: record under (None when the case is fully described by its fields).
-PreparedCase = Tuple[ExploreCase, Optional[RecordingPerturbation]]
+#: A crash-sweep send-count trigger is drawn from ``1 .. SEND_COUNT_RANGE - 1``:
+#: a replica index sends about 4 messages per time unit on the quick
+#: geometry, so this spans about the timed trigger's 0.5–12 window.
+SEND_COUNT_RANGE = 50
+
+#: What a strategy yields: the case plus the chooser to record its picks
+#: under (None when the case is fully described by its fields).
+PreparedCase = Tuple[ExploreCase, Optional[RandomChooser]]
 
 
 def _script_for(config: ExploreConfig, case_seed: int) -> Tuple[CaseOp, ...]:
@@ -63,13 +68,6 @@ def _delay_for(config: ExploreConfig, case_seed: int) -> Dict[str, object]:
     if delay.get("kind") == "uniform":
         delay["seed"] = case_seed
     return delay
-
-
-def _recorder_for(config: ExploreConfig, perturb_seed: int) -> RecordingPerturbation:
-    """The per-case recording perturbation every strategy runs under."""
-    return RecordingPerturbation(
-        perturb_seed, rate=config.perturb_rate, amplitude=config.perturb_amplitude
-    )
 
 
 class ScheduleStrategy(abc.ABC):
@@ -102,7 +100,7 @@ class ScheduleStrategy(abc.ABC):
 
 
 class RandomWalkStrategy(ScheduleStrategy):
-    """Seeded random per-message delay/reorder perturbation."""
+    """Seeded random delivery choices over the base delay model."""
 
     name = "random-walk"
 
@@ -111,8 +109,8 @@ class RandomWalkStrategy(ScheduleStrategy):
         rng = make_rng(config.seed, "explore", self.name)
         for index in range(config.budget):
             case_seed = rng.randrange(2**31)
-            perturb_seed = rng.randrange(2**31)
-            yield self._case(index, case_seed), _recorder_for(config, perturb_seed)
+            chooser_seed = rng.randrange(2**31)
+            yield self._case(index, case_seed), RandomChooser(chooser_seed)
 
 
 class CrashPointSweepStrategy(ScheduleStrategy):
@@ -130,14 +128,17 @@ class CrashPointSweepStrategy(ScheduleStrategy):
         rng = make_rng(config.seed, "explore", self.name)
         for index in range(config.budget):
             case_seed = rng.randrange(2**31)
-            perturb_seed = rng.randrange(2**31)
-            crash = {
-                "at": round(rng.uniform(0.5, 12.0), 3),
-                "shard": rng.randrange(config.num_shards),
-                "replica": rng.randrange(1, config.replication),
-            }
+            chooser_seed = rng.randrange(2**31)
+            # Odd cases crash after a send count: possibly mid-broadcast.
+            crash = (
+                {"after_messages_sent": rng.randrange(1, SEND_COUNT_RANGE)}
+                if index % 2
+                else {"at_time": round(rng.uniform(0.5, 12.0), 3)}
+            )
+            crash["shard"] = rng.randrange(config.num_shards)
+            crash["replica"] = rng.randrange(1, config.replication)
             case = self._case(index, case_seed, crash_points=(crash,))
-            yield case, _recorder_for(config, perturb_seed)
+            yield case, RandomChooser(chooser_seed)
 
 
 class PartitionBoundarySweepStrategy(ScheduleStrategy):
@@ -150,7 +151,7 @@ class PartitionBoundarySweepStrategy(ScheduleStrategy):
         rng = make_rng(config.seed, "explore", self.name)
         for index in range(config.budget):
             case_seed = rng.randrange(2**31)
-            perturb_seed = rng.randrange(2**31)
+            chooser_seed = rng.randrange(2**31)
             start = round(rng.uniform(0.5, 8.0), 3)
             duration = round(rng.uniform(2.0, 15.0), 3)
             partition = {
@@ -161,7 +162,7 @@ class PartitionBoundarySweepStrategy(ScheduleStrategy):
                 "heal": round(start + duration, 3),
             }
             case = self._case(index, case_seed, partition=partition)
-            yield case, _recorder_for(config, perturb_seed)
+            yield case, RandomChooser(chooser_seed)
 
 
 #: Strategy name -> class, in presentation order.

@@ -19,10 +19,9 @@ delays, so every guarantee the algorithms give under ``t < n/2`` crashes
 (atomicity, termination of operations by correct processes) must still hold
 — which is exactly what the chaos sweeps check.
 
-Policies are **deterministic in send order**, so the same plan applied to
-the same seeded run reproduces the same execution record-by-record.  The
-fault policies here are pure, one object for every subnet; the explorer's
-perturbations keep state per scope (:meth:`LinkPolicy.scoped`).
+Policies are **deterministic in send order** and pure, one object for every
+subnet, so the same plan applied to the same seeded run reproduces the same
+execution record-by-record.
 
 **Interplay with message coalescing.**  ``Network.send`` consults the link
 policy *per logical message, before* the coalescing key is computed, so with
@@ -53,15 +52,6 @@ class LinkPolicy(abc.ABC):
     def adjust(self, src: int, dst: int, now: float, delay: float) -> float:
         """Return the (possibly inflated) delay for a ``src -> dst`` message sent at ``now``."""
 
-    #: True where one state spans every scope (the explorer's recorder): a
-    #: run split over shard-parallel workers could not reproduce it.
-    spans_scopes = False
-
-    def scoped(self, scope: str) -> "LinkPolicy":
-        """The policy on the subnet named ``scope`` (like ``DelayModel.scoped``):
-        itself where pure, else a view keying its state by ``scope``."""
-        return self
-
     def quiescent_after(self) -> float:
         """Virtual time after which this policy no longer adjusts any message."""
         return 0.0
@@ -84,10 +74,6 @@ class CompositeLinkPolicy(LinkPolicy):
         for policy in self.policies:
             delay = policy.adjust(src, dst, now, delay)
         return delay
-
-    def scoped(self, scope: str) -> LinkPolicy:
-        policies = tuple(policy.scoped(scope) for policy in self.policies)
-        return self if policies == self.policies else CompositeLinkPolicy(policies)
 
     def quiescent_after(self) -> float:
         return max((policy.quiescent_after() for policy in self.policies), default=0.0)

@@ -2,7 +2,7 @@
 
 Per-key subnets have been independent since the store existed: two keys on
 different shards share nothing but the virtual clock, placement is a stable
-hash, delay and perturbation streams are scoped per subnet.  This package
+hash, delay streams and delivery choosers are scoped per subnet.  This package
 cashes that independence in: it partitions the :class:`~repro.store.ShardMap`
 into disjoint shard groups (:meth:`~repro.store.ShardMap.shard_groups`), runs
 each group's subnets in a separate worker process, and merges the per-worker

@@ -17,9 +17,12 @@ does not retract messages).  A crashed process cannot initiate new sends.
 Adversarial-but-legal executions are produced by one delay adversary, the
 network's optional **link policy** (:mod:`repro.faults`): it adjusts the
 sampled delay per ``(src, dst)`` message at send time (partitions-that-heal,
-delay storms, asymmetric slowdowns, the explorer's perturbation).  A policy
-must return a finite, non-negative delay — channels stay *reliable*; only the
-asynchrony is exercised, so every faulted execution is one the model permits.
+delay storms, asymmetric slowdowns).  A policy must return a finite,
+non-negative delay — channels stay *reliable*; only the asynchrony is
+exercised, so every faulted execution is one the model permits.  The one
+schedule adversary is the optional **chooser**
+(:mod:`repro.explore.chooser`): under it each message's delivery time is a
+slot, and the chooser picks which message in flight that slot delivers.
 
 The network also maintains :class:`NetworkStats`: per-type message counts,
 control-bit and data-bit accounting, and per-operation attribution used by the
@@ -361,9 +364,9 @@ class Network:
     ) -> None:
         self.simulator = simulator
         self.delay_model = delay_model or FixedDelay(1.0)
-        #: A subnet's name: the scope its delay model and link policy are
-        #: bound to (pids are subnet-local; unscoped, two keys' traffic would
-        #: share one choice stream).
+        #: A subnet's name: the scope its delay model and chooser are bound
+        #: to (pids are subnet-local; unscoped, two keys' traffic would share
+        #: one choice stream).
         self.name = ""
         #: Set by :meth:`close`; a closed network (or subnet) rejects sends.
         self.closed = False
@@ -389,6 +392,11 @@ class Network:
         # order.  ``None`` (the default) keeps the send path byte-identical
         # to a fault-free run.
         self.link_policy: Optional[Any] = None
+        # The schedule adversary (repro.explore.chooser): ``hold(heap,
+        # entry)`` takes each message in flight and books its delivery slot,
+        # ``scoped(name)`` is its view on a subnet.  A network under one
+        # keeps no coalescing index: a slot delivers one message.
+        self.chooser: Optional[Any] = None
         # Send hooks fire after a message is recorded and scheduled (i.e. the
         # message is already irrevocably in flight).  The message-count crash
         # trigger uses this to kill a sender *immediately* after its k-th
@@ -453,7 +461,8 @@ class Network:
         The coalescing index is consulted only where two deliveries can share
         an instant: the delay model's draws can collide, or a link policy —
         which can align instants (a healed partition releases everything at
-        the heal time) — is installed.
+        the heal time) — is installed; and never under a chooser, which gets
+        each message in flight instead (``chooser.hold``).
         """
         if self.closed:
             raise TransportClosedError(
@@ -469,8 +478,9 @@ class Network:
         model = self.delay_model
         hooks = self._send_hooks
         policy = self.link_policy
+        chooser = self.chooser
         coalesced = None
-        if self.coalesce and (model.may_collide or policy is not None):
+        if self.coalesce and chooser is None and (model.may_collide or policy is not None):
             coalesced = self._coalesced
         simulator = self.simulator
         send_time = simulator._now  # .now property, bypassed on the hot path
@@ -487,7 +497,7 @@ class Network:
             if endpoint is None or dst == src:
                 raise _bad_destination(src, dst)
             delay = model.sample(src, dst)
-            if not hooks and policy is None and coalesced is None:
+            if not hooks and policy is None and chooser is None and coalesced is None:
                 # One message that nothing can reshape, observe or share an
                 # instant with — every reply of a quorum phase.  This is the
                 # loop below for one destination with the branches that
@@ -516,6 +526,7 @@ class Network:
             count = len(dsts)
             stats.record_send(src, message, count)
             self._in_flight += count
+        push = heappush if chooser is None else chooser.hold
         for dst, delay in zip(dsts, delays):
             if hooks:
                 stats.record_send(src, message)
@@ -533,7 +544,7 @@ class Network:
                     )
             time = send_time + delay
             if coalesced is None:
-                heappush(heap, (time, next(counter), endpoints[dst], src, message, send_time, None))
+                push(heap, (time, next(counter), endpoints[dst], src, message, send_time, None))
             else:
                 key = (dst, time)
                 riders = coalesced.get(key)
@@ -638,12 +649,14 @@ class Subnet(Network):
         self.stats = parent.stats
         self.records = parent.records
         # The fault plane is deployment-wide: a subnet created while a link
-        # policy is installed on the parent inherits it, scoped to the subnet
-        # (lazy per-key deployments during a chaos run see the same
-        # partitions), and send hooks are shared by reference so hooks added
-        # to the parent later also observe subnet traffic.  Subnet pids are
-        # subnet-local, so a policy over replica indices applies uniformly to
-        # every key.
-        if parent.link_policy is not None:
-            self.link_policy = parent.link_policy.scoped(name)
+        # policy is installed on the parent inherits it (lazy per-key
+        # deployments during a chaos run see the same partitions), and send
+        # hooks are shared by reference so hooks added to the parent later
+        # also observe subnet traffic.  Subnet pids are subnet-local, so a
+        # policy over replica indices applies uniformly to every key.  The
+        # chooser is scoped like the delay model: a subnet's picks depend
+        # only on its own traffic.
+        self.link_policy = parent.link_policy
+        if parent.chooser is not None:
+            self.chooser = parent.chooser.scoped(name)
         self._send_hooks = parent._send_hooks

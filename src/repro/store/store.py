@@ -280,7 +280,7 @@ class KVStore:
     def _deploy(self, key: Any) -> KeyRegister:
         placement = self.shard_map.placement(key)
         shard = self.shards[placement.shard]
-        # Its delay model and link policy are scoped to its name (``Subnet``).
+        # Its delay model and chooser are scoped to its name (``Subnet``).
         subnet = Subnet(self.network, name=f"shard{placement.shard}:{key!r}")
         algorithm = get_algorithm(self.config.algorithm_for(placement.shard))
         processes = algorithm.build(
@@ -487,17 +487,15 @@ class KVStore:
         replication - 1``) and apply uniformly to every key's subnet —
         partitioning replica 2 partitions it for every shard.  Registers
         deployed later (keys touched for the first time mid-run) inherit the
-        policy at deployment (``policy.scoped(subnet.name)``), so lazy
-        deployment and chaos compose.  Also raises the driver's drive horizon
-        past the last scheduled heal and annotates metrics snapshots with the
-        fault timeline.
+        policy at deployment, so lazy deployment and chaos compose.  Also
+        raises ``Driver.fault_horizon`` past the last scheduled heal and
+        annotates metrics snapshots with the fault timeline.
         """
         plan.validate(self.config.replication)
         policy = plan.policy()
         self.network.link_policy = policy
         for deployment in self._registers.values():
-            subnet = deployment.subnet
-            subnet.link_policy = None if policy is None else policy.scoped(subnet.name)
+            deployment.subnet.link_policy = policy
         self.fault_plan = plan
         # Heal-aware driving: never let a per-drive budget truncate a run
         # while messages are merely held until a scheduled heal.

@@ -9,7 +9,7 @@ processes on top of them.  Two backends implement the interfaces:
 
 * :mod:`repro.sim` — the virtual-time discrete-event simulator
   (deterministic, seeded; the home of coalescing, link policies, the fault
-  plane and schedule perturbation).  ``Simulator`` / ``Network`` satisfy the
+  plane and the delivery chooser).  ``Simulator`` / ``Network`` satisfy the
   interfaces structurally, without inheriting from them.
 * :mod:`repro.transport.live` — real asyncio TCP sockets on a loopback
   multi-process cluster (wall-clock time; measures real latencies).

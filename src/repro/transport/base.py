@@ -8,7 +8,7 @@ seeded runs stay byte-identical.  The live backend
 (:mod:`repro.transport.live`) implements the same shapes over asyncio TCP.
 
 What the interfaces deliberately leave out — message coalescing, link
-policies (the fault plane), schedule perturbation — are *simulated-only*
+policies (the fault plane), the delivery chooser — are *simulated-only*
 capabilities: they exist to explore adversarial schedules deterministically
 and have no faithful wall-clock analogue (crash points run on both: a live
 replica is killed).  Protocol code never touches them; only the harness
@@ -140,7 +140,7 @@ TRANSPORTS: dict[str, TransportInfo] = {
         ),
         clock="virtual time units",
         deterministic=True,
-        sim_only_features="coalescing, link policies / fault plane, perturbation",
+        sim_only_features="coalescing, link policies / fault plane, delivery chooser",
     ),
     "live": TransportInfo(
         name="live",

@@ -36,7 +36,7 @@ to ``messages_dropped_to_crashed``, a client fails an announced-dead
 replica's operations at once; any other link end fails the run by name, as
 does a replica silent to a stats request or a client worker process that
 raises or dies (``worker_failure``).  Fault plans, coalescing and
-perturbation stay simulated-only (they need a controllable clock).  TCP
+the delivery chooser stay simulated-only (they need a controllable clock).  TCP
 gives reliable non-FIFO-across-connections delivery and the OS scheduler
 the (unbounded, adversarial-enough) delays of the asynchronous model.
 """

@@ -160,7 +160,7 @@ class KVWorkloadSpec:
     workers: int = 1
     max_events: Optional[int] = None
     #: Which backend executes the run: ``"sim"`` (virtual-time simulator,
-    #: default — deterministic, supports fault plans/perturbation/coalescing) or
+    #: default — deterministic, supports fault plans/coalescing) or
     #: ``"live"`` (asyncio TCP loopback cluster, one wire codec; wall-clock
     #: time, with ``arrival_rate`` read as operations per *second*).  The
     #: seeded operation stream is identical on both — only timing differs.
@@ -240,12 +240,6 @@ class KVWorkloadSpec:
             raise ValueError(
                 "after_messages_sent counts a replica's sends across the whole store; "
                 "a shard-parallel worker sees only its own shards (use workers=1 or at_time)"
-            )
-        policies = self.fault_plan.link_policies if self.fault_plan is not None else ()
-        if self.workers > 1 and any(policy.spans_scopes for policy in policies):
-            raise ValueError(
-                "a recording perturbation draws every key's choices from one stream; "
-                "a shard-parallel worker sees only its own shards (use workers=1)"
             )
 
     @property

@@ -487,7 +487,7 @@ def explore_smoke(
     """A small seeded schedule-exploration run (random-walk, quick budget).
 
     Returns an :class:`~repro.explore.ExploreConfig` for
-    :func:`~repro.explore.run_exploration`: ``budget`` perturbed schedules
+    :func:`~repro.explore.run_exploration`: ``budget`` chosen schedules
     of a small keyed workload, each execution checked per key with the
     Wing–Gong linearizability checker, violations shrunk to replayable
     counterexample artifacts.  On a healthy algorithm the run must come

@@ -1,6 +1,7 @@
-"""Perturbation record/replay and the explore-case execution layer."""
+"""Delivery-choice record/replay and the explore-case execution layer."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -11,11 +12,16 @@ from repro.explore.case import (
     materialize_schedule,
     run_case,
 )
+from repro.cli import main
+from repro.explore.chooser import RandomChooser, ReplayChooser
+from repro.explore.explorer import ARTIFACT_FORMAT
 from repro.explore.mutations import install_mutations
-from repro.explore.perturb import RecordingPerturbation, ReplayPerturbation
 from repro.faults.partitions import PartitionSchedule, PartitionWindow
-from repro.faults.plan import CompositeLinkPolicy, FaultPlan
+from repro.faults.plan import FaultPlan
+from repro.sim.delays import FixedDelay
+from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
+from repro.transport.runtime import ProcessBase
 from repro.workloads.kv import (
     CrashPoint,
     KVWorkloadSpec,
@@ -62,85 +68,114 @@ def signature(outcome):
 
 
 class TestRecordReplayIdentity:
-    def test_replaying_recorded_entries_reproduces_the_execution(self):
+    def test_replaying_recorded_choices_reproduces_the_execution(self):
         case = small_case()
-        recorder = RecordingPerturbation(seed=5, rate=0.6, amplitude=4.0)
-        recorded = run_case(case, perturbation=recorder)
-        assert recorder.entries, "a 60% rate over dozens of messages must record choices"
-        replayed = run_case(case.with_(perturbation=tuple(recorder.entries)))
+        recorder = RandomChooser(seed=5)
+        recorded = run_case(case, chooser=recorder)
+        assert recorder.entries, "a uniform pick over dozens of messages must record choices"
+        replayed = run_case(case.with_(choices=tuple(recorder.entries)))
         assert signature(replayed) == signature(recorded)
 
     def test_record_mode_is_seed_deterministic(self):
         case = small_case()
-        first = RecordingPerturbation(seed=5, rate=0.6, amplitude=4.0)
-        second = RecordingPerturbation(seed=5, rate=0.6, amplitude=4.0)
-        run_case(case, perturbation=first)
-        run_case(case, perturbation=second)
+        first, second = RandomChooser(seed=5), RandomChooser(seed=5)
+        run_case(case, chooser=first)
+        run_case(case, chooser=second)
         assert first.entries == second.entries
 
-    def test_dropping_entries_changes_but_never_breaks_the_run(self):
+    def test_dropping_choices_changes_but_never_breaks_the_run(self):
         case = small_case()
-        recorder = RecordingPerturbation(seed=5, rate=0.6, amplitude=4.0)
-        run_case(case, perturbation=recorder)
+        recorder = RandomChooser(seed=5)
+        run_case(case, chooser=recorder)
         subset = tuple(recorder.entries[::2])
-        outcome = run_case(case.with_(perturbation=subset))
+        outcome = run_case(case.with_(choices=subset))
         assert outcome.finished_cleanly and outcome.ok
 
 
-class TestPerturbationValidation:
-    def test_duplicate_entries_rejected(self):
-        entry = ("s", 0, 1, 0, 2.0)
+class _Sink(ProcessBase):
+    def __init__(self, pid, simulator, network, log):
+        super().__init__(pid, simulator, network)
+        self.log = log
+
+    def on_message(self, src, message):
+        self.log.append((self.simulator.now, self.pid, src, message))
+
+
+def _plain_world(chooser, n=4):
+    simulator = Simulator()
+    network = Network(simulator, delay_model=FixedDelay(1.0), coalesce=True)
+    network.chooser = chooser
+    log = []
+    for pid in range(n):
+        _Sink(pid, simulator, network, log)
+    return simulator, network, log
+
+
+class TestTheChooser:
+    def test_every_message_is_delivered_once_at_a_slot(self):
+        simulator, network, log = _plain_world(RandomChooser(seed=3))
+        for round_ in range(5):
+            for src in range(4):
+                network.send(src, [dst for dst in range(4) if dst != src], f"m{round_}.{src}")
+            simulator.run(until=simulator.now + 0.5)
+        simulator.drain()
+        sent = sorted((dst, src, f"m{r}.{src}") for r in range(5) for src in range(4)
+                      for dst in range(4) if dst != src)
+        assert sorted((pid, src, message) for _t, pid, src, message in log) == sent
+        assert network.quiescent() and network.stats.messages_coalesced == 0
+        # A slot is the time the delay model gave some message: 1.0 after a send.
+        assert {time for time, *_ in log} == {0.5 * r + 1.0 for r in range(5)}
+
+    def test_a_pick_reorders_one_slot(self):
+        # Slot 0 delivers the first message sent on link 2 -> 1 (k = 0) instead
+        # of the earliest in flight, 0 -> 1; the slot it skipped delivers that.
+        simulator, network, log = _plain_world(ReplayChooser([("", 0, 2, 1, 0)]))
+        network.send(0, 1, "a")
+        network.send(2, 1, "b")
+        simulator.drain()
+        assert [(src, message) for _t, _pid, src, message in log] == [(2, "b"), (0, "a")]
+
+    def test_a_pick_of_a_message_not_in_flight_is_no_pick(self):
+        simulator, network, log = _plain_world(ReplayChooser([("", 0, 3, 1, 7)]))
+        network.send(0, 1, "a")
+        network.send(2, 1, "b")
+        simulator.drain()
+        assert [message for *_rest, message in log] == ["a", "b"]
+
+    def test_duplicate_choices_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            ReplayPerturbation([entry, entry])
+            ReplayChooser([("s", 0, 1, 2, 0), ("s", 0, 2, 1, 0)])
 
-    def test_negative_multiplier_rejected(self):
-        with pytest.raises(ValueError, match="invalid perturbation multiplier"):
-            ReplayPerturbation([("s", 0, 1, 0, -1.0)])
-
-    def test_invalid_recorder_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            RecordingPerturbation(seed=0, rate=1.5)
-        with pytest.raises(ValueError):
-            RecordingPerturbation(seed=0, shrink_to=0.0)
-
-    def test_scopes_separate_choice_streams(self):
-        replay = ReplayPerturbation([("a", 0, 1, 0, 3.0)])
-        assert replay.scoped("b").adjust(0, 1, 0.0, 1.0) == 1.0  # other scope untouched
-        assert replay.scoped("a").adjust(0, 1, 0.0, 1.0) == 3.0
+    def test_scopes_separate_choices_and_streams(self):
+        replay = ReplayChooser([("a", 0, 1, 2, 0)])
+        bag = [(1.0, 0, 2, 1, 0), (1.0, 1, 1, 2, 0)]
+        assert replay.scoped("b").pick(0, bag) == 0  # other scope untouched
+        assert replay.scoped("a").pick(0, bag) == 1
+        recorder = RandomChooser(seed=1)
+        one, other = recorder.scoped("a"), recorder.scoped("b")
+        assert one.entries is other.entries is recorder.entries
+        assert one._rng.getstate() != other._rng.getstate()
 
 
-class TestAPerturbationIsTheLastLinkPolicy:
-    partition = PartitionSchedule(
-        windows=(PartitionWindow.isolate((2,), 3, start=0.0, heal=4.0),)
-    )
-
-    def test_a_pure_policy_is_the_same_object_in_every_scope(self):
-        pure = CompositeLinkPolicy((self.partition, self.partition))
-        assert self.partition.scoped("a") is self.partition
-        assert pure.scoped("a") is pure
-
-    def test_a_composite_scopes_its_perturbation_and_keeps_the_order(self):
-        replay = ReplayPerturbation([("a", 0, 2, 0, 3.0)])
-        scoped = CompositeLinkPolicy((self.partition, replay)).scoped("a")
-        assert scoped.policies[0] is self.partition
-        # perturb(policy(sample)): the held delay (4 - 1) + 1 is what gets tripled.
-        assert scoped.adjust(0, 2, 1.0, 1.0) == 12.0
-        assert scoped.adjust(0, 2, 1.0, 1.0) == 4.0  # ordinal 1: no entry
-
-    def test_a_recorder_cannot_be_split_over_workers(self):
-        plan = FaultPlan(link_policies=(self.partition, RecordingPerturbation(seed=1)))
-        spec = KVWorkloadSpec(fault_plan=plan)
-        with pytest.raises(ValueError, match="recording perturbation"):
-            spec.with_(workers=2)
-        replay = FaultPlan(link_policies=(ReplayPerturbation([("a", 0, 1, 0, 2.0)]),))
-        assert spec.with_(fault_plan=replay, workers=2).workers == 2
+class TestEveryLinkPolicyIsPure:
+    def test_a_fault_plan_runs_on_shard_parallel_workers(self):
+        window = PartitionWindow.isolate((2,), 3, start=0.0, heal=4.0)
+        plan = FaultPlan(link_policies=(PartitionSchedule(windows=(window,)),))
+        spec = KVWorkloadSpec(num_ops=40, fault_plan=plan, delay_model=FixedDelay(1.0))
+        serial, parallel = run_kv_workload(spec), run_kv_workload(spec.with_(workers=2))
+        assert histories(serial.store) == {
+            str(key): history.to_dict() for key, history in parallel.histories().items()
+        }
 
 
 class TestCaseSerde:
     def test_case_round_trips_through_strict_json(self):
         case = small_case(
-            perturbation=(("shard0:'k0'", 0, 1, 2, 2.5),),
-            crash_points=({"at": 3.0, "shard": 0, "replica": 1},),
+            choices=(("shard0:'k0'", 4, 1, 2, 0),),
+            crash_points=(
+                {"at_time": 3.0, "shard": 0, "replica": 1},
+                {"after_messages_sent": 5, "shard": 1, "replica": 2},
+            ),
             partition={"replicas": [2], "start": 1.0, "heal": 5.0},
             ops=(
                 CaseOp(kind="write", key="k0", value="k0=v1", at=0.0),
@@ -160,6 +195,31 @@ class TestCaseSerde:
         with pytest.raises(ValueError, match="kind"):
             CaseOp.from_dict({"kind": "delete", "key": "k"})
 
+    def test_a_version_1_artifact_is_refused_with_status_2(self, tmp_path, capsys):
+        case = small_case().to_dict()
+        case["version"] = 1
+        case["perturbation"] = [["shard0:'k0'", 0, 1, 0, 2.5]]
+        del case["choices"]
+        artifact = {"format": ARTIFACT_FORMAT, "version": 1, "case": case}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(artifact))
+        assert main(["explore", "--replay", str(path)]) == 2
+        assert "unsupported explore-case version 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "integral, real",
+        [
+            ({"kind": "uniform", "low": 0, "high": 2}, {"kind": "uniform", "low": 0.0, "high": 2.0}),
+            ({"kind": "uniform", "seed": 3.0}, {"kind": "uniform", "seed": 3}),
+            ({"kind": "fixed", "delta": 1}, {"kind": "fixed", "delta": 1.0}),
+        ],
+        ids=["uniform-bounds", "uniform-seed", "fixed-delta"],
+    )
+    def test_an_int_and_a_float_spell_one_delay(self, integral, real):
+        """A seed is derived from ``repr`` of the bounds: ``0`` and ``0.0`` must agree."""
+        one, other = (run_case(small_case(delay=delay)) for delay in (integral, real))
+        assert signature(one) == signature(other)
+
 
 class TestCaseExecution:
     def test_batch_and_staggered_modes_complete(self):
@@ -172,7 +232,10 @@ class TestCaseExecution:
 
     def test_faults_apply(self):
         case = small_case(
-            crash_points=({"at": 0.5, "shard": 0, "replica": 1}, {"at": 0.5, "shard": 1, "replica": 1}),
+            crash_points=(
+                {"at_time": 0.5, "shard": 0, "replica": 1},
+                {"after_messages_sent": 3, "shard": 1, "replica": 1},
+            ),
             partition={"replicas": [2], "start": 1.0, "heal": 8.0},
         )
         outcome = run_case(case)
@@ -222,10 +285,7 @@ def case_of(spec, delay, **overrides):
             CaseOp(kind=op.kind.value, key=op.key, value=op.value, at=at)
             for op, at in zip(generate_kv_operations(spec), arrivals)
         ),
-        crash_points=tuple(
-            {"at": point.at_time, "shard": point.shard, "replica": point.replica}
-            for point in spec.crash_points
-        ),
+        crash_points=tuple(asdict(point) for point in spec.crash_points),
     )
     fields.update(overrides)
     return ExploreCase(**fields)
@@ -294,12 +354,17 @@ class TestInvalidCaseCrashPoints:
     @pytest.mark.parametrize(
         "point",
         [
-            {"at": 1.5, "shard": 0, "replica": 0},
-            {"at": 1.0, "shard": 0, "replica": 7},
-            {"at": 1.0, "shard": 7, "replica": 1},
-            {"at": -3.0, "shard": 0, "replica": 1},
+            {"at_time": 1.5, "shard": 0, "replica": 0},
+            {"at_time": 1.0, "shard": 0, "replica": 7},
+            {"at_time": 1.0, "shard": 7, "replica": 1},
+            {"at_time": -3.0, "shard": 0, "replica": 1},
+            {"at_time": 1.0, "after_messages_sent": 4, "shard": 0, "replica": 1},
+            {"at": 1.0, "shard": 0, "replica": 1},
         ],
-        ids=["writer", "replica-7-of-3", "shard-7-of-1", "negative-time"],
+        ids=[
+            "writer", "replica-7-of-3", "shard-7-of-1", "negative-time", "two-triggers",
+            "unknown-field",
+        ],
     )
     def test_case_rejects_the_point(self, point, monkeypatch):
         def no_events(*_args, **_kwargs):
@@ -310,6 +375,9 @@ class TestInvalidCaseCrashPoints:
             run_case(small_case(num_shards=1, crash_points=(point,)))
 
     def test_case_rejects_two_points_on_one_shard(self):
-        points = ({"at": 1.0, "shard": 0, "replica": 1}, {"at": 1.0, "shard": 0, "replica": 2})
+        points = (
+            {"at_time": 1.0, "shard": 0, "replica": 1},
+            {"at_time": 1.0, "shard": 0, "replica": 2},
+        )
         with pytest.raises(ValueError, match="t < n/2"):
             run_case(small_case(num_shards=1, crash_points=points))

@@ -30,7 +30,7 @@ class TestConsensusMutation:
                 "--expect-violation",
                 # Divergence needs a slot holding both a 0 and a 1 estimate,
                 # i.e. a hole-fill racing its owner's command: rare since
-                # gaps stopped being proposed eagerly (schedule 92 here).
+                # gaps stopped being proposed eagerly (schedule 27 here).
                 "--budget",
                 "150",
                 "--out-dir",

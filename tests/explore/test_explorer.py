@@ -52,7 +52,7 @@ class TestMutationTesting:
         # Acceptance bar: a <= 10-operation replayable counterexample.
         assert example.op_count <= 10
         assert example.op_count < len(example.original_case.ops)
-        assert len(example.case.perturbation) <= len(example.original_case.perturbation)
+        assert len(example.case.choices) <= len(example.original_case.choices)
         assert example.replayed, "artifact must replay through its own JSON round-trip"
         assert example.failing_keys
         assert example.histories, "artifact carries the violating histories"
@@ -66,10 +66,10 @@ class TestMutationTesting:
         # The missing write-back only bites when a read quorum can consist
         # of lagging replicas, which needs replication >= 5 (with n = 3,
         # every 2-quorum contains a fresh replica).
+        # The CI step's geometry, seed and budget (found at schedule 21).
         config = ExploreConfig(
-            strategy="random-walk", budget=16, seed=4, num_ops=80, num_keys=1,
-            replication=5, algorithm="abd-no-writeback",
-            perturb_rate=0.7, perturb_amplitude=10.0, read_fraction=0.85,
+            strategy="random-walk", budget=32, seed=8, num_ops=80, num_keys=1,
+            num_shards=1, replication=5, algorithm="abd-no-writeback", read_fraction=0.85,
         )
         report = run_exploration(config)
         assert len(report.counterexamples) == 1

@@ -259,7 +259,7 @@ class TestAlgorithmAndScenarioListing:
         assert "deterministic" in out
         assert "virtual time units" in out and "wall-clock seconds" in out
         # The sim-only feature set is part of the contract the table documents.
-        assert "coalescing" in out and "perturbation" in out
+        assert "coalescing" in out and "delivery chooser" in out
 
     def test_transport_registry_round_trips(self):
         from repro.transport import available_transports, get_transport_info

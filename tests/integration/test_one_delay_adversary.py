@@ -1,10 +1,12 @@
 """Tripwire: one delay adversary — ``Network.send`` reshapes a delay in one place.
 
-The explorer's perturbation is a link policy (the last of an explored case's
-fault plan), so ``Network.send`` asks one reshaper per message —
-``link_policy.adjust`` — and checks its answer once.  Nothing in ``src/``
-installs a perturbation beside the link policy: no ``install_perturbation``
-and no ``perturbation`` attribute on a network or subnet.
+``Network.send`` asks one reshaper per message — ``link_policy.adjust`` —
+and checks its answer once.  The explorer's schedule adversary, the
+delivery chooser, reshapes no delay: it takes each message in flight at the
+time the policy gave it and picks which message each such slot delivers.
+Nothing in ``src/`` installs a perturbation beside the link policy: no
+``install_perturbation`` and no ``perturbation`` attribute on a network or
+subnet.
 """
 
 import ast

@@ -13,10 +13,11 @@ The cases: a continuous delay model (no coalescing index); a fixed delay
 with coalescing (fan-out batches); the same with ``record_messages`` on (a
 record per logical message, fan-out included); a writer killed by a
 send-count trigger mid-broadcast (the send-hook branch); a healing partition
-(a link policy aligning instants); a replayed schedule perturbation, alone
-and last after that partition (the one combination where the order of the
-policies changes a delay); and a two-worker shard-parallel run (the
-``run_before`` / ``step`` path).
+(a link policy aligning instants); replayed delivery choices, alone and
+over that partition (slots booked at the times the policy gives); and a
+two-worker shard-parallel run (the ``run_before`` / ``step`` path).  A
+chooser that never picks changes nothing: the ``uniform`` run under an
+empty replay chooser is held to the ``uniform`` digest.
 
 Regenerate (only if the case matrix itself changes, never to paper over a
 drift):
@@ -33,10 +34,10 @@ from typing import Any, Callable, Dict, Optional
 
 import pytest
 
-from repro.explore.perturb import RecordingPerturbation, ReplayPerturbation
+from repro.explore.chooser import DeliveryChooser, RandomChooser, ReplayChooser
 from repro.faults import CrashPoint
 from repro.faults.partitions import PartitionSchedule, PartitionWindow
-from repro.faults.plan import FaultPlan, LinkPolicy
+from repro.faults.plan import FaultPlan
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.store.store import KVStore
 from repro.workloads.kv import (
@@ -115,17 +116,22 @@ def _healing_partition() -> FaultPlan:
     return FaultPlan(name="pinned-deliveries", link_policies=(PartitionSchedule(windows=(window,)),))
 
 
-def _perturbation_replay(*policies: LinkPolicy) -> Dict[str, Any]:
-    """A recorded perturbation, last after ``policies``, and its replay."""
+def _choosing(chooser: DeliveryChooser) -> Callable[[KVStore], None]:
+    def install(store: KVStore) -> None:
+        # Before the first key deploys: every subnet takes its scoped view.
+        store.network.chooser = chooser
 
-    def run(perturbation: LinkPolicy) -> Dict[str, Any]:
-        plan = FaultPlan(name="pinned-deliveries", link_policies=(*policies, perturbation))
-        return _serial(_spec(delay_model=FixedDelay(1.0), fault_plan=plan))
+    return install
 
-    recorder = RecordingPerturbation(seed=11, rate=0.4, amplitude=2.0)
-    recorded = run(recorder)
-    replayed = run(ReplayPerturbation(list(recorder.entries)))
-    assert replayed == recorded, "a replayed perturbation must reproduce its recording"
+
+def _chooser_replay(plan: Optional[FaultPlan] = None) -> Dict[str, Any]:
+    """Recorded delivery choices, over ``plan``'s link policies, and their replay."""
+    spec = _spec(delay_model=FixedDelay(1.0), fault_plan=plan)
+    recorder = RandomChooser(seed=11)
+    recorded = _serial(spec, _choosing(recorder))
+    assert recorder.entries, "a uniform pick over the bag must record choices"
+    replayed = _serial(spec, _choosing(ReplayChooser(list(recorder.entries))))
+    assert replayed == recorded, "replayed choices must reproduce their recording"
     return replayed
 
 
@@ -147,10 +153,8 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "healing-partition": lambda: _serial(
         _spec(delay_model=FixedDelay(1.0), fault_plan=_healing_partition())
     ),
-    "perturbation-replay": _perturbation_replay,
-    "perturbation-under-partition": lambda: _perturbation_replay(
-        *_healing_partition().link_policies
-    ),
+    "chooser-replay": _chooser_replay,
+    "chooser-under-partition": lambda: _chooser_replay(_healing_partition()),
     "workers-2": lambda: _digest(
         run_kv_workload(_spec(delay_model=FixedDelay(1.0), workers=2)), None, None
     ),
@@ -161,6 +165,11 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
 def test_delivery_digest_is_pinned(name):
     pinned = json.loads(DIGESTS_PATH.read_text())
     assert CASES[name]() == pinned[name]
+
+
+def test_a_chooser_that_never_picks_is_the_unchosen_run():
+    pinned = json.loads(DIGESTS_PATH.read_text())
+    assert _serial(_spec(), _choosing(ReplayChooser([]))) == pinned["uniform"]
 
 
 def regenerate() -> None:

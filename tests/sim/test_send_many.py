@@ -24,8 +24,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import create_register
 from repro.core.messages import READ, WriteMessage
-from repro.explore.perturb import RecordingPerturbation
-from repro.faults import CrashPoint, FaultPlan, install_crash_points
+from repro.explore.chooser import RandomChooser
+from repro.faults import CrashPoint, install_crash_points
 from repro.registers.abd import AbdReadReply
 from repro.sim.delays import (
     DelayModel,
@@ -102,12 +102,12 @@ class _World:
         self.log: list = []
         for pid in range(config["n"]):
             _Logger(pid, self.simulator, self.network, self.log)
-        # One link policy: the grid, then the recorder — a stateful policy
-        # after a pure one, as in an explored case's fault plan.
+        # The grid as the link policy and the recording chooser delivering
+        # the slots it books, as in an explored case.
         self.policy = _SnapToGrid() if config["policy"] else None
-        self.perturbation = RecordingPerturbation(config["seed"]) if config["perturb"] else None
-        policies = tuple(p for p in (self.policy, self.perturbation) if p is not None)
-        self.network.link_policy = FaultPlan(link_policies=policies).policy()
+        self.network.link_policy = self.policy
+        self.chooser = RandomChooser(config["seed"]) if config["choose"] else None
+        self.network.chooser = self.chooser
         self.hooked: list = []
         if config["kill_at"] is not None:
             network = self.network
@@ -135,7 +135,7 @@ class _World:
             "delivered": list(self.log),
             "rng": _rng_states(network.delay_model),
             "policy": self.policy and list(self.policy.calls),
-            "perturbation": self.perturbation and list(self.perturbation.entries),
+            "choices": self.chooser and list(self.chooser.entries),
             "hooked": list(self.hooked),
             "crashed": [process.crashed for process in network.processes()],
             "now": simulator.now,
@@ -153,7 +153,7 @@ def _scripts(draw, plain=False):
         "delay": draw(st.sampled_from(["fixed", "uniform", "perlink"])),
         "coalesce": draw(st.booleans()),
         "policy": not plain and draw(st.booleans()),
-        "perturb": not plain and draw(st.booleans()),
+        "choose": not plain and draw(st.booleans()),
         "kill_at": None if plain else draw(st.none() | st.integers(min_value=1, max_value=8)),
     }
     steps = []
@@ -225,7 +225,7 @@ _CONFIG = {
     "delay": "uniform",
     "coalesce": True,
     "policy": False,
-    "perturb": False,
+    "choose": False,
     "kill_at": None,
 }
 
