@@ -89,11 +89,13 @@ class Operation:
     pid:
         The invoking process.
     kind:
-        Read or write.
+        Read or write, or a consensus-object kind (CAS, TAS, INCR).
     value:
-        The written value (writes) or ``None`` (reads).
+        The written value (writes), the operation's argument (CAS's
+        ``(expected, new)`` pair, INCR's addend) or ``None`` (reads, TAS).
     result:
-        The returned value (reads) or ``None`` (writes).
+        The returned value (reads and the consensus-object kinds) or
+        ``None`` (writes).
     invoked_at / responded_at:
         Virtual times of invocation and response; ``responded_at`` is ``None``
         for pending operations.
@@ -142,7 +144,15 @@ class Operation:
         )
         if self.is_write:
             return f"write({self.value!r}) by p{self.pid} {span}"
-        return f"read() -> {self.result!r} by p{self.pid} {span}"
+        if self.is_read:
+            call = "read()"
+        elif self.kind is OpKind.TAS:
+            call = "tas()"
+        elif self.kind is OpKind.CAS and isinstance(self.value, (tuple, list)):
+            call = "cas(" + " -> ".join(map(repr, self.value)) + ")"  # (expected, new)
+        else:
+            call = f"{self.kind.value}({self.value!r})"
+        return f"{call} -> {self.result!r} by p{self.pid} {span}"
 
     # ------------------------------------------------------------ serialization
 

@@ -16,14 +16,26 @@ Two engines live here:
     linearization of the remaining operations yields another valid
     linearization).  Only writes — and the decision to drop a pending write
     — branch, which collapses the search on the long read-dominated
-    histories the store produces;
+    histories the store produces.  The greedy step is one walk in
+    invocation order: a read leaves the state unchanged, so a read the walk
+    passed still does not match (or is still behind an earlier operation of
+    its process), and whatever a removal makes minimal lies further along —
+    the walk consumes what a restart after every removal would, in the same
+    order;
   - **frontier maintenance in O(1) per step** — remaining operations are
     kept on doubly-linked "dancing links" lists ordered by invocation and by
     response time, so the set of minimal operations is a short prefix walk
     instead of an O(n²) precedence-matrix scan (the matrix would already be
     25M entries for a 5 000-operation history);
   - an explicit stack instead of recursion, so histories with thousands of
-    operations cannot hit the interpreter's recursion limit.
+    operations cannot hit the interpreter's recursion limit;
+  - **no per-call copy of an op-log history** — when nothing is pending and
+    the rows already run in ``(invoked, op_id)`` order (every op-log
+    history), the decoded columns *are* the search's per-row lists: sorting
+    would leave every row in place, so the search is the sorted copy's.
+    Any other history is sorted and gathered first.  A tiny history (a
+    consensus key holds ~9 operations) then costs its few states, not a
+    fixed set-up.
 
   There is **no operation cap**: full ``kv_openloop`` / ``chaos`` histories
   are checked end-to-end (the e2e ``check_replay`` workload replays 6 000
@@ -62,6 +74,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
+from operator import le, lt
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.verification.history import Columns, History, Operation, OpKind
@@ -113,11 +127,13 @@ def _relevant_rows(columns: Columns, spec: Any = None) -> tuple[list[int], list[
     return completed, pending_effectful
 
 
-def _relevant_operations(history: History) -> tuple[list[Operation], list[Operation]]:
+def _relevant_operations(
+    history: History, spec: Any = None
+) -> tuple[list[Operation], list[Operation]]:
     """:func:`_relevant_rows` as ``Operation`` rows (witness validation, the oracle)."""
-    completed, pending_writes = _relevant_rows(history.columns())
+    completed, pending_effectful = _relevant_rows(history.columns(), spec)
     operations = history.operations
-    return [operations[row] for row in completed], [operations[row] for row in pending_writes]
+    return [operations[row] for row in completed], [operations[row] for row in pending_effectful]
 
 
 def _precedes(a: Operation, b: Operation) -> bool:
@@ -181,6 +197,20 @@ class CheckResult:
 _INFINITY = float("inf")
 
 
+class _Frame:
+    """One memoized search state's choices: ``(op index, dropped?)``, tried in order."""
+
+    __slots__ = ("choices", "index", "greedy", "applied")
+
+    def __init__(self, choices: List[Tuple[int, bool]], greedy: int) -> None:
+        self.choices = choices
+        self.index = 0
+        #: How many greedy pure operations entering this state consumed.
+        self.greedy = greedy
+        #: The child step currently applied: (op index, dropped?, value before).
+        self.applied: Optional[Tuple[int, bool, Any]] = None
+
+
 def check_linearizability(
     history: History,
     collect_witness: bool = True,
@@ -204,9 +234,37 @@ def check_linearizability(
     pending state-changing operations stay optional.
     """
     columns = history.columns()
-    completed, pending_writes = _relevant_rows(columns, spec)
-    rows = completed + pending_writes
-    count = len(rows)
+    invoked, responded, op_id = columns.invoked, columns.responded, columns.op_id
+    # Index order: by invocation time (ties by op_id) — the order the
+    # invocation frontier list walks candidates in.  Everything the search
+    # touches is a parallel list over that order.  Op-log rows already run
+    # in that order with nothing pending: the columns are those lists.
+    in_order = (
+        None not in responded
+        and all(map(le, invoked, islice(invoked, 1, None)))
+        and all(map(lt, op_id, islice(op_id, 1, None)))
+    )
+    if in_order:
+        count = len(responded)
+        rows = range(count)
+        pid_of, kind_of = columns.pid, columns.kind
+        value_of, result_of = columns.value, columns.result
+        resp_time = responded
+        optional = [False] * count
+    else:
+        completed, pending_effectful = _relevant_rows(columns, spec)
+        rows = completed + pending_effectful
+        rows.sort(key=lambda row: (invoked[row], op_id[row]))
+        count = len(rows)
+        op_id = [op_id[row] for row in rows]
+        pid_of = [columns.pid[row] for row in rows]
+        kind_of = [columns.kind[row] for row in rows]
+        value_of = [columns.value[row] for row in rows]
+        result_of = [columns.result[row] for row in rows]
+        invoked = [invoked[row] for row in rows]
+        responded = [responded[row] for row in rows]
+        optional = [at is None for at in responded]  # pending effectful ops may be dropped
+        resp_time = [_INFINITY if at is None else at for at in responded]
     if count == 0:
         return CheckResult(
             linearizable=True,
@@ -214,28 +272,15 @@ def check_linearizability(
             witness=[] if collect_witness else None,
             method="trivial",
         )
-
-    # Index order: by invocation time (ties by op_id) — the order the
-    # invocation frontier list walks candidates in.  Everything the search
-    # touches is a parallel list over that order, read off the columns.
-    rows.sort(key=lambda row: (columns.invoked[row], columns.op_id[row]))
-    op_id = [columns.op_id[row] for row in rows]
-    pid_of = [columns.pid[row] for row in rows]
-    kind_of = [columns.kind[row] for row in rows]
-    value_of = [columns.value[row] for row in rows]
-    result_of = [columns.result[row] for row in rows]
-    invoked = [columns.invoked[row] for row in rows]
-    responded = [columns.responded[row] for row in rows]
-    optional = [at is None for at in responded]  # pending effectful ops may be dropped
-    resp_time = [_INFINITY if at is None else at for at in responded]
     if spec is None:
         is_pure = [kind is OpKind.READ for kind in kind_of]
+        hval = [
+            _hashable(result if kind is OpKind.READ else value)
+            for kind, value, result in zip(kind_of, value_of, result_of)
+        ]
     else:
-        is_pure = [spec.is_pure(kind) for kind in kind_of]
-    hval = [
-        _hashable(result if kind is OpKind.READ else value)
-        for kind, value, result in zip(kind_of, value_of, result_of)
-    ]
+        pure_kind = {kind: spec.is_pure(kind) for kind in set(kind_of)}
+        is_pure = [pure_kind[kind] for kind in kind_of]
 
     # --- dancing-links frontiers ------------------------------------------
     # Invocation list: indices 0..count-1 already sorted; sentinel = count.
@@ -325,39 +370,34 @@ def check_linearizability(
         return found
 
     def consume_greedy_reads() -> int:
-        """Linearize every minimal pure op matching the current state; returns how many."""
+        """Linearize every minimal pure op matching the current state; returns how many.
+
+        One walk in invocation order.  A pure op leaves the state unchanged,
+        so an op the walk passed still does not match (or is still blocked by
+        an earlier op of its process), and whatever a removal makes minimal
+        lies further along: the walk consumes the ops a restart after every
+        removal would, in the same order.
+        """
         nonlocal remaining_mask
         consumed = 0
-        progress = True
-        while progress:
-            progress = False
-            for i in candidates():
+        head = resp_next[sentinel]
+        threshold = resp_time[head] if head != sentinel else _INFINITY
+        i = inv_next[sentinel]
+        while i != sentinel and invoked[i] <= threshold:
+            if is_pure[i]:
                 if spec is None:
-                    matches = is_pure[i] and hval[i] == current
+                    matches = hval[i] == current
                 else:
-                    matches = (
-                        is_pure[i]
-                        and result_of[i] == spec.apply(current, kind_of[i], value_of[i])[0]
-                    )
-                if matches:
+                    matches = result_of[i] == spec.apply(current, kind_of[i], value_of[i])[0]
+                if matches and not program_blocked(i):
                     unlink(i)
                     remaining_mask &= ~bit[i]
                     order.append(i)
                     consumed += 1
-                    progress = True
-                    # Restart the walk: removing i may unlock new minima.
-                    break
+                    head = resp_next[sentinel]
+                    threshold = resp_time[head] if head != sentinel else _INFINITY
+            i = inv_next[i]
         return consumed
-
-    class _Frame:
-        __slots__ = ("choices", "index", "greedy", "applied")
-
-        def __init__(self, choices: List[Tuple[int, bool]], greedy: int) -> None:
-            self.choices = choices
-            self.index = 0
-            self.greedy = greedy
-            # The child step currently applied: (op index, dropped?, value before).
-            self.applied: Optional[Tuple[int, bool, Any]] = None
 
     SOLVED, DESCENDED, PRUNED = 0, 1, 2
     frames: List[_Frame] = []
@@ -513,18 +553,21 @@ def find_linearization(
     return result.witness if result.linearizable else None
 
 
-def verify_witness(history: History, witness: List[Operation]) -> List[str]:
+def verify_witness(history: History, witness: List[Operation], spec: Any = None) -> List[str]:
     """Independently validate a witness; returns a list of problems (empty = valid).
 
     A valid witness (i) contains every completed operation exactly once and
-    no pending reads, (ii) respects the history's precedence order (real
-    time + program order), and (iii) replays correctly against the
-    sequential register specification starting from the initial value.
+    no pending pure operation, (ii) respects the history's precedence order
+    (real time + program order), and (iii) replays correctly against the
+    sequential specification starting from the initial value: the register
+    (``spec=None``: every read returns the last written value) or ``spec``
+    (every completed operation's result equals ``spec.apply``'s; a pending
+    operation's result is unconstrained).
     """
     problems: List[str] = []
-    completed, pending_writes = _relevant_operations(history)
+    completed, pending_effectful = _relevant_operations(history, spec)
     expected = {id(op) for op in completed}
-    allowed = expected | {id(op) for op in pending_writes}
+    allowed = expected | {id(op) for op in pending_effectful}
     seen: set = set()
     for op in witness:
         if id(op) not in allowed:
@@ -546,7 +589,15 @@ def verify_witness(history: History, witness: List[Operation]) -> List[str]:
                 )
     value = history.initial_value
     for op in witness:
-        if op.is_write:
+        if spec is not None:
+            result, after = spec.apply(value, op.kind, op.value)
+            if not op.pending and not (op.result == result):
+                problems.append(
+                    f"witness replay mismatch: {op.describe()} returned {op.result!r} "
+                    f"but the spec returns {result!r} on state {value!r}"
+                )
+            value = after
+        elif op.is_write:
             value = op.value
         elif not (op.result == value):
             problems.append(

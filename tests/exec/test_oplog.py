@@ -14,7 +14,7 @@ import pytest
 
 from repro.exec.oplog import OpLog, decode_oplog, encode_oplog, transfer_size
 from repro.registers.base import OperationKind
-from repro.store.store import KVStore
+from repro.store.store import KVStore, create_store
 from repro.verification.history import History
 from repro.workloads.kv import run_kv_workload
 from repro.workloads.scenarios import kv_openloop, kv_uniform
@@ -76,6 +76,29 @@ class TestOpLogRecordsTheRun:
         assert logged.failed
         assert logged.failure_reason == op.failure_reason
         assert logged.failure_reason != ""
+
+
+class TestKeyGrouping:
+    """Keys equal under ``==`` are one key: the store deploys one register
+    for ``1``, ``1.0`` and ``True`` (its deployment dict), so the log must
+    give them one history too — though the value table keeps them apart."""
+
+    KEYS = (1, 1.0, True)
+
+    def test_equal_keys_share_one_history(self):
+        store = create_store(num_shards=4, replication=3)
+        for index, key in enumerate(self.KEYS):
+            store.put(key, f"w{index}")
+        assert store.get(True) == "w2"
+        assert store.deployed_keys == [1]
+        log = store.oplog
+        assert [type(op.key) for op in log.ops_view()] == [int, float, bool, bool]
+        histories = log.per_key_histories(initial_value="v0")
+        assert list(histories) == [1]
+        assert len(histories[1]) == 4
+        for key in self.KEYS:
+            assert log.history_for(key, initial_value="v0").to_dict() == histories[1].to_dict()
+        assert list(store.check_linearizability().per_key) == [1]
 
 
 class TestWireFormat:

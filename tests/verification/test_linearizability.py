@@ -1,9 +1,17 @@
 """Unit tests for the general linearizability checker (the reference oracle)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.verification.history import make_history
-from repro.verification.linearizability import find_linearization, is_linearizable
+from repro.verification.history import History, OpKind, Operation, make_history
+from repro.verification.linearizability import (
+    check_linearizability,
+    find_linearization,
+    is_linearizable,
+    verify_witness,
+)
+from repro.verification.specs import SMRSpec
 
 
 def lin(entries, initial="v0", **kwargs):
@@ -128,3 +136,63 @@ class TestFindLinearization:
         )
         with pytest.raises(ValueError):
             find_linearization(history, max_operations=32)
+
+
+class TestSMRWitness:
+    """A witness of the SMR search replays through the spec, not as a register."""
+
+    HISTORY = History(
+        [
+            Operation(pid=0, kind=OpKind.WRITE, value="a", invoked_at=0.0, responded_at=1.0, op_id=0),
+            Operation(
+                pid=1,
+                kind=OpKind.CAS,
+                value=("a", "b"),
+                result=True,
+                invoked_at=2.0,
+                responded_at=3.0,
+                op_id=1,
+            ),
+            Operation(pid=2, kind=OpKind.READ, result="b", invoked_at=4.0, responded_at=5.0, op_id=2),
+        ]
+    )
+
+    def test_a_valid_smr_witness_passes_under_its_spec(self):
+        result = check_linearizability(self.HISTORY, spec=SMRSpec())
+        assert result.linearizable
+        assert result.witness == list(self.HISTORY.operations)
+        assert verify_witness(self.HISTORY, result.witness, SMRSpec()) == []
+
+    def test_the_register_replay_is_not_the_smr_replay(self):
+        # The register spec reads the CAS as a read of True and misses its effect.
+        problems = verify_witness(self.HISTORY, list(self.HISTORY.operations))
+        assert [text.split(":")[0] for text in problems] == ["witness replay mismatch"] * 2
+
+    def test_a_wrong_result_is_reported_under_the_spec(self):
+        first, cas, read = self.HISTORY.operations
+        history = History([first, replace(cas, result=False), read])
+        (problem,) = verify_witness(history, list(history.operations), SMRSpec())
+        assert problem.startswith("witness replay mismatch: cas('a' -> 'b') -> False")
+        assert "the spec returns True on state 'a'" in problem
+
+    def test_pending_effectful_operations_follow_the_spec_purity(self):
+        pending_tas = Operation(pid=3, kind=OpKind.TAS, invoked_at=0.5, op_id=3)
+        pending_read = Operation(pid=4, kind=OpKind.READ, invoked_at=0.5, op_id=4)
+        history = History(list(self.HISTORY.operations) + [pending_tas, pending_read])
+        first, cas, read, tas, pending = history.operations
+        # A linearized pending TAS is allowed, its result unconstrained; it sets True.
+        assert verify_witness(history, [first, cas, read, tas], SMRSpec()) == []
+        problems = verify_witness(history, [first, tas, cas, read], SMRSpec())
+        assert [text.split(":")[0] for text in problems] == ["witness replay mismatch"] * 2
+        (problem,) = verify_witness(history, [first, cas, read, pending], SMRSpec())
+        assert problem.startswith("witness contains a foreign/pending-read operation")
+
+    def test_describe_names_the_consensus_kinds(self):
+        first, cas, read = self.HISTORY.operations
+        assert first.describe() == "write('a') by p0 [0.000, 1.000]"
+        assert cas.describe() == "cas('a' -> 'b') -> True by p1 [2.000, 3.000]"
+        assert read.describe() == "read() -> 'b' by p2 [4.000, 5.000]"
+        tas = Operation(pid=1, kind=OpKind.TAS, result=False, invoked_at=1.0, op_id=5)
+        incr = Operation(pid=1, kind=OpKind.INCR, value=2, result=3, invoked_at=1.0, responded_at=2.0)
+        assert tas.describe() == "tas() -> False by p1 [1.000, pending)"
+        assert incr.describe() == "incr(2) -> 3 by p1 [1.000, 2.000]"
