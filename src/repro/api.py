@@ -35,7 +35,7 @@ from typing import Any, Optional, Sequence
 from repro.analysis.table1 import Table1, build_table1
 from repro.explore import ExploreConfig, replay_artifact, run_exploration
 from repro.faults.plan import CrashPoint
-from repro.parallel import check_histories_parallel, run_kv_workload_parallel
+from repro.parallel import run_kv_workload_parallel
 from repro.registers.registry import available_algorithms
 from repro.sim.delays import DelayModel, FixedDelay
 from repro.store.store import KVStore, StoreConfig, create_store
@@ -55,7 +55,6 @@ __all__ = [
     "available_algorithms",
     "available_scenarios",
     "build_table1",
-    "check_histories_parallel",
     "create_register",
     "create_store",
     "get_scenario",

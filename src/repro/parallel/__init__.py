@@ -16,17 +16,19 @@ Entry points
 * :func:`~repro.parallel.engine.run_kv_workload_parallel` — the store
   engine; reached via ``KVWorkloadSpec(workers=N)`` /
   ``repro store --workers N``.
-* :func:`~repro.parallel.check.check_histories_parallel` — per-key
-  linearizability checking on the pool; reached via
-  ``check_histories_per_key(..., workers=N)``.
 * :func:`~repro.parallel.pool.run_chunked` — the generic spawn-safe pool the
-  chaos sweep and the schedule explorer fan their cells out over.
+  chaos sweep, the schedule explorer and the live load generator's client
+  workers (``repro store --transport live --workers N``) fan their cells
+  out over.
+
+The linearizability check is not on this list: a run's per-key check is one
+serial loop (:func:`~repro.verification.linearizability.check_histories_per_key`),
+which measured no slower than a pool at a million operations (DESIGN.md §10).
 
 ``workers=1`` never touches this package: the single-process code path is
 exactly the pre-parallel one.
 """
 
-from repro.parallel.check import check_histories_parallel
 from repro.parallel.engine import run_kv_workload_parallel
 from repro.parallel.merge import merge_network_stats, merged_result
 from repro.parallel.pool import POISON_ENV, WorkerFailure, run_chunked
@@ -34,7 +36,6 @@ from repro.parallel.pool import POISON_ENV, WorkerFailure, run_chunked
 __all__ = [
     "POISON_ENV",
     "WorkerFailure",
-    "check_histories_parallel",
     "merge_network_stats",
     "merged_result",
     "run_chunked",

@@ -575,7 +575,6 @@ class KVStore:
         self,
         swmr_fast_path: bool = True,
         max_states: Optional[int] = None,
-        workers: int = 1,
     ):
         """Check every key with the general linearizability checker.
 
@@ -584,7 +583,6 @@ class KVStore:
         default lets single-writer keys take the Lemma-10 claims fast path;
         ``swmr_fast_path=False`` forces the Wing–Gong search on every key
         (what the schedule explorer and the checker benchmark use).
-        ``workers > 1`` checks keys on a process pool (:mod:`repro.parallel`).
         Consensus-object stores are checked against the SMR spec
         (:meth:`StoreConfig.effective_spec`).
         """
@@ -594,7 +592,6 @@ class KVStore:
             self.histories(),
             swmr_fast_path=swmr_fast_path,
             max_states=max_states,
-            workers=workers,
             spec=self.config.effective_spec(),
         )
 

@@ -34,8 +34,8 @@ access and caches them, so ``operations[i] is operations[i]`` — rows are
 built only for a witness, a violation message or a caller that asks.
 
 Pickling a :class:`History` serializes the raw columns (a handful of flat
-buffers), not an object graph — this is what makes per-key parallel
-checking (:mod:`repro.parallel.check`) cheap to fan out.
+buffers), not an object graph — the same shape in which a worker's op log
+crosses a pipe (:mod:`repro.exec.oplog`).
 
 Conventions
 -----------

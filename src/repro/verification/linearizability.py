@@ -59,8 +59,9 @@ independent objects is linearizable iff each per-object subhistory is, so a
 concurrency windows are small.  A key goes to the Lemma-10 claims checker
 of :mod:`repro.verification.register_checker` first — one sweep over its
 reads in invocation order — and to the Wing–Gong core only when that
-checker's precondition (one writer, distinct hashable written values)
-fails.
+checker's precondition (one writer, distinct hashable written values,
+only reads and writes) fails.  Keys are checked one after another, in one
+process.
 
 Pending operations are handled per the linearizability definition: a
 pending **write** may be linearized (it might have taken effect) or
@@ -197,6 +198,16 @@ class CheckResult:
 _INFINITY = float("inf")
 
 
+def _require_register_kinds(kinds: List[OpKind]) -> None:
+    """Refuse a kind the register search cannot judge (it would misread it)."""
+    if kinds.count(OpKind.READ) + kinds.count(OpKind.WRITE) != len(kinds):
+        other = next(kind for kind in kinds if kind not in (OpKind.READ, OpKind.WRITE))
+        raise ValueError(
+            f"the register search judges only reads and writes, not {other.value}; "
+            'check this history with spec="smr"'
+        )
+
+
 class _Frame:
     """One memoized search state's choices: ``(op index, dropped?)``, tried in order."""
 
@@ -226,7 +237,8 @@ def check_linearizability(
     wrong verdict.
 
     ``spec`` selects the sequential object: ``None`` (the default) is the
-    hand-tuned atomic read/write register path, unchanged; a
+    hand-tuned atomic read/write register path, which raises ``ValueError``
+    on any other kind; a
     :class:`~repro.verification.specs.SequentialSpec` instance generalizes
     the same search to arbitrary deterministic state machines — every
     *completed* operation's recorded result must match the spec's result at
@@ -234,6 +246,8 @@ def check_linearizability(
     pending state-changing operations stay optional.
     """
     columns = history.columns()
+    if spec is None:
+        _require_register_kinds(columns.kind)
     invoked, responded, op_id = columns.invoked, columns.responded, columns.op_id
     # Index order: by invocation time (ties by op_id) — the order the
     # invocation frontier list walks candidates in.  Everything the search
@@ -496,49 +510,20 @@ def check_linearizability(
 # --------------------------------------------------------------------------
 
 
-def _enforce_cap(history: History, max_operations: Optional[int], caller: str) -> None:
-    if max_operations is None:
-        return
-    relevant = sum(map(len, _relevant_rows(history.columns())))
-    if relevant > max_operations:
-        raise ValueError(
-            f"history has {relevant} relevant operations, more than "
-            f"max_operations={max_operations} requested for {caller}; pass "
-            "max_operations=None to lift the cap (the iterative checker "
-            "handles large histories)"
-        )
-
-
-def is_linearizable(
-    history: History,
-    max_operations: Optional[int] = None,
-    max_states: Optional[int] = None,
-) -> bool:
+def is_linearizable(history: History, max_states: Optional[int] = None) -> bool:
     """Return True iff the history is linearizable w.r.t. the register specification.
 
-    Parameters
-    ----------
-    history:
-        The history to check.  Pending reads are ignored; pending writes are
-        optional (may or may not take effect).
-    max_operations:
-        Optional guard rail retained for compatibility: when given,
-        histories with more relevant operations raise ``ValueError``.  The
-        default (``None``) imposes **no cap** — the iterative search handles
-        histories with thousands of operations.
-    max_states:
-        Optional search budget (see :func:`check_linearizability`).
+    Pending reads are ignored; pending writes are optional (may or may not
+    take effect).  ``max_states`` is the search budget (see
+    :func:`check_linearizability`).
     """
-    _enforce_cap(history, max_operations, "is_linearizable")
     return check_linearizability(
         history, collect_witness=False, max_states=max_states
     ).linearizable
 
 
 def find_linearization(
-    history: History,
-    max_operations: Optional[int] = None,
-    max_states: Optional[int] = None,
+    history: History, max_states: Optional[int] = None
 ) -> Optional[list[Operation]]:
     """Return one valid linearization order, or ``None``.
 
@@ -548,7 +533,6 @@ def find_linearization(
     The witness contains every completed operation plus any pending writes
     that were linearized; dropped pending writes are omitted.
     """
-    _enforce_cap(history, max_operations, "find_linearization")
     result = check_linearizability(history, collect_witness=True, max_states=max_states)
     return result.witness if result.linearizable else None
 
@@ -665,8 +649,6 @@ def check_histories_per_key(
     histories: Mapping[Any, History],
     swmr_fast_path: bool = True,
     max_states: Optional[int] = None,
-    collect_witness: bool = False,
-    workers: int = 1,
     spec: Optional[str] = None,
 ) -> PartitionedCheckReport:
     """Check many independent per-key histories (P-compositional checking).
@@ -675,29 +657,13 @@ def check_histories_per_key(
     :mod:`repro.verification.register_checker` accepts the key, else
     Wing–Gong.  The claims checker is its own applicability test: for a key
     outside its precondition (a second writer, a repeated or unhashable
-    written value) it raises :class:`ClaimsNotApplicable` instead of a
-    verdict, and the key runs the Wing–Gong core.  Keys under another
-    sequential ``spec`` always search.  Pass ``swmr_fast_path=False`` to
-    force the search engine on every key (the checker benchmark does, to
-    measure it).
-
-    ``workers > 1`` fans the per-key checks out over a process pool
-    (:mod:`repro.parallel`): per-key partitioning makes the problem
-    embarrassingly parallel, and the verdict for each key is computed by the
-    very same code path, so the report is identical to the serial one except
-    that parallel checking never collects witnesses (they do not pickle
-    compactly and no caller of the partitioned checker uses them).
+    written value, a kind other than read/write) it raises
+    :class:`ClaimsNotApplicable` instead of a verdict, and the key runs the
+    Wing–Gong core.  Keys under another sequential ``spec`` always search.
+    Pass ``swmr_fast_path=False`` to force the search engine on every key
+    (the checker benchmark does, to measure it).  A key that exceeds
+    ``max_states`` raises :class:`LinearizabilityBudgetExceeded` naming it.
     """
-    if workers > 1 and len(histories) > 1 and not collect_witness:
-        from repro.parallel.check import check_histories_parallel
-
-        return check_histories_parallel(
-            histories,
-            swmr_fast_path=swmr_fast_path,
-            max_states=max_states,
-            workers=workers,
-            spec=spec,
-        )
     from repro.verification.specs import get_spec
 
     spec_obj = get_spec(spec)
@@ -717,9 +683,12 @@ def check_histories_per_key(
                     violations=claims.violations,
                 )
                 continue
-        report.per_key[key] = check_linearizability(
-            history, collect_witness=collect_witness, max_states=max_states, spec=spec_obj
-        )
+        try:
+            report.per_key[key] = check_linearizability(
+                history, collect_witness=False, max_states=max_states, spec=spec_obj
+            )
+        except LinearizabilityBudgetExceeded as exc:
+            raise LinearizabilityBudgetExceeded(f"key {key!r}: {exc}") from exc
     return report
 
 

@@ -42,6 +42,7 @@ reported kind by kind, each kind in row order (a reader's together).
 Precondition (a history outside it raises :class:`ClaimsNotApplicable`
 instead of a verdict, and the per-key dispatcher runs the Wing–Gong search):
 
+* reads and writes only (a consensus kind belongs to the SMR search);
 * at most one writer process (pending writes included);
 * written values hashable, pairwise distinct and different from the
   (hashable) initial value, so a read's return value identifies the write it
@@ -120,6 +121,12 @@ def check_swmr_atomicity(
     invoked, responded, result = columns.invoked, columns.responded, columns.result
     read, write = OpKind.READ, OpKind.WRITE
     writes = [row for row, op in enumerate(kind) if op is write]
+    if len(writes) + kind.count(read) != len(kind):
+        other = next(op for op in kind if op is not read and op is not write)
+        raise ClaimsNotApplicable(
+            f"history holds a {other.value} operation; the fast checker only "
+            "handles reads and writes"
+        )
     reads = [row for row, op in enumerate(kind) if op is read and responded[row] is not None]
     writers = {pid[row] for row in writes}
     if len(writers) > 1:

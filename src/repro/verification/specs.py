@@ -10,14 +10,16 @@ Two specs exist:
 
 * the implicit **register** spec (``spec=None`` everywhere) — reads return
   the current value, writes replace it, write results are unconstrained.
-  The checker's register path is hand-tuned and byte-for-byte unchanged;
+  The checker's register path is hand-tuned and judges reads and writes
+  only: a history holding any other kind raises ``ValueError`` there;
 * the **SMR** spec (:class:`SMRSpec`, name ``"smr"``) — the state-machine
   objects served by :mod:`repro.consensus`: read/write plus
   compare-and-swap, test-and-set and counter increment, every completed
   operation's recorded result checked against the spec's result.
 
-Specs are looked up by *name* (:func:`get_spec`) so the parallel checker
-can ship them to worker processes as a plain string.
+Specs are looked up by *name* (:func:`get_spec`), so a store's
+configuration names its spec as a plain string
+(:meth:`~repro.store.StoreConfig.effective_spec`).
 """
 
 from __future__ import annotations

@@ -13,8 +13,6 @@ import math
 
 import pytest
 
-from repro.verification.linearizability import check_histories_per_key
-from repro.parallel import check_histories_parallel
 from repro.workloads.kv import run_kv_workload
 from repro.workloads.scenarios import kv_openloop, kv_partitioned, kv_uniform, kv_zipfian
 
@@ -97,30 +95,3 @@ class TestDifferentialBitIdentity:
         assert histories_dict(serial) == histories_dict(parallel)
         assert serial.virtual_makespan == parallel.virtual_makespan
 
-
-class TestParallelChecker:
-    def test_verdicts_and_counts_match_serial_checker(self):
-        result = run_kv_workload(kv_zipfian(num_keys=12, num_ops=120, seed=10))
-        histories = result.store.histories()
-        serial = check_histories_per_key(histories)
-        parallel = check_histories_parallel(histories, workers=3)
-        assert serial.ok == parallel.ok
-        assert serial.keys_checked == parallel.keys_checked
-        assert serial.operations_checked == parallel.operations_checked
-        assert serial.states_explored == parallel.states_explored
-        assert sorted(map(str, serial.per_key)) == sorted(map(str, parallel.per_key))
-        for key, verdict in serial.per_key.items():
-            other = parallel.per_key[key]
-            assert verdict.linearizable == other.linearizable, key
-            assert verdict.operations == other.operations, key
-            assert verdict.states_explored == other.states_explored, key
-            assert verdict.method == other.method, key
-            assert verdict.violations == other.violations, key
-
-    def test_workers_flag_on_store_checker_dispatches_identically(self):
-        store = run_kv_workload(kv_uniform(num_keys=10, num_ops=100, seed=11)).store
-        serial = store.check_linearizability(workers=1)
-        parallel = store.check_linearizability(workers=2)
-        assert serial.ok == parallel.ok
-        assert serial.operations_checked == parallel.operations_checked
-        assert serial.states_explored == parallel.states_explored

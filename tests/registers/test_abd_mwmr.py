@@ -60,7 +60,9 @@ class TestMultiWriterBehaviour:
             seed=21,
         )
         result = run_workload(spec)
-        assert is_linearizable(result.history(REGISTER_KEY), max_operations=64)
+        history = result.history(REGISTER_KEY)
+        assert len(history) <= 64
+        assert is_linearizable(history)
 
     def test_multi_writer_flag_required_in_workloads(self):
         spec = WorkloadSpec(n=3, algorithm="abd", num_writes=2, reads_per_reader=1, multi_writer=True)

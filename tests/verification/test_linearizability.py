@@ -6,11 +6,13 @@ import pytest
 
 from repro.verification.history import History, OpKind, Operation, make_history
 from repro.verification.linearizability import (
+    check_histories_per_key,
     check_linearizability,
     find_linearization,
     is_linearizable,
     verify_witness,
 )
+from repro.verification.register_checker import ClaimsNotApplicable, check_swmr_atomicity
 from repro.verification.specs import SMRSpec
 
 
@@ -101,11 +103,6 @@ class TestNonLinearizableHistories:
 
 
 class TestGuards:
-    def test_history_size_guard(self):
-        entries = [(0, "write", f"v{i}", float(i), float(i) + 0.5) for i in range(70)]
-        with pytest.raises(ValueError, match="max_operations"):
-            lin(entries, max_operations=64)
-
     def test_unhashable_values_are_handled(self):
         assert lin([(0, "write", ["list"], 0.0, 1.0), (1, "read", ["list"], 2.0, 3.0)], initial=None)
 
@@ -128,14 +125,6 @@ class TestFindLinearization:
             [(0, "write", "a", 0.0, 1.0), (1, "read", "v0", 2.0, 3.0)], initial_value="v0"
         )
         assert find_linearization(history) is None
-
-    def test_size_guard(self):
-        history = make_history(
-            [(0, "write", f"v{i}", float(i), float(i) + 0.5) for i in range(40)],
-            initial_value="v0",
-        )
-        with pytest.raises(ValueError):
-            find_linearization(history, max_operations=32)
 
 
 class TestSMRWitness:
@@ -196,3 +185,53 @@ class TestSMRWitness:
         incr = Operation(pid=1, kind=OpKind.INCR, value=2, result=3, invoked_at=1.0, responded_at=2.0)
         assert tas.describe() == "tas() -> False by p1 [1.000, pending)"
         assert incr.describe() == "incr(2) -> 3 by p1 [1.000, 2.000]"
+
+
+class TestConsensusKindsNeedTheSMRSpec:
+    """The register path refuses a consensus kind instead of misjudging it.
+
+    Read as a write of its ``(expected, new)`` pair, or skipped, a CAS gets
+    both histories below the wrong verdict.
+    """
+
+    #: W(a), CAS(a -> b) = True, R() = b: linearizable under the SMR spec.
+    LINEARIZABLE = TestSMRWitness.HISTORY
+    #: W(z), CAS(a -> b) = True, R() = ('a', 'b'): not linearizable.
+    NOT_LINEARIZABLE = History(
+        [
+            Operation(pid=0, kind=OpKind.WRITE, value="z", invoked_at=0.0, responded_at=1.0, op_id=0),
+            Operation(
+                pid=1,
+                kind=OpKind.CAS,
+                value=("a", "b"),
+                result=True,
+                invoked_at=2.0,
+                responded_at=3.0,
+                op_id=1,
+            ),
+            Operation(
+                pid=2, kind=OpKind.READ, result=("a", "b"), invoked_at=4.0, responded_at=5.0, op_id=2
+            ),
+        ]
+    )
+
+    @pytest.mark.parametrize(
+        "name, linearizable", [("LINEARIZABLE", True), ("NOT_LINEARIZABLE", False)]
+    )
+    def test_only_the_smr_spec_judges_them(self, name, linearizable):
+        history = getattr(self, name)
+        assert check_histories_per_key({"k": history}, spec="smr").ok is linearizable
+        refusal = 'not cas; check this history with spec="smr"'
+        with pytest.raises(ValueError, match=refusal):
+            check_linearizability(history)
+        with pytest.raises(ValueError, match=refusal):
+            is_linearizable(history)
+        with pytest.raises(ValueError, match=refusal):
+            check_histories_per_key({"k": history})
+
+    @pytest.mark.parametrize("kind", [OpKind.CAS, OpKind.TAS, OpKind.INCR])
+    def test_the_claims_checker_does_not_apply(self, kind):
+        first, _cas, read = self.LINEARIZABLE.operations
+        other = Operation(pid=1, kind=kind, invoked_at=2.0, op_id=1)  # pending
+        with pytest.raises(ClaimsNotApplicable, match=f"holds a {kind.value} operation"):
+            check_swmr_atomicity(History([first, other, read]))

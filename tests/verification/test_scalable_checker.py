@@ -41,14 +41,6 @@ class TestNoOperationCap:
         with pytest.raises(ValueError, match="max_operations"):
             brute_force_is_linearizable(history, max_operations=64)
 
-    def test_default_is_uncapped_but_explicit_caps_still_enforce(self):
-        history = sequential_history(50)
-        assert is_linearizable(history)  # 100 ops, no cap by default
-        with pytest.raises(ValueError, match="max_operations"):
-            is_linearizable(history, max_operations=64)
-        with pytest.raises(ValueError, match="max_operations"):
-            find_linearization(history, max_operations=64)
-
     def test_deep_histories_do_not_hit_the_recursion_limit(self):
         import sys
 
@@ -61,6 +53,12 @@ class TestNoOperationCap:
         history = make_history(entries, initial_value="v0")
         with pytest.raises(LinearizabilityBudgetExceeded):
             check_linearizability(history, max_states=3)
+
+    def test_a_blown_budget_names_its_key(self):
+        entries = [(pid, "write", f"v{pid}", 0.0, 100.0) for pid in range(12)]
+        history = make_history(entries, initial_value="v0")
+        with pytest.raises(LinearizabilityBudgetExceeded, match="^key 'k0007': .*max_states=3"):
+            check_histories_per_key({"k0007": history}, max_states=3)
 
 
 class TestSharedSearchCore:
