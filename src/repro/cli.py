@@ -13,6 +13,7 @@ report without writing Python:
     python -m repro.cli bits --writes 200           # control-bit growth curves
     python -m repro.cli store --keys 32 --ops 500 --dist zipfian --shards 4
     python -m repro.cli explore --budget 50         # schedule exploration + shrinking
+    python -m repro.cli explore --strategy faults  # fault plans x seeds, every run judged
 
 (With the package installed — ``pip install -e .`` — the same commands are
 available as plain ``repro <subcommand>`` via the console-script entry point.)
@@ -310,7 +311,7 @@ def cmd_messages(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------- keyed commands
 #
-# store / consensus / chaos are all the same pipeline:
+# store / consensus are the same pipeline:
 # flags -> spec (a ``_*_spec`` builder; any ValueError it or the spec's own
 # validation raises is exit status 2, decided once in :func:`main`) ->
 # ``run_kv_workload`` -> ``result.verify()`` ->
@@ -463,232 +464,45 @@ def cmd_consensus(args: argparse.Namespace) -> int:
     )
 
 
-def _chaos_schedules(quick: bool):
-    """The named fault schedules the chaos sweep crosses with seeds.
+def _explore_config(args: argparse.Namespace):
+    """``repro explore`` flags → :class:`~repro.explore.ExploreConfig`."""
+    from repro.explore import ExploreConfig, available_mutations, install_mutations
+    from repro.registers.registry import get_algorithm
 
-    Each entry is ``(name, builder)`` where ``builder(seed)`` returns a
-    fully-seeded :class:`~repro.workloads.kv.KVWorkloadSpec` carrying its
-    fault plan.  Quick mode keeps CI smoke runs short (2 schedules).
-    """
-    from repro.faults import FaultPlan, PartitionSchedule, PartitionWindow, slow_the_writer
-    from repro.workloads.scenarios import chaos, consensus_smoke, kv_partitioned, kv_uniform
-
-    num_keys = 8 if quick else 16
-    num_ops = 80 if quick else 240
-    cons_keys = 4 if quick else 6
-    cons_ops = 60 if quick else 120
-
-    def partition_minority(seed: int):
-        return kv_partitioned(num_keys=num_keys, num_ops=num_ops, seed=seed)
-
-    def storm(seed: int):
-        spec = kv_uniform(num_keys=num_keys, num_ops=num_ops, seed=seed)
-        # Replica 0 hosts every key's writer: storm its links in each subnet.
-        return spec.with_(
-            fault_plan=slow_the_writer(writer_pid=0, factor=6.0, start=2.0, end=25.0)
+    if args.algorithm in available_mutations():
+        install_mutations()
+    if args.algorithm not in available_algorithms():
+        raise ValueError(
+            f"unknown algorithm {args.algorithm!r}; available: {available_algorithms()} "
+            f"and the mutants {available_mutations()} (installed on demand)"
         )
-
-    def isolated(spec, name: str, pid: int, start: float, heal: float):
-        window = PartitionWindow.isolate((pid,), spec.replication, start=start, heal=heal)
-        plan = FaultPlan(name=name, link_policies=(PartitionSchedule(windows=(window,)),))
-        return spec.with_(fault_plan=plan)
-
-    def partition_writer(seed: int):
-        # Cut the writer replica off instead: puts stall until the heal,
-        # reads keep completing on the majority side.
-        spec = kv_uniform(num_keys=num_keys, num_ops=num_ops, seed=seed)
-        return isolated(spec, "partition-writer", 0, start=3.0, heal=14.0)
-
-    def chaos_random(seed: int):
-        return chaos(num_keys=num_keys, num_ops=num_ops, seed=seed)
-
-    def consensus_crash(seed: int):
-        # Crash one replica mid-run (t = 1 < n/2 for replication 3): MMR
-        # consensus must keep deciding on the surviving n - t quorum, and
-        # the cell additionally checks the agreement/validity invariants.
-        spec = consensus_smoke(num_keys=cons_keys, num_ops=cons_ops, seed=seed)
-        rng_shard = seed % spec.num_shards
-        return spec.with_(
-            crash_points=(
-                CrashPoint(at_time=4.0 + seed, shard=rng_shard, replica=2),
+    try:
+        op_mix = tuple(
+            (kind.strip(), float(weight))
+            for kind, _, weight in (
+                entry.partition("=") for entry in args.op_mix.split(",") if entry.strip()
             )
-        )
-
-    def consensus_partition(seed: int):
-        # Isolate one replica behind a healing partition: its slots stall
-        # until the heal, the majority side keeps deciding throughout.
-        spec = consensus_smoke(num_keys=cons_keys, num_ops=cons_ops, seed=seed)
-        return isolated(
-            spec, "consensus-partition", seed % spec.replication, start=3.0, heal=16.0
-        )
-
-    schedules = [
-        ("kv-partitioned", partition_minority),
-        ("delay-storm", storm),
-        ("consensus-crash", consensus_crash),
-    ]
-    if not quick:
-        schedules.extend(
-            [
-                ("partition-writer", partition_writer),
-                ("chaos", chaos_random),
-                ("consensus-partition", consensus_partition),
-            ]
-        )
-    return schedules
-
-
-def _run_signature(result) -> list:
-    """Record-by-record fingerprint of a run (for reproducibility checks)."""
-    signature = []
-    for op in result.ops:
-        signature.append(
-            (
-                op.op_id,
-                op.kind.value,
-                op.key,
-                op.value,
-                op.failed,
-                None if op.pid == -1 else (op.invoked_at, op.responded_at, repr(op.result)),
-            )
-        )
-    return signature
-
-
-def _chaos_cell_payload(payload: tuple) -> dict:
-    """Run one chaos-sweep cell; module-level so the process pool can pickle it.
-
-    ``payload`` is ``(schedule_name, seed, quick, want_signature)``.  The cell
-    rebuilds its spec from the schedule registry by name (the builders are
-    closures, which don't pickle), runs and verifies it, and returns the JSON
-    entry for ``chaos_report.json`` plus — when ``want_signature`` — the
-    record-by-record signature the parent's reproducibility check compares
-    against its own re-run of the same cell.
-    """
-    name, seed, quick, want_signature = payload
-    spec = dict(_chaos_schedules(quick))[name](seed)
-    result = run_kv_workload(spec)
-    # Consensus cells' verdicts include the protocol-level invariants
-    # (per-slot agreement, validity) straight off the replica processes.
-    verdict = result.verify()
-    summary = result.summary(verdict)
-    entry = {
-        "schedule": name,
-        "seed": seed,
-        "fault_timeline": spec.fault_plan.timeline() if spec.fault_plan else [],
-        "server_crashes": [
-            {"at": point.at_time, "shard": point.shard, "replica": point.replica}
-            for point in spec.crash_points
-        ],
-        **{
-            key: summary[key]
-            for key in (
-                "completed", "failed", "atomic", "keys_checked", "finished_cleanly",
-                "virtual_makespan", "virtual_throughput", "messages", "per_sender",
-            )
-        },
-    }
-    if summary["consensus_violations"] is not None:
-        entry["consensus_violations"] = summary["consensus_violations"]
-    return {
-        "entry": entry,
-        "failures": verdict.failures,
-        "signature": _run_signature(result) if want_signature else None,
-    }
-
-
-def _chaos_cells(args: argparse.Namespace) -> list:
-    """``repro chaos`` flags → the sweep's ``(schedule, seed)`` cells, in order."""
-    if args.seeds is not None and args.seeds < 1:
-        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
-    seeds = range(args.seeds if args.seeds is not None else (2 if args.quick else 3))
-    return [(name, seed) for name, _ in _chaos_schedules(args.quick) for seed in seeds]
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Sweep seeds x fault schedules; verify every run; emit ``chaos_report.json``.
-
-    Every cell gets the full run verdict; the sweep also re-runs its first
-    cell and verifies the execution is reproducible record-by-record (with
-    ``--workers N`` that re-run happens in the parent process, so the check
-    doubles as a cross-process determinism probe).  The payload is strict
-    JSON (``allow_nan=False``) so downstream consumers can parse with
-    ``parse_constant`` forbidden.
-    """
-    import json
-    import pathlib
-    import platform
-
-    out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    quick = args.quick
-
-    # Cells are independent seeded runs: fan them out over the process pool
-    # when --workers asks for it, in the exact order the serial sweep uses so
-    # the emitted payload is byte-identical either way.
-    cells = args.spec
-    payloads = [
-        (name, seed, quick, index == 0) for index, (name, seed) in enumerate(cells)
-    ]
-    if args.workers > 1:
-        from repro.parallel import WorkerFailure, run_chunked
-
-        try:
-            outcomes = run_chunked(_chaos_cell_payload, payloads, args.workers)
-        except WorkerFailure as exc:
-            return report_run("", [f"sweep worker failed:\n{exc}"], "chaos sweep")
-    else:
-        outcomes = [_chaos_cell_payload(payload) for payload in payloads]
-
-    runs = [outcome["entry"] for outcome in outcomes]
-    failures = [
-        f"{name}/seed={seed}: {outcome['failures'][0]}"
-        for (name, seed), outcome in zip(cells, outcomes)
-        if outcome["failures"]
-    ]
-    rows = [
-        [
-            entry["schedule"],
-            entry["seed"],
-            entry["completed"],
-            entry["failed"],
-            round(entry["virtual_makespan"], 1),
-            "yes" if entry["atomic"] else "NO",
-            "FAIL" if outcome["failures"] else "ok",
-        ]
-        for entry, outcome in zip(runs, outcomes)
-    ]
-
-    # Reproducibility: the same seeded spec must replay record-by-record.
-    # The parent re-runs the first cell itself, so under --workers this also
-    # certifies that a pool worker's execution matches an in-process one.
-    first_name, first_seed = cells[0]
-    replay = _chaos_cell_payload((first_name, first_seed, quick, True))
-    reproducible = replay["signature"] == outcomes[0]["signature"]
-    if not reproducible:
-        failures.append(f"{first_name}/seed={first_seed} not reproducible")
-
-    payload = {
-        "benchmark": "chaos_fault_schedule_sweep",
-        "mode": "quick" if quick else "full",
-        "seeds": sorted({seed for _, seed in cells}),
-        "schedules": [name for name, _ in _chaos_schedules(quick)],
-        "reproducible": reproducible,
-        "all_atomic": all(entry["atomic"] for entry in runs),
-        "runs": runs,
-        "python": platform.python_version(),
-    }
-    chaos_path = out_dir / "chaos_report.json"
-    chaos_path.write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
-    table = format_table(
-        ["schedule", "seed", "completed", "failed", "makespan", "atomic", "verdict"],
-        rows,
-        title=f"chaos sweep ({payload['mode']}) -> {chaos_path}",
-    )
-    return report_run(
-        f"{table}\nreproducible (record-by-record): {'yes' if reproducible else 'NO'}",
-        failures,
-        "chaos sweep",
+        ) or None
+    except ValueError as exc:
+        raise ValueError(f"--op-mix {args.op_mix!r}: {exc}") from None
+    smr = get_algorithm(args.algorithm).spec == "smr"
+    if smr and op_mix is None:
+        # Consensus objects: explore the kinds whose results the SMR spec
+        # constrains, starting from an empty store so cas chains from "unset".
+        op_mix = (("read", 0.40), ("cas", 0.40), ("write", 0.20))
+    return ExploreConfig(
+        strategy=args.strategy,
+        budget=8 if args.quick else args.budget,
+        seed=args.seed,
+        algorithm=args.algorithm,
+        num_keys=4 if args.quick else args.keys,
+        num_ops=48 if args.quick else args.ops,
+        read_fraction=args.read_fraction,
+        num_shards=args.shards,
+        replication=args.replication,
+        op_mix=op_mix,
+        initial_value=None if smr else "v0",
+        workers=args.workers,
     )
 
 
@@ -705,14 +519,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     """
     import pathlib
 
-    from repro.explore import (
-        ExploreConfig,
-        available_mutations,
-        install_mutations,
-        replay_artifact,
-        run_exploration,
-        write_artifact,
-    )
+    from repro.explore import replay_artifact, run_exploration, write_artifact
 
     if args.replay:
         try:
@@ -728,53 +535,11 @@ def cmd_explore(args: argparse.Namespace) -> int:
         print(f"reproduced: {'yes' if result.reproduced else 'NO'}")
         return 0 if result.reproduced else 1
 
-    known = available_algorithms() + available_mutations()
-    if args.algorithm not in known:
-        print(
-            f"unknown algorithm {args.algorithm!r}; available: {known} "
-            "(mutants are installed on demand)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.algorithm in available_mutations():
-        install_mutations()
-    from repro.registers.registry import get_algorithm
-
-    op_mix = None
-    if args.op_mix:
-        try:
-            op_mix = tuple(
-                (kind.strip(), float(weight))
-                for kind, _, weight in (
-                    entry.partition("=") for entry in args.op_mix.split(",") if entry.strip()
-                )
-            )
-        except ValueError as exc:
-            print(f"invalid --op-mix {args.op_mix!r}: {exc}", file=sys.stderr)
-            return 2
-    smr = get_algorithm(args.algorithm).spec == "smr"
-    if smr and op_mix is None:
-        # Consensus objects: explore the kinds whose results the SMR spec
-        # constrains, starting from an empty store so cas chains from "unset".
-        op_mix = (("read", 0.40), ("cas", 0.40), ("write", 0.20))
+    config = args.spec
     try:
-        config = ExploreConfig(
-            strategy=args.strategy,
-            budget=8 if args.quick else args.budget,
-            seed=args.seed,
-            algorithm=args.algorithm,
-            num_keys=4 if args.quick else args.keys,
-            num_ops=48 if args.quick else args.ops,
-            read_fraction=args.read_fraction,
-            num_shards=args.shards,
-            replication=args.replication,
-            op_mix=op_mix,
-            initial_value=None if smr else "v0",
-            workers=args.workers,
-        )
         report = run_exploration(config)
-    except (KeyError, ValueError) as exc:
-        print(f"invalid exploration parameters: {exc}", file=sys.stderr)
+    except ValueError as exc:  # a strategy's own check (crash-sweep's replication)
+        print(f"invalid explore parameters: {exc}", file=sys.stderr)
         return 2
 
     rows = [
@@ -783,12 +548,14 @@ def cmd_explore(args: argparse.Namespace) -> int:
         ["operations checked", report.operations_checked],
         ["checker states explored", report.states_explored],
         ["violations found", len(report.counterexamples)],
+        ["first case reproducible", "yes" if report.reproducible else "NO"],
         ["wall seconds", round(report.wall_seconds, 2)],
     ]
-    title = f"explore: {args.algorithm}, budget {config.budget}, seed {config.seed}"
+    subject = "the plans' own workloads" if config.strategy == "faults" else args.algorithm
+    title = f"explore: {subject}, budget {config.budget}, seed {config.seed}"
     lines = [format_table(["metric", "value"], rows, title=title)]
     out_dir = pathlib.Path(args.out_dir)
-    failures = []
+    failures = [] if report.reproducible else ["the first case did not reproduce record-by-record"]
     for index, example in enumerate(report.counterexamples, start=1):
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"explore_counterexample_{index}.json"
@@ -805,10 +572,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
     if args.expect_violation and not report.counterexamples:
         failures.append(
             "expected the explorer to find a violation (mutation test), "
-            "but every explored schedule was linearizable"
+            "but every explored schedule passed the run verdict"
         )
     elif report.counterexamples and not args.expect_violation:
-        failures.append(f"{len(report.counterexamples)} non-linearizable execution(s) found")
+        failures.append(f"{len(report.counterexamples)} violating execution(s) found")
     return report_run("\n".join(lines), failures, "explore")
 
 
@@ -938,19 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=cmd_store, build_spec=_store_spec)
 
     sub = subparsers.add_parser(
-        "chaos",
-        help="sweep seeds x fault schedules (partitions, storms) and verify every run",
-    )
-    _add_shared_arguments(sub, quick=False, out_dir=".", workers=1)
-    sub.add_argument(
-        "--seeds",
-        type=int,
-        default=None,
-        help="number of seeds per schedule (default: 2 quick, 3 full)",
-    )
-    sub.set_defaults(handler=cmd_chaos, build_spec=_chaos_cells)
-
-    sub = subparsers.add_parser(
         "consensus",
         help="run a consensus-object scenario and gate on the SMR checker + invariants",
     )
@@ -972,8 +726,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--strategy",
         default="random-walk",
-        choices=["random-walk", "crash-sweep", "partition-sweep"],
-        help="schedule search strategy (default random-walk)",
+        choices=["random-walk", "crash-sweep", "partition-sweep", "faults"],
+        help=(
+            "schedule search strategy (default random-walk); `faults` sweeps the "
+            "named fault plans x seeds, and its plans carry their own workloads, "
+            "so the workload flags do not apply to it"
+        ),
     )
     sub.add_argument("--budget", type=int, default=20, help="schedules to explore (default 20)")
     # --algorithm also accepts explorer mutants such as abd-sloppy-write
@@ -1012,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="replay a counterexample artifact instead of exploring",
     )
-    sub.set_defaults(handler=cmd_explore)
+    sub.set_defaults(handler=cmd_explore, build_spec=_explore_config)
 
     return parser
 

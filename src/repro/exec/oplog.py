@@ -203,9 +203,6 @@ class OpLog:
             total += column.itemsize * len(column)
         return total
 
-    def op_view(self, row: int) -> "LoggedOp":
-        return LoggedOp(self, row)
-
     def ops_view(self) -> "OpLogOps":
         """The whole log as a lazy sequence of :class:`LoggedOp` views."""
         return OpLogOps(self)

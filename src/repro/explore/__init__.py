@@ -10,13 +10,15 @@ deliberately and keeps the checker in the loop:
   (:mod:`repro.explore.chooser`) that picks which message in flight each
   delivery slot delivers: alone (``random-walk``), with crash-coordinate
   sweeps (``crash-sweep``) and with healing-partition boundary sweeps
-  (``partition-sweep``, reusing :mod:`repro.faults`);
-* every explored execution is verified with the scalable Wing–Gong
-  linearizability checker (:mod:`repro.verification.linearizability`),
-  per key (P-compositionality);
+  (``partition-sweep``, reusing :mod:`repro.faults`); ``faults`` sweeps
+  named fault plans x seeds instead, each plan with its own workload;
+* every explored execution gets the whole run verdict: a clean finish,
+  the scalable Wing–Gong linearizability checker
+  (:mod:`repro.verification.linearizability`) per key
+  (P-compositionality), and the consensus agreement/validity audit;
 * a violation is **shrunk** by delta debugging
   (:mod:`repro.explore.shrink`) to a minimal operation script + fault
-  schedule + delivery choice set, and serialized as a strict-JSON
+  plan + crash points + delivery choice set, and serialized as a strict-JSON
   **replayable artifact** (``repro explore --replay file``);
 * :mod:`repro.explore.mutations` provides intentionally faulty register
   variants so the find→shrink→replay pipeline is itself mutation-tested.

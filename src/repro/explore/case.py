@@ -3,12 +3,13 @@
 An :class:`ExploreCase` is the unit the schedule explorer runs, shrinks and
 serializes: an explicit operation script (not a generator seed — shrinking
 removes individual operations), the store geometry, the delay model, the
-fault schedule (crash points and/or one healing partition window, reusing
-:mod:`repro.faults`) and the delivery choices (:mod:`repro.explore.chooser`).
-Everything is plain data, round-trips through strict JSON, and :func:`run_case`
-executes it deterministically: same case, same execution, same verdict —
-which is what makes counterexample artifacts replayable
-(``repro explore --replay file``).
+fault schedule (crash points and a whole :class:`~repro.faults.FaultPlan`)
+and the delivery choices (:mod:`repro.explore.chooser`).  Everything is
+plain data, round-trips through strict JSON, and :func:`run_case` executes it
+deterministically: same case, same execution, same verdict — which is what
+makes counterexample artifacts replayable (``repro explore --replay file``).
+The verdict is the one a workload run gets: a clean finish, every key
+linearizable, and the consensus audit of agreement and validity.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exec.target import OpRequest
+from repro.consensus.mmr import replica_invariants
 from repro.explore.chooser import ChoiceEntry, DeliveryChooser, ReplayChooser
 from repro.explore.mutations import MUTATIONS, install_mutations
-from repro.faults.partitions import PartitionSchedule, PartitionWindow
 from repro.faults.plan import CrashPoint, FaultPlan, validate_crash_points
 from repro.registers.base import OperationKind
 from repro.registers.registry import available_algorithms
@@ -30,7 +31,7 @@ from repro.verification.linearizability import PartitionedCheckReport
 from repro.workloads.kv import deploy_store, drive_script
 
 #: Artifact/case schema version (bumped on incompatible changes).
-CASE_FORMAT_VERSION = 2
+CASE_FORMAT_VERSION = 3
 
 
 #: Case op kinds and how their ``value`` field serializes.  Registers use
@@ -114,6 +115,15 @@ def delay_model_from_dict(payload: Dict[str, Any]) -> DelayModel:
     raise ValueError(f"unknown delay model kind {kind!r} (expected 'fixed' or 'uniform')")
 
 
+def delay_model_to_dict(model: DelayModel) -> Dict[str, Any]:
+    """The serialized form of a fixed or uniform delay model (:func:`delay_model_from_dict`)."""
+    if isinstance(model, FixedDelay):
+        return {"kind": "fixed", "delta": model.delta}
+    if isinstance(model, UniformDelay) and model._seed is not None:
+        return {"kind": "uniform", "low": model.low, "high": model.high, "seed": model._seed}
+    raise ValueError(f"{model!r} has no case form (fixed, or uniform with a seed)")
+
+
 @dataclass(frozen=True)
 class ExploreCase:
     """One schedule to run: geometry + script + faults + delivery choices."""
@@ -134,8 +144,8 @@ class ExploreCase:
     #: Crash points as :class:`~repro.faults.CrashPoint` keyword dicts:
     #: ``shard``, ``replica`` and ``at_time`` or ``after_messages_sent``.
     crash_points: Tuple[Dict[str, Any], ...] = ()
-    #: At most one healing partition window: ``{"replicas": [...], "start": t, "heal": t}``.
-    partition: Optional[Dict[str, Any]] = None
+    #: The link policies, as :meth:`~repro.faults.FaultPlan.to_dict` gives them.
+    fault_plan: Optional[Dict[str, Any]] = None
     #: ``None`` means the store starts empty (consensus-object cases: the
     #: first cas of a key then expects "unset").
     initial_value: Optional[str] = "v0"
@@ -176,7 +186,7 @@ class ExploreCase:
             "ops": [op.to_dict() for op in self.ops],
             "choices": [list(entry) for entry in self.choices],
             "crash_points": [dict(point) for point in self.crash_points],
-            "partition": dict(self.partition) if self.partition is not None else None,
+            "fault_plan": self.fault_plan,
         }
 
     @classmethod
@@ -185,7 +195,8 @@ class ExploreCase:
         if version != CASE_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported explore-case version {version} (this build reads version "
-                f"{CASE_FORMAT_VERSION}; version 1 held delay perturbations, not choices)"
+                f"{CASE_FORMAT_VERSION}; version 2 held one partition window, not a fault "
+                "plan; version 1 held delay perturbations, not choices)"
             )
         try:
             return cls(
@@ -203,9 +214,7 @@ class ExploreCase:
                     for scope, slot, s, d, k in payload["choices"]
                 ),
                 crash_points=tuple(dict(point) for point in payload.get("crash_points", ())),
-                partition=(
-                    dict(payload["partition"]) if payload.get("partition") is not None else None
-                ),
+                fault_plan=payload.get("fault_plan"),
             )
         except KeyError as missing:
             raise ValueError(f"case has no {missing} field") from None
@@ -221,32 +230,39 @@ class ExploreCase:
 
 @dataclass
 class CaseOutcome:
-    """Everything one case execution produced."""
+    """Everything one case execution produced, and its verdict."""
 
     store: KVStore
     report: PartitionedCheckReport
     finished_cleanly: bool
+    #: The consensus audit (:func:`~repro.consensus.mmr.replica_invariants`):
+    #: ``None`` when the case deployed no consensus-backed key.
+    invariants: Optional[List[str]]
 
     @property
     def ok(self) -> bool:
-        """True when every key's history is linearizable."""
-        return self.report.ok
+        """True when the run finished cleanly, every key is linearizable and
+        the consensus invariants hold."""
+        return self.finished_cleanly and self.report.ok and not self.invariants
+
+    def violations(self) -> List[str]:
+        """Everything wrong with the run, flat, as ``RunVerdict.failures`` lists it."""
+        unclean = [] if self.finished_cleanly else ["run did not finish: operations left pending"]
+        return unclean + self.report.violations() + list(self.invariants or ())
 
     def failing_keys(self) -> list:
-        return self.report.failing_keys()
-
-
-def _fault_plan_for(case: ExploreCase) -> Optional[FaultPlan]:
-    """The case's partition window as a fault plan (``None`` without one)."""
-    if case.partition is None:
-        return None
-    window = PartitionWindow.isolate(
-        tuple(int(replica) for replica in case.partition["replicas"]),
-        case.replication,
-        start=float(case.partition["start"]),
-        heal=float(case.partition["heal"]),
-    )
-    return FaultPlan(name="explore-case", link_policies=(PartitionSchedule(windows=(window,)),))
+        """The keys the verdict blames: a non-linearizable history, an
+        invariant violation naming the key, or (unclean finish) an operation
+        left pending."""
+        keys = list(self.report.failing_keys())
+        blamed = {
+            key
+            for key in self.store.deployed_keys
+            if any(f"at key {key!r} " in violation for violation in self.invariants or ())
+        }
+        if not self.finished_cleanly:
+            blamed.update(op.key for op in self.store.ops if not op.done)
+        return keys + sorted(blamed.difference(keys))
 
 
 def run_case(
@@ -254,7 +270,7 @@ def run_case(
     chooser: Optional[DeliveryChooser] = None,
     check_max_states: Optional[int] = 1_000_000,
 ) -> CaseOutcome:
-    """Execute ``case`` against a fresh store and check every key's history.
+    """Execute ``case`` against a fresh store and judge the run.
 
     The case's crash points are checked against its geometry before anything
     runs; its script then goes through the one drive loop every simulated run
@@ -265,7 +281,8 @@ def run_case(
     :class:`~repro.explore.chooser.ReplayChooser` of the case's choices
     (replays and shrink probes).  The checker is the Wing–Gong engine on
     every key (``swmr_fast_path=False``) so explored executions exercise the
-    search core the explorer exists to drive.
+    search core the explorer exists to drive; the consensus audit runs on
+    the replicas as the run ends.
     """
     if case.algorithm in MUTATIONS and case.algorithm not in available_algorithms():
         install_mutations()  # replaying a mutant artifact is self-contained
@@ -282,7 +299,7 @@ def run_case(
             delay_model=delay_model_from_dict(case.delay),
             initial_value=case.initial_value,
         ),
-        _fault_plan_for(case),
+        FaultPlan.from_dict(case.fault_plan) if case.fault_plan is not None else None,
         crash_points,
     )
     # Before the first key deploys: every subnet takes its scoped view.
@@ -293,7 +310,9 @@ def run_case(
         store, script, case.open_loop, case.batch_size, script[-1][0] if script else 0.0
     )
     report = store.check_linearizability(swmr_fast_path=False, max_states=check_max_states)
-    return CaseOutcome(store=store, report=report, finished_cleanly=finished)
+    return CaseOutcome(
+        store=store, report=report, finished_cleanly=finished, invariants=replica_invariants(store)
+    )
 
 
 def materialize_schedule(case: ExploreCase, outcome: CaseOutcome) -> ExploreCase:

@@ -4,17 +4,21 @@
 
 1. the configured :class:`~repro.explore.strategies.ScheduleStrategy`
    yields seeded schedules (chosen deliveries, alone or with crash or
-   partition sweeps) over the base keyed workload;
-2. every explored execution is checked with the scalable per-key
-   linearizability checker (Wing–Gong on every key — the explorer is the
-   checker's adversarial test harness, so no fast paths);
+   partition sweeps, or the named fault plans) over their keyed workloads;
+2. every explored execution gets the run verdict of :func:`run_case`: a
+   clean finish, the per-key linearizability checker (Wing–Gong on every
+   key — the explorer is the checker's adversarial test harness, so no fast
+   paths) and the consensus audit;
 3. a violating execution is **shrunk** (:mod:`repro.explore.shrink`) to a
    minimal case, re-verified, and wrapped in a strict-JSON
    **counterexample artifact** that replays standalone
    (``repro explore --replay file`` / :func:`replay_artifact`);
 4. before reporting, the explorer replays the artifact through its own
    JSON round-trip and confirms the violation reproduces — a
-   non-replayable artifact is itself a failure.
+   non-replayable artifact is itself a failure;
+5. the first case is re-run in this process and must reproduce its
+   verdict and its operation records exactly — with ``workers > 1`` a
+   cross-process determinism probe.
 
 Determinism: same config, same schedules, same violations, same shrunken
 artifact, byte for byte.
@@ -29,9 +33,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Dict, List, Union
 
-from repro.explore.case import ExploreCase, materialize_schedule, run_case
+from repro.explore.case import CaseOutcome, ExploreCase, materialize_schedule, run_case
 from repro.explore.config import ExploreConfig
-from repro.explore.mutations import MUTATIONS, install_mutations
 from repro.explore.shrink import shrink_case
 from repro.explore.strategies import build_strategy
 from repro.parallel.pool import run_chunked
@@ -86,33 +89,32 @@ class ExploreReport:
     states_explored: int = 0
     counterexamples: List[Counterexample] = field(default_factory=list)
     wall_seconds: float = 0.0
+    #: The first case, re-run in this process, gave the same verdict and
+    #: the same operation records.
+    reproducible: bool = True
 
     @property
     def ok(self) -> bool:
-        """True when no violation was found (what CI asserts on healthy algorithms)."""
-        return not self.counterexamples
-
-    @property
-    def all_replayed(self) -> bool:
-        """True when every counterexample's artifact replayed successfully."""
-        return all(example.replayed for example in self.counterexamples)
+        """True when no violation was found and the first case reproduced
+        (what CI asserts on healthy algorithms)."""
+        return not self.counterexamples and self.reproducible
 
 
 def _build_counterexample(
     config: ExploreConfig, original: ExploreCase, shrunken: ExploreCase
 ) -> Counterexample:
     outcome = run_case(shrunken, check_max_states=config.check_max_states)
-    histories = {
-        str(key): history.to_dict()
-        for key, history in outcome.store.histories().items()
-        if key in set(outcome.failing_keys())
-    }
+    failing = outcome.failing_keys()
     example = Counterexample(
         case=shrunken,
         original_case=original,
-        failing_keys=outcome.failing_keys(),
-        violations=outcome.report.violations(),
-        histories=histories,
+        failing_keys=failing,
+        violations=outcome.violations(),
+        histories={
+            str(key): history.to_dict()
+            for key, history in outcome.store.histories().items()
+            if key in failing
+        },
     )
     # Replayability is part of the contract: round-trip the artifact through
     # JSON and confirm the violation reproduces from the parsed form.
@@ -121,21 +123,33 @@ def _build_counterexample(
     return example
 
 
+def _record_signature(outcome: CaseOutcome) -> List[tuple]:
+    """Record-by-record fingerprint of a run's operations."""
+    return [
+        (op.op_id, op.kind.value, op.key, op.value, op.failed, op.pid)
+        + (op.invoked_at, op.responded_at, repr(op.result))
+        for op in outcome.store.ops
+    ]
+
+
 def _explore_case_main(payload) -> Dict[str, Any]:
     """Run one explored case and summarize it (module-level for spawn).
 
     Returns only what the sweep's accounting needs: the verdict, the checker
-    counts, and the case with its recorded delivery choices embedded —
+    counts, the case with its recorded delivery choices embedded —
     replaying those re-runs this exact execution, so materialization,
-    shrinking and artifact building work from the summary alone.
+    shrinking and artifact building work from the summary alone — and, when
+    asked, the run's record signature for the reproducibility probe.
     """
-    case, chooser, check_max_states = payload
+    case, chooser, check_max_states, want_signature = payload
     outcome = run_case(case, chooser=chooser, check_max_states=check_max_states)
     return {
         "ok": outcome.ok,
+        "violations": outcome.violations(),
         "operations_checked": outcome.report.operations_checked,
         "states_explored": outcome.report.states_explored,
         "case": case if chooser is None else case.with_(choices=tuple(chooser.entries)),
+        "signature": _record_signature(outcome) if want_signature else None,
     }
 
 
@@ -147,23 +161,25 @@ def run_exploration(config: ExploreConfig) -> ExploreReport:
     keeps), on the :mod:`repro.parallel` pool above that.  A violating case
     is then re-run from its recorded choices, materialized, shrunk and
     packaged serially, so every worker count gives the same counts and the
-    same counterexamples, byte for byte.
+    same counterexamples, byte for byte.  Last, the first case is re-run
+    here from its recorded choices: its verdict and record signature must
+    match the summary's (``report.reproducible``).
     """
-    if config.algorithm in MUTATIONS:
-        install_mutations()
     strategy = build_strategy(config)
     report = ExploreReport(config=config)
     started = time.perf_counter()
     payloads = (
-        (case, chooser, config.check_max_states)
-        for case, chooser in islice(strategy.cases(), config.budget)
+        (case, chooser, config.check_max_states, index == 0)
+        for index, (case, chooser) in enumerate(islice(strategy.cases(), config.budget))
     )
     summaries = (
         run_chunked(_explore_case_main, list(payloads), config.workers)
         if config.workers > 1
         else map(_explore_case_main, payloads)
     )
+    first = None
     for summary in summaries:
+        first = first or summary
         report.cases_run += 1
         report.operations_checked += summary["operations_checked"]
         report.states_explored += summary["states_explored"]
@@ -181,6 +197,12 @@ def run_exploration(config: ExploreConfig) -> ExploreReport:
         report.counterexamples.append(_build_counterexample(config, concrete, shrunken))
         if len(report.counterexamples) >= config.max_counterexamples > 0:
             break
+    if first is not None:
+        probe = run_case(first["case"], check_max_states=config.check_max_states)
+        report.reproducible = (
+            probe.violations() == first["violations"]
+            and _record_signature(probe) == first["signature"]
+        )
     report.wall_seconds = time.perf_counter() - started
     return report
 
@@ -221,7 +243,7 @@ def replay_artifact_payload(
         reproduced=bool(failing) and failing == expected_keys,
         failing_keys=failing,
         expected_keys=expected_keys,
-        violations=outcome.report.violations(),
+        violations=outcome.violations(),
     )
 
 

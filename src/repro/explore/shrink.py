@@ -9,8 +9,8 @@ irrelevant.  :func:`shrink_case` minimizes it with Zeller–Hildebrandt
    the violation persists; shrinking re-*executes* the store, it never
    edits a recorded history, so a shrunken case is a genuine standalone
    reproducer);
-2. the **fault schedule** (drop crash points / the partition window when
-   the violation survives without them);
+2. the **fault schedule** (drop crash points and the fault plan's link
+   policies when the violation survives without them);
 3. the **delivery choices** (remove recorded picks; a removed pick's slot
    delivers the earliest message in flight).
 
@@ -85,6 +85,9 @@ def shrink_case(
         if focused.ops and len(focused.ops) < len(case.ops) and fails(focused):
             case = focused
 
+    def policies(current: ExploreCase) -> list:
+        return list(current.fault_plan["link_policies"]) if current.fault_plan else []
+
     def truncate_tail(current: ExploreCase) -> ExploreCase:
         """Cheap pre-pass: find a short failing *prefix* by bisection.
 
@@ -117,8 +120,10 @@ def shrink_case(
         return current.with_(ops=tuple(minimal_ops))
 
     def shrink_faults(current: ExploreCase) -> ExploreCase:
-        if current.partition is not None:
-            without = current.with_(partition=None)
+        for index in range(len(policies(current)) - 1, -1, -1):
+            kept = policies(current)[:index] + policies(current)[index + 1 :]
+            plan = {**current.fault_plan, "link_policies": kept} if kept else None
+            without = current.with_(fault_plan=plan)
             if fails(without):
                 current = without
         for index in range(len(current.crash_points) - 1, -1, -1):
@@ -144,7 +149,7 @@ def shrink_case(
         return candidate
 
     def size(current: ExploreCase) -> tuple:
-        faults = len(current.crash_points) + (current.partition is not None)
+        faults = len(current.crash_points) + len(policies(current))
         return len(current.ops), faults, len(current.choices)
 
     # Iterate to a fixpoint: dropping a fault or delivery choices can

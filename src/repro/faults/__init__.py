@@ -16,13 +16,14 @@ processes.  This package makes both halves of the adversary declarative:
 * :class:`PartitionWindow` / :class:`PartitionSchedule` — splits with
   *mandatory finite heal times* (reliability preserved by construction);
 * :class:`DelayStorm` / :func:`asymmetric_link` — finite-window slowdowns;
-* :class:`FaultPlan` — link policies, installed through
+* :class:`FaultPlan` — link policies in order, with a serial form
+  (``to_dict`` / ``from_dict``) that an explore case carries; installed through
   :class:`~repro.workloads.spec.WorkloadSpec.fault_plan`,
   :class:`~repro.workloads.kv.KVWorkloadSpec.fault_plan` or
   :meth:`~repro.store.store.KVStore.install_fault_plan`;
 * adversarial strategies — :func:`slow_the_writer`,
   :func:`majority_minority_split`, :func:`random_fault_plan` (the seeded
-  chaos family the ``repro chaos`` sweep explores).
+  chaos family ``repro explore --strategy faults`` sweeps).
 """
 
 from repro.faults.adversary import (

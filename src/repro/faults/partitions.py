@@ -136,3 +136,9 @@ class PartitionSchedule(LinkPolicy):
 
     def describe(self) -> List[Dict[str, Any]]:
         return [window.describe() for window in self.windows]
+
+    @classmethod
+    def from_dict(cls, entry: Dict[str, Any]) -> "PartitionSchedule":
+        """The one-window schedule of a ``describe()`` entry."""
+        groups = tuple(map(tuple, entry["groups"]))
+        return cls(windows=(PartitionWindow(groups, entry["start"], entry["heal"]),))

@@ -17,7 +17,7 @@ finite.  ``Network.send`` enforces the same contract at runtime.  Under this
 constraint a faulted execution is just an adversarial assignment of legal
 delays, so every guarantee the algorithms give under ``t < n/2`` crashes
 (atomicity, termination of operations by correct processes) must still hold
-— which is exactly what the chaos sweeps check.
+— which is exactly what ``repro explore --strategy faults`` checks.
 
 Policies are **deterministic in send order** and pure, one object for every
 subnet, so the same plan applied to the same seeded run reproduces the same
@@ -120,11 +120,32 @@ class FaultPlan:
         """All fault events as plain dicts, sorted by start time.
 
         This is the annotation :class:`~repro.exec.metrics.MetricsCollector`
-        embeds in snapshots (and the chaos sweep in ``chaos_report.json``) so
-        a latency spike can be read against the faults that caused it.
+        embeds in snapshots, so a latency spike can be read against the
+        faults that caused it.  Sorting loses the policies' order, so the
+        serial form is :meth:`to_dict`, not this.
         """
         entries = CompositeLinkPolicy(self.link_policies).describe()
         return sorted(entries, key=lambda entry: (entry.get("at", entry.get("start", 0.0)) or 0.0))
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The plan as plain data: its fault entries in policy order (a delay
+        threads through the policies in order, so the order is part of the
+        plan).  A partition schedule gives one entry per window."""
+        entries = CompositeLinkPolicy(self.link_policies).describe()
+        return {"name": self.name, "link_policies": entries}
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "FaultPlan":
+        """Rebuild a plan from :meth:`to_dict`'s form."""
+        from repro.faults.partitions import PartitionSchedule
+        from repro.faults.storms import DelayStorm
+
+        kinds = {"partition": PartitionSchedule, "delay_storm": DelayStorm}
+        try:
+            policies = [kinds[e["fault"]].from_dict(e) for e in payload["link_policies"]]
+        except KeyError as missing:
+            raise ValueError(f"fault plan: unknown policy or missing field {missing}") from None
+        return cls(name=payload.get("name", ""), link_policies=tuple(policies))
 
 
 @dataclass(frozen=True)

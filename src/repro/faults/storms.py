@@ -106,6 +106,18 @@ class DelayStorm(LinkPolicy):
             entry["dests"] = list(self.dests)
         return [entry]
 
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "DelayStorm":
+        """The storm of its ``describe()`` entry."""
+
+        def tuples(name: str, item: Any = int) -> Optional[tuple]:
+            return None if payload.get(name) is None else tuple(map(item, payload[name]))
+
+        return cls(
+            payload["start"], payload["end"], payload["factor"], payload.get("extra", 0.0),
+            links=tuples("links", tuple), sources=tuples("sources"), dests=tuples("dests"),
+        )
+
 
 def asymmetric_link(
     src: int, dst: int, factor: float, start: float = 0.0, end: float = 1e9

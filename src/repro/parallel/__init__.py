@@ -17,7 +17,7 @@ Entry points
   engine; reached via ``KVWorkloadSpec(workers=N)`` /
   ``repro store --workers N``.
 * :func:`~repro.parallel.pool.run_chunked` — the generic spawn-safe pool the
-  chaos sweep, the schedule explorer and the live load generator's client
+  schedule explorer and the live load generator's client
   workers (``repro store --transport live --workers N``) fan their cells
   out over.
 

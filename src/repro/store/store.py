@@ -194,10 +194,6 @@ class StoreShard:
     crashed_replicas: set[int] = field(default_factory=set)
     registers: List[KeyRegister] = field(default_factory=list)
 
-    @property
-    def live_replicas(self) -> int:
-        return self.replication - len(self.crashed_replicas)
-
 
 class KVStore:
     """Sharded multi-key atomic register store (the facade).

@@ -12,7 +12,7 @@ policies (the fault plane), the delivery chooser — are *simulated-only*
 capabilities: they exist to explore adversarial schedules deterministically
 and have no faithful wall-clock analogue (crash points run on both: a live
 replica is killed).  Protocol code never touches them; only the harness
-layers (chaos, explore) do, and those run on the simulator by construction.
+layer (explore) does, and it runs on the simulator by construction.
 """
 
 from __future__ import annotations

@@ -581,8 +581,8 @@ class KVWorkloadResult:
     def summary(self, verdict: Optional[RunVerdict] = None) -> Dict[str, Any]:
         """The run (and its verdict, when given) as one flat JSON-ready dict.
 
-        What the CLI tables and the chaos report's entries are rendered
-        from.  Values a backend has no notion of are ``None``.
+        What the CLI tables are rendered from.  Values a backend has no
+        notion of are ``None``.
         """
         virtual = self.virtual_makespan is not None
         out: Dict[str, Any] = {

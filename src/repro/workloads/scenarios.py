@@ -265,7 +265,7 @@ def kv_partitioned(
     during ``[partition_start, heal_at)``: the majority side keeps serving,
     reads routed to the isolated replica stall until the heal, then
     complete.  Per-key atomicity must hold across the window — this is the
-    scenario the chaos sweep runs first.
+    plan the ``faults`` explore strategy runs first.
     """
     window = PartitionWindow.isolate(
         (isolate_replica,), replication, start=partition_start, heal=heal_at

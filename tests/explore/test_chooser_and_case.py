@@ -7,8 +7,10 @@ import pytest
 
 from repro.explore.case import (
     CaseOp,
+    CaseOutcome,
     ExploreCase,
     delay_model_from_dict,
+    delay_model_to_dict,
     materialize_schedule,
     run_case,
 )
@@ -18,14 +20,17 @@ from repro.explore.explorer import ARTIFACT_FORMAT
 from repro.explore.mutations import install_mutations
 from repro.faults.partitions import PartitionSchedule, PartitionWindow
 from repro.faults.plan import FaultPlan
-from repro.sim.delays import FixedDelay
+from repro.faults.storms import DelayStorm
+from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
+from repro.store.store import StoreConfig
 from repro.transport.runtime import ProcessBase
 from repro.workloads.kv import (
     CrashPoint,
     KVWorkloadSpec,
     generate_kv_arrivals,
+    deploy_store,
     generate_kv_operations,
     run_kv_workload,
 )
@@ -47,6 +52,12 @@ def small_case(**overrides):
     )
     defaults.update(overrides)
     return ExploreCase(**defaults)
+
+
+def isolating(replica, start, heal, *storms):
+    """The serialized plan: cut ``replica`` off during ``[start, heal)``, then ``storms``."""
+    window = PartitionWindow.isolate((replica,), 3, start=start, heal=heal)
+    return FaultPlan(link_policies=(PartitionSchedule(windows=(window,)), *storms)).to_dict()
 
 
 def signature(outcome):
@@ -176,7 +187,7 @@ class TestCaseSerde:
                 {"at_time": 3.0, "shard": 0, "replica": 1},
                 {"after_messages_sent": 5, "shard": 1, "replica": 2},
             ),
-            partition={"replicas": [2], "start": 1.0, "heal": 5.0},
+            fault_plan=isolating(2, 1.0, 5.0, DelayStorm(start=0.5, end=4.0, factor=2.5, dests=(1,))),
             ops=(
                 CaseOp(kind="write", key="k0", value="k0=v1", at=0.0),
                 CaseOp(kind="read", key="k0", at=0.5, replica=2),
@@ -192,6 +203,9 @@ class TestCaseSerde:
         payload["version"] = 99
         with pytest.raises(ValueError, match="version"):
             ExploreCase.from_dict(payload)
+        payload["version"] = 2
+        with pytest.raises(ValueError, match="version 2 held one partition window"):
+            ExploreCase.from_dict(payload)
         with pytest.raises(ValueError, match="kind"):
             CaseOp.from_dict({"kind": "delete", "key": "k"})
 
@@ -205,6 +219,17 @@ class TestCaseSerde:
         path.write_text(json.dumps(artifact))
         assert main(["explore", "--replay", str(path)]) == 2
         assert "unsupported explore-case version 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model", [FixedDelay(0.7), UniformDelay(0.2, 1.0, seed=11)], ids=["fixed", "uniform"]
+    )
+    def test_delay_model_dict_is_the_inverse_of_from_dict(self, model):
+        payload = delay_model_to_dict(model)
+        again = delay_model_from_dict(json.loads(json.dumps(payload)))
+        assert repr(again) == repr(model)
+        assert [again.sample(0, 1) for _ in range(5)] == [model.sample(0, 1) for _ in range(5)]
+        with pytest.raises(ValueError, match="no case form"):
+            delay_model_to_dict(UniformDelay(0.2, 1.0, seed=None))
 
     @pytest.mark.parametrize(
         "integral, real",
@@ -236,7 +261,7 @@ class TestCaseExecution:
                 {"at_time": 0.5, "shard": 0, "replica": 1},
                 {"after_messages_sent": 3, "shard": 1, "replica": 1},
             ),
-            partition={"replicas": [2], "start": 1.0, "heal": 8.0},
+            fault_plan=isolating(2, 1.0, 8.0),
         )
         outcome = run_case(case)
         assert sum(len(s.crashed_replicas) for s in outcome.store.shards) == 2
@@ -266,6 +291,34 @@ class TestCaseExecution:
         install_mutations()
         outcome = run_case(small_case(algorithm="abd-sloppy-write", arrival_gap=0.0))
         assert outcome.finished_cleanly  # sloppy writes still terminate
+
+
+class TestCaseVerdict:
+    """A case is judged as a workload run is: clean finish, per-key check, consensus audit."""
+
+    @staticmethod
+    def outcome(finished_cleanly=True, invariants=None):
+        store = deploy_store(StoreConfig(algorithm="abd", num_shards=1))
+        store.put("k0", "a")
+        store.submit_get("k1")  # never driven: left pending
+        report = store.check_linearizability(swmr_fast_path=False)
+        return CaseOutcome(store, report, finished_cleanly, invariants)
+
+    def test_an_invariant_violation_blames_the_key_it_names(self):
+        outcome = self.outcome(invariants=["agreement violation at key 'k0' slot 3: p0->1, p1->0"])
+        assert not outcome.ok
+        assert outcome.failing_keys() == ["k0"]
+        assert outcome.violations() == outcome.invariants
+
+    def test_an_unclean_finish_blames_the_keys_left_pending(self):
+        outcome = self.outcome(finished_cleanly=False)
+        assert not outcome.ok
+        assert outcome.failing_keys() == ["k1"]
+        assert outcome.violations()[0].startswith("run did not finish")
+
+    def test_a_clean_run_blames_nothing(self):
+        outcome = self.outcome(invariants=[])
+        assert outcome.ok and outcome.failing_keys() == [] and outcome.violations() == []
 
 
 def case_of(spec, delay, **overrides):

@@ -3,10 +3,11 @@
 A harness that gates consensus must be shown to *catch* a broken consensus.
 ``mmr-cas-skip-aux`` decides without the AUX quorum, so replicas whose EST
 messages arrive in different orders decide different values for the same
-slot; the explorer must find the resulting non-linearizable history, shrink
-it with delta debugging, write a replayable artifact, and reproduce the
-violation from that artifact — while the healthy algorithm under the same
-search comes back clean.
+slot; the explorer's run verdict must catch that as the agreement violation it
+is (the consensus audit, not only the per-key checker), shrink it with delta
+debugging, write a replayable artifact, and reproduce the violation from that
+artifact — while the healthy algorithm under the same search comes back
+clean.
 """
 
 import json
@@ -29,8 +30,9 @@ class TestConsensusMutation:
                 "mmr-cas-skip-aux",
                 "--expect-violation",
                 # Divergence needs a slot holding both a 0 and a 1 estimate,
-                # i.e. a hole-fill racing its owner's command: rare since
-                # gaps stopped being proposed eagerly (schedule 27 here).
+                # i.e. a hole-fill racing its owner's command.  The consensus
+                # audit flags it at schedule index 2 with seed 0; the per-key
+                # checker alone first flagged it at index 26.
                 "--budget",
                 "150",
                 "--out-dir",
@@ -46,6 +48,9 @@ class TestConsensusMutation:
         payload = json.loads(artifact.read_text())
         case = payload["case"]
         assert case["algorithm"] == "mmr-cas-skip-aux"
+        assert any(
+            "agreement violation" in violation for violation in payload["expected"]["violations"]
+        )
         # Shrunk: delta debugging must have removed operations from the
         # 80-op base script.
         assert 0 < len(case["ops"]) < payload["original_ops"]

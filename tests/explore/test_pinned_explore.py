@@ -4,7 +4,7 @@ For each strategy, ``pinned_explore.json`` holds:
 
 * the sha256 of the counterexample artifact ``repro explore --quick
   --algorithm abd-sloppy-write --expect-violation`` writes (the partition
-  sweep's artifact holds a partition window and delivery choices
+  sweep's artifact holds a fault plan and delivery choices
   together: slots booked at the times the partition gives);
 * ``cases_run``, ``operations_checked`` and ``states_explored`` of the
   healthy quick sweep on ``abd`` and ``two-bit``.

@@ -6,6 +6,7 @@ from repro.explore.case import CaseOp, ExploreCase
 from repro.explore.config import ExploreConfig
 from repro.explore.shrink import ddmin, shrink_case
 from repro.explore.strategies import available_strategies, build_strategy
+from repro.faults import DelayStorm, FaultPlan, PartitionSchedule, PartitionWindow
 
 
 def materialized(config, limit=None):
@@ -19,19 +20,19 @@ def materialized(config, limit=None):
 
 
 class TestStrategyStreams:
-    @pytest.mark.parametrize("name", ["random-walk", "crash-sweep", "partition-sweep"])
+    @pytest.mark.parametrize("name", ["random-walk", "crash-sweep", "partition-sweep", "faults"])
     def test_streams_are_deterministic(self, name):
         config = ExploreConfig(strategy=name, budget=6, seed=3, num_ops=20)
         assert materialized(config) == materialized(config)
 
-    @pytest.mark.parametrize("name", ["random-walk", "crash-sweep", "partition-sweep"])
+    @pytest.mark.parametrize("name", ["random-walk", "crash-sweep", "partition-sweep", "faults"])
     def test_budget_is_a_prefix_not_a_different_stream(self, name):
         small = ExploreConfig(strategy=name, budget=3, seed=3, num_ops=20)
         large = ExploreConfig(strategy=name, budget=9, seed=3, num_ops=20)
         assert materialized(small) == materialized(large, limit=3)
 
     def test_every_strategy_is_listed_and_buildable(self):
-        assert available_strategies() == ["random-walk", "crash-sweep", "partition-sweep"]
+        assert available_strategies() == ["random-walk", "crash-sweep", "partition-sweep", "faults"]
         for name in available_strategies():
             build_strategy(ExploreConfig(strategy=name, budget=1))
 
@@ -53,8 +54,8 @@ class TestStrategyStreams:
             ExploreConfig(strategy="partition-sweep", budget=4, num_ops=10)
         )
         for case, recorder_seed in partition_cases:
-            assert case.partition is not None
-            assert case.partition["heal"] > case.partition["start"]
+            (window,) = case.fault_plan["link_policies"]
+            assert window["fault"] == "partition" and window["heal"] > window["start"]
             assert recorder_seed is not None
 
 
@@ -88,6 +89,15 @@ class TestDdmin:
         assert ddmin(items, fails) == ddmin(items, fails)
 
 
+PLAN = FaultPlan(
+    name="p",
+    link_policies=(
+        PartitionSchedule(windows=(PartitionWindow.isolate((2,), 3, start=0.0, heal=5.0),)),
+    ),
+).to_dict()
+(STORM,) = DelayStorm(start=0.0, end=3.0, factor=4.0, sources=(0,)).describe()
+
+
 class TestShrinkCase:
     def test_a_round_that_only_drops_a_fault_is_progress(self):
         a = CaseOp(kind="write", key="k0", value="a")
@@ -96,21 +106,35 @@ class TestShrinkCase:
             name="synthetic", algorithm="abd", num_shards=1, replication=3, batch_size=1,
             delay={"kind": "fixed", "delta": 1.0}, ops=(a, b),
             crash_points=({"at": 1.0, "shard": 0, "replica": 1},),
-            partition={"replicas": [2], "start": 0.0, "heal": 5.0},
+            fault_plan=PLAN,
         )
 
         def fails(candidate):
-            """No store: crash c needs partition p and {a, b}; p alone {a, b}; neither {a}."""
+            """No store: crash c needs plan p and {a, b}; p alone {a, b}; neither {a}."""
             ops = set(candidate.ops)
             if candidate.crash_points:
-                return candidate.partition is not None and {a, b} <= ops
-            if candidate.partition is not None:
+                return candidate.fault_plan is not None and {a, b} <= ops
+            if candidate.fault_plan is not None:
                 return {a, b} <= ops
             return a in ops
 
         shrunk = shrink_case(case, fails)
         assert shrunk.ops == (a,)
-        assert shrunk.crash_points == () and shrunk.partition is None
+        assert shrunk.crash_points == () and shrunk.fault_plan is None
+
+    def test_link_policies_are_dropped_one_at_a_time(self):
+        case = ExploreCase(
+            name="synthetic", algorithm="abd", num_shards=1, replication=3, batch_size=1,
+            delay={"kind": "fixed", "delta": 1.0}, ops=(CaseOp(kind="read", key="k0"),),
+            fault_plan={**PLAN, "link_policies": [STORM, *PLAN["link_policies"]]},
+        )
+
+        def fails(candidate):
+            """No store: only the storm matters."""
+            return STORM in (candidate.fault_plan or {}).get("link_policies", ())
+
+        shrunk = shrink_case(case, fails)
+        assert shrunk.fault_plan == {**PLAN, "link_policies": [STORM]}
 
 
 class TestConfigValidation:

@@ -1,9 +1,10 @@
 """Register workloads (not just the KV store) under link-level fault plans.
 
-``repro chaos`` sweeps the sharded store; these tests close the remaining
-gap: the paper's two-bit algorithm and the MWMR ABD variant must keep their
-guarantees — atomicity/linearizability and termination of every operation —
-when a *register* workload runs through a partition that heals.
+``repro explore --strategy faults`` sweeps the sharded store; these tests
+close the remaining gap: the paper's two-bit algorithm and the MWMR ABD
+variant must keep their guarantees — atomicity/linearizability and
+termination of every operation — when a *register* workload runs through a
+partition that heals.
 """
 
 import pytest

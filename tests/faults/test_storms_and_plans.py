@@ -1,6 +1,9 @@
 """Unit tests for delay storms, composite policies and fault plans."""
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.faults import (
     CompositeLinkPolicy,
@@ -114,3 +117,88 @@ class TestCompositeAndPlan:
         plan.validate(5)
         with pytest.raises(ValueError):
             plan.validate(2)
+
+
+N = 5
+TIMES = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
+PIDS = st.integers(min_value=0, max_value=N - 1)
+
+
+@st.composite
+def windows(draw):
+    cut = draw(st.sets(PIDS, min_size=1, max_size=N - 1))
+    start = draw(TIMES)
+    heal = start + draw(st.floats(min_value=0.01, max_value=20.0, allow_nan=False))
+    return PartitionWindow.isolate(tuple(cut), N, start=start, heal=heal)
+
+
+@st.composite
+def storms(draw):
+    start = draw(TIMES)
+    end = start + draw(st.floats(min_value=0.01, max_value=20.0, allow_nan=False))
+    factor = draw(st.floats(min_value=1.5, max_value=8.0, allow_nan=False))
+    extra = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    match = draw(st.sampled_from(["links", "sources", "dests", "both", "global"]))
+    links = sources = dests = None
+    if match == "links":
+        links = tuple(draw(st.lists(st.tuples(PIDS, PIDS), min_size=1, max_size=4)))
+    if match in ("sources", "both"):
+        sources = tuple(draw(st.sets(PIDS, min_size=1)))
+    if match in ("dests", "both"):
+        dests = tuple(draw(st.sets(PIDS, min_size=1)))
+    return DelayStorm(start, end, factor, extra, links=links, sources=sources, dests=dests)
+
+
+POLICIES = st.one_of(
+    st.lists(windows(), min_size=1, max_size=3).map(lambda w: PartitionSchedule(windows=tuple(w))),
+    storms(),
+)
+PLANS = st.builds(
+    FaultPlan,
+    name=st.text(max_size=8),
+    link_policies=st.lists(POLICIES, max_size=4).map(tuple),
+)
+PROBES = st.lists(
+    st.tuples(PIDS, PIDS, TIMES, st.floats(min_value=0.0, max_value=5.0, allow_nan=False)),
+    min_size=1,
+    max_size=40,
+)
+
+
+def through_json(plan):
+    return FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict(), allow_nan=False)))
+
+
+def delays(plan, probes):
+    policy = plan.policy()
+    return [probe[3] if policy is None else policy.adjust(*probe) for probe in probes]
+
+
+class TestSerialForm:
+    @settings(max_examples=60, deadline=None)
+    @given(plan=PLANS, probes=PROBES)
+    def test_a_plan_round_trips_to_the_same_delays(self, plan, probes):
+        again = through_json(plan)
+        assert again.name == plan.name
+        assert delays(again, probes) == delays(plan, probes)
+
+    def test_round_trip_keeps_policy_order(self):
+        partition = PartitionSchedule(
+            windows=(PartitionWindow.isolate((1,), 3, start=0.0, heal=10.0),)
+        )
+        storm = DelayStorm(start=0.0, end=20.0, factor=3.0, sources=(0,))
+        storm_first = FaultPlan(link_policies=(storm, partition))
+        partition_first = FaultPlan(link_policies=(partition, storm))
+        probe = (0, 1, 4.0, 1.0)
+        # storm then partition: 1 * 3 + 6; partition then storm: (6 + 1) * 3.
+        assert storm_first.policy().adjust(*probe) == pytest.approx(9.0)
+        assert partition_first.policy().adjust(*probe) == pytest.approx(21.0)
+        for plan in (storm_first, partition_first):
+            assert through_json(plan).policy().adjust(*probe) == plan.policy().adjust(*probe)
+            assert through_json(plan) == plan
+
+    def test_unknown_policy_kind_is_refused(self):
+        with pytest.raises(ValueError, match="unknown policy or missing field 'gremlin'"):
+            FaultPlan.from_dict({"link_policies": [{"fault": "gremlin"}]})
+        with pytest.raises(ValueError, match="missing field 'end'"):
+            FaultPlan.from_dict({"link_policies": [{"fault": "delay_storm", "start": 1.0}]})

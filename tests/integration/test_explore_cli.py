@@ -41,7 +41,7 @@ class TestExploreCli:
             ["explore", "--quick", "--algorithm", "abd-sloppy-write", "--out-dir", str(tmp_path)]
         )
         assert code == 1
-        assert "non-linearizable execution(s) found" in capsys.readouterr().err
+        assert "violating execution(s) found" in capsys.readouterr().err
 
     def test_expect_violation_on_healthy_algorithm_fails(self, capsys, tmp_path):
         code = main(
@@ -97,7 +97,7 @@ class TestExploreCli:
 
     def test_invalid_parameters_are_usage_errors(self, capsys):
         assert main(["explore", "--budget", "0"]) == 2
-        assert "invalid exploration parameters" in capsys.readouterr().err
+        assert "invalid explore parameters" in capsys.readouterr().err
 
     def test_deterministic_artifacts_across_runs(self, capsys, tmp_path):
         for directory in ("a", "b"):

@@ -135,7 +135,7 @@ INVALID_PARAMETERS = [
     (["store", "--workers", "0"], "workers must be >= 1"),
     (["consensus", "--algorithm", "raft"], "unknown algorithm 'raft'"),
     (["consensus", "--keys", "0"], "at least one key"),
-    (["chaos", "--quick", "--seeds", "0"], "--seeds must be at least 1, got 0"),
+    (["explore", "--budget", "0"], "budget must be at least 1, got 0"),
 ]
 
 
