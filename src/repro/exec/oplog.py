@@ -23,10 +23,19 @@ Row index == the record's ``op_id`` (submission order), so the log *is* the
 ``driver.ops`` list in columnar form.  Everything downstream reads it
 through views:
 
-* :meth:`OpLog.per_key_histories` groups issued rows by key and emits
-  :class:`~repro.verification.history.History` objects that share
-  the log's value table — the store's history/checking plane allocates no
-  per-op objects at all;
+* :meth:`OpLog.rows_by_key` is the one grouping pass: the issued rows are
+  sorted once into history order (invocation time, then pid and
+  per-process sequence number, as ``History.from_records`` orders records)
+  and split by key;
+* :meth:`OpLog.per_key_histories` turns each group into a
+  :class:`~repro.verification.history.History` that shares the log's
+  value table — what ``store.histories()`` returns;
+* :class:`KeyHistories` is the same mapping built lazily, and the op-log
+  feed of the checker: ``store.check_linearizability()`` hands it to the
+  per-key dispatcher, which runs Lemma 10's claims sweep on a register
+  key's rows straight off these columns
+  (:func:`~repro.verification.register_checker.check_swmr_log`) and builds
+  a key's ``History`` only for the Wing–Gong search;
 * :class:`LoggedOp` gives merged parallel and live runs the record's
   surface without shipping or retaining the objects.
 
@@ -41,11 +50,13 @@ from __future__ import annotations
 import math
 import pickle
 from array import array
-from collections.abc import Sequence
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from collections.abc import Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.registers.base import OperationKind, OperationRecord
 from repro.verification.history import KIND_TO_BYTE, History, ValueInterner
+from repro.verification.register_checker import AtomicityReport, check_swmr_log
 
 _NAN = float("nan")
 
@@ -133,45 +144,66 @@ class OpLog:
 
     # ------------------------------------------------------------ histories
 
-    def _history_from_rows(self, rows: List[int], initial_value: Any) -> History:
-        """Per-key history: sorted like ``History.from_records``, sharing the table."""
-        none_idx = self.interner.intern(None)
-        pid, invoked, kind_slot = self._pid, self._invoked, self._kind
-        # Same sort key as History.from_records: (invoked_at, pid, proc_op_id).
-        rows = sorted(rows, key=lambda r: (invoked[r], pid[r], self._proc_op_id[r]))
-        slot_byte = [KIND_TO_BYTE[kind] for kind in self.kinds]
-        result_idx = self._result_idx
+    def _in_history_order(self, rows: List[int]) -> List[int]:
+        """Sort ``rows`` in place the way ``History.from_records`` orders records.
+
+        That order is ``(invoked, pid, proc_op_id)``, rows equal in all
+        three keeping row order.  Python's sort is stable, so one sort per
+        key, minor key first, gives it, each with a C-level key; when no two
+        rows share an invocation time the last sort alone does.
+        """
+        invoked = self._invoked.tolist()
+        if len(set(invoked)) < len(invoked):
+            rows.sort(key=self._proc_op_id.tolist().__getitem__)
+            rows.sort(key=self._pid.tolist().__getitem__)
+        rows.sort(key=invoked.__getitem__)
+        return rows
+
+    def _history_from_rows(self, rows: Sequence[int], initial_value: Any) -> History:
+        """One key's history from its rows in history order, sharing the table."""
+        cells = _cells(rows)
+        results = cells(self._result_idx)
+        if -1 in results:  # no result yet: the table's None
+            none_idx = self.interner.intern(None)
+            results = [none_idx if idx < 0 else idx for idx in results]
+        kind_bytes = bytes(KIND_TO_BYTE[kind] for kind in self.kinds).ljust(256, b"\0")
         return History.from_columns(
             initial_value,
-            pid=array("q", [pid[r] for r in rows]),
-            kind=bytes([slot_byte[kind_slot[r]] for r in rows]),
-            invoked=array("d", [invoked[r] for r in rows]),
-            responded=array("d", [self._responded[r] for r in rows]),
-            value_idx=array("q", [self._value_idx[r] for r in rows]),
-            result_idx=array(
-                "q", [none_idx if result_idx[r] < 0 else result_idx[r] for r in rows]
-            ),
+            pid=array("q", cells(self._pid)),
+            kind=bytes(cells(self._kind)).translate(kind_bytes),
+            invoked=array("d", cells(self._invoked)),
+            responded=array("d", cells(self._responded)),
+            value_idx=array("q", cells(self._value_idx)),
+            result_idx=array("q", results),
             op_id=array("q", range(len(rows))),
             table=self.interner.values,
         )
 
-    def rows_by_key(self) -> Dict[Any, List[int]]:
-        """Issued rows grouped by key, in first-submission order (dict order)."""
+    def rows_by_key(self) -> Dict[Any, array]:
+        """Issued rows grouped by key, each key's rows in history order.
+
+        One pass: the issued rows are put in history order once
+        (:meth:`_in_history_order`), then split by key.  Keys are in
+        first-submission order (dict order); keys equal under ``==`` share
+        a group, as a dict of keys would.  A group is an ``array('q')``, so
+        dropping it frees no object per row.
+        """
+        pid, keys = self._pid, self._key_idx.tolist()
+        if -1 in pid:
+            issued = [row for row, issuer in enumerate(pid) if issuer != -1]
+            first = dict.fromkeys([keys[row] for row in issued])
+        else:
+            issued, first = list(range(len(pid))), dict.fromkeys(keys)
         table = self.interner.values
-        by_key: Dict[Any, List[int]] = {}
-        pid = self._pid
-        key_idx = self._key_idx
-        for row in range(len(self._kind)):
-            if pid[row] != -1:  # issued => has a record, exactly the serial filter
-                by_key.setdefault(table[key_idx[row]], []).append(row)
+        by_key: Dict[Any, array] = {}
+        group = {idx: by_key.setdefault(table[idx], array("q")) for idx in first}
+        for row in self._in_history_order(issued):
+            group[keys[row]].append(row)
         return by_key
 
     def per_key_histories(self, initial_value: Any = None) -> Dict[Any, History]:
         """Every touched key's history — what ``store.histories()`` returns."""
-        return {
-            key: self._history_from_rows(rows, initial_value)
-            for key, rows in self.rows_by_key().items()
-        }
+        return dict(KeyHistories(self, initial_value))
 
     def history_for(self, key: Any, initial_value: Any = None) -> History:
         """One key's history (``==`` key matching, like the object path)."""
@@ -183,7 +215,7 @@ class OpLog:
             for row in range(len(self._kind))
             if pid[row] != -1 and table[key_idx[row]] == key
         ]
-        return self._history_from_rows(rows, initial_value)
+        return self._history_from_rows(self._in_history_order(rows), initial_value)
 
     # ----------------------------------------------------------- inspection
 
@@ -264,6 +296,66 @@ class OpLog:
 
 
 # ------------------------------------------------------------------- views
+
+
+class KeyHistories(Mapping):
+    """An :class:`OpLog`'s per-key histories as a read-only mapping.
+
+    ``view[key]`` builds that key's
+    :class:`~repro.verification.history.History` on each access (it is not
+    cached); iterating builds none.  The rows are grouped
+    (:meth:`OpLog.rows_by_key`) on first use, not at construction, and that
+    grouping is a snapshot of the log at that moment.
+    :meth:`check_claims` runs the claims checker on a key's rows straight
+    off the log's columns, which is how
+    :func:`~repro.verification.linearizability.check_histories_per_key`
+    judges a register key without building its history.
+    """
+
+    __slots__ = ("_log", "initial_value", "_rows")
+
+    def __init__(self, log: OpLog, initial_value: Any = None) -> None:
+        self._log = log
+        self.initial_value = initial_value
+        self._rows: Optional[Dict[Any, array]] = None
+
+    def _grouped(self) -> Dict[Any, array]:
+        if self._rows is None:
+            self._rows = self._log.rows_by_key()
+        return self._rows
+
+    def __getitem__(self, key: Any) -> History:
+        return self._log._history_from_rows(self._grouped()[key], self.initial_value)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._grouped())
+
+    def __len__(self) -> int:
+        return len(self._grouped())
+
+    def check_claims(self, key: Any) -> AtomicityReport:
+        """:func:`~repro.verification.register_checker.check_swmr_atomicity` of
+        ``self[key]``, without building it (raises ``ClaimsNotApplicable`` alike)."""
+        log = self._log
+        cells = _cells(self._grouped()[key])
+        return check_swmr_log(
+            self.initial_value,
+            log.kinds,
+            kind=cells(log._kind),
+            pid=cells(log._pid),
+            invoked=cells(log._invoked),
+            responded=cells(log._responded),
+            value_idx=cells(log._value_idx),
+            result_idx=cells(log._result_idx),
+            table=log.interner.values,
+        )
+
+
+def _cells(rows: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """Pick ``rows``' cells out of a column, in ``rows`` order, as a tuple."""
+    if len(rows) > 1:
+        return itemgetter(*rows)
+    return lambda column: tuple(map(column.__getitem__, rows))
 
 
 class LoggedOp:

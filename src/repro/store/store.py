@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exec.driver import Driver
 from repro.exec.metrics import MetricsCollector
-from repro.exec.oplog import OpLog
+from repro.exec.oplog import KeyHistories, OpLog
 from repro.exec.target import StoreTarget, interned_request
 from repro.faults.plan import CrashPoint, install_crash_points
 from repro.registers.base import OperationKind, OperationRecord, RegisterProcess
@@ -576,8 +576,9 @@ class KVStore:
 
         Per-key partitioning is sound because keys are independent registers
         (P-compositionality / Herlihy–Wing locality — see DESIGN §9).  The
-        default lets single-writer keys take the Lemma-10 claims fast path;
-        ``swmr_fast_path=False`` forces the Wing–Gong search on every key
+        default lets single-writer keys take the Lemma-10 claims fast path,
+        which reads the op log's columns and builds no history for a key it
+        accepts; ``swmr_fast_path=False`` forces the Wing–Gong search on every key
         (what the schedule explorer and the checker benchmark use).
         Consensus-object stores are checked against the SMR spec
         (:meth:`StoreConfig.effective_spec`).
@@ -585,7 +586,7 @@ class KVStore:
         from repro.verification.linearizability import check_histories_per_key
 
         return check_histories_per_key(
-            self.histories(),
+            KeyHistories(self.oplog, self.config.initial_value),
             swmr_fast_path=swmr_fast_path,
             max_states=max_states,
             spec=self.config.effective_spec(),

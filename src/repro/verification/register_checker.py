@@ -20,9 +20,9 @@ precisely why the paper's proof stops there.  The general search in
 the property-based tests.
 
 The check is **one sweep** over the completed reads in invocation order
-``(invoked, op_id)``.  A write's sequence number is its invocation rank, and
-in that order every bound a read is held to is a pointer or a running
-maximum:
+``(invoked, op_id)``.  A write's sequence number is its rank in the same
+order, and in that order every bound a read is held to is a pointer or a
+running maximum:
 
 * Claim 2's "newest write completed before the read started" is a pointer
   over the completed writes sorted by response time;
@@ -35,9 +35,14 @@ maximum:
   are a pointer over the writer's completed writes and each reader's best
   index so far.
 
-Histories from the op log already run in invocation order, which costs one
-O(n) confirmation; any other row order pays for a sort.  Violations are
-reported kind by kind, each kind in row order (a reader's together).
+The sweep has two feeds.  :func:`check_swmr_atomicity` reads a built
+history's decoded columns; rows already in invocation order cost one O(n)
+confirmation, any other row order pays for a sort.
+:func:`check_swmr_log` reads one key's rows straight off the op log's
+columns (:class:`~repro.exec.oplog.KeyHistories` groups them in that order),
+so a store's verdict builds no ``History`` for a key the sweep accepts.
+Both give the same report for the same key.  Violations are reported kind
+by kind, each kind in row order (a reader's together).
 
 Precondition (a history outside it raises :class:`ClaimsNotApplicable`
 instead of a verdict, and the per-key dispatcher runs the Wing–Gong search):
@@ -59,9 +64,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import islice
-from operator import itemgetter, le, lt
+from operator import eq, itemgetter, le, lt
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.verification.history import History, OpKind
+from repro.verification.history import History, OpKind, Operation
 
 _NEVER = float("inf")
 
@@ -118,16 +124,137 @@ def check_swmr_atomicity(
     """
     columns = history.columns()
     kind, pid, op_id = columns.kind, columns.pid, columns.op_id
-    invoked, responded, result = columns.invoked, columns.responded, columns.result
+    invoked, responded = columns.invoked, columns.responded
     read, write = OpKind.READ, OpKind.WRITE
     writes = [row for row, op in enumerate(kind) if op is write]
     if len(writes) + kind.count(read) != len(kind):
         other = next(op for op in kind if op is not read and op is not write)
-        raise ClaimsNotApplicable(
-            f"history holds a {other.value} operation; the fast checker only "
-            "handles reads and writes"
-        )
+        raise ClaimsNotApplicable(_kind_refusal(other))
     reads = [row for row, op in enumerate(kind) if op is read and responded[row] is not None]
+    # An op-log history's rows run in (invoked, op_id) order with op_id
+    # ascending; any other row order pays for a sort.
+    if not (
+        all(map(le, invoked, islice(invoked, 1, None)))
+        and all(map(lt, op_id, islice(op_id, 1, None)))
+    ):
+        writes.sort(key=lambda row: (invoked[row], op_id[row]))
+        reads.sort(key=lambda row: (invoked[row], op_id[row]))
+    value = columns.value
+    index_of = _write_indices(history.initial_value, pid, writes, [value[row] for row in writes])
+    report = _sweep(
+        history.initial_value,
+        writes,
+        [index for index, row in enumerate(writes, start=1) if responded[row] is not None],
+        reads,
+        pid,
+        invoked,
+        responded,
+        columns.result,
+        index_of,
+        None,
+        op_id,
+        lambda row: history.operations[row].describe(),
+    )
+    if raise_on_violation and not report.ok:
+        raise AtomicityViolation(
+            f"{len(report.violations)} atomicity violation(s):\n  - "
+            + "\n  - ".join(report.violations)
+        )
+    return report
+
+
+def check_swmr_log(
+    initial_value: Any,
+    kinds: List[OpKind],
+    *,
+    kind: Sequence[int],
+    pid: Sequence[int],
+    invoked: Sequence[float],
+    responded: Sequence[float],
+    value_idx: Sequence[int],
+    result_idx: Sequence[int],
+    table: List[Any],
+) -> AtomicityReport:
+    """:func:`check_swmr_atomicity` of one key, read straight off op-log columns.
+
+    The columns are the key's cells in history order (invocation time, then
+    pid and per-process sequence number — the order
+    :meth:`~repro.verification.history.History.from_records` sorts into),
+    so a cell's place is its ``op_id`` in the key's history.  They are the
+    log's raw cells: ``kind`` indexes ``kinds``, ``responded`` is NaN while
+    pending and ``value_idx`` / ``result_idx`` index the shared value
+    ``table`` (-1 = no result).  The report is the one
+    :func:`check_swmr_atomicity` returns for the key's built history, and
+    the same histories raise :class:`ClaimsNotApplicable`; no ``History``
+    is built.  A read's result is found by its table slot and, when no
+    write holds that slot (``1.0`` read where ``1`` was written, the
+    initial value, an unhashable result), by equality, as on a history.
+    """
+    places = range(len(kind))
+    read_slot, write_slot = kinds.index(OpKind.READ), kinds.index(OpKind.WRITE)
+    writes = [place for place in places if kind[place] == write_slot]
+    if len(writes) + kind.count(read_slot) != len(kind):
+        other = next(kinds[slot] for slot in kind if slot != read_slot and slot != write_slot)
+        raise ClaimsNotApplicable(_kind_refusal(other))
+    # A pending operation ends at NaN, which equals nothing.
+    done = list(map(eq, responded, responded))
+    reads = [place for place in places if kind[place] == read_slot and done[place]]
+    written = [value_idx[place] for place in writes]
+    index_of = _write_indices(initial_value, pid, writes, [table[slot] for slot in written])
+
+    def value_of(slot: int) -> Any:
+        return table[slot] if slot >= 0 else None
+
+    def lookup(place: int) -> Optional[int]:
+        try:
+            return index_of.get(value_of(result_idx[place]))
+        except TypeError:  # an unhashable result equals no written value
+            return None
+
+    def describe(place: int) -> str:
+        at = responded[place]
+        return Operation(
+            pid[place],
+            kinds[kind[place]],
+            table[value_idx[place]],
+            value_of(result_idx[place]),
+            invoked[place],
+            at if at == at else None,
+            place,
+        ).describe()
+
+    return _sweep(
+        initial_value,
+        writes,
+        [index for index, place in enumerate(writes, start=1) if done[place]],
+        reads,
+        pid,
+        invoked,
+        responded,
+        result_idx,
+        dict(zip(written, range(1, len(written) + 1))),
+        lookup,
+        places,
+        describe,
+    )
+
+
+def _kind_refusal(other: OpKind) -> str:
+    return (
+        f"history holds a {other.value} operation; the fast checker only "
+        "handles reads and writes"
+    )
+
+
+def _write_indices(
+    initial_value: Any, pid: Sequence[int], writes: List[int], values: List[Any]
+) -> Dict[Any, int]:
+    """Map each written value to its write's index (the initial value is 0).
+
+    Refuses, with :class:`ClaimsNotApplicable`, a second writer and values
+    that cannot name their write: an unhashable initial or written value,
+    and a value written twice or equal to the initial value.
+    """
     writers = {pid[row] for row in writes}
     if len(writers) > 1:
         raise ClaimsNotApplicable(
@@ -136,21 +263,12 @@ def check_swmr_atomicity(
             "use verification.linearizability.is_linearizable instead"
         )
     try:
-        value_to_index = {history.initial_value: 0}
+        index_of = {initial_value: 0}
     except TypeError as exc:
         raise ClaimsNotApplicable("initial value must be hashable for the fast checker") from exc
-    # Op-log rows run in (invoked, op_id) order with op_id ascending; any
-    # other row order pays for a sort.
-    if not (
-        all(map(le, invoked, islice(invoked, 1, None)))
-        and all(map(lt, op_id, islice(op_id, 1, None)))
-    ):
-        writes.sort(key=invoked.__getitem__)  # stable: invocation ties keep row order
-        reads.sort(key=lambda row: (invoked[row], op_id[row]))
-    for index, row in enumerate(writes, start=1):
-        value = columns.value[row]
+    for index, value in enumerate(values, start=1):
         try:
-            duplicate = value in value_to_index
+            duplicate = value in index_of
         except TypeError as exc:
             raise ClaimsNotApplicable(f"written value {value!r} is not hashable") from exc
         if duplicate:
@@ -159,14 +277,35 @@ def check_swmr_atomicity(
                 "the fast checker requires distinct written values — "
                 "use verification.linearizability.is_linearizable instead"
             )
-        value_to_index[value] = index
+        index_of[value] = index
+    return index_of
 
-    def describe(row: int) -> str:
-        return history.operations[row].describe()
 
+def _sweep(
+    initial_value: Any,
+    writes: List[int],
+    completed: List[int],
+    reads: List[int],
+    pid: Sequence[int],
+    invoked: Sequence[Any],
+    responded: Sequence[Any],
+    result: Sequence[Any],
+    index_of: Dict[Any, int],
+    lookup: Optional[Callable[[int], Optional[int]]],
+    op_id: Sequence[int],
+    describe: Callable[[int], str],
+) -> AtomicityReport:
+    """The Lemma 10 sweep both feeds share.
+
+    ``writes`` and ``reads`` (completed reads only) are rows in
+    ``(invoked, op_id)`` order; write ``k`` (1-based) is ``writes[k - 1]``
+    and ``completed`` lists the indices of the writes that responded.  A
+    read's write index is ``index_of.get(result[row])``, else
+    ``lookup(row)`` when given.  Violations are reported kind by kind, each
+    kind in row order (a reader's together).
+    """
     # A write's index is its invocation rank, so ``write_invoked`` is sorted.
-    write_invoked = [invoked[row] for row in writes]
-    completed = [index for index, row in enumerate(writes, start=1) if responded[row] is not None]
+    write_invoked = list(map(invoked.__getitem__, writes))
     # Claim 2 walks the completed writes by response time; the writer's own
     # program order walks them by invocation (index) order.  An infinite
     # sentinel ends each walk.
@@ -186,15 +325,18 @@ def check_swmr_atomicity(
         if at < start:
             raise ClaimsNotApplicable(f"{describe(row)} responds before it is invoked")
         try:
-            index = value_to_index.get(result[row])
+            index = index_of.get(result[row])
         except TypeError:  # an unhashable result equals no written value
             index = None
         if index is None:
-            unknown.append((row, (
-                f"read returned a value that was never written: {describe(row)} "
-                f"(known values: initial {history.initial_value!r} plus {len(writes)} writes)"
-            )))
-            continue
+            if lookup is not None:
+                index = lookup(row)
+            if index is None:
+                unknown.append((row, (
+                    f"read returned a value that was never written: {describe(row)} "
+                    f"(known values: initial {initial_value!r} plus {len(writes)} writes)"
+                )))
+                continue
         lag = bisect_right(write_invoked, at) - index
         if lag < 0:
             claim1.append((row, (
@@ -272,11 +414,5 @@ def check_swmr_atomicity(
     for found in (unknown, claim1, claim2, by_writer, by_reader, claim3):
         found.sort(key=itemgetter(0))  # stable: a reader's reads stay in invocation order
         report.violations.extend(text for _key, text in found)
-    if report.violations:
-        report.ok = False
-        if raise_on_violation:
-            raise AtomicityViolation(
-                f"{len(report.violations)} atomicity violation(s):\n  - "
-                + "\n  - ".join(report.violations)
-            )
+    report.ok = not report.violations
     return report

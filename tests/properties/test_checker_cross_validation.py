@@ -28,7 +28,9 @@ def swmr_histories(draw) -> History:
     placed at arbitrary (possibly overlapping) intervals and return either
     the initial value or any written value — so roughly half the generated
     histories are atomic and half are not, which is exactly what a
-    cross-validation test wants.
+    cross-validation test wants.  A write may take no time and follow the
+    last one with no gap, so several writes can share an invocation instant,
+    and the rows come in any order (each keeps its op id).
     """
     num_writes = draw(st.integers(min_value=0, max_value=MAX_WRITES))
     num_reads = draw(st.integers(min_value=1, max_value=MAX_READS))
@@ -39,8 +41,8 @@ def swmr_histories(draw) -> History:
     clock = 0.0
     write_intervals: list[tuple[float, float]] = []
     for index in range(1, num_writes + 1):
-        start = clock + draw(st.floats(min_value=0.0, max_value=2.0))
-        duration = draw(st.floats(min_value=0.1, max_value=3.0))
+        start = clock + draw(st.just(0.0) | st.floats(min_value=0.0, max_value=2.0))
+        duration = draw(st.just(0.0) | st.floats(min_value=0.0, max_value=3.0))
         end = start + duration
         operations.append(
             Operation(
@@ -74,7 +76,7 @@ def swmr_histories(draw) -> History:
         )
         op_id += 1
 
-    return History(operations=operations, initial_value="v0")
+    return History(operations=draw(st.permutations(operations)), initial_value="v0")
 
 
 @st.composite

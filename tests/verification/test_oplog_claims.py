@@ -1,0 +1,228 @@
+"""The claims sweep fed from the op log against the sweep on built histories.
+
+``KVStore.check_linearizability`` hands the per-key dispatcher the op log's
+lazy per-key view (:class:`~repro.exec.oplog.KeyHistories`): a register key
+is judged straight off the log's columns, and a key's ``History`` is built
+only when the sweep refuses it.  ``check_histories_per_key(store.histories())``
+judges the built histories.  The two must agree key by key — verdict,
+method, operation count and every violation text — on the golden runs, on
+a run with planted violations, on hand-driven logs with every awkward row
+the feed special-cases, and on random logs.
+"""
+
+from __future__ import annotations
+
+import pathlib
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+_TESTS = pathlib.Path(__file__).resolve().parent.parent
+for _sibling in ("workloads", "parallel"):
+    if str(_TESTS / _sibling) not in sys.path:
+        sys.path.insert(0, str(_TESTS / _sibling))
+
+from golden_histories import golden_specs  # noqa: E402
+from golden_parallel import golden_cases  # noqa: E402
+
+from repro.exec.oplog import KeyHistories, OpLog  # noqa: E402
+from repro.registers.base import OperationKind, OperationRecord  # noqa: E402
+from repro.verification.history import History  # noqa: E402
+from repro.verification.linearizability import check_histories_per_key  # noqa: E402
+from repro.workloads.kv import run_kv_workload  # noqa: E402
+from repro.workloads.runner import run_workload  # noqa: E402
+from repro.workloads.scenarios import kv_uniform  # noqa: E402
+
+READ, WRITE, CAS = OperationKind.READ, OperationKind.WRITE, OperationKind.CAS
+
+
+def _per_key(report) -> list:
+    return [
+        (key, result.linearizable, result.method, result.operations, list(result.violations))
+        for key, result in report.per_key.items()
+    ]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The keys a :class:`KeyHistories` built a history for, and every build."""
+    seen = {"keys": [], "histories": 0}
+    view_item = KeyHistories.__getitem__
+    from_columns = History.from_columns.__func__
+
+    def item(self, key):
+        seen["keys"].append(key)
+        return view_item(self, key)
+
+    def build(cls, *args, **kwargs):
+        seen["histories"] += 1
+        return from_columns(cls, *args, **kwargs)
+
+    monkeypatch.setattr(KeyHistories, "__getitem__", item)
+    monkeypatch.setattr(History, "from_columns", classmethod(build))
+    return seen
+
+
+def assert_feeds_agree(log: OpLog, initial_value, builds, spec=None) -> list:
+    """The view's report equals the built histories', and only refused keys were built."""
+    expected = check_histories_per_key(log.per_key_histories(initial_value), spec=spec)
+    builds["keys"].clear()
+    builds["histories"] = 0
+    report = check_histories_per_key(KeyHistories(log, initial_value), spec=spec)
+    assert _per_key(report) == _per_key(expected)
+    searched = [key for key, result in report.per_key.items() if result.method != "swmr-claims"]
+    assert builds["keys"] == searched
+    assert builds["histories"] == len(searched)
+    return _per_key(report)
+
+
+def _store_agrees(store, builds) -> None:
+    expected = check_histories_per_key(store.histories(), spec=store.config.effective_spec())
+    builds["keys"].clear()
+    report = store.check_linearizability()
+    assert _per_key(report) == _per_key(expected)
+    assert builds["keys"] == [
+        key for key, result in report.per_key.items() if result.method != "swmr-claims"
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(golden_specs()))
+def test_golden_register_runs(name, builds):
+    _store_agrees(run_workload(golden_specs()[name]).store, builds)
+
+
+@pytest.mark.parametrize("name", sorted(golden_cases()))
+def test_golden_parallel_runs(name, builds):
+    spec, _workers = golden_cases()[name]
+    _store_agrees(run_kv_workload(spec).store, builds)
+
+
+def test_a_run_with_planted_violations(builds):
+    """Reads re-completed with a stale, a future and a never-written value."""
+    store = run_kv_workload(kv_uniform(num_keys=4, num_ops=240, seed=5)).store
+    log = store.oplog
+    rng = random.Random(5)
+    ops = log.ops_view()
+    for key, rows in log.rows_by_key().items():
+        written = [ops[row].value for row in rows if ops[row].kind is WRITE]
+        late = [row for row in rows if ops[row].kind is READ and ops[row].completed]
+        for row, result in zip(rng.sample(late, 3), [written[0], written[-1], "ghost"]):
+            record = OperationRecord(row, ops[row].pid, READ, key=key, result=result)
+            record.responded_at = ops[row].responded_at
+            log.note_completed(row, record)
+    report = store.check_linearizability()
+    texts = " ".join(report.violations())
+    for label in ("Claim 1", "Claim 2", "never written"):
+        assert label in texts
+    _store_agrees(store, builds)
+
+
+class _Driver:
+    """Drives an :class:`OpLog` by hand through its ``note_*`` hooks."""
+
+    def __init__(self) -> None:
+        self.log = OpLog()
+        self.next_op = {}
+
+    def op(self, key, pid, kind, start, end=None, value=None, result=None, failed=False):
+        row = self.log.note_created(kind, key, value)
+        self.log.note_submitted(row, start)
+        proc_op_id = self.next_op[pid] = self.next_op.get(pid, -1) + 1
+        record = OperationRecord(
+            row, pid, kind, value, key, invoked_at=start, proc_op_id=proc_op_id
+        )
+        self.log.note_issued(row, record)
+        if failed:
+            self.log.note_failed(row, "replica crashed")
+        elif end is not None:
+            record.responded_at, record.result = end, result
+            self.log.note_completed(row, record)
+        return row
+
+
+def test_a_hand_driven_log(builds):
+    drive = _Driver()
+    drive.log.note_created(READ, "late", None)  # never issued: in no history
+    # The claims key: same-instant invocations across pids, a pending write,
+    # a failed read, 1.0 read where 1 was written, an unhashable result.
+    drive.op("swmr", 0, WRITE, 1.0, 1.0, value=1)
+    drive.op("swmr", 1, READ, 1.0, 2.0, result="v0")
+    drive.op("swmr", 2, READ, 1.0, 1.5, result=1.0)
+    drive.op("swmr", 0, WRITE, 1.0, 3.0, value=2)
+    drive.op("swmr", 1, READ, 2.0, 4.0, result=[2])
+    drive.op("swmr", 2, READ, 2.0, failed=True)
+    drive.op("swmr", 0, WRITE, 3.0, value=3)  # pending
+    drive.op("swmr", 1, READ, 4.0, 5.0, result=1)  # overwritten: Claim 2
+    drive.op("swmr", 2, READ, 5.0, 6.0, result=3)
+    drive.op("swmr", 1, READ, 7.0)  # pending read
+    # Keys the sweep refuses: a second writer, a repeated value.
+    drive.op("writers", 0, WRITE, 0.0, 1.0, value="a")
+    drive.op("writers", 1, WRITE, 0.5, 2.0, value="b")
+    drive.op("writers", 2, READ, 3.0, 4.0, result="b")
+    drive.op("repeat", 0, WRITE, 0.0, 1.0, value="x")
+    drive.op("repeat", 0, WRITE, 1.0, 2.0, value="x")
+    drive.op("repeat", 1, READ, 1.0, 3.0, result="x")
+    per_key = assert_feeds_agree(drive.log, "v0", builds)
+    assert [(key, method) for key, _ok, method, _ops, _texts in per_key] == [
+        ("swmr", "swmr-claims"),
+        ("writers", "wing-gong"),
+        ("repeat", "wing-gong"),
+    ]
+    key, ok, _method, operations, texts = per_key[0]
+    assert not ok and operations == 8
+    assert len(texts) == 2 and "never written" in texts[0] and "Claim 2" in texts[1]
+
+    # A CAS row: the sweep refuses it, and so does the register search.
+    drive.op("cas", 0, CAS, 0.0, 1.0, value=("v0", "v1"), result=True)
+    with pytest.raises(ValueError) as built:
+        check_histories_per_key(drive.log.per_key_histories("v0"))
+    with pytest.raises(ValueError) as viewed:
+        check_histories_per_key(KeyHistories(drive.log, "v0"))
+    assert str(viewed.value) == str(built.value)
+    assert_feeds_agree(drive.log, "v0", builds, spec="smr")
+
+
+@st.composite
+def random_logs(draw) -> OpLog:
+    """A few keys of reads and writes on a coarse time grid (ties abound).
+
+    Mostly one writer with distinct values, so most keys take the sweep;
+    sometimes a second writer or a repeated value.  Results are written
+    values, the initial value, an equal value of another type, an
+    unhashable value or a ghost; operations may be pending or failed.
+    """
+    drive = _Driver()
+    times = st.integers(min_value=0, max_value=8).map(lambda tick: tick / 2)
+    for key in range(draw(st.integers(min_value=1, max_value=3))):
+        values: list = []
+        second_writer = draw(st.booleans()) and draw(st.booleans())
+        for _ in range(draw(st.integers(min_value=1, max_value=12))):
+            start = draw(times)
+            end = draw(st.none() | times.map(lambda extra: start + extra))
+            failed = end is None and draw(st.booleans())
+            if draw(st.booleans()):
+                pid = draw(st.sampled_from([0, 1])) if second_writer else 0
+                repeat = values and draw(st.integers(min_value=0, max_value=9)) == 0
+                value = draw(st.sampled_from(values)) if repeat else len(values) + 1
+                values.append(value)
+                drive.op(key, pid, WRITE, start, end, value=value, failed=failed)
+            else:
+                choices = ["v0", "ghost", [1]] + values + [float(value) for value in values]
+                drive.op(
+                    key, draw(st.integers(min_value=0, max_value=3)), READ, start, end,
+                    result=draw(st.sampled_from(choices)), failed=failed,
+                )
+    return drive.log
+
+
+@given(log=random_logs())
+@settings(max_examples=200, deadline=None)
+def test_random_logs(log):
+    histories = log.per_key_histories("v0")
+    for key, history in histories.items():  # the one grouping pass keeps from_records' order
+        records = [op for op in log.ops_view() if op.key == key and op.pid != -1]
+        assert history.to_dict() == History.from_records(records, "v0").to_dict()
+    expected = check_histories_per_key(histories)
+    assert _per_key(check_histories_per_key(KeyHistories(log, "v0"))) == _per_key(expected)

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.verification.history import History, Operation, OpKind, make_history
-from repro.verification.linearizability import check_histories_per_key, check_linearizability
+from repro.verification.linearizability import (
+    brute_force_is_linearizable,
+    check_histories_per_key,
+    check_linearizability,
+)
 from repro.verification.register_checker import (
     AtomicityViolation,
     ClaimsNotApplicable,
@@ -86,6 +90,21 @@ class TestAcceptedHistories:
         ]
         assert check_swmr_atomicity(History(rows, initial_value="v0")).ok
         assert check_linearizability(History(rows, initial_value="v0")).linearizable
+
+    def test_the_writer_writes_at_one_instant_in_op_id_order(self):
+        """Two writes by p0 invoked at t = 1, the later one listed first: op
+        ids, not rows, number them, so write('a') is write #1 and the read of
+        'b' after both is up to date."""
+        rows = [
+            Operation(pid=0, kind=OpKind.WRITE, value="b", invoked_at=1.0, responded_at=2.0, op_id=1),
+            Operation(pid=0, kind=OpKind.WRITE, value="a", invoked_at=1.0, responded_at=1.0, op_id=0),
+            Operation(pid=1, kind=OpKind.READ, result="b", invoked_at=3.0, responded_at=4.0, op_id=2),
+        ]
+        history = History(rows, initial_value="v0")
+        report = check_swmr_atomicity(history, raise_on_violation=False)
+        assert report.ok, report.violations
+        assert check_linearizability(history).linearizable
+        assert brute_force_is_linearizable(history)
 
 
 class TestClaim1ReadFromTheFuture:
