@@ -353,9 +353,6 @@ def _store_spec(args: argparse.Namespace):
     """``repro store`` flags → :class:`~repro.workloads.kv.KVWorkloadSpec`."""
     from repro.workloads.scenarios import kv_uniform, kv_zipfian
 
-    # `--replicas` is the live-transport wording for `--replication`; both
-    # set the per-shard replica count on either backend.
-    replication = args.replication if args.replicas is None else args.replicas
     changes: dict = {
         "transport": args.transport,
         "workers": args.workers,
@@ -385,7 +382,7 @@ def _store_spec(args: argparse.Namespace):
         read_fraction=args.read_fraction,
         algorithm=args.algorithm,
         num_shards=args.shards,
-        replication=replication,
+        replication=args.replication,
         batch_size=args.batch,
         seed=args.seed,
     ).with_(**changes)
@@ -685,12 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         dest="no_coalesce",
         help="disable same-instant message coalescing (one heap event per message; sim only)",
-    )
-    sub.add_argument(
-        "--replicas",
-        type=int,
-        default=None,
-        help="alias for --replication (replica count per shard / live cluster size)",
     )
     sub.add_argument(
         "--slo-p99",

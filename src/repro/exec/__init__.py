@@ -22,9 +22,6 @@ from repro.exec.clients import (
     IsolatedClient,
     IsolatedOpCost,
     OpenLoopClient,
-    arrival_times,
-    poisson_arrival_times,
-    uniform_arrival_times,
 )
 from repro.exec.driver import Driver
 from repro.exec.metrics import MetricsCollector
@@ -40,7 +37,4 @@ __all__ = [
     "OpenLoopClient",
     "OpRequest",
     "StoreTarget",
-    "arrival_times",
-    "poisson_arrival_times",
-    "uniform_arrival_times",
 ]

@@ -218,23 +218,6 @@ def iter_arrival_times(
     return stream(rng, rate, count, start)
 
 
-def poisson_arrival_times(rng: Random, rate: float, count: int, start: float = 0.0) -> List[float]:
-    """``count`` seeded Poisson-process arrival times at ``rate`` ops/time-unit."""
-    return list(iter_arrival_times("poisson", rng, rate, count, start=start))
-
-
-def uniform_arrival_times(rng: Random, rate: float, count: int, start: float = 0.0) -> List[float]:
-    """``count`` arrivals with interarrival ~ U(0, 2/rate) (mean rate ``rate``)."""
-    return list(iter_arrival_times("uniform", rng, rate, count, start=start))
-
-
-def arrival_times(
-    process_name: str, rng: Random, rate: float, count: int, start: float = 0.0
-) -> List[float]:
-    """Dispatch on the arrival-process name (``"poisson"`` or ``"uniform"``)."""
-    return list(iter_arrival_times(process_name, rng, rate, count, start=start))
-
-
 class OpenLoopClient:
     """Issues requests at predetermined arrival times, regardless of completions.
 

@@ -49,17 +49,16 @@ class Driver:
         self,
         simulator: DrivableClock,
         metrics: Optional[MetricsCollector] = None,
-        oplog: Optional[OpLog] = None,
     ) -> None:
         #: The clock driving this run — the virtual-time simulator (the
         #: historical attribute name) or any other ``DrivableClock``.
         self.simulator = simulator
         self.clock = simulator
         self.metrics = metrics
-        #: Optional columnar operation log, written in place as the run
-        #: executes (row index == ``op_id``).  The store attaches one so its
-        #: history/checking plane reads columns, not the operation objects.
-        self.oplog = oplog
+        #: The columnar operation log, written in place as the run executes
+        #: (row index == ``op_id``): the store's history/checking plane reads
+        #: its columns, not the operation objects.
+        self.oplog = OpLog()
         #: Fault-plane awareness: when a fault plan with scheduled heals is
         #: installed, this is set to an absolute virtual time a ``drive``
         #: limit must not undercut (last heal + settle budget).  Without it,
@@ -93,8 +92,7 @@ class Driver:
         """Create (and track) a fresh operation: the record its process will fill."""
         op = OperationRecord(next(self._op_counter), -1, kind, value, key, on_done)
         self.ops.append(op)
-        if self.oplog is not None:
-            self.oplog.note_created(kind, key, value)
+        self.oplog.note_created(kind, key, value)
         return op
 
     def submit(self, process: RegisterProcess, op: OperationRecord) -> OperationRecord:
@@ -104,8 +102,7 @@ class Driver:
             lane = self._queues[process] = (deque(), partial(self._on_complete, process))
         queue = lane[0]
         op.submitted_at = self.simulator.now
-        if self.oplog is not None:
-            self.oplog.note_submitted(op.op_id, op.submitted_at)
+        self.oplog.note_submitted(op.op_id, op.submitted_at)
         queue.append(op)
         self._outstanding += 1
         if len(queue) == 1:
@@ -136,10 +133,9 @@ class Driver:
                     self.simulator.stop()
                 continue
             self.records.append(op)
-            if self.oplog is not None:
-                # Issue and completion touch disjoint columns, so a callback
-                # that fired synchronously (before this line) is harmless.
-                self.oplog.note_issued(op.op_id, op)
+            # Issue and completion touch disjoint columns, so a callback
+            # that fired synchronously (before this line) is harmless.
+            self.oplog.note_issued(op.op_id, op)
             if self.metrics is not None:
                 self.metrics.note_issued(op.invoked_at)
             return
@@ -148,8 +144,7 @@ class Driver:
         lane = self._queues[process]
         queue = lane[0]
         queue.popleft()  # ``op``: a process completes only its current operation
-        if self.oplog is not None:
-            self.oplog.note_completed(op.op_id, op)
+        self.oplog.note_completed(op.op_id, op)
         self._outstanding -= 1
         if self.metrics is not None:
             # Sojourn latency (queueing + service) is what a client observes;
@@ -169,8 +164,7 @@ class Driver:
     def _fail(self, op: OperationRecord, reason: str) -> None:
         op.failed = True
         op.failure_reason = reason
-        if self.oplog is not None:
-            self.oplog.note_failed(op.op_id, reason)
+        self.oplog.note_failed(op.op_id, reason)
         self._outstanding -= 1
         if self.metrics is not None:
             self.metrics.note_failed()

@@ -205,18 +205,6 @@ class OpLog:
         """Every touched key's history — what ``store.histories()`` returns."""
         return dict(KeyHistories(self, initial_value))
 
-    def history_for(self, key: Any, initial_value: Any = None) -> History:
-        """One key's history (``==`` key matching, like the object path)."""
-        table = self.interner.values
-        pid = self._pid
-        key_idx = self._key_idx
-        rows = [
-            row
-            for row in range(len(self._kind))
-            if pid[row] != -1 and table[key_idx[row]] == key
-        ]
-        return self._history_from_rows(self._in_history_order(rows), initial_value)
-
     # ----------------------------------------------------------- inspection
 
     def nbytes(self) -> int:

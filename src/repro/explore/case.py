@@ -33,6 +33,9 @@ from repro.workloads.kv import deploy_store, drive_script
 #: Artifact/case schema version (bumped on incompatible changes).
 CASE_FORMAT_VERSION = 3
 
+#: Per-key search budget for the Wing–Gong checker on an explored run.
+CHECK_MAX_STATES = 1_000_000
+
 
 #: Case op kinds and how their ``value`` field serializes.  Registers use
 #: read/write; the consensus-backed store objects add cas (value is the
@@ -265,11 +268,7 @@ class CaseOutcome:
         return keys + sorted(blamed.difference(keys))
 
 
-def run_case(
-    case: ExploreCase,
-    chooser: Optional[DeliveryChooser] = None,
-    check_max_states: Optional[int] = 1_000_000,
-) -> CaseOutcome:
+def run_case(case: ExploreCase, chooser: Optional[DeliveryChooser] = None) -> CaseOutcome:
     """Execute ``case`` against a fresh store and judge the run.
 
     The case's crash points are checked against its geometry before anything
@@ -280,9 +279,10 @@ def run_case(
     :class:`~repro.explore.chooser.RandomChooser` on first runs), else a
     :class:`~repro.explore.chooser.ReplayChooser` of the case's choices
     (replays and shrink probes).  The checker is the Wing–Gong engine on
-    every key (``swmr_fast_path=False``) so explored executions exercise the
-    search core the explorer exists to drive; the consensus audit runs on
-    the replicas as the run ends.
+    every key (``swmr_fast_path=False``, at most :data:`CHECK_MAX_STATES`
+    states a key) so explored executions exercise the search core the
+    explorer exists to drive; the consensus audit runs on the replicas as
+    the run ends.
     """
     if case.algorithm in MUTATIONS and case.algorithm not in available_algorithms():
         install_mutations()  # replaying a mutant artifact is self-contained
@@ -309,7 +309,7 @@ def run_case(
     _ops, _drives, finished = drive_script(
         store, script, case.open_loop, case.batch_size, script[-1][0] if script else 0.0
     )
-    report = store.check_linearizability(swmr_fast_path=False, max_states=check_max_states)
+    report = store.check_linearizability(swmr_fast_path=False, max_states=CHECK_MAX_STATES)
     return CaseOutcome(
         store=store, report=report, finished_cleanly=finished, invariants=replica_invariants(store)
     )

@@ -10,8 +10,11 @@ from typing import Any, Dict, Optional, Tuple
 class ExploreConfig:
     """Parameters of one schedule-exploration run.
 
-    ``budget`` bounds the number of schedules explored; everything else
-    describes the base keyed workload each schedule explores.  All
+    ``budget`` bounds the number of schedules explored (the sweep stops at
+    its first counterexample: a violation is actionable on its own);
+    everything else describes the base keyed workload each schedule
+    explores.  Every case is checked with the Wing–Gong search, at most
+    :data:`~repro.explore.case.CHECK_MAX_STATES` states a key.  All
     randomness (operation scripts, delivery choices, sweep grids)
     derives from ``seed`` — same config, same schedules, same verdicts, and
     the same shrunken counterexample if one is found (the repository-wide
@@ -51,11 +54,6 @@ class ExploreConfig:
     #: ``mmr-cas-skip-aux`` on 10 seeds against 8, ``abd-no-writeback`` and
     #: ``abd-sloppy-write`` on as many under every strategy.
     delay: Dict[str, Any] = field(default_factory=lambda: {"kind": "fixed", "delta": 1.0})
-    #: Stop exploring after this many shrunken counterexamples (a violation
-    #: is actionable on its own; keep sweeping only if asked to).
-    max_counterexamples: int = 1
-    #: Per-key search budget for the Wing–Gong checker on explored runs.
-    check_max_states: int = 1_000_000
     #: Worker processes for the sweep (:mod:`repro.parallel`): cases are
     #: independent seeded executions, so ``N > 1`` runs them on a process
     #: pool.  Verdicts, counts and any shrunken counterexample are identical
@@ -79,8 +77,6 @@ class ExploreConfig:
             raise ValueError(f"arrival_gap must be non-negative, got {self.arrival_gap}")
         if self.replication < 2:
             raise ValueError(f"replication must be >= 2, got {self.replication}")
-        if self.max_counterexamples < 0:
-            raise ValueError("max_counterexamples must be non-negative")
 
     def with_(self, **changes: object) -> "ExploreConfig":
         """Copy with fields replaced (sugar over :func:`dataclasses.replace`)."""

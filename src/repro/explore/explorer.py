@@ -100,10 +100,8 @@ class ExploreReport:
         return not self.counterexamples and self.reproducible
 
 
-def _build_counterexample(
-    config: ExploreConfig, original: ExploreCase, shrunken: ExploreCase
-) -> Counterexample:
-    outcome = run_case(shrunken, check_max_states=config.check_max_states)
+def _build_counterexample(original: ExploreCase, shrunken: ExploreCase) -> Counterexample:
+    outcome = run_case(shrunken)
     failing = outcome.failing_keys()
     example = Counterexample(
         case=shrunken,
@@ -118,7 +116,7 @@ def _build_counterexample(
     )
     # Replayability is part of the contract: round-trip the artifact through
     # JSON and confirm the violation reproduces from the parsed form.
-    replay = replay_artifact_payload(json.loads(example.to_json()), config.check_max_states)
+    replay = replay_artifact_payload(json.loads(example.to_json()))
     example.replayed = replay.reproduced
     return example
 
@@ -141,8 +139,8 @@ def _explore_case_main(payload) -> Dict[str, Any]:
     shrinking and artifact building work from the summary alone — and, when
     asked, the run's record signature for the reproducibility probe.
     """
-    case, chooser, check_max_states, want_signature = payload
-    outcome = run_case(case, chooser=chooser, check_max_states=check_max_states)
+    case, chooser, want_signature = payload
+    outcome = run_case(case, chooser=chooser)
     return {
         "ok": outcome.ok,
         "violations": outcome.violations(),
@@ -157,8 +155,8 @@ def run_exploration(config: ExploreConfig) -> ExploreReport:
     """Explore ``config.budget`` schedules; shrink and package any violation.
 
     Every case is summarized by :func:`_explore_case_main` — lazily in
-    process at ``workers=1`` (the sweep stops at the last counterexample it
-    keeps), on the :mod:`repro.parallel` pool above that.  A violating case
+    process at ``workers=1`` (the sweep stops at its first counterexample),
+    on the :mod:`repro.parallel` pool above that.  A violating case
     is then re-run from its recorded choices, materialized, shrunk and
     packaged serially, so every worker count gives the same counts and the
     same counterexamples, byte for byte.  Last, the first case is re-run
@@ -169,7 +167,7 @@ def run_exploration(config: ExploreConfig) -> ExploreReport:
     report = ExploreReport(config=config)
     started = time.perf_counter()
     payloads = (
-        (case, chooser, config.check_max_states, index == 0)
+        (case, chooser, index == 0)
         for index, (case, chooser) in enumerate(islice(strategy.cases(), config.budget))
     )
     summaries = (
@@ -187,18 +185,17 @@ def run_exploration(config: ExploreConfig) -> ExploreReport:
             continue
         # Materialize the schedule so the case is position-independent:
         # explicit arrival times, pinned read routing.  Then minimize it.
-        outcome = run_case(summary["case"], check_max_states=config.check_max_states)
+        outcome = run_case(summary["case"])
         concrete = materialize_schedule(summary["case"], outcome)
         shrunken = shrink_case(
             concrete,
-            lambda candidate: not run_case(candidate, check_max_states=config.check_max_states).ok,
+            lambda candidate: not run_case(candidate).ok,
             focus_keys=[str(key) for key in outcome.failing_keys()],
         )
-        report.counterexamples.append(_build_counterexample(config, concrete, shrunken))
-        if len(report.counterexamples) >= config.max_counterexamples > 0:
-            break
+        report.counterexamples.append(_build_counterexample(concrete, shrunken))
+        break
     if first is not None:
-        probe = run_case(first["case"], check_max_states=config.check_max_states)
+        probe = run_case(first["case"])
         report.reproducible = (
             probe.violations() == first["violations"]
             and _record_signature(probe) == first["signature"]
@@ -221,9 +218,7 @@ class ReplayResult:
     violations: List[str]
 
 
-def replay_artifact_payload(
-    payload: Dict[str, Any], check_max_states: int = 1_000_000
-) -> ReplayResult:
+def replay_artifact_payload(payload: Dict[str, Any]) -> ReplayResult:
     """Replay a parsed artifact; ``reproduced`` means the same keys fail again."""
     if payload.get("format") != ARTIFACT_FORMAT:
         raise ValueError(
@@ -236,7 +231,7 @@ def replay_artifact_payload(
         )
     case = ExploreCase.from_dict(payload["case"])
     expected_keys = sorted(payload.get("expected", {}).get("failing_keys", []))
-    outcome = run_case(case, check_max_states=check_max_states)
+    outcome = run_case(case)
     failing = sorted(str(key) for key in outcome.failing_keys())
     return ReplayResult(
         case=case,
@@ -247,12 +242,10 @@ def replay_artifact_payload(
     )
 
 
-def replay_artifact(
-    path: Union[str, "pathlib.Path"], check_max_states: int = 1_000_000
-) -> ReplayResult:
+def replay_artifact(path: Union[str, "pathlib.Path"]) -> ReplayResult:
     """Load a counterexample artifact from ``path`` and replay it."""
     text = pathlib.Path(path).read_text()
-    return replay_artifact_payload(json.loads(text), check_max_states)
+    return replay_artifact_payload(json.loads(text))
 
 
 def write_artifact(example: Counterexample, path: Union[str, "pathlib.Path"]) -> None:

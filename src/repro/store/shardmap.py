@@ -20,16 +20,15 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
-def stable_key_hash(key: object, salt: int = 0) -> int:
+def stable_key_hash(key: object) -> int:
     """A 64-bit hash of ``key`` that is stable across processes and versions.
 
     Python's builtin ``hash`` is salted per-process for strings, which would
     make placement non-reproducible; this helper hashes ``repr(key)`` with
     SHA-256 instead (the same trick :func:`repro.sim.rng.derive_seed` uses).
+    The ``b"0\x1f"`` prefix keeps every digest what it has always been.
     """
-    digest = hashlib.sha256()
-    digest.update(str(salt).encode("utf-8"))
-    digest.update(b"\x1f")
+    digest = hashlib.sha256(b"0\x1f")
     digest.update(repr(key).encode("utf-8"))
     return int.from_bytes(digest.digest()[:8], "big")
 
@@ -55,14 +54,12 @@ class ShardMap:
         Servers per shard group; each key's register deploys one process per
         server of its shard.  Must be at least 2 (a message-passing register
         needs a peer) and tolerates ``(replication - 1) // 2`` crashes.
-    salt:
-        Perturbs the key hash so different stores can place the same keys
-        differently (useful for rebalancing experiments).
+
+    A key's shard is :func:`stable_key_hash` modulo ``num_shards``.
     """
 
     num_shards: int = 4
     replication: int = 3
-    salt: int = 0
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -114,7 +111,7 @@ class ShardMap:
 
     def shard_of(self, key: object) -> int:
         """The shard ``key`` is placed on (deterministic, uniform in expectation)."""
-        return stable_key_hash(key, self.salt) % self.num_shards
+        return stable_key_hash(key) % self.num_shards
 
     def placement(self, key: object) -> Placement:
         """Full placement of ``key``: shard plus replica server ids."""

@@ -54,7 +54,6 @@ from repro.sim.delays import DelayModel
 from repro.sim.network import Network, Subnet
 from repro.sim.scheduler import Simulator
 from repro.store.shardmap import Placement, ShardMap
-from repro.transport.base import validate_transport
 from repro.verification.history import History
 from repro.verification.register_checker import AtomicityViolation
 
@@ -71,7 +70,7 @@ class StoreConfig:
     algorithm:
         Registry name of the per-key register algorithm (``"two-bit"``,
         ``"abd"``, ``"abd-mwmr"``, ...).
-    num_shards / replication / placement_salt:
+    num_shards / replication:
         The :class:`~repro.store.shardmap.ShardMap` geometry.
     delay_model:
         Message-delay model shared by every subnet (``None`` = fixed 1.0).
@@ -96,46 +95,32 @@ class StoreConfig:
         ``shard_algorithms[i]``; unset means every shard runs ``algorithm``.
         The shared quorum engine makes mixing algorithms under one workload
         cheap — this is what the ``kv_mixed`` scenario exercises.
-    workers:
-        Worker processes for shard-parallel execution (see
-        :mod:`repro.parallel`).  ``1`` (default) is the plain single-process
-        path; ``N > 1`` partitions shards into ``N`` disjoint groups and runs
-        each group in its own process.  Carried on the config so workloads
-        and the parallel engine can rebuild identical stores; a
-        :class:`KVStore` itself always simulates whatever shards it hosts in
-        one process.
     max_events:
         Event-count safety valve for the store's simulator (``None`` = the
         :class:`~repro.sim.scheduler.Simulator` default).  Million-op runs
         legitimately execute tens of millions of events and must raise it.
+
+    A config describes one simulated deployment; which backend runs a
+    workload, and on how many processes, is the
+    :class:`~repro.workloads.kv.KVWorkloadSpec`'s concern.
     """
 
     algorithm: str = "abd"
     num_shards: int = 4
     replication: int = 3
-    placement_salt: int = 0
     delay_model: Optional[DelayModel] = None
     initial_value: Any = "v0"
     max_virtual_time: float = 100_000.0
     coalesce: bool = True
     shard_algorithms: Optional[Tuple[str, ...]] = None
-    workers: int = 1
     max_events: Optional[int] = None
-    #: Backend name (``"sim"``/``"live"``).  A :class:`KVStore` itself is the
-    #: *simulated* deployment — constructing one from a live config raises;
-    #: the field rides on the config so workload specs and the CLI carry one
-    #: geometry description across both backends.
-    transport: str = "sim"
 
     def __post_init__(self) -> None:
-        validate_transport(self.transport)
         if self.shard_algorithms is not None and len(self.shard_algorithms) != self.num_shards:
             raise ValueError(
                 f"shard_algorithms has {len(self.shard_algorithms)} entries "
                 f"for {self.num_shards} shards; provide exactly one per shard"
             )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     def algorithm_for(self, shard: int) -> str:
         """The register algorithm keys of ``shard`` run."""
@@ -162,11 +147,7 @@ class StoreConfig:
 
     def shard_map(self) -> ShardMap:
         """The (validated) placement this config describes."""
-        return ShardMap(
-            num_shards=self.num_shards,
-            replication=self.replication,
-            salt=self.placement_salt,
-        )
+        return ShardMap(num_shards=self.num_shards, replication=self.replication)
 
     def with_(self, **changes: object) -> "StoreConfig":
         """Copy with fields replaced (sugar over :func:`dataclasses.replace`)."""
@@ -213,17 +194,8 @@ class KVStore:
     history after the fact.
     """
 
-    def __init__(self, config: Optional[StoreConfig] = None, **overrides: object) -> None:
-        if config is None:
-            config = StoreConfig(**overrides)  # type: ignore[arg-type]
-        elif overrides:
-            config = config.with_(**overrides)
+    def __init__(self, config: StoreConfig) -> None:
         self.config = config
-        if config.transport != "sim":
-            raise ValueError(
-                f"KVStore is the simulated deployment; transport={config.transport!r} "
-                "runs through repro.transport.live.run_live_workload instead"
-            )
         self.shard_map = config.shard_map()  # validates the geometry
         get_algorithm(config.algorithm)  # fail fast on unknown names
         if config.shard_algorithms is not None:
@@ -249,9 +221,7 @@ class KVStore:
         # The driver records every operation into a columnar OpLog as the run
         # executes; histories and checking read the columns, never the
         # operation objects (see repro.exec.oplog).
-        self.driver = Driver(
-            self.simulator, metrics=MetricsCollector(self.network), oplog=OpLog()
-        )
+        self.driver = Driver(self.simulator, metrics=MetricsCollector(self.network))
         #: Installed link-level fault plan (see :meth:`install_fault_plan`).
         self.fault_plan = None
 
@@ -555,8 +525,10 @@ class KVStore:
         return [op for op in self.ops if op.failed]
 
     def history(self, key: Any) -> History:
-        """The SWMR history of one key (completed and pending operations)."""
-        return self.oplog.history_for(key, initial_value=self.config.initial_value)
+        """The SWMR history of one key (completed and pending operations);
+        empty for a key no operation touched."""
+        log = self.oplog
+        return log._history_from_rows(log.rows_by_key().get(key, ()), self.config.initial_value)
 
     def histories(self) -> Dict[Any, History]:
         """Every touched key's history, keyed by key.
@@ -610,29 +582,9 @@ class KVStore:
         return report
 
 
-def create_store(
-    num_shards: int = 4,
-    replication: int = 3,
-    algorithm: str = "abd",
-    delay_model: Optional[DelayModel] = None,
-    initial_value: Any = "v0",
-    placement_salt: int = 0,
-    coalesce: bool = True,
-    shard_algorithms: Optional[Tuple[str, ...]] = None,
-) -> KVStore:
+def create_store(**config: Any) -> KVStore:
     """Create a sharded multi-key store (the ``repro.create_store`` entry point).
 
-    Parameters mirror :class:`StoreConfig`; see :class:`KVStore` for usage.
+    ``config`` is :class:`StoreConfig`'s fields; see :class:`KVStore` for usage.
     """
-    return KVStore(
-        StoreConfig(
-            algorithm=algorithm,
-            num_shards=num_shards,
-            replication=replication,
-            placement_salt=placement_salt,
-            delay_model=delay_model,
-            initial_value=initial_value,
-            coalesce=coalesce,
-            shard_algorithms=shard_algorithms,
-        )
-    )
+    return KVStore(StoreConfig(**config))

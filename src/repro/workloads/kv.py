@@ -33,6 +33,7 @@ from repro.sim.delays import DelayModel, FixedDelay
 from repro.sim.network import NetworkStats
 from repro.sim.rng import make_rng
 from repro.store.store import KVStore, StoreConfig
+from repro.transport.base import validate_transport
 
 # Bound once: looking a member up on the enum class runs EnumType's
 # ``__getattr__`` hook, which the per-operation path would pay per use.
@@ -40,6 +41,9 @@ _READ, _WRITE = OperationKind.READ, OperationKind.WRITE
 
 #: Supported key-access distributions.
 DISTRIBUTIONS = ("uniform", "zipfian")
+
+#: Exponent of the ``"zipfian"`` distribution (rank ``r`` weighs ``1 / r**ZIPF_EXPONENT``).
+ZIPF_EXPONENT = 1.2
 
 #: Operation kinds an ``op_mix`` may mention (consensus-object kinds included).
 MIX_KINDS = ("read", "write", "cas", "tas", "incr")
@@ -68,11 +72,11 @@ class KVWorkloadSpec:
         Key population size and total operations issued.
     read_fraction:
         Probability each operation is a ``get`` (the rest are ``put``).
-    distribution / zipf_s:
+    distribution:
         Key-access skew: ``"uniform"``, or ``"zipfian"`` with exponent
-        ``zipf_s`` (hot-key ranks are a seeded permutation of the key space,
-        so hotness is decoupled from placement).
-    algorithm / num_shards / replication / placement_salt:
+        :data:`ZIPF_EXPONENT` (hot-key ranks are a seeded permutation of the
+        key space, so hotness is decoupled from placement).
+    algorithm / num_shards / replication:
         The store geometry (see :class:`~repro.store.store.StoreConfig`).
     batch_size:
         Operations submitted per :meth:`~repro.store.store.KVStore.drive`
@@ -120,9 +124,11 @@ class KVWorkloadSpec:
         seconds live, virtual time units on the simulator): ``verify()``
         fails a run whose p99 over all completed operations exceeds it.
         ``None`` (default) reports the percentile without gating on it.
-    max_events:
-        Per-process event-count safety valve (``None`` = auto: the simulator
-        default, scaled up for runs large enough to legitimately exceed it).
+
+    The spec is the one validator of a run's parameters (backend name,
+    worker count, geometry, crash points, live-only limits); the store
+    config it deploys (:meth:`store_config`) carries the simulated
+    deployment alone.
     """
 
     num_keys: int = 16
@@ -141,11 +147,9 @@ class KVWorkloadSpec:
     #: the SMR object would add an int to a string).
     op_mix: Optional[Tuple[Tuple[str, float], ...]] = None
     distribution: str = "uniform"
-    zipf_s: float = 1.2
     algorithm: str = "abd"
     num_shards: int = 4
     replication: int = 3
-    placement_salt: int = 0
     batch_size: int = 64
     coalesce: bool = True
     shard_algorithms: Optional[Tuple[str, ...]] = None
@@ -158,7 +162,6 @@ class KVWorkloadSpec:
     initial_value: Any = "v0"
     max_virtual_time: float = 100_000.0
     workers: int = 1
-    max_events: Optional[int] = None
     #: Which backend executes the run: ``"sim"`` (virtual-time simulator,
     #: default — deterministic, supports fault plans/coalescing) or
     #: ``"live"`` (asyncio TCP loopback cluster, one wire codec; wall-clock
@@ -168,8 +171,11 @@ class KVWorkloadSpec:
     slo_p99: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # The store config's own validation (transport name, per-shard
-        # algorithm count, workers >= 1) and the geometry, on either backend.
+        validate_transport(self.transport)
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        # The store config's own validation (per-shard algorithm count) and
+        # the geometry, on either backend.
         self.store_config().shard_map()
         known = available_algorithms()
         for name in self.shard_algorithms or (self.algorithm,):
@@ -213,8 +219,6 @@ class KVWorkloadSpec:
             raise ValueError(
                 f"unknown distribution {self.distribution!r}; choose from {DISTRIBUTIONS}"
             )
-        if self.zipf_s <= 0:
-            raise ValueError(f"zipf_s must be positive, got {self.zipf_s}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.arrival not in ("closed",) + ARRIVAL_PROCESSES:
@@ -260,22 +264,16 @@ class KVWorkloadSpec:
         # couple dozen events, so million-op runs legitimately exceed the
         # simulator's 5M default.  Only ever scale *up* — small runs keep the
         # default valve and its message-storm protection.
-        max_events = self.max_events
-        if max_events is None and self.num_ops > 100_000:
-            max_events = 60 * self.num_ops
         return StoreConfig(
-            transport=self.transport,
             algorithm=self.algorithm,
             num_shards=self.num_shards,
             replication=self.replication,
-            placement_salt=self.placement_salt,
             delay_model=self.delay_model,
             initial_value=self.initial_value,
             max_virtual_time=self.max_virtual_time,
             coalesce=self.coalesce,
             shard_algorithms=self.shard_algorithms,
-            workers=self.workers,
-            max_events=max_events,
+            max_events=60 * self.num_ops if self.num_ops > 100_000 else None,
         )
 
     def with_(self, **changes: object) -> "KVWorkloadSpec":
@@ -286,12 +284,12 @@ class KVWorkloadSpec:
 # ------------------------------------------------------------------ generator
 
 
-def _zipfian_cum_weights(num_keys: int, s: float) -> list[float]:
-    """Cumulative (unnormalised) Zipf weights: weight(rank r) = 1 / r^s."""
+def _zipfian_cum_weights(num_keys: int) -> list[float]:
+    """Cumulative (unnormalised) Zipf weights: weight(rank r) = 1 / r^ZIPF_EXPONENT."""
     total = 0.0
     cumulative: list[float] = []
     for rank in range(1, num_keys + 1):
-        total += 1.0 / (rank**s)
+        total += 1.0 / (rank**ZIPF_EXPONENT)
         cumulative.append(total)
     return cumulative
 
@@ -318,7 +316,7 @@ def iter_kv_operations(spec: KVWorkloadSpec) -> Iterator[KVOp]:
     ranked = list(keys)
     rng.shuffle(ranked)
     if spec.distribution == "zipfian":
-        cumulative = _zipfian_cum_weights(spec.num_keys, spec.zipf_s)
+        cumulative = _zipfian_cum_weights(spec.num_keys)
         total = cumulative[-1]
 
         def sample_key() -> str:
@@ -677,9 +675,7 @@ def deploy_store(
 def deploy(spec: KVWorkloadSpec) -> KVStore:
     """The single-process store a run of ``spec`` executes on (``spec.workers``
     is the *runner's* concern)."""
-    return deploy_store(
-        spec.store_config().with_(workers=1), spec.fault_plan, spec.crash_points
-    )
+    return deploy_store(spec.store_config(), spec.fault_plan, spec.crash_points)
 
 
 def drive_script(

@@ -152,7 +152,6 @@ def kv_zipfian(
     num_keys: int = 64,
     num_ops: int = 600,
     read_fraction: float = 0.9,
-    zipf_s: float = 1.2,
     algorithm: str = "abd",
     num_shards: int = 4,
     replication: int = 3,
@@ -170,7 +169,6 @@ def kv_zipfian(
         num_ops=num_ops,
         read_fraction=read_fraction,
         distribution="zipfian",
-        zipf_s=zipf_s,
         algorithm=algorithm,
         num_shards=num_shards,
         replication=replication,

@@ -9,10 +9,8 @@ from repro.exec import (
     OpenLoopClient,
     OpRequest,
     StoreTarget,
-    arrival_times,
-    poisson_arrival_times,
-    uniform_arrival_times,
 )
+from repro.exec.clients import iter_arrival_times
 from repro.registers.base import OperationKind
 from repro.registers.registry import get_algorithm
 from repro.sim.delays import FixedDelay, UniformDelay
@@ -82,6 +80,23 @@ class TestDriver:
         assert driver.outstanding == 0
         assert driver.metrics.failed == 1
         assert done == [op]  # on_done fires on failure paths too
+
+    def test_a_bare_driver_logs_every_operation_in_its_own_oplog(self):
+        # No store attaches a log: the driver owns one, row index == op_id.
+        simulator, network, processes = deploy()
+        driver = Driver(simulator)
+        processes[1].crash()
+        write = driver.new_op(OperationKind.WRITE, value="v1")
+        read = driver.new_op(OperationKind.READ)
+        driver.submit(processes[0], write)
+        driver.submit(processes[1], read)
+        assert driver.drive() is True
+        logged = driver.oplog.ops_view()
+        assert len(driver.oplog) == 2
+        assert logged[write.op_id].completed and logged[write.op_id].value == "v1"
+        assert logged[write.op_id].responded_at == write.responded_at
+        assert logged[read.op_id].failed
+        assert "crashed before issuing" in logged[read.op_id].failure_reason
 
     def test_on_done_fires_when_ops_fail_stuck(self):
         simulator, network, processes = deploy(n=3)
@@ -329,29 +344,30 @@ class TestClosedLoopClient:
 
 class TestArrivalProcesses:
     def test_poisson_seeded_determinism(self):
-        a = poisson_arrival_times(make_rng(7, "arrivals"), rate=4.0, count=50)
-        b = poisson_arrival_times(make_rng(7, "arrivals"), rate=4.0, count=50)
-        c = poisson_arrival_times(make_rng(8, "arrivals"), rate=4.0, count=50)
+        a = list(iter_arrival_times("poisson", make_rng(7, "arrivals"), 4.0, 50))
+        b = list(iter_arrival_times("poisson", make_rng(7, "arrivals"), 4.0, 50))
+        c = list(iter_arrival_times("poisson", make_rng(8, "arrivals"), 4.0, 50))
         assert a == b
         assert a != c
         assert all(later >= earlier for earlier, later in zip(a, a[1:]))
 
     def test_uniform_mean_rate(self):
-        times = uniform_arrival_times(make_rng(3, "arrivals"), rate=5.0, count=2000)
+        times = list(iter_arrival_times("uniform", make_rng(3, "arrivals"), 5.0, 2000))
         observed_rate = len(times) / times[-1]
         assert observed_rate == pytest.approx(5.0, rel=0.15)
 
     def test_dispatch_and_validation(self):
-        assert len(arrival_times("poisson", make_rng(0, "a"), 2.0, 10)) == 10
+        assert len(list(iter_arrival_times("poisson", make_rng(0, "a"), 2.0, 10))) == 10
+        # Refused when the stream is made, before anything is drawn.
         with pytest.raises(ValueError, match="unknown arrival process"):
-            arrival_times("bursty", make_rng(0, "a"), 2.0, 10)
+            iter_arrival_times("bursty", make_rng(0, "a"), 2.0, 10)
         with pytest.raises(ValueError, match="positive"):
-            poisson_arrival_times(make_rng(0, "a"), rate=0.0, count=1)
+            iter_arrival_times("poisson", make_rng(0, "a"), 0.0, 1)
 
 
 class TestOpenLoopClient:
     def _arrivals(self, count, rate, seed=11):
-        times = poisson_arrival_times(make_rng(seed, "test-open-loop"), rate, count)
+        times = list(iter_arrival_times("poisson", make_rng(seed, "test-open-loop"), rate, count))
         arrivals = []
         for index, at in enumerate(times):
             if index % 4 == 0:
@@ -410,7 +426,7 @@ class TestOpenLoopClient:
     def test_overload_queues_instead_of_throttling(self):
         # Offered load far above service rate: every op still completes, and
         # later ops see growing queueing delay (open-loop, not closed-loop).
-        times = poisson_arrival_times(make_rng(2, "overload"), rate=50.0, count=30)
+        times = list(iter_arrival_times("poisson", make_rng(2, "overload"), 50.0, 30))
         arrivals = [
             (at, OpRequest(kind=OperationKind.WRITE, key="k"), f"v{i + 1}")
             for i, at in enumerate(times)

@@ -97,8 +97,15 @@ class TestKeyGrouping:
         assert list(histories) == [1]
         assert len(histories[1]) == 4
         for key in self.KEYS:
-            assert log.history_for(key, initial_value="v0").to_dict() == histories[1].to_dict()
+            assert store.history(key).to_dict() == histories[1].to_dict()
         assert list(store.check_linearizability().per_key) == [1]
+
+    def test_an_untouched_key_has_an_empty_history(self):
+        store = create_store(num_shards=2, replication=3)
+        store.put("k", "w")
+        history = store.history("never")
+        assert len(history) == 0
+        assert history.initial_value == "v0"
 
 
 class TestWireFormat:

@@ -147,7 +147,6 @@ class TestConfigValidation:
             {"replication": 1},
             {"arrival_gap": -1.0},
             {"batch_size": 0},
-            {"max_counterexamples": -1},
         ):
             with pytest.raises(ValueError):
                 ExploreConfig(**kwargs)

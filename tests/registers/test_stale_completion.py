@@ -11,7 +11,6 @@ traffic) frees the process but leaves the operation failed.
 import pytest
 
 from repro.exec.driver import Driver
-from repro.exec.oplog import OpLog
 from repro.registers.base import OperationKind
 from repro.registers.registry import available_algorithms, get_algorithm
 from repro.sim.delays import FixedDelay
@@ -25,7 +24,7 @@ def _deploy(name):
     simulator = Simulator()
     network = Network(simulator, delay_model=FixedDelay(1.0))
     processes = get_algorithm(name).build(simulator, network, 3, initial_value="v0")
-    return simulator, Driver(simulator, oplog=OpLog()), processes
+    return simulator, Driver(simulator), processes
 
 
 def _capture_continuations(process):

@@ -37,6 +37,12 @@ class TestBlockingFacade:
         with pytest.raises(KeyError, match="unknown register algorithm"):
             create_store(algorithm="no-such-algorithm")
 
+    def test_create_store_takes_every_config_field(self):
+        store = create_store(num_shards=2, max_virtual_time=7.5, coalesce=False)
+        assert store.config == StoreConfig(num_shards=2, max_virtual_time=7.5, coalesce=False)
+        with pytest.raises(TypeError):
+            create_store(replicas=3)
+
     def test_top_level_exports(self):
         assert callable(repro.create_store)
         assert repro.KVStore is KVStore

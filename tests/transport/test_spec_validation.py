@@ -1,8 +1,8 @@
-"""Transport selection on KVWorkloadSpec / StoreConfig: validation and dispatch."""
+"""Transport selection on KVWorkloadSpec: validation and dispatch."""
 
 import pytest
 
-from repro.store.store import KVStore, StoreConfig
+from repro.store.store import StoreConfig
 from repro.workloads.scenarios import kv_uniform
 
 
@@ -10,19 +10,30 @@ class TestSpecTransportField:
     def test_default_is_sim(self):
         spec = kv_uniform(num_keys=4, num_ops=10)
         assert spec.transport == "sim"
-        assert spec.store_config().transport == "sim"
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ValueError, match="choose from"):
             kv_uniform(num_keys=4, num_ops=10).with_(transport="udp")
 
-    def test_live_carries_through_to_store_config(self):
-        spec = kv_uniform(num_keys=4, num_ops=10).with_(transport="live")
-        assert spec.store_config().transport == "live"
+    def test_the_store_config_is_the_same_on_either_backend(self):
+        spec = kv_uniform(num_keys=4, num_ops=10)
+        assert spec.with_(transport="live").store_config() == spec.store_config()
+
+    def test_the_spec_validates_workers_on_either_backend(self):
+        for transport in ("sim", "live"):
+            with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+                kv_uniform(num_keys=4, num_ops=10).with_(transport=transport, workers=0)
+
+    def test_a_store_config_names_no_backend_or_worker_count(self):
+        # Backend and process count are the spec's; a StoreConfig is one
+        # simulated deployment.
+        for field in ("transport", "workers"):
+            with pytest.raises(TypeError, match=field):
+                StoreConfig(**{field: "live" if field == "transport" else 2})
 
     def test_live_takes_workers_as_client_processes(self):
         spec = kv_uniform(num_keys=4, num_ops=10).with_(transport="live", workers=4)
-        assert spec.store_config().workers == 4
+        assert spec.workers == 4
 
     def test_live_rejects_the_other_sim_only_knobs(self):
         # The spec is the one place that decides what the live backend
@@ -100,14 +111,3 @@ class TestSpecTransportField:
             with pytest.raises(ValueError, match="replication must be >= 2"):
                 kv_uniform(num_keys=4, num_ops=10).with_(replication=1, transport=transport)
 
-
-class TestStoreConfigTransportField:
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="choose from"):
-            StoreConfig(transport="quic")
-
-    def test_kvstore_refuses_live_configs(self):
-        # KVStore is the simulated deployment; live runs go through
-        # repro.transport.live.run_live_workload instead.
-        with pytest.raises(ValueError, match="simulated deployment"):
-            KVStore(StoreConfig(transport="live"))

@@ -5,6 +5,7 @@ import pytest
 from repro.registers.base import OperationKind
 from repro.workloads.kv import (
     CrashPoint,
+    ZIPF_EXPONENT,
     KVWorkloadSpec,
     generate_kv_operations,
     run_kv_workload,
@@ -25,13 +26,16 @@ class TestSpecValidation:
             (dict(num_ops=-1), "non-negative"),
             (dict(read_fraction=1.5), "read_fraction"),
             (dict(distribution="pareto"), "unknown distribution"),
-            (dict(zipf_s=0.0), "zipf_s"),
             (dict(batch_size=0), "batch_size"),
         ],
     )
     def test_rejects_bad_parameters(self, changes, match):
         with pytest.raises(ValueError, match=match):
             KVWorkloadSpec(**changes)
+
+    def test_event_valve_scales_only_above_100k_ops(self):
+        assert KVWorkloadSpec(num_ops=100_000).store_config().max_events is None
+        assert KVWorkloadSpec(num_ops=100_001).store_config().max_events == 60 * 100_001
 
     def test_with_copies(self):
         spec = KVWorkloadSpec(num_ops=100)
@@ -79,7 +83,7 @@ class TestGenerator:
 
     def test_zipfian_is_skewed(self):
         uniform = KVWorkloadSpec(num_keys=50, num_ops=2000, distribution="uniform", seed=4)
-        zipfian = uniform.with_(distribution="zipfian", zipf_s=1.3)
+        zipfian = uniform.with_(distribution="zipfian")
 
         def top_share(spec):
             counts: dict[str, int] = {}
@@ -88,6 +92,17 @@ class TestGenerator:
             return max(counts.values()) / sum(counts.values())
 
         assert top_share(zipfian) > 2 * top_share(uniform)
+
+    def test_zipfian_hot_key_share_follows_the_fixed_exponent(self):
+        # Rank r weighs 1 / r**1.2, so the hottest of 50 keys draws 1 / H
+        # of the stream; exponents 1.0 and 1.4 would give 0.22 and 0.39.
+        spec = KVWorkloadSpec(num_keys=50, num_ops=4000, distribution="zipfian", seed=4)
+        counts: dict[str, int] = {}
+        for op in generate_kv_operations(spec):
+            counts[op.key] = counts.get(op.key, 0) + 1
+        expected = 1 / sum(rank**-ZIPF_EXPONENT for rank in range(1, 51))
+        assert ZIPF_EXPONENT == 1.2
+        assert max(counts.values()) / spec.num_ops == pytest.approx(expected, abs=0.03)
 
     def test_zero_ops(self):
         assert generate_kv_operations(KVWorkloadSpec(num_ops=0)) == []
@@ -102,7 +117,6 @@ class TestScenarios:
     def test_kv_zipfian_builds_valid_spec(self):
         spec = kv_zipfian(num_keys=8, num_ops=50)
         assert spec.distribution == "zipfian"
-        assert spec.zipf_s > 0
 
     def test_scenarios_run_end_to_end(self):
         for spec in (kv_uniform(num_keys=6, num_ops=60), kv_zipfian(num_keys=6, num_ops=60)):
