@@ -9,8 +9,10 @@ This package owns operation driving end-to-end:
 * :mod:`repro.exec.clients` — traffic models: closed-loop (scripted, think
   times), isolated (Table-1 attribution), open-loop (seeded Poisson/uniform
   arrivals);
-* :mod:`repro.exec.metrics` — :class:`MetricsCollector`: latency percentiles,
-  virtual-time throughput, per-kind message attribution.
+* :mod:`repro.exec.oplog` — the :class:`~repro.exec.oplog.OpLog`: the one
+  record of a run, a row per operation, written as the driver goes;
+* :mod:`repro.exec.metrics` — :class:`MetricsCollector`: a read-only view
+  over an op log (latency percentiles, throughput) plus the message bill.
 
 Both :mod:`repro.workloads.runner` and :mod:`repro.store` drive every
 operation through this engine; they contain no driving logic of their own.

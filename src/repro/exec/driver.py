@@ -14,8 +14,10 @@
 * **stuck detection** — :meth:`Driver.drive` notices when the event queue
   drains while operations are still queued (a replica crashed mid-operation)
   and fails them with a diagnostic instead of hanging.
-* **metrics** — an optional :class:`~repro.exec.metrics.MetricsCollector`
-  observes every issue/completion/failure.
+* **one record** — every operation is a row of the driver's
+  :class:`~repro.exec.oplog.OpLog`, filled in as it is issued, completes or
+  fails; :attr:`Driver.metrics` is a :class:`~repro.exec.metrics.MetricsCollector`
+  view over that log, so nothing is counted twice.
 """
 
 from __future__ import annotations
@@ -45,20 +47,18 @@ class Driver:
     owns queueing, invocation, completion chaining and failure accounting.
     """
 
-    def __init__(
-        self,
-        simulator: DrivableClock,
-        metrics: Optional[MetricsCollector] = None,
-    ) -> None:
+    def __init__(self, simulator: DrivableClock) -> None:
         #: The clock driving this run — the virtual-time simulator (the
         #: historical attribute name) or any other ``DrivableClock``.
         self.simulator = simulator
         self.clock = simulator
-        self.metrics = metrics
         #: The columnar operation log, written in place as the run executes
         #: (row index == ``op_id``): the store's history/checking plane reads
         #: its columns, not the operation objects.
         self.oplog = OpLog()
+        #: The metrics view over :attr:`oplog`; it bills no messages until a
+        #: caller that owns a network replaces it with a view over its stats.
+        self.metrics = MetricsCollector(self.oplog)
         #: Fault-plane awareness: when a fault plan with scheduled heals is
         #: installed, this is set to an absolute virtual time a ``drive``
         #: limit must not undercut (last heal + settle budget).  Without it,
@@ -136,8 +136,6 @@ class Driver:
             # Issue and completion touch disjoint columns, so a callback
             # that fired synchronously (before this line) is harmless.
             self.oplog.note_issued(op.op_id, op)
-            if self.metrics is not None:
-                self.metrics.note_issued(op.invoked_at)
             return
 
     def _on_complete(self, process: RegisterProcess, op: OperationRecord) -> None:
@@ -146,12 +144,6 @@ class Driver:
         queue.popleft()  # ``op``: a process completes only its current operation
         self.oplog.note_completed(op.op_id, op)
         self._outstanding -= 1
-        if self.metrics is not None:
-            # Sojourn latency (queueing + service) is what a client observes;
-            # for unqueued ops it equals the record's service latency.
-            self.metrics.note_completed(
-                op.kind, op.responded_at - op.submitted_at, op.responded_at
-            )
         if queue:
             self._issue(process, *lane)
         if op.on_done is not None:
@@ -166,8 +158,6 @@ class Driver:
         op.failure_reason = reason
         self.oplog.note_failed(op.op_id, reason)
         self._outstanding -= 1
-        if self.metrics is not None:
-            self.metrics.note_failed()
         if op.on_done is not None:
             op.on_done(op)
 

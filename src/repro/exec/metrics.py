@@ -1,18 +1,17 @@
-"""Operation-level metrics for the unified driver.
+"""Operation-level metrics: a read-only view over a run's operation log.
 
-The :class:`MetricsCollector` rides along with a
-:class:`~repro.exec.driver.Driver`: the driver notifies it when operations
-are issued, complete or fail, and the collector turns that stream into the
-numbers the analysis layer and the CLI report — latency percentiles
-(p50/p95/p99), virtual-time throughput, and per-kind message attribution
-(operation kinds for latency, wire message types for the bill, taken from the
-shared :class:`~repro.sim.network.NetworkStats`).  All message numbers are
-**logical** counts: network-level coalescing packs same-instant deliveries
-into shared heap events but bills every message individually — coalescing
-itself never adds a message to or drops one from a collector window (any
-difference between coalesced and uncoalesced totals can only come from the
-protocol reacting to the legal intra-instant reordering, never from the
-accounting).
+The :class:`MetricsCollector` reads the numbers the analysis layer and the
+CLI report off an :class:`~repro.exec.oplog.OpLog` — latency percentiles
+(p50/p95/p99), throughput over the first-issue-to-last-completion window —
+and bills messages per wire type from the shared
+:class:`~repro.sim.network.NetworkStats`.  It records nothing itself, so a
+run written by several processes and merged into one log reports exactly
+what the serial run reports.  All message numbers are **logical** counts:
+network-level coalescing packs same-instant deliveries into shared heap
+events but bills every message individually — coalescing itself never adds
+a message to or drops one from a collector window (any difference between
+coalesced and uncoalesced totals can only come from the protocol reacting
+to the legal intra-instant reordering, never from the accounting).
 
 Kept dependency-free of :mod:`repro.analysis` (which imports the workload
 layer, which imports this package) — the percentile helper is local.
@@ -21,12 +20,11 @@ layer, which imports this package) — the percentile helper is local.
 from __future__ import annotations
 
 import math
-from array import array
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.exec.oplog import OpLog
 from repro.registers.base import OperationKind
 from repro.sim.network import NetworkStats
-from repro.transport.base import Transport
 
 
 def nearest_rank(values: Sequence[float], fraction: float) -> float:
@@ -58,9 +56,10 @@ def json_number(value: Optional[float], digits: int = 3) -> Optional[float]:
 def _latency_summary(latencies: Sequence[float]) -> Optional[Dict[str, float]]:
     if not latencies:
         return None
-    # The mean sums in insertion order (float addition is not associative, and
-    # snapshots are compared bit-for-bit against goldens); everything else
-    # indexes into a single sorted copy instead of re-sorting per percentile.
+    # The mean sums in row order (float addition is not associative; a merged
+    # run's rows are in the serial run's order, so its mean is the serial
+    # mean to the bit); everything else indexes into a single sorted copy
+    # instead of re-sorting per percentile.
     ordered = sorted(latencies)
     return {
         "count": len(latencies),
@@ -73,131 +72,58 @@ def _latency_summary(latencies: Sequence[float]) -> Optional[Dict[str, float]]:
 
 
 class MetricsCollector:
-    """Accumulates per-operation metrics for one driver.
+    """A read-only metrics window over one run's :class:`~repro.exec.oplog.OpLog`.
 
-    Attach a network to also attribute messages: the collector snapshots the
-    aggregate counters when constructed and reports the delta, so several
-    collectors can share one :class:`~repro.sim.network.NetworkStats` without
-    double counting (the store's subnets all bill to the parent).  A run
-    recorded in several processes is one collector again: :meth:`folded`.
+    Nothing is recorded here: the counts, the throughput window and each
+    kind's latency samples are read off the log's columns when asked, so a
+    run has one record however many processes wrote it.  A latency sample
+    is a completed row's ``responded - submitted`` (sojourn: queueing plus
+    service, what a client observes), taken in row order.  Attach
+    ``stats`` to also bill messages: the collector takes the aggregate
+    counters at construction and reports the delta, so a view built after
+    earlier traffic counts only what follows (the store's subnets all bill
+    to one :class:`~repro.sim.network.NetworkStats`).
     """
 
-    def __init__(self, network: Optional[Transport] = None, wall_clock: bool = False) -> None:
-        self.stats: Optional[NetworkStats] = network.stats if network is not None else None
-        #: True when timestamps fed to this collector are wall-clock seconds
-        #: (the live transport).  A wall-clock snapshot nulls out
+    def __init__(
+        self, oplog: OpLog, stats: Optional[NetworkStats] = None, wall_clock: bool = False
+    ) -> None:
+        self.oplog = oplog
+        self.stats = stats
+        #: True when the log's timestamps are wall-clock seconds (the live
+        #: transport).  A wall-clock snapshot nulls out
         #: ``virtual_throughput`` — a virtual-time number computed from wall
         #: timestamps would be meaningless — and reports ``wall_throughput``
         #: (ops/second) instead, mirroring the Infinity-sanitization fix.
         self.wall_clock = wall_clock
-        self.issued = 0
-        self.completed = 0
-        self.failed = 0
-        self.first_issue_at: Optional[float] = None
-        self.last_completion_at: Optional[float] = None
-        # Pre-keyed for the classic kinds (so snapshots always report them),
-        # but open: note_completed accepts any OperationKind-like value and
-        # creates its bucket on first use.  Buckets are ``array('d')`` — 8
-        # bytes per sample, no per-float object — so a million-op run keeps
-        # its latency tape in a few flat buffers.
-        self._latencies: Dict[OperationKind, array] = {
-            OperationKind.READ: array("d"),
-            OperationKind.WRITE: array("d"),
-        }
         #: Fault-timeline annotation (set when a fault plan is installed):
         #: the plain-dict entries of :meth:`repro.faults.FaultPlan.timeline`,
         #: embedded in snapshots so latency spikes can be read against the
         #: partitions/storms/crashes that caused them.
         self.fault_timeline: Optional[List[Dict[str, Any]]] = None
-        self._messages_at_start = self.stats.messages_sent if self.stats is not None else 0
-        self._by_type_at_start = dict(self.stats.by_type) if self.stats is not None else {}
+        self._messages_at_start = stats.messages_sent if stats is not None else 0
+        self._by_type_at_start = dict(stats.by_type) if stats is not None else {}
 
-    @classmethod
-    def folded(
-        cls, parts: Sequence[Dict[str, Any]], stats: NetworkStats, wall_clock: bool
-    ) -> "MetricsCollector":
-        """One collector holding every part's samples, billing ``stats`` whole.
-
-        Each part is one process's :meth:`raw_state` for a share of one run:
-        counts add up, the window spans the earliest issue to the latest
-        completion, and each kind's samples are pooled in part order, so the
-        percentiles of :meth:`snapshot` are order statistics of the union.
-        """
-        collector = cls(wall_clock=wall_clock)
-        collector.stats = stats
-        firsts = [part["first_issue_at"] for part in parts]
-        lasts = [part["last_completion_at"] for part in parts]
-        collector.first_issue_at = min((t for t in firsts if t is not None), default=None)
-        collector.last_completion_at = max((t for t in lasts if t is not None), default=None)
-        for part in parts:
-            collector.issued += part["issued"]
-            collector.completed += part["completed"]
-            collector.failed += part["failed"]
-            for kind, samples in part["latencies"].items():
-                # OperationKind is a str enum: "read" finds the READ bucket.
-                collector._latencies.setdefault(kind, array("d")).extend(samples)
-        return collector
-
-    def raw_state(self) -> Dict[str, Any]:
-        """The picklable state :meth:`folded` pools: counts, window, raw samples.
-
-        Samples are keyed by operation-kind value and shipped as the flat
-        ``array('d')`` columns: one byte block each, not a float object per
-        sample.
-        """
-        return {
-            "issued": self.issued,
-            "completed": self.completed,
-            "failed": self.failed,
-            "first_issue_at": self.first_issue_at,
-            "last_completion_at": self.last_completion_at,
-            "latencies": {
-                getattr(kind, "value", str(kind)): samples
-                for kind, samples in self._latencies.items()
-            },
-        }
-
-    # ------------------------------------------------------------ driver hooks
-
-    def note_issued(self, now: float) -> None:
-        self.issued += 1
-        if self.first_issue_at is None:
-            self.first_issue_at = now
-
-    def note_completed(self, kind: OperationKind, latency: Optional[float], now: float) -> None:
-        self.completed += 1
-        self.last_completion_at = now
-        if latency is not None:
-            # Operation kinds beyond READ/WRITE (CAS, TAS, INCR) grow a
-            # bucket on their first completion.
-            bucket = self._latencies.get(kind)
-            if bucket is None:
-                bucket = self._latencies[kind] = array("d")
-            bucket.append(latency)
-
-    def note_failed(self) -> None:
-        self.failed += 1
-
-    # -------------------------------------------------------------- reporting
+    # ------------------------------------------------------------- reporting
 
     def latencies(self, kind: Optional[OperationKind] = None) -> List[float]:
-        """Recorded latencies, optionally restricted to one operation kind."""
-        if kind is not None:
-            return list(self._latencies.get(kind, []))
-        combined: List[float] = []
-        for values in self._latencies.values():
-            combined.extend(values)
-        return combined
+        """Latency samples in row order, optionally of one operation kind only."""
+        samples, by_kind = self.oplog.latencies()
+        return samples if kind is None else by_kind.get(kind, [])
 
     def virtual_throughput(self) -> float:
         """Completed operations per unit of the clock that stamped them
         (first issue -> last completion): virtual time, or wall seconds."""
-        if self.first_issue_at is None or self.last_completion_at is None:
+        return self._throughput(self.oplog.outcome_counts()[1])
+
+    def _throughput(self, completed: int) -> float:
+        first, last = self.oplog.window()
+        if first is None or last is None:
             return 0.0
-        span = self.last_completion_at - self.first_issue_at
+        span = last - first
         if span <= 0:
-            return float("inf") if self.completed else 0.0
-        return self.completed / span
+            return float("inf") if completed else 0.0
+        return completed / span
 
     def wall_throughput(self) -> float:
         """Completed operations per wall-clock second (wall-clock mode only)."""
@@ -233,30 +159,28 @@ class MetricsCollector:
         consumer can ``json.dumps(..., allow_nan=False)`` — bare ``Infinity``
         is not valid JSON and strict parsers reject it.
         """
+        issued, completed, failed = self.oplog.outcome_counts()
         messages = self.messages_sent()
-        throughput = self.virtual_throughput()
+        throughput = self._throughput(completed)
         if not math.isfinite(throughput):
             throughput = None
         # One summary per kind present (READ/WRITE always reported, other
         # kinds by their value name), plus the combined "all" row.
+        samples, by_kind = self.oplog.latencies()
         latency: Dict[str, Any] = {
-            "read": _latency_summary(self._latencies[OperationKind.READ]),
-            "write": _latency_summary(self._latencies[OperationKind.WRITE]),
+            getattr(kind, "value", str(kind)): _latency_summary(values)
+            for kind, values in by_kind.items()
         }
-        for kind, values in self._latencies.items():
-            if kind in (OperationKind.READ, OperationKind.WRITE):
-                continue
-            latency[getattr(kind, "value", str(kind))] = _latency_summary(values)
-        latency["all"] = _latency_summary(self.latencies())
+        latency["all"] = _latency_summary(samples)
         snapshot: Dict[str, Any] = {
-            "issued": self.issued,
-            "completed": self.completed,
-            "failed": self.failed,
+            "issued": issued,
+            "completed": completed,
+            "failed": failed,
             "virtual_throughput": None if self.wall_clock else throughput,
             "latency": latency,
             "messages": {
                 "total": messages,
-                "per_completed_op": (messages / self.completed) if self.completed else None,
+                "per_completed_op": (messages / completed) if completed else None,
                 "by_type": self.messages_by_type(),
             },
         }

@@ -38,6 +38,10 @@ through views:
   a key's ``History`` only for the Wing–Gong search;
 * :class:`LoggedOp` gives merged parallel and live runs the record's
   surface without shipping or retaining the objects.
+* :meth:`OpLog.outcome_counts`, :meth:`OpLog.window` and
+  :meth:`OpLog.latencies` are what a run's metrics are read from (the
+  :class:`~repro.exec.metrics.MetricsCollector` view): nothing else
+  records an operation's outcome.
 
 The wire format (:func:`encode_oplog` / :func:`decode_oplog`) serializes
 the raw column buffers with pickle protocol 5 out-of-band buffers: a
@@ -51,7 +55,8 @@ import math
 import pickle
 from array import array
 from collections.abc import Mapping, Sequence
-from operator import itemgetter
+from itertools import chain, compress
+from operator import itemgetter, sub
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.registers.base import OperationKind, OperationRecord
@@ -59,6 +64,8 @@ from repro.verification.history import KIND_TO_BYTE, History, ValueInterner
 from repro.verification.register_checker import AtomicityReport, check_swmr_log
 
 _NAN = float("nan")
+_INF = float("inf")
+_ALWAYS_KEYED = (OperationKind.READ, OperationKind.WRITE)
 
 
 class OpLog:
@@ -204,6 +211,42 @@ class OpLog:
     def per_key_histories(self, initial_value: Any = None) -> Dict[Any, History]:
         """Every touched key's history — what ``store.histories()`` returns."""
         return dict(KeyHistories(self, initial_value))
+
+    # ------------------------------------------------------------- outcomes
+
+    def outcome_counts(self) -> Tuple[int, int, int]:
+        """``(issued, completed, failed)`` rows: what a metrics snapshot counts."""
+        rows = len(self._kind)
+        issued = rows - self._pid.count(-1)
+        return issued, rows - self._result_idx.count(-1), self._failed.count(1)
+
+    def window(self) -> Tuple[Optional[float], Optional[float]]:
+        """The first invocation and the last response (``None`` before either).
+
+        A comparison with NaN is false, so past a finite first item ``min``
+        and ``max`` never pick the NaN of a row still waiting: the infinite
+        first item makes them skip every NaN at C speed.
+        """
+        first = min(chain((_INF,), self._invoked))
+        last = max(chain((-_INF,), self._responded))
+        return (None if first == _INF else first), (None if last == -_INF else last)
+
+    def latencies(self) -> Tuple[List[float], Dict[Any, List[float]]]:
+        """Every completed row's ``responded - submitted``, and the same by kind.
+
+        Both in row order.  READ and WRITE are always keyed, any other kind
+        once one of its operations completed.
+        """
+        # NaN wherever a row has no response: the comprehensions drop it.
+        every = list(map(sub, self._responded, self._submitted))
+        by_kind: Dict[Any, List[float]] = {}
+        for slot, kind in enumerate(self.kinds):
+            # The kind column as a 0/1 mask of this kind's rows.
+            mask = self._kind.translate(bytes(slot) + b"\1" + bytes(255 - slot))
+            samples = [sample for sample in compress(every, mask) if sample == sample]
+            if samples or kind in _ALWAYS_KEYED:
+                by_kind[kind] = samples
+        return [sample for sample in every if sample == sample], by_kind
 
     # ----------------------------------------------------------- inspection
 

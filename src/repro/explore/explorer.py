@@ -31,7 +31,7 @@ import pathlib
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Iterator, List, Union
 
 from repro.explore.case import CaseOutcome, ExploreCase, materialize_schedule, run_case
 from repro.explore.config import ExploreConfig
@@ -151,12 +151,31 @@ def _explore_case_main(payload) -> Dict[str, Any]:
     }
 
 
+def _pooled_summaries(payloads: Iterator[tuple], workers: int) -> Iterator[Dict[str, Any]]:
+    """Summaries of ``payloads`` off the pool, one slice of cases at a time.
+
+    Each slice starts a pool, so the first gives every worker four cases to
+    spread its start-up over, and each next slice doubles: a healthy sweep
+    pays a few start-ups, and a violating one runs at most about twice the
+    cases before its first violation — the caller stops reading there, and
+    no further slice is submitted.
+    """
+    size = 4 * workers
+    while True:
+        cases = list(islice(payloads, size))
+        if not cases:
+            return
+        yield from run_chunked(_explore_case_main, cases, workers)
+        size *= 2
+
+
 def run_exploration(config: ExploreConfig) -> ExploreReport:
     """Explore ``config.budget`` schedules; shrink and package any violation.
 
     Every case is summarized by :func:`_explore_case_main` — lazily in
-    process at ``workers=1`` (the sweep stops at its first counterexample),
-    on the :mod:`repro.parallel` pool above that.  A violating case
+    process at ``workers=1``, on the :mod:`repro.parallel` pool in growing
+    slices above that (:func:`_pooled_summaries`); either way the sweep
+    stops at its first counterexample.  A violating case
     is then re-run from its recorded choices, materialized, shrunk and
     packaged serially, so every worker count gives the same counts and the
     same counterexamples, byte for byte.  Last, the first case is re-run
@@ -171,7 +190,7 @@ def run_exploration(config: ExploreConfig) -> ExploreReport:
         for index, (case, chooser) in enumerate(islice(strategy.cases(), config.budget))
     )
     summaries = (
-        run_chunked(_explore_case_main, list(payloads), config.workers)
+        _pooled_summaries(payloads, config.workers)
         if config.workers > 1
         else map(_explore_case_main, payloads)
     )

@@ -30,11 +30,11 @@ synchronised at those barriers:
 Workers ship back their run as **raw columns**: the driver's
 :class:`~repro.exec.oplog.OpLog` crosses the pipe as pickle protocol 5
 out-of-band buffers (one flat byte block per column plus the interned value
-table), alongside raw metrics samples and network-statistics snapshots.  The
-parent concatenates the column blocks, permutes rows into scripted-index
-order and folds everything into the one result
-(:func:`~repro.parallel.merge.merged_result`) whose histories, checker
-verdicts and metrics are bit-identical to the serial run's — no
+table), alongside network-statistics snapshots.  The parent concatenates
+the column blocks, permutes rows into scripted-index order and folds
+everything into the one result (:func:`~repro.parallel.merge.merged_result`,
+its metrics a view over the merged log) whose histories, checker verdicts
+and metrics are bit-identical to the serial run's — no
 per-operation object is ever pickled or rebuilt.  The consensus audit runs
 where the replicas live: each worker audits its own store and ships the
 violations back.
@@ -137,7 +137,6 @@ def _run_group(conn: Any, spec, group_index: int, n_groups: int) -> Dict[str, An
         global_index[op.op_id] = index
     return {
         "columnar": encode_oplog(log, global_index),
-        "metrics": store.driver.metrics.raw_state(),
         "batches": batches,
         "finished": finished,
         "stats": store.stats.snapshot(),

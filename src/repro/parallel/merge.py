@@ -10,17 +10,13 @@ a single process would have returned:
 * :func:`merge_oplogs` — the workers' columnar logs concatenated and permuted
   into scripted order, so row ``i`` is the operation a single process would
   have created ``i``-th;
-* :func:`merged_result` — the one assembler: the merged log, one
-  :class:`~repro.exec.metrics.MetricsCollector` folded from the parts' **raw
-  latency samples** and its own ``snapshot()``, and the replica-side record
-  (message bill, crashed servers, consensus audit).  Percentiles are order
-  statistics: the p99 of a union is not any function of the per-worker p99s,
-  so workers ship samples, never summaries.  The one intentional
-  approximation is the *mean*: float addition is not associative, and the
-  pooled sum visits samples in worker-concatenation order instead of global
-  completion order, so merged means can differ from serial ones in the last
-  few ulps (everything else — counts, percentiles, maxima, message totals —
-  is exactly equal).
+* :func:`merged_result` — the one assembler: the merged log, the
+  :class:`~repro.exec.metrics.MetricsCollector` view over it and the merged
+  message bill, and the replica-side record (crashed servers, consensus
+  audit).  Workers ship no metrics: the view reads latencies off the merged
+  log's rows, which are in the serial run's order, so every snapshot field —
+  percentiles, counts and the float-summed mean alike — equals the serial
+  run's exactly.
 """
 
 from __future__ import annotations
@@ -98,11 +94,10 @@ def merged_result(
 
     Each part is one process's record of the operations it fired: an
     :func:`~repro.exec.oplog.encode_oplog` pair under ``columnar``, its
-    collector's :meth:`~repro.exec.metrics.MetricsCollector.raw_state` under
-    ``metrics``, its drive count under ``batches`` and its clean finish under
-    ``finished``.  The rest comes from where the replicas ran: the message
-    bill ``stats``, the ``crashed`` ``(shard, replica)`` servers and the
-    consensus audit ``invariants``.  ``virtual_makespan`` is the simulator's
+    drive count under ``batches`` and its clean finish under ``finished``.
+    The rest comes from where the replicas ran: the message bill ``stats``,
+    the ``crashed`` ``(shard, replica)`` servers and the consensus audit
+    ``invariants``.  ``virtual_makespan`` is the simulator's
     final barrier time, ``None`` when a wall clock timed the run.  A worker
     ``failure`` leaves no parts: the result is an empty, unclean run carrying
     the traceback.
@@ -111,9 +106,8 @@ def merged_result(
 
     wall_seconds = time.perf_counter() - started
     oplog, ipc_bytes = merge_oplogs([part["columnar"] for part in parts])
-    collector = MetricsCollector.folded(
-        [part["metrics"] for part in parts], stats, wall_clock=virtual_makespan is None
-    )
+    collector = MetricsCollector(oplog, wall_clock=virtual_makespan is None)
+    collector.stats = stats  # attached after the view's zero baseline: billed whole
     if spec.fault_plan is not None:
         collector.fault_timeline = spec.fault_plan.timeline()
     return KVWorkloadResult(

@@ -308,11 +308,9 @@ class _Delivery:
                 network._record(src, self.dst, message, send_time, delivered)
             if delivered:
                 stats.messages_delivered += 1
-                # Process.deliver, inlined for the batch: counters + dispatch,
-                # with the guard scan hoisted to the end of the fan-out.
-                destination.messages_received += 1
+                # Process.deliver, inlined for the batch: the dispatch, with
+                # the guard scan hoisted to the end of the fan-out.
                 destination.on_message(src, message)
-                destination.messages_handled += 1
             else:
                 stats.messages_dropped_to_crashed += 1  # record_drop(), inlined
             if index == count:

@@ -219,9 +219,11 @@ class KVStore:
         # queueing, completion chaining, stuck detection and metrics.
         self.target = StoreTarget(self)
         # The driver records every operation into a columnar OpLog as the run
-        # executes; histories and checking read the columns, never the
-        # operation objects (see repro.exec.oplog).
-        self.driver = Driver(self.simulator, metrics=MetricsCollector(self.network))
+        # executes; histories, checking and metrics read the columns, never
+        # the operation objects (see repro.exec.oplog).  The metrics view
+        # bills the whole store's traffic.
+        self.driver = Driver(self.simulator)
+        self.driver.metrics = MetricsCollector(self.driver.oplog, self.network.stats)
         #: Installed link-level fault plan (see :meth:`install_fault_plan`).
         self.fault_plan = None
 
@@ -466,8 +468,7 @@ class KVStore:
         # Heal-aware driving: never let a per-drive budget truncate a run
         # while messages are merely held until a scheduled heal.
         self.driver.fault_horizon = plan.quiescent_after() + self.config.max_virtual_time
-        if self.driver.metrics is not None:
-            self.driver.metrics.fault_timeline = plan.timeline()
+        self.driver.metrics.fault_timeline = plan.timeline()
 
     def crash_server_at(
         self, time: float, shard_id: int, replica: int, allow_writer: bool = False

@@ -29,10 +29,11 @@ here over real sockets, unmodified:
 
 Failure semantics: a replica arms the spec's crash points with the
 simulator's own :func:`~repro.faults.plan.install_crash_points`; a fired
-point tells the replica's clients (a ``crashing`` frame), hands what it sent
-to the kernel and ends in ``SIGKILL``.  A read loop returns why its stream
-ended, kept per peer in ``gone``: a replica bills its sends to a gone peer
-to ``messages_dropped_to_crashed``, a client fails an announced-dead
+point tells the replica's clients and peers (a ``crashing`` frame, its last
+on each link), hands what it sent to the kernel and ends in ``SIGKILL``.  A
+peer whose ``crashing`` frame was read, or whose link's read loop returned
+why the stream ended, is kept in ``gone``: a replica bills its sends to a
+gone peer to ``messages_dropped_to_crashed``, a client fails an announced-dead
 replica's operations at once; any other link end fails the run by name, as
 does a replica silent to a stats request or a client worker process that
 raises or dies (``worker_failure``).  Fault plans, coalescing and
@@ -56,7 +57,6 @@ from multiprocessing.connection import wait as wait_readable
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.consensus.mmr import ConsensusObjectProcess, consensus_invariants
-from repro.exec.metrics import MetricsCollector
 from repro.exec.oplog import OpLog, encode_oplog
 from repro.faults.plan import CrashPoint, install_crash_points
 from repro.parallel.merge import merge_network_stats, merged_result
@@ -462,6 +462,11 @@ class _ReplicaServer:
             conn.send({"kind": "armed", "replica": self.replica_id})
             mine = [CrashPoint(**p) for p in frame["points"] if p["replica"] == self.replica_id]
             install_crash_points(mine, self.clock, self, self._crash)
+        elif kind == "crashing":  # a peer's last frame: what we send it from now on is lost
+            self.gone.setdefault(frame["replica"], "announced its crash")
+            link = self.peer_conns[frame["replica"]]
+            link.batch.seal()  # hang up once what is queued left: the peer waits for it
+            link.writer.close()
         elif kind == "stats":
             self.armed = False  # the run is over: a late point must not fire mid-drain
             conn.send(self._stats_reply())
@@ -492,23 +497,33 @@ class _ReplicaServer:
         conn.send(reply)
 
     def _crash(self, point: CrashPoint) -> None:
-        """The crash callback: this replica tells its clients, what it sent
-        leaves, and it takes no more steps."""
+        """The crash callback: this replica tells its clients and its peers,
+        what it sent leaves, and it takes no more steps."""
         if not self.armed:
             return
         self.armed = False
-        conns = self._accepted + list(self.peer_conns.values())
+        peers = list(self.peer_conns.values())
+        conns = self._accepted + peers
         for conn in conns:
-            if conn.label == "client":
+            if conn.label == "client" or conn in peers:
                 conn.send({"kind": "crashing", "replica": self.replica_id})
             conn.batch.seal()  # nothing this replica does from now on leaves it
-        asyncio.ensure_future(self._kill_once_flushed([conn.writer.transport for conn in conns]))
+        transports = [conn.writer.transport for conn in conns]
+        hearing = [conn.reader for conn in self._accepted if conn.label.startswith("peer<-")]
+        asyncio.ensure_future(self._kill_once_flushed(transports, hearing))
 
     @staticmethod
-    async def _kill_once_flushed(transports: List[Any], budget: float = 1.0) -> None:
-        """``SIGKILL`` this process once the kernel holds all ``transports`` queued."""
+    async def _kill_once_flushed(
+        transports: List[Any], hearing: List[asyncio.StreamReader], budget: float = 1.0
+    ) -> None:
+        """``SIGKILL`` this process once the kernel holds all ``transports``
+        queued and every peer hung up on a ``hearing`` stream: a peer's frames
+        sent before it read the ``crashing`` frame never meet a dead socket."""
         deadline = time.monotonic() + budget
-        while any(t.get_write_buffer_size() for t in transports) and time.monotonic() < deadline:
+        while time.monotonic() < deadline and (
+            any(t.get_write_buffer_size() for t in transports)
+            or not all(reader.at_eof() for reader in hearing)
+        ):
             await asyncio.sleep(0.001)
         os.kill(os.getpid(), signal.SIGKILL)
 
@@ -717,7 +732,7 @@ class LiveClient:
     ``drain_stats`` / ``close``) is all a caller with its own bookkeeping
     needs.  The recording half — :meth:`fire`, :meth:`fire_open_loop`,
     :meth:`settle` — is what the client routine of :func:`run_live_workload`
-    runs on: it logs every operation into ``oplog`` / ``metrics`` with
+    runs on: it logs every operation into ``oplog`` with
     client-observed wall timestamps, stamping completion *when the result
     frame arrives*.
 
@@ -740,7 +755,6 @@ class LiveClient:
         self.pending: Dict[int, Any] = {}
         self.stats_replies: Dict[int, Dict[str, Any]] = {}
         self.oplog = OpLog()
-        self.metrics = MetricsCollector(wall_clock=True)
         #: Set by :meth:`connect`; ``epoch`` shares a time base across processes.
         self.clock: Optional[WallClock] = None
         self._epoch = epoch
@@ -890,7 +904,6 @@ class LiveClient:
             row, pid, kind, value, key, invoked_at=now, proc_op_id=session_op
         )
         self.oplog.note_issued(row, record)
-        self.metrics.note_issued(now)
         pending = _PendingOp(row, record, asyncio.get_running_loop().create_future(), replica)
         # The read loop resolves the future the moment the result frame is
         # decoded, so the callback's stamp is the arrival time — not whenever
@@ -914,11 +927,9 @@ class LiveClient:
             record.result = frame.get("value")
             record.responded_at = now
             self.oplog.note_completed(pending.row, record)
-            self.metrics.note_completed(record.kind, now - record.invoked_at, now)
             return
         reason = (frame or {}).get("error", "no response before deadline")
         self.oplog.note_failed(pending.row, reason)
-        self.metrics.note_failed()
         if frame is not None and frame.get("crashed"):
             self.crash_failed += 1
 
@@ -1044,8 +1055,8 @@ async def _client_routine(
     shares through ``epoch``; closed loop, the worker fires its share of each
     ``batch_size`` window of the script and awaits it.  A deadline is
     :data:`MIN_RUN_TIMEOUT` past the last firing it covers.  Returns the
-    columnar oplog (each row's script index riding along), the raw metric
-    samples and the connection counters, picklable.
+    columnar oplog (each row's script index riding along) and the
+    connection counters, picklable.
     """
     from repro.workloads.kv import iter_kv_arrivals, iter_kv_operations
 
@@ -1079,9 +1090,8 @@ async def _client_routine(
     script_index = array("q", range(worker, worker + workers * len(client.oplog), workers))
     return {
         "columnar": encode_oplog(client.oplog, script_index),
-        "metrics": client.metrics.raw_state(),
         "batches": batches,
-        "finished": client.metrics.failed == client.crash_failed,  # a crash is clean
+        "finished": len(client.oplog.reasons) == client.crash_failed,  # a crash is clean
         "transport": [
             dict(client.conns[replica].snapshot(), worker=worker)
             for replica in sorted(client.conns)

@@ -113,8 +113,6 @@ class ProcessBase:
         #: the handler that moved it, cleared by :meth:`check_guards` (sticky:
         #: a coalesced batch runs its handlers back to back, then scans once).
         self._scan_due = False
-        self.messages_received = 0
-        self.messages_handled = 0
         network.register(self)
 
     # ------------------------------------------------------------------ misc
@@ -164,9 +162,7 @@ class ProcessBase:
         """Entry point used by the transport when a message arrives."""
         if self.crashed:
             return
-        self.messages_received += 1
         self.on_message(src, message)
-        self.messages_handled += 1
         if self._scan_due:  # skip the call when no wait can have come true
             self.check_guards()
 

@@ -29,10 +29,16 @@ def deploy(n=3, algorithm="abd", delay=None):
     return simulator, network, processes
 
 
+def with_metrics(driver, network):
+    """``driver`` with a metrics view that bills ``network``, as a store builds it."""
+    driver.metrics = MetricsCollector(driver.oplog, network.stats)
+    return driver
+
+
 class TestDriver:
     def test_submit_and_drive_completes(self):
         simulator, network, processes = deploy()
-        driver = Driver(simulator, metrics=MetricsCollector(network))
+        driver = with_metrics(Driver(simulator), network)
         write = driver.new_op(OperationKind.WRITE, value="v1")
         driver.submit(processes[0], write)
         assert driver.outstanding == 1
@@ -71,14 +77,14 @@ class TestDriver:
 
     def test_crash_before_issue_fails_op(self):
         simulator, network, processes = deploy()
-        driver = Driver(simulator, metrics=MetricsCollector(network))
+        driver = with_metrics(Driver(simulator), network)
         processes[1].crash()
         done = []
         op = driver.new_op(OperationKind.READ, on_done=done.append)
         driver.submit(processes[1], op)
         assert op.failed and "crashed before issuing" in op.failure_reason
         assert driver.outstanding == 0
-        assert driver.metrics.failed == 1
+        assert driver.metrics.snapshot()["failed"] == 1
         assert done == [op]  # on_done fires on failure paths too
 
     def test_a_bare_driver_logs_every_operation_in_its_own_oplog(self):
@@ -246,7 +252,7 @@ class TestDriver:
 
     def test_metrics_percentiles_and_throughput(self):
         simulator, network, processes = deploy()
-        driver = Driver(simulator, metrics=MetricsCollector(network))
+        driver = with_metrics(Driver(simulator), network)
         for value in ("v1", "v2", "v3", "v4"):
             driver.submit(processes[0], driver.new_op(OperationKind.WRITE, value=value))
         driver.submit(processes[1], driver.new_op(OperationKind.READ))
@@ -271,11 +277,11 @@ class TestDriver:
         driver.drive()
         before = network.stats.messages_sent
         assert before > 0
-        late = MetricsCollector(network)  # attached after traffic existed
-        driver.metrics = late
+        late = MetricsCollector(driver.oplog, network.stats)  # attached after traffic existed
         driver.submit(processes[1], driver.new_op(OperationKind.READ))
         driver.drive()
         snapshot = late.snapshot()
+        assert snapshot["completed"] == 2  # the log's rows are all in view
         assert snapshot["messages"]["total"] == network.stats.messages_sent - before
         assert sum(snapshot["messages"]["by_type"].values()) == snapshot["messages"]["total"]
 

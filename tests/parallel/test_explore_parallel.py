@@ -8,7 +8,7 @@ for byte.
 
 import pytest
 
-from repro.explore import ExploreConfig, install_mutations, run_exploration
+from repro.explore import ExploreConfig, explorer, install_mutations, run_exploration
 
 
 def summarize(report):
@@ -39,6 +39,23 @@ class TestParallelExploration:
         assert len(serial["artifacts"]) == 1, "the mutant must be found"
         assert serial == parallel
         assert parallel["replayed"] == [True]
+
+    def test_the_pool_stops_at_the_first_violating_slice(self, monkeypatch):
+        install_mutations()
+        config = ExploreConfig(algorithm="abd-sloppy-write", budget=60)
+        serial = summarize(run_exploration(config))
+        handed = []
+
+        def counting(fn, items, workers):
+            handed.append(len(items))
+            return run_chunked(fn, items, workers)
+
+        run_chunked = explorer.run_chunked
+        monkeypatch.setattr(explorer, "run_chunked", counting)
+        parallel = summarize(run_exploration(config.with_(workers=2)))
+        assert serial == parallel and serial["cases_run"] == 5
+        # The first slice, four cases per worker, holds case 5: the violation.
+        assert handed == [8]
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="workers"):

@@ -1,19 +1,26 @@
 """Hand-crafted merge cases for a run recorded in several processes.
 
-These pin the merge *semantics* independently of any store run: percentiles
-are recomputed from pooled samples (never averaged), empty workers are
-neutral, the throughput window spans min(first issue)..max(last completion),
-dictionary keys come out sorted, and a collector folded from parts snapshots
-exactly like one collector fed the same samples.
+These pin the merge *semantics* independently of any store run: the merged
+metrics read the merged op log, so percentiles are order statistics of the
+pooled samples (never averaged), empty workers are neutral, the throughput
+window spans min(first issue)..max(last completion), dictionary keys come
+out sorted, and a run merged from parts snapshots exactly like one log of
+the same operations.
 """
 
-import math
+import time
+from array import array
 
 import pytest
 
 from repro.exec.metrics import MetricsCollector, _latency_summary
+from repro.exec.oplog import OpLog, encode_oplog
 from repro.parallel import merge_network_stats
+from repro.parallel.merge import merged_result
 from repro.registers.base import OperationKind
+from repro.sim.network import NetworkStats
+from repro.workloads.kv import KVWorkloadSpec
+from tests.exec.conftest import log_op
 
 
 def stats_snapshot(**overrides):
@@ -31,26 +38,6 @@ def stats_snapshot(**overrides):
     }
     base.update(overrides)
     return base
-
-
-def metrics_part(
-    issued=0,
-    completed=0,
-    failed=0,
-    first_issue_at=None,
-    last_completion_at=None,
-    reads=(),
-    writes=(),
-):
-    """A MetricsCollector.raw_state()-shaped worker part."""
-    return {
-        "issued": issued,
-        "completed": completed,
-        "failed": failed,
-        "first_issue_at": first_issue_at,
-        "last_completion_at": last_completion_at,
-        "latencies": {"read": list(reads), "write": list(writes)},
-    }
 
 
 class TestMergeNetworkStats:
@@ -85,15 +72,39 @@ class TestMergeNetworkStats:
         assert list(merged.per_sender) == sorted(merged.per_sender)
 
 
-def fold(parts, stats=None, wall_clock=False):
-    """The snapshot of a collector folded from ``parts``."""
-    stats = merge_network_stats([]) if stats is None else stats
-    return MetricsCollector.folded(parts, stats, wall_clock).snapshot()
+READ, WRITE, CAS = OperationKind.READ, OperationKind.WRITE, OperationKind.CAS
 
 
-class TestFoldedCollector:
-    def test_empty_fold_has_zero_counts_and_no_latency(self):
-        snapshot = fold([])
+def part(*ops):
+    """One worker's share as it crosses the pipe: its op log, encoded.
+
+    Each op is ``(script index, kind, issued at, latency)``; a latency of
+    ``None`` is an operation that failed.
+    """
+    log, script_index = OpLog(), array("q")
+    for position, kind, issued, latency in ops:
+        log_op(log, kind, issued, latency, failed=latency is None)
+        script_index.append(position)
+    return {"columnar": encode_oplog(log, script_index), "batches": 1, "finished": True}
+
+
+def merged(parts, stats=None, wall_clock=False):
+    """The metrics snapshot :func:`merged_result` builds from ``parts``."""
+    return merged_result(
+        KVWorkloadSpec(),
+        parts,
+        time.perf_counter(),
+        stats=merge_network_stats([]) if stats is None else stats,
+        crashed=(),
+        invariants=None,
+        virtual_makespan=None if wall_clock else 0.0,
+        failure=None,
+    ).metrics
+
+
+class TestMergedMetrics:
+    def test_empty_merge_has_zero_counts_and_no_latency(self):
+        snapshot = merged([])
         assert snapshot["issued"] == snapshot["completed"] == snapshot["failed"] == 0
         assert snapshot["virtual_throughput"] == 0.0
         assert snapshot["latency"]["read"] is None
@@ -104,27 +115,24 @@ class TestFoldedCollector:
         assert "faults" not in snapshot
 
     def test_empty_worker_part_is_neutral(self):
-        part = metrics_part(
-            issued=4, completed=4, first_issue_at=0.0, last_completion_at=8.0,
-            reads=[1.0, 2.0], writes=[3.0, 4.0],
-        )
+        full = part((0, READ, 0.0, 1.0), (1, READ, 1.0, 2.0), (2, WRITE, 2.0, 3.0),
+                    (3, WRITE, 4.0, 4.0))
         stats = merge_network_stats([stats_snapshot(messages_sent=12)])
-        assert fold([part], stats) == fold([part, metrics_part()], stats)
+        assert merged([full], stats) == merged([full, part()], stats)
 
     def test_single_key_worker_merges_into_serial_shape(self):
-        # One worker saw only writes (a single-key shard group): the folded
+        # One worker saw only writes (a single-key shard group): the merged
         # snapshot must still carry both pre-keyed buckets plus "all".
         parts = [
-            metrics_part(issued=2, completed=2, first_issue_at=0.0,
-                         last_completion_at=5.0, writes=[2.0, 3.0]),
-            metrics_part(issued=3, completed=3, first_issue_at=1.0,
-                         last_completion_at=6.0, reads=[1.0, 1.5, 2.5]),
+            part((0, WRITE, 0.0, 2.0), (2, WRITE, 2.0, 3.0)),
+            part((1, READ, 1.0, 1.0), (3, READ, 2.5, 1.5), (4, READ, 3.5, 2.5)),
         ]
-        snapshot = fold(parts, merge_network_stats([stats_snapshot(messages_sent=30)]))
+        snapshot = merged(parts, merge_network_stats([stats_snapshot(messages_sent=30)]))
         assert snapshot["issued"] == 5 and snapshot["completed"] == 5
         assert snapshot["latency"]["write"] == _latency_summary([2.0, 3.0])
         assert snapshot["latency"]["read"] == _latency_summary([1.0, 1.5, 2.5])
-        assert snapshot["latency"]["all"] == _latency_summary([1.0, 1.5, 2.5, 2.0, 3.0])
+        # "all" pools the samples in script order.
+        assert snapshot["latency"]["all"] == _latency_summary([2.0, 1.0, 3.0, 1.5, 2.5])
         assert snapshot["messages"]["total"] == 30
         assert snapshot["messages"]["per_completed_op"] == 6.0
 
@@ -132,74 +140,62 @@ class TestFoldedCollector:
         low = [float(v) for v in range(1, 51)]     # p99 = 50
         high = [float(v) for v in range(51, 101)]  # p99 = 100
         parts = [
-            metrics_part(issued=50, completed=50, first_issue_at=0.0,
-                         last_completion_at=50.0, reads=low),
-            metrics_part(issued=50, completed=50, first_issue_at=0.0,
-                         last_completion_at=50.0, reads=high),
+            part(*[(i, READ, 0.0, value) for i, value in enumerate(low)]),
+            part(*[(50 + i, READ, 0.0, value) for i, value in enumerate(high)]),
         ]
-        merged = fold(parts)["latency"]["read"]
+        pooled_read = merged(parts)["latency"]["read"]
         pooled = _latency_summary(low + high)
-        assert merged["p99"] == pooled["p99"] == 99.0
+        assert pooled_read == pooled  # the mean too: the rows are in script order
+        assert pooled_read["p99"] == 99.0
         averaged_p99 = (_latency_summary(low)["p99"] + _latency_summary(high)["p99"]) / 2
-        assert merged["p99"] != averaged_p99
-        assert merged["p50"] == pooled["p50"]
-        assert merged["max"] == 100.0
-        assert merged["count"] == 100
-        assert math.isclose(merged["mean"], pooled["mean"], rel_tol=1e-12)
+        assert pooled_read["p99"] != averaged_p99
+        assert pooled_read["max"] == 100.0
+        assert pooled_read["count"] == 100
 
     def test_throughput_window_spans_min_issue_to_max_completion(self):
         parts = [
-            metrics_part(issued=5, completed=5, first_issue_at=0.0, last_completion_at=10.0),
-            metrics_part(issued=15, completed=15, first_issue_at=2.0, last_completion_at=20.0),
+            part(*[(i, READ, 0.0, 10.0) for i in range(5)]),
+            part(*[(5 + i, READ, 2.0, 18.0) for i in range(15)]),
         ]
-        assert fold(parts)["virtual_throughput"] == pytest.approx(20 / 20.0)
+        assert merged(parts)["virtual_throughput"] == pytest.approx(20 / 20.0)
 
     def test_zero_span_throughput_serializes_as_none(self):
-        parts = [metrics_part(issued=1, completed=1, first_issue_at=3.0, last_completion_at=3.0)]
-        assert fold(parts)["virtual_throughput"] is None
+        assert merged([part((0, READ, 3.0, 0.0))])["virtual_throughput"] is None
 
-    def test_wall_clock_fold_reports_the_window_as_wall_throughput(self):
-        parts = [metrics_part(issued=2, completed=2, first_issue_at=0.0, last_completion_at=0.5)]
-        snapshot = fold(parts, wall_clock=True)
+    def test_wall_clock_merge_reports_the_window_as_wall_throughput(self):
+        snapshot = merged([part((0, READ, 0.0, 0.25), (1, WRITE, 0.25, 0.25))], wall_clock=True)
         assert snapshot["virtual_throughput"] is None
         assert snapshot["wall_throughput"] == pytest.approx(4.0)
 
 
 class TestOneSnapshot:
-    """A collector folded from parts *is* one collector fed the same samples."""
+    """A run merged from parts reports what one log of the same run reports."""
 
-    SAMPLES = [
-        # (part, kind, issued at, latency)
-        (0, OperationKind.READ, 0.0, 1.0),
-        (1, OperationKind.WRITE, 0.5, 2.0),
-        (0, OperationKind.CAS, 1.0, 1.5),
-        (1, OperationKind.READ, 1.5, 0.5),
-        (1, OperationKind.CAS, 2.0, 3.0),
+    OPS = [
+        # (part, kind, issued at, latency; None = failed)
+        (0, READ, 0.0, 1.0),
+        (1, WRITE, 0.5, 2.0),
+        (0, CAS, 1.0, 1.5),
+        (1, READ, 1.5, 0.5),
+        (1, CAS, 2.0, 3.0),
+        (0, READ, 2.5, None),
     ]
 
-    def collectors(self):
-        one = MetricsCollector()
-        parts = [MetricsCollector(), MetricsCollector()]
-        for part, kind, issued, latency in self.SAMPLES:
-            for collector in (one, parts[part]):
-                collector.note_issued(issued)
-                collector.note_completed(kind, latency, issued + latency)
-        one.note_failed()
-        parts[1].note_failed()
-        return one, parts
-
-    def test_folded_snapshot_equals_the_one_collectors(self):
-        one, parts = self.collectors()
-        stats = merge_network_stats([stats_snapshot(messages_sent=40, by_type={"EST": 40})])
-        one.stats = stats  # the whole bill, as the fold attributes it
-        folded = MetricsCollector.folded([part.raw_state() for part in parts], stats, False)
-        assert folded.snapshot() == one.snapshot()
-        assert sorted(folded.latencies(OperationKind.CAS)) == [1.5, 3.0]
-
-    def test_raw_state_round_trips_through_a_fold(self):
-        _one, parts = self.collectors()
-        state = parts[0].raw_state()
-        assert MetricsCollector.folded([state], merge_network_stats([]), False).raw_state() == state
+    def test_merged_snapshot_equals_the_one_logs(self):
+        one, stats = OpLog(), NetworkStats()
+        view = MetricsCollector(one, stats)
+        shares = ([], [])
+        for position, (share, kind, issued, latency) in enumerate(self.OPS):
+            log_op(one, kind, issued, latency, failed=latency is None)
+            shares[share].append((position, kind, issued, latency))
+        for _ in range(40):
+            stats.record_send(0, "EST")
+        # Pool order does not matter: the merge puts rows back in script order.
+        parts = [part(*shares[1]), part(*shares[0])]
+        snapshot = merged(parts, merge_network_stats([stats.snapshot()]))
+        assert snapshot == view.snapshot()
+        assert snapshot["failed"] == 1 and snapshot["latency"]["cas"]["count"] == 2
+        assert snapshot["messages"]["total"] == 40
 
 
 class TestTheResultSharesTheStoreSurface:

@@ -35,14 +35,6 @@ class TestBasics:
         assert processes[1].received == [(0, "hi")]
         assert processes[2].received == [(0, "hi")]
 
-    def test_message_counters(self, simulator, network):
-        sender, receiver = build_recorders(simulator, network, 2)
-        sender.send(1, "a")
-        sender.send(1, "b")
-        simulator.run()
-        assert receiver.messages_received == 2
-        assert receiver.messages_handled == 2
-
     def test_default_local_memory_is_zero(self, simulator, network):
         (process,) = build_recorders(simulator, network, 1)
         assert process.local_memory_words() == 0

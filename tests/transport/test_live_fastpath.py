@@ -226,7 +226,9 @@ class TestCrashFlush:
             monkeypatch.setattr(live.os, "kill", lambda *_: kills.append(
                 transport.get_write_buffer_size()
             ))
-            dying = asyncio.ensure_future(live._ReplicaServer._kill_once_flushed([transport], budget=30.0))
+            dying = asyncio.ensure_future(
+                live._ReplicaServer._kill_once_flushed([transport], [], budget=30.0)
+            )
             await asyncio.sleep(0.05)
             assert kills == []  # nobody reads: the backlog is still queued
             theirs.setblocking(False)
@@ -237,6 +239,29 @@ class TestCrashFlush:
             assert kills == [0]
             writer.close()
             theirs.close()
+
+        asyncio.run(main())
+
+    def test_a_crash_kill_waits_until_every_peer_hung_up(self, monkeypatch):
+        """A peer's frames sent before it read the ``crashing`` frame never meet a dead socket."""
+        import socket
+
+        from repro.transport import live
+
+        async def main():
+            ours, theirs = socket.socketpair()
+            reader, writer = await asyncio.open_connection(sock=ours)
+            kills = []
+            monkeypatch.setattr(live.os, "kill", lambda *_: kills.append("killed"))
+            dying = asyncio.ensure_future(
+                live._ReplicaServer._kill_once_flushed([], [reader], budget=30.0)
+            )
+            await asyncio.sleep(0.05)
+            assert kills == []  # the peer is still on the line
+            theirs.close()  # it hangs up
+            await dying
+            assert kills == ["killed"]
+            writer.close()
 
         asyncio.run(main())
 

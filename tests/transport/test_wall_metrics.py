@@ -1,4 +1,4 @@
-"""Wall-clock mode of the MetricsCollector (satellite: live metrics plane)."""
+"""Wall-clock mode of the MetricsCollector: a live run's op log is stamped in seconds."""
 
 import json
 
@@ -6,20 +6,22 @@ import pytest
 
 from repro.analysis.report import format_metrics
 from repro.exec.metrics import MetricsCollector
+from repro.exec.oplog import OpLog
 from repro.registers.base import OperationKind
+from tests.exec.conftest import log_op
 
 
-def feed(collector):
-    collector.note_issued(0.0)
-    collector.note_completed(OperationKind.READ, 0.010, 0.010)
-    collector.note_issued(0.020)
-    collector.note_completed(OperationKind.WRITE, 0.015, 0.035)
+def fed(wall_clock=False):
+    """A view over two operations: a read over [0, 0.010], a write over [0.020, 0.035]."""
+    collector = MetricsCollector(OpLog(), wall_clock=wall_clock)
+    log_op(collector.oplog, OperationKind.READ, 0.0, 0.010)
+    log_op(collector.oplog, OperationKind.WRITE, 0.020, 0.015)
+    return collector
 
 
 class TestWallClockMode:
     def test_snapshot_nulls_virtual_and_reports_wall_throughput(self):
-        collector = MetricsCollector(wall_clock=True)
-        feed(collector)
+        collector = fed(wall_clock=True)
         snapshot = collector.snapshot()
         assert snapshot["virtual_throughput"] is None
         assert snapshot["wall_throughput"] == pytest.approx(2 / 0.035)
@@ -27,20 +29,17 @@ class TestWallClockMode:
         json.dumps(snapshot, allow_nan=False)
 
     def test_wall_throughput_method_matches_window_arithmetic(self):
-        collector = MetricsCollector(wall_clock=True)
-        feed(collector)
+        collector = fed(wall_clock=True)
         assert collector.wall_throughput() == pytest.approx(2 / 0.035)
 
     def test_zero_span_wall_throughput_sanitized_to_null(self):
-        collector = MetricsCollector(wall_clock=True)
-        collector.note_issued(1.0)
-        collector.note_completed(OperationKind.READ, 0.0, 1.0)
+        collector = MetricsCollector(OpLog(), wall_clock=True)
+        log_op(collector.oplog, OperationKind.READ, 1.0, 0.0)
         assert collector.wall_throughput() == float("inf")
         assert collector.snapshot()["wall_throughput"] is None
 
     def test_format_metrics_reports_ops_per_second(self):
-        collector = MetricsCollector(wall_clock=True)
-        feed(collector)
+        collector = fed(wall_clock=True)
         text = format_metrics(collector.snapshot())
         assert "wall throughput" in text and "ops/s" in text
         assert "virtual throughput" not in text
@@ -48,20 +47,17 @@ class TestWallClockMode:
 
 class TestVirtualModeUnchanged:
     def test_sim_snapshot_has_no_wall_key(self):
-        collector = MetricsCollector()
-        feed(collector)
+        collector = fed()
         snapshot = collector.snapshot()
         assert "wall_throughput" not in snapshot
         assert snapshot["virtual_throughput"] == pytest.approx(2 / 0.035)
 
     def test_wall_throughput_refused_on_virtual_collector(self):
-        collector = MetricsCollector()
-        feed(collector)
+        collector = fed()
         with pytest.raises(RuntimeError, match="wall-clock collector"):
             collector.wall_throughput()
 
     def test_format_metrics_still_reports_virtual_units(self):
-        collector = MetricsCollector()
-        feed(collector)
+        collector = fed()
         text = format_metrics(collector.snapshot())
         assert "virtual throughput" in text and "ops/time-unit" in text

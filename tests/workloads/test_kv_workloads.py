@@ -323,8 +323,9 @@ def test_a_replica_crashed_at_its_kth_send_on_every_backend(backend):
     assert rows["2"] == []
     survivors = [row for replica in ("0", "1") for row in rows[replica]]
     assert all(row["frames_dropped"] == 0 for row in survivors)
-    # The k-th message is in flight and nothing after it is (less each hello).
-    from_victim = [row["frames_in"] - 1 for row in survivors if row["label"] == "peer<-2"]
+    # The k-th message is in flight and nothing after it is (less each
+    # link's hello and the victim's crash notice).
+    from_victim = [row["frames_in"] - 2 for row in survivors if row["label"] == "peer<-2"]
     assert len(from_victim) == 2 and sum(from_victim) == CRASH_AFTER
 
 
