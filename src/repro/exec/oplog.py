@@ -20,22 +20,26 @@ column                    meaning
 ========================  =====================================================
 
 Row index == the record's ``op_id`` (submission order), so the log *is* the
-``driver.ops`` list in columnar form.  Everything downstream reads it
-through views:
+``driver.ops`` list in columnar form.  Beside the columns the log keeps a
+**per-key index**: each key slot's rows in row order, appended by
+:meth:`OpLog.note_created` and rebuilt in one pass over the key column when
+a log is decoded, extended or reordered.  Everything downstream reads the
+log through views:
 
-* :meth:`OpLog.rows_by_key` is the one grouping pass: the issued rows are
-  sorted once into history order (invocation time, then pid and
-  per-process sequence number, as ``History.from_records`` orders records)
-  and split by key;
-* :meth:`OpLog.per_key_histories` turns each group into a
-  :class:`~repro.verification.history.History` that shares the log's
-  value table — what ``store.histories()`` returns;
-* :class:`KeyHistories` is the same mapping built lazily, and the op-log
-  feed of the checker: ``store.check_linearizability()`` hands it to the
-  per-key dispatcher, which runs Lemma 10's claims sweep on a register
-  key's rows straight off these columns
-  (:func:`~repro.verification.register_checker.check_swmr_log`) and builds
-  a key's ``History`` only for the Wing–Gong search;
+* :meth:`OpLog.rows_by_key` groups the issued rows one key at a time off
+  that index: each group is sorted on its own into history order
+  (invocation time, then pid and per-process sequence number, as
+  ``History.from_records`` orders records), and only a group with two equal
+  invocation times pays for the tie-breaking sorts;
+* a key's :class:`~repro.verification.history.History` is a view over the
+  log: the log plus that key's row array, reading its cells through the log
+  (:meth:`OpLog.cells`) — nothing is copied per key.  :class:`KeyHistories`
+  hands them out by key, :meth:`OpLog.per_key_histories` as a dict (what
+  ``store.histories()`` returns), and ``store.check_linearizability()``
+  hands the mapping to the per-key dispatcher, whose claims sweep reads a
+  register key's rows straight off the log
+  (:func:`~repro.verification.register_checker.check_swmr_log`).  Every call
+  groups and sorts afresh: nothing is kept between calls;
 * :class:`LoggedOp` gives merged parallel and live runs the record's
   surface without shipping or retaining the objects.
 * :meth:`OpLog.outcome_counts`, :meth:`OpLog.window` and
@@ -54,14 +58,15 @@ from __future__ import annotations
 import math
 import pickle
 from array import array
+from collections import defaultdict
 from collections.abc import Mapping, Sequence
-from itertools import chain, compress
-from operator import itemgetter, sub
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from functools import partial
+from itertools import chain, compress, islice
+from operator import eq, itemgetter, sub
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.registers.base import OperationKind, OperationRecord
-from repro.verification.history import KIND_TO_BYTE, History, ValueInterner
-from repro.verification.register_checker import AtomicityReport, check_swmr_log
+from repro.verification.history import History, ValueInterner
 
 _NAN = float("nan")
 _INF = float("inf")
@@ -86,6 +91,7 @@ class OpLog:
         "_failed",
         "reasons",
         "interner",
+        "_key_rows",
     )
 
     def __init__(self) -> None:
@@ -106,6 +112,8 @@ class OpLog:
         self.reasons: Dict[int, str] = {}
         #: Shared table for keys, written values and results.
         self.interner = ValueInterner()
+        #: The per-key index: each key slot's rows, in row order.
+        self._key_rows: Dict[int, array] = defaultdict(partial(array, "q"))
 
     def __len__(self) -> int:
         return len(self._kind)
@@ -122,7 +130,9 @@ class OpLog:
                 raise ValueError("OpLog supports at most 256 operation kinds")
         row = len(self._kind)
         self._kind.append(slot)
-        self._key_idx.append(self.interner.intern(key))
+        key_idx = self.interner.intern(key)
+        self._key_idx.append(key_idx)
+        self._key_rows[key_idx].append(row)
         self._value_idx.append(self.interner.intern(value))
         self._submitted.append(_NAN)
         self._pid.append(-1)
@@ -151,66 +161,127 @@ class OpLog:
 
     # ------------------------------------------------------------ histories
 
-    def _in_history_order(self, rows: List[int]) -> List[int]:
-        """Sort ``rows`` in place the way ``History.from_records`` orders records.
+    def _index_rows(self, start: int) -> None:
+        """Add rows ``start:`` to the per-key index: one pass over their key column."""
+        key_rows = self._key_rows
+        for row, slot in enumerate(islice(self._key_idx, start, None), start):
+            key_rows[slot].append(row)
 
-        That order is ``(invoked, pid, proc_op_id)``, rows equal in all
-        three keeping row order.  Python's sort is stable, so one sort per
-        key, minor key first, gives it, each with a C-level key; when no two
-        rows share an invocation time the last sort alone does.
+    def _issued(self, slots: List[int]) -> List[List[int]]:
+        """Each key slot's issued rows, in row order."""
+        pid = self._pid
+        groups = [self._key_rows[slot].tolist() for slot in slots]
+        if -1 in pid:
+            groups = [[row for row in rows if pid[row] != -1] for rows in groups]
+        return groups
+
+    def _in_history_order(self, rows: List[int], invoked: List[float]) -> array:
+        """Sort one key's ``rows`` the way ``History.from_records`` orders records.
+
+        That order is ``(invoked, pid, proc_op_id)``, rows equal in all three
+        keeping row order.  One sort by invocation time gives it unless two
+        of the rows share a time, which the sorted rows show as two equal
+        neighbours: only then is the group put back in row order and sorted
+        by each key, minor key first (Python's sort is stable).
         """
-        invoked = self._invoked.tolist()
-        if len(set(invoked)) < len(invoked):
-            rows.sort(key=self._proc_op_id.tolist().__getitem__)
-            rows.sort(key=self._pid.tolist().__getitem__)
         rows.sort(key=invoked.__getitem__)
-        return rows
-
-    def _history_from_rows(self, rows: Sequence[int], initial_value: Any) -> History:
-        """One key's history from its rows in history order, sharing the table."""
-        cells = _cells(rows)
-        results = cells(self._result_idx)
-        if -1 in results:  # no result yet: the table's None
-            none_idx = self.interner.intern(None)
-            results = [none_idx if idx < 0 else idx for idx in results]
-        kind_bytes = bytes(KIND_TO_BYTE[kind] for kind in self.kinds).ljust(256, b"\0")
-        return History.from_columns(
-            initial_value,
-            pid=array("q", cells(self._pid)),
-            kind=bytes(cells(self._kind)).translate(kind_bytes),
-            invoked=array("d", cells(self._invoked)),
-            responded=array("d", cells(self._responded)),
-            value_idx=array("q", cells(self._value_idx)),
-            result_idx=array("q", results),
-            op_id=array("q", range(len(rows))),
-            table=self.interner.values,
-        )
+        times = _cells(rows)(invoked)
+        if any(map(eq, times, islice(times, 1, None))):
+            rows.sort()
+            rows.sort(key=self._proc_op_id.__getitem__)
+            rows.sort(key=self._pid.__getitem__)
+            rows.sort(key=invoked.__getitem__)
+        return array("q", rows)
 
     def rows_by_key(self) -> Dict[Any, array]:
         """Issued rows grouped by key, each key's rows in history order.
 
-        One pass: the issued rows are put in history order once
-        (:meth:`_in_history_order`), then split by key.  Keys are in
-        first-submission order (dict order); keys equal under ``==`` share
-        a group, as a dict of keys would.  A group is an ``array('q')``, so
-        dropping it frees no object per row.
+        Read off the per-key index one group at a time
+        (:meth:`_in_history_order`).  Keys equal under ``==`` (``1``,
+        ``1.0``, ``True``) share a group, as a dict of keys would, and keys
+        come in the order of their first issued row.  A group is an
+        ``array('q')``, so dropping it frees no object per row.  Every call
+        groups and sorts afresh.
         """
-        pid, keys = self._pid, self._key_idx.tolist()
-        if -1 in pid:
-            issued = [row for row, issuer in enumerate(pid) if issuer != -1]
-            first = dict.fromkeys([keys[row] for row in issued])
-        else:
-            issued, first = list(range(len(pid))), dict.fromkeys(keys)
+        slots = list(self._key_rows)
+        groups = self._issued(slots)
         table = self.interner.values
-        by_key: Dict[Any, array] = {}
-        group = {idx: by_key.setdefault(table[idx], array("q")) for idx in first}
-        for row in self._in_history_order(issued):
-            group[keys[row]].append(row)
-        return by_key
+        by_key: Dict[Any, List[int]] = {}
+        for _first, index in sorted((rows[0], index) for index, rows in enumerate(groups) if rows):
+            key = table[slots[index]]
+            if key in by_key:
+                by_key[key].extend(groups[index])
+            else:
+                by_key[key] = groups[index]
+        invoked = self._invoked.tolist()
+        return {key: self._in_history_order(rows, invoked) for key, rows in by_key.items()}
+
+    def rows_of(self, key: Any) -> array:
+        """``key``'s issued rows in history order (empty for a key no row holds).
+
+        One group of :meth:`rows_by_key`: only this key's rows are sorted.
+        """
+        table = self.interner.values
+        groups = self._issued([slot for slot in self._key_rows if table[slot] == key])
+        return self._in_history_order(list(chain.from_iterable(groups)), self._invoked.tolist())
+
+    def cells(self, rows: Sequence[int]) -> "RowCells":
+        """``rows``' raw cells, column by column, in ``rows`` order.
+
+        What a :class:`~repro.verification.history.History` view and the
+        claims sweep read a key's rows through: ``kind`` indexes
+        :attr:`kinds`, ``value_idx`` / ``result_idx`` index the value table
+        (-1 = no result yet) and ``responded`` is NaN while pending.
+        """
+        pick = _cells(rows)
+        return RowCells(
+            kind=pick(self._kind),
+            pid=pick(self._pid),
+            invoked=pick(self._invoked),
+            responded=pick(self._responded),
+            value_idx=pick(self._value_idx),
+            result_idx=pick(self._result_idx),
+        )
 
     def per_key_histories(self, initial_value: Any = None) -> Dict[Any, History]:
         """Every touched key's history — what ``store.histories()`` returns."""
         return dict(KeyHistories(self, initial_value))
+
+    @classmethod
+    def of_columns(
+        cls,
+        kinds: List[Any],
+        interner: ValueInterner,
+        *,
+        kind: bytes,
+        pid: array,
+        invoked: array,
+        responded: array,
+        value_idx: array,
+        result_idx: array,
+    ) -> "OpLog":
+        """A log adopting ready-made columns: issued rows under the one key ``None``.
+
+        What a hand-built or unpickled
+        :class:`~repro.verification.history.History` is a view over.
+        ``kind`` indexes ``kinds``; ``value_idx`` / ``result_idx`` index
+        ``interner``'s table.  The other columns hold their "not recorded"
+        cells.
+        """
+        log = cls()
+        log.kinds = list(kinds)
+        log._kind_slot = {each: slot for slot, each in enumerate(log.kinds)}
+        log.interner = interner
+        count = len(kind)
+        log._kind = bytearray(kind)
+        log._key_idx = array("q", [interner.intern(None)]) * count
+        log._value_idx, log._result_idx = value_idx, result_idx
+        log._submitted = array("d", [_NAN]) * count
+        log._pid, log._invoked, log._responded = pid, invoked, responded
+        log._proc_op_id = array("q", [-1]) * count
+        log._failed = bytearray(count)
+        log._index_rows(0)
+        return log
 
     # ------------------------------------------------------------- outcomes
 
@@ -251,8 +322,9 @@ class OpLog:
     # ----------------------------------------------------------- inspection
 
     def nbytes(self) -> int:
-        """Raw column bytes (excluding the value table) — for benchmarks."""
+        """Raw column and index bytes (excluding the value table) — for benchmarks."""
         total = len(self._kind) + len(self._failed)
+        total += sum(rows.itemsize * len(rows) for rows in self._key_rows.values())
         for column in (
             self._key_idx,
             self._value_idx,
@@ -297,10 +369,14 @@ class OpLog:
         self._failed.extend(other._failed)
         for row, reason in other.reasons.items():
             self.reasons[base + row] = reason
+        self._index_rows(base)
         return base
 
-    def reordered(self, order: List[int]) -> "OpLog":
-        """A copy with rows permuted so new row ``i`` is old row ``order[i]``."""
+    def reordered(self, order: Sequence[int]) -> "OpLog":
+        """A copy with rows permuted so new row ``i`` is old row ``order[i]``.
+
+        Rows ``order`` leaves out are not in the copy.
+        """
         merged = OpLog()
         merged.kinds = list(self.kinds)
         merged._kind_slot = dict(self._kind_slot)
@@ -322,7 +398,10 @@ class OpLog:
             setattr(merged, name, column)
         merged._failed = bytearray(self._failed[row] for row in order)
         inverse = {old: new for new, old in enumerate(order)}
-        merged.reasons = {inverse[row]: reason for row, reason in self.reasons.items()}
+        merged.reasons = {
+            inverse[row]: reason for row, reason in self.reasons.items() if row in inverse
+        }
+        merged._index_rows(0)
         return merged
 
 
@@ -332,15 +411,12 @@ class OpLog:
 class KeyHistories(Mapping):
     """An :class:`OpLog`'s per-key histories as a read-only mapping.
 
-    ``view[key]`` builds that key's
-    :class:`~repro.verification.history.History` on each access (it is not
-    cached); iterating builds none.  The rows are grouped
+    ``view[key]`` is that key's
+    :class:`~repro.verification.history.History`: a view over the log and
+    the key's row array, made on each access (it is not cached) and copying
+    no cell; iterating makes none.  The rows are grouped
     (:meth:`OpLog.rows_by_key`) on first use, not at construction, and that
     grouping is a snapshot of the log at that moment.
-    :meth:`check_claims` runs the claims checker on a key's rows straight
-    off the log's columns, which is how
-    :func:`~repro.verification.linearizability.check_histories_per_key`
-    judges a register key without building its history.
     """
 
     __slots__ = ("_log", "initial_value", "_rows")
@@ -356,7 +432,7 @@ class KeyHistories(Mapping):
         return self._rows
 
     def __getitem__(self, key: Any) -> History:
-        return self._log._history_from_rows(self._grouped()[key], self.initial_value)
+        return History.view(self._log, self._grouped()[key], self.initial_value)
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self._grouped())
@@ -364,22 +440,16 @@ class KeyHistories(Mapping):
     def __len__(self) -> int:
         return len(self._grouped())
 
-    def check_claims(self, key: Any) -> AtomicityReport:
-        """:func:`~repro.verification.register_checker.check_swmr_atomicity` of
-        ``self[key]``, without building it (raises ``ClaimsNotApplicable`` alike)."""
-        log = self._log
-        cells = _cells(self._grouped()[key])
-        return check_swmr_log(
-            self.initial_value,
-            log.kinds,
-            kind=cells(log._kind),
-            pid=cells(log._pid),
-            invoked=cells(log._invoked),
-            responded=cells(log._responded),
-            value_idx=cells(log._value_idx),
-            result_idx=cells(log._result_idx),
-            table=log.interner.values,
-        )
+
+class RowCells(NamedTuple):
+    """Some rows' raw cells, one tuple per column (:meth:`OpLog.cells`)."""
+
+    kind: Sequence[int]
+    pid: Sequence[int]
+    invoked: Sequence[float]
+    responded: Sequence[float]
+    value_idx: Sequence[int]
+    result_idx: Sequence[int]
 
 
 def _cells(rows: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -566,6 +636,7 @@ def decode_oplog(blob: bytes, buffers: List[bytes]) -> Tuple[OpLog, Optional[arr
             column = array(typecode)
             column.frombytes(data)
             setattr(log, name, column)
+    log._index_rows(0)
     global_index: Optional[array] = None
     if payload["has_global"]:
         global_index = array("q")

@@ -529,14 +529,15 @@ class KVStore:
         """The SWMR history of one key (completed and pending operations);
         empty for a key no operation touched."""
         log = self.oplog
-        return log._history_from_rows(log.rows_by_key().get(key, ()), self.config.initial_value)
+        return History.view(log, log.rows_of(key), self.config.initial_value)
 
     def histories(self) -> Dict[Any, History]:
         """Every touched key's history, keyed by key.
 
-        Each is a :class:`~repro.verification.history.History` gathered from
-        the OpLog's columns and sharing its value table; no per-operation
-        object is built until a caller asks for ``operations``.
+        Each is a :class:`~repro.verification.history.History` view over the
+        OpLog: the log and the key's rows, sorted into history order on this
+        call; no cell is copied and no per-operation object is built until a
+        caller asks for ``operations``.
         """
         return self.oplog.per_key_histories(initial_value=self.config.initial_value)
 

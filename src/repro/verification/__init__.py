@@ -4,8 +4,9 @@ The paper proves its algorithm correct; this reproduction *checks* every run
 instead.  Three layers:
 
 * :mod:`repro.verification.history` — the one :class:`History` of
-  invocation / response intervals every run ends in: stored as columns,
-  handing out :class:`Operation` rows on demand;
+  invocation / response intervals every run ends in: a view over the run's
+  op log (a key's rows of it), handing out :class:`Operation` rows on
+  demand;
 * :mod:`repro.verification.register_checker` — a fast checker specialised to
   single-writer registers with distinct written values; it verifies exactly
   the three claims of Lemma 10 (no read from the future, no overwritten read,

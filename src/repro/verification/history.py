@@ -9,33 +9,36 @@ log (:mod:`repro.exec.oplog`) produce them.
 
 Representation
 --------------
-A :class:`History` is **columns**; an :class:`Operation` is a **row**.  One
-``Operation`` object per operation costs ~300 bytes and several allocations
-(a per-instance ``__dict__``, boxed floats for both timestamps, a reference
-for every field), and pickles as an object graph — at a million operations
-the representation is itself a hot path.  The history therefore stores:
+A :class:`History` is a **view over an op log**; an :class:`Operation` is a
+**row**.  Linearizability is local (Herlihy–Wing), so a key's history is
+just that key's rows of the run's :class:`~repro.exec.oplog.OpLog`: the
+history holds the log and an array of its row numbers, in history order,
+and reads every cell through the log (:meth:`~repro.exec.oplog.OpLog.cells`)
+— no per-key copy of a column, no per-operation object.  The log's columns
+are ``array('d')`` times (NaN = pending in the response column), one byte
+per operation for the kind, ``array('q')`` pids, and an **interned value
+table**: values and results are stored once in a side table and referenced
+by index.  The intern key is ``(type(value), value)`` so ``1``, ``1.0`` and
+``True`` — equal under ``==`` — keep distinct slots and round-trip exactly;
+unhashable values are appended without deduplication.
 
-* ``array('d')`` invocation/response times (NaN = pending in the response
-  column; times that are not plain floats — integer times in hand-written
-  test histories, or a genuine NaN timestamp — fall back to a sparse
-  exact-value dict so round-trips are *exact*, never "close"),
-* one byte per operation for the kind (``b"r"`` / ``b"w"`` / ...),
-* ``array('q')`` pids and op-ids,
-* an **interned value table**: values and results are stored once in a
-  side table and referenced by index.  The intern key is
-  ``(type(value), value)`` so ``1``, ``1.0`` and ``True`` — equal under
-  ``==`` — keep distinct slots and round-trip exactly; unhashable values
-  are appended without deduplication.
+A history built from ``Operation`` rows (the constructor, ``from_records``,
+``from_dict``, :func:`make_history`) puts them in a private log of its own,
+in the order given, and keeps each row's ``op_id``.  Times that are not
+plain floats — integer times in hand-written test histories, or a genuine
+NaN timestamp — are kept exactly beside that log's float columns, so
+round-trips are *exact*, never "close".
 
-The checkers read the columns (:meth:`History.columns`) and build no
-per-operation object on a passing check.  :attr:`History.operations`
-materialises the rows as frozen :class:`Operation` dataclasses on first
-access and caches them, so ``operations[i] is operations[i]`` — rows are
-built only for a witness, a violation message or a caller that asks.
+The checkers read the cells (:meth:`History.columns`, or straight off the
+log for a key's rows: :meth:`History.log_rows`) and build no per-operation
+object on a passing check.  :attr:`History.operations` materialises the
+rows as frozen :class:`Operation` dataclasses on first access and caches
+them, so ``operations[i] is operations[i]`` — rows are built only for a
+witness, a violation message or a caller that asks.
 
-Pickling a :class:`History` serializes the raw columns (a handful of flat
-buffers), not an object graph — the same shape in which a worker's op log
-crosses a pipe (:mod:`repro.exec.oplog`).
+Pickling a :class:`History` serializes its own cells as a handful of flat
+buffers plus the values they hold — not the log it views, and not an
+object graph.
 
 Conventions
 -----------
@@ -55,29 +58,28 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.registers.base import OperationKind, OperationRecord
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exec.oplog import OpLog
 
 #: The verification layer's name for the one operation-kind enum.
 OpKind = OperationKind
 
 _NAN = float("nan")
-_INFINITY = float("inf")
-
-#: Kind <-> column byte.  Read/write keep their historical bytes (pickled
-#: histories depend on them); the consensus-object kinds get distinct,
-#: collision-free bytes.
-KIND_TO_BYTE: Dict[OpKind, int] = {
-    OpKind.READ: ord("r"),
-    OpKind.WRITE: ord("w"),
-    OpKind.CAS: ord("c"),
-    OpKind.TAS: ord("t"),
-    OpKind.INCR: ord("i"),
-}
-_BYTE_TO_KIND: Dict[int, OpKind] = {byte: kind for kind, byte in KIND_TO_BYTE.items()}
-_READ = KIND_TO_BYTE[OpKind.READ]
-_WRITE = KIND_TO_BYTE[OpKind.WRITE]
 
 
 @dataclass(frozen=True)
@@ -131,10 +133,6 @@ class Operation:
         if self.responded_at is None:
             return False
         return self.responded_at < other.invoked_at
-
-    def concurrent_with(self, other: "Operation") -> bool:
-        """True when neither operation precedes the other."""
-        return not self.precedes(other) and not other.precedes(self)
 
     def describe(self) -> str:
         """Readable one-line description used in violation messages."""
@@ -205,6 +203,9 @@ class ValueInterner:
     def __len__(self) -> int:
         return len(self.values)
 
+    def __reduce__(self):
+        return (ValueInterner, (self.values,))
+
     def intern(self, value: Any) -> int:
         """Return the table index of ``value``, adding it if new."""
         try:
@@ -220,13 +221,14 @@ class ValueInterner:
             return len(self.values) - 1
 
 
-def _store_time(column: array, exact: Dict[int, Any], row: int, value: Any) -> None:
+def _store_time(column: array, exact: Dict[int, Any], place: int, value: Any) -> None:
     """Append one timestamp, keeping non-float values exactly.
 
     Plain floats live in the column alone.  Anything else — ints from
     hand-built test histories, bools, a genuine float NaN (which would
     collide with the pending sentinel) — goes into the sparse ``exact``
-    dict and the column gets a best-effort float that no reader consults.
+    dict under its place and the column gets a best-effort float that no
+    reader consults.
     """
     if value is None:
         column.append(_NAN)
@@ -234,7 +236,7 @@ def _store_time(column: array, exact: Dict[int, Any], row: int, value: Any) -> N
     if type(value) is float and not math.isnan(value):
         column.append(value)
         return
-    exact[row] = value
+    exact[place] = value
     try:
         column.append(float(value))
     except (TypeError, ValueError, OverflowError):
@@ -263,87 +265,112 @@ class Columns(NamedTuple):
 class History:
     """A collection of operations plus the register's initial value.
 
-    Stored as parallel columns (see the module docstring): ~50 bytes per
-    operation plus the shared value table.  Build one from ``Operation``
-    rows (the constructor and the ``from_*`` factories) or adopt ready-made
-    columns with :meth:`from_columns`.
+    A view over an :class:`~repro.exec.oplog.OpLog` (see the module
+    docstring): the log and the history's rows of it, in history order.
+    Build one from ``Operation`` rows (the constructor and the ``from_*``
+    factories), which puts them in a private log, or over a log's rows with
+    :meth:`view`.
     """
 
     __slots__ = (
         "initial_value",
-        "_pid",
-        "_kind",
-        "_invoked",
-        "_responded",
-        "_value_idx",
-        "_result_idx",
+        "_log",
+        "_rows",
         "_op_id",
-        "_table",
         "_invoked_exact",
         "_responded_exact",
-        "_rows",
+        "_operations",
     )
 
     def __init__(self, operations: Iterable[Operation] = (), initial_value: Any = None) -> None:
+        kinds: List[OpKind] = [OpKind.READ, OpKind.WRITE]
+        slot_of = {kind: slot for slot, kind in enumerate(kinds)}
         interner = ValueInterner()
         pid, kind, op_id = array("q"), bytearray(), array("q")
         invoked, responded = array("d"), array("d")
         value_idx, result_idx = array("q"), array("q")
         invoked_exact: Dict[int, Any] = {}
         responded_exact: Dict[int, Any] = {}
-        for row, op in enumerate(operations):
+        for place, op in enumerate(operations):
+            slot = slot_of.get(op.kind)
+            if slot is None:
+                slot = slot_of[op.kind] = len(kinds)
+                kinds.append(op.kind)
             pid.append(op.pid)
-            kind.append(KIND_TO_BYTE[op.kind])
+            kind.append(slot)
             value_idx.append(interner.intern(op.value))
             result_idx.append(interner.intern(op.result))
-            _store_time(invoked, invoked_exact, row, op.invoked_at)
-            _store_time(responded, responded_exact, row, op.responded_at)
+            _store_time(invoked, invoked_exact, place, op.invoked_at)
+            _store_time(responded, responded_exact, place, op.responded_at)
             op_id.append(op.op_id)
-        self._adopt(
+        self._adopt_columns(
             initial_value,
-            pid,
+            kinds,
+            interner,
             bytes(kind),
+            pid,
             invoked,
             responded,
             value_idx,
             result_idx,
             op_id,
-            interner.values,
             invoked_exact,
             responded_exact,
         )
 
     def _adopt(
         self,
+        log: OpLog,
+        rows: Sequence[int],
         initial_value: Any,
-        pid: array,
-        kind: bytes,
-        invoked: array,
-        responded: array,
-        value_idx: array,
-        result_idx: array,
-        op_id: array,
-        table: List[Any],
+        op_id: Optional[array],
         invoked_exact: Dict[int, Any],
         responded_exact: Dict[int, Any],
     ) -> None:
         self.initial_value = initial_value
-        self._pid = pid
-        self._kind = kind
-        self._invoked = invoked
-        self._responded = responded
-        self._value_idx = value_idx
-        self._result_idx = result_idx
+        #: The op log the cells are read through, and the history's rows of it.
+        self._log = log
+        self._rows = rows
+        #: ``None``: each row's op id is its place (a key's rows off a log).
         self._op_id = op_id
-        #: The interned value table (shared with the OpLog that built us).
-        self._table = table
+        #: Times that are not plain floats, by place (see :func:`_store_time`).
         self._invoked_exact = invoked_exact
         self._responded_exact = responded_exact
         #: ``operations``, once somebody asked for it.
-        self._rows: Optional[Tuple[Operation, ...]] = None
+        self._operations: Optional[Tuple[Operation, ...]] = None
+
+    def _adopt_columns(
+        self,
+        initial_value: Any,
+        kinds: List[OpKind],
+        interner: ValueInterner,
+        kind: bytes,
+        pid: array,
+        invoked: array,
+        responded: array,
+        value_idx: array,
+        result_idx: array,
+        op_id: Optional[array],
+        invoked_exact: Dict[int, Any],
+        responded_exact: Dict[int, Any],
+    ) -> None:
+        """Become a view over a private log of ready-made columns, all its rows."""
+        from repro.exec.oplog import OpLog  # the op log module imports this one
+
+        log = OpLog.of_columns(
+            kinds,
+            interner,
+            kind=kind,
+            pid=pid,
+            invoked=invoked,
+            responded=responded,
+            value_idx=value_idx,
+            result_idx=result_idx,
+        )
+        self._adopt(log, range(len(kind)), initial_value, op_id, invoked_exact, responded_exact)
 
     def __len__(self) -> int:
-        return len(self._pid)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Operation]:
         return iter(self.operations)
@@ -358,48 +385,21 @@ class History:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"History({len(self)} ops, initial_value={self.initial_value!r}, "
-            f"table={len(self._table)} values)"
+            f"table={len(self._log.interner)} values)"
         )
 
     # ------------------------------------------------------------- factories
 
     @classmethod
-    def from_columns(
-        cls,
-        initial_value: Any,
-        pid: array,
-        kind: bytes,
-        invoked: array,
-        responded: array,
-        value_idx: array,
-        result_idx: array,
-        op_id: array,
-        table: List[Any],
-        invoked_exact: Optional[Dict[int, Any]] = None,
-        responded_exact: Optional[Dict[int, Any]] = None,
-    ) -> "History":
-        """Adopt ready-made columns without copying them.
+    def view(cls, log: OpLog, rows: Sequence[int], initial_value: Any = None) -> "History":
+        """The history of ``rows`` of the op ``log``, which must be in history order.
 
-        ``kind`` holds :data:`KIND_TO_BYTE` bytes, ``invoked`` / ``responded``
-        are ``array('d')`` (NaN = pending), ``value_idx`` / ``result_idx``
-        index into ``table``, which may be shared between histories.  The
-        op log builds per-key histories this way, and unpickling restores
-        one from the same arguments.
+        History order is invocation time, then pid and per-process sequence
+        number (:meth:`~repro.exec.oplog.OpLog.rows_by_key` groups a key's
+        rows that way); a row's op id is its place.  Copies no cell.
         """
         history = cls.__new__(cls)
-        history._adopt(
-            initial_value,
-            pid,
-            kind,
-            invoked,
-            responded,
-            value_idx,
-            result_idx,
-            op_id,
-            table,
-            invoked_exact or {},
-            responded_exact or {},
-        )
+        history._adopt(log, rows, initial_value, None, {}, {})
         return history
 
     @classmethod
@@ -426,21 +426,28 @@ class History:
             initial_value=initial_value,
         )
 
-    # Pickling ships the raw columns, not an object graph: a million-op
-    # history pickles as a handful of flat buffers plus the value table.
+    # Pickling ships the history's own cells, not the log it views or an
+    # object graph: six flat buffers plus the values its rows hold.
     def __reduce__(self):
+        log = self._log
+        cells = log.cells(self._rows)
+        slots = sorted(set(cells.value_idx).union(cells.result_idx).difference((-1,)))
+        renumber = {slot: place for place, slot in enumerate(slots)}
+        renumber[-1] = -1
+        table = log.interner.values
         return (
-            History.from_columns,
+            _unpickle_history,
             (
                 self.initial_value,
-                self._pid,
-                self._kind,
-                self._invoked,
-                self._responded,
-                self._value_idx,
-                self._result_idx,
+                [kind.value for kind in log.kinds],
+                ValueInterner([table[slot] for slot in slots]),
+                bytes(cells.kind),
+                array("q", cells.pid),
+                array("d", cells.invoked),
+                array("d", cells.responded),
+                array("q", map(renumber.__getitem__, cells.value_idx)),
+                array("q", map(renumber.__getitem__, cells.result_idx)),
                 self._op_id,
-                self._table,
                 self._invoked_exact,
                 self._responded_exact,
             ),
@@ -484,39 +491,36 @@ class History:
     # --------------------------------------------------------------- columns
 
     def columns(self) -> Columns:
-        """The columns decoded for the checkers: one O(n) pass, no rows built."""
-        table = self._table
-        invoked = self._invoked.tolist()
-        invoked_exact = self._invoked_exact
-        for row in invoked_exact:
-            invoked[row] = invoked_exact[row]
-        responded = [None if at != at else at for at in self._responded]
-        responded_exact = self._responded_exact
-        for row in responded_exact:
-            responded[row] = responded_exact[row]
+        """The cells decoded for the checkers: one O(n) pass, no rows built."""
+        log = self._log
+        cells = log.cells(self._rows)
+        table = log.interner.values
+        invoked = list(cells.invoked)
+        for place, at in self._invoked_exact.items():
+            invoked[place] = at
+        responded = [None if at != at else at for at in cells.responded]
+        for place, at in self._responded_exact.items():
+            responded[place] = at
+        result_idx = cells.result_idx
+        if -1 in result_idx:  # no result yet
+            result = [None if idx < 0 else table[idx] for idx in result_idx]
+        else:
+            result = list(map(table.__getitem__, result_idx))
         return Columns(
-            pid=self._pid,
-            kind=[_BYTE_TO_KIND[byte] for byte in self._kind],
-            value=[table[index] for index in self._value_idx],
-            result=[table[index] for index in self._result_idx],
+            pid=cells.pid,
+            kind=list(map(log.kinds.__getitem__, cells.kind)),
+            value=list(map(table.__getitem__, cells.value_idx)),
+            result=result,
             invoked=invoked,
             responded=responded,
-            op_id=self._op_id,
+            op_id=range(len(self._rows)) if self._op_id is None else self._op_id,
         )
 
-    def nbytes(self) -> int:
-        """Raw column bytes (excluding the value table) — for benchmarks."""
-        return len(self._kind) + sum(
-            column.itemsize * len(column)
-            for column in (
-                self._pid,
-                self._invoked,
-                self._responded,
-                self._value_idx,
-                self._result_idx,
-                self._op_id,
-            )
-        )
+    def log_rows(self) -> Optional[Tuple[OpLog, Sequence[int]]]:
+        """``(op log, rows)`` when each op id is its row's place in history
+        order — a key's rows off a log — so the rows can be read straight
+        off the log; ``None`` for a history built from ``Operation`` rows."""
+        return (self._log, self._rows) if self._op_id is None else None
 
     # ----------------------------------------------------------------- views
 
@@ -528,9 +532,9 @@ class History:
         the same row objects (``verify_witness`` matches witness entries by
         ``id``).
         """
-        rows = self._rows
+        rows = self._operations
         if rows is None:
-            rows = self._rows = tuple(Operation(*cells) for cells in zip(*self.columns()))
+            rows = self._operations = tuple(Operation(*cells) for cells in zip(*self.columns()))
         return rows
 
     def completed(self) -> list[Operation]:
@@ -554,52 +558,18 @@ class History:
         ops = [op for op in self.operations if op.is_write and (include_pending or not op.pending)]
         return sorted(ops, key=lambda op: op.invoked_at)
 
-    def by_process(self, pid: int) -> list[Operation]:
-        """Operations invoked by process ``pid``, in invocation order."""
-        return sorted(
-            (op for op in self.operations if op.pid == pid), key=lambda op: op.invoked_at
-        )
-
-    def writer_pids(self) -> set[int]:
-        """The set of processes that invoked at least one write."""
-        return {pid for pid, kind in zip(self._pid, self._kind) if kind == _WRITE}
-
-    def written_values_distinct(self) -> bool:
-        """True when all written values (plus the initial value) are pairwise distinct."""
-        table = self._table
-        values = [self.initial_value] + [
-            table[index] for index, kind in zip(self._value_idx, self._kind) if kind == _WRITE
-        ]
-        try:
-            return len(values) == len(set(values))
-        except TypeError:  # unhashable values: fall back to a quadratic check
-            for i, left in enumerate(values):
-                for right in values[i + 1 :]:
-                    if left == right:
-                        return False
-            return True
-
-    def max_concurrency(self) -> int:
-        """Maximum number of operations whose intervals overlap at one instant."""
-        columns = self.columns()
-        boundaries: list[tuple[float, int]] = []
-        for start, end in zip(columns.invoked, columns.responded):
-            boundaries.append((start, 1))
-            boundaries.append((_INFINITY if end is None else end, -1))
-        # Sort ends before starts at equal times so touching intervals do not count as overlapping.
-        boundaries.sort(key=lambda item: (item[0], item[1]))
-        level = best = 0
-        for _time, delta in boundaries:
-            level += delta
-            best = max(best, level)
-        return best
-
     def describe(self, limit: Optional[int] = None) -> str:
         """Multi-line rendering of the history (optionally truncated)."""
         ops = sorted(self.operations, key=lambda op: op.invoked_at)
         if limit is not None:
             ops = ops[:limit]
         return "\n".join(op.describe() for op in ops)
+
+
+def _unpickle_history(initial_value: Any, kinds: List[str], *columns: Any) -> History:
+    history = History.__new__(History)
+    history._adopt_columns(initial_value, [OpKind(kind) for kind in kinds], *columns)
+    return history
 
 
 def make_history(

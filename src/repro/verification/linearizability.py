@@ -664,28 +664,22 @@ def check_histories_per_key(
     (the checker benchmark does, to measure it).  A key that exceeds
     ``max_states`` raises :class:`LinearizabilityBudgetExceeded` naming it.
 
-    ``histories`` may be an op log's per-key view
-    (:class:`~repro.exec.oplog.KeyHistories`): the claims checker then reads
-    a register key's rows straight off the log (its ``check_claims``), and
-    the key's history is built only for the search.
+    A key's history off an op log (``store.histories()``, or the lazy
+    :class:`~repro.exec.oplog.KeyHistories` ``store.check_linearizability()``
+    hands in) is a view over the log: the claims checker reads its rows
+    straight off the log's cells, and only the search decodes them.
     """
     from repro.verification.specs import get_spec
 
     spec_obj = get_spec(spec)
     # The claims path is register-only; other specs always search.
     claims_path = swmr_fast_path and spec_obj is None
-    if not claims_path:
-        # Every key searches.  Building the histories in one batch before
-        # the searches measured ~5% faster than interleaving the two.
-        histories = dict(histories)
-    check_claims = getattr(histories, "check_claims", None) or (
-        lambda key: check_swmr_atomicity(histories[key], raise_on_violation=False)
-    )
     report = PartitionedCheckReport()
     for key in histories:
+        history = histories[key]
         if claims_path:
             try:
-                claims = check_claims(key)
+                claims = check_swmr_atomicity(history, raise_on_violation=False)
             except ClaimsNotApplicable:
                 pass
             else:
@@ -698,7 +692,7 @@ def check_histories_per_key(
                 continue
         try:
             report.per_key[key] = check_linearizability(
-                histories[key], collect_witness=False, max_states=max_states, spec=spec_obj
+                history, collect_witness=False, max_states=max_states, spec=spec_obj
             )
         except LinearizabilityBudgetExceeded as exc:
             raise LinearizabilityBudgetExceeded(f"key {key!r}: {exc}") from exc

@@ -35,14 +35,14 @@ running maximum:
   are a pointer over the writer's completed writes and each reader's best
   index so far.
 
-The sweep has two feeds.  :func:`check_swmr_atomicity` reads a built
-history's decoded columns; rows already in invocation order cost one O(n)
-confirmation, any other row order pays for a sort.
-:func:`check_swmr_log` reads one key's rows straight off the op log's
-columns (:class:`~repro.exec.oplog.KeyHistories` groups them in that order),
-so a store's verdict builds no ``History`` for a key the sweep accepts.
-Both give the same report for the same key.  Violations are reported kind
-by kind, each kind in row order (a reader's together).
+The sweep has two feeds, and :func:`check_swmr_atomicity` picks one.  A
+key's history off an op log (a view whose rows are in history order,
+:meth:`~repro.verification.history.History.log_rows`) is read straight off
+the log's cells by :func:`check_swmr_log`, decoding nothing.  A history
+built from ``Operation`` rows is read through its decoded columns; rows
+already in invocation order cost one O(n) confirmation, any other row order
+pays for a sort.  Both give the same report for the same rows.  Violations
+are reported kind by kind, each kind in row order (a reader's together).
 
 Precondition (a history outside it raises :class:`ClaimsNotApplicable`
 instead of a verdict, and the per-key dispatcher runs the Wing–Gong search):
@@ -65,9 +65,12 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import islice
 from operator import eq, itemgetter, le, lt
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.verification.history import History, OpKind, Operation
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exec.oplog import OpLog
 
 _NEVER = float("inf")
 
@@ -119,9 +122,24 @@ def check_swmr_atomicity(
     listing every one.  Raises :class:`ClaimsNotApplicable` when the history
     is outside the precondition.
 
-    Works on row indices over the history's columns; ``Operation`` rows are
+    Works on row indices over the history's cells; ``Operation`` rows are
     built only to describe a violation.
     """
+    on_log = history.log_rows()
+    if on_log is not None:
+        report = check_swmr_log(history.initial_value, *on_log)
+    else:
+        report = _check_columns(history)
+    if raise_on_violation and not report.ok:
+        raise AtomicityViolation(
+            f"{len(report.violations)} atomicity violation(s):\n  - "
+            + "\n  - ".join(report.violations)
+        )
+    return report
+
+
+def _check_columns(history: History) -> AtomicityReport:
+    """The sweep over a history's decoded columns, in any row order."""
     columns = history.columns()
     kind, pid, op_id = columns.kind, columns.pid, columns.op_id
     invoked, responded = columns.invoked, columns.responded
@@ -141,7 +159,7 @@ def check_swmr_atomicity(
         reads.sort(key=lambda row: (invoked[row], op_id[row]))
     value = columns.value
     index_of = _write_indices(history.initial_value, pid, writes, [value[row] for row in writes])
-    report = _sweep(
+    return _sweep(
         history.initial_value,
         writes,
         [index for index, row in enumerate(writes, start=1) if responded[row] is not None],
@@ -155,41 +173,25 @@ def check_swmr_atomicity(
         op_id,
         lambda row: history.operations[row].describe(),
     )
-    if raise_on_violation and not report.ok:
-        raise AtomicityViolation(
-            f"{len(report.violations)} atomicity violation(s):\n  - "
-            + "\n  - ".join(report.violations)
-        )
-    return report
 
 
-def check_swmr_log(
-    initial_value: Any,
-    kinds: List[OpKind],
-    *,
-    kind: Sequence[int],
-    pid: Sequence[int],
-    invoked: Sequence[float],
-    responded: Sequence[float],
-    value_idx: Sequence[int],
-    result_idx: Sequence[int],
-    table: List[Any],
-) -> AtomicityReport:
-    """:func:`check_swmr_atomicity` of one key, read straight off op-log columns.
+def check_swmr_log(initial_value: Any, log: OpLog, rows: Sequence[int]) -> AtomicityReport:
+    """The sweep over one key's ``rows`` of an op ``log``, read straight off its cells.
 
-    The columns are the key's cells in history order (invocation time, then
-    pid and per-process sequence number — the order
+    The rows are in history order (invocation time, then pid and
+    per-process sequence number — the order
     :meth:`~repro.verification.history.History.from_records` sorts into),
-    so a cell's place is its ``op_id`` in the key's history.  They are the
-    log's raw cells: ``kind`` indexes ``kinds``, ``responded`` is NaN while
-    pending and ``value_idx`` / ``result_idx`` index the shared value
-    ``table`` (-1 = no result).  The report is the one
-    :func:`check_swmr_atomicity` returns for the key's built history, and
-    the same histories raise :class:`ClaimsNotApplicable`; no ``History``
-    is built.  A read's result is found by its table slot and, when no
-    write holds that slot (``1.0`` read where ``1`` was written, the
-    initial value, an unhashable result), by equality, as on a history.
+    so a row's place is its ``op_id`` in the key's history.  The cells are
+    the log's raw ones (:meth:`~repro.exec.oplog.OpLog.cells`): a kind
+    slot, NaN while pending, value and result slots of the shared table
+    (-1 = no result).  The report is the one the decoded columns of the
+    same rows give, and the same rows raise :class:`ClaimsNotApplicable`.
+    A read's result is found by its table slot and, when no write holds
+    that slot (``1.0`` read where ``1`` was written, the initial value, an
+    unhashable result), by equality, as on decoded columns.
     """
+    kinds, table = log.kinds, log.interner.values
+    kind, pid, invoked, responded, value_idx, result_idx = log.cells(rows)
     places = range(len(kind))
     read_slot, write_slot = kinds.index(OpKind.READ), kinds.index(OpKind.WRITE)
     writes = [place for place in places if kind[place] == write_slot]

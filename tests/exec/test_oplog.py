@@ -9,11 +9,12 @@ protocol-5 wire format must round-trip the whole log bit-for-bit.
 """
 
 import math
+import pickle
 
 import pytest
 
 from repro.exec.oplog import OpLog, decode_oplog, encode_oplog, transfer_size
-from repro.registers.base import OperationKind
+from repro.registers.base import OperationKind, OperationRecord
 from repro.store.store import KVStore, create_store
 from repro.verification.history import History
 from repro.workloads.kv import run_kv_workload
@@ -50,8 +51,8 @@ class TestOpLogRecordsTheRun:
             _assert_op_parity(op, logged_op)
 
     def test_histories_match_the_driver_records(self):
-        # The log gathers each key's columns itself (History.from_columns);
-        # the result must be what from_records builds from the driver's records.
+        # A key's history is a view over the log's rows of it; it must be
+        # what from_records builds from the driver's records.
         result = run_kv_workload(_specs()[0])
         store = result.store
         for key, history in store.histories().items():
@@ -100,12 +101,62 @@ class TestKeyGrouping:
             assert store.history(key).to_dict() == histories[1].to_dict()
         assert list(store.check_linearizability().per_key) == [1]
 
+    def test_rows_tied_on_every_sort_key_keep_row_order_across_equal_keys(self):
+        """Row 2 (key ``1``) and row 1 (key ``True``) tie on invocation
+        time, pid and sequence number: the merged group keeps row order,
+        as ``History.from_records`` does, though key ``1``'s slot comes first."""
+        log = OpLog()
+        for key, value, at in ((1, "a", 0.0), (True, "b", 1.0), (1, "c", 1.0)):
+            row = log.note_created(OperationKind.WRITE, key, value)
+            record = OperationRecord(row, 0, OperationKind.WRITE, value, key, invoked_at=at)
+            record.proc_op_id = 0 if at == 0.0 else 1
+            log.note_issued(row, record)
+        assert list(log.rows_by_key()[1]) == [0, 1, 2]
+        assert list(log.rows_of(True)) == [0, 1, 2]
+        expected = History.from_records(list(log.ops_view()), "v0")
+        assert log.per_key_histories("v0")[1].to_dict() == expected.to_dict()
+
     def test_an_untouched_key_has_an_empty_history(self):
         store = create_store(num_shards=2, replication=3)
         store.put("k", "w")
         history = store.history("never")
         assert len(history) == 0
         assert history.initial_value == "v0"
+
+
+class TestHistoriesAreViews:
+    def test_every_call_groups_the_log_afresh(self):
+        """Nothing is kept between calls: rows appended after a
+        ``histories()`` or a ``check_linearizability()`` are in the next one,
+        and two calls hand out distinct group arrays."""
+        store = create_store(num_shards=2, replication=3)
+        store.put("k", "w0")
+        first = store.histories()["k"]
+        store.get("k")
+        second = store.histories()["k"]
+        assert (len(first), len(second)) == (1, 2)
+        assert second.log_rows()[1] is not store.histories()["k"].log_rows()[1]
+        assert store.history("k").log_rows()[1] is not store.history("k").log_rows()[1]
+        groups = store.oplog.rows_by_key()
+        assert groups["k"] is not store.oplog.rows_by_key()["k"]
+
+        checked = store.check_linearizability().operations_checked
+        store.put("k", "w1")
+        store.get("k")
+        assert store.check_linearizability().operations_checked == checked + 2
+        assert len(store.histories()["k"]) == 4
+
+    def test_a_pickled_view_ships_only_its_own_rows(self):
+        log = run_kv_workload(kv_openloop(num_keys=4, num_ops=800, arrival_rate=4.0, seed=6)).store.oplog
+        histories = log.per_key_histories("v0")
+        assert len(histories) == 4
+        whole = transfer_size(*encode_oplog(log))
+        for history in histories.values():
+            blob = pickle.dumps(history)
+            restored = pickle.loads(blob)
+            assert restored.to_dict() == history.to_dict()
+            assert len(blob) < 0.4 * whole
+            assert restored.log_rows() is not None  # still rows in history order
 
 
 class TestWireFormat:

@@ -73,15 +73,15 @@ class TestOperation:
         overlapping = Operation(pid=2, kind=OpKind.READ, result="a", invoked_at=0.5, responded_at=2.5)
         assert first.precedes(second)
         assert not second.precedes(first)
-        assert first.concurrent_with(overlapping)
-        assert overlapping.concurrent_with(second)
+        assert not first.precedes(overlapping) and not overlapping.precedes(first)
+        assert not overlapping.precedes(second) and not second.precedes(overlapping)
 
     def test_pending_operations_never_precede(self):
         pending = Operation(pid=0, kind=OpKind.WRITE, value="a", invoked_at=0.0, responded_at=None)
         later = Operation(pid=1, kind=OpKind.READ, invoked_at=10.0, responded_at=11.0)
         assert pending.pending
         assert not pending.precedes(later)
-        assert pending.concurrent_with(later)
+        assert not later.precedes(pending)
 
     def test_describe_mentions_kind_and_value(self):
         write = Operation(pid=0, kind=OpKind.WRITE, value="x", invoked_at=0.0, responded_at=1.0)
@@ -138,7 +138,6 @@ class TestRoundTripProperties:
         assert history.writes() == sorted(
             (op for op in operations if op.is_write), key=lambda op: op.invoked_at
         )
-        assert history.writer_pids() == {op.pid for op in operations if op.is_write}
         columns = history.columns()
         assert [Operation(*cells) for cells in zip(*columns)] == operations
 
@@ -264,45 +263,6 @@ class TestHistoryViews:
         assert len(history.writes()) == 2
         assert len(history.reads()) == 2
         assert len(history.reads(include_pending=True)) == 3
-
-    def test_by_process(self):
-        history = self._sample()
-        assert [op.value for op in history.by_process(0)] == ["v1", "v2"]
-        assert len(history.by_process(1)) == 2
-
-    def test_writer_pids(self):
-        assert self._sample().writer_pids() == {0}
-
-    def test_written_values_distinct(self):
-        assert self._sample().written_values_distinct()
-        duplicate = make_history(
-            [(0, "write", "v1", 0.0, 1.0), (0, "write", "v1", 2.0, 3.0)], initial_value="v0"
-        )
-        assert not duplicate.written_values_distinct()
-        clash_with_initial = make_history([(0, "write", "v0", 0.0, 1.0)], initial_value="v0")
-        assert not clash_with_initial.written_values_distinct()
-
-    def test_written_values_distinct_with_unhashable_values(self):
-        history = make_history(
-            [(0, "write", ["a"], 0.0, 1.0), (0, "write", ["b"], 2.0, 3.0)], initial_value=None
-        )
-        assert history.written_values_distinct()
-
-    def test_max_concurrency(self):
-        sequential = make_history(
-            [(0, "write", "v1", 0.0, 1.0), (1, "read", "v1", 2.0, 3.0)], initial_value="v0"
-        )
-        assert sequential.max_concurrency() == 1
-        overlapping = make_history(
-            [
-                (0, "write", "v1", 0.0, 10.0),
-                (1, "read", "v0", 1.0, 9.0),
-                (2, "read", "v0", 2.0, 8.0),
-                (3, "read", "v0", 3.0, None),
-            ],
-            initial_value="v0",
-        )
-        assert overlapping.max_concurrency() == 4
 
     def test_describe_renders_every_operation(self):
         text = self._sample().describe()

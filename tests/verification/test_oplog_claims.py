@@ -1,13 +1,17 @@
-"""The claims sweep fed from the op log against the sweep on built histories.
+"""The claims sweep fed from the op log against the sweep on decoded columns.
 
-``KVStore.check_linearizability`` hands the per-key dispatcher the op log's
-lazy per-key view (:class:`~repro.exec.oplog.KeyHistories`): a register key
-is judged straight off the log's columns, and a key's ``History`` is built
-only when the sweep refuses it.  ``check_histories_per_key(store.histories())``
-judges the built histories.  The two must agree key by key — verdict,
-method, operation count and every violation text — on the golden runs, on
-a run with planted violations, on hand-driven logs with every awkward row
-the feed special-cases, and on random logs.
+A key's history off the op log is a view over it: ``KVStore.check_linearizability``
+hands the per-key dispatcher the log's lazy per-key mapping
+(:class:`~repro.exec.oplog.KeyHistories`), a register key is judged straight
+off the log's cells, and a key's cells are decoded only when the sweep
+refuses it.  The same histories rebuilt from their ``Operation`` rows are
+judged through their decoded columns.  The two must agree key by key —
+verdict, method, operation count and every violation text — on the golden
+runs, on a run with planted violations, on hand-driven logs with every
+awkward row the feed special-cases, and on random logs, which also pin the
+grouping: each key's rows in ``History.from_records`` order, keys in the
+order of their first issued row, after a trip through the wire format or a
+merge as well.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ for _sibling in ("workloads", "parallel"):
 from golden_histories import golden_specs  # noqa: E402
 from golden_parallel import golden_cases  # noqa: E402
 
-from repro.exec.oplog import KeyHistories, OpLog  # noqa: E402
+from repro.exec.oplog import KeyHistories, OpLog, decode_oplog, encode_oplog  # noqa: E402
 from repro.registers.base import OperationKind, OperationRecord  # noqa: E402
 from repro.verification.history import History  # noqa: E402
 from repro.verification.linearizability import check_histories_per_key  # noqa: E402
@@ -45,47 +49,62 @@ def _per_key(report) -> list:
     ]
 
 
+def _rebuilt(histories) -> dict:
+    """The histories built again from their rows: the decoded-columns feed."""
+    return {
+        key: History(history.operations, history.initial_value)
+        for key, history in histories.items()
+    }
+
+
 @pytest.fixture
 def builds(monkeypatch):
-    """The keys a :class:`KeyHistories` built a history for, and every build."""
-    seen = {"keys": [], "histories": 0}
+    """The keys a :class:`KeyHistories` made a view for, and every decode of cells."""
+    seen = {"keys": [], "decoded": 0}
     view_item = KeyHistories.__getitem__
-    from_columns = History.from_columns.__func__
+    columns = History.columns
 
     def item(self, key):
         seen["keys"].append(key)
         return view_item(self, key)
 
-    def build(cls, *args, **kwargs):
-        seen["histories"] += 1
-        return from_columns(cls, *args, **kwargs)
+    def decode(self):
+        seen["decoded"] += 1
+        return columns(self)
 
     monkeypatch.setattr(KeyHistories, "__getitem__", item)
-    monkeypatch.setattr(History, "from_columns", classmethod(build))
+    monkeypatch.setattr(History, "columns", decode)
     return seen
 
 
-def assert_feeds_agree(log: OpLog, initial_value, builds, spec=None) -> list:
-    """The view's report equals the built histories', and only refused keys were built."""
-    expected = check_histories_per_key(log.per_key_histories(initial_value), spec=spec)
+def _judge(builds, check):
+    """``check()``'s report: every key got a view, and only the keys the
+    sweep refused had their cells decoded (by the search)."""
     builds["keys"].clear()
-    builds["histories"] = 0
-    report = check_histories_per_key(KeyHistories(log, initial_value), spec=spec)
-    assert _per_key(report) == _per_key(expected)
+    builds["decoded"] = 0
+    report = check()
     searched = [key for key, result in report.per_key.items() if result.method != "swmr-claims"]
-    assert builds["keys"] == searched
-    assert builds["histories"] == len(searched)
+    assert builds["keys"] == list(report.per_key)
+    assert builds["decoded"] == len(searched)
+    return report
+
+
+def assert_feeds_agree(log: OpLog, initial_value, builds, spec=None) -> list:
+    """The view's report equals the rebuilt histories', and only refused keys decoded."""
+    expected = check_histories_per_key(_rebuilt(log.per_key_histories(initial_value)), spec=spec)
+    report = _judge(
+        builds, lambda: check_histories_per_key(KeyHistories(log, initial_value), spec=spec)
+    )
+    assert _per_key(report) == _per_key(expected)
     return _per_key(report)
 
 
 def _store_agrees(store, builds) -> None:
-    expected = check_histories_per_key(store.histories(), spec=store.config.effective_spec())
-    builds["keys"].clear()
-    report = store.check_linearizability()
+    spec = store.config.effective_spec()
+    expected = check_histories_per_key(_rebuilt(store.histories()), spec=spec)
+    report = _judge(builds, store.check_linearizability)
     assert _per_key(report) == _per_key(expected)
-    assert builds["keys"] == [
-        key for key, result in report.per_key.items() if result.method != "swmr-claims"
-    ]
+    assert _per_key(check_histories_per_key(store.histories(), spec=spec)) == _per_key(expected)
 
 
 @pytest.mark.parametrize("name", sorted(golden_specs()))
@@ -177,11 +196,29 @@ def test_a_hand_driven_log(builds):
     # A CAS row: the sweep refuses it, and so does the register search.
     drive.op("cas", 0, CAS, 0.0, 1.0, value=("v0", "v1"), result=True)
     with pytest.raises(ValueError) as built:
-        check_histories_per_key(drive.log.per_key_histories("v0"))
+        check_histories_per_key(_rebuilt(drive.log.per_key_histories("v0")))
     with pytest.raises(ValueError) as viewed:
         check_histories_per_key(KeyHistories(drive.log, "v0"))
     assert str(viewed.value) == str(built.value)
     assert_feeds_agree(drive.log, "v0", builds, spec="smr")
+
+
+def _over_the_wire(log: OpLog, _draw) -> OpLog:
+    return decode_oplog(*encode_oplog(log))[0]
+
+
+def _merged(log: OpLog, draw) -> OpLog:
+    """Split into two parts, each across the wire, merged, and sometimes put
+    back in row order."""
+    mask = draw(st.lists(st.booleans(), min_size=len(log), max_size=len(log)))
+    parts = [[row for row, mine in enumerate(mask) if mine == side] for side in (True, False)]
+    merged = OpLog()
+    for rows in parts:
+        merged.extend_remapped(_over_the_wire(log.reordered(rows), draw))
+    if draw(st.booleans()):
+        return merged
+    scripted = parts[0] + parts[1]
+    return merged.reordered(sorted(range(len(scripted)), key=scripted.__getitem__))
 
 
 @st.composite
@@ -192,10 +229,15 @@ def random_logs(draw) -> OpLog:
     sometimes a second writer or a repeated value.  Results are written
     values, the initial value, an equal value of another type, an
     unhashable value or a ghost; operations may be pending or failed.
+    Keys may be ``1``, ``1.0`` and ``True`` — one key under ``==`` — a
+    key's first row may never be issued, and the keys' rows interleave.
+    Some logs then cross the wire format, or are split in two and merged.
     """
-    drive = _Driver()
     times = st.integers(min_value=0, max_value=8).map(lambda tick: tick / 2)
-    for key in range(draw(st.integers(min_value=1, max_value=3))):
+    rows = []
+    for key in draw(st.lists(st.sampled_from([0, 1, 1.0, True, "k"]), min_size=1, max_size=3)):
+        if draw(st.booleans()):
+            rows.append((key, None))  # created, never issued
         values: list = []
         second_writer = draw(st.booleans()) and draw(st.booleans())
         for _ in range(draw(st.integers(min_value=1, max_value=12))):
@@ -207,22 +249,38 @@ def random_logs(draw) -> OpLog:
                 repeat = values and draw(st.integers(min_value=0, max_value=9)) == 0
                 value = draw(st.sampled_from(values)) if repeat else len(values) + 1
                 values.append(value)
-                drive.op(key, pid, WRITE, start, end, value=value, failed=failed)
+                rows.append((key, dict(pid=pid, kind=WRITE, value=value)))
             else:
                 choices = ["v0", "ghost", [1]] + values + [float(value) for value in values]
-                drive.op(
-                    key, draw(st.integers(min_value=0, max_value=3)), READ, start, end,
-                    result=draw(st.sampled_from(choices)), failed=failed,
-                )
-    return drive.log
+                rows.append((key, dict(
+                    pid=draw(st.integers(min_value=0, max_value=3)), kind=READ,
+                    result=draw(st.sampled_from(choices)),
+                )))
+            rows[-1][1].update(start=start, end=end, failed=failed)
+    drive = _Driver()
+    for key, op in draw(st.permutations(rows)):
+        if op is None:
+            drive.log.note_created(READ, key, None)
+        else:
+            drive.op(key, **op)
+    route = draw(st.sampled_from([None, _over_the_wire, _merged]))
+    return drive.log if route is None else route(drive.log, draw)
 
 
 @given(log=random_logs())
 @settings(max_examples=200, deadline=None)
 def test_random_logs(log):
+    issued = [op for op in log.ops_view() if op.pid != -1]
+    firsts: list = []  # keys by first issued row, equal keys as one
+    for op in issued:
+        if op.key not in firsts:
+            firsts.append(op.key)
     histories = log.per_key_histories("v0")
-    for key, history in histories.items():  # the one grouping pass keeps from_records' order
-        records = [op for op in log.ops_view() if op.key == key and op.pid != -1]
+    assert [(type(key), key) for key in histories] == [(type(key), key) for key in firsts]
+    groups = log.rows_by_key()
+    for key, history in histories.items():  # the grouping keeps from_records' order
+        records = [op for op in issued if op.key == key]
         assert history.to_dict() == History.from_records(records, "v0").to_dict()
-    expected = check_histories_per_key(histories)
+        assert log.rows_of(key) == groups[key]
+    expected = check_histories_per_key(_rebuilt(histories))
     assert _per_key(check_histories_per_key(KeyHistories(log, "v0"))) == _per_key(expected)
