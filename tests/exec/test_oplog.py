@@ -158,6 +158,18 @@ class TestHistoriesAreViews:
             assert len(blob) < 0.4 * whole
             assert restored.log_rows() is not None  # still rows in history order
 
+    def test_one_keys_history_is_its_entry_in_histories(self):
+        """``store.history(key)`` sorts only that key's rows, yet lands on
+        the same rows of the same log as the whole-log grouping."""
+        store = run_kv_workload(_specs()[1]).store
+        histories = store.histories()
+        assert len(histories) > 1
+        for key, history in histories.items():
+            log, rows = store.history(key).log_rows()
+            assert log is store.oplog
+            assert list(rows) == list(history.log_rows()[1]), key
+            assert store.history(key).to_dict() == history.to_dict(), key
+
 
 class TestWireFormat:
     def test_encode_decode_round_trips(self):

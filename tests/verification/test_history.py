@@ -9,10 +9,12 @@ and pickle alike.
 
 import math
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.exec.oplog import OpLog
 from repro.registers.base import OperationKind, OperationRecord
 from repro.verification import history as history_module
 from repro.verification.history import History, OpKind, Operation, ValueInterner, make_history
@@ -155,6 +157,21 @@ class TestRepresentationDetails:
         assert row.invoked_at == 1 and type(row.invoked_at) is int
         assert row.responded_at == 3 and type(row.responded_at) is int
 
+    def test_exact_times_survive_every_round_trip(self):
+        """Times a double cannot hold (a fraction, an int past 2**53, one
+        past the float range, a bool) come back as they went in."""
+        times = [(Fraction(1, 3), 2**53 + 1), (10**400, True), (0.5, None)]
+        operations = [
+            Operation(pid=0, kind=OpKind.WRITE, value=f"v{i}", invoked_at=invoked,
+                      responded_at=responded, op_id=i)
+            for i, (invoked, responded) in enumerate(times)
+        ]
+        history = History(operations, initial_value="v0")
+        for restored in (history, pickle.loads(pickle.dumps(history)), History.from_dict(history.to_dict())):
+            assert_same_rows(restored.operations, operations)
+            assert restored.columns().invoked == [invoked for invoked, _ in times]
+            assert restored.columns().responded == [responded for _, responded in times]
+
     def test_nan_timestamp_survives_without_becoming_pending(self):
         op = Operation(
             pid=0, kind=OpKind.WRITE, value="v", result=None,
@@ -263,6 +280,25 @@ class TestHistoryViews:
         assert len(history.writes()) == 2
         assert len(history.reads()) == 2
         assert len(history.reads(include_pending=True)) == 3
+
+    def test_a_view_reads_its_rows_off_the_log(self):
+        """A view over some rows of a shared log reads those rows' cells in
+        the order given, and each op id is its place."""
+        log = OpLog()
+        for at, (key, kind, value) in enumerate(
+            [("a", OperationKind.WRITE, "x"), ("b", OperationKind.WRITE, "y"),
+             ("a", OperationKind.READ, None), ("b", OperationKind.READ, None)]
+        ):
+            row = log.note_created(kind, key, value)
+            log.note_issued(row, OperationRecord(row, at, kind, value, key, invoked_at=float(at)))
+        view = History.view(log, [2, 0], initial_value="v0")
+        assert view.log_rows()[0] is log
+        columns = view.columns()
+        assert columns.kind == [OpKind.READ, OpKind.WRITE]
+        assert columns.value == [None, "x"]
+        assert columns.invoked == [2.0, 0.0]
+        assert list(columns.op_id) == [0, 1]
+        assert view.pending() == list(view.operations)
 
     def test_describe_renders_every_operation(self):
         text = self._sample().describe()

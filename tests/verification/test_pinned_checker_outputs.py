@@ -5,7 +5,7 @@ See ``pinned_checker_outputs.py`` for the corpus and what is pinned.
 
 import json
 
-from pinned_checker_outputs import PINNED_PATH, corpus, pin
+from pinned_checker_outputs import PINNED_PATH, _distinct, corpus, pin
 
 PINNED = json.loads(PINNED_PATH.read_text())
 
@@ -31,3 +31,10 @@ def test_the_corpus_exercises_every_path():
     ):
         assert any(text.startswith(label) for text in texts), label
     assert any(entry["wing_gong"]["witness"] for entry in PINNED.values())
+
+
+def test_distinct_compares_unhashable_values_pairwise():
+    assert _distinct(["v0", "v1", "v2"])
+    assert not _distinct(["v0", "v1", "v0"])
+    assert _distinct([None, ["a"], ["b"]])
+    assert not _distinct([None, ["a"], ["a"]])
