@@ -167,14 +167,6 @@ class OpLog:
         for row, slot in enumerate(islice(self._key_idx, start, None), start):
             key_rows[slot].append(row)
 
-    def _issued(self, slots: List[int]) -> List[List[int]]:
-        """Each key slot's issued rows, in row order."""
-        pid = self._pid
-        groups = [self._key_rows[slot].tolist() for slot in slots]
-        if -1 in pid:
-            groups = [[row for row in rows if pid[row] != -1] for rows in groups]
-        return groups
-
     def _in_history_order(self, rows: List[int], invoked: List[float]) -> array:
         """Sort one key's ``rows`` the way ``History.from_records`` orders records.
 
@@ -203,8 +195,11 @@ class OpLog:
         ``array('q')``, so dropping it frees no object per row.  Every call
         groups and sorts afresh.
         """
+        pid = self._pid
         slots = list(self._key_rows)
-        groups = self._issued(slots)
+        groups = [rows.tolist() for rows in self._key_rows.values()]
+        if -1 in pid:  # unissued rows are in no history
+            groups = [[row for row in rows if pid[row] != -1] for rows in groups]
         table = self.interner.values
         by_key: Dict[Any, List[int]] = {}
         for _first, index in sorted((rows[0], index) for index, rows in enumerate(groups) if rows):
@@ -215,15 +210,6 @@ class OpLog:
                 by_key[key] = groups[index]
         invoked = self._invoked.tolist()
         return {key: self._in_history_order(rows, invoked) for key, rows in by_key.items()}
-
-    def rows_of(self, key: Any) -> array:
-        """``key``'s issued rows in history order (empty for a key no row holds).
-
-        One group of :meth:`rows_by_key`: only this key's rows are sorted.
-        """
-        table = self.interner.values
-        groups = self._issued([slot for slot in self._key_rows if table[slot] == key])
-        return self._in_history_order(list(chain.from_iterable(groups)), self._invoked.tolist())
 
     def cells(self, rows: Sequence[int]) -> "RowCells":
         """``rows``' raw cells, column by column, in ``rows`` order.
@@ -372,11 +358,8 @@ class OpLog:
         self._index_rows(base)
         return base
 
-    def reordered(self, order: Sequence[int]) -> "OpLog":
-        """A copy with rows permuted so new row ``i`` is old row ``order[i]``.
-
-        Rows ``order`` leaves out are not in the copy.
-        """
+    def reordered(self, order: List[int]) -> "OpLog":
+        """A copy with rows permuted so new row ``i`` is old row ``order[i]``."""
         merged = OpLog()
         merged.kinds = list(self.kinds)
         merged._kind_slot = dict(self._kind_slot)
@@ -398,9 +381,7 @@ class OpLog:
             setattr(merged, name, column)
         merged._failed = bytearray(self._failed[row] for row in order)
         inverse = {old: new for new, old in enumerate(order)}
-        merged.reasons = {
-            inverse[row]: reason for row, reason in self.reasons.items() if row in inverse
-        }
+        merged.reasons = {inverse[row]: reason for row, reason in self.reasons.items()}
         merged._index_rows(0)
         return merged
 

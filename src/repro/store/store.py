@@ -529,7 +529,7 @@ class KVStore:
         """The SWMR history of one key (completed and pending operations);
         empty for a key no operation touched."""
         log = self.oplog
-        return History.view(log, log.rows_of(key), self.config.initial_value)
+        return History.view(log, log.rows_by_key().get(key, ()), self.config.initial_value)
 
     def histories(self) -> Dict[Any, History]:
         """Every touched key's history, keyed by key.
@@ -537,7 +537,9 @@ class KVStore:
         Each is a :class:`~repro.verification.history.History` view over the
         OpLog: the log and the key's rows, sorted into history order on this
         call; no cell is copied and no per-operation object is built until a
-        caller asks for ``operations``.
+        caller asks for ``operations``.  A view reads the log's cells when
+        asked, so a row still pending now shows its response once it
+        completes; its rows are fixed now, so a row issued later is not in it.
         """
         return self.oplog.per_key_histories(initial_value=self.config.initial_value)
 

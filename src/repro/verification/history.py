@@ -270,6 +270,12 @@ class History:
     Build one from ``Operation`` rows (the constructor and the ``from_*``
     factories), which puts them in a private log, or over a log's rows with
     :meth:`view`.
+
+    A view over a run's log reads the cells when asked, not when it was
+    made: once a row pending at that time completes, :meth:`columns`,
+    :meth:`to_dict` and the checkers see its response.
+    :attr:`operations` is built on first access and kept, so it shows the
+    rows as they were then.
     """
 
     __slots__ = (
@@ -392,11 +398,11 @@ class History:
 
     @classmethod
     def view(cls, log: OpLog, rows: Sequence[int], initial_value: Any = None) -> "History":
-        """The history of ``rows`` of the op ``log``, which must be in history order.
+        """The history of ``rows`` of the op ``log``; a row's op id is its place.
 
-        History order is invocation time, then pid and per-process sequence
-        number (:meth:`~repro.exec.oplog.OpLog.rows_by_key` groups a key's
-        rows that way); a row's op id is its place.  Copies no cell.
+        :meth:`~repro.exec.oplog.OpLog.rows_by_key` groups a key's rows in
+        history order (invocation time, then pid and per-process sequence
+        number); the checkers take any other order too.  Copies no cell.
         """
         history = cls.__new__(cls)
         history._adopt(log, rows, initial_value, None, {}, {})

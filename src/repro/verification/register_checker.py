@@ -36,13 +36,14 @@ running maximum:
   index so far.
 
 The sweep has two feeds, and :func:`check_swmr_atomicity` picks one.  A
-key's history off an op log (a view whose rows are in history order,
-:meth:`~repro.verification.history.History.log_rows`) is read straight off
+history that is a view over an op log's rows
+(:meth:`~repro.verification.history.History.log_rows`) is read straight off
 the log's cells by :func:`check_swmr_log`, decoding nothing.  A history
-built from ``Operation`` rows is read through its decoded columns; rows
-already in invocation order cost one O(n) confirmation, any other row order
-pays for a sort.  Both give the same report for the same rows.  Violations
-are reported kind by kind, each kind in row order (a reader's together).
+built from ``Operation`` rows is read through its decoded columns.  On
+either feed, rows already in invocation order cost one O(n) confirmation,
+any other row order pays for a sort.  Both give the same report for the
+same rows.  Violations are reported kind by kind, each kind in row order
+(a reader's together).
 
 Precondition (a history outside it raises :class:`ClaimsNotApplicable`
 instead of a verdict, and the per-key dispatcher runs the Wing–Gong search):
@@ -178,11 +179,13 @@ def _check_columns(history: History) -> AtomicityReport:
 def check_swmr_log(initial_value: Any, log: OpLog, rows: Sequence[int]) -> AtomicityReport:
     """The sweep over one key's ``rows`` of an op ``log``, read straight off its cells.
 
-    The rows are in history order (invocation time, then pid and
-    per-process sequence number — the order
-    :meth:`~repro.verification.history.History.from_records` sorts into),
-    so a row's place is its ``op_id`` in the key's history.  The cells are
-    the log's raw ones (:meth:`~repro.exec.oplog.OpLog.cells`): a kind
+    A row's place in ``rows`` is its ``op_id``, as in a view over them.
+    Rows in history order (invocation time, then pid and per-process
+    sequence number — the order
+    :meth:`~repro.verification.history.History.from_records` sorts into,
+    and :meth:`~repro.exec.oplog.OpLog.rows_by_key` groups a key's rows in)
+    cost one O(n) confirmation; any other order pays for a sort.  The cells
+    are the log's raw ones (:meth:`~repro.exec.oplog.OpLog.cells`): a kind
     slot, NaN while pending, value and result slots of the shared table
     (-1 = no result).  The report is the one the decoded columns of the
     same rows give, and the same rows raise :class:`ClaimsNotApplicable`.
@@ -201,6 +204,9 @@ def check_swmr_log(initial_value: Any, log: OpLog, rows: Sequence[int]) -> Atomi
     # A pending operation ends at NaN, which equals nothing.
     done = list(map(eq, responded, responded))
     reads = [place for place in places if kind[place] == read_slot and done[place]]
+    if not all(map(le, invoked, islice(invoked, 1, None))):
+        writes.sort(key=lambda place: (invoked[place], place))
+        reads.sort(key=lambda place: (invoked[place], place))
     written = [value_idx[place] for place in writes]
     index_of = _write_indices(initial_value, pid, writes, [table[slot] for slot in written])
 

@@ -17,6 +17,7 @@ from repro.exec.oplog import OpLog, decode_oplog, encode_oplog, transfer_size
 from repro.registers.base import OperationKind, OperationRecord
 from repro.store.store import KVStore, create_store
 from repro.verification.history import History
+from repro.verification.register_checker import check_swmr_atomicity
 from repro.workloads.kv import run_kv_workload
 from repro.workloads.scenarios import kv_openloop, kv_uniform
 
@@ -112,7 +113,6 @@ class TestKeyGrouping:
             record.proc_op_id = 0 if at == 0.0 else 1
             log.note_issued(row, record)
         assert list(log.rows_by_key()[1]) == [0, 1, 2]
-        assert list(log.rows_of(True)) == [0, 1, 2]
         expected = History.from_records(list(log.ops_view()), "v0")
         assert log.per_key_histories("v0")[1].to_dict() == expected.to_dict()
 
@@ -159,8 +159,8 @@ class TestHistoriesAreViews:
             assert restored.log_rows() is not None  # still rows in history order
 
     def test_one_keys_history_is_its_entry_in_histories(self):
-        """``store.history(key)`` sorts only that key's rows, yet lands on
-        the same rows of the same log as the whole-log grouping."""
+        """``store.history(key)`` lands on the same rows of the same log as
+        ``store.histories()``."""
         store = run_kv_workload(_specs()[1]).store
         histories = store.histories()
         assert len(histories) > 1
@@ -169,6 +169,39 @@ class TestHistoriesAreViews:
             assert log is store.oplog
             assert list(rows) == list(history.log_rows()[1]), key
             assert store.history(key).to_dict() == history.to_dict(), key
+
+
+    def test_a_view_reads_completions_made_after_it(self):
+        """A view reads the log's cells when asked: a row pending when the
+        view was taken shows its response once it completes, in
+        ``columns()``, ``to_dict()`` and the claims check.  ``operations``,
+        built on first access, keeps the rows as they were then, and a row
+        issued after the grouping is not in the view."""
+        write, read = OperationKind.WRITE, OperationKind.READ
+        log = OpLog()
+        records = []
+        for pid, kind, value, at in ((0, write, "a", 1.0), (1, read, None, 2.0)):
+            row = log.note_created(kind, "k", value)
+            records.append(OperationRecord(row, pid, kind, value, "k", invoked_at=at))
+            log.note_issued(row, records[-1])
+        view = log.per_key_histories("v0")["k"]
+        before = view.operations
+        assert [op.pending for op in before] == [True, True]
+        assert check_swmr_atomicity(view).reads_checked == 0
+
+        for record, at, result in zip(records, (3.0, 4.0), (None, "a")):
+            record.responded_at, record.result = at, result
+            log.note_completed(record.op_id, record)
+        late = log.note_created(read, "k", None)
+        log.note_issued(late, OperationRecord(late, 1, read, None, "k", invoked_at=5.0))
+
+        assert view.columns().responded == [3.0, 4.0]
+        assert view.columns().result == [None, "a"]
+        assert [op["responded_at"] for op in view.to_dict()["operations"]] == [3.0, 4.0]
+        assert check_swmr_atomicity(view).reads_checked == 1
+        assert view.operations is before and before[1].pending
+        assert len(view) == 2
+        assert len(log.per_key_histories("v0")["k"]) == 3
 
 
 class TestWireFormat:

@@ -35,6 +35,10 @@ from repro.exec.oplog import KeyHistories, OpLog, decode_oplog, encode_oplog  # 
 from repro.registers.base import OperationKind, OperationRecord  # noqa: E402
 from repro.verification.history import History  # noqa: E402
 from repro.verification.linearizability import check_histories_per_key  # noqa: E402
+from repro.verification.register_checker import (  # noqa: E402
+    ClaimsNotApplicable,
+    check_swmr_atomicity,
+)
 from repro.workloads.kv import run_kv_workload  # noqa: E402
 from repro.workloads.runner import run_workload  # noqa: E402
 from repro.workloads.scenarios import kv_uniform  # noqa: E402
@@ -47,6 +51,14 @@ def _per_key(report) -> list:
         (key, result.linearizable, result.method, result.operations, list(result.violations))
         for key, result in report.per_key.items()
     ]
+
+
+def _claims(history):
+    """The claims sweep's report on ``history``, or its refusal's text."""
+    try:
+        return check_swmr_atomicity(history, raise_on_violation=False)
+    except ClaimsNotApplicable as refusal:
+        return str(refusal)
 
 
 def _rebuilt(histories) -> dict:
@@ -203,18 +215,30 @@ def test_a_hand_driven_log(builds):
     assert_feeds_agree(drive.log, "v0", builds, spec="smr")
 
 
-def _over_the_wire(log: OpLog, _draw) -> OpLog:
+def _driven(entries) -> OpLog:
+    """The log of a driver that ran ``entries`` (``op`` keywords; ``None``
+    creates a row it never issues)."""
+    drive = _Driver()
+    for key, op in entries:
+        if op is None:
+            drive.log.note_created(READ, key, None)
+        else:
+            drive.op(key, **op)
+    return drive.log
+
+
+def _over_the_wire(log: OpLog) -> OpLog:
     return decode_oplog(*encode_oplog(log))[0]
 
 
-def _merged(log: OpLog, draw) -> OpLog:
-    """Split into two parts, each across the wire, merged, and sometimes put
-    back in row order."""
-    mask = draw(st.lists(st.booleans(), min_size=len(log), max_size=len(log)))
-    parts = [[row for row, mine in enumerate(mask) if mine == side] for side in (True, False)]
+def _merged(entries, draw) -> OpLog:
+    """``entries`` split between two drivers, each log across the wire,
+    merged, and sometimes put back in scripted order."""
+    mask = draw(st.lists(st.booleans(), min_size=len(entries), max_size=len(entries)))
+    parts = [[at for at, mine in enumerate(mask) if mine == side] for side in (True, False)]
     merged = OpLog()
-    for rows in parts:
-        merged.extend_remapped(_over_the_wire(log.reordered(rows), draw))
+    for part in parts:
+        merged.extend_remapped(_over_the_wire(_driven([entries[at] for at in part])))
     if draw(st.booleans()):
         return merged
     scripted = parts[0] + parts[1]
@@ -231,7 +255,8 @@ def random_logs(draw) -> OpLog:
     unhashable value or a ghost; operations may be pending or failed.
     Keys may be ``1``, ``1.0`` and ``True`` — one key under ``==`` — a
     key's first row may never be issued, and the keys' rows interleave.
-    Some logs then cross the wire format, or are split in two and merged.
+    Some logs then cross the wire format, or are run by two drivers and
+    merged.
     """
     times = st.integers(min_value=0, max_value=8).map(lambda tick: tick / 2)
     rows = []
@@ -257,14 +282,12 @@ def random_logs(draw) -> OpLog:
                     result=draw(st.sampled_from(choices)),
                 )))
             rows[-1][1].update(start=start, end=end, failed=failed)
-    drive = _Driver()
-    for key, op in draw(st.permutations(rows)):
-        if op is None:
-            drive.log.note_created(READ, key, None)
-        else:
-            drive.op(key, **op)
-    route = draw(st.sampled_from([None, _over_the_wire, _merged]))
-    return drive.log if route is None else route(drive.log, draw)
+    entries = draw(st.permutations(rows))
+    route = draw(st.sampled_from(["driven", "wire", "merged"]))
+    if route == "merged":
+        return _merged(entries, draw)
+    log = _driven(entries)
+    return _over_the_wire(log) if route == "wire" else log
 
 
 @given(log=random_logs())
@@ -277,10 +300,11 @@ def test_random_logs(log):
             firsts.append(op.key)
     histories = log.per_key_histories("v0")
     assert [(type(key), key) for key in histories] == [(type(key), key) for key in firsts]
-    groups = log.rows_by_key()
     for key, history in histories.items():  # the grouping keeps from_records' order
         records = [op for op in issued if op.key == key]
         assert history.to_dict() == History.from_records(records, "v0").to_dict()
-        assert log.rows_of(key) == groups[key]
+        # A view over the rows in another order: both feeds sort it alike.
+        backwards = History.view(log, history.log_rows()[1][::-1], "v0")
+        assert _claims(backwards) == _claims(History(backwards.operations, "v0"))
     expected = check_histories_per_key(_rebuilt(histories))
     assert _per_key(check_histories_per_key(KeyHistories(log, "v0"))) == _per_key(expected)

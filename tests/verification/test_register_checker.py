@@ -221,3 +221,32 @@ class TestInputValidation:
             ]
         )
         assert len(report.violations) == 2
+
+
+class TestRowOrder:
+    def test_a_view_out_of_invocation_order_gets_the_in_order_verdict(self):
+        """A view over a log's rows takes the op-log feed in any row order:
+        rows given backwards are sorted as the decoded columns sort them,
+        so the stale read of ``"a"`` is still caught (read in the order
+        given, ``"a"`` would pass for the newest write)."""
+        from repro.exec.oplog import OpLog
+        from repro.registers.base import OperationRecord
+
+        log = OpLog()
+        for pid, kind, value, result, start, end in (
+            (0, OpKind.WRITE, "a", None, 0.0, 1.0),
+            (0, OpKind.WRITE, "b", None, 2.0, 3.0),
+            (1, OpKind.READ, None, "a", 4.0, 5.0),
+        ):
+            row = log.note_created(kind, "k", value)
+            record = OperationRecord(row, pid, kind, value, "k", invoked_at=start)
+            log.note_issued(row, record)
+            record.responded_at, record.result = end, result
+            log.note_completed(row, record)
+        in_order = check_swmr_atomicity(History.view(log, [0, 1, 2], "v0"), False)
+        backwards = History.view(log, [2, 1, 0], "v0")
+        report = check_swmr_atomicity(backwards, False)
+        assert not in_order.ok and "Claim 2" in in_order.violations[0]
+        assert report == check_swmr_atomicity(History(backwards.operations, "v0"), False)
+        assert (report.ok, len(report.violations)) == (False, 1)
+        assert "Claim 2" in report.violations[0]
