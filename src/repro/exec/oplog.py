@@ -38,10 +38,14 @@ log through views:
   ``store.histories()`` returns), and ``store.check_linearizability()``
   hands the mapping to the per-key dispatcher, whose claims sweep reads a
   register key's rows straight off the log
-  (:func:`~repro.verification.register_checker.check_swmr_log`).  Every call
-  groups and sorts afresh: nothing is kept between calls;
-* :class:`LoggedOp` gives merged parallel and live runs the record's
-  surface without shipping or retaining the objects.
+  (:func:`~repro.verification.register_checker.check_swmr_atomicity`).
+  Every call groups and sorts afresh: nothing is kept between calls.  A
+  history built by hand is a view too, over a private log its rows were
+  appended to (:meth:`OpLog.append`);
+* :meth:`OpLog.ops_view` hands out rows as the one row class,
+  :class:`~repro.verification.history.Operation`, with the record's
+  fields filled: merged parallel and live runs get the record's surface
+  without shipping or retaining the objects;
 * :meth:`OpLog.outcome_counts`, :meth:`OpLog.window` and
   :meth:`OpLog.latencies` are what a run's metrics are read from (the
   :class:`~repro.exec.metrics.MetricsCollector` view): nothing else
@@ -66,7 +70,7 @@ from operator import eq, itemgetter, sub
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.registers.base import OperationKind, OperationRecord
-from repro.verification.history import History, ValueInterner
+from repro.verification.history import History, Operation, ValueInterner
 
 _NAN = float("nan")
 _INF = float("inf")
@@ -141,6 +145,22 @@ class OpLog:
         self._responded.append(_NAN)
         self._result_idx.append(-1)
         self._failed.append(0)
+        return row
+
+    def append(self, op: Operation) -> int:
+        """Append ``op`` as an issued row — a hand-built history's row path.
+
+        Its key, kind, value, pid, times and result go in; a pending row
+        keeps its result.  A time is stored as the float equal to it
+        (``None``: not yet); a time no float equals — NaN, which would read
+        as pending, ``Fraction(1, 3)``, ``2**53 + 1``, ``10**400`` — raises
+        ``ValueError`` naming the operation.
+        """
+        invoked, responded = _cell(op, "invoked_at"), _cell(op, "responded_at")
+        row = self.note_created(op.kind, op.key, op.value)
+        self._pid[row] = op.pid
+        self._invoked[row], self._responded[row] = invoked, responded
+        self._result_idx[row] = self.interner.intern(op.result)
         return row
 
     def note_submitted(self, row: int, now: float) -> None:
@@ -233,42 +253,6 @@ class OpLog:
         """Every touched key's history — what ``store.histories()`` returns."""
         return dict(KeyHistories(self, initial_value))
 
-    @classmethod
-    def of_columns(
-        cls,
-        kinds: List[Any],
-        interner: ValueInterner,
-        *,
-        kind: bytes,
-        pid: array,
-        invoked: array,
-        responded: array,
-        value_idx: array,
-        result_idx: array,
-    ) -> "OpLog":
-        """A log adopting ready-made columns: issued rows under the one key ``None``.
-
-        What a hand-built or unpickled
-        :class:`~repro.verification.history.History` is a view over.
-        ``kind`` indexes ``kinds``; ``value_idx`` / ``result_idx`` index
-        ``interner``'s table.  The other columns hold their "not recorded"
-        cells.
-        """
-        log = cls()
-        log.kinds = list(kinds)
-        log._kind_slot = {each: slot for slot, each in enumerate(log.kinds)}
-        log.interner = interner
-        count = len(kind)
-        log._kind = bytearray(kind)
-        log._key_idx = array("q", [interner.intern(None)]) * count
-        log._value_idx, log._result_idx = value_idx, result_idx
-        log._submitted = array("d", [_NAN]) * count
-        log._pid, log._invoked, log._responded = pid, invoked, responded
-        log._proc_op_id = array("q", [-1]) * count
-        log._failed = bytearray(count)
-        log._index_rows(0)
-        return log
-
     # ------------------------------------------------------------- outcomes
 
     def outcome_counts(self) -> Tuple[int, int, int]:
@@ -325,8 +309,33 @@ class OpLog:
         return total
 
     def ops_view(self) -> "OpLogOps":
-        """The whole log as a lazy sequence of :class:`LoggedOp` views."""
+        """The whole log as a lazy sequence of its rows (:meth:`row`)."""
         return OpLogOps(self)
+
+    def row(self, row: int) -> Operation:
+        """Row ``row`` as an :class:`~repro.verification.history.Operation`,
+        the record's fields included; a snapshot, not following later cells.
+
+        ``op_id`` is the row — after a parallel merge reorders rows into
+        scripted order, exactly the op id the serial driver would have
+        assigned.  ``pid`` is ``-1`` until the row was issued, as on a record.
+        """
+        table = self.interner.values
+        result = self._result_idx[row]
+        return Operation(
+            self._pid[row],
+            self.kinds[self._kind[row]],
+            table[self._value_idx[row]],
+            None if result < 0 else table[result],
+            _time(self._invoked[row]),
+            _time(self._responded[row]),
+            row,
+            key=table[self._key_idx[row]],
+            proc_op_id=self._proc_op_id[row],
+            submitted_at=_time(self._submitted[row]),
+            failed=bool(self._failed[row]),
+            failure_reason=self.reasons.get(row, ""),
+        )
 
     # -------------------------------------------------------------- merging
 
@@ -440,94 +449,31 @@ def _cells(rows: Sequence[int]) -> Callable[[Sequence], tuple]:
     return lambda column: tuple(map(column.__getitem__, rows))
 
 
-class LoggedOp:
-    """Read-only :class:`~repro.registers.base.OperationRecord` view over one row.
-
-    ``op_id`` is the row index — after a parallel merge reorders rows into
-    scripted order, that is exactly the op id the serial driver would have
-    assigned.  ``pid`` is ``-1`` until the row was issued, as on a record.
-    """
-
-    __slots__ = ("_log", "_row")
-
-    def __init__(self, log: OpLog, row: int) -> None:
-        self._log = log
-        self._row = row
-
-    @property
-    def op_id(self) -> int:
-        return self._row
-
-    @property
-    def pid(self) -> int:
-        return self._log._pid[self._row]
-
-    @property
-    def proc_op_id(self) -> int:
-        return self._log._proc_op_id[self._row]
-
-    @property
-    def kind(self) -> Any:
-        return self._log.kinds[self._log._kind[self._row]]
-
-    @property
-    def key(self) -> Any:
-        return self._log.interner.values[self._log._key_idx[self._row]]
-
-    @property
-    def value(self) -> Any:
-        return self._log.interner.values[self._log._value_idx[self._row]]
-
-    @property
-    def result(self) -> Any:
-        idx = self._log._result_idx[self._row]
-        return None if idx < 0 else self._log.interner.values[idx]
-
-    @property
-    def submitted_at(self) -> Optional[float]:
-        return _time(self._log._submitted[self._row])
-
-    @property
-    def invoked_at(self) -> Optional[float]:
-        return _time(self._log._invoked[self._row])
-
-    @property
-    def responded_at(self) -> Optional[float]:
-        return _time(self._log._responded[self._row])
-
-    @property
-    def failed(self) -> bool:
-        return bool(self._log._failed[self._row])
-
-    @property
-    def failure_reason(self) -> str:
-        return self._log.reasons.get(self._row, "")
-
-    @property
-    def completed(self) -> bool:
-        return not self.failed and self.responded_at is not None
-
-    @property
-    def done(self) -> bool:
-        return self.failed or self.completed
-
-    latency = OperationRecord.latency
-    sojourn_latency = OperationRecord.sojourn_latency
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LoggedOp(op_id={self.op_id}, kind={self.kind!r}, key={self.key!r}, "
-            f"value={self.value!r}, failed={self.failed})"
-        )
-
-
 def _time(at: float) -> Optional[float]:
     """A time column cell: NaN means "not yet"."""
     return None if math.isnan(at) else at
 
 
+def _cell(op: Operation, name: str) -> float:
+    """``op``'s time ``name`` as a column cell: NaN for ``None``, else the
+    float equal to it; a time no float equals raises ``ValueError``."""
+    at = getattr(op, name)
+    if at is None:
+        return _NAN
+    try:
+        cell = float(at)
+    except (TypeError, ValueError, OverflowError):
+        cell = _NAN
+    if cell != at:  # NaN equals nothing, and a rounded float not its time
+        raise ValueError(
+            f"operation {op.op_id} ({op.kind.value} by p{op.pid}): {name}={at!r} "
+            "is not a time a float holds exactly"
+        )
+    return cell
+
+
 class OpLogOps(Sequence):
-    """Lazy list-of-ops facade over an :class:`OpLog` (views on demand)."""
+    """Lazy list-of-ops facade over an :class:`OpLog` (rows built on demand)."""
 
     __slots__ = ("_log",)
 
@@ -538,18 +484,11 @@ class OpLogOps(Sequence):
         return len(self._log)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [LoggedOp(self._log, i) for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        return LoggedOp(self._log, index)
+        rows = range(len(self._log))[index]  # IndexError past either end
+        return list(map(self._log.row, rows)) if isinstance(index, slice) else self._log.row(rows)
 
-    def __iter__(self) -> Iterator[LoggedOp]:
-        log = self._log
-        for row in range(len(log)):
-            yield LoggedOp(log, row)
+    def __iter__(self) -> Iterator[Operation]:
+        return map(self._log.row, range(len(self._log)))
 
 
 # -------------------------------------------------------------- wire format

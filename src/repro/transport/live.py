@@ -49,10 +49,12 @@ import contextlib
 import itertools
 import os
 import signal
+import sys
 import time
 from array import array
 from collections import deque
 from functools import partial
+from multiprocessing import current_process
 from multiprocessing.connection import wait as wait_readable
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -509,22 +511,32 @@ class _ReplicaServer:
                 conn.send({"kind": "crashing", "replica": self.replica_id})
             conn.batch.seal()  # nothing this replica does from now on leaves it
         transports = [conn.writer.transport for conn in conns]
-        hearing = [conn.reader for conn in self._accepted if conn.label.startswith("peer<-")]
+        hearing = [conn for conn in self._accepted if conn.label.startswith("peer<-")]
         asyncio.ensure_future(self._kill_once_flushed(transports, hearing))
 
     @staticmethod
     async def _kill_once_flushed(
-        transports: List[Any], hearing: List[asyncio.StreamReader], budget: float = 1.0
+        transports: List[Any], hearing: List[Connection], budget: float = 1.0
     ) -> None:
         """``SIGKILL`` this process once the kernel holds all ``transports``
-        queued and every peer hung up on a ``hearing`` stream: a peer's frames
-        sent before it read the ``crashing`` frame never meet a dead socket."""
+        queued and every peer hung up on a ``hearing`` link: a peer's frames
+        sent before it read the ``crashing`` frame never meet a dead socket.
+        A kill the ``budget`` forces says on stderr what it cut short."""
         deadline = time.monotonic() + budget
         while time.monotonic() < deadline and (
             any(t.get_write_buffer_size() for t in transports)
-            or not all(reader.at_eof() for reader in hearing)
+            or not all(conn.reader.at_eof() for conn in hearing)
         ):
             await asyncio.sleep(0.001)
+        buffered = sum(t.get_write_buffer_size() for t in transports)
+        connected = [conn.label for conn in hearing if not conn.reader.at_eof()]
+        if buffered or connected:
+            print(
+                f"{current_process().name}: crash kill after its {budget} s budget with "
+                f"{buffered} bytes buffered, peers still connected: {connected}",
+                file=sys.stderr,
+                flush=True,
+            )
         os.kill(os.getpid(), signal.SIGKILL)
 
     def _stats_reply(self) -> Dict[str, Any]:
@@ -804,6 +816,10 @@ class LiveClient:
             frame = self._crash_result(replica)
         else:
             error = f"link ->r{replica} ended outside the crash plan: {reason}"
+            if replica in self.planned:
+                error += (
+                    f" (r{replica} has a planned crash; its link ended before its crashing frame)"
+                )
             self.failure, frame = RuntimeError(error), {"ok": False, "error": error}
         for op_id in [i for i, op in self.pending.items() if self.failure or op.replica == replica]:
             future = self.pending.pop(op_id).future

@@ -23,22 +23,26 @@ by index.  The intern key is ``(type(value), value)`` so ``1``, ``1.0`` and
 unhashable values are appended without deduplication.
 
 A history built from ``Operation`` rows (the constructor, ``from_records``,
-``from_dict``, :func:`make_history`) puts them in a private log of its own,
-in the order given, and keeps each row's ``op_id``.  Times that are not
-plain floats — integer times in hand-written test histories, or a genuine
-NaN timestamp — are kept exactly beside that log's float columns, so
-round-trips are *exact*, never "close".
+``from_dict``, :func:`make_history`, unpickling) appends them, in the order
+given, to a private log of its own (:meth:`~repro.exec.oplog.OpLog.append`)
+and is a view over all of its rows; it keeps each row's ``op_id`` beside
+the log, where a view's op id is the row's place.  Times live in the log's
+float columns: a time a double holds exactly (an int below ``2**53``, a
+bool) reads back as that float, and any other time (NaN, which would read
+as pending, ``Fraction(1, 3)``, ``2**53 + 1``, ``10**400``) raises
+``ValueError`` naming the operation.  Every other field round-trips
+exactly, a pending row's result included.
 
 The checkers read the cells (:meth:`History.columns`, or straight off the
-log for a key's rows: :meth:`History.log_rows`) and build no per-operation
-object on a passing check.  :attr:`History.operations` materialises the
-rows as frozen :class:`Operation` dataclasses on first access and caches
-them, so ``operations[i] is operations[i]`` — rows are built only for a
-witness, a violation message or a caller that asks.
+log: :meth:`History.log_rows`) and build no per-operation object on a
+passing check.  :attr:`History.operations` materialises the rows as frozen
+:class:`Operation` dataclasses on first access and caches them, so
+``operations[i] is operations[i]`` — rows are built only for a witness, a
+violation message or a caller that asks.
 
-Pickling a :class:`History` serializes its own cells as a handful of flat
-buffers plus the values they hold — not the log it views, and not an
-object graph.
+Pickling a :class:`History` ships its own decoded columns — not the log it
+views, and no ``Operation`` object — and unpickling appends them to a
+private log like any hand-built history.
 
 Conventions
 -----------
@@ -55,9 +59,8 @@ Conventions
 
 from __future__ import annotations
 
-import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -79,17 +82,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: The verification layer's name for the one operation-kind enum.
 OpKind = OperationKind
 
-_NAN = float("nan")
-
 
 @dataclass(frozen=True)
 class Operation:
-    """One operation interval in a history.
+    """One operation: a row of a history, or of a run's op log.
 
     Attributes
     ----------
     pid:
-        The invoking process.
+        The invoking process (``-1`` for a log row not yet issued).
     kind:
         Read or write, or a consensus-object kind (CAS, TAS, INCR).
     value:
@@ -102,21 +103,41 @@ class Operation:
         Virtual times of invocation and response; ``responded_at`` is ``None``
         for pending operations.
     op_id:
-        Unique id within the history (stable ordering / error messages).
+        Unique id within the history (stable ordering / error messages); a
+        log row's is its row.
+    key / proc_op_id / submitted_at / failed / failure_reason:
+        The rest of the record, filled on a row of a run's op log
+        (:meth:`~repro.exec.oplog.OpLog.ops_view`).  They take no part in
+        equality, hashing or :meth:`to_dict`: a row is its seven history
+        fields.
     """
 
     pid: int
     kind: OpKind
     value: Any = None
     result: Any = None
-    invoked_at: float = 0.0
+    invoked_at: Optional[float] = 0.0
     responded_at: Optional[float] = None
     op_id: int = 0
+    key: Any = field(default=None, compare=False)
+    proc_op_id: int = field(default=-1, compare=False)
+    submitted_at: Optional[float] = field(default=None, compare=False)
+    failed: bool = field(default=False, compare=False)
+    failure_reason: str = field(default="", compare=False)
 
     @property
     def pending(self) -> bool:
         """True if the operation never responded."""
         return self.responded_at is None
+
+    @property
+    def completed(self) -> bool:
+        """True if the operation responded and did not fail."""
+        return not self.failed and self.responded_at is not None
+
+    done = OperationRecord.done
+    latency = OperationRecord.latency
+    sojourn_latency = OperationRecord.sojourn_latency
 
     @property
     def is_read(self) -> bool:
@@ -221,33 +242,11 @@ class ValueInterner:
             return len(self.values) - 1
 
 
-def _store_time(column: array, exact: Dict[int, Any], place: int, value: Any) -> None:
-    """Append one timestamp, keeping non-float values exactly.
-
-    Plain floats live in the column alone.  Anything else — ints from
-    hand-built test histories, bools, a genuine float NaN (which would
-    collide with the pending sentinel) — goes into the sparse ``exact``
-    dict under its place and the column gets a best-effort float that no
-    reader consults.
-    """
-    if value is None:
-        column.append(_NAN)
-        return
-    if type(value) is float and not math.isnan(value):
-        column.append(value)
-        return
-    exact[place] = value
-    try:
-        column.append(float(value))
-    except (TypeError, ValueError, OverflowError):
-        column.append(_NAN)
-
-
 class Columns(NamedTuple):
     """A history's columns decoded to plain per-row sequences (checker input).
 
     ``responded`` holds ``None`` for pending operations; ``invoked`` /
-    ``responded`` carry the exact recorded timestamps and ``value`` /
+    ``responded`` carry the log's float timestamps and ``value`` /
     ``result`` the table's objects, so every cell equals the corresponding
     :class:`Operation` field — and the fields are in ``Operation``'s order,
     so ``Operation(*cells)`` over ``zip(*columns)`` is the row.
@@ -257,8 +256,8 @@ class Columns(NamedTuple):
     kind: Sequence[OpKind]
     value: Sequence[Any]
     result: Sequence[Any]
-    invoked: Sequence[Any]
-    responded: Sequence[Any]
+    invoked: Sequence[float]
+    responded: Sequence[Optional[float]]
     op_id: Sequence[int]
 
 
@@ -266,10 +265,10 @@ class History:
     """A collection of operations plus the register's initial value.
 
     A view over an :class:`~repro.exec.oplog.OpLog` (see the module
-    docstring): the log and the history's rows of it, in history order.
-    Build one from ``Operation`` rows (the constructor and the ``from_*``
-    factories), which puts them in a private log, or over a log's rows with
-    :meth:`view`.
+    docstring): the log, the history's rows of it in history order, and
+    each row's op id.  Build one over a log's rows with :meth:`view`, or
+    from ``Operation`` rows (the constructor and the ``from_*`` factories),
+    which appends them to a private log.
 
     A view over a run's log reads the cells when asked, not when it was
     made: once a row pending at that time completes, :meth:`columns`,
@@ -278,102 +277,19 @@ class History:
     rows as they were then.
     """
 
-    __slots__ = (
-        "initial_value",
-        "_log",
-        "_rows",
-        "_op_id",
-        "_invoked_exact",
-        "_responded_exact",
-        "_operations",
-    )
+    __slots__ = ("initial_value", "_log", "_rows", "_op_id", "_operations")
 
     def __init__(self, operations: Iterable[Operation] = (), initial_value: Any = None) -> None:
-        kinds: List[OpKind] = [OpKind.READ, OpKind.WRITE]
-        slot_of = {kind: slot for slot, kind in enumerate(kinds)}
-        interner = ValueInterner()
-        pid, kind, op_id = array("q"), bytearray(), array("q")
-        invoked, responded = array("d"), array("d")
-        value_idx, result_idx = array("q"), array("q")
-        invoked_exact: Dict[int, Any] = {}
-        responded_exact: Dict[int, Any] = {}
-        for place, op in enumerate(operations):
-            slot = slot_of.get(op.kind)
-            if slot is None:
-                slot = slot_of[op.kind] = len(kinds)
-                kinds.append(op.kind)
-            pid.append(op.pid)
-            kind.append(slot)
-            value_idx.append(interner.intern(op.value))
-            result_idx.append(interner.intern(op.result))
-            _store_time(invoked, invoked_exact, place, op.invoked_at)
-            _store_time(responded, responded_exact, place, op.responded_at)
-            op_id.append(op.op_id)
-        self._adopt_columns(
-            initial_value,
-            kinds,
-            interner,
-            bytes(kind),
-            pid,
-            invoked,
-            responded,
-            value_idx,
-            result_idx,
-            op_id,
-            invoked_exact,
-            responded_exact,
-        )
-
-    def _adopt(
-        self,
-        log: OpLog,
-        rows: Sequence[int],
-        initial_value: Any,
-        op_id: Optional[array],
-        invoked_exact: Dict[int, Any],
-        responded_exact: Dict[int, Any],
-    ) -> None:
-        self.initial_value = initial_value
-        #: The op log the cells are read through, and the history's rows of it.
-        self._log = log
-        self._rows = rows
-        #: ``None``: each row's op id is its place (a key's rows off a log).
-        self._op_id = op_id
-        #: Times that are not plain floats, by place (see :func:`_store_time`).
-        self._invoked_exact = invoked_exact
-        self._responded_exact = responded_exact
-        #: ``operations``, once somebody asked for it.
-        self._operations: Optional[Tuple[Operation, ...]] = None
-
-    def _adopt_columns(
-        self,
-        initial_value: Any,
-        kinds: List[OpKind],
-        interner: ValueInterner,
-        kind: bytes,
-        pid: array,
-        invoked: array,
-        responded: array,
-        value_idx: array,
-        result_idx: array,
-        op_id: Optional[array],
-        invoked_exact: Dict[int, Any],
-        responded_exact: Dict[int, Any],
-    ) -> None:
-        """Become a view over a private log of ready-made columns, all its rows."""
         from repro.exec.oplog import OpLog  # the op log module imports this one
 
-        log = OpLog.of_columns(
-            kinds,
-            interner,
-            kind=kind,
-            pid=pid,
-            invoked=invoked,
-            responded=responded,
-            value_idx=value_idx,
-            result_idx=result_idx,
-        )
-        self._adopt(log, range(len(kind)), initial_value, op_id, invoked_exact, responded_exact)
+        self._log, self._op_id = OpLog(), array("q")
+        for op in operations:
+            self._log.append(op)
+            self._op_id.append(op.op_id)
+        self._rows = range(len(self._op_id))
+        self.initial_value = initial_value
+        #: ``operations``, once somebody asked for it.
+        self._operations: Optional[Tuple[Operation, ...]] = None
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -405,7 +321,8 @@ class History:
         number); the checkers take any other order too.  Copies no cell.
         """
         history = cls.__new__(cls)
-        history._adopt(log, rows, initial_value, None, {}, {})
+        history._log, history._rows, history._op_id = log, rows, range(len(rows))
+        history.initial_value, history._operations = initial_value, None
         return history
 
     @classmethod
@@ -432,32 +349,11 @@ class History:
             initial_value=initial_value,
         )
 
-    # Pickling ships the history's own cells, not the log it views or an
-    # object graph: six flat buffers plus the values its rows hold.
+    # Pickling ships the history's own decoded columns, not the log it
+    # views or an object per row; each value object is pickled once.
     def __reduce__(self):
-        log = self._log
-        cells = log.cells(self._rows)
-        slots = sorted(set(cells.value_idx).union(cells.result_idx).difference((-1,)))
-        renumber = {slot: place for place, slot in enumerate(slots)}
-        renumber[-1] = -1
-        table = log.interner.values
-        return (
-            _unpickle_history,
-            (
-                self.initial_value,
-                [kind.value for kind in log.kinds],
-                ValueInterner([table[slot] for slot in slots]),
-                bytes(cells.kind),
-                array("q", cells.pid),
-                array("d", cells.invoked),
-                array("d", cells.responded),
-                array("q", map(renumber.__getitem__, cells.value_idx)),
-                array("q", map(renumber.__getitem__, cells.result_idx)),
-                self._op_id,
-                self._invoked_exact,
-                self._responded_exact,
-            ),
-        )
+        pid, kind, *rest = self.columns()
+        return (_unpickle_history, (self.initial_value, pid, [each.value for each in kind], *rest))
 
     # ------------------------------------------------------------ serialization
 
@@ -488,7 +384,7 @@ class History:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "History":
-        """Inverse of :meth:`to_dict` (round-trips exactly)."""
+        """Inverse of :meth:`to_dict`."""
         return cls(
             (Operation.from_dict(entry) for entry in payload["operations"]),
             initial_value=payload.get("initial_value"),
@@ -501,12 +397,6 @@ class History:
         log = self._log
         cells = log.cells(self._rows)
         table = log.interner.values
-        invoked = list(cells.invoked)
-        for place, at in self._invoked_exact.items():
-            invoked[place] = at
-        responded = [None if at != at else at for at in cells.responded]
-        for place, at in self._responded_exact.items():
-            responded[place] = at
         result_idx = cells.result_idx
         if -1 in result_idx:  # no result yet
             result = [None if idx < 0 else table[idx] for idx in result_idx]
@@ -517,16 +407,21 @@ class History:
             kind=list(map(log.kinds.__getitem__, cells.kind)),
             value=list(map(table.__getitem__, cells.value_idx)),
             result=result,
-            invoked=invoked,
-            responded=responded,
-            op_id=range(len(self._rows)) if self._op_id is None else self._op_id,
+            invoked=list(cells.invoked),
+            responded=[None if at != at else at for at in cells.responded],
+            op_id=self._op_id,
         )
 
-    def log_rows(self) -> Optional[Tuple[OpLog, Sequence[int]]]:
-        """``(op log, rows)`` when each op id is its row's place in history
-        order — a key's rows off a log — so the rows can be read straight
-        off the log; ``None`` for a history built from ``Operation`` rows."""
-        return (self._log, self._rows) if self._op_id is None else None
+    def log_rows(self) -> Tuple[OpLog, Sequence[int]]:
+        """``(op log, rows)``: the log this history views and its rows of it,
+        in history order — what the claims sweep reads straight off the log."""
+        return self._log, self._rows
+
+    @property
+    def op_ids(self) -> Sequence[int]:
+        """Each row's op id, in history order: its place (a ``range``) for a
+        :meth:`view`, the given ``op_id`` for a history built from rows."""
+        return self._op_id
 
     # ----------------------------------------------------------------- views
 
@@ -572,10 +467,10 @@ class History:
         return "\n".join(op.describe() for op in ops)
 
 
-def _unpickle_history(initial_value: Any, kinds: List[str], *columns: Any) -> History:
-    history = History.__new__(History)
-    history._adopt_columns(initial_value, [OpKind(kind) for kind in kinds], *columns)
-    return history
+def _unpickle_history(
+    initial_value: Any, pid: Sequence[int], kinds: List[str], *columns: Any
+) -> History:
+    return History(map(Operation, pid, map(OpKind, kinds), *columns), initial_value)
 
 
 def make_history(

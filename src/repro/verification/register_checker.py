@@ -35,15 +35,14 @@ running maximum:
   are a pointer over the writer's completed writes and each reader's best
   index so far.
 
-The sweep has two feeds, and :func:`check_swmr_atomicity` picks one.  A
-history that is a view over an op log's rows
-(:meth:`~repro.verification.history.History.log_rows`) is read straight off
-the log's cells by :func:`check_swmr_log`, decoding nothing.  A history
-built from ``Operation`` rows is read through its decoded columns.  On
-either feed, rows already in invocation order cost one O(n) confirmation,
-any other row order pays for a sort.  Both give the same report for the
-same rows.  Violations are reported kind by kind, each kind in row order
-(a reader's together).
+The sweep reads a history's rows straight off its op log's cells
+(:meth:`~repro.verification.history.History.log_rows`), decoding nothing:
+every history is a view over a log, a hand-built one over a private log.
+Same-instant invocations are ordered by the history's op ids — a row's
+place in a run's view, the given ``op_id`` in a hand-built history.  Rows
+already in invocation order cost one O(n) confirmation, any other row
+order pays for a sort.  Violations are reported kind by kind, each kind in
+row order (a reader's together).
 
 Precondition (a history outside it raises :class:`ClaimsNotApplicable`
 instead of a verdict, and the per-key dispatcher runs the Wing–Gong search):
@@ -66,12 +65,9 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import islice
 from operator import eq, itemgetter, le, lt
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.verification.history import History, OpKind, Operation
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec.oplog import OpLog
 
 _NEVER = float("inf")
 
@@ -123,135 +119,16 @@ def check_swmr_atomicity(
     listing every one.  Raises :class:`ClaimsNotApplicable` when the history
     is outside the precondition.
 
-    Works on row indices over the history's cells; ``Operation`` rows are
-    built only to describe a violation.
+    Works on row indices over the log's cells; ``Operation`` rows are built
+    only to describe a violation.
     """
-    on_log = history.log_rows()
-    if on_log is not None:
-        report = check_swmr_log(history.initial_value, *on_log)
-    else:
-        report = _check_columns(history)
+    report = _sweep(history)
     if raise_on_violation and not report.ok:
         raise AtomicityViolation(
             f"{len(report.violations)} atomicity violation(s):\n  - "
             + "\n  - ".join(report.violations)
         )
     return report
-
-
-def _check_columns(history: History) -> AtomicityReport:
-    """The sweep over a history's decoded columns, in any row order."""
-    columns = history.columns()
-    kind, pid, op_id = columns.kind, columns.pid, columns.op_id
-    invoked, responded = columns.invoked, columns.responded
-    read, write = OpKind.READ, OpKind.WRITE
-    writes = [row for row, op in enumerate(kind) if op is write]
-    if len(writes) + kind.count(read) != len(kind):
-        other = next(op for op in kind if op is not read and op is not write)
-        raise ClaimsNotApplicable(_kind_refusal(other))
-    reads = [row for row, op in enumerate(kind) if op is read and responded[row] is not None]
-    # An op-log history's rows run in (invoked, op_id) order with op_id
-    # ascending; any other row order pays for a sort.
-    if not (
-        all(map(le, invoked, islice(invoked, 1, None)))
-        and all(map(lt, op_id, islice(op_id, 1, None)))
-    ):
-        writes.sort(key=lambda row: (invoked[row], op_id[row]))
-        reads.sort(key=lambda row: (invoked[row], op_id[row]))
-    value = columns.value
-    index_of = _write_indices(history.initial_value, pid, writes, [value[row] for row in writes])
-    return _sweep(
-        history.initial_value,
-        writes,
-        [index for index, row in enumerate(writes, start=1) if responded[row] is not None],
-        reads,
-        pid,
-        invoked,
-        responded,
-        columns.result,
-        index_of,
-        None,
-        op_id,
-        lambda row: history.operations[row].describe(),
-    )
-
-
-def check_swmr_log(initial_value: Any, log: OpLog, rows: Sequence[int]) -> AtomicityReport:
-    """The sweep over one key's ``rows`` of an op ``log``, read straight off its cells.
-
-    A row's place in ``rows`` is its ``op_id``, as in a view over them.
-    Rows in history order (invocation time, then pid and per-process
-    sequence number — the order
-    :meth:`~repro.verification.history.History.from_records` sorts into,
-    and :meth:`~repro.exec.oplog.OpLog.rows_by_key` groups a key's rows in)
-    cost one O(n) confirmation; any other order pays for a sort.  The cells
-    are the log's raw ones (:meth:`~repro.exec.oplog.OpLog.cells`): a kind
-    slot, NaN while pending, value and result slots of the shared table
-    (-1 = no result).  The report is the one the decoded columns of the
-    same rows give, and the same rows raise :class:`ClaimsNotApplicable`.
-    A read's result is found by its table slot and, when no write holds
-    that slot (``1.0`` read where ``1`` was written, the initial value, an
-    unhashable result), by equality, as on decoded columns.
-    """
-    kinds, table = log.kinds, log.interner.values
-    kind, pid, invoked, responded, value_idx, result_idx = log.cells(rows)
-    places = range(len(kind))
-    read_slot, write_slot = kinds.index(OpKind.READ), kinds.index(OpKind.WRITE)
-    writes = [place for place in places if kind[place] == write_slot]
-    if len(writes) + kind.count(read_slot) != len(kind):
-        other = next(kinds[slot] for slot in kind if slot != read_slot and slot != write_slot)
-        raise ClaimsNotApplicable(_kind_refusal(other))
-    # A pending operation ends at NaN, which equals nothing.
-    done = list(map(eq, responded, responded))
-    reads = [place for place in places if kind[place] == read_slot and done[place]]
-    if not all(map(le, invoked, islice(invoked, 1, None))):
-        writes.sort(key=lambda place: (invoked[place], place))
-        reads.sort(key=lambda place: (invoked[place], place))
-    written = [value_idx[place] for place in writes]
-    index_of = _write_indices(initial_value, pid, writes, [table[slot] for slot in written])
-
-    def value_of(slot: int) -> Any:
-        return table[slot] if slot >= 0 else None
-
-    def lookup(place: int) -> Optional[int]:
-        try:
-            return index_of.get(value_of(result_idx[place]))
-        except TypeError:  # an unhashable result equals no written value
-            return None
-
-    def describe(place: int) -> str:
-        at = responded[place]
-        return Operation(
-            pid[place],
-            kinds[kind[place]],
-            table[value_idx[place]],
-            value_of(result_idx[place]),
-            invoked[place],
-            at if at == at else None,
-            place,
-        ).describe()
-
-    return _sweep(
-        initial_value,
-        writes,
-        [index for index, place in enumerate(writes, start=1) if done[place]],
-        reads,
-        pid,
-        invoked,
-        responded,
-        result_idx,
-        dict(zip(written, range(1, len(written) + 1))),
-        lookup,
-        places,
-        describe,
-    )
-
-
-def _kind_refusal(other: OpKind) -> str:
-    return (
-        f"history holds a {other.value} operation; the fast checker only "
-        "handles reads and writes"
-    )
 
 
 def _write_indices(
@@ -289,29 +166,62 @@ def _write_indices(
     return index_of
 
 
-def _sweep(
-    initial_value: Any,
-    writes: List[int],
-    completed: List[int],
-    reads: List[int],
-    pid: Sequence[int],
-    invoked: Sequence[Any],
-    responded: Sequence[Any],
-    result: Sequence[Any],
-    index_of: Dict[Any, int],
-    lookup: Optional[Callable[[int], Optional[int]]],
-    op_id: Sequence[int],
-    describe: Callable[[int], str],
-) -> AtomicityReport:
-    """The Lemma 10 sweep both feeds share.
+def _sweep(history: History) -> AtomicityReport:
+    """The Lemma 10 sweep over ``history``'s rows, read off its log's cells.
 
-    ``writes`` and ``reads`` (completed reads only) are rows in
-    ``(invoked, op_id)`` order; write ``k`` (1-based) is ``writes[k - 1]``
-    and ``completed`` lists the indices of the writes that responded.  A
-    read's write index is ``index_of.get(result[row])``, else
-    ``lookup(row)`` when given.  Violations are reported kind by kind, each
-    kind in row order (a reader's together).
+    The cells are the log's raw ones (:meth:`~repro.exec.oplog.OpLog.cells`):
+    a kind slot, NaN while pending, value and result slots of the shared
+    table (-1 = no result).  Writes and completed reads are taken in
+    ``(invoked, op_id)`` order, and write ``k`` (1-based) is the ``k``-th
+    write in it.  A read's result is found by its table slot and, when no
+    write holds that slot (``1.0`` read where ``1`` was written, the initial
+    value, an unhashable result), by equality.
     """
+    initial_value = history.initial_value
+    log, rows = history.log_rows()
+    op_id = history.op_ids
+    kinds, table = log.kinds, log.interner.values
+    kind, pid, invoked, responded, value_idx, result_idx = log.cells(rows)
+    places = range(len(kind))
+    read_slot, write_slot = kinds.index(OpKind.READ), kinds.index(OpKind.WRITE)
+    writes = [place for place in places if kind[place] == write_slot]
+    if len(writes) + kind.count(read_slot) != len(kind):
+        other = next(kinds[slot] for slot in kind if slot != read_slot and slot != write_slot)
+        raise ClaimsNotApplicable(
+            f"history holds a {other.value} operation; the fast checker only "
+            "handles reads and writes"
+        )
+    # A pending operation ends at NaN, which equals nothing.
+    done = list(map(eq, responded, responded))
+    reads = [place for place in places if kind[place] == read_slot and done[place]]
+    # A view's op ids are its places (a range), so ascending: only a
+    # hand-built history's are confirmed.
+    if not (
+        all(map(le, invoked, islice(invoked, 1, None)))
+        and (isinstance(op_id, range) or all(map(lt, op_id, islice(op_id, 1, None))))
+    ):
+        writes.sort(key=lambda place: (invoked[place], op_id[place]))
+        reads.sort(key=lambda place: (invoked[place], op_id[place]))
+    written = [value_idx[place] for place in writes]
+    index_of = _write_indices(initial_value, pid, writes, [table[slot] for slot in written])
+    index_of_slot = dict(zip(written, range(1, len(written) + 1)))
+
+    def value_of(slot: int) -> Any:
+        return table[slot] if slot >= 0 else None
+
+    def describe(place: int) -> str:
+        at = responded[place]
+        return Operation(
+            pid[place],
+            kinds[kind[place]],
+            table[value_idx[place]],
+            value_of(result_idx[place]),
+            invoked[place],
+            at if at == at else None,
+            op_id[place],
+        ).describe()
+
+    completed = [index for index, place in enumerate(writes, start=1) if done[place]]
     # A write's index is its invocation rank, so ``write_invoked`` is sorted.
     write_invoked = list(map(invoked.__getitem__, writes))
     # Claim 2 walks the completed writes by response time; the writer's own
@@ -332,13 +242,12 @@ def _sweep(
         start, at = invoked[row], responded[row]
         if at < start:
             raise ClaimsNotApplicable(f"{describe(row)} responds before it is invoked")
-        try:
-            index = index_of.get(result[row])
-        except TypeError:  # an unhashable result equals no written value
-            index = None
+        index = index_of_slot.get(result_idx[row])
         if index is None:
-            if lookup is not None:
-                index = lookup(row)
+            try:
+                index = index_of.get(value_of(result_idx[row]))
+            except TypeError:  # an unhashable result equals no written value
+                index = None
             if index is None:
                 unknown.append((row, (
                     f"read returned a value that was never written: {describe(row)} "

@@ -2,10 +2,11 @@
 
 The driver records every operation's lifecycle into both representations
 simultaneously (``driver.ops`` and ``driver.oplog``), so a real run is a
-free differential oracle: every LoggedOp view must agree with its
-OperationRecord on every field, the per-key histories must equal what
-``History.from_records`` builds from the driver's records, and the
-protocol-5 wire format must round-trip the whole log bit-for-bit.
+free differential oracle: every ``ops_view()`` row (an ``Operation``, the
+one row class) must agree with its OperationRecord on every field, the
+per-key histories must equal what ``History.from_records`` builds from the
+driver's records, and the protocol-5 wire format must round-trip the whole
+log bit-for-bit.
 """
 
 import math
@@ -16,7 +17,7 @@ import pytest
 from repro.exec.oplog import OpLog, decode_oplog, encode_oplog, transfer_size
 from repro.registers.base import OperationKind, OperationRecord
 from repro.store.store import KVStore, create_store
-from repro.verification.history import History
+from repro.verification.history import History, Operation
 from repro.verification.register_checker import check_swmr_atomicity
 from repro.workloads.kv import run_kv_workload
 from repro.workloads.scenarios import kv_openloop, kv_uniform
@@ -29,7 +30,7 @@ def _specs():
     ]
 
 
-#: The record's whole surface, which a LoggedOp view must reproduce.
+#: The record's whole surface, which an ``ops_view()`` row must reproduce.
 _FIELDS = (
     "op_id", "pid", "proc_op_id", "kind", "key", "value", "result", "submitted_at",
     "invoked_at", "responded_at", "failed", "failure_reason", "completed", "done",
@@ -38,6 +39,7 @@ _FIELDS = (
 
 
 def _assert_op_parity(op, logged_op):
+    assert type(logged_op) is Operation
     for name in _FIELDS:
         assert getattr(logged_op, name) == getattr(op, name), name
 
@@ -78,6 +80,40 @@ class TestOpLogRecordsTheRun:
         assert logged.failed
         assert logged.failure_reason == op.failure_reason
         assert logged.failure_reason != ""
+
+
+class TestOneRowClass:
+    """An ``ops_view()`` row is an :class:`Operation`: its seven history
+    fields are the row, and the record's other fields ride along."""
+
+    def _logged_row(self):
+        log = OpLog()
+        row = log.note_created(OperationKind.READ, "k", None)
+        log.note_submitted(row, 0.5)
+        record = OperationRecord(
+            row, 2, OperationKind.READ, None, "k", invoked_at=1.0, proc_op_id=4
+        )
+        log.note_issued(row, record)
+        record.responded_at, record.result = 3.0, "v1"
+        log.note_completed(row, record)
+        log.note_failed(row, "a reason")
+        return log.ops_view()[row]
+
+    def test_a_row_equals_and_hashes_like_a_hand_built_operation(self):
+        logged = self._logged_row()
+        assert (logged.key, logged.proc_op_id, logged.submitted_at) == ("k", 4, 0.5)
+        assert logged.failed and logged.failure_reason == "a reason"
+        bare = Operation(pid=2, kind=OperationKind.READ, result="v1", invoked_at=1.0,
+                         responded_at=3.0, op_id=0)
+        assert logged == bare and hash(logged) == hash(bare)
+        assert {logged} == {bare}
+        assert logged != Operation(pid=2, kind=OperationKind.READ, result="v2", invoked_at=1.0,
+                                   responded_at=3.0, op_id=0)
+
+    def test_its_dict_has_the_seven_history_keys(self):
+        assert list(self._logged_row().to_dict()) == [
+            "pid", "kind", "value", "result", "invoked_at", "responded_at", "op_id",
+        ]
 
 
 class TestKeyGrouping:

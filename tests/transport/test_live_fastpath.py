@@ -253,8 +253,9 @@ class TestCrashFlush:
             reader, writer = await asyncio.open_connection(sock=ours)
             kills = []
             monkeypatch.setattr(live.os, "kill", lambda *_: kills.append("killed"))
+            peer = SimpleNamespace(label="peer<-1", reader=reader)
             dying = asyncio.ensure_future(
-                live._ReplicaServer._kill_once_flushed([], [reader], budget=30.0)
+                live._ReplicaServer._kill_once_flushed([], [peer], budget=30.0)
             )
             await asyncio.sleep(0.05)
             assert kills == []  # the peer is still on the line
@@ -264,6 +265,30 @@ class TestCrashFlush:
             writer.close()
 
         asyncio.run(main())
+
+    def test_a_kill_the_budget_forces_says_what_it_cut_short(self, monkeypatch, capsys):
+        """One stderr line: the bytes still buffered and the peers still connected."""
+        import socket
+
+        from repro.transport import live
+
+        async def main():
+            ours, theirs = socket.socketpair()
+            reader, writer = await asyncio.open_connection(sock=ours)
+            kills = []
+            monkeypatch.setattr(live.os, "kill", lambda *_: kills.append("killed"))
+            peer = SimpleNamespace(label="peer<-1", reader=reader)
+            await live._ReplicaServer._kill_once_flushed([], [peer], budget=0.05)
+            assert kills == ["killed"]
+            writer.close()
+            theirs.close()
+
+        asyncio.run(main())
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.endswith(
+            ": crash kill after its 0.05 s budget with 0 bytes buffered, "
+            "peers still connected: ['peer<-1']"
+        )
 
 
 class TestSettle:

@@ -2,12 +2,12 @@
 
 The history is gated on *exactness*: operations that go into the columns
 come back field-for-field — pending operations, duplicate/interned values,
-unhashable values, non-float timestamps and the ``1`` / ``1.0`` / ``True``
-equality trap included — through ``operations``, ``to_dict`` / ``from_dict``
-and pickle alike.
+unhashable values and the ``1`` / ``1.0`` / ``True`` equality trap
+included — through ``operations``, ``to_dict`` / ``from_dict`` and pickle
+alike.  Times live in float columns: one a double holds exactly comes back
+as that float, any other is refused.
 """
 
-import math
 import pickle
 from fractions import Fraction
 
@@ -32,8 +32,8 @@ values = st.one_of(
     st.text(max_size=4),
     st.lists(st.integers(0, 2), max_size=2),
 )
-# Times mix plain floats with ints (the non-float-representable-in-a-double
-# column case hand-written test histories hit).
+# Times mix plain floats with ints (hand-written test histories use ints;
+# they read back as the equal floats).
 times = st.one_of(
     st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False),
     st.integers(min_value=0, max_value=10**6),
@@ -61,11 +61,16 @@ def operation_lists(draw):
 
 
 def assert_same_rows(rows, operations):
-    """Equal *and* of the same types (``1 == 1.0 == True`` would hide a lossy column)."""
+    """Equal, values and results of the same types (``1 == 1.0 == True``
+    would hide a lossy column), and times the floats equal to the input."""
     assert list(rows) == list(operations)
     for restored, original in zip(rows, operations):
-        for field in ("invoked_at", "responded_at", "value", "result"):
+        for field in ("value", "result"):
             assert type(getattr(restored, field)) is type(getattr(original, field))
+        for field in ("invoked_at", "responded_at"):
+            at = getattr(original, field)
+            assert getattr(restored, field) == (None if at is None else float(at))
+            assert at is None or type(getattr(restored, field)) is float
 
 
 class TestOperation:
@@ -152,15 +157,10 @@ class TestRepresentationDetails:
         assert row.responded_at is None
         assert history.columns().responded == [None]
 
-    def test_integer_times_keep_their_type(self):
-        row = make_history([(0, "write", "v1", 1, 3)], initial_value="v0").operations[0]
-        assert row.invoked_at == 1 and type(row.invoked_at) is int
-        assert row.responded_at == 3 and type(row.responded_at) is int
-
-    def test_exact_times_survive_every_round_trip(self):
-        """Times a double cannot hold (a fraction, an int past 2**53, one
-        past the float range, a bool) come back as they went in."""
-        times = [(Fraction(1, 3), 2**53 + 1), (10**400, True), (0.5, None)]
+    def test_int_and_bool_times_read_back_as_equal_floats(self):
+        """A time a double holds exactly goes into the log's float columns
+        and comes back as that float, through every round trip."""
+        times = [(1, 3), (True, 2**53), (0.5, None)]
         operations = [
             Operation(pid=0, kind=OpKind.WRITE, value=f"v{i}", invoked_at=invoked,
                       responded_at=responded, op_id=i)
@@ -169,17 +169,29 @@ class TestRepresentationDetails:
         history = History(operations, initial_value="v0")
         for restored in (history, pickle.loads(pickle.dumps(history)), History.from_dict(history.to_dict())):
             assert_same_rows(restored.operations, operations)
-            assert restored.columns().invoked == [invoked for invoked, _ in times]
-            assert restored.columns().responded == [responded for _, responded in times]
+            assert restored.columns().invoked == [1.0, 1.0, 0.5]
+            assert restored.columns().responded == [3.0, float(2**53), None]
 
-    def test_nan_timestamp_survives_without_becoming_pending(self):
-        op = Operation(
-            pid=0, kind=OpKind.WRITE, value="v", result=None,
-            invoked_at=0.0, responded_at=float("nan"), op_id=0,
+    @pytest.mark.parametrize(
+        "field, at",
+        [
+            ("invoked_at", float("nan")),
+            ("responded_at", float("nan")),
+            ("invoked_at", Fraction(1, 3)),
+            ("responded_at", 2**53 + 1),
+            ("invoked_at", 10**400),
+        ],
+        ids=["nan-invoked", "nan-responded", "fraction", "past-2**53", "past-float-range"],
+    )
+    def test_a_time_no_float_holds_is_refused_by_name(self, field, at):
+        """NaN would read as pending, and a rounded float is another time."""
+        fine = Operation(
+            pid=0, kind=OpKind.WRITE, value="a", invoked_at=0.0, responded_at=1.0, op_id=0
         )
-        row = History([op]).operations[0]
-        assert not row.pending
-        assert math.isnan(row.responded_at)
+        times = {"invoked_at": 0.0, "responded_at": 2.0, field: at}
+        bad = Operation(pid=1, kind=OpKind.READ, result="a", op_id=7, **times)
+        with pytest.raises(ValueError, match=rf"^operation 7 \(read by p1\): {field}="):
+            History([fine, bad])
 
     def test_interner_deduplicates_but_separates_equal_cross_type_values(self):
         interner = ValueInterner()
