@@ -15,11 +15,11 @@ is measured:
   across every worker count (asserted in :func:`sweep`; tier-1 holds the
   same contract in ``tests/parallel/test_differential.py``);
 * the ``cpus`` field records the machine the committed baseline ran on.
-  On two cores the clock-barrier engine wins ~1.5x from ~10^5 operations
-  and loses below (spawn, pickling and barrier traffic dominate the probe);
-  with one core it can only lose.  The *identities* are machine-independent
-  either way — bit-identical output is the engine's contract, scaling is
-  the hardware's.
+  On two cores the clock-barrier engine wins 1.3-1.6x from ~10^5 operations
+  and little or nothing below (spawn, pickling and barrier traffic dominate
+  the probe); with one core it can only lose.  The *identities* are
+  machine-independent either way — bit-identical output is the engine's
+  contract, scaling is the hardware's.
 
 Run modes:
 

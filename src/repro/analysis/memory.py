@@ -32,12 +32,6 @@ class MemoryMeasurement:
         """Largest per-process footprint."""
         return max(self.per_process_words.values())
 
-    @property
-    def writer_words(self) -> int:
-        """Footprint of process 0 (the writer in these measurement runs)."""
-        return self.per_process_words[0]
-
-
 def measure_local_memory(
     algorithm: str,
     n: int = 5,

@@ -31,7 +31,7 @@ from repro.analysis.memory import measure_local_memory
 from repro.analysis.metrics import latencies_in_delta, messages_per_operation, summarize
 from repro.analysis.report import format_number, format_table
 from repro.registers.base import OperationKind
-from repro.registers.costmodels import TABLE1_METRICS, TABLE1_MODELS, model_by_name
+from repro.registers.costmodels import TABLE1_METRICS, TABLE1_MODELS
 from repro.sim.delays import FixedDelay
 from repro.workloads.runner import run_workload
 from repro.workloads.spec import WorkloadSpec
@@ -224,8 +224,3 @@ def build_table1(
             )
         table.rows.append(row)
     return table
-
-
-def expected_value(algorithm: str, metric: str, n: int, writes: int = 1) -> float:
-    """The analytic (paper) value of one cell, evaluated for concrete ``n``/``writes``."""
-    return model_by_name(algorithm).row(metric).value(n, writes)

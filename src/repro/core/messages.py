@@ -30,7 +30,6 @@ type, the data bits of the field-less ones — the accessor is a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -111,10 +110,6 @@ class WriteMessage:
         """Data payload size (the written value)."""
         return self.price[2]
 
-    def wire_code(self) -> int:
-        """The 2-bit wire encoding of this message's type."""
-        return WIRE_CODES[self.type_name]
-
     def __repr__(self) -> str:
         return f"WRITE{self.bit}({self.value!r})"
 
@@ -136,9 +131,6 @@ class ReadMessage:
     @staticmethod
     def data_bits() -> int:
         return 0
-
-    def wire_code(self) -> int:
-        return WIRE_CODES["READ"]
 
     def __repr__(self) -> str:
         return "READ()"
@@ -162,9 +154,6 @@ class ProceedMessage:
     def data_bits() -> int:
         return 0
 
-    def wire_code(self) -> int:
-        return WIRE_CODES["PROCEED"]
-
     def __repr__(self) -> str:
         return "PROCEED()"
 
@@ -186,17 +175,3 @@ def make_write_message(sequence_number: int, value: Any) -> WriteMessage:
             f"got {sequence_number}"
         )
     return WriteMessage(bit=sequence_number % 2, value=value)
-
-
-def message_type_count() -> int:
-    """Number of distinct message types the algorithm uses (Theorem 2: four)."""
-    return len(WIRE_CODES)
-
-
-def bits_needed_for_types(num_types: int) -> int:
-    """Minimum number of bits needed to encode ``num_types`` distinct message types."""
-    if num_types < 1:
-        raise ValueError("need at least one message type")
-    if num_types == 1:
-        return 1
-    return math.ceil(math.log2(num_types))

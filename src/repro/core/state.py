@@ -63,11 +63,6 @@ class TwoBitState:
         """``w_sync_i[i]`` — sequence number of the most recent value this process knows."""
         return self.w_sync[self.pid]
 
-    @property
-    def last_known_value(self) -> Any:
-        """The most recent written value this process knows (``history[w_sync_i[i]]``)."""
-        return self.history[self.own_sequence_number]
-
     def known_prefix(self) -> list[Any]:
         """A copy of the history prefix this process currently knows."""
         return list(self.history[: self.own_sequence_number + 1])

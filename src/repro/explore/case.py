@@ -226,11 +226,6 @@ class ExploreCase:
         """Strict-JSON rendering (stable key order; fails on non-finite numbers)."""
         return json.dumps(self.to_dict(), indent=1, sort_keys=True, allow_nan=False)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExploreCase":
-        return cls.from_dict(json.loads(text))
-
-
 @dataclass
 class CaseOutcome:
     """Everything one case execution produced, and its verdict."""

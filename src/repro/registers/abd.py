@@ -251,12 +251,6 @@ class AbdRegisterProcess(PhaseRegisterProcess):
 
     # ------------------------------------------------------------- inspection
 
-    @property
-    def _write_acks(self) -> set[int]:
-        """Responders of the current write phase (kept for tests/diagnostics)."""
-        phase = self._phases.get("write")
-        return set() if phase is None else set(phase.replies)
-
     def local_memory_words(self) -> int:
         """ABD keeps a constant number of words plus an unbounded sequence number.
 

@@ -215,11 +215,3 @@ def model_by_name(name: str) -> AlgorithmCostModel:
         if model.name == name:
             return model
     raise KeyError(f"no cost model named {name!r}; available: {[m.name for m in TABLE1_MODELS]}")
-
-
-def paper_table1() -> dict[str, dict[str, str]]:
-    """The paper's Table 1 as formula strings: ``{metric: {algorithm: formula}}``."""
-    table: dict[str, dict[str, str]] = {}
-    for metric, _label in TABLE1_METRICS:
-        table[metric] = {model.name: model.row(metric).formula for model in TABLE1_MODELS}
-    return table

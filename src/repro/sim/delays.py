@@ -22,7 +22,6 @@ stateless apart from their RNG so they can be shared across channels.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -263,11 +262,3 @@ class PerLinkDelay(DelayModel):
 
     def __repr__(self) -> str:
         return f"PerLinkDelay(default={self.default!r}, overrides={len(self.overrides)} links)"
-
-
-def effective_delta(model: DelayModel) -> float:
-    """Return the paper's ``delta`` (delay bound) for a model, or raise if unbounded."""
-    bound = model.max_delay()
-    if bound is None or not math.isfinite(bound):
-        raise ValueError(f"delay model {model!r} has no finite bound delta")
-    return bound

@@ -129,9 +129,6 @@ class NetworkStats:
     messages_coalesced: int = 0
     by_type: Dict[str, int] = field(default_factory=dict)
     per_sender: Dict[int, int] = field(default_factory=dict)
-    # Operation attribution: the workload runner opens an accounting window
-    # (`mark()`) before an operation and reads the delta after it completes.
-    _marks: Dict[str, int] = field(default_factory=dict)
     # Hot-path cache: message *class* -> (type name, control bits, data
     # bits).  The name is ``None`` where the instances carry their own
     # ``price``; otherwise a bit entry is the count itself where no instance
@@ -195,14 +192,6 @@ class NetworkStats:
 
     def record_drop(self) -> None:
         self.messages_dropped_to_crashed += 1
-
-    def mark(self, label: str = "default") -> None:
-        """Open (or reset) a named accounting window."""
-        self._marks[label] = self.messages_sent
-
-    def since_mark(self, label: str = "default") -> int:
-        """Messages sent since the window ``label`` was opened."""
-        return self.messages_sent - self._marks.get(label, 0)
 
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict snapshot for reports."""

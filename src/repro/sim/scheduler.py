@@ -17,7 +17,7 @@ benchmarks rely on this.
 from __future__ import annotations
 
 from heapq import heappop
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.events import Event, EventQueue
 from repro.transport.runtime import render_label
@@ -94,10 +94,6 @@ class Simulator:
     def add_observer(self, observer: Callable[["Simulator"], None]) -> None:
         """Register a callback invoked after every executed event."""
         self._observers.append(observer)
-
-    def remove_observer(self, observer: Callable[["Simulator"], None]) -> None:
-        """Unregister an observer previously added with :meth:`add_observer`."""
-        self._observers.remove(observer)
 
     def stop(self) -> None:
         """Request the event loop to stop after the current event."""
@@ -254,9 +250,3 @@ class Simulator:
                 f"simulation not quiescent{': ' + context if context else ''}; "
                 f"{self.pending_events} events pending (first: {labels})"
             )
-
-
-def run_all(simulators: Iterable[Simulator]) -> None:
-    """Drain several independent simulators (convenience for parameter sweeps)."""
-    for sim in simulators:
-        sim.drain()

@@ -73,11 +73,6 @@ class ShardMap:
     # ------------------------------------------------------------- geometry
 
     @property
-    def num_servers(self) -> int:
-        """Total virtual servers across all shards."""
-        return self.num_shards * self.replication
-
-    @property
     def max_faulty_per_shard(self) -> int:
         """Crashes each shard tolerates: the largest ``t`` with ``t < replication/2``."""
         return (self.replication - 1) // 2

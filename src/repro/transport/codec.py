@@ -76,11 +76,6 @@ def decode_message(wire: Dict[str, Any]) -> Any:
     return cls(**kwargs)
 
 
-def registered_type_names() -> list[str]:
-    """Names of all registered message classes (diagnostics)."""
-    return sorted(_REGISTRY)
-
-
 def _register_builtin_messages() -> None:
     """Register every register-protocol message family shipped in-repo."""
     from repro.core import messages as core_messages

@@ -29,11 +29,12 @@ here over real sockets, unmodified:
 
 Failure semantics: a replica arms the spec's crash points with the
 simulator's own :func:`~repro.faults.plan.install_crash_points`; a fired
-point tells the replica's clients and peers (a ``crashing`` frame, its last
-on each link), hands what it sent to the kernel and ends in ``SIGKILL``.  A
-peer whose ``crashing`` frame was read, or whose link's read loop returned
-why the stream ended, is kept in ``gone``: a replica bills its sends to a
-gone peer to ``messages_dropped_to_crashed``, a client fails an announced-dead
+point tells the replica's clients and peers, and every client it greets
+until it dies (a ``crashing`` frame, its last on each link), hands what it
+sent to the kernel and ends in ``SIGKILL``.  A peer whose ``crashing``
+frame was read, or whose link's read loop returned why the stream ended,
+is kept in ``gone``: a replica bills its sends to a gone peer to
+``messages_dropped_to_crashed``, a client fails an announced-dead
 replica's operations at once; any other link end fails the run by name, as
 does a replica silent to a stats request or a client worker process that
 raises or dies (``worker_failure``).  Fault plans, coalescing and
@@ -420,6 +421,8 @@ class _ReplicaServer:
         self.failure: Optional[BaseException] = None
         self._accepted: List[Connection] = []
         self._wiring: Optional[asyncio.Task] = None
+        #: Once the crash point fired: the transports its kill waits to flush.
+        self._flushing: Optional[List[Any]] = None
 
     def live_key(self, key: Any) -> LiveKey:
         entry = self.keys.get(key)
@@ -445,6 +448,8 @@ class _ReplicaServer:
     def _greeted(self, conn: Connection, hello: Dict[str, Any]) -> FrameHandler:
         conn.label = f"peer<-{hello.get('src', '?')}" if hello.get("role") == "peer" else "client"
         self._accepted.append(conn)
+        if self._flushing is not None:  # greeted after the crash point fired
+            self._go_silent(conn, announce=conn.label == "client")
         return self._on_frame
 
     def _on_frame(self, conn: Connection, frame: Dict[str, Any]) -> None:
@@ -504,15 +509,21 @@ class _ReplicaServer:
         if not self.armed:
             return
         self.armed = False
+        self._flushing = []
         peers = list(self.peer_conns.values())
-        conns = self._accepted + peers
-        for conn in conns:
-            if conn.label == "client" or conn in peers:
-                conn.send({"kind": "crashing", "replica": self.replica_id})
-            conn.batch.seal()  # nothing this replica does from now on leaves it
-        transports = [conn.writer.transport for conn in conns]
+        for conn in self._accepted + peers:
+            self._go_silent(conn, announce=conn.label == "client" or conn in peers)
         hearing = [conn for conn in self._accepted if conn.label.startswith("peer<-")]
-        asyncio.ensure_future(self._kill_once_flushed(transports, hearing))
+        asyncio.ensure_future(self._kill_once_flushed(self._flushing, hearing))
+
+    def _go_silent(self, conn: Connection, announce: bool) -> None:
+        """Send ``conn`` the ``crashing`` frame if ``announce``, let nothing
+        this replica does from now on leave it, and make the kill wait for
+        what is queued on it."""
+        if announce:
+            conn.send({"kind": "crashing", "replica": self.replica_id})
+        conn.batch.seal()
+        self._flushing.append(conn.writer.transport)
 
     @staticmethod
     async def _kill_once_flushed(

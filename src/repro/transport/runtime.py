@@ -58,27 +58,22 @@ class Guard:
         as a string or as a lazy ``(format, *args)`` tuple (:func:`render_label`).
     """
 
-    __slots__ = ("predicate", "action", "_label", "fired", "cancelled")
+    __slots__ = ("predicate", "action", "_label", "fired")
 
     def __init__(
-        self,
-        predicate: Callable[[], bool],
-        action: Callable[[], None],
-        label: Any = "",
-        cancelled: bool = False,
+        self, predicate: Callable[[], bool], action: Callable[[], None], label: Any = ""
     ) -> None:
         self.predicate = predicate
         self.action = action
         self._label = label
         self.fired = False
-        self.cancelled = cancelled
 
     @property
     def label(self) -> str:
         return render_label(self._label)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "fired" if self.fired else "cancelled" if self.cancelled else "pending"
+        state = "fired" if self.fired else "pending"
         return f"Guard({self.label!r}, {state})"
 
 
@@ -185,10 +180,11 @@ class ProcessBase:
         returning), mirroring a ``wait`` statement whose condition is already
         satisfied — nothing is left pending, so no :class:`Guard` is built
         and ``None`` is returned.  ``label`` is a string or a lazily rendered
-        ``(format, *args)`` tuple (see :class:`Guard`).
+        ``(format, *args)`` tuple (see :class:`Guard`).  A crashed process's
+        wait never fires: its :class:`Guard` sits in no list.
         """
         if self.crashed:
-            return Guard(predicate, action, label, cancelled=True)
+            return Guard(predicate, action, label)
         if predicate():
             action()
             if self._guards:
@@ -198,27 +194,21 @@ class ProcessBase:
         self._guards.append(guard)
         return guard
 
-    def cancel_guard(self, guard: Optional[Guard]) -> None:
-        """Cancel a pending guard (idempotent; ``None`` — a wait that never pended — is a no-op)."""
-        if guard is not None and not guard.cancelled:
-            guard.cancelled = True
-            self._guards = [g for g in self._guards if g is not guard]
-
     def check_guards(self) -> None:
         """Re-evaluate pending guards; fire (once) those whose predicate holds.
 
         Firing a guard can change state and thereby enable other guards, so
         the scan repeats until it completes a pass with no firing.  A pass
         that fires nothing — the common one — reads the list in place; only
-        once a guard is about to fire (its action may add or cancel guards,
-        or crash the process and clear them) does the rest of the pass run
+        once a guard is about to fire (its action may add guards, or crash
+        the process and clear them) does the rest of the pass run
         over a snapshot.  At the fixpoint nothing is due any more, whatever
         the actions moved on the way.
         """
         while self._guards and not self.crashed:
             guards = self._guards
             for index, guard in enumerate(guards):
-                if not (guard.fired or guard.cancelled) and guard.predicate():
+                if not guard.fired and guard.predicate():
                     break
             else:
                 break
@@ -226,17 +216,17 @@ class ProcessBase:
             guard.fired = True
             guard.action()
             for guard in rest:
-                if guard.fired or guard.cancelled:
+                if guard.fired:
                     continue
                 if guard.predicate():
                     guard.fired = True
                     guard.action()
-            self._guards = [g for g in self._guards if not g.fired and not g.cancelled]
+            self._guards = [g for g in self._guards if not g.fired]
         self._scan_due = False
 
     def pending_guards(self) -> list[Guard]:
-        """Currently pending (unfired, uncancelled) guards — for diagnostics."""
-        return [g for g in self._guards if not g.fired and not g.cancelled]
+        """Currently pending (unfired) guards — for diagnostics."""
+        return [g for g in self._guards if not g.fired]
 
     def waiting_on(self) -> list[str]:
         """What this process is blocked on, for stuck-run reports.

@@ -4,7 +4,8 @@ import pytest
 
 from repro.analysis.bits import control_bits_growth, measure_control_bits
 from repro.analysis.memory import measure_local_memory, memory_growth
-from repro.analysis.table1 import build_table1, expected_value
+from repro.analysis.table1 import build_table1
+from repro.registers.costmodels import model_by_name
 
 
 class TestControlBits:
@@ -40,7 +41,6 @@ class TestLocalMemory:
     def test_measurement_covers_every_process(self):
         measurement = measure_local_memory("two-bit", n=5, writes=10, seed=0)
         assert set(measurement.per_process_words) == set(range(5))
-        assert measurement.writer_words == measurement.per_process_words[0]
 
 
 class TestTable1Harness:
@@ -89,9 +89,9 @@ class TestTable1Harness:
         with pytest.raises(KeyError):
             table.row("nonexistent")
 
-    def test_expected_value_helper(self):
-        assert expected_value("two-bit", "write_messages", n=7) == 42
-        assert expected_value("attiya", "read_time_delta", n=7) == 18.0
+    def test_paper_values_evaluate_at_concrete_n(self):
+        assert model_by_name("two-bit").row("write_messages").value(7, 1) == 42
+        assert model_by_name("attiya").row("read_time_delta").value(7, 1) == 18.0
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):

@@ -13,9 +13,7 @@ from repro.core.messages import (
     ReadMessage,
     WriteMessage,
     _value_data_bits,
-    bits_needed_for_types,
     make_write_message,
-    message_type_count,
 )
 from repro.transport.codec_binary import make_codec, schema_signature
 
@@ -52,9 +50,14 @@ class TestWriteMessage:
         assert WriteMessage(bit=0, value=b"ab").data_bits() == 16
         assert WriteMessage(bit=0, value=["x"]).data_bits() > 0
 
-    def test_wire_codes_distinct_and_two_bits(self):
-        assert WriteMessage(bit=0, value="v").wire_code() == WIRE_CODES["WRITE0"]
-        assert WriteMessage(bit=1, value="v").wire_code() == WIRE_CODES["WRITE1"]
+    def test_every_message_type_has_a_wire_code(self):
+        type_names = {
+            WriteMessage(bit=0, value="v").type_name,
+            WriteMessage(bit=1, value="v").type_name,
+            ReadMessage.type_name,
+            ProceedMessage.type_name,
+        }
+        assert type_names == set(WIRE_CODES)
 
     def test_repr(self):
         assert repr(WriteMessage(bit=1, value="v3")) == "WRITE1('v3')"
@@ -156,24 +159,13 @@ class TestControlOnlyMessages:
 class TestHeadlineClaim:
     """Theorem 2: four message types, two control bits, only WRITEs carry data."""
 
-    def test_exactly_four_types(self):
-        assert message_type_count() == 4
+    def test_exactly_four_types_with_distinct_codes(self):
+        assert len(WIRE_CODES) == 4
         assert len(set(WIRE_CODES.values())) == 4
 
-    def test_two_bits_suffice_for_four_types(self):
-        assert bits_needed_for_types(4) == 2
+    def test_every_wire_code_fits_in_the_two_control_bits(self):
         assert CONTROL_BITS_PER_MESSAGE == 2
-
-    def test_all_wire_codes_fit_in_two_bits(self):
-        assert all(0 <= code < 4 for code in WIRE_CODES.values())
-
-    def test_bits_needed_for_types_edge_cases(self):
-        assert bits_needed_for_types(1) == 1
-        assert bits_needed_for_types(2) == 1
-        assert bits_needed_for_types(3) == 2
-        assert bits_needed_for_types(5) == 3
-        with pytest.raises(ValueError):
-            bits_needed_for_types(0)
+        assert all(0 <= code < 2**CONTROL_BITS_PER_MESSAGE for code in WIRE_CODES.values())
 
 
 class TestMakeWriteMessage:

@@ -27,7 +27,7 @@ class TestInitialisation:
     def test_none_is_a_valid_initial_value(self):
         state = TwoBitState(n=2, pid=0, initial_value=None)
         assert state.history == [None]
-        assert state.last_known_value is None
+        assert state.history[state.own_sequence_number] is None
 
 
 class TestHistoryManagement:
@@ -59,13 +59,13 @@ class TestHistoryManagement:
         state.w_sync[0] = 2
         assert state.known_prefix() == ["v0", "v1", "v2"]
 
-    def test_own_sequence_number_and_last_known_value(self):
+    def test_own_sequence_number_indexes_the_last_known_value(self):
         state = TwoBitState(n=3, pid=2, initial_value="v0")
         assert state.own_sequence_number == 0
         state.record_value(1, "v1")
         state.w_sync[2] = 1
         assert state.own_sequence_number == 1
-        assert state.last_known_value == "v1"
+        assert state.history[state.own_sequence_number] == "v1"
 
 
 class TestAccounting:

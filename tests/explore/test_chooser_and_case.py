@@ -195,7 +195,7 @@ class TestCaseSerde:
         )
         text = case.to_json()
         json.loads(text)  # strict JSON
-        assert ExploreCase.from_json(text) == case
+        assert ExploreCase.from_dict(json.loads(text)) == case
 
     def test_unknown_versions_and_kinds_rejected(self):
         case = small_case()

@@ -81,7 +81,7 @@ class TestFaultsSweep:
         for case, _ in faults_cases(len(FAULT_SCHEDULES)):
             text = case.to_json()
             json.loads(text, parse_constant=forbid)
-            assert ExploreCase.from_json(text) == case
+            assert ExploreCase.from_dict(json.loads(text)) == case
 
     def test_the_budget_sets_the_width_seed_major(self, capsys, tmp_path):
         names = [case.name for case, _ in faults_cases(8, seed=5)]

@@ -91,7 +91,7 @@ class TestReadWrite:
         # A forged stale ack must not be counted for the next write.
         writer.deliver(1, AbdWriteAck(seq=1))
         record = writer.invoke_write("v2", lambda r: None)
-        assert len(writer._write_acks) == 1  # only the writer itself so far
+        assert list(writer._phases["write"].replies) == [0]  # only the writer itself so far
         cluster.simulator.run_until(lambda: record.completed)
         assert record.completed
 

@@ -21,7 +21,6 @@ from repro.registers.costmodels import (
     TWO_BIT_MODEL,
     UNBOUNDED,
     model_by_name,
-    paper_table1,
 )
 from repro.sim.delays import FixedDelay
 from repro.workloads import WorkloadSpec, run_workload
@@ -97,20 +96,22 @@ class TestCostModels:
         assert [m.name for m in TABLE1_MODELS] == ["abd", "abd-bounded", "attiya", "two-bit"]
 
     def test_paper_formulas_match_table_1(self):
-        table = paper_table1()
-        assert table["write_messages"] == {
+        def formula(algorithm, metric):
+            return model_by_name(algorithm).row(metric).formula
+
+        assert {m.name: m.row("write_messages").formula for m in TABLE1_MODELS} == {
             "abd": "O(n)",
             "abd-bounded": "O(n^2)",
             "attiya": "O(n)",
             "two-bit": "O(n^2)",
         }
-        assert table["read_messages"]["two-bit"] == "O(n)"
-        assert table["message_size_bits"]["two-bit"] == "2"
-        assert table["message_size_bits"]["abd-bounded"] == "O(n^5)"
-        assert table["message_size_bits"]["attiya"] == "O(n^3)"
-        assert table["local_memory"]["abd"] == "unbounded"
-        assert table["write_time_delta"]["two-bit"] == "2 Delta"
-        assert table["read_time_delta"]["attiya"] == "18 Delta"
+        assert formula("two-bit", "read_messages") == "O(n)"
+        assert formula("two-bit", "message_size_bits") == "2"
+        assert formula("abd-bounded", "message_size_bits") == "O(n^5)"
+        assert formula("attiya", "message_size_bits") == "O(n^3)"
+        assert formula("abd", "local_memory") == "unbounded"
+        assert formula("two-bit", "write_time_delta") == "2 Delta"
+        assert formula("attiya", "read_time_delta") == "18 Delta"
 
     def test_concrete_evaluations(self):
         n = 5

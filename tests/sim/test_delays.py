@@ -8,7 +8,6 @@ from repro.sim.delays import (
     JitteredDelay,
     PerLinkDelay,
     UniformDelay,
-    effective_delta,
 )
 
 
@@ -105,17 +104,3 @@ class TestPerLinkDelay:
         model = PerLinkDelay(default=FixedDelay(2.0))
         assert model.sample(4, 5) == 2.0
         assert model.max_delay() == 2.0
-
-
-class TestEffectiveDelta:
-    def test_returns_bound_for_bounded_models(self):
-        assert effective_delta(FixedDelay(1.5)) == 1.5
-        assert effective_delta(UniformDelay(0.0, 2.0)) == 2.0
-
-    def test_raises_for_unbounded_models(self):
-        class Unbounded(FixedDelay):
-            def max_delay(self):
-                return None
-
-        with pytest.raises(ValueError):
-            effective_delta(Unbounded(1.0))

@@ -68,14 +68,20 @@ class TestGuards:
         process.check_guards()
         assert fired == ["x"]
 
-    def test_guard_cancellation(self, simulator, network):
+    def test_a_fired_guard_leaves_the_pending_list(self, simulator, network):
         (process,) = build_recorders(simulator, network, 1)
         fired = []
-        guard = process.add_guard(lambda: False, lambda: fired.append("no"))
-        process.cancel_guard(guard)
+        state = {"ready": False}
+        guard = process.add_guard(lambda: state["ready"], lambda: fired.append("x"), "wait")
+        assert process.pending_guards() == [guard]
+        assert process.waiting_on() == ["wait"]
+        state["ready"] = True
         process.check_guards()
-        assert fired == []
+        assert guard.fired
         assert process.pending_guards() == []
+        assert process.waiting_on() == []
+        process.check_guards()
+        assert fired == ["x"]
 
     def test_cascading_guards_fire_in_one_pass(self, simulator, network):
         """A guard's action enabling another guard must fire it in the same check."""
@@ -158,7 +164,9 @@ class TestCrash:
         process.crash()
         fired = []
         guard = process.add_guard(lambda: True, lambda: fired.append("x"))
-        assert guard.cancelled
+        assert guard is not None and not guard.fired
+        assert process.pending_guards() == []
+        process.check_guards()
         assert fired == []
 
     def test_require_alive_raises_after_crash(self, simulator, network):

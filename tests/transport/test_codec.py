@@ -11,7 +11,7 @@ from repro.transport.codec import (
     decode_message,
     encode_message,
     register_message_type,
-    registered_type_names,
+    _REGISTRY,
 )
 
 
@@ -22,7 +22,7 @@ def wire_roundtrip(message):
 
 class TestBuiltinRegistrations:
     def test_every_protocol_family_is_registered(self):
-        names = registered_type_names()
+        names = sorted(_REGISTRY)
         assert "WriteMessage" in names  # two-bit core
         assert "AbdWrite" in names and "AbdReadReply" in names
         assert "ModWrite" in names and "ModWriteBack" in names

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.registers.abd_mwmr import ZERO_TS
-from repro.transport.codec import _REGISTRY, CodecError, registered_type_names
+from repro.transport.codec import _REGISTRY, CodecError
 from repro.transport.codec_binary import (
     _E_JSON,
     BinaryWireCodec,
@@ -28,7 +28,7 @@ from repro.transport.codec_binary import (
 BINARY = BinaryWireCodec()
 JSON = JsonWireCodec()
 
-MESSAGE_NAMES = registered_type_names()
+MESSAGE_NAMES = sorted(_REGISTRY)
 
 
 # ------------------------------------------------------------- strategies

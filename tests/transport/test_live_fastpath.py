@@ -291,6 +291,56 @@ class TestCrashFlush:
         )
 
 
+class TestGreetedAfterTheCrash:
+    @pytest.mark.parametrize(
+        "hello, told",
+        [
+            ({"role": "client"}, [{"kind": "crashing", "replica": 2}]),
+            # A peer hears of the crash on the link this replica dialled to it.
+            ({"role": "peer", "src": 1}, []),
+        ],
+    )
+    def test_a_dialler_greeted_after_the_crash_point_fired(self, monkeypatch, hello, told):
+        """A client's ``hello_ack`` is followed by ``crashing``; nothing else
+        leaves after the ack, and the kill waits for the link's bytes too."""
+        from repro.faults.plan import CrashPoint
+        from repro.transport import live
+
+        async def main():
+            server = live._ReplicaServer(2, 3, "two-bit", None)
+            kills = []
+
+            async def held_kill(transports, hearing):
+                kills.append((transports, hearing))
+
+            monkeypatch.setattr(server, "_kill_once_flushed", held_kill)
+            listener = await asyncio.start_server(server.handle_connection, "127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            server._crash(CrashPoint(shard=0, replica=2, after_messages_sent=0))
+            await asyncio.sleep(0)
+            assert kills == [([], [])]  # nobody was connected when the point fired
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(_frame({"kind": "hello", "sig": schema_signature(), **hello}))
+            frames = []
+            decoder = FrameDecoder()
+            while True:
+                try:
+                    chunk = await asyncio.wait_for(reader.read(4096), timeout=0.5)
+                except asyncio.TimeoutError:
+                    break  # the replica fell silent
+                assert chunk, f"the stream closed after {frames}"
+                frames += [Connection.codec.decode(body) for body in decoder.feed(chunk)]
+            writer.close()
+            listener.close()
+            await listener.wait_closed()
+            return frames, kills
+
+        frames, kills = asyncio.run(main())
+        assert frames == [{"kind": "hello_ack", "ok": True}] + told
+        (transports, _hearing), = kills
+        assert len(transports) == 1  # the kill waits for the late link's bytes too
+
+
 class TestSettle:
     def test_only_a_completion_or_a_crashed_replica_settles_an_operation(self):
         """An error frame is a failure ``settle`` reports; a crashed replica's is not."""
