@@ -109,6 +109,21 @@ def sweep(num_ops: int, worker_counts) -> list:
     return cells
 
 
+def pays_or_loses(cells: list) -> str:
+    """Which worker counts beat the serial cell's end-to-end wall time, and which do not."""
+    serial = cells[0]["wall_seconds_total"]
+    clauses = []
+    for verb, wins in (("pays", True), ("loses", False)):
+        counts = [
+            f"{cell['workers']} workers ({cell['wall_seconds_total']} s)"
+            for cell in cells[1:]
+            if (cell["wall_seconds_total"] < serial) == wins
+        ]
+        if counts:
+            clauses.append(f"{verb} at {' and '.join(counts)}")
+    return f"{' and '.join(clauses)} against {serial} s serial"
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="probe sizes only; no baseline write")
@@ -139,8 +154,9 @@ def main(argv: Optional[list] = None) -> int:
             for cell in full
         },
         "note": (
-            "wall-clock columns depend on the machine (cpus field): the engine "
-            "pays from ~1e5 ops on two cores and loses at the probe size; the "
+            f"wall-clock columns depend on the machine (cpus field): on {cpus} cpus "
+            f"the engine {pays_or_loses(full)} at {FULL_OPS} ops and "
+            f"{pays_or_loses(probe)} at the probe size ({PROBE_OPS} ops); the "
             "virtual-time identities are machine-independent and byte-equal "
             "across worker counts"
         ),

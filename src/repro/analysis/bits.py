@@ -3,12 +3,13 @@
 The paper's headline claim is that its messages carry exactly two bits of
 control information, whereas ABD-style algorithms carry sequence numbers that
 grow without bound as more values are written.  To *measure* this rather than
-assert it, every message class in the repository reports ``control_bits()``
-(the type tag plus any sequence numbers / timestamps it carries) and
-``data_bits()`` (the written value payload, which is excluded: any algorithm
-must ship the data).  The network accounting layer records the maximum and
-the total; this module runs a configurable write stream against an algorithm
-and reports how the maximum control size evolves.
+assert it, every message class in the repository states its ``price``:
+``(wire type, control bits, data bits)`` — the control bits being the type tag
+plus any sequence numbers / timestamps it carries, the data bits the written
+value payload, which is excluded: any algorithm must ship the data.  The
+network accounting layer records the maximum and the total; this module runs
+a configurable write stream against an algorithm and reports how the maximum
+control size evolves.
 """
 
 from __future__ import annotations

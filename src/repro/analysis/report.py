@@ -149,6 +149,7 @@ def format_run(summary: Dict[str, Any], title: str, lead: Sequence[Sequence[obje
     if summary["ipc_bytes"]:
         row("worker->parent transfer", f"{summary['ipc_bytes']} bytes (columnar)")
     row("total messages", summary["messages"])
+    row("max control bits / message", summary["max_control_bits"])
     if virtual:
         row("virtual makespan", round(summary["virtual_makespan"], 2))
         row("ops per virtual time unit", format_number(summary["virtual_throughput"], 3))

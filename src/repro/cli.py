@@ -230,7 +230,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = run_workload(spec)
     verdict = result.verify()
     lead = [
-        ["max control bits / message", result.stats.max_control_bits],
         ["mean write latency", _mean_latency(result, "write", 3)],
         ["mean read latency", _mean_latency(result, "read", 3)],
     ]

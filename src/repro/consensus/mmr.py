@@ -78,7 +78,7 @@ from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.registers.base import OperationKind, OperationRecord, RegisterAlgorithm, RegisterProcess
-from repro.registers.costmodels import int_bits, value_bits
+from repro.registers.costmodels import Price, int_bits, value_bits
 from repro.sim.rng import make_rng
 from repro.verification.specs import SMRSpec
 
@@ -120,6 +120,16 @@ def _cand_bits(cand: Any) -> int:
     return int_bits(proposer) + 8 * len(kind) + value_bits(value)
 
 
+def _round_bits(slot: int, round: int) -> int:
+    """Control bits of a round message: type, slot, round and the binary value."""
+    return CONS_TYPE_BITS + int_bits(slot) + int_bits(round) + 1
+
+
+# A consensus message's price is a property: an AUX or coin share is built
+# before the step knows whether it sends it (the DECIDE may stand for it), and
+# one that is never sent is never priced.
+
+
 @dataclass(frozen=True)
 class ConsEst(object):
     """Round-``round`` estimate broadcast (the BV-broadcast payload).
@@ -135,13 +145,9 @@ class ConsEst(object):
     value: int
     cand: Any = None
 
-    type_name = "CONS_EST"
-
-    def control_bits(self) -> int:
-        return CONS_TYPE_BITS + int_bits(self.slot) + int_bits(self.round) + 1
-
-    def data_bits(self) -> int:
-        return _cand_bits(self.cand)
+    @property
+    def price(self) -> Price:
+        return "CONS_EST", _round_bits(self.slot, self.round), _cand_bits(self.cand)
 
 
 @dataclass(frozen=True)
@@ -157,9 +163,9 @@ class ConsAux(object):
     value: int
     cand: Any = None
 
-    type_name = "CONS_AUX"
-    control_bits = ConsEst.control_bits
-    data_bits = ConsEst.data_bits
+    @property
+    def price(self) -> Price:
+        return "CONS_AUX", _round_bits(self.slot, self.round), _cand_bits(self.cand)
 
 
 @dataclass(frozen=True)
@@ -170,12 +176,9 @@ class ConsCoin(object):
     round: int
     value: int
 
-    type_name = "CONS_COIN"
-    control_bits = ConsEst.control_bits
-
-    @staticmethod
-    def data_bits() -> int:
-        return 0
+    @property
+    def price(self) -> Price:
+        return "CONS_COIN", _round_bits(self.slot, self.round), 0
 
 
 @dataclass(frozen=True)
@@ -186,11 +189,9 @@ class ConsDecide(object):
     value: int
     cand: Any = None
 
-    type_name = "CONS_DECIDE"
-    data_bits = ConsEst.data_bits
-
-    def control_bits(self) -> int:
-        return CONS_TYPE_BITS + int_bits(self.slot) + 1
+    @property
+    def price(self) -> Price:
+        return "CONS_DECIDE", CONS_TYPE_BITS + int_bits(self.slot) + 1, _cand_bits(self.cand)
 
 
 @lru_cache(maxsize=8192)

@@ -17,21 +17,21 @@ single bit ``b`` is the parity of the value's (locally reconstructed) sequence
 number and is what makes the per-pair alternating-bit pattern work.  No
 sequence number is ever transmitted.
 
-The classes below expose ``control_bits()`` / ``data_bits()`` consumed by the
-network accounting layer (:class:`repro.sim.network.NetworkStats`) so the
-Table-1 "message size (bits)" row can be *measured* rather than asserted.
-Where the answer cannot depend on the instance — the control bits of every
-type, the data bits of the field-less ones — the accessor is a
-``staticmethod``, which the accounting layer reads once per class.  A
-``WRITE(b, v)`` is immutable and travels O(n²) hops as the same object (line
-15 forwards the message it received), so it is priced once, when it is built
-(:attr:`WriteMessage.price`), not once per hop.
+Each class states its ``price`` — ``(wire type, control bits, data bits)`` —
+which the network accounting layer (:class:`repro.sim.network.NetworkStats`)
+bills, so the Table-1 "message size (bits)" row can be *measured* rather than
+asserted.  ``READ()`` and ``PROCEED()`` carry no field, so their price is a
+class attribute.  A ``WRITE(b, v)`` is immutable and travels O(n²) hops as
+the same object (line 15 forwards the message it received), so it is priced
+once, when it is built (:attr:`WriteMessage.price`), not once per hop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
+
+from repro.registers.costmodels import value_bits
 
 #: Number of control bits per message for this algorithm — the headline claim.
 CONTROL_BITS_PER_MESSAGE = 2
@@ -46,27 +46,6 @@ WIRE_CODES = {
 
 #: ``WRITE(b, v)``'s wire type, indexed by the parity bit ``b``.
 _WRITE_TYPE_NAMES = ("WRITE0", "WRITE1")
-
-
-def _value_data_bits(value: Any) -> int:
-    """Size in bits of the *data* payload of a written value.
-
-    Data bits are reported separately from control bits: the paper's claim
-    concerns control information only (a register for 64-bit values still
-    needs 64 data bits per WRITE message, under any algorithm).
-    """
-    if value is None:
-        return 0
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        return max(1, value.bit_length())
-    if isinstance(value, float):
-        return 64
-    if isinstance(value, (str, bytes)):
-        return 8 * len(value)
-    # Fallback: a conservative structural estimate based on the repr.
-    return 8 * len(repr(value))
 
 
 @dataclass(frozen=True)
@@ -93,22 +72,8 @@ class WriteMessage:
     def __post_init__(self) -> None:
         if self.bit not in (0, 1):
             raise ValueError(f"WRITE parity bit must be 0 or 1, got {self.bit}")
-        price = (_WRITE_TYPE_NAMES[self.bit], CONTROL_BITS_PER_MESSAGE, _value_data_bits(self.value))
+        price = (_WRITE_TYPE_NAMES[self.bit], CONTROL_BITS_PER_MESSAGE, value_bits(self.value))
         object.__setattr__(self, "price", price)
-
-    @property
-    def type_name(self) -> str:
-        """``"WRITE0"`` or ``"WRITE1"`` — the wire type."""
-        return self.price[0]
-
-    @staticmethod
-    def control_bits() -> int:
-        """Control information on the wire: just the 2-bit type."""
-        return CONTROL_BITS_PER_MESSAGE
-
-    def data_bits(self) -> int:
-        """Data payload size (the written value)."""
-        return self.price[2]
 
     def __repr__(self) -> str:
         return f"WRITE{self.bit}({self.value!r})"
@@ -122,15 +87,7 @@ class ReadMessage:
     the shared :data:`READ`.
     """
 
-    type_name = "READ"
-
-    @staticmethod
-    def control_bits() -> int:
-        return CONTROL_BITS_PER_MESSAGE
-
-    @staticmethod
-    def data_bits() -> int:
-        return 0
+    price = ("READ", CONTROL_BITS_PER_MESSAGE, 0)
 
     def __repr__(self) -> str:
         return "READ()"
@@ -144,15 +101,7 @@ class ProceedMessage:
     the shared :data:`PROCEED`.
     """
 
-    type_name = "PROCEED"
-
-    @staticmethod
-    def control_bits() -> int:
-        return CONTROL_BITS_PER_MESSAGE
-
-    @staticmethod
-    def data_bits() -> int:
-        return 0
+    price = ("PROCEED", CONTROL_BITS_PER_MESSAGE, 0)
 
     def __repr__(self) -> str:
         return "PROCEED()"

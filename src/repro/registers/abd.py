@@ -25,7 +25,7 @@ Read (any process):
 The price relative to the paper's algorithm is the **unbounded control
 information**: every ``WRITE``, reply and write-back carries a sequence
 number that grows with the number of writes, so message size is unbounded
-(Table 1, line 3).  The message classes below report their control bits
+(Table 1, line 3).  The message classes below price their control bits
 accordingly so the Table-1 harness can *measure* the growth.
 
 Both phases of both operations run on the shared quorum phase engine
@@ -42,7 +42,7 @@ from typing import Any, Callable
 from repro.quorum.aggregators import MaxReply
 from repro.quorum.engine import PhaseRegisterProcess
 from repro.registers.base import OperationRecord, RegisterAlgorithm
-from repro.registers.costmodels import int_bits, value_bits
+from repro.registers.costmodels import Price, int_bits, value_bits
 
 #: Number of distinct message types used by this ABD implementation.
 ABD_MESSAGE_TYPES = 6
@@ -51,102 +51,76 @@ ABD_TYPE_BITS = 3
 
 
 @dataclass(frozen=True)
-class AbdMessage:
-    """Base class for ABD messages: control bits = type tag + any sequence numbers."""
-
-    def control_bits(self) -> int:
-        raise NotImplementedError
-
-    @staticmethod
-    def data_bits() -> int:
-        """No payload — the acks and the query inherit this; asked once per class."""
-        return 0
-
-
-@dataclass(frozen=True)
-class AbdWrite(AbdMessage):
+class AbdWrite:
     """Writer → replicas: store ``value`` under sequence number ``seq``."""
 
     seq: int
     value: Any
 
-    type_name = "ABD_WRITE"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + int_bits(self.seq)
-
-    def data_bits(self) -> int:
-        return value_bits(self.value)
+    @property
+    def price(self) -> Price:
+        return "ABD_WRITE", ABD_TYPE_BITS + int_bits(self.seq), value_bits(self.value)
 
 
 @dataclass(frozen=True)
-class AbdWriteAck(AbdMessage):
+class AbdWriteAck:
     """Replica → writer: acknowledged the write with sequence number ``seq``."""
 
     seq: int
 
-    type_name = "ABD_WRITE_ACK"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + int_bits(self.seq)
+    @property
+    def price(self) -> Price:
+        return "ABD_WRITE_ACK", ABD_TYPE_BITS + int_bits(self.seq), 0
 
 
 @dataclass(frozen=True)
-class AbdReadQuery(AbdMessage):
+class AbdReadQuery:
     """Reader → replicas: send me your current (seq, value) pair (request #``rsn``)."""
 
     rsn: int
 
-    type_name = "ABD_READ_QUERY"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + int_bits(self.rsn)
+    @property
+    def price(self) -> Price:
+        return "ABD_READ_QUERY", ABD_TYPE_BITS + int_bits(self.rsn), 0
 
 
 @dataclass(frozen=True)
-class AbdReadReply(AbdMessage):
+class AbdReadReply:
     """Replica → reader: my current pair is ``(seq, value)`` (answer to request #``rsn``)."""
 
     rsn: int
     seq: int
     value: Any
 
-    type_name = "ABD_READ_REPLY"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + int_bits(self.rsn) + int_bits(self.seq)
-
-    def data_bits(self) -> int:
-        return value_bits(self.value)
+    @property
+    def price(self) -> Price:
+        control = ABD_TYPE_BITS + int_bits(self.rsn) + int_bits(self.seq)
+        return "ABD_READ_REPLY", control, value_bits(self.value)
 
 
 @dataclass(frozen=True)
-class AbdWriteBack(AbdMessage):
+class AbdWriteBack:
     """Reader → replicas: adopt ``(seq, value)`` before I return it (request #``rsn``)."""
 
     rsn: int
     seq: int
     value: Any
 
-    type_name = "ABD_WRITE_BACK"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + int_bits(self.rsn) + int_bits(self.seq)
-
-    def data_bits(self) -> int:
-        return value_bits(self.value)
+    @property
+    def price(self) -> Price:
+        control = ABD_TYPE_BITS + int_bits(self.rsn) + int_bits(self.seq)
+        return "ABD_WRITE_BACK", control, value_bits(self.value)
 
 
 @dataclass(frozen=True)
-class AbdWriteBackAck(AbdMessage):
+class AbdWriteBackAck:
     """Replica → reader: acknowledged the write-back of request #``rsn``."""
 
     rsn: int
 
-    type_name = "ABD_WRITE_BACK_ACK"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + int_bits(self.rsn)
+    @property
+    def price(self) -> Price:
+        return "ABD_WRITE_BACK_ACK", ABD_TYPE_BITS + int_bits(self.rsn), 0
 
 
 class AbdRegisterProcess(PhaseRegisterProcess):

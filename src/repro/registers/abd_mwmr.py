@@ -29,7 +29,7 @@ from repro.quorum.aggregators import MaxReply
 from repro.quorum.engine import PhaseRegisterProcess
 from repro.registers.abd import ABD_TYPE_BITS
 from repro.registers.base import OperationRecord, RegisterAlgorithm
-from repro.registers.costmodels import int_bits, value_bits
+from repro.registers.costmodels import Price, int_bits, value_bits
 
 #: A logical timestamp: (counter, writer pid); ordered lexicographically.
 Timestamp = Tuple[int, int]
@@ -48,14 +48,9 @@ class MwAbdTsQuery:
 
     wsn: int
 
-    type_name = "MWABD_TS_QUERY"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + int_bits(self.wsn)
-
-    @staticmethod
-    def data_bits() -> int:
-        return 0
+    @property
+    def price(self) -> Price:
+        return "MWABD_TS_QUERY", ABD_TYPE_BITS + int_bits(self.wsn), 0
 
 
 @dataclass(frozen=True)
@@ -65,14 +60,9 @@ class MwAbdTsReply:
     wsn: int
     ts: Timestamp
 
-    type_name = "MWABD_TS_REPLY"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + int_bits(self.wsn) + _ts_bits(self.ts)
-
-    @staticmethod
-    def data_bits() -> int:
-        return 0
+    @property
+    def price(self) -> Price:
+        return "MWABD_TS_REPLY", ABD_TYPE_BITS + int_bits(self.wsn) + _ts_bits(self.ts), 0
 
 
 @dataclass(frozen=True)
@@ -83,13 +73,10 @@ class MwAbdWrite:
     ts: Timestamp
     value: Any
 
-    type_name = "MWABD_WRITE"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + int_bits(self.wsn) + _ts_bits(self.ts)
-
-    def data_bits(self) -> int:
-        return value_bits(self.value)
+    @property
+    def price(self) -> Price:
+        control = ABD_TYPE_BITS + int_bits(self.wsn) + _ts_bits(self.ts)
+        return "MWABD_WRITE", control, value_bits(self.value)
 
 
 @dataclass(frozen=True)
@@ -98,14 +85,9 @@ class MwAbdWriteAck:
 
     wsn: int
 
-    type_name = "MWABD_WRITE_ACK"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + int_bits(self.wsn)
-
-    @staticmethod
-    def data_bits() -> int:
-        return 0
+    @property
+    def price(self) -> Price:
+        return "MWABD_WRITE_ACK", ABD_TYPE_BITS + int_bits(self.wsn), 0
 
 
 @dataclass(frozen=True)
@@ -114,14 +96,9 @@ class MwAbdReadQuery:
 
     rsn: int
 
-    type_name = "MWABD_READ_QUERY"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + int_bits(self.rsn)
-
-    @staticmethod
-    def data_bits() -> int:
-        return 0
+    @property
+    def price(self) -> Price:
+        return "MWABD_READ_QUERY", ABD_TYPE_BITS + int_bits(self.rsn), 0
 
 
 @dataclass(frozen=True)
@@ -132,13 +109,10 @@ class MwAbdReadReply:
     ts: Timestamp
     value: Any
 
-    type_name = "MWABD_READ_REPLY"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + int_bits(self.rsn) + _ts_bits(self.ts)
-
-    def data_bits(self) -> int:
-        return value_bits(self.value)
+    @property
+    def price(self) -> Price:
+        control = ABD_TYPE_BITS + int_bits(self.rsn) + _ts_bits(self.ts)
+        return "MWABD_READ_REPLY", control, value_bits(self.value)
 
 
 @dataclass(frozen=True)
@@ -149,13 +123,10 @@ class MwAbdWriteBack:
     ts: Timestamp
     value: Any
 
-    type_name = "MWABD_WRITE_BACK"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + int_bits(self.rsn) + _ts_bits(self.ts)
-
-    def data_bits(self) -> int:
-        return value_bits(self.value)
+    @property
+    def price(self) -> Price:
+        control = ABD_TYPE_BITS + int_bits(self.rsn) + _ts_bits(self.ts)
+        return "MWABD_WRITE_BACK", control, value_bits(self.value)
 
 
 @dataclass(frozen=True)
@@ -164,14 +135,9 @@ class MwAbdWriteBackAck:
 
     rsn: int
 
-    type_name = "MWABD_WRITE_BACK_ACK"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + int_bits(self.rsn)
-
-    @staticmethod
-    def data_bits() -> int:
-        return 0
+    @property
+    def price(self) -> Price:
+        return "MWABD_WRITE_BACK_ACK", ABD_TYPE_BITS + int_bits(self.rsn), 0
 
 
 class MwmrAbdRegisterProcess(PhaseRegisterProcess):

@@ -44,7 +44,7 @@ from repro.quorum.aggregators import MaxReply
 from repro.quorum.engine import PhaseRegisterProcess
 from repro.registers.abd import ABD_TYPE_BITS
 from repro.registers.base import OperationRecord, RegisterAlgorithm
-from repro.registers.costmodels import value_bits as _value_bits
+from repro.registers.costmodels import Price, value_bits
 from repro.transport.base import Clock, Transport
 
 #: Default modulus: sequence numbers travel as values in [0, M); 2*M-1 must
@@ -68,13 +68,9 @@ class ModWrite:
     value: Any
     modulus: int = DEFAULT_MODULUS
 
-    type_name = "MOD_WRITE"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + _mod_bits(self.modulus)
-
-    def data_bits(self) -> int:
-        return _value_bits(self.value)
+    @property
+    def price(self) -> Price:
+        return "MOD_WRITE", ABD_TYPE_BITS + _mod_bits(self.modulus), value_bits(self.value)
 
 
 @dataclass(frozen=True)
@@ -84,14 +80,9 @@ class ModWriteAck:
     seq_mod: int
     modulus: int = DEFAULT_MODULUS
 
-    type_name = "MOD_WRITE_ACK"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + _mod_bits(self.modulus)
-
-    @staticmethod
-    def data_bits() -> int:
-        return 0
+    @property
+    def price(self) -> Price:
+        return "MOD_WRITE_ACK", ABD_TYPE_BITS + _mod_bits(self.modulus), 0
 
 
 @dataclass(frozen=True)
@@ -101,14 +92,9 @@ class ModReadQuery:
     rsn_mod: int
     modulus: int = DEFAULT_MODULUS
 
-    type_name = "MOD_READ_QUERY"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + _mod_bits(self.modulus)
-
-    @staticmethod
-    def data_bits() -> int:
-        return 0
+    @property
+    def price(self) -> Price:
+        return "MOD_READ_QUERY", ABD_TYPE_BITS + _mod_bits(self.modulus), 0
 
 
 @dataclass(frozen=True)
@@ -120,13 +106,9 @@ class ModReadReply:
     value: Any
     modulus: int = DEFAULT_MODULUS
 
-    type_name = "MOD_READ_REPLY"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + 2 * _mod_bits(self.modulus)
-
-    def data_bits(self) -> int:
-        return _value_bits(self.value)
+    @property
+    def price(self) -> Price:
+        return "MOD_READ_REPLY", ABD_TYPE_BITS + 2 * _mod_bits(self.modulus), value_bits(self.value)
 
 
 @dataclass(frozen=True)
@@ -138,13 +120,9 @@ class ModWriteBack:
     value: Any
     modulus: int = DEFAULT_MODULUS
 
-    type_name = "MOD_WRITE_BACK"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + 2 * _mod_bits(self.modulus)
-
-    def data_bits(self) -> int:
-        return _value_bits(self.value)
+    @property
+    def price(self) -> Price:
+        return "MOD_WRITE_BACK", ABD_TYPE_BITS + 2 * _mod_bits(self.modulus), value_bits(self.value)
 
 
 @dataclass(frozen=True)
@@ -154,14 +132,9 @@ class ModWriteBackAck:
     rsn_mod: int
     modulus: int = DEFAULT_MODULUS
 
-    type_name = "MOD_WRITE_BACK_ACK"
-
-    def control_bits(self) -> int:
-        return ABD_TYPE_BITS + _mod_bits(self.modulus)
-
-    @staticmethod
-    def data_bits() -> int:
-        return 0
+    @property
+    def price(self) -> Price:
+        return "MOD_WRITE_BACK_ACK", ABD_TYPE_BITS + _mod_bits(self.modulus), 0
 
 
 def reconstruct(local_seq: int, seq_mod: int, modulus: int) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 #: Sentinel used for "grows without bound" entries of the table.
 UNBOUNDED = math.inf
@@ -28,11 +28,14 @@ UNBOUNDED = math.inf
 
 # ----------------------------------------------------- wire-size bit helpers
 #
-# Every message class in the repository prices its own control/data bits with
-# these two helpers.  They used to be copied across ``abd.py`` (defining),
-# ``abd_mwmr.py`` and ``bounded.py`` (importing the privates); this is their
-# single home now — the message-size row of Table 1 is only as trustworthy as
-# this accounting, so it is defined (and unit-tested) exactly once.
+# Every message class in the repository states its ``price`` — ``(wire type,
+# control bits, data bits)``, what the network accounting bills — and sizes
+# its fields with these two helpers.  The message-size row of Table 1 is only
+# as trustworthy as this accounting, so it is defined (and unit-tested)
+# exactly once.
+
+#: A message's ``price``: ``(wire type, control bits, data bits)``.
+Price = Tuple[str, int, int]
 
 
 def int_bits(value: int) -> int:
@@ -48,11 +51,14 @@ def int_bits(value: int) -> int:
 def value_bits(value: object) -> int:
     """Data-payload size of a register value, in bits.
 
-    The convention shared by every message's ``data_bits()``: ``None`` (the
-    "no value" marker) is free, booleans cost one bit, integers their
-    magnitude's width, floats a 64-bit word, strings/bytes 8 bits per
-    element, and anything else the width of its ``repr`` (a deliberate
-    over-approximation — exotic payloads should never look cheap).
+    The data bits of every message's ``price``: ``None`` (the "no value"
+    marker) is free, booleans cost one bit, integers their magnitude's
+    width, floats a 64-bit word, strings/bytes 8 bits per element, and
+    anything else the width of its ``repr`` (a deliberate over-approximation
+    — exotic payloads should never look cheap).  They are billed apart from
+    the control bits: the paper's claim concerns control information only (a
+    register of 64-bit values ships 64 data bits per ``WRITE`` under any
+    algorithm).
     """
     if value is None:
         return 0

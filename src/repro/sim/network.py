@@ -26,31 +26,19 @@ slot, and the chooser picks which message in flight that slot delivers.
 
 The network also maintains :class:`NetworkStats`: per-type message counts,
 control-bit and data-bit accounting, and per-operation attribution used by the
-Table-1 benchmarks.  Messages may implement these optional members consumed
-by the accounting layer:
-
-``control_bits() -> int``
-    Number of control bits the message carries on the wire (for the paper's
-    algorithm this is exactly 2 — the message type).
-``data_bits() -> int``
-    Number of data-value bits (payload), excluded from the control count.
-``type_name``
-    Name under which the message is aggregated in ``by_type``: a class-level
-    string.  Defaults to the class name.
-``price``
-    ``(type name, control bits, data bits)`` as an instance attribute, set
-    when the message was built: the accounting reads it and asks nothing
-    else.  For an immutable message that is sent many times — and the only
-    way to a wire type that depends on the instance (``WRITE0`` / ``WRITE1``).
-
-Either bit accessor may be a ``staticmethod``: taking no instance, its answer
-holds for the whole class, and the accounting asks it once per class instead
-of once per message.
+Table-1 benchmarks.  The accounting asks a message one thing, its ``price``:
+``(wire type, control bits, data bits)`` — the name it is aggregated under in
+``by_type``, the control bits it carries on the wire (for the paper's
+algorithm exactly 2, the message type) and its data-value bits (the payload,
+excluded from the control count).  A message states it as a class attribute
+where it holds for every instance, as an attribute set when the message is
+built where the message is immutable and sent many times (and its wire type
+depends on the instance: ``WRITE0`` / ``WRITE1``), or as a property.  A
+message without one is billed under its class name with 0 bits.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
 from heapq import heappush
@@ -78,18 +66,13 @@ class MessageRecord:
     delivered: bool
 
 
-def _bits_of_class(cls: type, accessor: str) -> Any:
-    """The bit count where it is fixed for the whole class, else the accessor.
-
-    Fixed means the accessor is absent (0 bits) or a ``staticmethod`` (it is
-    asked here, once); anything else callable is returned to be called with
-    each message.
-    """
-    member = inspect.getattr_static(cls, accessor, None)
-    if isinstance(member, staticmethod):
-        return int(member.__func__())
-    member = getattr(cls, accessor, None)
-    return member if callable(member) else 0
+def price_of(message: Any) -> tuple[str, int, int]:
+    """``(wire type, control bits, data bits)`` of ``message``: its ``price``,
+    or its class name and 0 bits where it states none."""
+    try:
+        return message.price
+    except AttributeError:
+        return message.__class__.__name__, 0, 0
 
 
 #: Hoisted for the send hot path (``delay < _INF`` beats ``math.isfinite``).
@@ -129,56 +112,13 @@ class NetworkStats:
     messages_coalesced: int = 0
     by_type: Dict[str, int] = field(default_factory=dict)
     per_sender: Dict[int, int] = field(default_factory=dict)
-    # Hot-path cache: message *class* -> (type name, control bits, data
-    # bits).  The name is ``None`` where the instances carry their own
-    # ``price``; otherwise a bit entry is the count itself where no instance
-    # can change it, else the accessor to call.  record_send runs once per
-    # simulated message and what to ask a message only depends on its class
-    # (a class prices all of its instances when they are built, or none).
-    _accessors: Dict[type, tuple] = field(default_factory=dict, repr=False)
-
-    def _resolve_accessors(self, message: Any) -> tuple:
-        cls = message.__class__
-        if getattr(message, "price", None) is not None:
-            accessors = (None, 0, 0)
-        else:
-            name = getattr(cls, "type_name", None)
-            accessors = (
-                name if isinstance(name, str) else cls.__name__,
-                _bits_of_class(cls, "control_bits"),
-                _bits_of_class(cls, "data_bits"),
-            )
-        self._accessors[cls] = accessors
-        return accessors
-
-    def price(self, message: Any) -> tuple[str, int, int]:
-        """``(type name, control bits, data bits)`` of ``message``."""
-        accessors = self._accessors.get(message.__class__)
-        if accessors is None:
-            accessors = self._resolve_accessors(message)
-        name, control, data = accessors
-        if name is None:
-            return message.price
-        if control.__class__ is not int:
-            control = int(control(message))
-        if data.__class__ is not int:
-            data = int(data(message))
-        return name, control, data
 
     def record_send(self, src: int, message: Any, count: int = 1) -> tuple[int, int]:
         """Price ``message`` once and bill ``src`` for ``count`` copies of it."""
-        # price(), inlined: this runs once per send call.
-        accessors = self._accessors.get(message.__class__)
-        if accessors is None:
-            accessors = self._resolve_accessors(message)
-        name, control, data = accessors
-        if name is None:
+        try:  # price_of(), inlined: this runs once per send call
             name, control, data = message.price
-        else:
-            if control.__class__ is not int:
-                control = int(control(message))
-            if data.__class__ is not int:
-                data = int(data(message))
+        except AttributeError:
+            name, control, data = message.__class__.__name__, 0, 0
         self.messages_sent += count
         self.control_bits_total += control * count
         self.data_bits_total += data * count
@@ -553,7 +493,7 @@ class Network:
         self, src: int, dst: int, message: Any, send_time: float, delivered: bool
     ) -> None:
         """Log one transfer as it is delivered or dropped (``record_messages``)."""
-        _name, control, data = self.stats.price(message)
+        _name, control, data = price_of(message)
         self.records.append(
             MessageRecord(
                 send_time=send_time,

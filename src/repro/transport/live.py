@@ -456,6 +456,7 @@ class _ReplicaServer:
         kind = frame.get("kind")
         if kind == "msg":
             entry = self.live_key(frame["key"])
+            self.stats.messages_delivered += 1
             entry.process.deliver(frame["src"], frame["msg"])
             entry.pump()
         elif kind == "invoke":
@@ -554,9 +555,7 @@ class _ReplicaServer:
         reply = {
             "kind": "stats_reply",
             "replica": self.replica_id,
-            "messages_sent": self.stats.messages_sent,
-            "messages_dropped_to_crashed": self.stats.messages_dropped_to_crashed,
-            "by_type": dict(self.stats.by_type),
+            **self.stats.snapshot(),  # the message bill, control and data bits included
             "keys": len(self.keys),
             "transport": self.transport_snapshot(),
         }
@@ -1176,6 +1175,31 @@ def consensus_audit(replies: Dict[int, Dict[str, Any]]) -> Optional[List[str]]:
     return consensus_invariants({key: by_key[key] for key in sorted(by_key, key=repr)})
 
 
+async def _drain_settled(control: LiveClient) -> Dict[int, Dict[str, Any]]:
+    """The replicas' ``stats_reply`` frames once the run's last message has landed.
+
+    An operation completes before all the messages it causes are sent (a
+    two-bit write is forwarded on).  Two drains in a row whose counters agree
+    read every replica at one instant, between them; when every message sent
+    by then was delivered or dropped, nothing is in flight and nothing more
+    will be sent.  Where a replica is gone, what was in flight to it never
+    lands: the first such instant is the bill.  Past 5 s the last drain is.
+    """
+    deadline = time.monotonic() + 5.0
+    last = None
+    while True:
+        await control.drain_stats()
+        replies = dict(control.stats_replies)
+        counters = [
+            (r["messages_sent"], r["messages_delivered"], r["messages_dropped_to_crashed"])
+            for _replica, r in sorted(replies.items())
+        ]
+        in_flight = sum(sent - delivered - dropped for sent, delivered, dropped in counters)
+        if counters == last and (control.gone or in_flight == 0) or time.monotonic() > deadline:
+            return replies
+        last = counters
+
+
 async def _run_live_async(spec: Any) -> Any:
     loop = asyncio.get_running_loop()
     started = time.perf_counter()
@@ -1207,16 +1231,11 @@ async def _run_live_async(spec: Any) -> Any:
         # The message bill, the replica-side transport counters and the
         # consensus logs are the replica servers' own (a killed replica's died
         # with it), drained over the control connections; each sends as its pid.
-        await control.drain_stats()
-        replies = control.stats_replies
+        replies = await _drain_settled(control)
         stats = merge_network_stats([
-            NetworkStats(
-                messages_sent=reply["messages_sent"],
-                messages_dropped_to_crashed=reply["messages_dropped_to_crashed"],
-                by_type=reply["by_type"],
-                per_sender={replica: reply["messages_sent"]},
-            ).snapshot()
-            for replica, reply in sorted(replies.items())
+            # A JSON frame's keys are strings: per_sender's are pids.
+            dict(reply, per_sender={int(pid): sent for pid, sent in reply["per_sender"].items()})
+            for _replica, reply in sorted(replies.items())
         ])
 
     result = merged_result(

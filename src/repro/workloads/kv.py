@@ -591,6 +591,7 @@ class KVWorkloadResult:
             "completed": self.completed,
             "failed": self.failed,
             "messages": self.total_messages(),
+            "max_control_bits": self.stats.max_control_bits,
             "finished_cleanly": self.finished_cleanly,
             "wall_seconds": round(self.wall_seconds, 4),
             "wall_throughput": json_number(self.wall_throughput(), 1),

@@ -59,10 +59,10 @@ class TestCommonCoin:
 
 class TestMessages:
     def test_type_names_are_registered_wire_names(self):
-        assert ConsEst(slot=0, round=0, value=1).type_name == "CONS_EST"
-        assert ConsAux(slot=0, round=0, value=1).type_name == "CONS_AUX"
-        assert ConsCoin(slot=0, round=0, value=0).type_name == "CONS_COIN"
-        assert ConsDecide(slot=0, value=1).type_name == "CONS_DECIDE"
+        assert ConsEst(slot=0, round=0, value=1).price[0] == "CONS_EST"
+        assert ConsAux(slot=0, round=0, value=1).price[0] == "CONS_AUX"
+        assert ConsCoin(slot=0, round=0, value=0).price[0] == "CONS_COIN"
+        assert ConsDecide(slot=0, value=1).price[0] == "CONS_DECIDE"
 
     def test_control_and_data_bits_are_positive(self):
         for message in (
@@ -71,32 +71,32 @@ class TestMessages:
             ConsCoin(slot=3, round=2, value=1),
             ConsDecide(slot=3, value=1, cand=[1, "write", "x"]),
         ):
-            assert message.control_bits() > 0
-            assert message.data_bits() >= 0
+            _name, control, data = message.price
+            assert control > 0 and data >= 0
 
     def test_the_command_is_priced_wherever_it_travels(self):
         command = [0, "cas", ("a", "b")]
         on_est = ConsEst(slot=3, round=2, value=1, cand=command)
         on_aux = ConsAux(slot=3, round=2, value=1, cand=command)
-        assert on_aux.data_bits() == on_est.data_bits() > 0
-        assert on_aux.data_bits() == ConsDecide(slot=3, value=1, cand=command).data_bits()
-        assert ConsAux(slot=3, round=2, value=0).data_bits() == 0
+        assert on_aux.price[2] == on_est.price[2] > 0
+        assert on_aux.price[2] == ConsDecide(slot=3, value=1, cand=command).price[2]
+        assert ConsAux(slot=3, round=2, value=0).price[2] == 0
         # Same control bits, same two-bit type space: the command is data.
-        assert on_aux.control_bits() == ConsAux(slot=3, round=2, value=0).control_bits()
-        assert on_aux.control_bits() == on_est.control_bits()
+        assert on_aux.price[1] == ConsAux(slot=3, round=2, value=0).price[1]
+        assert on_aux.price[1] == on_est.price[1]
 
     def test_a_coin_share_is_not_priced_through_the_aux(self):
-        # ``ConsCoin.data_bits`` was an alias of ``ConsAux``'s (a static 0):
-        # pricing the AUX's command must not re-price the shares.
+        # A share carries no command: pricing the AUX's must not re-price the
+        # shares.
         from repro.sim.network import NetworkStats
 
         share = ConsCoin(slot=3, round=2, value=1)
-        assert share.data_bits() == 0 and not hasattr(share, "cand")
+        assert share.price[2] == 0 and not hasattr(share, "cand")
         stats = NetworkStats()
         stats.record_send(0, ConsAux(slot=3, round=2, value=1, cand=[0, "cas", ("a", "b")]))
         priced = stats.data_bits_total
         assert priced > 0
-        assert stats.record_send(0, share) == (share.control_bits(), 0)
+        assert stats.record_send(0, share) == (share.price[1], 0)
         assert stats.data_bits_total == priced
 
     @pytest.mark.parametrize("codec_name", ["binary", "json"])
@@ -109,7 +109,7 @@ class TestMessages:
         frame = {"kind": "msg", "key": "k", "src": 1, "dst": 2, "msg": message}
         decoded = codec.decode(codec.encode(frame))["msg"]
         assert decoded == message and type(decoded) is ConsAux
-        assert decoded.data_bits() == message.data_bits()
+        assert decoded.price == message.price
 
 
 class TestSMRSpec:

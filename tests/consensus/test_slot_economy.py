@@ -82,7 +82,7 @@ class TestExactBills:
         assert store.stats.by_type == {"CONS_EST": 2, "CONS_AUX": 4, "CONS_DECIDE": BROADCAST}
         # The command rides on all twelve — as it rode on twelve of the
         # eighteen (the EST and the DECIDE) before the AUX carried it.
-        assert store.stats.data_bits_total == 12 * ConsEst(0, 0, 1, COMMAND).data_bits() == 1356
+        assert store.stats.data_bits_total == 12 * ConsEst(0, 0, 1, COMMAND).price[2] == 1356
         for process in replicas(store):
             assert process.decided == {0: 1}
             assert process.rounds_entered == 1  # decided in round 0
@@ -125,7 +125,7 @@ class TestExactBills:
         # (it is counted as an estimate, with nothing missing), none stands
         # for an echo here, so the command rides on three broadcasts where it
         # rode on two — 4,520 / 9,492 data bits before.  Control bits unmoved.
-        assert store.stats.data_bits_total == 3 * broadcast * ConsEst(0, 0, 1, COMMAND).data_bits()
+        assert store.stats.data_bits_total == 3 * broadcast * ConsEst(0, 0, 1, COMMAND).price[2]
         assert store.stats.data_bits_total == {5: 6780, 7: 14238}[n]
         assert store.stats.control_bits_total == {5: 280, 7: 588}[n]
         assert all(process.rounds_entered == 1 for process in replicas(store))
@@ -140,7 +140,7 @@ class TestExactBills:
             assert process.decided == {0: 0, 1: 0, 2: 1}
         # Each gap cost n(n-1) DECIDEs (the owner's broadcast plus the
         # relays) and nothing else; the command slot cost its 12.
-        by_slot = Counter((message.slot, message.type_name) for _, _, message in sends)
+        by_slot = Counter((message.slot, message.price[0]) for _, _, message in sends)
         for gap in (0, 1):
             assert {kind: n for (slot, kind), n in by_slot.items() if slot == gap} == {
                 "CONS_DECIDE": BROADCAST
@@ -245,7 +245,7 @@ class TestCrashedOwners:
         assert [(src, dst) for src, dst, m in slot0 if isinstance(m, ConsEst)] == [(0, 1)]
         from_p1 = [message for src, dst, message in slot0 if (src, dst) == (1, 2)]
         assert from_p1[0] == ConsAux(slot=0, round=0, value=1, cand=COMMAND)
-        assert from_p1[0].data_bits() == ConsEst(0, 0, 1, COMMAND).data_bits() > 0
+        assert from_p1[0].price[2] == ConsEst(0, 0, 1, COMMAND).price[2] > 0
         alive = assert_survivors_agree(store, dead=0)
         assert [process.pid for process in alive] == [1, 2]
         for process in alive:

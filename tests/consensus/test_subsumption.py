@@ -327,7 +327,7 @@ class _Shadow:
             if (dst, message) in sent:
                 pass
             elif stronger:
-                self.withheld[stronger[0].type_name, message.type_name] += 1
+                self.withheld[stronger[0].price[0], message.price[0]] += 1
             elif crashed:
                 continue  # the broadcast was cut short before dst: so is the oracle's
             else:

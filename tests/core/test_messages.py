@@ -12,9 +12,9 @@ from repro.core.messages import (
     ProceedMessage,
     ReadMessage,
     WriteMessage,
-    _value_data_bits,
     make_write_message,
 )
+from repro.registers.costmodels import value_bits
 from repro.transport.codec_binary import make_codec, schema_signature
 
 
@@ -28,34 +28,34 @@ class TestWriteMessage:
             WriteMessage(bit=-1, value="v")
 
     def test_type_name_follows_bit(self):
-        assert WriteMessage(bit=0, value="x").type_name == "WRITE0"
-        assert WriteMessage(bit=1, value="x").type_name == "WRITE1"
+        assert WriteMessage(bit=0, value="x").price[0] == "WRITE0"
+        assert WriteMessage(bit=1, value="x").price[0] == "WRITE1"
 
     def test_control_bits_is_always_two(self):
         for bit in (0, 1):
             for value in ("v", 123456789, b"blob" * 100, None):
-                assert WriteMessage(bit=bit, value=value).control_bits() == 2
+                assert WriteMessage(bit=bit, value=value).price[1] == 2
 
     def test_data_bits_scale_with_value_size(self):
         small = WriteMessage(bit=0, value="a")
         large = WriteMessage(bit=0, value="a" * 100)
-        assert small.data_bits() == 8
-        assert large.data_bits() == 800
+        assert small.price[2] == 8
+        assert large.price[2] == 800
 
     def test_data_bits_for_various_types(self):
-        assert WriteMessage(bit=0, value=None).data_bits() == 0
-        assert WriteMessage(bit=0, value=True).data_bits() == 1
-        assert WriteMessage(bit=0, value=255).data_bits() == 8
-        assert WriteMessage(bit=0, value=3.14).data_bits() == 64
-        assert WriteMessage(bit=0, value=b"ab").data_bits() == 16
-        assert WriteMessage(bit=0, value=["x"]).data_bits() > 0
+        assert WriteMessage(bit=0, value=None).price[2] == 0
+        assert WriteMessage(bit=0, value=True).price[2] == 1
+        assert WriteMessage(bit=0, value=255).price[2] == 8
+        assert WriteMessage(bit=0, value=3.14).price[2] == 64
+        assert WriteMessage(bit=0, value=b"ab").price[2] == 16
+        assert WriteMessage(bit=0, value=["x"]).price[2] > 0
 
     def test_every_message_type_has_a_wire_code(self):
         type_names = {
-            WriteMessage(bit=0, value="v").type_name,
-            WriteMessage(bit=1, value="v").type_name,
-            ReadMessage.type_name,
-            ProceedMessage.type_name,
+            WriteMessage(bit=0, value="v").price[0],
+            WriteMessage(bit=1, value="v").price[0],
+            ReadMessage.price[0],
+            ProceedMessage.price[0],
         }
         assert type_names == set(WIRE_CODES)
 
@@ -68,7 +68,7 @@ class TestWriteMessage:
             message.bit = 1
 
 
-#: One strategy per branch of ``_value_data_bits``: none, bool, int, float,
+#: One strategy per branch of ``value_bits``: none, bool, int, float,
 #: str, bytes, and "anything else" (priced by its repr).
 _VALUES = st.one_of(
     st.none(),
@@ -83,13 +83,13 @@ _VALUES = st.one_of(
 
 
 class TestPricedWhenBuilt:
-    """``price`` is what the accessors say, computed once, and nothing else sees it."""
+    """``price`` is the wire type, two control bits and the value's data bits,
+    computed once, and nothing else sees it."""
 
     @given(bit=st.integers(min_value=0, max_value=1), value=_VALUES)
-    def test_price_is_what_the_accessors_answer(self, bit, value):
+    def test_price_is_the_wire_type_two_bits_and_the_value(self, bit, value):
         message = WriteMessage(bit=bit, value=value)
-        assert message.price == (message.type_name, message.control_bits(), message.data_bits())
-        assert message.price == (f"WRITE{bit}", 2, _value_data_bits(value))
+        assert message.price == (f"WRITE{bit}", 2, value_bits(value))
 
     @given(bit=st.integers(min_value=0, max_value=1), value=_VALUES)
     def test_equality_hash_and_repr_ignore_it(self, bit, value):
@@ -139,16 +139,12 @@ class TestPricedWhenBuilt:
 class TestControlOnlyMessages:
     def test_read_message(self):
         message = ReadMessage()
-        assert message.type_name == "READ"
-        assert message.control_bits() == 2
-        assert message.data_bits() == 0
+        assert message.price == ("READ", 2, 0)
         assert repr(message) == "READ()"
 
     def test_proceed_message(self):
         message = ProceedMessage()
-        assert message.type_name == "PROCEED"
-        assert message.control_bits() == 2
-        assert message.data_bits() == 0
+        assert message.price == ("PROCEED", 2, 0)
         assert repr(message) == "PROCEED()"
 
     def test_control_only_messages_compare_equal(self):

@@ -20,8 +20,9 @@ from __future__ import annotations
 import sys
 from collections import Counter
 
-from repro.core.messages import WriteMessage, _value_data_bits
+from repro.core.messages import WriteMessage
 from repro.exec.driver import Driver
+from repro.registers.costmodels import value_bits
 from repro.sim.delays import UniformDelay
 from repro.sim.scheduler import Simulator
 from repro.transport.runtime import Guard, ProcessBase
@@ -87,7 +88,7 @@ def test_the_two_bit_message_floor():
     # (1) Priced when built: one pricing per WriteMessage, however many hops.
     built = calls[WriteMessage.__post_init__.__code__]
     writes_sent = store.stats.by_type["WRITE0"] + store.stats.by_type["WRITE1"]
-    assert calls[_value_data_bits.__code__] == built
+    assert calls[value_bits.__code__] == built
     assert 0 < built < writes_sent / 4  # each one travels O(n) hops, as the same object
 
     # (3) Drained by count: no predicate in the loop; the condition is asked

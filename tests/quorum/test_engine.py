@@ -112,11 +112,11 @@ class TestQuorumCollector:
 
 
 class PingMessage:
-    type_name = "PING"
+    price = ("PING", 0, 0)
 
 
 class PongMessage:
-    type_name = "PONG"
+    price = ("PONG", 0, 0)
 
     def __init__(self, tag):
         self.tag = tag

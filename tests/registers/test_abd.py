@@ -20,18 +20,18 @@ class TestMessages:
     def test_control_bits_include_sequence_numbers(self):
         small = AbdWrite(seq=1, value="v")
         large = AbdWrite(seq=10**6, value="v")
-        assert large.control_bits() > small.control_bits()
+        assert large.price[1] > small.price[1]
 
     def test_data_bits_only_on_value_carrying_messages(self):
-        assert AbdWrite(seq=1, value="abcd").data_bits() == 32
-        assert AbdWriteAck(seq=1).data_bits() == 0
-        assert AbdReadQuery(rsn=1).data_bits() == 0
-        assert AbdReadReply(rsn=1, seq=1, value="ab").data_bits() == 16
-        assert AbdWriteBack(rsn=1, seq=1, value="ab").data_bits() == 16
-        assert AbdWriteBackAck(rsn=1).data_bits() == 0
+        assert AbdWrite(seq=1, value="abcd").price[2] == 32
+        assert AbdWriteAck(seq=1).price[2] == 0
+        assert AbdReadQuery(rsn=1).price[2] == 0
+        assert AbdReadReply(rsn=1, seq=1, value="ab").price[2] == 16
+        assert AbdWriteBack(rsn=1, seq=1, value="ab").price[2] == 16
+        assert AbdWriteBackAck(rsn=1).price[2] == 0
 
     def test_control_bits_grow_logarithmically(self):
-        bits = [AbdWrite(seq=2**k, value=None).control_bits() for k in range(1, 20)]
+        bits = [AbdWrite(seq=2**k, value=None).price[1] for k in range(1, 20)]
         assert bits == sorted(bits)
         assert bits[-1] - bits[0] == 18
 

@@ -17,8 +17,8 @@ class TestTimestamps:
     def test_messages_report_control_bits(self):
         small = MwAbdWrite(wsn=1, ts=(1, 0), value="v")
         large = MwAbdWrite(wsn=1, ts=(10**6, 3), value="v")
-        assert large.control_bits() > small.control_bits()
-        assert MwAbdTsReply(wsn=1, ts=(0, -1)).data_bits() == 0
+        assert large.price[1] > small.price[1]
+        assert MwAbdTsReply(wsn=1, ts=(0, -1)).price[2] == 0
 
 
 class TestMultiWriterBehaviour:

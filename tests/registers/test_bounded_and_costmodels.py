@@ -69,10 +69,10 @@ class TestBoundedEmulation:
         assert result.store.stats.max_control_bits >= 3 + math.ceil(math.log2(300))
 
     def test_control_bits_constant_in_sequence_number(self):
-        assert ModWrite(seq_mod=1, value="v").control_bits() == ModWrite(seq_mod=63, value="v").control_bits()
-        assert ModReadReply(rsn_mod=0, seq_mod=0, value="v").control_bits() == ModReadReply(
+        assert ModWrite(seq_mod=1, value="v").price == ModWrite(seq_mod=63, value="v").price
+        assert ModReadReply(rsn_mod=0, seq_mod=0, value="v").price == ModReadReply(
             rsn_mod=63, seq_mod=63, value="v"
-        ).control_bits()
+        ).price
 
     def test_divergence_violation_detected(self):
         cluster = create_register(n=3, algorithm="abd-bounded-emulation", initial_value="v0")
@@ -215,9 +215,12 @@ class TestWireSizeBitHelpers:
         assert value_bits(payload) == 8 * len(repr(payload))
 
     def test_register_modules_share_the_helpers(self):
+        from repro.consensus import mmr
+        from repro.core import messages
         from repro.registers import abd, abd_mwmr, bounded, costmodels
 
         assert abd.int_bits is costmodels.int_bits
         assert abd.value_bits is costmodels.value_bits
         assert abd_mwmr.int_bits is costmodels.int_bits
-        assert bounded._value_bits is costmodels.value_bits
+        assert bounded.value_bits is costmodels.value_bits
+        assert messages.value_bits is mmr.value_bits is costmodels.value_bits

@@ -18,13 +18,10 @@ class CountedMessage:
     payload: str
     control: int = 7
     data: int = 16
-    type_name: str = "COUNTED"
 
-    def control_bits(self) -> int:
-        return self.control
-
-    def data_bits(self) -> int:
-        return self.data
+    @property
+    def price(self):
+        return "COUNTED", self.control, self.data
 
 
 class TestDelivery:
@@ -212,23 +209,6 @@ class TestAccounting:
         assert subnet_a.records is parent.records
         assert subnet_b.records is parent.records
         assert {record.message for record in parent.records} == {"on-a", "on-b"}
-
-    def test_instance_level_bit_accessors_still_counted(self, simulator, network):
-        # The per-class accessor cache must fall back to per-instance getattr
-        # when the *class* defines the accessor as a non-method (the generic
-        # path), preserving the original duck-typed contract.
-        class WeirdMessage:
-            control_bits = "not-callable"  # class attr, not a method
-
-            def data_bits(self):
-                return 4
-
-        build_recorders(simulator, network, 2)
-        network.send(0, 1, WeirdMessage())
-        simulator.run()
-        assert network.stats.control_bits_total == 0
-        assert network.stats.data_bits_total == 4
-        assert network.stats.by_type == {"WeirdMessage": 1}
 
 
 class TestTopologyHelpers:

@@ -42,7 +42,7 @@ from repro.transport.runtime import ProcessBase
 
 SETTINGS = dict(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
-#: One of each pricing shape: priced per class, per instance (two classes), not at all.
+#: One of each pricing shape: a class attribute, set when built (twice), a property, none.
 MESSAGES = (
     READ,
     WriteMessage(bit=1, value="v1"),

@@ -94,6 +94,8 @@ def canonical_instance(cls):
         annotation = f.type if isinstance(f.type, str) else getattr(f.type, "__name__", "")
         if f.name == "bit":
             kwargs[f.name] = 1
+        elif f.name == "cand":  # a command, as consensus messages carry one
+            kwargs[f.name] = [1, "write", "v"]
         elif annotation == "int":
             kwargs[f.name] = 7
         elif annotation == "Timestamp":
@@ -132,7 +134,7 @@ def msg_frame(message):
 
 class TestMessageRoundTrip:
     def test_every_registered_class_roundtrips_on_both_wires(self):
-        """Deterministic sweep: all 23 classes, canonical packable values."""
+        """Deterministic sweep: all 23 classes, canonical packable values, same price."""
         assert len(MESSAGE_NAMES) >= 23
         for name in MESSAGE_NAMES:
             message = canonical_instance(_REGISTRY[name][0])
@@ -142,6 +144,9 @@ class TestMessageRoundTrip:
             assert same_message(via_binary["msg"], message), name
             assert same_message(via_json["msg"], message), name
             assert via_binary["msg"].__class__ is via_json["msg"].__class__
+            # A live replica bills the frames it decoded: as the sender billed them.
+            assert via_binary["msg"].price == message.price, name
+            assert via_json["msg"].price == message.price, name
 
     @settings(max_examples=200, deadline=None)
     @given(message=messages(), src=packable_ints, dst=packable_ints, key=values)

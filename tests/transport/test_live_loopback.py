@@ -9,6 +9,7 @@ import asyncio
 
 import pytest
 
+from repro.core.messages import WIRE_CODES
 from repro.registers.base import OperationKind
 from repro.transport.live import _ReplicaServer, consensus_audit
 from repro.workloads.kv import iter_kv_operations, run_kv_workload
@@ -63,6 +64,28 @@ class TestLiveLoopbackRun:
         assert result.finished_cleanly and result.completed == 300
         assert result.metrics["latency"]["all"]["p50"] < 0.100
         assert result.check_linearizability(swmr_fast_path=False).ok
+
+
+class TestLiveBill:
+    def test_a_two_bit_run_bills_two_bits_per_message_on_the_wire(self):
+        """The replicas ship their own bill, so the paper's claims are
+        measured on sockets: every message carries two control bits (C1),
+        there are four wire types (C2), and a read costs 2(n-1) messages, a
+        write n(n-1) (C3).  Fault-free: a killed replica's bill dies with it."""
+        n = 3
+        spec = live_spec(num_ops=120, algorithm="two-bit", read_fraction=0.5)
+        result = run_kv_workload(spec)
+        assert result.finished_cleanly and result.failed == 0
+        reads = sum(op.kind == "read" for op in iter_kv_operations(spec))
+        writes = spec.num_ops - reads
+        assert reads and writes
+        stats = result.stats
+        assert stats.max_control_bits == 2  # C1
+        assert stats.control_bits_total == 2 * stats.messages_sent
+        assert set(stats.by_type) == set(WIRE_CODES)  # C2
+        assert stats.messages_sent == reads * 2 * (n - 1) + writes * n * (n - 1)  # C3
+        assert sorted(stats.per_sender) == list(range(n))
+        assert sum(stats.per_sender.values()) == stats.messages_sent
 
 
 class TestCrossBackendEquivalence:

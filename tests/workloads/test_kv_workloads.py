@@ -157,7 +157,7 @@ BACKENDS = ("sim-serial", "sim-workers-2", "live", "live-workers-2")
 
 SUMMARY_KEYS = {
     "algorithm", "checked_against", "clock", "submitted", "completed", "failed",
-    "messages", "finished_cleanly", "wall_seconds", "wall_throughput",
+    "messages", "max_control_bits", "finished_cleanly", "wall_seconds", "wall_throughput",
     "virtual_makespan", "virtual_throughput", "latency", "wire", "batches",
     "ipc_bytes", "per_sender", "coalesced", "crashes_fired",
     "ok", "atomic", "keys_checked", "consensus_violations",
@@ -243,6 +243,8 @@ class TestOneResultOneVerdict:
         assert summary["clock"] == ("wall" if result.virtual_makespan is None else "virtual")
         assert summary["per_sender"] and sum(summary["per_sender"].values()) == summary["messages"]
         assert summary["crashes_fired"] == 0
+        # Measured on every backend: a live run's bill is the replicas' own.
+        assert summary["max_control_bits"] == result.stats.max_control_bits > 0
         verdict_keys = {"ok", "atomic", "keys_checked", "consensus_violations"}
         assert set(result.summary()) == SUMMARY_KEYS - verdict_keys
 
