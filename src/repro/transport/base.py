@@ -11,7 +11,7 @@ What the interfaces deliberately leave out — message coalescing, link
 policies (the fault plane), the delivery chooser — are *simulated-only*
 capabilities: they exist to explore adversarial schedules deterministically
 and have no faithful wall-clock analogue (crash points run on both: a live
-replica is killed).  Protocol code never touches them; only the harness
+replica halts).  Protocol code never touches them; only the harness
 layer (explore) does, and it runs on the simulator by construction.
 """
 
@@ -153,7 +153,7 @@ TRANSPORTS: dict[str, TransportInfo] = {
         ),
         clock="wall-clock seconds",
         deterministic=False,
-        sim_only_features="none (crash points kill replicas; fault plans etc. stay sim-only)",
+        sim_only_features="none (crash points halt replicas; fault plans etc. stay sim-only)",
     ),
 }
 

@@ -382,8 +382,8 @@ class BinaryWireCodec:
             if payload.get("ok"):
                 buf.append(1)
                 _write_value(buf, payload.get("value"))
-            else:
-                buf.append(0)
+            else:  # 2: its replica crashed, 0: any other failure
+                buf.append(2 if payload.get("crashed") else 0)
                 _write_value(buf, str(payload.get("error", "")))
             return bytes(buf)
         buf.append(_E_JSON)
@@ -404,9 +404,12 @@ class BinaryWireCodec:
                 op_id, pos = _read_varint_at(buf, 1)
                 ok = buf[pos]
                 value, _pos = _read_value_at(buf, pos + 1)
-                if ok:
+                if ok == 1:
                     return {"kind": "result", "op_id": op_id, "ok": True, "value": value}
-                return {"kind": "result", "op_id": op_id, "ok": False, "error": value}
+                frame = {"kind": "result", "op_id": op_id, "ok": False, "error": value}
+                if ok == 2:
+                    frame["crashed"] = True
+                return frame
             if envelope == _E_INVOKE:
                 op_id, pos = _read_varint_at(buf, 1)
                 try:

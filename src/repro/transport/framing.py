@@ -212,11 +212,6 @@ class BatchWriter:
             self.stats.frames_out += frames
             self.stats.batches_out += 1
 
-    def seal(self) -> None:
-        """Hand every pending frame to the transport, then drop every later one."""
-        self.write_pending()
-        self.closing = True
-
     async def _flush(self) -> None:
         self.write_pending()
         await self._writer.drain()

@@ -29,16 +29,17 @@ here over real sockets, unmodified:
 
 Failure semantics: a replica arms the spec's crash points with the
 simulator's own :func:`~repro.faults.plan.install_crash_points`; a fired
-point tells the replica's clients and peers, and every client it greets
-until it dies (a ``crashing`` frame, its last on each link), hands what it
-sent to the kernel and ends in ``SIGKILL``.  A peer whose ``crashing``
-frame was read, or whose link's read loop returned why the stream ended,
-is kept in ``gone``: a replica bills its sends to a gone peer to
-``messages_dropped_to_crashed``, a client fails an announced-dead
-replica's operations at once; any other link end fails the run by name, as
-does a replica silent to a stats request or a client worker process that
-raises or dies (``worker_failure``).  Fault plans, coalescing and
-the delivery chooser stay simulated-only (they need a controllable clock).  TCP
+point halts the replica as ``ProcessBase.crash`` halts a simulated one.
+Its processes crash, so it sends nothing more; every ``msg`` frame that
+reaches it is billed to ``messages_dropped_to_crashed`` where it would have
+been delivered; every operation queued, in flight or invoked later is
+answered at once with a crashed result.  The process stays up, its links
+open and its ``stats`` answers (which say it crashed) carry its bill, until
+the cluster stops.  So a link that ends mid-run is always a fault and fails
+the run by name, as does a replica silent to a stats request or a client
+worker process that raises or dies (``worker_failure``).  Fault plans,
+coalescing and the delivery chooser stay simulated-only (they need a
+controllable clock).  TCP
 gives reliable non-FIFO-across-connections delivery and the OS scheduler
 the (unbounded, adversarial-enough) delays of the asynchronous model.
 """
@@ -49,13 +50,10 @@ import asyncio
 import contextlib
 import itertools
 import os
-import signal
-import sys
 import time
 from array import array
 from collections import deque
 from functools import partial
-from multiprocessing import current_process
 from multiprocessing.connection import wait as wait_readable
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -303,7 +301,7 @@ class LiveKey:
     (as simulated subnets bill to their parent network).
     """
 
-    __slots__ = ("server", "key", "name", "closed", "stats", "process", "pending")
+    __slots__ = ("server", "key", "name", "closed", "stats", "process", "pending", "serving")
 
     def __init__(self, server: "_ReplicaServer", key: Any) -> None:
         self.server = server
@@ -313,6 +311,8 @@ class LiveKey:
         self.stats = server.stats
         #: Queued client invokes: (op_id, kind, value, reply connection).
         self.pending: deque = deque()
+        #: The invoke last handed to the process, as queued.
+        self.serving: Optional[Tuple[Any, ...]] = None
         self.process = server.algorithm.process_factory(
             pid=server.replica_id,
             simulator=server.clock,
@@ -341,21 +341,18 @@ class LiveKey:
         # One frame per destination (it carries its ``dst``), billed as on
         # ``Network.send``: per copy, each shown to the hooks, only with hooks.
         server, stats, key = self.server, self.stats, self.key
-        peers, gone, hooks = server.peer_conns, server.gone, server.send_hooks
+        peers, hooks = server.peer_conns, server.send_hooks
         if not hooks:
             stats.record_send(src, message, len(dsts))
         for dst in dsts:
             if hooks:
                 stats.record_send(src, message)
-            conn = peers[dst]
-            # A link whose writes failed is about to be reported gone by its read loop.
-            if dst in gone or conn.batch.closing:
-                stats.record_drop()  # the simulator drops it at delivery
-            else:
-                conn.send({"kind": "msg", "key": key, "src": src, "dst": dst, "msg": message})
+            peers[dst].send({"kind": "msg", "key": key, "src": src, "dst": dst, "msg": message})
             if hooks:
                 for hook in hooks:
                     hook(src, dst, message)
+                if self.process.crashed:
+                    break  # a hook crashed the sender: nothing further is billed or sent
 
     def close(self) -> None:
         self.closed = True
@@ -368,12 +365,13 @@ class LiveKey:
             current = process.current_operation
             if current is not None and not current.completed:
                 return  # busy; the completion callback pumps again
-            op_id, op, value, reply_conn = pending.popleft()
+            self.serving = op_id, op, value, reply_conn = pending.popleft()
 
             def finish(record: OperationRecord, op_id: int = op_id, c=reply_conn) -> None:
-                c.send(
-                    {"kind": "result", "op_id": op_id, "ok": True, "value": record.result}
-                )
+                if not process.crashed:  # halted mid-step: its crash answer went out
+                    c.send(
+                        {"kind": "result", "op_id": op_id, "ok": True, "value": record.result}
+                    )
 
             try:
                 if op == "write":
@@ -389,6 +387,18 @@ class LiveKey:
                 reply_conn.send(
                     {"kind": "result", "op_id": op_id, "ok": False, "error": str(exc)}
                 )
+
+    def halt(self) -> None:
+        """Crash the process and answer the operation in progress and every queued one."""
+        process = self.process
+        process.crash()
+        current = process.current_operation
+        owed = list(self.pending)
+        self.pending.clear()
+        if current is not None and not current.completed:
+            owed.insert(0, self.serving)
+        for op_id, *_request, reply_conn in owed:
+            reply_conn.send(self.server.crashed_result(op_id))
 
 
 class _ReplicaServer:
@@ -412,17 +422,16 @@ class _ReplicaServer:
         self.keys: Dict[Any, LiveKey] = {}
         #: One dialled connection per peer, all up before ``peers`` is acked.
         self.peer_conns: Dict[int, Connection] = {}
-        self.gone: Dict[int, str] = {}  # peer -> why its link ended
         self.send_hooks: List[Callable[[int, int, Any], None]] = []
         self.add_send_hook = self.send_hooks.append  # as ``Network.add_send_hook``
         self.armed = True  # until the parent asks for stats
         self.shutdown = asyncio.Event()
         #: Why this replica stopped serving, when it was not asked to.
         self.failure: Optional[BaseException] = None
+        #: Once a crash point fired: what it answers every operation with.
+        self.crashed: Optional[str] = None
         self._accepted: List[Connection] = []
         self._wiring: Optional[asyncio.Task] = None
-        #: Once the crash point fired: the transports its kill waits to flush.
-        self._flushing: Optional[List[Any]] = None
 
     def live_key(self, key: Any) -> LiveKey:
         entry = self.keys.get(key)
@@ -448,18 +457,22 @@ class _ReplicaServer:
     def _greeted(self, conn: Connection, hello: Dict[str, Any]) -> FrameHandler:
         conn.label = f"peer<-{hello.get('src', '?')}" if hello.get("role") == "peer" else "client"
         self._accepted.append(conn)
-        if self._flushing is not None:  # greeted after the crash point fired
-            self._go_silent(conn, announce=conn.label == "client")
         return self._on_frame
 
     def _on_frame(self, conn: Connection, frame: Dict[str, Any]) -> None:
         kind = frame.get("kind")
         if kind == "msg":
+            if self.crashed is not None:  # as the simulator drops a delivery to a crashed process
+                self.stats.record_drop()
+                return
             entry = self.live_key(frame["key"])
             self.stats.messages_delivered += 1
             entry.process.deliver(frame["src"], frame["msg"])
             entry.pump()
         elif kind == "invoke":
+            if self.crashed is not None:
+                conn.send(self.crashed_result(frame["op_id"]))
+                return
             entry = self.live_key(frame["key"])
             entry.pending.append((frame["op_id"], frame["op"], frame.get("value"), conn))
             entry.pump()
@@ -470,11 +483,6 @@ class _ReplicaServer:
             conn.send({"kind": "armed", "replica": self.replica_id})
             mine = [CrashPoint(**p) for p in frame["points"] if p["replica"] == self.replica_id]
             install_crash_points(mine, self.clock, self, self._crash)
-        elif kind == "crashing":  # a peer's last frame: what we send it from now on is lost
-            self.gone.setdefault(frame["replica"], "announced its crash")
-            link = self.peer_conns[frame["replica"]]
-            link.batch.seal()  # hang up once what is queued left: the peer waits for it
-            link.writer.close()
         elif kind == "stats":
             self.armed = False  # the run is over: a late point must not fire mid-drain
             conn.send(self._stats_reply())
@@ -492,11 +500,8 @@ class _ReplicaServer:
         try:
             for pid, port in sorted((int(pid), port) for pid, port in ports.items()):
                 if pid != self.replica_id and pid not in self.peer_conns:
-                    peer = self.peer_conns[pid] = await Connection.dial(
+                    self.peer_conns[pid] = await Connection.dial(
                         port, f"peer->{pid}", self._on_frame, role="peer", src=self.replica_id
-                    )
-                    peer.reading.add_done_callback(
-                        lambda t, pid=pid: t.cancelled() or self.gone.setdefault(pid, t.result())
                     )
         except (OSError, RuntimeError, FramingError) as exc:
             reply.update(ok=False, reason=str(exc))
@@ -505,56 +510,30 @@ class _ReplicaServer:
         conn.send(reply)
 
     def _crash(self, point: CrashPoint) -> None:
-        """The crash callback: this replica tells its clients and its peers,
-        what it sent leaves, and it takes no more steps."""
+        """The crash callback: this replica halts, as a simulated one does.
+
+        Each key's process crashes, so it takes no more steps, and every
+        operation it owes is answered.  The process itself stays up: its
+        links stay open and it answers ``stats`` and ``shutdown``.
+        """
         if not self.armed:
             return
         self.armed = False
-        self._flushing = []
-        peers = list(self.peer_conns.values())
-        for conn in self._accepted + peers:
-            self._go_silent(conn, announce=conn.label == "client" or conn in peers)
-        hearing = [conn for conn in self._accepted if conn.label.startswith("peer<-")]
-        asyncio.ensure_future(self._kill_once_flushed(self._flushing, hearing))
+        self.crashed = f"replica {self.replica_id} crashed: {point}"
+        for entry in self.keys.values():
+            entry.halt()
 
-    def _go_silent(self, conn: Connection, announce: bool) -> None:
-        """Send ``conn`` the ``crashing`` frame if ``announce``, let nothing
-        this replica does from now on leave it, and make the kill wait for
-        what is queued on it."""
-        if announce:
-            conn.send({"kind": "crashing", "replica": self.replica_id})
-        conn.batch.seal()
-        self._flushing.append(conn.writer.transport)
-
-    @staticmethod
-    async def _kill_once_flushed(
-        transports: List[Any], hearing: List[Connection], budget: float = 1.0
-    ) -> None:
-        """``SIGKILL`` this process once the kernel holds all ``transports``
-        queued and every peer hung up on a ``hearing`` link: a peer's frames
-        sent before it read the ``crashing`` frame never meet a dead socket.
-        A kill the ``budget`` forces says on stderr what it cut short."""
-        deadline = time.monotonic() + budget
-        while time.monotonic() < deadline and (
-            any(t.get_write_buffer_size() for t in transports)
-            or not all(conn.reader.at_eof() for conn in hearing)
-        ):
-            await asyncio.sleep(0.001)
-        buffered = sum(t.get_write_buffer_size() for t in transports)
-        connected = [conn.label for conn in hearing if not conn.reader.at_eof()]
-        if buffered or connected:
-            print(
-                f"{current_process().name}: crash kill after its {budget} s budget with "
-                f"{buffered} bytes buffered, peers still connected: {connected}",
-                file=sys.stderr,
-                flush=True,
-            )
-        os.kill(os.getpid(), signal.SIGKILL)
+    def crashed_result(self, op_id: int) -> Dict[str, Any]:
+        """The answer to operation ``op_id`` once this replica crashed."""
+        return {
+            "kind": "result", "op_id": op_id, "ok": False, "crashed": True, "error": self.crashed
+        }
 
     def _stats_reply(self) -> Dict[str, Any]:
         reply = {
             "kind": "stats_reply",
             "replica": self.replica_id,
+            "crashed": self.crashed is not None,
             **self.stats.snapshot(),  # the message bill, control and data bits included
             "keys": len(self.keys),
             "transport": self.transport_snapshot(),
@@ -744,7 +723,6 @@ class _PendingOp(NamedTuple):
     row: int
     record: OperationRecord
     future: "asyncio.Future"
-    replica: int
 
 
 class LiveClient:
@@ -758,17 +736,14 @@ class LiveClient:
     client-observed wall timestamps, stamping completion *when the result
     frame arrives*.
 
-    Once a replica that announced its crash is gone, its operations fail at
-    once with a crash reason; any other link end sets ``failure``, raised by
-    the next :meth:`fire`, :meth:`settle` or request.  A replica in
-    ``planned`` that refuses the dial crashed before this client came.
+    A crashed replica answers its operations itself, with a crashed result.
+    A link that ends sets ``failure``, raised by the next :meth:`fire`,
+    :meth:`settle` or request: no crash ends a link.
     """
 
-    def __init__(self, epoch: Optional[float] = None, planned: Iterable[int] = ()) -> None:
+    def __init__(self, epoch: Optional[float] = None) -> None:
         self.conns: Dict[int, Connection] = {}
-        self.planned = frozenset(planned)
         self.gone: Dict[int, str] = {}  # replica -> why the link to it ended
-        self.crashed = set()  # replicas that announced their crash
         self.failure: Optional[RuntimeError] = None
         self.replicas = 0
         #: Operations failed because their replica crashed (a clean outcome).
@@ -790,14 +765,7 @@ class LiveClient:
         self.clock = WallClock(asyncio.get_running_loop(), epoch=self._epoch)
         self.replicas = len(ports)
         for replica, port in sorted(ports.items()):
-            try:
-                conn = await Connection.dial(port, f"->r{replica}", self._on_frame, role="client")
-            except (OSError, RuntimeError) as exc:
-                if replica not in self.planned:
-                    raise
-                self.gone[replica] = f"{type(exc).__name__}: {exc}"  # crashed before we dialled
-                self.crashed.add(replica)
-                continue
+            conn = await Connection.dial(port, f"->r{replica}", self._on_frame, role="client")
             self.conns[replica] = conn
             conn.reading.add_done_callback(partial(self._link_ended, replica))
 
@@ -806,44 +774,31 @@ class LiveClient:
             op = self.pending.pop(frame["op_id"], None)
             if op is not None and not op.future.done():
                 op.future.set_result(frame)
-        elif frame.get("kind") == "crashing":  # its link's end, next, is that crash
-            self.crashed.add(frame["replica"])
         elif self._asking is not None:  # a replica's answer to the open request
             self._asking[0][frame["replica"]] = frame
             self._check_answered()
 
-    def _crash_result(self, replica: int) -> Dict[str, Any]:
-        """The result of an operation its crashed replica never answers."""
-        reason = f"replica {replica} crashed: {self.gone[replica]}"
-        return {"ok": False, "crashed": True, "error": reason}
-
     def _link_ended(self, replica: int, reading: "asyncio.Task") -> None:
-        """The link to ``replica`` ended: record why, and fail who waited on it."""
+        """The link to ``replica`` ended, which no crash does: fail the run and who waited."""
         if self._closing or reading.cancelled():
             return
         reason = self.gone[replica] = reading.result()
-        if replica in self.crashed:
-            frame = self._crash_result(replica)
-        else:
-            error = f"link ->r{replica} ended outside the crash plan: {reason}"
-            if replica in self.planned:
-                error += (
-                    f" (r{replica} has a planned crash; its link ended before its crashing frame)"
-                )
-            self.failure, frame = RuntimeError(error), {"ok": False, "error": error}
-        for op_id in [i for i, op in self.pending.items() if self.failure or op.replica == replica]:
-            future = self.pending.pop(op_id).future
-            if not future.done():
-                future.set_result(frame)
+        error = f"link ->r{replica} ended outside the crash plan: {reason}"
+        self.failure, frame = RuntimeError(error), {"ok": False, "error": error}
+        waiting = list(self.pending.values())
+        self.pending.clear()
+        for op in waiting:
+            if not op.future.done():
+                op.future.set_result(frame)
         if self._asking is not None:
             self._check_answered()
 
     def _check_answered(self) -> None:
-        """Resolve the open request once each replica answered or is gone (crashed, or fail)."""
+        """Resolve the open request once each replica answered or its link ended (a failure)."""
         replies, answered = self._asking
         silent = self.conns.keys() - replies.keys()
         if not answered.done() and silent <= self.gone.keys():
-            if silent - self.crashed:
+            if silent:
                 answered.set_exception(self.failure)
             else:
                 answered.set_result(None)
@@ -930,14 +885,11 @@ class LiveClient:
             row, pid, kind, value, key, invoked_at=now, proc_op_id=session_op
         )
         self.oplog.note_issued(row, record)
-        pending = _PendingOp(row, record, asyncio.get_running_loop().create_future(), replica)
+        pending = _PendingOp(row, record, asyncio.get_running_loop().create_future())
         # The read loop resolves the future the moment the result frame is
         # decoded, so the callback's stamp is the arrival time — not whenever
         # the driver gets around to collecting results.
         pending.future.add_done_callback(partial(self._record_result, pending))
-        if replica in self.gone:
-            pending.future.set_result(self._crash_result(replica))
-            return pending
         self.pending[op_id] = pending
         self.conns[replica].send(
             {"kind": "invoke", "op_id": op_id, "op": kind.value, "key": key, "value": value}
@@ -1094,7 +1046,7 @@ async def _client_routine(
         # with several each one is its own session (see LiveClient.fire).
         return None if workers == 1 else op.index
 
-    client = LiveClient(epoch=epoch, planned=[point.replica for point in spec.crash_points])
+    client = LiveClient(epoch=epoch)
     batches = 0
     try:
         await client.connect(ports)
@@ -1181,22 +1133,28 @@ async def _drain_settled(control: LiveClient) -> Dict[int, Dict[str, Any]]:
     An operation completes before all the messages it causes are sent (a
     two-bit write is forwarded on).  Two drains in a row whose counters agree
     read every replica at one instant, between them; when every message sent
-    by then was delivered or dropped, nothing is in flight and nothing more
-    will be sent.  Where a replica is gone, what was in flight to it never
-    lands: the first such instant is the bill.  Past 5 s the last drain is.
+    by then was delivered or dropped (a crashed replica drops what reaches
+    it), nothing is in flight and nothing more will be sent.  Every message
+    lands somewhere, so a bill still unsettled after 5 s raises, naming each
+    replica's ``(sent, delivered, dropped)``.
     """
     deadline = time.monotonic() + 5.0
     last = None
     while True:
         await control.drain_stats()
         replies = dict(control.stats_replies)
-        counters = [
-            (r["messages_sent"], r["messages_delivered"], r["messages_dropped_to_crashed"])
-            for _replica, r in sorted(replies.items())
-        ]
-        in_flight = sum(sent - delivered - dropped for sent, delivered, dropped in counters)
-        if counters == last and (control.gone or in_flight == 0) or time.monotonic() > deadline:
+        counters = {
+            replica: (r["messages_sent"], r["messages_delivered"], r["messages_dropped_to_crashed"])
+            for replica, r in sorted(replies.items())
+        }
+        in_flight = sum(sent - landed - dropped for sent, landed, dropped in counters.values())
+        if counters == last and in_flight == 0:
             return replies
+        if time.monotonic() > deadline:
+            raise RuntimeError(
+                f"the message bill did not settle within 5 s: {in_flight} message(s) in "
+                f"flight; (sent, delivered, dropped) per replica: {counters}"
+            )
         last = counters
 
 
@@ -1229,8 +1187,8 @@ async def _run_live_async(spec: Any) -> Any:
             except WorkerFailure as exc:
                 failure = str(exc)
         # The message bill, the replica-side transport counters and the
-        # consensus logs are the replica servers' own (a killed replica's died
-        # with it), drained over the control connections; each sends as its pid.
+        # consensus logs are the replica servers' own, a crashed replica's
+        # included, drained over the control connections; each sends as its pid.
         replies = await _drain_settled(control)
         stats = merge_network_stats([
             # A JSON frame's keys are strings: per_sender's are pids.
@@ -1243,8 +1201,11 @@ async def _run_live_async(spec: Any) -> Any:
         parts,
         started,
         stats=stats,
-        # One replica process is replica r of every shard: that is what died.
-        crashed=sorted((s, r) for r in control.crashed for s in range(spec.num_shards)),
+        # One replica process is replica r of every shard: that is what crashed.
+        crashed=[
+            (s, r) for s in range(spec.num_shards) for r, reply in sorted(replies.items())
+            if reply["crashed"]
+        ],
         invariants=consensus_audit(replies),
         virtual_makespan=None,
         failure=failure,

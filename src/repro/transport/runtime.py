@@ -18,8 +18,9 @@ Crash semantics: :meth:`ProcessBase.crash` flips a flag; from then on the
 process neither processes deliveries nor fires guards nor sends messages.
 This matches the paper's crash model — a faulty process "executes correctly
 its local algorithm until it possibly crashes", then halts.  (On the live
-backend a scheduled crash kills the replica process, which halts it for
-good; fault plans stay simulated-only.)
+backend a fired crash point crashes every process of its replica this way,
+while the replica process stays up to bill and answer for them; fault plans
+stay simulated-only.)
 """
 
 from __future__ import annotations

@@ -439,8 +439,7 @@ class KVWorkloadResult:
     #: per-connection counters) for live runs.
     metrics: dict
     #: The replicas' message bill (merged over workers, drained from live
-    #: replicas).  A killed live replica's bill dies with it: live ``stats``
-    #: is the survivors' bill.
+    #: replicas, a crashed one's included).
     stats: NetworkStats
     #: Crashed servers as sorted ``(shard, replica)`` pairs (live: every shard of a process).
     crashed: List[Tuple[int, int]]

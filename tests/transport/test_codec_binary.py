@@ -261,6 +261,12 @@ class TestEnvelopes:
         decoded = BINARY.decode(BINARY.encode(frame))
         assert decoded == {"kind": "result", "op_id": 3, "ok": False, "error": "no quorum"}
 
+    def test_result_crashed_roundtrip(self):
+        """A crashed replica's answer keeps its flag: the client counts it as a clean failure."""
+        frame = {"kind": "result", "op_id": 4, "ok": False, "crashed": True, "error": "r2 down"}
+        assert BINARY.decode(BINARY.encode(frame)) == frame
+        assert JSON.decode(JSON.encode(frame)) == frame
+
 
 class TestDecodeStrictness:
     def test_truncated_bodies_raise_codec_error(self):

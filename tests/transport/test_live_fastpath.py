@@ -14,8 +14,9 @@ They pin what the one-codec wire promises:
   answer a stats request fails ``drain_stats`` by name (there is no second
   codec to fall back to; frame-for-frame JSON / binary equivalence is
   property-tested in ``test_codec_binary.py``);
-* a fired crash point kills its replica only once the kernel holds every
-  frame it queued, and ``settle`` counts an operation settled only when it
+* a fired crash point halts its replica: it answers what it owes and every
+  later invoke as crashed, bills what reaches it as dropped and sends
+  nothing, and ``settle`` counts an operation settled only when it
   completed or met a crashed replica;
 * per-connection transport counters ride the metrics snapshot;
 * the same seeded consensus stream decides identically on both backends.
@@ -206,139 +207,74 @@ class TestBootAndStatsFailures:
         assert 0.4 < elapsed < 5.0
         assert list(replies) == [0]
 
-
-class TestCrashFlush:
-    def test_a_crash_kill_waits_until_the_kernel_holds_the_backlog(self, monkeypatch):
-        """A fired point's last frames leave even from a backpressured socket."""
-        import socket
-
-        from repro.transport import live
-
-        size = 4 << 20  # more than a socket pair's kernel buffers hold
-
-        async def main():
-            ours, theirs = socket.socketpair()
-            _reader, writer = await asyncio.open_connection(sock=ours)
-            writer.write(b"x" * size)
-            transport = writer.transport
-            assert transport.get_write_buffer_size() > 0
-            kills = []
-            monkeypatch.setattr(live.os, "kill", lambda *_: kills.append(
-                transport.get_write_buffer_size()
-            ))
-            dying = asyncio.ensure_future(
-                live._ReplicaServer._kill_once_flushed([transport], [], budget=30.0)
-            )
-            await asyncio.sleep(0.05)
-            assert kills == []  # nobody reads: the backlog is still queued
-            theirs.setblocking(False)
-            received = 0
-            while received < size:
-                received += len(await asyncio.get_running_loop().sock_recv(theirs, 1 << 20))
-            await dying
-            assert kills == [0]
-            writer.close()
-            theirs.close()
-
-        asyncio.run(main())
-
-    def test_a_crash_kill_waits_until_every_peer_hung_up(self, monkeypatch):
-        """A peer's frames sent before it read the ``crashing`` frame never meet a dead socket."""
-        import socket
+    def test_a_bill_that_never_settles_fails_the_drain_by_name(self, monkeypatch):
+        """Every message lands somewhere, so one still in flight past the
+        deadline is a fault: the drain raises with each replica's counters
+        rather than return the bill it last read."""
+        import itertools
 
         from repro.transport import live
 
-        async def main():
-            ours, theirs = socket.socketpair()
-            reader, writer = await asyncio.open_connection(sock=ours)
-            kills = []
-            monkeypatch.setattr(live.os, "kill", lambda *_: kills.append("killed"))
-            peer = SimpleNamespace(label="peer<-1", reader=reader)
-            dying = asyncio.ensure_future(
-                live._ReplicaServer._kill_once_flushed([], [peer], budget=30.0)
-            )
-            await asyncio.sleep(0.05)
-            assert kills == []  # the peer is still on the line
-            theirs.close()  # it hangs up
-            await dying
-            assert kills == ["killed"]
-            writer.close()
+        def reply(sent, delivered):
+            return {"messages_sent": sent, "messages_delivered": delivered,
+                    "messages_dropped_to_crashed": 0}
 
-        asyncio.run(main())
+        async def drain_stats():
+            return 0
 
-    def test_a_kill_the_budget_forces_says_what_it_cut_short(self, monkeypatch, capsys):
-        """One stderr line: the bytes still buffered and the peers still connected."""
-        import socket
-
-        from repro.transport import live
-
-        async def main():
-            ours, theirs = socket.socketpair()
-            reader, writer = await asyncio.open_connection(sock=ours)
-            kills = []
-            monkeypatch.setattr(live.os, "kill", lambda *_: kills.append("killed"))
-            peer = SimpleNamespace(label="peer<-1", reader=reader)
-            await live._ReplicaServer._kill_once_flushed([], [peer], budget=0.05)
-            assert kills == ["killed"]
-            writer.close()
-            theirs.close()
-
-        asyncio.run(main())
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.endswith(
-            ": crash kill after its 0.05 s budget with 0 bytes buffered, "
-            "peers still connected: ['peer<-1']"
+        control = SimpleNamespace(
+            drain_stats=drain_stats, stats_replies={0: reply(3, 2), 1: reply(2, 2)}
+        )
+        # Each clock read is 3 s later: the second drain is past the 5 s deadline.
+        monkeypatch.setattr(live, "time", SimpleNamespace(monotonic=itertools.count(0, 3).__next__))
+        with pytest.raises(RuntimeError) as failed:
+            asyncio.run(live._drain_settled(control))
+        assert str(failed.value) == (
+            "the message bill did not settle within 5 s: 1 message(s) in flight; "
+            "(sent, delivered, dropped) per replica: {0: (3, 2, 0), 1: (2, 2, 0)}"
         )
 
 
-class TestGreetedAfterTheCrash:
-    @pytest.mark.parametrize(
-        "hello, told",
-        [
-            ({"role": "client"}, [{"kind": "crashing", "replica": 2}]),
-            # A peer hears of the crash on the link this replica dialled to it.
-            ({"role": "peer", "src": 1}, []),
-        ],
-    )
-    def test_a_dialler_greeted_after_the_crash_point_fired(self, monkeypatch, hello, told):
-        """A client's ``hello_ack`` is followed by ``crashing``; nothing else
-        leaves after the ack, and the kill waits for the link's bytes too."""
+class TestHaltedReplica:
+    def test_a_halted_replica_answers_and_bills_but_takes_no_step(self):
+        """A fired point crashes each key's process and answers what it owes,
+        the operation in progress first; after it an invoke is answered at
+        once, a ``msg`` is billed as a drop with no process built for its
+        key, nothing more is sent, and the stats answer says it crashed."""
         from repro.faults.plan import CrashPoint
         from repro.transport import live
 
+        def invoke(op_id):
+            return {"kind": "invoke", "op_id": op_id, "op": "read", "key": "k", "value": None}
+
         async def main():
             server = live._ReplicaServer(2, 3, "two-bit", None)
-            kills = []
-
-            async def held_kill(transports, hearing):
-                kills.append((transports, hearing))
-
-            monkeypatch.setattr(server, "_kill_once_flushed", held_kill)
-            listener = await asyncio.start_server(server.handle_connection, "127.0.0.1", 0)
-            port = listener.sockets[0].getsockname()[1]
+            peers = {0: [], 1: []}
+            server.peer_conns = {
+                pid: SimpleNamespace(send=frames.append, snapshot=dict)
+                for pid, frames in peers.items()
+            }
+            answers = []
+            client = SimpleNamespace(send=answers.append)
+            server._on_frame(client, invoke(1))  # in progress: its READ went to both peers
+            server._on_frame(client, invoke(2))  # queued behind it
             server._crash(CrashPoint(shard=0, replica=2, after_messages_sent=0))
-            await asyncio.sleep(0)
-            assert kills == [([], [])]  # nobody was connected when the point fired
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(_frame({"kind": "hello", "sig": schema_signature(), **hello}))
-            frames = []
-            decoder = FrameDecoder()
-            while True:
-                try:
-                    chunk = await asyncio.wait_for(reader.read(4096), timeout=0.5)
-                except asyncio.TimeoutError:
-                    break  # the replica fell silent
-                assert chunk, f"the stream closed after {frames}"
-                frames += [Connection.codec.decode(body) for body in decoder.feed(chunk)]
-            writer.close()
-            listener.close()
-            await listener.wait_closed()
-            return frames, kills
+            server._on_frame(client, invoke(3))
+            server._on_frame(client, {"kind": "msg", "key": "fresh", "src": 0, "dst": 2, "msg": 0})
+            server._on_frame(client, {"kind": "stats"})
+            return server, peers, answers
 
-        frames, kills = asyncio.run(main())
-        assert frames == [{"kind": "hello_ack", "ok": True}] + told
-        (transports, _hearing), = kills
-        assert len(transports) == 1  # the kill waits for the late link's bytes too
+        server, peers, answers = asyncio.run(main())
+        assert [len(frames) for frames in peers.values()] == [1, 1]
+        *results, stats = answers
+        error = "replica 2 crashed: " + str(CrashPoint(shard=0, replica=2, after_messages_sent=0))
+        assert results == [
+            {"kind": "result", "op_id": op_id, "ok": False, "crashed": True, "error": error}
+            for op_id in (1, 2, 3)
+        ]
+        assert list(server.keys) == ["k"] and server.keys["k"].process.crashed
+        assert stats["crashed"] is True and stats["messages_sent"] == 2
+        assert stats["messages_delivered"] == 0 and stats["messages_dropped_to_crashed"] == 1
 
 
 class TestSettle:

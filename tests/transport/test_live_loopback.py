@@ -10,6 +10,7 @@ import asyncio
 import pytest
 
 from repro.core.messages import WIRE_CODES
+from repro.faults.plan import CrashPoint
 from repro.registers.base import OperationKind
 from repro.transport.live import _ReplicaServer, consensus_audit
 from repro.workloads.kv import iter_kv_operations, run_kv_workload
@@ -71,7 +72,7 @@ class TestLiveBill:
         """The replicas ship their own bill, so the paper's claims are
         measured on sockets: every message carries two control bits (C1),
         there are four wire types (C2), and a read costs 2(n-1) messages, a
-        write n(n-1) (C3).  Fault-free: a killed replica's bill dies with it."""
+        write n(n-1) (C3)."""
         n = 3
         spec = live_spec(num_ops=120, algorithm="two-bit", read_fraction=0.5)
         result = run_kv_workload(spec)
@@ -85,6 +86,30 @@ class TestLiveBill:
         assert set(stats.by_type) == set(WIRE_CODES)  # C2
         assert stats.messages_sent == reads * 2 * (n - 1) + writes * n * (n - 1)  # C3
         assert sorted(stats.per_sender) == list(range(n))
+        assert sum(stats.per_sender.values()) == stats.messages_sent
+
+    def test_a_crashed_replica_ships_its_bill_and_the_claims_hold_over_it(self):
+        """A crash point halts its replica, which still answers the stats
+        drain: every message sent landed, delivered or dropped at the crashed
+        replica, and C1–C3 hold over the whole bill, the victim's sends
+        included.  Operations it never served send less, so C3 is a bound."""
+        n, k = 3, 60
+        spec = live_spec(num_ops=120, algorithm="two-bit", read_fraction=0.5).with_(
+            crash_points=(CrashPoint(shard=0, replica=2, after_messages_sent=k),)
+        )
+        result = run_kv_workload(spec)
+        assert result.finished_cleanly and result.verify().ok
+        assert {replica for _shard, replica in result.crashed} == {2}
+        reads = sum(op.kind == "read" for op in iter_kv_operations(spec))
+        writes = spec.num_ops - reads
+        stats = result.stats
+        assert stats.messages_dropped_to_crashed > 0
+        assert stats.messages_sent == stats.messages_delivered + stats.messages_dropped_to_crashed
+        assert stats.max_control_bits == 2  # C1
+        assert stats.control_bits_total == 2 * stats.messages_sent
+        assert set(stats.by_type) <= set(WIRE_CODES)  # C2
+        assert stats.messages_sent <= reads * 2 * (n - 1) + writes * n * (n - 1)  # C3
+        assert sorted(stats.per_sender) == list(range(n)) and stats.per_sender[2] == k
         assert sum(stats.per_sender.values()) == stats.messages_sent
 
 

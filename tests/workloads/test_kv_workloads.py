@@ -310,24 +310,22 @@ def test_a_replica_crashed_at_its_kth_send_on_every_backend(backend):
     assert result.finished_cleanly
     assert result.crashed == [(0, 2)]
     assert result.summary(verdict)["crashes_fired"] == 1
+    assert result.stats.per_sender[2] == CRASH_AFTER
     if result.spec.transport == "sim":
-        assert result.stats.per_sender[2] == CRASH_AFTER
         return
     _no_process_outlives_the_run()
-    # The victim's bill died with it: live stats are the survivors'.
-    assert 2 not in result.stats.per_sender
-    assert result.stats.messages_dropped_to_crashed > 0  # survivors' sends to it
+    # The halted replica ships its bill: the survivors' sends to it are drops.
+    assert result.stats.messages_dropped_to_crashed > 0
     for op in result.failed_ops():
         assert op.failure_reason.startswith("replica 2 crashed: "), op.failure_reason
         if result.spec.workers == 1:
             assert op.pid == 2  # one client: the pid is the serving replica
     rows = result.metrics["transport"]["replica_connections"]
-    assert rows["2"] == []
+    assert rows["2"]
     survivors = [row for replica in ("0", "1") for row in rows[replica]]
     assert all(row["frames_dropped"] == 0 for row in survivors)
-    # The k-th message is in flight and nothing after it is (less each
-    # link's hello and the victim's crash notice).
-    from_victim = [row["frames_in"] - 2 for row in survivors if row["label"] == "peer<-2"]
+    # The k-th message is in flight and nothing after it is (less each link's hello).
+    from_victim = [row["frames_in"] - 1 for row in survivors if row["label"] == "peer<-2"]
     assert len(from_victim) == 2 and sum(from_victim) == CRASH_AFTER
 
 
@@ -359,8 +357,9 @@ def test_a_link_that_ends_outside_the_plan_fails_the_run_by_name(monkeypatch, pl
 
     from repro.transport.live import LiveClient
 
-    # Ten seconds of open-loop arrivals; replica 2's link ends at the 200th,
-    # and no crash point of replica 2 fired: only a fired point is a crash.
+    # Ten seconds of open-loop arrivals; replica 2's link ends at the 200th.
+    # No crash ends a link (a fired point halts its replica), so a SIGKILL
+    # from outside is a wire fault, planned point or not.
     spec = SPEC.with_(
         transport="live", num_ops=10_000, arrival="poisson", arrival_rate=1000.0,
         crash_points=planned,
