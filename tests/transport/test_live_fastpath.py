@@ -277,6 +277,61 @@ class TestHaltedReplica:
         assert stats["messages_delivered"] == 0 and stats["messages_dropped_to_crashed"] == 1
 
 
+class TestGreetedAfterTheCrash:
+    @pytest.mark.parametrize(
+        "hello, told",
+        [
+            ({"role": "client"}, [{"kind": "result", "op_id": 7, "ok": False, "crashed": True}]),
+            # A peer's message is billed as a drop, and nothing answers it.
+            ({"role": "peer", "src": 1}, []),
+        ],
+    )
+    def test_a_dialler_greeted_after_the_crash_point_fired(self, hello, told):
+        """A halted replica acks a late dialler as any other and keeps the
+        link open: a client's invoke is answered as crashed, a peer's
+        ``msg`` is billed as a drop, and ``stats`` is still answered."""
+        from repro.core.messages import READ
+        from repro.faults.plan import CrashPoint
+        from repro.transport import live
+
+        sent = (
+            {"kind": "invoke", "op_id": 7, "op": "read", "key": "k", "value": None}
+            if hello["role"] == "client"
+            else {"kind": "msg", "key": "k", "src": 1, "dst": 2, "msg": READ}
+        )
+
+        async def main():
+            server = live._ReplicaServer(2, 3, "two-bit", None)
+            listener = await asyncio.start_server(server.handle_connection, "127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            server._crash(CrashPoint(shard=0, replica=2, after_messages_sent=0))
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(_frame({"kind": "hello", "sig": schema_signature(), **hello}))
+            writer.write(_frame(sent) + _frame({"kind": "stats"}))
+            frames = []
+            decoder = FrameDecoder()
+            while not frames or frames[-1]["kind"] != "stats_reply":
+                chunk = await asyncio.wait_for(reader.read(4096), timeout=5.0)
+                assert chunk, f"the stream closed after {frames}"
+                frames += [Connection.codec.decode(body) for body in decoder.feed(chunk)]
+            writer.close()
+            listener.close()
+            await listener.wait_closed()
+            return server, frames
+
+        server, frames = asyncio.run(main())
+        ack, *answers, stats = frames
+        assert ack == {"kind": "hello_ack", "ok": True}
+        assert [
+            {name: answer[name] for name in ("kind", "op_id", "ok", "crashed")}
+            for answer in answers
+        ] == told
+        assert all(answer["error"].startswith("replica 2 crashed: ") for answer in answers)
+        assert stats["crashed"] is True and stats["messages_sent"] == 0
+        assert stats["messages_dropped_to_crashed"] == (1 if sent["kind"] == "msg" else 0)
+        assert server.keys == {}  # nothing after the halt built a process
+
+
 class TestSettle:
     def test_only_a_completion_or_a_crashed_replica_settles_an_operation(self):
         """An error frame is a failure ``settle`` reports; a crashed replica's is not."""
