@@ -22,7 +22,10 @@ The next test pins five register runs through each kind of crash a
 :class:`~repro.faults.CrashPoint` expresses — recorded while register crashes
 were still a pid-keyed schedule installed by the register runner, before
 they became crash points the store schedules: whatever installs a crash, the
-execution it produces may not move.
+execution it produces may not move.  Each row also pins what the run reports
+(clean finish, submitted, completed, failed), recorded while a register run
+still drove its own closed-loop clients: an operation whose process crashed
+under it is pending, not failed.
 
 The last test pins one interactive run per registered algorithm, its writer
 killed mid-broadcast — recorded while ``create_register`` still built its own
@@ -148,25 +151,31 @@ def _register(**changes):
 
 
 #: name -> spec, then (sent, delivered, dropped, control bits, data bits),
-#: by_type, crashed flags per pid, final clock, executed events.
+#: by_type, crashed flags per pid, final clock, executed events, and the
+#: outcome (finished cleanly, submitted, completed, failed): an operation
+#: whose own process crashed stays pending, and the run still finishes
+#: cleanly (crash-stop).
 _CRASH_RUNS = {
     "timed reader crash": (
         _register(crash_points=(CrashPoint(shard=0, replica=3, at_time=4.0),)),
         (223, 210, 13, 446, 1728),
         {"WRITE1": 56, "READ": 60, "PROCEED": 55, "WRITE0": 52},
         [False, False, False, True, False], 7.4082827275628516, 229,
+        (True, 21, 20, 0),
     ),
     "writer crash": (
         _register(crash_points=(CrashPoint(shard=0, replica=0, allow_writer=True, at_time=5.0),)),
         (223, 217, 6, 446, 1600),
         {"WRITE1": 60, "READ": 64, "PROCEED": 59, "WRITE0": 40},
         [True, False, False, False, False], 6.698858609719283, 229,
+        (True, 21, 20, 0),
     ),
     "zero-message trigger": (
         _register(crash_points=(CrashPoint(shard=0, replica=2, after_messages_sent=0),)),
         (160, 144, 16, 320, 1216),
         {"WRITE1": 40, "READ": 48, "PROCEED": 36, "WRITE0": 36},
         [False, False, True, False, False], 8.00660267729394, 165,
+        (True, 18, 18, 0),
     ),
     "crash inside a healing partition": (
         _register(
@@ -176,20 +185,23 @@ _CRASH_RUNS = {
         (238, 226, 12, 476, 1824),
         {"WRITE1": 58, "READ": 64, "PROCEED": 60, "WRITE0": 56},
         [False, True, False, False, False], 24.918287305832397, 244,
+        (True, 22, 22, 0),
     ),
     "crash_storm(crash_writer=True)": (
         crash_storm(crash_writer=True, seed=11),
         (1134, 1030, 104, 2268, 3360),
         {"WRITE1": 126, "READ": 510, "PROCEED": 414, "WRITE0": 84},
         [True, False, False, False, False, True, False], 31.125395895697697, 1143,
+        (True, 90, 88, 0),
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_CRASH_RUNS))
 def test_register_crash_runs_are_pinned(name):
-    spec, totals, by_type, crashed, clock, events = _CRASH_RUNS[name]
+    spec, totals, by_type, crashed, clock, events, outcome = _CRASH_RUNS[name]
     result = run_workload(spec)
+    assert (result.finished_cleanly, len(result.oplog), result.completed, result.failed) == outcome
     store = result.store
     snapshot = store.stats.snapshot()
     assert (

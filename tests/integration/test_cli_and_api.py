@@ -144,11 +144,16 @@ PINNED = pathlib.Path(__file__).with_name("pinned_cli")
 
 
 class TestPaperTablesArePinned:
-    """Table 1 and the Theorem 2 counts, byte for byte.
+    """Table 1, the Theorem 2 counts and two register runs, byte for byte.
 
-    The pins were written by the commit *before* ``run_workload`` became the
-    keyed pipeline with one key (21b9641), so they gate that re-plumbing —
-    and any later one — on ``cmp``-equal paper numbers.
+    The ``table1`` / ``messages`` / ``bits`` pins were written by the commit
+    *before* ``run_workload`` became the keyed pipeline with one key
+    (21b9641), so they gate that re-plumbing — and any later one — on
+    ``cmp``-equal paper numbers.  The ``run`` pin (two reader crashes: one
+    operation left pending by its crashed process, a clean finish) and the
+    ``compare`` pin were written while a register run still drove its own
+    closed-loop clients, before it became ``drive_script`` over a one-key
+    script.
     """
 
     @pytest.mark.parametrize(
@@ -157,6 +162,15 @@ class TestPaperTablesArePinned:
             (["table1", "--n", "5"], "table1_n5.txt"),
             (["messages", "--n", "5"], "messages_n5.txt"),
             (["bits", "--n", "5", "--writes", "40"], "bits_n5_writes40.txt"),
+            (
+                ["run", "--algorithm", "two-bit", "--delay", "uniform", "--crashes", "2",
+                 "--seed", "1"],
+                "run_two_bit_uniform_crashes2_seed1.txt",
+            ),
+            (
+                ["compare", "--n", "5", "--writes", "6", "--reads", "4", "--seed", "1"],
+                "compare_n5_writes6_reads4_seed1.txt",
+            ),
         ],
     )
     def test_output_is_byte_identical_to_the_pin(self, argv, pin, capsys):

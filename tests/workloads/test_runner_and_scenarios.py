@@ -70,6 +70,12 @@ class TestConcurrentMode:
         assert result.check_atomicity().ok
         crashed_ops = [op for op in result.history(REGISTER_KEY) if op.pid == 2]
         assert len(crashed_ops) < 5
+        # Crash-stop: the read pid 2 had invoked when it crashed stays
+        # pending (not failed), and the run still finishes cleanly.
+        pending = [op for op in crashed_ops if not op.completed]
+        assert len(pending) == 1 and not pending[0].failed
+        assert pending[0].responded_at is None
+        assert result.finished_cleanly and result.failed == 0
 
     def test_crashed_writer_stops_the_write_stream_but_reads_go_on(self):
         spec = WorkloadSpec(
