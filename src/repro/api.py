@@ -9,8 +9,8 @@ Five entry points cover the common uses:
   multi-key store composing one register per key behind a ``get``/``put``
   facade, with batched submission (returns a :class:`KVStore`);
 * :func:`run_workload` (re-exported from :mod:`repro.workloads.runner`) —
-  execute a declarative register workload: the keyed pipeline below with
-  one key, same result type;
+  execute a declarative register workload: its one-key script through the
+  keyed pipeline's drive loop, same result type;
 * :func:`run_exploration` (re-exported from :mod:`repro.explore`) —
   schedule exploration: seeded schedule search + per-key linearizability
   checking + shrinking violations to replayable counterexample artifacts;

@@ -113,7 +113,8 @@ def _add_common_workload_arguments(parser: argparse.ArgumentParser) -> None:
         "--crashes",
         type=int,
         default=0,
-        help="number of random reader crashes to inject (writer is spared)",
+        metavar="N",
+        help="inject at most N random reader crashes: a seeded count from 0 to N (writer is spared)",
     )
 
 
@@ -124,6 +125,8 @@ def _delay_model(name: str, seed: int):
 
 
 def _spec_from_args(args: argparse.Namespace, algorithm: str) -> WorkloadSpec:
+    if args.crashes < 0:
+        raise ValueError(f"--crashes must be non-negative, got {args.crashes}")
     crash_points = ()
     if args.crashes:
         crash_points = random_crash_points(

@@ -1,187 +1,54 @@
-"""Client models: how operations arrive at the unified driver.
+"""The client: how a script's operations arrive at the unified driver.
 
-Three traffic shapes:
+:class:`OpenLoopClient` fires the entries of an ``(at, request, value)``
+script, each by one of two start rules:
 
-* :class:`ClosedLoopClient` — one process, one script, next operation issued
-  the moment the previous one completes (plus think time); the client dies
-  with its process.
-* :class:`IsolatedClient` — operations issued one at a time, globally,
-  quiescing between them so per-operation message counts and latencies are
-  exactly attributable (the Table-1 measurement regime).  The post-operation
-  drain is *bounded*: a message-storm bug fails fast with
-  ``clean=False`` instead of hanging.
-* :class:`OpenLoopClient` — operations arrive at seeded times from an
-  arrival process (Poisson or uniform), regardless of completions.  This
-  decouples offered load from service rate, which is what
-  throughput-vs-offered-load scenarios need; overload shows up as queueing
-  delay on the per-process FIFOs instead of silently throttling the client.
+* **at a time** — ``at`` is a virtual time: the entry fires then, regardless
+  of completions (seeded Poisson or uniform arrivals,
+  :func:`iter_arrival_times`).  This decouples offered load from service
+  rate, which is what throughput-vs-offered-load scenarios need; overload
+  shows up as queueing delay on the per-process FIFOs instead of silently
+  throttling the client.
+* **after its predecessor** — ``at`` is :class:`After` ``(delay)``: the
+  entries routed to one process (a pinned replica of a key) form a chain,
+  that process's own closed loop.  Each starts ``delay`` after the previous one finished (the
+  first, ``delay`` after the client started: a start delay, then think
+  times).  A chain stops with its process: once the process has crashed no
+  further operation is created, and the one it had in flight stays pending
+  (crash-stop) without holding up the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from functools import partial
 from random import Random
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exec.driver import Driver
 from repro.exec.target import OpRequest, StoreTarget
-from repro.registers.base import OperationKind, OperationRecord, RegisterProcess
-from repro.transport.base import Transport
+from repro.registers.base import OperationRecord, RegisterProcess
 
 #: Supported open-loop arrival processes.
 ARRIVAL_PROCESSES = ("poisson", "uniform")
 
 
-# --------------------------------------------------------------- closed loop
+class After(float):
+    """An entry's ``at`` that chains it: start this long after the previous
+    entry on the same process (the same pinned replica of a key) finished."""
+
+    __slots__ = ()
 
 
-class ClosedLoopClient:
-    """Drives one process through a script, closed-loop, via the driver.
+class _Chain:
+    """The chained entries one process serves, issued one at a time."""
 
-    ``operations`` is a sequence of ``(kind, value, think_time)`` triples
-    (think time is the pause after the *previous* operation completes);
-    ``key`` is the store key ``process`` serves, recorded with every
-    operation.
-    """
+    __slots__ = ("process", "entries", "busy")
 
-    def __init__(
-        self,
-        driver: Driver,
-        process: RegisterProcess,
-        operations: Sequence[Tuple[OperationKind, Any, float]],
-        start_delay: float = 0.0,
-        key: Any = None,
-    ) -> None:
-        self.driver = driver
+    def __init__(self, process: RegisterProcess) -> None:
         self.process = process
-        self.operations = list(operations)
-        self.start_delay = start_delay
-        self.key = key
-        self.outstanding = len(self.operations)
-
-    def start(self) -> None:
-        """Schedule this client's first operation at its start delay."""
-        self.driver.simulator.schedule_at(
-            self.start_delay, lambda: self._issue(0), label=f"p{self.process.pid} start"
-        )
-
-    def _issue(self, index: int) -> None:
-        if index >= len(self.operations):
-            return
-        if self.process.crashed:
-            # The client dies with its process; remaining operations are never issued.
-            self.outstanding = 0
-            return
-        kind, value, _think = self.operations[index]
-        op = self.driver.new_op(
-            kind, value=value, key=self.key, on_done=lambda op, i=index: self._completed(op, i)
-        )
-        self.driver.submit(self.process, op)
-
-    def _completed(self, op, index: int) -> None:
-        if op.failed:  # the process crashed at invocation time; don't chain
-            self.outstanding = 0
-            return
-        self.outstanding = len(self.operations) - index - 1
-        next_index = index + 1
-        if next_index >= len(self.operations):
-            return
-        think = self.operations[next_index][2]
-        if think > 0:
-            self.driver.simulator.schedule_after(
-                think, lambda: self._issue(next_index), label=f"p{self.process.pid} think"
-            )
-        else:
-            self._issue(next_index)
-
-    @property
-    def done(self) -> bool:
-        """Done = no more operations to issue and the last one completed (or crashed)."""
-        if self.process.crashed:
-            return True
-        if self.outstanding > 0:
-            return False
-        current = self.process.current_operation
-        return current is None or current.completed
-
-
-# ------------------------------------------------------------- isolated mode
-
-
-@dataclass
-class IsolatedOpCost:
-    """Cost of one isolated operation (exactly attributable by construction)."""
-
-    kind: OperationKind
-    pid: int
-    latency: float
-    messages: int
-    messages_to_completion: int
-
-
-class IsolatedClient:
-    """Issues operations one at a time, globally, quiescing in between.
-
-    Latency and message counts are then exactly attributable to individual
-    operations; this is how the Table-1 rows are measured.  Both the
-    per-operation wait and the residual drain (forwarded WRITEs, late
-    acknowledgements) are bounded by ``max_virtual_time`` — a protocol bug
-    that storms messages fails fast (``clean=False``) instead of hanging.
-    """
-
-    def __init__(
-        self, driver: Driver, network: Transport, max_virtual_time: float, key: Any = None
-    ) -> None:
-        self.driver = driver
-        self.network = network
-        self.max_virtual_time = max_virtual_time
-        self.key = key
-        self.costs: List[IsolatedOpCost] = []
-
-    def run_sequence(
-        self, sequence: Sequence[Tuple[RegisterProcess, OperationKind, Any]]
-    ) -> bool:
-        """Run ``(process, kind, value)`` operations in order; True if all clean."""
-        clean = True
-        simulator = self.driver.simulator
-        stats = self.network.stats
-        for process, kind, value in sequence:
-            if process.crashed:
-                continue
-            messages_before = stats.messages_sent
-            started_at = simulator.now
-            op = self.driver.new_op(kind, value=value, key=self.key)
-            self.driver.submit(process, op)
-            if op.failed:  # crashed at invocation time
-                continue
-            completed = self.driver.drive(
-                limit=started_at + self.max_virtual_time, predicate=lambda: op.done
-            )
-            if not completed or not op.completed:
-                clean = False
-                continue
-            messages_at_completion = stats.messages_sent
-            # Drain residual dissemination so the next operation starts from a
-            # quiescent system and this operation's whole cost is attributed
-            # to it — but bound the drain: an unbounded run() here turns a
-            # message-storm bug into a hang.
-            simulator.run(until=simulator.now + self.max_virtual_time)
-            if simulator.pending_events:
-                clean = False
-                break
-            self.costs.append(
-                IsolatedOpCost(
-                    kind=kind,
-                    pid=process.pid,
-                    latency=op.latency if op.latency is not None else float("nan"),
-                    messages=stats.messages_sent - messages_before,
-                    messages_to_completion=messages_at_completion - messages_before,
-                )
-            )
-        return clean
-
-
-# ---------------------------------------------------------------- open loop
+        self.entries: Deque[Tuple[After, OpRequest, Any]] = deque()
+        self.busy = False  # an entry is scheduled or in flight
 
 
 def _poisson_stream(rng: Random, rate: float, count: int, start: float) -> Iterator[float]:
@@ -219,12 +86,12 @@ def iter_arrival_times(
 
 
 class OpenLoopClient:
-    """Issues requests at predetermined arrival times, regardless of completions.
+    """Fires a script's entries at their times, and its chains one after another.
 
-    Routing happens *at arrival time* (via ``target.route``) so reads see the
-    current set of live replicas even under mid-run crashes.  Operations on a
-    busy process queue on the driver's per-process FIFO — queueing delay is
-    part of the measured latency, as in a real open-loop load generator.
+    Routing happens *at fire time* (via ``target.route``) so reads see the
+    current set of live replicas even under mid-run crashes.  Operations on
+    a busy process queue on the driver's per-process FIFO — queueing delay
+    is part of the measured latency, as in a real open-loop load generator.
     """
 
     def __init__(
@@ -233,40 +100,61 @@ class OpenLoopClient:
         target: StoreTarget,
         arrivals: Iterable[Tuple[float, OpRequest, Any]],
     ) -> None:
-        """``arrivals``: (time, request, value) triples in non-decreasing time order.
+        """``arrivals``: (at, request, value) triples, timed ones in non-decreasing order.
 
-        Any iterable is accepted and consumed **lazily**, one triple ahead of
-        the firing front — startup memory is O(1) in the number of arrivals,
-        so a million-op schedule can stream straight from its seeded
-        generator.  A ``Sequence`` is still validated eagerly (the historical
-        contract: a bad list raises here, not mid-run); generators are
-        validated triple-by-triple as they are pulled.
+        Any iterable is accepted and consumed **lazily**, up to one timed
+        triple ahead of the firing front — startup memory is O(1) in the
+        number of arrivals, so a million-op schedule can stream straight
+        from its seeded generator.  A ``Sequence`` is still validated
+        eagerly (the historical contract: a bad list raises here, not
+        mid-run); generators are validated triple-by-triple as they are
+        pulled.  A chained triple is routed as it is pulled, and joins the
+        chain of its process.
         """
         self.driver = driver
         self.target = target
         if isinstance(arrivals, Sequence):
-            for earlier, later in zip(arrivals, arrivals[1:]):
-                if later[0] < earlier[0]:
+            times = [entry[0] for entry in arrivals if type(entry[0]) is not After]
+            for earlier, later in zip(times, times[1:]):
+                if later < earlier:
                     raise ValueError("arrival times must be non-decreasing")
         self.ops: List[OperationRecord] = []
         self._source = iter(arrivals)
         self._fired = 0
         self._open = 0
         self._last_time: Optional[float] = None
+        self._chains: Dict[RegisterProcess, _Chain] = {}
+        self._started = False
         self._pending = self._pull()
 
     def _pull(self) -> Optional[Tuple[float, OpRequest, Any]]:
-        """Fetch the next arrival triple, enforcing non-decreasing times."""
-        triple = next(self._source, None)
-        if triple is None:
-            return None
-        if self._last_time is not None and triple[0] < self._last_time:
-            raise ValueError("arrival times must be non-decreasing")
-        self._last_time = triple[0]
-        return triple
+        """Fetch the next timed triple, enforcing non-decreasing times."""
+        for triple in self._source:
+            at = triple[0]
+            if type(at) is After:
+                self._join(triple)
+                continue
+            if self._last_time is not None and at < self._last_time:
+                raise ValueError("arrival times must be non-decreasing")
+            self._last_time = at
+            return triple
+        return None
+
+    def _join(self, triple: Tuple[After, OpRequest, Any]) -> None:
+        process = self.target.route(triple[1])
+        chain = self._chains.get(process)
+        if chain is None:
+            chain = self._chains[process] = _Chain(process)
+        chain.entries.append(triple)
+        if self._started and not chain.busy:
+            self._schedule(chain)
 
     def start(self) -> None:
-        """Schedule the first arrival (subsequent ones chain event-by-event)."""
+        """Schedule each chain's first entry, then the first arrival
+        (subsequent ones chain event-by-event)."""
+        self._started = True
+        for chain in self._chains.values():
+            self._schedule(chain)
         if self._pending is None:
             return
         simulator = self.driver.simulator
@@ -292,25 +180,51 @@ class OpenLoopClient:
     def _op_done(self, _op: OperationRecord) -> None:
         self._open -= 1
 
-    @property
-    def all_submitted(self) -> bool:
-        """True once every arrival has fired."""
-        return self._pending is None
+    # ------------------------------------------------------------- chains
 
-    @property
-    def done(self) -> bool:
-        """True when every arrival fired and every submitted operation finished."""
-        return self._finished()
+    def _schedule(self, chain: _Chain) -> None:
+        chain.busy = True
+        self.driver.simulator.schedule_after(
+            chain.entries[0][0], partial(self._issue, chain),
+            label=("p%d chained entry", chain.process.pid),
+        )
+
+    def _issue(self, chain: _Chain) -> None:
+        _delay, request, value = chain.entries.popleft()
+        if chain.process.crashed:  # the chain stops with its process
+            chain.entries.clear()
+            chain.busy = False
+            return
+        op = self.driver.new_op(
+            request.kind, value=value, key=request.key, on_done=partial(self._chain_next, chain)
+        )
+        self.ops.append(op)
+        self.driver.submit(chain.process, op)
+
+    def _chain_next(self, chain: _Chain, op: OperationRecord) -> None:
+        if op.failed or not chain.entries:
+            chain.entries.clear()
+            chain.busy = False
+        elif chain.entries[0][0] > 0:
+            self._schedule(chain)
+        else:  # no think time: issue inside the completion callback
+            self._issue(chain)
+
+    # ------------------------------------------------------------ driving
 
     def drive(self, limit: Optional[float] = None) -> bool:
-        """Run the loop until all arrivals fired and completed (or ``limit``).
+        """Run the loop until :meth:`finished` (or ``limit``).
 
         Returns ``False`` when the limit cut the run short (unfired arrivals
         stay unfired; stuck ops are failed by the driver, which fires their
         ``on_done`` and keeps the open count consistent).
         """
-        return self.driver.drive(limit=limit, predicate=self._finished)
+        return self.driver.drive(limit=limit, predicate=self.finished)
 
-    def _finished(self) -> bool:
-        """:attr:`done` as a bound method: what the driver asks when an operation finishes."""
-        return self._pending is None and self._open == 0
+    def finished(self) -> bool:
+        """Every timed entry fired and finished, and every chain ran out of
+        entries or lost its process (asked by the driver as operations finish)."""
+        return self._pending is None and self._open == 0 and (
+            not self._chains
+            or all(not chain.busy or chain.process.crashed for chain in self._chains.values())
+        )

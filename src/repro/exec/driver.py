@@ -6,7 +6,7 @@
   callback.  Queues on different processes proceed concurrently — that
   concurrency is what batched and open-loop driving exploit.
 * **completion chaining** — an operation may carry an ``on_done``
-  continuation; closed-loop clients use it to issue their next operation the
+  continuation; a process's chain uses it to issue its next operation the
   moment the previous one completes (synchronously, within the same event).
 * **a counted drain** — :meth:`Driver.drive` runs the event loop with no
   per-event predicate: whether the run is over can only change when an
@@ -148,8 +148,8 @@ class Driver:
             self._issue(process, *lane)
         if op.on_done is not None:
             op.on_done(op)
-        # After the continuation: a closed-loop client's next operation is
-        # already outstanding by now.
+        # After the continuation: a chain's next operation is already
+        # outstanding by now.
         if self._until is not None and self._until():
             self.simulator.stop()
 

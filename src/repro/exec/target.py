@@ -1,10 +1,10 @@
 """Routing: which sequential process executes a store operation.
 
 :class:`StoreTarget` answers the driver's one routing question for a sharded
-multi-key :class:`~repro.store.store.KVStore` placement: writes go to the
-key's writer replica, reads round-robin over the key's live replicas (or a
-pinned replica).  A single register is the one-key store, addressed the same
-way (``OpRequest(key=..., replica=pid)``).
+multi-key :class:`~repro.store.store.KVStore` placement: a pinned replica
+serves its request; otherwise writes go to the key's writer replica and reads
+round-robin over the key's live replicas.  A single register is the one-key
+store, addressed the same way (``OpRequest(key=..., replica=pid)``).
 """
 
 from __future__ import annotations
@@ -47,9 +47,11 @@ def interned_request(kind: OperationKind, key: Any, replica: Optional[int]) -> O
 class StoreTarget:
     """A sharded multi-key store addressed by key.
 
-    Writes go to the key's writer replica; reads round-robin over the key's
-    live replicas unless ``request.replica`` pins one.  Registers are
-    deployed lazily on first access, exactly like the store's own facade.
+    ``request.replica`` pins the replica serving a request (a multi-writer
+    register's writes reach their process that way); otherwise writes go to
+    the key's writer replica and reads round-robin over the key's live
+    replicas.  Registers are deployed lazily on first access, exactly like
+    the store's own facade.
     """
 
     def __init__(self, store: "KVStore") -> None:
@@ -59,13 +61,12 @@ class StoreTarget:
         if request.key is None:
             raise ValueError("store targets route by key; request.key is required")
         deployment = self.store.register_for(request.key)
-        if request.kind is _WRITE:
-            return deployment.processes[deployment.writer_index]
-        if request.replica is not None:
-            replication = self.store.config.replication
-            if not 0 <= request.replica < replication:
-                raise ValueError(
-                    f"replica {request.replica} out of range for replication {replication}"
-                )
-            return deployment.processes[request.replica]
-        return self.store.pick_reader(deployment)
+        replica = request.replica
+        if replica is None:
+            if request.kind is _WRITE:
+                return deployment.processes[deployment.writer_index]
+            return self.store.pick_reader(deployment)
+        replication = self.store.config.replication
+        if not 0 <= replica < replication:
+            raise ValueError(f"replica {replica} out of range for replication {replication}")
+        return deployment.processes[replica]

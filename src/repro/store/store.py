@@ -302,16 +302,12 @@ class KVStore:
     ) -> OperationRecord:
         """Enqueue an operation of any kind; complete it via :meth:`drive`.
 
-        ``WRITE`` routes to the key's writer replica, everything else
-        round-robins over live replicas (or honours a pinned ``replica``) —
-        consensus-object kinds (``cas``, ``tas``, ``incr``) spread over
-        replicas exactly like reads, which is what makes the store
+        A pinned ``replica`` serves it; otherwise ``WRITE`` routes to the
+        key's writer replica and everything else round-robins over live
+        replicas — consensus-object kinds (``cas``, ``tas``, ``incr``) spread
+        over replicas exactly like reads, which is what makes the store
         multi-writer under consensus algorithms.
         """
-        if kind is _WRITE:
-            return self.submit_put(key, value)
-        if kind is _READ:
-            return self.submit_get(key, replica=replica)
         process = self.target.route(interned_request(kind, key, replica))
         op = self.driver.new_op(kind, value, key)
         self.driver.submit(process, op)

@@ -1,12 +1,12 @@
-"""Keyed workloads for the sharded multi-key store.
+"""Keyed workloads for the sharded multi-key store, and the one drive loop.
 
-The single-register workloads (:mod:`repro.workloads.spec`) drive one
-register with a writer and readers; a *keyed* workload drives a
-:class:`~repro.store.store.KVStore` with a stream of ``get``/``put``
-operations over many keys.  The spec captures the key population, the
-operation mix, the access-skew distribution (uniform or Zipfian) and the
-store geometry, all derived from one seed — same spec, same run, event for
-event (the repository-wide determinism contract).
+A *keyed* workload drives a :class:`~repro.store.store.KVStore` with a
+stream of ``get``/``put`` operations over many keys.  The spec captures the
+key population, the operation mix, the access-skew distribution (uniform or
+Zipfian) and the store geometry, all derived from one seed — same spec, same
+run, event for event (the repository-wide determinism contract).  A register
+run (:mod:`repro.workloads.runner`) is the one-key case: its script goes
+through the same :func:`drive_script`.
 
 Uniqueness of written values per key (``"k0003=v7"`` is write number 7 to key
 ``k0003``) is guaranteed by construction, so the fast per-key SWMR checker
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.consensus.mmr import replica_invariants
-from repro.exec.clients import ARRIVAL_PROCESSES, IsolatedOpCost, OpenLoopClient, iter_arrival_times
+from repro.exec.clients import ARRIVAL_PROCESSES, OpenLoopClient, iter_arrival_times
 from repro.exec.metrics import json_number
 from repro.exec.oplog import OpLog
 from repro.exec.target import OpRequest, interned_request
@@ -414,6 +414,17 @@ class RunVerdict:
 
 
 @dataclass
+class IsolatedOpCost:
+    """Cost of one isolated register operation (exactly attributable by construction)."""
+
+    kind: OperationKind
+    pid: int
+    latency: float
+    messages: int
+    messages_to_completion: int
+
+
+@dataclass
 class KVWorkloadResult:
     """Everything a keyed store run produced — on every backend.
 
@@ -467,7 +478,8 @@ class KVWorkloadResult:
     ipc_bytes: int = 0
     #: Register runs (:func:`~repro.workloads.runner.run_workload`) only: the
     #: two-bit lemma monitor when the spec asked for one, and an isolated-mode
-    #: run's per-operation costs.
+    #: run's per-operation costs, one per operation that completed and
+    #: quiesced (the drain after each window of one entry measures them).
     monitor: Optional[Any] = None
     isolated_costs: List[IsolatedOpCost] = field(default_factory=list)
 
@@ -690,14 +702,15 @@ def drive_script(
     """Turn an ``(at, request, value)`` script into events on ``store``.
 
     The one drive loop of every simulated run (serial, shard-parallel worker,
-    explore case).  Closed loop: windows of ``batch_size`` entries, each
-    submitted through ``KVStore.submit_*`` and completed by one
+    explore case, register run).  Closed loop: windows of ``batch_size``
+    entries, each submitted through ``KVStore.submit_*`` and completed by one
     :meth:`~repro.store.store.KVStore.drive`; ``at`` is ignored.  Open loop:
     one :class:`~repro.exec.clients.OpenLoopClient` fires each entry at its
-    ``at`` and is driven to ``last_arrival`` plus the store's
-    ``max_virtual_time`` — the budget bounds completion after the last
-    arrival, so a low offered rate cannot spend it idling.  A request's
-    ``replica`` pins the replica serving it (writes always go to the writer).
+    ``at`` (or chains it, for an :class:`~repro.exec.clients.After`) and is
+    driven to ``last_arrival`` plus the store's ``max_virtual_time`` — the
+    budget bounds completion after the last arrival, so a low offered rate
+    cannot spend it idling.  A request's ``replica`` pins the replica serving
+    it (an unpinned write goes to the writer).
 
     ``keep(position, request)``, when given, is asked once per entry in
     script order and drops the entries it refuses; closed-loop windows still
@@ -707,7 +720,9 @@ def drive_script(
     Returns ``(ops, drives, finished)``: the submitted operations in
     submission order, the number of drives, and whether the run finished
     cleanly — every entry submitted and every operation done, where an
-    operation that failed with a reason (a crashed replica) counts as done.
+    operation that failed with a reason (a crashed replica) counts as done,
+    and a chain whose process crashed leaves its operation pending and
+    submits no more (crash-stop).
     """
     if open_loop:
         if keep is not None:
@@ -715,28 +730,28 @@ def drive_script(
         client = OpenLoopClient(store.driver, store.target, script)
         client.start()
         after_drive(client.drive(limit=last_arrival + store.config.max_virtual_time))
-        ops, drives, submitted = client.ops, 1, client.all_submitted
-    else:
-        ops, drives, submitted = [], 0, True
-        entries = enumerate(script)
-        while True:
-            window = list(itertools.islice(entries, batch_size))
-            if not window:
-                break
-            for position, (_at, request, value) in window:
-                if keep is not None and not keep(position, request):
-                    continue
-                # One KVStore.submit_* call per operation (submit_op would
-                # nest a second one for reads and writes).
-                if request.kind is _WRITE:
-                    ops.append(store.submit_put(request.key, value))
-                elif request.kind is _READ:
-                    ops.append(store.submit_get(request.key, request.replica))
-                else:
-                    ops.append(store.submit_op(request.kind, request.key, value, request.replica))
-            after_drive(store.drive())
-            drives += 1
-    return ops, drives, submitted and all(op.done for op in ops)
+        return client.ops, 1, client.finished()
+    ops: List[OperationRecord] = []
+    drives = 0
+    entries = enumerate(script)
+    while True:
+        window = list(itertools.islice(entries, batch_size))
+        if not window:
+            break
+        for position, (_at, request, value) in window:
+            if keep is not None and not keep(position, request):
+                continue
+            # One KVStore.submit_* call per operation (submit_op would
+            # nest a second one for reads and unpinned writes).
+            if request.kind is _READ:
+                ops.append(store.submit_get(request.key, request.replica))
+            elif request.kind is _WRITE and request.replica is None:
+                ops.append(store.submit_put(request.key, value))
+            else:
+                ops.append(store.submit_op(request.kind, request.key, value, request.replica))
+        after_drive(store.drive())
+        drives += 1
+    return ops, drives, all(op.done for op in ops)
 
 
 def run_kv_workload(spec: KVWorkloadSpec) -> KVWorkloadResult:

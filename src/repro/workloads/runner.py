@@ -11,34 +11,34 @@ A register is the one-key case of the sharded store: :func:`deploy_register`
 deploys :meth:`WorkloadSpec.store_config` (one shard, ``replication = n``) and
 hands back the :class:`RegisterCluster` of
 :data:`~repro.workloads.spec.REGISTER_KEY` — what
-:func:`repro.create_register` returns to drive by hand.  The runner drives
-its processes through :mod:`repro.exec`; what comes back is the
-:class:`~repro.workloads.kv.KVWorkloadResult` every keyed run returns.
+:func:`repro.create_register` returns to drive by hand.  :func:`run_workload`
+drives :meth:`WorkloadSpec.script` on it through
+:func:`~repro.workloads.kv.drive_script`, the loop every simulated run uses,
+and returns the :class:`~repro.workloads.kv.KVWorkloadResult` every keyed
+run returns.
 
-* **concurrent (default)** — every scripted process runs a
-  :class:`~repro.exec.clients.ClosedLoopClient` (next operation as soon as
-  the previous one completes, plus think time), so writers and readers
-  overlap freely: the mode for correctness testing under contention.
-* **isolated** (``spec.isolated_operations``) — an
-  :class:`~repro.exec.clients.IsolatedClient` issues operations one at a
-  time, globally, draining to quiescence after each, so latency and message
-  counts are exactly attributable (``result.isolated_costs``): how the
-  Table-1 rows are measured.
+* **concurrent (default)** — the script's chains run at once, each process
+  issuing its next operation as soon as its previous one completes (plus
+  think time), so writers and readers overlap freely: the mode for
+  correctness testing under contention.
+* **isolated** (``spec.isolated_operations``) — windows of one entry, the
+  system drained to quiescence after each, so latency and message counts
+  are exactly attributable (``result.isolated_costs``): how the Table-1 rows
+  are measured.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import List, Optional
 
 from repro.core.invariants import GlobalInvariantMonitor, attach_monitor
 from repro.core.process import TwoBitRegisterProcess
-from repro.exec.clients import ClosedLoopClient, IsolatedClient
+from repro.exec.target import OpRequest
 from repro.registers.base import RegisterHandle
 from repro.registers.registry import get_algorithm
 from repro.store.store import KVStore
-from repro.workloads.generator import generate_scripts, interleave_isolated
-from repro.workloads.kv import KVWorkloadResult, deploy_store
+from repro.workloads.kv import IsolatedOpCost, KVWorkloadResult, deploy_store, drive_script
 from repro.workloads.spec import REGISTER_KEY, WorkloadSpec
 
 
@@ -121,50 +121,55 @@ def run_workload(spec: WorkloadSpec) -> KVWorkloadResult:
     if spec.multi_writer and not get_algorithm(spec.algorithm).supports_multi_writer:
         raise ValueError(f"algorithm {spec.algorithm!r} does not support multiple writers")
     cluster = deploy_register(spec)
-    store, processes = cluster.store, cluster.processes
-
-    scripts = generate_scripts(spec)
-    isolated_costs = []
+    store = cluster.store
+    simulator, stats = store.simulator, store.stats
     started = time.perf_counter()
+    costs: List[IsolatedOpCost] = []
     if spec.isolated_operations:
-        client = IsolatedClient(
-            store.driver, store.network, spec.max_virtual_time, key=REGISTER_KEY
+        # Windows of one entry, each drained to quiescence after its drive;
+        # both are bounded by max_virtual_time, so a protocol bug that storms
+        # messages fails fast instead of hanging.  A drain that leaves events
+        # pending ends the run: no later entry is kept.
+        sent_before: List[int] = []  # the kept entry's, until it is measured
+        stalled = False
+
+        def keep(_position: int, request: OpRequest) -> bool:
+            if stalled or cluster.processes[request.replica].crashed:
+                return False
+            sent_before.append(stats.messages_sent)
+            return True
+
+        def measure(_drove: bool) -> None:
+            nonlocal stalled
+            op = store.ops[-1] if sent_before else None
+            if op is None or not op.completed:
+                sent_before.clear()
+                return
+            before, at_completion = sent_before.pop(), stats.messages_sent
+            simulator.run(until=simulator.now + spec.max_virtual_time)
+            stalled = simulator.pending_events > 0
+            if not stalled:
+                costs.append(
+                    IsolatedOpCost(
+                        op.kind, op.pid, op.latency, stats.messages_sent - before, at_completion - before
+                    )
+                )
+
+        ops, _drives, _finished = drive_script(
+            store, spec.script(), False, 1, keep=keep, after_drive=measure
         )
-        clean = client.run_sequence(
-            [
-                (processes[pid], scripted.kind, scripted.value)
-                for pid, scripted in interleave_isolated(scripts, spec.seed)
-            ]
-        )
-        isolated_costs = client.costs
+        clean = len(costs) == len(ops)
     else:
-        clients = [
-            ClosedLoopClient(
-                store.driver,
-                processes[pid],
-                [(op.kind, op.value, op.think_time) for op in script.operations],
-                start_delay=script.start_delay,
-                key=REGISTER_KEY,
-            )
-            for pid, script in scripts.items()
-        ]
-        for client in clients:
-            client.start()
-        # A client is done when it has nothing left to issue and its last
-        # operation completed (or its process crashed).  The limit is the
-        # heal-aware horizon when a fault plan is installed.
-        limit = store.driver.fault_horizon or spec.max_virtual_time
-        clean = store.simulator.run_until(
-            lambda: all(client.done for client in clients), limit=limit
-        )
+        ops, _drives, clean = drive_script(store, spec.script(), True, 1)
         # Drain the tail: forwarded WRITE messages, PROCEEDs in flight, etc.
-        store.simulator.run(until=limit)
+        # The limit is the heal-aware horizon when a fault plan is installed.
+        simulator.run(until=store.driver.fault_horizon or spec.max_virtual_time)
     return KVWorkloadResult.from_store(
         spec,
         store,
-        store.ops,
+        ops,
         time.perf_counter() - started,
         finished_cleanly=clean,
         monitor=cluster.monitor,
-        isolated_costs=isolated_costs,
+        isolated_costs=costs,
     )

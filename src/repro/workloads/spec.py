@@ -1,22 +1,28 @@
-"""Declarative workload specification.
+"""Declarative register workload specification.
 
-A :class:`WorkloadSpec` captures everything needed to reproduce a run: the
-system size, the operation mix, timing, the delay model parameters, the crash
-points and the master seed.  Given the same spec the runner produces the
-same history, event for event.
+A :class:`WorkloadSpec` captures everything needed to reproduce a register
+run: the system size, the roles (writer, readers), timing, the delay model
+parameters, the crash points and the master seed.  Given the same spec the
+runner produces the same history, event for event.
 
 A register is the one-key case of the sharded store (linearizability is
 local): :meth:`WorkloadSpec.store_config` is the one-shard store the runner
-deploys, :data:`REGISTER_KEY` its only key, process 0 its writer replica.
+deploys, :data:`REGISTER_KEY` its only key, process 0 its writer replica,
+and :meth:`WorkloadSpec.script` the keyed script the runner drives on it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.exec.clients import After
+from repro.exec.target import OpRequest, interned_request
 from repro.faults.plan import CrashPoint, FaultPlan, validate_crash_points
+from repro.registers.base import OperationKind
 from repro.sim.delays import DelayModel, FixedDelay
+from repro.sim.rng import make_rng
 from repro.store.store import StoreConfig
 
 #: The single key a register workload's store holds.
@@ -59,9 +65,9 @@ class WorkloadSpec:
         the run starts.
     isolated_operations:
         When true the runner serialises *all* operations globally (one at a
-        time, quiescing in between) so per-operation message counts and
-        latencies are exactly attributable — this is how the Table-1 numbers
-        are measured.
+        time, quiescing in between, think times and start delays unused) so
+        per-operation message counts and latencies are exactly attributable
+        — this is how the Table-1 numbers are measured.
     multi_writer:
         Spread writes over all processes (only valid for MWMR algorithms).
     coalesce:
@@ -141,6 +147,58 @@ class WorkloadSpec:
             max_virtual_time=self.max_virtual_time,
             coalesce=self.coalesce,
         )
+
+    def script(self) -> List[Tuple[After, OpRequest, Any]]:
+        """The run's ``(at, request, value)`` script on :data:`REGISTER_KEY`.
+
+        Every entry is pinned to the process that issues it and chained
+        (:class:`~repro.exec.clients.After`): a process's first operation
+        starts at its start delay, each later one its think time after the
+        previous one finished.  Written values ``"v1"``, ``"v2"``, ... are
+        pairwise distinct and differ from the initial value, so the fast
+        atomicity checker maps every read to its write.  Writes go to process
+        0 (round-robin over every process when ``multi_writer``); a read's
+        think time carries a seeded jitter of up to 10%, so readers do not
+        stay in lock-step (which hides interleaving bugs).
+
+        Each process's entries are listed together, the processes in the
+        order they first take an operation (their chains' start order).  An
+        isolated run interleaves them instead: program order kept, the
+        processes round-robined in a seeded shuffle, so writes and reads mix.
+        """
+        rng = make_rng(self.seed, "workload-scripts", self.n, self.num_writes, self.reads_per_reader)
+        # pid -> [start delay, (kind, value, think time), ...]
+        plans: Dict[int, list] = {}
+        for index in range(1, self.num_writes + 1):
+            pid = (index - 1) % self.n if self.multi_writer else 0
+            plans.setdefault(pid, [self.writer_start_delay]).append(
+                (OperationKind.WRITE, f"v{index}", self.write_think_time)
+            )
+        for pid in self.reader_pids() if self.reads_per_reader else ():
+            plan = plans.setdefault(pid, [self.reader_start_delay])
+            if plan[0] == 0.0:  # a writer that reads starts at the readers' delay
+                plan[0] = self.reader_start_delay
+            for _ in range(self.reads_per_reader):
+                jitter = self.read_think_time * 0.1 * rng.random() if self.read_think_time else 0.0
+                plan.append((OperationKind.READ, None, self.read_think_time + jitter))
+        chains = [
+            [
+                (After(think if position else plan[0]), interned_request(kind, REGISTER_KEY, pid), value)
+                for position, (kind, value, think) in enumerate(plan[1:])
+            ]
+            for pid, plan in plans.items()
+        ]
+        if not self.isolated_operations:
+            return [entry for chain in chains for entry in chain]
+        rng = make_rng(self.seed, "isolated-interleave", len(chains))
+        queues = [deque(chain) for chain in chains]
+        sequence = []
+        while True:
+            ready = [queue for queue in queues if queue]
+            if not ready:
+                return sequence
+            rng.shuffle(ready)
+            sequence.extend(queue.popleft() for queue in ready)
 
     def with_(self, **changes: object) -> "WorkloadSpec":
         """Return a copy with the given fields replaced (sugar over dataclasses.replace)."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exec import (
-    ClosedLoopClient,
+    After,
     Driver,
     MetricsCollector,
     OpenLoopClient,
@@ -315,37 +315,86 @@ class TestTargets:
             store.target.route(OpRequest(kind=OperationKind.READ))
 
 
-class TestClosedLoopClient:
+class TestChainedEntries:
+    """:class:`After` entries: each replica's chain is that process's closed loop."""
+
+    @staticmethod
+    def _chained(entries, **store_config):
+        store = create_store(num_shards=1, replication=3, **store_config)
+        script = [
+            (After(delay), OpRequest(kind, "k", replica), value)
+            for delay, kind, replica, value in entries
+        ]
+        return store, OpenLoopClient(store.driver, store.target, script)
+
     def test_script_runs_to_completion_with_think_times(self):
-        simulator, network, processes = deploy()
-        driver = Driver(simulator)
-        client = ClosedLoopClient(
-            driver,
-            processes[0],
-            [(OperationKind.WRITE, "v1", 0.0), (OperationKind.WRITE, "v2", 2.5)],
-            start_delay=1.0,
+        store, client = self._chained(
+            [(1.0, OperationKind.WRITE, 0, "v1"), (2.5, OperationKind.WRITE, 0, "v2")]
         )
         client.start()
-        simulator.drain()
-        assert client.done and client.outstanding == 0
-        first, second = driver.records
-        assert first.invoked_at == 1.0
+        store.simulator.drain()
+        assert client.finished()
+        first, second = store.driver.records
+        assert first.invoked_at == 1.0  # the first entry's delay is its start delay
         # think time separates completion of v1 from invocation of v2
         assert second.invoked_at == pytest.approx(first.responded_at + 2.5)
 
-    def test_client_dies_with_its_process(self):
-        simulator, network, processes = deploy()
-        driver = Driver(simulator)
-        client = ClosedLoopClient(
-            driver,
-            processes[0],
-            [(OperationKind.WRITE, f"v{i}", 0.0) for i in range(1, 6)],
+    def test_zero_think_time_issues_inside_the_completion(self):
+        store, client = self._chained(
+            [(0.0, OperationKind.WRITE, 0, "v1"), (0.0, OperationKind.WRITE, 0, "v2")]
         )
         client.start()
-        simulator.schedule_at(3.0, processes[0].crash)
-        simulator.drain()
-        assert client.done
-        assert len(driver.records) < 5
+        assert client.drive(limit=100.0) is True
+        first, second = store.driver.records
+        assert second.invoked_at == first.responded_at
+        assert second.submitted_at == first.responded_at  # never queued behind it
+
+    def test_each_chain_schedules_one_start_event(self):
+        store, client = self._chained(
+            [(0.0, OperationKind.READ, replica, None) for replica in (1, 2, 1, 2)]
+        )
+        client.start()
+        assert store.simulator.pending_labels() == ["p1 chained entry", "p2 chained entry"]
+        assert client.drive(limit=100.0) is True
+        assert [op.pid for op in client.ops] == [1, 2, 1, 2]
+
+    def test_a_pinned_write_reaches_its_process(self):
+        store, client = self._chained(
+            [(0.0, OperationKind.WRITE, 2, "v1")], algorithm="abd-mwmr"
+        )
+        client.start()
+        assert client.drive(limit=100.0) is True
+        assert [op.pid for op in client.ops] == [2]
+        # An unpinned write still goes to the key's writer.
+        assert store.target.route(OpRequest(OperationKind.WRITE, "k")).pid == 0
+
+    def test_a_chain_stops_at_its_crashed_process(self):
+        store, client = self._chained(
+            [(0.0, OperationKind.WRITE, 0, f"v{i}") for i in range(1, 6)]
+            + [(0.0, OperationKind.READ, 1, None)]
+        )
+        client.start()
+        store.simulator.schedule_at(3.0, store.register_for("k").processes[0].crash)
+        assert client.drive(limit=100.0) is True
+        assert client.finished()
+        writes = [op for op in client.ops if op.kind is OperationKind.WRITE]
+        assert len(writes) < 5  # no operation after the crash
+        # Crash-stop: the write in flight stays pending, and nothing failed.
+        assert not writes[-1].done
+        assert not any(op.failed for op in client.ops)
+
+    def test_an_unpinned_chained_write_joins_the_writers_chain(self):
+        store = create_store(num_shards=1, replication=3)
+        script = [
+            (After(0.0), OpRequest(OperationKind.WRITE, "k"), "v1"),
+            (After(0.0), OpRequest(OperationKind.WRITE, "k", 0), "v2"),
+        ]
+        client = OpenLoopClient(store.driver, store.target, script)
+        client.start()
+        assert store.simulator.pending_labels() == ["p0 chained entry"]
+        assert client.drive(limit=100.0) is True
+        first, second = client.ops
+        assert second.invoked_at == first.responded_at
 
 
 class TestArrivalProcesses:
@@ -398,7 +447,7 @@ class TestOpenLoopClient:
         )
         client.start()
         assert client.drive(limit=10_000.0) is True
-        assert client.done and len(client.ops) == 24
+        assert client.finished() and len(client.ops) == 24
         assert all(op.completed for op in client.ops)
 
     def test_pending_arrival_is_labelled_by_its_number(self):

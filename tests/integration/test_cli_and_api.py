@@ -222,6 +222,14 @@ class TestRegisterRunVerdict:
         assert f"invalid {command} parameters: " in captured.err
         assert "at least 2 processes" in captured.err
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_a_negative_crash_count_is_exit_2(self, command, capsys):
+        # The text `store` gives, not randrange's "empty range".
+        assert main([command, "--crashes", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"invalid {command} parameters: --crashes must be non-negative, got -1" in captured.err
+
 
 class TestExamples:
     """The example scripts are part of the public surface; they must keep running."""

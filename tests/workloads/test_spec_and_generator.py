@@ -1,14 +1,19 @@
-"""Unit tests for workload specifications and script generation."""
+"""Unit tests for workload specifications and their one-key scripts."""
 
 import pytest
 
+from repro.exec.clients import After
 from repro.registers.base import OperationKind
-from repro.workloads.generator import (
-    generate_scripts,
-    interleave_isolated,
-    written_value,
-)
-from repro.workloads.spec import WorkloadSpec
+from repro.workloads.spec import REGISTER_KEY, WorkloadSpec
+
+
+def chains(script):
+    """``pid -> [(kind, value, at), ...]``: the script's entries per pinned process."""
+    grouped = {}
+    for at, request, value in script:
+        assert request.key == REGISTER_KEY
+        grouped.setdefault(request.replica, []).append((request.kind, value, at))
+    return grouped
 
 
 class TestWorkloadSpec:
@@ -50,73 +55,86 @@ class TestWorkloadSpec:
 class TestScriptGeneration:
     def test_writer_gets_all_writes_in_order(self):
         spec = WorkloadSpec(n=4, num_writes=5, reads_per_reader=0)
-        scripts = generate_scripts(spec)
+        scripts = chains(spec.script())
         assert set(scripts) == {0}
-        operations = scripts[0].operations
-        assert all(op.kind is OperationKind.WRITE for op in operations)
-        assert [op.value for op in operations] == [written_value(i) for i in range(1, 6)]
+        operations = scripts[0]
+        assert all(kind is OperationKind.WRITE for kind, _value, _at in operations)
+        assert [value for _kind, value, _at in operations] == [f"v{i}" for i in range(1, 6)]
 
     def test_written_values_are_distinct(self):
         spec = WorkloadSpec(n=4, num_writes=50, reads_per_reader=0)
-        scripts = generate_scripts(spec)
-        values = [op.value for op in scripts[0].operations]
+        values = [value for _at, _request, value in spec.script()]
         assert len(values) == len(set(values))
         assert spec.initial_value not in values
 
     def test_readers_get_reads(self):
         spec = WorkloadSpec(n=4, num_writes=2, reads_per_reader=3)
-        scripts = generate_scripts(spec)
+        scripts = chains(spec.script())
         for pid in (1, 2, 3):
-            reads = scripts[pid].operations
+            reads = scripts[pid]
             assert len(reads) == 3
-            assert all(op.kind is OperationKind.READ for op in reads)
+            assert all(kind is OperationKind.READ for kind, _value, _at in reads)
+
+    def test_explicit_readers_only(self):
+        spec = WorkloadSpec(n=5, num_writes=1, reads_per_reader=2, readers=[2, 4])
+        assert sorted(chains(spec.script())) == [0, 2, 4]
 
     def test_multi_writer_round_robin(self):
         spec = WorkloadSpec(n=3, num_writes=6, reads_per_reader=0, multi_writer=True)
-        scripts = generate_scripts(spec)
-        per_process = {pid: len(script.operations) for pid, script in scripts.items()}
-        assert per_process == {0: 2, 1: 2, 2: 2}
+        scripts = chains(spec.script())
+        per_process = {pid: [value for _kind, value, _at in ops] for pid, ops in scripts.items()}
+        assert per_process == {0: ["v1", "v4"], 1: ["v2", "v5"], 2: ["v3", "v6"]}
 
     def test_zero_operation_processes_have_no_script(self):
         spec = WorkloadSpec(n=4, num_writes=0, reads_per_reader=0)
-        assert generate_scripts(spec) == {}
+        assert spec.script() == []
 
     def test_generation_is_deterministic(self):
         spec = WorkloadSpec(n=4, num_writes=5, reads_per_reader=5, read_think_time=1.0, seed=3)
-        first = generate_scripts(spec)
-        second = generate_scripts(spec)
-        assert {pid: [op.think_time for op in s.operations] for pid, s in first.items()} == {
-            pid: [op.think_time for op in s.operations] for pid, s in second.items()
-        }
+        assert spec.script() == spec.script()
+        assert spec.script() != spec.with_(seed=4).script()  # the think-time jitter
+
+    def test_every_entry_is_chained_and_pinned(self):
+        spec = WorkloadSpec(n=3, num_writes=2, reads_per_reader=2)
+        for at, request, _value in spec.script():
+            assert type(at) is After and request.replica is not None
 
     def test_start_delays_propagated(self):
         spec = WorkloadSpec(n=3, num_writes=1, reads_per_reader=1, writer_start_delay=5.0, reader_start_delay=2.0)
-        scripts = generate_scripts(spec)
-        assert scripts[0].start_delay == 5.0
-        assert scripts[1].start_delay == 2.0
+        scripts = chains(spec.script())
+        assert scripts[0][0][2] == 5.0
+        assert scripts[1][0][2] == 2.0
+
+    def test_think_times_follow_the_first_entry(self):
+        spec = WorkloadSpec(
+            n=2, num_writes=3, reads_per_reader=3, write_think_time=1.5, read_think_time=2.0,
+            reader_start_delay=0.5,
+        )
+        scripts = chains(spec.script())
+        assert [at for _kind, _value, at in scripts[0]] == [0.0, 1.5, 1.5]
+        reads = [at for _kind, _value, at in scripts[1]]
+        assert reads[0] == 0.5
+        assert all(2.0 <= at <= 2.2 for at in reads[1:])  # up to 10% seeded jitter
+
+    def test_concurrent_script_lists_each_process_together(self):
+        spec = WorkloadSpec(n=3, num_writes=2, reads_per_reader=2)
+        assert [request.replica for _at, request, _value in spec.script()] == [0, 0, 1, 1, 2, 2]
 
 
 class TestIsolatedInterleaving:
     def test_preserves_per_process_program_order(self):
         spec = WorkloadSpec(n=3, num_writes=4, reads_per_reader=3, seed=1)
-        scripts = generate_scripts(spec)
-        sequence = interleave_isolated(scripts, seed=1)
+        sequence = spec.with_(isolated_operations=True).script()
         assert len(sequence) == spec.total_operations()
-        # Per-process order must match the script order.
-        for pid, script in scripts.items():
-            from_sequence = [op for p, op in sequence if p == pid]
-            assert from_sequence == script.operations
+        # Per-process order must match the concurrent script's order.
+        assert chains(sequence) == chains(spec.script())
 
     def test_is_deterministic(self):
-        spec = WorkloadSpec(n=3, num_writes=4, reads_per_reader=3, seed=1)
-        scripts = generate_scripts(spec)
-        a = [(pid, op.kind) for pid, op in interleave_isolated(scripts, seed=7)]
-        b = [(pid, op.kind) for pid, op in interleave_isolated(scripts, seed=7)]
-        assert a == b
+        spec = WorkloadSpec(n=3, num_writes=4, reads_per_reader=3, seed=1, isolated_operations=True)
+        assert spec.script() == spec.script()
 
     def test_mixes_processes_rather_than_batching(self):
-        spec = WorkloadSpec(n=3, num_writes=10, reads_per_reader=10, seed=1)
-        scripts = generate_scripts(spec)
-        sequence = interleave_isolated(scripts, seed=2)
-        first_half_pids = {pid for pid, _op in sequence[: len(sequence) // 2]}
+        spec = WorkloadSpec(n=3, num_writes=10, reads_per_reader=10, seed=1, isolated_operations=True)
+        sequence = spec.script()
+        first_half_pids = {request.replica for _at, request, _value in sequence[: len(sequence) // 2]}
         assert len(first_half_pids) > 1
