@@ -11,11 +11,11 @@ script, each by one of two start rules:
   throttling the client.
 * **after its predecessor** — ``at`` is :class:`After` ``(delay)``: the
   entries routed to one process (a pinned replica of a key) form a chain,
-  that process's own closed loop.  Each starts ``delay`` after the previous one finished (the
-  first, ``delay`` after the client started: a start delay, then think
-  times).  A chain stops with its process: once the process has crashed no
-  further operation is created, and the one it had in flight stays pending
-  (crash-stop) without holding up the run.
+  that process's own closed loop.  Each starts ``delay`` after the previous
+  one finished (the first, ``delay`` after the client started: a start
+  delay, then think times).  A chain stops with its process: once it has
+  crashed no further operation is created, and the one in flight stays
+  pending (crash-stop) without holding up the run.
 """
 
 from __future__ import annotations
@@ -88,10 +88,11 @@ def iter_arrival_times(
 class OpenLoopClient:
     """Fires a script's entries at their times, and its chains one after another.
 
-    Routing happens *at fire time* (via ``target.route``) so reads see the
-    current set of live replicas even under mid-run crashes.  Operations on
-    a busy process queue on the driver's per-process FIFO — queueing delay
-    is part of the measured latency, as in a real open-loop load generator.
+    A timed entry is routed *at fire time* (via ``target.route``) so reads
+    see the current set of live replicas even under mid-run crashes.
+    Operations on a busy process queue on the driver's per-process FIFO —
+    queueing delay is part of the measured latency, as in a real open-loop
+    load generator.
     """
 
     def __init__(
@@ -150,8 +151,7 @@ class OpenLoopClient:
             self._schedule(chain)
 
     def start(self) -> None:
-        """Schedule each chain's first entry, then the first arrival
-        (subsequent ones chain event-by-event)."""
+        """Schedule each chain's first entry, then the first arrival."""
         self._started = True
         for chain in self._chains.values():
             self._schedule(chain)
@@ -202,8 +202,9 @@ class OpenLoopClient:
         self.driver.submit(chain.process, op)
 
     def _chain_next(self, chain: _Chain, op: OperationRecord) -> None:
-        if op.failed or not chain.entries:
+        if op.failed:  # the driver found it stalled: the chain stops, unfinished
             chain.entries.clear()
+        elif not chain.entries:
             chain.busy = False
         elif chain.entries[0][0] > 0:
             self._schedule(chain)

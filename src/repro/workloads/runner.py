@@ -12,10 +12,9 @@ deploys :meth:`WorkloadSpec.store_config` (one shard, ``replication = n``) and
 hands back the :class:`RegisterCluster` of
 :data:`~repro.workloads.spec.REGISTER_KEY` — what
 :func:`repro.create_register` returns to drive by hand.  :func:`run_workload`
-drives :meth:`WorkloadSpec.script` on it through
-:func:`~repro.workloads.kv.drive_script`, the loop every simulated run uses,
-and returns the :class:`~repro.workloads.kv.KVWorkloadResult` every keyed
-run returns.
+drives :meth:`WorkloadSpec.script` on it through the one drive loop,
+:func:`~repro.workloads.kv.drive_script`, and returns the
+:class:`~repro.workloads.kv.KVWorkloadResult` every keyed run returns.
 
 * **concurrent (default)** — the script's chains run at once, each process
   issuing its next operation as soon as its previous one completes (plus

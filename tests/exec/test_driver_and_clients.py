@@ -383,6 +383,21 @@ class TestChainedEntries:
         assert not writes[-1].done
         assert not any(op.failed for op in client.ops)
 
+    def test_a_stalled_chain_never_finishes(self):
+        # Two of three replicas down (outside any crash budget): the read on
+        # replica 0 cannot reach a quorum, the queue drains, and the driver
+        # fails it as stalled.  Its process is alive, so the chain is not
+        # finished and neither is the run.
+        store, client = self._chained(
+            [(0.0, OperationKind.READ, 0, None), (0.0, OperationKind.READ, 0, None)]
+        )
+        for process in store.register_for("k").processes[1:]:
+            process.crash()
+        client.start()
+        assert client.drive(limit=100.0) is False
+        assert len(client.ops) == 1 and client.ops[0].failed
+        assert not client.finished()
+
     def test_an_unpinned_chained_write_joins_the_writers_chain(self):
         store = create_store(num_shards=1, replication=3)
         script = [
