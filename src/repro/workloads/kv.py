@@ -703,7 +703,7 @@ def drive_script(
 
     The one drive loop of every simulated run (serial, shard-parallel worker,
     explore case, register run).  Closed loop: windows of ``batch_size``
-    entries, each submitted through ``KVStore.submit_*`` and completed by one
+    entries, each submitted through ``KVStore.submit_op`` and completed by one
     :meth:`~repro.store.store.KVStore.drive`; ``at`` is ignored.  Open loop:
     one :class:`~repro.exec.clients.OpenLoopClient` fires each entry at its
     ``at`` (or chains it, for an :class:`~repro.exec.clients.After`) and is
@@ -739,15 +739,7 @@ def drive_script(
         if not window:
             break
         for position, (_at, request, value) in window:
-            if keep is not None and not keep(position, request):
-                continue
-            # One KVStore.submit_* call per operation (submit_op would
-            # nest a second one for reads and unpinned writes).
-            if request.kind is _READ:
-                ops.append(store.submit_get(request.key, request.replica))
-            elif request.kind is _WRITE and request.replica is None:
-                ops.append(store.submit_put(request.key, value))
-            else:
+            if keep is None or keep(position, request):
                 ops.append(store.submit_op(request.kind, request.key, value, request.replica))
         after_drive(store.drive())
         drives += 1

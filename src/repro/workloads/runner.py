@@ -140,11 +140,12 @@ def run_workload(spec: WorkloadSpec) -> KVWorkloadResult:
 
         def measure(_drove: bool) -> None:
             nonlocal stalled
-            op = store.ops[-1] if sent_before else None
-            if op is None or not op.completed:
-                sent_before.clear()
+            if not sent_before:  # the window's entry was refused
                 return
-            before, at_completion = sent_before.pop(), stats.messages_sent
+            before, op = sent_before.pop(), store.ops[-1]
+            if not op.completed:
+                return
+            at_completion = stats.messages_sent
             simulator.run(until=simulator.now + spec.max_virtual_time)
             stalled = simulator.pending_events > 0
             if not stalled:

@@ -182,23 +182,22 @@ class WorkloadSpec:
                 jitter = self.read_think_time * 0.1 * rng.random() if self.read_think_time else 0.0
                 plan.append((OperationKind.READ, None, self.read_think_time + jitter))
         chains = [
-            [
+            deque(
                 (After(think if position else plan[0]), interned_request(kind, REGISTER_KEY, pid), value)
                 for position, (kind, value, think) in enumerate(plan[1:])
-            ]
+            )
             for pid, plan in plans.items()
         ]
         if not self.isolated_operations:
             return [entry for chain in chains for entry in chain]
         rng = make_rng(self.seed, "isolated-interleave", len(chains))
-        queues = [deque(chain) for chain in chains]
         sequence = []
         while True:
-            ready = [queue for queue in queues if queue]
+            ready = [chain for chain in chains if chain]
             if not ready:
                 return sequence
             rng.shuffle(ready)
-            sequence.extend(queue.popleft() for queue in ready)
+            sequence.extend(chain.popleft() for chain in ready)
 
     def with_(self, **changes: object) -> "WorkloadSpec":
         """Return a copy with the given fields replaced (sugar over dataclasses.replace)."""
