@@ -35,10 +35,7 @@ import sys
 import time
 from typing import Optional
 
-if __package__ is None or __package__ == "":  # run as a plain script
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
-
-from benchmarks.conftest import report
+from repro.analysis.report import format_table
 from repro.registers.base import OperationKind
 from repro.sim.delays import FixedDelay
 from repro.store.store import KVStore
@@ -113,8 +110,7 @@ def bench(quick: bool = False, repeats: int = 5) -> dict:
 
     speedup = off["wall_seconds"] / on["wall_seconds"]
     event_reduction = 1.0 - on["events"] / off["events"]
-    report(
-        f"Message coalescing — broadcast-heavy store (two-bit, r=7, {num_ops} ops, best of {repeats})",
+    print(format_table(
         ["coalescing", "heap events", "logical msgs", "seconds", "events/sec"],
         [
             ["on", on["events"], on["messages"], round(on["wall_seconds"], 3),
@@ -123,7 +119,8 @@ def bench(quick: bool = False, repeats: int = 5) -> dict:
              int(off["events"] / off["wall_seconds"])],
             ["speedup", f"-{event_reduction:.0%} events", "identical", "-", f"{speedup:.2f}x"],
         ],
-    )
+        title=f"Message coalescing — broadcast-heavy store (two-bit, r=7, {num_ops} ops, best of {repeats})",
+    ))
     return {
         "benchmark": "store_broadcast_coalescing",
         "mode": "quick" if quick else "full",

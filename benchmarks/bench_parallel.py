@@ -40,10 +40,7 @@ import sys
 import time
 from typing import Optional
 
-if __package__ is None or __package__ == "":  # run as a plain script
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
-
-from benchmarks.conftest import report
+from repro.analysis.report import format_table
 from repro.workloads.kv import run_kv_workload
 from repro.workloads.scenarios import kv_openloop
 
@@ -164,15 +161,15 @@ def main(argv: Optional[list] = None) -> int:
     }
     out_path = pathlib.Path(args.out)
     out_path.write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
-    report(
-        f"shard-parallel scaling ({FULL_OPS} ops, cpus={cpus}) -> {out_path}",
+    print(format_table(
         ["workers", "total s", "run s", "check s", "speedup"],
         [
             [cell["workers"], cell["wall_seconds_total"], cell["wall_seconds_run"],
              cell["wall_seconds_check"], payload["speedup"][str(cell["workers"])]]
             for cell in full
         ],
-    )
+        title=f"shard-parallel scaling ({FULL_OPS} ops, cpus={cpus}) -> {out_path}",
+    ))
     return 0
 
 

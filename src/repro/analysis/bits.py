@@ -32,13 +32,6 @@ class ControlBitsMeasurement:
     total_control_bits: int
     total_messages: int
 
-    @property
-    def mean_control_bits(self) -> float:
-        """Average control bits per message over the run."""
-        if self.total_messages == 0:
-            return 0.0
-        return self.total_control_bits / self.total_messages
-
 
 def measure_control_bits(
     algorithm: str,

@@ -465,16 +465,16 @@ def cmd_consensus(args: argparse.Namespace) -> int:
 
 def _explore_config(args: argparse.Namespace):
     """``repro explore`` flags → :class:`~repro.explore.ExploreConfig`."""
-    from repro.explore import ExploreConfig, available_mutations, install_mutations
+    from repro.explore import ExploreConfig, available_mutations, mutant_registered
     from repro.registers.registry import get_algorithm
 
-    if args.algorithm in available_mutations():
-        install_mutations()
-    if args.algorithm not in available_algorithms():
-        raise ValueError(
-            f"unknown algorithm {args.algorithm!r}; available: {available_algorithms()} "
-            f"and the mutants {available_mutations()} (installed on demand)"
-        )
+    with mutant_registered(args.algorithm):
+        if args.algorithm not in available_algorithms():
+            raise ValueError(
+                f"unknown algorithm {args.algorithm!r}; available: {available_algorithms()} "
+                f"and the mutants {available_mutations()} (installed on demand)"
+            )
+        smr = get_algorithm(args.algorithm).spec == "smr"
     try:
         op_mix = tuple(
             (kind.strip(), float(weight))
@@ -484,7 +484,6 @@ def _explore_config(args: argparse.Namespace):
         ) or None
     except ValueError as exc:
         raise ValueError(f"--op-mix {args.op_mix!r}: {exc}") from None
-    smr = get_algorithm(args.algorithm).spec == "smr"
     if smr and op_mix is None:
         # Consensus objects: explore the kinds whose results the SMR spec
         # constrains, starting from an empty store so cas chains from "unset".

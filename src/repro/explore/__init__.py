@@ -37,7 +37,7 @@ from repro.explore.explorer import (
     run_exploration,
     write_artifact,
 )
-from repro.explore.mutations import available_mutations, install_mutations
+from repro.explore.mutations import available_mutations, mutant_registered
 from repro.explore.shrink import ddmin, shrink_case
 from repro.explore.strategies import (
     STRATEGIES,
@@ -62,7 +62,7 @@ __all__ = [
     "available_strategies",
     "build_strategy",
     "ddmin",
-    "install_mutations",
+    "mutant_registered",
     "replay_artifact",
     "run_case",
     "run_exploration",

@@ -21,10 +21,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.exec.target import OpRequest
 from repro.consensus.mmr import replica_invariants
 from repro.explore.chooser import ChoiceEntry, DeliveryChooser, ReplayChooser
-from repro.explore.mutations import MUTATIONS, install_mutations
+from repro.explore.mutations import mutant_registered
 from repro.faults.plan import CrashPoint, FaultPlan, validate_crash_points
 from repro.registers.base import OperationKind
-from repro.registers.registry import available_algorithms
 from repro.sim.delays import DelayModel, FixedDelay, UniformDelay
 from repro.store.store import KVStore, StoreConfig
 from repro.verification.linearizability import PartitionedCheckReport
@@ -279,32 +278,32 @@ def run_case(case: ExploreCase, chooser: Optional[DeliveryChooser] = None) -> Ca
     explorer exists to drive; the consensus audit runs on the replicas as
     the run ends.
     """
-    if case.algorithm in MUTATIONS and case.algorithm not in available_algorithms():
-        install_mutations()  # replaying a mutant artifact is self-contained
     try:
         crash_points = [CrashPoint(**point) for point in case.crash_points]
     except TypeError as exc:
         raise ValueError(f"invalid crash point in case {case.name!r}: {exc}") from None
     validate_crash_points(crash_points, case.num_shards, case.replication)
-    store = deploy_store(
-        StoreConfig(
-            algorithm=case.algorithm,
-            num_shards=case.num_shards,
-            replication=case.replication,
-            delay_model=delay_model_from_dict(case.delay),
-            initial_value=case.initial_value,
-        ),
-        FaultPlan.from_dict(case.fault_plan) if case.fault_plan is not None else None,
-        crash_points,
-    )
-    # Before the first key deploys: every subnet takes its scoped view.
-    store.network.chooser = ReplayChooser(list(case.choices)) if chooser is None else chooser
-    # A list: the open-loop client checks its arrival order before any event.
-    script = case.script()
-    _ops, _drives, finished = drive_script(
-        store, script, case.open_loop, case.batch_size, script[-1][0] if script else 0.0
-    )
-    report = store.check_linearizability(swmr_fast_path=False, max_states=CHECK_MAX_STATES)
+    # A mutant case (a replayed artifact too) registers its own algorithm.
+    with mutant_registered(case.algorithm):
+        store = deploy_store(
+            StoreConfig(
+                algorithm=case.algorithm,
+                num_shards=case.num_shards,
+                replication=case.replication,
+                delay_model=delay_model_from_dict(case.delay),
+                initial_value=case.initial_value,
+            ),
+            FaultPlan.from_dict(case.fault_plan) if case.fault_plan is not None else None,
+            crash_points,
+        )
+        # Before the first key deploys: every subnet takes its scoped view.
+        store.network.chooser = ReplayChooser(list(case.choices)) if chooser is None else chooser
+        # A list: the open-loop client checks its arrival order before any event.
+        script = case.script()
+        _ops, _drives, finished = drive_script(
+            store, script, case.open_loop, case.batch_size, script[-1][0] if script else 0.0
+        )
+        report = store.check_linearizability(swmr_fast_path=False, max_states=CHECK_MAX_STATES)
     return CaseOutcome(
         store=store, report=report, finished_cleanly=finished, invariants=replica_invariants(store)
     )

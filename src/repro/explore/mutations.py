@@ -31,22 +31,30 @@ small deterministic counterexample, and replay it from the artifact.
     as a non-linearizable cas/read history (diverged replica state
     machines).
 
-The mutants are *not* in the default algorithm registry: call
-:func:`install_mutations` (idempotent) to register them, which is what
-``repro explore --mutate <name>`` and the tests do.  They must never be
-used outside explorer/checker validation.
+The mutants are *not* in the default algorithm registry:
+:func:`mutant_registered` holds one there for a ``with`` block, which is how
+:func:`~repro.explore.case.run_case` runs a mutant case and how ``repro
+explore --algorithm <mutant>`` validates its flags.  No mutant outlives that
+block, so nothing else in the process ever sees one in
+``available_algorithms()``.  They must never be used outside
+explorer/checker validation.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from operator import itemgetter
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Iterator
 
 from repro.consensus.mmr import SkipAuxConsensusProcess
 from repro.quorum.aggregators import MaxReply
 from repro.registers.abd import AbdReadQuery, AbdRegisterProcess, AbdWrite
 from repro.registers.base import OperationRecord, RegisterAlgorithm
-from repro.registers.registry import available_algorithms, register_algorithm
+from repro.registers.registry import (
+    available_algorithms,
+    register_algorithm,
+    unregister_algorithm,
+)
 
 
 class AbdNoWriteBackProcess(AbdRegisterProcess):
@@ -120,14 +128,19 @@ def available_mutations() -> list[str]:
     return sorted(MUTATIONS)
 
 
-def install_mutations() -> None:
-    """Register every mutant in the algorithm registry (idempotent).
+@contextmanager
+def mutant_registered(name: str) -> Iterator[None]:
+    """Hold mutant ``name`` in the algorithm registry for the ``with`` block.
 
     Specs carry algorithms by registry name, so a mutant must be registered
-    before a store spec can deploy it; the explorer and the tests call this
-    on demand rather than polluting the default registry at import time.
+    while a store deploys and checks it.  Any other name, or a mutant that
+    is already registered, is left as it is.
     """
-    for name, algorithm in MUTATIONS.items():
-        if name in available_algorithms():
-            continue
-        register_algorithm(algorithm)
+    if name not in MUTATIONS or name in available_algorithms():
+        yield
+        return
+    register_algorithm(MUTATIONS[name])
+    try:
+        yield
+    finally:
+        unregister_algorithm(name)

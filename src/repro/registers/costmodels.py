@@ -214,10 +214,3 @@ TABLE1_METRICS = [
     ("read_time_delta", "Time: read"),
 ]
 
-
-def model_by_name(name: str) -> AlgorithmCostModel:
-    """Look up a Table-1 cost model by its short name."""
-    for model in TABLE1_MODELS:
-        if model.name == name:
-            return model
-    raise KeyError(f"no cost model named {name!r}; available: {[m.name for m in TABLE1_MODELS]}")

@@ -76,10 +76,6 @@ class RegisterCluster:
         """Handle of process ``pid`` (any process can read)."""
         return self.handles[pid]
 
-    def readers(self) -> list[RegisterHandle]:
-        """Handles of all non-writer processes."""
-        return self.handles[1:]
-
     def crash(self, pid: int) -> None:
         """Crash process ``pid`` now: the store's server crash, within ``t < n/2``.
 
@@ -94,10 +90,6 @@ class RegisterCluster:
     def settle(self) -> None:
         """Run the simulation until no more events are pending (quiescence)."""
         self.store.settle()
-
-    def messages_sent(self) -> int:
-        """Total messages sent so far."""
-        return self.store.total_messages()
 
 
 def deploy_register(spec: WorkloadSpec) -> RegisterCluster:

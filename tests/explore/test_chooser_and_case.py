@@ -17,10 +17,10 @@ from repro.explore.case import (
 from repro.cli import main
 from repro.explore.chooser import RandomChooser, ReplayChooser
 from repro.explore.explorer import ARTIFACT_FORMAT
-from repro.explore.mutations import install_mutations
 from repro.faults.partitions import PartitionSchedule, PartitionWindow
 from repro.faults.plan import FaultPlan
 from repro.faults.storms import DelayStorm
+from repro.registers.registry import available_algorithms
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
@@ -288,9 +288,9 @@ class TestCaseExecution:
         assert signature(run_case(pinned)) == signature(outcome)
 
     def test_mutant_algorithms_install_on_demand(self):
-        install_mutations()
         outcome = run_case(small_case(algorithm="abd-sloppy-write", arrival_gap=0.0))
         assert outcome.finished_cleanly  # sloppy writes still terminate
+        assert "abd-sloppy-write" not in available_algorithms()  # for the case only
 
 
 class TestCaseVerdict:

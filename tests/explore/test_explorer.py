@@ -7,7 +7,7 @@ import pytest
 from repro.explore import (
     ExploreConfig,
     available_mutations,
-    install_mutations,
+    mutant_registered,
     replay_artifact,
     run_exploration,
     write_artifact,
@@ -78,17 +78,17 @@ class TestMutationTesting:
         assert example.op_count < len(example.original_case.ops)
 
     def test_mutants_stay_out_of_the_default_registry(self):
-        for name in available_mutations():
-            description = None
-            if name in available_algorithms():
-                from repro.registers.registry import get_algorithm
+        from repro.registers.registry import get_algorithm
 
-                description = get_algorithm(name).description
-                assert "FAULTY" in description, (
-                    f"mutant {name} registered without its FAULTY marker"
-                )
-        install_mutations()
-        install_mutations()  # idempotent
+        for name in available_mutations():
+            assert name not in available_algorithms()
+            with mutant_registered(name):
+                with mutant_registered(name):  # nested: the outer block owns it
+                    assert "FAULTY" in get_algorithm(name).description, (
+                        f"mutant {name} registered without its FAULTY marker"
+                    )
+                assert name in available_algorithms()
+            assert name not in available_algorithms()
 
 
 class TestArtifacts:

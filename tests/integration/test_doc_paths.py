@@ -27,7 +27,7 @@ DOCUMENTS = (
     + sorted((ROOT / "benchmarks").glob("*.py"))
 )
 
-#: A ``.py`` / ``.json`` / ``.md`` path, possibly a glob (``bench_table1_*.py``).
+#: A ``.py`` / ``.json`` / ``.md`` path, possibly a glob (``bench_*.py``).
 _PATH = re.compile(r"(?<![\w./*-])[\w./*-]*[\w*]\.(?:py|json|md)\b")
 #: A root document named bare (``DESIGN.md``, ``CHANGES.md``).
 _ROOT_DOCUMENT = re.compile(r"[A-Z][A-Z0-9_]*\.md")
@@ -90,11 +90,14 @@ def test_a_deleted_file_named_again_is_caught():
         "BENCH_chaos.json",
         "EXPERIMENTS.md",
         "docs/EXPERIMENTS.md",
+        "benchmarks/bench_table1_*.py",
+        "bench_theorem2_counts.py",
+        "benchmarks/bench_ablation_*.py",
     ]
     prose = " and ".join(f"`{name}` ({name}: see {name})." for name in spellings)
     assert missing_paths(prose) == sorted(spellings)
     kept = (
-        "`benchmarks/bench_table1_*.py`, `BENCH_*.json`, `bench_parallel.py`, `sim/network.py`, "
+        "`tests/paper/test_*.py`, `BENCH_*.json`, `bench_parallel.py`, `sim/network.py`, "
         "DESIGN.md, `docs/ALGORITHMS.md`, notes.md"
     )
     assert missing_paths(kept) == []

@@ -8,7 +8,7 @@ for byte.
 
 import pytest
 
-from repro.explore import ExploreConfig, explorer, install_mutations, run_exploration
+from repro.explore import ExploreConfig, explorer, run_exploration
 
 
 def summarize(report):
@@ -30,7 +30,6 @@ class TestParallelExploration:
         assert serial["artifacts"] == []
 
     def test_mutant_counterexample_is_byte_identical(self):
-        install_mutations()
         config = ExploreConfig(
             algorithm="abd-sloppy-write", budget=10, seed=0, num_ops=48, num_keys=4
         )
@@ -41,7 +40,6 @@ class TestParallelExploration:
         assert parallel["replayed"] == [True]
 
     def test_the_pool_stops_at_the_first_violating_slice(self, monkeypatch):
-        install_mutations()
         config = ExploreConfig(algorithm="abd-sloppy-write", budget=60)
         serial = summarize(run_exploration(config))
         handed = []

@@ -73,14 +73,14 @@ class TestReadWrite:
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_message_counts(self, n):
         cluster = create_register(n=n, algorithm="abd", delay_model=FixedDelay(1.0), initial_value="v0")
-        before = cluster.messages_sent()
+        before = cluster.store.total_messages()
         cluster.writer.write("v1")
         cluster.settle()
-        assert cluster.messages_sent() - before == 2 * (n - 1)
-        before = cluster.messages_sent()
+        assert cluster.store.total_messages() - before == 2 * (n - 1)
+        before = cluster.store.total_messages()
         cluster.reader(1).read()
         cluster.settle()
-        assert cluster.messages_sent() - before == 4 * (n - 1)
+        assert cluster.store.total_messages() - before == 4 * (n - 1)
 
     def test_stale_acks_do_not_complete_new_operations(self):
         """Acknowledgements are matched against the pending sequence number."""

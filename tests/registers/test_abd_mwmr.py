@@ -44,10 +44,10 @@ class TestMultiWriterBehaviour:
     @pytest.mark.parametrize("n", [3, 5])
     def test_write_message_count(self, n):
         cluster = create_register(n=n, algorithm="abd-mwmr", delay_model=FixedDelay(1.0))
-        before = cluster.messages_sent()
+        before = cluster.store.total_messages()
         cluster.handles[1].write("x")
         cluster.settle()
-        assert cluster.messages_sent() - before == 4 * (n - 1)
+        assert cluster.store.total_messages() - before == 4 * (n - 1)
 
     def test_concurrent_writers_histories_are_linearizable(self):
         spec = WorkloadSpec(

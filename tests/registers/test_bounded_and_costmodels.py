@@ -20,7 +20,6 @@ from repro.registers.costmodels import (
     TABLE1_MODELS,
     TWO_BIT_MODEL,
     UNBOUNDED,
-    model_by_name,
 )
 from repro.sim.delays import FixedDelay
 from repro.workloads import WorkloadSpec, run_workload
@@ -96,8 +95,10 @@ class TestCostModels:
         assert [m.name for m in TABLE1_MODELS] == ["abd", "abd-bounded", "attiya", "two-bit"]
 
     def test_paper_formulas_match_table_1(self):
+        models = {model.name: model for model in TABLE1_MODELS}
+
         def formula(algorithm, metric):
-            return model_by_name(algorithm).row(metric).formula
+            return models[algorithm].row(metric).formula
 
         assert {m.name: m.row("write_messages").formula for m in TABLE1_MODELS} == {
             "abd": "O(n)",
@@ -130,9 +131,10 @@ class TestCostModels:
         assert [model.read_time_delta.value(5) for model in TABLE1_MODELS] == [4, 12, 18, 4]
 
     def test_model_lookup(self):
-        assert model_by_name("two-bit") is TWO_BIT_MODEL
-        with pytest.raises(KeyError):
-            model_by_name("nonexistent")
+        models = {model.name: model for model in TABLE1_MODELS}
+        assert len(models) == len(TABLE1_MODELS)
+        assert models["two-bit"] is TWO_BIT_MODEL
+        assert "nonexistent" not in models
 
     def test_metric_lookup_validation(self):
         with pytest.raises(KeyError):
