@@ -10,18 +10,21 @@ line.  Recap of the structure of Figure 1:
 * ``READ()`` handler      — lines 19–21;
 * ``PROCEED()`` handler   — line 22.
 
-The pseudocode's blocking ``wait`` statements map onto the guard mechanism of
-:class:`repro.transport.runtime.ProcessBase`:
+The pseudocode's blocking ``wait`` statements are of two kinds.  The
+operation's wait (lines 3, 7 and 9; a sequential process has at most one)
+is a *count* kept on the process: how many more entries the quorum needs.
+The per-message waits (lines 11 and 20) are *guards* of
+:class:`repro.transport.runtime.ProcessBase`, predicates over the arrays:
 
-=========  =====================================================  ==========================
-line       awaited predicate                                      where implemented
-=========  =====================================================  ==========================
-line 3     ``#{j : w_sync_w[j] = wsn} >= n - t``                  :meth:`_start_write`
-line 7     ``#{j : r_sync_i[j] = rsn} >= n - t``                  :meth:`_start_read`
-line 9     ``#{j : w_sync_i[j] >= sn} >= n - t``                  :meth:`_start_read`
-line 11    ``b = (w_sync_i[j] + 1) mod 2``                        :meth:`_buffer_write`
-line 20    ``w_sync_i[j] >= sn``                                  :meth:`_handle_read`
-=========  =====================================================  ==========================
+=========  =====================================================  ===========================
+line       awaited predicate                                      kept as
+=========  =====================================================  ===========================
+line 3     ``#{j : w_sync_w[j] = wsn} >= n - t``                  count ``_w_missing``
+line 7     ``#{j : r_sync_i[j] = rsn} >= n - t``                  count ``_r_missing``
+line 9     ``#{j : w_sync_i[j] >= sn} >= n - t``                  count ``_w_missing``
+line 11    ``b = (w_sync_i[j] + 1) mod 2``                        guard (:meth:`_buffer_write`)
+line 20    ``w_sync_i[j] >= sn``                                  guard (:meth:`_handle_read`)
+=========  =====================================================  ===========================
 
 The per-pair *alternating-bit* discipline is a consequence of the sending
 predicates (lines 2, 15, 16) together with the line-11 wait; nothing extra is
@@ -29,12 +32,16 @@ needed here beyond implementing those lines faithfully.
 
 Every wait counts or reads array entries that exactly one handler line
 assigns — line 22 moves ``r_sync_i[j]`` (line 7), line 18 moves
-``w_sync_i[j]`` (lines 3, 9, 11, 20) — so the process records what its pending
-waits await, and those two lines ask for a guard scan (``_scan_due``) only
-when the entry they just moved completes the awaited quorum count or is read
-by a pending line-11 / line-20 wait; no other delivery scans.  The record only
-decides *when* to scan: what fires, and in which order, is still the guards'
-predicates over the arrays.
+``w_sync_i[j]`` (lines 3, 9, 11, 20) — so those two lines keep the counts
+and ask for a guard scan (``_scan_due``) only when the entry they just moved
+completes the awaited quorum count or is read by a pending line-11 / line-20
+wait; no other delivery scans.  The operation's wait fires in that scan, as
+a guard would: after the handler, at the end of a coalesced batch, and in
+registration order beside pending guards.  While no guard is pending it is
+held on the process (:meth:`check_guards` fires it); when it is registered
+beside line-11 / line-20 guards, or they beside it, it joins their list as
+one more :class:`~repro.transport.runtime.Guard`, at its registration
+position.
 
 The pseudocode's "send ... to every ``p_j`` such that ..." statements (lines
 2, 6 and 15) are one ``network.send`` each, to the list of those ``p_j``: the
@@ -51,6 +58,7 @@ from repro.core.state import TwoBitState
 from repro.registers.base import OperationRecord, RegisterAlgorithm, RegisterProcess
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
+from repro.transport.runtime import Guard, render_label
 
 
 class TwoBitRegisterProcess(RegisterProcess):
@@ -68,6 +76,14 @@ class TwoBitRegisterProcess(RegisterProcess):
         measure for non-writer readers anyway).
     """
 
+    # The operation's wait (line 3, 7 or 9; a sequential process has at most
+    # one): its line (0 while none is pending) and its continuation, the
+    # operation's completion.  Its sequence number is ``_w_awaited`` (lines 3
+    # and 9) or ``r_sync_i[i]`` (line 7).  Idle values here, so that building
+    # a process sets none of them.
+    _op_line = 0
+    _op_done: Optional[Callable[..., None]] = None
+
     def __init__(
         self,
         pid: int,
@@ -83,11 +99,12 @@ class TwoBitRegisterProcess(RegisterProcess):
         self.state: Optional[TwoBitState] = None
         # Messages whose line-11 predicate is not yet satisfied, per sender.
         self._reordered_writes = 0
-        # What the pending waits await.  Lines 3 and 9 count the w_sync entries
-        # that reach `_w_awaited` (entries move by steps of 1, so ">= sn" comes
-        # true on reaching sn), line 7 the r_sync entries that reach
-        # r_sync[pid]; `_*_missing` is how many more the quorum needs, and a
-        # count nobody awaits any more never comes back to 0.
+        # What the operation's wait awaits.  Lines 3 and 9 count the w_sync
+        # entries that reach `_w_awaited` (entries move by steps of 1, so
+        # ">= sn" comes true on reaching sn), line 7 the r_sync entries that
+        # reach r_sync[pid]; `_*_missing` is how many more the quorum needs
+        # (the wait holds at <= 0), and a count nobody awaits any more never
+        # comes back to 0.
         self._w_awaited = -1
         self._w_missing = 0
         self._r_missing = 0
@@ -125,18 +142,15 @@ class TwoBitRegisterProcess(RegisterProcess):
         message = WriteMessage(bit=wsn % 2, value=value)
 
         # line 2: send WRITE(b, v) to every p_j with w_sync_w[j] = wsn - 1
-        quorum, w_sync = self.quorum, st.w_sync
+        w_sync = st.w_sync
         self.network.send(self.pid, [j for j in self._peers if w_sync[j] == wsn - 1], message)
 
         # line 3: wait until at least (n - t) processes p_j have w_sync_w[j] = wsn
-        # (the writer itself counts: w_sync_w[w] = wsn already).
-        def write_quorum_reached() -> bool:
-            return quorum.quorum_equal(w_sync, wsn)
-
-        # line 4: return()
+        # (the writer itself counts: w_sync_w[w] = wsn already; no entry exceeds it).
+        # line 4: return()   (_fire_op)
         self._w_awaited = wsn
-        self._w_missing = quorum.quorum_size - w_sync.count(wsn)
-        self.add_guard(write_quorum_reached, done, label=("write#%d line 3 quorum", wsn))
+        self._w_missing = self.quorum.quorum_size - w_sync.count(wsn)
+        self._await_op(3, done)
 
     def _start_read(self, record: OperationRecord, done: Callable[[Any], None]) -> None:
         """``operation read()`` — lines 5–10 (any process)."""
@@ -156,34 +170,96 @@ class TwoBitRegisterProcess(RegisterProcess):
         self.network.send(self.pid, self._peers, READ)
 
         # line 7: wait until at least (n - t) processes p_j have r_sync_i[j] = rsn
-        quorum, r_sync, w_sync = self.quorum, st.r_sync, st.w_sync
+        # (no entry exceeds rsn: p_j answers each READ with one PROCEED).
+        self._r_missing = self.quorum.quorum_size - st.r_sync.count(rsn)
+        self._await_op(7, done)
 
-        def read_quorum_reached() -> bool:
-            return quorum.quorum_equal(r_sync, rsn)
+    def _read_value(self, done: Callable[[Any], None]) -> None:
+        """Lines 8–9 of ``read()``, once line 7's wait holds."""
+        w_sync = self.state.w_sync
 
-        def after_proceed_quorum() -> None:
-            # line 8: sn <- w_sync_i[i]
-            sn = w_sync[self.pid]
+        # line 8: sn <- w_sync_i[i]
+        sn = w_sync[self.pid]
 
-            # line 9: wait until at least (n - t) processes p_j have w_sync_i[j] >= sn
-            def value_known_by_quorum() -> bool:
-                return quorum.quorum_at_least(w_sync, sn)
+        # line 9: wait until at least (n - t) processes p_j have w_sync_i[j] >= sn
+        # line 10: return(history_i[sn])   (_fire_op)
+        self._w_awaited = sn
+        self._w_missing = self.quorum.quorum_size - len([entry for entry in w_sync if entry >= sn])
+        self._await_op(9, done)
 
-            # line 10: return(history_i[sn])
-            wait = self.add_guard(
-                value_known_by_quorum,
-                lambda: done(st.history[sn]),
-                label=("read#%d line 9 quorum (sn=%d)", rsn, sn),
-            )
-            if wait is not None:
-                self._w_awaited = sn
-                known = quorum.count_satisfying(w_sync, lambda entry: entry >= sn)
-                self._w_missing = quorum.quorum_size - known
+    # ----------------------------------------------------- the operation wait
 
-        self._r_missing = quorum.quorum_size - r_sync.count(rsn)
-        self.add_guard(
-            read_quorum_reached, after_proceed_quorum, label=("read#%d line 7 quorum", rsn)
-        )
+    def _await_op(self, line: int, done: Callable[..., None]) -> None:
+        """Register the operation's wait of ``line`` (3, 7 or 9) — ``add_guard``'s rules.
+
+        It fires at once if its count already holds (then scans, if guards
+        are pending); a crashed process's wait never fires.  Otherwise it is
+        held here while the guard list is empty, and joins the list as an
+        ordinary :class:`Guard` — at its registration position — when it is
+        registered beside line-11 / line-20 waits or they are registered
+        beside it (:meth:`_add_entry_wait`).
+        """
+        if self.crashed:
+            return
+        self._op_line = line
+        self._op_done = done
+        if self._op_ready():
+            self._fire_op()
+            if self._guards:
+                self.check_guards()
+        elif self._guards:
+            self._guards.append(self._op_guard())
+
+    def _op_ready(self) -> bool:
+        """The pending operation wait's predicate: its count reached the quorum."""
+        return (self._r_missing if self._op_line == 7 else self._w_missing) <= 0
+
+    def _fire_op(self) -> None:
+        """Run the pending operation wait's continuation (once)."""
+        line, done = self._op_line, self._op_done
+        self._op_line, self._op_done = 0, None
+        if line == 7:
+            self._read_value(done)
+        elif line == 9:
+            done(self.state.history[self._w_awaited])  # line 10
+        else:
+            done()  # line 4
+
+    def _op_label(self) -> tuple:
+        """The pending operation wait's diagnostic label (lazy, as guard labels are)."""
+        if self._op_line == 3:
+            return ("write#%d line 3 quorum", self._w_awaited)
+        rsn = self.state.r_sync[self.pid]
+        if self._op_line == 7:
+            return ("read#%d line 7 quorum", rsn)
+        return ("read#%d line 9 quorum (sn=%d)", rsn, self._w_awaited)
+
+    def _op_guard(self) -> Guard:
+        """The pending operation wait as an ordinary guard, for the guard list."""
+        return Guard(self._op_ready, self._fire_op, self._op_label())
+
+    def _op_held(self) -> bool:
+        """The operation wait is pending outside the guard list (which is then empty)."""
+        return bool(self._op_line) and not self._guards and not self.crashed
+
+    def check_guards(self) -> None:
+        """The scan: :meth:`ProcessBase.check_guards`, or the held operation wait alone.
+
+        The wait's continuation registers no line-11 / line-20 wait, so
+        after it fires nothing is left to scan.
+        """
+        if self._guards:
+            super().check_guards()
+            return
+        if self._op_line and not self.crashed and self._op_ready():
+            self._fire_op()
+        self._scan_due = False
+
+    def waiting_on(self) -> list[str]:
+        """The pending waits' labels, in registration order (the held operation wait too)."""
+        if self._op_held():
+            return [render_label(self._op_label())]
+        return super().waiting_on()
 
     # --------------------------------------------------------------- handlers
 
@@ -274,11 +350,11 @@ class TwoBitRegisterProcess(RegisterProcess):
             entry_waits[src] -= 1
             self.on_message(src, message)
 
-        entry_waits[src] += 1
-        self.add_guard(
+        self._add_entry_wait(
+            src,
             lambda: message.bit == (w_sync[src] + 1) % 2,
             handle_buffered_write,
-            label=("line 11 reorder buffer (from p%d, bit=%d)", src, message.bit),
+            ("line 11 reorder buffer (from p%d, bit=%d)", src, message.bit),
         )
 
     # -- READ() ---------------------------------------------------------------
@@ -307,12 +383,25 @@ class TwoBitRegisterProcess(RegisterProcess):
                 entry_waits[src] -= 1
                 self.network.send(self.pid, src, PROCEED)
 
-            entry_waits[src] += 1
-            self.add_guard(
+            self._add_entry_wait(
+                src,
                 lambda: w_sync[src] >= sn,
                 send_proceed,
-                label=("line 20 freshness wait (reader p%d, sn=%d)", src, sn),
+                ("line 20 freshness wait (reader p%d, sn=%d)", src, sn),
             )
+
+    def _add_entry_wait(
+        self, src: int, predicate: Callable[[], bool], action: Callable[[], None], label: tuple
+    ) -> None:
+        """Register a line-11 / line-20 wait, which reads ``w_sync_i[src]``.
+
+        Its predicate is false when registered.  A held operation wait was
+        registered first, so it joins the guard list first.
+        """
+        if self._op_held():
+            self._guards.append(self._op_guard())
+        self._entry_waits[src] += 1
+        self.add_guard(predicate, action, label=label)
 
     # ------------------------------------------------------------- inspection
 

@@ -74,6 +74,9 @@ class Driver:
         self._queues: Dict[
             RegisterProcess, Tuple[Deque[OperationRecord], Callable[[OperationRecord], None]]
         ] = {}
+        #: Operations :meth:`fail_stuck` failed on a replica that had not
+        #: crashed: they can never complete, so the run did not finish.
+        self.stalled = 0
         self._outstanding = 0
         self._op_counter = itertools.count()
         # While `drive` runs the loop: the condition it drives to, asked each
@@ -226,5 +229,7 @@ class Driver:
                 f" (crashed={process.crashed}); event queue drained"
                 + (f"; waiting on: {', '.join(waits)}" if waits else "")
             )
+            if not process.crashed:
+                self.stalled += len(queue)
             while queue:
                 self._fail(queue.popleft(), reason)

@@ -720,9 +720,11 @@ def drive_script(
     Returns ``(ops, drives, finished)``: the submitted operations in
     submission order, the number of drives, and whether the run finished
     cleanly — every entry submitted and every operation done, where an
-    operation that failed with a reason (a crashed replica) counts as done,
-    and a chain whose process crashed leaves its operation pending and
-    submits no more (crash-stop).
+    operation that failed because its replica crashed counts as done, and a
+    chain whose process crashed leaves its operation pending and submits no
+    more (crash-stop).  An operation the driver failed as stalled on a live
+    replica (:attr:`~repro.exec.driver.Driver.stalled`) can never complete:
+    the run did not finish.
     """
     if open_loop:
         if keep is not None:
@@ -730,7 +732,7 @@ def drive_script(
         client = OpenLoopClient(store.driver, store.target, script)
         client.start()
         after_drive(client.drive(limit=last_arrival + store.config.max_virtual_time))
-        return client.ops, 1, client.finished()
+        return client.ops, 1, client.finished() and not store.driver.stalled
     ops: List[OperationRecord] = []
     drives = 0
     entries = enumerate(script)
@@ -743,7 +745,7 @@ def drive_script(
                 ops.append(store.submit_op(request.kind, request.key, value, request.replica))
         after_drive(store.drive())
         drives += 1
-    return ops, drives, all(op.done for op in ops)
+    return ops, drives, all(op.done for op in ops) and not store.driver.stalled
 
 
 def run_kv_workload(spec: KVWorkloadSpec) -> KVWorkloadResult:

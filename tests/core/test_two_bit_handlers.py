@@ -194,12 +194,13 @@ class TestSetupErrors:
 
 
 class TestWaitDiagnostics:
-    """Guard labels are rendered on demand; the text a stuck run prints is
-    the text the eager f-strings used to produce."""
+    """Wait labels are rendered on demand; the text a stuck run prints is
+    the text the eager f-strings used to produce.  ``waiting_on`` names the
+    operation's wait (lines 3, 7, 9) as well as the pending guards."""
 
     @staticmethod
     def labels(process):
-        return [guard.label for guard in process.pending_guards()]
+        return process.waiting_on()
 
     def test_reorder_buffered_write(self):
         cluster = make_cluster(n=3)
@@ -226,6 +227,22 @@ class TestWaitDiagnostics:
             "deliver WRITE1('v1') p1->p0",
             "deliver WRITE1('v1') p1->p2",
         ]
+
+    @pytest.mark.parametrize("read_first", [True, False])
+    def test_the_operation_wait_is_named_in_registration_order(self, read_first):
+        cluster = make_cluster(n=3)
+        process = cluster.processes[1]
+        if read_first:
+            cluster.reader(1).read(run=False)
+        # p1 learns value #1 first, so it holds p2's READ back (line 20).
+        process.deliver(0, WriteMessage(bit=1, value="v1"))
+        process.deliver(2, ReadMessage())
+        if not read_first:
+            cluster.reader(1).read(run=False)
+        read_wait, freshness_wait = "read#1 line 7 quorum", "line 20 freshness wait (reader p2, sn=1)"
+        expected = [read_wait, freshness_wait] if read_first else [freshness_wait, read_wait]
+        assert self.labels(process) == expected
+        assert self.labels(process) == expected  # reading them moves nothing
 
     def test_write_and_line_9_waits(self):
         cluster = make_cluster(n=5)

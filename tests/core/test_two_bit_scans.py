@@ -1,19 +1,21 @@
-"""A two-bit process scans its waits only when one can hold — and nothing can tell.
+"""A two-bit process's waits fire where the closure-built guards fired — and nothing can tell.
 
-``TwoBitRegisterProcess`` records what its pending waits await (the entries
-lines 18 and 22 move) and asks for a guard scan only when a delivery moved an
-entry that completes an awaited quorum count or that a line-11 / line-20 wait
-reads.  The formulation it replaced scanned after *every* handler.  That one
-is kept here, as the oracle: :class:`_AlwaysScan` is the same process with the
-"a scan is due" flag stuck at true, so every delivery, every coalesced batch
-and every ``READ`` answered at once scans, exactly as before.
+``TwoBitRegisterProcess`` keeps its operation's wait (Figure 1, line 3, 7 or
+9) as plain state: the counts lines 18 and 22 keep decide when it fires, and
+it asks for a guard scan only when a delivery moved an entry that completes
+the awaited quorum count or that a line-11 / line-20 wait reads.  The
+formulation it replaced built each operation wait from closures through
+``add_guard`` and scanned after *every* handler.  That one is kept here, as
+the oracle: :class:`_ClosureGuards` runs the earlier ``_start_write`` /
+``_start_read`` with the "a scan is due" flag stuck at true, so every
+delivery, every coalesced batch and every ``READ`` answered at once scans
+predicates over the arrays, exactly as before.
 
 The differential runs both over seeded schedules — continuous, reorder-heavy
 and instant-sharing delay models (the last with coalesced fan-out batches),
 timed crash points, a send-count crash hook, a healing partition — and
-compares everything an execution leaves behind.  The scan fixpoint, the
-registration order and the predicates are shared, so equal executions mean
-the new process never skipped a scan that would have fired a guard.
+compares everything an execution leaves behind.  Equal executions mean the
+counted wait never fired early, late, or out of order beside the guards.
 
 The last test turns the question round: of the scans a delivery does trigger,
 how many were worth it?
@@ -25,6 +27,7 @@ import pytest
 
 from benchmarks.e2e.workloads import spec_for
 from benchmarks.variants import registered, two_bit_variant
+from repro.core.messages import READ, WriteMessage
 from repro.core.process import TwoBitRegisterProcess
 from repro.faults.partitions import PartitionSchedule, PartitionWindow
 from repro.faults.plan import FaultPlan
@@ -33,8 +36,8 @@ from repro.workloads import WorkloadSpec, deploy_register
 from repro.workloads.kv import CrashPoint, KVWorkloadSpec, run_kv_workload
 
 
-class _AlwaysScan(TwoBitRegisterProcess):
-    """The oracle: the formulation that scans after every handler."""
+class _ClosureGuards(TwoBitRegisterProcess):
+    """The oracle: lines 3, 7 and 9 as closure-built guards, scanned after every handler."""
 
     @property
     def _scan_due(self) -> bool:
@@ -44,12 +47,70 @@ class _AlwaysScan(TwoBitRegisterProcess):
     def _scan_due(self, due: bool) -> None:
         pass
 
+    def _start_write(self, record, done):
+        st = self._require_state()
+        value = record.value
+
+        # line 1
+        wsn = st.w_sync[self.pid] + 1
+        st.w_sync[self.pid] = wsn
+        st.record_value(wsn, value)
+        message = WriteMessage(bit=wsn % 2, value=value)
+
+        # line 2
+        quorum, w_sync = self.quorum, st.w_sync
+        self.network.send(self.pid, [j for j in self._peers if w_sync[j] == wsn - 1], message)
+
+        # line 3: wait (#{j : w_sync_w[j] = wsn} >= n - t); line 4: return()
+        def write_quorum_reached():
+            return w_sync.count(wsn) >= quorum.quorum_size
+
+        self.add_guard(write_quorum_reached, done, label=("write#%d line 3 quorum", wsn))
+
+    def _start_read(self, record, done):
+        st = self._require_state()
+
+        # line 5
+        rsn = st.r_sync[self.pid] + 1
+        st.r_sync[self.pid] = rsn
+
+        # line 6
+        self.network.send(self.pid, self._peers, READ)
+
+        # line 7: wait (#{j : r_sync_i[j] = rsn} >= n - t)
+        quorum, r_sync, w_sync = self.quorum, st.r_sync, st.w_sync
+
+        def read_quorum_reached():
+            return r_sync.count(rsn) >= quorum.quorum_size
+
+        def after_proceed_quorum():
+            # line 8
+            sn = w_sync[self.pid]
+
+            # line 9: wait (#{j : w_sync_i[j] >= sn} >= n - t)
+            def value_known_by_quorum():
+                return sum(1 for entry in w_sync if entry >= sn) >= quorum.quorum_size
+
+            # line 10: return(history_i[sn])
+            self.add_guard(
+                value_known_by_quorum,
+                lambda: done(st.history[sn]),
+                label=("read#%d line 9 quorum (sn=%d)", rsn, sn),
+            )
+
+        self.add_guard(
+            read_quorum_reached, after_proceed_quorum, label=("read#%d line 7 quorum", rsn)
+        )
+
 
 class _CountingScans(TwoBitRegisterProcess):
-    """Counts the scans a delivery triggers and the ones among them that fired a guard.
+    """Counts the scans a delivery triggers and the ones among them that fired a wait.
 
-    A scan entered from inside another (``add_guard`` scans after a wait that
-    held at once, which happens inside guard actions) is not delivery-triggered.
+    A fired wait is a guard's action or the operation wait's continuation
+    (``_fire_op``, whether the wait was held or had joined the guard list).
+    A scan entered from inside another (``add_guard`` and ``_await_op`` scan
+    after a wait that held at once, which happens inside waits' actions) is
+    not delivery-triggered.
     """
 
     triggered = 0
@@ -63,6 +124,10 @@ class _CountingScans(TwoBitRegisterProcess):
             action()
 
         return super().add_guard(predicate, counted_action, label)
+
+    def _fire_op(self):
+        _CountingScans._fired += 1
+        super()._fire_op()
 
     def check_guards(self):
         cls = _CountingScans
@@ -82,7 +147,7 @@ class _CountingScans(TwoBitRegisterProcess):
 def _variants_registered():
     """The store resolves algorithms by name: register the test-only variants, then forget them."""
     with registered(
-        two_bit_variant("two-bit-always-scan", _AlwaysScan),
+        two_bit_variant("two-bit-closure-guards", _ClosureGuards),
         two_bit_variant("two-bit-counting", _CountingScans),
     ):
         yield
@@ -152,7 +217,7 @@ def test_store_runs_are_the_runs_of_the_always_scan_process(read_fraction, delay
     )
     assert spec.coalesce  # FixedDelay heads carry riders: _Delivery._fan_out runs
     got = _store_observation(spec)
-    expected = _store_observation(spec.with_(algorithm="two-bit-always-scan"))
+    expected = _store_observation(spec.with_(algorithm="two-bit-closure-guards"))
     for aspect in expected:
         assert got[aspect] == expected[aspect], f"{aspect} differs"
     if delay == "fixed":
@@ -203,7 +268,7 @@ def _cluster_observation(algorithm: str, delay: str, seed: int, kill_at: int, co
 @pytest.mark.parametrize("delay, coalesce", [("uniform", False), ("exponential", False), ("fixed", True)])
 def test_a_writer_killed_by_its_kth_send_leaves_the_same_execution(delay, coalesce, kill_at):
     got = _cluster_observation("two-bit", delay, 5, kill_at, coalesce)
-    expected = _cluster_observation("two-bit-always-scan", delay, 5, kill_at, coalesce)
+    expected = _cluster_observation("two-bit-closure-guards", delay, 5, kill_at, coalesce)
     assert got["crashed"][0], "the send-count hook did kill the writer"
     for aspect in expected:
         assert got[aspect] == expected[aspect], f"{aspect} differs"

@@ -510,3 +510,51 @@ class TestOpenLoopClient:
         assert sojourns[-1] > sojourns[0] * 3
         services = [op.latency for op in client.ops]
         assert max(services) == pytest.approx(min(services))
+
+
+class TestStalledKeyedRun:
+    """A keyed run whose operation stalls on a live replica did not finish.
+
+    One key on three ABD replicas, two of them crashed directly (outside any
+    crash budget): the read pinned to replica 0 can never reach a quorum, the
+    queue drains and the driver fails it as stalled.  On both start rules
+    ``drive_script`` reports the run unfinished and the verdict fails it; an
+    operation whose own replica crashed under it still counts as done.
+    """
+
+    @staticmethod
+    def _run(open_loop, serving_replica_crashes=False):
+        from repro.workloads.kv import KVWorkloadResult, KVWorkloadSpec, deploy, drive_script
+
+        spec = KVWorkloadSpec(
+            algorithm="abd", num_keys=1, num_shards=1, replication=3, num_ops=1,
+            arrival="poisson" if open_loop else "closed", arrival_rate=1.0 if open_loop else 0.0,
+        )
+        store = deploy(spec)
+        (key,) = spec.keys()
+        processes = store.register_for(key).processes
+        for process in processes[1:]:
+            process.crash()
+        if serving_replica_crashes:
+            store.simulator.schedule_at(0.5, processes[0].crash)
+        script = [(0.0, OpRequest(OperationKind.READ, key, 0), None)]
+        ops, _drives, finished = drive_script(store, script, spec.open_loop, spec.batch_size)
+        result = KVWorkloadResult.from_store(spec, store, ops, 0.0, finished_cleanly=finished)
+        return ops, finished, result
+
+    @pytest.mark.parametrize("open_loop", [False, True], ids=["closed-window", "open-loop"])
+    def test_a_stall_on_a_live_replica_leaves_the_run_unfinished(self, open_loop):
+        (op,), finished, result = self._run(open_loop)
+        assert op.failed
+        assert op.failure_reason.startswith("stalled on replica p0 (crashed=False)")
+        assert result.store.driver.stalled == 1
+        assert finished is False
+        assert not result.verify().ok
+
+    @pytest.mark.parametrize("open_loop", [False, True], ids=["closed-window", "open-loop"])
+    def test_a_stall_on_a_crashed_replica_counts_as_done(self, open_loop):
+        (op,), finished, result = self._run(open_loop, serving_replica_crashes=True)
+        assert op.failed
+        assert op.failure_reason.startswith("stalled on replica p0 (crashed=True)")
+        assert result.store.driver.stalled == 0
+        assert finished is True

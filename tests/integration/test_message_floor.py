@@ -21,6 +21,7 @@ import sys
 from collections import Counter
 
 from repro.core.messages import WriteMessage
+from repro.core.process import TwoBitRegisterProcess
 from repro.exec.driver import Driver
 from repro.registers.costmodels import value_bits
 from repro.sim.delays import UniformDelay
@@ -50,8 +51,14 @@ def _profiled_run():
 
     calls = Counter()  # code object -> Python-level calls
     loop_predicates = []  # what each run_until was handed
-    scans = {"depth": 0, "triggered": 0}
-    check_guards = ProcessBase.check_guards.__code__
+    scans = {"depth": 0, "triggered": 0, "guards_built": 0, "op_waits_fired": 0}
+    # Every scan enters the two-bit process's check_guards (which hands a
+    # non-empty guard list on to ProcessBase's).
+    check_guards = TwoBitRegisterProcess.check_guards.__code__
+    scanners = (check_guards, ProcessBase.check_guards.__code__)
+    add_guard = ProcessBase.add_guard.__code__
+    guard_init = Guard.__init__.__code__
+    fire_op = TwoBitRegisterProcess._fire_op.__code__
     run_until = Simulator.run_until.__code__
 
     def profile(frame, event, _arg):
@@ -59,12 +66,19 @@ def _profiled_run():
         if event == "call":
             calls[code] += 1
             if code is check_guards:
-                # A scan entered from inside another is add_guard's follow-up
-                # to a wait that held at once, not a delivery's.
+                # A scan entered from inside another is the follow-up to a
+                # wait that held at once, not a delivery's.
                 scans["triggered"] += scans["depth"] == 0
                 scans["depth"] += 1
             elif code is run_until:
                 loop_predicates.append(frame.f_locals["predicate"])
+            elif code is guard_init:
+                # A line-11 / line-20 wait (an operation wait that joins the
+                # guard list is built elsewhere, and counted when it fires).
+                scans["guards_built"] += frame.f_back.f_code is add_guard
+            elif code is fire_op:
+                # An operation wait fired by a scan (not at registration).
+                scans["op_waits_fired"] += frame.f_back.f_code in scanners
         elif event == "return" and code is check_guards:
             scans["depth"] -= 1
 
@@ -76,11 +90,11 @@ def _profiled_run():
     finally:
         sys.setprofile(None)
     processes = [p for key in spec.keys() for p in store.register_for(key).processes]
-    return store, processes, calls, loop_predicates, scans["triggered"], drives
+    return store, processes, calls, loop_predicates, scans, drives
 
 
 def test_the_two_bit_message_floor():
-    store, processes, calls, loop_predicates, triggered_scans, drives = _profiled_run()
+    store, processes, calls, loop_predicates, scans, drives = _profiled_run()
     assert all(op.completed for op in store.ops) and len(store.ops) == OPS
     sent = store.stats.messages_sent
     assert sent == 2776 and store.simulator.executed_events == 2772  # the fixed run
@@ -96,10 +110,12 @@ def test_the_two_bit_message_floor():
     assert loop_predicates == [None] * drives
     assert calls[Driver._idle.__code__] == OPS + 2 * drives
 
-    # (2) Scanned only when a wait can hold.  Every guard that was built was
-    # fired by a scan, except those still pending when the run stopped.
+    # (2) Scanned only when a wait can hold.  Every line-11 / line-20 guard
+    # that was built was fired by a scan, except those still pending when the
+    # run stopped (every operation completed: no operation wait is pending).
     pending = sum(len(process.pending_guards()) for process in processes)
-    fired_by_scans = calls[Guard.__init__.__code__] - pending
+    fired_by_scans = scans["guards_built"] - pending + scans["op_waits_fired"]
+    triggered_scans = scans["triggered"]
     assert fired_by_scans > OPS
     assert triggered_scans <= 1.1 * fired_by_scans, (triggered_scans, fired_by_scans)
 

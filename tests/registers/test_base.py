@@ -31,14 +31,10 @@ class TestQuorumTracker:
             tracker = QuorumTracker(n)
             assert 2 * tracker.quorum_size > n
 
-    def test_satisfied_and_count(self):
+    def test_satisfied(self):
         tracker = QuorumTracker(5)
         assert not tracker.satisfied(2)
         assert tracker.satisfied(3)
-        values = [3, 1, 4, 1, 5]
-        assert tracker.count_satisfying(values, lambda v: v >= 3) == 3
-        assert tracker.quorum_of(values, lambda v: v >= 3)
-        assert not tracker.quorum_of(values, lambda v: v >= 5)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
