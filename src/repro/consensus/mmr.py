@@ -293,6 +293,10 @@ class ConsensusObjectProcess(RegisterProcess):
     def _start_operation(self, record: OperationRecord, done: Callable[..., None]) -> None:
         self._submit_command(record, done)
 
+    def abandon_operation(self) -> None:
+        """Keep the stalled command: it may still be decided and applied
+        later, so this replica goes on refusing new operations until then."""
+
     def _submit_command(self, record: OperationRecord, done: Callable[..., None]) -> None:
         if self._pending is not None:
             raise RuntimeError(

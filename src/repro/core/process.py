@@ -255,6 +255,18 @@ class TwoBitRegisterProcess(RegisterProcess):
             self._fire_op()
         self._scan_due = False
 
+    def abandon_operation(self) -> None:
+        """Let go of a stalled operation and of its wait, held or in the guard list.
+
+        The line-11 / line-20 waits stay: they belong to the replica, not
+        to the operation.
+        """
+        super().abandon_operation()
+        if self._op_line:
+            fire = self._fire_op
+            self._guards = [guard for guard in self._guards if guard.action != fire]
+            self._op_line, self._op_done = 0, None
+
     def waiting_on(self) -> list[str]:
         """The pending waits' labels, in registration order (the held operation wait too)."""
         if self._op_held():

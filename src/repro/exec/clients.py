@@ -166,7 +166,7 @@ class OpenLoopClient:
         self._fired += 1
         self._pending = self._pull()
         process = self.target.route(request)
-        op = self.driver.new_op(request.kind, value=value, key=request.key, on_done=self._op_done)
+        op = self.driver.new_op(request.kind, value, request.key, self._op_done)
         self.ops.append(op)
         # Count before submitting: on_done fires synchronously (and balances
         # the count) when the op fails at issue time.
@@ -195,9 +195,7 @@ class OpenLoopClient:
             chain.entries.clear()
             chain.busy = False
             return
-        op = self.driver.new_op(
-            request.kind, value=value, key=request.key, on_done=partial(self._chain_next, chain)
-        )
+        op = self.driver.new_op(request.kind, value, request.key, partial(self._chain_next, chain))
         self.ops.append(op)
         self.driver.submit(chain.process, op)
 

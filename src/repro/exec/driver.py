@@ -231,5 +231,8 @@ class Driver:
             )
             if not process.crashed:
                 self.stalled += len(queue)
+                # The replica lives on: its next operation must not be
+                # refused as overlapping this one.
+                process.abandon_operation()
             while queue:
                 self._fail(queue.popleft(), reason)

@@ -43,11 +43,10 @@ explorer/checker validation.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator
 
 from repro.consensus.mmr import SkipAuxConsensusProcess
-from repro.quorum.aggregators import MaxReply
+from repro.quorum.aggregators import HIGHEST_PAIR
 from repro.registers.abd import AbdReadQuery, AbdRegisterProcess, AbdWrite
 from repro.registers.base import OperationRecord, RegisterAlgorithm
 from repro.registers.registry import (
@@ -74,7 +73,7 @@ class AbdNoWriteBackProcess(AbdRegisterProcess):
             "read",
             tag=rsn,
             message=AbdReadQuery(rsn=rsn),
-            aggregator=MaxReply(key=itemgetter(0)),
+            aggregator=HIGHEST_PAIR,
             self_reply=(self.seq, self.value),
             on_quorum=finish,
             label=("ABD(no-writeback) read#%d query quorum", rsn),

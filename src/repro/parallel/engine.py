@@ -92,7 +92,9 @@ def _barrier(conn: Any, simulator: Any, drove: bool) -> None:
 def _run_group(conn: Any, spec, group_index: int, n_groups: int) -> Dict[str, Any]:
     """Execute one shard group's slice of the workload (runs inside a worker)."""
     from repro.consensus.mmr import replica_invariants
-    from repro.workloads.kv import deploy, drive_script, iter_kv_script, last_kv_arrival
+    from repro.workloads.kv import (
+        deploy, drive_script, iter_kv_arrivals, iter_kv_script, last_kv_arrival,
+    )
 
     # Every worker deploys the *complete* store (it is itself a plain
     # single-process store over the shards it owns).  Fault plan and crash
@@ -115,10 +117,12 @@ def _run_group(conn: Any, spec, group_index: int, n_groups: int) -> Dict[str, An
     # The serial run's script, filtered: open-loop arrivals keep their
     # absolute times and the budget its global anchor; every worker walks
     # every closed-loop window (even ones it owns nothing in), so the
-    # barrier count matches across workers and the parent.
+    # barrier count matches across workers and the parent.  The times are
+    # drawn twice, lazily (once for the budget's anchor, once as they are
+    # fired), so a worker holds none of them.
     ops, batches, finished = drive_script(
         store,
-        iter_kv_script(spec),
+        iter_kv_script(spec, iter_kv_arrivals(spec) if spec.open_loop else ()),
         spec.open_loop,
         spec.batch_size,
         last_kv_arrival(spec),

@@ -14,17 +14,17 @@ reject stale replies, quorum waits — three times over.
   arithmetic (canonical home; re-exported from ``repro.registers.base`` for
   backwards compatibility).
 * :class:`~repro.quorum.aggregators.ReplyAggregator` and friends — pluggable
-  per-phase reply reductions (ack counting, max-by-key selection).
+  reductions of a finished reply set (ack counting, max-by-key selection).
 * :class:`~repro.quorum.engine.QuorumCollector` — one in-flight phase: its
-  tag (the stale-reply guard), its aggregator, its threshold and its
-  continuation; ``accept`` counts a reply and, at the quorum-th, runs the
-  continuation — exactly once.
+  tag (the stale-reply guard), its reply set, its aggregator, its threshold
+  and its continuation.
 * :class:`~repro.quorum.engine.PhaseRegisterProcess` — the broadcast/collect
   engine itself: ``start_phase`` seeds the sender's own reply and sends one
   message to every peer (a single multi-destination ``send``);
-  ``phase_reply`` applies the stale-phase guard and hands the reply to the
-  collector.  Quorum waits are counted, not polled: the engine registers no
-  guards.
+  ``phase_reply``, the one place a reply is counted, applies the stale-phase
+  guard and the duplicate check, records the reply and, at the quorum-th,
+  runs the continuation — exactly once, in its own frame.  Quorum waits are
+  counted, not polled: the engine registers no guards.
 
 The engine is deliberately *history-preserving*: ``start_phase`` performs
 exactly the sends (same order) the hand-rolled loops did, and the
@@ -35,11 +35,12 @@ leaves every closed-loop history byte-identical (pinned by
 count unchanged (Theorem 2, checked by ``repro messages``).
 """
 
-from repro.quorum.aggregators import AckCounter, MaxReply, ReplyAggregator
+from repro.quorum.aggregators import HIGHEST_PAIR, AckCounter, MaxReply, ReplyAggregator
 from repro.quorum.tracker import QuorumTracker
 
 __all__ = [
     "AckCounter",
+    "HIGHEST_PAIR",
     "MaxReply",
     "NO_SELF_REPLY",
     "PhaseRegisterProcess",

@@ -2,45 +2,31 @@
 
 A quorum phase collects *one reply per responder* (later duplicates are
 ignored — exactly the ``src not in replies`` check the hand-rolled loops
-performed) and reduces the payloads when the quorum is reached.  The two
-reductions the register algorithms need are provided here; new algorithms can
-subclass :class:`ReplyAggregator` for richer ones (vector collection, voting,
-...).
+performed) into its collector's ``replies`` dict, keyed by responder pid.
+Insertion order (= the deterministic reply arrival order, the sender's own
+reply first) is exactly the iteration order the pre-engine code saw, so
+reductions that break ties by "first seen" are history-preserving.
 
-Replies are kept in a ``dict`` keyed by responder pid; insertion order (= the
-deterministic reply arrival order, the sender's own reply first) is exactly
-the iteration order the pre-engine code saw, so reductions that break ties by
-"first seen" are history-preserving.
+An aggregator is only the reduction: :meth:`ReplyAggregator.result` maps a
+finished reply set to the phase's value.  It holds no per-phase state, so one
+instance serves every phase that reduces the same way.  The two reductions the
+register algorithms need are provided here; new algorithms can subclass
+:class:`ReplyAggregator` for richer ones (vector collection, voting, ...).
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Dict, Optional
 
 
 class ReplyAggregator:
-    """Accumulates one reply per responder; subclasses define the reduction."""
+    """The reduction of a phase's replies; subclasses define it."""
 
-    __slots__ = ("replies",)
+    __slots__ = ()
 
-    def __init__(self) -> None:
-        #: Responder pid -> reply payload, in arrival order (first reply wins).
-        self.replies: Dict[int, Any] = {}
-
-    def accept(self, src: int, payload: Any) -> bool:
-        """Record ``src``'s reply; duplicates are ignored (returns False)."""
-        if src in self.replies:
-            return False
-        self.replies[src] = payload
-        return True
-
-    @property
-    def responders(self) -> int:
-        """Number of distinct processes that have replied."""
-        return len(self.replies)
-
-    def result(self) -> Any:
-        """The aggregated value once a quorum is reached (None by default)."""
+    def result(self, replies: Dict[int, Any]) -> Any:
+        """The aggregated value of ``replies`` (responder pid -> payload); None by default."""
         return None
 
 
@@ -49,12 +35,12 @@ class AckCounter(ReplyAggregator):
 
     __slots__ = ()
 
-    def result(self) -> int:
-        return self.responders
+    def result(self, replies: Dict[int, Any]) -> int:
+        return len(replies)
 
 
 class MaxReply(ReplyAggregator):
-    """Keeps every reply and returns the maximum payload.
+    """Returns the maximum payload.
 
     ``key`` mirrors ``max(..., key=...)``: with a key function, ties are
     broken by arrival order (first maximal reply wins) — the exact semantics
@@ -65,12 +51,16 @@ class MaxReply(ReplyAggregator):
     __slots__ = ("key",)
 
     def __init__(self, key: Optional[Callable[[Any], Any]] = None) -> None:
-        super().__init__()
         self.key = key
 
-    def result(self) -> Any:
-        if not self.replies:
+    def result(self, replies: Dict[int, Any]) -> Any:
+        if not replies:
             raise ValueError("cannot aggregate an empty reply set")
         if self.key is None:
-            return max(self.replies.values())
-        return max(self.replies.values(), key=self.key)
+            return max(replies.values())
+        return max(replies.values(), key=self.key)
+
+
+#: The ABD family's read reduction: the ``(sequence number or timestamp,
+#: value)`` pair with the highest first element, the first seen on a tie.
+HIGHEST_PAIR = MaxReply(key=itemgetter(0))

@@ -10,10 +10,12 @@ A *phase* is the unit every quorum protocol is built from:
 4. aggregate the replies and run the continuation.
 
 The wait of step 3 is a **count**, and it is reached at the instant the
-reply that reaches it is accepted: :meth:`QuorumCollector.accept`, the one
-place a reply is counted, compares the count with the threshold right there
-and runs the phase's continuation — exactly once, at the quorum-th distinct
-reply.  Nothing is polled, and a process built on the engine keeps no guards.
+reply that reaches it is recorded: :meth:`PhaseRegisterProcess.phase_reply`,
+the one place a reply is counted, does the whole job in its own frame — the
+stale-phase guard, the duplicate check, recording the payload, the ``n - t``
+comparison and the single firing of the continuation, at the quorum-th
+distinct reply.  Nothing is polled, and a process built on the engine keeps
+no guards.
 
 :class:`PhaseRegisterProcess` owns a small table of named phase *slots*
 (``"write"``, ``"read"``, ``"writeback"``, ...): at most one phase is active
@@ -43,90 +45,70 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.quorum.aggregators import AckCounter, ReplyAggregator
-from repro.quorum.tracker import QuorumTracker
 from repro.registers.base import RegisterProcess
 from repro.transport.runtime import render_label
 
 #: Sentinel: "this phase has no self-reply" (distinct from a ``None`` payload).
 NO_SELF_REPLY = object()
 
+#: The reduction of a phase that names none: its replies are acknowledgements.
+_ACKS = AckCounter()
+
 
 class QuorumCollector:
-    """One in-flight (or retained) phase: tag, aggregator, threshold, continuation.
+    """One in-flight (or retained) phase: tag, replies, threshold, continuation.
 
-    The collector is the stale-phase guard made explicit: a reply is accepted
-    only while the phase is open *and* carries the phase's tag.  Closing a
+    A reply counts only while the phase is open *and* carries the phase's
+    tag (:meth:`PhaseRegisterProcess.phase_reply` checks both).  Closing a
     phase (when its operation completes) freezes the reply set — late replies
     are ignored, exactly like the pre-engine ``pending = None`` idiom.
 
-    ``on_quorum`` is the continuation while the phase still waits for its
-    quorum, and ``None`` once it has run (or the process crashed): a phase
-    fires at most once, and replies past the quorum are only recorded.
+    ``replies`` maps responder pid -> payload in arrival order (the first
+    reply of a responder wins).  ``on_quorum`` is the continuation while the
+    phase still waits for its quorum, and ``None`` once it has run (or the
+    process crashed): a phase fires at most once, and replies past the quorum
+    are only recorded.
     """
 
-    __slots__ = ("slot", "tag", "aggregator", "quorum_size", "on_quorum", "label", "closed")
+    __slots__ = (
+        "slot", "tag", "aggregator", "replies", "quorum_size", "on_quorum", "label", "closed"
+    )
 
     def __init__(
         self,
         slot: str,
         tag: Any,
         aggregator: ReplyAggregator,
-        tracker: QuorumTracker,
-        on_quorum: Optional[Callable[["QuorumCollector"], None]] = None,
-        label: Any = "",
+        quorum_size: int,
+        on_quorum: Optional[Callable[["QuorumCollector"], None]],
+        label: Any,
     ) -> None:
         self.slot = slot
         self.tag = tag
         self.aggregator = aggregator
-        self.quorum_size = tracker.quorum_size
+        self.replies: dict = {}
+        self.quorum_size = quorum_size
         self.on_quorum = on_quorum
         #: Diagnostic tag, a string or a lazy ``(format, *args)`` tuple (read
         #: only when a run is stuck: ``PhaseRegisterProcess.waiting_on``).
         self.label = label
         self.closed = False
 
-    @property
-    def replies(self) -> dict:
-        """Responder pid -> payload, in arrival order."""
-        return self.aggregator.replies
-
-    def satisfied(self) -> bool:
-        """True when at least ``n - t`` processes (self included) replied."""
-        return len(self.aggregator.replies) >= self.quorum_size
-
-    def accept(self, src: int, payload: Any = None) -> bool:
-        """Count one reply (ignored when closed or duplicate).
-
-        The reply that brings the count to ``n - t`` runs the continuation,
-        here, with that reply already recorded.
-        """
-        if self.closed:
-            return False
-        accepted = self.aggregator.accept(src, payload)
-        if accepted:
-            self.fire_if_due()
-        return accepted
-
-    def fire_if_due(self) -> None:
-        """Run the continuation if it has not run and the quorum is there."""
-        on_quorum = self.on_quorum
-        if on_quorum is not None and len(self.aggregator.replies) >= self.quorum_size:
-            self.on_quorum = None
-            on_quorum(self)
+    def accept(self, src: int, payload: Any = None) -> None:
+        """Record ``src``'s reply and run nothing: how ``start_phase`` seeds the
+        sender's own reply.  A peer's reply is counted, and the continuation
+        run, by :meth:`PhaseRegisterProcess.phase_reply`."""
+        self.replies[src] = payload
 
     def result(self) -> Any:
         """The aggregator's reduction over the collected replies."""
-        return self.aggregator.result()
-
-    def close(self) -> None:
-        """Stop accepting replies (the reply set is retained)."""
-        self.closed = True
+        return self.aggregator.result(self.replies)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self.closed else "open"
         return (
             f"QuorumCollector({self.slot!r}, tag={self.tag!r}, "
-            f"{len(self.aggregator.replies)}/{self.quorum_size}, {state})"
+            f"{len(self.replies)}/{self.quorum_size}, {state})"
         )
 
 
@@ -134,10 +116,9 @@ class PhaseRegisterProcess(RegisterProcess):
     """A register process whose operations are sequences of quorum phases.
 
     Subclasses express each protocol phase as one :meth:`start_phase` call
-    and route reply messages through :meth:`phase_reply` (or
-    :meth:`active_phase` when the payload needs per-reply computation).  The
-    engine owns the reply sets, the stale-phase guards and the quorum counts
-    the pre-engine implementations each hand-rolled.
+    and route reply messages through :meth:`phase_reply`.  The engine owns
+    the reply sets, the stale-phase guards and the quorum counts the
+    pre-engine implementations each hand-rolled.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -163,49 +144,65 @@ class PhaseRegisterProcess(RegisterProcess):
         counting toward local memory).  ``self_reply`` seeds the sender's own
         implicit reply *before* the broadcast, mirroring the pseudocode's
         "the writer itself counts" convention; pass :data:`NO_SELF_REPLY`
-        (the default) for phases where it does not.  A quorum that is already
-        there when the send returns runs ``on_quorum`` before this returns.
+        (the default) for phases where it does not.  ``aggregator`` is the
+        reduction :meth:`QuorumCollector.result` applies (acknowledgement
+        counting by default).  A quorum that is already there when the send
+        returns runs ``on_quorum`` before this returns.
         """
-        phase = QuorumCollector(
+        phase = self._phases[slot] = QuorumCollector(
             slot,
             tag,
-            aggregator if aggregator is not None else AckCounter(),
-            self.quorum,
+            _ACKS if aggregator is None else aggregator,
+            self.quorum.quorum_size,
             on_quorum,
             label,
         )
-        self._phases[slot] = phase
         if self_reply is not NO_SELF_REPLY:
-            phase.aggregator.accept(self.pid, self_reply)
-        self.send(self._peers, message)
+            phase.accept(self.pid, self_reply)
+        if not self.crashed:
+            self.network.send(self.pid, self._peers, message)
         if self.crashed:
             # Crashed before the call, or killed by a send hook mid-list: a
             # process that takes no more steps waits for nothing.
             phase.on_quorum = None
-        else:
-            phase.fire_if_due()
-        return phase
-
-    def active_phase(self, slot: str, tag: Any = None) -> Optional[QuorumCollector]:
-        """The open phase in ``slot`` carrying ``tag``, or None (stale guard)."""
-        phase = self._phases.get(slot)
-        if phase is None or phase.closed or phase.tag != tag:
-            return None
+        elif len(phase.replies) >= phase.quorum_size:
+            phase.on_quorum = None
+            on_quorum(phase)
         return phase
 
     def phase_reply(self, slot: str, src: int, payload: Any = None, tag: Any = None) -> bool:
-        """Accept one reply for ``slot`` if the phase is open and ``tag`` matches."""
-        phase = self.active_phase(slot, tag)
-        if phase is None:
+        """Count ``src``'s reply to the open phase in ``slot`` carrying ``tag``.
+
+        Returns ``False`` for a stale reply (no such phase, closed, or another
+        tag) and for a duplicate (``src`` already replied).  The reply that
+        brings the count to ``n - t`` runs the continuation, here, with that
+        reply already recorded; later replies are only recorded.
+        """
+        phase = self._phases.get(slot)
+        if phase is None or phase.closed or phase.tag != tag:
             return False
-        return phase.accept(src, payload)
+        replies = phase.replies
+        if src in replies:
+            return False
+        replies[src] = payload
+        on_quorum = phase.on_quorum
+        if on_quorum is not None and len(replies) >= phase.quorum_size:
+            phase.on_quorum = None
+            on_quorum(phase)
+        return True
 
     def close_phases(self, *slots: str) -> None:
         """Close the named phases (idempotent; missing slots are ignored)."""
+        phases = self._phases
         for slot in slots:
-            phase = self._phases.get(slot)
+            phase = phases.get(slot)
             if phase is not None:
-                phase.close()
+                phase.closed = True
+
+    def abandon_operation(self) -> None:
+        """Let go of a stalled operation, and close every phase it left open."""
+        super().abandon_operation()
+        self.close_phases(*self._phases)
 
     def crash(self) -> None:
         """Halt the process; its phases' continuations will never run."""
@@ -219,7 +216,7 @@ class PhaseRegisterProcess(RegisterProcess):
         """Every open phase still short of its quorum, with its progress."""
         return super().waiting_on() + [
             f"{render_label(phase.label) or phase.slot} "
-            f"({len(phase.aggregator.replies)}/{phase.quorum_size} replies)"
+            f"({len(phase.replies)}/{phase.quorum_size} replies)"
             for phase in self._phases.values()
             if phase.on_quorum is not None and not phase.closed
         ]
@@ -231,5 +228,5 @@ class PhaseRegisterProcess(RegisterProcess):
         for slot in slots:
             phase = phases.get(slot)
             if phase is not None:
-                total += len(phase.aggregator.replies)
+                total += len(phase.replies)
         return total

@@ -36,10 +36,9 @@ call, and reply handling routes through the engine's stale-phase guard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Any, Callable
 
-from repro.quorum.aggregators import MaxReply
+from repro.quorum.aggregators import HIGHEST_PAIR
 from repro.quorum.engine import PhaseRegisterProcess
 from repro.registers.base import OperationRecord, RegisterAlgorithm
 from repro.registers.costmodels import Price, int_bits, value_bits
@@ -163,7 +162,7 @@ class AbdRegisterProcess(PhaseRegisterProcess):
         self.start_phase(
             "write",
             tag=seq,
-            message=AbdWrite(seq=seq, value=record.value),
+            message=AbdWrite(seq, record.value),
             self_reply=None,
             on_quorum=finish,
             label=("ABD write#%d ack quorum", seq),
@@ -186,7 +185,7 @@ class AbdRegisterProcess(PhaseRegisterProcess):
             self.start_phase(
                 "writeback",
                 tag=rsn,
-                message=AbdWriteBack(rsn=rsn, seq=best_seq, value=best_value),
+                message=AbdWriteBack(rsn, best_seq, best_value),
                 self_reply=None,
                 on_quorum=finish,
                 label=("ABD read#%d write-back quorum", rsn),
@@ -195,8 +194,8 @@ class AbdRegisterProcess(PhaseRegisterProcess):
         self.start_phase(
             "read",
             tag=rsn,
-            message=AbdReadQuery(rsn=rsn),
-            aggregator=MaxReply(key=itemgetter(0)),
+            message=AbdReadQuery(rsn),
+            aggregator=HIGHEST_PAIR,
             self_reply=(self.seq, self.value),
             on_quorum=start_write_back,
             label=("ABD read#%d query quorum", rsn),
@@ -205,21 +204,23 @@ class AbdRegisterProcess(PhaseRegisterProcess):
     # -------------------------------------------------------------- handlers
 
     def on_message(self, src: int, message: Any) -> None:
+        # A handler runs only on a live process, and a reply is its last
+        # step: it goes straight to the network.
         cls = message.__class__
         if cls is AbdWrite:
             self._adopt(message.seq, message.value)
-            self.send(src, AbdWriteAck(seq=message.seq))
+            self.network.send(self.pid, src, AbdWriteAck(message.seq))
         elif cls is AbdWriteAck:
-            self.phase_reply("write", src, tag=message.seq)
+            self.phase_reply("write", src, None, message.seq)
         elif cls is AbdReadQuery:
-            self.send(src, AbdReadReply(rsn=message.rsn, seq=self.seq, value=self.value))
+            self.network.send(self.pid, src, AbdReadReply(message.rsn, self.seq, self.value))
         elif cls is AbdReadReply:
-            self.phase_reply("read", src, (message.seq, message.value), tag=message.rsn)
+            self.phase_reply("read", src, (message.seq, message.value), message.rsn)
         elif cls is AbdWriteBack:
             self._adopt(message.seq, message.value)
-            self.send(src, AbdWriteBackAck(rsn=message.rsn))
+            self.network.send(self.pid, src, AbdWriteBackAck(message.rsn))
         elif cls is AbdWriteBackAck:
-            self.phase_reply("writeback", src, tag=message.rsn)
+            self.phase_reply("writeback", src, None, message.rsn)
         else:
             raise TypeError(f"p{self.pid} received unknown ABD message {message!r} from p{src}")
 

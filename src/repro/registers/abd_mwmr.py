@@ -22,10 +22,9 @@ are ``start_phase`` calls on the shared quorum engine (:mod:`repro.quorum`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Any, Callable, Tuple
 
-from repro.quorum.aggregators import MaxReply
+from repro.quorum.aggregators import HIGHEST_PAIR, MaxReply
 from repro.quorum.engine import PhaseRegisterProcess
 from repro.registers.abd import ABD_TYPE_BITS
 from repro.registers.base import OperationRecord, RegisterAlgorithm
@@ -226,7 +225,7 @@ class MwmrAbdRegisterProcess(PhaseRegisterProcess):
             "read",
             tag=rsn,
             message=MwAbdReadQuery(rsn=rsn),
-            aggregator=MaxReply(key=itemgetter(0)),
+            aggregator=HIGHEST_PAIR,
             self_reply=(self.ts, self.value),
             on_quorum=start_write_back,
             label=("MWABD read#%d query quorum", rsn),

@@ -285,6 +285,16 @@ class RegisterProcess(ProcessBase):
             f"{self._current_op.kind.value} is still pending; processes are sequential"
         )
 
+    def abandon_operation(self) -> None:
+        """Let go of the operation in progress, which the driver failed as stalled.
+
+        A sequential process refuses a new operation while one is pending;
+        a stalled one can never complete, so without this the replica would
+        refuse every later operation.  Subclasses also drop the waits the
+        operation left behind, so that nothing of it runs later.
+        """
+        self._current_op = None
+
     def _complete(
         self,
         record: OperationRecord,

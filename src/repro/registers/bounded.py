@@ -37,10 +37,9 @@ this module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Any, Callable, Optional
 
-from repro.quorum.aggregators import MaxReply
+from repro.quorum.aggregators import HIGHEST_PAIR
 from repro.quorum.engine import PhaseRegisterProcess
 from repro.registers.abd import ABD_TYPE_BITS
 from repro.registers.base import OperationRecord, RegisterAlgorithm
@@ -254,7 +253,7 @@ class ModuloSeqAbdProcess(PhaseRegisterProcess):
             "read",
             tag=rsn_mod,
             message=ModReadQuery(rsn_mod=rsn_mod, modulus=self.modulus),
-            aggregator=MaxReply(key=itemgetter(0)),
+            aggregator=HIGHEST_PAIR,
             self_reply=(self.seq, self.value),
             on_quorum=start_write_back,
             label=("MOD read#%d query quorum", rsn),
@@ -281,12 +280,11 @@ class ModuloSeqAbdProcess(PhaseRegisterProcess):
                 ),
             )
         elif cls is ModReadReply:
-            # Reconstruction only for replies the stale-phase guard admits —
-            # a late reply to a finished read must not be able to raise.
-            phase = self.active_phase("read", tag=message.rsn_mod)
-            if phase is not None and src not in phase.replies:
-                seq = reconstruct(self.seq, message.seq_mod, self.modulus)
-                phase.accept(src, (seq, message.value))
+            # Reconstruction reads only the local pair and never raises: a
+            # wire representative is always in [0, M), and the closest
+            # candidate is non-negative once M is added back.
+            seq = reconstruct(self.seq, message.seq_mod, self.modulus)
+            self.phase_reply("read", src, (seq, message.value), message.rsn_mod)
         elif cls is ModWriteBack:
             seq = reconstruct(self.seq, message.seq_mod, self.modulus)
             self._adopt(seq, message.value)

@@ -658,9 +658,15 @@ def last_kv_arrival(spec: KVWorkloadSpec) -> float:
     return last
 
 
-def iter_kv_script(spec: KVWorkloadSpec) -> Iterator[Tuple[float, OpRequest, Any]]:
-    """The spec's ``(at, request, value)`` script, lazily (closed loop: ``at`` is 0)."""
-    times = iter_kv_arrivals(spec) if spec.open_loop else itertools.repeat(0.0)
+def iter_kv_script(
+    spec: KVWorkloadSpec, arrivals: Iterable[float]
+) -> Iterator[Tuple[float, OpRequest, Any]]:
+    """The spec's ``(at, request, value)`` script, lazily (closed loop: ``at`` is 0).
+
+    ``arrivals``: the open-loop times (``generate_kv_arrivals(spec)``); a
+    closed loop ignores them (pass ``()``).
+    """
+    times = arrivals if spec.open_loop else itertools.repeat(0.0)
     for at, scripted in zip(times, iter_kv_operations(spec)):
         yield (at, interned_request(scripted.kind, scripted.key, None), scripted.value)
 
@@ -775,11 +781,14 @@ def run_kv_workload(spec: KVWorkloadSpec) -> KVWorkloadResult:
         return run_kv_workload_parallel(spec)
     store = deploy(spec)
     started = time.perf_counter()
-    # The script streams into the loop: the full operation list never exists.
-    ops, batches, finished = drive_script(
-        store, iter_kv_script(spec), spec.open_loop, spec.batch_size, last_kv_arrival(spec)
-    )
+    # The arrival times are drawn once: the script, the drive budget (the
+    # last arrival) and the result share them.  The operations stream into
+    # the loop: the full operation list never exists.
     arrivals = generate_kv_arrivals(spec) if spec.open_loop else []
+    ops, batches, finished = drive_script(
+        store, iter_kv_script(spec, arrivals), spec.open_loop, spec.batch_size,
+        arrivals[-1] if arrivals else 0.0,
+    )
     wall_seconds = time.perf_counter() - started
     return KVWorkloadResult.from_store(
         spec, store, ops, wall_seconds,

@@ -523,11 +523,12 @@ class TestStalledKeyedRun:
     """
 
     @staticmethod
-    def _run(open_loop, serving_replica_crashes=False):
-        from repro.workloads.kv import KVWorkloadResult, KVWorkloadSpec, deploy, drive_script
+    def _store(open_loop, algorithm):
+        """The store, with replicas 1 and 2 of its one key crashed."""
+        from repro.workloads.kv import KVWorkloadSpec, deploy
 
         spec = KVWorkloadSpec(
-            algorithm="abd", num_keys=1, num_shards=1, replication=3, num_ops=1,
+            algorithm=algorithm, num_keys=1, num_shards=1, replication=3, num_ops=1,
             arrival="poisson" if open_loop else "closed", arrival_rate=1.0 if open_loop else 0.0,
         )
         store = deploy(spec)
@@ -535,10 +536,26 @@ class TestStalledKeyedRun:
         processes = store.register_for(key).processes
         for process in processes[1:]:
             process.crash()
+        return spec, store, key, processes
+
+    @staticmethod
+    def _read(spec, store, key):
+        """Drive one read pinned to replica 0; ``(ops, finished)``."""
+        from repro.workloads.kv import drive_script
+
+        script = [(store.simulator.now, OpRequest(OperationKind.READ, key, 0), None)]
+        ops, _drives, finished = drive_script(store, script, spec.open_loop, spec.batch_size)
+        return ops, finished
+
+    @classmethod
+    def _run(cls, open_loop, serving_replica_crashes=False, algorithm="abd", runs=1):
+        from repro.workloads.kv import KVWorkloadResult
+
+        spec, store, key, processes = cls._store(open_loop, algorithm)
         if serving_replica_crashes:
             store.simulator.schedule_at(0.5, processes[0].crash)
-        script = [(0.0, OpRequest(OperationKind.READ, key, 0), None)]
-        ops, _drives, finished = drive_script(store, script, spec.open_loop, spec.batch_size)
+        for _ in range(runs):
+            ops, finished = cls._read(spec, store, key)
         result = KVWorkloadResult.from_store(spec, store, ops, 0.0, finished_cleanly=finished)
         return ops, finished, result
 
@@ -558,3 +575,43 @@ class TestStalledKeyedRun:
         assert op.failure_reason.startswith("stalled on replica p0 (crashed=True)")
         assert result.store.driver.stalled == 0
         assert finished is True
+
+    @pytest.mark.parametrize("algorithm", ["abd", "two-bit"])
+    @pytest.mark.parametrize("open_loop", [False, True], ids=["closed-window", "open-loop"])
+    def test_a_replica_that_stalled_takes_its_next_operation(self, open_loop, algorithm):
+        """The driver lets the stalled operation go: the replica is live and
+        sequential, so its next read is issued (not refused as overlapping)
+        and stalls in turn, with nothing left of the first read's waits."""
+        (op,), finished, result = self._run(open_loop, algorithm=algorithm, runs=2)
+        assert op.failed and not op.completed
+        assert op.failure_reason.startswith("stalled on replica p0 (crashed=False)")
+        # Only the second read's wait is left: the first one's went with it.
+        assert op.failure_reason.endswith(
+            {"abd": "waiting on: ABD read#2 query quorum (1/2 replies)",
+             "two-bit": "waiting on: read#2 line 7 quorum"}[algorithm]
+        )
+        assert finished is False
+        assert result.store.driver.stalled == 2
+        assert [o.op_id for o in result.store.driver.records] == [0, 1]
+
+    @pytest.mark.parametrize("open_loop", [False, True], ids=["closed-window", "open-loop"])
+    def test_a_consensus_replica_that_stalled_keeps_its_command(self, open_loop):
+        """An ``mmr-*`` replica keeps a stalled command (it may still be
+        decided and applied later), so it refuses its next operation as
+        overlapping, and the refusal leaves its state as it was."""
+        spec, store, key, processes = self._store(open_loop, "mmr-cas")
+        (op,), finished = self._read(spec, store, key)
+        assert op.failure_reason.startswith("stalled on replica p0 (crashed=False)")
+        assert finished is False
+        replica = processes[0]
+
+        def state():
+            return (replica._current_op, replica._pending, replica._inflight_slot,
+                    repr(replica._op_counter))
+
+        before = state()
+        assert before[0] is op and before[1][0] is op
+        refusal = "p0 invoked a read while its previous read is still pending"
+        with pytest.raises(RuntimeError, match=refusal):
+            self._read(spec, store, key)
+        assert state() == before

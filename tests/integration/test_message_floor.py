@@ -85,7 +85,7 @@ def _profiled_run():
     sys.setprofile(profile)
     try:
         _ops, drives, _finished = drive_script(
-            store, iter_kv_script(spec), spec.open_loop, spec.batch_size
+            store, iter_kv_script(spec, ()), spec.open_loop, spec.batch_size
         )
     finally:
         sys.setprofile(None)

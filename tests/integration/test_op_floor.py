@@ -15,6 +15,14 @@ set-up) and asserts exact, repeatable counts:
   (130.3 before the driver's operation and the process's record became one
   object, 122.3 after, on CPython 3.11; interpreters that inline
   comprehensions count fewer).
+
+The ABD run is the open-loop store (Poisson arrivals, three replicas, 90%
+reads) at a fixed seed.  There an operation is two quorum phases (one for a
+write) and their replies, so the count holds the phase engine to its lean
+path: at most 115 Python calls per operation (138.8 while a reply went
+``phase_reply -> active_phase -> QuorumCollector.accept ->
+ReplyAggregator.accept -> fire_if_due``, 114.1 once ``phase_reply`` did it
+in one frame, on CPython 3.11).
 """
 
 from __future__ import annotations
@@ -25,28 +33,36 @@ from collections import Counter
 from repro.exec.target import OpRequest
 from repro.registers.base import OperationRecord
 from repro.sim.delays import UniformDelay
-from repro.workloads.kv import KVWorkloadSpec, deploy, drive_script, iter_kv_script
+from repro.workloads.kv import (
+    KVWorkloadSpec, deploy, drive_script, generate_kv_arrivals, iter_kv_script,
+)
+from repro.workloads.scenarios import kv_openloop
 
 OPS = 200
 MAX_CALLS_PER_OP = 124
+MAX_ABD_CALLS_PER_OP = 115
+
+TWO_BIT_SPEC = KVWorkloadSpec(
+    algorithm="two-bit",
+    num_keys=8,
+    num_shards=2,
+    replication=5,
+    read_fraction=0.5,
+    batch_size=32,
+    num_ops=OPS,
+    delay_model=UniformDelay(0.2, 1.0, seed=3),
+    seed=3,
+)
+ABD_SPEC = kv_openloop(num_ops=OPS, arrival_rate=16.0, seed=3)
 
 
-def _profiled_run():
-    spec = KVWorkloadSpec(
-        algorithm="two-bit",
-        num_keys=8,
-        num_shards=2,
-        replication=5,
-        read_fraction=0.5,
-        batch_size=32,
-        num_ops=OPS,
-        delay_model=UniformDelay(0.2, 1.0, seed=3),
-        seed=3,
-    )
+def _profiled_run(spec=TWO_BIT_SPEC):
     store = deploy(spec)
     for key in spec.keys():
         store.register_for(key)
-    script = list(iter_kv_script(spec))
+    arrivals = generate_kv_arrivals(spec) if spec.open_loop else ()
+    script = list(iter_kv_script(spec, arrivals))
+    last_arrival = script[-1][0] if spec.open_loop else 0.0
 
     calls = Counter()  # code object -> Python-level calls
 
@@ -56,7 +72,9 @@ def _profiled_run():
 
     sys.setprofile(profile)
     try:
-        ops, _drives, finished = drive_script(store, script, spec.open_loop, spec.batch_size)
+        ops, _drives, finished = drive_script(
+            store, script, spec.open_loop, spec.batch_size, last_arrival
+        )
     finally:
         sys.setprofile(None)
     return store, ops, finished, calls
@@ -78,3 +96,14 @@ def test_the_store_op_floor():
 
     total = sum(calls.values())
     assert total / OPS <= MAX_CALLS_PER_OP, f"{total / OPS:.2f} Python calls per operation"
+
+
+def test_the_abd_op_floor():
+    store, ops, finished, calls = _profiled_run(ABD_SPEC)
+    assert finished and len(ops) == OPS and all(op.completed for op in ops)
+    assert store.stats.messages_sent == 1544
+    assert calls[OperationRecord.__init__.__code__] == OPS
+    assert calls[OpRequest.__init__.__code__] == 0
+
+    total = sum(calls.values())
+    assert total / OPS <= MAX_ABD_CALLS_PER_OP, f"{total / OPS:.2f} Python calls per operation"

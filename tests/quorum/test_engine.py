@@ -3,11 +3,11 @@
 import pytest
 
 from repro.quorum import (
+    HIGHEST_PAIR,
     AckCounter,
     MaxReply,
     NO_SELF_REPLY,
     PhaseRegisterProcess,
-    QuorumCollector,
     QuorumTracker,
     ReplyAggregator,
 )
@@ -36,79 +36,96 @@ class TestTrackerHome:
 
 
 class TestAggregators:
-    def test_one_reply_per_responder(self):
-        agg = AckCounter()
-        assert agg.accept(1, None)
-        assert not agg.accept(1, None)  # duplicate ignored
-        assert agg.accept(2, None)
-        assert agg.responders == 2
-        assert agg.result() == 2
+    def test_ack_counter_counts_the_responders(self):
+        assert AckCounter().result({0: None, 2: "ignored"}) == 2
 
     def test_max_reply_plain_ordering(self):
-        agg = MaxReply()
-        agg.accept(0, (1, 0))
-        agg.accept(1, (3, 1))
-        agg.accept(2, (2, 2))
-        assert agg.result() == (3, 1)
+        assert MaxReply().result({0: (1, 0), 1: (3, 1), 2: (2, 2)}) == (3, 1)
 
     def test_max_reply_key_breaks_ties_by_arrival_order(self):
         # With a key function, ties keep the first-seen payload — the exact
         # semantics of the pre-engine max(..., key=pair[0]) selection.
         agg = MaxReply(key=lambda pair: pair[0])
-        agg.accept(0, (2, "first"))
-        agg.accept(1, (2, "second"))
-        assert agg.result() == (2, "first")
+        assert agg.result({0: (2, "first"), 1: (2, "second")}) == (2, "first")
+        assert HIGHEST_PAIR.result({1: (2, "second"), 0: (2, "first")}) == (2, "second")
 
     def test_max_reply_rejects_empty(self):
         with pytest.raises(ValueError):
-            MaxReply().result()
+            MaxReply().result({})
 
     def test_base_aggregator_result_is_none(self):
-        agg = ReplyAggregator()
-        agg.accept(0, "x")
-        assert agg.result() is None
+        assert ReplyAggregator().result({0: "x"}) is None
+
+
+def _bare_phase(n, on_quorum=lambda phase: None, aggregator=None, self_reply=NO_SELF_REPLY):
+    """Process 0 of ``n`` with one phase started and nothing delivered yet."""
+    _, _, processes = build_ping_pong(n)
+    process = processes[0]
+    phase = process.start_phase(
+        "write",
+        tag=1,
+        message=PingMessage(),
+        aggregator=aggregator,
+        self_reply=self_reply,
+        on_quorum=on_quorum,
+        label="bare",
+    )
+    return process, phase
 
 
 class TestQuorumCollector:
-    def test_satisfied_at_threshold(self):
-        phase = QuorumCollector("write", 1, AckCounter(), QuorumTracker(5))
+    def test_one_reply_per_responder(self):
+        process, phase = _bare_phase(5, self_reply=None)
+        assert process.phase_reply("write", 1, tag=1)
+        assert not process.phase_reply("write", 1, "again", tag=1)  # duplicate ignored
+        assert process.phase_reply("write", 2, tag=1)
+        assert phase.replies == {0: None, 1: None, 2: None}
+        assert phase.result() == 3
+
+    def test_fires_at_threshold(self):
+        seen = []
+        process, _phase = _bare_phase(5, on_quorum=seen.append)
         for pid in range(2):
-            phase.accept(pid)
-        assert not phase.satisfied()
-        phase.accept(2)
-        assert phase.satisfied()
+            process.phase_reply("write", pid, tag=1)
+        assert seen == []
+        process.phase_reply("write", 2, tag=1)
+        assert len(seen) == 1
 
     def test_closed_phase_rejects_replies_but_keeps_them(self):
-        phase = QuorumCollector("write", 1, AckCounter(), QuorumTracker(3))
-        phase.accept(0)
-        phase.accept(1)
-        phase.close()
-        assert not phase.accept(2)
-        assert set(phase.replies) == {0, 1}
+        process, phase = _bare_phase(3)
+        process.phase_reply("write", 0, tag=1)
+        process.close_phases("write")
+        assert not process.phase_reply("write", 1, tag=1)
+        assert phase.closed and set(phase.replies) == {0}
 
-    def test_continuation_runs_inside_the_accept_that_completes_the_quorum(self):
+    def test_continuation_runs_inside_the_reply_that_completes_the_quorum(self):
         seen = []
-        phase = QuorumCollector(
-            "write", 1, AckCounter(), QuorumTracker(5), lambda phase: seen.append(sorted(phase.replies))
-        )
-        assert phase.accept(0) and phase.accept(1) and not phase.accept(1)
+        process, phase = _bare_phase(5, on_quorum=lambda phase: seen.append(sorted(phase.replies)))
+        reply = process.phase_reply
+        assert reply("write", 0, tag=1) and reply("write", 1, tag=1) and not reply("write", 1, tag=1)
         assert seen == [] and phase.on_quorum is not None
-        assert phase.accept(4)  # the third distinct reply of five: n - t
+        assert reply("write", 4, tag=1)  # the third distinct reply of five: n - t
         assert seen == [[0, 1, 4]] and phase.on_quorum is None
-        assert phase.accept(2) and phase.accept(3)  # past the quorum: recorded, nothing runs
+        assert reply("write", 2, tag=1) and reply("write", 3, tag=1)  # past the quorum: recorded
         assert seen == [[0, 1, 4]] and len(phase.replies) == 5
 
-    def test_a_custom_aggregator_decides_what_counts(self):
-        class EvenOnly(ReplyAggregator):
-            def accept(self, src, payload):
-                return src % 2 == 0 and super().accept(src, payload)
-
+    def test_accept_records_a_reply_and_runs_nothing(self):
         seen = []
-        phase = QuorumCollector("vote", 0, EvenOnly(), QuorumTracker(3), seen.append)
-        assert not phase.accept(1) and phase.accept(0) and not phase.accept(3)
-        assert seen == []
-        assert phase.accept(2)
-        assert seen == [phase] and sorted(phase.replies) == [0, 2]
+        process, phase = _bare_phase(3, on_quorum=seen.append)
+        phase.accept(1, "x")
+        phase.accept(2)
+        assert phase.replies == {1: "x", 2: None} and seen == []
+        # The next counted reply finds the quorum there.
+        assert process.phase_reply("write", 0, tag=1) and seen == [phase]
+
+    def test_the_aggregator_reduces_the_finished_reply_set(self):
+        results = []
+        process, _phase = _bare_phase(
+            3, on_quorum=lambda phase: results.append(phase.result()),
+            aggregator=HIGHEST_PAIR, self_reply=(1, "own"),
+        )
+        process.phase_reply("write", 2, (3, "newer"), tag=1)
+        assert results == [(3, "newer")]
 
 
 class PingMessage:
@@ -193,7 +210,6 @@ class TestPhaseRegisterProcess:
 
     def test_unknown_slot_rejected(self):
         _, _, processes = build_ping_pong(3)
-        assert processes[0].active_phase("nope", tag=0) is None
         assert not processes[0].phase_reply("nope", 1, tag=0)
 
     def test_close_phases_freezes_replies(self):

@@ -1,7 +1,7 @@
 """Model-based property test of the quorum phase engine.
 
-The engine counts: ``QuorumCollector.accept`` compares the reply count with
-``n - t`` where the reply lands and runs the continuation there.  The
+The engine counts: ``PhaseRegisterProcess.phase_reply`` compares the reply
+count with ``n - t`` where the reply lands and runs the continuation there.  The
 formulation it replaced *polled*: ``start_phase`` registered a guard on
 ``phase.satisfied`` and the runtime re-evaluated it after every handler.
 That formulation is kept here, as the **oracle** (``_PolledProcess``): the
@@ -24,9 +24,8 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.faults import CrashPoint, install_crash_points
-from repro.quorum import engine
 from repro.quorum.aggregators import AckCounter, MaxReply
-from repro.quorum.engine import NO_SELF_REPLY, PhaseRegisterProcess, QuorumCollector
+from repro.quorum.engine import NO_SELF_REPLY, PhaseRegisterProcess
 from repro.registers.base import RegisterProcess
 from repro.sim.delays import FixedDelay
 from repro.sim.network import Network
@@ -45,22 +44,20 @@ class _PolledCollector:
 
     def __init__(self, slot, tag, aggregator, tracker):
         self.slot, self.tag, self.aggregator, self.tracker = slot, tag, aggregator, tracker
+        self.replies = {}
         self.closed = False
 
-    @property
-    def replies(self):
-        return self.aggregator.replies
-
     def satisfied(self):
-        return self.tracker.satisfied(len(self.aggregator.replies))
+        return self.tracker.satisfied(len(self.replies))
 
     def accept(self, src, payload=None):
-        if self.closed:
+        if self.closed or src in self.replies:
             return False
-        return self.aggregator.accept(src, payload)
+        self.replies[src] = payload
+        return True
 
     def result(self):
-        return self.aggregator.result()
+        return self.aggregator.result(self.replies)
 
     def close(self):
         self.closed = True
@@ -82,7 +79,7 @@ class _PolledProcess(RegisterProcess):
         )
         self._phases[slot] = phase
         if self_reply is not NO_SELF_REPLY:
-            phase.aggregator.accept(self.pid, self_reply)
+            phase.accept(self.pid, self_reply)
         self.send(self.other_process_ids(), message)
         self.add_guard(phase.satisfied, lambda: on_quorum(phase), label=label)
         return phase
@@ -271,9 +268,9 @@ class _World:
         ]
 
 
-def _compare(script):
+def _compare(script, counted_class=_CountedProcess):
     config, steps = script
-    counted, polled = _World(_CountedProcess, config), _World(_PolledProcess, config)
+    counted, polled = _World(counted_class, config), _World(_PolledProcess, config)
     for index, step in enumerate(steps):
         counted.play(step)
         polled.play(step)
@@ -286,7 +283,7 @@ def _compare(script):
         assert counted.actor.waiting_on() == polled.still_waiting()
 
 
-def _property(max_examples, phases=tuple(Phase)):
+def _property(max_examples, phases=tuple(Phase), counted_class=_CountedProcess):
     @given(_scripts())
     @settings(
         max_examples=max_examples,
@@ -297,7 +294,7 @@ def _property(max_examples, phases=tuple(Phase)):
         suppress_health_check=[HealthCheck.too_slow],
     )
     def run(script):
-        _compare(script)
+        _compare(script, counted_class)
 
     run()
 
@@ -309,45 +306,70 @@ def test_counted_engine_is_the_polled_engine():
 # -------------------------------------------------------- the property has teeth
 
 
-class _FiresOneEarly(QuorumCollector):
-    def fire_if_due(self):
-        on_quorum = self.on_quorum
-        if on_quorum is not None and len(self.replies) >= self.quorum_size - 1:
-            self.on_quorum = None
-            on_quorum(self)
+# Each mutant rewrites one place the quorum is compared with ``n - t`` —
+# ``phase_reply`` for a peer's reply, ``start_phase`` for a quorum already
+# there when the send returns — with one fault.
 
 
-class _FiresEveryTime(QuorumCollector):
-    def fire_if_due(self):
-        if self.on_quorum is not None and len(self.replies) >= self.quorum_size:
-            self.on_quorum(self)  # and does not forget it
-
-
-class _CountsDuplicates(QuorumCollector):
-    __slots__ = ("duplicates",)
-
-    def accept(self, src, payload=None):
-        if self.closed:
+class _FiresOneEarly(_CountedProcess):
+    def phase_reply(self, slot, src, payload=None, tag=None):
+        phase = self._phases.get(slot)
+        if phase is None or phase.closed or phase.tag != tag or src in phase.replies:
             return False
-        accepted = self.aggregator.accept(src, payload)
-        if not accepted:
-            self.duplicates = getattr(self, "duplicates", 0) + 1
-        self.fire_if_due()
+        phase.replies[src] = payload
+        on_quorum = phase.on_quorum
+        if on_quorum is not None and len(phase.replies) >= phase.quorum_size - 1:
+            phase.on_quorum = None
+            on_quorum(phase)
+        return True
+
+
+class _FiresEveryTime(_CountedProcess):
+    def phase_reply(self, slot, src, payload=None, tag=None):
+        phase = self._phases.get(slot)
+        if phase is None or phase.closed or phase.tag != tag or src in phase.replies:
+            return False
+        phase.replies[src] = payload
+        if phase.on_quorum is not None and len(phase.replies) >= phase.quorum_size:
+            phase.on_quorum(phase)  # and does not forget it
+        return True
+
+
+class _CountsDuplicates(_CountedProcess):
+    duplicates = 0
+
+    def phase_reply(self, slot, src, payload=None, tag=None):
+        phase = self._phases.get(slot)
+        if phase is None or phase.closed or phase.tag != tag:
+            return False
+        accepted = src not in phase.replies
+        if accepted:
+            phase.replies[src] = payload
+        else:
+            self.duplicates += 1
+        on_quorum = phase.on_quorum
+        if on_quorum is not None and len(phase.replies) + self.duplicates >= phase.quorum_size:
+            phase.on_quorum = None
+            on_quorum(phase)
         return accepted
 
-    def fire_if_due(self):
-        on_quorum = self.on_quorum
-        count = len(self.replies) + getattr(self, "duplicates", 0)
-        if on_quorum is not None and count >= self.quorum_size:
-            self.on_quorum = None
-            on_quorum(self)
+
+class _FiresOneEarlyAtStart(_CountedProcess):
+    def start_phase(self, slot, **kwargs):
+        phase = super().start_phase(slot, **kwargs)
+        on_quorum = phase.on_quorum
+        if on_quorum is not None and len(phase.replies) >= phase.quorum_size - 1:
+            phase.on_quorum = None
+            on_quorum(phase)
+        return phase
 
 
-@pytest.mark.parametrize("mutant", [_FiresOneEarly, _FiresEveryTime, _CountsDuplicates])
-def test_the_property_fails_on_a_wrong_engine(monkeypatch, mutant):
-    monkeypatch.setattr(engine, "QuorumCollector", mutant)
+@pytest.mark.parametrize(
+    "mutant", [_FiresOneEarly, _FiresEveryTime, _CountsDuplicates, _FiresOneEarlyAtStart]
+)
+def test_the_property_fails_on_a_wrong_engine(mutant):
     with pytest.raises(AssertionError):
-        _property(max_examples=600, phases=(Phase.generate,))
+        _property(max_examples=600, phases=(Phase.generate,), counted_class=mutant)
 
 
 # --------------------------------------------------------- the coalesced fan-in

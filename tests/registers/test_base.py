@@ -121,7 +121,7 @@ class TestRegistry:
             get_algorithm("paxos")
 
     def test_register_new_algorithm_and_overwrite_protection(self):
-        from repro.registers.registry import register_algorithm
+        from repro.registers.registry import register_algorithm, unregister_algorithm
 
         custom = RegisterAlgorithm(
             name="custom-test-alg",
@@ -129,7 +129,11 @@ class TestRegistry:
             process_factory=get_algorithm("abd").process_factory,
         )
         register_algorithm(custom)
-        assert get_algorithm("custom-test-alg") is custom
-        with pytest.raises(ValueError):
-            register_algorithm(custom)
-        register_algorithm(custom, overwrite=True)
+        try:
+            assert get_algorithm("custom-test-alg") is custom
+            with pytest.raises(ValueError):
+                register_algorithm(custom)
+            register_algorithm(custom, overwrite=True)
+        finally:
+            # Later tests enumerate the registry (every algorithm's pinned run).
+            unregister_algorithm("custom-test-alg")

@@ -45,8 +45,8 @@ from repro.workloads.kv import (
     KVWorkloadSpec,
     deploy,
     drive_script,
+    generate_kv_arrivals,
     iter_kv_script,
-    last_kv_arrival,
     run_kv_workload,
 )
 
@@ -98,8 +98,13 @@ def _serial(spec: KVWorkloadSpec, prepare: Callable[[KVStore], None] = lambda st
     """A serial run of ``spec`` with ``prepare(store)`` applied before the first event."""
     store = deploy(spec)
     prepare(store)
+    arrivals = generate_kv_arrivals(spec) if spec.open_loop else []
     ops, _batches, finished = drive_script(
-        store, iter_kv_script(spec), spec.open_loop, spec.batch_size, last_kv_arrival(spec)
+        store,
+        iter_kv_script(spec, arrivals),
+        spec.open_loop,
+        spec.batch_size,
+        arrivals[-1] if arrivals else 0.0,
     )
     result = KVWorkloadResult.from_store(spec, store, ops, 0.0, finished_cleanly=finished)
     records = store.network.records if store.network.record_messages else None

@@ -144,7 +144,7 @@ class TestCrashPoints:
 
         store.network.add_send_hook(observe)
         # batch_size 64 > 60 ops: the whole script is one window, one drive.
-        drive_script(store, iter_kv_script(spec), spec.open_loop, spec.batch_size)
+        drive_script(store, iter_kv_script(spec, ()), spec.open_loop, spec.batch_size)
         # Sends 1 .. k-1 leave it alive, the k-th crashes it, nothing follows.
         assert crashed_at_send == [(i, i == k) for i in range(1, k + 1)]
         assert stats.per_sender[2] == k
