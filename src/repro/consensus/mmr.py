@@ -77,7 +77,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.registers.base import OperationKind, OperationRecord, RegisterAlgorithm, RegisterProcess
+from repro.registers.base import (
+    OperationKind, OperationRecord, OperationRefused, RegisterAlgorithm, RegisterProcess,
+)
 from repro.registers.costmodels import Price, int_bits, value_bits
 from repro.sim.rng import make_rng
 from repro.verification.specs import SMRSpec
@@ -111,6 +113,9 @@ ROUND_CAP = 100
 #: implementation and its specification cannot drift apart.
 _SMR_SPEC = SMRSpec()
 
+#: A command's kind by its wire value (a dict hit, not an ``Enum`` call).
+_KINDS = {kind.value: kind for kind in OperationKind}
+
 
 def _cand_bits(cand: Any) -> int:
     """Wire size of a piggybacked command ``[proposer, kind, value]``."""
@@ -125,9 +130,8 @@ def _round_bits(slot: int, round: int) -> int:
     return CONS_TYPE_BITS + int_bits(slot) + int_bits(round) + 1
 
 
-# A consensus message's price is a property: an AUX or coin share is built
-# before the step knows whether it sends it (the DECIDE may stand for it), and
-# one that is never sent is never priced.
+# A consensus message's price is a property: the network computes it when it
+# bills the send.
 
 
 @dataclass(frozen=True)
@@ -225,6 +229,16 @@ class _Round:
         self.coin_senders: Set[int] = set()
 
 
+class _Rounds(dict):
+    """``round -> tallies``, made on first look (peers may run ahead)."""
+
+    __slots__ = ()
+
+    def __missing__(self, round: int) -> _Round:
+        state = self[round] = _Round()
+        return state
+
+
 class _Instance:
     """Per-slot state of one running binary-consensus instance."""
 
@@ -233,14 +247,7 @@ class _Instance:
     def __init__(self, est: int) -> None:
         self.est = est
         self.round = 0
-        #: ``round -> tallies``, created on first use (peers may run ahead).
-        self.rounds: Dict[int, _Round] = {}
-
-    def at(self, round: int) -> _Round:
-        state = self.rounds.get(round)
-        if state is None:
-            state = self.rounds[round] = _Round()
-        return state
+        self.rounds: Dict[int, _Round] = _Rounds({0: _Round()})  # round 0 is entered at once
 
 
 class ConsensusObjectProcess(RegisterProcess):
@@ -297,6 +304,16 @@ class ConsensusObjectProcess(RegisterProcess):
         """Keep the stalled command: it may still be decided and applied
         later, so this replica goes on refusing new operations until then."""
 
+    def _refuse_overlap(self, kind: OperationKind) -> None:
+        held = self._current_op
+        if held.failed:  # the driver failed it as stalled; it is still proposed
+            slot = self._inflight_slot
+            raise OperationRefused(
+                f"replica p{self.pid} still holds its stalled {held.kind.value} at slot "
+                f"{slot} (command {self.commands.get(slot)}) until that slot resolves"
+            )
+        super()._refuse_overlap(kind)
+
     def _submit_command(self, record: OperationRecord, done: Callable[..., None]) -> None:
         if self._pending is not None:
             raise RuntimeError(
@@ -307,12 +324,10 @@ class ConsensusObjectProcess(RegisterProcess):
         self._propose_pending()
 
     def _propose_pending(self) -> None:
-        """Propose the pending command at the smallest unused owned slot."""
-        if self._pending is None or self._inflight_slot is not None or self.crashed:
-            return
+        """Propose the (slotless) pending command at the smallest unused owned slot."""
         record, _ = self._pending
         target = self._inflight_slot = self._next_own
-        self._next_own = target + self.n
+        self._next_own = target + self.quorum.n
         self.commands[target] = [self.pid, record.kind.value, record.value]
         self._start_instance(target, 1)
 
@@ -324,7 +339,7 @@ class ConsensusObjectProcess(RegisterProcess):
         """
         while self._next_own <= slot:
             own = self._next_own
-            self._next_own = own + self.n
+            self._next_own = own + self.quorum.n
             self._decide(own, 0)
 
     # --------------------------------------------------------- instance core
@@ -358,18 +373,18 @@ class ConsensusObjectProcess(RegisterProcess):
         keeps the ``n - t`` quorum threshold, so ``bin_values`` still only
         holds values the whole quorum has seen and re-broadcast.
         """
-        state = instance.at(round)
+        state, pid = instance.rounds[round], self.pid
         senders, bin_values = state.est_senders[value], state.bin_values
-        echo = self.pid not in senders
-        senders.add(self.pid)
+        echo = pid not in senders
+        senders.add(pid)
         if len(senders) >= self.quorum.quorum_size and value not in bin_values:
             bin_values.append(value)
         current = round == instance.round
         # Vouched for: our AUX(round, value) leaves in this very step (**Subsumption**).
-        vouched = current and bin_values[:1] == [value] and self.pid not in state.aux_senders[value]
+        vouched = current and bin_values[:1] == [value] and pid not in state.aux_senders[value]
         if echo and (self.skip_aux_quorum or not vouched):
             cand = self.commands.get(slot) if value == 1 else None
-            self.send(self._peers, ConsEst(slot=slot, round=round, value=value, cand=cand))
+            self.network.send(pid, self._peers, ConsEst(slot, round, value, cand))
         if current:
             self._resolve(slot, instance, state)
 
@@ -379,41 +394,44 @@ class ConsensusObjectProcess(RegisterProcess):
         Tally our AUX on the first delivery; once ``n - t`` AUX values lie
         within ``bin_values`` (and a seeded coin's shares are in) decide,
         adopt or advance.  The AUX, and a seeded round's share after it, are
-        sent unless this very step decides: the ``DECIDE`` stands for them.
+        owed (tallied, not yet sent) and built only if this step does not
+        decide: else the ``DECIDE`` stands for them.
         """
         bin_values, aux = state.bin_values, state.aux_senders
         if not bin_values:
             return
         round, quorum, first = instance.round, self.quorum.quorum_size, bin_values[0]
-        owed, ready = (), True  # owed: tallied by this step, not sent yet
-        if self.pid not in aux[first]:
-            aux[first].add(self.pid)
-            cand = self.commands.get(slot) if first == 1 else None
-            owed = (ConsAux(slot=slot, round=round, value=first, cand=cand),)
+        pid = self.pid
+        owes_aux, owes_share = pid not in aux[first], False  # tallied here, not sent yet
+        aux[first].add(pid)
         if self.skip_aux_quorum:
             # MUTATION (repro explore, ``mmr-skip-aux``): decide from the
             # first delivered value without the n-t AUX exchange.  Different
             # processes can deliver 0 and 1 in opposite orders, so this
             # decides divergent values under contention — the harness's job
             # is to find the schedule that proves it.
-            vals = bin_values[:1]
+            vals, ready = bin_values[:1], True
         else:
-            vals = [value for value in bin_values if aux[value]]
-            ready = sum(len(aux[value]) for value in vals) >= quorum
+            # The values with an AUX: ``first`` (ours is in), and the other if tallied.
+            vals = bin_values if aux[bin_values[-1]] else bin_values[:1]
+            ready = (len(aux[first]) if len(vals) == 1 else len(aux[0]) + len(aux[1])) >= quorum
             if ready and round >= len(COIN_PREFIX):
                 shares = state.coin_senders
-                if self.pid not in shares:
-                    shares.add(self.pid)
-                    owed += (ConsCoin(slot=slot, round=round, value=common_coin(slot, round)),)
+                owes_share = pid not in shares
+                shares.add(pid)
                 ready = len(shares) >= quorum
-        decides = ready and vals == [common_coin(slot, round)]
+        coin = common_coin(slot, round)
+        decides = ready and len(vals) == 1 and vals[0] == coin
         if not decides or self.skip_aux_quorum:  # else the DECIDE stands for them
-            for message in owed:
-                self.send(self._peers, message)
+            if owes_aux:
+                cand = self.commands.get(slot) if first == 1 else None
+                self.network.send(pid, self._peers, ConsAux(slot, round, first, cand))
+            if owes_share:
+                self.network.send(pid, self._peers, ConsCoin(slot, round, coin))
         if decides:
-            self._decide(slot, vals[0])
+            self._decide(slot, coin)
         elif ready:
-            instance.est = vals[0] if len(vals) == 1 else common_coin(slot, round)
+            instance.est = vals[0] if len(vals) == 1 else coin
             self._enter_round(slot, instance, round + 1)
 
     def _decide(self, slot: int, value: int) -> None:
@@ -421,8 +439,9 @@ class ConsensusObjectProcess(RegisterProcess):
         self.decided[slot] = value
         self.instances.pop(slot, None)
         cand = self.commands.get(slot) if value == 1 else None
-        self.send(self._peers, ConsDecide(slot=slot, value=value, cand=cand))
-        self._apply_ready()
+        self.network.send(self.pid, self._peers, ConsDecide(slot, value, cand))
+        if slot == self.frontier:  # else the frontier waits on another slot
+            self._apply_ready()
 
     # ------------------------------------------------------------- the log
 
@@ -441,7 +460,7 @@ class ConsensusObjectProcess(RegisterProcess):
                     # a liveness gap under faults, never a safety one.
                     break
                 proposer, kind, value = cand[0], cand[1], cand[2]
-                result, self.state = _SMR_SPEC.apply(self.state, OperationKind(kind), value)
+                result, self.state = _SMR_SPEC.apply(self.state, _KINDS[kind], value)
                 self.frontier = slot + 1
                 if proposer == self.pid and self._inflight_slot == slot:
                     self._inflight_slot = None
@@ -454,7 +473,8 @@ class ConsensusObjectProcess(RegisterProcess):
                     # Our proposal lost to a skip decision; move it to the
                     # next owned slot.
                     self._inflight_slot = None
-        self._propose_pending()
+        if self._pending is not None and self._inflight_slot is None and not self.crashed:
+            self._propose_pending()
 
     def waiting_on(self) -> List[str]:
         """What the log is blocked on: the frontier, then every open instance."""
@@ -468,7 +488,7 @@ class ConsensusObjectProcess(RegisterProcess):
             owner = slot % self.n
             waits.append(f"frontier {slot}: slot {slot} undecided (owner p{owner}, no instance here)")
         for slot, instance in sorted(self.instances.items()):
-            state = instance.at(instance.round)
+            state = instance.rounds[instance.round]
             good = sum(len(state.aux_senders[value]) for value in state.bin_values)
             waits.append(f"slot {slot} round {instance.round}: AUX {good}/{quorum} within bin_values")
         return waits
@@ -507,6 +527,7 @@ class ConsensusObjectProcess(RegisterProcess):
         counts the sender before its own first step: only so can its echo
         complete the quorum at once, and a ``DECIDE`` stand for our AUX.
         """
+        round, value = message.round, message.value
         instance = self.instances.get(slot)
         joining = instance is None
         if joining:
@@ -514,20 +535,20 @@ class ConsensusObjectProcess(RegisterProcess):
             # every EST (delivered at the sender, hence proposed by someone).
             # Never an owned slot: an owner either proposed (instance exists)
             # or yielded (decided) before any handler runs.
-            instance = self.instances[slot] = _Instance(message.value)
-        state = instance.at(message.round)
-        state.est_senders[message.value].add(src)
+            instance = self.instances[slot] = _Instance(value)
+        state = instance.rounds[round]
+        state.est_senders[value].add(src)
         if message.__class__ is ConsAux:
-            state.aux_senders[message.value].add(src)
+            state.aux_senders[value].add(src)
         if joining:  # entering round 0 is the step for a round-0 message
             self._enter_round(slot, instance, 0)
-        if not joining or message.round:
-            self._bv_step(slot, instance, message.round, message.value)
+        if not joining or round:
+            self._bv_step(slot, instance, round, value)
 
     def _on_coin(self, src: int, message: ConsCoin, slot: int) -> None:
         instance = self.instances.get(slot)
         if instance is not None:  # else we never started it; the share is moot
-            state = instance.at(message.round)
+            state = instance.rounds[message.round]
             state.coin_senders.add(src)
             if message.round == instance.round:
                 self._resolve(slot, instance, state)

@@ -29,7 +29,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.exec.metrics import MetricsCollector
 from repro.exec.oplog import OpLog
-from repro.registers.base import OperationKind, OperationRecord, RegisterProcess
+from repro.registers.base import OperationKind, OperationRecord, OperationRefused, RegisterProcess
 from repro.transport.base import DrivableClock
 from repro.transport.runtime import ProcessCrashedError
 
@@ -74,8 +74,9 @@ class Driver:
         self._queues: Dict[
             RegisterProcess, Tuple[Deque[OperationRecord], Callable[[OperationRecord], None]]
         ] = {}
-        #: Operations :meth:`fail_stuck` failed on a replica that had not
-        #: crashed: they can never complete, so the run did not finish.
+        #: Operations failed on a replica that had not crashed — by
+        #: :meth:`fail_stuck`, or refused by one that still holds a stalled
+        #: command: they can never complete, so the run did not finish.
         self.stalled = 0
         self._outstanding = 0
         self._op_counter = itertools.count()
@@ -130,16 +131,20 @@ class Driver:
                 else:
                     process.invoke_operation(op.kind, op.value, complete, op)
             except ProcessCrashedError:
-                queue.popleft()
-                self._fail(op, f"replica p{process.pid} crashed before issuing")
-                if self._until is not None and self._until():
-                    self.simulator.stop()
-                continue
-            self.records.append(op)
-            # Issue and completion touch disjoint columns, so a callback
-            # that fired synchronously (before this line) is harmless.
-            self.oplog.note_issued(op.op_id, op)
-            return
+                reason = f"replica p{process.pid} crashed before issuing"
+            except OperationRefused as refusal:  # it can never take this one
+                reason = str(refusal)
+                self.stalled += 1
+            else:
+                self.records.append(op)
+                # Issue and completion touch disjoint columns, so a callback
+                # that fired synchronously (before this line) is harmless.
+                self.oplog.note_issued(op.op_id, op)
+                return
+            queue.popleft()
+            self._fail(op, reason)
+            if self._until is not None and self._until():
+                self.simulator.stop()
 
     def _on_complete(self, process: RegisterProcess, op: OperationRecord) -> None:
         lane = self._queues[process]

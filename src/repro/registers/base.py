@@ -28,11 +28,19 @@ from repro.transport.runtime import ProcessBase
 __all__ = [
     "OperationKind",
     "OperationRecord",
+    "OperationRefused",
     "QuorumTracker",  # canonical home: repro.quorum.tracker (re-exported here)
     "RegisterAlgorithm",
     "RegisterHandle",
     "RegisterProcess",
 ]
+
+
+class OperationRefused(RuntimeError):
+    """A live process cannot take an operation yet; the message says why.
+
+    The driver fails the operation with that reason instead of raising.
+    """
 
 
 class OperationKind(str, Enum):

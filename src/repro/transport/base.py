@@ -111,7 +111,9 @@ class Transport(Protocol):
         """Send ``message`` from ``src`` to ``dst`` — one pid, or a sequence of pids.
 
         A sequence is "send to every ``p_j`` such that…": the loop of single
-        sends in list order, done as one call.  No self-sends.
+        sends in list order, done as one call.  No self-sends.  A crashed
+        sender's send is dropped (it takes no steps), so a process may send
+        straight to its transport.
         """
         ...
 

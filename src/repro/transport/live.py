@@ -333,6 +333,8 @@ class LiveKey:
     def send(self, src: int, dst: Union[int, Sequence[int]], message: Any) -> None:
         if self.closed:
             raise TransportClosedError(f"send p{src}->p{dst} on closed live net {self.name!r}")
+        if self.process.crashed:  # a crashed process takes no steps, hence cannot send
+            return
         dsts = (dst,) if isinstance(dst, int) else dst
         if src in dsts:
             raise ValueError(f"process p{src} attempted to send a message to itself")

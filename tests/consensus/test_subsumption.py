@@ -66,7 +66,7 @@ class _Unsubsumed(ConsensusObjectProcess):
     """The replica that sends every message: the handlers before subsumption."""
 
     def _bv_step(self, slot, instance, round, value):
-        state = instance.at(round)
+        state = instance.rounds[round]
         senders = state.est_senders[value]
         if self.pid not in senders:
             senders.add(self.pid)
@@ -114,12 +114,12 @@ class _Unsubsumed(ConsensusObjectProcess):
 
     def _on_est(self, src, message, slot):
         instance = self._joined(slot, message.value)
-        instance.at(message.round).est_senders[message.value].add(src)
+        instance.rounds[message.round].est_senders[message.value].add(src)
         self._bv_step(slot, instance, message.round, message.value)
 
     def _on_aux(self, src, message, slot):
         instance = self._joined(slot, message.value)
-        state = instance.at(message.round)
+        state = instance.rounds[message.round]
         state.aux_senders[message.value].add(src)
         if message.round == instance.round:
             self._resolve(slot, instance, state)
@@ -562,7 +562,7 @@ def test_a_joiners_echo_rides_on_an_aux_that_carries_the_command(replica=Consens
     p1.deliver(0, est)
     aux = ConsAux(slot=0, round=0, value=1, cand=COMMAND)
     assert wire.take() == [(1, 0, aux), (1, 2, aux)]  # no EST, and the command is aboard
-    assert p1.rounds_entered == 1 and p1.instances[0].at(0).est_senders[1] == {0, 1}
+    assert p1.rounds_entered == 1 and p1.instances[0].rounds[0].est_senders[1] == {0, 1}
     # p2 hears the AUX before the proposer's EST: it is all p2 needs.
     p2.deliver(1, aux)
     assert p2.decided == {0: 1} and p2.commands[0] == COMMAND and p2.state == 1
@@ -705,8 +705,8 @@ MUTANTS = {
     ),
     "the receiver does not count an AUX as its EST": (
         "_on_est",
-        "state.est_senders[message.value].add(src)",
-        "state.est_senders[message.value].update([src] * (message.__class__ is ConsEst))",
+        "state.est_senders[value].add(src)",
+        "state.est_senders[value].update([src] * (message.__class__ is ConsEst))",
         test_an_aux_is_its_senders_estimate_and_the_decide_stands_for_ours,
     ),
     "the AUX is withheld when the step advances instead of decides": (

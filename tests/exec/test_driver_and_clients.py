@@ -597,8 +597,12 @@ class TestStalledKeyedRun:
     @pytest.mark.parametrize("open_loop", [False, True], ids=["closed-window", "open-loop"])
     def test_a_consensus_replica_that_stalled_keeps_its_command(self, open_loop):
         """An ``mmr-*`` replica keeps a stalled command (it may still be
-        decided and applied later), so it refuses its next operation as
-        overlapping, and the refusal leaves its state as it was."""
+        decided and applied later).  Until its slot resolves, the next
+        operation fails, naming the slot and the command, and leaves the
+        replica's state as it was; once the command is applied, the replica
+        takes operations again."""
+        from repro.consensus.mmr import ConsDecide
+
         spec, store, key, processes = self._store(open_loop, "mmr-cas")
         (op,), finished = self._read(spec, store, key)
         assert op.failure_reason.startswith("stalled on replica p0 (crashed=False)")
@@ -611,7 +615,20 @@ class TestStalledKeyedRun:
 
         before = state()
         assert before[0] is op and before[1][0] is op
-        refusal = "p0 invoked a read while its previous read is still pending"
-        with pytest.raises(RuntimeError, match=refusal):
-            self._read(spec, store, key)
+        (refused,), finished = self._read(spec, store, key)
+        assert refused.failed and not refused.completed
+        assert refused.failure_reason == (
+            "replica p0 still holds its stalled read at slot 0 "
+            "(command [0, 'read', None]) until that slot resolves"
+        )
+        assert finished is False and store.driver.stalled == 2
         assert state() == before
+        # The slot resolves (as the DECIDE of a peer that got through would
+        # tell it): the command is applied, its read stays failed, and the
+        # next read is issued, at the replica's next owned slot.
+        replica.deliver(1, ConsDecide(0, 1, [0, "read", None]))
+        assert state()[:3] == (None, None, None) and op.failed and not op.completed
+        (later,), finished = self._read(spec, store, key)
+        assert later.failure_reason.startswith("stalled on replica p0 (crashed=False)")
+        assert later.failure_reason.endswith("slot 3 round 0: AUX 0/2 within bin_values")
+        assert [o.op_id for o in store.driver.records] == [0, 2]

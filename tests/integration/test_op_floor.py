@@ -23,6 +23,15 @@ path: at most 115 Python calls per operation (138.8 while a reply went
 ``phase_reply -> active_phase -> QuorumCollector.accept ->
 ReplyAggregator.accept -> fire_if_due``, 114.1 once ``phase_reply`` did it
 in one frame, on CPython 3.11).
+
+The MMR run is the consensus store (``kv_cas``: CAS objects, three replicas
+per key) at a fixed seed.  There an operation is a slot of binary consensus,
+so the count holds a replica's step to its lean path: at most 184 Python
+calls per operation (227.2 while a delivery went ``_on_est -> _bv_step ->
+_resolve -> _decide -> _apply_ready`` through ``_Instance.at``, comprehensions
+and ``ProcessBase.send``, and built an AUX that the ``DECIDE`` then stood
+for; 183.2 once a step built only what it sent, on CPython 3.11).  Every
+``ConsAux`` or ``ConsCoin`` built is broadcast: one per ``n - 1`` billed.
 """
 
 from __future__ import annotations
@@ -30,17 +39,19 @@ from __future__ import annotations
 import sys
 from collections import Counter
 
+from repro.consensus.mmr import ConsAux, ConsCoin
 from repro.exec.target import OpRequest
 from repro.registers.base import OperationRecord
 from repro.sim.delays import UniformDelay
 from repro.workloads.kv import (
     KVWorkloadSpec, deploy, drive_script, generate_kv_arrivals, iter_kv_script,
 )
-from repro.workloads.scenarios import kv_openloop
+from repro.workloads.scenarios import kv_cas, kv_openloop
 
 OPS = 200
 MAX_CALLS_PER_OP = 124
 MAX_ABD_CALLS_PER_OP = 115
+MAX_MMR_CALLS_PER_OP = 184
 
 TWO_BIT_SPEC = KVWorkloadSpec(
     algorithm="two-bit",
@@ -54,6 +65,7 @@ TWO_BIT_SPEC = KVWorkloadSpec(
     seed=3,
 )
 ABD_SPEC = kv_openloop(num_ops=OPS, arrival_rate=16.0, seed=3)
+MMR_SPEC = kv_cas(num_ops=OPS, seed=3)
 
 
 def _profiled_run(spec=TWO_BIT_SPEC):
@@ -107,3 +119,27 @@ def test_the_abd_op_floor():
 
     total = sum(calls.values())
     assert total / OPS <= MAX_ABD_CALLS_PER_OP, f"{total / OPS:.2f} Python calls per operation"
+
+
+def test_the_mmr_op_floor(monkeypatch):
+    # Counted by wrapping each class: the dataclass-made ``__init__`` code
+    # objects of ConsEst and ConsAux compare equal, so ``calls`` merges them.
+    built = Counter()
+    for cls in (ConsAux, ConsCoin):
+
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    store, ops, finished, calls = _profiled_run(MMR_SPEC)
+    assert finished and len(ops) == OPS and all(op.completed for op in ops)
+    assert store.stats.messages_sent == 2812
+
+    # A step builds only what it sends: each one built went to the n - 1 peers.
+    by_type, peers = store.stats.by_type, MMR_SPEC.replication - 1
+    assert built["ConsAux"] * peers == by_type["CONS_AUX"] > 0
+    assert built["ConsCoin"] * peers == by_type.get("CONS_COIN", 0)
+
+    total = sum(calls.values()) - sum(built.values())  # less the counting wrappers
+    assert total / OPS <= MAX_MMR_CALLS_PER_OP, f"{total / OPS:.2f} Python calls per operation"

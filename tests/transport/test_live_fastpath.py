@@ -276,6 +276,30 @@ class TestHaltedReplica:
         assert stats["crashed"] is True and stats["messages_sent"] == 2
         assert stats["messages_delivered"] == 0 and stats["messages_dropped_to_crashed"] == 1
 
+    def test_a_crashed_sender_sends_nothing(self):
+        """``LiveKey.send`` drops a crashed sender's send at entry, as
+        ``Network.send`` does: once a hook crashed the sender mid-step (after
+        a ``DECIDE``'s first copy), the step's next send (its next proposal)
+        is neither billed nor shipped."""
+        from repro.consensus.mmr import ConsDecide, ConsEst
+        from repro.transport import live
+
+        async def main():
+            server = live._ReplicaServer(2, 3, "mmr-cas", None)
+            peers = {0: [], 1: []}
+            server.peer_conns = {
+                pid: SimpleNamespace(send=frames.append) for pid, frames in peers.items()
+            }
+            key = server.live_key("k")
+            server.add_send_hook(lambda _src, _dst, _message: key.process.crash())
+            key.send(2, [0, 1], ConsDecide(0, 0))
+            key.send(2, [0, 1], ConsEst(5, 0, 1, [2, "incr", 1]))
+            return server, peers
+
+        server, peers = asyncio.run(main())
+        assert [len(frames) for frames in peers.values()] == [1, 0]
+        assert server.stats.messages_sent == 1
+
 
 class TestGreetedAfterTheCrash:
     @pytest.mark.parametrize(

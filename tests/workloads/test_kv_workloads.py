@@ -288,11 +288,16 @@ def test_the_live_message_bill_does_not_depend_on_the_worker_count(runs):
 
 #: The victim's send that kills it: a count, so it is the same send on every
 #: backend.  One shard, so the shard-parallel engine runs one group and the
-#: count spans the store on the simulator too.
+#: count spans the store on the simulator too.  The consensus replica sends
+#: straight to its transport, several times in one step (a ``DECIDE``, then
+#: its next proposal): the transport drops what a crashed sender still sends.
 CRASH_AFTER = 6
-CRASH_SPEC = SPEC.with_(
-    num_shards=1,
-    crash_points=(CrashPoint(shard=0, replica=2, after_messages_sent=CRASH_AFTER),),
+CRASH_SPEC, CONSENSUS_CRASH_SPEC = (
+    spec.with_(
+        num_shards=1,
+        crash_points=(CrashPoint(shard=0, replica=2, after_messages_sent=CRASH_AFTER),),
+    )
+    for spec in (SPEC, CONSENSUS_SPEC)
 )
 
 
@@ -303,8 +308,8 @@ def _no_process_outlives_the_run():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_a_replica_crashed_at_its_kth_send_on_every_backend(backend):
-    result = on_backend(CRASH_SPEC, backend)
+def test_a_replica_crashed_at_its_kth_send_on_every_backend(backend, spec=CRASH_SPEC):
+    result = on_backend(spec, backend)
     verdict = result.verify()
     assert verdict.ok, verdict.failures
     assert result.finished_cleanly
@@ -327,6 +332,11 @@ def test_a_replica_crashed_at_its_kth_send_on_every_backend(backend):
     # The k-th message is in flight and nothing after it is (less each link's hello).
     from_victim = [row["frames_in"] - 1 for row in survivors if row["label"] == "peer<-2"]
     assert len(from_victim) == 2 and sum(from_victim) == CRASH_AFTER
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_consensus_replica_crashed_at_its_kth_send_on_every_backend(backend):
+    test_a_replica_crashed_at_its_kth_send_on_every_backend(backend, CONSENSUS_CRASH_SPEC)
 
 
 @pytest.mark.parametrize("backend", ("sim-serial", "live"))
