@@ -1,7 +1,7 @@
 """Intentionally faulty register variants (mutation testing for the explorer).
 
 A schedule explorer that only ever runs correct algorithms proves nothing
-about its own detection power.  These mutants re-introduce two classic
+about its own detection power.  These mutants re-introduce classic
 atomicity bugs that quorum registers historically guarded against, so the
 explorer + checker + shrinker pipeline can be *mutation-tested*: under
 seeded schedule search it must find a violating execution, shrink it to a
@@ -21,6 +21,14 @@ small deterministic counterexample, and replay it from the artifact.
     slow deliveries returns the previous value even though the write
     already completed — a **stale read after an acknowledged write**
     (Claim 2 of Lemma 10).
+
+``two-bit-no-line9-wait``
+    The two-bit read (Figure 1) skips line 9: it returns ``history_i[sn]``
+    as soon as line 7 holds, before ``n - t`` processes are known to hold
+    value ``sn``.  A read that learned a value early returns it, and a
+    later read whose line-7 quorum still lags returns the value before
+    it — the two-bit read's own **new/old inversion**, which line 9
+    prevents as ABD's write-back does.
 
 ``mmr-cas-skip-aux``
     MMR binary consensus without the AUX quorum: each replica decides the
@@ -46,6 +54,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator
 
 from repro.consensus.mmr import SkipAuxConsensusProcess
+from repro.core.process import TwoBitRegisterProcess
 from repro.quorum.aggregators import HIGHEST_PAIR
 from repro.registers.abd import AbdReadQuery, AbdRegisterProcess, AbdWrite
 from repro.registers.base import OperationRecord, RegisterAlgorithm
@@ -93,6 +102,14 @@ class AbdSloppyWriteProcess(AbdRegisterProcess):
         # dropped by the engine's stale-phase guard — harmless.
 
 
+class TwoBitNoLine9WaitProcess(TwoBitRegisterProcess):
+    """The two-bit read without line 9's wait (new/old inversions possible)."""
+
+    def _read_value(self, done: Callable[[Any], None]) -> None:
+        st = self.state
+        done(st.history[st.w_sync[self.pid]])  # BUG: line 8, then line 10 at once
+
+
 #: Mutation name -> algorithm factory (kept out of the default registry).
 MUTATIONS: Dict[str, RegisterAlgorithm] = {
     "abd-no-writeback": RegisterAlgorithm(
@@ -108,6 +125,13 @@ MUTATIONS: Dict[str, RegisterAlgorithm] = {
         process_factory=AbdSloppyWriteProcess,
         supports_multi_writer=False,
         bounded_control_bits=False,
+    ),
+    "two-bit-no-line9-wait": RegisterAlgorithm(
+        name="two-bit-no-line9-wait",
+        description="FAULTY (explorer mutation test): two-bit read without line 9's wait",
+        process_factory=TwoBitNoLine9WaitProcess,
+        supports_multi_writer=False,
+        bounded_control_bits=True,
     ),
     "mmr-cas-skip-aux": RegisterAlgorithm(
         name="mmr-cas-skip-aux",

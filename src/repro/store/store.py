@@ -49,7 +49,7 @@ from repro.exec.oplog import KeyHistories, OpLog
 from repro.exec.target import StoreTarget, interned_request
 from repro.faults.plan import CrashPoint, install_crash_points
 from repro.registers.base import OperationKind, OperationRecord, RegisterProcess
-from repro.registers.registry import get_algorithm
+from repro.registers.registry import available_algorithms, get_algorithm
 from repro.sim.delays import DelayModel
 from repro.sim.network import Network, Subnet
 from repro.sim.scheduler import Simulator
@@ -116,11 +116,17 @@ class StoreConfig:
     max_events: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.shard_algorithms is not None and len(self.shard_algorithms) != self.num_shards:
+        if self.shard_algorithms is None:
+            return
+        if len(self.shard_algorithms) != self.num_shards:
             raise ValueError(
                 f"shard_algorithms has {len(self.shard_algorithms)} entries "
                 f"for {self.num_shards} shards; provide exactly one per shard"
             )
+        # A register / consensus mix is refused here, not after its run; an
+        # unknown name is refused where it is deployed.
+        if set(self.shard_algorithms) <= set(available_algorithms()):
+            self.effective_spec()
 
     def algorithm_for(self, shard: int) -> str:
         """The register algorithm keys of ``shard`` run."""

@@ -220,14 +220,13 @@ class TestInvariants:
 
 class TestSpecRouting:
     def test_mixed_spec_store_is_rejected(self):
-        config = StoreConfig(
-            algorithm="abd",
-            num_shards=2,
-            replication=3,
-            shard_algorithms=("abd", "mmr-cas"),
-        )
         with pytest.raises(ValueError, match="different sequential specs"):
-            config.effective_spec()
+            StoreConfig(
+                algorithm="abd",
+                num_shards=2,
+                replication=3,
+                shard_algorithms=("abd", "mmr-cas"),
+            )
 
     def test_register_stores_keep_the_register_spec(self):
         assert StoreConfig(algorithm="abd").effective_spec() == "register"

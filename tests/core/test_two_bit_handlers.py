@@ -180,6 +180,78 @@ class TestReadAndProceedHandlers:
             cluster.processes[1].deliver(0, object())
 
 
+class TestReleaseOrder:
+    """Waits that come true together fire in registration order, in passes.
+
+    p1 knows values #1 and #2 from the writer.  From p2 it then receives a
+    ``WRITE`` of value #2 that overtook value #1 (line 11 holds it), value
+    #1 (line 18 moves ``w_sync[2]`` to 1), a ``READ`` (line 20 holds its
+    ``PROCEED`` until ``w_sync[2] >= 2``) and value #3 (line 11 holds it
+    too, behind value #2).  Delivered one by one, each wait is released by
+    the delivery that reaches it.  Delivered as one coalesced batch, the
+    release at its end sees the three waits due together: value #2's
+    ``WRITE`` runs lines 12-18 and moves ``w_sync[2]`` to 2, which releases
+    the ``PROCEED`` before value #3 (registration order), and value #3 is
+    then appended and forwarded.  Either way p1 sends the same messages,
+    in the same order.
+    """
+
+    MESSAGES = (
+        (2, WriteMessage(bit=0, value="v2")),
+        (2, WriteMessage(bit=1, value="v1")),
+        (2, ReadMessage()),
+        (2, WriteMessage(bit=1, value="v3")),
+    )
+    SENT = [
+        (1, 2, WriteMessage(bit=0, value="v2")),  # line 16: catch p2 up on value #1
+        (1, 2, ProceedMessage()),  # line 21
+        (1, 0, WriteMessage(bit=1, value="v3")),  # line 15: value #3, appended
+        (1, 2, WriteMessage(bit=1, value="v3")),
+    ]
+    BUFFERED_V2 = "line 11 reorder buffer (from p2, bit=0)"
+    FRESHNESS = "line 20 freshness wait (reader p2, sn=2)"
+    BUFFERED_V3 = "line 11 reorder buffer (from p2, bit=1)"
+
+    @staticmethod
+    def receiver():
+        cluster = make_cluster(n=4)
+        receiver = cluster.processes[1]
+        receiver.deliver(0, WriteMessage(bit=1, value="v1"))
+        receiver.deliver(0, WriteMessage(bit=0, value="v2"))
+        sent = []
+        cluster.network.add_send_hook(lambda src, dst, message: sent.append((src, dst, message)))
+        return receiver, sent
+
+    def test_one_by_one_each_delivery_releases_what_it_reached(self):
+        receiver, sent = self.receiver()
+        labels = []
+        for src, message in self.MESSAGES:
+            receiver.deliver(src, message)
+            labels.append(receiver.waiting_on())
+        assert labels == [[self.BUFFERED_V2], [], [], []]
+        assert sent == self.SENT
+        assert receiver.state.history == ["v0", "v1", "v2", "v3"]
+
+    def test_a_coalesced_batch_releases_in_registration_order_after_its_last_handler(self):
+        receiver, sent = self.receiver()
+        labels = []
+        for src, message in self.MESSAGES:
+            receiver.on_message(src, message)
+            labels.append(receiver.waiting_on())
+        assert labels == [
+            [self.BUFFERED_V2],
+            [self.BUFFERED_V2],
+            [self.BUFFERED_V2, self.FRESHNESS],
+            [self.BUFFERED_V2, self.FRESHNESS, self.BUFFERED_V3],
+        ]
+        assert sent == self.SENT[:1]
+        receiver.check_guards()
+        assert sent == self.SENT
+        assert receiver.waiting_on() == []
+        assert receiver.state.history == ["v0", "v1", "v2", "v3"]
+        assert receiver.reordered_write_count == 2
+
+
 class TestSetupErrors:
     def test_operations_require_finish_setup(self):
         from repro.core.process import TwoBitRegisterProcess

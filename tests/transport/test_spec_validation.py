@@ -57,6 +57,7 @@ class TestSpecTransportField:
             (dict(num_shards=2, shard_algorithms=("abd", "paxos")), "unknown algorithm 'paxos'"),
             (dict(arrival="poisson"), "positive arrival_rate"),
             (dict(slo_p99=0.0), "slo_p99 must be positive"),
+            (dict(num_shards=2, shard_algorithms=("mmr-cas", "two-bit")), "different sequential specs"),
         ],
     )
     def test_what_a_load_run_needs_is_checked_on_either_backend(self, changes, match):
