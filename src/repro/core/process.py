@@ -13,35 +13,36 @@ line.  Recap of the structure of Figure 1:
 The pseudocode's blocking ``wait`` statements are of two kinds.  The
 operation's wait (lines 3, 7 and 9; a sequential process has at most one)
 is a *count* kept on the process: how many more entries the quorum needs.
-The per-message waits (lines 11 and 20) are *guards* of
-:class:`repro.transport.runtime.ProcessBase`, predicates over the arrays:
+The per-message waits (lines 11 and 20) are *thresholds* on the entry
+``w_sync_i[j]`` of the sender ``p_j``, queued per ``j``:
 
-=========  =====================================================  ===========================
+=========  =====================================================  =========================================
 line       awaited predicate                                      kept as
-=========  =====================================================  ===========================
+=========  =====================================================  =========================================
 line 3     ``#{j : w_sync_w[j] = wsn} >= n - t``                  count ``_w_missing``
 line 7     ``#{j : r_sync_i[j] = rsn} >= n - t``                  count ``_r_missing``
 line 9     ``#{j : w_sync_i[j] >= sn} >= n - t``                  count ``_w_missing``
-line 11    ``b = (w_sync_i[j] + 1) mod 2``                        guard (:meth:`_buffer_write`)
-line 20    ``w_sync_i[j] >= sn``                                  guard (:meth:`_handle_read`)
-=========  =====================================================  ===========================
+line 11    ``b = (w_sync_i[j] + 1) mod 2``                        in ``_waits[j]``, threshold ``w + 1``
+line 20    ``w_sync_i[j] >= sn``                                  in ``_waits[j]``, threshold ``sn``
+=========  =====================================================  =========================================
 
-The per-pair *alternating-bit* discipline is a consequence of the sending
-predicates (lines 2, 15, 16) together with the line-11 wait; nothing extra is
-needed here beyond implementing those lines faithfully.
+Line 11's parity is a threshold because ``p_j`` sends ``p_i`` value ``k``
+only once ``p_i`` has sent it value ``k - 1``: a ``WRITE`` that line 11
+holds while ``w_sync_i[j] = w`` carries value ``w + 2``, its bit matches
+once line 18 moves the entry to ``w + 1``, and only that ``WRITE`` moves it
+further.  The per-pair *alternating-bit* discipline is a consequence of the
+sending predicates (lines 2, 15, 16) together with the line-11 wait;
+nothing extra is needed here beyond implementing those lines faithfully.
 
 Every wait counts or reads array entries that exactly one handler line
 assigns — line 22 moves ``r_sync_i[j]`` (line 7), line 18 moves
 ``w_sync_i[j]`` (lines 3, 9, 11, 20) — so those two lines keep the counts
-and ask for a guard scan (``_scan_due``) only when the entry they just moved
-completes the awaited quorum count or is read by a pending line-11 / line-20
-wait; no other delivery scans.  The operation's wait fires in that scan, as
-a guard would: after the handler, at the end of a coalesced batch, and in
-registration order beside pending guards.  While no guard is pending it is
-held on the process (:meth:`check_guards` fires it); when it is registered
-beside line-11 / line-20 guards, or they beside it, it joins their list as
-one more :class:`~repro.transport.runtime.Guard`, at its registration
-position.
+and ask for a release (``_scan_due``) only when the entry they just moved
+completes the awaited quorum count or reaches the least threshold queued
+for ``p_j``; no other delivery releases anything.  The release
+(:meth:`check_guards`) runs after the handler, or at the end of a coalesced
+batch, and fires the waits that hold in registration order, the operation
+wait among them.
 
 The pseudocode's "send ... to every ``p_j`` such that ..." statements (lines
 2, 6 and 15) are one ``network.send`` each, to the list of those ``p_j``: the
@@ -51,6 +52,8 @@ a crashed sender's sends, so the handlers go to it directly).
 
 from __future__ import annotations
 
+import sys
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
 from repro.core.messages import PROCEED, READ, ProceedMessage, ReadMessage, WriteMessage
@@ -58,7 +61,11 @@ from repro.core.state import TwoBitState
 from repro.registers.base import OperationRecord, RegisterAlgorithm, RegisterProcess
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
-from repro.transport.runtime import Guard, render_label
+
+#: The least threshold of a sender no per-message wait is queued for: never reached.
+_NOTHING_QUEUED = sys.maxsize
+#: A queued wait is ``(threshold, number, j, message)``; its registration number.
+_NUMBER = itemgetter(1)
 
 
 class TwoBitRegisterProcess(RegisterProcess):
@@ -77,12 +84,15 @@ class TwoBitRegisterProcess(RegisterProcess):
     """
 
     # The operation's wait (line 3, 7 or 9; a sequential process has at most
-    # one): its line (0 while none is pending) and its continuation, the
-    # operation's completion.  Its sequence number is ``_w_awaited`` (lines 3
-    # and 9) or ``r_sync_i[i]`` (line 7).  Idle values here, so that building
-    # a process sets none of them.
+    # one): its line (0 while none is pending), its continuation (the
+    # operation's completion) and its registration number.  Its sequence
+    # number is ``_w_awaited`` (lines 3 and 9) or ``r_sync_i[i]`` (line 7).
+    # Every wait takes its registration number from ``_registered``.  Idle
+    # values here, so that building a process sets none of them.
     _op_line = 0
     _op_done: Optional[Callable[..., None]] = None
+    _op_number = 0
+    _registered = 0
 
     def __init__(
         self,
@@ -97,7 +107,7 @@ class TwoBitRegisterProcess(RegisterProcess):
         super().__init__(pid, simulator, network, writer_pid, t, initial_value)
         self.writer_fast_read = writer_fast_read
         self.state: Optional[TwoBitState] = None
-        # Messages whose line-11 predicate is not yet satisfied, per sender.
+        # How many WRITEs line 11 held.
         self._reordered_writes = 0
         # What the operation's wait awaits.  Lines 3 and 9 count the w_sync
         # entries that reach `_w_awaited` (entries move by steps of 1, so
@@ -108,8 +118,12 @@ class TwoBitRegisterProcess(RegisterProcess):
         self._w_awaited = -1
         self._w_missing = 0
         self._r_missing = 0
-        # Per process j: pending line-11 / line-20 waits, which read w_sync[j].
-        self._entry_waits: list[int] = []
+        # Per process j: the pending line-11 / line-20 waits, which read
+        # w_sync[j], in registration order — ``(threshold, number, j,
+        # message)``, the held WRITE or None for a PROCEED — and the least of
+        # their thresholds.
+        self._waits: list[tuple] = []
+        self._due: list[int] = []
 
     # ---------------------------------------------------------------- set-up
 
@@ -117,7 +131,8 @@ class TwoBitRegisterProcess(RegisterProcess):
         """Allocate the local data structures once the full membership is known."""
         super().finish_setup()
         self.state = TwoBitState(n=self.n, pid=self.pid, initial_value=self.initial_value)
-        self._entry_waits = [0] * self.n
+        self._waits = [()] * self.n
+        self._due = [_NOTHING_QUEUED] * self.n
 
     def _require_state(self) -> TwoBitState:
         if self.state is None:
@@ -187,17 +202,17 @@ class TwoBitRegisterProcess(RegisterProcess):
         self._w_missing = self.quorum.quorum_size - len([entry for entry in w_sync if entry >= sn])
         self._await_op(9, done)
 
-    # ----------------------------------------------------- the operation wait
+    # ---------------------------------------------------------------- waits
 
     def _await_op(self, line: int, done: Callable[..., None]) -> None:
-        """Register the operation's wait of ``line`` (3, 7 or 9) — ``add_guard``'s rules.
+        """Register the operation's wait of ``line`` (3, 7 or 9).
 
-        It fires at once if its count already holds (then scans, if guards
-        are pending); a crashed process's wait never fires.  Otherwise it is
-        held here while the guard list is empty, and joins the list as an
-        ordinary :class:`Guard` — at its registration position — when it is
-        registered beside line-11 / line-20 waits or they are registered
-        beside it (:meth:`_add_entry_wait`).
+        It fires at once if its count already holds; a crashed process's
+        wait never fires.  Otherwise it is held here under its registration
+        number until :meth:`check_guards` finds its count holding.  When it
+        fires at once inside a release (a line-7 continuation's line 9)
+        while line-11 / line-20 waits are queued, the release starts again
+        from the first of them.
         """
         if self.crashed:
             return
@@ -205,10 +220,11 @@ class TwoBitRegisterProcess(RegisterProcess):
         self._op_done = done
         if self._op_ready():
             self._fire_op()
-            if self._guards:
+            if any(self._waits):
+                self._scan_due = True
                 self.check_guards()
-        elif self._guards:
-            self._guards.append(self._op_guard())
+        else:
+            self._op_number = self._registered = self._registered + 1
 
     def _op_ready(self) -> bool:
         """The pending operation wait's predicate: its count reached the quorum."""
@@ -225,53 +241,92 @@ class TwoBitRegisterProcess(RegisterProcess):
         else:
             done()  # line 4
 
-    def _op_label(self) -> tuple:
-        """The pending operation wait's diagnostic label (lazy, as guard labels are)."""
-        if self._op_line == 3:
-            return ("write#%d line 3 quorum", self._w_awaited)
-        rsn = self.state.r_sync[self.pid]
-        if self._op_line == 7:
-            return ("read#%d line 7 quorum", rsn)
-        return ("read#%d line 9 quorum (sn=%d)", rsn, self._w_awaited)
+    def _hold(self, j: int, threshold: int, message: Optional[WriteMessage]) -> None:
+        """Queue a line-11 ``WRITE`` from ``p_j`` (``message``), or a line-20
+        ``PROCEED`` to ``p_j`` (``None``), until ``w_sync_i[j] >= threshold``.
 
-    def _op_guard(self) -> Guard:
-        """The pending operation wait as an ordinary guard, for the guard list."""
-        return Guard(self._op_ready, self._fire_op, self._op_label())
-
-    def _op_held(self) -> bool:
-        """The operation wait is pending outside the guard list (which is then empty)."""
-        return bool(self._op_line) and not self._guards and not self.crashed
+        The threshold is above ``w_sync_i[j]`` when the wait is registered.
+        """
+        number = self._registered = self._registered + 1
+        self._waits[j] += ((threshold, number, j, message),)
+        if threshold < self._due[j]:
+            self._due[j] = threshold
 
     def check_guards(self) -> None:
-        """The scan: :meth:`ProcessBase.check_guards`, or the held operation wait alone.
+        """The release, once a handler (or a coalesced batch) asked for it.
 
-        The wait's continuation registers no line-11 / line-20 wait, so
-        after it fires nothing is left to scan.
+        In passes, while the last one asked for another: a pass takes the
+        waits queued for every ``p_j`` whose ``w_sync_i[j]`` reached their
+        least threshold, and the operation wait, and fires each that holds
+        when it is reached, in registration order.  A released ``WRITE`` runs
+        lines 12–18: a wait it lets through fires in the same pass if it was
+        registered later, in the next pass if earlier.  A pass that a
+        release from :meth:`_await_op` interrupted skips what it fired.
         """
-        if self._guards:
-            super().check_guards()
-            return
-        if self._op_line and not self.crashed and self._op_ready():
-            self._fire_op()
-        self._scan_due = False
+        w_sync = self.state.w_sync
+        waits, due = self._waits, self._due
+        while self._scan_due and not self.crashed:
+            self._scan_due = False
+            batch = []
+            if any(waits):
+                for j, least in enumerate(due):
+                    if w_sync[j] >= least:
+                        batch += waits[j]
+            if self._op_line:
+                batch.append((0, self._op_number, -1, None))
+            batch.sort(key=_NUMBER)
+            for wait in batch:
+                threshold, _number, j, message = wait
+                if j < 0:
+                    if self._op_ready():
+                        self._fire_op()
+                    continue
+                queue = waits[j]
+                if w_sync[j] < threshold or wait not in queue:
+                    continue
+                at = queue.index(wait)
+                rest = waits[j] = queue[:at] + queue[at + 1 :]
+                due[j] = min(rest)[0] if rest else _NOTHING_QUEUED
+                if message is None:
+                    self.network.send(self.pid, j, PROCEED)  # line 21
+                else:
+                    self.on_message(j, message)  # line 11 holds: lines 12-18
 
     def abandon_operation(self) -> None:
-        """Let go of a stalled operation and of its wait, held or in the guard list.
+        """Let go of a stalled operation and of its wait.
 
         The line-11 / line-20 waits stay: they belong to the replica, not
         to the operation.
         """
         super().abandon_operation()
-        if self._op_line:
-            fire = self._fire_op
-            self._guards = [guard for guard in self._guards if guard.action != fire]
-            self._op_line, self._op_done = 0, None
+        self._op_line, self._op_done = 0, None
 
     def waiting_on(self) -> list[str]:
-        """The pending waits' labels, in registration order (the held operation wait too)."""
-        if self._op_held():
-            return [render_label(self._op_label())]
-        return super().waiting_on()
+        """The pending waits' labels, in registration order (the operation wait too)."""
+        if self.crashed:
+            return []
+        pending = [wait for queue in self._waits for wait in queue]
+        if self._op_line:
+            pending.append((0, self._op_number, -1, None))
+        pending.sort(key=_NUMBER)
+        labels = []
+        for threshold, _number, j, message in pending:
+            if j < 0:
+                labels.append(self._op_label())
+            elif message is None:
+                labels.append("line 20 freshness wait (reader p%d, sn=%d)" % (j, threshold))
+            else:
+                labels.append("line 11 reorder buffer (from p%d, bit=%d)" % (j, message.bit))
+        return labels
+
+    def _op_label(self) -> str:
+        """The pending operation wait's diagnostic label."""
+        if self._op_line == 3:
+            return "write#%d line 3 quorum" % self._w_awaited
+        rsn = self.state.r_sync[self.pid]
+        if self._op_line == 7:
+            return "read#%d line 7 quorum" % rsn
+        return "read#%d line 9 quorum (sn=%d)" % (rsn, self._w_awaited)
 
     # --------------------------------------------------------------- handlers
 
@@ -328,7 +383,7 @@ class TwoBitRegisterProcess(RegisterProcess):
                 missing = self._w_missing = self._w_missing - 1
                 if not missing:
                     self._scan_due = True
-            if self._entry_waits[src]:
+            if wsn >= self._due[src]:  # reached the least threshold queued for p_j
                 self._scan_due = True
         elif cls is ProceedMessage:
             # ``when PROCEED() is received from p_j`` — line 22:
@@ -336,8 +391,8 @@ class TwoBitRegisterProcess(RegisterProcess):
             r_sync = st.r_sync
             answered = r_sync[src] = r_sync[src] + 1
             if answered == r_sync[self.pid]:
-                # One more answer to the current read: scan at the one that
-                # completes line 7's quorum, not before and not after.
+                # One more answer to the current read: release at the one
+                # that completes line 7's quorum, not before and not after.
                 missing = self._r_missing = self._r_missing - 1
                 if not missing:
                     self._scan_due = True
@@ -351,23 +406,11 @@ class TwoBitRegisterProcess(RegisterProcess):
 
         With non-FIFO channels a WRITE can overtake its predecessor; the
         alternating parity bit detects this, and the wait simply defers the
-        overtaking message until the predecessor has been processed — then it
-        is handled like any other (``on_message``, where line 11 now holds).
+        overtaking message until line 18 has processed the predecessor — then
+        it is handled like any other (``on_message``, where line 11 now holds).
         """
-        w_sync = self.state.w_sync
-        entry_waits = self._entry_waits
         self._reordered_writes += 1
-
-        def handle_buffered_write() -> None:
-            entry_waits[src] -= 1
-            self.on_message(src, message)
-
-        self._add_entry_wait(
-            src,
-            lambda: message.bit == (w_sync[src] + 1) % 2,
-            handle_buffered_write,
-            ("line 11 reorder buffer (from p%d, bit=%d)", src, message.bit),
-        )
+        self._hold(src, self.state.w_sync[src] + 1, message)
 
     # -- READ() ---------------------------------------------------------------
 
@@ -381,39 +424,14 @@ class TwoBitRegisterProcess(RegisterProcess):
         # line 20: wait (w_sync_i[j] >= sn)
         # line 21: send PROCEED() to p_j
         if w_sync[src] >= sn:
-            # The requester is already fresh (nearly every READ): what
-            # add_guard does for a wait that already holds, without building
-            # the wait — the action, then the scan, which is due only if an
-            # earlier handler of the same coalesced batch left it so.
+            # The requester is already fresh (nearly every READ): a wait that
+            # holds when registered fires at once and then releases what an
+            # earlier handler of the same coalesced batch made due.
             self.network.send(self.pid, src, PROCEED)
             if self._scan_due:
                 self.check_guards()
         else:
-            entry_waits = self._entry_waits
-
-            def send_proceed() -> None:
-                entry_waits[src] -= 1
-                self.network.send(self.pid, src, PROCEED)
-
-            self._add_entry_wait(
-                src,
-                lambda: w_sync[src] >= sn,
-                send_proceed,
-                ("line 20 freshness wait (reader p%d, sn=%d)", src, sn),
-            )
-
-    def _add_entry_wait(
-        self, src: int, predicate: Callable[[], bool], action: Callable[[], None], label: tuple
-    ) -> None:
-        """Register a line-11 / line-20 wait, which reads ``w_sync_i[src]``.
-
-        Its predicate is false when registered.  A held operation wait was
-        registered first, so it joins the guard list first.
-        """
-        if self._op_held():
-            self._guards.append(self._op_guard())
-        self._entry_waits[src] += 1
-        self.add_guard(predicate, action, label=label)
+            self._hold(src, sn, None)
 
     # ------------------------------------------------------------- inspection
 

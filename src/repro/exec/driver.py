@@ -227,7 +227,7 @@ class Driver:
             if not queue:
                 continue
             # What the replica was still waiting for when the events ran out
-            # (a crashed replica waits for nothing: crashing drops its guards).
+            # (a crashed replica reports no wait).
             waits = process.waiting_on()
             reason = (
                 f"stalled on replica p{process.pid}"

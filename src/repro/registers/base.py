@@ -10,8 +10,8 @@ and workloads a friendly per-process facade.
 
 The completion-callback style (rather than ``async``/``await``) was chosen
 because the substrate is a virtual-time discrete-event simulator: operations
-"block" by registering guards and the workload runner drives closed-loop
-clients by chaining callbacks.  See ``repro.workloads.runner``.
+"block" by holding waits their handlers release, and the workload runner
+drives closed-loop clients by chaining callbacks.  See ``repro.workloads.runner``.
 """
 
 from __future__ import annotations

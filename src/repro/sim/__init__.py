@@ -28,7 +28,7 @@ Public entry points
     the one message log (an operation is its ``OperationRecord``, in a run
     the driver's ``OpLog``; a crash is ``Process.crash_time``).
 :class:`~repro.transport.runtime.ProcessBase` (re-exported here as ``Process``)
-    Base class for protocol processes (send / message handlers / guards);
+    Base class for protocol processes (send / message handlers / release);
     transport-agnostic, so it lives with the transport layer.
 :mod:`~repro.sim.delays`
     Pluggable message-delay models.
@@ -48,7 +48,7 @@ from repro.sim.delays import (
 from repro.sim.events import Event, EventQueue
 from repro.sim.network import MessageRecord, Network, NetworkStats
 from repro.sim.scheduler import Simulator, SimulationError
-from repro.transport.runtime import Guard, ProcessBase as Process, ProcessCrashedError
+from repro.transport.runtime import ProcessBase as Process, ProcessCrashedError
 
 __all__ = [
     "DelayModel",
@@ -56,7 +56,6 @@ __all__ = [
     "EventQueue",
     "ExponentialDelay",
     "FixedDelay",
-    "Guard",
     "JitteredDelay",
     "MessageRecord",
     "Network",

@@ -213,13 +213,13 @@ class _Delivery:
         All entries share this event's destination and instant, so the
         per-delivery invariants (destination, stats, record flag) are hoisted
         out of the loop, message handling is dispatched straight to
-        ``on_message``, and the guard fixpoint scan runs **once**
+        ``on_message``, and the release (``check_guards``) runs **once**
         for the whole batch instead of once per message — if any handler of
-        the batch moved state a pending guard reads.  Deferring the scan
+        the batch made a wait hold.  Deferring the release
         is legal because every awaited predicate is *stable-true* within an
         instant — quorum counts and ``w_sync`` entries only grow, and the
         alternating-bit reorder predicate stays true until its write is
-        processed — so the same guards fire at the same virtual time, merely
+        processed — so the same waits fire at the same virtual time, merely
         later within it.  Destination liveness is re-read per logical message
         (a handler may crash the destination mid-event, e.g. a send-count
         crash trigger firing on one of its replies).
@@ -238,7 +238,7 @@ class _Delivery:
             if delivered:
                 stats.messages_delivered += 1
                 # Process.deliver, inlined for the batch: the dispatch, with
-                # the guard scan hoisted to the end of the fan-out.
+                # the release hoisted to the end of the fan-out.
                 destination.on_message(src, message)
             else:
                 stats.messages_dropped_to_crashed += 1  # record_drop(), inlined

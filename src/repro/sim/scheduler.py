@@ -1,8 +1,8 @@
 """The discrete-event scheduler (virtual clock + event loop).
 
 The :class:`Simulator` owns the virtual clock and the :class:`EventQueue`.
-Protocol code never blocks: waits are expressed as *guards* on processes
-(see :mod:`repro.transport.runtime`) or as events scheduled in the future.  The
+Protocol code never blocks: a wait is state on a process that its handlers
+release (see :mod:`repro.transport.runtime`), or an event scheduled in the future.  The
 simulator advances time only when it pops an event, so the clock jumps from
 event to event — there is no real-time component at all.
 

@@ -26,12 +26,11 @@ from repro.transport.base import (
     available_transports,
     get_transport_info,
 )
-from repro.transport.runtime import Guard, ProcessBase, ProcessCrashedError
+from repro.transport.runtime import ProcessBase, ProcessCrashedError
 
 __all__ = [
     "TRANSPORTS",
     "Clock",
-    "Guard",
     "ProcessBase",
     "ProcessCrashedError",
     "Transport",

@@ -1,21 +1,22 @@
-"""Process runtime: message handling, guards, crash semantics.
+"""Process runtime: message handling, the release hook, crash semantics.
 
 This is the transport-agnostic half of the execution model.  A
 :class:`ProcessBase` is a sequential protocol process attached to any
-:class:`~repro.transport.base.Transport`; it receives deliveries, sends
-messages, and expresses the paper's blocking ``wait(predicate)``
-statements (lines 3, 7, 9, 11 and 20 of Figure 1) as **guards**: a guard is
-a ``(predicate, action)`` pair registered on a process.  A handler that moves
-state a pending guard reads says so (``self._scan_due = True``); the delivery
-that ran it then re-evaluates all pending guards and those whose predicate
-holds fire their action exactly once.  This gives the same semantics as the
-pseudocode: the continuation runs as soon as the awaited condition becomes
-true, and never before — on the virtual-time simulator and on live sockets
-alike, because guard evaluation is driven by deliveries, not by the clock.
-A handler that moved nothing a wait reads costs no scan.
+:class:`~repro.transport.base.Transport`; it receives deliveries and sends
+messages.  The paper's blocking ``wait(predicate)`` statements are the
+subclasses' own state: a count or a threshold that the one handler line
+moving the awaited entry checks (the two-bit process's lines 18 and 22, the
+quorum engine's ``phase_reply``).  A handler that makes a wait hold and
+cannot fire it in its own frame says so (``self._scan_due = True``); the
+delivery that ran it — or the coalesced batch, after its last handler —
+then calls :meth:`ProcessBase.check_guards`, the subclass's release.  The
+continuation thus runs as soon as the awaited condition becomes true, and
+never before — on the virtual-time simulator and on live sockets alike,
+because releases are driven by deliveries, not by the clock.  A handler
+that made nothing hold costs no release.
 
 Crash semantics: :meth:`ProcessBase.crash` flips a flag; from then on the
-process neither processes deliveries nor fires guards nor sends messages.
+process neither processes deliveries nor releases waits nor sends messages.
 This matches the paper's crash model — a faulty process "executes correctly
 its local algorithm until it possibly crashes", then halts.  (On the live
 backend a fired crash point crashes every process of its replica this way,
@@ -45,39 +46,6 @@ def render_label(label: Any) -> str:
     return label[0] % label[1:] if isinstance(label, tuple) else str(label)
 
 
-class Guard:
-    """A pending wait: ``action`` fires once when ``predicate`` becomes true.
-
-    Attributes
-    ----------
-    predicate:
-        Zero-argument callable evaluated after every state change.
-    action:
-        Zero-argument callable executed (once) when the predicate holds.
-    label:
-        Diagnostic tag (shows up in stuck-run failure reasons).  Registered
-        as a string or as a lazy ``(format, *args)`` tuple (:func:`render_label`).
-    """
-
-    __slots__ = ("predicate", "action", "_label", "fired")
-
-    def __init__(
-        self, predicate: Callable[[], bool], action: Callable[[], None], label: Any = ""
-    ) -> None:
-        self.predicate = predicate
-        self.action = action
-        self._label = label
-        self.fired = False
-
-    @property
-    def label(self) -> str:
-        return render_label(self._label)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "fired" if self.fired else "pending"
-        return f"Guard({self.label!r}, {state})"
-
-
 class ProcessBase:
     """A sequential process attached to a :class:`~repro.transport.base.Transport`.
 
@@ -85,9 +53,8 @@ class ProcessBase:
     entry points that the workload runner invokes).  The base class provides:
 
     * :meth:`send` — outbound messaging, to one process or to many (no self-sends);
-    * :meth:`deliver` — inbound dispatch, ignored after a crash;
-    * :meth:`add_guard` / :meth:`check_guards` — the wait mechanism, scanned
-      when a handler set ``_scan_due`` (it moved state a pending guard reads);
+    * :meth:`deliver` — inbound dispatch, ignored after a crash, then the
+      release (:meth:`check_guards`) if a handler set ``_scan_due``;
     * :meth:`crash` — halt the process.
 
     The constructor keeps the historical parameter names ``simulator`` and
@@ -104,10 +71,9 @@ class ProcessBase:
         self.network = network
         self.crashed = False
         self.crash_time: Optional[float] = None
-        self._guards: list[Guard] = []
-        #: State a pending guard reads has moved since the last scan: set by
-        #: the handler that moved it, cleared by :meth:`check_guards` (sticky:
-        #: a coalesced batch runs its handlers back to back, then scans once).
+        #: A handler made a wait hold since the last release: set by that
+        #: handler, cleared by :meth:`check_guards` (sticky: a coalesced batch
+        #: runs its handlers back to back, then releases once).
         self._scan_due = False
         network.register(self)
 
@@ -164,90 +130,50 @@ class ProcessBase:
 
     def on_message(self, src: int, message: Any) -> None:
         """Handle one delivered message.  Subclasses must override, and set
-        ``self._scan_due = True`` when they move state a pending guard reads."""
+        ``self._scan_due = True`` when they make a wait hold that
+        :meth:`check_guards` fires."""
         raise NotImplementedError
 
-    # ---------------------------------------------------------------- guards
+    # ---------------------------------------------------------------- waits
 
     def add_guard(
-        self,
-        predicate: Callable[[], bool],
-        action: Callable[[], None],
-        label: Any = "",
-    ) -> Optional[Guard]:
-        """Register a wait; ``action`` fires once, as soon as ``predicate`` holds.
+        self, predicate: Callable[[], bool], action: Callable[[], None], label: Any = ""
+    ) -> None:
+        """Refused: a process keeps its waits as its own state.
 
-        If the predicate already holds, the action fires immediately (before
-        returning), mirroring a ``wait`` statement whose condition is already
-        satisfied — nothing is left pending, so no :class:`Guard` is built
-        and ``None`` is returned.  ``label`` is a string or a lazily rendered
-        ``(format, *args)`` tuple (see :class:`Guard`).  A crashed process's
-        wait never fires: its :class:`Guard` sits in no list.
+        The name stays while the benchmark ledger patches it (ROADMAP item
+        16(b) removes it with ``check_guards``).
         """
-        if self.crashed:
-            return Guard(predicate, action, label)
-        if predicate():
-            action()
-            if self._guards:
-                self.check_guards()
-            return None
-        guard = Guard(predicate, action, label)
-        self._guards.append(guard)
-        return guard
+        raise NotImplementedError(
+            f"{type(self).__name__}.add_guard: ProcessBase keeps no generic wait list "
+            "(ROADMAP item 16(b)); keep the wait as state the handler that moves it "
+            "checks, and release it in check_guards"
+        )
 
     def check_guards(self) -> None:
-        """Re-evaluate pending guards; fire (once) those whose predicate holds.
+        """Release the waits a handler made hold (``_scan_due``).
 
-        Firing a guard can change state and thereby enable other guards, so
-        the scan repeats until it completes a pass with no firing.  A pass
-        that fires nothing — the common one — reads the list in place; only
-        once a guard is about to fire (its action may add guards, or crash
-        the process and clear them) does the rest of the pass run
-        over a snapshot.  At the fixpoint nothing is due any more, whatever
-        the actions moved on the way.
+        :class:`ProcessBase` holds none, so it only clears the flag; a
+        subclass whose handlers set it overrides this.
         """
-        while self._guards and not self.crashed:
-            guards = self._guards
-            for index, guard in enumerate(guards):
-                if not guard.fired and guard.predicate():
-                    break
-            else:
-                break
-            rest = guards[index + 1 :]
-            guard.fired = True
-            guard.action()
-            for guard in rest:
-                if guard.fired:
-                    continue
-                if guard.predicate():
-                    guard.fired = True
-                    guard.action()
-            self._guards = [g for g in self._guards if not g.fired]
         self._scan_due = False
-
-    def pending_guards(self) -> list[Guard]:
-        """Currently pending (unfired) guards — for diagnostics."""
-        return [g for g in self._guards if not g.fired]
 
     def waiting_on(self) -> list[str]:
         """What this process is blocked on, for stuck-run reports.
 
-        The default names the pending guards' labels; a process that waits
-        without guards (the consensus replicas) overrides it.  Rendered only
-        when asked, so a wait that is never diagnosed costs nothing.
+        A process that waits overrides this with its waits' labels, rendered
+        only when asked, so a wait that is never diagnosed costs nothing.
         """
-        labels = (guard.label for guard in self.pending_guards())
-        return [label for label in labels if label]
+        return []
 
     # ----------------------------------------------------------------- crash
 
     def crash(self) -> None:
-        """Halt the process: no further sends, deliveries, or guard firings."""
+        """Halt the process: no further sends, deliveries, or releases."""
         if self.crashed:
             return
         self.crashed = True
         self.crash_time = self.simulator.now
-        self._guards.clear()
 
     def require_alive(self, operation: str) -> None:
         """Raise :class:`ProcessCrashedError` if the process has crashed."""

@@ -100,12 +100,12 @@ class TestWriteHandlerReordering:
         receiver.deliver(0, WriteMessage(bit=0, value="v2"))  # overtook its predecessor
         assert receiver.state.history == ["v0"]  # deferred, not applied
         assert receiver.reordered_write_count == 1
-        assert len(receiver.pending_guards()) == 1
+        assert len(receiver.waiting_on()) == 1
         receiver.deliver(0, WriteMessage(bit=1, value="v1"))  # the predecessor
         # Both are now applied, in sending order.
         assert receiver.state.history == ["v0", "v1", "v2"]
         assert receiver.state.w_sync[0] == 2
-        assert receiver.pending_guards() == []
+        assert receiver.waiting_on() == []
 
     def test_in_order_messages_are_not_counted_as_reordered(self):
         cluster = make_cluster(n=3)
@@ -131,39 +131,39 @@ class TestReadAndProceedHandlers:
         responder.deliver(0, WriteMessage(bit=1, value="v1"))
         responder.deliver(2, ReadMessage())
         assert cluster.network.stats.by_type.get("PROCEED", 0) == 0
-        assert len(responder.pending_guards()) == 1
+        assert len(responder.waiting_on()) == 1
         # p2's own copy of value #1 eventually reaches p1 (the forward p2 does
         # when it learns v1); here we deliver it directly.
         responder.deliver(2, WriteMessage(bit=1, value="v1"))
         assert cluster.network.stats.by_type.get("PROCEED", 0) == 1
 
-    def test_read_answered_at_once_builds_no_wait_but_scans_like_one(self):
-        """The line-20 shortcut does what ``add_guard`` does for a wait that
-        already holds: the action, then a scan of the pending guards.  Inside a
-        coalesced delivery batch handlers run back to back with the scan
-        deferred to the end (``on_message`` below, not ``deliver``); the scan a
-        READ triggers there must still happen."""
+    def test_read_answered_at_once_builds_no_wait_but_releases_like_one(self):
+        """A line-20 wait that holds when registered fires at once, then
+        releases what is due.  Inside a coalesced delivery batch handlers run
+        back to back with the release deferred to the end (``on_message``
+        below, not ``deliver``); the release a READ triggers there must still
+        happen."""
         cluster = make_cluster(n=3)
         responder = cluster.processes[1]
         responder.on_message(0, WriteMessage(bit=0, value="v2"))  # overtook: line-11 wait
-        responder.on_message(0, WriteMessage(bit=1, value="v1"))  # enables it, unscanned
-        assert responder.state.history == ["v0", "v1"] and len(responder.pending_guards()) == 1
+        responder.on_message(0, WriteMessage(bit=1, value="v1"))  # enables it, unreleased
+        assert responder.state.history == ["v0", "v1"] and len(responder.waiting_on()) == 1
         responder.on_message(2, ReadMessage())
         # sn = 1 > w_sync[2] = 0: p2 is not fresh, this READ waits (line 20) —
-        # and registering the wait did not scan.
-        assert len(responder.pending_guards()) == 2
+        # and registering the wait released nothing.
+        assert len(responder.waiting_on()) == 2
         responder.state.w_sync[2] = 1
-        responder.on_message(2, ReadMessage())  # fresh now: PROCEED at once, then the scan
+        responder.on_message(2, ReadMessage())  # fresh now: PROCEED at once, then the release
         assert cluster.network.stats.by_type.get("PROCEED", 0) == 2
         assert responder.state.history == ["v0", "v1", "v2"]
-        assert responder.pending_guards() == []
+        assert responder.waiting_on() == []
 
     def test_a_crashed_responder_answers_no_read(self):
         cluster = make_cluster(n=3)
         responder = cluster.processes[1]
         responder.crash()
         responder._handle_read(2)
-        assert cluster.network.stats.messages_sent == 0 and responder.pending_guards() == []
+        assert cluster.network.stats.messages_sent == 0 and responder.waiting_on() == []
 
     def test_proceed_increments_r_sync(self):
         cluster = make_cluster(n=3)
@@ -252,6 +252,50 @@ class TestReleaseOrder:
         assert receiver.reordered_write_count == 2
 
 
+    def test_a_line_9_that_holds_at_once_releases_again_from_the_first_wait(self):
+        """p1's read is registered between p2's waits and p3's.  The batch's
+        release fires p2's held ``WRITE`` — which makes p2's earlier-registered
+        line-20 wait hold — then the read's line 7; its line 9 holds at once,
+        and the release starts again from the first wait: p2's ``PROCEED``
+        goes before p3's."""
+        cluster = make_cluster(n=4)
+        receiver = cluster.processes[1]
+        receiver.deliver(0, WriteMessage(bit=1, value="v1"))
+        receiver.deliver(0, WriteMessage(bit=0, value="v2"))
+        sent = []
+        cluster.network.add_send_hook(lambda src, dst, message: sent.append((src, dst, message)))
+        receiver.on_message(2, ReadMessage())  # line 20: until w_sync[2] >= 2
+        receiver.on_message(2, WriteMessage(bit=0, value="v2"))  # line 11: overtook value #1
+        results = []
+        receiver.invoke_read(lambda record: results.append(record.result))  # line 7
+        receiver.on_message(3, ReadMessage())  # line 20: until w_sync[3] >= 2
+        assert receiver.waiting_on() == [
+            "line 20 freshness wait (reader p2, sn=2)",
+            "line 11 reorder buffer (from p2, bit=0)",
+            "read#1 line 7 quorum",
+            "line 20 freshness wait (reader p3, sn=2)",
+        ]
+        for src, message in (
+            (2, WriteMessage(bit=1, value="v1")),
+            (3, WriteMessage(bit=1, value="v1")),
+            (3, WriteMessage(bit=0, value="v2")),
+            (2, ProceedMessage()),
+            (3, ProceedMessage()),
+        ):
+            receiver.on_message(src, message)
+        receiver.check_guards()
+        assert results == ["v2"] and receiver.waiting_on() == []
+        assert sent == [
+            (1, 0, ReadMessage()),  # line 6
+            (1, 2, ReadMessage()),
+            (1, 3, ReadMessage()),
+            (1, 2, WriteMessage(bit=0, value="v2")),  # line 16: catch p2 up
+            (1, 3, WriteMessage(bit=0, value="v2")),  # line 16: catch p3 up
+            (1, 2, ProceedMessage()),
+            (1, 3, ProceedMessage()),
+        ]
+
+
 class TestSetupErrors:
     def test_operations_require_finish_setup(self):
         from repro.core.process import TwoBitRegisterProcess
@@ -332,5 +376,6 @@ class TestWaitDiagnostics:
     def test_a_satisfied_wait_leaves_nothing_pending(self):
         cluster = make_cluster(n=3)
         responder = cluster.processes[1]
-        assert responder.add_guard(lambda: True, lambda: None, label=("never %s", "rendered")) is None
-        assert responder.pending_guards() == []
+        responder.deliver(2, ReadMessage())  # line 20 holds: PROCEED at once
+        responder.deliver(0, WriteMessage(bit=1, value="v1"))  # line 11 holds
+        assert self.labels(responder) == []

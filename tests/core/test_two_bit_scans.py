@@ -1,24 +1,26 @@
 """A two-bit process's waits fire where the closure-built guards fired — and nothing can tell.
 
 ``TwoBitRegisterProcess`` keeps its operation's wait (Figure 1, line 3, 7 or
-9) as plain state: the counts lines 18 and 22 keep decide when it fires, and
-it asks for a guard scan only when a delivery moved an entry that completes
-the awaited quorum count or that a line-11 / line-20 wait reads.  The
-formulation it replaced built each operation wait from closures through
-``add_guard`` and scanned after *every* handler.  That one is kept here, as
-the oracle: :class:`_ClosureGuards` runs the earlier ``_start_write`` /
-``_start_read`` with the "a scan is due" flag stuck at true, so every
-delivery, every coalesced batch and every ``READ`` answered at once scans
-predicates over the arrays, exactly as before.
+9) as a count, and its line-11 / line-20 waits as thresholds on
+``w_sync_i[j]`` queued per sender.  Lines 18 and 22 ask for a release only
+when the entry they moved completes the awaited quorum count or reaches the
+least threshold queued for that sender, and the release fires what holds
+in registration order.  The formulation it replaced built every wait from
+closures through a generic guard list and scanned after *every* handler.
+That one is kept here, as the oracle: :class:`_ClosureGuards` runs the
+earlier ``_start_write`` / ``_start_read`` / line-11 / line-20 code on the
+guard list of ``tests/sim/conftest.py`` with the "a release is due" flag
+stuck at true, so every delivery, every coalesced batch and every ``READ``
+answered at once scans predicates over the arrays, exactly as before.
 
 The differential runs both over seeded schedules — continuous, reorder-heavy
 and instant-sharing delay models (the last with coalesced fan-out batches),
 timed crash points, a send-count crash hook, a healing partition — and
-compares everything an execution leaves behind.  Equal executions mean the
-counted wait never fired early, late, or out of order beside the guards.
+compares everything an execution leaves behind.  Equal executions mean no
+wait fired early, late, or out of order beside the others.
 
-The last test turns the question round: of the scans a delivery does trigger,
-how many were worth it?
+The last test turns the question round: of the releases a delivery does
+trigger, how many were worth it?
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import pytest
 
 from benchmarks.e2e.workloads import spec_for
 from benchmarks.variants import registered, two_bit_variant
-from repro.core.messages import READ, WriteMessage
+from repro.core.messages import PROCEED, READ, WriteMessage
 from repro.core.process import TwoBitRegisterProcess
 from repro.faults.partitions import PartitionSchedule, PartitionWindow
 from repro.faults.plan import FaultPlan
@@ -35,9 +37,11 @@ from repro.sim.delays import ExponentialDelay, FixedDelay, UniformDelay
 from repro.workloads import WorkloadSpec, deploy_register
 from repro.workloads.kv import CrashPoint, KVWorkloadSpec, run_kv_workload
 
+from tests.sim.conftest import GuardList
 
-class _ClosureGuards(TwoBitRegisterProcess):
-    """The oracle: lines 3, 7 and 9 as closure-built guards, scanned after every handler."""
+
+class _ClosureGuards(GuardList, TwoBitRegisterProcess):
+    """The oracle: lines 3, 7, 9, 11 and 20 as closure-built guards, scanned after every handler."""
 
     @property
     def _scan_due(self) -> bool:
@@ -102,28 +106,57 @@ class _ClosureGuards(TwoBitRegisterProcess):
             read_quorum_reached, after_proceed_quorum, label=("read#%d line 7 quorum", rsn)
         )
 
+    def _buffer_write(self, src, message):
+        w_sync = self.state.w_sync
+        self._reordered_writes += 1
+
+        def handle_buffered_write():
+            self.on_message(src, message)
+
+        # line 11: wait (b = (w_sync_i[j] + 1) mod 2)
+        self.add_guard(
+            lambda: message.bit == (w_sync[src] + 1) % 2,
+            handle_buffered_write,
+            ("line 11 reorder buffer (from p%d, bit=%d)", src, message.bit),
+        )
+
+    def _handle_read(self, src):
+        w_sync = self.state.w_sync
+
+        # line 19
+        sn = w_sync[self.pid]
+
+        # line 20: wait (w_sync_i[j] >= sn); line 21: send PROCEED() to p_j
+        if w_sync[src] >= sn:
+            self.network.send(self.pid, src, PROCEED)
+            if self._scan_due:
+                self.check_guards()
+        else:
+
+            def send_proceed():
+                self.network.send(self.pid, src, PROCEED)
+
+            self.add_guard(
+                lambda: w_sync[src] >= sn,
+                send_proceed,
+                ("line 20 freshness wait (reader p%d, sn=%d)", src, sn),
+            )
+
 
 class _CountingScans(TwoBitRegisterProcess):
-    """Counts the scans a delivery triggers and the ones among them that fired a wait.
+    """Counts the releases a delivery triggers and the ones among them that fired a wait.
 
-    A fired wait is a guard's action or the operation wait's continuation
-    (``_fire_op``, whether the wait was held or had joined the guard list).
-    A scan entered from inside another (``add_guard`` and ``_await_op`` scan
-    after a wait that held at once, which happens inside waits' actions) is
-    not delivery-triggered.
+    A fired wait is a queued line-11 / line-20 wait that left its queue (a
+    release registers none) or the operation wait's continuation
+    (``_fire_op``).  A release entered from inside another (``_await_op``
+    releases again when a wait holds at once inside one) is not
+    delivery-triggered.
     """
 
     triggered = 0
     useful = 0
     _fired = 0
     _depth = 0
-
-    def add_guard(self, predicate, action, label=""):
-        def counted_action():
-            _CountingScans._fired += 1
-            action()
-
-        return super().add_guard(predicate, counted_action, label)
 
     def _fire_op(self):
         _CountingScans._fired += 1
@@ -132,6 +165,7 @@ class _CountingScans(TwoBitRegisterProcess):
     def check_guards(self):
         cls = _CountingScans
         top_level = cls._depth == 0
+        queued = sum(map(len, self._waits))
         fired_before = cls._fired
         cls._depth += 1
         try:
@@ -140,7 +174,7 @@ class _CountingScans(TwoBitRegisterProcess):
             cls._depth -= 1
         if top_level:
             cls.triggered += 1
-            cls.useful += cls._fired > fired_before
+            cls.useful += cls._fired > fired_before or sum(map(len, self._waits)) < queued
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -9,7 +9,7 @@ per-message floor cannot silently creep back:
 * a ``WRITE`` is priced when it is built, not once per hop;
 * the event loop is handed no predicate: the drain condition is asked when an
   operation finishes, never after every event;
-* a delivery scans the guards only when a wait can hold;
+* a delivery releases waits only when one can hold;
 * all told, at most 13.5 Python calls per message sent (18.0 before this
   floor was lowered, 10.6 after, on CPython 3.11; interpreters that inline
   comprehensions count fewer).
@@ -26,7 +26,6 @@ from repro.exec.driver import Driver
 from repro.registers.costmodels import value_bits
 from repro.sim.delays import UniformDelay
 from repro.sim.scheduler import Simulator
-from repro.transport.runtime import Guard, ProcessBase
 from repro.workloads.kv import KVWorkloadSpec, deploy, drive_script, iter_kv_script
 
 OPS = 200
@@ -51,13 +50,10 @@ def _profiled_run():
 
     calls = Counter()  # code object -> Python-level calls
     loop_predicates = []  # what each run_until was handed
-    scans = {"depth": 0, "triggered": 0, "guards_built": 0, "op_waits_fired": 0}
-    # Every scan enters the two-bit process's check_guards (which hands a
-    # non-empty guard list on to ProcessBase's).
+    scans = {"depth": 0, "triggered": 0, "waits_queued": 0, "op_waits_fired": 0}
+    # Every release enters the two-bit process's check_guards.
     check_guards = TwoBitRegisterProcess.check_guards.__code__
-    scanners = (check_guards, ProcessBase.check_guards.__code__)
-    add_guard = ProcessBase.add_guard.__code__
-    guard_init = Guard.__init__.__code__
+    hold = TwoBitRegisterProcess._hold.__code__
     fire_op = TwoBitRegisterProcess._fire_op.__code__
     run_until = Simulator.run_until.__code__
 
@@ -66,19 +62,18 @@ def _profiled_run():
         if event == "call":
             calls[code] += 1
             if code is check_guards:
-                # A scan entered from inside another is the follow-up to a
-                # wait that held at once, not a delivery's.
+                # A release entered from inside another is the follow-up to
+                # a wait that held at once, not a delivery's.
                 scans["triggered"] += scans["depth"] == 0
                 scans["depth"] += 1
             elif code is run_until:
                 loop_predicates.append(frame.f_locals["predicate"])
-            elif code is guard_init:
-                # A line-11 / line-20 wait (an operation wait that joins the
-                # guard list is built elsewhere, and counted when it fires).
-                scans["guards_built"] += frame.f_back.f_code is add_guard
+            elif code is hold:
+                # A line-11 / line-20 wait, queued for its sender.
+                scans["waits_queued"] += 1
             elif code is fire_op:
-                # An operation wait fired by a scan (not at registration).
-                scans["op_waits_fired"] += frame.f_back.f_code in scanners
+                # An operation wait fired by a release (not at registration).
+                scans["op_waits_fired"] += frame.f_back.f_code is check_guards
         elif event == "return" and code is check_guards:
             scans["depth"] -= 1
 
@@ -110,11 +105,11 @@ def test_the_two_bit_message_floor():
     assert loop_predicates == [None] * drives
     assert calls[Driver._idle.__code__] == OPS + 2 * drives
 
-    # (2) Scanned only when a wait can hold.  Every line-11 / line-20 guard
-    # that was built was fired by a scan, except those still pending when the
-    # run stopped (every operation completed: no operation wait is pending).
-    pending = sum(len(process.pending_guards()) for process in processes)
-    fired_by_scans = scans["guards_built"] - pending + scans["op_waits_fired"]
+    # (2) Released only when a wait can hold.  Every queued line-11 / line-20
+    # wait was fired by a release, except those still queued when the run
+    # stopped (every operation completed: no operation wait is pending).
+    pending = sum(len(process.waiting_on()) for process in processes)
+    fired_by_scans = scans["waits_queued"] - pending + scans["op_waits_fired"]
     triggered_scans = scans["triggered"]
     assert fired_by_scans > OPS
     assert triggered_scans <= 1.1 * fired_by_scans, (triggered_scans, fired_by_scans)

@@ -11,10 +11,11 @@ set-up) and asserts exact, repeatable counts:
   — the driver's, which the process fills — and nothing else per operation;
 * no :class:`~repro.exec.target.OpRequest` is built while the script is
   driven: the store routes the requests it interned when the key deployed;
-* all told, at most 124 Python calls per operation, messages included
+* all told, at most 112 Python calls per operation, messages included
   (130.3 before the driver's operation and the process's record became one
-  object, 122.3 after, on CPython 3.11; interpreters that inline
-  comprehensions count fewer).
+  object, 122.3 after; 119.5 while the line-11 / line-20 waits were
+  closure-built guards, 109.4 once they were queued thresholds; on CPython
+  3.11, and interpreters that inline comprehensions count fewer).
 
 The ABD run is the open-loop store (Poisson arrivals, three replicas, 90%
 reads) at a fixed seed.  There an operation is two quorum phases (one for a
@@ -49,7 +50,7 @@ from repro.workloads.kv import (
 from repro.workloads.scenarios import kv_cas, kv_openloop
 
 OPS = 200
-MAX_CALLS_PER_OP = 124
+MAX_CALLS_PER_OP = 112
 MAX_ABD_CALLS_PER_OP = 115
 MAX_MMR_CALLS_PER_OP = 184
 

@@ -8,8 +8,10 @@ from repro.transport.base import TransportClosedError
 from repro.transport.runtime import ProcessBase as Process
 from repro.sim.scheduler import Simulator
 
+from tests.sim.conftest import GuardList
 
-class Recorder(Process):
+
+class Recorder(GuardList, Process):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.received = []

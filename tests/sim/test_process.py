@@ -1,4 +1,5 @@
-"""Unit tests for the process base class: guards, crash semantics, dispatch."""
+"""Unit tests for the process base class (crash semantics, dispatch, the release
+hook) and for the generic guard list the test oracles keep (``GuardList``)."""
 
 import pytest
 
@@ -40,7 +41,23 @@ class TestBasics:
         assert process.local_memory_words() == 0
 
 
+class TestTheBaseHoldsNoWaits:
+    def test_add_guard_is_refused(self, simulator, network):
+        process = Process(0, simulator, network)
+        with pytest.raises(NotImplementedError, match=r"item 16\(b\)"):
+            process.add_guard(lambda: True, lambda: None)
+
+    def test_the_release_only_clears_the_flag(self, simulator, network):
+        process = Process(0, simulator, network)
+        process._scan_due = True
+        process.check_guards()
+        assert process._scan_due is False
+        assert process.waiting_on() == []
+
+
 class TestGuards:
+    """The ``GuardList`` helper (``tests/sim/conftest.py``) that the oracles use."""
+
     def test_guard_fires_when_predicate_becomes_true(self, simulator, network):
         (process,) = build_recorders(simulator, network, 1)
         state = {"ready": False}
