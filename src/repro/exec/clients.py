@@ -157,7 +157,7 @@ class OpenLoopClient:
             self._schedule(chain)
         if self._pending is None:
             return
-        simulator = self.driver.simulator
+        simulator = self.driver.clock
         at = max(self._pending[0], simulator.now)
         simulator.schedule_at(at, self._fire, label="open-loop arrival 0")
 
@@ -173,7 +173,7 @@ class OpenLoopClient:
         self._open += 1
         self.driver.submit(process, op)
         if self._pending is not None:
-            simulator = self.driver.simulator
+            simulator = self.driver.clock
             next_at = max(self._pending[0], simulator.now)
             simulator.schedule_at(next_at, self._fire, label=("open-loop arrival %d", self._fired))
 
@@ -184,7 +184,7 @@ class OpenLoopClient:
 
     def _schedule(self, chain: _Chain) -> None:
         chain.busy = True
-        self.driver.simulator.schedule_after(
+        self.driver.clock.schedule_after(
             chain.entries[0][0], partial(self._issue, chain),
             label=("p%d chained entry", chain.process.pid),
         )

@@ -1,4 +1,4 @@
-"""The unified operation driver: one engine for registers and the store.
+"""The unified operation driver: one engine for registers, the store and live replicas.
 
 * **per-process FIFO queueing** — a register process is sequential (at most
   one of *its own* operations outstanding), so the driver keeps one queue per
@@ -14,10 +14,18 @@
 * **stuck detection** — :meth:`Driver.drive` notices when the event queue
   drains while operations are still queued (a replica crashed mid-operation)
   and fails them with a diagnostic instead of hanging.
-* **one record** — every operation is a row of the driver's
+* **one record** — every operation it creates is a row of the driver's
   :class:`~repro.exec.oplog.OpLog`, filled in as it is issued, completes or
   fails; :attr:`Driver.metrics` is a :class:`~repro.exec.metrics.MetricsCollector`
-  view over that log, so nothing is counted twice.
+  view over that log, so nothing is counted twice.  An operation submitted
+  with ``op_id == -1`` (built by its caller, not by :meth:`Driver.new_op`)
+  is queued, issued, chained and failed like any other, but neither logged
+  nor listed: a live replica's driver serves its clients' invokes this way,
+  and the client's own log is the history.
+
+The queueing, issue and completion steps read only the clock's ``now``, so
+a live replica drives its operations over its wall clock; only
+:meth:`Driver.drive` runs a loop, on a virtual-time simulator.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from repro.exec.metrics import MetricsCollector
 from repro.exec.oplog import OpLog
 from repro.registers.base import OperationKind, OperationRecord, OperationRefused, RegisterProcess
-from repro.transport.base import DrivableClock
+from repro.transport.base import Clock, DrivableClock
 from repro.transport.runtime import ProcessCrashedError
 
 # Bound once: looking a member up on the enum class runs EnumType's
@@ -47,11 +55,11 @@ class Driver:
     owns queueing, invocation, completion chaining and failure accounting.
     """
 
-    def __init__(self, simulator: DrivableClock) -> None:
-        #: The clock driving this run — the virtual-time simulator (the
-        #: historical attribute name) or any other ``DrivableClock``.
-        self.simulator = simulator
-        self.clock = simulator
+    def __init__(self, clock: Clock) -> None:
+        #: The clock that stamps this run's operations: the virtual-time
+        #: simulator, or a live replica's wall clock.  Only :meth:`drive`
+        #: needs more than a ``Clock``: it runs the loop of a ``DrivableClock``.
+        self.clock = clock
         #: The columnar operation log, written in place as the run executes
         #: (row index == ``op_id``): the store's history/checking plane reads
         #: its columns, not the operation objects.
@@ -66,17 +74,18 @@ class Driver:
         #: run — declaring operations stuck that are merely *held* until a
         #: heal that is already scheduled to happen.
         self.fault_horizon: Optional[float] = None
-        #: Every submitted operation, in submission order.
+        #: Every operation built by :meth:`new_op`, in creation order.
         self.ops: List[OperationRecord] = []
-        #: Every issued operation, in issue order (history material).
+        #: Every issued operation it built, in issue order (history material).
         self.records: List[OperationRecord] = []
         # Per process: its FIFO and its one completion callback.
         self._queues: Dict[
             RegisterProcess, Tuple[Deque[OperationRecord], Callable[[OperationRecord], None]]
         ] = {}
         #: Operations failed on a replica that had not crashed — by
-        #: :meth:`fail_stuck`, or refused by one that still holds a stalled
-        #: command: they can never complete, so the run did not finish.
+        #: :meth:`fail_stuck`, or refused by it (a stalled command it still
+        #: holds, a write at a non-writer): they can never complete, so the
+        #: run did not finish.
         self.stalled = 0
         self._outstanding = 0
         self._op_counter = itertools.count()
@@ -105,8 +114,9 @@ class Driver:
         if lane is None:
             lane = self._queues[process] = (deque(), partial(self._on_complete, process))
         queue = lane[0]
-        op.submitted_at = self.simulator.now
-        self.oplog.note_submitted(op.op_id, op.submitted_at)
+        op.submitted_at = self.clock.now
+        if op.op_id >= 0:
+            self.oplog.note_submitted(op.op_id, op.submitted_at)
         queue.append(op)
         self._outstanding += 1
         if len(queue) == 1:
@@ -132,25 +142,27 @@ class Driver:
                     process.invoke_operation(op.kind, op.value, complete, op)
             except ProcessCrashedError:
                 reason = f"replica p{process.pid} crashed before issuing"
-            except OperationRefused as refusal:  # it can never take this one
+            except (OperationRefused, PermissionError) as refusal:  # it can never take this one
                 reason = str(refusal)
                 self.stalled += 1
             else:
-                self.records.append(op)
-                # Issue and completion touch disjoint columns, so a callback
-                # that fired synchronously (before this line) is harmless.
-                self.oplog.note_issued(op.op_id, op)
+                if op.op_id >= 0:
+                    self.records.append(op)
+                    # Issue and completion touch disjoint columns, so a callback
+                    # that fired synchronously (before this line) is harmless.
+                    self.oplog.note_issued(op.op_id, op)
                 return
             queue.popleft()
             self._fail(op, reason)
             if self._until is not None and self._until():
-                self.simulator.stop()
+                self.clock.stop()
 
     def _on_complete(self, process: RegisterProcess, op: OperationRecord) -> None:
         lane = self._queues[process]
         queue = lane[0]
         queue.popleft()  # ``op``: a process completes only its current operation
-        self.oplog.note_completed(op.op_id, op)
+        if op.op_id >= 0:
+            self.oplog.note_completed(op.op_id, op)
         self._outstanding -= 1
         if queue:
             self._issue(process, *lane)
@@ -159,12 +171,13 @@ class Driver:
         # After the continuation: a chain's next operation is already
         # outstanding by now.
         if self._until is not None and self._until():
-            self.simulator.stop()
+            self.clock.stop()
 
     def _fail(self, op: OperationRecord, reason: str) -> None:
         op.failed = True
         op.failure_reason = reason
-        self.oplog.note_failed(op.op_id, reason)
+        if op.op_id >= 0:
+            self.oplog.note_failed(op.op_id, reason)
         self._outstanding -= 1
         if op.on_done is not None:
             op.on_done(op)
@@ -200,6 +213,7 @@ class Driver:
         """
         if limit is not None and self.fault_horizon is not None and limit < self.fault_horizon:
             limit = self.fault_horizon
+        simulator: DrivableClock = self.clock  # type: ignore[assignment]
         until = self._until = predicate if predicate is not None else self._idle
         try:
             # The finish that meets the condition stops the loop.  A finish
@@ -207,13 +221,13 @@ class Driver:
             # work: then the condition no longer holds, and the loop resumes.
             finished = until()
             while not finished:
-                stopped = self.simulator.run_until(None, limit=limit)
+                stopped = simulator.run_until(None, limit=limit)
                 finished = until()
                 if not stopped:  # the queue drained, or the limit passed
                     break
         finally:
             self._until = None
-        if not finished and self._outstanding and self.simulator.pending_events == 0:
+        if not finished and self._outstanding and simulator.pending_events == 0:
             self.fail_stuck()
         return finished
 
@@ -222,7 +236,8 @@ class Driver:
         return self._outstanding == 0
 
     def fail_stuck(self) -> None:
-        """Fail every queued operation (used when the event queue drained under them)."""
+        """Fail every queued operation: the event queue drained under them, or
+        (a live replica's halt) their processes crashed."""
         for process, (queue, _complete) in self._queues.items():
             if not queue:
                 continue

@@ -182,6 +182,7 @@ class RegisterProcess(ProcessBase):
         # Every other process, in pid order (fixed by finish_setup).
         self._peers: list[int] = []
         self._op_counter = itertools.count()
+        # The operation in progress, if any.
         self._current_op: Optional[OperationRecord] = None
 
     # ---------------------------------------------------------------- wiring
@@ -195,11 +196,6 @@ class RegisterProcess(ProcessBase):
     def is_writer(self) -> bool:
         """True if this process is the (single) writer."""
         return self.pid == self.writer_pid
-
-    @property
-    def current_operation(self) -> Optional[OperationRecord]:
-        """The operation this process is currently executing, if any."""
-        return self._current_op
 
     # ------------------------------------------------------------ invocation
     #

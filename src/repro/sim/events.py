@@ -210,13 +210,3 @@ class EventQueue:
         return [
             item[2].describe(*item[3:]) for item in sorted(self._heap) if not item[2].cancelled
         ]
-
-
-def never(_: Any = None) -> bool:
-    """A predicate that is never satisfied (useful default for guards in tests)."""
-    return False
-
-
-def always(_: Any = None) -> bool:
-    """A predicate that is always satisfied (useful default for guards in tests)."""
-    return True

@@ -7,7 +7,10 @@ here over real sockets, unmodified:
   running an asyncio event loop; it reports its listen port over a pipe,
   dials every peer before it acks the port map, and creates each key's
   :class:`~repro.registers.base.RegisterProcess` lazily on first touch,
-  like the simulated store's subnets, behind a :class:`LiveKey`;
+  like the simulated store's subnets, behind a :class:`LiveKey` (the key's
+  transport).  One :class:`~repro.exec.driver.Driver` over the replica's
+  wall clock queues and issues the invokes, as on the simulator, and each
+  one's completion or failure is its ``result`` frame;
 * :class:`Connection` is the only code here that touches a socket: it
   opens or accepts a stream, checks schema signatures in a ``hello`` /
   ``hello_ack`` exchange of envelope-0 frames of the one wire codec
@@ -32,12 +35,13 @@ simulator's own :func:`~repro.faults.plan.install_crash_points`; a fired
 point halts the replica as ``ProcessBase.crash`` halts a simulated one.
 Its processes crash, so it sends nothing more; every ``msg`` frame that
 reaches it is billed to ``messages_dropped_to_crashed`` where it would have
-been delivered; every operation queued, in flight or invoked later is
-answered at once with a crashed result.  The process stays up, its links
-open and its ``stats`` answers (which say it crashed) carry its bill, until
-the cluster stops.  So a link that ends mid-run is always a fault and fails
-the run by name, as does a replica silent to a stats request or a client
-worker process that raises or dies (``worker_failure``).  Fault plans,
+been delivered; its driver fails every operation queued or in flight, and
+each of those and every one invoked later is answered at once with a
+crashed result.  The process stays up, its links open and its ``stats``
+answers (which say it crashed) carry its bill, until the cluster stops.
+So a link that ends mid-run is always a fault and fails the run by name,
+as does a replica silent to a stats request or a client worker process
+that raises or dies (``worker_failure``).  Fault plans,
 coalescing and the delivery chooser stay simulated-only (they need a
 controllable clock).  TCP
 gives reliable non-FIFO-across-connections delivery and the OS scheduler
@@ -52,12 +56,12 @@ import itertools
 import os
 import time
 from array import array
-from collections import deque
 from functools import partial
 from multiprocessing.connection import wait as wait_readable
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.consensus.mmr import ConsensusObjectProcess, consensus_invariants
+from repro.exec.driver import Driver
 from repro.exec.oplog import OpLog, encode_oplog
 from repro.faults.plan import CrashPoint, install_crash_points
 from repro.parallel.merge import merge_network_stats, merged_result
@@ -293,15 +297,17 @@ class Connection:
 
 
 class LiveKey:
-    """One key on one replica: its transport, its register process and its invoke FIFO.
+    """One key on one replica: its transport and its register process.
 
     As the key's :class:`~repro.transport.base.Transport`, each send becomes
     one peer frame per destination.  Membership is the full static replica
     set, and messages are billed to the server-wide :class:`NetworkStats`
-    (as simulated subnets bill to their parent network).
+    (as simulated subnets bill to their parent network).  The replica's
+    :class:`~repro.exec.driver.Driver` queues and issues the process's
+    operations.
     """
 
-    __slots__ = ("server", "key", "name", "closed", "stats", "process", "pending", "serving")
+    __slots__ = ("server", "key", "name", "closed", "stats", "process")
 
     def __init__(self, server: "_ReplicaServer", key: Any) -> None:
         self.server = server
@@ -309,10 +315,6 @@ class LiveKey:
         self.name = f"live:{key}"
         self.closed = False
         self.stats = server.stats
-        #: Queued client invokes: (op_id, kind, value, reply connection).
-        self.pending: deque = deque()
-        #: The invoke last handed to the process, as queued.
-        self.serving: Optional[Tuple[Any, ...]] = None
         self.process = server.algorithm.process_factory(
             pid=server.replica_id,
             simulator=server.clock,
@@ -359,49 +361,6 @@ class LiveKey:
     def close(self) -> None:
         self.closed = True
 
-    def pump(self) -> None:
-        """Issue queued invokes while the (sequential) register process is free."""
-        process = self.process
-        pending = self.pending
-        while pending:
-            current = process.current_operation
-            if current is not None and not current.completed:
-                return  # busy; the completion callback pumps again
-            self.serving = op_id, op, value, reply_conn = pending.popleft()
-
-            def finish(record: OperationRecord, op_id: int = op_id, c=reply_conn) -> None:
-                if not process.crashed:  # halted mid-step: its crash answer went out
-                    c.send(
-                        {"kind": "result", "op_id": op_id, "ok": True, "value": record.result}
-                    )
-
-            try:
-                if op == "write":
-                    process.invoke_write(value, finish)
-                elif op == "read":
-                    process.invoke_read(finish)
-                else:
-                    # Consensus-object kinds (cas/tas/incr).  JSON decoding
-                    # turns tuple arguments into lists; the SMR objects
-                    # unpack positionally, so the shapes agree.
-                    process.invoke_operation(OperationKind(op), value, finish)
-            except Exception as exc:  # wrong-writer routing, crashed process, ...
-                reply_conn.send(
-                    {"kind": "result", "op_id": op_id, "ok": False, "error": str(exc)}
-                )
-
-    def halt(self) -> None:
-        """Crash the process and answer the operation in progress and every queued one."""
-        process = self.process
-        process.crash()
-        current = process.current_operation
-        owed = list(self.pending)
-        self.pending.clear()
-        if current is not None and not current.completed:
-            owed.insert(0, self.serving)
-        for op_id, *_request, reply_conn in owed:
-            reply_conn.send(self.server.crashed_result(op_id))
-
 
 class _ReplicaServer:
     """State of one replica server process (runs inside ``replica_main``)."""
@@ -420,6 +379,9 @@ class _ReplicaServer:
         self.algorithm = get_algorithm(algorithm_name)
         self.initial_value = initial_value
         self.clock = WallClock(asyncio.get_running_loop())
+        #: Queues each key's invokes on its (sequential) process, issues them
+        #: and answers each when it completes or fails.
+        self.driver = Driver(self.clock)
         self.stats = NetworkStats()
         self.keys: Dict[Any, LiveKey] = {}
         #: One dialled connection per peer, all up before ``peers`` is acked.
@@ -470,18 +432,26 @@ class _ReplicaServer:
             entry = self.live_key(frame["key"])
             self.stats.messages_delivered += 1
             entry.process.deliver(frame["src"], frame["msg"])
-            entry.pump()
         elif kind == "invoke":
             if self.crashed is not None:
                 conn.send(self.crashed_result(frame["op_id"]))
                 return
-            entry = self.live_key(frame["key"])
-            entry.pending.append((frame["op_id"], frame["op"], frame.get("value"), conn))
-            entry.pump()
+            key = frame["key"]
+            # Built here with op_id -1, so the driver neither logs nor keeps
+            # it: the client's log is the history.  JSON decoding turns a
+            # consensus kind's tuple argument into a list; the SMR objects
+            # unpack positionally, so the shapes agree.
+            op = OperationRecord(
+                -1, -1, OperationKind(frame["op"]), frame.get("value"), key,
+                partial(self._answer, conn, frame["op_id"]),
+            )
+            self.driver.submit(self.live_key(key).process, op)
         elif kind == "peers":
             self._wiring = asyncio.ensure_future(self._wire_peers(conn, frame["ports"]))
         elif kind == "arm":  # rebase to the run's epoch, ack, arm this replica's points
-            self.clock = WallClock(asyncio.get_running_loop(), epoch=frame["epoch"])
+            self.clock = self.driver.clock = WallClock(
+                asyncio.get_running_loop(), epoch=frame["epoch"]
+            )
             conn.send({"kind": "armed", "replica": self.replica_id})
             mine = [CrashPoint(**p) for p in frame["points"] if p["replica"] == self.replica_id]
             install_crash_points(mine, self.clock, self, self._crash)
@@ -514,8 +484,9 @@ class _ReplicaServer:
     def _crash(self, point: CrashPoint) -> None:
         """The crash callback: this replica halts, as a simulated one does.
 
-        Each key's process crashes, so it takes no more steps, and every
-        operation it owes is answered.  The process itself stays up: its
+        Each key's process crashes, so it takes no more steps, and the
+        driver fails every operation it holds, the one in progress first:
+        each is answered as crashed.  The process itself stays up: its
         links stay open and it answers ``stats`` and ``shutdown``.
         """
         if not self.armed:
@@ -523,7 +494,17 @@ class _ReplicaServer:
         self.armed = False
         self.crashed = f"replica {self.replica_id} crashed: {point}"
         for entry in self.keys.values():
-            entry.halt()
+            entry.process.crash()
+        self.driver.fail_stuck()
+
+    def _answer(self, conn: Connection, op_id: int, op: OperationRecord) -> None:
+        """Client operation ``op_id`` finished as ``op``: send its ``result`` frame."""
+        if op.completed:
+            conn.send({"kind": "result", "op_id": op_id, "ok": True, "value": op.result})
+        elif self.crashed is not None:
+            conn.send(self.crashed_result(op_id))
+        else:  # the process refused it (a write at a non-writer)
+            conn.send({"kind": "result", "op_id": op_id, "ok": False, "error": op.failure_reason})
 
     def crashed_result(self, op_id: int) -> Dict[str, Any]:
         """The answer to operation ``op_id`` once this replica crashed."""

@@ -247,7 +247,7 @@ def test_interactive_runs_with_a_writer_killed_mid_broadcast_are_pinned(algorith
     records = []
     for round_number in range(1, 5):
         writer = cluster.processes[0]
-        if not writer.crashed and writer.current_operation is None:
+        if not writer.crashed and writer._current_op is None:
             records.append(cluster.writer.write(f"v{round_number}", run=False))
         reads = [cluster.processes[pid].invoke_read(lambda _record: None) for pid in (1, 2, 3, 4)]
         records += reads

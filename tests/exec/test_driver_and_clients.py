@@ -87,6 +87,38 @@ class TestDriver:
         assert driver.metrics.snapshot()["failed"] == 1
         assert done == [op]  # on_done fires on failure paths too
 
+    def test_a_write_at_a_non_writer_is_refused_and_its_process_keeps_serving(self):
+        # A write the process refuses fails with the refusal's text; it can
+        # never complete, so it counts as stalled, and the read queued
+        # behind it is issued.
+        simulator, network, processes = deploy()
+        driver = Driver(simulator)
+        write = driver.new_op(OperationKind.WRITE, value="v1")
+        read = driver.new_op(OperationKind.READ)
+        driver.submit(processes[1], write)
+        driver.submit(processes[1], read)
+        assert write.failed and write.failure_reason == (
+            "p1 is not the writer (writer is p0); this is a single-writer register"
+        )
+        assert driver.oplog.reasons == {write.op_id: write.failure_reason}
+        assert driver.stalled == 1
+        assert driver.drive() is True
+        assert read.completed and read.result == "v0"
+
+    def test_an_operation_it_did_not_build_is_served_but_not_kept(self):
+        # op_id -1: queued, issued and completed like any other, but neither
+        # logged nor listed.
+        from repro.registers.base import OperationRecord
+
+        simulator, network, processes = deploy()
+        driver = Driver(simulator)
+        done = []
+        op = OperationRecord(-1, -1, OperationKind.READ, on_done=done.append)
+        driver.submit(processes[1], op)
+        assert driver.drive() is True
+        assert done == [op] and op.completed and op.result == "v0"
+        assert driver.ops == [] and driver.records == [] and len(driver.oplog) == 0
+
     def test_a_bare_driver_logs_every_operation_in_its_own_oplog(self):
         # No store attaches a log: the driver owns one, row index == op_id.
         simulator, network, processes = deploy()

@@ -59,13 +59,13 @@ def test_a_stale_completion_never_completes_the_next_operation(name):
 
     second = driver.new_op(OperationKind.WRITE, "v2", key="k")
     driver.submit(writer, second)
-    assert writer.current_operation is second and not second.done
+    assert writer._current_op is second and not second.done
     stale("stale result")  # the first write's continuation, run again
 
     assert _row(first) == before
     assert _row(driver.oplog.ops_view()[first.op_id]) == logged_before
     assert not second.done and second.result is None and second.responded_at is None
-    assert writer.current_operation is second
+    assert writer._current_op is second
     assert driver.outstanding == 1
 
     # The next operation still completes through its own continuation.
@@ -95,4 +95,4 @@ def test_a_completion_after_the_driver_failed_the_operation_frees_the_process(na
     assert op.failed and not op.completed and op.result is None and op.responded_at is None
     assert driver.oplog.ops_view()[op.op_id].failed
     assert driver.outstanding == 0
-    assert writer.current_operation is None  # free to serve its next operation
+    assert writer._current_op is None  # free to serve its next operation

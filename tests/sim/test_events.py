@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import Event, EventQueue, always, never
+from repro.sim.events import Event, EventQueue
 
 
 class TestEventQueue:
@@ -110,13 +110,6 @@ class TestEvent:
         assert not event.cancelled
         event.cancel()
         assert event.cancelled
-
-
-def test_predicate_helpers():
-    assert always() is True
-    assert never() is False
-    assert always("anything") is True
-    assert never("anything") is False
 
 
 class TestCancelledAccounting:

@@ -14,6 +14,8 @@ They pin what the one-codec wire promises:
   answer a stats request fails ``drain_stats`` by name (there is no second
   codec to fall back to; frame-for-frame JSON / binary equivalence is
   property-tested in ``test_codec_binary.py``);
+* one driver per replica queues and issues the invokes: a refused one is
+  answered with the refusal's text, and nothing of an answered one is kept;
 * a fired crash point halts its replica: it answers what it owes and every
   later invoke as crashed, bills what reaches it as dropped and sends
   nothing, and ``settle`` counts an operation settled only when it
@@ -236,19 +238,24 @@ class TestBootAndStatsFailures:
 
 
 class TestHaltedReplica:
-    def test_a_halted_replica_answers_and_bills_but_takes_no_step(self):
+    @pytest.mark.parametrize(
+        "algorithm, queued", [("two-bit", ("read", None)), ("mmr-cas", ("cas", [None, "x"]))]
+    )
+    def test_a_halted_replica_answers_and_bills_but_takes_no_step(self, algorithm, queued):
         """A fired point crashes each key's process and answers what it owes,
         the operation in progress first; after it an invoke is answered at
         once, a ``msg`` is billed as a drop with no process built for its
-        key, nothing more is sent, and the stats answer says it crashed."""
+        key, nothing more is sent, and the stats answer says it crashed.
+        The read in progress sent one message to each peer (two-bit's
+        ``READ``, MMR's ``CONS_EST``)."""
         from repro.faults.plan import CrashPoint
         from repro.transport import live
 
-        def invoke(op_id):
-            return {"kind": "invoke", "op_id": op_id, "op": "read", "key": "k", "value": None}
+        def invoke(op_id, op="read", value=None):
+            return {"kind": "invoke", "op_id": op_id, "op": op, "key": "k", "value": value}
 
         async def main():
-            server = live._ReplicaServer(2, 3, "two-bit", None)
+            server = live._ReplicaServer(2, 3, algorithm, None)
             peers = {0: [], 1: []}
             server.peer_conns = {
                 pid: SimpleNamespace(send=frames.append, snapshot=dict)
@@ -256,8 +263,8 @@ class TestHaltedReplica:
             }
             answers = []
             client = SimpleNamespace(send=answers.append)
-            server._on_frame(client, invoke(1))  # in progress: its READ went to both peers
-            server._on_frame(client, invoke(2))  # queued behind it
+            server._on_frame(client, invoke(1))  # in progress: one message to each peer
+            server._on_frame(client, invoke(2, *queued))  # queued behind it
             server._crash(CrashPoint(shard=0, replica=2, after_messages_sent=0))
             server._on_frame(client, invoke(3))
             server._on_frame(client, {"kind": "msg", "key": "fresh", "src": 0, "dst": 2, "msg": 0})
@@ -299,6 +306,77 @@ class TestHaltedReplica:
         server, peers = asyncio.run(main())
         assert [len(frames) for frames in peers.values()] == [1, 0]
         assert server.stats.messages_sent == 1
+
+
+class TestReplicaDriver:
+    def test_a_refused_invoke_is_answered_and_the_key_keeps_serving(self):
+        """A write at a replica that is not the writer is answered ``ok:
+        False`` with the refusal's text, and the read queued behind it is
+        issued and answered: one ``READ`` to each peer, a value after one
+        ``PROCEED``."""
+        from repro.core.messages import PROCEED
+        from repro.transport import live
+
+        async def main():
+            server = live._ReplicaServer(2, 3, "two-bit", "v0")
+            peers = {0: [], 1: []}
+            server.peer_conns = {
+                pid: SimpleNamespace(send=frames.append) for pid, frames in peers.items()
+            }
+            answers = []
+            client = SimpleNamespace(send=answers.append)
+            for op_id, op in ((1, "write"), (2, "read")):
+                invoke = {"kind": "invoke", "op_id": op_id, "op": op, "key": "k", "value": "v1"}
+                server._on_frame(client, invoke)
+            server._on_frame(client, {"kind": "msg", "key": "k", "src": 0, "dst": 2, "msg": PROCEED})
+            return peers, answers
+
+        peers, answers = asyncio.run(main())
+        assert answers == [
+            {
+                "kind": "result", "op_id": 1, "ok": False,
+                "error": "p2 is not the writer (writer is p0); this is a single-writer register",
+            },
+            {"kind": "result", "op_id": 2, "ok": True, "value": "v0"},
+        ]
+        assert [len(frames) for frames in peers.values()] == [1, 1]
+
+    def test_an_answered_invoke_leaves_nothing_on_the_replica(self):
+        """The replica's driver queues and issues its clients' invokes but
+        keeps none of them: once each is answered, its lanes are empty and
+        no record, op-log row or list entry of them is left."""
+        import gc
+
+        from repro.core.messages import PROCEED
+        from repro.registers.base import OperationRecord
+        from repro.transport import live
+
+        reads = 5
+
+        async def main():
+            server = live._ReplicaServer(2, 3, "two-bit", "v0")
+            server.peer_conns = {pid: SimpleNamespace(send=lambda frame: None) for pid in (0, 1)}
+            answers = []
+            client = SimpleNamespace(send=answers.append)
+            invokes = [("write", "v1")] + [("read", None)] * reads
+            for op_id, (op, value) in enumerate(invokes):
+                frame = {"kind": "invoke", "op_id": op_id, "op": op, "key": "kept", "value": value}
+                server._on_frame(client, frame)
+            for _ in range(reads):  # each completes the read in progress
+                proceed = {"kind": "msg", "key": "kept", "src": 0, "dst": 2, "msg": PROCEED}
+                server._on_frame(client, proceed)
+            return server, answers
+
+        server, answers = asyncio.run(main())
+        assert [answer["op_id"] for answer in answers] == list(range(reads + 1))
+        assert [answer["ok"] for answer in answers] == [False] + [True] * reads
+        driver = server.driver
+        assert driver.outstanding == 0
+        assert [len(queue) for queue, _complete in driver._queues.values()] == [0]
+        assert driver.ops == [] and driver.records == [] and len(driver.oplog) == 0
+        gc.collect()
+        kept = [o for o in gc.get_objects() if type(o) is OperationRecord and o.key == "kept"]
+        assert kept == []
 
 
 class TestGreetedAfterTheCrash:
