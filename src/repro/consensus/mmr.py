@@ -304,6 +304,13 @@ class ConsensusObjectProcess(RegisterProcess):
         """Keep the stalled command: it may still be decided and applied
         later, so this replica goes on refusing new operations until then."""
 
+    def crash(self) -> None:
+        """Halt, and drop the pending command with its continuation: a
+        crashed replica takes no step, so the command never completes here
+        (its peers may still decide it)."""
+        super().crash()
+        self._pending = self._inflight_slot = None
+
     def _refuse_overlap(self, kind: OperationKind) -> None:
         held = self._current_op
         if held.failed:  # the driver failed it as stalled; it is still proposed

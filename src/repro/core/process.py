@@ -130,9 +130,10 @@ class TwoBitRegisterProcess(RegisterProcess):
     def finish_setup(self) -> None:
         """Allocate the local data structures once the full membership is known."""
         super().finish_setup()
-        self.state = TwoBitState(n=self.n, pid=self.pid, initial_value=self.initial_value)
-        self._waits = [()] * self.n
-        self._due = [_NOTHING_QUEUED] * self.n
+        n = self.quorum.n
+        self.state = TwoBitState(n=n, pid=self.pid, initial_value=self.initial_value)
+        self._waits = [()] * n
+        self._due = [_NOTHING_QUEUED] * n
 
     def _require_state(self) -> TwoBitState:
         if self.state is None:
@@ -278,7 +279,9 @@ class TwoBitRegisterProcess(RegisterProcess):
             for wait in batch:
                 threshold, _number, j, message = wait
                 if j < 0:
-                    if self._op_ready():
+                    # (Unless a send of this pass crashed the process, which
+                    # dropped the wait.)
+                    if self._op_line and self._op_ready():
                         self._fire_op()
                     continue
                 queue = waits[j]
@@ -291,6 +294,11 @@ class TwoBitRegisterProcess(RegisterProcess):
                     self.network.send(self.pid, j, PROCEED)  # line 21
                 else:
                     self.on_message(j, message)  # line 11 holds: lines 12-18
+
+    def crash(self) -> None:
+        """Halt, and drop the operation wait's continuation: it never fires."""
+        super().crash()
+        self._op_line, self._op_done = 0, None
 
     def abandon_operation(self) -> None:
         """Let go of a stalled operation and of its wait.

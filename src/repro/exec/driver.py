@@ -14,6 +14,12 @@
 * **stuck detection** — :meth:`Driver.drive` notices when the event queue
   drains while operations are still queued (a replica crashed mid-operation)
   and fails them with a diagnostic instead of hanging.
+* **no back-edge** — nothing the driver owns points back at it: a lane is
+  a bare FIFO, the completion callback is built when an operation is issued
+  and held only by the process serving it, and a continuation is let go of
+  once it has run.  A dropped run's driver, op log and operations are freed
+  by reference counting, without waiting for the cycle collector
+  (``tests/exec/test_run_lifetime.py``).
 * **one record** — every operation it creates is a row of the driver's
   :class:`~repro.exec.oplog.OpLog`, filled in as it is issued, completes or
   fails; :attr:`Driver.metrics` is a :class:`~repro.exec.metrics.MetricsCollector`
@@ -33,7 +39,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import partial
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.exec.metrics import MetricsCollector
 from repro.exec.oplog import OpLog
@@ -78,10 +84,8 @@ class Driver:
         self.ops: List[OperationRecord] = []
         #: Every issued operation it built, in issue order (history material).
         self.records: List[OperationRecord] = []
-        # Per process: its FIFO and its one completion callback.
-        self._queues: Dict[
-            RegisterProcess, Tuple[Deque[OperationRecord], Callable[[OperationRecord], None]]
-        ] = {}
+        # Per process: its FIFO (the lane), head in flight.
+        self._queues: Dict[RegisterProcess, Deque[OperationRecord]] = {}
         #: Operations failed on a replica that had not crashed — by
         #: :meth:`fail_stuck`, or refused by it (a stalled command it still
         #: holds, a write at a non-writer): they can never complete, so the
@@ -110,27 +114,26 @@ class Driver:
 
     def submit(self, process: RegisterProcess, op: OperationRecord) -> OperationRecord:
         """Queue ``op`` on ``process``; it is issued as soon as the queue head."""
-        lane = self._queues.get(process)
-        if lane is None:
-            lane = self._queues[process] = (deque(), partial(self._on_complete, process))
-        queue = lane[0]
+        queue = self._queues.get(process)
+        if queue is None:
+            queue = self._queues[process] = deque()
         op.submitted_at = self.clock.now
         if op.op_id >= 0:
             self.oplog.note_submitted(op.op_id, op.submitted_at)
         queue.append(op)
         self._outstanding += 1
         if len(queue) == 1:
-            self._issue(process, *lane)
+            self._issue(process, queue)
         return op
 
     # -------------------------------------------------------------- the engine
 
-    def _issue(
-        self,
-        process: RegisterProcess,
-        queue: Deque[OperationRecord],
-        complete: Callable[[OperationRecord], None],
-    ) -> None:
+    def _issue(self, process: RegisterProcess, queue: Deque[OperationRecord]) -> None:
+        # Built per issue and held only by the process while it serves the
+        # operation: a callback kept in the lane would tie the driver to
+        # itself.  Over the plain function: a bound method would be a second
+        # object per issue.
+        complete = partial(Driver._on_complete, self, process, queue)
         while queue:
             op = queue[0]
             try:
@@ -157,17 +160,19 @@ class Driver:
             if self._until is not None and self._until():
                 self.clock.stop()
 
-    def _on_complete(self, process: RegisterProcess, op: OperationRecord) -> None:
-        lane = self._queues[process]
-        queue = lane[0]
+    def _on_complete(
+        self, process: RegisterProcess, queue: Deque[OperationRecord], op: OperationRecord
+    ) -> None:
         queue.popleft()  # ``op``: a process completes only its current operation
         if op.op_id >= 0:
             self.oplog.note_completed(op.op_id, op)
         self._outstanding -= 1
         if queue:
-            self._issue(process, *lane)
-        if op.on_done is not None:
-            op.on_done(op)
+            self._issue(process, queue)
+        on_done = op.on_done
+        if on_done is not None:
+            op.on_done = None  # it runs once; what it holds need not outlive it
+            on_done(op)
         # After the continuation: a chain's next operation is already
         # outstanding by now.
         if self._until is not None and self._until():
@@ -179,8 +184,10 @@ class Driver:
         if op.op_id >= 0:
             self.oplog.note_failed(op.op_id, reason)
         self._outstanding -= 1
-        if op.on_done is not None:
-            op.on_done(op)
+        on_done = op.on_done
+        if on_done is not None:
+            op.on_done = None
+            on_done(op)
 
     # ---------------------------------------------------------------- driving
 
@@ -238,7 +245,7 @@ class Driver:
     def fail_stuck(self) -> None:
         """Fail every queued operation: the event queue drained under them, or
         (a live replica's halt) their processes crashed."""
-        for process, (queue, _complete) in self._queues.items():
+        for process, queue in self._queues.items():
             if not queue:
                 continue
             # What the replica was still waiting for when the events ran out

@@ -10,6 +10,7 @@ store, addressed the same way (``OpRequest(key=..., replica=pid)``).
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -52,21 +53,27 @@ class StoreTarget:
     the key's writer replica and reads round-robin over the key's live
     replicas.  Registers are deployed lazily on first access, exactly like
     the store's own facade.
+
+    The store owns its target, so the target holds the store weakly: the
+    pair is no reference cycle, and a dropped store is freed at once.
     """
 
     def __init__(self, store: "KVStore") -> None:
-        self.store = store
+        self._store = weakref.ref(store)
 
     def route(self, request: OpRequest) -> RegisterProcess:
         if request.key is None:
             raise ValueError("store targets route by key; request.key is required")
-        deployment = self.store.register_for(request.key)
+        store = self._store()
+        if store is None:
+            raise ReferenceError("the store this target routed for was dropped")
+        deployment = store.register_for(request.key)
         replica = request.replica
         if replica is None:
             if request.kind is _WRITE:
                 return deployment.processes[deployment.writer_index]
-            return self.store.pick_reader(deployment)
-        replication = self.store.config.replication
+            return store.pick_reader(deployment)
+        replication = store.config.replication
         if not 0 <= replica < replication:
             raise ValueError(f"replica {replica} out of range for replication {replication}")
         return deployment.processes[replica]

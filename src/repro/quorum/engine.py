@@ -66,8 +66,8 @@ class QuorumCollector:
     ``replies`` maps responder pid -> payload in arrival order (the first
     reply of a responder wins).  ``on_quorum`` is the continuation while the
     phase still waits for its quorum, and ``None`` once it has run (or the
-    process crashed): a phase fires at most once, and replies past the quorum
-    are only recorded.
+    phase closed, or the process crashed): a phase fires at most once, and
+    replies past the quorum are only recorded.
     """
 
     __slots__ = (
@@ -192,12 +192,17 @@ class PhaseRegisterProcess(RegisterProcess):
         return True
 
     def close_phases(self, *slots: str) -> None:
-        """Close the named phases (idempotent; missing slots are ignored)."""
+        """Close the named phases (idempotent; missing slots are ignored).
+
+        A closed phase never fires, so it drops its continuation; its reply
+        set stays (local-memory accounting reads it).
+        """
         phases = self._phases
         for slot in slots:
             phase = phases.get(slot)
             if phase is not None:
                 phase.closed = True
+                phase.on_quorum = None
 
     def abandon_operation(self) -> None:
         """Let go of a stalled operation, and close every phase it left open."""

@@ -175,22 +175,28 @@ class RegisterProcess(ProcessBase):
         self.writer_pid = writer_pid
         self.initial_value = initial_value
         self._requested_t = t
-        # Provisional tracker: the real one is built in finish_setup() once the
-        # full membership is registered on the network.
-        provisional_n = max(len(network.process_ids), 2 * (t or 0) + 1, 1)
-        self.quorum = QuorumTracker(provisional_n, t)
-        # Every other process, in pid order (fixed by finish_setup).
-        self._peers: list[int] = []
+        # The quorum arithmetic (``self.quorum``) and every other process in
+        # pid order (``self._peers``) are set by finish_setup(), once the full
+        # membership is registered on the network.
         self._op_counter = itertools.count()
         # The operation in progress, if any.
         self._current_op: Optional[OperationRecord] = None
 
     # ---------------------------------------------------------------- wiring
 
+    #: The ``n - t`` arithmetic over the full membership (set by :meth:`finish_setup`).
+    quorum: QuorumTracker
+    _peers: list[int]
+
     def finish_setup(self) -> None:
-        """Hook called once all processes are registered (quorum sizes, peers)."""
-        self.quorum = QuorumTracker(self.n, self._requested_t)
-        self._peers = self.other_process_ids()
+        """Hook called once all processes are registered (quorum sizes, peers).
+
+        The membership is read once here: ``self.quorum.n`` is ``n`` from now on.
+        """
+        ids = self.network.process_ids
+        self.quorum = QuorumTracker(len(ids), self._requested_t)
+        peers = self._peers = list(ids)
+        peers.remove(self.pid)
 
     @property
     def is_writer(self) -> bool:
@@ -259,10 +265,15 @@ class RegisterProcess(ProcessBase):
         ``value`` carries the operation argument — the ``(expected, new)``
         pair for CAS, ignored for TAS, the addend for INCR.  Plain register
         algorithms do not override :meth:`_start_operation` and therefore
-        reject these kinds.
+        reject these kinds, before taking the operation: refused, it leaves
+        the process as it was.
         """
         if self.crashed:
             self.require_alive(kind.value)
+        if type(self)._start_operation is RegisterProcess._start_operation:
+            raise OperationRefused(
+                f"{type(self).__name__} does not support {kind.value} operations"
+            )
         if self._current_op is not None:
             self._refuse_overlap(kind)
         if record is None:
@@ -288,6 +299,12 @@ class RegisterProcess(ProcessBase):
             f"p{self.pid} invoked a {kind.value} while its previous "
             f"{self._current_op.kind.value} is still pending; processes are sequential"
         )
+
+    def crash(self) -> None:
+        """Halt, and let go of the operation in progress: it stays pending
+        (the driver's record), and the process never completes it."""
+        super().crash()
+        self._current_op = None
 
     def abandon_operation(self) -> None:
         """Let go of the operation in progress, which the driver failed as stalled.
@@ -329,10 +346,9 @@ class RegisterProcess(ProcessBase):
         raise NotImplementedError
 
     def _start_operation(self, record: OperationRecord, done: Callable[[Any], None]) -> None:
-        """Non-register operation hook (consensus objects override this)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support {record.kind.value} operations"
-        )
+        """Non-register operation hook (consensus objects override this; a
+        process that does not is refused these kinds by :meth:`invoke_operation`)."""
+        raise NotImplementedError
 
 
 class RegisterHandle:

@@ -40,6 +40,7 @@ message without one is billed under its class name with 0 bits.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Union
@@ -309,9 +310,9 @@ class Network:
         # Membership: pid -> the channel end into that process (its
         # ``process``), which every message in flight to it fires.
         self._endpoints: Dict[int, _Delivery] = {}
-        # Membership is static once built, so it is sorted when it changes
-        # (register), not each time a process asks who its peers are.  The
-        # list is replaced, never mutated: a reference handed out stays valid.
+        # Membership only grows, so the sorted pid list is kept in order as
+        # it grows (register), not sorted each time a process asks who its
+        # peers are.
         self._process_ids: list[int] = []
         self._in_flight = 0  # sent here, not yet delivered or dropped
         # The delay adversary (repro.faults): ``adjust(src, dst, now, delay)
@@ -337,7 +338,7 @@ class Network:
         if process.pid in self._endpoints:
             raise ValueError(f"duplicate process id {process.pid}")
         self._endpoints[process.pid] = _Delivery(self, process)
-        self._process_ids = sorted(self._endpoints)
+        insort(self._process_ids, process.pid)  # pids usually come in order: an append
 
     @property
     def process_ids(self) -> list[int]:

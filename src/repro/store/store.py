@@ -40,8 +40,9 @@ harness uses: each key's operations form an independent SWMR history
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.driver import Driver
 from repro.exec.metrics import MetricsCollector
@@ -478,7 +479,23 @@ class KVStore:
         """Schedule :meth:`crash_server` at virtual ``time`` (a time already
         past fires at once): one timed :class:`~repro.faults.CrashPoint`."""
         point = CrashPoint(shard=shard_id, replica=replica, allow_writer=allow_writer, at_time=time)
-        install_crash_points((point,), self.simulator, self.network, self.crash_point)
+        self.install_crash_points((point,))
+
+    def install_crash_points(self, points: Sequence[CrashPoint]) -> None:
+        """Schedule ``points`` on this store (:func:`~repro.faults.install_crash_points`).
+
+        The callback they fire holds the store weakly: a timed point still
+        queued on the simulator, or a message-count point's send hook on the
+        network, must not tie the store (and its driver) into a cycle.
+        """
+        store = weakref.ref(self)
+
+        def crash(point: CrashPoint) -> None:
+            live = store()
+            if live is not None:
+                live.crash_point(point)
+
+        install_crash_points(points, self.simulator, self.network, crash)
 
     def crash_point(self, point: CrashPoint) -> None:
         """Fire ``point`` now: the crash callback a store's points are installed with."""

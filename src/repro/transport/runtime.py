@@ -16,7 +16,8 @@ because releases are driven by deliveries, not by the clock.  A handler
 that made nothing hold costs no release.
 
 Crash semantics: :meth:`ProcessBase.crash` flips a flag; from then on the
-process neither processes deliveries nor releases waits nor sends messages.
+process neither processes deliveries nor releases waits nor sends messages,
+and it drops the continuations it held, which can no longer run.
 This matches the paper's crash model — a faulty process "executes correctly
 its local algorithm until it possibly crashes", then halts.  (On the live
 backend a fired crash point crashes every process of its replica this way,
@@ -169,7 +170,12 @@ class ProcessBase:
     # ----------------------------------------------------------------- crash
 
     def crash(self) -> None:
-        """Halt the process: no further sends, deliveries, or releases."""
+        """Halt the process: no further sends, deliveries, or releases.
+
+        A subclass that holds continuations (an operation's completion, a
+        wait's action) lets go of them here: they will never run, and a
+        crashed process keeps nothing of the operations it was serving.
+        """
         if self.crashed:
             return
         self.crashed = True

@@ -26,7 +26,7 @@ from repro.exec.clients import ARRIVAL_PROCESSES, OpenLoopClient, iter_arrival_t
 from repro.exec.metrics import json_number
 from repro.exec.oplog import OpLog
 from repro.exec.target import OpRequest, interned_request
-from repro.faults.plan import CrashPoint, FaultPlan, install_crash_points, validate_crash_points
+from repro.faults.plan import CrashPoint, FaultPlan, validate_crash_points
 from repro.registers.base import OperationKind, OperationRecord
 from repro.registers.registry import available_algorithms
 from repro.sim.delays import DelayModel, FixedDelay
@@ -686,7 +686,7 @@ def deploy_store(
     store = KVStore(config)
     if fault_plan is not None:
         store.install_fault_plan(fault_plan)
-    install_crash_points(crash_points, store.simulator, store.network, store.crash_point)
+    store.install_crash_points(crash_points)
     return store
 
 

@@ -105,6 +105,23 @@ class TestDriver:
         assert driver.drive() is True
         assert read.completed and read.result == "v0"
 
+    def test_a_consensus_kind_at_a_register_process_is_refused_before_it_is_taken(self):
+        # A register algorithm serves no CAS: the process refuses it without
+        # taking it, the driver fails it with the refusal's text (it can
+        # never complete: stalled), and the read queued behind it completes.
+        simulator, network, processes = deploy(algorithm="two-bit")
+        driver = Driver(simulator)
+        cas = driver.new_op(OperationKind.CAS, value=("v0", "v1"))
+        read = driver.new_op(OperationKind.READ)
+        driver.submit(processes[1], cas)
+        driver.submit(processes[1], read)
+        assert cas.failed and not cas.completed and cas.pid == -1
+        assert cas.failure_reason == "TwoBitRegisterProcess does not support cas operations"
+        assert driver.stalled == 1
+        assert driver.drive() is True
+        assert read.completed and read.result == "v0" and read.proc_op_id == 0
+        assert processes[1]._current_op is None
+
     def test_an_operation_it_did_not_build_is_served_but_not_kept(self):
         # op_id -1: queued, issued and completed like any other, but neither
         # logged nor listed.

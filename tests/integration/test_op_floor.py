@@ -33,12 +33,22 @@ _resolve -> _decide -> _apply_ready`` through ``_Instance.at``, comprehensions
 and ``ProcessBase.send``, and built an AUX that the ``DECIDE`` then stood
 for; 183.2 once a step built only what it sent, on CPython 3.11).  Every
 ``ConsAux`` or ``ConsCoin`` built is broadcast: one per ``n - 1`` billed.
+
+Deploying a key is counted too, per key that ``KVStore.register_for``
+places on the store of the two-bit and the MMR run (after one warm-up key):
+at most 77 Python calls for a two-bit key at n = 5 and 46 for an
+``mmr-cas`` key at n = 3 (137 and 64 while each process built a provisional
+``QuorumTracker`` and derived ``n`` from the membership four times, on
+CPython 3.11).
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 from collections import Counter
+
+import pytest
 
 from repro.consensus.mmr import ConsAux, ConsCoin
 from repro.exec.target import OpRequest
@@ -53,6 +63,8 @@ OPS = 200
 MAX_CALLS_PER_OP = 112
 MAX_ABD_CALLS_PER_OP = 115
 MAX_MMR_CALLS_PER_OP = 184
+MAX_TWO_BIT_DEPLOY_CALLS = 77
+MAX_MMR_DEPLOY_CALLS = 46
 
 TWO_BIT_SPEC = KVWorkloadSpec(
     algorithm="two-bit",
@@ -144,3 +156,42 @@ def test_the_mmr_op_floor(monkeypatch):
 
     total = sum(calls.values()) - sum(built.values())  # less the counting wrappers
     assert total / OPS <= MAX_MMR_CALLS_PER_OP, f"{total / OPS:.2f} Python calls per operation"
+
+
+def _deploy_calls_per_key(spec):
+    """Python calls per key that ``register_for`` places on a store that
+    placed one key already (what the first deploy warms is not per key)."""
+    store = deploy(spec)
+    store.register_for("warm-up")
+    keys = spec.keys()
+    calls = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    # No collection while counting: it would run finalizers of earlier
+    # tests' garbage, and count their calls.
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        for key in keys:
+            store.register_for(key)
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    assert len(store.deployed_keys) == len(keys) + 1
+    return calls / len(keys)
+
+
+@pytest.mark.parametrize(
+    "spec, bound",
+    [(TWO_BIT_SPEC, MAX_TWO_BIT_DEPLOY_CALLS), (MMR_SPEC, MAX_MMR_DEPLOY_CALLS)],
+    ids=["two-bit n=5", "mmr-cas n=3"],
+)
+def test_the_deploy_floor(spec, bound):
+    per_key = _deploy_calls_per_key(spec)
+    assert per_key <= bound, f"{per_key:.2f} Python calls per deployed key"

@@ -221,6 +221,8 @@ class TestPhaseRegisterProcess:
         # Only the self-reply landed before the close.
         assert sorted(process._phases["ping"].replies) == [0]
         assert process.quorum_results == []
+        # A closed phase never fires: it let go of its continuation.
+        assert process._phases["ping"].on_quorum is None
 
     def test_phase_words_counts_retained_replies(self):
         simulator, _, processes = build_ping_pong(5)

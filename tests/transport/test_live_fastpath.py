@@ -341,6 +341,37 @@ class TestReplicaDriver:
         ]
         assert [len(frames) for frames in peers.values()] == [1, 1]
 
+    def test_a_consensus_invoke_at_a_register_replica_is_answered_refused(self):
+        """A ``cas`` at a two-bit replica is answered ``ok: False`` with the
+        refusal's text, not raised out of the frame handler, and the read
+        queued behind it is issued and answered."""
+        from repro.core.messages import PROCEED
+        from repro.transport import live
+
+        async def main():
+            server = live._ReplicaServer(2, 3, "two-bit", "v0")
+            peers = {0: [], 1: []}
+            server.peer_conns = {
+                pid: SimpleNamespace(send=frames.append) for pid, frames in peers.items()
+            }
+            answers = []
+            client = SimpleNamespace(send=answers.append)
+            for op_id, op, value in ((1, "cas", ["v0", "v1"]), (2, "read", None)):
+                invoke = {"kind": "invoke", "op_id": op_id, "op": op, "key": "k", "value": value}
+                server._on_frame(client, invoke)
+            server._on_frame(client, {"kind": "msg", "key": "k", "src": 0, "dst": 2, "msg": PROCEED})
+            return server, answers
+
+        server, answers = asyncio.run(main())
+        assert answers == [
+            {
+                "kind": "result", "op_id": 1, "ok": False,
+                "error": "TwoBitRegisterProcess does not support cas operations",
+            },
+            {"kind": "result", "op_id": 2, "ok": True, "value": "v0"},
+        ]
+        assert server.driver.outstanding == 0
+
     def test_an_answered_invoke_leaves_nothing_on_the_replica(self):
         """The replica's driver queues and issues its clients' invokes but
         keeps none of them: once each is answered, its lanes are empty and
@@ -372,7 +403,7 @@ class TestReplicaDriver:
         assert [answer["ok"] for answer in answers] == [False] + [True] * reads
         driver = server.driver
         assert driver.outstanding == 0
-        assert [len(queue) for queue, _complete in driver._queues.values()] == [0]
+        assert [len(queue) for queue in driver._queues.values()] == [0]
         assert driver.ops == [] and driver.records == [] and len(driver.oplog) == 0
         gc.collect()
         kept = [o for o in gc.get_objects() if type(o) is OperationRecord and o.key == "kept"]
