@@ -52,8 +52,8 @@ command-bearing proposal of its owner (everyone else proposes 0 or copies
 an estimate it received).  Three rules follow:
 
 * a replica with a pending client command proposes 1, command piggybacked
-  on its value-1 ESTs, at its smallest unused owned slot — and starts no
-  other instance;
+  on its value-1 ESTs (see **Who holds the command**), at its smallest
+  unused owned slot — and starts no other instance;
 * an owner that sees any consensus message for a slot at or above an owned
   slot it never proposed in **decides that slot 0 by itself** (one relayed
   ``DECIDE``): no instance for the slot can hold a 1, so 0 is the only
@@ -63,6 +63,21 @@ an estimate it received).  Three rules follow:
   behind it and its owner, crashed or slow, has not yielded — proposes 0
   for the hole; a quorum is alive, so the instance decides (0, in round 1)
   without the owner and needs no timer.
+
+**Who holds the command.**  A value-1 ``EST``, ``AUX`` or ``DECIDE``
+carries the slot's command (``cand``) only while some destination may lack
+it (:meth:`ConsensusObjectProcess._command_for`).  A destination holds it if
+it owns the slot, if it is in the round's ``est_senders[1]`` (which tallies
+value-1 AUX senders too), or if it sent the ``DECIDE`` being relayed; when
+every destination holds it the message goes bare, in the same one send.
+Why a bare message never strands a replica: only the owner's proposal
+brings 1 into a slot, and the owner stores the command as it proposes; a
+replica sends value 1 only after it proposed or received a value-1
+message; a value-1 message goes bare only to replicas covered by those
+two.  By induction every value-1 sender holds the command, so a bare
+message reaches only replicas that hold it, and schedules, histories,
+message counts and control bits are those of the protocol that always
+carries it: only data bits fall.
 
 Decided commands are applied strictly in slot order against the sequential
 SMR spec (:class:`repro.verification.specs.SMRSpec`); decide-0 on a proposed
@@ -131,17 +146,21 @@ def _round_bits(slot: int, round: int) -> int:
 
 
 # A consensus message's price is a property: the network computes it when it
-# bills the send.
+# bills the send.  The classes are frozen dataclasses (``==``, ``hash``,
+# ``repr``, ``fields()`` and ``FrozenInstanceError`` are the dataclass's) whose
+# ``__init__`` writes the instance dict: a replica builds one per broadcast,
+# and the dataclass-made one pays ``object.__setattr__`` per field.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConsEst(object):
     """Round-``round`` estimate broadcast (the BV-broadcast payload).
 
-    Value-1 estimates from processes that know slot's command piggyback it
-    as ``cand`` (``[proposer_pid, kind, value]`` — a *list* so the simulator
-    and the JSON-decoded live wire agree byte-for-byte), which is how the
-    command payload disseminates without a separate message type.
+    A value-1 estimate piggybacks the slot's command as ``cand``
+    (``[proposer_pid, kind, value]`` — a *list* so the simulator and the
+    JSON-decoded live wire agree byte-for-byte) while some destination may
+    lack it (**Who holds the command** in the module docstring), which is
+    how the command payload disseminates without a separate message type.
     """
 
     slot: int
@@ -149,12 +168,21 @@ class ConsEst(object):
     value: int
     cand: Any = None
 
+    def __init__(self, slot: int, round: int, value: int, cand: Any = None) -> None:
+        fields = self.__dict__
+        fields["slot"] = slot
+        fields["round"] = round
+        fields["value"] = value
+        fields["cand"] = cand
+
     @property
     def price(self) -> Price:
-        return "CONS_EST", _round_bits(self.slot, self.round), _cand_bits(self.cand)
+        cand = self.cand
+        data = 0 if cand is None else _cand_bits(cand)
+        return "CONS_EST", _round_bits(self.slot, self.round), data
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConsAux(object):
     """Round-``round`` auxiliary broadcast: one delivered ``bin_values`` entry.
 
@@ -167,12 +195,21 @@ class ConsAux(object):
     value: int
     cand: Any = None
 
+    def __init__(self, slot: int, round: int, value: int, cand: Any = None) -> None:
+        fields = self.__dict__
+        fields["slot"] = slot
+        fields["round"] = round
+        fields["value"] = value
+        fields["cand"] = cand
+
     @property
     def price(self) -> Price:
-        return "CONS_AUX", _round_bits(self.slot, self.round), _cand_bits(self.cand)
+        cand = self.cand
+        data = 0 if cand is None else _cand_bits(cand)
+        return "CONS_AUX", _round_bits(self.slot, self.round), data
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConsCoin(object):
     """Common-coin share for ``(slot, round)`` (seeded rounds only)."""
 
@@ -180,22 +217,37 @@ class ConsCoin(object):
     round: int
     value: int
 
+    def __init__(self, slot: int, round: int, value: int) -> None:
+        fields = self.__dict__
+        fields["slot"] = slot
+        fields["round"] = round
+        fields["value"] = value
+
     @property
     def price(self) -> Price:
         return "CONS_COIN", _round_bits(self.slot, self.round), 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConsDecide(object):
-    """One-shot decision announcement; carries the command for decide-1 slots."""
+    """One-shot decision announcement; a decide-1 one carries the command
+    while some destination may lack it."""
 
     slot: int
     value: int
     cand: Any = None
 
+    def __init__(self, slot: int, value: int, cand: Any = None) -> None:
+        fields = self.__dict__
+        fields["slot"] = slot
+        fields["value"] = value
+        fields["cand"] = cand
+
     @property
     def price(self) -> Price:
-        return "CONS_DECIDE", CONS_TYPE_BITS + int_bits(self.slot) + 1, _cand_bits(self.cand)
+        cand = self.cand
+        data = 0 if cand is None else _cand_bits(cand)
+        return "CONS_DECIDE", CONS_TYPE_BITS + int_bits(self.slot) + 1, data
 
 
 @lru_cache(maxsize=8192)
@@ -390,7 +442,7 @@ class ConsensusObjectProcess(RegisterProcess):
         # Vouched for: our AUX(round, value) leaves in this very step (**Subsumption**).
         vouched = current and bin_values[:1] == [value] and pid not in state.aux_senders[value]
         if echo and (self.skip_aux_quorum or not vouched):
-            cand = self.commands.get(slot) if value == 1 else None
+            cand = self._command_for(slot, state) if value == 1 else None
             self.network.send(pid, self._peers, ConsEst(slot, round, value, cand))
         if current:
             self._resolve(slot, instance, state)
@@ -431,7 +483,7 @@ class ConsensusObjectProcess(RegisterProcess):
         decides = ready and len(vals) == 1 and vals[0] == coin
         if not decides or self.skip_aux_quorum:  # else the DECIDE stands for them
             if owes_aux:
-                cand = self.commands.get(slot) if first == 1 else None
+                cand = self._command_for(slot, state) if first == 1 else None
                 self.network.send(pid, self._peers, ConsAux(slot, round, first, cand))
             if owes_share:
                 self.network.send(pid, self._peers, ConsCoin(slot, round, coin))
@@ -441,14 +493,31 @@ class ConsensusObjectProcess(RegisterProcess):
             instance.est = vals[0] if len(vals) == 1 else coin
             self._enter_round(slot, instance, round + 1)
 
-    def _decide(self, slot: int, value: int) -> None:
-        """Record a decision (ours or a relayed one), announce it once, apply."""
+    def _decide(self, slot: int, value: int, relay: int = -1) -> None:
+        """Record a decision (ours, or ``relay``'s), announce it once, apply."""
         self.decided[slot] = value
-        self.instances.pop(slot, None)
-        cand = self.commands.get(slot) if value == 1 else None
+        instance = self.instances.pop(slot, None)
+        cand = None
+        if value == 1:
+            state = instance.rounds[instance.round] if instance is not None else None
+            cand = self._command_for(slot, state, relay)
         self.network.send(self.pid, self._peers, ConsDecide(slot, value, cand))
         if slot == self.frontier:  # else the frontier waits on another slot
             self._apply_ready()
+
+    def _command_for(self, slot: int, state: Optional[_Round], relay: int = -1) -> Any:
+        """The command a value-1 broadcast for ``slot`` carries: ``None`` when
+        every peer holds it already (**Who holds the command**).
+
+        A peer holds it if it owns the slot, if it sent us value 1 in
+        ``state``'s round (an AUX counts: ``est_senders`` tallies it) or if it
+        is the ``relay`` whose ``DECIDE`` we pass on.
+        """
+        owner, holders = slot % self.quorum.n, state.est_senders[1] if state is not None else ()
+        for peer in self._peers:
+            if peer != owner and peer != relay and peer not in holders:
+                return self.commands.get(slot)
+        return None
 
     # ------------------------------------------------------------- the log
 
@@ -562,7 +631,7 @@ class ConsensusObjectProcess(RegisterProcess):
 
     def _on_decide(self, src: int, message: ConsDecide, slot: int) -> None:
         # Relay our own DECIDE so slower peers cut over too, then apply.
-        self._decide(slot, message.value)
+        self._decide(slot, message.value, src)
 
     _HANDLERS = {ConsEst: _on_est, ConsAux: _on_est, ConsCoin: _on_coin, ConsDecide: _on_decide}
 

@@ -43,12 +43,13 @@ class After(float):
 class _Chain:
     """The chained entries one process serves, issued one at a time."""
 
-    __slots__ = ("process", "entries", "busy")
+    __slots__ = ("process", "entries", "busy", "op")
 
     def __init__(self, process: RegisterProcess) -> None:
         self.process = process
         self.entries: Deque[Tuple[After, OpRequest, Any]] = deque()
         self.busy = False  # an entry is scheduled or in flight
+        self.op: Optional[OperationRecord] = None  # the entry in flight
 
 
 def _poisson_stream(rng: Random, rate: float, count: int, start: float) -> Iterator[float]:
@@ -195,11 +196,14 @@ class OpenLoopClient:
             chain.entries.clear()
             chain.busy = False
             return
-        op = self.driver.new_op(request.kind, value, request.key, partial(self._chain_next, chain))
+        op = chain.op = self.driver.new_op(
+            request.kind, value, request.key, partial(self._chain_next, chain)
+        )
         self.ops.append(op)
         self.driver.submit(chain.process, op)
 
     def _chain_next(self, chain: _Chain, op: OperationRecord) -> None:
+        chain.op = None
         if op.failed:  # the driver found it stalled: the chain stops, unfinished
             chain.entries.clear()
         elif not chain.entries:
@@ -216,9 +220,16 @@ class OpenLoopClient:
 
         Returns ``False`` when the limit cut the run short (unfired arrivals
         stay unfired; stuck ops are failed by the driver, which fires their
-        ``on_done`` and keeps the open count consistent).
+        ``on_done`` and keeps the open count consistent).  A chain whose
+        process crashed leaves its operation pending, without its ``on_done``.
         """
-        return self.driver.drive(limit=limit, predicate=self.finished)
+        finished = self.driver.drive(limit=limit, predicate=self.finished)
+        for chain in self._chains.values():
+            if chain.op is not None and chain.process.crashed:
+                # Its process will never complete it: the continuation would
+                # only tie the pending record (in ``ops``) back to the client.
+                chain.op.on_done = None
+        return finished
 
     def finished(self) -> bool:
         """Every timed entry fired and finished, and every chain ran out of

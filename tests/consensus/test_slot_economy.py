@@ -80,9 +80,12 @@ class TestExactBills:
         # replica's DECIDE (the proposer's stands for its AUX).
         assert store.stats.messages_sent == 2 * BROADCAST == 12
         assert store.stats.by_type == {"CONS_EST": 2, "CONS_AUX": 4, "CONS_DECIDE": BROADCAST}
-        # The command rides on all twelve — as it rode on twelve of the
-        # eighteen (the EST and the DECIDE) before the AUX carried it.
-        assert store.stats.data_bits_total == 12 * ConsEst(0, 0, 1, COMMAND).price[2] == 1356
+        # The command rides on eight: the EST, both AUX (each joiner's other
+        # peer may lack it) and the proposer's DECIDE (p2 had not sent it
+        # value 1).  A joiner's DECIDE goes bare: p0 proposed the command and
+        # the other joiner's AUX held it.  It rode on all twelve (1,356 data
+        # bits) while every value-1 message carried it.
+        assert store.stats.data_bits_total == 8 * ConsEst(0, 0, 1, COMMAND).price[2] == 904
         for process in replicas(store):
             assert process.decided == {0: 1}
             assert process.rounds_entered == 1  # decided in round 0
@@ -121,12 +124,13 @@ class TestExactBills:
             "CONS_AUX": broadcast,
             "CONS_DECIDE": broadcast,
         }
-        # The price off the property: every value-1 AUX carries the command
-        # (it is counted as an estimate, with nothing missing), none stands
-        # for an echo here, so the command rides on three broadcasts where it
-        # rode on two — 4,520 / 9,492 data bits before.  Control bits unmoved.
-        assert store.stats.data_bits_total == 3 * broadcast * ConsEst(0, 0, 1, COMMAND).price[2]
-        assert store.stats.data_bits_total == {5: 6780, 7: 14238}[n]
+        # The price off the property: the command rides on the EST and on
+        # every echo and AUX (each sender's est_senders misses a peer), not on
+        # the DECIDEs: a decider has heard value 1 from every peer by then.
+        # It rode on all three broadcasts (6,780 / 14,238 data bits) while
+        # every value-1 message carried it.  Control bits unmoved.
+        assert store.stats.data_bits_total == 2 * broadcast * ConsEst(0, 0, 1, COMMAND).price[2]
+        assert store.stats.data_bits_total == {5: 4520, 7: 9492}[n]
         assert store.stats.control_bits_total == {5: 280, 7: 588}[n]
         assert all(process.rounds_entered == 1 for process in replicas(store))
 

@@ -24,8 +24,10 @@ then its ``EST``, anything a ``DECIDE`` subsumes right behind the ``DECIDE``
 * ``decided``, ``frontier``, ``state``, ``commands``, the per-round tallies
   and every client result agree.
 
-The message format is shared (a value-1 AUX carries the command on both
-sides).  A replica killed inside a broadcast stops the oracle after the same
+The message format is shared, and so is the rule for when a value-1 message
+carries the command: while some destination may lack it (the oracle counts
+an AUX sender as a value-1 sender before its EST arrives behind the AUX).  A
+replica killed inside a broadcast stops the oracle after the same
 destinations.  Below the replay: the rule as a wire invariant, the exact
 steps the four prototype traps were about, and four source mutants that each
 fail a named test.
@@ -65,12 +67,22 @@ from repro.store.store import KVStore, StoreConfig
 class _Unsubsumed(ConsensusObjectProcess):
     """The replica that sends every message: the handlers before subsumption."""
 
+    def _command_for(self, slot, state, relay=-1):
+        # The replica's rule.  Here an AUX sender is tallied as an estimate
+        # only when its EST arrives, right behind the AUX: a value-1 sender
+        # is one in either tally.
+        holders = state.est_senders[1] | state.aux_senders[1] if state is not None else ()
+        owner = slot % self.quorum.n
+        if all(peer in (owner, relay) or peer in holders for peer in self._peers):
+            return None
+        return self.commands.get(slot)
+
     def _bv_step(self, slot, instance, round, value):
         state = instance.rounds[round]
         senders = state.est_senders[value]
         if self.pid not in senders:
             senders.add(self.pid)
-            cand = self.commands.get(slot) if value == 1 else None
+            cand = self._command_for(slot, state) if value == 1 else None
             self.send(self._peers, ConsEst(slot=slot, round=round, value=value, cand=cand))
         if len(senders) >= self.quorum.quorum_size and value not in state.bin_values:
             state.bin_values.append(value)
@@ -84,7 +96,7 @@ class _Unsubsumed(ConsensusObjectProcess):
         round, quorum, first = instance.round, self.quorum.quorum_size, bin_values[0]
         if self.pid not in aux[first]:
             aux[first].add(self.pid)
-            cand = self.commands.get(slot) if first == 1 else None
+            cand = self._command_for(slot, state) if first == 1 else None
             self.send(self._peers, ConsAux(slot=slot, round=round, value=first, cand=cand))
         vals = [value for value in bin_values if aux[value]]
         if sum(len(aux[value]) for value in vals) < quorum:
@@ -245,11 +257,11 @@ class _Shadow:
         self.sent.append((dst, message))
         self.rounds[getattr(message, "round", None)] += 1
 
-    def _on_decide(self, process, decide, slot, value):
+    def _on_decide(self, process, decide, slot, value, *relay):
         instance = process.instances.get(slot)
         if instance is not None:  # not a relay, not a yield: this round's outcome
             self.decided_in[slot] = instance.round
-        decide(slot, value)
+        decide(slot, value, *relay)
 
     def _on_crash(self, process, crash):
         crash()
@@ -563,10 +575,11 @@ def test_a_joiners_echo_rides_on_an_aux_that_carries_the_command(replica=Consens
     aux = ConsAux(slot=0, round=0, value=1, cand=COMMAND)
     assert wire.take() == [(1, 0, aux), (1, 2, aux)]  # no EST, and the command is aboard
     assert p1.rounds_entered == 1 and p1.instances[0].rounds[0].est_senders[1] == {0, 1}
-    # p2 hears the AUX before the proposer's EST: it is all p2 needs.
+    # p2 hears the AUX before the proposer's EST: it is all p2 needs.  Its
+    # DECIDE goes bare: p0 proposed the command and p1 sent it value 1.
     p2.deliver(1, aux)
     assert p2.decided == {0: 1} and p2.commands[0] == COMMAND and p2.state == 1
-    assert wire.take() == [(2, dst, ConsDecide(slot=0, value=1, cand=COMMAND)) for dst in (0, 1)]
+    assert wire.take() == [(2, dst, ConsDecide(slot=0, value=1)) for dst in (0, 1)]
 
 
 def test_an_aux_is_its_senders_estimate_and_the_decide_stands_for_ours(
@@ -699,7 +712,7 @@ def _mutant(method, old, new):
 MUTANTS = {
     "the vouching AUX drops cand": (
         "_resolve",
-        "cand = self.commands.get(slot) if first == 1 else None",
+        "cand = self._command_for(slot, state) if first == 1 else None",
         "cand = None",
         test_a_joiners_echo_rides_on_an_aux_that_carries_the_command,
     ),

@@ -14,7 +14,9 @@ store (a lane's completion callback, the store's target), an open-loop ABD
 store (a fired ``on_done`` continuation), an MMR consensus store, and two
 two-bit stores whose crash point kills a replica with operations in flight
 on it (the crashed process's pending continuation; a message-count point's
-send hook, which the store's network keeps).
+send hook, which the store's network keeps), and a register run whose
+crashed replica leaves its closed loop's operation pending (the client's
+chain continuation, which that operation would otherwise keep).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.exec.oplog import OpLog
 from repro.faults import CrashPoint
 from repro.registers.base import OperationRecord
 from repro.sim.delays import UniformDelay
+from repro.workloads import WorkloadSpec, run_workload
 from repro.workloads.kv import KVWorkloadSpec, run_kv_workload
 from repro.workloads.scenarios import kv_cas, kv_openloop
 
@@ -85,6 +88,34 @@ def test_a_dropped_run_frees_its_run_side_without_the_cycle_collector(name, no_c
         assert any("stalled" in op.failure_reason for op in result.failed_ops())
     driver = weakref.ref(result.store.driver)
     assert _live(OperationRecord) - records == len(result.ops)
+
+    del result
+
+    assert driver() is None, "the driver waits for the cycle collector"
+    assert _live(OpLog) == oplogs, "the op log waits for the cycle collector"
+    assert _live(OperationRecord) == records, "operation records wait for the cycle collector"
+
+
+@pytest.mark.parametrize("at_time", [0.5, 1.5, 2.5, 3.5])
+def test_a_chain_stopped_by_its_crashed_process_frees_its_pending_operation(
+    at_time, no_cycle_collection
+):
+    # A register run is one client whose chains are the processes' closed
+    # loops; replica 2 crashes with its operation in flight, which stays
+    # pending (crash-stop) and must not keep the client's continuation.
+    records, oplogs = _live(OperationRecord), _live(OpLog)
+    spec = WorkloadSpec(
+        n=5,
+        algorithm="two-bit",
+        num_writes=5,
+        reads_per_reader=5,
+        seed=1,
+        crash_points=(CrashPoint(shard=0, replica=2, at_time=at_time),),
+    )
+    result = run_workload(spec)
+    assert result.finished_cleanly
+    assert [op.pid for op in result.ops if not op.done] == [2]
+    driver = weakref.ref(result.store.driver)
 
     del result
 

@@ -2,9 +2,10 @@
 
 MR16 buys its two control bits with *more, smaller* messages, so the price of
 a message is the throughput of the store.  This test runs a fixed-seed 200-op
-two-bit store workload under ``sys.setprofile`` and asserts exact, repeatable
-counts of Python-level work — the same on every box, at every load — so the
-per-message floor cannot silently creep back:
+two-bit store workload under ``sys.setprofile``, with the cycle collector
+off, and asserts exact, repeatable counts of Python-level work — the same on
+every box, at every load — so the per-message floor cannot silently creep
+back:
 
 * a ``WRITE`` is priced when it is built, not once per hop;
 * the event loop is handed no predicate: the drain condition is asked when an
@@ -17,6 +18,7 @@ per-message floor cannot silently creep back:
 
 from __future__ import annotations
 
+import gc
 import sys
 from collections import Counter
 
@@ -77,6 +79,10 @@ def _profiled_run():
         elif event == "return" and code is check_guards:
             scans["depth"] -= 1
 
+    # No collection while counting: it would run finalizers of earlier
+    # tests' garbage, and count their calls.
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         _ops, drives, _finished = drive_script(
@@ -84,6 +90,8 @@ def _profiled_run():
         )
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     processes = [p for key in spec.keys() for p in store.register_for(key).processes]
     return store, processes, calls, loop_predicates, scans, drives
 

@@ -4,8 +4,8 @@ On the read-heavy two-bit store a read is one ``READ`` broadcast plus its
 ``PROCEED`` replies, so the fixed work around each operation — the store's
 routing, the driver, the op log — weighs as much as its messages.  This test
 drives ``test_message_floor.py``'s fixed-seed 200-op run under
-``sys.setprofile`` (script materialised and keys deployed first: that is
-set-up) and asserts exact, repeatable counts:
+``sys.setprofile`` with the cycle collector off (script materialised and
+keys deployed first: that is set-up) and asserts exact, repeatable counts:
 
 * one :class:`~repro.registers.base.OperationRecord` is built per operation
   — the driver's, which the process fills — and nothing else per operation;
@@ -31,7 +31,9 @@ so the count holds a replica's step to its lean path: at most 184 Python
 calls per operation (227.2 while a delivery went ``_on_est -> _bv_step ->
 _resolve -> _decide -> _apply_ready`` through ``_Instance.at``, comprehensions
 and ``ProcessBase.send``, and built an AUX that the ``DECIDE`` then stood
-for; 183.2 once a step built only what it sent, on CPython 3.11).  Every
+for; 183.2 once a step built only what it sent; 182.7 once a value-1
+message carried the command only while a peer may lack it and a consensus
+message was built without ``object.__setattr__``, on CPython 3.11).  Every
 ``ConsAux`` or ``ConsCoin`` built is broadcast: one per ``n - 1`` billed.
 
 Deploying a key is counted too, per key that ``KVStore.register_for``
@@ -95,6 +97,10 @@ def _profiled_run(spec=TWO_BIT_SPEC):
         if event == "call":
             calls[frame.f_code] += 1
 
+    # No collection while counting: it would run finalizers of earlier
+    # tests' garbage, and count their calls.
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         ops, _drives, finished = drive_script(
@@ -102,6 +108,8 @@ def _profiled_run(spec=TWO_BIT_SPEC):
         )
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return store, ops, finished, calls
 
 
@@ -135,8 +143,8 @@ def test_the_abd_op_floor():
 
 
 def test_the_mmr_op_floor(monkeypatch):
-    # Counted by wrapping each class: the dataclass-made ``__init__`` code
-    # objects of ConsEst and ConsAux compare equal, so ``calls`` merges them.
+    # Counted by wrapping each class, not off ``calls``: that keys on code
+    # objects, and equal code objects of two classes would merge.
     built = Counter()
     for cls in (ConsAux, ConsCoin):
 
