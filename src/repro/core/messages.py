@@ -6,8 +6,9 @@ carries is its type, and four types fit in two bits:
 ==============  ==========  ==================================================
 wire encoding   type        carries a data value?
 ==============  ==========  ==================================================
-``00``          WRITE0      yes — the written value ``v`` (data, not control)
-``01``          WRITE1      yes — the written value ``v``
+``00``          WRITE0      yes — the written value ``v`` (data, not control);
+                            ``None`` to a process that holds ``v``
+``01``          WRITE1      yes — likewise
 ``10``          READ        no
 ``11``          PROCEED     no
 ==============  ==========  ==================================================
@@ -24,6 +25,12 @@ asserted.  ``READ()`` and ``PROCEED()`` carry no field, so their price is a
 class attribute.  A ``WRITE(b, v)`` is immutable and travels O(n²) hops as
 the same object (line 15 forwards the message it received), so it is priced
 once, when it is built (:attr:`WriteMessage.price`), not once per hop.
+
+A copy of ``WRITE(b, v)`` sent to a process that already holds ``v`` — the
+writer, or the process whose ``WRITE`` a line-15 forward acknowledges —
+is the *bare* ``WRITE(b, None)`` of the same bit (:attr:`WriteMessage.bare`):
+the same type and control bits, no data bits.  Its receiver never reads
+the value (line 13 is false at a holder; see ``docs/ALGORITHMS.md``).
 """
 
 from __future__ import annotations
@@ -64,6 +71,11 @@ class WriteMessage:
         is built and read by the accounting layer at every hop.  A plain
         attribute, **not** a dataclass field: equality, hash, ``repr`` and
         the wire codecs (which enumerate fields) ignore it.
+    bare:
+        The shared ``WRITE(b, None)`` of this message's bit: what a copy
+        to a process that already holds ``value`` carries.  A plain
+        attribute like ``price``; a message whose value is ``None`` is its
+        own bare form.
     """
 
     bit: int
@@ -72,8 +84,11 @@ class WriteMessage:
     def __post_init__(self) -> None:
         if self.bit not in (0, 1):
             raise ValueError(f"WRITE parity bit must be 0 or 1, got {self.bit}")
-        price = (_WRITE_TYPE_NAMES[self.bit], CONTROL_BITS_PER_MESSAGE, value_bits(self.value))
-        object.__setattr__(self, "price", price)
+        bit, value = self.bit, self.value
+        # Frozen: the two plain attributes go straight into the instance dict.
+        attributes = self.__dict__
+        attributes["price"] = (_WRITE_TYPE_NAMES[bit], CONTROL_BITS_PER_MESSAGE, value_bits(value))
+        attributes["bare"] = self if value is None else BARE_WRITES[bit]
 
     def __repr__(self) -> str:
         return f"WRITE{self.bit}({self.value!r})"
@@ -106,6 +121,9 @@ class ProceedMessage:
     def __repr__(self) -> str:
         return "PROCEED()"
 
+
+#: The shared bare ``WRITE0(None)`` and ``WRITE1(None)``, indexed by the bit.
+BARE_WRITES = (WriteMessage(bit=0, value=None), WriteMessage(bit=1, value=None))
 
 #: The one ``READ()`` and the one ``PROCEED()`` (immutable: frozen, field-less).
 READ = ReadMessage()

@@ -48,6 +48,13 @@ The pseudocode's "send ... to every ``p_j`` such that ..." statements (lines
 2, 6 and 15) are one ``network.send`` each, to the list of those ``p_j``: the
 message is built, priced and checked once for all of them (the network drops
 a crashed sender's sends, so the handlers go to it directly).
+
+A ``WRITE`` to a process that already holds its value carries none: line
+15's forward names the ``p_j`` whose ``WRITE`` it acknowledges, and the
+writer when it is a destination, as ``holders`` of the send, which gives
+them the bare ``WRITE(b, None)`` of the same bit; a line-16 catch-up to the
+writer is bare too.  Line 13 is false at a holder, so it never reads the
+value (``docs/ALGORITHMS.md``, "Who holds a value").
 """
 
 from __future__ import annotations
@@ -56,7 +63,14 @@ import sys
 from operator import itemgetter
 from typing import Any, Callable, Optional
 
-from repro.core.messages import PROCEED, READ, ProceedMessage, ReadMessage, WriteMessage
+from repro.core.messages import (
+    BARE_WRITES,
+    PROCEED,
+    READ,
+    ProceedMessage,
+    ReadMessage,
+    WriteMessage,
+)
 from repro.core.state import TwoBitState
 from repro.registers.base import OperationRecord, RegisterAlgorithm, RegisterProcess
 from repro.sim.network import Network
@@ -373,11 +387,20 @@ class TwoBitRegisterProcess(RegisterProcess):
                 # line 15: forward WRITE(b, v) to every p_l with w_sync_i[l] = wsn - 1
                 # (rule R1; note that p_j itself still has w_sync_i[j] = wsn - 1 at
                 # this point, so the forward doubles as the alternating-bit
-                # acknowledgement towards p_j).
-                self.network.send(pid, [k for k in self._peers if w_sync[k] == own], message)
+                # acknowledgement towards p_j).  p_j and the writer hold v
+                # already: their copies are the bare WRITE(b, None).
+                writer = self.writer_pid
+                holders = (src,) if src == writer or w_sync[writer] != own else (src, writer)
+                self.network.send(
+                    pid, [k for k in self._peers if w_sync[k] == own], message, holders
+                )
             # line 16: else if (wsn < w_sync_i[i]) send WRITE((wsn+1) mod 2, history_i[wsn+1]) to p_j
+            # (bare to the writer, which holds every value it wrote)
             elif wsn < own:
-                catch_up = WriteMessage(bit=(wsn + 1) % 2, value=st.history[wsn + 1])
+                if src == self.writer_pid:
+                    catch_up = BARE_WRITES[(wsn + 1) % 2]
+                else:
+                    catch_up = WriteMessage(bit=(wsn + 1) % 2, value=st.history[wsn + 1])
                 self.network.send(pid, src, catch_up)
             # (implicit third case wsn = w_sync_i[i]: nothing to send — p_j is
             #  exactly as up to date as p_i.)

@@ -30,6 +30,14 @@ small deterministic counterexample, and replay it from the artifact.
     it — the two-bit read's own **new/old inversion**, which line 9
     prevents as ABD's write-back does.
 
+``two-bit-bare-forward``
+    Every copy of a line-15 forward goes bare (``WRITE(b, None)``), not
+    only the copies to the processes that hold the value.  A process that
+    learns a value from a forward rather than from the writer records
+    ``None`` in its history, and a read that returns it is a **read of a
+    value never written**: the bare form is sound only to a holder, for
+    whom line 13 is false.
+
 ``mmr-cas-skip-aux``
     MMR binary consensus without the AUX quorum: each replica decides the
     first estimate its bin_values delivers, skipping the round of AUX
@@ -110,6 +118,28 @@ class TwoBitNoLine9WaitProcess(TwoBitRegisterProcess):
         done(st.history[st.w_sync[self.pid]])  # BUG: line 8, then line 10 at once
 
 
+class _EveryForwardBare:
+    """A process's transport whose sends take every destination of a
+    line-15 forward (the only send that names ``holders``) for a holder."""
+
+    def __init__(self, network: Any) -> None:
+        self._network = network
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._network, name)
+
+    def send(self, src: int, dst: Any, message: Any, holders: Any = ()) -> None:
+        self._network.send(src, dst, message, dst if holders else ())  # BUG: all bare
+
+
+class TwoBitBareForwardProcess(TwoBitRegisterProcess):
+    """The two-bit process whose line-15 forwards carry no value to anyone."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.network = _EveryForwardBare(self.network)
+
+
 #: Mutation name -> algorithm factory (kept out of the default registry).
 MUTATIONS: Dict[str, RegisterAlgorithm] = {
     "abd-no-writeback": RegisterAlgorithm(
@@ -130,6 +160,13 @@ MUTATIONS: Dict[str, RegisterAlgorithm] = {
         name="two-bit-no-line9-wait",
         description="FAULTY (explorer mutation test): two-bit read without line 9's wait",
         process_factory=TwoBitNoLine9WaitProcess,
+        supports_multi_writer=False,
+        bounded_control_bits=True,
+    ),
+    "two-bit-bare-forward": RegisterAlgorithm(
+        name="two-bit-bare-forward",
+        description="FAULTY (explorer mutation test): two-bit forwards carry no value",
+        process_factory=TwoBitBareForwardProcess,
         supports_multi_writer=False,
         bounded_control_bits=True,
     ),

@@ -90,6 +90,11 @@ def _bad_destination(src: int, dst: int) -> Exception:
     return KeyError(f"unknown destination process p{dst}")
 
 
+def _bad_holders(src: int, holders: Sequence[int], dst: Any) -> Exception:
+    """Why ``holders`` may not go with a send to ``dst``: not distinct destinations."""
+    return ValueError(f"holders {list(holders)} are not distinct destinations of p{src}->{dst}")
+
+
 @dataclass
 class NetworkStats:
     """Aggregated message statistics for a simulation run.
@@ -114,15 +119,18 @@ class NetworkStats:
     by_type: Dict[str, int] = field(default_factory=dict)
     per_sender: Dict[int, int] = field(default_factory=dict)
 
-    def record_send(self, src: int, message: Any, count: int = 1) -> tuple[int, int]:
-        """Price ``message`` once and bill ``src`` for ``count`` copies of it."""
+    def record_send(
+        self, src: int, message: Any, count: int = 1, bare: int = 0
+    ) -> tuple[int, int]:
+        """Price ``message`` once and bill ``src`` for ``count`` copies of it,
+        ``bare`` of which go without its data (``message.bare``)."""
         try:  # price_of(), inlined: this runs once per send call
             name, control, data = message.price
         except AttributeError:
             name, control, data = message.__class__.__name__, 0, 0
         self.messages_sent += count
         self.control_bits_total += control * count
-        self.data_bits_total += data * count
+        self.data_bits_total += data * (count - bare)
         if control > self.max_control_bits:
             self.max_control_bits = control
         by_type = self.by_type
@@ -363,12 +371,24 @@ class Network:
 
     # --------------------------------------------------------------- sending
 
-    def send(self, src: int, dst: Union[int, Sequence[int]], message: Any) -> None:
+    def send(
+        self,
+        src: int,
+        dst: Union[int, Sequence[int]],
+        message: Any,
+        holders: Sequence[int] = (),
+    ) -> None:
         """Send ``message`` from ``src`` to ``dst`` — one pid, or a sequence of pids.
 
         Each copy is delivered after a delay sampled from the delay model,
         unless its destination has crashed by then (it is dropped: the
         destination takes no further steps, so it could never process it).
+
+        ``holders`` are distinct destinations that already hold the
+        message's data: each of them gets ``message.bare`` instead (the same
+        type and control bits, no data), every other destination
+        ``message`` — the loop of single sends with ``message.bare`` to a
+        holder.  A holder that is not a destination rejects the call.
 
         A sequence is the pseudocode's "send to every ``p_j`` such that…":
         observably the loop of single sends in list order (same delay draws,
@@ -424,6 +444,10 @@ class Network:
             endpoint = endpoints.get(dst)
             if endpoint is None or dst == src:
                 raise _bad_destination(src, dst)
+            if holders:
+                if len(holders) > 1 or holders[0] != dst:
+                    raise _bad_holders(src, holders, dst)
+                message = message.bare
             delay = model.sample(src, dst)
             if not hooks and policy is None and chooser is None and coalesced is None:
                 # One message that nothing can reshape, observe or share an
@@ -438,7 +462,7 @@ class Network:
                 time = send_time + delay
                 heappush(heap, (time, next(counter), endpoint, src, message, send_time, None))
                 return
-            dsts, delays = (dst,), (delay,)
+            dsts, delays, holders = (dst,), (delay,), ()
         else:
             dsts = dst
             if not dsts:
@@ -446,18 +470,25 @@ class Network:
             for dst in dsts:
                 if dst == src or dst not in endpoints:
                     raise _bad_destination(src, dst)
+            for holder in holders:
+                if holder not in dsts:
+                    raise _bad_holders(src, holders, dsts)
             if hooks:
                 delays = (model.sample(src, dst) for dst in dsts)  # drawn as the loop advances
             else:
                 delays = model.sample_many(src, dsts)
         if not hooks:
             count = len(dsts)
-            stats.record_send(src, message, count)
+            stats.record_send(src, message, count, len(holders))
             self._in_flight += count
         push = heappush if chooser is None else chooser.hold
+        bare = message.bare if holders else None
+        sent = message
         for dst, delay in zip(dsts, delays):
+            if holders:
+                sent = bare if dst in holders else message
             if hooks:
-                stats.record_send(src, message)
+                stats.record_send(src, sent)
                 self._in_flight += 1
             if delay < 0:
                 raise ValueError(f"delay model produced negative delay {delay}")
@@ -472,21 +503,21 @@ class Network:
                     )
             time = send_time + delay
             if coalesced is None:
-                push(heap, (time, next(counter), endpoints[dst], src, message, send_time, None))
+                push(heap, (time, next(counter), endpoints[dst], src, sent, send_time, None))
             else:
                 key = (dst, time)
                 riders = coalesced.get(key)
                 if riders is None:
                     coalesced[key] = riders = []
                     heappush(
-                        heap, (time, next(counter), endpoints[dst], src, message, send_time, riders)
+                        heap, (time, next(counter), endpoints[dst], src, sent, send_time, riders)
                     )
                 else:
-                    riders.append((src, message, send_time))
+                    riders.append((src, sent, send_time))
                     stats.messages_coalesced += 1
             if hooks:
                 for hook in hooks:
-                    hook(src, dst, message)
+                    hook(src, dst, sent)
                 if sender is not None and sender.process.crashed:
                     break
 

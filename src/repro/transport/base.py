@@ -107,13 +107,20 @@ class Transport(Protocol):
         """Attach a process so it can receive deliveries."""
         ...
 
-    def send(self, src: int, dst: Union[int, Sequence[int]], message: Any) -> None:
+    def send(
+        self,
+        src: int,
+        dst: Union[int, Sequence[int]],
+        message: Any,
+        holders: Sequence[int] = (),
+    ) -> None:
         """Send ``message`` from ``src`` to ``dst`` — one pid, or a sequence of pids.
 
         A sequence is "send to every ``p_j`` such that…": the loop of single
         sends in list order, done as one call.  No self-sends.  A crashed
         sender's send is dropped (it takes no steps), so a process may send
-        straight to its transport.
+        straight to its transport.  ``holders`` are destinations that hold
+        the message's data already: each gets ``message.bare`` instead.
         """
         ...
 

@@ -332,7 +332,13 @@ class LiveKey:
     def register(self, process: Any) -> None:
         self.process = process
 
-    def send(self, src: int, dst: Union[int, Sequence[int]], message: Any) -> None:
+    def send(
+        self,
+        src: int,
+        dst: Union[int, Sequence[int]],
+        message: Any,
+        holders: Sequence[int] = (),
+    ) -> None:
         if self.closed:
             raise TransportClosedError(f"send p{src}->p{dst} on closed live net {self.name!r}")
         if self.process.crashed:  # a crashed process takes no steps, hence cannot send
@@ -342,19 +348,26 @@ class LiveKey:
             raise ValueError(f"process p{src} attempted to send a message to itself")
         if not dsts:
             return
-        # One frame per destination (it carries its ``dst``), billed as on
-        # ``Network.send``: per copy, each shown to the hooks, only with hooks.
+        for holder in holders:
+            if holder not in dsts:
+                raise ValueError(f"holder p{holder} is not a destination of p{src}'s send")
+        # One frame per destination (it carries its ``dst``; a holder's is
+        # ``message.bare``), billed as on ``Network.send``: per copy, each
+        # shown to the hooks, only with hooks.
         server, stats, key = self.server, self.stats, self.key
         peers, hooks = server.peer_conns, server.send_hooks
         if not hooks:
-            stats.record_send(src, message, len(dsts))
+            stats.record_send(src, message, len(dsts), len(holders))
+        sent = message
         for dst in dsts:
+            if holders:
+                sent = message.bare if dst in holders else message
             if hooks:
-                stats.record_send(src, message)
-            peers[dst].send({"kind": "msg", "key": key, "src": src, "dst": dst, "msg": message})
+                stats.record_send(src, sent)
+            peers[dst].send({"kind": "msg", "key": key, "src": src, "dst": dst, "msg": sent})
             if hooks:
                 for hook in hooks:
-                    hook(src, dst, message)
+                    hook(src, dst, sent)
                 if self.process.crashed:
                     break  # a hook crashed the sender: nothing further is billed or sent
 

@@ -19,7 +19,10 @@ for and an AUX their ``DECIDE`` stands for (1,956 / 1,648 / 1,632 messages
 before): there the protocol changed, not the accounting.  Their data bits
 were recorded once more when a value-1 message stopped carrying the command
 to peers that all hold it (95,106 / 29,012 / 34,268 before); every other
-entry of those rows stood.
+entry of those rows stood.  The two-bit data bits were recorded once more
+when a ``WRITE`` to a process that holds its value stopped carrying it
+(before: 592 in the first test, 13,472 in the two-bit bill, 1,728 / 1,600 /
+1,216 / 1,824 / 3,360 in the crash runs); every other entry stood.
 
 The next test pins five register runs through each kind of crash a
 :class:`~repro.faults.CrashPoint` expresses — recorded while register crashes
@@ -67,7 +70,7 @@ def test_snapshot_of_a_run_whose_writer_dies_mid_forward():
         "messages_delivered": 53,
         "messages_dropped_to_crashed": 6,
         "control_bits_total": 118,
-        "data_bits_total": 592,
+        "data_bits_total": 400,
         "max_control_bits": 2,
         "messages_coalesced": 0,
         "delivery_events": 59,
@@ -86,7 +89,7 @@ _MIXES = {
 
 #: sent, delivered, dropped, control bits, data bits, max control bits, by_type.
 _BILLS = {
-    "two-bit": (399, 385, 14, 798, 13472, 2,
+    "two-bit": (399, 385, 14, 798, 8528, 2,
                 {"READ": 100, "WRITE1": 116, "PROCEED": 89, "WRITE0": 94}),
     "abd": (529, 498, 31, 3045, 15592, 9,
             {"ABD_READ_QUERY": 100, "ABD_WRITE": 80, "ABD_READ_REPLY": 89,
@@ -161,21 +164,21 @@ def _register(**changes):
 _CRASH_RUNS = {
     "timed reader crash": (
         _register(crash_points=(CrashPoint(shard=0, replica=3, at_time=4.0),)),
-        (223, 210, 13, 446, 1728),
+        (223, 210, 13, 446, 1328),
         {"WRITE1": 56, "READ": 60, "PROCEED": 55, "WRITE0": 52},
         [False, False, False, True, False], 7.4082827275628516, 229,
         (True, 21, 20, 0),
     ),
     "writer crash": (
         _register(crash_points=(CrashPoint(shard=0, replica=0, allow_writer=True, at_time=5.0),)),
-        (223, 217, 6, 446, 1600),
+        (223, 217, 6, 446, 1232),
         {"WRITE1": 60, "READ": 64, "PROCEED": 59, "WRITE0": 40},
         [True, False, False, False, False], 6.698858609719283, 229,
         (True, 21, 20, 0),
     ),
     "zero-message trigger": (
         _register(crash_points=(CrashPoint(shard=0, replica=2, after_messages_sent=0),)),
-        (160, 144, 16, 320, 1216),
+        (160, 144, 16, 320, 848),
         {"WRITE1": 40, "READ": 48, "PROCEED": 36, "WRITE0": 36},
         [False, False, True, False, False], 8.00660267729394, 165,
         (True, 18, 18, 0),
@@ -185,14 +188,14 @@ _CRASH_RUNS = {
             fault_plan=majority_minority_split(5, start=3.0, heal=20.0),
             crash_points=(CrashPoint(shard=0, replica=1, at_time=11.5),),
         ),
-        (238, 226, 12, 476, 1824),
+        (238, 226, 12, 476, 1328),
         {"WRITE1": 58, "READ": 64, "PROCEED": 60, "WRITE0": 56},
         [False, True, False, False, False], 24.918287305832397, 244,
         (True, 22, 22, 0),
     ),
     "crash_storm(crash_writer=True)": (
         crash_storm(crash_writer=True, seed=11),
-        (1134, 1030, 104, 2268, 3360),
+        (1134, 1030, 104, 2268, 2720),
         {"WRITE1": 126, "READ": 510, "PROCEED": 414, "WRITE0": 84},
         [True, False, False, False, False, True, False], 31.125395895697697, 1143,
         (True, 90, 88, 0),

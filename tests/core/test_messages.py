@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.messages import (
+    BARE_WRITES,
     CONTROL_BITS_PER_MESSAGE,
     WIRE_CODES,
     ProceedMessage,
@@ -134,6 +135,32 @@ class TestPricedWhenBuilt:
             assert body.hex() == expected
             decoded = codec.decode(body)["msg"]
             assert decoded == message and decoded.price == message.price
+
+
+class TestBareWrites:
+    """``WRITE(b, None)``: what a copy to a process that holds the value carries."""
+
+    @given(bit=st.integers(min_value=0, max_value=1), value=_VALUES)
+    def test_every_write_names_the_shared_bare_write_of_its_bit(self, bit, value):
+        message = WriteMessage(bit=bit, value=value)
+        assert message.bare == WriteMessage(bit=bit, value=None)
+        assert message.bare.price == (f"WRITE{bit}", 2, 0)
+        if value is not None:
+            assert message.bare is BARE_WRITES[bit]
+        assert message.bare.bare is message.bare
+
+    def test_it_is_not_a_dataclass_field(self):
+        assert dataclasses.asdict(BARE_WRITES[1]) == {"bit": 1, "value": None}
+        assert pickle.loads(pickle.dumps(WriteMessage(bit=0, value="v"))).bare == BARE_WRITES[0]
+
+    @pytest.mark.parametrize("codec_name", ["binary", "json"])
+    def test_both_round_trip_through_both_codecs(self, codec_name):
+        codec = make_codec(codec_name)
+        for bare in BARE_WRITES:
+            frame = {"kind": "msg", "key": "k0001", "src": 1, "dst": 0, "msg": bare}
+            decoded = codec.decode(codec.encode(frame))["msg"]
+            assert decoded == bare and decoded.price == bare.price and decoded.bare == bare
+        assert schema_signature() == "4e1a3659a3317053"
 
 
 class TestControlOnlyMessages:

@@ -66,6 +66,21 @@ class TestWriteHandlerInOrder:
         assert cluster.network.stats.messages_sent == messages_before + 1
         assert cluster.network.stats.by_type.get("WRITE0", 0) == write0_before + 1
 
+    def test_a_catch_up_to_the_writer_is_bare(self):
+        """line 16 towards the writer: it holds every value it wrote, so the
+        catch-up is ``WRITE(0, None)`` — the bit it needs, without the value."""
+        cluster = make_cluster(n=3)
+        receiver = cluster.processes[2]
+        receiver.deliver(1, WriteMessage(bit=1, value="v1"))  # forwards of the writer's
+        receiver.deliver(1, WriteMessage(bit=0, value="v2"))  # values, ahead of its own
+        sent = []
+        cluster.network.add_send_hook(lambda src, dst, message: sent.append((src, dst, message)))
+        receiver.deliver(0, WriteMessage(bit=1, value="v1"))  # the writer's copy, late
+        assert sent == [(2, 0, WriteMessage(bit=0, value=None))]
+        # p2's forwards went to p1, which sent it the values, and to p0: every
+        # WRITE p2 sent went to a holder, and none carried data.
+        assert cluster.network.stats.data_bits_total == 0
+
     def test_catch_up_rule_r2_end_to_end_with_slow_link(self):
         """A slow p0->p2 link forces p2 to learn values via p1, then rule R2
         (and the normal forwarding) still brings every history to convergence."""
@@ -192,8 +207,8 @@ class TestReleaseOrder:
     release at its end sees the three waits due together: value #2's
     ``WRITE`` runs lines 12-18 and moves ``w_sync[2]`` to 2, which releases
     the ``PROCEED`` before value #3 (registration order), and value #3 is
-    then appended and forwarded.  Either way p1 sends the same messages,
-    in the same order.
+    then appended and forwarded — bare, as p0 wrote it and p2 sent it.
+    Either way p1 sends the same messages, in the same order.
     """
 
     MESSAGES = (
@@ -205,8 +220,9 @@ class TestReleaseOrder:
     SENT = [
         (1, 2, WriteMessage(bit=0, value="v2")),  # line 16: catch p2 up on value #1
         (1, 2, ProceedMessage()),  # line 21
-        (1, 0, WriteMessage(bit=1, value="v3")),  # line 15: value #3, appended
-        (1, 2, WriteMessage(bit=1, value="v3")),
+        # line 15: value #3, appended and forwarded bare — p0 wrote it, p2 sent it
+        (1, 0, WriteMessage(bit=1, value=None)),
+        (1, 2, WriteMessage(bit=1, value=None)),
     ]
     BUFFERED_V2 = "line 11 reorder buffer (from p2, bit=0)"
     FRESHNESS = "line 20 freshness wait (reader p2, sn=2)"
@@ -340,7 +356,7 @@ class TestWaitDiagnostics:
         assert cluster.simulator.pending_labels() == [
             "deliver READ() p2->p0",
             "deliver READ() p2->p1",
-            "deliver WRITE1('v1') p1->p0",
+            "deliver WRITE1(None) p1->p0",  # bare: the writer holds value #1
             "deliver WRITE1('v1') p1->p2",
         ]
 

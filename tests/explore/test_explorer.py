@@ -94,6 +94,18 @@ class TestMutationTesting:
         assert any("wing-gong" in violation for violation in example.violations)
         assert run_exploration(config.with_(algorithm="two-bit")).ok
 
+    def test_the_bare_forward_mutant_is_a_wing_gong_violation_where_two_bit_is_clean(self):
+        # A forward is bare only to the processes that hold its value; sent
+        # bare to all, a value learned from a forward is recorded as None.
+        # The CI step's geometry and seed (found at the first schedule).
+        config = ExploreConfig(algorithm="two-bit-bare-forward", seed=0, budget=20)
+        report = run_exploration(config)
+        assert len(report.counterexamples) == 1
+        example = report.counterexamples[0]
+        assert example.replayed
+        assert any("wing-gong" in violation for violation in example.violations)
+        assert run_exploration(config.with_(algorithm="two-bit")).ok
+
     def test_mutants_stay_out_of_the_default_registry(self):
         from repro.registers.registry import get_algorithm
 

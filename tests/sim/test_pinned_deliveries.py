@@ -7,7 +7,10 @@ different corner of that path, reduced to a digest — the
 makespan, a sha256 of every key's history rows and a sha256 of the
 ``MessageRecord`` log (``None`` where the run keeps no log).  The file
 ``pinned_delivery_digests.json`` was recorded before in-flight messages
-became plain heap tuples, and any drift is a behaviour change.
+became plain heap tuples, and any drift is a behaviour change.  Its
+``data_bits_total`` entries and the two record hashes were recorded again
+when a ``WRITE`` to a process that holds its value began to go bare
+(``WRITE1(None)``): the executions did not move.
 
 The cases: a continuous delay model (no coalescing index); a fixed delay
 with coalescing (fan-out batches); the same with ``record_messages`` on (a

@@ -2,7 +2,9 @@
 
 ``Network.send(src, [d1, d2, ...], message)`` prices and checks the message
 once and draws its delays in one batch; nothing an execution can observe may
-tell it apart from ``for d in [d1, d2, ...]: send(src, d, message)``.  The
+tell it apart from ``for d in [d1, d2, ...]: send(src, d, message)``.  With
+``holders`` (a ``WRITE`` forwarded to processes of which some hold its
+value) the loop sends each holder ``message.bare`` instead.  The
 differential property below runs the same seeded script both ways, under
 every feature of the send path at once, and compares everything there is to
 compare — what was sent when, and in which order, through the message
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import create_register
-from repro.core.messages import READ, WriteMessage
+from repro.core.messages import BARE_WRITES, READ, WriteMessage
 from repro.explore.chooser import RandomChooser
 from repro.faults import CrashPoint, install_crash_points
 from repro.registers.abd import AbdReadReply
@@ -175,24 +177,33 @@ def _scripts(draw, plain=False):
             dsts = [pid for pid in others if pid % 2 == parity]
         else:
             dsts = draw(st.permutations(others))
-        steps.append(("send", src, list(dsts), draw(st.sampled_from(MESSAGES))))
+        message = draw(st.sampled_from(MESSAGES))
+        holders = ()
+        if dsts and isinstance(message, WriteMessage):
+            holders = tuple(draw(st.lists(st.sampled_from(list(dsts)), unique=True)))
+        steps.append(("send", src, list(dsts), message, holders))
     return config, steps
 
 
 def _play(config: dict, steps: list, form: str) -> list:
-    """Play the script sending each step as one ``list``, a ``loop`` of pids, or ``singletons``."""
+    """Play the script sending each step as one ``list``, a ``loop`` of pids, or ``singletons``.
+
+    A ``list`` names the step's holders; the other forms send a holder
+    ``message.bare`` themselves.
+    """
     world = _World(config)
     observations = []
     for step in steps:
         if step[0] == "advance":
             world.simulator.run(until=world.simulator.now + step[1])
         else:
-            _, src, dsts, message = step
+            _, src, dsts, message, holders = step
             if form == "list":
-                world.network.send(src, dsts, message)
+                world.network.send(src, dsts, message, holders)
             else:
                 for dst in dsts:
-                    world.network.send(src, dst if form == "loop" else [dst], message)
+                    sent = message.bare if dst in holders else message
+                    world.network.send(src, dst if form == "loop" else [dst], sent)
         observations.append(world.observe())
     world.simulator.drain()
     observations.append(world.observe())
@@ -396,24 +407,66 @@ class TestTheIndexExistsOnlyWhereInstantsCanBeShared:
         assert world.network._coalesced == {} and world.network.stats.messages_coalesced == 0
 
 
-def test_a_forwarded_write_is_the_received_object_and_is_billed_like_a_fresh_one():
+class TestHolders:
+    """What ``holders`` adds to a send: a holder's copy is ``message.bare``."""
+
+    MESSAGE = WriteMessage(bit=1, value="v1")
+
+    def test_a_unicast_to_a_holder_is_the_bare_send(self):
+        worlds = [_World(_CONFIG), _World(_CONFIG)]
+        worlds[0].network.send(0, 1, self.MESSAGE, (1,))
+        worlds[1].network.send(0, 1, self.MESSAGE.bare)
+        for world in worlds:
+            world.simulator.drain()
+        assert worlds[0].observe() == worlds[1].observe()
+        assert worlds[0].log[0][3] is BARE_WRITES[1]
+
+    @pytest.mark.parametrize("dsts", [[1, 2], 1])
+    def test_a_holder_that_is_not_a_destination_sends_nothing(self, dsts):
+        world = _World(_CONFIG)
+        before = world.observe()
+        with pytest.raises(ValueError, match="not distinct destinations"):
+            world.network.send(0, dsts, self.MESSAGE, (3,))
+        assert world.observe() == before
+
+    def test_the_bill_is_the_copies_less_the_holders_data(self):
+        world = _World(_CONFIG)
+        world.network.send(0, [1, 2, 3], self.MESSAGE, (3, 1))
+        stats = world.network.stats
+        assert stats.by_type == {"WRITE1": 3} and stats.control_bits_total == 6
+        assert stats.data_bits_total == 16
+
+
+def test_a_forwarded_write_is_the_received_object_or_bare_to_a_holder():
     n = 4
     cluster = create_register(
         n=n, initial_value="v0", delay_model=UniformDelay(0.2, 1.0, seed=5)
     )
     writes = []
     cluster.network.add_send_hook(
-        lambda src, dst, message: writes.append(message)
+        lambda src, dst, message: writes.append((src, dst, message))
         if isinstance(message, WriteMessage)
         else None
     )
+    cluster.network.record_messages = True
     cluster.writer.write("value-1")
     cluster.settle()
-    # Theorem 2: n(n - 1) WRITEs — the writer's one message object, forwarded as is.
+    # Theorem 2: n(n - 1) WRITEs — the writer's one message object, forwarded
+    # as is to every process that may lack it, and the bare WRITE1 of the
+    # same bit to the writer and to the process whose WRITE it acknowledges.
     assert len(writes) == n * (n - 1)
-    assert len({id(message) for message in writes}) == 1
+    (original,) = {message for src, _, message in writes if src == 0}
+    learned_from = {}  # forwarder -> the process whose WRITE it took value #1 from
+    for record in cluster.network.records:
+        learned_from.setdefault(record.dst, record.src)
+    bare = 0
+    for src, dst, message in writes:
+        holder = src != 0 and (dst == 0 or dst == learned_from[src])
+        assert message is (BARE_WRITES[1] if holder else original), (src, dst, message)
+        bare += holder
+    assert bare == 4
     stats = cluster.network.stats
     assert stats.by_type == {"WRITE1": n * (n - 1)}
     assert stats.control_bits_total == 2 * n * (n - 1)
-    assert stats.data_bits_total == 8 * len("value-1") * n * (n - 1)
+    assert stats.data_bits_total == 8 * len("value-1") * (n * (n - 1) - bare)
     assert stats.per_sender == {pid: n - 1 for pid in range(n)}
